@@ -79,6 +79,7 @@ def test_rpc_overhead(record_table):
             ServiceConfig(
                 shards=SHARDS,
                 shard_transport=transport,
+                backend="serial",
                 wire_format=wire,
                 result_cache_size=0,
             ),
@@ -211,6 +212,7 @@ def test_lone_query_coalescing_untaxed(record_table):
             ServiceConfig(
                 shards=SHARDS,
                 shard_transport="rpc",
+                backend="serial",
                 result_cache_size=0,
                 **overrides,
             ),
@@ -242,6 +244,7 @@ def test_lone_query_coalescing_untaxed(record_table):
             ServiceConfig(
                 shards=SHARDS,
                 shard_transport="rpc",
+                backend="serial",
                 result_cache_size=0,
                 tracing=True,
                 **overrides,
@@ -361,6 +364,7 @@ def test_rpc_concurrent_throughput(record_table):
             ServiceConfig(
                 shards=SHARDS,
                 shard_transport="rpc",
+                backend="serial",
                 result_cache_size=0,
                 **overrides,
             ),

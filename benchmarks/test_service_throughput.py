@@ -35,6 +35,7 @@ from repro.workloads import lubm, lubm_queries
 ALL_NAMES = [f"Q{i}" for i in range(1, 15)]
 WARM_ROUNDS = 3
 MIX_REPEATS = 6
+BATCH_TRIALS = 3
 #: Wall-clock thresholds hold comfortably on a quiet machine but can
 #: flake on noisy shared CI runners; SERVICE_BENCH_STRICT=0 keeps the
 #: runs + recorded tables as a smoke test without gating on timings.
@@ -106,15 +107,22 @@ def test_batch_beats_serial_submission(graph, record_table):
     """One batch of a repeated mix beats serial submission wall-clock."""
     mix = [lubm_queries.query(n) for n in ALL_NAMES] * MIX_REPEATS
 
-    with QueryService(graph, _no_result_cache()) as serial_service:
-        t0 = time.perf_counter()
-        serial = [serial_service.submit(q) for q in mix]
-        serial_s = time.perf_counter() - t0
+    def timed(submit_all):
+        # A fresh service per trial: both sides pay the cold optimizations.
+        with QueryService(graph, _no_result_cache()) as service:
+            t0 = time.perf_counter()
+            outcomes = submit_all(service)
+            return time.perf_counter() - t0, outcomes
 
-    with QueryService(graph, _no_result_cache()) as batch_service:
-        t0 = time.perf_counter()
-        batched = batch_service.submit_batch(mix)
-        batch_s = time.perf_counter() - t0
+    # Best of BATCH_TRIALS alternating trials per side: the saving is
+    # the 70 coalesced executions, a few ms each on the id-space
+    # default, and one slow phase of a shared host is larger than that.
+    serial_s = batch_s = float("inf")
+    for _ in range(BATCH_TRIALS):
+        seconds, serial = timed(lambda svc: [svc.submit(q) for q in mix])
+        serial_s = min(serial_s, seconds)
+        seconds, batched = timed(lambda svc: svc.submit_batch(mix))
+        batch_s = min(batch_s, seconds)
 
     # Identical answers, in submission order.
     assert [o.rows for o in batched] == [o.rows for o in serial]
@@ -127,7 +135,7 @@ def test_batch_beats_serial_submission(graph, record_table):
         [
             "service_throughput: batch vs serial submission of a repeated mix",
             f"(14 LUBM queries x{MIX_REPEATS} = {len(mix)} submissions, "
-            "result cache off in both services)",
+            f"result cache off in both services, best of {BATCH_TRIALS})",
             "",
             f"serial: {serial_s:8.3f}s  ({qps_serial:6.1f} q/s)",
             f"batch:  {batch_s:8.3f}s  ({qps_batch:6.1f} q/s, "

@@ -66,8 +66,14 @@ def test_shard_scaling(record_table):
     process_ok = _process_pools_work()
 
     configs: list[tuple[str, ServiceConfig]] = [
-        ("shards=1 serial", ServiceConfig(shards=1, result_cache_size=0)),
-        ("shards=4 serial", ServiceConfig(shards=4, result_cache_size=0)),
+        (
+            "shards=1 serial",
+            ServiceConfig(shards=1, backend="serial", result_cache_size=0),
+        ),
+        (
+            "shards=4 serial",
+            ServiceConfig(shards=4, backend="serial", result_cache_size=0),
+        ),
     ]
     if process_ok:
         configs += [

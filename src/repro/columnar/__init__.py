@@ -9,18 +9,20 @@ the representation:
 
 * :mod:`repro.columnar.engine` evaluates the physical task specs
   (``ChainMapSpec`` / ``MapOnlySpec`` / ``StarReduceSpec``) entirely in
-  id space — selection is id comparison, the star join hashes id
-  columns, projection slices columns — decoding back to term tuples
-  only at the spec boundary, so answers and counters stay bit-identical
-  to the tuple kernels (this powers the ``columnar`` execution
-  backend);
+  id space — selection is id comparison, the star join sorts and
+  probes id columns, projection slices columns — decoding back to term
+  tuples only at the spec boundary, so answers and counters stay
+  bit-identical to the tuple kernels (this powers the ``columnar``
+  execution backend, the query service's default where numpy imports);
 * :mod:`repro.columnar.wire` packs rows crossing the RPC boundary into
   id buffers plus a delta of dictionary entries the peer does not hold
   yet, replacing pickled tuple lists as the shard wire format.
 
-numpy accelerates the selection kernels when importable; everything
-falls back to ``array('q')`` so a stdlib-only install keeps working
-(set ``REPRO_COLUMNAR_FORCE_FALLBACK=1`` to force the stdlib path).
+With numpy the kernels are bulk operators over int64 arrays
+(:mod:`repro.columnar.kernels`); without it the same names run row at a
+time over ``array('q')`` columns (:mod:`repro.columnar.stdlib_kernels`),
+so a stdlib-only install keeps working (set
+``REPRO_COLUMNAR_FORCE_FALLBACK=1`` to force the stdlib path).
 """
 
 from repro.columnar.block import (

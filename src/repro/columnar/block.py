@@ -104,18 +104,19 @@ class ColumnBlock:
     def from_rows(
         cls, attrs: Sequence[str], rows: Iterable[tuple], dictionary: Dictionary
     ) -> "ColumnBlock":
-        """Encode term-tuple rows against *dictionary* (growing it)."""
+        """Encode term-tuple rows against *dictionary* (growing it),
+        one column at a time."""
         attrs = tuple(attrs)
-        encode = dictionary.encode
-        id_rows = [tuple(encode(term) for term in row) for row in rows]
-        return cls.from_id_rows(attrs, id_rows)
+        columns = tuple(
+            make_column(dictionary.encode_many(terms)) for terms in zip(*rows)
+        )
+        return cls(attrs, columns) if columns else cls.empty(attrs)
 
     def to_rows(self, dictionary: Dictionary) -> list[tuple]:
-        """Decode back to term-tuple rows, preserving row order."""
-        if not self.columns:
-            return []
-        decode = dictionary.decode
-        return [tuple(decode(i) for i in row) for row in zip(*self.columns)]
+        """Decode back to term-tuple rows, preserving row order, one
+        column at a time."""
+        decode = dictionary.decode_many
+        return list(zip(*[decode(col.tolist()) for col in self.columns]))
 
 
 def to_blocks(relation, dictionary: Dictionary) -> ColumnBlock:

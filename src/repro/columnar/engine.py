@@ -17,8 +17,9 @@ field-wise identical :class:`TaskMetrics`.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 
-from repro.columnar.block import ColumnBlock, make_column
+from repro.columnar.block import ColumnBlock, empty_column, make_column
 from repro.columnar.kernels import (
     HashMemo,
     project_block,
@@ -40,7 +41,7 @@ from repro.physical.operators import (
 from repro.rdf.dictionary import Dictionary
 from repro.rdf.terms import is_variable
 
-#: Cached scan encodings per store snapshot before the cache resets.
+#: Cached scan encodings per store snapshot.
 MAX_CACHED_SCANS = 512
 
 
@@ -67,26 +68,19 @@ class ColumnarState:
             return ColumnBlock.from_rows(attrs, rows, self.dictionary)
 
     def scan_columns(self, key: tuple, triples) -> tuple:
-        """The (s, p, o) id columns of one scan, encoded once and cached."""
-        columns = self._scan_cache.get(key)
-        if columns is None:
-            with self.lock:
-                columns = self._scan_cache.get(key)
-                if columns is None:
-                    encode = self.dictionary.encode
-                    s_ids, p_ids, o_ids = [], [], []
-                    for s, p, o in triples:
-                        s_ids.append(encode(s))
-                        p_ids.append(encode(p))
-                        o_ids.append(encode(o))
-                    columns = (
-                        make_column(s_ids),
-                        make_column(p_ids),
-                        make_column(o_ids),
-                    )
-                    if len(self._scan_cache) >= MAX_CACHED_SCANS:
-                        self._scan_cache.clear()
-                    self._scan_cache[key] = columns
+        """The (s, p, o) id columns of one scan, encoded once and cached
+        (least recently used evicted first)."""
+        cache = self._scan_cache
+        with self.lock:
+            columns = cache.pop(key, None)
+            if columns is None:
+                encode = self.dictionary.encode_many
+                columns = tuple(
+                    make_column(encode(terms)) for terms in zip(*triples)
+                ) or tuple(empty_column() for _ in range(3))
+                if len(cache) >= MAX_CACHED_SCANS:
+                    del cache[next(iter(cache))]
+            cache[key] = columns  # (re)inserted at the young end
         return columns
 
 
@@ -164,10 +158,7 @@ def run_chain_map(spec: ChainMapSpec, ctx: TaskContext, state: ColumnarState):
         block, spec.key_attrs, spec.num_reducers, state.memo
     )
     rows = block.to_rows(state.dictionary)
-    emits = [
-        (partition, spec.tag, row) for partition, row in zip(partitions, rows)
-    ]
-    return emits, [], metrics
+    return list(zip(partitions, repeat(spec.tag), rows)), [], metrics
 
 
 def run_map_only(spec: MapOnlySpec, ctx: TaskContext, state: ColumnarState):

@@ -1,40 +1,48 @@
-"""Vectorized id-space kernels over :class:`ColumnBlock` columns.
+"""Bulk id-space kernels over :class:`ColumnBlock` columns.
 
-Three operations, mirroring the tuple kernels they replace:
+Four operators, mirroring the tuple kernels they replace; each is a
+fixed handful of numpy calls over whole int64 id columns, never a
+python loop over rows or keys:
 
 * **selection** — a scan's constant and repeated-variable constraints
-  become id comparisons over the triple columns (a boolean mask with
-  numpy, a fused python loop on the stdlib fallback);
+  become one boolean mask over the triple columns;
 * **star join** — the n-ary natural join of
-  :func:`repro.relational.joins.star_join`, hashing id columns: group
-  each input by its key-id tuples, intersect live keys, natural-join
-  within a group enforcing equality on *all* shared attributes.  Output
-  row *multisets* are identical to the tuple kernel; row order is not
-  guaranteed (and, as the process backend already proves, nothing
-  downstream depends on it — answers are sets and every counter is a
-  multiset cardinality);
-* **projection** — column slicing plus first-seen de-duplication on id
-  tuples, matching ``Relation.project``.
+  :func:`repro.relational.joins.star_join`, folded left to right as
+  binary sort joins: the attributes the two sides share (the star's key
+  and any further shared attribute, so equality holds on *all* of them)
+  pack into one int64 code per row, one side is sorted, the other
+  probes it with ``searchsorted``, and the matching runs expand by
+  run length.  Output row *multisets* are identical to the tuple
+  kernel; row order is not guaranteed (and, as the process backend
+  already proves, nothing downstream depends on it — answers are sets
+  and every counter is a multiset cardinality);
+* **projection** — column slicing plus first-seen de-duplication on the
+  packed codes (``np.unique``), matching ``Relation.project``;
+* **shuffle** — the composable form of ``stable_hash``: per term id the
+  pair ``(131^len(term) mod 2^31, poly(term))`` is memoized in two id-
+  indexed arrays, so a block's partitions are two gathers and four
+  arithmetic ops per key column, yet every row lands on exactly the
+  reducer the tuple engine picks.
 
-Also here: the composable form of ``stable_hash`` — per term id the
-pair ``(131^len(term) mod 2^31, poly(term))`` is memoized, so shuffle
-routing hashes rows without decoding them, yet lands every row on
-exactly the reducer the tuple engine picks.
+Without numpy the same names resolve to the row-at-a-time forms of
+:mod:`repro.columnar.stdlib_kernels`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import threading
 from typing import Sequence
 
-from repro.columnar.block import HAVE_NUMPY, ColumnBlock, make_column
+from repro.columnar.block import HAVE_NUMPY, ColumnBlock, empty_column
 from repro.rdf.dictionary import Dictionary
+from repro.relational.joins import output_schema
 
 if HAVE_NUMPY:
     import numpy as np
 
 _MASK = 0x7FFFFFFF
 _MOD = 0x80000000
+_INT64_MAX = (1 << 63) - 1
 
 
 # -- selection ----------------------------------------------------------------
@@ -44,7 +52,7 @@ def select_bind(
     columns: Sequence,
     const_checks: Sequence[tuple[int, int | None]],
     var_positions: Sequence[tuple[int, ...]],
-) -> ColumnBlock | tuple:
+) -> tuple:
     """Bind a triple pattern against columnar triple data.
 
     *columns* are the (s, p, o) id columns of the scanned triples.
@@ -57,55 +65,77 @@ def select_bind(
 
     Returns the selected output columns (order-preserving).
     """
-    n = len(columns[0]) if columns else 0
     if any(ident is None for _, ident in const_checks):
-        return tuple(make_column(()) for _ in var_positions)
-    if HAVE_NUMPY:
-        mask = None
-        for pos, ident in const_checks:
-            cond = columns[pos] == ident
+        return tuple(empty_column() for _ in var_positions)
+    mask = None
+    for pos, ident in const_checks:
+        cond = columns[pos] == ident
+        mask = cond if mask is None else (mask & cond)
+    for positions in var_positions:
+        for extra in positions[1:]:
+            cond = columns[positions[0]] == columns[extra]
             mask = cond if mask is None else (mask & cond)
-        for positions in var_positions:
-            for extra in positions[1:]:
-                cond = columns[positions[0]] == columns[extra]
-                mask = cond if mask is None else (mask & cond)
-        if mask is None:
-            return tuple(columns[positions[0]] for positions in var_positions)
-        return tuple(columns[positions[0]][mask] for positions in var_positions)
-    keep = []
-    for r in range(n):
-        ok = True
-        for pos, ident in const_checks:
-            if columns[pos][r] != ident:
-                ok = False
-                break
-        if ok:
-            for positions in var_positions:
-                first = columns[positions[0]][r]
-                for extra in positions[1:]:
-                    if columns[extra][r] != first:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            keep.append(r)
-    return tuple(
-        make_column(columns[positions[0]][r] for r in keep)
-        for positions in var_positions
-    )
+    if mask is None:
+        return tuple(columns[positions[0]] for positions in var_positions)
+    return tuple(columns[positions[0]][mask] for positions in var_positions)
+
+
+# -- key packing --------------------------------------------------------------
+
+
+def _pack(columns: Sequence):
+    """One int64 code per row, equal exactly where the rows' id tuples
+    over *columns* are equal.
+
+    Ids are dictionary positions, hence non-negative.  A single column
+    is its own code; several pack mixed-radix, column by column, and
+    where the radix product could leave int64 (ids near 2^63, or many
+    wide columns) both factors are first replaced by their dense ranks,
+    which are below the row count.
+    """
+    codes = columns[0]
+    for col in columns[1:]:
+        span = int(col.max()) + 1
+        if (int(codes.max()) + 1) * span > _INT64_MAX:
+            codes = np.unique(codes, return_inverse=True)[1]
+            col = np.unique(col, return_inverse=True)[1]
+            span = int(col.max()) + 1
+        codes = codes * span + col
+    return codes
 
 
 # -- star join ----------------------------------------------------------------
 
 
-def _output_schema(inputs: Sequence[ColumnBlock]) -> tuple[str, ...]:
-    attrs: list[str] = []
-    for block in inputs:
-        for a in block.attrs:
-            if a not in attrs:
-                attrs.append(a)
-    return tuple(attrs)
+def _natural_join(left: ColumnBlock, right: ColumnBlock) -> ColumnBlock:
+    """Binary natural join of two non-empty blocks sharing >= 1 attribute."""
+    # Both sides' key tuples are coded together, so equal tuples get
+    # equal codes across the two blocks.
+    keys = _pack(
+        [
+            np.concatenate((left.column(a), right.column(a)))
+            for a in left.attrs
+            if a in right.attrs
+        ]
+    )
+    left_keys, right_keys = keys[: len(left)], keys[len(left) :]
+    order = np.argsort(right_keys, kind="stable")
+    sorted_keys = right_keys[order]
+    lo = np.searchsorted(sorted_keys, left_keys, side="left")
+    counts = np.searchsorted(sorted_keys, left_keys, side="right") - lo
+    # Run-length expansion: left row i pairs with sorted right slots
+    # lo[i] .. lo[i]+counts[i]-1; output position p of its run starts at
+    # ends[i]-counts[i], so slot = p + (lo[i] - run start).
+    ends = np.cumsum(counts)
+    left_rows = np.repeat(np.arange(len(counts)), counts)
+    slots = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+    right_rows = order[slots]
+    fresh = [i for i, a in enumerate(right.attrs) if a not in left.attrs]
+    return ColumnBlock(
+        left.attrs + tuple(right.attrs[i] for i in fresh),
+        tuple(col[left_rows] for col in left.columns)
+        + tuple(right.columns[i][right_rows] for i in fresh),
+    )
 
 
 def star_join_blocks(
@@ -114,67 +144,29 @@ def star_join_blocks(
     """Id-space n-ary star natural join (see module docstring).
 
     Semantically identical to ``relational.joins.star_join`` modulo row
-    order: same output schema, same row multiset.
+    order: same output schema, same row multiset.  Every input carries
+    the key attributes *on*, so each fold step's shared attributes
+    include them.
     """
     if not inputs:
         raise ValueError("star_join needs at least one input")
     if len(inputs) == 1:
         return inputs[0]
     key_attrs = tuple(on)
+    if not key_attrs:
+        raise ValueError("star_join needs at least one key attribute")
     for block in inputs:
         missing = set(key_attrs) - set(block.attrs)
         if missing:
             raise ValueError(
                 f"input schema {block.attrs} lacks key attrs {missing}"
             )
-
-    schema = _output_schema(inputs)
-    slot = {a: i for i, a in enumerate(schema)}
-    width = len(schema)
-
-    # Hash every input's key-id columns; group row indices by key tuple.
-    grouped: list[dict[tuple, list[int]]] = []
-    for block in inputs:
-        key_cols = [block.column(a) for a in key_attrs]
-        groups: dict[tuple, list[int]] = defaultdict(list)
-        for r, key in enumerate(zip(*key_cols)):
-            groups[key].append(r)
-        grouped.append(groups)
-
-    live_keys = set(grouped[0].keys())
-    for groups in grouped[1:]:
-        live_keys &= set(groups.keys())
-
-    # Per input: the output slot of each of its columns.
-    slot_maps = [tuple(slot[a] for a in block.attrs) for block in inputs]
-
-    out_rows: list[list] = []
-    sentinel = object()
-    for key in live_keys:
-        partials: list[list] = [[sentinel] * width]
-        for block, groups, slots in zip(inputs, grouped, slot_maps):
-            next_partials: list[list] = []
-            cols = block.columns
-            for partial in partials:
-                for r in groups[key]:
-                    merged = list(partial)
-                    ok = True
-                    for col, s in zip(cols, slots):
-                        value = col[r]
-                        have = merged[s]
-                        if have is sentinel:
-                            merged[s] = value
-                        elif have != value:
-                            ok = False
-                            break
-                    if ok:
-                        next_partials.append(merged)
-            partials = next_partials
-            if not partials:
-                break
-        out_rows.extend(partials)
-
-    return ColumnBlock.from_id_rows(schema, [tuple(row) for row in out_rows])
+    joined = inputs[0]
+    for block in inputs[1:]:
+        if not (len(joined) and len(block)):
+            return ColumnBlock.empty(output_schema(inputs))
+        joined = _natural_join(joined, block)
+    return joined
 
 
 # -- projection ---------------------------------------------------------------
@@ -182,18 +174,18 @@ def star_join_blocks(
 
 def project_block(block: ColumnBlock, attrs: Sequence[str]) -> ColumnBlock:
     """Project onto *attrs* with first-seen de-duplication on id tuples
-    (mirrors ``Relation.project``; output length is order-invariant)."""
+    (mirrors ``Relation.project``, row order included)."""
     attrs = tuple(attrs)
     if not attrs:
         raise ValueError("cannot project a block onto an empty schema")
-    cols = [block.column(a) for a in attrs]
-    seen: set[tuple] = set()
-    out: list[tuple] = []
-    for key in zip(*cols):
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return ColumnBlock.from_id_rows(attrs, out)
+    cols = tuple(block.column(a) for a in attrs)
+    if len(block) > 1:
+        codes = _pack(cols)
+        first = np.unique(codes, return_index=True)[1]
+        if len(first) < len(codes):
+            first.sort()
+            cols = tuple(col[first] for col in cols)
+    return ColumnBlock(attrs, cols)
 
 
 # -- shuffle hashing ----------------------------------------------------------
@@ -208,29 +200,56 @@ class HashMemo:
     bits is reduction mod 2^31 (a ring homomorphism), folding a whole
     term *t* from state ``h`` equals ``(h * 131^len(t) + poly(t)) mod
     2^31`` — so per id we memoize ``(131^len(t) mod 2^31, poly(t))``
-    and hash rows of ids without ever decoding them.
+    and hash columns of ids without ever decoding them.  All operands
+    stay below 2^31, so the products fit int64 exactly.
+
+    The memo is a ``(2, ids)`` int64 table — row 0 the multipliers, row
+    1 the polynomials, ``-1`` where an id has not been hashed yet —
+    filled lazily for the ids that actually occur as shuffle keys.
+    Lookups are lock-free; a fill builds the extended table aside under
+    the lock and publishes it with one assignment, so a concurrent
+    reader only ever sees a complete table.
     """
 
     def __init__(self, dictionary: Dictionary) -> None:
         self._dictionary = dictionary
-        self._memo: dict[int, tuple[int, int]] = {}
+        self._lock = threading.Lock()
+        self._table = np.full((2, 0), -1, dtype=np.int64)
 
-    def _pieces(self, ident: int) -> tuple[int, int]:
-        pieces = self._memo.get(ident)
-        if pieces is None:
-            text = self._dictionary.decode(ident)
+    def _pieces(self, ids):
+        """The ``(mult, poly)`` arrays of an id column (non-empty)."""
+        table = self._table
+        if int(ids.max()) < table.shape[1]:
+            pieces = table[:, ids]
+            if pieces[1].min() >= 0:
+                return pieces
+        with self._lock:
+            table = self._fill(ids)
+        return table[:, ids]
+
+    def _fill(self, ids):
+        """Publish a table extended by the unseen ids (caller holds the lock)."""
+        old = self._table
+        table = np.full(
+            (2, max(old.shape[1], len(self._dictionary))), -1, dtype=np.int64
+        )
+        table[:, : old.shape[1]] = old
+        decode = self._dictionary.decode
+        for ident in np.unique(ids[table[1, ids] < 0]).tolist():
+            text = decode(ident)
             poly = 0
             for ch in text:
                 poly = (poly * 131 + ord(ch)) & _MASK
-            pieces = (pow(131, len(text), _MOD), poly)
-            self._memo[ident] = pieces
-        return pieces
+            table[:, ident] = pow(131, len(text), _MOD), poly
+        self._table = table
+        return table
 
-    def hash_id_row(self, ids: Sequence[int]) -> int:
-        """``stable_hash`` of the decoded terms, computed in id space."""
+    def hash_columns(self, key_cols: Sequence):
+        """``stable_hash`` of every row's decoded key terms, computed in
+        id space over whole (non-empty) key columns."""
         h = 17
-        for ident in ids:
-            mult, poly = self._pieces(ident)
+        for ids in key_cols:
+            mult, poly = self._pieces(ids)
             h = (h * mult + poly) & _MASK
             h = (h * 257 + 11) & _MASK
         return h
@@ -244,6 +263,17 @@ def shuffle_partitions(
 ) -> list[int]:
     """The reducer partition of every row, in row order — identical to
     ``stable_hash(key(row)) % num_reducers`` over the decoded rows."""
-    key_cols = [block.column(a) for a in key_attrs]
-    hash_row = memo.hash_id_row
-    return [hash_row(ids) % num_reducers for ids in zip(*key_cols)]
+    if not len(block):
+        return []
+    hashes = memo.hash_columns([block.column(a) for a in key_attrs])
+    return (hashes % num_reducers).tolist()
+
+
+if not HAVE_NUMPY:
+    from repro.columnar.stdlib_kernels import (  # noqa: F811
+        HashMemo,
+        project_block,
+        select_bind,
+        shuffle_partitions,
+        star_join_blocks,
+    )

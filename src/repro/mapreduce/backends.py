@@ -16,9 +16,12 @@ the tasks of a level actually run:
   the slice each spec declares via ``hdfs_slice()`` (for map chains,
   one node's partitions of the shuffled intermediates).
 * :class:`ColumnarBackend` — inline like serial, but the plan task
-  specs run as vectorized id-space kernels over dictionary-encoded
+  specs run as bulk id-space kernels over dictionary-encoded
   :class:`~repro.columnar.block.ColumnBlock` columns (numpy when
-  importable, ``array('q')`` otherwise); see :mod:`repro.columnar`.
+  importable, row-at-a-time ``array('q')`` otherwise); see
+  :mod:`repro.columnar`.  The query service's default where numpy
+  imports (``ServiceConfig.backend``); ``make_backend(None)`` stays
+  serial, the reference.
 
 Determinism: every backend returns task results **in submission order**
 regardless of completion order, and shuffle routing uses the

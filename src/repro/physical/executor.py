@@ -407,7 +407,7 @@ class PlanExecutor:
     """Runs logical plans over a partitioned store on a simulated cluster.
 
     ``backend`` selects how task specs physically execute: a backend
-    name (``"serial"``/``"thread"``/``"process"``), an
+    name (``"serial"``/``"thread"``/``"process"``/``"columnar"``), an
     :class:`~repro.mapreduce.backends.ExecutionBackend` instance, or
     ``None`` for serial.  Answers and simulated reports are identical
     across backends; only wall-clock differs.

@@ -9,7 +9,7 @@ bidirectional lookup.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class Dictionary:
@@ -37,9 +37,26 @@ class Dictionary:
             self._id_to_term.append(term)
         return ident
 
-    def encode_many(self, terms: Iterable[str]) -> list[int]:
-        """Encode an iterable of terms, preserving order."""
-        return [self.encode(t) for t in terms]
+    def encode_many(self, terms: Sequence[str]) -> list[int]:
+        """Encode a sequence of terms (one column), preserving order.
+
+        Bulk form of :meth:`encode`: when every term is already known —
+        the steady state of a warm store — the whole column is one
+        C-level ``map`` over the index; otherwise the unseen terms get
+        ids in first-seen order first, exactly as repeated ``encode``
+        calls would assign them.
+        """
+        lookup = self._term_to_id.__getitem__
+        try:
+            return list(map(lookup, terms))
+        except KeyError:
+            pass
+        index, store = self._term_to_id, self._id_to_term
+        for term in dict.fromkeys(terms):
+            if term not in index:
+                index[term] = len(store)
+                store.append(term)
+        return list(map(lookup, terms))
 
     def lookup(self, term: str) -> int | None:
         """Return the id for *term* or None if it has never been encoded."""
@@ -55,9 +72,18 @@ class Dictionary:
             return self._id_to_term[ident]
         raise KeyError(ident)
 
-    def decode_many(self, idents: Iterable[int]) -> list[str]:
-        """Decode an iterable of ids, preserving order."""
-        return [self.decode(i) for i in idents]
+    def decode_many(self, idents: Sequence[int]) -> list[str]:
+        """Decode a sequence of ids (one column), preserving order.
+
+        Bulk form of :meth:`decode` (one C-level ``map`` over the term
+        list); unknown ids raise ``KeyError`` just the same.
+        """
+        if idents and min(idents) < 0:
+            raise KeyError(min(idents))
+        try:
+            return list(map(self._id_to_term.__getitem__, idents))
+        except IndexError:
+            raise KeyError(max(idents)) from None
 
     # -- delta replication ----------------------------------------------------
     #

@@ -25,9 +25,11 @@ Its native currency is the *prepared query*: every submission — ad-hoc
 * *execute*: runs under a readers–writer lock (any number of queries
   read concurrently; :meth:`add_triples` gets exclusive access) on a
   pluggable :class:`~repro.mapreduce.backends.ExecutionBackend`
-  (``ServiceConfig.backend``): ``"process"`` fans each query's
-  map/reduce tasks out across worker processes — with automatic serial
-  fallback (recorded as a stats warning) where pools are unavailable.
+  (``ServiceConfig.backend``): by default the id-space engine
+  (``"columnar"``) where numpy imports and ``"serial"`` where it does
+  not; ``"process"`` fans each query's map/reduce tasks out across
+  worker processes — with automatic serial fallback (recorded as a
+  stats warning) where pools are unavailable.
   A process pool receives each template once and only small binding
   substitutions after it.
 
@@ -72,6 +74,7 @@ from repro.analysis.locks import (
     witness_name_if_enabled,
 )
 from repro.cluster import ShardedPlanExecutor, ShardedStore, shard_graph
+from repro.columnar.block import HAVE_NUMPY
 from repro.columnar.wire import WIRE_FORMATS
 from repro.core.algorithm import OptimizerResult, cliquesquare
 from repro.core.decomposition import MSC, DecompositionOption
@@ -220,12 +223,17 @@ class ServiceConfig:
     result_cache_size: int | None = 256
     #: worker threads for submit_batch
     max_workers: int = 8
-    #: task execution backend: "serial" | "thread" | "process" (or an
-    #: ExecutionBackend instance).  "process" actually parallelizes the
-    #: CPU-bound map/reduce work of each query across worker processes;
+    #: task execution backend: "columnar" | "serial" | "thread" |
+    #: "process" (or an ExecutionBackend instance).  The default is
+    #: resolved from the platform: the id-space engine ("columnar", bulk
+    #: numpy kernels over dictionary-encoded columns) where numpy is
+    #: importable, "serial" otherwise.  SerialBackend is the reference
+    #: every other backend is checked against (answers and field-wise
+    #: reports, tests/conformance.py), not the fast path.  "process"
+    #: fans the map/reduce tasks of each query across worker processes;
     #: where process pools are unavailable it falls back to serial and
     #: records a warning in ServiceStats.
-    backend: str = "serial"
+    backend: str = "columnar" if HAVE_NUMPY else "serial"
     #: workers for the thread/process execution backend (None = auto:
     #: 4 threads, or one process per available CPU)
     backend_workers: int | None = None
@@ -565,10 +573,12 @@ class PreparedQuery:
         store = self._service.store
         config = self._service.config
         sharded = isinstance(store, ShardedStore)
+        # The engine the config resolves to (the default differs with
+        # and without numpy), by its registered name either way.
         backend = (
             config.backend
             if isinstance(config.backend, str)
-            else type(config.backend).__name__
+            else config.backend.name
         )
         rpc = sharded and config.shard_transport == "rpc"
         lines.append(

@@ -89,8 +89,13 @@ def random_query(
         for i in range(n):
             s, o = rng.sample(pool, 2)
             patterns.append(TriplePattern(s, f"p{i + 1}", o))
+        # Project the first pool variable some pattern actually drew
+        # (pool[0] whenever it occurs; no draw is obliged to pick it).
+        drawn = {v for tp in patterns for v in tp.variables()}
         query = BGPQuery(
-            distinguished=(pool[0],), patterns=tuple(patterns), name=name or f"dense{n}"
+            distinguished=(next(v for v in pool if v in drawn),),
+            patterns=tuple(patterns),
+            name=name or f"dense{n}",
         )
         if query.is_connected() and len(query.join_variables()) >= 1:
             return query

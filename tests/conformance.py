@@ -1,7 +1,8 @@
 """The reusable answer-equality conformance harness.
 
 Every execution configuration of this system — execution backend
-(serial / thread / process), deployment (unsharded, sharded in-process,
+(serial / thread / process / columnar, and the platform-resolved
+default of a config that names none), deployment (unsharded, sharded in-process,
 sharded over RPC), submission surface (submit, prepare/bind/execute,
 submit_batch) — must produce **bit-identical answers** and **field-wise
 identical execution reports** to the single-store serial reference.
@@ -139,8 +140,14 @@ def skip_unless_supported(deployment: str, backend: str) -> None:
         pytest.skip("RPC shard workers unavailable in this environment")
 
 
-def make_service(graph, backend: str, deployment: str, **overrides) -> QueryService:
+def make_service(
+    graph, backend: str | None, deployment: str, **overrides
+) -> QueryService:
     """A service for one matrix cell.
+
+    ``backend=None`` is the cell that names no backend at all: the
+    config keeps whatever ``ServiceConfig()`` resolves to on this
+    platform (the id-space engine with numpy, serial without).
 
     The result cache is disabled so every surface truly executes (a
     cached answer would make cross-surface equality vacuous); plan and
@@ -153,9 +160,10 @@ def make_service(graph, backend: str, deployment: str, **overrides) -> QueryServ
     overrides.setdefault(
         "tracing", os.environ.get("REPRO_TRACE", "") == "1"
     )
+    if backend is not None:
+        overrides["backend"] = backend
     config = ServiceConfig(
         result_cache_size=0,
-        backend=backend,
         backend_workers=2,
         **DEPLOYMENTS[deployment],
         **overrides,

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.columnar.block import ColumnBlock, to_blocks, to_rows
+from repro.columnar.engine import MAX_CACHED_SCANS, ColumnarState
 from repro.columnar.kernels import (
     HashMemo,
     project_block,
@@ -338,6 +339,164 @@ def test_shuffle_partitions_match_stable_hash():
         assert got == expected
 
 
+# -- bulk-kernel equivalence on raw id blocks -----------------------------------
+#
+# The join and the projection never look at terms, so these drive them on
+# id tuples directly — which reaches ids no dictionary of a test could
+# assign (>= 2^31, and near 2^62 where packing two key columns into one
+# int64 must not overflow) — against the tuple kernels run on the same
+# integers.
+
+ID_OFFSETS = (0, 1 << 31, (1 << 62) - 8)
+SIZES = (0, 1, 1, 2, 3, 7, 12, 25)
+
+
+def random_id_relation(rng, attrs, offset, n, domain=4):
+    rows = [tuple(offset + rng.randrange(domain) for _ in attrs) for _ in range(n)]
+    if rows and rng.random() < 0.5:
+        rows += rng.choices(rows, k=rng.randint(1, 4))  # guaranteed duplicates
+    return Relation(attrs, rows)
+
+
+def id_block(relation):
+    return ColumnBlock.from_id_rows(relation.attrs, relation.rows)
+
+
+@pytest.mark.parametrize("offset", ID_OFFSETS)
+def test_star_join_id_equivalence_randomized(offset):
+    """Multi-attribute keys, 2-5 inputs, non-key attributes shared by
+    some of the inputs, duplicate rows, empty and 1-row inputs."""
+    rng = random.Random(14 + offset % 97)
+    nonempty_outputs = 0
+    for trial in range(120):
+        on = tuple(f"?k{i}" for i in range(rng.randint(1, 3)))
+        extras = [f"?x{i}" for i in range(3)]  # small pool: inputs collide on these
+        inputs = [
+            random_id_relation(
+                rng,
+                on + tuple(rng.sample(extras, rng.randint(0, 2))),
+                offset,
+                rng.choice(SIZES),
+                domain=rng.choice((2, 3, 5)),
+            )
+            for _ in range(rng.randint(2, 5))
+        ]
+        expected = star_join(inputs, on=on)
+        got = star_join_blocks([id_block(r) for r in inputs], on=on)
+        assert got.attrs == expected.attrs
+        assert sorted(got.id_rows()) == sorted(expected.rows)
+        nonempty_outputs += bool(expected.rows)
+    assert nonempty_outputs > 10  # the sweep is not vacuous
+
+
+def test_star_join_rejects_missing_key_attr():
+    left = id_block(Relation(("?k", "?a"), [(1, 2)]))
+    right = id_block(Relation(("?b",), [(1,)]))
+    with pytest.raises(ValueError, match="lacks key attrs"):
+        star_join_blocks([left, right], on=("?k",))
+
+
+@pytest.mark.parametrize("offset", ID_OFFSETS)
+def test_project_block_id_equivalence_randomized(offset):
+    rng = random.Random(offset % 89)
+    attrs = ("?a", "?b", "?c")
+    for trial in range(60):
+        relation = random_id_relation(
+            rng, attrs, offset, rng.choice(SIZES), domain=rng.choice((2, 4))
+        )
+        block = id_block(relation)
+        for onto in (("?b",), ("?c", "?a"), attrs):
+            got = project_block(block, onto)
+            assert got.attrs == onto
+            # first-seen order, not just the same set
+            assert got.id_rows() == list(relation.project(onto).rows)
+
+
+def test_shuffle_partitions_randomized_and_memo_growth():
+    """Multi-attribute keys, duplicate / empty / 1-row blocks, and a
+    dictionary that keeps growing under one memo."""
+    rng = random.Random(5)
+    d = Dictionary()
+    memo = HashMemo(d)
+    vocabulary = list(TERMS)
+    for round_no in range(6):
+        vocabulary += [f"<http://example.org/r{round_no}/t{i}>" for i in range(5)]
+        for n in SIZES:
+            relation = random_relation(rng, ("?k1", "?v", "?k2"), vocabulary, n)
+            relation.rows.extend(relation.rows[:2])
+            block = to_blocks(relation, d)
+            for key_attrs in (("?k1",), ("?k2", "?k1"), ("?v", "?k1", "?k2")):
+                key = relation.key(key_attrs)
+                for num_reducers in (1, 7):
+                    got = shuffle_partitions(block, key_attrs, num_reducers, memo)
+                    assert got == [
+                        stable_hash(key(row)) % num_reducers for row in relation.rows
+                    ]
+
+
+# -- encoded-scan cache -----------------------------------------------------------
+
+
+def test_scan_cache_evicts_one_entry_not_all():
+    """The bound holds, and the insert that overflows it costs exactly
+    the least recently used entry — a hot key survives it."""
+    state = ColumnarState()
+    triples = [("s", "p", "o")]
+    hot = state.scan_columns(("hot",), triples)
+    for i in range(MAX_CACHED_SCANS - 1):
+        state.scan_columns(("cold", i), triples)
+    assert state.scan_columns(("hot",), triples) is hot  # touched: now youngest
+    state.scan_columns(("one-too-many",), triples)  # the 513th key
+    assert len(state._scan_cache) == MAX_CACHED_SCANS
+    assert state.scan_columns(("hot",), triples) is hot
+    assert ("cold", 0) not in state._scan_cache
+    assert ("cold", 1) in state._scan_cache
+
+
+def test_scan_columns_of_an_empty_scan():
+    columns = ColumnarState().scan_columns(("empty",), [])
+    assert [len(c) for c in columns] == [0, 0, 0]
+
+
+def test_shared_state_under_concurrent_queries():
+    """Service threads share one ``ColumnarState``: its dictionary, hash
+    memo and scan cache all grow while others read them.  Every thread
+    must still route every row where ``stable_hash`` does and get back
+    the rows it encoded."""
+    import sys
+    import threading
+
+    state = ColumnarState()
+    failures: list[str] = []
+
+    def worker(seed: int) -> None:
+        rng = random.Random(seed)
+        for step in range(40):
+            terms = [f"<http://example.org/w{seed}/s{step}/t{i}>" for i in range(6)]
+            relation = random_relation(rng, ("?k", "?v"), terms + TERMS, 30)
+            block = state.encode_rows(relation.attrs, relation.rows)
+            state.scan_columns((seed, step % 5), [(t, "p", t) for t in terms])
+            key = relation.key(("?k", "?v"))
+            got = shuffle_partitions(block, ("?k", "?v"), 7, state.memo)
+            if got != [stable_hash(key(row)) % 7 for row in relation.rows]:
+                failures.append(f"worker {seed} step {step}: partitions differ")
+            if block.to_rows(state.dictionary) != relation.rows:
+                failures.append(f"worker {seed} step {step}: rows differ")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures[:3]
+
+
 # -- property-based (hypothesis, optional) ------------------------------------
 
 if HAVE_HYPOTHESIS:
@@ -372,6 +531,9 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(term_st, min_size=1, max_size=8))
     def test_prop_hash_memo_matches_stable_hash(terms):
+        # one row keyed on every column; 2^31 reducers leave the hash whole
         d = Dictionary()
-        ids = [d.encode(t) for t in terms]
-        assert HashMemo(d).hash_id_row(ids) == stable_hash(terms)
+        attrs = tuple(f"?k{i}" for i in range(len(terms)))
+        block = ColumnBlock.from_rows(attrs, [tuple(terms)], d)
+        got = shuffle_partitions(block, attrs, 1 << 31, HashMemo(d))
+        assert got == [stable_hash(terms)]

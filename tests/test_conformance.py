@@ -84,6 +84,28 @@ def test_conformance_matrix(graph, queries, reference, deployment, backend):
         service.close()
 
 
+def test_default_config_conformance(graph, queries, reference):
+    """The cell that names no backend: whatever ``ServiceConfig()``
+    resolves to here (the id-space engine with numpy, serial without)
+    answers like the serial reference, rows and field-wise reports, on
+    every surface."""
+    from repro.columnar import HAVE_NUMPY
+
+    service = make_service(graph, None, "unsharded")
+    try:
+        resolved = "columnar" if HAVE_NUMPY else "serial"
+        assert service.config.backend == resolved
+        assert service.backend.name == resolved
+        for surface in SURFACES:
+            assert_surface_conforms(
+                service, queries, reference, surface, where="unsharded/default"
+            )
+        assert service.submit(queries[0]).report.backend == resolved
+        assert not service.snapshot_stats().warnings
+    finally:
+        service.close()
+
+
 @pytest.mark.parametrize("mode", sorted(RPC_MODES))
 @pytest.mark.parametrize("wire", RPC_WIRES)
 def test_concurrent_rpc_conformance(graph, queries, reference, wire, mode):

@@ -351,3 +351,69 @@ class TestUncacheableQueries:
             assert not hasattr(entry, "optimizer")
             assert entry.plan_count > 0
             assert entry.truncated is False
+
+
+class TestResolvedBackend:
+    """``ServiceConfig.backend`` names no engine by default: it resolves
+    from the platform, and EXPLAIN prints what it resolved to."""
+
+    def _jobs_line(self, svc):
+        text = svc.explain(lubm_queries.query("Q4"))
+        (line,) = [l for l in text.splitlines() if "MapReduce jobs" in l]
+        return line
+
+    def test_default_is_the_id_space_engine_with_numpy(self, graph):
+        from repro.columnar import HAVE_NUMPY
+
+        resolved = "columnar" if HAVE_NUMPY else "serial"
+        assert ServiceConfig().backend == resolved
+        with QueryService(graph) as svc:
+            assert svc.backend.name == resolved
+            line = self._jobs_line(svc)
+            rows = "columnar" if HAVE_NUMPY else "tuple"
+            assert f"backend {resolved}; rows {rows}" in line
+
+    def test_default_is_serial_without_numpy(self):
+        # The default is read from the platform at import, so the
+        # numpy-less resolution needs a fresh interpreter; the forced
+        # fallback makes numpy unimportable as far as repro can tell.
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.columnar import HAVE_NUMPY\n"
+            "from repro.service.service import QueryService, ServiceConfig\n"
+            "from repro.workloads import lubm, lubm_queries\n"
+            "assert not HAVE_NUMPY\n"
+            "assert ServiceConfig().backend == 'serial'\n"
+            "g = lubm.generate(lubm.LUBMConfig(universities=4))\n"
+            "with QueryService(g) as svc:\n"
+            "    assert svc.backend.name == 'serial'\n"
+            "    text = svc.explain(lubm_queries.query('Q4'))\n"
+            "    assert 'backend serial; rows tuple' in text, text\n"
+        )
+        env = dict(
+            os.environ,
+            REPRO_COLUMNAR_FORCE_FALLBACK="1",
+            PYTHONPATH=os.pathsep.join(filter(None, sys.path)),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize(
+        "backend, rows",
+        [("serial", "tuple"), ("thread", "tuple"), ("columnar", "columnar")],
+    )
+    def test_explain_names_the_engine_of_names_and_instances(
+        self, graph, backend, rows
+    ):
+        from repro.mapreduce.backends import make_backend
+
+        if backend == "columnar":
+            pytest.importorskip("numpy")
+        for spec in (backend, make_backend(backend)):
+            with QueryService(graph, ServiceConfig(backend=spec)) as svc:
+                assert f"backend {backend}; rows {rows}" in self._jobs_line(svc)

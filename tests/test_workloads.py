@@ -162,6 +162,18 @@ class TestSyntheticGenerator:
         b = SyntheticWorkload(seed=5).generate(["thin"])
         assert [q.patterns for q in a["thin"]] == [q.patterns for q in b["thin"]]
 
+    def test_dense_projects_a_variable_that_occurs(self):
+        # Regression: dense queries projected pool[0] whether or not any
+        # pattern drew it, so this call raised "distinguished variable
+        # '?v0' not in query body".
+        batch = SyntheticWorkload(
+            queries_per_shape=300, min_patterns=2, max_patterns=10, seed=7
+        ).generate(("thin", "dense"))
+        for queries in batch.values():
+            assert len(queries) == 300
+            for q in queries:
+                assert set(q.distinguished) <= set(q.variables())
+
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             SyntheticWorkload().generate(["triangle"])
