@@ -8,15 +8,17 @@ Not a paper figure — this benchmark characterizes the serving layer
   up to 20k plans); repeats hit the plan cache and only execute.  The
   optimizer's work depends on query *structure* only, so the smaller the
   store, the more serving latency is dominated by planning — we measure
-  at LUBM scale ``universities=4`` where the warm path must be ≥ 5×
-  faster across the mix.  The result cache is disabled here so the warm
+  at LUBM scale ``universities=4`` where the warm path must be ≥ 2×
+  faster across the mix (it was ≥ 5× while the exhaustive enumeration
+  ran; with the cost-bounded search the ratio measures 2.7-3.6× in
+  seven runs on the 2-CPU reference host and 3.3-4.1× in five with both
+  CPUs contended, so the floor sits at 0.6 of the median).  The result cache is disabled here so the warm
   figures isolate the plan cache (a result hit would skip execution too
   and trivially win).
 * **batch vs serial**: a repeated workload mix submitted as one batch
   coalesces duplicate shapes into a single flight (each distinct query
-  optimizes and executes once, answers fan out), so the batch finishes
-  in strictly less wall-clock than the same mix submitted serially under
-  the same configuration.
+  optimizes and executes once, answers fan out); the test asserts those
+  counts and records both wall-clocks without gating on them.
 
 Results land in ``benchmarks/results/service_throughput.txt``.
 """
@@ -36,6 +38,7 @@ ALL_NAMES = [f"Q{i}" for i in range(1, 15)]
 WARM_ROUNDS = 3
 MIX_REPEATS = 6
 BATCH_TRIALS = 3
+WARM_SPEEDUP_FLOOR = 2.0  # see the module docstring for its measured basis
 #: Wall-clock thresholds hold comfortably on a quiet machine but can
 #: flake on noisy shared CI runners; SERVICE_BENCH_STRICT=0 keeps the
 #: runs + recorded tables as a smoke test without gating on timings.
@@ -52,7 +55,7 @@ def _no_result_cache() -> ServiceConfig:
 
 
 def test_warm_plan_cache_speedup(graph, record_table):
-    """Plan-cache hits cut the repeated-mix latency by >= 5x."""
+    """Plan-cache hits cut the repeated-mix latency by >= 2x."""
     with QueryService(graph, _no_result_cache()) as service:
         cold: dict[str, float] = {}
         warm: dict[str, float] = {}
@@ -98,13 +101,15 @@ def test_warm_plan_cache_speedup(graph, record_table):
         assert snap.plan_misses == len(ALL_NAMES)
         assert snap.plan_hits == WARM_ROUNDS * len(ALL_NAMES)
         if STRICT:
-            assert speedup >= 5.0, (
-                f"warm mix should be >=5x faster than cold, got {speedup:.1f}x"
+            assert speedup >= WARM_SPEEDUP_FLOOR, (
+                f"warm mix should be >={WARM_SPEEDUP_FLOOR}x faster than cold, "
+                f"got {speedup:.1f}x"
             )
 
 
 def test_batch_beats_serial_submission(graph, record_table):
-    """One batch of a repeated mix beats serial submission wall-clock."""
+    """One batch of a repeated mix executes each distinct query once;
+    the wall-clock of both sides is recorded, not gated."""
     mix = [lubm_queries.query(n) for n in ALL_NAMES] * MIX_REPEATS
 
     def timed(submit_all):
@@ -112,22 +117,30 @@ def test_batch_beats_serial_submission(graph, record_table):
         with QueryService(graph, _no_result_cache()) as service:
             t0 = time.perf_counter()
             outcomes = submit_all(service)
-            return time.perf_counter() - t0, outcomes
+            seconds = time.perf_counter() - t0
+            return seconds, outcomes, service.snapshot_stats()
 
     # Best of BATCH_TRIALS alternating trials per side: the saving is
     # the 70 coalesced executions, a few ms each on the id-space
     # default, and one slow phase of a shared host is larger than that.
     serial_s = batch_s = float("inf")
     for _ in range(BATCH_TRIALS):
-        seconds, serial = timed(lambda svc: [svc.submit(q) for q in mix])
+        seconds, serial, serial_stats = timed(
+            lambda svc: [svc.submit(q) for q in mix]
+        )
         serial_s = min(serial_s, seconds)
-        seconds, batched = timed(lambda svc: svc.submit_batch(mix))
+        seconds, batched, batch_stats = timed(lambda svc: svc.submit_batch(mix))
         batch_s = min(batch_s, seconds)
 
     # Identical answers, in submission order.
     assert [o.rows for o in batched] == [o.rows for o in serial]
     coalesced = sum(o.coalesced for o in batched)
     assert coalesced == len(mix) - len(ALL_NAMES)
+    # What the batch saves: every duplicate's execution.
+    assert batch_stats.coalesced == coalesced
+    assert serial_stats.execute.count == len(mix)
+    assert batch_stats.execute.count == len(ALL_NAMES)
+    assert serial_stats.optimizer_runs == batch_stats.optimizer_runs == len(ALL_NAMES)
 
     qps_serial = len(mix) / serial_s
     qps_batch = len(mix) / batch_s
@@ -144,11 +157,6 @@ def test_batch_beats_serial_submission(graph, record_table):
         ]
     )
     record_table("service_batch_vs_serial", table)
-
-    if STRICT:
-        assert batch_s < serial_s, (
-            f"batch ({batch_s:.3f}s) should beat serial ({serial_s:.3f}s)"
-        )
 
 
 def test_result_cache_serves_repeats_instantly(graph, record_table):

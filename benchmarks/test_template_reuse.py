@@ -16,8 +16,14 @@ The benchmark submits the same mix to two services:
 * **template** — the default: one optimizer run per shape, then
   bind + execute per query.
 
-Answers must be identical; the template service must run the mix ≥ 5×
-faster.  Results land in ``benchmarks/results/template_reuse.txt``.
+Answers must be identical, the optimizer must run once per shape
+instead of once per constant, and the template service must run the mix
+>= 2.5x faster.  The ratio is 1 + planning / (bind + execute) of a cold
+query; the floor was 5x while planning was ~20x the rest, and the
+cost-bounded search cut planning to ~3.3x the rest: 4.2-4.4x in five
+runs on the 2-CPU reference host, 3.7-5.3x over sixteen (five of them
+with both CPUs contended), so the floor sits at 0.6 of the median.  Results land in
+``benchmarks/results/template_reuse.txt``.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ SHAPES = {
     ),
 }
 CONSTANTS = 25  # distinct constants per shape
+SPEEDUP_FLOOR = 2.5  # see the module docstring for its measured basis
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +127,7 @@ def test_template_reuse_speedup(graph, record_table):
     record_table("template_reuse", "\n".join(lines))
 
     if STRICT:
-        assert speedup >= 5.0, (
-            f"template reuse should be >=5x faster than cold "
+        assert speedup >= SPEEDUP_FLOOR, (
+            f"template reuse should be >={SPEEDUP_FLOOR}x faster than cold "
             f"optimization, got {speedup:.1f}x"
         )

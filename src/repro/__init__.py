@@ -50,7 +50,12 @@ from repro.cluster import (
     ShardUnavailable,
     shard_graph,
 )
-from repro.core.algorithm import OptimizerResult, best_effort_plan, cliquesquare
+from repro.core.algorithm import (
+    OptimizerResult,
+    best_effort_plan,
+    cliquesquare,
+    cost_bounded_search,
+)
 from repro.core.binary import best_bushy_plan, best_linear_plan
 from repro.core.decomposition import (
     ALL_OPTIONS,
@@ -176,6 +181,7 @@ __all__ = [
     "best_linear_plan",
     "canonicalize",
     "cliquesquare",
+    "cost_bounded_search",
     "evaluate",
     "extract_template",
     "height",

@@ -70,7 +70,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(
             f"plan corpus clean: {counters['queries']} queries, "
-            f"{counters['plans']} plans, {counters['physical']} physical, "
+            f"{counters['plans']} plans ({counters['retained']} retained by "
+            f"the cost-bounded search), {counters['physical']} physical, "
             f"{counters['compiled']} compiled"
         )
         return 0

@@ -31,6 +31,7 @@ point of introduction instead of as a wrong answer much later.
 from __future__ import annotations
 
 import os
+import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -50,6 +51,7 @@ from repro.sparql.ast import BGPQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.algorithm import OptimizerResult
+    from repro.cost.model import PlanCoster
     from repro.physical.job_compiler import CompiledPlan, JobSpec
     from repro.physical.translate import PhysicalPlan
 
@@ -97,13 +99,12 @@ def plans_checked() -> bool:
 
 def _join_levels(plan: LogicalPlan) -> dict[int, list[Join]]:
     """Joins of the plan DAG grouped by level (1 = closest to leaves)."""
-    memo: dict[int, int] = {}
     levels: dict[int, list[Join]] = defaultdict(list)
     seen: set[int] = set()
     for op in plan.root.iter_operators():
         if isinstance(op, Join) and id(op) not in seen:
             seen.add(id(op))
-            levels[operator_height(op, memo)].append(op)
+            levels[operator_height(op)].append(op)
     return dict(levels)
 
 
@@ -248,6 +249,73 @@ def check_plan_space(
         for p in result.plans:
             check_logical_plan(p, query)
     return opt
+
+
+def _pareto_front(plans: "list[LogicalPlan]", coster: "PlanCoster") -> dict[int, float]:
+    """height -> cost of the non-dominated plans (shorter or cheaper than
+    every other plan)."""
+    cheapest: dict[int, float] = {}
+    memo: dict = {}  # plans of one search share operator objects
+    for plan in plans:
+        h, cost = height(plan), coster.cost(plan, memo)
+        if cost < cheapest.get(h, float("inf")):
+            cheapest[h] = cost
+    front: dict[int, float] = {}
+    best = float("inf")
+    for h in sorted(cheapest):
+        if cheapest[h] < best:
+            best = front[h] = cheapest[h]
+    return front
+
+
+def check_bounded_search(
+    query: BGPQuery, exhaustive: "OptimizerResult", coster: "PlanCoster"
+) -> "OptimizerResult":
+    """Verify the cost-bounded search against an exhaustive enumeration.
+
+    The bound must only ever cut plans that a retained plan dominates:
+    the plan selected from the bounded search equals (signature and cost)
+    the one selected from *exhaustive*, and the (height, cost) Pareto
+    front of both spaces is the same — so a height-optimal plan survives
+    too.  Returns the bounded result.
+    """
+    from repro.core.algorithm import cost_bounded_search
+    from repro.cost.model import select_best_plan
+
+    report = _Report(where=f"bounded search of {query.name or query}")
+    bounded = cost_bounded_search(
+        query, coster, exhaustive.option, max_plans=None, timeout_s=None
+    )
+    if bool(bounded.plans) != bool(exhaustive.plans):
+        raise PlanInvariantError(
+            report.where,
+            [f"{len(bounded.plans)} plans retained of {len(exhaustive.plans)}"],
+        )
+    if not exhaustive.plans:
+        return bounded
+    want, want_cost = select_best_plan(exhaustive.unique_plans(), coster)
+    got, got_cost = select_best_plan(bounded.unique_plans(), coster)
+    report.check(
+        got.signature() == want.signature(),
+        f"bounded search selects {got} but the exhaustive one {want}",
+    )
+    report.check(
+        got_cost == want_cost,
+        f"selected cost {got_cost} differs from the exhaustive {want_cost}",
+    )
+    kept = {p.signature() for p in bounded.plans}
+    report.check(
+        kept <= {p.signature() for p in exhaustive.plans},
+        "bounded search produced a plan outside the exhaustive space",
+    )
+    want_front = _pareto_front(exhaustive.plans, coster)
+    got_front = _pareto_front(bounded.plans, coster)
+    report.check(
+        got_front == want_front,
+        f"(height, cost) front {got_front} differs from the exhaustive {want_front}",
+    )
+    report.raise_if_failed()
+    return bounded
 
 
 # -- physical plans --------------------------------------------------------
@@ -470,6 +538,31 @@ def maybe_check(
         check_compiled_plan(compiled, physical, plan)
 
 
+def corpus_coster(queries: "list[BGPQuery]", seed: int) -> "PlanCoster":
+    """A §5.4 coster over seeded made-up statistics for every property
+    the *queries* mention — skewed enough that plans differ in cost."""
+    from repro.cost.cardinality import (
+        CardinalityEstimator,
+        CatalogStatistics,
+        PropertyStats,
+    )
+    from repro.cost.model import PlanCoster
+
+    rng = random.Random(f"corpus-stats:{seed}")
+    stats = CatalogStatistics()
+    for prop in sorted({tp.p for q in queries for tp in q.patterns}):
+        count = int(10 ** rng.uniform(0.5, 4.5))
+        stats.per_property[prop] = PropertyStats(
+            count=count,
+            distinct_subjects=rng.randint(1, count),
+            distinct_objects=rng.randint(1, count),
+        )
+        stats.triple_count += count
+    stats.distinct_properties = len(stats.per_property)
+    stats.distinct_subjects = stats.distinct_objects = max(stats.triple_count // 3, 1)
+    return PlanCoster(CardinalityEstimator(stats))
+
+
 def sweep_corpus(
     synthetic: int = 120,
     seed: int = 8612,
@@ -479,10 +572,11 @@ def sweep_corpus(
     """Check every invariant across the LUBM 14 + a synthetic corpus.
 
     Every query is optimized, its full retained plan space validated
-    (:func:`check_plan_space` with per-plan checks), and the selected
-    plan translated + compiled and validated at all three levels.
-    Returns counters; raises :class:`PlanInvariantError` on the first
-    violating query.
+    (:func:`check_plan_space` with per-plan checks), the cost-bounded
+    search checked against it (:func:`check_bounded_search`), and the
+    selected plan translated + compiled and validated at all three
+    levels.  Returns counters; raises :class:`PlanInvariantError` on the
+    first violating query.
     """
     from repro.core.algorithm import cliquesquare
     from repro.core.decomposition import MSC
@@ -500,11 +594,15 @@ def sweep_corpus(
     for batch in shapes.values():
         queries.extend(batch)
 
-    counters = {"queries": 0, "plans": 0, "physical": 0, "compiled": 0}
+    coster = corpus_coster(queries, seed)
+    counters = {"queries": 0, "plans": 0, "retained": 0, "physical": 0, "compiled": 0}
     for query in queries:
         result = cliquesquare(query, MSC, max_plans=None, timeout_s=100.0)
         opt = check_plan_space(query, result, check_each=True)
         counters["plans"] += len(result.plans)
+        bounded = check_bounded_search(query, result, coster)
+        check_plan_space(query, bounded, optimal=opt)
+        counters["retained"] += len(bounded.plans)
         # Validate the full pipeline on a height-optimal plan *and* on
         # the structurally worst retained plan (tallest): both must
         # translate and compile into invariant-respecting job DAGs.

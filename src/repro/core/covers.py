@@ -216,8 +216,9 @@ def minimum_covers(
 ) -> list[tuple[int, ...]]:
     """All covers of minimum size (simple or exact), deduplicated.
 
-    Iterative deepening: the first depth k at which any cover exists is
-    the minimum cover size; all covers found at that depth are returned.
+    Iterative deepening from the smallest depth that could cover the
+    universe: the first depth k at which any cover exists is the minimum
+    cover size; all covers found at that depth are returned.
     Returns [] when no cover exists at all (the MXC+/XC+ failure mode of
     Fig. 10).
     """
@@ -225,11 +226,14 @@ def minimum_covers(
     union = 0
     for mask in masks:
         union |= mask
-    if union != full:
+    if union != full or not full:
         return []
     iterator = iter_exact_covers if exact else iter_irredundant_covers
     max_k = max(universe_size - 1, 1)
-    for k in range(1, max_k + 1):
+    # k sets cover at most k * (largest set) elements, so every depth
+    # below ceil(n / largest) is provably empty.
+    largest = max(mask.bit_count() for mask in masks)
+    for k in range(-(-universe_size // largest), max_k + 1):
         found = {
             tuple(sorted(cover))
             for cover in iterator(universe_size, masks, k, budget)

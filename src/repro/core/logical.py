@@ -14,14 +14,21 @@ equality is insensitive to enumeration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 from typing import Callable, Iterator
 
 from repro.sparql.ast import BGPQuery, TriplePattern
 
 
 class LogicalOperator:
-    """Base class for logical operators.  Subclasses are frozen dataclasses."""
+    """Base class for logical operators.  Subclasses are frozen dataclasses.
+
+    Operators are immutable, so what is derived from their fields
+    (covered patterns, join output attributes, height, signature) is computed
+    once per object with ``cached_property``: it lives in the instance
+    ``__dict__``, outside the dataclass fields, so ``__eq__`` and
+    ``__hash__`` are untouched.
+    """
 
     @property
     def attrs(self) -> tuple[str, ...]:
@@ -34,10 +41,32 @@ class LogicalOperator:
 
     def patterns(self) -> frozenset[TriplePattern]:
         """The triple patterns this operator's sub-DAG covers."""
+        return self._patterns
+
+    @cached_property
+    def _patterns(self) -> frozenset[TriplePattern]:
         out: set[TriplePattern] = set()
         for child in self.children:
             out |= child.patterns()
         return frozenset(out)
+
+    @cached_property
+    def height(self) -> int:
+        """Largest number of join operators on a path from here to a leaf."""
+        below = max((child.height for child in self.children), default=0)
+        return below + isinstance(self, Join)
+
+    @cached_property
+    def _signature(self) -> tuple:
+        if isinstance(self, Match):
+            return ("M", str(self.pattern))
+        if isinstance(self, Join):
+            return ("J", self.on, tuple(sorted(signature(c) for c in self.inputs)))
+        if isinstance(self, Select):
+            return ("S", self.conditions, signature(self.child))
+        if isinstance(self, Project):
+            return ("P", self.on, signature(self.child))
+        raise TypeError(f"unknown operator {type(self)!r}")
 
     def iter_operators(self) -> Iterator["LogicalOperator"]:
         """All distinct operators of the sub-DAG, parents before children."""
@@ -62,7 +91,8 @@ class Match(LogicalOperator):
     def attrs(self) -> tuple[str, ...]:
         return self.pattern.variables()
 
-    def patterns(self) -> frozenset[TriplePattern]:
+    @cached_property
+    def _patterns(self) -> frozenset[TriplePattern]:
         return frozenset([self.pattern])
 
     def __str__(self) -> str:
@@ -98,7 +128,7 @@ class Join(LogicalOperator):
     def children(self) -> tuple[LogicalOperator, ...]:
         return self.inputs
 
-    @property
+    @cached_property
     def attrs(self) -> tuple[str, ...]:
         out: list[str] = []
         for child in self.inputs:
@@ -204,21 +234,12 @@ def rewrite_patterns(
     return new
 
 
-@cache
 def signature(op: LogicalOperator) -> tuple:
     """A canonical, hashable, order-insensitive description of a sub-DAG.
 
     Used to sort join children deterministically and to deduplicate plans.
     """
-    if isinstance(op, Match):
-        return ("M", str(op.pattern))
-    if isinstance(op, Join):
-        return ("J", op.on, tuple(sorted(signature(c) for c in op.inputs)))
-    if isinstance(op, Select):
-        return ("S", op.conditions, signature(op.child))
-    if isinstance(op, Project):
-        return ("P", op.on, signature(op.child))
-    raise TypeError(f"unknown operator {type(op)!r}")
+    return op._signature
 
 
 def make_join(inputs: list[LogicalOperator]) -> LogicalOperator:

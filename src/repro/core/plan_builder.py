@@ -10,6 +10,9 @@ construction walks the queue oldest-to-newest:
   Join over the members' operators.
 
 The final projection onto the distinguished variables is added on top.
+The per-graph step is :func:`extend_operators`; Algorithm 1 applies it as
+it descends (``core.algorithm``), :func:`create_query_plan` folds it over
+a finished sequence.
 """
 
 from __future__ import annotations
@@ -17,8 +20,42 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.logical import LogicalOperator, LogicalPlan, Match, make_join
-from repro.core.variable_graph import VariableGraph
+from repro.core.variable_graph import Clique, VariableGraph
 from repro.sparql.ast import BGPQuery
+
+
+def initial_operators(graph: VariableGraph) -> tuple[LogicalOperator, ...]:
+    """One Match per node of an initial (one pattern per node) graph."""
+    if any(len(ns) != 1 for ns in graph.nodes):
+        raise ValueError("first state must have one triple pattern per node")
+    return tuple(Match(next(iter(ns))) for ns in graph.nodes)
+
+
+def extend_operators(
+    ops: Sequence[LogicalOperator],
+    provenance: Sequence[Clique],
+    joins: dict[Clique, LogicalOperator] | None = None,
+) -> tuple[LogicalOperator, ...]:
+    """The operators of a reduced graph, from its parent's *ops* and its
+    *provenance* (one clique of parent nodes per node).
+
+    *joins* interns the joins built over *ops* by clique, so that sibling
+    reductions of one parent state share the operators they have in
+    common.
+    """
+    if joins is None:
+        joins = {}
+    out: list[LogicalOperator] = []
+    for clique in provenance:
+        if len(clique) == 1:
+            (member,) = clique
+            out.append(ops[member])
+        else:
+            join = joins.get(clique)
+            if join is None:
+                join = joins[clique] = make_join([ops[i] for i in sorted(clique)])
+            out.append(join)
+    return tuple(out)
 
 
 def create_query_plan(query: BGPQuery, states: Sequence[VariableGraph]) -> LogicalPlan:
@@ -30,25 +67,15 @@ def create_query_plan(query: BGPQuery, states: Sequence[VariableGraph]) -> Logic
     """
     if not states:
         raise ValueError("states must contain at least the initial graph")
-    first, last = states[0], states[-1]
-    if any(len(ns) != 1 for ns in first.nodes):
-        raise ValueError("first state must have one triple pattern per node")
-    if len(last) != 1:
+    if len(states[-1]) != 1:
         raise ValueError("last state must be a one-node graph")
 
-    ops: list[LogicalOperator] = [Match(next(iter(ns))) for ns in first.nodes]
+    ops = initial_operators(states[0])
     for graph in states[1:]:
         if graph.provenance is None:
             raise ValueError("reduced graph lacks provenance")
         if len(graph.provenance) != len(graph.nodes):
             raise ValueError("provenance misaligned with graph nodes")
-        new_ops: list[LogicalOperator] = []
-        for clique in graph.provenance:
-            members = sorted(clique)
-            if len(members) == 1:
-                new_ops.append(ops[members[0]])
-            else:
-                new_ops.append(make_join([ops[i] for i in members]))
-        ops = new_ops
+        ops = extend_operators(ops, graph.provenance)
 
     return LogicalPlan.wrap(ops[0], query)

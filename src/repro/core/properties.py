@@ -16,16 +16,9 @@ from repro.core.logical import Join, LogicalOperator, LogicalPlan
 from repro.sparql.ast import BGPQuery
 
 
-def operator_height(op: LogicalOperator, _memo: dict[int, int] | None = None) -> int:
+def operator_height(op: LogicalOperator) -> int:
     """Largest number of join operators on a path from *op* to a leaf."""
-    memo = _memo if _memo is not None else {}
-    key = id(op)
-    if key in memo:
-        return memo[key]
-    below = max((operator_height(c, memo) for c in op.children), default=0)
-    height = below + (1 if isinstance(op, Join) else 0)
-    memo[key] = height
-    return height
+    return op.height
 
 
 def height(plan: LogicalPlan) -> int:

@@ -12,7 +12,9 @@ exactly the information CREATEQUERYPLANS (§4.2) needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from repro.sparql.ast import BGPQuery, TriplePattern
 
@@ -60,10 +62,14 @@ class VariableGraph:
 
     def node_variables(self, i: int) -> frozenset[str]:
         """All variables occurring in node *i*'s triple patterns."""
-        out: set[str] = set()
-        for tp in self.nodes[i]:
-            out.update(tp.variables())
-        return frozenset(out)
+        return self._node_variables[i]
+
+    @cached_property
+    def _node_variables(self) -> tuple[frozenset[str], ...]:
+        # Derived once per (immutable) graph; not a dataclass field.
+        return tuple(
+            frozenset(v for tp in ns for v in tp.variables()) for ns in self.nodes
+        )
 
     def variables(self) -> frozenset[str]:
         """All variables of the graph."""
@@ -72,20 +78,25 @@ class VariableGraph:
             out |= self.node_variables(i)
         return frozenset(out)
 
-    def edge_map(self) -> dict[str, tuple[int, ...]]:
+    def edge_map(self) -> Mapping[str, tuple[int, ...]]:
         """Map each edge label (variable) to the nodes it touches.
 
         A variable labels edges iff it occurs in at least two distinct
         nodes; the returned node tuple is exactly the *maximal clique*
         of that variable (Def. 3.2): all nodes incident to a v-edge.
+        The mapping is computed once per graph and read-only.
         """
+        return self._edge_map
+
+    @cached_property
+    def _edge_map(self) -> Mapping[str, tuple[int, ...]]:
         occurrences: dict[str, list[int]] = {}
-        for i in range(len(self.nodes)):
-            for v in self.node_variables(i):
+        for i, variables in enumerate(self._node_variables):
+            for v in variables:
                 occurrences.setdefault(v, []).append(i)
-        return {
-            v: tuple(nodes) for v, nodes in occurrences.items() if len(nodes) >= 2
-        }
+        return MappingProxyType(
+            {v: tuple(nodes) for v, nodes in occurrences.items() if len(nodes) >= 2}
+        )
 
     def edges(self) -> Iterator[tuple[int, str, int]]:
         """Iterate the labeled edges (i, v, j) with i < j of the multigraph."""
@@ -119,7 +130,11 @@ class VariableGraph:
         member nodes' patterns; edges are recomputed from shared
         variables.  Provenance records the clique per new node.
         """
-        decomposition = canonical_decomposition(decomposition)
+        return self._reduce_canonical(canonical_decomposition(decomposition))
+
+    def _reduce_canonical(self, decomposition: Decomposition) -> "VariableGraph":
+        # :meth:`reduce` minus the re-sort, for the search in
+        # ``core.algorithm``: ``decompositions()`` yields canonical tuples.
         self.validate_decomposition(decomposition)
         new_nodes: list[frozenset[TriplePattern]] = []
         for clique in decomposition:

@@ -50,6 +50,12 @@ class CostBreakdown:
         return self.io + self.cpu + self.net
 
 
+#: Operator costs of one search or one selection, by operator *object*:
+#: ``id(op) -> (op, cost)``.  The entry holds the operator so its id
+#: cannot be reused while the memo lives.
+CostMemo = dict[int, tuple[LogicalOperator, CostBreakdown]]
+
+
 class PlanCoster:
     """Costs logical operators/plans under §5.4 with a given estimator."""
 
@@ -81,8 +87,19 @@ class PlanCoster:
 
     # -- operator costs ----------------------------------------------------
 
-    def operator_cost(self, op: LogicalOperator) -> CostBreakdown:
-        """The §5.4 cost of one operator (not including its children)."""
+    def operator_cost(
+        self, op: LogicalOperator, memo: CostMemo | None = None
+    ) -> CostBreakdown:
+        """The §5.4 cost of one operator (not including its children);
+        computed once per operator object when a *memo* is passed."""
+        if memo is None:
+            return self._operator_cost(op)
+        hit = memo.get(id(op))
+        if hit is None:
+            hit = memo[id(op)] = (op, self._operator_cost(op))
+        return hit[1]
+
+    def _operator_cost(self, op: LogicalOperator) -> CostBreakdown:
         p = self.params
         bd = CostBreakdown()
         if isinstance(op, Match):
@@ -133,21 +150,25 @@ class PlanCoster:
 
     # -- plan costs ---------------------------------------------------------
 
-    def cost_breakdown(self, plan: LogicalPlan | LogicalOperator) -> CostBreakdown:
+    def cost_breakdown(
+        self, plan: LogicalPlan | LogicalOperator, memo: CostMemo | None = None
+    ) -> CostBreakdown:
         """Total work tw(p): sum over the distinct operators of the DAG."""
         root = plan.root if isinstance(plan, LogicalPlan) else plan
         total = CostBreakdown()
         for op in root.iter_operators():
-            bd = self.operator_cost(op)
+            bd = self.operator_cost(op, memo)
             total.io += bd.io
             total.cpu += bd.cpu
             total.net += bd.net
             total.details.extend(bd.details)
         return total
 
-    def cost(self, plan: LogicalPlan | LogicalOperator) -> float:
+    def cost(
+        self, plan: LogicalPlan | LogicalOperator, memo: CostMemo | None = None
+    ) -> float:
         """c(p) = tw(p)."""
-        return self.cost_breakdown(plan).total
+        return self.cost_breakdown(plan, memo).total
 
 
 def _needs_filter(tp) -> bool:
@@ -169,5 +190,12 @@ def select_best_plan(
     plans (based on this general cost model)')."""
     if not plans:
         raise ValueError("no plans to select from")
-    best = min(plans, key=coster.cost)
-    return best, coster.cost(best)
+    # One pass; plans of one enumeration share operator objects, so each
+    # operator is costed once.  Ties keep the first plan, like ``min``.
+    memo: CostMemo = {}
+    best, best_cost = plans[0], coster.cost(plans[0], memo)
+    for plan in plans[1:]:
+        cost = coster.cost(plan, memo)
+        if cost < best_cost:
+            best, best_cost = plan, cost
+    return best, best_cost

@@ -128,8 +128,10 @@ class TemplateEntry:
     plan: LogicalPlan
     prepared: PreparedPlan
     optimize_s: float
-    #: summary of the enumeration that produced the plan
+    #: summary of the search that produced the plan: plans completed,
+    #: branches the cost bound cut
     plan_count: int = 0
+    pruned: int = 0
     truncated: bool = False
 
 

@@ -76,7 +76,7 @@ from repro.analysis.locks import (
 from repro.cluster import ShardedPlanExecutor, ShardedStore, shard_graph
 from repro.columnar.block import HAVE_NUMPY
 from repro.columnar.wire import WIRE_FORMATS
-from repro.core.algorithm import OptimizerResult, cliquesquare
+from repro.core.algorithm import OptimizerResult, cost_bounded_search
 from repro.core.decomposition import MSC, DecompositionOption
 from repro.core.logical import LogicalPlan, rewrite_patterns
 from repro.cost.cardinality import (
@@ -570,6 +570,11 @@ class PreparedQuery:
         for p in t.params:
             default = f" = {p.default}" if p.default is not None else ""
             lines.append(f"  {p.placeholder} <- ${p.name} [{p.kind}]{default}")
+        e = self._entry
+        lines.append(
+            f"optimize_s {e.optimize_s:.6f}  plans {e.plan_count}  "
+            f"pruned {e.pruned}" + ("  (truncated)" if e.truncated else "")
+        )
         store = self._service.store
         config = self._service.config
         sharded = isinstance(store, ShardedStore)
@@ -839,9 +844,12 @@ class QueryService:
     # -- reusable planning/execution steps (uncached) ----------------------
 
     def optimize(self, query: BGPQuery) -> tuple[LogicalPlan, OptimizerResult]:
-        """CliqueSquare plans + cost-based selection of the best one."""
-        result = cliquesquare(
+        """CliqueSquare search bounded by the cost model + selection of
+        the cheapest retained plan (the plan the exhaustive enumeration
+        would select)."""
+        result = cost_bounded_search(
             query,
+            self.coster,
             self.config.option,
             max_plans=self.config.max_plans,
             timeout_s=self.config.timeout_s,
@@ -1714,6 +1722,7 @@ class QueryService:
             t0,
             time.perf_counter(),
             plans=optimizer.plan_count,
+            pruned=optimizer.pruned,
             truncated=optimizer.truncated,
         )
         return TemplateEntry(
@@ -1722,6 +1731,7 @@ class QueryService:
             prepared=prepared,
             optimize_s=optimize_s,
             plan_count=optimizer.plan_count,
+            pruned=optimizer.pruned,
             truncated=optimizer.truncated,
         )
 

@@ -12,6 +12,7 @@ Triple patterns generalize triples by allowing variables in any position
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from repro.rdf.terms import (
@@ -53,11 +54,22 @@ class TriplePattern:
 
     def variables(self) -> tuple[str, ...]:
         """Variables of this pattern, in s,p,o order, deduplicated."""
+        return self._variables
+
+    @cached_property
+    def _variables(self) -> tuple[str, ...]:
+        # Computed once per (immutable) pattern; not a dataclass field, so
+        # equality, hashing and ordering ignore it.
         seen: list[str] = []
         for term in (self.s, self.p, self.o):
             if is_variable(term) and term not in seen:
                 seen.append(term)
         return tuple(seen)
+
+    def __getstate__(self) -> dict[str, str]:
+        # Only the fields travel (rpc task specs pickle patterns); the
+        # derived-variables cache is rebuilt on demand.
+        return {"s": self.s, "p": self.p, "o": self.o}
 
     def constants(self) -> tuple[str, ...]:
         """Constant terms of this pattern, in s,p,o order."""

@@ -144,6 +144,28 @@ class TestPlanCoster:
         assert best in plans
         assert cost == min(coster.cost(p) for p in plans)
 
+    def test_select_best_plan_costs_each_operator_once(self, coster, monkeypatch):
+        q = parse_query(
+            "SELECT ?p WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d . "
+            "?d ub:subOrganizationOf ?u . ?p ub:emailAddress ?e }"
+        )
+        plans = cliquesquare(q, MSC).unique_plans()
+        assert len(plans) > 1
+        expected = min(plans, key=coster.cost)
+        distinct = {id(op) for p in plans for op in p.root.iter_operators()}
+        costed = []
+        real = PlanCoster._operator_cost
+        monkeypatch.setattr(
+            PlanCoster,
+            "_operator_cost",
+            lambda self, op: costed.append(id(op)) or real(self, op),
+        )
+        best, cost = select_best_plan(plans, coster)
+        assert best is expected  # ties keep the first plan, like min()
+        assert sorted(costed) == sorted(distinct)
+        monkeypatch.undo()
+        assert cost == coster.cost(best)  # bit-identical to the unmemoised sum
+
     def test_select_best_plan_empty_raises(self, coster):
         with pytest.raises(ValueError):
             select_best_plan([], coster)

@@ -127,6 +127,27 @@ class TestMinimumCovers:
         got = {tuple(c) for c in minimum_covers(n, masks, exact=False)}
         assert got == expected
 
+    def test_deepening_starts_at_the_size_bound(self, monkeypatch):
+        """Depths below ceil(n / largest set) cannot cover: never tried."""
+        import repro.core.covers as covers
+
+        depths = []
+        real = covers.iter_irredundant_covers
+
+        def spy(universe_size, masks, max_size, budget=None):
+            depths.append(max_size)
+            return real(universe_size, masks, max_size, budget)
+
+        monkeypatch.setattr(covers, "iter_irredundant_covers", spy)
+        n = 7  # a chain: pairs only, so no cover below ceil(7 / 2) = 4
+        sets = [{i, i + 1} for i in range(n - 1)] + [{i} for i in range(n)]
+        found = minimum_covers(n, masks_of(n, sets), exact=False)
+        assert depths == [4]
+        assert found and all(len(c) == 4 for c in found)
+
+    def test_empty_universe(self):
+        assert minimum_covers(0, [], exact=False) == []
+
 
 class TestIrredundantCovers:
     def test_contains_all_irredundant(self):

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.logical import Join, Match, Project
-from repro.core.plan_builder import create_query_plan
+from repro.core.plan_builder import (
+    create_query_plan,
+    extend_operators,
+    initial_operators,
+)
 from repro.core.properties import height
 from repro.core.variable_graph import VariableGraph
 from repro.sparql.parser import parse_query
@@ -91,3 +95,25 @@ class TestCreateQueryPlan:
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError):
             create_query_plan(chain3(), [])
+
+
+class TestExtendOperators:
+    def test_sibling_reductions_share_interned_joins(self):
+        g0 = VariableGraph.from_query(chain3())
+        ops = initial_operators(g0)
+        joins = {}
+        left = extend_operators(ops, (frozenset({0, 1}), frozenset({2})), joins)
+        both = extend_operators(ops, (frozenset({0, 1}), frozenset({1, 2})), joins)
+        assert left[0] is both[0]  # J(t1, t2) built once for the state
+        assert left[1] is ops[2]  # singleton cliques carry the operator
+        assert set(joins) == {frozenset({0, 1}), frozenset({1, 2})}
+
+    def test_create_query_plan_is_the_fold(self):
+        q = chain3()
+        g0 = VariableGraph.from_query(q)
+        g1 = g0.reduce([frozenset({0, 1}), frozenset({2})])
+        g2 = g1.reduce([frozenset({0, 1})])
+        ops = extend_operators(initial_operators(g0), g1.provenance)
+        (root,) = extend_operators(ops, g2.provenance)
+        assert create_query_plan(q, [g0, g1, g2]).body == root
+

@@ -352,6 +352,21 @@ class TestUncacheableQueries:
             assert entry.plan_count > 0
             assert entry.truncated is False
 
+    def test_search_counters_are_observable(self, graph):
+        config = ServiceConfig(result_cache_size=0, tracing=True)
+        with QueryService(graph, config) as svc:
+            q = lubm_queries.query("Q9")
+            _plan, result = svc.optimize(q)
+            assert result.states > len(result.plans) > 0 and result.pruned > 0
+            outcome = svc.submit(q)
+            # (the service optimizes the canonical form: same space, another order)
+            (entry,) = list(svc.template_cache._data.values())
+            assert entry.plan_count > 0 and entry.pruned > 0
+            (span,) = [s for s in svc.trace(outcome).spans if s.name == "optimize"]
+            assert span.attrs["plans"] == entry.plan_count
+            assert span.attrs["pruned"] == entry.pruned
+            assert f"plans {entry.plan_count}  pruned {entry.pruned}" in svc.explain(q)
+
 
 class TestResolvedBackend:
     """``ServiceConfig.backend`` names no engine by default: it resolves

@@ -120,3 +120,28 @@ class TestCanonicalKey:
         g1 = VariableGraph(nodes=(frozenset([q.patterns[0]]), frozenset([q.patterns[1]])))
         g2 = VariableGraph(nodes=(frozenset([q.patterns[1]]), frozenset([q.patterns[0]])))
         assert g1.canonical_key() == g2.canonical_key()
+
+
+class TestDerivedStructure:
+    def test_caches_do_not_touch_equality_or_hash(self):
+        text = "SELECT ?x WHERE { ?x p ?y . ?y q ?z . ?z r ?x }"
+        warm, cold = graph_of(text), graph_of(text)
+        warm.edge_map(), warm.node_variables(0)
+        assert warm == cold and hash(warm) == hash(cold)
+        tp_warm, tp_cold = next(iter(warm.nodes[0])), next(iter(cold.nodes[0]))
+        tp_warm.variables()
+        assert tp_warm == tp_cold and hash(tp_warm) == hash(tp_cold)
+        assert not tp_warm < tp_cold and not tp_cold < tp_warm
+
+    def test_edge_map_is_computed_once_and_read_only(self):
+        g = graph_of("SELECT ?x WHERE { ?x p ?y . ?y q ?z }")
+        assert g.edge_map() is g.edge_map()
+        with pytest.raises(TypeError):
+            g.edge_map()["?y"] = (0,)
+
+    def test_reduce_orders_cliques_canonically(self):
+        g = graph_of("SELECT ?x WHERE { ?x p ?y . ?y q ?z . ?z r ?w }")
+        cliques = [frozenset({2}), frozenset({0, 1})]
+        reduced = g.reduce(cliques)
+        assert reduced.provenance == canonical_decomposition(cliques)
+        assert g.reduce(reduced.provenance) == reduced
