@@ -83,6 +83,7 @@ from repro.mapreduce.backends import (
     ExecutionBackend,
     SerialBackend,
     TaskInvocation,
+    check_backend_available,
     make_backend,
     pipeline_workers,
     store_token,
@@ -1883,6 +1884,7 @@ class RpcShardRouter(ShardRouter):
                 f"unknown worker backend {worker_backend!r}; "
                 f"expected one of {BACKEND_NAMES}"
             )
+        check_backend_available(worker_backend)
         if wire_format not in WIRE_FORMATS:
             raise ValueError(
                 f"unknown wire format {wire_format!r}; "

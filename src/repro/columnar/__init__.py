@@ -18,11 +18,12 @@ the representation:
   id buffers plus a delta of dictionary entries the peer does not hold
   yet, replacing pickled tuple lists as the shard wire format.
 
-With numpy the kernels are bulk operators over int64 arrays
-(:mod:`repro.columnar.kernels`); without it the same names run row at a
-time over ``array('q')`` columns (:mod:`repro.columnar.stdlib_kernels`),
-so a stdlib-only install keeps working (set
-``REPRO_COLUMNAR_FORCE_FALLBACK=1`` to force the stdlib path).
+The kernels are bulk numpy operators over int64 arrays
+(:mod:`repro.columnar.kernels`), the one implementation.  Without numpy
+the package still imports — the wire codec is stdlib-only and the
+service reads :data:`HAVE_NUMPY` to resolve its default backend to
+``"serial"`` — and an explicit ``backend="columnar"`` raises
+:class:`~repro.mapreduce.backends.BackendUnavailable`.
 """
 
 from repro.columnar.block import (

@@ -7,51 +7,39 @@ block round-trips losslessly through :func:`to_blocks` / :func:`to_rows`
 for any terms the dictionary can hold (IRIs, literals, blank nodes —
 any string).
 
-Columns are numpy ``int64`` arrays when numpy is importable and the
-fallback is not forced, stdlib ``array('q')`` otherwise.  Both support
-``len``, iteration and indexing, so everything above the selection
-kernels is representation-agnostic.
+Columns are numpy ``int64`` arrays — the one representation between
+operators.  Without numpy this module still imports (the service reads
+:data:`HAVE_NUMPY` to resolve its default backend) but builds no
+columns: ``make_backend("columnar")`` refuses there.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.rdf.dictionary import Dictionary
 
-FORCE_FALLBACK = os.environ.get("REPRO_COLUMNAR_FORCE_FALLBACK", "") not in ("", "0")
-
-if FORCE_FALLBACK:
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-        np = None
 
 HAVE_NUMPY = np is not None
 
 
 def columnar_available() -> bool:
-    """True when the columnar backend should run in this environment:
-    numpy is importable, or the stdlib fallback is explicitly forced."""
-    return HAVE_NUMPY or FORCE_FALLBACK
+    """True when the columnar backend can run here: numpy imports."""
+    return HAVE_NUMPY
 
 
 def make_column(ids: Iterable[int]):
-    """An id column from an iterable of ints (numpy or ``array('q')``)."""
-    if HAVE_NUMPY:
-        return np.fromiter(ids, dtype=np.int64)
-    return array("q", ids)
+    """An int64 id column from an iterable of ints."""
+    return np.fromiter(ids, dtype=np.int64)
 
 
 def empty_column():
-    if HAVE_NUMPY:
-        return np.empty(0, dtype=np.int64)
-    return array("q")
+    return np.empty(0, dtype=np.int64)
 
 
 @dataclass

@@ -24,8 +24,8 @@ python loop over rows or keys:
   arithmetic ops per key column, yet every row lands on exactly the
   reducer the tuple engine picks.
 
-Without numpy the same names resolve to the row-at-a-time forms of
-:mod:`repro.columnar.stdlib_kernels`.
+This is the only implementation: without numpy the module imports but
+its operators cannot run, and ``make_backend("columnar")`` refuses.
 """
 
 from __future__ import annotations
@@ -33,12 +33,9 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from repro.columnar.block import HAVE_NUMPY, ColumnBlock, empty_column
+from repro.columnar.block import ColumnBlock, empty_column, np
 from repro.rdf.dictionary import Dictionary
 from repro.relational.joins import output_schema
-
-if HAVE_NUMPY:
-    import numpy as np
 
 _MASK = 0x7FFFFFFF
 _MOD = 0x80000000
@@ -268,12 +265,3 @@ def shuffle_partitions(
     hashes = memo.hash_columns([block.column(a) for a in key_attrs])
     return (hashes % num_reducers).tolist()
 
-
-if not HAVE_NUMPY:
-    from repro.columnar.stdlib_kernels import (  # noqa: F811
-        HashMemo,
-        project_block,
-        select_bind,
-        shuffle_partitions,
-        star_join_blocks,
-    )

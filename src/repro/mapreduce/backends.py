@@ -17,11 +17,11 @@ the tasks of a level actually run:
   one node's partitions of the shuffled intermediates).
 * :class:`ColumnarBackend` — inline like serial, but the plan task
   specs run as bulk id-space kernels over dictionary-encoded
-  :class:`~repro.columnar.block.ColumnBlock` columns (numpy when
-  importable, row-at-a-time ``array('q')`` otherwise); see
-  :mod:`repro.columnar`.  The query service's default where numpy
-  imports (``ServiceConfig.backend``); ``make_backend(None)`` stays
-  serial, the reference.
+  :class:`~repro.columnar.block.ColumnBlock` columns (numpy int64
+  arrays); see :mod:`repro.columnar`.  The query service's default
+  where numpy imports (``ServiceConfig.backend``); without numpy
+  :func:`make_backend` raises :class:`BackendUnavailable` for it.
+  ``make_backend(None)`` stays serial, the reference.
 
 Determinism: every backend returns task results **in submission order**
 regardless of completion order, and shuffle routing uses the
@@ -50,11 +50,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.analysis.locks import checked
+from repro.columnar.block import HAVE_NUMPY
 from repro.mapreduce.jobs import TaskContext, TaskSpec
 
 
 class BackendUnavailable(RuntimeError):
-    """Raised when a backend cannot run and fallback is disabled."""
+    """Raised when a backend cannot run here (columnar without numpy) or
+    cannot run and fallback is disabled (process)."""
 
 
 class _InfraFailure(Exception):
@@ -541,6 +543,16 @@ def pipeline_workers(
 BACKEND_NAMES = ("serial", "thread", "process", "columnar")
 
 
+def check_backend_available(backend: str) -> None:
+    """Raise :class:`BackendUnavailable` for a backend name that cannot
+    run on this host (the rpc driver asks before it spawns workers)."""
+    if backend == "columnar" and not HAVE_NUMPY:
+        raise BackendUnavailable(
+            'backend "columnar" needs numpy, which does not import here; '
+            'use "serial"'
+        )
+
+
 def make_backend(
     backend: "str | ExecutionBackend | None",
     num_workers: int | None = None,
@@ -549,7 +561,8 @@ def make_backend(
     """Resolve a backend name (or pass an instance through).
 
     ``num_workers`` applies to thread/process backends; ``None`` picks
-    4 threads or one process per available CPU.
+    4 threads or one process per available CPU.  ``"columnar"`` without
+    numpy raises :class:`BackendUnavailable`.
     """
     if backend is None:
         return SerialBackend()
@@ -562,6 +575,7 @@ def make_backend(
     if backend == "process":
         return ProcessBackend(num_workers, on_fallback=on_fallback)
     if backend == "columnar":
+        check_backend_available(backend)
         return ColumnarBackend()
     raise ValueError(
         f"unknown execution backend {backend!r}; expected one of {BACKEND_NAMES}"

@@ -14,7 +14,7 @@ the owning sink through a process-local directory of live traces.
 Zero-cost-when-off: with no active trace, :func:`span` returns a
 preallocated no-op context manager and :func:`trace_ctx` returns None
 after a single contextvar read — no allocation, no locking, no clock
-reads (gated by ``benchmarks/test_obs_overhead.py``).
+reads (measured by the ledger cell ``obs.tracing_overhead_pct``).
 
 Timebase: span starts are stored as offsets (seconds) from the trace's
 ``time.perf_counter()`` epoch, so spans from different driver threads

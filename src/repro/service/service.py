@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings as _warnings
 from collections import deque
 from typing import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -316,11 +315,6 @@ class ServiceConfig:
     #: many seconds land in :meth:`QueryService.slow_queries` (a bounded
     #: ring) with their trace id when tracing was on.  None = disabled.
     slow_query_s: float | None = None
-    #: trace retention: completed traces kept (oldest evicted first)
-    #: and spans recorded per trace (the root counts; excess spans are
-    #: dropped and tallied on ``Trace.truncated``).
-    trace_max_traces: int = 256
-    trace_span_cap: int = 512
 
 
 @dataclass
@@ -722,10 +716,7 @@ class QueryService:
         self.registry = self.stats.registry
         #: bounded retention of completed query traces (tracing config
         #: knob or explain_analyze); export via export_chrome_trace().
-        self.trace_sink = TraceSink(
-            max_traces=self.config.trace_max_traces,
-            span_cap=self.config.trace_span_cap,
-        )
+        self.trace_sink = TraceSink()
         #: recent slow submissions (config.slow_query_s), oldest first.
         #: Advisory ring: appended per query, read racily by
         #: slow_queries() — deque append is atomic, never synchronized.
@@ -870,9 +861,7 @@ class QueryService:
 
     # -- the prepared-query surface ----------------------------------------
 
-    def prepare(
-        self, query: BGPQuery | str | LogicalPlan, name: str = ""
-    ) -> "PreparedQuery | PreparedPlan":
+    def prepare(self, query: BGPQuery | str, name: str = "") -> "PreparedQuery":
         """Prepare a query once: canonicalize, extract its parameter
         template, optimize (or fetch the cached template), and return a
         :class:`PreparedQuery` to bind and execute many times.
@@ -883,21 +872,8 @@ class QueryService:
         :class:`~repro.sparql.canonical.CanonicalizationBudgetExceeded`
         for pathologically symmetric queries (serve those via
         :meth:`submit`, which falls back to an uncached path).
-
-        Passing a :class:`~repro.core.logical.LogicalPlan` is the
-        deprecated pre-template behaviour (translate+compile only) and
-        returns a raw :class:`~repro.physical.executor.PreparedPlan`.
         """
         self._check_open()
-        if isinstance(query, LogicalPlan):
-            _warnings.warn(
-                "QueryService.prepare(plan) is deprecated; use "
-                "prepare(query) -> PreparedQuery, or executor.prepare(plan) "
-                "for raw logical plans",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.executor.prepare(query)
         parsed = self._parse(query, name)
         template = self._extract(parsed)
         entry, hit = self._template_entry(template)

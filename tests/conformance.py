@@ -129,10 +129,7 @@ def skip_unless_supported(deployment: str, backend: str) -> None:
         from repro.columnar import columnar_available
 
         if not columnar_available():
-            pytest.skip(
-                "columnar backend needs numpy (or "
-                "REPRO_COLUMNAR_FORCE_FALLBACK=1 for the stdlib path)"
-            )
+            pytest.skip("columnar backend needs numpy")
     if (
         DEPLOYMENTS[deployment].get("shard_transport") == "rpc"
         and not rpc_workers_work()

@@ -4,9 +4,9 @@ and vectorized-vs-tuple kernel equivalence.
 The deterministic randomized tests always run (seeded ``random``); the
 property-based tests additionally run under hypothesis when it is
 installed (the tier-1 CI leg installs pytest only, so they are gated).
-Everything here works with or without numpy — ``ColumnBlock`` falls
-back to ``array('q')`` columns — and ``REPRO_COLUMNAR_FORCE_FALLBACK=1``
-re-runs the whole file on the stdlib path.
+The dictionary-delta and wire tests are stdlib-only; the block and
+kernel tests need numpy (the one column representation) and skip
+without it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.columnar.block import ColumnBlock, to_blocks, to_rows
+from repro.columnar.block import HAVE_NUMPY, ColumnBlock, to_blocks, to_rows
 from repro.columnar.engine import MAX_CACHED_SCANS, ColumnarState
 from repro.columnar.kernels import (
     HashMemo,
@@ -46,6 +46,8 @@ try:
 except ImportError:  # tier-1 CI leg installs pytest only
     HAVE_HYPOTHESIS = False
 
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="id columns need numpy")
+
 #: terms spanning every RDF shape the dictionary must hold losslessly
 TERMS = [
     "<http://example.org/u/Alice>",
@@ -63,6 +65,7 @@ TERMS = [
 # -- ColumnBlock round-trips ---------------------------------------------------
 
 
+@needs_numpy
 def test_block_roundtrip_preserves_rows_and_order():
     d = Dictionary()
     rows = [
@@ -76,6 +79,7 @@ def test_block_roundtrip_preserves_rows_and_order():
     assert block.to_rows(d) == rows
 
 
+@needs_numpy
 def test_block_relation_seam_roundtrip():
     d = Dictionary()
     relation = Relation(("?x", "?y"), [(a, b) for a in TERMS for b in TERMS])
@@ -84,6 +88,7 @@ def test_block_relation_seam_roundtrip():
     assert to_rows(block, d) == list(relation.rows)
 
 
+@needs_numpy
 def test_empty_block_roundtrip():
     d = Dictionary()
     block = ColumnBlock.from_rows(("?x",), [], d)
@@ -92,6 +97,7 @@ def test_empty_block_roundtrip():
     assert ColumnBlock.empty(()).to_rows(d) == []
 
 
+@needs_numpy
 def test_block_column_lookup():
     d = Dictionary()
     block = ColumnBlock.from_rows(("?a", "?b"), [("x", "y")], d)
@@ -247,6 +253,7 @@ def assert_join_equivalent(inputs, on):
     assert sorted(to_rows(got, d)) == sorted(expected.rows)
 
 
+@needs_numpy
 def test_star_join_equivalence_randomized():
     rng = random.Random(20150413)
     terms = [f"v{i}" for i in range(6)] + TERMS[:4]
@@ -266,6 +273,7 @@ def test_star_join_equivalence_randomized():
         assert_join_equivalent(inputs, on)
 
 
+@needs_numpy
 def test_star_join_shared_nonkey_attr_equivalence():
     # two inputs sharing a non-key attribute: merge must enforce equality
     left = Relation(("?k", "?x"), [("a", "1"), ("a", "2"), ("b", "1")])
@@ -273,6 +281,7 @@ def test_star_join_shared_nonkey_attr_equivalence():
     assert_join_equivalent([left, right], on=("?k",))
 
 
+@needs_numpy
 def test_select_bind_matches_bind_triple():
     from repro.physical.translate import bind_triple
     from repro.sparql.ast import TriplePattern
@@ -314,6 +323,7 @@ def test_select_bind_matches_bind_triple():
         assert block.to_rows(d) == expected
 
 
+@needs_numpy
 def test_project_block_matches_relation_project():
     rng = random.Random(99)
     relation = random_relation(rng, ("?a", "?b", "?c"), ["x", "y", "z"], 40)
@@ -324,6 +334,7 @@ def test_project_block_matches_relation_project():
         assert got == list(relation.project(attrs).rows)
 
 
+@needs_numpy
 def test_shuffle_partitions_match_stable_hash():
     rng = random.Random(3)
     relation = random_relation(rng, ("?k1", "?k2", "?v"), TERMS, 60)
@@ -362,6 +373,7 @@ def id_block(relation):
     return ColumnBlock.from_id_rows(relation.attrs, relation.rows)
 
 
+@needs_numpy
 @pytest.mark.parametrize("offset", ID_OFFSETS)
 def test_star_join_id_equivalence_randomized(offset):
     """Multi-attribute keys, 2-5 inputs, non-key attributes shared by
@@ -389,6 +401,7 @@ def test_star_join_id_equivalence_randomized(offset):
     assert nonempty_outputs > 10  # the sweep is not vacuous
 
 
+@needs_numpy
 def test_star_join_rejects_missing_key_attr():
     left = id_block(Relation(("?k", "?a"), [(1, 2)]))
     right = id_block(Relation(("?b",), [(1,)]))
@@ -396,6 +409,7 @@ def test_star_join_rejects_missing_key_attr():
         star_join_blocks([left, right], on=("?k",))
 
 
+@needs_numpy
 @pytest.mark.parametrize("offset", ID_OFFSETS)
 def test_project_block_id_equivalence_randomized(offset):
     rng = random.Random(offset % 89)
@@ -412,6 +426,7 @@ def test_project_block_id_equivalence_randomized(offset):
             assert got.id_rows() == list(relation.project(onto).rows)
 
 
+@needs_numpy
 def test_shuffle_partitions_randomized_and_memo_growth():
     """Multi-attribute keys, duplicate / empty / 1-row blocks, and a
     dictionary that keeps growing under one memo."""
@@ -437,6 +452,7 @@ def test_shuffle_partitions_randomized_and_memo_growth():
 # -- encoded-scan cache -----------------------------------------------------------
 
 
+@needs_numpy
 def test_scan_cache_evicts_one_entry_not_all():
     """The bound holds, and the insert that overflows it costs exactly
     the least recently used entry — a hot key survives it."""
@@ -453,11 +469,13 @@ def test_scan_cache_evicts_one_entry_not_all():
     assert ("cold", 1) in state._scan_cache
 
 
+@needs_numpy
 def test_scan_columns_of_an_empty_scan():
     columns = ColumnarState().scan_columns(("empty",), [])
     assert [len(c) for c in columns] == [0, 0, 0]
 
 
+@needs_numpy
 def test_shared_state_under_concurrent_queries():
     """Service threads share one ``ColumnarState``: its dictionary, hash
     memo and scan cache all grow while others read them.  Every thread
@@ -503,6 +521,7 @@ if HAVE_HYPOTHESIS:
     term_st = st.text(min_size=0, max_size=12)
     row3_st = st.tuples(term_st, term_st, term_st)
 
+    @needs_numpy
     @settings(max_examples=60, deadline=None)
     @given(st.lists(row3_st, max_size=30))
     def test_prop_block_roundtrip(rows):
@@ -518,6 +537,7 @@ if HAVE_HYPOTHESIS:
         receiver.merge_entries(0, sender.entries_from(0))
         assert unpack_rows(packed, receiver.decode) == rows
 
+    @needs_numpy
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.tuples(term_st, term_st), max_size=15),
@@ -528,6 +548,7 @@ if HAVE_HYPOTHESIS:
         right = Relation(("?k", "?b"), right_rows)
         assert_join_equivalent([left, right], on=("?k",))
 
+    @needs_numpy
     @settings(max_examples=60, deadline=None)
     @given(st.lists(term_st, min_size=1, max_size=8))
     def test_prop_hash_memo_matches_stable_hash(terms):

@@ -4,11 +4,9 @@ caching, unified routing, stats and explain provenance."""
 from __future__ import annotations
 
 import threading
-import warnings
 
 import pytest
 
-from repro.physical.executor import PreparedPlan
 from repro.service.service import (
     PreparedQuery,
     QueryService,
@@ -232,19 +230,6 @@ class TestUnifiedRouting:
             bound = svc.submit(other)
             assert bound.provenance["served_by"] == "plan-cache"
             assert {p[0] for p in bound.parameters} == {"p0"}
-
-    def test_deprecated_prepare_plan_shim(self, graph):
-        with QueryService(graph) as svc:
-            plan, _ = svc.optimize(lubm_queries.query("Q1"))
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                prepared = svc.prepare(plan)
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            )
-            assert isinstance(prepared, PreparedPlan)
-            result = svc.execute_prepared(prepared)
-            assert result.rows == evaluate(lubm_queries.query("Q1"), graph)
 
     def test_live_handle_survives_template_eviction(self, graph):
         """A held PreparedQuery never re-optimizes, even after its

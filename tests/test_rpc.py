@@ -598,6 +598,34 @@ class TestMultiplexing:
             service.close()
             reference.close()
 
+    def test_lone_query_does_not_pay_the_coalescing_window(self):
+        """The window only opens when the router sees more than one
+        active query: serial submissions flush every level at once."""
+        window_ms = 150.0
+        service = rpc_service(
+            make_university_graph(),
+            rpc_pipeline=8,
+            coalesce_window_ms=window_ms,
+            coalesce_max_batch=8,
+        )
+        try:
+            for query in MIXED_QUERIES:
+                service.submit(query)  # register templates
+            router = service.executor.router
+            base_requests = router.level_requests
+            base_frames = router.level_frames
+            for query in MIXED_QUERIES:
+                t0 = time.perf_counter()
+                service.submit(query)
+                # One held level would sleep the whole window.
+                assert time.perf_counter() - t0 < window_ms / 1e3
+            requests = router.level_requests - base_requests
+            assert requests >= len(MIXED_QUERIES)
+            assert router.level_frames - base_frames == requests
+            assert all(s.batches == 0 for s in router.worker_stats())
+        finally:
+            service.close()
+
     def test_worker_kill_mid_batch_recovers_or_fails_typed(self):
         """Killing a worker while coalesced batches are in flight never
         hangs a query: every submission either recovers transparently

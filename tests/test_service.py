@@ -390,14 +390,18 @@ class TestResolvedBackend:
 
     def test_default_is_serial_without_numpy(self):
         # The default is read from the platform at import, so the
-        # numpy-less resolution needs a fresh interpreter; the forced
-        # fallback makes numpy unimportable as far as repro can tell.
+        # numpy-less resolution needs a fresh interpreter, one where
+        # ``import numpy`` raises ImportError.
         import os
         import subprocess
         import sys
 
         script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import repro\n"
             "from repro.columnar import HAVE_NUMPY\n"
+            "from repro.mapreduce.backends import BackendUnavailable\n"
             "from repro.service.service import QueryService, ServiceConfig\n"
             "from repro.workloads import lubm, lubm_queries\n"
             "assert not HAVE_NUMPY\n"
@@ -407,11 +411,16 @@ class TestResolvedBackend:
             "    assert svc.backend.name == 'serial'\n"
             "    text = svc.explain(lubm_queries.query('Q4'))\n"
             "    assert 'backend serial; rows tuple' in text, text\n"
+            "for extra in ({}, {'shards': 2, 'shard_transport': 'rpc'}):\n"
+            "    try:\n"
+            "        QueryService(g, ServiceConfig(backend='columnar', **extra))\n"
+            "    except BackendUnavailable as exc:\n"
+            "        assert 'numpy' in str(exc), exc\n"
+            "    else:\n"
+            "        raise AssertionError('columnar ran without numpy')\n"
         )
         env = dict(
-            os.environ,
-            REPRO_COLUMNAR_FORCE_FALLBACK="1",
-            PYTHONPATH=os.pathsep.join(filter(None, sys.path)),
+            os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path))
         )
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True
