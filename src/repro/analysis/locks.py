@@ -1,8 +1,8 @@
 """Dynamic lock-order witness — the runtime counterpart of LOCK002.
 
 With ``REPRO_LOCK_CHECK=1`` in the environment, locks wrapped with
-:func:`checked` (and the RW locks, which report through
-:func:`note_acquired`/:func:`note_released`) record every *acquired
+:func:`checked` (and every :class:`ReadWriteLock`, which reports its
+read and write sides under the name it was given) record every *acquired
 while holding* edge into one global, process-wide graph.  Two things are
 enforced on each new edge:
 
@@ -20,8 +20,8 @@ sibling instances acquired together) are skipped rather than reported as
 self-cycles — sibling-instance ordering needs an instance-level protocol
 (e.g. address order) that no current code path requires.
 
-When the flag is off, :func:`checked` returns the lock unchanged and
-the RW-lock hooks are never installed, so production paths pay nothing.
+When the flag is off, :func:`checked` returns the lock unchanged and a
+:class:`ReadWriteLock` holds no witness, so production paths pay nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from __future__ import annotations
 import os
 import threading
 import traceback
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.analysis.hierarchy import rank_of
 
@@ -159,16 +160,6 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch
     os.register_at_fork(after_in_child=WITNESS.reset)
 
 
-def note_acquired(name: str) -> None:
-    """RW-lock hook: record an acquisition on the global witness."""
-    WITNESS.acquired(name)
-
-
-def note_released(name: str) -> None:
-    """RW-lock hook: record a release on the global witness."""
-    WITNESS.released(name)
-
-
 class CheckedLock:
     """A drop-in proxy adding witness bookkeeping to any lock-like object.
 
@@ -223,6 +214,59 @@ def checked(lock: Any, name: str) -> Any:
     return CheckedLock(lock, name)
 
 
-def witness_name_if_enabled(name: str) -> str | None:
-    """For RW locks: the witness node name, or None when disabled."""
-    return name if lock_check_enabled() else None
+class ReadWriteLock:
+    """Writer-preferring readers–writer lock, witnessed under *name*.
+
+    Readers share the lock (queries scanning the store, levels running
+    on a shard worker); a writer (a store mutation, a snapshot or
+    template swap) waits for them to drain, holds off new readers while
+    it waits, and runs alone.
+    """
+
+    def __init__(self, name: str) -> None:
+        self._cond = threading.Condition()
+        self._readers = 0
+        self._writer = False
+        self._waiting_writers = 0
+        # Lock-order witness node (REPRO_LOCK_CHECK=1); the internal
+        # _cond is deliberately not witnessed — it is held only for the
+        # bookkeeping instants, never across user code.
+        self._name = name
+        self._witness = WITNESS if lock_check_enabled() else None
+
+    @contextmanager
+    def read(self) -> Iterator[None]:
+        with self._cond:
+            while self._writer or self._waiting_writers:
+                self._cond.wait()
+            self._readers += 1
+        if self._witness:
+            self._witness.acquired(self._name)
+        try:
+            yield
+        finally:
+            if self._witness:
+                self._witness.released(self._name)
+            with self._cond:
+                self._readers -= 1
+                if self._readers == 0:
+                    self._cond.notify_all()
+
+    @contextmanager
+    def write(self) -> Iterator[None]:
+        with self._cond:
+            self._waiting_writers += 1
+            while self._writer or self._readers:
+                self._cond.wait()
+            self._waiting_writers -= 1
+            self._writer = True
+        if self._witness:
+            self._witness.acquired(self._name)
+        try:
+            yield
+        finally:
+            if self._witness:
+                self._witness.released(self._name)
+            with self._cond:
+                self._writer = False
+                self._cond.notify_all()

@@ -7,10 +7,12 @@ a fixed ring of slots and a versioned
 :class:`~repro.cluster.slots.SlotTable` maps slots to shards — the
 version-0 table reproduces the classic ``n % N`` layout, so every
 co-location guarantee the planner relies on holds shard-locally), a
-:class:`~repro.cluster.router.ShardRouter` ships task specs to shards
-and runs the cross-shard exchange between map and reduce phases, and
-per-shard catalog statistics aggregate into the exact global catalog
-the cost model consumes.  Enable it with ``ServiceConfig(shards=N)`` —
+:class:`~repro.cluster.router.ShardRouter` sits behind the one
+:class:`~repro.mapreduce.engine.MapReduceEngine` as its execution
+backend and runs every task of a level on the shard owning its node
+(the reduce batch is the cross-shard exchange), and per-shard catalog
+statistics aggregate into the exact global catalog the cost model
+consumes.  Enable it with ``ServiceConfig(shards=N)`` —
 answers are identical for any shard count and any execution backend.
 
 Because ownership is a movable table rather than a frozen modulus, the
@@ -20,7 +22,7 @@ ownership, shipping only the moved slots' snapshot slices (over RPC,
 as :class:`~repro.cluster.rpc.PrimeSlots` deltas) and flipping the
 table version — answers are invariant at every epoch.
 
-Two shard transports share that router logic
+Two shard transports share that dispatch logic
 (``ServiceConfig(shard_transport=...)``):
 
 * ``"inproc"`` — shards are in-process execution backends (function
@@ -37,7 +39,6 @@ from repro.cluster.router import (
     RebalanceReport,
     ShardedPlanExecutor,
     ShardRouter,
-    ShardRunSummary,
 )
 from repro.cluster.rpc import (
     RpcShardRouter,
@@ -64,7 +65,6 @@ __all__ = [
     "RebalanceReport",
     "RpcShardRouter",
     "ShardRouter",
-    "ShardRunSummary",
     "ShardUnavailable",
     "ShardWorkerClient",
     "ShardedPlanExecutor",

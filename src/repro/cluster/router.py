@@ -1,47 +1,46 @@
-"""The shard router: coordinates one query's jobs across shard workers.
+"""The shard router: dispatches one level's tasks to the shards that own them.
 
-The router is the distribution layer between the compiled job DAG and
-the per-shard execution backends:
+:class:`~repro.mapreduce.engine.MapReduceEngine` is the only level
+scheduler: it fans a level's map tasks out, routes the shuffle, fans the
+reduce tasks out and does all the accounting, whatever the deployment.
+The router is an :class:`~repro.mapreduce.backends.ExecutionBackend`
+behind that engine — the one thing a sharded deployment changes is
+*where* each task of a batch runs:
 
-* **map levels run shard-local.**  Every map task is pinned to a logical
-  node, and each node is owned by exactly one shard, so the router
-  groups a level's map tasks by owning shard and hands each shard its
-  batch — the shard scans only its own :class:`~repro.partitioning
-  .triple_partitioner.StoreSnapshot`.  How a shard physically runs its
-  batch is that shard's :class:`~repro.mapreduce.backends
-  .ExecutionBackend` (serial, thread, or a per-shard process pool keyed
-  to the shard's snapshot token).
-* **the shuffle is the cross-shard exchange.**  Map emissions are routed
-  by the process-independent :func:`~repro.mapreduce.jobs.stable_hash`
-  to reduce partitions; partition ``p`` lives on node ``p % num_nodes``,
-  hence on that node's shard — rows whose key hashes to another shard's
-  partition cross shards here, and only here.  Job outputs are likewise
-  sliced per shard before the next level, so a shard's map shufflers
-  read purely shard-local intermediates.
-* **per-shard reports merge into one.**  Each shard accumulates its own
-  :class:`~repro.mapreduce.counters.JobMetrics` slice (its nodes' map
-  work, its partitions' reduce work); the router folds them through
-  :meth:`~repro.mapreduce.counters.ExecutionReport.merge`, which
-  combines phase times by max and work by sum — reproducing the
-  single-store engine's report for the same plan.
-
-Results are deterministic and backend/shard-count invariant: batches
-return in submission order, shuffle grouping follows the global task
-order, and node placement is identical to the unsharded store — so
-``shards=1`` and ``shards=4`` produce byte-identical answers.
+* **every task runs on the shard that owns its node.**  A map task is
+  pinned to a logical node; reduce partition ``p`` lives on node
+  ``p % num_nodes``; each node is owned by exactly one shard under the
+  :class:`~repro.cluster.slots.SlotTable` of the snapshot the execution
+  started on.  The router groups a batch by owning shard and hands each
+  shard its slice — the shard scans only its own
+  :class:`~repro.partitioning.triple_partitioner.StoreSnapshot`.  How a
+  shard physically runs its slice is that shard's own backend (serial,
+  thread, columnar, or a per-shard process pool keyed to the shard's
+  snapshot token), or a shard server process behind
+  :class:`repro.cluster.rpc.RpcShardRouter`.
+* **the shuffle is the cross-shard exchange.**  The engine routes map
+  emissions to reduce partitions by the process-independent
+  :func:`~repro.mapreduce.jobs.stable_hash`; rows whose key hashes to a
+  partition on another shard's node cross shards in the reduce batch,
+  and only there.  A map shuffler reads nothing but its own node's
+  partition of an intermediate, so intermediates need no per-shard copy.
+* **results come back in submission order**, whichever shard finishes
+  first, so the engine's shuffle grouping — and with it answers and
+  every report field — equal the unsharded run's by construction, for
+  any shard count.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 from repro.analysis.locks import checked
-from repro.obs.trace import record_remote, span, trace_ctx
+from repro.obs.trace import record_remote, trace_ctx
 from repro.cost.params import DEFAULT_PARAMS, CostParams
 from repro.mapreduce.backends import (
     DEFAULT_RPC_PIPELINE,
@@ -52,39 +51,14 @@ from repro.mapreduce.backends import (
     make_backend,
     split_workers,
 )
-from repro.mapreduce.counters import ExecutionReport, JobMetrics
+from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.engine import ClusterConfig
-from repro.mapreduce.hdfs import HDFS, DistributedRelation
-from repro.mapreduce.jobs import JobGraph, MapReduceJob, Row, TaskContext
-from repro.physical.executor import (
-    ExecutionResult,
-    PreparedPlan,
-    job_from_spec,
-    job_output_attrs,
-)
-from repro.physical.job_compiler import CompiledPlan, JobSpec, compile_plan
-from repro.physical.translate import translate
-from repro.core.logical import LogicalPlan
+from repro.mapreduce.jobs import TaskContext
+from repro.physical.executor import PlanExecutor, PreparedPlan
+from repro.physical.job_compiler import CompiledPlan
 
 from repro.cluster.sharded_store import ShardedSnapshot, ShardedStore
 from repro.cluster.slots import Move, SlotTable, plan_skew
-
-
-@dataclass(frozen=True)
-class ShardRunSummary:
-    """Per-shard accounting of one query execution."""
-
-    #: map + reduce task invocations executed per shard
-    tasks: tuple[int, ...]
-    #: output rows landing on each shard's nodes (all jobs)
-    rows: tuple[int, ...]
-    #: request bytes shipped to each shard worker (RPC transport only;
-    #: None when shards are called in-process)
-    bytes_shipped: tuple[int, ...] | None = None
-    #: request frames shipped to each shard worker (RPC transport only;
-    #: under cross-query coalescing a frame may carry several queries'
-    #: levels, so a query's frame count can undershoot its level count)
-    frames_shipped: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -114,33 +88,33 @@ class RebalanceReport:
         return len(self.moves)
 
 
-class _ShardJobState:
-    """Per-(job, level) accumulation, split by owning shard."""
+@dataclass
+class ShardDispatch:
+    """What the router keeps for one execution, carried on
+    :attr:`TaskContext.dispatch <repro.mapreduce.jobs.TaskContext>`."""
 
-    def __init__(
-        self, job: MapReduceJob, num_nodes: int, num_shards: int, overhead: float
-    ) -> None:
-        self.job = job
-        self.shard_metrics = [
-            JobMetrics(name=job.name, overhead=overhead, map_only=job.map_only)
-            for _ in range(num_shards)
-        ]
-        self.node_work: dict[int, float] = defaultdict(float)
-        self.reduce_work: dict[int, float] = defaultdict(float)
-        self.shuffle: dict[int, dict[int, list[Row]]] = defaultdict(
-            lambda: defaultdict(list)
-        )
-        self.outputs_per_node: list[list[Row]] = [[] for _ in range(num_nodes)]
+    #: slot table of the snapshot the execution started on — every
+    #: batch of the execution is grouped by it, whatever the fleet's
+    #: size has become meanwhile
+    table: SlotTable
+    #: map + reduce tasks run per shard
+    tasks: list[int]
+    #: output rows landing on each shard's nodes (all jobs)
+    rows: list[int]
+    #: each shard's view of the execution: its own snapshot, the shared
+    #: intermediates (in-process transport only)
+    ctxs: Sequence[TaskContext] = ()
 
 
-class ShardRouter:
-    """Runs compiled job DAGs across shard workers with exchange steps.
+class ShardRouter(ExecutionBackend):
+    """Runs each batch of the engine's level schedule on the shards
+    owning its tasks, and returns results in submission order.
 
-    This is the **in-process** transport: shards are called by function
-    call into per-shard execution backends.  The RPC transport
-    (:class:`repro.cluster.rpc.RpcShardRouter`) subclasses it, keeping
-    the level scheduling, exchange and report-merge accounting and
-    replacing only the per-shard dispatch hop (:meth:`_run_shards`).
+    This is the **in-process** transport: a shard's slice of a batch is
+    a function call into that shard's execution backend.  The RPC
+    transport (:class:`repro.cluster.rpc.RpcShardRouter`) subclasses it,
+    keeping the grouping and reassembly and replacing only the per-shard
+    hop (:meth:`_run_shard`).
     """
 
     #: transport label recorded on execution reports
@@ -150,21 +124,21 @@ class ShardRouter:
         self,
         num_nodes: int,
         num_shards: int,
-        params: CostParams = DEFAULT_PARAMS,
-        backends: Sequence[ExecutionBackend] | None = None,
+        backends: Sequence[ExecutionBackend] = (),
         parallel_shards: bool = True,
     ) -> None:
-        if backends is None:
-            backends = [make_backend(None) for _ in range(num_shards)]
-        if len(backends) != num_shards:
+        if self.transport == "inproc" and len(backends) != num_shards:
             raise ValueError(
                 f"{num_shards} shards need {num_shards} backends, "
                 f"got {len(backends)}"
             )
         self.num_nodes = num_nodes
         self.num_shards = num_shards
-        self.params = params
+        #: one execution backend per shard (none over RPC: there the
+        #: backends live inside the shard server processes)
         self.backends = list(backends)
+        if self.backends:
+            self.name = self.backends[0].name
         #: dispatch shard batches on driver threads so per-shard process
         #: pools overlap; pointless for the serial backend (GIL-bound)
         self.parallel_shards = parallel_shards and num_shards > 1
@@ -211,7 +185,19 @@ class ShardRouter:
 
     # -- lifecycle ----------------------------------------------------------
 
+    def prime(self, ctx: TaskContext) -> None:
+        """Warm every shard's backend against its slice of the sharded
+        snapshot in *ctx*: only shards whose snapshot token changed
+        since the last prime rebuild their pools; the rest keep their
+        workers (and the store slice those workers inherited)."""
+        for backend, shard_snapshot in zip(self.backends, ctx.store.shards):
+            backend.prime(
+                TaskContext(num_nodes=ctx.num_nodes, store=shard_snapshot)
+            )
+
     def close(self) -> None:
+        """Retire the dispatch pool (the per-shard backends are closed
+        by the executor that built them)."""
         with self._lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
@@ -235,310 +221,100 @@ class ShardRouter:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(
-        self,
-        compiled: CompiledPlan,
-        snapshot: ShardedSnapshot,
-        exec_ctx: object | None = None,
-    ) -> tuple[DistributedRelation, ExecutionReport, ShardRunSummary]:
-        """Run a compiled plan over a sharded snapshot.
+    @contextmanager
+    def execution(
+        self, ctx: TaskContext, report: ExecutionReport
+    ) -> Iterator[TaskContext]:
+        """Attach this execution's :class:`ShardDispatch` to the context
+        the engine runs its levels with, then stamp the report with how
+        the work was spread over the shards."""
+        state = self._open(ctx)
+        yield replace(ctx, dispatch=state)
+        report.shards = state.table.num_shards
+        report.transport = self.transport
+        report.shard_tasks = tuple(state.tasks)
+        report.shard_rows = tuple(state.rows)
 
-        Returns the final output relation, the merged execution report,
-        and the per-shard run summary.  ``exec_ctx`` is an opaque
-        per-execution context threaded through to :meth:`_run_shards`
-        (the RPC transport uses it to carry the template identity and
-        per-shard byte counters of one query).
-        """
+    def _snapshot_of(self, ctx: TaskContext) -> ShardedSnapshot:
+        snapshot = ctx.store
         if snapshot.num_shards != self.num_shards:
             raise ValueError(
                 f"snapshot has {snapshot.num_shards} shards, "
                 f"router routes {self.num_shards}"
             )
-        self.register(compiled)
-        num_nodes, num_shards = self.num_nodes, self.num_shards
-        driver_hdfs = HDFS(num_nodes=num_nodes)
-        shard_hdfs = [HDFS(num_nodes=num_nodes) for _ in range(num_shards)]
-        ctxs = [
-            TaskContext(
-                num_nodes=num_nodes,
-                store=snapshot.shards[shard],
-                hdfs=shard_hdfs[shard],
-            )
-            for shard in range(num_shards)
-        ]
-        graph = JobGraph()
-        spec_of: dict[str, JobSpec] = {}
-        for spec in compiled.jobs:
-            job = job_from_spec(spec, num_nodes)
-            graph.add(job)
-            spec_of[job.name] = spec
-        reports = [
-            ExecutionReport(backend=self._shard_backend_name(shard))
-            for shard in range(num_shards)
-        ]
-        tasks = [0] * num_shards
-        rows = [0] * num_shards
-        table = snapshot.table
-        for level_index, level in enumerate(graph.levels()):
-            with span("level", index=level_index, jobs=len(level)):
-                self._run_level(
-                    level, spec_of, ctxs, reports, driver_hdfs, shard_hdfs,
-                    tasks, rows, level_index, exec_ctx, table,
-                )
-        with span("merge", shards=num_shards):
-            merged = reports[0]
-            for other in reports[1:]:
-                merged.merge(other)
-            merged.shards = num_shards
-            merged.transport = self.transport
-            bytes_shipped = self._bytes_shipped(exec_ctx)
-            frames_shipped = self._frames_shipped(exec_ctx)
-            merged.shard_bytes = bytes_shipped
-            merged.shard_frames = frames_shipped
-            result = driver_hdfs.read("result")
-        return result, merged, ShardRunSummary(
-            tasks=tuple(tasks),
-            rows=tuple(rows),
-            bytes_shipped=bytes_shipped,
-            frames_shipped=frames_shipped,
+        return snapshot
+
+    def _open(self, ctx: TaskContext) -> ShardDispatch:
+        snapshot = self._snapshot_of(ctx)
+        if ctx.plan is not None:
+            self.register(ctx.plan.compiled)
+        return ShardDispatch(
+            table=snapshot.table,
+            tasks=[0] * snapshot.num_shards,
+            rows=[0] * snapshot.num_shards,
+            ctxs=[
+                TaskContext(num_nodes=ctx.num_nodes, store=shard, hdfs=ctx.hdfs)
+                for shard in snapshot.shards
+            ],
         )
 
-    def execute_prepared(
-        self, prepared: PreparedPlan, snapshot: ShardedSnapshot
-    ) -> tuple[DistributedRelation, ExecutionReport, ShardRunSummary]:
-        """Run a prepared plan (transport-specific routers may use its
-        template provenance; the in-process router needs only the
-        compiled jobs)."""
-        return self.execute(prepared.compiled, snapshot)
-
-    def _shard_backend_name(self, shard: int) -> str:
-        """Backend label recorded on shard *shard*'s execution report."""
-        return self.backends[shard].name
-
-    def _bytes_shipped(self, exec_ctx: object | None) -> tuple[int, ...] | None:
-        """Per-shard request bytes of one execution (None in-process)."""
-        return None
-
-    def _frames_shipped(self, exec_ctx: object | None) -> tuple[int, ...] | None:
-        """Per-shard request frames of one execution (None in-process)."""
-        return None
-
-    # -- internals -----------------------------------------------------------
-
-    def _run_shards(
-        self,
-        per_shard: list[list[TaskInvocation]],
-        metas: list[list[tuple]],
-        ctxs: list[TaskContext],
-        phase: str,
-        level_index: int,
-        exec_ctx: object | None,
-    ) -> list[tuple[int, list]]:
-        """Run each shard's batch; results per shard in submission order.
-
-        ``metas`` parallels the invocations with transport-level task
-        descriptors — ``(job, tag, node)`` for map tasks, ``(job,
-        partition)`` for reduce tasks.  The in-process transport runs
-        the invocations directly and ignores them; the RPC transport
-        ships the descriptors (plus exchange rows) instead of the specs.
-        """
-        # Sized by the level's own routing table, not self.num_shards: a
-        # concurrent rebalance may have resized the fleet after this
-        # level was grouped, and the stale-epoch protocol (not this
-        # loop) is what reconciles that.
-        active = [s for s in range(len(per_shard)) if per_shard[s]]
+    def run(self, invocations: Sequence[TaskInvocation], ctx: TaskContext) -> list:
+        state: ShardDispatch = ctx.dispatch
+        shard_of_node = state.table.shard_of_node
+        groups: dict[int, list[int]] = {}
+        for index, inv in enumerate(invocations):
+            groups.setdefault(shard_of_node(inv.node), []).append(index)
+        shards = sorted(groups)
         # Captured on the query thread: dispatch-pool threads never saw
         # this query's contextvar, so per-shard spans attach explicitly.
         tctx = trace_ctx()
 
-        def call(s: int) -> list:
-            if tctx is None:
-                return self.backends[s].run(per_shard[s], ctxs[s])
-            t0 = time.perf_counter()
-            out = self.backends[s].run(per_shard[s], ctxs[s])
+        def call(shard: int) -> list:
+            batch = [invocations[index] for index in groups[shard]]
+            return self._run_shard(shard, batch, ctx, tctx)
+
+        if len(shards) > 1 and self.parallel_shards:
+            pool = self._dispatch_pool()
+            futures = [pool.submit(call, shard) for shard in shards]
+            batches = [future.result() for future in futures]
+        else:
+            batches = [call(shard) for shard in shards]
+        results: list = [None] * len(invocations)
+        for shard, batch in zip(shards, batches):
+            state.tasks[shard] += len(batch)
+            for index, result in zip(groups[shard], batch):
+                results[index] = result
+                # (emits, direct, metrics) or (out_rows, metrics): the
+                # rows this task leaves on its node.
+                state.rows[shard] += len(result[-2])
+        return results
+
+    def _run_shard(
+        self,
+        shard: int,
+        batch: list[TaskInvocation],
+        ctx: TaskContext,
+        tctx: tuple | None,
+    ) -> list:
+        """Run one shard's slice of a batch (one phase of one level);
+        results in the slice's order."""
+        t0 = time.perf_counter()
+        out = self.backends[shard].run(batch, ctx.dispatch.ctxs[shard])
+        if tctx is not None:
             record_remote(
                 tctx, "shard", t0, time.perf_counter(),
-                shard=s, phase=phase, level=level_index,
-                tasks=len(per_shard[s]),
+                shard=shard, phase=batch[0].phase, level=batch[0].level,
+                tasks=len(batch),
             )
-            return out
-
-        if len(active) > 1 and self.parallel_shards:
-            pool = self._dispatch_pool()
-            futures = [(s, pool.submit(call, s)) for s in active]
-            return [(s, f.result()) for s, f in futures]
-        return [(s, call(s)) for s in active]
-
-    def _run_level(
-        self,
-        level: list[MapReduceJob],
-        spec_of: dict[str, JobSpec],
-        ctxs: list[TaskContext],
-        reports: list[ExecutionReport],
-        driver_hdfs: HDFS,
-        shard_hdfs: list[HDFS],
-        tasks: list[int],
-        rows: list[int],
-        level_index: int,
-        exec_ctx: object | None,
-        table: SlotTable,
-    ) -> None:
-        params = self.params
-        num_nodes, num_shards = self.num_nodes, self.num_shards
-        shard_of_node = table.shard_of_node
-        states = [
-            _ShardJobState(job, num_nodes, num_shards, params.job_overhead)
-            for job in level
-        ]
-
-        # Map phase: group the level's tasks by owning shard, preserving
-        # the global (engine) task order for deterministic consumption.
-        entries: list[tuple[_ShardJobState, object]] = []
-        per_shard_inv: list[list[TaskInvocation]] = [[] for _ in range(num_shards)]
-        per_shard_meta: list[list[tuple]] = [[] for _ in range(num_shards)]
-        per_shard_pos: list[list[int]] = [[] for _ in range(num_shards)]
-        for state in states:
-            for task in state.job.map_tasks:
-                shard = shard_of_node(task.node)
-                per_shard_inv[shard].append(TaskInvocation(task.spec))
-                per_shard_meta[shard].append(
-                    (state.job.name, getattr(task.spec, "tag", None), task.node)
-                )
-                per_shard_pos[shard].append(len(entries))
-                entries.append((state, task))
-        results: list = [None] * len(entries)
-        for shard, batch in self._run_shards(
-            per_shard_inv, per_shard_meta, ctxs, "map", level_index, exec_ctx
-        ):
-            tasks[shard] += len(batch)
-            for pos, result in zip(per_shard_pos[shard], batch):
-                results[pos] = result
-        for (state, task), (emits, direct, task_metrics) in zip(entries, results):
-            node = task.node
-            shard = shard_of_node(node)
-            work = task_metrics.time(params)
-            state.node_work[node] += work
-            state.shard_metrics[shard].total_work += work
-            num_reducers = max(state.job.num_reducers, 1)
-            for partition, tag, row in emits:
-                state.shuffle[partition % num_reducers][tag].append(row)
-            state.outputs_per_node[node % num_nodes].extend(direct)
-        for state in states:
-            for shard in range(num_shards):
-                state.shard_metrics[shard].map_time = max(
-                    (
-                        work
-                        for node, work in state.node_work.items()
-                        if shard_of_node(node) == shard
-                    ),
-                    default=0.0,
-                )
-
-        # Reduce phase: the exchange.  Partition p reduces on node
-        # p % num_nodes, so its grouped rows ship to that node's shard —
-        # this is the only point where tuples cross shard boundaries.
-        rentries: list[tuple[_ShardJobState, int]] = []
-        per_shard_rinv: list[list[TaskInvocation]] = [[] for _ in range(num_shards)]
-        per_shard_rmeta: list[list[tuple]] = [[] for _ in range(num_shards)]
-        per_shard_rpos: list[list[int]] = [[] for _ in range(num_shards)]
-        for state in states:
-            job = state.job
-            if job.map_only:
-                continue
-            assert job.reduce_spec is not None
-            for partition in range(job.num_reducers):
-                grouped = {
-                    tag: rows_
-                    for tag, rows_ in state.shuffle.get(partition, {}).items()
-                }
-                shard = shard_of_node(partition % num_nodes)
-                per_shard_rinv[shard].append(
-                    TaskInvocation(job.reduce_spec, (partition, grouped))
-                )
-                per_shard_rmeta[shard].append((state.job.name, partition))
-                per_shard_rpos[shard].append(len(rentries))
-                rentries.append((state, partition))
-        if rentries:
-            rresults: list = [None] * len(rentries)
-            for shard, batch in self._run_shards(
-                per_shard_rinv, per_shard_rmeta, ctxs, "reduce", level_index,
-                exec_ctx,
-            ):
-                tasks[shard] += len(batch)
-                for pos, result in zip(per_shard_rpos[shard], batch):
-                    rresults[pos] = result
-            for (state, partition), (out_rows, task_metrics) in zip(
-                rentries, rresults
-            ):
-                node = partition % num_nodes
-                shard = shard_of_node(node)
-                work = task_metrics.time(params)
-                state.reduce_work[node] += work
-                metrics = state.shard_metrics[shard]
-                metrics.total_work += work
-                metrics.tuples_shuffled += task_metrics.tuples_shuffled
-                state.outputs_per_node[node].extend(out_rows)
-            for state in states:
-                if state.job.map_only:
-                    continue
-                for shard in range(num_shards):
-                    state.shard_metrics[shard].reduce_time = max(
-                        (
-                            work
-                            for node, work in state.reduce_work.items()
-                            if shard_of_node(node) == shard
-                        ),
-                        default=0.0,
-                    )
-
-        # Close out the level: publish outputs (full relation driver-side,
-        # shard-sliced for the next level's shard-local map shufflers),
-        # charge overheads, extend per-shard reports.
-        for state in states:
-            spec = spec_of[state.job.name]
-            attrs = job_output_attrs(spec)
-            driver_hdfs.write(
-                spec.output_name,
-                DistributedRelation(
-                    attrs=attrs, partitions=state.outputs_per_node
-                ),
-            )
-            for shard in range(num_shards):
-                shard_hdfs[shard].write(
-                    spec.output_name,
-                    DistributedRelation(
-                        attrs=attrs,
-                        partitions=[
-                            part if shard_of_node(node) == shard else []
-                            for node, part in enumerate(state.outputs_per_node)
-                        ],
-                    ),
-                )
-            for shard in range(num_shards):
-                metrics = state.shard_metrics[shard]
-                metrics.total_work += params.job_overhead
-                metrics.output_tuples = sum(
-                    len(state.outputs_per_node[node])
-                    for node in range(num_nodes)
-                    if shard_of_node(node) == shard
-                )
-                rows[shard] += metrics.output_tuples
-                reports[shard].jobs.append(metrics)
-                reports[shard].total_work += metrics.total_work
-        for shard in range(num_shards):
-            reports[shard].levels.append([state.job.name for state in states])
-            reports[shard].response_time += max(
-                (state.shard_metrics[shard].time for state in states),
-                default=0.0,
-            )
+        return out
 
 
-class ShardedPlanExecutor:
-    """Drop-in :class:`~repro.physical.executor.PlanExecutor` over shards.
+class ShardedPlanExecutor(PlanExecutor):
+    """A :class:`~repro.physical.executor.PlanExecutor` over shards.
 
-    Same prepare/execute surface, but the store is a
-    :class:`ShardedStore` and execution routes through a shard router.
-    ``transport`` selects the shard boundary:
+    The store is a :class:`ShardedStore` and the execution backend is a
+    shard router; preparing and executing plans is the base class's,
+    unchanged.  ``transport`` selects the shard boundary:
 
     * ``"inproc"`` (default): shards are called in-process through
       per-shard execution backends — for ``"process"``, a worker pool
@@ -574,14 +350,12 @@ class ShardedPlanExecutor:
         coalesce_window_ms: float = 0.0,
         coalesce_max_batch: int = 1,
     ) -> None:
-        self.store = store
-        self.cluster = cluster or ClusterConfig(num_nodes=store.num_nodes)
-        if self.cluster.num_nodes != store.num_nodes:
+        cluster = cluster or ClusterConfig(num_nodes=store.num_nodes)
+        if cluster.num_nodes != store.num_nodes:
             raise ValueError(
-                f"cluster has {self.cluster.num_nodes} nodes but the "
+                f"cluster has {cluster.num_nodes} nodes but the "
                 f"store places onto {store.num_nodes}"
             )
-        self.params = params
         if transport not in ("inproc", "rpc"):
             raise ValueError(
                 f"unknown shard transport {transport!r}; "
@@ -593,7 +367,6 @@ class ShardedPlanExecutor:
         self._backend_spec = backend
         self._backend_workers = backend_workers
         self._on_fallback = on_fallback
-        self.backends: list[ExecutionBackend] = []
         if transport == "rpc":
             from repro.cluster.rpc import RpcShardRouter
 
@@ -608,10 +381,9 @@ class ShardedPlanExecutor:
             extra = {} if max_frame_bytes is None else {
                 "max_frame_bytes": max_frame_bytes
             }
-            self.router: ShardRouter = RpcShardRouter(
+            router: ShardRouter = RpcShardRouter(
                 num_nodes=store.num_nodes,
                 num_shards=store.num_shards,
-                params=params,
                 worker_backend=backend or "serial",
                 worker_backend_workers=workers,
                 on_failure=on_shard_failure,
@@ -622,13 +394,18 @@ class ShardedPlanExecutor:
                 coalesce_max_batch=coalesce_max_batch,
                 **extra,
             )
-            return
-        self._build_inproc_router()
+        else:
+            router = self._inproc_router(store)
+        super().__init__(store, cluster, params, backend=router)
 
-    def _build_inproc_router(self) -> None:
-        """(Re)build the in-process router + per-shard backends for the
-        store's *current* shard count, from the saved backend spec."""
-        store = self.store
+    @property
+    def router(self) -> ShardRouter:
+        """The shard router — this executor's execution backend."""
+        return self.backend
+
+    def _inproc_router(self, store: ShardedStore) -> ShardRouter:
+        """An in-process router + per-shard backends for the store's
+        *current* shard count, from the saved backend spec."""
         backend = self._backend_spec
         if isinstance(backend, ExecutionBackend):
             if store.num_shards > 1 and isinstance(backend, ProcessBackend):
@@ -637,14 +414,14 @@ class ShardedPlanExecutor:
                     "(its pool is keyed to one snapshot); pass "
                     "backend='process' to give each shard its own pool"
                 )
-            self.backends = [backend] * store.num_shards
+            backends = [backend] * store.num_shards
             parallel = not isinstance(backend, SerialBackend)
         else:
             workers = split_workers(
                 self._backend_workers, store.num_shards, backend or "serial"
             )
             on_fallback = self._on_fallback
-            self.backends = [
+            backends = [
                 make_backend(
                     backend,
                     num_workers=workers,
@@ -661,48 +438,19 @@ class ShardedPlanExecutor:
                 for shard in range(store.num_shards)
             ]
             parallel = backend not in (None, "serial")
-        self.router = ShardRouter(
+        return ShardRouter(
             num_nodes=store.num_nodes,
             num_shards=store.num_shards,
-            params=self.params,
-            backends=self.backends,
+            backends=backends,
             parallel_shards=parallel,
         )
 
     # -- lifecycle ------------------------------------------------------------
 
-    def prime(self) -> None:
-        """Warm every shard against its current snapshot.
-
-        In-process: only shards whose snapshot token changed since the
-        last prime rebuild their pools; the rest keep their workers (and
-        the store slice those workers inherited).  RPC: spawns any shard
-        server not yet running (a health-checked handshake) and sends a
-        ``Prime`` only to workers whose resident snapshot token is stale.
-        """
-        snapshot = self.store.snapshot()
-        if self.transport == "rpc":
-            self.router.ensure_workers(snapshot)  # type: ignore[attr-defined]
-            return
-        for shard, backend in enumerate(self.backends):
-            backend.prime(
-                TaskContext(
-                    num_nodes=self.cluster.num_nodes,
-                    store=snapshot.shards[shard],
-                )
-            )
-
     def close(self) -> None:
         self.router.close()
-        for backend in self.backends:
+        for backend in self.router.backends:
             backend.close()
-
-    def __enter__(self) -> "ShardedPlanExecutor":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     # -- topology -------------------------------------------------------------
 
@@ -769,12 +517,13 @@ class ShardedPlanExecutor:
             )
         else:
             store.apply_rebalance(moves, new_count)
-            old_router, old_backends = self.router, self.backends
-            shared = isinstance(self._backend_spec, ExecutionBackend)
-            self._build_inproc_router()
+            old_router = self.router
+            self.backend = self.engine.backend = self._inproc_router(store)
             old_router.close()
-            if not shared:
-                for backend in old_backends:
+            if not isinstance(self._backend_spec, ExecutionBackend):
+                # per-shard backends built from a name: retired with
+                # their router (a caller's shared instance lives on)
+                for backend in old_router.backends:
                     backend.close()
             self.prime()
             bytes_shipped = None
@@ -808,19 +557,6 @@ class ShardedPlanExecutor:
 
     # -- public API -----------------------------------------------------------
 
-    def prepare(self, plan: LogicalPlan) -> PreparedPlan:
-        """Translate and compile *plan* without running it.
-
-        With ``REPRO_CHECK_PLANS=1``, the prepared plan is verified
-        against the paper's structural invariants first.
-        """
-        physical = translate(plan, replicas=self.store.replicas)
-        compiled = compile_plan(physical)
-        from repro.analysis.plan_check import maybe_check
-
-        maybe_check(plan, physical=physical, compiled=compiled)
-        return PreparedPlan(plan=plan, physical=physical, compiled=compiled)
-
     def register_template(self, prepared: PreparedPlan) -> bool:
         """Register a prepared template's job structure on every shard.
 
@@ -832,24 +568,3 @@ class ShardedPlanExecutor:
         if self.transport == "rpc":
             return self.router.register_prepared(prepared)  # type: ignore[attr-defined]
         return self.router.register(prepared.compiled)
-
-    def execute(self, plan: LogicalPlan) -> ExecutionResult:
-        return self.execute_prepared(self.prepare(plan))
-
-    def execute_prepared(self, prepared: PreparedPlan) -> ExecutionResult:
-        """Run an already-prepared plan across the shards."""
-        relation, report, summary = self.router.execute_prepared(
-            prepared, self.store.snapshot()
-        )
-        return ExecutionResult(
-            attrs=prepared.compiled.final_attrs,
-            rows=set(relation.all_rows()),
-            report=report,
-            plan=prepared.plan,
-            physical=prepared.physical,
-            compiled=prepared.compiled,
-            shard_tasks=summary.tasks,
-            shard_rows=summary.rows,
-            shard_bytes=summary.bytes_shipped,
-            shard_frames=summary.frames_shipped,
-        )

@@ -42,10 +42,11 @@ sub-request id.  Retries are idempotent: workers answer a repeated
 request id from a reply cache instead of executing twice.
 
 The driver side is :class:`RpcShardRouter` — a drop-in
-:class:`~repro.cluster.router.ShardRouter` whose level scheduling,
-shuffle exchange and :meth:`~repro.mapreduce.counters.ExecutionReport
-.merge` accounting are inherited unchanged; only the dispatch hop is
-replaced by the protocol.  Worker crashes are detected at the connection
+:class:`~repro.cluster.router.ShardRouter` (hence an execution backend
+behind the one :class:`~repro.mapreduce.engine.MapReduceEngine`) whose
+grouping of a batch by owning shard and reassembly in submission order
+are inherited unchanged; only the dispatch hop is replaced by the
+protocol.  Worker crashes are detected at the connection
 (a typed error reply means the worker is alive and the *request* failed;
 a transport error means the worker died): a dead worker is respawned —
 re-primed, templates re-registered — and the failed request retried
@@ -67,21 +68,15 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dataclass_replace
 from multiprocessing.connection import Client, Listener
+from typing import Iterator
 
-from repro.analysis.locks import (
-    checked,
-    note_acquired,
-    note_released,
-    witness_name_if_enabled,
-)
-from repro.cluster.router import ShardRouter
+from repro.analysis.locks import ReadWriteLock, checked
+from repro.cluster.router import ShardDispatch, ShardRouter
 from repro.cluster.slots import SlotTable, merge_slots
-from repro.cost.params import DEFAULT_PARAMS, CostParams
 from repro.mapreduce.backends import (
     BACKEND_NAMES,
     DEFAULT_RPC_PIPELINE,
     ExecutionBackend,
-    SerialBackend,
     TaskInvocation,
     check_backend_available,
     make_backend,
@@ -90,6 +85,7 @@ from repro.mapreduce.backends import (
     task_timing,
 )
 from repro.columnar.wire import WIRE_FORMATS, ColumnarFrame, WireCodec
+from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import TaskContext
 from repro.obs.trace import (
@@ -97,7 +93,6 @@ from repro.obs.trace import (
     attach_worker_spans,
     record_remote,
     span,
-    trace_ctx,
 )
 from repro.partitioning.triple_partitioner import StoreSnapshot
 from repro.physical.executor import job_from_spec
@@ -563,61 +558,6 @@ class _BoundPlan:
             raise WorkerStateError(f"job {job!r} has no reduce spec") from None
 
 
-class _StateRWLock:
-    """Writer-preferring readers-writer lock over worker resident state:
-    ExecuteLevels share it (readers run concurrently on the dispatch
-    pool), while Prime / InvalidateSnapshot / RegisterTemplate take it
-    exclusively, so a snapshot or template swap never interleaves with a
-    running level."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._waiting_writers = 0
-        # Lock-order witness node (REPRO_LOCK_CHECK=1); the internal
-        # _cond is deliberately not witnessed — it is held only for the
-        # bookkeeping instants, never across user code.
-        self._witness = witness_name_if_enabled("_WorkerState.rwlock")
-
-    @contextmanager
-    def read(self):
-        with self._cond:
-            while self._writer or self._waiting_writers:
-                self._cond.wait()
-            self._readers += 1
-        if self._witness:
-            note_acquired(self._witness)
-        try:
-            yield
-        finally:
-            if self._witness:
-                note_released(self._witness)
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write(self):
-        with self._cond:
-            self._waiting_writers += 1
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._waiting_writers -= 1
-            self._writer = True
-        if self._witness:
-            note_acquired(self._witness)
-        try:
-            yield
-        finally:
-            if self._witness:
-                note_released(self._witness)
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
-
-
 class _WorkerState:
     """Everything resident in one shard server process.
 
@@ -657,7 +597,11 @@ class _WorkerState:
         #: snapshot/wire: flipped only under rwlock.write() (Prime /
         #: TableUpdate), read per execute frame under rwlock.read()
         self.epoch = 0
-        self.rwlock = _StateRWLock()
+        # ExecuteLevels share it (readers run concurrently on the
+        # dispatch pool), while Prime / InvalidateSnapshot /
+        # RegisterTemplate take it exclusively, so a snapshot or
+        # template swap never interleaves with a running level.
+        self.rwlock = ReadWriteLock("_WorkerState.rwlock")
         self._bound_lock = checked(threading.Lock(), "_WorkerState._bound_lock")
         self._stats_lock = checked(threading.Lock(), "_WorkerState._stats_lock")
         self.templates: dict[str, PhysicalPlan] = {}  # guarded-by: _bound_lock
@@ -767,42 +711,39 @@ class _WorkerState:
     def execute_level(
         self, msg: ExecuteLevel, acc: SpanAccumulator | None = None
     ) -> ResultsReply:
+        """Run one level frame; a traced frame (*acc* given) also ships
+        back ``bind`` / ``execute`` / per-task span records."""
         if msg.epoch != self.epoch:
             raise StaleEpoch(self.shard, msg.epoch, self.epoch)
-        if acc is None:
-            return self._execute_level(msg)
-        with acc.timed("bind"):
-            bound = self.bound_for(msg.key, msg.binding)
-        invocations, ctx = self._invocations(msg, bound)
         start = time.perf_counter()
-        with task_timing() as tasks:
-            results = self.backend.run(invocations, ctx)
-        end = time.perf_counter()
-        execute_ix = acc.record(
-            "execute", start, end, tasks=len(invocations)
-        )
-        # Ship at most a handful of per-task spans: serial/columnar
-        # backends report them; a level can hold many tasks and the
-        # records travel back over the wire.
-        for task_ix, (t0, t1) in enumerate(tasks[:MAX_TASK_SPANS]):
-            acc.record("task", t0, t1, parent=execute_ix, index=task_ix)
-        if len(tasks) > MAX_TASK_SPANS:
-            acc.records[execute_ix][4]["task_spans_dropped"] = (
-                len(tasks) - MAX_TASK_SPANS
-            )
-        with self._stats_lock:
-            self.tasks_run += len(invocations)
-            self.levels_run += 1
-        return ResultsReply(results=list(results), spans=acc.packed())
-
-    def _execute_level(self, msg: ExecuteLevel) -> ResultsReply:
         bound = self.bound_for(msg.key, msg.binding)
+        if acc is not None:
+            acc.record("bind", start, time.perf_counter())
         invocations, ctx = self._invocations(msg, bound)
-        results = self.backend.run(invocations, ctx)
+        if acc is None:
+            results = self.backend.run(invocations, ctx)
+        else:
+            start = time.perf_counter()
+            with task_timing() as tasks:
+                results = self.backend.run(invocations, ctx)
+            execute_ix = acc.record(
+                "execute", start, time.perf_counter(), tasks=len(invocations)
+            )
+            # Ship at most a handful of per-task spans: serial/columnar
+            # backends report them; a level can hold many tasks and the
+            # records travel back over the wire.
+            for task_ix, (t0, t1) in enumerate(tasks[:MAX_TASK_SPANS]):
+                acc.record("task", t0, t1, parent=execute_ix, index=task_ix)
+            if len(tasks) > MAX_TASK_SPANS:
+                acc.records[execute_ix][4]["task_spans_dropped"] = (
+                    len(tasks) - MAX_TASK_SPANS
+                )
         with self._stats_lock:
             self.tasks_run += len(invocations)
             self.levels_run += 1
-        return ResultsReply(results=list(results))
+        return ResultsReply(
+            results=list(results), spans=() if acc is None else acc.packed()
+        )
 
     def _invocations(
         self, msg: ExecuteLevel, bound: _BoundPlan
@@ -1612,9 +1553,12 @@ class ShardWorkerClient:
 # -- the driver-side router ----------------------------------------------------
 
 
-@dataclass
-class _RpcExecution:
-    """Per-query execution context threaded through the level loop.
+@dataclass(kw_only=True)
+class _RpcExecution(ShardDispatch):
+    """The RPC router's per-query dispatch state: what every
+    :class:`ExecuteLevel` of the query is stamped with (template key,
+    binding, and ``table.version`` as the epoch — a worker at another
+    epoch rejects the frame), plus the wire counters.
 
     Byte and frame attribution lives here, per query: concurrent
     queries each accumulate into their own context (coalescing flushers
@@ -1628,9 +1572,6 @@ class _RpcExecution:
     binding: tuple[tuple[str, str], ...]
     bytes: list[int]
     frames: list[int]
-    #: slot-table version this query was routed under, stamped on its
-    #: ExecuteLevel frames (a worker at another epoch rejects them)
-    epoch: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -1849,14 +1790,14 @@ class RpcShardRouter(ShardRouter):
     """A :class:`~repro.cluster.router.ShardRouter` whose shards are
     long-lived server processes reached over the RPC protocol.
 
-    Level scheduling, the shuffle exchange and report merging are
-    inherited unchanged — results are placed by submission position, so
-    answers and merged reports are deterministic regardless of the order
-    shard replies arrive in.  What changes is the dispatch hop: instead
-    of running task specs through in-process backends, the router sends
-    each shard an :class:`ExecuteLevel` frame naming the tasks of its
-    nodes (the specs themselves live worker-side, bound from the
-    registered template), plus the exchange rows.
+    Grouping a batch by owning shard and reassembling results by
+    submission position are inherited unchanged, so answers and reports
+    are deterministic regardless of the order shard replies arrive in.
+    What changes is the dispatch hop: instead of running task specs
+    through in-process backends, the router sends each shard an
+    :class:`ExecuteLevel` frame naming the tasks of its nodes (the specs
+    themselves live worker-side, bound from the registered template),
+    plus the exchange rows.
     """
 
     transport = "rpc"
@@ -1865,7 +1806,6 @@ class RpcShardRouter(ShardRouter):
         self,
         num_nodes: int,
         num_shards: int,
-        params: CostParams = DEFAULT_PARAMS,
         worker_backend: str = "serial",
         worker_backend_workers: int | None = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
@@ -1900,13 +1840,9 @@ class RpcShardRouter(ShardRouter):
             raise ValueError(
                 f"coalesce_max_batch must be >= 1, got {coalesce_max_batch}"
             )
-        super().__init__(
-            num_nodes,
-            num_shards,
-            params=params,
-            backends=[SerialBackend() for _ in range(num_shards)],
-            parallel_shards=parallel_shards,
-        )
+        super().__init__(num_nodes, num_shards, parallel_shards=parallel_shards)
+        #: backend label recorded on execution reports
+        self.name = f"rpc:{worker_backend}"
         self.worker_backend = worker_backend
         self.worker_backend_workers = worker_backend_workers
         self.wire_format = wire_format
@@ -1950,7 +1886,7 @@ class RpcShardRouter(ShardRouter):
         #: the caller's parallelism request, re-applied when a
         #: rebalance changes the shard count (1 shard forces serial)
         self._parallel_requested = parallel_shards
-        #: queries currently inside execute_prepared — the coalescer
+        #: queries currently inside an execution — the coalescer
         #: only holds its window open when this exceeds one
         self.active_queries = 0  # guarded-by: _counter_lock
         self._coalescers = (
@@ -1959,27 +1895,12 @@ class RpcShardRouter(ShardRouter):
             else None
         )
 
-    # -- transport-specific report labels ----------------------------------
-
-    def _shard_backend_name(self, shard: int) -> str:
-        return f"rpc:{self.worker_backend}"
-
     def _dispatch_width(self) -> int:
         # Coalescer followers park on a dispatch thread until the
         # leader flushes their frame, so size the pool for the full
         # pipeline depth per shard, not just one call per shard.
         return max(4, 2 * self.num_shards,
                    max(1, self.pipeline) * self.num_shards)
-
-    def _bytes_shipped(self, exec_ctx) -> tuple[int, ...] | None:
-        if isinstance(exec_ctx, _RpcExecution):
-            return tuple(exec_ctx.bytes)
-        return None
-
-    def _frames_shipped(self, exec_ctx) -> tuple[int, ...] | None:
-        if isinstance(exec_ctx, _RpcExecution):
-            return tuple(exec_ctx.frames)
-        return None
 
     def _note_frames(self, n: int) -> None:
         with self._counter_lock:
@@ -1999,6 +1920,10 @@ class RpcShardRouter(ShardRouter):
             return len(self._templates)
 
     # -- lifecycle ----------------------------------------------------------
+
+    def prime(self, ctx: TaskContext) -> None:
+        """Bring the fleet up against the sharded snapshot in *ctx*."""
+        self.ensure_workers(ctx.store)
 
     def ensure_workers(self, snapshot) -> None:
         """Spawn any missing shard server and (re-)prime stale ones.
@@ -2068,8 +1993,8 @@ class RpcShardRouter(ShardRouter):
     # -- live rebalancing ----------------------------------------------------
 
     def _grow_to(self, count: int) -> None:
-        """Extend the per-shard structures (locks, client slots, serial
-        placeholder backends, coalescers) to *count* entries.  The lists
+        """Extend the per-shard structures (locks, client slots,
+        coalescers) to *count* entries.  The lists
         only ever grow — a shrink leaves trailing entries in place so a
         query racing the flip can still index its (stale) shard and get
         the typed :class:`StaleEpoch` answer instead of an IndexError.
@@ -2080,8 +2005,6 @@ class RpcShardRouter(ShardRouter):
             )
         while len(self._clients) < count:  # lint: disable=LOCK001 — grow-only append; migrations serialize on the store write lock
             self._clients.append(None)  # lint: disable=LOCK001 — slot is None until primed under its shard lock
-        while len(self.backends) < count:
-            self.backends.append(SerialBackend())
         if self._coalescers is not None:
             while len(self._coalescers) < count:
                 self._coalescers.append(
@@ -2512,7 +2435,6 @@ class RpcShardRouter(ShardRouter):
         with self._registry_lock:
             new = key not in self._templates
             self._templates[key] = prepared.physical
-        self.register(prepared.compiled)
         if new:
             for shard in range(self.num_shards):
                 with self._shard_locks[shard]:
@@ -2527,25 +2449,27 @@ class RpcShardRouter(ShardRouter):
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, compiled, snapshot, exec_ctx=None):
-        """Reject bare compiled plans with a typed error.
+    @contextmanager
+    def execution(
+        self, ctx: TaskContext, report: ExecutionReport
+    ) -> Iterator[TaskContext]:
+        """The base bracket, counted as an active query for its whole
+        length (the coalescers' gate) and closed by stamping the
+        query's wire counters on the report."""
+        with self._counter_lock:
+            self.active_queries += 1
+        try:
+            with super().execution(ctx, report) as ctx:
+                yield ctx
+        finally:
+            with self._counter_lock:
+                self.active_queries -= 1
+        state: _RpcExecution = ctx.dispatch
+        report.shard_bytes = tuple(state.bytes)
+        report.shard_frames = tuple(state.frames)
 
-        The RPC workers rebuild task specs from a registered *physical*
-        plan, which a :class:`~repro.physical.job_compiler.CompiledPlan`
-        alone does not carry — callers must go through
-        :meth:`execute_prepared` (which sets up the execution context
-        this method requires).
-        """
-        if not isinstance(exec_ctx, _RpcExecution):
-            raise RpcError(
-                "RpcShardRouter cannot execute a bare CompiledPlan: shard "
-                "servers rebuild specs from the registered physical plan; "
-                "use execute_prepared(prepared, snapshot)"
-            )
-        return super().execute(compiled, snapshot, exec_ctx)
-
-    def execute_prepared(self, prepared, snapshot):
-        """Run a prepared plan: bound constant vectors over the wire.
+    def _open(self, ctx: TaskContext) -> _RpcExecution:
+        """Start one query: bound constant vectors over the wire.
 
         A plan bound from a registered template ships as its template
         key plus binding; anything else (raw logical plans through the
@@ -2554,6 +2478,15 @@ class RpcShardRouter(ShardRouter):
         first :class:`ExecuteLevel` naming a ``(key, binding)`` compiles
         and caches it worker-side — no per-query bind round trip.
         """
+        prepared = ctx.plan
+        if prepared is None:
+            raise RpcError(
+                "RpcShardRouter cannot run bare task specs: shard servers "
+                "rebuild specs from the registered physical plan, so the "
+                "task context must name the prepared plan "
+                "(PlanExecutor.execute_prepared does)"
+            )
+        snapshot = self._snapshot_of(ctx)
         self.ensure_workers(snapshot)
         key = prepared.template_key
         binding = tuple(prepared.binding)
@@ -2564,20 +2497,15 @@ class RpcShardRouter(ShardRouter):
             binding = ()
             with self._registry_lock:
                 self._templates.setdefault(key, prepared.physical)
-        exec_ctx = _RpcExecution(
+        return _RpcExecution(
+            table=snapshot.table,
+            tasks=[0] * snapshot.num_shards,
+            rows=[0] * snapshot.num_shards,
             key=key,
             binding=binding,
-            bytes=[0] * self.num_shards,
-            frames=[0] * self.num_shards,
-            epoch=snapshot.table.version,
+            bytes=[0] * snapshot.num_shards,
+            frames=[0] * snapshot.num_shards,
         )
-        with self._counter_lock:
-            self.active_queries += 1
-        try:
-            return self.execute(prepared.compiled, snapshot, exec_ctx)
-        finally:
-            with self._counter_lock:
-                self.active_queries -= 1
 
     # -- the dispatch hop ----------------------------------------------------
 
@@ -2669,68 +2597,56 @@ class RpcShardRouter(ShardRouter):
                 results[i] = result
         return ResultsReply(results=results)
 
-    def _run_shards(self, per_shard, metas, ctxs, phase, level_index, exec_ctx):
-        # Sized by the level's own routing table, not self.num_shards: a
-        # concurrent rebalance may have resized the fleet after this
-        # level was grouped, and the stale-epoch protocol reconciles
-        # that, not this loop.
-        active = [s for s in range(len(per_shard)) if per_shard[s]]
-        # Captured on the query thread: the dispatch-pool threads the
-        # per-shard closures run on never saw this query's contextvar.
-        tctx = trace_ctx()
-
-        def call(shard: int) -> list:
-            if phase == "map":
-                # Ship only the shuffled intermediates this shard's map
-                # chains actually read — already sliced to its nodes in
-                # the driver's per-shard HDFS view.
-                names = sorted(
-                    {
-                        name
-                        for inv in per_shard[shard]
-                        for name in inv.spec.hdfs_inputs()
-                    }
+    def _run_shard(self, shard, batch, ctx, tctx):
+        state: _RpcExecution = ctx.dispatch
+        phase = batch[0].phase
+        if phase == "map":
+            # Ship only the shuffled intermediates this shard's map
+            # chains actually read, cut to the shard's own nodes (a map
+            # shuffler reads nothing but its node's partition).
+            owner = state.table.shard_of_node
+            inputs = {}
+            for name in sorted(
+                {name for inv in batch for name in inv.spec.hdfs_inputs()}
+            ):
+                relation = ctx.hdfs.read(name)
+                inputs[name] = DistributedRelation(
+                    attrs=relation.attrs,
+                    partitions=[
+                        part if owner(node) == shard else []
+                        for node, part in enumerate(relation.partitions)
+                    ],
                 )
-                hdfs = ctxs[shard].hdfs
-                inputs = {name: hdfs.read(name) for name in names}
-                tasks = tuple(metas[shard])
-            else:
-                inputs = {}
-                tasks = tuple(
-                    (job, partition, inv.args[1])
-                    for (job, partition), inv in zip(
-                        metas[shard], per_shard[shard]
-                    )
-                )
-            msg = ExecuteLevel(
-                key=exec_ctx.key,
-                binding=exec_ctx.binding,
-                level=level_index,
-                phase=phase,
-                tasks=tasks,
-                inputs=inputs,
-                trace_ctx=tctx,
-                epoch=exec_ctx.epoch,
+            tasks = tuple(
+                (inv.job, getattr(inv.spec, "tag", None), inv.node)
+                for inv in batch
             )
-            try:
-                reply = self._level_call(shard, msg, exec_ctx)
-            except StaleEpoch:
-                # The topology moved under this query (a rebalance
-                # flipped the slot table after it was routed): regroup
-                # the same tasks by the current table and resend.
-                reply = self._reroute_level(msg, exec_ctx)
-            if len(reply.results) != len(per_shard[shard]):
-                raise RpcProtocolError(
-                    f"shard {shard} returned {len(reply.results)} results "
-                    f"for {len(per_shard[shard])} tasks"
-                )
-            return reply.results
-
-        if len(active) > 1 and self.parallel_shards:
-            pool = self._dispatch_pool()
-            futures = [(s, pool.submit(call, s)) for s in active]
-            return [(s, f.result()) for s, f in futures]
-        return [(s, call(s)) for s in active]
+        else:
+            inputs = {}
+            tasks = tuple((inv.job, *inv.args) for inv in batch)
+        msg = ExecuteLevel(
+            key=state.key,
+            binding=state.binding,
+            level=batch[0].level,
+            phase=phase,
+            tasks=tasks,
+            inputs=inputs,
+            trace_ctx=tctx,
+            epoch=state.table.version,
+        )
+        try:
+            reply = self._level_call(shard, msg, state)
+        except StaleEpoch:
+            # The topology moved under this query (a rebalance flipped
+            # the slot table after it was routed): regroup the same
+            # tasks by the current table and resend.
+            reply = self._reroute_level(msg, state)
+        if len(reply.results) != len(batch):
+            raise RpcProtocolError(
+                f"shard {shard} returned {len(reply.results)} results "
+                f"for {len(batch)} tasks"
+            )
+        return reply.results
 
 
 __all__ = [

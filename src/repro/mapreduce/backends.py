@@ -46,11 +46,13 @@ import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.analysis.locks import checked
 from repro.columnar.block import HAVE_NUMPY
+from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.jobs import TaskContext, TaskSpec
 
 
@@ -72,11 +74,23 @@ class TaskInvocation:
     """One task to run: a spec plus its per-call arguments.
 
     Map tasks invoke ``spec.run(ctx)``; reduce tasks invoke
-    ``spec.run(ctx, partition, grouped)``.
+    ``spec.run(ctx, partition, grouped)``.  The remaining fields say
+    where the task sits in the schedule; inline and pool backends ignore
+    them, a dispatching backend (the shard router) routes by ``node``
+    and names the task to a remote worker by the rest.
     """
 
     spec: TaskSpec
     args: tuple = ()
+    #: name of the job the task belongs to
+    job: str = ""
+    #: cluster node the task runs on (a reduce partition ``p`` runs on
+    #: node ``p % num_nodes``)
+    node: int = 0
+    #: ``"map"`` or ``"reduce"``; one ``run`` batch holds one phase
+    phase: str = "map"
+    #: index of the scheduling level the batch belongs to
+    level: int = 0
 
 
 class ExecutionBackend(ABC):
@@ -87,6 +101,16 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def run(self, invocations: Sequence[TaskInvocation], ctx: TaskContext) -> list:
         """Run all invocations; return their results in submission order."""
+
+    @contextmanager
+    def execution(
+        self, ctx: TaskContext, report: ExecutionReport
+    ) -> Iterator[TaskContext]:
+        """Bracket one job-graph execution: every ``run`` of the
+        execution gets the yielded context.  A dispatching backend
+        attaches its per-execution state to it on entry and stamps how
+        the work was spread on *report* on exit; the rest run as is."""
+        yield ctx
 
     def prime(self, ctx: TaskContext) -> None:
         """Optional warm-up (e.g. start worker processes) before serving."""

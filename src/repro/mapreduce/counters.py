@@ -8,7 +8,7 @@ is what the paper's cost model estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cost.params import CostParams
 
@@ -59,29 +59,6 @@ class JobMetrics:
         """Response time of the job: map and reduce phases are barriers."""
         return self.overhead + self.map_time + self.reduce_time
 
-    def merge(self, other: "JobMetrics") -> "JobMetrics":
-        """Fold another worker's view of the *same* job into this one.
-
-        Workers run disjoint slices of a job's tasks in parallel, so
-        phase times combine by max and work/tuple counters by sum; the
-        fixed job overhead is paid once, not per worker.
-        """
-        if other.name != self.name:
-            raise ValueError(
-                f"cannot merge metrics of job {other.name!r} into {self.name!r}"
-            )
-        self.map_time = max(self.map_time, other.map_time)
-        self.reduce_time = max(self.reduce_time, other.reduce_time)
-        # Engine-produced totals include the job overhead once per
-        # worker run; strip the duplicate so the merged total pays it
-        # once (hand-built metrics with overhead 0 are unaffected).
-        self.total_work += other.total_work - min(self.overhead, other.overhead)
-        self.overhead = max(self.overhead, other.overhead)
-        self.map_only = self.map_only and other.map_only
-        self.tuples_shuffled += other.tuples_shuffled
-        self.output_tuples += other.output_tuples
-        return self
-
 
 @dataclass
 class ExecutionReport:
@@ -94,12 +71,17 @@ class ExecutionReport:
     #: name of the execution backend that produced this report
     backend: str = "serial"
     #: number of store shards the execution spanned (0 = unsharded).
-    #: Set by the shard router after merging the per-shard reports.
+    #: This and the fields below are stamped by the shard router when
+    #: the execution it dispatched ends.
     shards: int = 0
     #: how shards were reached: "local" (no shards / single store),
     #: "inproc" (in-process shard backends) or "rpc" (shard server
-    #: processes).  Set by the shard router after merging.
+    #: processes)
     transport: str = "local"
+    #: map + reduce tasks run on each shard, and output rows landing on
+    #: each shard's nodes over all jobs (None when unsharded)
+    shard_tasks: tuple[int, ...] | None = None
+    shard_rows: tuple[int, ...] | None = None
     #: request bytes shipped to each shard server for this execution
     #: (RPC transport only; None otherwise)
     shard_bytes: tuple[int, ...] | None = None
@@ -123,51 +105,3 @@ class ExecutionReport:
         if all(j.map_only for j in self.jobs):
             return "M"
         return str(self.num_jobs)
-
-    def merge(self, other: "ExecutionReport") -> "ExecutionReport":
-        """Combine another worker's partial report into this one.
-
-        Per-worker reports of the same job DAG merge job-wise (matched by
-        name; see :meth:`JobMetrics.merge`), union the level structure,
-        and recompute the response time from the merged levels — each
-        level costs its slowest job, levels are barriers.  Reports of
-        disjoint DAGs simply concatenate.
-        """
-        by_name = {j.name: j for j in self.jobs}
-        for job in other.jobs:
-            mine = by_name.get(job.name)
-            if mine is None:
-                # Copy, never alias: a later merge into this report must
-                # not mutate the donor report's job metrics.
-                job = replace(job)
-                self.jobs.append(job)
-                by_name[job.name] = job
-            else:
-                mine.merge(job)
-        for i, names in enumerate(other.levels):
-            if i < len(self.levels):
-                self.levels[i].extend(
-                    n for n in names if n not in self.levels[i]
-                )
-            else:
-                self.levels.append(list(names))
-        if self.jobs:
-            # Job-wise merge already deduplicated shared overheads.
-            self.total_work = sum(j.total_work for j in self.jobs)
-        else:
-            self.total_work += other.total_work
-        if self.levels:
-            self.response_time = sum(
-                max((by_name[n].time for n in lv if n in by_name), default=0.0)
-                for lv in self.levels
-            )
-        else:
-            self.response_time = max(self.response_time, other.response_time)
-        if self.backend != other.backend:
-            self.backend = f"{self.backend}+{other.backend}"
-        self.shards = max(self.shards, other.shards)
-        if self.transport == "local":
-            self.transport = other.transport
-        elif other.transport not in ("local", self.transport):
-            self.transport = f"{self.transport}+{other.transport}"
-        return self

@@ -20,6 +20,13 @@ timing model depends only on the returned counters, never on wall-clock,
 so a report is backend-invariant by construction (the backend name is
 recorded on it for observability).
 
+This is the only level scheduler.  A sharded deployment does not run a
+second one: the shard router (:mod:`repro.cluster.router`) is itself a
+backend that runs each task on the shard owning its node — every
+:class:`~repro.mapreduce.backends.TaskInvocation` says which job, node,
+phase and level it belongs to — so a sharded report is this engine's
+report, equal to the unsharded one field for field.
+
 Total work (the quantity the cost model of §5.4 estimates) is reported
 alongside the response time.
 """
@@ -93,17 +100,22 @@ class MapReduceEngine:
         if ctx is None:
             ctx = TaskContext(num_nodes=self.cluster.num_nodes)
         report = ExecutionReport(backend=self.backend.name)
-        for level_index, level in enumerate(graph.levels()):
-            with span("level", index=level_index, jobs=len(level)):
-                level_time = self._run_level(level, ctx, report)
-            report.levels.append([job.name for job in level])
-            report.response_time += level_time
+        with self.backend.execution(ctx, report) as ctx:
+            for level_index, level in enumerate(graph.levels()):
+                with span("level", index=level_index, jobs=len(level)):
+                    level_time = self._run_level(level, level_index, ctx, report)
+                report.levels.append([job.name for job in level])
+                report.response_time += level_time
         return report
 
     # -- internals -----------------------------------------------------------
 
     def _run_level(
-        self, level: list[MapReduceJob], ctx: TaskContext, report: ExecutionReport
+        self,
+        level: list[MapReduceJob],
+        level_index: int,
+        ctx: TaskContext,
+        report: ExecutionReport,
     ) -> float:
         params = self.params
         num_nodes = self.cluster.num_nodes
@@ -115,7 +127,9 @@ class MapReduceEngine:
         # then consume results in submission order (determinism: shuffle
         # lists are appended in task order, not completion order).
         invocations = [
-            TaskInvocation(task.spec)
+            TaskInvocation(
+                task.spec, (), state.job.name, task.node, "map", level_index
+            )
             for state in states
             for task in state.job.map_tasks
         ]
@@ -145,7 +159,14 @@ class MapReduceEngine:
                     tag: rows for tag, rows in state.shuffle.get(partition, {}).items()
                 }
                 reduce_invocations.append(
-                    TaskInvocation(job.reduce_spec, (partition, grouped))
+                    TaskInvocation(
+                        job.reduce_spec,
+                        (partition, grouped),
+                        job.name,
+                        partition % num_nodes,
+                        "reduce",
+                        level_index,
+                    )
                 )
                 owners.append((state, partition))
         if reduce_invocations:

@@ -529,44 +529,8 @@ class SpanAccumulator:
         )
         return len(self.records) - 1
 
-    def timed(self, name: str, parent: int = -1, **attrs: Any) -> "_AccSpan":
-        return _AccSpan(self, name, parent, attrs)
-
     def packed(self) -> tuple[WorkerSpanRecord, ...]:
         return tuple(self.records)
-
-
-class _AccSpan(AbstractContextManager["_AccSpan"]):
-    __slots__ = ("_acc", "_name", "_parent", "_attrs", "_start", "index")
-
-    def __init__(
-        self,
-        acc: SpanAccumulator,
-        name: str,
-        parent: int,
-        attrs: dict[str, Any],
-    ) -> None:
-        self._acc = acc
-        self._name = name
-        self._parent = parent
-        self._attrs = attrs
-        self.index = -1
-
-    def set(self, **attrs: Any) -> None:
-        self._attrs.update(attrs)
-
-    def __enter__(self) -> "_AccSpan":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.index = self._acc.record(
-            self._name,
-            self._start,
-            time.perf_counter(),
-            self._parent,
-            **self._attrs,
-        )
 
 
 def attach_worker_spans(

@@ -290,7 +290,7 @@ class StarReduceSpec(ReduceTaskSpec):
         return out_rows, metrics
 
 
-# -- job construction (shared by PlanExecutor and the shard router) -----------
+# -- job construction (shared by PlanExecutor and the RPC shard workers) -------
 
 
 def job_output_attrs(spec: JobSpec) -> tuple[str, ...]:
@@ -342,8 +342,7 @@ def job_from_spec(
 
     ``on_complete`` receives the per-node output rows once the job
     finishes (executors use it to register results in simulated HDFS);
-    the shard router passes ``None`` and handles outputs itself, because
-    a job's output must be sliced per shard for the exchange step.
+    an RPC shard worker passes ``None``: it only looks task specs up.
     """
     if spec.map_only:
         return MapReduceJob(
@@ -381,19 +380,29 @@ class ExecutionResult:
     plan: LogicalPlan
     physical: PhysicalPlan
     compiled: CompiledPlan
-    #: per-shard map/reduce task counts and output row counts, set only
-    #: when a sharded executor (repro.cluster) produced this result
-    shard_tasks: tuple[int, ...] | None = None
-    shard_rows: tuple[int, ...] | None = None
-    #: request bytes shipped per shard server (RPC transport only)
-    shard_bytes: tuple[int, ...] | None = None
-    #: request frames shipped per shard server (RPC transport only;
-    #: coalesced frames carry several queries' levels)
-    shard_frames: tuple[int, ...] | None = None
 
     @property
     def response_time(self) -> float:
         return self.report.response_time
+
+    # Per-shard counts of a sharded execution (repro.cluster), as the
+    # shard router stamped them on the report; None when unsharded.
+
+    @property
+    def shard_tasks(self) -> tuple[int, ...] | None:
+        return self.report.shard_tasks
+
+    @property
+    def shard_rows(self) -> tuple[int, ...] | None:
+        return self.report.shard_rows
+
+    @property
+    def shard_bytes(self) -> tuple[int, ...] | None:
+        return self.report.shard_bytes
+
+    @property
+    def shard_frames(self) -> tuple[int, ...] | None:
+        return self.report.shard_frames
 
     @property
     def num_jobs(self) -> int:
@@ -482,6 +491,7 @@ class PlanExecutor:
             num_nodes=self.cluster.num_nodes,
             store=self.store.snapshot(),
             hdfs=hdfs,
+            plan=prepared,
         )
         graph = JobGraph()
         for spec in compiled.jobs:

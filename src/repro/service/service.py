@@ -47,10 +47,11 @@ under load:
 
 * ``ServiceConfig.shards=N`` replaces the single store with the
   :mod:`repro.cluster` distribution layer — N shard workers each hold a
-  slice of the §5.1 layout, a shard router runs map levels shard-local
-  with a cross-shard exchange at the shuffle, per-shard reports merge
-  into one, and shards receive a template once with per-query bindings
-  after it.  Answers are identical for any shard count.
+  slice of the §5.1 layout, a shard router behind the one MapReduce
+  engine runs each task on the shard owning its node (map levels
+  shard-local, a cross-shard exchange at the shuffle), and shards
+  receive a template once with per-query bindings after it.  Answers
+  and reports are identical for any shard count.
 * ``ServiceConfig.max_inflight=K`` admission-controls the service:
   beyond K concurrently executing submissions, ``submit`` /
   ``submit_batch`` / ``PreparedQuery.execute`` raise
@@ -66,12 +67,7 @@ from typing import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.locks import (
-    checked,
-    note_acquired,
-    note_released,
-    witness_name_if_enabled,
-)
+from repro.analysis.locks import ReadWriteLock, checked
 from repro.cluster import ShardedPlanExecutor, ShardedStore, shard_graph
 from repro.columnar.block import HAVE_NUMPY
 from repro.columnar.wire import WIRE_FORMATS
@@ -135,75 +131,6 @@ class ServiceOverloaded(RuntimeError):
     """
 
 
-class _ReadWriteLock:
-    """Writer-preferring readers–writer lock.
-
-    Queries hold the read side while scanning the partitioned store;
-    :meth:`QueryService.add_triples` takes the write side, so mutation
-    never interleaves with a running scan.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._waiting_writers = 0
-        # Lock-order witness node (REPRO_LOCK_CHECK=1); the internal
-        # _cond is deliberately not witnessed — it is held only for the
-        # bookkeeping instants, never across user code.
-        self._witness = witness_name_if_enabled("QueryService._store_lock")
-
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer or self._waiting_writers:
-                self._cond.wait()
-            self._readers += 1
-        if self._witness:
-            note_acquired(self._witness)
-
-    def release_read(self) -> None:
-        if self._witness:
-            note_released(self._witness)
-        with self._cond:
-            self._readers -= 1
-            if not self._readers:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._cond:
-            self._waiting_writers += 1
-            while self._readers or self._writer:
-                self._cond.wait()
-            self._waiting_writers -= 1
-            self._writer = True
-        if self._witness:
-            note_acquired(self._witness)
-
-    def release_write(self) -> None:
-        if self._witness:
-            note_released(self._witness)
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-    class _Side:
-        def __init__(self, acquire, release):
-            self._acquire, self._release = acquire, release
-
-        def __enter__(self):
-            self._acquire()
-
-        def __exit__(self, *exc):
-            self._release()
-            return False
-
-    def read(self) -> "_ReadWriteLock._Side":
-        return self._Side(self.acquire_read, self.release_read)
-
-    def write(self) -> "_ReadWriteLock._Side":
-        return self._Side(self.acquire_write, self.release_write)
-
-
 @dataclass
 class ServiceConfig:
     """Deployment knobs for the query service."""
@@ -251,10 +178,9 @@ class ServiceConfig:
     template_cache_size: int | None = None
     #: number of store shards.  0 keeps the single in-process store; with
     #: N >= 1 the store is hash-partitioned across N shard workers behind
-    #: a ShardRouter (repro.cluster): map levels run shard-local, the
-    #: shuffle between map and reduce is the cross-shard exchange, and
-    #: per-shard reports merge into one.  Answers are identical for any
-    #: shard count.  With backend="process" every shard gets a worker
+    #: a ShardRouter (repro.cluster): map levels run shard-local and
+    #: the shuffle between map and reduce is the cross-shard exchange.
+    #: Answers and reports are identical for any shard count.  With backend="process" every shard gets a worker
     #: pool of its own (backend_workers is split across shards).
     shards: int = 0
     #: width of the slot ring behind the sharded store's node→shard map
@@ -662,6 +588,11 @@ class QueryService:
             )
         if self.config.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.config.slots}")
+        # Before the executor: its failure callbacks are bound to the
+        # stats, not to the service — a service -> executor -> service
+        # cycle would leave a closed service's stores to the cycle
+        # collector instead of freeing them when the last reference goes.
+        self.stats = ServiceStats()
         if self.config.shards:
             # Sharded deployment: N shard workers each hold one slice of
             # the §5.1 layout; the global catalog is aggregated from the
@@ -681,9 +612,9 @@ class QueryService:
                     self.config.params,
                     backend=self.config.backend,
                     backend_workers=self.config.backend_workers,
-                    on_fallback=self._on_backend_fallback,
+                    on_fallback=self.stats.record_warning,
                     transport=self.config.shard_transport,
-                    on_shard_failure=self._on_shard_failure,
+                    on_shard_failure=self.stats.record_shard_failure,
                     wire_format=self.config.wire_format,
                     rpc_pipeline=self.config.rpc_pipeline,
                     coalesce_window_ms=self.config.coalesce_window_ms,
@@ -696,7 +627,7 @@ class QueryService:
             self.backend = make_backend(
                 self.config.backend,
                 num_workers=self.config.backend_workers,
-                on_fallback=self._on_backend_fallback,
+                on_fallback=self.stats.record_warning,
             )
             self.executor = PlanExecutor(
                 self.store,
@@ -709,7 +640,6 @@ class QueryService:
         self.plan_cache = PlanCache(self.config.plan_cache_size)
         self.template_cache = TemplateCache(self.config.template_cache_size)
         self.result_cache = ResultCache(self.config.result_cache_size)
-        self.stats = ServiceStats()
         #: the one metrics registry of the service: ServiceStats keeps
         #: its counters/histograms here, and render_prometheus() syncs
         #: transport gauges into it at scrape time.
@@ -722,7 +652,10 @@ class QueryService:
         #: slow_queries() — deque append is atomic, never synchronized.
         self._slow_queries: deque = deque(maxlen=32)
         self._version = 0
-        self._store_lock = _ReadWriteLock()
+        # Queries hold the read side while scanning the partitioned
+        # store; add_triples and rebalance take the write side, so a
+        # mutation never interleaves with a running scan.
+        self._store_lock = ReadWriteLock("QueryService._store_lock")
         self._flights_lock = checked(
             threading.Lock(), "QueryService._flights_lock"
         )
@@ -750,15 +683,6 @@ class QueryService:
         self.executor.prime()
 
     # -- lifecycle ---------------------------------------------------------
-
-    def _on_backend_fallback(self, message: str) -> None:
-        self.stats.record_warning(message)
-
-    def _on_shard_failure(self, shard: int, message: str) -> None:
-        """A shard worker died (or failed to respawn) under the RPC
-        transport; surfaced through admission stats and warnings."""
-        self.stats.record_shard_failure()
-        self.stats.record_warning(f"shard {shard} worker failure: {message}")
 
     def close(self) -> None:
         with self._pool_lock:
@@ -1262,6 +1186,7 @@ class QueryService:
         Batch timings measure submission-to-availability: each member's
         ``total_s`` starts when the batch is submitted.
         """
+        self._check_open()
         batch_started = time.perf_counter()
         items: list[BGPQuery | BaseException] = []
         for q in queries:

@@ -363,9 +363,11 @@ class ServiceStats:
         """Count submissions turned away by admission control."""
         self._count("rejected", count)
 
-    def record_shard_failure(self) -> None:
-        """Count one shard worker failure seen by the RPC transport."""
+    def record_shard_failure(self, shard: int, message: str) -> None:
+        """A shard worker died (or failed to respawn) under the RPC
+        transport; surfaced through admission stats and warnings."""
         self._count("shard_failures")
+        self.record_warning(f"shard {shard} worker failure: {message}")
 
     def record_optimizer_run(self) -> None:
         """Count one actual CliqueSquare optimizer invocation."""

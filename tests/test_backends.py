@@ -24,7 +24,7 @@ from repro.mapreduce.backends import (
     ThreadBackend,
     make_backend,
 )
-from repro.mapreduce.counters import ExecutionReport, JobMetrics, TaskMetrics
+from repro.mapreduce.counters import TaskMetrics
 from repro.mapreduce.engine import ClusterConfig, run_jobs
 from repro.mapreduce.jobs import (
     FnMapSpec,
@@ -415,86 +415,6 @@ class TestExplainSurface:
             assert executor.execute(plan).report.backend == "thread"
         finally:
             executor.close()
-
-
-class TestReportMerging:
-    def test_job_metrics_merge(self):
-        a = JobMetrics(name="j", map_time=3.0, reduce_time=1.0, overhead=5.0,
-                       total_work=10.0, map_only=False, tuples_shuffled=4,
-                       output_tuples=2)
-        b = JobMetrics(name="j", map_time=2.0, reduce_time=4.0, overhead=5.0,
-                       total_work=7.0, map_only=False, tuples_shuffled=1,
-                       output_tuples=3)
-        a.merge(b)
-        assert a.map_time == 3.0 and a.reduce_time == 4.0
-        assert a.overhead == 5.0
-        # The fixed job overhead (included in each worker's total) is
-        # paid once, not per worker: 10 + 7 - 5.
-        assert a.total_work == 12.0
-        assert a.tuples_shuffled == 5 and a.output_tuples == 5
-        assert a.time == 5.0 + 3.0 + 4.0
-
-    def test_job_metrics_merge_rejects_other_job(self):
-        with pytest.raises(ValueError):
-            JobMetrics(name="a").merge(JobMetrics(name="b"))
-
-    def test_execution_report_merge_recomputes_response_time(self):
-        r1 = ExecutionReport(
-            jobs=[
-                JobMetrics(name="a", map_time=4.0, total_work=4.0),
-                JobMetrics(name="b", map_time=1.0, total_work=1.0),
-            ],
-            levels=[["a"], ["b"]],
-            response_time=5.0,
-            total_work=5.0,
-        )
-        r2 = ExecutionReport(
-            jobs=[
-                JobMetrics(name="a", map_time=2.0, total_work=2.0),
-                JobMetrics(name="b", map_time=6.0, total_work=6.0),
-            ],
-            levels=[["a"], ["b"]],
-            response_time=8.0,
-            total_work=8.0,
-        )
-        r1.merge(r2)
-        assert [j.name for j in r1.jobs] == ["a", "b"]
-        # per level: max over workers, levels are barriers
-        assert r1.response_time == pytest.approx(4.0 + 6.0)
-        assert r1.total_work == pytest.approx(13.0)
-
-    def test_execution_report_merge_pays_job_overhead_once(self):
-        """Per-worker engine totals each include the job overhead; the
-        merged report must not double-count it."""
-        workers = [
-            ExecutionReport(
-                jobs=[JobMetrics(name="j", map_time=w, overhead=100.0,
-                                 total_work=100.0 + w)],
-                levels=[["j"]],
-                response_time=100.0 + w,
-                total_work=100.0 + w,
-            )
-            for w in (3.0, 5.0)
-        ]
-        merged = workers[0].merge(workers[1])
-        assert merged.jobs[0].total_work == pytest.approx(100.0 + 3.0 + 5.0)
-        assert merged.total_work == pytest.approx(100.0 + 3.0 + 5.0)
-        assert merged.response_time == pytest.approx(100.0 + 5.0)
-
-    def test_execution_report_merge_disjoint_jobs(self):
-        r1 = ExecutionReport(jobs=[JobMetrics(name="a", map_time=1.0)], levels=[["a"]])
-        r2 = ExecutionReport(jobs=[JobMetrics(name="b", map_time=2.0)], levels=[["b"]])
-        r1.merge(r2)
-        assert sorted(j.name for j in r1.jobs) == ["a", "b"]
-        assert r1.levels == [["a", "b"]]
-        assert r1.response_time == pytest.approx(2.0)
-
-    def test_backend_name_survives_merge(self):
-        r1 = ExecutionReport(backend="process")
-        r2 = ExecutionReport(backend="process")
-        assert r1.merge(r2).backend == "process"
-        r3 = ExecutionReport(backend="serial")
-        assert r1.merge(r3).backend == "process+serial"
 
 
 class TestOrderingStability:

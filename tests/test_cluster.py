@@ -5,7 +5,8 @@ shard-local snapshot-token invalidation, per-shard catalog statistics
 aggregating to the exact global catalog, incremental catalog maintenance
 under ``add_triples`` (delta == recompute), executor-level answer and
 report equality of sharded vs. unsharded execution, admission control,
-`ExecutionReport.merge` edge cases, and the per-shard explain output.
+the router's dispatch contract (owning shard, submission order), and the
+per-shard explain output.
 
 Service-level answer equality over the full LUBM workload across
 {backend} x {shards} x {transport} x {surface} lives in
@@ -16,20 +17,28 @@ transport's own protocol/fault tests live in ``tests/test_rpc.py``.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.cluster import (
     ShardRouter,
     ShardedPlanExecutor,
+    ShardedSnapshot,
     ShardedStore,
     shard_graph,
 )
+from repro.cluster.slots import initial_table
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics, triple_delta
-from repro.mapreduce.backends import split_workers
-from repro.mapreduce.counters import ExecutionReport, JobMetrics
+from repro.mapreduce.backends import (
+    ExecutionBackend,
+    TaskInvocation,
+    split_workers,
+)
+from repro.mapreduce.counters import ExecutionReport, TaskMetrics
+from repro.mapreduce.jobs import FnMapSpec, TaskContext
 from repro.partitioning.layout import PLACEMENTS
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor
@@ -266,12 +275,9 @@ class TestShardedExecution:
             result = executor.execute(plan)
             assert result.rows == expected.rows
             assert result.report.num_jobs == expected.report.num_jobs
-            assert result.report.response_time == pytest.approx(
-                expected.report.response_time
-            )
-            assert result.report.total_work == pytest.approx(
-                expected.report.total_work
-            )
+            assert result.report.response_time == expected.report.response_time
+            assert result.report.total_work == expected.report.total_work
+            assert result.report.jobs == expected.report.jobs
             assert result.report.shards == shards
             assert expected.report.shards == 0
             assert result.shard_tasks is not None
@@ -453,92 +459,14 @@ class TestAdmissionControl:
             service.close()
 
 
-# -- report merging edge cases -------------------------------------------------
-
-
-def _job(name, map_time=1.0, reduce_time=0.0, overhead=0.5, work=2.0):
-    return JobMetrics(
-        name=name,
-        map_time=map_time,
-        reduce_time=reduce_time,
-        overhead=overhead,
-        total_work=work,
-        map_only=reduce_time == 0.0,
-    )
+# -- one scheduler: the sharded report is the engine's report --------------------
 
 
 class TestReportMergeEdgeCases:
-    def test_merge_empty_into_empty(self):
-        report = ExecutionReport().merge(ExecutionReport())
-        assert report.num_jobs == 0
-        assert report.response_time == 0.0
-        assert report.total_work == 0.0
-
-    def test_merge_empty_report_is_identity(self):
-        full = ExecutionReport(
-            jobs=[_job("j1", work=3.0)],
-            levels=[["j1"]],
-            total_work=3.0,
-            response_time=1.5,  # = the job's overhead + map_time
-        )
-        before = (full.num_jobs, full.total_work, full.response_time)
-        full.merge(ExecutionReport(levels=[["j1"]]))
-        assert (full.num_jobs, full.total_work, full.response_time) == before
-
-    def test_merge_into_empty_copies_jobs(self):
-        donor = ExecutionReport(
-            jobs=[_job("j1", work=3.0)], levels=[["j1"]], total_work=3.0
-        )
-        merged = ExecutionReport().merge(donor)
-        assert merged.num_jobs == 1
-        # Never aliases the donor's metrics.
-        merged.jobs[0].total_work += 100.0
-        assert donor.jobs[0].total_work == 3.0
-
-    def test_mismatched_backends_concatenate_names(self):
-        a = ExecutionReport(backend="process")
-        b = ExecutionReport(backend="serial")
-        assert a.merge(b).backend == "process+serial"
-        same = ExecutionReport(backend="serial").merge(
-            ExecutionReport(backend="serial")
-        )
-        assert same.backend == "serial"
-
-    def test_mismatched_job_names_refuse_jobwise_merge(self):
-        with pytest.raises(ValueError, match="cannot merge"):
-            _job("a").merge(_job("b"))
-
-    def test_repeated_merge_is_associative(self):
-        def make(shard):
-            return ExecutionReport(
-                jobs=[
-                    _job(
-                        "j1",
-                        map_time=1.0 + shard,
-                        overhead=0.5,
-                        work=2.0 + shard,
-                    )
-                ],
-                levels=[["j1"]],
-                total_work=2.0 + shard,
-                response_time=1.5 + shard,
-            )
-
-        left = make(0).merge(make(1)).merge(make(2))
-        inner = make(1).merge(make(2))
-        right = make(0).merge(inner)
-        assert left.total_work == pytest.approx(right.total_work)
-        assert left.response_time == pytest.approx(right.response_time)
-        assert left.num_jobs == right.num_jobs == 1
-        assert left.jobs[0].map_time == right.jobs[0].map_time == 3.0
-        # Overhead is paid once however the merges associate.
-        assert left.jobs[0].total_work == pytest.approx(
-            right.jobs[0].total_work
-        )
-
     def test_sharded_reports_merge_to_engine_report(self, university):
-        """End to end: per-shard reports merged by the router equal the
-        single-store engine's report for the same plan."""
+        """End to end: one engine schedules both runs, so the sharded
+        report equals the single-store report field for field (there
+        are no per-shard reports to merge any more)."""
         single = partition_graph(university, NUM_NODES)
         query = parse_query(STAR_QUERY)
         plan = cliquesquare(query, MSC).plans[0]
@@ -550,14 +478,9 @@ class TestReportMergeEdgeCases:
         )
         assert merged.num_jobs == expected.num_jobs
         assert merged.levels == expected.levels
-        assert merged.response_time == pytest.approx(expected.response_time)
-        assert merged.total_work == pytest.approx(expected.total_work)
-        for mine, theirs in zip(merged.jobs, expected.jobs):
-            assert mine.name == theirs.name
-            assert mine.map_time == pytest.approx(theirs.map_time)
-            assert mine.reduce_time == pytest.approx(theirs.reduce_time)
-            assert mine.tuples_shuffled == theirs.tuples_shuffled
-            assert mine.output_tuples == theirs.output_tuples
+        assert merged.response_time == expected.response_time
+        assert merged.total_work == expected.total_work
+        assert merged.jobs == expected.jobs
 
 
 # -- explain -------------------------------------------------------------------
@@ -615,11 +538,81 @@ class TestClusterPlumbing:
         two = shard_graph(university, NUM_NODES, 2)
         three = shard_graph(university, NUM_NODES, 3)
         executor = ShardedPlanExecutor(two)
-        query = parse_query(STAR_QUERY)
-        plan = cliquesquare(query, MSC).plans[0]
-        prepared = executor.prepare(plan)
+        ctx = TaskContext(num_nodes=NUM_NODES, store=three.snapshot())
         with pytest.raises(ValueError, match="shards"):
-            executor.router.execute(prepared.compiled, three.snapshot())
+            with executor.router.execution(ctx, ExecutionReport()):
+                pass
+
+    def test_dispatch_routes_by_slot_table_in_submission_order(self):
+        """The router's whole contract, on fake shards that finish in
+        reverse: every invocation runs on the shard owning its node
+        under the execution's own (here non-default) slot table, and
+        results come back in submission order."""
+        num_nodes, num_shards = 6, 3
+        table = initial_table(num_shards, num_nodes, slots=6).apply(
+            [(0, 0, 2), (4, 1, 0)]
+        )
+        assert [table.shard_of_node(n) for n in range(num_nodes)] == [
+            2, 1, 2, 0, 0, 2,
+        ]
+        finished: list[int] = []
+
+        class FakeShard(ExecutionBackend):
+            name = "fake"
+
+            def __init__(self, shard: int, delay: float) -> None:
+                self.shard, self.delay = shard, delay
+
+            def run(self, invocations, ctx):
+                time.sleep(self.delay)
+                finished.append(self.shard)
+                if invocations[0].phase == "map":
+                    return [
+                        ([], [(self.shard, inv.node)], TaskMetrics())
+                        for inv in invocations
+                    ]
+                return [
+                    ([(self.shard, inv.args[0])] * 2, TaskMetrics())
+                    for inv in invocations
+                ]
+
+        router = ShardRouter(
+            num_nodes,
+            num_shards,
+            backends=[FakeShard(0, 0.2), FakeShard(1, 0.1), FakeShard(2, 0.0)],
+        )
+        snapshot = ShardedSnapshot(
+            num_nodes=num_nodes,
+            num_shards=num_shards,
+            shards=(None,) * num_shards,
+            token=("fake", 0),
+            table=table,
+        )
+        spec = FnMapSpec(lambda: None)
+        maps = [
+            TaskInvocation(spec, (), "j", node, "map", 0)
+            for node in (5, 0, 3, 1, 4, 2, 0)
+        ]
+        reduces = [
+            TaskInvocation(spec, (p, {}), "j", p % num_nodes, "reduce", 0)
+            for p in (7, 3, 2)
+        ]
+        report = ExecutionReport()
+        try:
+            ctx = TaskContext(num_nodes=num_nodes, store=snapshot)
+            with router.execution(ctx, report) as ctx:
+                mapped = router.run(maps, ctx)
+                assert finished == [2, 1, 0]
+                reduced = router.run(reduces, ctx)
+        finally:
+            router.close()
+        assert [direct for _emits, direct, _m in mapped] == [
+            [(table.shard_of_node(inv.node), inv.node)] for inv in maps
+        ]
+        assert [rows[0] for rows, _m in reduced] == [(1, 7), (0, 3), (2, 2)]
+        assert (report.shards, report.transport) == (3, "inproc")
+        assert report.shard_tasks == (3, 2, 5)
+        assert report.shard_rows == (2 + 2, 1 + 2, 4 + 2)
 
     def test_executor_rejects_node_mismatch(self, university):
         from repro.mapreduce.engine import ClusterConfig

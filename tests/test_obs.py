@@ -220,10 +220,21 @@ class TestServiceTracing:
             )
 
     def test_traced_sharded_inproc_has_shard_and_merge_spans(self, university):
+        """A sharded submission is the engine's own span tree with the
+        router's per-shard spans beneath each phase — and, with no
+        per-shard reports left to fold, no ``merge`` span."""
         with traced_service(university, shards=2) as service:
             trace = service.trace(service.submit(STAR_QUERY))
             names = {s.name for s in trace.spans}
-            assert {"level", "shard", "merge"} <= names
+            assert {
+                "prepare", "engine", "level", "map_phase", "reduce_phase",
+                "shard",
+            } <= names
+            assert "merge" not in names
+            by_id = {s.span_id: s for s in trace.spans}
+            for shard_span in trace.find("shard"):
+                phase = by_id[shard_span.parent_id]
+                assert phase.name == f"{shard_span.attrs['phase']}_phase"
             shards = {s.attrs["shard"] for s in trace.find("shard")}
             assert shards == {0, 1}
 

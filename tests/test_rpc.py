@@ -50,7 +50,9 @@ from repro.cluster.rpc import (
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
+from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.hdfs import DistributedRelation
+from repro.mapreduce.jobs import TaskContext
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor
 from repro.service import QueryService, ServiceConfig
@@ -230,12 +232,17 @@ class TestWorkerState:
         finally:
             state.close()
 
-    def test_bare_execute_raises_typed_error(self, university, prepared_star):
+    def test_bare_execute_raises_typed_error(self, university):
+        """An execution whose context names no prepared plan (bare task
+        specs through the engine) fails typed before any worker spawns."""
         router = RpcShardRouter(num_nodes=NUM_NODES, num_shards=2)
         try:
             snapshot = shard_graph(university, NUM_NODES, 2).snapshot()
+            ctx = TaskContext(num_nodes=NUM_NODES, store=snapshot)
             with pytest.raises(RpcError, match="execute_prepared"):
-                router.execute(prepared_star.compiled, snapshot)
+                with router.execution(ctx, ExecutionReport()):
+                    pass
+            assert router._clients == [None, None]
         finally:
             router.close()
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import threading
+import weakref
 
 import pytest
 
@@ -275,8 +277,29 @@ class TestLifecycleAndFailure:
             svc.submit(q)
         with pytest.raises(RuntimeError):
             svc.submit_batch([q, q])
+        # One member takes the no-pool fast path: still refused.
+        with pytest.raises(RuntimeError):
+            svc.submit_batch([q])
         with pytest.raises(RuntimeError):
             svc.add_triples([("<s>", "<p>", "<o>")])
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_closed_service_is_freed_without_the_cycle_collector(self, graph, shards):
+        # The executor's failure callbacks are bound to the stats, not to
+        # the service: no service -> executor -> service cycle, so the
+        # stores go when the last reference does, not at some later gen-2
+        # collection (which made peak memory differ from run to run).
+        gc.collect()
+        gc.disable()
+        try:
+            svc = QueryService(graph, ServiceConfig(shards=shards))
+            svc.submit(lubm_queries.query("Q2"))
+            refs = [weakref.ref(o) for o in (svc, svc.store, svc.executor)]
+            svc.close()
+            del svc
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestBatchErrorIsolation:
