@@ -53,6 +53,9 @@ LOCK_RANKS: dict[str, int] = {
     "_dedup_lock": 40,  # request-id dedup LRU
     "send_lock": 40,  # worker reply-write serialization
     "_lock": 40,  # leaf utility locks (caches, backends, router pool)
+    "ColumnarState.lock": 40,  # columnar id space (dictionary growth, scan
+    #   cache); taken by map tasks and, for foreign chunks only, reducers
+    #   on the shard dispatch pool, under the store read lock
     # -- observability (repro.obs; below every engine lock so spans and
     #    metrics may be recorded from any instrumented path) --------------
     "MetricsRegistry._lock": 41,  # family directory; held before children

@@ -24,6 +24,10 @@ behind that engine — the one thing a sharded deployment changes is
   partition on another shard's node cross shards in the reduce batch,
   and only there.  A map shuffler reads nothing but its own node's
   partition of an intermediate, so intermediates need no per-shard copy.
+  What crosses is the engine's chunks, untouched: in-process columnar
+  shards run on one shared backend — one id space — so a block emitted
+  on one shard is read as id columns on another; over rpc the frame
+  builder flattens chunks to the rows the wire carries.
 * **results come back in submission order**, whichever shard finishes
   first, so the engine's shuffle grouping — and with it answers and
   every report field — equal the unsharded run's by construction, for
@@ -407,6 +411,11 @@ class ShardedPlanExecutor(PlanExecutor):
         """An in-process router + per-shard backends for the store's
         *current* shard count, from the saved backend spec."""
         backend = self._backend_spec
+        if backend in (None, "serial", "columnar"):
+            # Inline backends keep no per-snapshot pool, so one instance
+            # serves every shard — and gives columnar shards one id
+            # space: a block shuffled across shards stays a block.
+            backend = make_backend(backend)
         if isinstance(backend, ExecutionBackend):
             if store.num_shards > 1 and isinstance(backend, ProcessBackend):
                 raise ValueError(
@@ -418,7 +427,7 @@ class ShardedPlanExecutor(PlanExecutor):
             parallel = not isinstance(backend, SerialBackend)
         else:
             workers = split_workers(
-                self._backend_workers, store.num_shards, backend or "serial"
+                self._backend_workers, store.num_shards, backend
             )
             on_fallback = self._on_fallback
             backends = [
@@ -437,7 +446,7 @@ class ShardedPlanExecutor(PlanExecutor):
                 )
                 for shard in range(store.num_shards)
             ]
-            parallel = backend not in (None, "serial")
+            parallel = True
         return ShardRouter(
             num_nodes=store.num_nodes,
             num_shards=store.num_shards,

@@ -87,7 +87,7 @@ from repro.mapreduce.backends import (
 from repro.columnar.wire import WIRE_FORMATS, ColumnarFrame, WireCodec
 from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
-from repro.mapreduce.jobs import TaskContext
+from repro.mapreduce.jobs import TaskContext, flatten
 from repro.obs.trace import (
     SpanAccumulator,
     attach_worker_spans,
@@ -764,8 +764,12 @@ class _WorkerState:
             ]
         elif msg.phase == "reduce":
             ctx = TaskContext(num_nodes=self.num_nodes, store=self.snapshot)
+            # Each tag's rows arrive as one list: a reducer's one chunk.
             invocations = [
-                TaskInvocation(bound.reduce_spec(job), (partition, grouped))
+                TaskInvocation(
+                    bound.reduce_spec(job),
+                    (partition, {tag: [rows] for tag, rows in grouped.items()}),
+                )
                 for job, partition, grouped in msg.tasks
             ]
         else:
@@ -2613,7 +2617,7 @@ class RpcShardRouter(ShardRouter):
                 inputs[name] = DistributedRelation(
                     attrs=relation.attrs,
                     partitions=[
-                        part if owner(node) == shard else []
+                        list(part) if owner(node) == shard else []
                         for node, part in enumerate(relation.partitions)
                     ],
                 )
@@ -2622,8 +2626,16 @@ class RpcShardRouter(ShardRouter):
                 for inv in batch
             )
         else:
+            # Chunks cross the wire as rows: one list per input tag.
             inputs = {}
-            tasks = tuple((inv.job, *inv.args) for inv in batch)
+            tasks = tuple(
+                (
+                    inv.job,
+                    inv.args[0],
+                    {tag: flatten(chunks) for tag, chunks in inv.args[1].items()},
+                )
+                for inv in batch
+            )
         msg = ExecuteLevel(
             key=state.key,
             binding=state.binding,

@@ -10,10 +10,12 @@ the representation:
 * :mod:`repro.columnar.engine` evaluates the physical task specs
   (``ChainMapSpec`` / ``MapOnlySpec`` / ``StarReduceSpec``) entirely in
   id space — selection is id comparison, the star join sorts and
-  probes id columns, projection slices columns — decoding back to term
-  tuples only at the spec boundary, so answers and counters stay
-  bit-identical to the tuple kernels (this powers the ``columnar``
-  execution backend, the query service's default where numpy imports);
+  probes id columns, projection slices columns — and hands blocks, not
+  rows, to the next task: the MapReduce engine exchanges them as
+  opaque chunks and terms are decoded once, when the answer is read.
+  Answers and counters stay bit-identical to the tuple kernels (this
+  powers the ``columnar`` execution backend, the query service's
+  default where numpy imports);
 * :mod:`repro.columnar.wire` packs rows crossing the RPC boundary into
   id buffers plus a delta of dictionary entries the peer does not hold
   yet, replacing pickled tuple lists as the shard wire format.

@@ -7,6 +7,14 @@ block round-trips losslessly through :func:`to_blocks` / :func:`to_rows`
 for any terms the dictionary can hold (IRIs, literals, blank nodes —
 any string).
 
+A block that leaves the task that built it — as a shuffle chunk, a
+job output, the answer — carries the dictionary its ids belong to.
+That makes it a *chunk* of :mod:`repro.mapreduce.jobs` (sized, iterates
+as term-tuple rows) for any consumer, while a consumer working over the
+same dictionary takes the id columns as they are (:func:`gather`); and
+it lets the block keep that dictionary out of any pickle (it pickles as
+its decoded rows).
+
 Columns are numpy ``int64`` arrays — the one representation between
 operators.  Without numpy this module still imports (the service reads
 :data:`HAVE_NUMPY` to resolve its default backend) but builds no
@@ -15,8 +23,9 @@ columns: ``make_backend("columnar")`` refuses there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.rdf.dictionary import Dictionary
 
@@ -53,9 +62,23 @@ class ColumnBlock:
 
     attrs: tuple[str, ...]
     columns: tuple
+    #: the dictionary the ids belong to (a reference, never a copy);
+    #: None only for blocks that stay inside one kernel computation
+    dictionary: Dictionary | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        """The term-tuple rows, decoded against the block's dictionary."""
+        return iter(self.to_rows())
+
+    def __reduce__(self):
+        # Crossing a process boundary with its dictionary would ship the
+        # whole term table per block; the rows are what the peer wants.
+        if self.dictionary is None:
+            return (ColumnBlock, (self.attrs, self.columns))
+        return (list, (self.to_rows(),))
 
     def index_of(self, attr: str) -> int:
         try:
@@ -75,8 +98,10 @@ class ColumnBlock:
         return list(zip(*self.columns))
 
     @classmethod
-    def empty(cls, attrs: Sequence[str]) -> "ColumnBlock":
-        return cls(tuple(attrs), tuple(empty_column() for _ in attrs))
+    def empty(
+        cls, attrs: Sequence[str], dictionary: Dictionary | None = None
+    ) -> "ColumnBlock":
+        return cls(tuple(attrs), tuple(empty_column() for _ in attrs), dictionary)
 
     @classmethod
     def from_id_rows(cls, attrs: Sequence[str], rows: Sequence[tuple]) -> "ColumnBlock":
@@ -98,11 +123,16 @@ class ColumnBlock:
         columns = tuple(
             make_column(dictionary.encode_many(terms)) for terms in zip(*rows)
         )
-        return cls(attrs, columns) if columns else cls.empty(attrs)
+        if not columns:
+            return cls.empty(attrs, dictionary)
+        return cls(attrs, columns, dictionary)
 
-    def to_rows(self, dictionary: Dictionary) -> list[tuple]:
-        """Decode back to term-tuple rows, preserving row order, one
+    def to_rows(self, dictionary: Dictionary | None = None) -> list[tuple]:
+        """Decode back to term-tuple rows (against the block's own
+        dictionary unless one is given), preserving row order, one
         column at a time."""
+        if dictionary is None:
+            dictionary = self.dictionary
         decode = dictionary.decode_many
         return list(zip(*[decode(col.tolist()) for col in self.columns]))
 
@@ -115,3 +145,58 @@ def to_blocks(relation, dictionary: Dictionary) -> ColumnBlock:
 def to_rows(block: ColumnBlock, dictionary: Dictionary) -> list[tuple]:
     """Decode a block to term-tuple rows (module-level alias)."""
     return block.to_rows(dictionary)
+
+
+# -- chunks in, chunks out ------------------------------------------------------
+
+
+def gather(
+    attrs: Sequence[str],
+    chunks: Iterable,
+    dictionary: Dictionary,
+    encode_rows: Callable[[Sequence[str], Iterable[tuple]], ColumnBlock] | None = None,
+) -> ColumnBlock:
+    """Every row of *chunks* as one block over *dictionary*.
+
+    Blocks already over that dictionary contribute their id columns
+    untouched (one ``np.concatenate`` per column when there are
+    several); any other chunk — a row list, a block from a foreign
+    dictionary — is iterated as rows and encoded by *encode_rows*.
+    """
+    blocks = [
+        chunk
+        if isinstance(chunk, ColumnBlock) and chunk.dictionary is dictionary
+        else encode_rows(attrs, chunk)
+        for chunk in chunks
+        if len(chunk)
+    ]
+    if not blocks:
+        return ColumnBlock.empty(attrs, dictionary)
+    if len(blocks) == 1:
+        return blocks[0]
+    columns = zip(*[block.columns for block in blocks])
+    return ColumnBlock(
+        tuple(attrs), tuple(np.concatenate(cols) for cols in columns), dictionary
+    )
+
+
+def chunk_rows(chunks: Iterable) -> list[tuple]:
+    """The term-tuple rows of a chunk sequence, in order.
+
+    A run of blocks over one dictionary is concatenated first, so each
+    of its columns is decoded once however many chunks held it; every
+    other chunk is iterated.
+    """
+    rows: list[tuple] = []
+    for dictionary, run in groupby(chunks, key=_dictionary_of):
+        if dictionary is None:
+            for chunk in run:
+                rows.extend(chunk)
+        else:
+            blocks = list(run)
+            rows.extend(gather(blocks[0].attrs, blocks, dictionary).to_rows())
+    return rows
+
+
+def _dictionary_of(chunk) -> Dictionary | None:
+    return chunk.dictionary if isinstance(chunk, ColumnBlock) else None

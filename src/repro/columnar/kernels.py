@@ -22,7 +22,12 @@ python loop over rows or keys:
   pair ``(131^len(term) mod 2^31, poly(term))`` is memoized in two id-
   indexed arrays, so a block's partitions are two gathers and four
   arithmetic ops per key column, yet every row lands on exactly the
-  reducer the tuple engine picks.
+  reducer the tuple engine picks; :func:`split_partitions` then cuts
+  the block into one sub-block per reducer with a stable ``argsort`` of
+  the partition vector and ``bincount`` slice bounds (views of one
+  permuted array per column, no per-row work).
+
+Output blocks carry their inputs' dictionary along.
 
 This is the only implementation: without numpy the module imports but
 its operators cannot run, and ``make_backend("columnar")`` refuses.
@@ -132,6 +137,7 @@ def _natural_join(left: ColumnBlock, right: ColumnBlock) -> ColumnBlock:
         left.attrs + tuple(right.attrs[i] for i in fresh),
         tuple(col[left_rows] for col in left.columns)
         + tuple(right.columns[i][right_rows] for i in fresh),
+        left.dictionary,
     )
 
 
@@ -161,7 +167,7 @@ def star_join_blocks(
     joined = inputs[0]
     for block in inputs[1:]:
         if not (len(joined) and len(block)):
-            return ColumnBlock.empty(output_schema(inputs))
+            return ColumnBlock.empty(output_schema(inputs), joined.dictionary)
         joined = _natural_join(joined, block)
     return joined
 
@@ -182,7 +188,7 @@ def project_block(block: ColumnBlock, attrs: Sequence[str]) -> ColumnBlock:
         if len(first) < len(codes):
             first.sort()
             cols = tuple(col[first] for col in cols)
-    return ColumnBlock(attrs, cols)
+    return ColumnBlock(attrs, cols, block.dictionary)
 
 
 # -- shuffle hashing ----------------------------------------------------------
@@ -265,3 +271,38 @@ def shuffle_partitions(
     hashes = memo.hash_columns([block.column(a) for a in key_attrs])
     return (hashes % num_reducers).tolist()
 
+
+def split_partitions(
+    block: ColumnBlock,
+    key_attrs: Sequence[str],
+    num_reducers: int,
+    memo: HashMemo,
+) -> list[tuple[int, ColumnBlock]]:
+    """*block* cut into ``(partition, sub-block)`` pairs, one per reducer
+    that gets rows: a row goes where :func:`shuffle_partitions` sends
+    it, and rows of one partition keep their order."""
+    if not len(block):
+        return []
+    hashes = memo.hash_columns([block.column(a) for a in key_attrs])
+    partitions = hashes % num_reducers
+    counts = np.bincount(partitions, minlength=num_reducers).tolist()
+    if max(counts) == len(block):
+        return [(counts.index(len(block)), block)]
+    order = partitions.argsort(kind="stable")
+    columns = [col[order] for col in block.columns]
+    attrs, dictionary = block.attrs, block.dictionary
+    out = []
+    start = 0
+    for partition, count in enumerate(counts):
+        if count:
+            end = start + count
+            out.append(
+                (
+                    partition,
+                    ColumnBlock(
+                        attrs, tuple([col[start:end] for col in columns]), dictionary
+                    ),
+                )
+            )
+            start = end
+    return out

@@ -2,7 +2,12 @@
 
 Rows crossing the RPC boundary (map inputs, reduce exchange rows,
 result payloads) are packed as dictionary-encoded id buffers instead of
-pickled tuple lists.  Each endpoint of a connection keeps two
+pickled tuple lists.  The engine's chunks cross as rows: the frame
+builders flatten them, this codec packs row lists and unpacks to row
+lists (a map result's emits stay grouped per reduce partition: group
+sizes beside one row buffer, no per-row partition column).
+
+Each endpoint of a connection keeps two
 dictionaries, both deterministically seeded from the shard's resident
 :class:`StoreSnapshot` at prime time (node by node, file insertion
 order, triple order — the snapshot is the same pickled object on both
@@ -35,6 +40,7 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+from repro.columnar.block import chunk_rows
 from repro.mapreduce.hdfs import DistributedRelation
 from repro.rdf.dictionary import Dictionary
 
@@ -85,8 +91,10 @@ class PackedRelation:
 
 @dataclass(frozen=True)
 class PackedMapResult:
-    """One map task's result: emits as a ``(partition, tag, *ids)``
-    matrix, direct output rows, and the task metrics (pickled — tiny)."""
+    """One map task's result: emits grouped per reduce partition — the
+    ``(partition, tag, row count)`` of each group plus one packed row
+    set holding the groups back to back (:func:`pack_emits`) — the
+    direct output rows, and the task metrics (pickled — tiny)."""
 
     emits: object
     direct: object
@@ -172,32 +180,26 @@ def unpack_rows(packed, decode: Callable[[int], str]) -> list[tuple]:
     ]
 
 
-def pack_emits(emits: Sequence[tuple], encode: Callable[[str], int]):
-    """Shuffle emits ``(partition, tag, row)`` -> one packed matrix of
-    ``(partition, tag, *row_ids)`` rows."""
-    if not all(
-        type(partition) is int
-        and partition >= 0
-        and type(tag) is int
-        and tag >= 0
-        for partition, tag, _row in emits
-    ) or not _packable([row for _p, _t, row in emits]):
-        return RawRows(tuple(emits))
-    return _pack_matrix(
-        [
-            (partition, tag) + tuple(encode(term) for term in row)
-            for partition, tag, row in emits
-        ]
-    )
+def pack_emits(shuffle: Sequence[tuple], encode: Callable[[str], int]) -> tuple:
+    """A map task's shuffle output — ``(partition, tag, chunk)`` per
+    reduce partition — as ``(groups, rows)``: the ``(partition, tag, row
+    count)`` of every chunk, and all their rows back to back, packed
+    once (blocks over one dictionary decode together, see
+    :func:`~repro.columnar.block.chunk_rows`)."""
+    groups = tuple((partition, tag, len(chunk)) for partition, tag, chunk in shuffle)
+    rows = chunk_rows([chunk for _partition, _tag, chunk in shuffle])
+    return groups, pack_rows(rows, encode)
 
 
-def unpack_emits(packed, decode: Callable[[int], str]) -> list[tuple]:
-    if isinstance(packed, RawRows):
-        return list(packed.rows)
-    return [
-        (ids[0], ids[1], tuple(decode(i) for i in ids[2:]))
-        for ids in _unpack_matrix(packed)
-    ]
+def unpack_emits(packed: tuple, decode: Callable[[int], str]) -> list[tuple]:
+    groups, rows = packed
+    rows = unpack_rows(rows, decode)
+    shuffle = []
+    start = 0
+    for partition, tag, count in groups:
+        shuffle.append((partition, tag, rows[start : start + count]))
+        start += count
+    return shuffle
 
 
 # -- the codec ----------------------------------------------------------------
@@ -307,7 +309,9 @@ class WireCodec:
     def _pack_results(self, reply):
         """A ``ResultsReply`` with packed results: map results are
         ``(emits, direct, metrics)`` triples, reduce results
-        ``(rows, metrics)`` pairs; no frame wrapping."""
+        ``(rows, metrics)`` pairs, their chunks flattened to rows here
+        (whatever a task returned — row list or id block — the peer gets
+        row lists back); no frame wrapping."""
         encode = self.send.encode
         packed = []
         for result in reply.results:
@@ -316,14 +320,16 @@ class WireCodec:
                 packed.append(
                     PackedMapResult(
                         emits=pack_emits(emits, encode),
-                        direct=pack_rows(direct, encode),
+                        direct=pack_rows(list(direct), encode),
                         metrics=metrics,
                     )
                 )
             else:
                 rows, metrics = result
                 packed.append(
-                    PackedReduceResult(rows=pack_rows(rows, encode), metrics=metrics)
+                    PackedReduceResult(
+                        rows=pack_rows(list(rows), encode), metrics=metrics
+                    )
                 )
         return replace(reply, results=packed)
 

@@ -18,7 +18,8 @@ the tasks of a level actually run:
 * :class:`ColumnarBackend` — inline like serial, but the plan task
   specs run as bulk id-space kernels over dictionary-encoded
   :class:`~repro.columnar.block.ColumnBlock` columns (numpy int64
-  arrays); see :mod:`repro.columnar`.  The query service's default
+  arrays) that stay blocks from task to task; see :mod:`repro.columnar`.
+  The query service's default
   where numpy imports (``ServiceConfig.backend``); without numpy
   :func:`make_backend` raises :class:`BackendUnavailable` for it.
   ``make_backend(None)`` stays serial, the reference.
@@ -191,43 +192,32 @@ class ColumnarBackend(ExecutionBackend):
     reports are identical to serial by the engine's counter-parity
     contract (the conformance matrix enforces it).
 
-    State (the term dictionary, hash memo, encoded-scan cache) is keyed
-    by store snapshot token, so a store mutation naturally starts a
-    fresh encoding; a few old snapshots are kept for in-flight queries.
+    The backend owns one id space for its whole life — term dictionary,
+    hash memo, and an encoded-scan cache whose keys carry the snapshot
+    token (:class:`~repro.columnar.engine.ColumnarState`) — so one
+    instance serves any number of snapshots at once: every shard of an
+    in-process sharded executor, or a store across its mutations (a new
+    version's scans are encoded afresh, against the same ids).  Task
+    results are blocks over that dictionary; see
+    :mod:`repro.columnar.engine` for who may read them as id columns.
     """
 
     name = "columnar"
 
-    #: Snapshot states retained (current + a few superseded in-flight).
-    MAX_STATES = 4
-
     def __init__(self) -> None:
-        self._lock = checked(threading.Lock(), "ColumnarBackend._lock")
-        self._states: dict = {}  # guarded-by: _lock
-
-    def _state_for(self, ctx: TaskContext):
         from repro.columnar.engine import ColumnarState
 
-        token = store_token(ctx.store, ctx.num_nodes)
-        with self._lock:
-            state = self._states.get(token)
-            if state is None:
-                while len(self._states) >= self.MAX_STATES:
-                    self._states.pop(next(iter(self._states)))
-                state = self._states[token] = ColumnarState()
-        return state
+        check_backend_available(self.name)
+        self.state = ColumnarState()
 
     def run(self, invocations: Sequence[TaskInvocation], ctx: TaskContext) -> list:
         from repro.columnar.engine import run_invocation
 
-        state = self._state_for(ctx)
+        state = self.state
         return _run_inline(
             invocations,
             lambda inv: run_invocation(inv.spec, inv.args, ctx, state),
         )
-
-    def prime(self, ctx: TaskContext) -> None:
-        self._state_for(ctx)
 
 
 class ThreadBackend(ExecutionBackend):

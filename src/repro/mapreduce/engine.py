@@ -2,7 +2,7 @@
 
 Executes a :class:`JobGraph` level by level (independent jobs run
 concurrently; dependent jobs wait), really running every task spec on
-real tuples, and charges simulated time from the task counters and the
+real data, and charges simulated time from the task counters and the
 §5.4 unit costs:
 
 * a job's map phase time is the maximum over nodes of the node's map
@@ -27,6 +27,13 @@ backend that runs each task on the shard owning its node — every
 phase and level it belongs to — so a sharded report is this engine's
 report, equal to the unsharded one field for field.
 
+The scheduler moves *chunks* (:mod:`repro.mapreduce.jobs`): a map task
+hands back one chunk per reduce partition it has rows for, the shuffle
+appends it to that partition's list, a reducer gets ``{tag: [chunks]}``
+and each node's output is the sequence of chunks its tasks returned.
+The level loop never iterates rows and never asks what a chunk is made
+of — row list or id-column block, it needs ``len`` only.
+
 Total work (the quantity the cost model of §5.4 estimates) is reported
 alongside the response time.
 """
@@ -43,7 +50,8 @@ from repro.mapreduce.backends import (
     TaskInvocation,
 )
 from repro.mapreduce.counters import ExecutionReport, JobMetrics, TaskMetrics
-from repro.mapreduce.jobs import JobGraph, MapReduceJob, Row, TaskContext
+from repro.mapreduce.hdfs import Chunks
+from repro.mapreduce.jobs import Chunk, JobGraph, MapReduceJob, TaskContext
 from repro.obs.trace import span
 
 
@@ -68,10 +76,11 @@ class _JobState:
         )
         self.node_work: dict[int, float] = defaultdict(float)
         self.reduce_work: dict[int, float] = defaultdict(float)
-        self.shuffle: dict[int, dict[int, list[Row]]] = defaultdict(
+        #: reduce partition -> input tag -> the chunks shuffled there
+        self.shuffle: dict[int, dict[int, list[Chunk]]] = defaultdict(
             lambda: defaultdict(list)
         )
-        self.outputs_per_node: list[list[Row]] = [[] for _ in range(num_nodes)]
+        self.outputs_per_node = [Chunks() for _ in range(num_nodes)]
 
 
 class MapReduceEngine:
@@ -92,10 +101,11 @@ class MapReduceEngine:
 
         ``ctx`` carries the worker-visible state (store snapshot, HDFS
         namespace); omitting it suits self-contained closure-style jobs.
-        Job ``on_complete`` callbacks receive the per-node output rows
-        (reducer outputs live on the reducer's node; map-only outputs on
-        the mapper's node), letting callers persist intermediates; they
-        always run in the driver, after the level's tasks returned.
+        Job ``on_complete`` callbacks receive the per-node outputs, each
+        a chunk of rows (reducer outputs live on the reducer's node;
+        map-only outputs on the mapper's node), letting callers persist
+        intermediates; they always run in the driver, after the level's
+        tasks returned.
         """
         if ctx is None:
             ctx = TaskContext(num_nodes=self.cluster.num_nodes)
@@ -137,13 +147,15 @@ class MapReduceEngine:
             results = iter(list(self.backend.run(invocations, ctx)))
         for state in states:
             job, metrics = state.job, state.metrics
+            num_reducers = max(job.num_reducers, 1)
             for task in job.map_tasks:
-                emits, direct, task_metrics = next(results)
-                state.node_work[task.node] += task_metrics.time(params)
-                metrics.total_work += task_metrics.time(params)
-                for partition, tag, row in emits:
-                    state.shuffle[partition % max(job.num_reducers, 1)][tag].append(row)
-                state.outputs_per_node[task.node % num_nodes].extend(direct)
+                shuffle, direct, task_metrics = next(results)
+                work = task_metrics.time(params)
+                state.node_work[task.node] += work
+                metrics.total_work += work
+                for partition, tag, chunk in shuffle:
+                    state.shuffle[partition % num_reducers][tag].append(chunk)
+                state.outputs_per_node[task.node % num_nodes].append(direct)
             metrics.map_time = max(state.node_work.values(), default=0.0)
 
         # Reduce phase: likewise, across all jobs of the level.
@@ -155,9 +167,7 @@ class MapReduceEngine:
                 continue
             assert job.reduce_spec is not None
             for partition in range(job.num_reducers):
-                grouped = {
-                    tag: rows for tag, rows in state.shuffle.get(partition, {}).items()
-                }
+                grouped = dict(state.shuffle.get(partition, ()))
                 reduce_invocations.append(
                     TaskInvocation(
                         job.reduce_spec,
@@ -172,15 +182,16 @@ class MapReduceEngine:
         if reduce_invocations:
             with span("reduce_phase", tasks=len(reduce_invocations)):
                 reduce_results = self.backend.run(reduce_invocations, ctx)
-            for (state, partition), (out_rows, task_metrics) in zip(
+            for (state, partition), (out, task_metrics) in zip(
                 owners, reduce_results
             ):
                 metrics = state.metrics
                 node = partition % num_nodes
-                state.reduce_work[node] += task_metrics.time(params)
-                metrics.total_work += task_metrics.time(params)
+                work = task_metrics.time(params)
+                state.reduce_work[node] += work
+                metrics.total_work += work
                 metrics.tuples_shuffled += task_metrics.tuples_shuffled
-                state.outputs_per_node[node].extend(out_rows)
+                state.outputs_per_node[node].append(out)
             for state in states:
                 if not state.job.map_only:
                     state.metrics.reduce_time = max(
@@ -192,9 +203,7 @@ class MapReduceEngine:
         for state in states:
             metrics = state.metrics
             metrics.total_work += params.job_overhead
-            metrics.output_tuples = sum(
-                len(rows) for rows in state.outputs_per_node
-            )
+            metrics.output_tuples = sum(map(len, state.outputs_per_node))
             if state.job.on_complete is not None:
                 state.job.on_complete(state.outputs_per_node)
             report.jobs.append(metrics)

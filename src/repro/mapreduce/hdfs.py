@@ -4,14 +4,51 @@ Job outputs are distributed relations: an attribute schema plus one row
 partition per cluster node (reduce task outputs stay on the reducer's
 node, as in Hadoop).  Later jobs' map shufflers read these partitions
 node-locally.
+
+A partition is a *chunk* in the sense of :mod:`repro.mapreduce.jobs`: a
+sized iterable of term-tuple rows.  The engine publishes each node's
+output as a :class:`Chunks` — the chunks the node's tasks returned, kept
+as they came (row lists from the tuple specs, id-column blocks from the
+columnar ones) — so a reader that understands a chunk's native form
+takes it from ``partition.chunks`` and every other reader just iterates
+rows.  A plain row list is a partition too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 Row = tuple
+
+
+class Chunks:
+    """A sequence of chunks that is itself a chunk: ``len`` is the total
+    row count, iteration yields every chunk's rows in order."""
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks: Iterable = ()) -> None:
+        self.chunks: list = list(chunks)
+
+    def append(self, chunk) -> None:
+        if len(chunk):
+            self.chunks.append(chunk)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.chunks))
+
+    def __iter__(self) -> Iterator[Row]:
+        return chain.from_iterable(self.chunks)
+
+    def __repr__(self) -> str:
+        return f"Chunks({self.chunks!r})"
+
+
+def chunks_of(partition) -> Sequence:
+    """The chunks a partition is made of (a plain row list is one)."""
+    return getattr(partition, "chunks", (partition,))
 
 
 @dataclass
@@ -19,7 +56,8 @@ class DistributedRelation:
     """A relation stored partitioned across cluster nodes."""
 
     attrs: tuple[str, ...]
-    partitions: list[list[Row]]
+    #: one chunk per node (see the module docstring)
+    partitions: list
 
     @classmethod
     def empty(cls, attrs: tuple[str, ...], num_nodes: int) -> "DistributedRelation":
@@ -27,6 +65,10 @@ class DistributedRelation:
 
     def __len__(self) -> int:
         return sum(len(p) for p in self.partitions)
+
+    def chunks(self) -> list:
+        """Every chunk of every partition, in node order."""
+        return [c for part in self.partitions for c in chunks_of(part)]
 
     def all_rows(self) -> list[Row]:
         out: list[Row] = []

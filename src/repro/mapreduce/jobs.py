@@ -18,15 +18,27 @@ hitting one demotes that backend to serial for good (a one-time,
 backend-wide fallback with a recorded warning), so keep closure jobs
 off backends meant to serve spec-based work in parallel.
 
-Map tasks emit either *shuffle output* — (partition, tag, row) triples
-destined for reducers — or *direct output* rows (map-only jobs).
-Reducers receive, for their partition, the rows grouped by tag.
+The unit every task exchanges with the engine is the *chunk*: any sized
+iterable of term-tuple rows (``len(chunk)`` rows, ``iter(chunk)`` yields
+them).  The tuple specs return row lists; the columnar specs return
+:class:`~repro.columnar.block.ColumnBlock` s, which a consumer sharing
+their dictionary reads as id columns and anyone else simply iterates.
+The engine only ever appends chunks and sums their lengths — it never
+looks inside one.
+
+A map task returns *shuffle output* — one ``(partition, tag, chunk)``
+per reduce partition it has rows for — and one *direct output* chunk
+(map-only jobs).  A reducer receives, for its partition, the chunks
+grouped by tag, and returns one chunk.  Closure-style tasks keep their
+historical per-row shapes (``(partition, tag, row)`` emits in,
+``{tag: rows}`` to the reducer): the two ``Fn*Spec`` adapters convert.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Collection
 
 from repro.mapreduce.counters import TaskMetrics
 
@@ -36,14 +48,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 Row = tuple
 
-#: Shuffle emission: (reduce partition, input tag, row).
-ShuffleEmit = tuple[int, int, Row]
+#: A sized iterable of term-tuple rows (see the module docstring).
+Chunk = Collection[Row]
 
-#: A map task returns shuffle emissions, direct output rows, and metrics.
-MapResult = tuple[list[ShuffleEmit], list[Row], TaskMetrics]
+#: Shuffle emission: (reduce partition, input tag, that partition's rows).
+ShuffleEmit = tuple[int, int, Chunk]
 
-#: A reducer consumes {tag: rows} for one partition and returns rows+metrics.
+#: A map task returns shuffle emissions, a direct output chunk, and metrics.
+MapResult = tuple[list[ShuffleEmit], Chunk, TaskMetrics]
+
+#: A closure-style map task's per-row result: (partition, tag, row) emits.
+RowMapResult = tuple[list[tuple[int, int, Row]], list[Row], TaskMetrics]
+
+#: A closure-style reducer consumes {tag: rows} for one partition and
+#: returns rows+metrics.
 ReduceFn = Callable[[int, dict[int, list[Row]]], tuple[list[Row], TaskMetrics]]
+
+
+def flatten(chunks) -> list[Row]:
+    """The rows of a chunk sequence, as one list."""
+    return list(chain.from_iterable(chunks))
 
 
 @dataclass
@@ -100,28 +124,37 @@ class MapTaskSpec(TaskSpec):
 
 
 class ReduceTaskSpec(TaskSpec):
-    """A reduce task spec: ``run(ctx, partition, grouped)`` returns
-    ``(rows, metrics)`` for one reduce partition."""
+    """A reduce task spec: ``run(ctx, partition, grouped)`` — *grouped*
+    maps each input tag to the list of chunks shuffled to this
+    partition — returns ``(chunk, metrics)``."""
 
 
 @dataclass(frozen=True)
 class FnMapSpec(MapTaskSpec):
-    """Adapter for closure-style map tasks (not process-safe)."""
+    """Adapter for closure-style map tasks (not process-safe): groups
+    the closure's per-row emits into one chunk per (partition, tag),
+    rows in emission order."""
 
-    fn: Callable[[], MapResult]  # lint: disable=SPEC001 — closure adapter for in-process backends only, never pickled
+    fn: Callable[[], RowMapResult]  # lint: disable=SPEC001 — closure adapter for in-process backends only, never pickled
 
     def run(self, ctx: TaskContext, *args) -> MapResult:
-        return self.fn()
+        row_emits, direct, metrics = self.fn()
+        groups: dict[tuple[int, int], list[Row]] = {}
+        for partition, tag, row in row_emits:
+            groups.setdefault((partition, tag), []).append(row)
+        shuffle = [(p, tag, rows) for (p, tag), rows in groups.items()]
+        return shuffle, direct, metrics
 
 
 @dataclass(frozen=True)
 class FnReduceSpec(ReduceTaskSpec):
-    """Adapter for closure-style reducers (not process-safe)."""
+    """Adapter for closure-style reducers (not process-safe): hands the
+    closure each tag's chunks flattened to one row list."""
 
     fn: ReduceFn  # lint: disable=SPEC001 — closure adapter for in-process backends only, never pickled
 
     def run(self, ctx: TaskContext, partition: int, grouped: dict) -> tuple:
-        return self.fn(partition, grouped)
+        return self.fn(partition, {tag: flatten(c) for tag, c in grouped.items()})
 
 
 @dataclass
@@ -135,7 +168,7 @@ class MapTask:
 
     node: int
     spec: MapTaskSpec | None = None
-    run: Callable[[], MapResult] | None = None
+    run: Callable[[], RowMapResult] | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -166,10 +199,11 @@ class MapReduceJob:
     reduce_spec: ReduceTaskSpec | None = None
     #: names of jobs whose output this job reads (scheduling DAG)
     depends_on: tuple[str, ...] = ()
-    #: callback invoked with (per-node output rows) once the job finishes;
-    #: used by executors to register results in simulated HDFS.  Always
-    #: runs in the driver process, so it may close over live state.
-    on_complete: Callable[[list[list[Row]]], None] | None = None
+    #: callback invoked with the per-node outputs (one chunk of rows per
+    #: node) once the job finishes; used by executors to register results
+    #: in simulated HDFS.  Always runs in the driver process, so it may
+    #: close over live state.
+    on_complete: Callable[[list[Chunk]], None] | None = None
 
     def __post_init__(self) -> None:
         if self.reducer is not None and self.reduce_spec is not None:

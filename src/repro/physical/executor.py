@@ -13,10 +13,17 @@ a :class:`~repro.mapreduce.jobs.TaskContext`.  That keeps plan execution
 backend-agnostic — the same compiled plan runs serially, on a thread
 pool, or fanned out across a process pool, with byte-identical answers.
 
+What a task hands the engine is a *chunk* (:mod:`repro.mapreduce.jobs`):
+these tuple specs return row lists — a map task one list per reduce
+partition, grouped inside the task — and read whatever chunks they are
+given by iterating them as rows.
+
 The ``run`` methods below are also the *reference semantics* for the
 vectorized evaluator: :mod:`repro.columnar.engine` executes these same
 three specs over dictionary-encoded :class:`~repro.columnar.block.ColumnBlock`
-columns instead of term tuples.  Both the produced rows (as multisets —
+columns instead of term tuples, and returns blocks as its chunks; a
+columnar answer is decoded to terms once, in
+:meth:`PlanExecutor.execute_prepared`.  Both the produced rows (as multisets —
 intermediate order is never observable, the reducers group by key and
 the final answer is a set) and every :class:`TaskMetrics` increment in
 this file are a compatibility contract: change the accounting here and
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 
 from repro.core.logical import LogicalPlan, rewrite_patterns
 from repro.cost.params import DEFAULT_PARAMS, CostParams
+from repro.columnar.block import chunk_rows
 from repro.mapreduce.backends import ExecutionBackend, make_backend
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.engine import ClusterConfig, MapReduceEngine
@@ -40,8 +48,9 @@ from repro.mapreduce.jobs import (
     MapTask,
     MapTaskSpec,
     ReduceTaskSpec,
-    Row,
+    Chunk,
     TaskContext,
+    flatten,
     stable_hash,
 )
 from repro.obs.trace import span
@@ -234,11 +243,13 @@ class ChainMapSpec(_ChainTaskSpec):
         if not isinstance(self.chain, (MapJoin, MapShuffler)):
             metrics.tuples_written += len(relation)
         key = relation.key(self.key_attrs)
-        emits = [
-            (stable_hash(key(row)) % self.num_reducers, self.tag, row)
-            for row in relation.rows
-        ]
-        return emits, [], metrics
+        partitions: dict[int, list] = {}
+        for row in relation.rows:
+            partitions.setdefault(
+                stable_hash(key(row)) % self.num_reducers, []
+            ).append(row)
+        shuffle = [(p, self.tag, rows) for p, rows in partitions.items()]
+        return shuffle, [], metrics
 
 
 @dataclass(frozen=True)
@@ -272,13 +283,13 @@ class StarReduceSpec(ReduceTaskSpec):
         metrics = TaskMetrics()
         inputs = []
         for tag, attrs in enumerate(self.child_attrs):
-            rows = grouped.get(tag, [])
+            rows = flatten(grouped.get(tag, ()))
             metrics.tuples_shuffled += len(rows)
             # Reducers merge-read the transferred runs from disk.
             metrics.tuples_read += len(rows)
             inputs.append(Relation(attrs, rows))
         if any(len(r) == 0 for r in inputs):
-            out_rows: list[Row] = []
+            out_rows: list[tuple] = []
         else:
             output = star_join(inputs, on=self.on)
             metrics.join_tuples += sum(len(r) for r in inputs) + len(output)
@@ -340,7 +351,7 @@ def job_from_spec(
 ) -> MapReduceJob:
     """Instantiate the :class:`MapReduceJob` for one compiled job spec.
 
-    ``on_complete`` receives the per-node output rows once the job
+    ``on_complete`` receives the per-node output chunks once the job
     finishes (executors use it to register results in simulated HDFS);
     an RPC shard worker passes ``None``: it only looks task specs up.
     """
@@ -498,8 +509,8 @@ class PlanExecutor:
             graph.add(self._build_job(spec, hdfs))
         with span("engine", jobs=len(compiled.jobs)):
             report = self.engine.execute(graph, ctx)
-        result_rel = hdfs.read("result")
-        rows = set(result_rel.all_rows())
+        # The one place an id-space answer turns back into terms.
+        rows = set(chunk_rows(hdfs.read("result").chunks()))
         return ExecutionResult(
             attrs=compiled.final_attrs,
             rows=rows,
@@ -514,7 +525,7 @@ class PlanExecutor:
     def _build_job(self, spec: JobSpec, hdfs: HDFS) -> MapReduceJob:
         out_attrs = job_output_attrs(spec)
 
-        def on_complete(outputs: list[list[Row]]) -> None:
+        def on_complete(outputs: list[Chunk]) -> None:
             hdfs.write(
                 spec.output_name,
                 DistributedRelation(attrs=out_attrs, partitions=outputs),

@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Generic, Hashable, TypeVar
+from typing import AbstractSet, Generic, Hashable, TypeVar
 
 from repro.analysis.locks import checked
 from repro.core.logical import LogicalPlan
@@ -145,7 +145,7 @@ class ResultEntry:
 
     version: int
     attrs: tuple[str, ...]
-    rows: frozenset[tuple]
+    rows: AbstractSet[tuple]
     plan: LogicalPlan
     report: ExecutionReport
     job_signature: str

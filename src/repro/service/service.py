@@ -63,7 +63,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Sequence
+from operator import itemgetter
+from typing import AbstractSet, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -248,7 +249,9 @@ class _Answer:
     """A resolved query in canonical variable space (shared by waiters)."""
 
     attrs: tuple[str, ...]
-    rows: frozenset[tuple]
+    #: the executor's answer set itself, never mutated: every outcome
+    #: gets its own copy from ``_project``
+    rows: AbstractSet[tuple]
     plan: LogicalPlan
     report: ExecutionReport
     job_signature: str
@@ -1670,7 +1673,7 @@ class QueryService:
         execute_s = time.perf_counter() - t0
         answer = _Answer(
             attrs=result.attrs,
-            rows=frozenset(result.rows),
+            rows=result.rows,
             plan=entry.plan,
             report=result.report,
             job_signature=result.job_signature(),
@@ -1709,8 +1712,10 @@ class QueryService:
         index = [answer.attrs.index(c) for c in wanted]
         if index == list(range(len(answer.attrs))):
             rows = set(answer.rows)
+        elif len(index) == 1:
+            rows = set(zip(map(itemgetter(index[0]), answer.rows)))
         else:
-            rows = {tuple(row[i] for i in index) for row in answer.rows}
+            rows = set(map(itemgetter(*index), answer.rows))
         total_s = time.perf_counter() - started
         ref = current_ref()
         return QueryOutcome(

@@ -470,7 +470,8 @@ class TestOrderingStability:
 
 
 class _EmitSpec:
-    """Emit three rows to partition 0, tagged 0 (picklable test spec)."""
+    """Emit one chunk of three rows to partition 0, tagged 0 (picklable
+    test spec)."""
 
     def __init__(self, start: int) -> None:
         self.start = start
@@ -482,4 +483,5 @@ class _EmitSpec:
         return ()
 
     def run(self, ctx):
-        return [(0, 0, (self.start + i,)) for i in range(3)], [], TaskMetrics()
+        rows = [(self.start + i,) for i in range(3)]
+        return [(0, 0, rows)], [], TaskMetrics()

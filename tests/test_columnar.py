@@ -33,6 +33,7 @@ from repro.columnar.wire import (
     unpack_emits,
     unpack_rows,
 )
+from repro.mapreduce.backends import ExecutionBackend, make_backend
 from repro.mapreduce.jobs import stable_hash
 from repro.rdf.dictionary import Dictionary
 from repro.relational.joins import star_join
@@ -196,13 +197,38 @@ def test_pack_rows_falls_back_on_ragged_or_nonstring():
 
 
 def test_pack_emits_roundtrip():
+    """A map result's emits cross the wire grouped per reduce partition:
+    the groups' sizes beside one packed row set, any chunk flattened."""
     d = Dictionary()
-    emits = [(3, 0, ("a", "b")), (1, 2, ("c", "a")), (0, 1, ("b", "b"))]
-    packed = pack_emits(emits, d.encode)
-    assert not isinstance(packed, RawRows)
-    assert unpack_emits(packed, d.decode) == emits
-    bad = [(-1, 0, ("a",))]
-    assert isinstance(pack_emits(bad, d.encode), RawRows)
+    emits = [
+        (3, 0, [("a", "b"), ("c", "a")]),
+        (1, 2, [("c", "a")]),
+        (0, 1, iter_only([("b", "b")])),
+    ]
+    groups, rows = packed = pack_emits(emits, d.encode)
+    assert groups == ((3, 0, 2), (1, 2, 1), (0, 1, 1))
+    assert isinstance(rows, PackedRows) and rows.count == 4
+    assert unpack_emits(packed, d.decode) == [
+        (p, t, list(chunk)) for p, t, chunk in emits
+    ]
+    assert unpack_emits(pack_emits([], d.encode), d.decode) == []
+    # rows that cannot be id-encoded fall back to their pickled form
+    mixed = [(0, 0, [("a",)]), (1, 0, [("a", 1)])]
+    assert isinstance(pack_emits(mixed, d.encode)[1], RawRows)
+    assert unpack_emits(pack_emits(mixed, d.encode), d.decode) == mixed
+
+
+class iter_only:
+    """A chunk in the minimal sense: sized and iterable, nothing else."""
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(self._rows)
 
 
 def test_wire_codec_delta_watermark_protocol():
@@ -515,6 +541,310 @@ def test_shared_state_under_concurrent_queries():
     assert not failures, failures[:3]
 
 
+# -- block-native dataflow: chunks from scan to answer ---------------------------
+
+
+def shuffler_ctx(attrs, rows):
+    """A one-node context whose HDFS file ``f`` holds *rows*, and the
+    map-shuffler chain that reads it."""
+    from repro.mapreduce.hdfs import HDFS, DistributedRelation
+    from repro.mapreduce.jobs import TaskContext
+    from repro.physical.operators import MapShuffler
+
+    hdfs = HDFS(num_nodes=1)
+    hdfs.write("f", DistributedRelation(attrs, [list(rows)]))
+    chain = MapShuffler(on=attrs[:1], source="f", source_attrs=attrs)
+    return TaskContext(num_nodes=1, hdfs=hdfs), chain
+
+
+def assert_split_matches_chain_map(attrs, rows, key_attrs, num_reducers):
+    """The columnar partition split puts on each reducer exactly the row
+    multiset ``ChainMapSpec.run`` routes there, under equal counters."""
+    from repro.columnar.engine import run_chain_map
+    from repro.physical.executor import ChainMapSpec
+
+    ctx, chain = shuffler_ctx(attrs, rows)
+    spec = ChainMapSpec(
+        chain=chain, node=0, tag=3, key_attrs=key_attrs, num_reducers=num_reducers
+    )
+    want_shuffle, want_direct, want_metrics = spec.run(ctx)
+    state = ColumnarState()
+    got_shuffle, got_direct, got_metrics = run_chain_map(spec, ctx, state)
+    assert got_metrics == want_metrics
+    assert len(got_direct) == len(want_direct) == 0
+    assert all(tag == 3 for _p, tag, _c in got_shuffle)
+    assert all(chunk.dictionary is state.dictionary for _p, _t, chunk in got_shuffle)
+    got = {p: sorted(chunk) for p, _tag, chunk in got_shuffle}
+    assert len(got) == len(got_shuffle)  # one chunk per partition
+    assert got == {p: sorted(chunk) for p, _tag, chunk in want_shuffle}
+    assert sum(len(chunk) for _p, _t, chunk in got_shuffle) == len(rows)
+
+
+@needs_numpy
+def test_partition_split_matches_chain_map_routing():
+    rng = random.Random(19)
+    attrs = ("?k1", "?k2", "?v")
+    for n in SIZES + (60, 200):
+        rows = random_relation(rng, attrs, TERMS, n).rows
+        for key_attrs in (("?k1",), ("?k2", "?k1"), ("?v", "?k1", "?k2")):
+            for num_reducers in (1, 2, 7, 9):
+                assert_split_matches_chain_map(attrs, rows, key_attrs, num_reducers)
+    # every row on one partition: the block goes through uncut
+    same_key = [("k", "x", f"v{i}") for i in range(25)]
+    assert_split_matches_chain_map(attrs, same_key, ("?k1", "?k2"), 7)
+
+
+def mixed_reduce_inputs(rng):
+    """A 2-input star-reduce task and, per tag, its rows cut three ways."""
+    from repro.physical.executor import StarReduceSpec
+
+    terms = [f"v{i}" for i in range(5)] + TERMS[:3]
+    child_attrs = (("?k", "?a"), ("?k", "?b", "?a"))
+    spec = StarReduceSpec(on=("?k",), child_attrs=child_attrs, project=("?b", "?k"))
+    rows = {
+        tag: random_relation(rng, attrs, terms, 18).rows
+        for tag, attrs in enumerate(child_attrs)
+    }
+    return spec, rows
+
+
+@needs_numpy
+def test_reducer_reads_mixed_chunks_like_the_tuple_reducer():
+    """Own-dictionary blocks, a foreign dictionary's blocks and plain row
+    lists, mixed under one tag: same rows, bit-equal counters as the
+    tuple reducer on the flattened rows."""
+    from repro.mapreduce.backends import ColumnarBackend, TaskInvocation
+    from repro.mapreduce.jobs import TaskContext
+
+    rng = random.Random(23)
+    backend = ColumnarBackend()
+    own, foreign = backend.state.dictionary, Dictionary()
+    foreign.encode_many([f"pad{i}" for i in range(50)])  # ids must not line up
+    for _ in range(20):
+        spec, rows = mixed_reduce_inputs(rng)
+        grouped = {}
+        for tag, attrs in enumerate(spec.child_attrs):
+            r = rows[tag]
+            grouped[tag] = [
+                ColumnBlock.from_rows(attrs, r[:5], own),
+                ColumnBlock.from_rows(attrs, r[5:9], foreign),
+                r[9:14],
+                ColumnBlock.from_rows(attrs, [], foreign),
+                iter_only(r[14:]),
+            ]
+        ctx = TaskContext(num_nodes=1)
+        want_rows, want_metrics = spec.run(ctx, 0, {t: [r] for t, r in rows.items()})
+        [(got, got_metrics)] = backend.run(
+            [TaskInvocation(spec, (0, grouped), "j", 0, "reduce", 0)], ctx
+        )
+        assert got_metrics == want_metrics
+        assert sorted(got) == sorted(want_rows)
+        if len(got):
+            assert got.dictionary is own
+        # and the tuple reducer reads the very same mix
+        assert spec.run(ctx, 0, grouped) == (want_rows, want_metrics)
+
+
+@needs_numpy
+def test_a_chunk_never_pickles_its_dictionary():
+    """What leaves a process — a pool worker's result, a pickle-wire
+    frame — must not drag the term table along: a block pickles as its
+    decoded rows."""
+    import pickle
+
+    from repro.cluster.rpc import ResultsReply
+    from repro.mapreduce.counters import TaskMetrics
+
+    d = Dictionary()
+    d.encode_many([f"<http://example.org/filler/{i}>" for i in range(5000)])
+    rows = [("a", "b"), ("c", "a")]
+    block = ColumnBlock.from_rows(("?x", "?y"), rows, d)
+    assert len(pickle.dumps(d)) > 100_000
+    map_result = ([(0, 0, block)], block, TaskMetrics())
+    reduce_result = (block, TaskMetrics())
+    frame = ResultsReply(results=[map_result, reduce_result])
+    for leaving in (block, map_result, reduce_result, frame):
+        data = pickle.dumps(leaving, pickle.HIGHEST_PROTOCOL)
+        assert len(data) < 1000
+        assert b"Dictionary" not in data and b"filler" not in data
+    assert pickle.loads(pickle.dumps(block)) == rows
+    clone = pickle.loads(pickle.dumps(frame))
+    assert clone.results[0][:2] == ([(0, 0, rows)], rows)
+    assert clone.results[1][0] == rows
+    # a bare kernel block (no dictionary) still round-trips as a block
+    bare = pickle.loads(pickle.dumps(ColumnBlock(block.attrs, block.columns)))
+    assert bare.id_rows() == block.id_rows()
+
+
+LUBM_UNIVERSITIES = 4
+
+
+@pytest.fixture(scope="module")
+def lubm_graph():
+    from repro.workloads import lubm
+
+    return lubm.generate(lubm.LUBMConfig(universities=LUBM_UNIVERSITIES))
+
+
+@needs_numpy
+def test_shared_backend_serves_five_shards_from_one_encoding(lubm_graph, monkeypatch):
+    """One ``ColumnarBackend`` instance behind 5 in-process shards: the
+    scans are encoded on the first execution and never again (the seed
+    kept 4 per-snapshot states and rebuilt one on every phase)."""
+    from repro.cluster import ShardedPlanExecutor, shard_graph
+    from repro.core.algorithm import cliquesquare
+    from repro.core.decomposition import MSC
+    from repro.mapreduce.backends import ColumnarBackend
+    from repro.partitioning.triple_partitioner import partition_graph
+    from repro.physical.executor import PlanExecutor
+    from repro.workloads import lubm_queries
+
+    plan = cliquesquare(lubm_queries.query("Q9"), MSC).plans[0]
+    reference = PlanExecutor(partition_graph(lubm_graph, 7))
+    want = reference.execute_prepared(reference.prepare(plan))
+
+    encodes = []
+    real = Dictionary.encode_many
+    monkeypatch.setattr(
+        Dictionary, "encode_many", lambda self, terms: encodes.append(1) or real(self, terms)
+    )
+    backend = ColumnarBackend()
+    executor = ShardedPlanExecutor(shard_graph(lubm_graph, 7, 5), backend=backend)
+    try:
+        prepared = executor.prepare(plan)
+        first = executor.execute_prepared(prepared)
+        assert first.rows == want.rows and first.rows
+        assert first.report.jobs == want.report.jobs
+        cold = len(encodes)
+        assert cold > 0
+        for _ in range(9):
+            assert executor.execute_prepared(prepared).rows == want.rows
+        assert len(encodes) == cold
+        assert executor.router.backends == [backend] * 5
+    finally:
+        executor.close()
+
+
+@needs_numpy
+def test_warm_submit_decodes_once_per_answer_column(lubm_graph, monkeypatch):
+    """Warm, single store, default columnar engine: ids from scan to
+    answer.  A submit decodes each answer column once and re-encodes
+    nothing — no task output is turned into rows and back."""
+    from repro import QueryService, ServiceConfig
+    from repro.workloads import lubm_queries
+
+    queries = lubm_queries.all_queries()
+    with QueryService(
+        lubm_graph, ServiceConfig(backend="columnar", result_cache_size=0)
+    ) as service:
+        for query in queries:
+            service.submit(query)
+        calls = {"decode_many": 0, "from_rows": 0, "encode_rows": 0}
+        answers = []
+
+        def counted(owner, name, make=lambda fn: fn):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, make(wrapper))
+
+        counted(Dictionary, "decode_many")
+        counted(ColumnarState, "encode_rows")
+        # from_rows is a classmethod: the bound original already has cls
+        counted(ColumnBlock, "from_rows", staticmethod)
+        execute = service.executor.execute_prepared
+
+        def recording_execute(prepared):
+            result = execute(prepared)
+            answers.append(result)
+            return result
+
+        monkeypatch.setattr(service.executor, "execute_prepared", recording_execute)
+        for query in queries:
+            decoded = calls["decode_many"]
+            outcome = service.submit(query)
+            assert not outcome.result_cache_hit
+            [answer] = answers[-1:]
+            assert len(answers) == queries.index(query) + 1
+            width = len(answer.attrs) if answer.rows else 0
+            assert calls["decode_many"] - decoded == width, query.name
+        assert any(answer.rows for answer in answers)
+        assert calls["from_rows"] == calls["encode_rows"] == 0
+
+
+class RecordingBackend(ExecutionBackend):
+    """Wraps a backend, keeping every task's ``TaskMetrics`` in order."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.seen = inner, inner.name, []
+
+    def run(self, invocations, ctx):
+        results = self.inner.run(invocations, ctx)
+        self.seen.extend(result[-1] for result in results)
+        return results
+
+
+def per_task_metrics(store, plans, backend):
+    from repro.physical.executor import PlanExecutor
+
+    recorder = RecordingBackend(make_backend(backend))
+    executor = PlanExecutor(store, backend=recorder)
+    out = []
+    for plan in plans:
+        result = executor.execute_prepared(executor.prepare(plan))
+        out.append((result.rows, result.report, list(recorder.seen)))
+        recorder.seen.clear()
+    executor.close()
+    return out
+
+
+@needs_numpy
+def test_task_metrics_bit_equal_serial_vs_columnar_on_lubm(lubm_graph):
+    from repro.core.algorithm import cliquesquare
+    from repro.core.decomposition import MSC
+    from repro.partitioning.triple_partitioner import partition_graph
+    from repro.workloads import lubm_queries
+
+    store = partition_graph(lubm_graph, 7)
+    plans = [cliquesquare(q, MSC).plans[0] for q in lubm_queries.all_queries()]
+    serial = per_task_metrics(store, plans, "serial")
+    columnar = per_task_metrics(store, plans, "columnar")
+    for (rows_s, report_s, tasks_s), (rows_c, report_c, tasks_c) in zip(serial, columnar):
+        assert rows_c == rows_s
+        assert tasks_c == tasks_s  # every task, every counter
+        assert report_c.jobs == report_s.jobs
+        assert report_c.response_time == report_s.response_time
+        assert report_c.total_work == report_s.total_work
+
+
+@needs_numpy
+def test_task_metrics_bit_equal_serial_vs_columnar_on_shape_corpus():
+    generators = pytest.importorskip("benchmarks.ledger.generators")
+    from itertools import islice
+
+    from repro.core.algorithm import cliquesquare
+    from repro.core.decomposition import MSC
+    from repro.partitioning.triple_partitioner import partition_graph
+    from repro.rdf.graph import RDFGraph
+    from repro.sparql.parser import parse_query
+
+    store = partition_graph(RDFGraph(generators.random_graph(12)), 7)
+    texts = dict.fromkeys(text for _cls, text in islice(generators.shape_stream(), 64))
+    plans = [
+        cliquesquare(parse_query(text), MSC, max_plans=1).plans[0] for text in texts
+    ]
+    serial = per_task_metrics(store, plans, "serial")
+    columnar = per_task_metrics(store, plans, "columnar")
+    assert any(rows for rows, _report, _tasks in serial)
+    for (rows_s, report_s, tasks_s), (rows_c, report_c, tasks_c) in zip(serial, columnar):
+        assert rows_c == rows_s
+        assert tasks_c == tasks_s
+        assert report_c.jobs == report_s.jobs
+
+
 # -- property-based (hypothesis, optional) ------------------------------------
 
 if HAVE_HYPOTHESIS:
@@ -558,3 +888,18 @@ if HAVE_HYPOTHESIS:
         block = ColumnBlock.from_rows(attrs, [tuple(terms)], d)
         got = shuffle_partitions(block, attrs, 1 << 31, HashMemo(d))
         assert got == [stable_hash(terms)]
+
+    @needs_numpy
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(term_st, term_st, term_st), max_size=200),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=9),
+        st.booleans(),
+    )
+    def test_prop_partition_split_matches_chain_map(rows, key_width, reducers, one_key):
+        attrs = ("?a", "?b", "?c")
+        if one_key and rows:  # every row on one partition
+            rows = [rows[0][:key_width] + row[key_width:] for row in rows]
+        assert_split_matches_chain_map(attrs, rows, attrs[:key_width], reducers)
+

@@ -40,9 +40,16 @@ from repro.cluster.rpc import (
     StatsReply,
     TableUpdate,
 )
-from repro.columnar.wire import ColumnarFrame
+from repro.columnar.wire import (
+    ColumnarFrame,
+    PackedMapResult,
+    PackedReduceResult,
+    PackedRows,
+    WireCodec,
+)
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
+from repro.mapreduce.counters import TaskMetrics
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor
 from repro.sparql.parser import parse_query
@@ -118,7 +125,12 @@ FRAME_EXAMPLES = {
     "Shutdown": Shutdown,
     "OkReply": lambda: OkReply(value=("k", ())),
     "ResultsReply": lambda: ResultsReply(
-        results=[[("row",)]],
+        # A map result — shuffle emits grouped per reduce partition, one
+        # direct chunk — and a reduce result, as the engine reads them.
+        results=[
+            ([(0, 0, [("row",)]), (2, 1, [("a",), ("b",)])], [], TaskMetrics()),
+            ([("row",)], TaskMetrics()),
+        ],
         spans=(("bind", -1, 0.0001, 0.002, {"tasks": 2}),),
     ),
     "BatchReply": lambda: BatchReply(replies=((7, OkReply()),)),
@@ -128,7 +140,22 @@ FRAME_EXAMPLES = {
     "Request": lambda: Request(id=3, msg=Stats()),
     "Reply": lambda: Reply(id=3, payload=OkReply(), encode_s=0.0005),
     "ColumnarFrame": lambda: ColumnarFrame(
-        payload=b"x", delta_start=0, delta_terms=("t",)
+        # The packed twin of the ResultsReply above: emits stay grouped
+        # per partition — group sizes beside one row buffer.
+        payload=ResultsReply(
+            results=[
+                PackedMapResult(
+                    emits=(((0, 0, 1),), PackedRows(1, (1,), b"\x00")),
+                    direct=PackedRows(0, (), b""),
+                    metrics=TaskMetrics(),
+                ),
+                PackedReduceResult(
+                    rows=PackedRows(1, (1,), b"\x00"), metrics=TaskMetrics()
+                ),
+            ]
+        ),
+        delta_start=0,
+        delta_terms=("t",),
     ),
 }
 
@@ -157,3 +184,20 @@ def test_frame_pickle_round_trip(name):
     assert type(clone) is type(frame)
     if name not in _IDENTITY_FIELDS:
         assert clone == frame
+
+
+def test_results_frame_codec_round_trip():
+    """The columnar codec turns the example ``ResultsReply`` into the
+    per-partition packed shape and back to row lists."""
+    sender, receiver = WireCodec(_snapshot()), WireCodec(_snapshot())
+    reply = FRAME_EXAMPLES["ResultsReply"]()
+    frame, commit = sender.encode_results(reply)
+    packed_map, packed_reduce = frame.payload.results
+    assert isinstance(packed_map, PackedMapResult)
+    groups, rows = packed_map.emits
+    assert groups == ((0, 0, 1), (2, 1, 2))
+    assert isinstance(rows, PackedRows) and rows.count == 3
+    assert isinstance(packed_reduce, PackedReduceResult)
+    commit()
+    assert receiver.decode_frame(pickle.loads(pickle.dumps(frame))) == reply
+
