@@ -44,18 +44,26 @@ LOCK_RANKS: dict[str, int] = {
     "_cond": 32,  # coalescer leader/pending wait
     "_serial_lock": 34,  # unpipelined request serialization
     "_send_lock": 36,  # frame write + codec commit ordering
+    "send_lock": 36,  # worker reply-write serialization (the worker's
+    #   twin of _send_lock: reply transcode + write + codec commit)
     "_registry_lock": 38,  # router template registry (snapshot reads only;
     #   taken inside _start_worker while the shard lock is held)
+    "WireCodec._lock": 38,  # one connection end's codec state (both wire
+    #   dictionaries, id maps, delta watermark); taken under the send
+    #   locks to encode and by the connection's reader to decode, and
+    #   held while an incoming frame's new terms grow the endpoint's own
+    #   id space (ColumnarState.lock on a worker, _ids_lock on the driver)
     # -- leaves -----------------------------------------------------------
     "_waiters_lock": 40,  # reply futures table
     "_counter_lock": 40,  # router per-level counters
     "_stats_lock": 40,  # worker telemetry gauges
     "_dedup_lock": 40,  # request-id dedup LRU
-    "send_lock": 40,  # worker reply-write serialization
     "_lock": 40,  # leaf utility locks (caches, backends, router pool)
     "ColumnarState.lock": 40,  # columnar id space (dictionary growth, scan
     #   cache); taken by map tasks and, for foreign chunks only, reducers
-    #   on the shard dispatch pool, under the store read lock
+    #   on the shard dispatch pool, under the store read lock — and by a
+    #   shard worker's recv thread under WireCodec._lock
+    "_ids_lock": 40,  # rpc router's driver-side id space (growth only)
     # -- observability (repro.obs; below every engine lock so spans and
     #    metrics may be recorded from any instrumented path) --------------
     "MetricsRegistry._lock": 41,  # family directory; held before children

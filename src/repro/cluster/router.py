@@ -27,7 +27,9 @@ behind that engine — the one thing a sharded deployment changes is
   What crosses is the engine's chunks, untouched: in-process columnar
   shards run on one shared backend — one id space — so a block emitted
   on one shard is read as id columns on another; over rpc the frame
-  builder flattens chunks to the rows the wire carries.
+  carries them as they are and the columnar codec re-bases a block's
+  ids from the sender's dictionary to the receiver's
+  (:mod:`repro.columnar.wire`).
 * **results come back in submission order**, whichever shard finishes
   first, so the engine's shuffle grouping — and with it answers and
   every report field — equal the unsharded run's by construction, for

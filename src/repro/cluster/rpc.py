@@ -20,9 +20,12 @@ socket, HMAC-authenticated, no third-party deps) that holds, resident:
   keyed to the snapshot token exactly like the in-process deployment.
 
 After a template is registered once, a query crosses the wire as
-per-level task metadata plus exchange rows (:class:`ExecuteLevel`,
+per-level task metadata plus exchange chunks (:class:`ExecuteLevel`,
 naming the template key and constant vector the worker binds lazily):
-the driver never re-ships task specs or operator chains.  Message
+the driver never re-ships task specs or operator chains, and on the
+columnar wire an id block crosses as id buffers — each end's codec
+re-bases them into the dictionary that end computes in, so neither the
+driver nor a columnar worker decodes a term to move it.  Message
 frames are pickled dataclasses with an explicit size cap; oversized
 frames and unknown message types surface as typed errors, never hangs.
 
@@ -61,6 +64,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import socket
 import threading
 import time
 from collections import OrderedDict
@@ -68,7 +72,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dataclass_replace
 from multiprocessing.connection import Client, Listener
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.analysis.locks import ReadWriteLock, checked
 from repro.cluster.router import ShardDispatch, ShardRouter
@@ -84,10 +88,11 @@ from repro.mapreduce.backends import (
     store_token,
     task_timing,
 )
+from repro.columnar.block import HAVE_NUMPY
 from repro.columnar.wire import WIRE_FORMATS, ColumnarFrame, WireCodec
 from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
-from repro.mapreduce.jobs import TaskContext, flatten
+from repro.mapreduce.jobs import TaskContext
 from repro.obs.trace import (
     SpanAccumulator,
     attach_worker_spans,
@@ -98,6 +103,7 @@ from repro.partitioning.triple_partitioner import StoreSnapshot
 from repro.physical.executor import job_from_spec
 from repro.physical.job_compiler import compile_plan
 from repro.physical.translate import PhysicalPlan, substitute_plan
+from repro.rdf.dictionary import Dictionary
 
 #: Hard cap on one pickled message frame (request or reply).  Large
 #: enough for any realistic exchange payload, small enough that a
@@ -228,8 +234,9 @@ class Prime:
     exchanges on this connection: ``"pickle"`` (tuple lists, the
     original format) or ``"columnar"`` (dictionary-encoded id buffers,
     see :mod:`repro.columnar.wire`).  Both ends seed their wire
-    dictionaries from this very snapshot, so priming is also the
-    synchronization point of the columnar protocol.
+    dictionaries from this very snapshot and start their id maps empty,
+    so priming is also the synchronization point of the columnar
+    protocol.
 
     ``epoch`` stamps the slot-table version this snapshot was sliced
     under; the worker adopts it as its topology epoch.
@@ -316,7 +323,10 @@ class ExecuteLevel:
     (``tag`` is None for map-only jobs) and ``inputs`` carries the
     shard-local slices of shuffled intermediates the level's map chains
     read.  ``phase="reduce"``: ``tasks`` are ``(job_name, partition,
-    grouped)`` — the cross-shard exchange rows.  Requests are
+    grouped)`` — the cross-shard exchange, ``{tag: chunks}`` as the
+    engine grouped it.  Chunks travel as they are: the columnar codec
+    packs id blocks into buffers, the pickle wire pickles them (a block
+    pickles as its rows).  Requests are
     self-contained (no execution state lives on the worker between
     levels), which is what makes respawn-and-retry safe.
 
@@ -394,6 +404,8 @@ class StatsReply:
     #: from the dedup cache (or dropped while still in flight)
     batches: int = 0
     deduped: int = 0
+    #: the worker end's :meth:`WireCodec.stats` (empty on the pickle wire)
+    wire: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -520,6 +532,21 @@ def plan_key(physical: PhysicalPlan) -> str:
     needs to be stable within one driver process.
     """
     return hashlib.sha1(pickle.dumps(physical)).hexdigest()[:16]
+
+
+def _no_delay(conn) -> None:
+    """Turn Nagle's algorithm off on a connection's TCP socket.
+
+    ``multiprocessing.connection`` writes a frame over 16 KiB as two
+    sends, header then body; with Nagle on, the body waits for the
+    header's ACK, which the peer delays (~40 ms on Linux) — one stall
+    per large frame, in either direction.
+    """
+    sock = socket.fromfd(conn.fileno(), socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    finally:
+        sock.close()  # the duplicate descriptor; the option stays set
 
 
 # -- the worker process --------------------------------------------------------
@@ -661,7 +688,12 @@ class _WorkerState:
         # Re-seed the wire codec: the driver does the same from the very
         # snapshot object it just sent, so both ends assign identical ids
         # to every resident term and the delta watermarks restart in sync.
-        self.wire = WireCodec(snapshot) if wire == "columnar" else None
+        # A columnar backend's id space is the codec's ``local``: frames
+        # unpack to blocks its tasks read as they are, and its result
+        # blocks are packed without decoding.
+        ids = getattr(self.backend, "state", None)
+        local = () if ids is None else (ids.dictionary, ids.lock)
+        self.wire = WireCodec(snapshot, *local) if wire == "columnar" else None
         with self._stats_lock:
             self.primes += 1
         # Revalidate the local backend against the new snapshot token: a
@@ -764,12 +796,8 @@ class _WorkerState:
             ]
         elif msg.phase == "reduce":
             ctx = TaskContext(num_nodes=self.num_nodes, store=self.snapshot)
-            # Each tag's rows arrive as one list: a reducer's one chunk.
             invocations = [
-                TaskInvocation(
-                    bound.reduce_spec(job),
-                    (partition, {tag: [rows] for tag, rows in grouped.items()}),
-                )
+                TaskInvocation(bound.reduce_spec(job), (partition, grouped))
                 for job, partition, grouped in msg.tasks
             ]
         else:
@@ -782,6 +810,7 @@ class _WorkerState:
         with self._bound_lock:
             templates = len(self.templates)
             bound_instances = len(self.bound)
+        wire = {} if self.wire is None else self.wire.stats()
         with self._stats_lock:
             return StatsReply(
                 shard=self.shard,
@@ -801,6 +830,7 @@ class _WorkerState:
                 peak_inflight=self.peak_inflight,
                 batches=self.batches,
                 deduped=self.deduped,
+                wire=wire,
             )
 
     def close(self) -> None:
@@ -938,6 +968,7 @@ def _worker_main(
         pipeline=concurrency,
     )
     conn = listener.accept()
+    _no_delay(conn)
     send_lock = checked(threading.Lock(), "worker.send_lock")
     pool = (
         ThreadPoolExecutor(
@@ -1020,16 +1051,19 @@ def _worker_main(
                 commit()
             return payload
 
-    def run_item(level: ExecuteLevel, received: float):
+    def run_item(level: ExecuteLevel, received: float, decoded: float):
         """Execute one level under the read lock; errors become typed
         per-item replies, never thread deaths.  *received* is the
         frame-receipt instant — the worker-side t0 every traced span
-        offset is relative to (queue wait = receipt to start)."""
+        offset is relative to — and *decoded* the instant the recv
+        thread had the frame unpickled and unpacked (queue wait =
+        decoded to start)."""
         state.begin_execute()
         acc = None
         if level.trace_ctx is not None:
             acc = SpanAccumulator(received)
-            acc.record("queue_wait", received, time.perf_counter())
+            acc.record("decode", received, decoded)
+            acc.record("queue_wait", decoded, time.perf_counter())
         try:
             lock_t0 = time.perf_counter()
             with state.rwlock.read():
@@ -1044,18 +1078,27 @@ def _worker_main(
         finally:
             state.end_execute()
 
-    def run_level(rid: int, msg: ExecuteLevel, received: float) -> None:
-        reply = run_item(msg, received)
+    def run_level(
+        rid: int, msg: ExecuteLevel, received: float, decoded: float
+    ) -> None:
+        reply = run_item(msg, received, decoded)
         dedup_finish(rid, send_reply(rid, reply))
 
     def run_batch_item(
-        agg: _BatchAggregate, index: int, sub_rid: int, level, received: float
+        agg: _BatchAggregate,
+        index: int,
+        sub_rid: int,
+        level,
+        received: float,
+        decoded: float,
     ) -> None:
-        if agg.finish(index, sub_rid, run_item(level, received)):
+        if agg.finish(index, sub_rid, run_item(level, received, decoded)):
             reply = BatchReply(replies=tuple(agg.replies))
             dedup_finish(agg.rid, send_reply(agg.rid, reply))
 
-    def run_batch(rid: int, msg: ExecuteBatch, received: float) -> None:
+    def run_batch(
+        rid: int, msg: ExecuteBatch, received: float, decoded: float
+    ) -> None:
         state.note_batch()
         items = tuple(msg.items)
         if not items:
@@ -1063,7 +1106,7 @@ def _worker_main(
             return
         if pool is None:
             replies = tuple(
-                (sub_rid, run_item(level, received))
+                (sub_rid, run_item(level, received, decoded))
                 for sub_rid, level in items
             )
             dedup_finish(rid, send_reply(rid, BatchReply(replies=replies)))
@@ -1073,7 +1116,9 @@ def _worker_main(
         # to finish sends the combined reply.
         agg = _BatchAggregate(rid, len(items))
         for index, (sub_rid, level) in enumerate(items):
-            pool.submit(run_batch_item, agg, index, sub_rid, level, received)
+            pool.submit(
+                run_batch_item, agg, index, sub_rid, level, received, decoded
+            )
 
     try:
         while True:
@@ -1153,6 +1198,7 @@ def _worker_main(
                             "Prime established a wire codec"
                         )
                     msg = state.wire.decode_frame(msg)
+                decoded = time.perf_counter()
                 if isinstance(msg, ExecuteLevel):
                     state.note_queued(1)
                     if pool is None or (state.idle() and not conn.poll(0)):
@@ -1162,13 +1208,13 @@ def _worker_main(
                         # per-level latency tax).  At worst a request
                         # arriving mid-level waits one level before the
                         # loop resumes dispatching to the pool.
-                        run_level(rid, msg, received)
+                        run_level(rid, msg, received, decoded)
                     else:
-                        pool.submit(run_level, rid, msg, received)
+                        pool.submit(run_level, rid, msg, received, decoded)
                     continue
                 if isinstance(msg, ExecuteBatch):
                     state.note_queued(len(msg.items))
-                    run_batch(rid, msg, received)
+                    run_batch(rid, msg, received, decoded)
                     continue
                 if isinstance(
                     msg,
@@ -1216,16 +1262,19 @@ class _Waiter:
     """One in-flight request's completion slot in the futures table.
 
     ``encode_s`` relays the worker's reply-encode time (from the
-    :class:`Reply` envelope) alongside the payload for traced calls.
+    :class:`Reply` envelope) and ``received`` the instant the reader
+    thread had the reply's bytes, alongside the payload, for traced
+    calls.
     """
 
-    __slots__ = ("_event", "_value", "_error", "encode_s")
+    __slots__ = ("_event", "_value", "_error", "encode_s", "received")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self._value = None
         self._error: BaseException | None = None
         self.encode_s = 0.0
+        self.received = 0.0
 
     def resolve(self, value) -> None:
         self._value = value
@@ -1266,11 +1315,18 @@ class ShardWorkerClient:
         start_method: str | None = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
         pipeline: int = DEFAULT_RPC_PIPELINE,
+        local: Dictionary | None = None,
+        local_lock=None,
     ) -> None:
         self.shard = shard
         self.num_nodes = num_nodes
         self.num_shards = num_shards
         self.backend = backend
+        #: the driver's id space (shared by every connection of one
+        #: router) and the lock its growth takes: the ``local`` of this
+        #: connection's codecs; None keeps the driver on the row path
+        self.local = local
+        self.local_lock = local_lock
         self.backend_workers = backend_workers
         self.max_frame_bytes = max_frame_bytes
         self.start_method = start_method
@@ -1351,6 +1407,7 @@ class ShardWorkerClient:
                 )
             address = parent.recv()
             conn = Client(address, authkey=authkey)
+            _no_delay(conn)
         except WorkerSpawnError:
             self._reap(process)
             raise
@@ -1422,6 +1479,16 @@ class ShardWorkerClient:
             process.join(timeout=5)
             self._reap(process)
 
+    def reseed_codec(self, snapshot: StoreSnapshot, wire: str) -> None:
+        """Seed this end's codec from the snapshot the worker was just
+        handed — the same object on both sides, so ids agree end to end
+        (and both ends' id maps restart empty)."""
+        self.codec = (
+            WireCodec(snapshot, self.local, self.local_lock)
+            if wire == "columnar"
+            else None
+        )
+
     # -- requests ----------------------------------------------------------
 
     def _read_loop(self, conn) -> None:
@@ -1434,6 +1501,7 @@ class ShardWorkerClient:
         try:
             while True:
                 data = conn.recv_bytes(self.max_frame_bytes)
+                received = time.perf_counter()
                 reply = pickle.loads(data)
                 if not isinstance(reply, Reply):
                     continue
@@ -1461,6 +1529,7 @@ class ShardWorkerClient:
                     waiter = self._waiters.pop(reply.id, None)
                 if waiter is not None:
                     waiter.encode_s = reply.encode_s
+                    waiter.received = received
                     waiter.resolve(payload)
                 # Unknown ids are replies whose waiter gave up: dropped.
         except BaseException as exc:
@@ -1474,7 +1543,7 @@ class ShardWorkerClient:
         for waiter in waiters.values():
             waiter.fail(error)
 
-    def request(self, msg, on_bytes=None, on_encode=None):
+    def request(self, msg, on_bytes=None, on_wire=None):
         """One request/reply exchange; raises the typed error a worker
         replied with, or a transport error when the worker is gone.
 
@@ -1485,17 +1554,19 @@ class ShardWorkerClient:
         on); the reply is awaited outside every lock, so concurrent
         requests pipeline on the socket.
 
-        ``on_encode`` (like ``on_bytes``) is called after a successful
-        exchange with the worker's reply-encode seconds from the
-        :class:`Reply` envelope — the only place that timing can live,
-        since a span inside the payload cannot time its own encoding.
+        ``on_wire`` (like ``on_bytes``) is called after a successful
+        exchange with the :class:`WireTimes` of the round trip: when
+        the frame left, when the reply arrived, and the worker's
+        reply-encode seconds from the :class:`Reply` envelope — the
+        only place that timing can live, since a span inside the
+        payload cannot time its own encoding.
         """
         if self._serial_lock is not None:
             with self._serial_lock:
-                return self._request(msg, on_bytes, on_encode)
-        return self._request(msg, on_bytes, on_encode)
+                return self._request(msg, on_bytes, on_wire)
+        return self._request(msg, on_bytes, on_wire)
 
-    def _request(self, msg, on_bytes=None, on_encode=None):
+    def _request(self, msg, on_bytes=None, on_wire=None):
         waiter = _Waiter()
         with self._waiters_lock:
             if self.conn is None:
@@ -1527,6 +1598,10 @@ class ShardWorkerClient:
                         f"{type(msg).__name__} frame of {len(payload)} "
                         f"bytes exceeds the {self.max_frame_bytes}-byte cap"
                     )
+                # Stamped before the write: the write drops the
+                # interpreter lock, and getting it back can take longer
+                # than the worker takes to answer.
+                sent = time.perf_counter()
                 conn.send_bytes(payload)
                 if commit is not None:
                     commit()
@@ -1538,17 +1613,14 @@ class ShardWorkerClient:
             raise
         reply = waiter.wait()
         if isinstance(msg, Prime) and not isinstance(reply, ErrorReply):
-            # The prime that seeds the worker's codec seeds ours, from
-            # the same snapshot object — ids agree end to end.  Primes
+            # The prime that seeds the worker's codec seeds ours.  Primes
             # only happen at quiescence points (startup, mutation,
             # respawn), so no concurrent frame straddles the swap.
-            self.codec = (
-                WireCodec(msg.snapshot) if msg.wire == "columnar" else None
-            )
+            self.reseed_codec(msg.snapshot, msg.wire)
         if on_bytes is not None:
             on_bytes(len(payload))
-        if on_encode is not None:
-            on_encode(waiter.encode_s)
+        if on_wire is not None:
+            on_wire(WireTimes(sent, waiter.encode_s, waiter.received))
         if isinstance(reply, ErrorReply):
             raise reply.error
         return reply
@@ -1591,6 +1663,18 @@ class _RpcExecution(ShardDispatch):
             self.frames[shard] += frames
 
 
+class WireTimes(NamedTuple):
+    """The instants that split one round trip between the two ends
+    (driver ``perf_counter``), and what only the worker could time."""
+
+    #: the request frame went to the socket
+    sent: float
+    #: the worker's reply-encode seconds (:attr:`Reply.encode_s`)
+    worker_encode_s: float
+    #: the reader thread had the reply's bytes
+    received: float
+
+
 def _frame_trace_ctxs(msg) -> list[tuple]:
     """Every trace context an execute frame carries (a batch fans out
     to each item's own); empty for untraced or non-execute frames."""
@@ -1610,18 +1694,32 @@ def _record_level_span(
     reply,
     start: float,
     end: float,
-    encode_s: float,
+    times: WireTimes,
     shard: int,
     coalesced: int = 1,
 ) -> None:
     """Record one traced level round trip driver-side.
 
-    Re-anchors the worker's shipped span records at *start* (the only
-    shared instant the two clocks agree on — the driver's send is the
-    worker's receipt, minus wire latency) and appends the worker's
-    reply-encode time as a span at the tail of the round-trip window.
+    The children of the ``rpc:level`` span tile it, in time order:
+
+    * ``wire:encode`` — everything this end does until the frame is on
+      the socket: finding the live client, taking the send lock, frame
+      transcode + pickle + write (and, after a worker respawn or a
+      template shipped late, the attempt before);
+    * the worker's shipped span records, re-anchored at the instant the
+      frame was written (the only one the two clocks agree on — the
+      driver's send is the worker's receipt, minus wire latency);
+    * ``wire:transit`` — whatever of the window up to the reply's
+      arrival the worker did not report: the socket both ways, the
+      envelope pickles and the two process wake-ups, which the two
+      clocks cannot tell apart;
+    * the worker's reply-``encode`` time, ending where the reply was
+      read;
+    * ``wire:decode`` — the reader thread unpickling + decoding the
+      reply, through the hand-off to the requesting thread.
+
     ``coalesced`` > 1 marks members of a shared :class:`ExecuteBatch`
-    frame, whose round trip (and encode share) covers all members.
+    frame, whose round trip (and wire times) cover all members.
     """
     attrs = {"shard": shard, "level": msg.level, "phase": msg.phase}
     if coalesced > 1:
@@ -1629,15 +1727,28 @@ def _record_level_span(
     ref = record_remote(msg.trace_ctx, "rpc:level", start, end, **attrs)
     if ref is None:
         return
+    ctx = ref.ctx()
+    shared = {"shared": coalesced} if coalesced > 1 else {}
+    record_remote(ctx, "wire:encode", start, times.sent, shard=shard, **shared)
+    record_remote(ctx, "wire:decode", times.received, end, shard=shard, **shared)
     records = list(getattr(reply, "spans", None) or ())
+    encode_s = times.worker_encode_s
+    reported = max(
+        (
+            rel_start + duration
+            for _, parent, rel_start, duration, _ in records
+            if parent < 0
+        ),
+        default=0.0,
+    )
+    tail = max(reported, (times.received - times.sent) - encode_s)
+    if tail > reported:
+        records.append(("wire:transit", -1, reported, tail - reported, {}))
     if encode_s > 0.0:
-        records.append(
-            ("encode", -1, max(0.0, (end - start) - encode_s), encode_s, {})
-        )
-    if records:
-        attach_worker_spans(
-            ref, records, anchor=start, scale_hint=coalesced, shard=shard
-        )
+        records.append(("encode", -1, tail, encode_s, {}))
+    attach_worker_spans(
+        ref, records, anchor=times.sent, scale_hint=coalesced, shard=shard
+    )
 
 
 class _PendingLevel:
@@ -1736,24 +1847,26 @@ class _LevelCoalescer:
             )
         )
         sent = [0]
-        encode = [0.0]
+        wire: list[WireTimes] = []
 
         def on_bytes(n: int) -> None:
             sent[0] = n
 
         traced = any(item.msg.trace_ctx is not None for item in chunk)
-        on_encode = (
-            (lambda s: encode.__setitem__(0, s)) if traced else None
-        )
         router._note_frames(1)
         start = time.perf_counter()
-        reply = router._shard_call(shard, msg, on_bytes, on_encode)
+        reply = router._shard_call(
+            shard, msg, on_bytes, wire.append if traced else None
+        )
         end = time.perf_counter()
         # Attribute the shared frame's bytes across its members (the
         # remainder lands on the first few); each member rode 1 frame.
         # The worker's encode time is split equally the same way.
         share, spill = divmod(sent[0], len(chunk))
-        encode_share = encode[0] / len(chunk)
+        if traced:
+            times = wire[-1]._replace(
+                worker_encode_s=wire[-1].worker_encode_s / len(chunk)
+            )
         by_sub = dict(reply.replies)
         for index, (rid, item) in enumerate(zip(sub_rids, chunk)):
             if item.ctx is not None:
@@ -1765,7 +1878,7 @@ class _LevelCoalescer:
                     sub,
                     start,
                     end,
-                    encode_share,
+                    times,
                     shard,
                     coalesced=len(chunk),
                 )
@@ -1801,7 +1914,7 @@ class RpcShardRouter(ShardRouter):
     through in-process backends, the router sends each shard an
     :class:`ExecuteLevel` frame naming the tasks of its nodes (the specs
     themselves live worker-side, bound from the registered template),
-    plus the exchange rows.
+    plus the exchange chunks, shipped as the engine holds them.
     """
 
     transport = "rpc"
@@ -1883,6 +1996,14 @@ class RpcShardRouter(ShardRouter):
             threading.Lock(), "RpcShardRouter._registry_lock"
         )
         self._templates: dict[str, PhysicalPlan] = {}  # guarded-by: _registry_lock
+        #: the driver's id space: what comes back from any shard arrives
+        #: as id blocks over this one dictionary (grown by every
+        #: connection's codec, under the lock), so a block received
+        #: from one shard is re-shipped to another, and concatenated
+        #: into the answer, without touching a term.  None (no numpy)
+        #: keeps the driver on the codec's row path.
+        self._ids = Dictionary() if HAVE_NUMPY else None
+        self._ids_lock = checked(threading.Lock(), "RpcShardRouter._ids_lock")
         self._last_snapshot = None
         #: the slot table the fleet was last synchronized to (set by
         #: ensure_workers / migrate); stale-epoch re-routing consults it
@@ -2157,11 +2278,7 @@ class RpcShardRouter(ShardRouter):
                         # identical content and iteration order on both
                         # sides means identical term-id assignments.
                         if client is not None:
-                            client.codec = (
-                                WireCodec(shard_snapshot)
-                                if self.wire_format == "columnar"
-                                else None
-                            )
+                            client.reseed_codec(shard_snapshot, self.wire_format)
                             client.primed_token = shard_snapshot.token
             # Flip every surviving worker to the new epoch (monotone and
             # idempotent worker-side, so a respawn-retry is harmless).
@@ -2228,6 +2345,8 @@ class RpcShardRouter(ShardRouter):
             start_method=self.start_method,
             spawn_timeout=self.spawn_timeout,
             pipeline=self.pipeline,
+            local=self._ids,
+            local_lock=self._ids_lock,
         )
         try:
             client.start()
@@ -2376,7 +2495,7 @@ class RpcShardRouter(ShardRouter):
                 return current
             return self._recover(shard, reason)
 
-    def _shard_call(self, shard: int, msg, on_bytes=None, on_encode=None):
+    def _shard_call(self, shard: int, msg, on_bytes=None, on_wire=None):
         """One request to one shard, with the one-respawn retry budget.
 
         The shard lock guards only client lookup and recovery — the
@@ -2394,14 +2513,14 @@ class RpcShardRouter(ShardRouter):
         """
         client = self._ensure_client(shard)
         try:
-            return client.request(msg, on_bytes, on_encode)
+            return client.request(msg, on_bytes, on_wire)
         except _TRANSPORT_ERRORS as exc:
             retry_start = time.perf_counter()
             retry = self._recover_from(
                 shard, client, f"{type(exc).__name__}: {exc}"
             )
             try:
-                reply = retry.request(msg, on_bytes, on_encode)
+                reply = retry.request(msg, on_bytes, on_wire)
             except _TRANSPORT_ERRORS as retry_exc:
                 self._record_failure(
                     shard, f"request failed after respawn: {retry_exc!r}"
@@ -2525,24 +2644,22 @@ class RpcShardRouter(ShardRouter):
         )
         if msg.trace_ctx is None:
             return self._send_level(shard, msg, on_bytes)
-        encode = [0.0]
+        wire: list[WireTimes] = []
         start = time.perf_counter()
-        reply = self._send_level(
-            shard, msg, on_bytes, lambda s: encode.__setitem__(0, s)
-        )
+        reply = self._send_level(shard, msg, on_bytes, wire.append)
         _record_level_span(
-            msg, reply, start, time.perf_counter(), encode[0], shard
+            msg, reply, start, time.perf_counter(), wire[-1], shard
         )
         return reply
 
-    def _send_level(self, shard, msg, on_bytes=None, on_encode=None):
+    def _send_level(self, shard, msg, on_bytes=None, on_wire=None):
         """The raw round trip, self-healing the one typed failure lazy
         binding can produce: a worker missing the template (ad-hoc
         plans are registered driver-side only; respawns start empty
         between re-registration and use) gets it shipped, then the
         level is resent."""
         try:
-            return self._shard_call(shard, msg, on_bytes, on_encode)
+            return self._shard_call(shard, msg, on_bytes, on_wire)
         except TemplateNotRegistered:
             with self._registry_lock:
                 physical = self._templates.get(msg.key)
@@ -2551,7 +2668,7 @@ class RpcShardRouter(ShardRouter):
             self._shard_call(
                 shard, RegisterTemplate(msg.key, physical), on_bytes
             )
-            return self._shard_call(shard, msg, on_bytes, on_encode)
+            return self._shard_call(shard, msg, on_bytes, on_wire)
 
     def _level_call(
         self, shard: int, msg: ExecuteLevel, exec_ctx: _RpcExecution | None
@@ -2617,7 +2734,7 @@ class RpcShardRouter(ShardRouter):
                 inputs[name] = DistributedRelation(
                     attrs=relation.attrs,
                     partitions=[
-                        list(part) if owner(node) == shard else []
+                        part if owner(node) == shard else []
                         for node, part in enumerate(relation.partitions)
                     ],
                 )
@@ -2626,16 +2743,8 @@ class RpcShardRouter(ShardRouter):
                 for inv in batch
             )
         else:
-            # Chunks cross the wire as rows: one list per input tag.
             inputs = {}
-            tasks = tuple(
-                (
-                    inv.job,
-                    inv.args[0],
-                    {tag: flatten(chunks) for tag, chunks in inv.args[1].items()},
-                )
-                for inv in batch
-            )
+            tasks = tuple((inv.job, *inv.args) for inv in batch)
         msg = ExecuteLevel(
             key=state.key,
             binding=state.binding,

@@ -12,8 +12,11 @@ job output, the answer — carries the dictionary its ids belong to.
 That makes it a *chunk* of :mod:`repro.mapreduce.jobs` (sized, iterates
 as term-tuple rows) for any consumer, while a consumer working over the
 same dictionary takes the id columns as they are (:func:`gather`); and
-it lets the block keep that dictionary out of any pickle (it pickles as
-its decoded rows).
+it lets the block keep that dictionary out of any pickle: it pickles as
+its decoded rows.  That is the correct, slow way across a process
+boundary; a transport that wants the ids to cross packs the block first
+(:class:`repro.columnar.wire.WireCodec`), and then no block reaches
+``pickle`` at all.
 
 Columns are numpy ``int64`` arrays — the one representation between
 operators.  Without numpy this module still imports (the service reads
@@ -57,7 +60,9 @@ class ColumnBlock:
 
     The columnar analogue of :class:`~repro.relational.relation.Relation`:
     ``columns[i][r]`` is the id of row ``r``'s value for ``attrs[i]``.
-    All columns have equal length.
+    All columns have equal length.  As a chunk handed to another task
+    only the columns count: a consumer names them by the schema it
+    expects (:func:`gather`), exactly as it must for a row list.
     """
 
     attrs: tuple[str, ...]
@@ -65,19 +70,31 @@ class ColumnBlock:
     #: the dictionary the ids belong to (a reference, never a copy);
     #: None only for blocks that stay inside one kernel computation
     dictionary: Dictionary | None = field(default=None, repr=False, compare=False)
+    #: the row count of a block with no columns to take it from (the
+    #: answer of a variable-free pattern: that many empty rows)
+    count: int = 0
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return len(self.columns[0]) if self.columns else self.count
 
     def __iter__(self) -> Iterator[tuple]:
         """The term-tuple rows, decoded against the block's dictionary."""
         return iter(self.to_rows())
 
+    def __getitem__(self, rows: slice) -> "ColumnBlock":
+        """The sub-block of a row slice (views of the columns)."""
+        return ColumnBlock(
+            self.attrs,
+            tuple([col[rows] for col in self.columns]),
+            self.dictionary,
+            len(range(*rows.indices(self.count))),
+        )
+
     def __reduce__(self):
         # Crossing a process boundary with its dictionary would ship the
         # whole term table per block; the rows are what the peer wants.
         if self.dictionary is None:
-            return (ColumnBlock, (self.attrs, self.columns))
+            return (ColumnBlock, (self.attrs, self.columns, None, self.count))
         return (list, (self.to_rows(),))
 
     def index_of(self, attr: str) -> int:
@@ -94,7 +111,7 @@ class ColumnBlock:
     def id_rows(self) -> list[tuple]:
         """Rows as tuples of ids (row-major view of the columns)."""
         if not self.columns:
-            return []
+            return [()] * self.count
         return list(zip(*self.columns))
 
     @classmethod
@@ -120,6 +137,8 @@ class ColumnBlock:
         """Encode term-tuple rows against *dictionary* (growing it),
         one column at a time."""
         attrs = tuple(attrs)
+        if not attrs:
+            return cls(attrs, (), dictionary, sum(1 for _ in rows))
         columns = tuple(
             make_column(dictionary.encode_many(terms)) for terms in zip(*rows)
         )
@@ -133,6 +152,8 @@ class ColumnBlock:
         column at a time."""
         if dictionary is None:
             dictionary = self.dictionary
+        if not self.columns:
+            return [()] * self.count
         decode = dictionary.decode_many
         return list(zip(*[decode(col.tolist()) for col in self.columns]))
 
@@ -160,9 +181,11 @@ def gather(
 
     Blocks already over that dictionary contribute their id columns
     untouched (one ``np.concatenate`` per column when there are
-    several); any other chunk — a row list, a block from a foreign
-    dictionary — is iterated as rows and encoded by *encode_rows*.
+    several), whatever they call them — *attrs* names the result; any
+    other chunk — a row list, a block from a foreign dictionary — is
+    iterated as rows and encoded by *encode_rows*.
     """
+    attrs = tuple(attrs)
     blocks = [
         chunk
         if isinstance(chunk, ColumnBlock) and chunk.dictionary is dictionary
@@ -173,10 +196,16 @@ def gather(
     if not blocks:
         return ColumnBlock.empty(attrs, dictionary)
     if len(blocks) == 1:
-        return blocks[0]
+        block = blocks[0]
+        if block.attrs == attrs:
+            return block
+        return ColumnBlock(attrs, block.columns, dictionary, block.count)
     columns = zip(*[block.columns for block in blocks])
     return ColumnBlock(
-        tuple(attrs), tuple(np.concatenate(cols) for cols in columns), dictionary
+        attrs,
+        tuple(np.concatenate(cols) for cols in columns),
+        dictionary,
+        sum(block.count for block in blocks),
     )
 
 

@@ -8,10 +8,12 @@ output and reduce output are blocks carrying the state's dictionary —
 chunks, to the engine — and the next task over the same dictionary
 (a map shuffler, a reducer, on this shard or another in-process one)
 concatenates their id columns.  Terms reappear once, when
-``PlanExecutor.execute_prepared`` reads the answer.  A chunk that is
-not a block over this dictionary (a row list off the rpc wire, a tuple
-backend's output, a foreign dictionary's block) is iterated as rows
-and encoded — the correct, slower path.
+``PlanExecutor.execute_prepared`` reads the answer.  A shard worker's
+inputs are such blocks too: its end of the rpc codec unpacks frames
+straight into this dictionary.  A chunk that is not a block over this
+dictionary (a tuple backend's output, rows the wire could not pack, a
+foreign dictionary's block) is iterated as rows and encoded — the
+correct, slower path.
 
 Counter parity is structural: every counter the tuple kernels charge is
 a (multi)set cardinality — scanned triples, selected rows, join input
@@ -158,11 +160,13 @@ def eval_chain_block(
         # "unseen" means "matches no triple here"); repeated variables
         # require their columns to agree.
         lookup = state.dictionary.lookup
-        selected = select_bind(
-            columns,
-            [(pos, lookup(term)) for pos, term in constants],
-            var_positions,
-        )
+        const_checks = [(pos, lookup(term)) for pos, term in constants]
+        if not attrs:
+            # A variable-free pattern binds nothing: one empty row per
+            # matching triple, counted on the subject column.
+            (matched,) = select_bind(columns, const_checks, ((0,),))
+            return ColumnBlock((), (), state.dictionary, len(matched))
+        selected = select_bind(columns, const_checks, var_positions)
         return ColumnBlock(attrs, selected, state.dictionary)
     if isinstance(op, Filter):
         before = metrics.tuples_read

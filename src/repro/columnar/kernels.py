@@ -180,7 +180,8 @@ def project_block(block: ColumnBlock, attrs: Sequence[str]) -> ColumnBlock:
     (mirrors ``Relation.project``, row order included)."""
     attrs = tuple(attrs)
     if not attrs:
-        raise ValueError("cannot project a block onto an empty schema")
+        # Every row projects to the one empty tuple.
+        return ColumnBlock(attrs, (), block.dictionary, min(len(block), 1))
     cols = tuple(block.column(a) for a in attrs)
     if len(block) > 1:
         codes = _pack(cols)

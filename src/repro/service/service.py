@@ -202,9 +202,10 @@ class ServiceConfig:
     #: ShardUnavailable, counted in snapshot_stats().shard_failures.
     shard_transport: str = "inproc"
     #: row encoding of the rpc shard exchanges: "columnar" (default)
-    #: ships map inputs, reduce exchange rows and results as
+    #: ships map inputs, reduce exchange chunks and results as
     #: dictionary-encoded id buffers plus a delta of terms the worker's
-    #: resident snapshot doesn't hold (repro.columnar.wire); "pickle"
+    #: resident snapshot doesn't hold (repro.columnar.wire; id blocks
+    #: cross without being decoded where numpy is present); "pickle"
     #: keeps the original pickled tuple-list frames.  Answers and
     #: reports are identical either way; shard_bytes reports the
     #: encoded request sizes.  Ignored unless shard_transport="rpc".

@@ -29,6 +29,8 @@ import pytest
 
 from repro.mapreduce.counters import ExecutionReport
 from repro.service import QueryOutcome, QueryService, ServiceConfig
+from repro.sparql.ast import BGPQuery
+from repro.sparql.parser import parse_query
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,6 +168,20 @@ def make_service(
         **overrides,
     )
     return QueryService(graph, config)
+
+
+def ground_queries(graph) -> list[BGPQuery]:
+    """Two variable-free single-pattern queries over *graph*: one whose
+    triple is there (the answer is the one empty row) and one whose
+    triple is not (no rows).  A zero-attribute relation is the shape
+    every engine's row count must survive without a column to hold it."""
+    s, p, o = min(graph)
+    return [
+        parse_query(f"SELECT * WHERE {{ {s} {p} {o} }}", name="ground-present"),
+        parse_query(
+            f"SELECT * WHERE {{ {s} {p} <no-such-object> }}", name="ground-absent"
+        ),
+    ]
 
 
 # -- expected answers ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """The conformance matrix: {serial, thread, process} x {unsharded,
 shards=1, shards=4} x {inproc, rpc} x {submit, prepare/bind/execute,
-submit_batch} on all 14 LUBM queries.
+submit_batch} on all 14 LUBM queries plus the two variable-free
+patterns of ``conformance.ground_queries`` (one present, one absent).
 
 Every cell must reproduce the single-store serial reference bit for
 bit: identical answers and field-wise identical execution reports (see
@@ -23,6 +24,7 @@ from tests.conformance import (
     assert_concurrent_conforms,
     assert_rebalance_conforms,
     assert_surface_conforms,
+    ground_queries,
     make_service,
     reference_answers,
     skip_unless_supported,
@@ -37,8 +39,8 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def queries():
-    return lubm_queries.all_queries()
+def queries(graph):
+    return lubm_queries.all_queries() + ground_queries(graph)
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +60,14 @@ def reference8(graph, queries):
 
 def test_reference_is_not_vacuous(reference):
     """Answer equality only means something if answers exist."""
-    assert len(reference) == 14
-    assert all(expected.rows for expected in reference.values())
+    assert len(reference) == 16
+    assert reference["ground-present"].rows == {()}
+    assert reference["ground-absent"].rows == frozenset()
+    assert all(
+        expected.rows
+        for name, expected in reference.items()
+        if name != "ground-absent"
+    )
     assert any(expected.num_jobs > 1 for expected in reference.values())
     assert any(expected.job_signature == "M" for expected in reference.values())
 

@@ -317,13 +317,18 @@ class TestServiceTracing:
 
 def _assert_rpc_trace(trace, shards=(0, 1)):
     """The acceptance shape: per-level rpc spans carrying the workers'
-    own breakdown, re-anchored inside the driver's rpc window."""
+    own breakdown, re-anchored inside the driver's rpc window, between
+    the driver's own wire spans — together at least nine tenths of the
+    level, so a slow hop always says where it was slow."""
     rpc_levels = trace.find("rpc:level")
     assert rpc_levels, trace.render()
     assert {s.attrs["shard"] for s in rpc_levels} == set(shards)
-    for name in ("queue_wait", "state_lock_wait", "bind", "execute"):
+    for name in (
+        "wire:encode", "decode", "queue_wait", "state_lock_wait", "bind",
+        "execute", "wire:decode",
+    ):
         spans = trace.find(name)
-        assert spans, f"missing worker span {name}:\n{trace.render()}"
+        assert spans, f"missing span {name}:\n{trace.render()}"
     by_id = {s.span_id: s for s in trace.spans}
     for rpc in rpc_levels:
         children = [
@@ -333,6 +338,11 @@ def _assert_rpc_trace(trace, shards=(0, 1)):
         for child in children:
             assert child.start_s >= rpc.start_s - 1e-6
             assert child.attrs.get("shard") == rpc.attrs["shard"]
+        assert {"wire:encode", "decode", "wire:decode"} <= {
+            child.name for child in children
+        }
+        accounted = sum(child.duration_s for child in children)
+        assert accounted >= 0.9 * rpc.duration_s, trace.render()
     # Worker execute spans carry task counts; driver total bounds all.
     root = trace.spans[0]
     assert all(

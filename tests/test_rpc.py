@@ -6,8 +6,10 @@ worker lifecycle idempotency (Stats/Shutdown), fault injection (a
 killed worker respawns transparently exactly once; sustained failure
 raises typed ShardUnavailable and counts in snapshot_stats), mutation
 over the RPC transport (only touched shards re-primed, token change
-observed worker-side, delta catalog == recompute), and the transport
-surface (config validation, explain, per-shard bytes-shipped).
+observed worker-side, delta catalog == recompute), the transport
+surface (config validation, explain, per-shard bytes-shipped), and the
+block wire end to end (a warm pass touches no term but the answer's;
+block and row endpoints mix).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.cluster.rpc import (
     WorkerStateError,
     plan_key,
 )
+from repro.columnar.block import HAVE_NUMPY
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
@@ -55,6 +58,7 @@ from repro.mapreduce.hdfs import DistributedRelation
 from repro.mapreduce.jobs import TaskContext
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor
+from repro.rdf.dictionary import Dictionary
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.parser import parse_query
 from tests.conformance import needs_rpc
@@ -850,6 +854,116 @@ class TestRpcSurface:
             assert router.worker_stats()[0].snapshot_token is None
             assert service.submit(STAR_QUERY).rows == expected
             assert router.worker_stats()[0].snapshot_token is not None
+        finally:
+            service.close()
+
+
+@needs_rpc
+@pytest.mark.skipif(not HAVE_NUMPY, reason="id columns need numpy")
+class TestBlockWire:
+    """Id columns cross the frame as buffers: the driver computes in the
+    router's dictionary, a columnar worker in its backend's."""
+
+    def test_warm_pass_touches_no_term_but_the_answers(self, monkeypatch):
+        """After two passes of the 14 LUBM queries over 2 rpc shards, a
+        third ships and translates no term on either end of either
+        connection, and the driver decodes only the answer columns."""
+        from repro.workloads import lubm, lubm_queries
+
+        queries = lubm_queries.all_queries()
+        service = rpc_service(lubm.generate(lubm.LUBMConfig(universities=4)))
+        try:
+            router = service.executor.router
+
+            def wire_counts():
+                ends = [stats for _shard, stats in router.wire_stats()]
+                ends += [reply.wire for reply in router.worker_stats()]
+                assert len(ends) == 4
+                return [
+                    (end["terms_shipped"], end["terms_translated"]) for end in ends
+                ]
+
+            for _ in range(2):
+                answers = [service.submit(query) for query in queries]
+            before = wire_counts()
+            assert all(translated for _shipped, translated in before)
+            decodes = []
+            real = Dictionary.decode_many
+            monkeypatch.setattr(
+                Dictionary,
+                "decode_many",
+                lambda self, ids: decodes.append(self) or real(self, ids),
+            )
+            for query, warm in zip(queries, answers):
+                del decodes[:]
+                outcome = service.submit(query)
+                assert not outcome.result_cache_hit
+                assert outcome.rows == warm.rows
+                assert len(decodes) == (len(outcome.attrs) if outcome.rows else 0)
+                assert all(d is router._ids for d in decodes)
+            assert any(answer.rows for answer in answers)
+            assert wire_counts() == before
+            translated = before[0][1]
+            assert (
+                f'repro_shard_wire{{shard="0",field="terms_translated"}} {translated}'
+                in service.render_prometheus()
+            )
+        finally:
+            service.close()
+
+    def test_shape_corpus_reports_equal_the_unsharded_reference(self):
+        """Beyond LUBM's stars: the ledger's 64 thin/dense shapes over 2
+        rpc shards — rows and every job's metrics equal the unsharded
+        serial run's."""
+        generators = pytest.importorskip("benchmarks.ledger.generators")
+        from itertools import islice
+
+        from repro.rdf.graph import RDFGraph
+
+        graph = RDFGraph(generators.random_graph(12))
+        texts = dict.fromkeys(
+            text for _cls, text in islice(generators.shape_stream(), 64)
+        )
+        with QueryService(
+            graph, ServiceConfig(result_cache_size=0, backend="serial")
+        ) as reference, rpc_service(graph) as service:
+            nonempty = 0
+            for text in texts:
+                expected_of = reference.submit(text)
+                outcome = service.submit(text)
+                assert outcome.rows == expected_of.rows, text
+                assert outcome.report.jobs == expected_of.report.jobs, text
+                nonempty += bool(outcome.rows)
+            assert nonempty
+            assert outcome.report.backend == "rpc:columnar"
+
+    @pytest.mark.parametrize("blocks", ["driver", "worker"])
+    def test_block_and_row_endpoints_conform(self, university, blocks, monkeypatch):
+        """``local`` set on one end only — a block driver with serial
+        workers (block in, rows out), a row driver with columnar
+        workers — answers and reports like the in-process reference."""
+        if blocks == "worker":
+            monkeypatch.setattr("repro.cluster.rpc.HAVE_NUMPY", False)
+        backend = "serial" if blocks == "driver" else "columnar"
+        service = rpc_service(university, backend=backend)
+        try:
+            router = service.executor.router
+            assert (router._ids is not None) == (blocks == "driver")
+            with QueryService(
+                university, ServiceConfig(result_cache_size=0, backend="serial")
+            ) as reference:
+                for query in MIXED_QUERIES * 2:
+                    expected_of = reference.submit(query)
+                    outcome = service.submit(query)
+                    assert outcome.rows == expected_of.rows
+                    assert outcome.report.jobs == expected_of.report.jobs
+            driver = [stats for _shard, stats in router.wire_stats()]
+            workers = [reply.wire for reply in router.worker_stats()]
+            rows_end, block_end = (
+                (workers, driver) if blocks == "driver" else (driver, workers)
+            )
+            assert all(end["terms_translated"] == 0 for end in rows_end)
+            assert all(end["terms_translated"] > 0 for end in block_end)
         finally:
             service.close()
 

@@ -6,6 +6,9 @@ an entry here, and every entry must survive a pickle round trip (the
 wire is pickled dataclasses).  Values are zero-argument factories so
 the heavy frames (``Prime``'s snapshot, ``RegisterTemplate``'s physical
 plan) are built only when the test actually runs.
+
+Below the registry: the columnar codec's two paths through those frames
+— rows (stdlib) and id blocks (numpy) — over two in-memory endpoints.
 """
 
 from __future__ import annotations
@@ -40,20 +43,40 @@ from repro.cluster.rpc import (
     StatsReply,
     TableUpdate,
 )
+from repro.cluster.rpc import ShardWorkerClient, _WorkerState
+from repro.columnar.block import HAVE_NUMPY, ColumnBlock, chunk_rows
 from repro.columnar.wire import (
     ColumnarFrame,
     PackedMapResult,
     PackedReduceResult,
     PackedRows,
+    RawRows,
     WireCodec,
+    _pack_matrix,
+    pack_columns,
+    pack_rows,
+    unpack_columns,
+    unpack_rows,
 )
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.mapreduce.counters import TaskMetrics
+from repro.mapreduce.hdfs import Chunks, DistributedRelation
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor
+from repro.rdf.dictionary import Dictionary
 from repro.sparql.parser import parse_query
 from tests.conftest import make_university_graph
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # the static-analysis CI job installs pytest only
+    HAVE_HYPOTHESIS = False
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="id columns need numpy")
 
 NUM_NODES = 3
 
@@ -201,3 +224,235 @@ def test_results_frame_codec_round_trip():
     commit()
     assert receiver.decode_frame(pickle.loads(pickle.dumps(frame))) == reply
 
+
+
+def test_zero_arity_rows_survive_the_row_path():
+    """Rows with no cells have no column to carry their count: they
+    cross raw, not as a ``PackedRows`` that unpacks to nothing."""
+    d = Dictionary()
+    packed = pack_rows([(), ()], d.encode)
+    assert isinstance(packed, RawRows)
+    assert unpack_rows(packed, d.decode) == [(), ()]
+    sender, receiver = WireCodec(_snapshot()), WireCodec(_snapshot())
+    reply = ResultsReply(results=[([()], TaskMetrics())])
+    frame, _commit = sender.encode_results(reply)
+    assert receiver.decode_frame(pickle.loads(pickle.dumps(frame))) == reply
+
+
+# -- the block path --------------------------------------------------------------
+
+#: ids straddling every width boundary, and beyond int32
+BOUNDARY_IDS = [
+    0, 1, 254, 255, 256, 257, 65_534, 65_535, 65_536, 65_537,
+    2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62,
+]
+
+
+def _block_endpoints(snapshot=None):
+    """Two codec ends over one snapshot, each computing in an id space
+    of its own (seeded differently, so equal terms have unequal ids)."""
+    snapshot = snapshot or _snapshot()
+    here, there = Dictionary(), Dictionary()
+    here.encode_many([f"<here{i}>" for i in range(300)])
+    there.encode_many([f"<there{i}>" for i in range(70_000)])
+    return WireCodec(snapshot, here), WireCodec(snapshot, there)
+
+
+def _ship(sender, receiver, msg):
+    """Encode *msg*, cross a pickle boundary, decode."""
+    frame, commit = sender.encode_payload(msg)
+    commit()
+    return receiver.decode_frame(pickle.loads(pickle.dumps(frame)))
+
+
+def _reduce_level(grouped):
+    return ExecuteLevel(
+        key="k", binding=(), level=0, phase="reduce", tasks=(("job0", 0, grouped),)
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize("count", [1, 2, 3, 8])
+def test_id_columns_pack_to_the_row_paths_bytes(count):
+    """``pack_columns`` is layout-compatible with the row functions at
+    every width (odd counts leave the wider columns unaligned in the
+    buffer), so either end of a connection may take either path."""
+    import numpy as np
+
+    for low, high in zip(BOUNDARY_IDS, BOUNDARY_IDS[1:]):
+        columns = [
+            np.array([low] * count, dtype=np.int64),
+            np.array(([high, low] * count)[:count], dtype=np.int64),
+            np.array([7] * count, dtype=np.int64),
+        ]
+        packed = pack_columns(columns)
+        assert packed == _pack_matrix(list(zip(*[c.tolist() for c in columns])))
+        back = unpack_columns(packed)
+        assert [c.tolist() for c in back] == [c.tolist() for c in columns]
+
+
+@needs_numpy
+def test_blocks_cross_as_blocks_between_different_id_spaces():
+    sender, receiver = _block_endpoints()
+    resident = ["<dept0>", "<dept1>", "ub:worksFor", "rdf:type", "<dept0>"]
+    assert all(term in sender.send for term in resident)
+    rows = [(term, f"<new{i % 3}>") for i, term in enumerate(resident * 2)]
+    block = ColumnBlock.from_rows(("?a", "?b"), rows, sender.local)
+    empty = ColumnBlock.empty(("?a", "?b"), sender.local)
+    # one tag of several own-dictionary chunks, an empty one among them
+    level = _reduce_level({0: [block, empty, block[2:5]], 1: [empty]})
+    (_job, _partition, grouped), = _ship(sender, receiver, level).tasks
+    [chunk] = grouped[0]
+    assert isinstance(chunk, ColumnBlock) and chunk.dictionary is receiver.local
+    assert list(chunk) == rows + rows[2:5]
+    assert [len(c) for c in grouped[1]] == [0]
+    # a map level's inputs keep their schema; unowned partitions stay empty
+    level = ExecuteLevel(
+        key="k", binding=(), level=1, phase="map", tasks=(("job1", None, 0),),
+        inputs={"f": DistributedRelation(("?a", "?b"), [Chunks([block, block]), []])},
+    )
+    relation = _ship(sender, receiver, level).inputs["f"]
+    assert relation.partitions[0].attrs == ("?a", "?b")
+    assert list(relation.partitions[0]) == rows + rows
+    assert list(relation.partitions[1]) == []
+    # ... and a map result's emits come back grouped per partition
+    reply = ResultsReply(
+        results=[
+            ([(0, 0, block[:4]), (2, 0, block[4:])], block, TaskMetrics()),
+            (empty, TaskMetrics()),
+        ]
+    )
+    (emits, direct, _), (out, _) = _ship(sender, receiver, reply).results
+    assert [(p, tag, list(c)) for p, tag, c in emits] == [
+        (0, 0, rows[:4]),
+        (2, 0, rows[4:]),
+    ]
+    assert all(isinstance(c, ColumnBlock) for _p, _tag, c in emits)
+    assert list(direct) == rows and list(out) == []
+    # three new terms crossed, once; each end mapped its 7 ids, once
+    # ... and a warm connection moves neither counter
+    for _ in range(2):
+        assert sender.stats()["terms_shipped"] == 3
+        assert sender.stats()["terms_translated"] == 7
+        assert receiver.stats()["terms_translated"] == 7
+        _ship(sender, receiver, _reduce_level({0: [block]}))
+
+
+@needs_numpy
+def test_block_and_row_endpoints_interoperate():
+    """``local`` is each end's own choice: a block packed here unpacks
+    to rows on a row endpoint, and its rows come back as a block."""
+    blocks, _ = _block_endpoints()
+    rows_end = WireCodec(_snapshot())
+    rows = [("<a>", "<b>"), ("<c>", "<a>")]
+    block = ColumnBlock.from_rows(("?x", "?y"), rows, blocks.local)
+    (_, _, grouped), = _ship(blocks, rows_end, _reduce_level({0: [block]})).tasks
+    assert grouped == {0: [rows]}
+    reply = ResultsReply(results=[(rows, TaskMetrics())])
+    (out, _metrics), = _ship(rows_end, blocks, reply).results
+    assert isinstance(out, ColumnBlock) and out.dictionary is blocks.local
+    assert list(out) == rows
+
+
+@needs_numpy
+def test_a_lost_frame_reships_its_delta_and_keeps_its_id_map():
+    sender, receiver = _block_endpoints()
+    block = ColumnBlock.from_rows(("?x",), [("<fresh0>",), ("<fresh1>",)], sender.local)
+    sender.encode_payload(_reduce_level({0: [block]}))  # never sent
+    translated = sender.stats()["terms_translated"]
+    frame, commit = sender.encode_payload(_reduce_level({0: [block]}))
+    assert frame.delta_terms == ("<fresh0>", "<fresh1>")  # shipped again
+    assert sender.stats()["terms_translated"] == translated  # mapped once
+    commit()
+    (_, _, grouped), = receiver.decode_frame(frame).tasks
+    assert chunk_rows(grouped[0]) == list(block)
+    frame, _ = sender.encode_payload(_reduce_level({0: [block]}))
+    assert frame.delta_terms == ()
+
+
+@needs_numpy
+def test_prime_resets_the_id_maps_not_the_id_space():
+    """Both ends build a fresh codec per ``Prime``: the connection
+    dictionaries and the id maps restart, the endpoint's own dictionary
+    (and every id a live block holds) carries on."""
+    local = Dictionary()
+    client = ShardWorkerClient(
+        shard=0, num_nodes=NUM_NODES, num_shards=1, local=local
+    )
+    state = _WorkerState(0, NUM_NODES, 1, "columnar", None)
+    try:
+        for _ in range(2):
+            client.reseed_codec(_snapshot(), "columnar")
+            state.install_snapshot(_snapshot(), "columnar")
+            assert client.codec.local is local
+            assert state.wire.local is state.backend.state.dictionary
+            assert client.codec.stats()["terms_translated"] == 0
+            block = ColumnBlock.from_rows(("?x",), [("<kept>",), ("<dept0>",)], local)
+            level = _reduce_level({0: [block]})
+            (_, _, grouped), = _ship(client.codec, state.wire, level).tasks
+            assert list(grouped[0][0]) == [("<kept>",), ("<dept0>",)]
+            assert grouped[0][0].dictionary is state.backend.state.dictionary
+            assert client.codec.stats()["terms_translated"] == 2
+        assert len(local) == 2
+        client.reseed_codec(_snapshot(), "pickle")
+        assert client.codec is None
+    finally:
+        state.close()
+
+
+if HAVE_HYPOTHESIS:
+    term_st = st.sampled_from(
+        ["<dept0>", "<dept1>", "ub:worksFor", "<n0>", "<n1>", "<n2>", "", '"lit é"']
+    )
+    rows_st = st.lists(st.tuples(term_st, term_st), max_size=12)
+    kind_st = st.sampled_from(["own", "foreign", "rows"])
+
+    @needs_numpy
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(kind_st, rows_st), max_size=4), min_size=1, max_size=4
+        )
+    )
+    def test_prop_any_chunk_mix_round_trips(frames):
+        """Own-dictionary blocks, foreign-dictionary blocks and row
+        lists, mixed in one tag, frame after frame over one connection:
+        the peer reads exactly the rows that were sent."""
+        sender, receiver = _block_endpoints()
+        foreign = Dictionary()
+        for frame in frames:
+            chunks = [
+                rows
+                if kind == "rows"
+                else ColumnBlock.from_rows(
+                    ("?a", "?b"), rows, sender.local if kind == "own" else foreign
+                )
+                for kind, rows in frame
+            ]
+            (_, _, grouped), = _ship(sender, receiver, _reduce_level({0: chunks})).tasks
+            [chunk] = grouped[0]
+            assert list(chunk) == [row for _kind, rows in frame for row in rows]
+            if chunk and all(kind == "own" for kind, rows in frame if rows):
+                assert isinstance(chunk, ColumnBlock)
+                assert chunk.dictionary is receiver.local
+
+    @needs_numpy
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(BOUNDARY_IDS), min_size=1, max_size=5),
+            min_size=1, max_size=4,
+        ),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_prop_id_columns_round_trip_at_every_width(columns, count):
+        import numpy as np
+
+        columns = [
+            np.array((ids * count)[:count], dtype=np.int64) for ids in columns
+        ]
+        packed = pack_columns(columns)
+        assert packed.count == count
+        assert [c.tolist() for c in unpack_columns(packed)] == [
+            c.tolist() for c in columns
+        ]
