@@ -3,7 +3,10 @@
 Every ``test_figNN_*`` benchmark regenerates one table/figure of the
 paper (see DESIGN.md's per-experiment index), prints a paper-vs-measured
 table, writes it to ``benchmarks/results/``, and asserts the qualitative
-shape that the paper's conclusion rests on.
+shape that the paper's conclusion rests on.  The tracked tables hold
+only what repeats bit for bit; a table of host times goes to the
+git-ignored ``benchmarks/results/out/`` (its qualitative assertions stay
+in its test).
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ def results_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def record_table(results_dir):
-    """Print a table and persist it under benchmarks/results/<name>.txt."""
+    """Print a table and persist it under benchmarks/results/<name>.txt
+    (``host_time=True``: under the untracked benchmarks/results/out/)."""
 
-    def _record(name: str, table: str) -> None:
+    def _record(name: str, table: str, host_time: bool = False) -> None:
         print()
         print(table)
-        (results_dir / f"{name}.txt").write_text(table + "\n")
+        target = results_dir / "out" if host_time else results_dir
+        target.mkdir(exist_ok=True)
+        (target / f"{name}.txt").write_text(table + "\n")
 
     return _record
 

@@ -29,6 +29,7 @@ def test_fig18_optimization_time(benchmark, record_table):
             measured,
             fmt="{:.2f}",
         ),
+        host_time=True,
     )
 
     # The recommended variants stay fast on every shape (well under the

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 LOCK_RANKS: dict[str, int] = {
     # -- orchestration ----------------------------------------------------
-    "_flights_lock": 10,  # service single-flight (queries + templates)
+    "_flights_lock": 10,  # service.cache.SingleFlight (queries; templates)
     "_pool_lock": 15,  # executor pool lifecycle; close() holds it while
     #   tearing down the executor -> router -> shard clients
     # -- engine state -----------------------------------------------------

@@ -119,6 +119,15 @@ class ExecutionBackend(ABC):
     def close(self) -> None:
         """Release worker pools; the backend must not be used afterwards."""
 
+    def worker_gauges(self) -> list:
+        """``(shard, StatsReply | None)`` per remote worker process
+        behind this backend — none, unless it is the rpc shard router."""
+        return []
+
+    def wire_stats(self) -> list:
+        """``(shard, counters)`` per remote worker connection (as above)."""
+        return []
+
     def __enter__(self) -> "ExecutionBackend":
         return self
 

@@ -397,7 +397,7 @@ _NOOP_CTX = _NoopCtx()
 class _LiveSpan(AbstractContextManager["_LiveSpan"]):
     """An open span: records itself into the sink on exit."""
 
-    __slots__ = ("_ref", "name", "attrs", "_start", "_token", "span_id")
+    __slots__ = ("_ref", "name", "attrs", "_start", "_end", "_token", "span_id")
 
     def __init__(self, ref: SpanRef, name: str, attrs: dict[str, Any]) -> None:
         self._ref = ref
@@ -416,7 +416,7 @@ class _LiveSpan(AbstractContextManager["_LiveSpan"]):
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        end = time.perf_counter()
+        self._end = end = time.perf_counter()
         _ACTIVE.reset(self._token)
         sink = self._ref.sink
         if exc_type is not None:
@@ -446,6 +446,38 @@ def span(name: str, **attrs: Any) -> AbstractContextManager[Any]:
     if ref is None:
         return _NOOP_CTX
     return _LiveSpan(ref, name, attrs)
+
+
+class stage(AbstractContextManager["stage"]):
+    """A span whose duration its caller keeps: ``seconds`` is set on
+    exit whether or not a trace is active, from the one pair of clock
+    reads that is also the span's when one is."""
+
+    __slots__ = ("_span", "_start", "seconds")
+
+    def __init__(self, name: str, **attrs: Any) -> None:
+        ref = _ACTIVE.get()
+        self._span = None if ref is None else _LiveSpan(ref, name, attrs)
+        self.seconds = 0.0
+
+    def set(self, **attrs: Any) -> None:
+        if self._span is not None:
+            self._span.set(**attrs)
+
+    def __enter__(self) -> "stage":
+        if self._span is None:
+            self._start = time.perf_counter()
+        else:
+            self._start = self._span.__enter__()._start
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        if self._span is None:
+            end = time.perf_counter()
+        else:
+            self._span.__exit__(exc_type, exc, tb)
+            end = self._span._end
+        self.seconds = end - self._start
 
 
 # -- explicit (cross-thread / cross-process) recording ---------------------
@@ -594,5 +626,6 @@ __all__ = [
     "record_remote",
     "resolve",
     "span",
+    "stage",
     "trace_ctx",
 ]

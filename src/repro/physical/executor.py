@@ -494,6 +494,13 @@ class PlanExecutor:
             maybe_check(plan, physical=physical, compiled=compiled)
         return PreparedPlan(plan=plan, physical=physical, compiled=compiled)
 
+    def register_template(self, prepared: PreparedPlan) -> bool:
+        """Announce a plan template to whatever runs its tasks; True
+        the first time a structure is seen.  A single store has nobody
+        to tell (:class:`~repro.cluster.router.ShardedPlanExecutor`
+        ships it to its shards)."""
+        return False
+
     def execute_prepared(self, prepared: PreparedPlan) -> ExecutionResult:
         """Run an already-prepared plan; return answers + report."""
         compiled = prepared.compiled

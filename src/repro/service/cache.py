@@ -21,20 +21,22 @@ The caches form a hierarchy keyed on canonical forms from
   dropped on version mismatch.
 
 All are LRU with O(1) operations and are safe for concurrent use.
+A miss that several threads take at once is computed once, through a
+:class:`SingleFlight` beside the cache it fills.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import AbstractSet, Generic, Hashable, TypeVar
+from dataclasses import dataclass, field
+from typing import AbstractSet, Any, Callable, Generic, Hashable, TypeVar
 
 from repro.analysis.locks import checked
 from repro.core.logical import LogicalPlan
 from repro.mapreduce.counters import ExecutionReport
+from repro.obs.trace import span
 from repro.physical.executor import PreparedPlan
-from repro.sparql.canonical import QueryTemplate
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -73,10 +75,6 @@ class LRUCache(Generic[K, V]):
                 self._data.popitem(last=False)
                 self.evictions += 1
 
-    def discard(self, key: K) -> None:
-        with self._lock:
-            self._data.pop(key, None)
-
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
@@ -84,12 +82,6 @@ class LRUCache(Generic[K, V]):
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
 
 
 @dataclass
@@ -103,7 +95,6 @@ class PlanEntry:
 
     plan: LogicalPlan
     prepared: PreparedPlan
-    optimize_s: float
     #: summary of the enumeration that produced the plan
     plan_count: int = 0
     truncated: bool = False
@@ -119,12 +110,10 @@ class TemplateEntry:
 
     ``prepared`` is the template's prepared plan — scan patterns carry
     ``$s<slot>`` placeholders where constants go — ready to
-    :meth:`~repro.physical.executor.PreparedPlan.bind`.  ``template`` is
-    the extraction that populated the entry (equivalent, for binding
-    purposes, to any other extraction with the same signature).
+    :meth:`~repro.physical.executor.PreparedPlan.bind` by any
+    extraction with the entry's signature.
     """
 
-    template: QueryTemplate
     plan: LogicalPlan
     prepared: PreparedPlan
     optimize_s: float
@@ -173,3 +162,54 @@ class ResultCache(LRUCache[tuple, ResultEntry]):
             self._data.move_to_end(key)
             self.hits += 1
             return entry
+
+
+@dataclass
+class _Flight:
+    """One in-flight computation: first caller computes, the rest wait."""
+
+    done: threading.Event = field(default_factory=threading.Event)
+    value: Any = None
+    error: BaseException | None = None
+
+
+class SingleFlight:
+    """Run a computation once per concurrent key.
+
+    The table of open flights and the lock that guards it live here,
+    so callers never see either: the first caller of a key computes
+    outside the lock, later callers of the same key wait on its flight
+    and share the value (or the error it raised).
+    """
+
+    def __init__(self) -> None:
+        self._flights_lock = checked(
+            threading.Lock(), "SingleFlight._flights_lock"
+        )
+        self._flights: dict[Hashable, _Flight] = {}  # guarded-by: _flights_lock
+
+    def run(
+        self, key: Hashable, compute: Callable[[], V]
+    ) -> tuple[V, bool]:
+        """``(value, reused)``; ``reused`` is True for waiters."""
+        with self._flights_lock:
+            flight = self._flights.get(key)
+            leader = flight is None
+            if leader:
+                flight = self._flights[key] = _Flight()
+        if not leader:
+            with span("flight_wait"):
+                flight.done.wait()
+            if flight.error is not None:
+                raise flight.error
+            return flight.value, True
+        try:
+            flight.value = value = compute()
+            return value, False
+        except BaseException as exc:
+            flight.error = exc
+            raise
+        finally:
+            with self._flights_lock:
+                self._flights.pop(key, None)
+            flight.done.set()

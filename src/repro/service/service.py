@@ -2,60 +2,35 @@
 
 A :class:`QueryService` is a long-lived serving layer over one
 partitioned store (§5.1) that amortizes optimization across a workload.
-Its native currency is the *prepared query*: every submission — ad-hoc
-``submit``, ``submit_batch``, ``CSQ.run``, or an explicit
-:meth:`QueryService.prepare` — routes through one
-**prepare → bind → execute** pipeline:
+Every door — ``submit``, ``BoundQuery.execute``, ``explain_analyze``,
+each distinct member of a ``submit_batch``, ``CSQ.run`` — is a thin
+caller of **one pipeline**, :meth:`QueryService._serve`::
 
-* *prepare*: the query's liftable constants are extracted into a
+    parse (if text) → admit → open the trace → instantiate (or mark
+    uncacheable) → resolve: result cache / single-flight / plan +
+    template caches → project → record stats and the slow ring → close
+
+* *instantiate*: the query's liftable constants are extracted into a
   parameterized :class:`~repro.sparql.canonical.QueryTemplate` whose
-  structure signature is constant-independent; the optimizer+coster
-  pipeline runs once per template and its prepared (translated +
-  compiled) plan is memoized in a
-  :class:`~repro.service.cache.TemplateCache`.  Queries that differ only
-  in constants — the dominant repetition pattern of production SPARQL
-  workloads — therefore trigger exactly one optimizer invocation.
-* *bind*: concrete constants are late-bound into the template's
-  compiled task specs (the selection predicates inside
-  ``ChainMapSpec``/``MapOnlySpec`` chains) without re-planning; bound
-  plans are memoized per instance in a
-  :class:`~repro.service.cache.PlanCache`, and fully-bound answers in an
-  LRU :class:`~repro.service.cache.ResultCache` invalidated by a graph
-  version counter whenever triples are added.
-* *execute*: runs under a readers–writer lock (any number of queries
-  read concurrently; :meth:`add_triples` gets exclusive access) on a
-  pluggable :class:`~repro.mapreduce.backends.ExecutionBackend`
-  (``ServiceConfig.backend``): by default the id-space engine
-  (``"columnar"``) where numpy imports and ``"serial"`` where it does
-  not; ``"process"`` fans each query's map/reduce tasks out across
-  worker processes — with automatic serial fallback (recorded as a
-  stats warning) where pools are unavailable.
-  A process pool receives each template once and only small binding
-  substitutions after it.
+  structure signature is constant-independent.  A query the
+  canonicalizer gives up on is its own parameterless template with no
+  cache key: same road, every cache and flight skipped.
+* *resolve*: through the cache hierarchy of :mod:`repro.service.cache`
+  — the optimizer+coster pipeline runs once per template and constants
+  are late-bound into its compiled task specs — then execution under a
+  readers–writer lock (queries read concurrently; :meth:`add_triples`
+  and :meth:`rebalance` get exclusive access) on the configured
+  :class:`~repro.mapreduce.backends.ExecutionBackend`, over a single
+  store or (``ServiceConfig.shards``) the :mod:`repro.cluster` layer.
+* *project / record*: the canonical-space answer is mapped back onto
+  the query's own variables and the submission is counted in
+  :class:`~repro.service.stats.ServiceStats`.
 
-:meth:`QueryService.submit_batch` schedules independent queries on a
-shared thread pool and *coalesces* duplicates: queries with the same
-instance key execute once and fan their answer out, and queries sharing
-only a template single-flight the optimization.  Every submission is
-recorded in :class:`~repro.service.stats.ServiceStats`, which breaks
-plan-level outcomes into full plan-cache hits, template hits, and cold
-optimizations.
-
-The classic CSQ system (:mod:`repro.systems.csq`) is a thin session over
-this service.  Two deployment knobs scale it out and keep it stable
-under load:
-
-* ``ServiceConfig.shards=N`` replaces the single store with the
-  :mod:`repro.cluster` distribution layer — N shard workers each hold a
-  slice of the §5.1 layout, a shard router behind the one MapReduce
-  engine runs each task on the shard owning its node (map levels
-  shard-local, a cross-shard exchange at the shuffle), and shards
-  receive a template once with per-query bindings after it.  Answers
-  and reports are identical for any shard count.
-* ``ServiceConfig.max_inflight=K`` admission-controls the service:
-  beyond K concurrently executing submissions, ``submit`` /
-  ``submit_batch`` / ``PreparedQuery.execute`` raise
-  :class:`ServiceOverloaded` instead of queueing without bound.
+``ServiceConfig.max_inflight`` admission-controls the pipeline: beyond
+that many concurrently executing submissions a door raises
+:class:`ServiceOverloaded` instead of queueing without bound.  The
+classic CSQ system (:mod:`repro.systems.csq`) is a thin session over
+this service.
 """
 
 from __future__ import annotations
@@ -63,10 +38,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from operator import itemgetter
-from typing import AbstractSet, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 
 from repro.analysis.locks import ReadWriteLock, checked
 from repro.cluster import ShardedPlanExecutor, ShardedStore, shard_graph
@@ -86,23 +62,24 @@ from repro.mapreduce.backends import DEFAULT_RPC_PIPELINE, make_backend
 from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.engine import ClusterConfig
 from repro.obs.trace import (
+    SpanRef,
     Trace,
     TraceSink,
     activate,
-    current_ref,
     record_remote,
     span,
-    trace_ctx,
+    stage,
 )
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import ExecutionResult, PlanExecutor, PreparedPlan
 from repro.physical.explain import explain as explain_plan
-from repro.rdf.graph import RDFGraph, Triple
+from repro.rdf.graph import RDFGraph
 from repro.service.cache import (
     PlanCache,
     PlanEntry,
     ResultCache,
     ResultEntry,
+    SingleFlight,
     TemplateCache,
     TemplateEntry,
 )
@@ -245,40 +222,67 @@ class ServiceConfig:
     slow_query_s: float | None = None
 
 
+class _Admission:
+    """``max_inflight`` as an object: a non-blocking pool of in-flight
+    slots that counts what it turns away (``on_reject``)."""
+
+    def __init__(
+        self, limit: int | None, on_reject: Callable[[int], None]
+    ) -> None:
+        self.limit = limit
+        self._slots = None if limit is None else threading.Semaphore(limit)
+        self._on_reject = on_reject
+
+    def admit(self, submissions: int = 1) -> int:
+        """Reserve slots for *submissions* or reject them as a unit;
+        returns the slots held, to hand back to :meth:`release`.
+
+        A batch holds at most ``limit`` slots, so one larger than the
+        limit stays admissible on an idle service (its thread pool
+        bounds true concurrency anyway) — but never fewer than one:
+        ``max_inflight=0`` must still reject.
+        """
+        if self._slots is None or submissions <= 0:
+            return 0
+        wanted = max(1, min(submissions, self.limit))
+        for held in range(wanted):
+            if not self._slots.acquire(blocking=False):
+                self.release(held)
+                self._on_reject(submissions)
+                raise ServiceOverloaded(
+                    f"service is at max_inflight={self.limit}; "
+                    f"rejected {submissions} submission(s)"
+                )
+        return wanted
+
+    def release(self, slots: int) -> None:
+        if slots:
+            self._slots.release(slots)
+
+
 @dataclass
 class _Answer:
-    """A resolved query in canonical variable space (shared by waiters)."""
+    """A resolved instance in canonical variable space (shared by
+    waiters): the entry the result cache holds, plus how it was come by
+    — by default straight out of that cache, at no stage's cost."""
 
-    attrs: tuple[str, ...]
-    #: the executor's answer set itself, never mutated: every outcome
-    #: gets its own copy from ``_project``
-    rows: AbstractSet[tuple]
-    plan: LogicalPlan
-    report: ExecutionReport
-    job_signature: str
-    plan_hit: bool
-    template_hit: bool
-    result_hit: bool
-    optimize_s: float
-    execute_s: float
-    bind_s: float
-    version: int
-
-
-@dataclass
-class _Flight:
-    """Single-flight slot: first submitter computes, the rest wait."""
-
-    done: threading.Event = field(default_factory=threading.Event)
-    value: object | None = None
-    error: BaseException | None = None
+    #: never mutated: every outcome gets its own row set from ``_finish``
+    entry: ResultEntry
+    plan_hit: bool = True
+    template_hit: bool = False
+    result_hit: bool = True
+    optimize_s: float = 0.0
+    bind_s: float = 0.0
+    execute_s: float = 0.0
 
 
 @dataclass(frozen=True)
 class _Instance:
     """One fully-bound instance of a template, ready to resolve.
 
-    ``entry`` is set when the instance comes from a live
+    ``key`` is None for a query the canonicalizer gave up on: it is its
+    own parameterless template, served with every cache and flight
+    skipped.  ``entry`` is set when the instance comes from a live
     :class:`PreparedQuery` handle: even if the template cache has since
     evicted (or a mutation invalidated) the shared entry, the handle's
     own optimized template is used — a held prepared query never
@@ -287,8 +291,11 @@ class _Instance:
 
     template: QueryTemplate
     values: tuple[str, ...]
-    key: tuple
+    key: tuple | None
     entry: "TemplateEntry | None" = None
+    #: the clock reads around canonicalization (it runs before the
+    #: submission's trace is open; the pipeline records the span)
+    canonicalized: tuple[float, float] | None = None
 
 
 @dataclass
@@ -499,30 +506,7 @@ class PreparedQuery:
             f"optimize_s {e.optimize_s:.6f}  plans {e.plan_count}  "
             f"pruned {e.pruned}" + ("  (truncated)" if e.truncated else "")
         )
-        store = self._service.store
-        config = self._service.config
-        sharded = isinstance(store, ShardedStore)
-        # The engine the config resolves to (the default differs with
-        # and without numpy), by its registered name either way.
-        backend = (
-            config.backend
-            if isinstance(config.backend, str)
-            else config.backend.name
-        )
-        rpc = sharded and config.shard_transport == "rpc"
-        lines.append(
-            explain_plan(
-                self._entry.plan,
-                backend=backend,
-                template=t.digest(),
-                shard_map=store.node_shards if sharded else None,
-                shard_triples=store.triples_per_shard() if sharded else None,
-                transport=config.shard_transport if sharded else None,
-                rows="columnar" if backend == "columnar" else "tuple",
-                wire=config.wire_format if rpc else None,
-                wire_bytes=self._service._last_wire_bytes if rpc else None,
-            )
-        )
+        lines.append(self._service._explain_plan(e.plan, t.digest()))
         return "\n".join(lines)
 
 
@@ -546,13 +530,19 @@ class BoundQuery:
             for p, v in zip(self.prepared.template.params, self.values)
         )
 
-    @property
-    def instance_key(self) -> tuple:
-        return self.prepared.template.instance_key(self.values)
-
     def execute(self) -> QueryOutcome:
         """Run through the service's caches; never re-optimizes."""
-        return self.prepared._service._execute_bound(self)
+        started = time.perf_counter()
+        prepared = self.prepared
+        inst = _Instance(
+            template=prepared.template,
+            values=self.values,
+            key=prepared.template.instance_key(self.values),
+            entry=prepared._entry,
+        )
+        return prepared._service._serve(
+            self.query, inst=inst, started=started
+        )[0]
 
 
 class QueryService:
@@ -609,21 +599,19 @@ class QueryService:
             )
             self.catalog = self.store.aggregate_statistics()
             self.backend = None
-            self.executor: PlanExecutor | ShardedPlanExecutor = (
-                ShardedPlanExecutor(
-                    self.store,
-                    ClusterConfig(num_nodes=self.config.num_nodes),
-                    self.config.params,
-                    backend=self.config.backend,
-                    backend_workers=self.config.backend_workers,
-                    on_fallback=self.stats.record_warning,
-                    transport=self.config.shard_transport,
-                    on_shard_failure=self.stats.record_shard_failure,
-                    wire_format=self.config.wire_format,
-                    rpc_pipeline=self.config.rpc_pipeline,
-                    coalesce_window_ms=self.config.coalesce_window_ms,
-                    coalesce_max_batch=self.config.coalesce_max_batch,
-                )
+            self.executor: PlanExecutor = ShardedPlanExecutor(
+                self.store,
+                ClusterConfig(num_nodes=self.config.num_nodes),
+                self.config.params,
+                backend=self.config.backend,
+                backend_workers=self.config.backend_workers,
+                on_fallback=self.stats.record_warning,
+                transport=self.config.shard_transport,
+                on_shard_failure=self.stats.record_shard_failure,
+                wire_format=self.config.wire_format,
+                rpc_pipeline=self.config.rpc_pipeline,
+                coalesce_window_ms=self.config.coalesce_window_ms,
+                coalesce_max_batch=self.config.coalesce_max_batch,
             )
         else:
             self.store = partition_graph(graph, self.config.num_nodes)
@@ -660,11 +648,10 @@ class QueryService:
         # store; add_triples and rebalance take the write side, so a
         # mutation never interleaves with a running scan.
         self._store_lock = ReadWriteLock("QueryService._store_lock")
-        self._flights_lock = checked(
-            threading.Lock(), "QueryService._flights_lock"
-        )
-        self._flights: dict[tuple, _Flight] = {}  # guarded-by: _flights_lock
-        self._template_flights: dict[tuple, _Flight] = {}  # guarded-by: _flights_lock
+        #: identical in-flight instances share one computation, and
+        #: concurrent optimizations of one template share one search
+        self._flights = SingleFlight()
+        self._template_flights = SingleFlight()
         self._pool_lock = checked(threading.Lock(), "QueryService._pool_lock")
         self._pool: ThreadPoolExecutor | None = None  # guarded-by: _pool_lock
         # Written only under _pool_lock; read lock-free in _check_open as
@@ -675,10 +662,8 @@ class QueryService:
         #: (sum over shards) — surfaced by EXPLAIN's wire line.  Advisory:
         #: written per query, read racily by EXPLAIN, never synchronized.
         self._last_wire_bytes: int | None = None
-        self._inflight = (
-            None
-            if self.config.max_inflight is None
-            else threading.Semaphore(self.config.max_inflight)
+        self._admission = _Admission(
+            self.config.max_inflight, self.stats.record_rejection
         )
         # Start process workers (if any) before serving threads exist:
         # fork-based pools must not be created from a multithreaded
@@ -724,42 +709,6 @@ class QueryService:
                 )
             return self._pool
 
-    # -- admission control -------------------------------------------------
-
-    def _admit(self, permits: int = 1, submissions: int | None = None) -> None:
-        """Reserve *permits* in-flight slots or reject the submission.
-
-        Non-blocking: when fewer than *permits* slots are free the
-        whole reservation rolls back and :class:`ServiceOverloaded` is
-        raised (a batch is admitted or rejected as a unit).
-        ``submissions`` is what the rejection counter records — for a
-        batch, its member count rather than its (clamped) permit count.
-        """
-        sem = self._inflight
-        if sem is None or permits <= 0:
-            return
-        acquired = 0
-        for _ in range(permits):
-            if sem.acquire(blocking=False):
-                acquired += 1
-                continue
-            for _ in range(acquired):
-                sem.release()
-            self.stats.record_rejection(
-                permits if submissions is None else submissions
-            )
-            raise ServiceOverloaded(
-                f"service is at max_inflight={self.config.max_inflight}; "
-                f"rejected {submissions or permits} submission(s)"
-            )
-
-    def _release(self, permits: int = 1) -> None:
-        sem = self._inflight
-        if sem is None:
-            return
-        for _ in range(permits):
-            sem.release()
-
     # -- reusable planning/execution steps (uncached) ----------------------
 
     def optimize(self, query: BGPQuery) -> tuple[LogicalPlan, OptimizerResult]:
@@ -799,7 +748,7 @@ class QueryService:
         required parameters.  Raises
         :class:`~repro.sparql.canonical.CanonicalizationBudgetExceeded`
         for pathologically symmetric queries (serve those via
-        :meth:`submit`, which falls back to an uncached path).
+        :meth:`submit`, which takes them down the pipeline uncached).
         """
         self._check_open()
         parsed = self._parse(query, name)
@@ -814,9 +763,33 @@ class QueryService:
 
     def explain(self, query: BGPQuery | str, name: str = "") -> str:
         """Template signature + three-layer plan explanation of *query*."""
-        prepared = self.prepare(query, name)
-        assert isinstance(prepared, PreparedQuery)
-        return prepared.explain()
+        return self.prepare(query, name).explain()
+
+    def _explain_plan(self, plan: LogicalPlan, digest: str | None) -> str:
+        """The three-layer explanation of *plan* as this deployment
+        would run it: engine, shard map, transport and wire."""
+        store = self.store
+        config = self.config
+        sharded = self.sharded
+        # The engine the config resolves to (the default differs with
+        # and without numpy), by its registered name either way.
+        backend = (
+            config.backend
+            if isinstance(config.backend, str)
+            else config.backend.name
+        )
+        rpc = sharded and config.shard_transport == "rpc"
+        return explain_plan(
+            plan,
+            backend=backend,
+            template=digest,
+            shard_map=store.node_shards if sharded else None,
+            shard_triples=store.triples_per_shard() if sharded else None,
+            transport=config.shard_transport if sharded else None,
+            rows="columnar" if backend == "columnar" else "tuple",
+            wire=config.wire_format if rpc else None,
+            wire_bytes=self._last_wire_bytes if rpc else None,
+        )
 
     # -- legacy plan-level escape hatches ----------------------------------
 
@@ -923,55 +896,37 @@ class QueryService:
         :class:`~repro.cluster.router.RebalanceReport`.
         """
         self._check_open()
-        if not isinstance(self.executor, ShardedPlanExecutor):
+        if not self.sharded:
             raise ValueError(
                 "rebalance requires a sharded deployment "
                 "(ServiceConfig(shards=N))"
             )
-        started = time.perf_counter()
-        if not self.config.tracing:
-            report = self._rebalance_locked(target_shards, moves)
-        else:
-            ref = self.trace_sink.start_trace("rebalance", epoch=started)
+        with self._trace("rebalance", time.perf_counter()):
+            # Acquiring the write lock *is* the drain: it blocks until
+            # every in-flight query (a reader) finishes and holds new
+            # ones out until the table has flipped.
+            with span("rebalance:drain"):
+                lock = self._store_lock.write()
+                lock.__enter__()
             try:
-                with activate(ref):
-                    report = self._rebalance_locked(target_shards, moves)
+                with span(
+                    "rebalance:migrate",
+                    target_shards=-1 if target_shards is None else target_shards,
+                ):
+                    report = self.executor.rebalance(target_shards, moves)
             finally:
-                self.trace_sink.finish_trace(
-                    ref.trace_id, time.perf_counter() - started
-                )
+                lock.__exit__(None, None, None)
+        # A move onto a shard the resize just created primes it; the
+        # rest are deltas onto shards already serving.
+        primed = sum(1 for _, _, dst in report.moves if dst >= report.old_shards)
         phases = {
             "plan": report.slots_moved,
-            "prime": sum(
-                1
-                for _slot, _src, dst in report.moves
-                if dst >= report.old_shards
-            ),
-            "delta": sum(
-                1
-                for _slot, _src, dst in report.moves
-                if dst < report.old_shards
-            ),
+            "prime": primed,
+            "delta": report.slots_moved - primed,
             "flip": report.slots_moved if report.new_epoch > report.old_epoch else 0,
         }
         self.stats.record_rebalance(phases)
         return report
-
-    def _rebalance_locked(self, target_shards, moves):
-        # Acquiring the write lock *is* the drain: it blocks until
-        # every in-flight query (a reader) finishes and holds new ones
-        # out until the table has flipped.
-        with span("rebalance:drain"):
-            lock = self._store_lock.write()
-            lock.__enter__()
-        try:
-            with span(
-                "rebalance:migrate",
-                target_shards=target_shards if target_shards is not None else -1,
-            ):
-                return self.executor.rebalance(target_shards, moves)
-        finally:
-            lock.__exit__(None, None, None)
 
     def suggest_rebalance(self, max_moves: int = 1):
         """A skew-shedding plan from live worker load, or ``()``.
@@ -983,15 +938,16 @@ class QueryService:
         :meth:`rebalance` to act on it.
         """
         self._check_open()
-        if not isinstance(self.executor, ShardedPlanExecutor):
+        if not self.sharded:
             raise ValueError(
                 "suggest_rebalance requires a sharded deployment "
                 "(ServiceConfig(shards=N))"
             )
-        load: dict[int, float] = {}
-        for gauge in self._shard_worker_gauges():
-            if not gauge.stale:
-                load[gauge.shard] = float(gauge.tasks_run)
+        load = {
+            gauge.shard: float(gauge.tasks_run)
+            for gauge in self._shard_worker_gauges()
+            if not gauge.stale
+        }
         return self.executor.suggest_rebalance(
             load=load or None, max_moves=max_moves
         )
@@ -999,65 +955,88 @@ class QueryService:
     # -- serving -----------------------------------------------------------
 
     def submit(self, query: BGPQuery | str, name: str = "") -> QueryOutcome:
-        """Answer one fully-bound query (prepare → bind → execute).
+        """Answer one fully-bound query.
 
         Raises :class:`ServiceOverloaded` without doing any work when
         the service is already at ``max_inflight`` submissions.
         """
+        return self._serve(query, name)[0]
+
+    def _serve(
+        self,
+        query: BGPQuery | str,
+        name: str = "",
+        *,
+        inst: _Instance | None = None,
+        started: float | None = None,
+        admitted: bool = False,
+        force_trace: bool = False,
+    ) -> tuple[QueryOutcome, _Answer]:
+        """The one serving pipeline; every door is a thin caller.
+
+        parse (if text) → admit → open the trace → instantiate, or mark
+        uncacheable → resolve → project → record → close the trace.
+        Callers that have already paid for a stage pass its product:
+        a :class:`BoundQuery` and a batch leader their *inst*, a batch
+        its own *started* (members measure submission-to-availability)
+        and *admitted* (the batch was admitted as a unit).  The answer
+        rides along for a batch to project its duplicates from.
+
+        The trace is rooted at *started* and its root is the active
+        contextvar span for everything below — down to RPC frames and
+        shard-worker spans; stages that ran before it opened (parse,
+        a batch's canonicalization) are recorded from their clock
+        reads.  A pool thread serving a batch leader gets a trace of
+        its own: the contextvar is per-thread.
+        """
         self._check_open()
-        started = time.perf_counter()
+        if started is None:
+            started = time.perf_counter()
         parsed = self._parse(query, name)
         parsed_at = time.perf_counter()
-        self._reject_unbound(parsed)
-        self._admit()
+        if inst is None:
+            self._reject_unbound(parsed)
+        slots = 0 if admitted else self._admission.admit()
         try:
-            return self._submit_parsed(parsed, started, parsed_at=parsed_at)
+            with self._trace(
+                parsed.name or "query", started, force_trace
+            ) as ref:
+                if inst is None:
+                    inst = self._instantiate(parsed)
+                trace_id = ""
+                if ref is not None:
+                    trace_id = ref.trace_id
+                    ctx = ref.ctx()
+                    if parsed is not query:
+                        record_remote(ctx, "parse", started, parsed_at)
+                    if inst.canonicalized is not None:
+                        record_remote(ctx, "canonicalize", *inst.canonicalized)
+                answer, coalesced = self._resolve(inst)
+                outcome = self._finish(
+                    parsed, inst, answer, coalesced, started, trace_id
+                )
+                return outcome, answer
         finally:
-            self._release()
+            self._admission.release(slots)
 
-    def _submit_parsed(
-        self,
-        parsed: BGPQuery,
-        started: float,
-        parsed_at: float | None = None,
-        force_trace: bool = False,
-    ) -> QueryOutcome:
-        """Serve an already-parsed, admitted query.
-
-        When tracing is on (config or *force_trace*), a trace rooted at
-        *started* is opened around the whole submission: the root is
-        installed as the active contextvar span, so every stage below —
-        down to RPC frames and shard-worker spans — lands in it, and
-        the root's duration is closed from the authoritative wall-clock
-        total.  Batch pool threads call this too; each call gets its
-        own trace (the contextvar is per-thread/context).
-        """
-        if not (force_trace or self.config.tracing):
-            return self._serve_parsed(parsed, started)
-        ref = self.trace_sink.start_trace(parsed.name or "query", epoch=started)
-        if parsed_at is not None:
-            record_remote(ref.ctx(), "parse", started, parsed_at)
+    @contextmanager
+    def _trace(
+        self, name: str, started: float, force: bool = False
+    ) -> Iterator[SpanRef | None]:
+        """The one trace bracket: when tracing is on (config or
+        *force*), a trace rooted at *started* is open and active for
+        the body, and its root is closed from the wall-clock total."""
+        if not (force or self.config.tracing):
+            yield None
+            return
+        ref = self.trace_sink.start_trace(name, epoch=started)
         try:
             with activate(ref):
-                return self._serve_parsed(parsed, started)
+                yield ref
         finally:
             self.trace_sink.finish_trace(
                 ref.trace_id, time.perf_counter() - started
             )
-
-    def _serve_parsed(self, parsed: BGPQuery, started: float) -> QueryOutcome:
-        try:
-            t0 = time.perf_counter()
-            inst = self._instantiate(parsed)
-            canonicalize_s = time.perf_counter() - t0
-        except CanonicalizationBudgetExceeded:
-            return self._submit_uncacheable(parsed, started)
-        record_remote(trace_ctx(), "canonicalize", t0, time.perf_counter())
-        answer, coalesced = self._resolve(inst)
-        outcome = self._project(parsed, inst, answer, coalesced, started)
-        outcome.timings = replace(outcome.timings, canonicalize_s=canonicalize_s)
-        self._record(outcome, coalesced)
-        return outcome
 
     def _parse(self, query: BGPQuery | str, name: str = "") -> BGPQuery:
         """Parse a query string; every failure surfaces as a
@@ -1091,87 +1070,47 @@ class QueryService:
         )
 
     def _instantiate(self, parsed: BGPQuery) -> _Instance:
-        """Template + default binding vector for a fully-bound query."""
-        template = self._extract(parsed)
+        """Template + default binding vector for a fully-bound query.
+
+        A query past the canonicalization budget has no signature to
+        share a cache entry under: it becomes its own parameterless
+        template in its own variable space, with no key.
+        """
+        t0 = time.perf_counter()
+        try:
+            template = self._extract(parsed)
+        except CanonicalizationBudgetExceeded:
+            template = QueryTemplate(
+                query=parsed,
+                signature=(),
+                params=(),
+                mapping={v: v for v in parsed.variables()},
+                source=parsed,
+            )
+            return _Instance(
+                template, (), None, canonicalized=(t0, time.perf_counter())
+            )
         values = template.check_values(template.default_values())
         return _Instance(
-            template=template,
-            values=values,
-            key=template.instance_key(values),
+            template,
+            values,
+            template.instance_key(values),
+            canonicalized=(t0, time.perf_counter()),
         )
-
-    def _record(self, outcome: QueryOutcome, coalesced: bool) -> None:
-        if outcome.report.shard_bytes is not None:
-            self._last_wire_bytes = sum(outcome.report.shard_bytes)
-        self.stats.record_query(
-            outcome.timings,
-            plan_hit=outcome.plan_cache_hit,
-            result_hit=outcome.result_cache_hit,
-            template_hit=outcome.template_hit,
-            coalesced=coalesced,
-        )
-        self._note_slow(outcome)
-
-    def _note_slow(self, outcome: QueryOutcome) -> None:
-        limit = self.config.slow_query_s
-        if limit is None or outcome.timings.total_s < limit:
-            return
-        self._slow_queries.append(
-            {
-                "query": outcome.query.name or str(outcome.query),
-                "total_s": outcome.timings.total_s,
-                "execute_s": outcome.timings.execute_s,
-                "rows": len(outcome.rows),
-                "served_by": outcome.provenance["served_by"],
-                "trace_id": outcome.trace_id,
-            }
-        )
-
-    def _execute_bound(self, bound: "BoundQuery") -> QueryOutcome:
-        """Serve a :class:`BoundQuery` (extraction already paid)."""
-        self._check_open()
-        started = time.perf_counter()
-        inst = _Instance(
-            template=bound.prepared.template,
-            values=bound.values,
-            key=bound.instance_key,
-            entry=bound.prepared._entry,
-        )
-        self._admit()
-        ref = (
-            self.trace_sink.start_trace(
-                bound.query.name or "prepared", epoch=started
-            )
-            if self.config.tracing
-            else None
-        )
-        try:
-            with activate(ref):
-                answer, coalesced = self._resolve(inst)
-                outcome = self._project(
-                    bound.query, inst, answer, coalesced, started
-                )
-        finally:
-            self._release()
-            if ref is not None:
-                self.trace_sink.finish_trace(
-                    ref.trace_id, time.perf_counter() - started
-                )
-        self._record(outcome, coalesced)
-        return outcome
 
     def submit_batch(
-        self, queries, *, dedup: bool = True, return_exceptions: bool = False
+        self, queries, *, return_exceptions: bool = False
     ) -> list[QueryOutcome | BaseException]:
         """Answer many independent queries, concurrently.
 
-        With ``dedup`` (the default), queries sharing an instance key
-        (same template, same constants) are *coalesced*: each distinct
-        instance binds and executes once and every duplicate reuses the
-        answer; queries sharing only a *template* (same shape, different
-        constants) still single-flight the optimizer — on a repeated
-        workload mix a batch therefore does strictly less work than
-        submitting its members one by one.
+        Queries sharing an instance key (same template, same constants)
+        are *coalesced*: each distinct instance goes down the pipeline
+        once, on the shared thread pool, and every duplicate is
+        projected from its leader's answer; queries sharing only a
+        *template* (same shape, different constants) still
+        single-flight the optimizer — on a repeated workload mix a
+        batch therefore does strictly less work than submitting its
+        members one by one.
 
         Queries are independent, so with ``return_exceptions`` a failing
         member (parse error, planning error) yields its exception object
@@ -1188,128 +1127,69 @@ class QueryService:
         start).
 
         Batch timings measure submission-to-availability: each member's
-        ``total_s`` starts when the batch is submitted.
+        ``total_s`` starts when the batch is submitted.  Under tracing a
+        coalesced member carries its leader's ``trace_id``.
         """
         self._check_open()
-        batch_started = time.perf_counter()
-        items: list[BGPQuery | BaseException] = []
+        started = time.perf_counter()
+        members: list[BGPQuery | BaseException] = []
         for q in queries:
             try:
                 parsed = self._parse(q)
                 self._reject_unbound(parsed)
-                items.append(parsed)
+                members.append(parsed)
             except ValueError as exc:
                 if not return_exceptions:
                     raise
-                items.append(exc)
-        if not items:
+                members.append(exc)
+        if not members:
             return []
-        members = sum(1 for it in items if not isinstance(it, BaseException))
-        permits = members
-        if self.config.max_inflight is not None and members:
-            # Cap at the limit so an oversized batch stays admissible on
-            # an idle service, but never below one slot — max_inflight=0
-            # must still reject.
-            permits = max(1, min(members, self.config.max_inflight))
-        self._admit(permits, submissions=members)
+        slots = self._admission.admit(
+            sum(1 for m in members if isinstance(m, BGPQuery))
+        )
         try:
-            return self._run_batch(
-                items, batch_started, dedup=dedup,
-                return_exceptions=return_exceptions,
-            )
-        finally:
-            self._release(permits)
-
-    def _run_batch(
-        self,
-        items: list,
-        batch_started: float,
-        *,
-        dedup: bool,
-        return_exceptions: bool,
-    ) -> list:
-        """Execute an admitted batch (see :meth:`submit_batch`)."""
-        if len(items) == 1:
-            only = items[0]
-            if isinstance(only, BaseException):
-                return [only]
-            try:
-                return [self._submit_parsed(only, batch_started)]
-            except Exception as exc:
-                if not return_exceptions:
-                    raise
-                return [exc]
-        pool = self._ensure_pool()
-        if not dedup:
-            futures = [
-                None
-                if isinstance(it, BaseException)
-                else pool.submit(self._submit_parsed, it, batch_started)
-                for it in items
-            ]
+            pool = self._ensure_pool()
+            #: instance key -> the pipeline run of the first member with it
+            leaders: dict[tuple, Future] = {}
+            #: per member: its exception, or (query, instance, run, leads it)
+            runs: list = []
+            for member in members:
+                if isinstance(member, BaseException):
+                    runs.append(member)
+                    continue
+                inst = self._instantiate(member)
+                run = None if inst.key is None else leaders.get(inst.key)
+                leads = run is None
+                if leads:
+                    run = pool.submit(
+                        self._serve, member,
+                        inst=inst, started=started, admitted=True,
+                    )
+                    if inst.key is not None:
+                        leaders[inst.key] = run
+                runs.append((member, inst, run, leads))
             outcomes: list[QueryOutcome | BaseException] = []
-            for item, future in zip(items, futures):
-                if future is None:
+            for item in runs:
+                if isinstance(item, BaseException):
                     outcomes.append(item)
                     continue
+                query, inst, run, leads = item
                 try:
-                    outcomes.append(future.result())
+                    outcome, answer = run.result()
                 except Exception as exc:
+                    # Whoever computed already recorded the error.
                     if not return_exceptions:
                         raise
                     outcomes.append(exc)
+                    continue
+                if not leads:
+                    outcome = self._finish(
+                        query, inst, answer, True, started, outcome.trace_id
+                    )
+                outcomes.append(outcome)
             return outcomes
-        #: per member: ("err", exc) | ("unc", future) | ("ok", query, inst, canon_s)
-        entries: list[tuple] = []
-        flights: dict[tuple, object] = {}
-        for item in items:
-            if isinstance(item, BaseException):
-                entries.append(("err", item))
-                continue
-            t0 = time.perf_counter()
-            try:
-                inst = self._instantiate(item)
-            except CanonicalizationBudgetExceeded:
-                entries.append(
-                    ("unc", pool.submit(self._submit_uncacheable, item, batch_started))
-                )
-                continue
-            entries.append(("ok", item, inst, time.perf_counter() - t0))
-            if inst.key not in flights:
-                flights[inst.key] = pool.submit(self._resolve, inst)
-        outcomes = []
-        leaders: set[tuple] = set()
-        for entry in entries:
-            if entry[0] == "err":
-                outcomes.append(entry[1])
-                continue
-            if entry[0] == "unc":
-                try:
-                    outcomes.append(entry[1].result())
-                except Exception as exc:
-                    # _submit_uncacheable already recorded the error.
-                    if not return_exceptions:
-                        raise
-                    outcomes.append(exc)
-                continue
-            _, query, inst, canonicalize_s = entry
-            try:
-                answer, coalesced = flights[inst.key].result()
-            except Exception as exc:
-                # The flight leader already recorded the error.
-                if not return_exceptions:
-                    raise
-                outcomes.append(exc)
-                continue
-            coalesced = coalesced or inst.key in leaders
-            leaders.add(inst.key)
-            outcome = self._project(query, inst, answer, coalesced, batch_started)
-            outcome.timings = replace(
-                outcome.timings, canonicalize_s=canonicalize_s
-            )
-            self._record(outcome, coalesced)
-            outcomes.append(outcome)
-        return outcomes
+        finally:
+            self._admission.release(slots)
 
     def snapshot_stats(self) -> StatsSnapshot:
         return self.stats.snapshot(
@@ -1323,49 +1203,21 @@ class QueryService:
         never spawned or already reaped is absent; a worker whose probe
         failed mid-flight — dead, mid-respawn — surfaces as a *stale*
         gauge rather than silently disappearing or raising)."""
-        if self.config.shard_transport != "rpc" or not self.config.shards:
-            return ()
         try:
-            probes = self.executor.router.worker_gauges()  # type: ignore[union-attr]
+            probes = self.executor.backend.worker_gauges()
         except Exception:
             return ()
-        gauges = []
-        for shard, reply in probes:
-            if reply is None:
-                gauges.append(
-                    ShardWorkerGauge(
-                        shard=shard,
-                        inflight=0,
-                        queue_depth=0,
-                        max_concurrency=0,
-                        peak_inflight=0,
-                        tasks_run=0,
-                        batches=0,
-                        deduped=0,
-                        stale=True,
-                    )
-                )
-                continue
-            gauges.append(
-                ShardWorkerGauge(
-                    shard=shard,
-                    inflight=reply.inflight,
-                    queue_depth=reply.queue_depth,
-                    max_concurrency=reply.pipeline,
-                    peak_inflight=reply.peak_inflight,
-                    tasks_run=reply.tasks_run,
-                    batches=reply.batches,
-                    deduped=reply.deduped,
-                )
-            )
-        return tuple(gauges)
+        return tuple(
+            ShardWorkerGauge.from_reply(shard, reply) for shard, reply in probes
+        )
 
     # -- observability surfaces --------------------------------------------
 
     def explain_analyze(self, query: BGPQuery | str, name: str = "") -> str:
         """Run *query* with tracing forced on; render plan + span tree.
 
-        The EXPLAIN section shows what the optimizer chose; the trace
+        The EXPLAIN section shows the plan the submission ran (an
+        uncacheable query's included); the trace
         section shows where the wall-clock actually went — driver
         stages (parse/canonicalize/optimize/bind/execute), engine
         levels, and (under the rpc transport) per-shard RPC spans with
@@ -1373,19 +1225,10 @@ class QueryService:
         breakdown shipped back on the replies.  The trace stays in
         ``trace_sink`` for :meth:`export_chrome_trace`.
         """
-        self._check_open()
-        started = time.perf_counter()
-        parsed = self._parse(query, name)
-        parsed_at = time.perf_counter()
-        self._reject_unbound(parsed)
-        self._admit()
-        try:
-            outcome = self._submit_parsed(
-                parsed, started, parsed_at=parsed_at, force_trace=True
-            )
-        finally:
-            self._release()
-        sections = [self.explain(parsed)]
+        outcome, _ = self._serve(query, name, force_trace=True)
+        sections = [
+            self._explain_plan(outcome.plan, outcome.template_digest or None)
+        ]
         trace = self.trace_sink.get(outcome.trace_id)
         if trace is not None:
             sections.append(f"== trace {trace.trace_id} ==\n{trace.render()}")
@@ -1394,8 +1237,6 @@ class QueryService:
     def trace(self, outcome: QueryOutcome) -> Trace | None:
         """The recorded span tree of *outcome* — None when tracing was
         off for the submission or the sink has since evicted it."""
-        if not outcome.trace_id:
-            return None
         return self.trace_sink.get(outcome.trace_id)
 
     def export_chrome_trace(
@@ -1419,10 +1260,6 @@ class QueryService:
         counters, trace retention) are synced in here, at scrape time,
         so frames never pay a registry write.
         """
-        self._sync_transport_metrics()
-        return self.registry.render_prometheus()
-
-    def _sync_transport_metrics(self) -> None:
         registry = self.registry
         registry.gauge(
             "repro_traces_retained", "Completed traces held by the sink."
@@ -1435,33 +1272,22 @@ class QueryService:
         caches.labels(cache="plan").set(len(self.plan_cache))
         caches.labels(cache="template").set(len(self.template_cache))
         caches.labels(cache="result").set(len(self.result_cache))
-        workers = self._shard_worker_gauges()
-        if not workers:
-            return
-        fields = registry.gauge(
+        workers = registry.gauge(
             "repro_shard_worker",
             "Point-in-time RPC shard worker load (stale=1: probe failed).",
             labels=("shard", "field"),
         )
-        for g in workers:
-            shard = str(g.shard)
-            fields.labels(shard=shard, field="stale").set(1.0 if g.stale else 0.0)
-            if g.stale:
-                continue
-            for name, value in (
-                ("inflight", g.inflight),
-                ("queue_depth", g.queue_depth),
-                ("max_concurrency", g.max_concurrency),
-                ("peak_inflight", g.peak_inflight),
-                ("tasks_run", g.tasks_run),
-                ("batches", g.batches),
-                ("deduped", g.deduped),
-            ):
-                fields.labels(shard=shard, field=name).set(float(value))
+        for gauge in self._shard_worker_gauges():
+            readings = asdict(gauge)
+            shard = str(readings.pop("shard"))
+            if gauge.stale:
+                readings = {"stale": True}
+            for name, value in readings.items():
+                workers.labels(shard=shard, field=name).set(float(value))
         try:
-            wire = self.executor.router.wire_stats()  # type: ignore[union-attr]
+            wire = self.executor.backend.wire_stats()
         except Exception:
-            return
+            wire = []
         link = registry.gauge(
             "repro_shard_wire",
             "Driver-side transport counters per shard connection.",
@@ -1470,71 +1296,24 @@ class QueryService:
         for shard, stats in wire:
             for name, value in stats.items():
                 link.labels(shard=str(shard), field=name).set(float(value))
+        return registry.render_prometheus()
 
     # -- internals ---------------------------------------------------------
 
-    def _single_flight(
-        self, flights: dict, key, compute, on_error=None
-    ) -> tuple[object, bool]:
-        """Run *compute* once per concurrent *key*: the first caller
-        computes, the rest wait and share the value (or the raised
-        error).  Returns ``(value, reused)``; ``reused`` is True for
-        waiters."""
-        with self._flights_lock:
-            flight = flights.get(key)
-            leader = flight is None
-            if leader:
-                flight = flights[key] = _Flight()
-        if not leader:
-            with span("flight_wait"):
-                flight.done.wait()
-            if flight.error is not None:
-                raise flight.error
-            return flight.value, True
-        try:
-            value = compute()
-            flight.value = value
-            return value, False
-        except BaseException as exc:
-            flight.error = exc
-            if on_error is not None:
-                on_error()
-            raise
-        finally:
-            with self._flights_lock:
-                flights.pop(key, None)
-            flight.done.set()
-
     def _resolve(self, inst: _Instance) -> tuple[_Answer, bool]:
-        """Answer a bound instance, via caches and single-flight."""
+        """Answer a bound instance, via caches and single-flight (or,
+        without a key, by computing it outright).  Returns ``(answer,
+        coalesced)``; ``coalesced`` is True for a flight's waiters."""
+        if inst.key is None:
+            return self._compute(inst), False
         while True:
             entry = self.result_cache.get_current(inst.key, self._version)
             if entry is not None:
-                return (
-                    _Answer(
-                        attrs=entry.attrs,
-                        rows=entry.rows,
-                        plan=entry.plan,
-                        report=entry.report,
-                        job_signature=entry.job_signature,
-                        plan_hit=True,
-                        template_hit=False,
-                        result_hit=True,
-                        optimize_s=0.0,
-                        execute_s=0.0,
-                        bind_s=0.0,
-                        version=entry.version,
-                    ),
-                    False,
-                )
-            answer, reused = self._single_flight(
-                self._flights,  # lint: disable=LOCK001 — reference only; _single_flight mutates it under _flights_lock
-                inst.key,
-                lambda: self._compute(inst),
-                on_error=self.stats.record_error,
+                return _Answer(entry), False
+            answer, reused = self._flights.run(
+                inst.key, lambda: self._compute(inst)
             )
-            assert isinstance(answer, _Answer)
-            if reused and answer.version != self._version:
+            if reused and answer.entry.version != self._version:
                 # The flight predates a mutation that committed after we
                 # joined; its rows are stale for us. Recompute at the
                 # current version instead of serving them.
@@ -1542,7 +1321,10 @@ class QueryService:
             return answer, reused
 
     def _template_entry(
-        self, template: QueryTemplate, seed: TemplateEntry | None = None
+        self,
+        template: QueryTemplate,
+        seed: TemplateEntry | None = None,
+        cacheable: bool = True,
     ) -> tuple[TemplateEntry, bool]:
         """The optimized-once entry for *template* (single-flight).
 
@@ -1552,8 +1334,11 @@ class QueryService:
         live PreparedQuery whose template the cache has since dropped —
         the seed is used directly, without resurrecting it into the
         shared cache, so mutation-triggered invalidation stays
-        effective for everyone else).
+        effective for everyone else).  An uncacheable query's template
+        is built for it alone.
         """
+        if not cacheable:
+            return self._build_template_entry(template), False
         entry = self.template_cache.get(template.signature)
         if entry is not None:
             return entry, True
@@ -1561,17 +1346,13 @@ class QueryService:
             return seed, True
 
         def build() -> TemplateEntry:
+            # Cached before the flight closes: a latecomer finds one or
+            # the other, never neither.
             built = self._build_template_entry(template)
             self.template_cache.put(template.signature, built)
             return built
 
-        entry, reused = self._single_flight(
-            self._template_flights,  # lint: disable=LOCK001 — reference only; _single_flight mutates it under _flights_lock
-            template.signature,
-            build,
-        )
-        assert isinstance(entry, TemplateEntry)
-        return entry, reused
+        return self._template_flights.run(template.signature, build)
 
     def _build_template_entry(self, template: QueryTemplate) -> TemplateEntry:
         """Optimize a template once and prepare its parameterized plan.
@@ -1586,207 +1367,184 @@ class QueryService:
         like average-selectivity constants.
         """
         self.stats.record_optimizer_run()
-        t0 = time.perf_counter()
-        defaults = template.default_values()
-        plan: LogicalPlan | None = None
-        if template.arity and all(v is not None for v in defaults):
-            values = tuple(defaults)  # type: ignore[arg-type]
-            bound_query = template.bind_canonical(values)
-            # Bound pattern -> template pattern, to lift the chosen plan
-            # back to placeholder form.  Binding may collapse two
-            # distinct template patterns into one (duplicate patterns
-            # modulo constants) — the optimizer would then plan only one
-            # of them, so fall back to optimizing the template directly.
-            pairs: dict = {}
-            collapse = False
-            for btp, ttp in zip(bound_query.patterns, template.query.patterns):
-                if btp in pairs and pairs[btp] != ttp:
-                    collapse = True
-                    break
-                pairs.setdefault(btp, ttp)
-            if not collapse:
-                bound_plan, optimizer = self.optimize(bound_query)
-                plan = LogicalPlan(
-                    root=rewrite_patterns(
-                        bound_plan.root, lambda tp: pairs[tp]
-                    ),
-                    query=template.query,
-                )
-        if plan is None:
-            plan, optimizer = self.optimize(template.query)
-        prepared = self.executor.prepare(plan)
-        if isinstance(self.executor, ShardedPlanExecutor):
+        with stage("optimize") as optimize:
+            defaults = template.default_values()
+            plan: LogicalPlan | None = None
+            if template.arity and all(v is not None for v in defaults):
+                values = tuple(defaults)  # type: ignore[arg-type]
+                bound_query = template.bind_canonical(values)
+                # Bound pattern -> template pattern, to lift the chosen
+                # plan back to placeholder form.  Binding may collapse
+                # two distinct template patterns into one (duplicate
+                # patterns modulo constants) — the optimizer would then
+                # plan only one of them, so fall back to optimizing the
+                # template directly.
+                pairs: dict = {}
+                collapse = False
+                for btp, ttp in zip(bound_query.patterns, template.query.patterns):
+                    if btp in pairs and pairs[btp] != ttp:
+                        collapse = True
+                        break
+                    pairs.setdefault(btp, ttp)
+                if not collapse:
+                    bound_plan, optimizer = self.optimize(bound_query)
+                    plan = LogicalPlan(
+                        root=rewrite_patterns(
+                            bound_plan.root, lambda tp: pairs[tp]
+                        ),
+                        query=template.query,
+                    )
+            if plan is None:
+                plan, optimizer = self.optimize(template.query)
+            prepared = self.executor.prepare(plan)
             # Ship the template's job structure to every shard once;
             # each query afterwards sends only its binding-substituted
             # task specs (the snapshot already lives in the shard pools).
             self.executor.register_template(prepared)
-        optimize_s = time.perf_counter() - t0
-        record_remote(
-            trace_ctx(),
-            "optimize",
-            t0,
-            time.perf_counter(),
-            plans=optimizer.plan_count,
-            pruned=optimizer.pruned,
-            truncated=optimizer.truncated,
-        )
+            optimize.set(
+                plans=optimizer.plan_count,
+                pruned=optimizer.pruned,
+                truncated=optimizer.truncated,
+            )
         return TemplateEntry(
-            template=template,
             plan=plan,
             prepared=prepared,
-            optimize_s=optimize_s,
+            optimize_s=optimize.seconds,
             plan_count=optimizer.plan_count,
             pruned=optimizer.pruned,
             truncated=optimizer.truncated,
         )
 
     def _compute(self, inst: _Instance) -> _Answer:
-        entry = self.plan_cache.get(inst.key)
-        plan_hit = entry is not None
-        template_hit = False
-        optimize_s = 0.0
-        bind_s = 0.0
-        if entry is None:
-            tentry, template_hit = self._template_entry(
-                inst.template, inst.entry
-            )
-            t0 = time.perf_counter()
-            with span("bind", template_hit=template_hit):
-                prepared = tentry.prepared.bind(
-                    inst.template.substitution(inst.values)
+        """Plan (from the caches when the instance has a key), bind,
+        execute.  Whoever computes records the error a failure is."""
+        cacheable = inst.key is not None
+        try:
+            entry = self.plan_cache.get(inst.key) if cacheable else None
+            plan_hit = entry is not None
+            template_hit = False
+            optimize_s = bind_s = 0.0
+            if entry is None:
+                tentry, template_hit = self._template_entry(
+                    inst.template, inst.entry, cacheable
                 )
-            bind_s = time.perf_counter() - t0
-            if not template_hit:
-                optimize_s = tentry.optimize_s
-            entry = PlanEntry(
-                plan=prepared.plan,
-                prepared=prepared,
-                optimize_s=optimize_s,
-                plan_count=tentry.plan_count,
-                truncated=tentry.truncated,
-            )
-            self.plan_cache.put(inst.key, entry)
-        t0 = time.perf_counter()
-        with self._store_lock.read():
-            version = self._version
-            with span("execute", plan_hit=plan_hit):
-                result = self.executor.execute_prepared(entry.prepared)
-        execute_s = time.perf_counter() - t0
-        answer = _Answer(
+                with stage("bind", template_hit=template_hit) as bind:
+                    prepared = tentry.prepared.bind(
+                        inst.template.substitution(inst.values)
+                    )
+                bind_s = bind.seconds
+                if not template_hit:
+                    optimize_s = tentry.optimize_s
+                entry = PlanEntry(
+                    plan=prepared.plan,
+                    prepared=prepared,
+                    plan_count=tentry.plan_count,
+                    truncated=tentry.truncated,
+                )
+                if cacheable:
+                    self.plan_cache.put(inst.key, entry)
+            # The wait for the read side is part of the stage.
+            with stage("execute", plan_hit=plan_hit) as execute:
+                with self._store_lock.read():
+                    version = self._version
+                    result = self.executor.execute_prepared(entry.prepared)
+        except BaseException:
+            self.stats.record_error()
+            raise
+        found = ResultEntry(
+            version=version,
             attrs=result.attrs,
             rows=result.rows,
             plan=entry.plan,
             report=result.report,
             job_signature=result.job_signature(),
+        )
+        if cacheable:
+            self.result_cache.put(inst.key, found)
+        return _Answer(
+            found,
             plan_hit=plan_hit,
             template_hit=template_hit,
             result_hit=False,
             optimize_s=optimize_s,
-            execute_s=execute_s,
             bind_s=bind_s,
-            version=version,
+            execute_s=execute.seconds,
         )
-        self.result_cache.put(
-            inst.key,
-            ResultEntry(
-                version=version,
-                attrs=answer.attrs,
-                rows=answer.rows,
-                plan=answer.plan,
-                report=answer.report,
-                job_signature=answer.job_signature,
-            ),
-        )
-        return answer
 
-    def _project(
+    def _finish(
         self,
         query: BGPQuery,
         inst: _Instance,
         answer: _Answer,
         coalesced: bool,
         started: float,
+        trace_id: str,
     ) -> QueryOutcome:
-        """Map a canonical-space answer back onto *query*'s variables."""
+        """The pipeline's tail: map a canonical-space answer back onto
+        *query*'s variables, then count the submission (stats, slow
+        ring).  A batch calls it for the duplicates of a leader."""
+        entry = answer.entry
         mapping = inst.template.mapping
-        wanted = [mapping[v] for v in query.distinguished]
-        index = [answer.attrs.index(c) for c in wanted]
-        if index == list(range(len(answer.attrs))):
-            rows = set(answer.rows)
+        index = [entry.attrs.index(mapping[v]) for v in query.distinguished]
+        if index == list(range(len(entry.attrs))):
+            rows = set(entry.rows)
         elif len(index) == 1:
-            rows = set(zip(map(itemgetter(index[0]), answer.rows)))
+            rows = set(zip(map(itemgetter(index[0]), entry.rows)))
         else:
-            rows = set(map(itemgetter(*index), answer.rows))
-        total_s = time.perf_counter() - started
-        ref = current_ref()
-        return QueryOutcome(
+            rows = set(map(itemgetter(*index), entry.rows))
+        cacheable = inst.key is not None
+        canonicalized = inst.canonicalized
+        timings = QueryTimings(
+            canonicalize_s=(
+                0.0
+                if canonicalized is None
+                else canonicalized[1] - canonicalized[0]
+            ),
+            optimize_s=answer.optimize_s,
+            bind_s=answer.bind_s,
+            execute_s=answer.execute_s,
+            total_s=time.perf_counter() - started,
+        )
+        outcome = QueryOutcome(
             query=query,
             attrs=tuple(query.distinguished),
             rows=rows,
-            plan=answer.plan,
-            report=answer.report,
-            job_signature=answer.job_signature,
+            plan=entry.plan,
+            report=entry.report,
+            job_signature=entry.job_signature,
             plan_cache_hit=answer.plan_hit,
             result_cache_hit=answer.result_hit,
             coalesced=coalesced,
-            cacheable=True,
-            timings=QueryTimings(
-                optimize_s=answer.optimize_s,
-                execute_s=answer.execute_s,
-                bind_s=answer.bind_s,
-                total_s=total_s,
-            ),
-            graph_version=answer.version,
+            cacheable=cacheable,
+            timings=timings,
+            graph_version=entry.version,
             template_hit=answer.template_hit,
-            template_digest=inst.template.digest(),
+            template_digest=inst.template.digest() if cacheable else "",
             parameters=tuple(
                 (p.name, v)
                 for p, v in zip(inst.template.params, inst.values)
             ),
-            trace_id="" if ref is None else ref.trace_id,
+            trace_id=trace_id,
         )
-
-    def _submit_uncacheable(
-        self, query: BGPQuery, started: float
-    ) -> QueryOutcome:
-        """Serve a query the canonicalizer gave up on, bypassing caches."""
-        self.stats.record_optimizer_run()
-        t0 = time.perf_counter()
-        try:
-            with span("optimize", cacheable=False):
-                plan, _ = self.optimize(query)
-                prepared = self.executor.prepare(plan)
-        except Exception:
-            self.stats.record_error()
-            raise
-        optimize_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        with self._store_lock.read():
-            version = self._version
-            with span("execute"):
-                result = self.executor.execute_prepared(prepared)
-        execute_s = time.perf_counter() - t0
-        timings = QueryTimings(
-            optimize_s=optimize_s,
-            execute_s=execute_s,
-            total_s=time.perf_counter() - started,
+        if entry.report.shard_bytes is not None:
+            self._last_wire_bytes = sum(entry.report.shard_bytes)
+        self.stats.record_query(
+            timings,
+            plan_hit=answer.plan_hit,
+            result_hit=answer.result_hit,
+            template_hit=answer.template_hit,
+            coalesced=coalesced,
         )
-        self.stats.record_query(timings, plan_hit=False, result_hit=False)
-        ref = current_ref()
-        outcome = QueryOutcome(
-            query=query,
-            attrs=result.attrs,
-            rows=set(result.rows),
-            plan=plan,
-            report=result.report,
-            job_signature=result.job_signature(),
-            plan_cache_hit=False,
-            result_cache_hit=False,
-            coalesced=False,
-            cacheable=False,
-            timings=timings,
-            graph_version=version,
-            trace_id="" if ref is None else ref.trace_id,
-        )
-        self._note_slow(outcome)
+        limit = self.config.slow_query_s
+        if limit is not None and timings.total_s >= limit:
+            self._slow_queries.append(
+                {
+                    "query": query.name or str(query),
+                    "total_s": timings.total_s,
+                    "execute_s": timings.execute_s,
+                    "rows": len(rows),
+                    "served_by": outcome.provenance["served_by"],
+                    "trace_id": trace_id,
+                }
+            )
         return outcome

@@ -23,9 +23,13 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.analysis.locks import checked
 from repro.obs.metrics import Histogram, MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.rpc import StatsReply
 
 
 def percentile(samples: list[float], p: float) -> float:
@@ -60,18 +64,7 @@ class LatencySummary:
     @classmethod
     def of(cls, samples: list[float]) -> "LatencySummary":
         """Summary of an in-memory series (window == whole series)."""
-        if not samples:
-            return cls(count=0, p50=0.0, p95=0.0, p99=0.0, mean=0.0, total=0.0)
-        total = sum(samples)
-        return cls(
-            count=len(samples),
-            p50=percentile(samples, 50),
-            p95=percentile(samples, 95),
-            p99=percentile(samples, 99),
-            mean=total / len(samples),
-            total=total,
-            windowed=len(samples),
-        )
+        return cls._over(len(samples), sum(samples), samples)
 
     @classmethod
     def of_series(
@@ -79,10 +72,14 @@ class LatencySummary:
     ) -> "LatencySummary":
         """Exact running totals from *histogram*, percentiles from the
         recent *window* reservoir."""
-        count = histogram.count
+        return cls._over(histogram.count, histogram.sum, window)
+
+    @classmethod
+    def _over(
+        cls, count: int, total: float, window: list[float]
+    ) -> "LatencySummary":
         if count == 0:
             return cls(count=0, p50=0.0, p95=0.0, p99=0.0, mean=0.0, total=0.0)
-        total = histogram.sum
         return cls(
             count=count,
             p50=percentile(window, 50),
@@ -119,21 +116,39 @@ class ShardWorkerGauge:
 
     shard: int
     #: levels currently executing on the worker's dispatch pool
-    inflight: int
+    inflight: int = 0
     #: levels accepted but not yet started
-    queue_depth: int
+    queue_depth: int = 0
     #: dispatch-pool size (the concurrency ceiling)
-    max_concurrency: int
+    max_concurrency: int = 0
     #: high-water mark of ``inflight`` over the worker's life
-    peak_inflight: int
-    tasks_run: int
+    peak_inflight: int = 0
+    tasks_run: int = 0
     #: coalesced ExecuteBatch frames served
-    batches: int
+    batches: int = 0
     #: duplicate request ids answered from the dedup cache
-    deduped: int
+    deduped: int = 0
     #: the probe failed (dead/unresponsive worker): the numbers are
     #: zeros, not a live reading — a snapshot never raises mid-probe
     stale: bool = False
+
+    @classmethod
+    def from_reply(
+        cls, shard: int, reply: "StatsReply | None"
+    ) -> "ShardWorkerGauge":
+        """The gauge of one probe; a failed probe (``None``) is stale."""
+        if reply is None:
+            return cls(shard=shard, stale=True)
+        return cls(
+            shard=shard,
+            inflight=reply.inflight,
+            queue_depth=reply.queue_depth,
+            max_concurrency=reply.pipeline,
+            peak_inflight=reply.peak_inflight,
+            tasks_run=reply.tasks_run,
+            batches=reply.batches,
+            deduped=reply.deduped,
+        )
 
 
 @dataclass(frozen=True)
@@ -403,22 +418,10 @@ class ServiceStats:
         shard_workers: tuple[ShardWorkerGauge, ...] = (),
     ) -> StatsSnapshot:
         with self._lock:
-            counts = {name: int(c.value) for name, c in self._events.items()}
+            # _EVENTS names the StatsSnapshot counter fields.
             return StatsSnapshot(
-                submitted=counts["submitted"],
-                errors=counts["errors"],
-                plan_hits=counts["plan_hits"],
-                plan_misses=counts["plan_misses"],
-                template_hits=counts["template_hits"],
+                **{name: int(c.value) for name, c in self._events.items()},
                 templates_cached=templates_cached,
-                optimizer_runs=counts["optimizer_runs"],
-                result_hits=counts["result_hits"],
-                result_misses=counts["result_misses"],
-                coalesced=counts["coalesced"],
-                mutations=counts["mutations"],
-                rejected=counts["rejected"],
-                shard_failures=counts["shard_failures"],
-                rebalances=counts["rebalances"],
                 graph_version=graph_version,
                 uptime_s=time.monotonic() - self._started,
                 optimize=self._summary("optimize"),

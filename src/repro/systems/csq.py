@@ -6,8 +6,8 @@ partitioner, the CliqueSquare-MSC optimizer with the §5.4 cost model,
 the §5.2/§5.3 physical translation, the simulated MapReduce executor,
 and the template/plan/result caches.  The session keeps the historical
 one-shot API (``optimize`` / ``execute_plan`` / ``run``) used by the
-paper's figure benchmarks, while ``run`` routes through the service's
-unified prepare → bind → execute pipeline — repeated, isomorphic, or
+paper's figure benchmarks, while ``run`` is ``submit``: one more door
+onto the service's one serving pipeline — repeated, isomorphic, or
 constant-varying queries skip the optimizer.  ``prepare`` exposes the
 prepared-query surface directly on the session.
 """
@@ -125,9 +125,7 @@ class CSQ:
 
     def prepare(self, query: BGPQuery | str, name: str = "") -> PreparedQuery:
         """Prepare a parameterized query once; bind/execute many times."""
-        prepared = self.service.prepare(query, name)
-        assert isinstance(prepared, PreparedQuery)
-        return prepared
+        return self.service.prepare(query, name)
 
     # -- execution ---------------------------------------------------------
 
@@ -136,5 +134,5 @@ class CSQ:
         return self.service.execute_plan(plan)
 
     def run(self, query: BGPQuery) -> SystemReport:
-        """One-shot query — served through prepare → bind → execute."""
+        """One-shot query — a ``submit`` down the service's pipeline."""
         return self.service.submit(query).to_report(self.name)

@@ -23,6 +23,7 @@ import functools
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -30,7 +31,9 @@ import pytest
 from repro.mapreduce.counters import ExecutionReport
 from repro.service import QueryOutcome, QueryService, ServiceConfig
 from repro.sparql.ast import BGPQuery
+from repro.sparql.canonical import CanonicalizationBudgetExceeded
 from repro.sparql.parser import parse_query
+from repro.workloads import lubm, lubm_queries
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,6 +187,30 @@ def ground_queries(graph) -> list[BGPQuery]:
     ]
 
 
+#: canonicalization budget of a surface-parity service: enough for the
+#: LUBM stars, too little for an automorphic query
+PARITY_BUDGET = 2
+
+
+def parity_queries() -> list[BGPQuery]:
+    """The surface-parity workload: one cacheable LUBM query, one
+    template bound to two constants, and one query whose automorphism
+    (?a <-> ?b) takes it past ``PARITY_BUDGET`` — uncacheable."""
+    alumni = (
+        "SELECT ?x WHERE {{ ?x ub:undergraduateDegreeFrom {} . "
+        "?x rdf:type ub:GraduateStudent }}"
+    )
+    return [
+        lubm_queries.query("Q9"),
+        parse_query(alumni.format(lubm.university_iri(0)), name="alumni-0"),
+        parse_query(alumni.format(lubm.university_iri(3)), name="alumni-3"),
+        parse_query(
+            "SELECT ?a ?b WHERE { ?a ub:advisor ?c . ?b ub:advisor ?c }",
+            name="same-advisor",
+        ),
+    ]
+
+
 # -- expected answers ----------------------------------------------------------
 
 
@@ -254,8 +281,12 @@ def run_surface(service: QueryService, queries, surface: str):
     if surface == "prepare":
         outcomes = []
         for q in queries:
-            prepared = service.prepare(q)
-            outcomes.append(prepared.bind().execute())
+            try:
+                outcomes.append(service.prepare(q).bind().execute())
+            except CanonicalizationBudgetExceeded:
+                # No template to hold a handle on: prepare() sends such
+                # a query to submit.
+                outcomes.append(service.submit(q))
         return outcomes
     if surface == "batch":
         return service.submit_batch(list(queries))
@@ -293,21 +324,107 @@ def assert_conforms(expected: Expected, outcome: QueryOutcome, where: str) -> No
         assert mine[7] == theirs[7], where  # total_work
 
 
+#: the StatsSnapshot counters a submission moves
+COUNTERS = (
+    "submitted", "errors", "plan_hits", "plan_misses", "template_hits",
+    "optimizer_runs", "result_hits", "result_misses", "coalesced", "rejected",
+)
+
+#: stages a PreparedQuery pays in prepare(), outside any submission: its
+#: executes leave no such spans and count as template hits, not misses
+PREPARE_TIME_SPANS = ("canonicalize", "optimize", "prepare")
+
+
+@dataclass(frozen=True)
+class Footprint:
+    """What one surface run left behind besides its answers."""
+
+    #: StatsSnapshot counter -> how far the run moved it
+    counters: dict[str, int]
+    #: span name -> occurrences, over every member's trace (empty when
+    #: the service does not trace).  ``flight_wait`` is left out: whether
+    #: a batch member meets its template's optimization in flight or in
+    #: the cache is timing, not pipeline.
+    spans: Counter
+
+    def at_execute_time(self) -> "Footprint":
+        """The footprint with prepare()'s share taken out, for
+        comparing a surface that prepares with one that does not."""
+        counters = dict(self.counters)
+        counters["plan_misses"] += counters.pop("template_hits")
+        spans = Counter(self.spans)
+        for name in PREPARE_TIME_SPANS:
+            spans.pop(name, None)
+        return Footprint(counters, spans)
+
+
 def assert_surface_conforms(
     service: QueryService,
     queries,
     reference: dict[str, Expected],
     surface: str,
     where: str = "",
-) -> None:
-    """Run one surface over *queries* and check every outcome."""
+) -> Footprint:
+    """Run one surface over *queries*, check every outcome, and return
+    the footprint of the run (see :func:`assert_one_pipeline`)."""
+    # The accumulator's own snapshot: snapshot_stats() would also probe
+    # every rpc shard worker for gauges nobody reads here.
+    before = service.stats.snapshot()
     outcomes = run_surface(service, queries, surface)
+    after = service.stats.snapshot()
     assert len(outcomes) == len(queries), (where, surface)
+    spans: Counter = Counter()
+    #: a coalesced member carries its leader's trace: count it once
+    seen: set[str] = set()
     for query, outcome in zip(queries, outcomes):
         assert not isinstance(outcome, BaseException), (where, surface, outcome)
         assert_conforms(
             reference[query.name], outcome, f"{where}/{surface}/{query.name}"
         )
+        assert bool(outcome.trace_id) == service.config.tracing, (where, surface)
+        if outcome.trace_id and outcome.trace_id not in seen:
+            seen.add(outcome.trace_id)
+            trace = service.trace(outcome)
+            assert trace is not None, (where, surface, query.name)
+            spans.update(s.name for s in trace.spans[1:] if s.name != "flight_wait")
+    return Footprint(
+        {name: getattr(after, name) - getattr(before, name) for name in COUNTERS},
+        spans,
+    )
+
+
+def assert_one_pipeline(
+    service: QueryService,
+    queries,
+    reference: dict[str, Expected],
+    where: str = "",
+) -> None:
+    """The three surfaces are doors onto one pipeline: from the same
+    cold caches they leave the same counters and the same spans.
+
+    A warm-up pass first brings the deployment (shard workers'
+    registered templates and bound specs, wire dictionaries) to the
+    state every measured pass then starts from; the plan and template
+    caches are emptied before each pass.  ``submit_batch`` must match
+    ``submit`` exactly; ``prepare`` matches it once prepare()'s own
+    share — paid outside any submission — is taken out of both.
+    """
+    assert service.config.tracing and not service.config.result_cache_size, where
+    run_surface(service, queries, "submit")
+    footprints = {}
+    for surface in SURFACES:
+        service.plan_cache.clear()
+        service.template_cache.clear()
+        footprints[surface] = assert_surface_conforms(
+            service, queries, reference, surface, where
+        )
+    submit = footprints["submit"]
+    assert submit.counters["submitted"] == len(queries), where
+    assert submit.spans["engine"] == len(queries), (where, submit.spans)
+    assert footprints["batch"] == submit, (where, "batch")
+    assert (
+        footprints["prepare"].at_execute_time() == submit.at_execute_time()
+    ), (where, "prepare")
 
 
 def assert_concurrent_conforms(

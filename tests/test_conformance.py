@@ -7,7 +7,10 @@ Every cell must reproduce the single-store serial reference bit for
 bit: identical answers and field-wise identical execution reports (see
 ``tests/conformance.py``).  This suite replaces the per-PR copies of
 the answer-equality check that previously lived in ``test_backends.py``
-and ``test_cluster.py``.
+and ``test_cluster.py``.  Every cell also proves the three surfaces are
+one pipeline: on ``conformance.parity_queries`` (cacheable, one
+template twice, uncacheable) they leave the same stats counters and
+the same spans (``conformance.assert_one_pipeline``).
 """
 
 from __future__ import annotations
@@ -18,14 +21,18 @@ from repro.workloads import lubm, lubm_queries
 from tests.conformance import (
     BACKENDS,
     DEPLOYMENTS,
+    PARITY_BUDGET,
     RPC_MODES,
     RPC_WIRES,
     SURFACES,
     assert_concurrent_conforms,
+    assert_one_pipeline,
     assert_rebalance_conforms,
     assert_surface_conforms,
+    expected_of,
     ground_queries,
     make_service,
+    parity_queries,
     reference_answers,
     skip_unless_supported,
 )
@@ -58,6 +65,39 @@ def reference8(graph, queries):
         return reference_answers(service, queries)
 
 
+@pytest.fixture(scope="module")
+def parity():
+    return parity_queries()
+
+
+@pytest.fixture(scope="module")
+def parity_reference(graph, parity):
+    with make_service(
+        graph, "serial", "unsharded", canonical_budget=PARITY_BUDGET
+    ) as service:
+        outcomes = [service.submit(q) for q in parity]
+        # Not vacuous: the roles the workload is named for are filled.
+        assert [o.cacheable for o in outcomes] == [True, True, True, False]
+        assert outcomes[1].template_digest == outcomes[2].template_digest
+        assert all(o.rows for o in outcomes)
+        return {
+            q.name: expected_of(q.name, o) for q, o in zip(parity, outcomes)
+        }
+
+
+def check_one_pipeline(graph, backend, deployment, parity, parity_reference):
+    """A traced twin of the cell's service, so the surfaces' spans can
+    be compared as well as their counters."""
+    with make_service(
+        graph, backend, deployment,
+        tracing=True, canonical_budget=PARITY_BUDGET,
+    ) as traced:
+        assert_one_pipeline(
+            traced, parity, parity_reference,
+            where=f"{deployment}/{backend or 'default'}/parity",
+        )
+
+
 def test_reference_is_not_vacuous(reference):
     """Answer equality only means something if answers exist."""
     assert len(reference) == 16
@@ -74,9 +114,12 @@ def test_reference_is_not_vacuous(reference):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
-def test_conformance_matrix(graph, queries, reference, deployment, backend):
+def test_conformance_matrix(
+    graph, queries, reference, parity, parity_reference, deployment, backend
+):
     """One service per (deployment, backend) cell; all three submission
-    surfaces run the full workload against the shared reference."""
+    surfaces run the full workload against the shared reference, then
+    the parity workload shows they are one pipeline."""
     skip_unless_supported(deployment, backend)
     service = make_service(graph, backend, deployment)
     try:
@@ -90,9 +133,12 @@ def test_conformance_matrix(graph, queries, reference, deployment, backend):
         )
     finally:
         service.close()
+    check_one_pipeline(graph, backend, deployment, parity, parity_reference)
 
 
-def test_default_config_conformance(graph, queries, reference):
+def test_default_config_conformance(
+    graph, queries, reference, parity, parity_reference
+):
     """The cell that names no backend: whatever ``ServiceConfig()``
     resolves to here (the id-space engine with numpy, serial without)
     answers like the serial reference, rows and field-wise reports, on
@@ -112,6 +158,7 @@ def test_default_config_conformance(graph, queries, reference):
         assert not service.snapshot_stats().warnings
     finally:
         service.close()
+    check_one_pipeline(graph, None, "unsharded", parity, parity_reference)
 
 
 @pytest.mark.parametrize("mode", sorted(RPC_MODES))

@@ -44,6 +44,10 @@ CHAIN_QUERY = (
 )
 
 
+#: automorphic: past a tiny canonicalization budget, so uncacheable
+SYMMETRIC_QUERY = "SELECT ?a ?b WHERE { ?a ub:advisor ?b . ?b ub:advisor ?a }"
+
+
 @pytest.fixture(scope="module")
 def university():
     return make_university_graph()
@@ -305,11 +309,46 @@ class TestServiceTracing:
 
     def test_batch_members_trace_independently(self, university):
         with traced_service(university) as service:
-            outcomes = service.submit_batch(
-                [STAR_QUERY, CHAIN_QUERY], dedup=False
-            )
+            outcomes = service.submit_batch([STAR_QUERY, CHAIN_QUERY])
             ids = [o.trace_id for o in outcomes]
             assert all(ids) and len(set(ids)) == 2
+
+    def test_every_batch_member_is_traced(self, university):
+        """Cacheable or not, leader or coalesced duplicate: a member of
+        a default batch names a trace the service still holds (a
+        duplicate its leader's), and the slow ring records it."""
+        with traced_service(
+            university, canonical_budget=2, slow_query_s=0.0
+        ) as service:
+            batch = [SYMMETRIC_QUERY, CHAIN_QUERY, CHAIN_QUERY, SYMMETRIC_QUERY]
+            outcomes = service.submit_batch(batch)
+            assert [o.cacheable for o in outcomes] == [False, True, True, False]
+            assert [o.coalesced for o in outcomes] == [False, False, True, False]
+            for outcome in outcomes:
+                trace = service.trace(outcome)
+                assert trace is not None and trace.find("execute")
+            assert outcomes[2].trace_id == outcomes[1].trace_id
+            assert len({o.trace_id for o in outcomes}) == 3
+            assert sorted(e["trace_id"] for e in service.slow_queries()) == (
+                sorted(o.trace_id for o in outcomes)
+            )
+
+    def test_explain_analyze_renders_the_outcome_it_produced(self, university):
+        """One submission, no second prepare: an uncacheable query gets
+        its plan and span tree back instead of a budget error after it
+        ran, and a cacheable one costs no phantom template-cache hit."""
+        with QueryService(
+            university, ServiceConfig(canonical_budget=2)
+        ) as service:
+            text = service.explain_analyze(SYMMETRIC_QUERY, name="sym")
+            assert "== logical plan" in text and "== trace" in text
+            assert "template" not in text.splitlines()[0]
+            snapshot = service.snapshot_stats()
+            assert (snapshot.submitted, snapshot.errors) == (1, 0)
+            text = service.explain_analyze(CHAIN_QUERY)
+            assert "; template " in text.splitlines()[0]
+            assert service.snapshot_stats().submitted == 2
+            assert service.template_cache.hits == 0
 
 
 # -- rpc propagation matrix ----------------------------------------------------
@@ -383,9 +422,7 @@ class TestRpcTracePropagation:
             coalesce_window_ms=25.0,
             coalesce_max_batch=8,
         ) as service:
-            outcomes = service.submit_batch(
-                [STAR_QUERY, CHAIN_QUERY], dedup=False
-            )
+            outcomes = service.submit_batch([STAR_QUERY, CHAIN_QUERY])
             traces = [service.trace(o) for o in outcomes]
             assert all(t is not None for t in traces)
             for trace in traces:

@@ -197,13 +197,6 @@ class TestConcurrency:
             for out in outcomes:
                 assert out.rows == expected[out.query.name]
 
-    def test_submit_batch_without_dedup(self, graph):
-        with QueryService(graph, ServiceConfig(max_workers=4)) as svc:
-            mix = [lubm_queries.query("Q4")] * 4
-            outcomes = svc.submit_batch(mix, dedup=False)
-            assert len(outcomes) == 4
-            assert len({frozenset(o.rows) for o in outcomes}) == 1
-
 
 class TestStats:
     def test_snapshot_counts_and_rates(self, graph):
