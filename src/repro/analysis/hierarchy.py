@@ -17,8 +17,8 @@ Tier map (outermost first):
 
 * **10 — orchestration**: single-flight registries consulted before any
   engine state is touched.
-* **20 — engine state**: the store RW locks and template/bound-spec
-  registries; held across planning and level execution.
+* **20 — engine state**: the store RW locks; held across planning and
+  level execution.
 * **30 — transport**: per-shard client management, connection swap and
   send serialization on the RPC path.
 * **40 — leaves**: counters, caches, pools and gauges; never held while
@@ -35,7 +35,6 @@ LOCK_RANKS: dict[str, int] = {
     # -- engine state -----------------------------------------------------
     "_store_lock": 20,  # QueryService store RW lock
     "rwlock": 20,  # RPC worker snapshot RW lock
-    "_bound_lock": 20,  # worker template/bound-spec state
     # -- transport --------------------------------------------------------
     "_shard_locks": 30,  # per-shard client slot (respawn/prime; a live
     #   rebalance walks these shard by shard for prime/delta/flip, under
@@ -46,8 +45,6 @@ LOCK_RANKS: dict[str, int] = {
     "_send_lock": 36,  # frame write + codec commit ordering
     "send_lock": 36,  # worker reply-write serialization (the worker's
     #   twin of _send_lock: reply transcode + write + codec commit)
-    "_registry_lock": 38,  # router template registry (snapshot reads only;
-    #   taken inside _start_worker while the shard lock is held)
     "WireCodec._lock": 38,  # one connection end's codec state (both wire
     #   dictionaries, id maps, delta watermark); taken under the send
     #   locks to encode and by the connection's reader to decode, and

@@ -28,9 +28,9 @@ Two shard transports share that dispatch logic
 * ``"inproc"`` — shards are in-process execution backends (function
   call boundary, per-shard worker pools);
 * ``"rpc"`` (:mod:`repro.cluster.rpc`) — shards are long-lived server
-  processes over localhost sockets that hold their snapshot, registered
-  templates and a local backend resident; per query, only bound
-  constant vectors, level metadata and exchange rows cross the wire.
+  processes over localhost sockets that hold their snapshot and a local
+  backend resident and nothing about plans; a level's task specs and
+  exchange rows cross the wire with the level.
   Crashed workers are respawned with a one-retry budget; sustained
   failure raises a typed :class:`~repro.cluster.rpc.ShardUnavailable`.
 """

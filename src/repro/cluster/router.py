@@ -60,8 +60,7 @@ from repro.mapreduce.backends import (
 from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.engine import ClusterConfig
 from repro.mapreduce.jobs import TaskContext
-from repro.physical.executor import PlanExecutor, PreparedPlan
-from repro.physical.job_compiler import CompiledPlan
+from repro.physical.executor import PlanExecutor
 
 from repro.cluster.sharded_store import ShardedSnapshot, ShardedStore
 from repro.cluster.slots import Move, SlotTable, plan_skew
@@ -150,44 +149,6 @@ class ShardRouter(ExecutionBackend):
         self.parallel_shards = parallel_shards and num_shards > 1
         self._lock = checked(threading.Lock(), "ShardRouter._lock")
         self._pool: ThreadPoolExecutor | None = None  # guarded-by: _lock
-        self._registered: set[tuple] = set()  # guarded-by: _lock
-
-    # -- template registration ---------------------------------------------
-
-    @staticmethod
-    def plan_structure(compiled: CompiledPlan) -> tuple:
-        """The binding-independent structure key of a compiled plan.
-
-        Bound instances of one template share this key: binding only
-        rewrites selection constants inside scan patterns, never the job
-        names, chain counts or dependency edges.
-        """
-        return tuple(
-            (spec.name, len(spec.map_chains), spec.map_only, spec.depends)
-            for spec in compiled.jobs
-        )
-
-    def register(self, compiled: CompiledPlan) -> bool:
-        """Register a plan template's structure with every shard, once.
-
-        Returns True the first time a structure is seen.  Registration
-        is what makes the bindings-per-query flow explicit: the job DAG
-        shape is validated and recorded once per template, and each
-        query afterwards ships only its bound task specs (selection
-        constants) plus shuffle payloads — the store snapshot itself
-        reached each shard's pool when the pool was primed.
-        """
-        key = self.plan_structure(compiled)
-        with self._lock:
-            if key in self._registered:
-                return False
-            self._registered.add(key)
-            return True
-
-    @property
-    def templates_registered(self) -> int:
-        with self._lock:
-            return len(self._registered)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -252,8 +213,6 @@ class ShardRouter(ExecutionBackend):
 
     def _open(self, ctx: TaskContext) -> ShardDispatch:
         snapshot = self._snapshot_of(ctx)
-        if ctx.plan is not None:
-            self.register(ctx.plan.compiled)
         return ShardDispatch(
             table=snapshot.table,
             tasks=[0] * snapshot.num_shards,
@@ -329,9 +288,9 @@ class ShardedPlanExecutor(PlanExecutor):
       mutation rebuild touches only mutated shards).
     * ``"rpc"``: shards are **long-lived server processes** behind
       :class:`repro.cluster.rpc.RpcShardRouter` — each holds its
-      snapshot, registered templates and a local backend resident, and
-      only bound constant vectors, level metadata and exchange rows
-      cross the localhost socket per query.  A crashed worker is
+      snapshot and a local backend resident and nothing about plans: a
+      level's task specs and exchange rows cross the localhost socket
+      with the level.  A crashed worker is
       respawned and its request retried once; sustained failure raises
       a typed :class:`~repro.cluster.rpc.ShardUnavailable` (reported
       through ``on_shard_failure``).  ``wire_format`` selects the row
@@ -565,17 +524,3 @@ class ShardedPlanExecutor(PlanExecutor):
                 for shard, count in enumerate(self.store.triples_per_shard())
             }
         return plan_skew(self.store.table, load, max_moves=max_moves)
-
-    # -- public API -----------------------------------------------------------
-
-    def register_template(self, prepared: PreparedPlan) -> bool:
-        """Register a prepared template's job structure on every shard.
-
-        Called once per template by the query service; afterwards every
-        binding of the template ships only its binding-substituted task
-        specs (in-process) or its bound constant vector (RPC) to the
-        shards.
-        """
-        if self.transport == "rpc":
-            return self.router.register_prepared(prepared)  # type: ignore[attr-defined]
-        return self.router.register(prepared.compiled)

@@ -10,56 +10,58 @@ socket, HMAC-authenticated, no third-party deps) that holds, resident:
   .StoreSnapshot` (installed by :class:`Prime`, re-installed only when
   the shard's snapshot token changes — a mutation re-primes only the
   shards it touched);
-* the **registered templates**: the unbound physical plan of every
-  template the service optimized, shipped once by
-  :class:`RegisterTemplate` and bound worker-side (the same
-  ``substitute_plan`` + ``compile_plan`` pipeline the driver uses, so
-  compiled job structures are bit-identical on both ends);
 * a local :class:`~repro.mapreduce.backends.ExecutionBackend` — the
   worker itself may fan its batch out on a process pool of its own,
-  keyed to the snapshot token exactly like the in-process deployment.
+  keyed to the snapshot token exactly like the in-process deployment;
+* its counters.
 
-After a template is registered once, a query crosses the wire as
-per-level task metadata plus exchange chunks (:class:`ExecuteLevel`,
-naming the template key and constant vector the worker binds lazily):
-the driver never re-ships task specs or operator chains, and on the
+And **nothing about plans**: a worker is stateless between levels, the
+way a Hadoop node keeps only its partition files and is handed a job's
+task code with the job.  A query crosses the wire as one
+:class:`ExecuteLevel` per level and phase per shard, carrying the task
+specs themselves — the very ``ChainMapSpec`` / ``MapOnlySpec`` /
+``StarReduceSpec`` objects the engine handed the router (pickle shares
+a chain across a shard's nodes, so a LUBM query's specs weigh ~2 kB) —
+plus the exchange chunks; the worker runs them as received.  On the
 columnar wire an id block crosses as id buffers — each end's codec
 re-bases them into the dictionary that end computes in, so neither the
 driver nor a columnar worker decodes a term to move it.  Message
 frames are pickled dataclasses with an explicit size cap; oversized
-frames and unknown message types surface as typed errors, never hangs.
+frames, unknown message types and specs that do not pickle surface as
+typed errors, never hangs.
 
 The connection is **multiplexed**: every frame travels in a
 :class:`Request`/:class:`Reply` envelope carrying a request id.  The
 worker's main thread is the connection's single reader; it dispatches
 ``ExecuteLevel``/:class:`ExecuteBatch` frames onto a small thread pool
 (``pipeline`` wide) so levels of concurrent queries overlap, while
-state-mutating frames (Prime, RegisterTemplate, …) serialize behind a
-readers-writer state lock.  Driver-side, a per-connection reader thread
-matches replies to waiters by id, so :class:`ShardWorkerClient` holds
-no lock across a round trip.  On top of that, :class:`RpcShardRouter`
-can micro-batch: levels that concurrent queries dispatch to the same
-shard within a short window coalesce into one :class:`ExecuteBatch`
-frame — one encode/send/recv for many queries — and demultiplex by
-sub-request id.  Retries are idempotent: workers answer a repeated
-request id from a reply cache instead of executing twice.
+state-mutating frames (Prime, PrimeSlots, TableUpdate) serialize behind
+a readers-writer state lock.  Driver-side, a per-connection reader
+thread matches replies to waiters by id, so :class:`ShardWorkerClient`
+holds no lock across a round trip.  On top of that,
+:class:`RpcShardRouter` can micro-batch: levels that concurrent queries
+dispatch to the same shard within a short window coalesce into one
+:class:`ExecuteBatch` frame — one encode/send/recv for many queries —
+and demultiplex by sub-request id.  Retries are idempotent: workers
+answer a repeated request id from a reply cache instead of executing
+twice.
 
 The driver side is :class:`RpcShardRouter` — a drop-in
 :class:`~repro.cluster.router.ShardRouter` (hence an execution backend
-behind the one :class:`~repro.mapreduce.engine.MapReduceEngine`) whose
-grouping of a batch by owning shard and reassembly in submission order
-are inherited unchanged; only the dispatch hop is replaced by the
-protocol.  Worker crashes are detected at the connection
-(a typed error reply means the worker is alive and the *request* failed;
-a transport error means the worker died): a dead worker is respawned —
-re-primed, templates re-registered — and the failed request retried
-exactly once; a second failure raises :class:`ShardUnavailable` instead
-of deadlocking the service.
+behind the one :class:`~repro.mapreduce.engine.MapReduceEngine`, with
+the same ``run(invocations, ctx)`` contract as every other backend)
+whose grouping of a batch by owning shard and reassembly in submission
+order are inherited unchanged; only the dispatch hop is replaced by the
+protocol.  Worker crashes are detected at the connection (a typed error
+reply means the worker is alive and the *request* failed; a transport
+error means the worker died): a dead worker is respawned and re-primed
+— the snapshot is all there is to restore — and the failed request
+retried exactly once; a second failure raises :class:`ShardUnavailable`
+instead of deadlocking the service.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import multiprocessing
 import os
@@ -100,9 +102,6 @@ from repro.obs.trace import (
     span,
 )
 from repro.partitioning.triple_partitioner import StoreSnapshot
-from repro.physical.executor import job_from_spec
-from repro.physical.job_compiler import compile_plan
-from repro.physical.translate import PhysicalPlan, substitute_plan
 from repro.rdf.dictionary import Dictionary
 
 #: Hard cap on one pickled message frame (request or reply).  Large
@@ -112,12 +111,6 @@ DEFAULT_MAX_FRAME_BYTES = 128 * 1024 * 1024
 
 #: Seconds to wait for a spawned worker to report its listening address.
 DEFAULT_SPAWN_TIMEOUT = 60.0
-
-#: Bound plans a shard server keeps resident (LRU).  Templates are one
-#: per query *shape* and stay; bound plans are one per constant vector,
-#: which an ad-hoc workload can grow without limit — a long-lived server
-#: must not.
-MAX_BOUND_PLANS = 256
 
 #: Reply payloads a shard server keeps per request id (LRU), so a
 #: retried execute frame is answered from the cache instead of running
@@ -139,15 +132,13 @@ class RpcError(RuntimeError):
 
 
 class RpcProtocolError(RpcError):
-    """An undecodable frame or unknown message type reached a worker."""
+    """An undecodable frame or unknown message type reached a worker,
+    or a frame could not be encoded at all (a task spec that does not
+    pickle: rejected driver-side, before a byte is sent)."""
 
 
 class FrameTooLarge(RpcError):
     """A message frame exceeded ``max_frame_bytes``."""
-
-
-class TemplateNotRegistered(RpcError):
-    """A worker was asked to bind/execute a template it does not hold."""
 
 
 class WorkerStateError(RpcError):
@@ -186,8 +177,8 @@ class ShardUnavailable(RuntimeError):
     """A shard worker failed, was respawned once, and failed again.
 
     The one-retry budget is per request: a crashed worker is restarted
-    transparently (snapshot re-primed, templates re-registered) and the
-    failed request resent exactly once.  Sustained failure surfaces as
+    transparently (its snapshot re-primed) and the failed request resent
+    exactly once.  Sustained failure surfaces as
     this typed error — counted in ``snapshot_stats().shard_failures``
     when raised through the query service — rather than a hang.
     """
@@ -210,20 +201,6 @@ _TRANSPORT_ERRORS = (EOFError, OSError)
 
 
 # -- message frames ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Hello:
-    """Handshake / health-check probe."""
-
-
-@dataclass(frozen=True)
-class HelloReply:
-    shard: int
-    num_nodes: int
-    num_shards: int
-    pid: int
-    snapshot_token: tuple | None
 
 
 @dataclass(frozen=True)
@@ -279,56 +256,27 @@ class TableUpdate:
     silently serve a level against the wrong ownership map.  Idempotent
     and monotone: an epoch at or below the worker's current one is
     acknowledged without effect, so duplicate delivery (crash-retry) is
-    harmless.  ``num_shards`` > 0 also updates the worker's view of the
-    topology width.
+    harmless.
     """
 
     epoch: int
-    num_shards: int = 0
-
-
-@dataclass(frozen=True)
-class InvalidateSnapshot:
-    """Drop the resident snapshot (idempotent); a new :class:`Prime`
-    must arrive before the next map level."""
-
-
-@dataclass(frozen=True)
-class RegisterTemplate:
-    """Ship a template's unbound physical plan, once per worker life."""
-
-    key: str
-    physical: PhysicalPlan
-
-
-@dataclass(frozen=True)
-class BoundSpecs:
-    """Bind a constant vector into a registered template, worker-side.
-
-    This is all that crosses the wire per query after registration: the
-    template key plus ``(placeholder, constant)`` pairs.  The worker
-    substitutes and recompiles locally (cached per binding), yielding
-    the same job structure the driver compiled.
-    """
-
-    key: str
-    binding: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
 class ExecuteLevel:
     """Run one scheduling level's tasks owned by this shard.
 
-    ``phase="map"``: ``tasks`` are ``(job_name, tag, node)`` triples
-    (``tag`` is None for map-only jobs) and ``inputs`` carries the
-    shard-local slices of shuffled intermediates the level's map chains
-    read.  ``phase="reduce"``: ``tasks`` are ``(job_name, partition,
+    The frame carries the tasks themselves, not their names.
+    ``phase="map"``: ``tasks`` are the map task specs (each knows its
+    node and chain) and ``inputs`` carries the shard-local slices of
+    shuffled intermediates the level's map chains read.
+    ``phase="reduce"``: ``tasks`` are ``(reduce_spec, partition,
     grouped)`` — the cross-shard exchange, ``{tag: chunks}`` as the
     engine grouped it.  Chunks travel as they are: the columnar codec
     packs id blocks into buffers, the pickle wire pickles them (a block
-    pickles as its rows).  Requests are
-    self-contained (no execution state lives on the worker between
-    levels), which is what makes respawn-and-retry safe.
+    pickles as its rows).  Requests are self-contained (the worker
+    keeps nothing about a plan or a query between levels), which is
+    what makes respawn-and-retry safe.
 
     ``trace_ctx`` is the driver's picklable ``(trace_id, span_id)``
     tracing context (:func:`repro.obs.trace.trace_ctx`); None — the
@@ -341,8 +289,6 @@ class ExecuteLevel:
     table, so a concurrent rebalance can never misplace a level.
     """
 
-    key: str
-    binding: tuple[tuple[str, str], ...]
     level: int
     phase: str
     tasks: tuple
@@ -385,8 +331,6 @@ class StatsReply:
     shard: int
     pid: int
     snapshot_token: tuple | None
-    templates: int
-    bound_instances: int
     tasks_run: int
     levels_run: int
     primes: int
@@ -469,14 +413,9 @@ class Reply:
 
 #: All frame types, for protocol round-trip tests.
 MESSAGE_TYPES = (
-    Hello,
-    HelloReply,
     Prime,
     PrimeSlots,
     TableUpdate,
-    InvalidateSnapshot,
-    RegisterTemplate,
-    BoundSpecs,
     ExecuteLevel,
     ExecuteBatch,
     Stats,
@@ -497,13 +436,9 @@ MESSAGE_TYPES = (
 #: and the main loop rejects frames outside this table with a typed
 #: protocol error instead of an arbitrary failure mid-dispatch.
 WORKER_HANDLED = (
-    Hello,
     Prime,
     PrimeSlots,
     TableUpdate,
-    InvalidateSnapshot,
-    RegisterTemplate,
-    BoundSpecs,
     ExecuteLevel,
     ExecuteBatch,
     Stats,
@@ -514,7 +449,6 @@ WORKER_HANDLED = (
 
 #: Frames only ever decoded on the driver side (replies + envelope).
 CLIENT_HANDLED = (
-    HelloReply,
     OkReply,
     ResultsReply,
     BatchReply,
@@ -522,16 +456,6 @@ CLIENT_HANDLED = (
     ErrorReply,
     Reply,
 )
-
-
-def plan_key(physical: PhysicalPlan) -> str:
-    """Content digest of a physical plan, used as its registry key.
-
-    Computed once per template at registration and carried on every
-    bound :class:`~repro.physical.executor.PreparedPlan`, so it only
-    needs to be stable within one driver process.
-    """
-    return hashlib.sha1(pickle.dumps(physical)).hexdigest()[:16]
 
 
 def _no_delay(conn) -> None:
@@ -552,59 +476,24 @@ def _no_delay(conn) -> None:
 # -- the worker process --------------------------------------------------------
 
 
-class _BoundPlan:
-    """A template bound worker-side: compiled jobs plus spec lookup."""
-
-    def __init__(
-        self, physical: PhysicalPlan, binding: tuple, num_nodes: int
-    ) -> None:
-        bound = substitute_plan(physical, dict(binding)) if binding else physical
-        self.compiled = compile_plan(bound)
-        self._map: dict[tuple, object] = {}
-        self._reduce: dict[str, object] = {}
-        for spec in self.compiled.jobs:
-            job = job_from_spec(spec, num_nodes)
-            for task in job.map_tasks:
-                tag = getattr(task.spec, "tag", None)
-                self._map[(spec.name, tag, task.node)] = task.spec
-            if job.reduce_spec is not None:
-                self._reduce[spec.name] = job.reduce_spec
-
-    def map_spec(self, job: str, tag, node: int):
-        try:
-            return self._map[(job, tag, node)]
-        except KeyError:
-            raise WorkerStateError(
-                f"no map task ({job!r}, tag={tag}, node={node}) in bound plan"
-            ) from None
-
-    def reduce_spec(self, job: str):
-        try:
-            return self._reduce[job]
-        except KeyError:
-            raise WorkerStateError(f"job {job!r} has no reduce spec") from None
-
-
 class _WorkerState:
-    """Everything resident in one shard server process.
+    """Everything resident in one shard server process: the snapshot,
+    the backend that runs tasks against it, and the counters.
 
     With a dispatch pool (``pipeline > 1``) levels execute on several
     threads at once: resident-state swaps serialize behind
-    :attr:`rwlock`, the bound-plan LRU behind its own mutex, and every
-    counter behind the stats mutex."""
+    :attr:`rwlock` and every counter behind the stats mutex."""
 
     def __init__(
         self,
         shard: int,
         num_nodes: int,
-        num_shards: int,
         backend: str,
         backend_workers: int | None,
         pipeline: int = 1,
     ) -> None:
         self.shard = shard
         self.num_nodes = num_nodes
-        self.num_shards = num_shards
         self.backend_name = backend
         self.pipeline = pipeline
         self.warnings: list[str] = []
@@ -625,14 +514,11 @@ class _WorkerState:
         #: TableUpdate), read per execute frame under rwlock.read()
         self.epoch = 0
         # ExecuteLevels share it (readers run concurrently on the
-        # dispatch pool), while Prime / InvalidateSnapshot /
-        # RegisterTemplate take it exclusively, so a snapshot or
-        # template swap never interleaves with a running level.
+        # dispatch pool), while Prime / PrimeSlots / TableUpdate take
+        # it exclusively, so a snapshot or epoch swap never interleaves
+        # with a running level.
         self.rwlock = ReadWriteLock("_WorkerState.rwlock")
-        self._bound_lock = checked(threading.Lock(), "_WorkerState._bound_lock")
         self._stats_lock = checked(threading.Lock(), "_WorkerState._stats_lock")
-        self.templates: dict[str, PhysicalPlan] = {}  # guarded-by: _bound_lock
-        self.bound: dict[tuple, _BoundPlan] = {}  # guarded-by: _bound_lock
         self.tasks_run = 0  # guarded-by: _stats_lock
         self.levels_run = 0  # guarded-by: _stats_lock
         self.primes = 0  # guarded-by: _stats_lock
@@ -704,58 +590,23 @@ class _WorkerState:
         )
         return snapshot.token
 
-    def register(self, key: str, physical: PhysicalPlan) -> bool:
-        with self._bound_lock:
-            new = key not in self.templates
-            self.templates[key] = physical
-            if not new:
-                # Re-registration replaces the plan; drop stale bindings.
-                self.bound = {
-                    k: v for k, v in self.bound.items() if k[0] != key
-                }
-            return new
-
-    def bound_for(self, key: str, binding: tuple) -> _BoundPlan:
-        with self._bound_lock:
-            cached = self.bound.get((key, binding))
-            if cached is None:
-                physical = self.templates.get(key)
-                if physical is None:
-                    raise TemplateNotRegistered(
-                        f"shard {self.shard} holds no template {key!r}"
-                    )
-                cached = _BoundPlan(physical, binding, self.num_nodes)
-                self.bound[(key, binding)] = cached
-                while len(self.bound) > MAX_BOUND_PLANS:
-                    # LRU eviction: a constant-varying workload must not
-                    # grow a long-lived server without bound.  Evicted
-                    # bindings rebind on demand from the resident
-                    # template.
-                    self.bound.pop(next(iter(self.bound)))
-            else:
-                # Move-to-end marks the binding recently used.
-                self.bound.pop((key, binding))
-                self.bound[(key, binding)] = cached
-            return cached
-
     # -- request handlers --------------------------------------------------
 
     def execute_level(
         self, msg: ExecuteLevel, acc: SpanAccumulator | None = None
     ) -> ResultsReply:
-        """Run one level frame; a traced frame (*acc* given) also ships
-        back ``bind`` / ``execute`` / per-task span records."""
+        """Run one level frame's tasks as received; a traced frame
+        (*acc* given) also ships back ``execute`` / per-task span
+        records."""
         if msg.epoch != self.epoch:
             raise StaleEpoch(self.shard, msg.epoch, self.epoch)
+        # Taken before the task context is built, so a traced frame's
+        # ``execute`` span starts where ``state_lock_wait`` ended.
         start = time.perf_counter()
-        bound = self.bound_for(msg.key, msg.binding)
-        if acc is not None:
-            acc.record("bind", start, time.perf_counter())
-        invocations, ctx = self._invocations(msg, bound)
+        invocations, ctx = self._invocations(msg)
         if acc is None:
             results = self.backend.run(invocations, ctx)
         else:
-            start = time.perf_counter()
             with task_timing() as tasks:
                 results = self.backend.run(invocations, ctx)
             execute_ix = acc.record(
@@ -778,7 +629,7 @@ class _WorkerState:
         )
 
     def _invocations(
-        self, msg: ExecuteLevel, bound: _BoundPlan
+        self, msg: ExecuteLevel
     ) -> tuple[list[TaskInvocation], TaskContext]:
         if msg.phase == "map":
             if self.snapshot is None:
@@ -790,34 +641,24 @@ class _WorkerState:
                 store=self.snapshot,
                 hdfs=HDFS(num_nodes=self.num_nodes, files=dict(msg.inputs)),
             )
-            invocations = [
-                TaskInvocation(bound.map_spec(job, tag, node))
-                for job, tag, node in msg.tasks
-            ]
+            invocations = [TaskInvocation(spec) for spec in msg.tasks]
         elif msg.phase == "reduce":
             ctx = TaskContext(num_nodes=self.num_nodes, store=self.snapshot)
             invocations = [
-                TaskInvocation(bound.reduce_spec(job), (partition, grouped))
-                for job, partition, grouped in msg.tasks
+                TaskInvocation(spec, (partition, grouped))
+                for spec, partition, grouped in msg.tasks
             ]
         else:
             raise RpcProtocolError(f"unknown ExecuteLevel phase {msg.phase!r}")
         return invocations, ctx
 
     def stats(self) -> StatsReply:
-        # Registry sizes are owned by _bound_lock; read them first so
-        # the two leaf mutexes are never held together.
-        with self._bound_lock:
-            templates = len(self.templates)
-            bound_instances = len(self.bound)
         wire = {} if self.wire is None else self.wire.stats()
         with self._stats_lock:
             return StatsReply(
                 shard=self.shard,
                 pid=os.getpid(),
                 snapshot_token=self.token,
-                templates=templates,
-                bound_instances=bound_instances,
                 tasks_run=self.tasks_run,
                 levels_run=self.levels_run,
                 primes=self.primes,
@@ -842,14 +683,6 @@ class _WorkerState:
 
 def _dispatch(state: _WorkerState, msg: object):
     """Map one decoded request frame to its reply (raises typed errors)."""
-    if isinstance(msg, Hello):
-        return HelloReply(
-            shard=state.shard,
-            num_nodes=state.num_nodes,
-            num_shards=state.num_shards,
-            pid=os.getpid(),
-            snapshot_token=state.token,
-        )
     if isinstance(msg, Prime):
         token = state.install_snapshot(msg.snapshot, msg.wire)
         state.epoch = msg.epoch
@@ -866,22 +699,8 @@ def _dispatch(state: _WorkerState, msg: object):
         merged = merge_slots(state.snapshot, msg.adds, msg.drops, msg.token)
         return OkReply(state.install_snapshot(merged, msg.wire))
     if isinstance(msg, TableUpdate):
-        # >= not >: a freshly-spawned shard is Primed already *at* the
-        # new epoch and still needs the broadcast's num_shards; equal-
-        # epoch re-delivery is a no-op either way (idempotent).
-        if msg.epoch >= state.epoch:
-            state.epoch = msg.epoch
-            if msg.num_shards:
-                state.num_shards = msg.num_shards
+        state.epoch = max(state.epoch, msg.epoch)
         return OkReply(state.epoch)
-    if isinstance(msg, InvalidateSnapshot):
-        state.snapshot = None
-        return OkReply(None)
-    if isinstance(msg, RegisterTemplate):
-        return OkReply(state.register(msg.key, msg.physical))
-    if isinstance(msg, BoundSpecs):
-        state.bound_for(msg.key, msg.binding)
-        return OkReply((msg.key, msg.binding))
     if isinstance(msg, ExecuteLevel):
         return state.execute_level(msg)
     if isinstance(msg, Stats):
@@ -932,7 +751,6 @@ def _worker_main(
     channel,
     shard: int,
     num_nodes: int,
-    num_shards: int,
     backend: str,
     backend_workers: int | None,
     max_frame_bytes: int,
@@ -964,8 +782,7 @@ def _worker_main(
         channel.close()
     concurrency = max(1, pipeline)
     state = _WorkerState(
-        shard, num_nodes, num_shards, backend, backend_workers,
-        pipeline=concurrency,
+        shard, num_nodes, backend, backend_workers, pipeline=concurrency
     )
     conn = listener.accept()
     _no_delay(conn)
@@ -1216,16 +1033,7 @@ def _worker_main(
                     state.note_queued(len(msg.items))
                     run_batch(rid, msg, received, decoded)
                     continue
-                if isinstance(
-                    msg,
-                    (
-                        Prime,
-                        PrimeSlots,
-                        TableUpdate,
-                        InvalidateSnapshot,
-                        RegisterTemplate,
-                    ),
-                ):
+                if isinstance(msg, (Prime, PrimeSlots, TableUpdate)):
                     # Mutators wait out in-flight levels, exclusively.
                     with state.rwlock.write():
                         reply = _dispatch(state, msg)
@@ -1249,6 +1057,27 @@ def _worker_main(
 
 
 # -- the driver-side worker handle ---------------------------------------------
+
+
+def _frame_levels(msg) -> list:
+    """The levels an outgoing frame carries: a batch's members, else
+    the frame itself."""
+    items = getattr(msg, "items", None)
+    return [msg] if items is None else [level for _rid, level in items]
+
+
+def _unpicklable(msg) -> str:
+    """Name what keeps an outgoing frame from pickling: the class of
+    the first task spec that does not (a closure ``FnMapSpec``, say),
+    else the frame's own."""
+    for level in _frame_levels(msg):
+        for task in getattr(level, "tasks", ()):
+            spec = task[0] if isinstance(task, tuple) else task
+            try:
+                pickle.dumps(spec)
+            except Exception:
+                return type(spec).__name__
+    return type(msg).__name__
 
 
 def _spawn_context():
@@ -1308,7 +1137,6 @@ class ShardWorkerClient:
         self,
         shard: int,
         num_nodes: int,
-        num_shards: int,
         backend: str = "serial",
         backend_workers: int | None = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
@@ -1320,7 +1148,6 @@ class ShardWorkerClient:
     ) -> None:
         self.shard = shard
         self.num_nodes = num_nodes
-        self.num_shards = num_shards
         self.backend = backend
         #: the driver's id space (shared by every connection of one
         #: router) and the lock its growth takes: the ``local`` of this
@@ -1368,8 +1195,9 @@ class ShardWorkerClient:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> HelloReply:
-        """Spawn the server process, connect, and health-check it."""
+    def start(self) -> StatsReply:
+        """Spawn the server process, connect, and health-check it (a
+        :class:`Stats` round trip: shard, pid, snapshot token)."""
         ctx = (
             multiprocessing.get_context(self.start_method)
             if self.start_method
@@ -1383,7 +1211,6 @@ class ShardWorkerClient:
                 child,
                 self.shard,
                 self.num_nodes,
-                self.num_shards,
                 self.backend,
                 self.backend_workers,
                 self.max_frame_bytes,
@@ -1429,7 +1256,7 @@ class ShardWorkerClient:
             daemon=True,
         )
         self._reader.start()
-        return self.request(Hello())
+        return self.request(Stats())
 
     def alive(self) -> bool:
         return (
@@ -1592,7 +1419,16 @@ class ShardWorkerClient:
                     msg, (ExecuteLevel, ExecuteBatch)
                 ):
                     send_msg, commit = self.codec.encode_payload(msg)
-                payload = pickle.dumps(Request(rid, send_msg))
+                try:
+                    payload = pickle.dumps(Request(rid, send_msg))
+                except Exception as exc:
+                    # Nothing was written and the codec's delta stays
+                    # uncommitted (re-shipped with the next frame): the
+                    # connection serves on.
+                    raise RpcProtocolError(
+                        f"{_unpicklable(msg)} does not pickle and cannot "
+                        f"cross to shard {self.shard}: {exc!r}"
+                    ) from exc
                 if len(payload) > self.max_frame_bytes:
                     raise FrameTooLarge(
                         f"{type(msg).__name__} frame of {len(payload)} "
@@ -1631,10 +1467,10 @@ class ShardWorkerClient:
 
 @dataclass(kw_only=True)
 class _RpcExecution(ShardDispatch):
-    """The RPC router's per-query dispatch state: what every
-    :class:`ExecuteLevel` of the query is stamped with (template key,
-    binding, and ``table.version`` as the epoch — a worker at another
-    epoch rejects the frame), plus the wire counters.
+    """The RPC router's per-query dispatch state: the slot table every
+    :class:`ExecuteLevel` of the query is routed and stamped by
+    (``table.version`` is the epoch — a worker at another epoch rejects
+    the frame), plus the wire counters.
 
     Byte and frame attribution lives here, per query: concurrent
     queries each accumulate into their own context (coalescing flushers
@@ -1644,8 +1480,6 @@ class _RpcExecution(ShardDispatch):
     counter to race on.
     """
 
-    key: str
-    binding: tuple[tuple[str, str], ...]
     bytes: list[int]
     frames: list[int]
     _lock: threading.Lock = field(
@@ -1678,15 +1512,11 @@ class WireTimes(NamedTuple):
 def _frame_trace_ctxs(msg) -> list[tuple]:
     """Every trace context an execute frame carries (a batch fans out
     to each item's own); empty for untraced or non-execute frames."""
-    items = getattr(msg, "items", None)
-    if items is not None:
-        return [
-            level.trace_ctx
-            for _rid, level in items
-            if getattr(level, "trace_ctx", None) is not None
-        ]
-    ctx = getattr(msg, "trace_ctx", None)
-    return [] if ctx is None else [ctx]
+    return [
+        level.trace_ctx
+        for level in _frame_levels(msg)
+        if getattr(level, "trace_ctx", None) is not None
+    ]
 
 
 def _record_level_span(
@@ -1704,8 +1534,8 @@ def _record_level_span(
 
     * ``wire:encode`` — everything this end does until the frame is on
       the socket: finding the live client, taking the send lock, frame
-      transcode + pickle + write (and, after a worker respawn or a
-      template shipped late, the attempt before);
+      transcode + pickle + write (and, after a worker respawn, the
+      attempt before);
     * the worker's shipped span records, re-anchored at the instant the
       frame was written (the only one the two clocks agree on — the
       driver's send is the worker's receipt, minus wire latency);
@@ -1825,7 +1655,7 @@ class _LevelCoalescer:
             if len(chunk) == 1:
                 item = chunk[0]
                 self.router._note_frames(1)
-                item.reply = self.router._call_with_registration(
+                item.reply = self.router._send_level(
                     self.shard, item.msg, item.ctx
                 )
             else:
@@ -1887,18 +1717,7 @@ class _LevelCoalescer:
                     f"shard {shard} batch reply is missing request {rid}"
                 )
             elif isinstance(sub, ErrorReply):
-                if isinstance(sub.error, TemplateNotRegistered):
-                    # An ad-hoc plan not yet shipped to this worker:
-                    # register and retry this member individually.
-                    try:
-                        router._note_frames(1)
-                        item.reply = router._call_with_registration(
-                            shard, item.msg, item.ctx
-                        )
-                    except BaseException as exc:
-                        item.error = exc
-                else:
-                    item.error = sub.error
+                item.error = sub.error
             else:
                 item.reply = sub
 
@@ -1912,9 +1731,8 @@ class RpcShardRouter(ShardRouter):
     are deterministic regardless of the order shard replies arrive in.
     What changes is the dispatch hop: instead of running task specs
     through in-process backends, the router sends each shard an
-    :class:`ExecuteLevel` frame naming the tasks of its nodes (the specs
-    themselves live worker-side, bound from the registered template),
-    plus the exchange chunks, shipped as the engine holds them.
+    :class:`ExecuteLevel` frame carrying the specs of its nodes' tasks
+    plus the exchange chunks, both as the engine holds them.
     """
 
     transport = "rpc"
@@ -1992,10 +1810,6 @@ class RpcShardRouter(ShardRouter):
             for _ in range(num_shards)
         ]
         self._clients: list[ShardWorkerClient | None] = [None] * num_shards  # guarded-by: _shard_locks
-        self._registry_lock = checked(
-            threading.Lock(), "RpcShardRouter._registry_lock"
-        )
-        self._templates: dict[str, PhysicalPlan] = {}  # guarded-by: _registry_lock
         #: the driver's id space: what comes back from any shard arrives
         #: as id blocks over this one dictionary (grown by every
         #: connection's codec, under the lock), so a block received
@@ -2039,11 +1853,6 @@ class RpcShardRouter(ShardRouter):
         with self._counter_lock:
             return next(self._sub_ids)
 
-    @property
-    def templates_registered(self) -> int:
-        with self._registry_lock:
-            return len(self._templates)
-
     # -- lifecycle ----------------------------------------------------------
 
     def prime(self, ctx: TaskContext) -> None:
@@ -2062,6 +1871,10 @@ class RpcShardRouter(ShardRouter):
         :class:`TableUpdate` instead of a full re-prime.
         """
         epoch = snapshot.table.version
+        # What a respawn re-primes from: set first, so a worker found
+        # dead below comes back on *this* snapshot, once.
+        self._last_snapshot = snapshot
+        self._table = snapshot.table
         for shard in range(self.num_shards):
             with self._shard_locks[shard]:
                 client = self._clients[shard]
@@ -2076,27 +1889,37 @@ class RpcShardRouter(ShardRouter):
                         ) from exc
                 elif not client.alive():
                     # The worker died since we last spoke to it: recover
-                    # (which records the failure and re-registers).
+                    # (which records the failure and re-primes).
                     client = self._recover(shard, "worker process died")
                 shard_snapshot = snapshot.shards[shard]
                 if client.primed_token != shard_snapshot.token:
-                    self._shard_call(
-                        shard,
-                        Prime(
-                            shard_snapshot, wire=self.wire_format, epoch=epoch
-                        ),
-                    )
-                    client.primed_token = shard_snapshot.token
-                    client.primed_epoch = epoch
-                    self._forward_warnings(shard, client)
+                    try:
+                        self._prime(shard, client, shard_snapshot, epoch)
+                    except _TRANSPORT_ERRORS as exc:
+                        # Died under the prime: the one respawn primes.
+                        self._recover(shard, f"{type(exc).__name__}: {exc}")
                 elif client.primed_epoch != epoch:
-                    self._shard_call(
-                        shard,
-                        TableUpdate(epoch=epoch, num_shards=self.num_shards),
-                    )
+                    self._shard_call(shard, TableUpdate(epoch=epoch))
                     client.primed_epoch = epoch
-        self._last_snapshot = snapshot
-        self._table = snapshot.table
+
+    def _prime(
+        self,
+        shard: int,
+        client: ShardWorkerClient,
+        shard_snapshot: StoreSnapshot,
+        epoch: int,
+        on_bytes=None,
+    ) -> None:
+        """Install *shard_snapshot* on *client*'s worker at *epoch*,
+        record on the client what it now holds, and relay any warning
+        the prime raised worker-side.  Callers hold the shard's lock
+        and deal with transport errors themselves."""
+        client.request(
+            Prime(shard_snapshot, wire=self.wire_format, epoch=epoch), on_bytes
+        )
+        client.primed_token = shard_snapshot.token
+        client.primed_epoch = epoch
+        self._forward_warnings(shard, client)
 
     def _forward_warnings(self, shard: int, client: ShardWorkerClient) -> None:
         """Relay a worker's operational warnings (a prime may have
@@ -2234,16 +2057,13 @@ class RpcShardRouter(ShardRouter):
                         client = self._clients[shard]
                         if client is None or not client.alive():
                             client = self._start_worker(shard)
-                        client.request(
-                            Prime(
-                                shard_snapshot,
-                                wire=self.wire_format,
-                                epoch=new_table.version,
-                            ),
+                        self._prime(
+                            shard,
+                            client,
+                            shard_snapshot,
+                            new_table.version,
                             note(shard),
                         )
-                        client.primed_token = shard_snapshot.token
-                        client.primed_epoch = new_table.version
             # Surviving shards with movement: ship only the delta.
             for shard in range(min(old_count, new_count)):
                 adds_nodes = sorted(moved_in.get(shard, ()))
@@ -2289,11 +2109,7 @@ class RpcShardRouter(ShardRouter):
                         client = self._clients[shard]
                         if client is not None and client.alive():
                             self._shard_call(
-                                shard,
-                                TableUpdate(
-                                    epoch=new_table.version,
-                                    num_shards=new_count,
-                                ),
+                                shard, TableUpdate(epoch=new_table.version)
                             )
                             client.primed_epoch = new_table.version
         except BaseException as exc:
@@ -2327,7 +2143,7 @@ class RpcShardRouter(ShardRouter):
         self._set_topology(old_count, snapshot.table, snapshot)
 
     def _start_worker(self, shard: int) -> ShardWorkerClient:
-        """Spawn shard *shard*'s server, handshake, re-register templates.
+        """Spawn shard *shard*'s server and handshake.
 
         Callers (``ensure_workers``, ``_recover``) hold this shard's lock.
         """
@@ -2338,7 +2154,6 @@ class RpcShardRouter(ShardRouter):
         client = ShardWorkerClient(
             shard=shard,
             num_nodes=self.num_nodes,
-            num_shards=self.num_shards,
             backend=self.worker_backend,
             backend_workers=self.worker_backend_workers,
             max_frame_bytes=self.max_frame_bytes,
@@ -2350,10 +2165,6 @@ class RpcShardRouter(ShardRouter):
         )
         try:
             client.start()
-            with self._registry_lock:
-                templates = list(self._templates.items())
-            for key, physical in templates:
-                client.request(RegisterTemplate(key, physical))
         except Exception:
             client.close(kill=True)
             raise
@@ -2417,14 +2228,6 @@ class RpcShardRouter(ShardRouter):
             out.append((shard, stats))
         return out
 
-    def invalidate(self, shard: int) -> None:
-        """Drop shard *shard*'s resident snapshot (re-primed lazily)."""
-        with self._shard_locks[shard]:
-            self._shard_call(shard, InvalidateSnapshot())
-            client = self._clients[shard]
-            if client is not None:
-                client.primed_token = None
-
     def close(self) -> None:
         # len(self._clients) can exceed num_shards after a shrink (the
         # per-shard lists only grow); retire every slot either way.
@@ -2450,7 +2253,7 @@ class RpcShardRouter(ShardRouter):
                 pass
 
     def _recover(self, shard: int, reason: str) -> ShardWorkerClient:
-        """Respawn a dead worker: restart, re-prime, re-register.
+        """Respawn a dead worker: restart and re-prime.
 
         Records the failure that triggered the recovery; a failed
         respawn records a second failure and raises
@@ -2460,14 +2263,12 @@ class RpcShardRouter(ShardRouter):
         try:
             client = self._start_worker(shard)
             if self._last_snapshot is not None:
-                shard_snapshot = self._last_snapshot.shards[shard]
-                epoch = self._last_snapshot.table.version
-                client.request(
-                    Prime(shard_snapshot, wire=self.wire_format, epoch=epoch)
+                self._prime(
+                    shard,
+                    client,
+                    self._last_snapshot.shards[shard],
+                    self._last_snapshot.table.version,
                 )
-                client.primed_token = shard_snapshot.token
-                client.primed_epoch = epoch
-                self._forward_warnings(shard, client)
             return client
         except Exception as exc:
             self._record_failure(shard, f"respawn failed: {exc!r}")
@@ -2504,8 +2305,8 @@ class RpcShardRouter(ShardRouter):
         behind a per-shard lock.  A typed :class:`ErrorReply` from a
         live worker re-raises as-is (the request failed, not the
         worker).  A transport failure means the worker died: it is
-        respawned — snapshot re-primed, templates re-registered — and
-        the request retried exactly once (idempotent: request-id dedup
+        respawned, its snapshot re-primed, and the request retried
+        exactly once (idempotent: request-id dedup
         worker-side, and a fresh worker starts from a clean slate); any
         further failure raises :class:`ShardUnavailable`.  A successful
         retry of a traced execute frame is marked by an ``rpc:retry``
@@ -2540,36 +2341,6 @@ class RpcShardRouter(ShardRouter):
                 )
             return reply
 
-    # -- template registry ---------------------------------------------------
-
-    def register_prepared(self, prepared) -> bool:
-        """Register a template's unbound physical plan with every shard.
-
-        Stamps the prepared plan with its registry key, so every bound
-        copy derived from it (:meth:`~repro.physical.executor
-        .PreparedPlan.bind`) carries the provenance that lets queries
-        cross the wire as constant vectors.  Dead workers are skipped —
-        the respawn path re-registers the whole registry.
-        """
-        key = prepared.template_key
-        if key is None:
-            key = plan_key(prepared.physical)
-            prepared.template_key = key
-        with self._registry_lock:
-            new = key not in self._templates
-            self._templates[key] = prepared.physical
-        if new:
-            for shard in range(self.num_shards):
-                with self._shard_locks[shard]:
-                    client = self._clients[shard]
-                    if client is None or not client.alive():
-                        continue
-                    try:
-                        client.request(RegisterTemplate(key, prepared.physical))
-                    except _TRANSPORT_ERRORS:
-                        pass  # picked up by the respawn path
-        return new
-
     # -- execution -----------------------------------------------------------
 
     @contextmanager
@@ -2592,47 +2363,21 @@ class RpcShardRouter(ShardRouter):
         report.shard_frames = tuple(state.frames)
 
     def _open(self, ctx: TaskContext) -> _RpcExecution:
-        """Start one query: bound constant vectors over the wire.
-
-        A plan bound from a registered template ships as its template
-        key plus binding; anything else (raw logical plans through the
-        escape hatches, uncacheable queries) is registered ad hoc as its
-        own template with an empty binding.  Workers bind lazily: the
-        first :class:`ExecuteLevel` naming a ``(key, binding)`` compiles
-        and caches it worker-side — no per-query bind round trip.
-        """
-        prepared = ctx.plan
-        if prepared is None:
-            raise RpcError(
-                "RpcShardRouter cannot run bare task specs: shard servers "
-                "rebuild specs from the registered physical plan, so the "
-                "task context must name the prepared plan "
-                "(PlanExecutor.execute_prepared does)"
-            )
+        """Start one query: the fleet synchronized to its snapshot,
+        zeroed counters — nothing about the query's plan is announced."""
         snapshot = self._snapshot_of(ctx)
         self.ensure_workers(snapshot)
-        key = prepared.template_key
-        binding = tuple(prepared.binding)
-        with self._registry_lock:
-            registered = key is not None and key in self._templates
-        if not registered:
-            key = plan_key(prepared.physical)
-            binding = ()
-            with self._registry_lock:
-                self._templates.setdefault(key, prepared.physical)
         return _RpcExecution(
             table=snapshot.table,
             tasks=[0] * snapshot.num_shards,
             rows=[0] * snapshot.num_shards,
-            key=key,
-            binding=binding,
             bytes=[0] * snapshot.num_shards,
             frames=[0] * snapshot.num_shards,
         )
 
     # -- the dispatch hop ----------------------------------------------------
 
-    def _call_with_registration(
+    def _send_level(
         self, shard: int, msg: ExecuteLevel, exec_ctx: _RpcExecution | None
     ):
         """An ExecuteLevel round trip, traced when the frame carries a
@@ -2643,32 +2388,14 @@ class RpcShardRouter(ShardRouter):
             None if exec_ctx is None else (lambda n: exec_ctx.add(shard, n))
         )
         if msg.trace_ctx is None:
-            return self._send_level(shard, msg, on_bytes)
+            return self._shard_call(shard, msg, on_bytes)
         wire: list[WireTimes] = []
         start = time.perf_counter()
-        reply = self._send_level(shard, msg, on_bytes, wire.append)
+        reply = self._shard_call(shard, msg, on_bytes, wire.append)
         _record_level_span(
             msg, reply, start, time.perf_counter(), wire[-1], shard
         )
         return reply
-
-    def _send_level(self, shard, msg, on_bytes=None, on_wire=None):
-        """The raw round trip, self-healing the one typed failure lazy
-        binding can produce: a worker missing the template (ad-hoc
-        plans are registered driver-side only; respawns start empty
-        between re-registration and use) gets it shipped, then the
-        level is resent."""
-        try:
-            return self._shard_call(shard, msg, on_bytes, on_wire)
-        except TemplateNotRegistered:
-            with self._registry_lock:
-                physical = self._templates.get(msg.key)
-            if physical is None:
-                raise
-            self._shard_call(
-                shard, RegisterTemplate(msg.key, physical), on_bytes
-            )
-            return self._shard_call(shard, msg, on_bytes, on_wire)
 
     def _level_call(
         self, shard: int, msg: ExecuteLevel, exec_ctx: _RpcExecution | None
@@ -2680,16 +2407,16 @@ class RpcShardRouter(ShardRouter):
         if self._coalescers is not None:
             return self._coalescers[shard].submit(msg, exec_ctx)
         self._note_frames(1)
-        return self._call_with_registration(shard, msg, exec_ctx)
+        return self._send_level(shard, msg, exec_ctx)
 
-    def _reroute_level(self, msg: ExecuteLevel, exec_ctx):
+    def _reroute_level(self, msg: ExecuteLevel, nodes: list[int], exec_ctx):
         """Resend a stale-stamped level's tasks under the current table.
 
         A worker rejected *msg* because a rebalance flipped the slot
         table after this query was routed.  The tasks themselves are
-        placement-level facts — node assignments never change, only
-        which shard *hosts* a node — so they are regrouped by the
-        current table and resent, stamped with its epoch.  The map
+        placement-level facts — *nodes*, the node each runs on, never
+        change, only which shard *hosts* a node — so they are regrouped
+        by the current table and resent, stamped with its epoch.  The map
         phase's ``inputs`` travel unchanged to every target: they are
         keyed by node-sliced file name, and a superset is harmless.
         Results are reassembled in the original task order, keeping the
@@ -2699,8 +2426,7 @@ class RpcShardRouter(ShardRouter):
         if table is None:
             raise RpcError("no slot table to re-route against")
         groups: dict[int, list[int]] = {}
-        for index, task in enumerate(msg.tasks):
-            node = task[2] if msg.phase == "map" else task[1] % self.num_nodes
+        for index, node in enumerate(nodes):
             groups.setdefault(table.shard_of_node(node), []).append(index)
         results: list = [None] * len(msg.tasks)
         for shard in sorted(groups):
@@ -2713,7 +2439,7 @@ class RpcShardRouter(ShardRouter):
             with self._counter_lock:
                 self.level_requests += 1
             self._note_frames(1)
-            reply = self._call_with_registration(shard, sub, exec_ctx)
+            reply = self._send_level(shard, sub, exec_ctx)
             for i, result in zip(indices, reply.results):
                 results[i] = result
         return ResultsReply(results=results)
@@ -2738,16 +2464,11 @@ class RpcShardRouter(ShardRouter):
                         for node, part in enumerate(relation.partitions)
                     ],
                 )
-            tasks = tuple(
-                (inv.job, getattr(inv.spec, "tag", None), inv.node)
-                for inv in batch
-            )
+            tasks = tuple(inv.spec for inv in batch)
         else:
             inputs = {}
-            tasks = tuple((inv.job, *inv.args) for inv in batch)
+            tasks = tuple((inv.spec, *inv.args) for inv in batch)
         msg = ExecuteLevel(
-            key=state.key,
-            binding=state.binding,
             level=batch[0].level,
             phase=phase,
             tasks=tasks,
@@ -2761,7 +2482,9 @@ class RpcShardRouter(ShardRouter):
             # The topology moved under this query (a rebalance flipped
             # the slot table after it was routed): regroup the same
             # tasks by the current table and resend.
-            reply = self._reroute_level(msg, state)
+            reply = self._reroute_level(
+                msg, [inv.node for inv in batch], state
+            )
         if len(reply.results) != len(batch):
             raise RpcProtocolError(
                 f"shard {shard} returned {len(reply.results)} results "
@@ -2772,7 +2495,6 @@ class RpcShardRouter(ShardRouter):
 
 __all__ = [
     "BatchReply",
-    "BoundSpecs",
     "ColumnarFrame",
     "DEFAULT_MAX_FRAME_BYTES",
     "DEFAULT_RPC_PIPELINE",
@@ -2780,14 +2502,10 @@ __all__ = [
     "ExecuteBatch",
     "ExecuteLevel",
     "FrameTooLarge",
-    "Hello",
-    "HelloReply",
-    "InvalidateSnapshot",
     "MESSAGE_TYPES",
     "OkReply",
     "Prime",
     "PrimeSlots",
-    "RegisterTemplate",
     "Reply",
     "Request",
     "ResultsReply",
@@ -2801,9 +2519,7 @@ __all__ = [
     "Stats",
     "StatsReply",
     "TableUpdate",
-    "TemplateNotRegistered",
     "WorkerSpawnError",
     "WorkerStateError",
-    "plan_key",
     "store_token",
 ]

@@ -479,11 +479,11 @@ class WireCodec:
             msg,
             tasks=tuple(
                 (
-                    job,
+                    spec,
                     partition,
                     {tag: pack(chunks) for tag, chunks in grouped.items()},
                 )
-                for job, partition, grouped in msg.tasks
+                for spec, partition, grouped in msg.tasks
             ),
         )
 
@@ -615,11 +615,11 @@ class WireCodec:
             payload,
             tasks=tuple(
                 (
-                    job,
+                    spec,
                     partition,
                     {tag: [unpack(packed)] for tag, packed in grouped.items()},
                 )
-                for job, partition, grouped in payload.tasks
+                for spec, partition, grouped in payload.tasks
             ),
         )
 

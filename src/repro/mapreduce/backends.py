@@ -78,13 +78,12 @@ class TaskInvocation:
     ``spec.run(ctx, partition, grouped)``.  The remaining fields say
     where the task sits in the schedule; inline and pool backends ignore
     them, a dispatching backend (the shard router) routes by ``node``
-    and names the task to a remote worker by the rest.
+    and sends one frame per ``phase`` of a ``level`` (the spec itself
+    travels: a task is never named to a remote worker).
     """
 
     spec: TaskSpec
     args: tuple = ()
-    #: name of the job the task belongs to
-    job: str = ""
     #: cluster node the task runs on (a reduce partition ``p`` runs on
     #: node ``p % num_nodes``)
     node: int = 0

@@ -23,7 +23,7 @@ recorded on it for observability).
 This is the only level scheduler.  A sharded deployment does not run a
 second one: the shard router (:mod:`repro.cluster.router`) is itself a
 backend that runs each task on the shard owning its node — every
-:class:`~repro.mapreduce.backends.TaskInvocation` says which job, node,
+:class:`~repro.mapreduce.backends.TaskInvocation` says which node,
 phase and level it belongs to — so a sharded report is this engine's
 report, equal to the unsharded one field for field.
 
@@ -137,9 +137,7 @@ class MapReduceEngine:
         # then consume results in submission order (determinism: shuffle
         # lists are appended in task order, not completion order).
         invocations = [
-            TaskInvocation(
-                task.spec, (), state.job.name, task.node, "map", level_index
-            )
+            TaskInvocation(task.spec, (), task.node, "map", level_index)
             for state in states
             for task in state.job.map_tasks
         ]
@@ -172,7 +170,6 @@ class MapReduceEngine:
                     TaskInvocation(
                         job.reduce_spec,
                         (partition, grouped),
-                        job.name,
                         partition % num_nodes,
                         "reduce",
                         level_index,

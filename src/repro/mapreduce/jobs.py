@@ -85,9 +85,6 @@ class TaskContext:
     num_nodes: int
     store: "StoreSnapshot | None" = None
     hdfs: "HDFS | None" = None
-    #: the prepared plan being executed, when a plan executor started
-    #: the run — a dispatching backend reads its template provenance
-    plan: object | None = None
     #: per-execution state of a dispatching backend, attached by its
     #: :meth:`~repro.mapreduce.backends.ExecutionBackend.execution`
     dispatch: object | None = None

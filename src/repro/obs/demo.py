@@ -31,14 +31,12 @@ from pathlib import Path
 
 def _rpc_available() -> bool:
     try:
-        from repro.cluster.rpc import ShardWorkerClient, Stats, StatsReply
+        from repro.cluster.rpc import ShardWorkerClient, StatsReply
 
-        client = ShardWorkerClient(
-            shard=0, num_nodes=2, num_shards=1, spawn_timeout=30
-        )
+        client = ShardWorkerClient(shard=0, num_nodes=2, spawn_timeout=30)
         try:
-            client.start()
-            return isinstance(client.request(Stats()), StatsReply)
+            # The spawn handshake is itself a Stats round trip.
+            return isinstance(client.start(), StatsReply)
         finally:
             client.close()
     except Exception:

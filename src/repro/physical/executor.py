@@ -102,16 +102,6 @@ class PreparedPlan:
     plan: LogicalPlan
     physical: PhysicalPlan
     compiled: CompiledPlan
-    #: registry key of the unbound template this plan was prepared from
-    #: (stamped when the plan is registered with an RPC shard router);
-    #: None for plans with no registered template.
-    template_key: str | None = None
-    #: the ``(placeholder, constant)`` pairs bound into the template to
-    #: produce this plan, in sorted order.  Together with
-    #: ``template_key`` this is the full provenance of a bound plan —
-    #: all an RPC shard worker needs to rebuild it from the registered
-    #: template, so only the constant vector crosses the wire.
-    binding: tuple[tuple[str, str], ...] = ()
 
     def bind(self, subst: dict[str, str]) -> "PreparedPlan":
         """A copy with *subst* applied to every pattern term.
@@ -139,17 +129,8 @@ class PreparedPlan:
             query=bound_query,
         )
         physical = substitute_plan(self.physical, subst)
-        # Binding provenance survives exactly one hop from the unbound
-        # template; re-binding an already-bound plan cannot be expressed
-        # as a single substitution of the original, so it drops the key
-        # (RPC falls back to registering the re-bound plan ad hoc).
-        template_key = self.template_key if not self.binding else None
         return PreparedPlan(
-            plan=plan,
-            physical=physical,
-            compiled=compile_plan(physical),
-            template_key=template_key,
-            binding=tuple(sorted(subst.items())) if template_key else (),
+            plan=plan, physical=physical, compiled=compile_plan(physical)
         )
 
 
@@ -301,7 +282,7 @@ class StarReduceSpec(ReduceTaskSpec):
         return out_rows, metrics
 
 
-# -- job construction (shared by PlanExecutor and the RPC shard workers) -------
+# -- job construction -----------------------------------------------------------
 
 
 def job_output_attrs(spec: JobSpec) -> tuple[str, ...]:
@@ -352,8 +333,7 @@ def job_from_spec(
     """Instantiate the :class:`MapReduceJob` for one compiled job spec.
 
     ``on_complete`` receives the per-node output chunks once the job
-    finishes (executors use it to register results in simulated HDFS);
-    an RPC shard worker passes ``None``: it only looks task specs up.
+    finishes (executors use it to register results in simulated HDFS).
     """
     if spec.map_only:
         return MapReduceJob(
@@ -495,10 +475,10 @@ class PlanExecutor:
         return PreparedPlan(plan=plan, physical=physical, compiled=compiled)
 
     def register_template(self, prepared: PreparedPlan) -> bool:
-        """Announce a plan template to whatever runs its tasks; True
-        the first time a structure is seen.  A single store has nobody
-        to tell (:class:`~repro.cluster.router.ShardedPlanExecutor`
-        ships it to its shards)."""
+        """A no-op: nothing that runs tasks keeps anything about a
+        plan, so there is nobody to announce a template to.  Still here
+        only because the perf ledger's deployment probe calls it; it
+        goes with that call."""
         return False
 
     def execute_prepared(self, prepared: PreparedPlan) -> ExecutionResult:
@@ -509,7 +489,6 @@ class PlanExecutor:
             num_nodes=self.cluster.num_nodes,
             store=self.store.snapshot(),
             hdfs=hdfs,
-            plan=prepared,
         )
         graph = JobGraph()
         for spec in compiled.jobs:

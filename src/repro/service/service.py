@@ -143,8 +143,6 @@ class ServiceConfig:
     backend_workers: int | None = None
     #: individualization budget of the canonicalizer
     canonical_budget: int = 4096
-    #: drop cached plans when the graph (hence statistics) changes
-    invalidate_plans_on_mutation: bool = False
     #: lift constants into parameterized plan templates, so queries that
     #: differ only in constants share one optimizer run.  False keeps
     #: explicit $params working but degenerates the template signature
@@ -171,10 +169,10 @@ class ServiceConfig:
     #: how the shard workers are reached (requires ``shards >= 1``):
     #: "inproc" calls per-shard execution backends in-process; "rpc"
     #: runs each shard as a long-lived server process behind
-    #: repro.cluster.rpc — the worker holds its snapshot, registered
-    #: templates and a local backend resident, and per query only bound
-    #: constant vectors, level metadata and exchange rows cross the
-    #: localhost socket.  A crashed worker is respawned (and the failed
+    #: repro.cluster.rpc — the worker holds its snapshot and a local
+    #: backend resident and nothing about plans: each level's task
+    #: specs and exchange rows cross the localhost socket with the
+    #: level.  A crashed worker is respawned (and the failed
     #: request retried) once; sustained failure raises a typed
     #: ShardUnavailable, counted in snapshot_stats().shard_failures.
     shard_transport: str = "inproc"
@@ -819,8 +817,8 @@ class QueryService:
         result), maintains catalog statistics *incrementally* — the
         catalog is copied once per batch and a per-triple delta applied
         for each genuinely new triple, O(batch + |P|) instead of the
-        former O(|G|) full recompute — and, if configured, drops cached
-        plans so later queries re-optimize against the new statistics.
+        former O(|G|) full recompute.  Cached plans stay: they are
+        correct on any graph, only their cost ranking ages.
         """
         self._check_open()
         with self._store_lock.write():
@@ -856,13 +854,6 @@ class QueryService:
                     self.catalog = catalog
                     self.estimator = CardinalityEstimator(self.catalog)
                     self.coster = PlanCoster(self.estimator, self.config.params)
-                    if self.config.invalidate_plans_on_mutation:
-                        # The optimizer's output lives in the template
-                        # cache; bound instances in the plan cache.  Both
-                        # must go for later queries to re-optimize
-                        # against the new statistics.
-                        self.template_cache.clear()
-                        self.plan_cache.clear()
                     self.stats.record_mutation()
                     # Rebuild process worker pools now, while the write
                     # lock quiesces every query thread: a fork-based pool
@@ -1397,10 +1388,6 @@ class QueryService:
             if plan is None:
                 plan, optimizer = self.optimize(template.query)
             prepared = self.executor.prepare(plan)
-            # Ship the template's job structure to every shard once;
-            # each query afterwards sends only its binding-substituted
-            # task specs (the snapshot already lives in the shard pools).
-            self.executor.register_template(prepared)
             optimize.set(
                 plans=optimizer.plan_count,
                 pruned=optimizer.pruned,

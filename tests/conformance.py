@@ -19,16 +19,25 @@ pools or localhost sockets skip the cells that need them.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import glob
 import os
+import signal
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+from repro.cluster.router import ShardRouter
+from repro.mapreduce.backends import SerialBackend, TaskInvocation
 from repro.mapreduce.counters import ExecutionReport
+from repro.mapreduce.hdfs import HDFS
+from repro.mapreduce.jobs import TaskContext
+from repro.physical.executor import job_from_spec
 from repro.service import QueryOutcome, QueryService, ServiceConfig
 from repro.sparql.ast import BGPQuery
 from repro.sparql.canonical import CanonicalizationBudgetExceeded
@@ -58,14 +67,12 @@ def rpc_workers_work() -> bool:
     """True when a shard server process can be spawned and spoken to
     (needs working process spawning *and* localhost sockets)."""
     try:
-        from repro.cluster.rpc import ShardWorkerClient, Stats, StatsReply
+        from repro.cluster.rpc import ShardWorkerClient, StatsReply
 
-        client = ShardWorkerClient(
-            shard=0, num_nodes=2, num_shards=1, spawn_timeout=30
-        )
+        client = ShardWorkerClient(shard=0, num_nodes=2, spawn_timeout=30)
         try:
-            client.start()
-            return isinstance(client.request(Stats()), StatsReply)
+            # The spawn handshake is itself a Stats round trip.
+            return isinstance(client.start(), StatsReply)
         finally:
             client.close()
     except Exception:
@@ -192,18 +199,21 @@ def ground_queries(graph) -> list[BGPQuery]:
 PARITY_BUDGET = 2
 
 
+#: one template, a university IRI for its constant
+ALUMNI = (
+    "SELECT ?x WHERE {{ ?x ub:undergraduateDegreeFrom {} . "
+    "?x rdf:type ub:GraduateStudent }}"
+)
+
+
 def parity_queries() -> list[BGPQuery]:
     """The surface-parity workload: one cacheable LUBM query, one
     template bound to two constants, and one query whose automorphism
     (?a <-> ?b) takes it past ``PARITY_BUDGET`` — uncacheable."""
-    alumni = (
-        "SELECT ?x WHERE {{ ?x ub:undergraduateDegreeFrom {} . "
-        "?x rdf:type ub:GraduateStudent }}"
-    )
     return [
         lubm_queries.query("Q9"),
-        parse_query(alumni.format(lubm.university_iri(0)), name="alumni-0"),
-        parse_query(alumni.format(lubm.university_iri(3)), name="alumni-3"),
+        parse_query(ALUMNI.format(lubm.university_iri(0)), name="alumni-0"),
+        parse_query(ALUMNI.format(lubm.university_iri(3)), name="alumni-3"),
         parse_query(
             "SELECT ?a ?b WHERE { ?a ub:advisor ?c . ?b ub:advisor ?c }",
             name="same-advisor",
@@ -402,9 +412,9 @@ def assert_one_pipeline(
     """The three surfaces are doors onto one pipeline: from the same
     cold caches they leave the same counters and the same spans.
 
-    A warm-up pass first brings the deployment (shard workers'
-    registered templates and bound specs, wire dictionaries) to the
-    state every measured pass then starts from; the plan and template
+    A warm-up pass first brings the deployment (the rpc connections'
+    wire dictionaries) to the state every measured pass then starts
+    from; the plan and template
     caches are emptied before each pass.  ``submit_batch`` must match
     ``submit`` exactly; ``prepare`` matches it once prepare()'s own
     share — paid outside any submission — is taken out of both.
@@ -425,6 +435,116 @@ def assert_one_pipeline(
     assert (
         footprints["prepare"].at_execute_time() == submit.at_execute_time()
     ), (where, "prepare")
+
+
+def _sorted_map_result(result) -> tuple:
+    """A map task's result with every chunk as a sorted row list (row
+    order inside a chunk is never observable; blocks iterate as rows)."""
+    shuffle, direct, metrics = result
+    return (
+        sorted((p, tag, sorted(chunk)) for p, tag, chunk in shuffle),
+        sorted(direct),
+        metrics,
+    )
+
+
+def kill_worker(client) -> None:
+    """SIGKILL a shard server process — and the process-pool children
+    it forked, if any: they would outlive it, blocked on a queue nobody
+    feeds any more, holding the test run's pipes open."""
+    process = client.process
+    children = [
+        int(pid)
+        for path in glob.glob(f"/proc/{process.pid}/task/*/children")
+        for pid in Path(path).read_text().split()
+    ]
+    process.kill()
+    process.join(timeout=10)
+    for pid in children:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+
+
+def assert_stateless_workers(service: QueryService, where: str = "") -> None:
+    """The rpc cells' own claim: a shard worker holds its snapshot and
+    nothing about plans, so nothing distinguishes the first execution
+    of anything from the second.
+
+    For a template, the same template under a new constant, and an
+    ad-hoc plan through ``execute_plan``, the first execution ships
+    exactly the frames the second does (and answers and reports alike).
+    After a worker is killed the retried query conforms and the next
+    one ships its usual frame count — a respawn restores the snapshot,
+    there is no registry to resync.  And a bare ``TaskInvocation``
+    batch, no prepared plan anywhere, runs over rpc like on any other
+    backend: its results equal the in-process router's.  Call it on a
+    service no other thread is using, with the result cache off.
+    """
+    router = service.executor.router
+    assert router.transport == "rpc" and not service.config.result_cache_size, where
+
+    def first_as_second(run, what: str):
+        first, second = run(), run()
+        frames = first.report.shard_frames
+        assert frames is not None and sum(frames) > 0, (where, what)
+        assert frames == second.report.shard_frames, (where, what)
+        assert first.rows == second.rows, (where, what)
+        assert _report_fields(first.report) == _report_fields(second.report), (
+            where, what,
+        )
+        return first
+
+    alumni = [
+        parse_query(ALUMNI.format(lubm.university_iri(i)), name=f"alumni-{i}")
+        for i in (1, 2)
+    ]
+    usual = first_as_second(lambda: service.submit(alumni[0]), "template")
+    rebound = first_as_second(lambda: service.submit(alumni[1]), "new constant")
+    assert rebound.template_hit, where
+    assert rebound.template_digest == usual.template_digest, where
+    assert rebound.report.shard_frames == usual.report.shard_frames, where
+    plan, _ = service.optimize(lubm_queries.query("Q9"))
+    first_as_second(lambda: service.execute_plan(plan), "ad-hoc plan")
+
+    expected = expected_of(alumni[0].name, usual)
+    victim = router._clients[0]
+    failures = router.shard_failures
+    kill_worker(victim)
+    assert_conforms(expected, service.submit(alumni[0]), f"{where}/retried")
+    assert router.shard_failures == failures + 1, where
+    assert router._clients[0] is not victim, where
+    after = service.submit(alumni[0])
+    assert_conforms(expected, after, f"{where}/after-respawn")
+    assert after.report.shard_frames == usual.report.shard_frames, where
+
+    num_nodes = service.executor.cluster.num_nodes
+    snapshot = service.store.snapshot()
+    spec = service.executor.prepare(plan).compiled.jobs[0]
+    assert not spec.depends, where
+    invocations = [
+        TaskInvocation(task.spec, node=task.node)
+        for task in job_from_spec(spec, num_nodes).map_tasks
+    ]
+
+    def run_on(backend) -> list:
+        ctx = TaskContext(
+            num_nodes=num_nodes, store=snapshot, hdfs=HDFS(num_nodes=num_nodes)
+        )
+        with backend.execution(ctx, ExecutionReport()) as running:
+            return [
+                _sorted_map_result(result)
+                for result in backend.run(invocations, running)
+            ]
+
+    inproc = ShardRouter(
+        num_nodes, snapshot.num_shards, [SerialBackend()] * snapshot.num_shards
+    )
+    try:
+        bare = run_on(router)
+        assert bare == run_on(inproc), where
+        assert any(shuffle or direct for shuffle, direct, _ in bare), where
+    finally:
+        inproc.close()
 
 
 def assert_concurrent_conforms(

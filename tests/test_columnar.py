@@ -635,7 +635,7 @@ def test_reducer_reads_mixed_chunks_like_the_tuple_reducer():
         ctx = TaskContext(num_nodes=1)
         want_rows, want_metrics = spec.run(ctx, 0, {t: [r] for t, r in rows.items()})
         [(got, got_metrics)] = backend.run(
-            [TaskInvocation(spec, (0, grouped), "j", 0, "reduce", 0)], ctx
+            [TaskInvocation(spec, (0, grouped), 0, "reduce", 0)], ctx
         )
         assert got_metrics == want_metrics
         assert sorted(got) == sorted(want_rows)

@@ -28,6 +28,7 @@ from tests.conformance import (
     assert_concurrent_conforms,
     assert_one_pipeline,
     assert_rebalance_conforms,
+    assert_stateless_workers,
     assert_surface_conforms,
     expected_of,
     ground_queries,
@@ -131,6 +132,8 @@ def test_conformance_matrix(
         assert not service.snapshot_stats().warnings, (
             "a backend silently degraded mid-matrix"
         )
+        if service.config.shard_transport == "rpc":
+            assert_stateless_workers(service, where=f"{deployment}/{backend}")
     finally:
         service.close()
     check_one_pipeline(graph, backend, deployment, parity, parity_reference)
@@ -177,6 +180,7 @@ def test_concurrent_rpc_conformance(graph, queries, reference, wire, mode):
             service, queries, reference, threads=4,
             where=f"shards4-rpc/{wire}/{mode}",
         )
+        assert_stateless_workers(service, where=f"shards4-rpc/{wire}/{mode}")
     finally:
         service.close()
 
@@ -219,6 +223,7 @@ def test_rebalance_rpc_conformance(graph, queries, reference8, wire):
         for report in reports:
             assert report.bytes_shipped is not None
             assert sum(report.bytes_shipped) > 0
+        assert_stateless_workers(service, where=f"shards4-rpc/{wire}/rebalanced")
     finally:
         service.close()
 

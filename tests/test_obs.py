@@ -363,7 +363,7 @@ def _assert_rpc_trace(trace, shards=(0, 1)):
     assert rpc_levels, trace.render()
     assert {s.attrs["shard"] for s in rpc_levels} == set(shards)
     for name in (
-        "wire:encode", "decode", "queue_wait", "state_lock_wait", "bind",
+        "wire:encode", "decode", "queue_wait", "state_lock_wait",
         "execute", "wire:decode",
     ):
         spans = trace.find(name)

@@ -249,20 +249,6 @@ class TestUnifiedRouting:
             assert svc.snapshot_stats().optimizer_runs == 2
             assert pb.execute().rows  # the survivor still works too
 
-    def test_invalidate_plans_on_mutation_drops_templates(self):
-        graph = lubm.generate(lubm.LUBMConfig(universities=4))
-        config = ServiceConfig(invalidate_plans_on_mutation=True)
-        with QueryService(graph, config) as svc:
-            q = lubm_queries.query("Q2")
-            svc.submit(q)
-            svc.add_triples([("<s>", "<p-new>", "<o>")])
-            assert len(svc.template_cache) == 0
-            assert len(svc.plan_cache) == 0
-            out = svc.submit(q)
-            assert not out.plan_cache_hit and not out.template_hit
-            # The re-optimization really ran against the new statistics.
-            assert svc.snapshot_stats().optimizer_runs == 2
-
     def test_plan_cache_bounded_by_default_but_templates_survive(self, graph):
         config = ServiceConfig(plan_cache_size=4, result_cache_size=0)
         with QueryService(graph, config) as svc:

@@ -503,31 +503,25 @@ class TestRpcRebalance:
             service.close()
 
     def test_duplicate_table_update_is_idempotent(self, university):
-        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES, num_shards=1)
+        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES)
         client.start()
         try:
             snapshot = partition_graph(university, NUM_NODES).snapshot()
             client.request(Prime(snapshot, epoch=1))
-            assert client.request(TableUpdate(epoch=3, num_shards=2)) == OkReply(3)
+            assert client.request(TableUpdate(epoch=3)) == OkReply(3)
             # Duplicate delivery (crash-retry): acknowledged, no effect.
-            assert client.request(TableUpdate(epoch=3, num_shards=2)) == OkReply(3)
+            assert client.request(TableUpdate(epoch=3)) == OkReply(3)
             # Stale update: monotonicity wins, the worker stays at 3.
-            assert client.request(TableUpdate(epoch=2, num_shards=9)) == OkReply(3)
+            assert client.request(TableUpdate(epoch=2)) == OkReply(3)
             # An execute frame stamped with the installed epoch passes
-            # the epoch gate: the next failure is the (expected) missing
-            # template, not StaleEpoch.
-            from repro.cluster.rpc import TemplateNotRegistered
-
-            with pytest.raises(TemplateNotRegistered):
-                client.request(
-                    ExecuteLevel(key="x", binding=(), level=0, phase="map",
-                                 tasks=(), epoch=3)
-                )
+            # the epoch gate and runs (here: no tasks, no results).
+            level = ExecuteLevel(level=0, phase="map", tasks=(), epoch=3)
+            assert client.request(level).results == []
         finally:
             client.close()
 
     def test_duplicate_prime_slots_is_idempotent(self, university):
-        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES, num_shards=1)
+        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES)
         client.start()
         try:
             snapshot = partition_graph(university, NUM_NODES).snapshot()
@@ -550,7 +544,7 @@ class TestRpcRebalance:
     def test_prime_slots_without_snapshot_is_typed(self):
         from repro.cluster.rpc import WorkerStateError
 
-        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES, num_shards=1)
+        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES)
         client.start()
         try:
             with pytest.raises(WorkerStateError, match="no resident snapshot"):
@@ -561,17 +555,14 @@ class TestRpcRebalance:
             client.close()
 
     def test_stale_epoch_rejected_typed(self, university):
-        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES, num_shards=1)
+        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES)
         client.start()
         try:
             snapshot = partition_graph(university, NUM_NODES).snapshot()
             client.request(Prime(snapshot, epoch=2))
             with pytest.raises(StaleEpoch) as info:
                 client.request(
-                    ExecuteLevel(
-                        key="any", binding=(), level=0, phase="map",
-                        tasks=(), epoch=0,
-                    )
+                    ExecuteLevel(level=0, phase="map", tasks=(), epoch=0)
                 )
             assert info.value.shard == 0
             assert info.value.frame_epoch == 0

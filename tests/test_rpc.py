@@ -1,7 +1,7 @@
 """RPC shard workers (repro.cluster.rpc).
 
 Covers: protocol frame round-trips and typed error paths (oversized
-frames, unknown messages, unregistered templates, missing snapshots),
+frames, unknown messages, specs that do not pickle, missing snapshots),
 worker lifecycle idempotency (Stats/Shutdown), fault injection (a
 killed worker respawns transparently exactly once; sustained failure
 raises typed ShardUnavailable and counts in snapshot_stats), mutation
@@ -17,27 +17,22 @@ from __future__ import annotations
 import pickle
 import threading
 import time
+from dataclasses import replace as dataclass_replace
 
 import pytest
 
 from repro.cluster import ShardedPlanExecutor, shard_graph
 from repro.cluster.rpc import (
     BatchReply,
-    BoundSpecs,
     ErrorReply,
     ExecuteBatch,
     ExecuteLevel,
     FrameTooLarge,
-    Hello,
-    HelloReply,
-    InvalidateSnapshot,
     OkReply,
     Prime,
-    RegisterTemplate,
     Reply,
     Request,
     ResultsReply,
-    RpcError,
     RpcProtocolError,
     RpcShardRouter,
     ShardUnavailable,
@@ -45,19 +40,18 @@ from repro.cluster.rpc import (
     Shutdown,
     Stats,
     StatsReply,
-    TemplateNotRegistered,
     WorkerStateError,
-    plan_key,
 )
 from repro.columnar.block import HAVE_NUMPY
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
-from repro.mapreduce.counters import ExecutionReport
-from repro.mapreduce.hdfs import DistributedRelation
-from repro.mapreduce.jobs import TaskContext
+from repro.mapreduce.backends import TaskInvocation
+from repro.mapreduce.counters import ExecutionReport, TaskMetrics
+from repro.mapreduce.hdfs import HDFS, DistributedRelation
+from repro.mapreduce.jobs import FnReduceSpec, TaskContext
 from repro.partitioning.triple_partitioner import partition_graph
-from repro.physical.executor import PlanExecutor
+from repro.physical.executor import PlanExecutor, job_from_spec
 from repro.rdf.dictionary import Dictionary
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.parser import parse_query
@@ -121,35 +115,24 @@ class TestProtocolFrames:
         relation = DistributedRelation(
             attrs=("?a",), partitions=[[("x",)], [], [("y",)]]
         )
+        job = job_from_spec(prepared_star.compiled.jobs[-1], NUM_NODES)
         return [
-            Hello(),
-            HelloReply(
-                shard=1, num_nodes=7, num_shards=2, pid=123,
-                snapshot_token=snapshot.token,
-            ),
             Prime(snapshot=snapshot),
-            InvalidateSnapshot(),
-            RegisterTemplate(key="k1", physical=prepared_star.physical),
-            BoundSpecs(key="k1", binding=(("$uni", "<univ0>"),)),
             ExecuteLevel(
-                key="k1",
-                binding=(),
                 level=0,
                 phase="map",
-                tasks=(("job-rj1", 0, 3), ("job-rj1", 1, 3)),
+                tasks=tuple(task.spec for task in job.map_tasks[:2]),
                 inputs={"rj0": relation},
             ),
             ExecuteLevel(
-                key="k1",
-                binding=(),
                 level=1,
                 phase="reduce",
-                tasks=(("job-rj1", 4, {0: [("x",)], 1: [("y",)]}),),
+                tasks=((job.reduce_spec, 4, {0: [("x",)], 1: [("y",)]}),),
             ),
             Stats(),
             StatsReply(
-                shard=0, pid=9, snapshot_token=None, templates=2,
-                bound_instances=3, tasks_run=17, levels_run=4, primes=1,
+                shard=0, pid=9, snapshot_token=None,
+                tasks_run=17, levels_run=4, primes=1,
                 bytes_received=1024, backend="serial", warnings=("w",),
                 pipeline=4, inflight=2, queue_depth=1, peak_inflight=3,
                 batches=5, deduped=1,
@@ -159,10 +142,7 @@ class TestProtocolFrames:
             ResultsReply(results=[([], [("r",)], None)]),
             ExecuteBatch(
                 items=(
-                    (11, ExecuteLevel(
-                        key="k1", binding=(), level=0, phase="reduce",
-                        tasks=(),
-                    )),
+                    (11, ExecuteLevel(level=0, phase="reduce", tasks=())),
                 )
             ),
             BatchReply(
@@ -171,7 +151,7 @@ class TestProtocolFrames:
                     (12, ResultsReply(results=[])),
                 )
             ),
-            Request(id=7, msg=Hello()),
+            Request(id=7, msg=Stats()),
             Reply(id=7, payload=OkReply(value="bye")),
         ]
 
@@ -180,29 +160,22 @@ class TestProtocolFrames:
         for frame in frames:
             clone = pickle.loads(pickle.dumps(frame))
             assert type(clone) is type(frame)
-            if isinstance(frame, (Prime, RegisterTemplate)):
-                # Snapshots/plans compare field-wise through their own
-                # dataclass equality; spot-check the heavy payloads.
+            if isinstance(frame, Prime):
+                # Snapshots compare field-wise through their own
+                # dataclass equality; spot-check the heavy payload.
                 assert pickle.dumps(clone) == pickle.dumps(frame)
             else:
                 assert clone == frame, type(frame).__name__
 
     def test_error_reply_round_trips_typed(self):
         reply = ErrorReply(
-            error=TemplateNotRegistered("shard 0 holds no template 'k'"),
-            kind="TemplateNotRegistered",
+            error=WorkerStateError("shard 0 has no snapshot primed"),
+            kind="WorkerStateError",
         )
         clone = pickle.loads(pickle.dumps(reply))
-        assert isinstance(clone.error, TemplateNotRegistered)
-        assert clone.kind == "TemplateNotRegistered"
+        assert isinstance(clone.error, WorkerStateError)
+        assert clone.kind == "WorkerStateError"
         assert str(clone.error) == str(reply.error)
-
-    def test_plan_key_is_deterministic_per_plan(self, prepared_star):
-        assert plan_key(prepared_star.physical) == plan_key(
-            prepared_star.physical
-        )
-        clone = pickle.loads(pickle.dumps(prepared_star.physical))
-        assert plan_key(clone) == plan_key(prepared_star.physical)
 
     def test_shard_unavailable_survives_pickling(self):
         error = ShardUnavailable(3, "boom")
@@ -212,45 +185,6 @@ class TestProtocolFrames:
         assert str(clone) == str(error)
 
 
-class TestWorkerState:
-    """In-process checks of the shard server's resident state."""
-
-    def test_bound_plan_cache_is_lru_bounded(self, prepared_star, monkeypatch):
-        from repro.cluster import rpc as rpc_mod
-
-        monkeypatch.setattr(rpc_mod, "MAX_BOUND_PLANS", 2)
-        state = rpc_mod._WorkerState(0, NUM_NODES, 1, "serial", None)
-        try:
-            state.register("k", prepared_star.physical)
-            bind = lambda i: ((f"<nope{i}>", f"<x{i}>"),)
-            b0 = state.bound_for("k", bind(0))
-            state.bound_for("k", bind(1))
-            # Touching b0 makes binding 1 the eviction candidate.
-            assert state.bound_for("k", bind(0)) is b0
-            state.bound_for("k", bind(2))
-            assert len(state.bound) == 2
-            assert ("k", bind(1)) not in state.bound
-            assert ("k", bind(0)) in state.bound
-            # An evicted binding rebinds on demand from the template.
-            assert state.bound_for("k", bind(1)).compiled.num_jobs >= 1
-        finally:
-            state.close()
-
-    def test_bare_execute_raises_typed_error(self, university):
-        """An execution whose context names no prepared plan (bare task
-        specs through the engine) fails typed before any worker spawns."""
-        router = RpcShardRouter(num_nodes=NUM_NODES, num_shards=2)
-        try:
-            snapshot = shard_graph(university, NUM_NODES, 2).snapshot()
-            ctx = TaskContext(num_nodes=NUM_NODES, store=snapshot)
-            with pytest.raises(RpcError, match="execute_prepared"):
-                with router.execution(ctx, ExecutionReport()):
-                    pass
-            assert router._clients == [None, None]
-        finally:
-            router.close()
-
-
 # -- worker lifecycle ----------------------------------------------------------
 
 
@@ -258,36 +192,29 @@ class TestWorkerState:
 class TestWorkerLifecycle:
     @pytest.fixture()
     def client(self, university):
-        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES, num_shards=1)
-        hello = client.start()
-        assert isinstance(hello, HelloReply)
+        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES)
+        # The spawn handshake is a Stats round trip.
+        handshake = client.start()
+        assert isinstance(handshake, StatsReply)
+        assert (handshake.shard, handshake.snapshot_token) == (0, None)
+        assert handshake.pid == client.process.pid
         yield client
         client.close()
 
-    def test_hello_reports_topology(self, client):
-        hello = client.request(Hello())
-        assert hello.shard == 0
-        assert hello.num_nodes == NUM_NODES
-        assert hello.num_shards == 1
-        assert hello.snapshot_token is None
-        assert hello.pid != 0
-
-    def test_stats_is_idempotent(self, client, university, prepared_star):
-        client.request(RegisterTemplate("k", prepared_star.physical))
-        client.request(BoundSpecs("k", ()))
+    def test_stats_is_idempotent(self, client, university):
+        snapshot = partition_graph(university, NUM_NODES).snapshot()
+        client.request(Prime(snapshot))
         first = client.request(Stats())
         second = client.request(Stats())
         assert isinstance(first, StatsReply)
-        assert (first.templates, first.bound_instances, first.tasks_run,
-                first.primes, first.snapshot_token) == (
-            second.templates, second.bound_instances, second.tasks_run,
-            second.primes, second.snapshot_token,
+        # Reading the counters moves none of them but the bytes read.
+        assert dataclass_replace(first, bytes_received=0) == dataclass_replace(
+            second, bytes_received=0
         )
-        assert first.templates == 1
-        assert first.bound_instances == 1
+        assert (first.primes, first.snapshot_token) == (1, snapshot.token)
 
     def test_shutdown_and_close_are_idempotent(self, university):
-        client = ShardWorkerClient(shard=0, num_nodes=3, num_shards=1)
+        client = ShardWorkerClient(shard=0, num_nodes=3)
         client.start()
         process = client.process
         client.close()
@@ -304,7 +231,7 @@ class TestWorkerLifecycle:
 
     def test_oversized_request_rejected_driver_side(self, university):
         client = ShardWorkerClient(
-            shard=0, num_nodes=NUM_NODES, num_shards=1, max_frame_bytes=2048
+            shard=0, num_nodes=NUM_NODES, max_frame_bytes=2048
         )
         client.start()
         try:
@@ -322,7 +249,7 @@ class TestWorkerLifecycle:
         the worker broadcasts the error on request id -1, failing every
         in-flight waiter on the connection."""
         client = ShardWorkerClient(
-            shard=0, num_nodes=NUM_NODES, num_shards=1, max_frame_bytes=4096
+            shard=0, num_nodes=NUM_NODES, max_frame_bytes=4096
         )
         client.start()
         try:
@@ -334,53 +261,27 @@ class TestWorkerLifecycle:
         finally:
             client.close(kill=True)
 
-    def test_unregistered_template_is_typed(self, client):
-        with pytest.raises(TemplateNotRegistered):
-            client.request(BoundSpecs("no-such-key", ()))
-        with pytest.raises(TemplateNotRegistered):
-            client.request(
-                ExecuteLevel(
-                    key="no-such-key", binding=(), level=0, phase="map",
-                    tasks=(),
-                )
-            )
-
-    def test_bad_phase_is_typed(self, client, prepared_star):
-        client.request(RegisterTemplate("k", prepared_star.physical))
+    def test_bad_phase_is_typed(self, client):
         with pytest.raises(RpcProtocolError, match="phase"):
-            client.request(
-                ExecuteLevel(
-                    key="k", binding=(), level=0, phase="sideways", tasks=()
-                )
-            )
+            client.request(ExecuteLevel(level=0, phase="sideways", tasks=()))
 
     def test_map_without_snapshot_is_typed(self, client, prepared_star):
-        client.request(RegisterTemplate("k", prepared_star.physical))
+        job = job_from_spec(prepared_star.compiled.jobs[0], NUM_NODES)
         with pytest.raises(WorkerStateError, match="no snapshot"):
             client.request(
                 ExecuteLevel(
-                    key="k", binding=(), level=0, phase="map",
-                    tasks=(("job-rj1", 0, 0),),
+                    level=0, phase="map", tasks=(job.map_tasks[0].spec,)
                 )
             )
 
-    def test_invalidate_snapshot_is_idempotent(self, client, university):
-        snapshot = partition_graph(university, NUM_NODES).snapshot()
-        assert client.request(Prime(snapshot)) == OkReply(snapshot.token)
-        assert client.request(Stats()).snapshot_token == snapshot.token
-        client.request(InvalidateSnapshot())
-        client.request(InvalidateSnapshot())
-        assert client.request(Stats()).snapshot_token is None
-
-    def test_duplicate_request_id_is_idempotent(self, client, prepared_star):
+    def test_duplicate_request_id_is_idempotent(self, client):
         """A retried execute frame (same request id) is answered from
         the worker's dedup cache, never run twice — what makes the
         respawn-retry path safe for levels with side effects."""
-        client.request(RegisterTemplate("k", prepared_star.physical))
         base = client.request(Stats())
-        frame = pickle.dumps(Request(777, ExecuteLevel(
-            key="k", binding=(), level=0, phase="reduce", tasks=()
-        )))
+        frame = pickle.dumps(
+            Request(777, ExecuteLevel(level=0, phase="reduce", tasks=()))
+        )
         client.conn.send_bytes(frame)  # raw: reply has no waiter, dropped
         stats = self._poll_stats(
             client, lambda s: s.levels_run == base.levels_run + 1
@@ -401,17 +302,18 @@ class TestWorkerLifecycle:
                 return stats
             time.sleep(0.01)
 
-    def test_serial_mode_client_still_round_trips(self, prepared_star):
+    def test_serial_mode_client_still_round_trips(self):
         """pipeline=0 keeps the strict request-response discipline (the
         benchmark baseline) on the same protocol."""
         client = ShardWorkerClient(
-            shard=0, num_nodes=NUM_NODES, num_shards=1, pipeline=0
+            shard=0, num_nodes=NUM_NODES, pipeline=0
         )
         client.start()
         try:
-            client.request(RegisterTemplate("k", prepared_star.physical))
+            reply = client.request(ExecuteLevel(level=0, phase="reduce", tasks=()))
+            assert reply == ResultsReply(results=[])
             stats = client.request(Stats())
-            assert stats.templates == 1
+            assert stats.levels_run == 1
             assert stats.pipeline == 1  # worker-side floor
         finally:
             client.close()
@@ -493,6 +395,51 @@ class TestFaultInjection:
             rpc_service(make_university_graph())
 
 
+    def test_unpicklable_spec_fails_typed_before_a_byte_is_sent(self, university):
+        """A closure spec (SPEC001's documented exception) cannot cross
+        to a shard server: the router says so, typed and naming the
+        spec, without writing to the socket, committing the codec's
+        dictionary delta or leaking the waiter — and the connection
+        serves the next batch, delta included."""
+        router = RpcShardRouter(
+            num_nodes=NUM_NODES, num_shards=1, wire_format="columnar"
+        )
+        try:
+            snapshot = shard_graph(university, NUM_NODES, 1).snapshot()
+            ctx = TaskContext(
+                num_nodes=NUM_NODES, store=snapshot, hdfs=HDFS(num_nodes=NUM_NODES)
+            )
+            rows = [("<a-term-no-snapshot-holds>",)]
+
+            def batch(reducer):
+                return [
+                    TaskInvocation(
+                        FnReduceSpec(reducer), (0, {0: [rows]}), phase="reduce"
+                    )
+                ]
+
+            with router.execution(ctx, ExecutionReport()) as running:
+                client = router._clients[0]
+                sent, watermark = client.frames_sent, client.codec._watermark
+                with pytest.raises(RpcProtocolError, match="FnReduceSpec"):
+                    router.run(batch(lambda p, grouped: _echo(p, grouped)), running)
+                assert client.frames_sent == sent
+                assert client.codec._watermark == watermark < len(client.codec.send)
+                assert not client._waiters
+                [(out, _metrics)] = router.run(batch(_echo), running)
+                assert list(out) == rows
+                assert router._clients[0] is client
+                assert client.frames_sent == sent + 1
+                assert client.codec._watermark == len(client.codec.send)
+        finally:
+            router.close()
+
+
+def _echo(partition, grouped):
+    """A reducer that pickles (by reference): its input, unchanged."""
+    return grouped[0], TaskMetrics()
+
+
 def _respawn_bomb(shard):
     raise OSError("no processes left")
 
@@ -519,8 +466,8 @@ class TestMultiplexing:
     def test_concurrent_submissions_attribute_bytes_per_query(self):
         service = rpc_service(make_university_graph())
         try:
-            # Warm templates, bound plans and the columnar dictionaries:
-            # afterwards repeat submissions ship byte-identical frames.
+            # Warm the columnar dictionaries: afterwards repeat
+            # submissions ship byte-identical frames.
             for query in MIXED_QUERIES:
                 service.submit(query)
                 service.submit(query)
@@ -586,8 +533,6 @@ class TestMultiplexing:
         )
         reference = QueryService(make_university_graph())
         try:
-            # Register every template first so the measured runs need no
-            # TemplateNotRegistered retry frames.
             expected = {q: service.submit(q).rows for q in MIXED_QUERIES}
             router = service.executor.router
             base_requests = router.level_requests
@@ -621,7 +566,7 @@ class TestMultiplexing:
         )
         try:
             for query in MIXED_QUERIES:
-                service.submit(query)  # register templates
+                service.submit(query)  # plan every template
             router = service.executor.router
             base_requests = router.level_requests
             base_frames = router.level_frames
@@ -769,20 +714,6 @@ class TestMutationUnderRpc:
 
 @needs_rpc
 class TestRpcSurface:
-    def test_templates_ship_once_bindings_per_query(self):
-        service = rpc_service(make_university_graph())
-        try:
-            service.submit(TEMPLATE_A)
-            router = service.executor.router
-            stats = router.worker_stats()
-            templates_after_first = [s.templates for s in stats]
-            service.submit(TEMPLATE_B)  # same shape, different constant
-            stats = router.worker_stats()
-            assert [s.templates for s in stats] == templates_after_first
-            assert all(s.bound_instances >= 2 for s in stats)
-        finally:
-            service.close()
-
     def test_report_carries_transport_and_bytes(self):
         service = rpc_service(make_university_graph())
         try:
@@ -845,15 +776,32 @@ class TestRpcSurface:
         finally:
             service.close()
 
-    def test_invalidate_reprimes_on_next_query(self):
-        service = rpc_service(make_university_graph())
+    def test_rebalance_spawned_worker_forwards_its_warnings(self, monkeypatch):
+        """A shard server spawned by a grow-rebalance is primed like any
+        other: a backend that demotes itself at that prime is reported
+        at once, not at some later re-prime."""
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method required to inject into workers")
+        from repro.mapreduce.backends import ProcessBackend
+
+        monkeypatch.setattr(
+            ProcessBackend,
+            "_create_pool",
+            lambda self, ctx: (_ for _ in ()).throw(OSError("no pools in worker")),
+        )
+        service = rpc_service(
+            make_university_graph(), backend="process", backend_workers=2
+        )
         try:
-            expected = service.submit(STAR_QUERY).rows
-            router = service.executor.router
-            router.invalidate(0)
-            assert router.worker_stats()[0].snapshot_token is None
-            assert service.submit(STAR_QUERY).rows == expected
-            assert router.worker_stats()[0].snapshot_token is not None
+            assert service.submit(STAR_QUERY).rows
+            service.rebalance(target_shards=3)
+            warnings = service.snapshot_stats().warnings
+            assert any(
+                w.startswith("shard 2:") and "no pools in worker" in w
+                for w in warnings
+            ), warnings
         finally:
             service.close()
 

@@ -4,8 +4,8 @@
 every frame class in :data:`repro.cluster.rpc.MESSAGE_TYPES` must have
 an entry here, and every entry must survive a pickle round trip (the
 wire is pickled dataclasses).  Values are zero-argument factories so
-the heavy frames (``Prime``'s snapshot, ``RegisterTemplate``'s physical
-plan) are built only when the test actually runs.
+the heavy frames (``Prime``'s snapshot, ``ExecuteLevel``'s task specs)
+are built only when the test actually runs.
 
 Below the registry: the columnar codec's two paths through those frames
 — rows (stdlib) and id blocks (numpy) — over two in-memory endpoints.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -23,17 +24,12 @@ from repro.cluster.rpc import (
     MESSAGE_TYPES,
     WORKER_HANDLED,
     BatchReply,
-    BoundSpecs,
     ErrorReply,
     ExecuteBatch,
     ExecuteLevel,
-    Hello,
-    HelloReply,
-    InvalidateSnapshot,
     OkReply,
     Prime,
     PrimeSlots,
-    RegisterTemplate,
     Reply,
     Request,
     ResultsReply,
@@ -63,7 +59,7 @@ from repro.core.decomposition import MSC
 from repro.mapreduce.counters import TaskMetrics
 from repro.mapreduce.hdfs import Chunks, DistributedRelation
 from repro.partitioning.triple_partitioner import partition_graph
-from repro.physical.executor import PlanExecutor
+from repro.physical.executor import PlanExecutor, job_from_spec
 from repro.rdf.dictionary import Dictionary
 from repro.sparql.parser import parse_query
 from tests.conftest import make_university_graph
@@ -81,8 +77,8 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="id columns need numpy")
 NUM_NODES = 3
 
 _QUERY = (
-    "SELECT ?p WHERE { ?p ub:worksFor <dept0> . "
-    "?p rdf:type ub:FullProfessor }"
+    "SELECT ?p ?s WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d . "
+    "?p rdf:type ub:FullProfessor . ?s rdf:type ub:Student }"
 )
 
 
@@ -96,17 +92,21 @@ def _snapshot():
 
 
 @functools.lru_cache(maxsize=1)
-def _physical():
+def _job():
+    """The reduce-join job of the example query: real map and reduce
+    task specs, as the engine hands them to the router."""
     plan = cliquesquare(parse_query(_QUERY), MSC).plans[0]
-    return PlanExecutor(_store()).prepare(plan).physical
+    compiled = PlanExecutor(_store()).prepare(plan).compiled
+    spec = next(spec for spec in compiled.jobs if not spec.map_only)
+    return job_from_spec(spec, NUM_NODES)
 
 
 def _level():
     # Carries a non-default trace context and topology epoch: the round
     # trip must preserve those fields, not just the execution payload.
     return ExecuteLevel(
-        key="k", binding=(), level=0, phase="map",
-        tasks=(("job0", None, 0),),
+        level=0, phase="map",
+        tasks=tuple(task.spec for task in _job().map_tasks),
         trace_ctx=("trace0", 1),
         epoch=2,
     )
@@ -115,11 +115,6 @@ def _level():
 #: frame class name -> zero-arg example factory.  The static FRAME001
 #: rule parses these keys, so they must stay literal strings.
 FRAME_EXAMPLES = {
-    "Hello": Hello,
-    "HelloReply": lambda: HelloReply(
-        shard=0, num_nodes=NUM_NODES, num_shards=2, pid=1234,
-        snapshot_token=None,
-    ),
     "Prime": lambda: Prime(snapshot=_snapshot(), epoch=3),
     "PrimeSlots": lambda: PrimeSlots(
         # A moved-in node's file map plus a moved-out node: the round
@@ -129,20 +124,13 @@ FRAME_EXAMPLES = {
         token=(17, 2),
         wire="pickle",
     ),
-    "TableUpdate": lambda: TableUpdate(epoch=4, num_shards=5),
-    "InvalidateSnapshot": InvalidateSnapshot,
-    "RegisterTemplate": lambda: RegisterTemplate(
-        key="k", physical=_physical()
-    ),
-    "BoundSpecs": lambda: BoundSpecs(
-        key="k", binding=(("$s0", "<dept0>"),)
-    ),
+    "TableUpdate": lambda: TableUpdate(epoch=4),
     "ExecuteLevel": _level,
     "ExecuteBatch": lambda: ExecuteBatch(items=((7, _level()),)),
     "Stats": Stats,
     "StatsReply": lambda: StatsReply(
-        shard=0, pid=1234, snapshot_token=None, templates=1,
-        bound_instances=1, tasks_run=4, levels_run=2, primes=1,
+        shard=0, pid=1234, snapshot_token=None,
+        tasks_run=4, levels_run=2, primes=1,
         bytes_received=1024, backend="serial", warnings=("w",),
     ),
     "Shutdown": Shutdown,
@@ -154,7 +142,7 @@ FRAME_EXAMPLES = {
             ([(0, 0, [("row",)]), (2, 1, [("a",), ("b",)])], [], TaskMetrics()),
             ([("row",)], TaskMetrics()),
         ],
-        spans=(("bind", -1, 0.0001, 0.002, {"tasks": 2}),),
+        spans=(("execute", -1, 0.0001, 0.002, {"tasks": 2}),),
     ),
     "BatchReply": lambda: BatchReply(replies=((7, OkReply()),)),
     "ErrorReply": lambda: ErrorReply(
@@ -182,9 +170,9 @@ FRAME_EXAMPLES = {
     ),
 }
 
-#: frames whose fields compare by identity (exceptions, snapshots,
-#: plans), so the round trip is checked structurally, not by ==
-_IDENTITY_FIELDS = {"Prime", "RegisterTemplate", "ErrorReply"}
+#: frames whose fields compare by identity (exceptions, snapshots),
+#: so the round trip is checked structurally, not by ==
+_IDENTITY_FIELDS = {"Prime", "ErrorReply"}
 
 
 def test_registry_covers_every_frame():
@@ -267,8 +255,39 @@ def _ship(sender, receiver, msg):
 
 def _reduce_level(grouped):
     return ExecuteLevel(
-        key="k", binding=(), level=0, phase="reduce", tasks=(("job0", 0, grouped),)
+        level=0, phase="reduce", tasks=((_job().reduce_spec, 0, grouped),)
     )
+
+
+@pytest.mark.parametrize("wire", ["pickle", "columnar"])
+def test_level_frames_carry_their_task_specs(wire):
+    """An ``ExecuteLevel`` ships the map and reduce specs themselves;
+    both wires hand the worker specs equal to the driver's, and the
+    columnar codec leaves them alone while it packs the chunks."""
+    job = _job()
+    rows = [("<dept0>", "<p0>"), ("<dept1>", "<p1>")]
+    map_level = replace(
+        _level(),
+        inputs={"f": DistributedRelation(("?d", "?p"), [rows, [], []])},
+    )
+    reduce_level = _reduce_level({0: [rows], 1: [rows[:1]]})
+    if wire == "pickle":
+        def ship(msg):
+            return pickle.loads(pickle.dumps(msg))
+    else:
+        ship = functools.partial(
+            _ship, WireCodec(_snapshot()), WireCodec(_snapshot())
+        )
+    got = ship(map_level)
+    assert got.tasks == tuple(task.spec for task in job.map_tasks)
+    # one chain object per tag on the driver, one per tag after the hop
+    assert len({id(spec.chain) for spec in got.tasks}) == len(job.map_tasks) // NUM_NODES
+    assert [list(part) for part in got.inputs["f"].partitions] == [rows, [], []]
+    (spec, partition, grouped), = ship(reduce_level).tasks
+    assert (spec, partition) == (job.reduce_spec, 0)
+    assert {tag: chunk_rows(chunks) for tag, chunks in grouped.items()} == {
+        0: rows, 1: rows[:1]
+    }
 
 
 @needs_numpy
@@ -308,7 +327,7 @@ def test_blocks_cross_as_blocks_between_different_id_spaces():
     assert [len(c) for c in grouped[1]] == [0]
     # a map level's inputs keep their schema; unowned partitions stay empty
     level = ExecuteLevel(
-        key="k", binding=(), level=1, phase="map", tasks=(("job1", None, 0),),
+        level=1, phase="map", tasks=_level().tasks,
         inputs={"f": DistributedRelation(("?a", "?b"), [Chunks([block, block]), []])},
     )
     relation = _ship(sender, receiver, level).inputs["f"]
@@ -376,10 +395,8 @@ def test_prime_resets_the_id_maps_not_the_id_space():
     dictionaries and the id maps restart, the endpoint's own dictionary
     (and every id a live block holds) carries on."""
     local = Dictionary()
-    client = ShardWorkerClient(
-        shard=0, num_nodes=NUM_NODES, num_shards=1, local=local
-    )
-    state = _WorkerState(0, NUM_NODES, 1, "columnar", None)
+    client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES, local=local)
+    state = _WorkerState(0, NUM_NODES, "columnar", None)
     try:
         for _ in range(2):
             client.reseed_codec(_snapshot(), "columnar")
