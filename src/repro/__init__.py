@@ -32,9 +32,9 @@ plan & result caching; repeated query shapes skip the optimizer)::
         )
         print(service.snapshot_stats().format())
 
-Sharded deployment (``repro.cluster`` — the store hash-partitioned
-across shard workers behind a router; identical answers, per-shard
-worker pools)::
+Sharded deployment (``repro.cluster`` — the store's nodes served by
+shard workers behind a router; identical answers, per-shard worker
+pools)::
 
     from repro import QueryService, ServiceConfig
 

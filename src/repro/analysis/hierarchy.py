@@ -36,7 +36,7 @@ LOCK_RANKS: dict[str, int] = {
     "_store_lock": 20,  # QueryService store RW lock
     "rwlock": 20,  # RPC worker snapshot RW lock
     # -- transport --------------------------------------------------------
-    "_shard_locks": 30,  # per-shard client slot (respawn/prime; a live
+    "_shard_locks": 30,  # per-shard client entry (respawn/prime; a live
     #   rebalance walks these shard by shard for prime/delta/flip, under
     #   the service's _store_lock write side — same tiers, no new ranks)
     "_close_lock": 30,  # client connection swap
@@ -54,7 +54,6 @@ LOCK_RANKS: dict[str, int] = {
     "_waiters_lock": 40,  # reply futures table
     "_counter_lock": 40,  # router per-level counters
     "_stats_lock": 40,  # worker telemetry gauges
-    "_dedup_lock": 40,  # request-id dedup LRU
     "_lock": 40,  # leaf utility locks (caches, backends, router pool)
     "ColumnarState.lock": 40,  # columnar id space (dictionary growth, scan
     #   cache); taken by map tasks and, for foreign chunks only, reducers

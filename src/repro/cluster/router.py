@@ -10,7 +10,7 @@ behind that engine — the one thing a sharded deployment changes is
 * **every task runs on the shard that owns its node.**  A map task is
   pinned to a logical node; reduce partition ``p`` lives on node
   ``p % num_nodes``; each node is owned by exactly one shard under the
-  :class:`~repro.cluster.slots.SlotTable` of the snapshot the execution
+  :class:`~repro.cluster.ownership.OwnerTable` of the snapshot the execution
   started on.  The router groups a batch by owning shard and hands each
   shard its slice — the shard scans only its own
   :class:`~repro.partitioning.triple_partitioner.StoreSnapshot`.  How a
@@ -63,25 +63,23 @@ from repro.mapreduce.jobs import TaskContext
 from repro.physical.executor import PlanExecutor
 
 from repro.cluster.sharded_store import ShardedSnapshot, ShardedStore
-from repro.cluster.slots import Move, SlotTable, plan_skew
+from repro.cluster.ownership import Move, OwnerTable, plan_resize, plan_skew
 
 
 @dataclass(frozen=True)
 class RebalanceReport:
-    """What one slot-table rebalance did (see
+    """What one ownership-table rebalance did (see
     :meth:`ShardedPlanExecutor.rebalance`)."""
 
-    #: slot-table version before / after (after = before + 1; a rolled
+    #: table version before / after (after = before + 1; a rolled
     #: back attempt never produces a report — it raises)
     old_epoch: int
     new_epoch: int
     #: shard count before / after
     old_shards: int
     new_shards: int
-    #: the applied ``(slot, src, dst)`` plan
+    #: the applied ``(node, src, dst)`` plan
     moves: tuple[Move, ...]
-    #: logical nodes whose data actually moved, ascending
-    moved_nodes: tuple[int, ...]
     #: migration bytes shipped per shard (RPC transport only; the
     #: elasticity claim is that this stays well under a full re-prime)
     bytes_shipped: tuple[int, ...] | None
@@ -89,8 +87,9 @@ class RebalanceReport:
     duration_s: float
 
     @property
-    def slots_moved(self) -> int:
-        return len(self.moves)
+    def moved_nodes(self) -> tuple[int, ...]:
+        """The nodes whose ownership (and data) moved, ascending."""
+        return tuple(sorted(node for node, _src, _dst in self.moves))
 
 
 @dataclass
@@ -98,10 +97,10 @@ class ShardDispatch:
     """What the router keeps for one execution, carried on
     :attr:`TaskContext.dispatch <repro.mapreduce.jobs.TaskContext>`."""
 
-    #: slot table of the snapshot the execution started on — every
+    #: owner table of the snapshot the execution started on — every
     #: batch of the execution is grouped by it, whatever the fleet's
     #: size has become meanwhile
-    table: SlotTable
+    table: OwnerTable
     #: map + reduce tasks run per shard
     tasks: list[int]
     #: output rows landing on each shard's nodes (all jobs)
@@ -429,23 +428,24 @@ class ShardedPlanExecutor(PlanExecutor):
         target_shards: int | None = None,
         moves: Sequence[Move] | None = None,
     ) -> RebalanceReport:
-        """Move slot ownership between shards — grow, shrink, or shed skew.
+        """Move node ownership between shards — grow, shrink, or shed skew.
 
         Pass *target_shards* to resize (the minimal plan is computed
-        with :func:`~repro.cluster.slots.plan_resize`), or an explicit
-        *moves* plan (e.g. from :func:`~repro.cluster.slots.plan_skew`).
-        Answers are invariant across the change: slot moves relocate
-        whole nodes, never re-place data, so ``shards=4`` before and
-        ``shards=5`` after produce byte-identical results.
+        with :func:`~repro.cluster.ownership.plan_resize`), or an
+        explicit ``(node, src, dst)`` *moves* plan (e.g. from
+        :func:`~repro.cluster.ownership.plan_skew`).  Answers are
+        invariant across the change: a move changes which shard serves
+        a node, never where a triple is placed, so ``shards=4`` before
+        and ``shards=5`` after produce byte-identical results.
 
-        RPC transport: a live migration — only the moved slots' snapshot
-        slices cross the wire (:class:`~repro.cluster.rpc.PrimeSlots`),
+        RPC transport: a live migration — only the moved nodes' file
+        maps cross the wire (:class:`~repro.cluster.rpc.PrimeNodes`),
         the epoch flips via :class:`~repro.cluster.rpc.TableUpdate`, and
-        a failure rolls the store back, leaving workers to reconcile
+        a failure rolls the table back, leaving workers to reconcile
         lazily.  The caller must quiesce queries for the duration (the
-        query service's store write lock does).  In-process: the store
-        is rebalanced and the router + per-shard backends are rebuilt
-        and re-primed for the new shard count.
+        query service's store write lock does).  In-process: the next
+        table is installed and the router + per-shard backends are
+        rebuilt and re-primed for the new shard count.
         """
         store = self.store
         old_table = store.table
@@ -454,7 +454,7 @@ class ShardedPlanExecutor(PlanExecutor):
                 raise ValueError(
                     "rebalance needs target_shards or an explicit moves plan"
                 )
-            moves = store.plan_resize_to(target_shards)
+            moves = plan_resize(old_table, target_shards)
         else:
             moves = tuple(moves)
         new_count = (
@@ -468,19 +468,9 @@ class ShardedPlanExecutor(PlanExecutor):
                 old_shards=old_table.num_shards,
                 new_shards=old_table.num_shards,
                 moves=(),
-                moved_nodes=(),
                 bytes_shipped=() if self.transport == "rpc" else None,
                 duration_s=time.perf_counter() - start,
             )
-        moved_nodes = tuple(
-            sorted(
-                {
-                    node
-                    for slot, _src, _dst in moves
-                    for node in store.nodes_of_slot(slot)
-                }
-            )
-        )
         if self.transport == "rpc":
             bytes_shipped = self.router.migrate(  # type: ignore[attr-defined]
                 store, moves, new_count
@@ -504,7 +494,6 @@ class ShardedPlanExecutor(PlanExecutor):
             old_shards=old_table.num_shards,
             new_shards=new_table.num_shards,
             moves=tuple(moves),
-            moved_nodes=moved_nodes,
             bytes_shipped=bytes_shipped,
             duration_s=time.perf_counter() - start,
         )

@@ -35,16 +35,16 @@ The connection is **multiplexed**: every frame travels in a
 worker's main thread is the connection's single reader; it dispatches
 ``ExecuteLevel``/:class:`ExecuteBatch` frames onto a small thread pool
 (``pipeline`` wide) so levels of concurrent queries overlap, while
-state-mutating frames (Prime, PrimeSlots, TableUpdate) serialize behind
+state-mutating frames (Prime, PrimeNodes, TableUpdate) serialize behind
 a readers-writer state lock.  Driver-side, a per-connection reader
 thread matches replies to waiters by id, so :class:`ShardWorkerClient`
 holds no lock across a round trip.  On top of that,
 :class:`RpcShardRouter` can micro-batch: levels that concurrent queries
 dispatch to the same shard within a short window coalesce into one
 :class:`ExecuteBatch` frame — one encode/send/recv for many queries —
-and demultiplex by sub-request id.  Retries are idempotent: workers
-answer a repeated request id from a reply cache instead of executing
-twice.
+and demultiplex by sub-request id.  Retries are safe because workers
+are stateless between levels: a level frame that arrives twice simply
+runs twice, and the reader drops the reply no waiter owns.
 
 The driver side is :class:`RpcShardRouter` — a drop-in
 :class:`~repro.cluster.router.ShardRouter` (hence an execution backend
@@ -69,7 +69,6 @@ import pickle
 import socket
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dataclass_replace
@@ -78,7 +77,7 @@ from typing import Iterator, NamedTuple
 
 from repro.analysis.locks import ReadWriteLock, checked
 from repro.cluster.router import ShardDispatch, ShardRouter
-from repro.cluster.slots import SlotTable, merge_slots
+from repro.cluster.ownership import OwnerTable, merge_nodes
 from repro.mapreduce.backends import (
     BACKEND_NAMES,
     DEFAULT_RPC_PIPELINE,
@@ -111,11 +110,6 @@ DEFAULT_MAX_FRAME_BYTES = 128 * 1024 * 1024
 
 #: Seconds to wait for a spawned worker to report its listening address.
 DEFAULT_SPAWN_TIMEOUT = 60.0
-
-#: Reply payloads a shard server keeps per request id (LRU), so a
-#: retried execute frame is answered from the cache instead of running
-#: twice.  Small: the retry window is one in-flight request per waiter.
-DEDUP_CACHE_SIZE = 64
 
 #: Per-task spans a traced :class:`ExecuteLevel` ships back per level;
 #: further tasks are summarized by a ``task_spans_dropped`` attribute on
@@ -152,7 +146,7 @@ class WorkerSpawnError(RpcError):
 
 class StaleEpoch(RpcError):
     """An execute frame was stamped with a topology epoch the worker is
-    not at: the slot table moved underneath the query.  The driver
+    not at: the owner table moved underneath the query.  The driver
     handles it by re-routing the frame's tasks against the current
     table (:meth:`RpcShardRouter._reroute_level`), so a query that
     started before a rebalance still answers correctly after it.
@@ -215,7 +209,7 @@ class Prime:
     so priming is also the synchronization point of the columnar
     protocol.
 
-    ``epoch`` stamps the slot-table version this snapshot was sliced
+    ``epoch`` stamps the owner-table version this view was taken
     under; the worker adopts it as its topology epoch.
     """
 
@@ -225,14 +219,14 @@ class Prime:
 
 
 @dataclass(frozen=True)
-class PrimeSlots:
-    """Ship a migration delta: only the moved slots' snapshot slice.
+class PrimeNodes:
+    """Ship a migration delta: only the moved nodes' file maps.
 
-    ``adds`` maps incoming node → its partition file map (sliced from
+    ``adds`` maps incoming node → its partition file map (taken from
     the destination shard's post-move snapshot driver-side); ``drops``
     lists outgoing nodes this shard no longer owns.  The worker merges
-    the delta into its resident snapshot (:func:`repro.cluster.slots
-    .merge_slots`) and re-primes its backend — a full :class:`Prime`
+    the delta into its resident snapshot (:func:`repro.cluster.ownership
+    .merge_nodes`) and re-primes its backend — a full :class:`Prime`
     of unmoved data never crosses the wire.  Idempotent: a worker whose
     resident token already equals ``token`` acknowledges without
     re-merging, so the crash-retry path cannot double-apply a delta.
@@ -248,7 +242,7 @@ class PrimeSlots:
 
 @dataclass(frozen=True)
 class TableUpdate:
-    """Flip the worker's topology epoch (the slot-table version).
+    """Flip the worker's topology epoch (the owner-table version).
 
     Sent to every surviving shard once a migration's data movement is
     complete; from then on the worker rejects execute frames stamped
@@ -283,7 +277,7 @@ class ExecuteLevel:
     default, and the wire cost when tracing is off — disables all
     worker-side span accumulation for the frame.
 
-    ``epoch`` stamps the slot-table version the driver routed this
+    ``epoch`` stamps the owner-table version the driver routed this
     level under; a worker at another epoch rejects the frame with
     :class:`StaleEpoch` and the driver re-routes against the current
     table, so a concurrent rebalance can never misplace a level.
@@ -344,10 +338,8 @@ class StatsReply:
     queue_depth: int = 0
     #: high-water mark of ``inflight`` over the worker's life
     peak_inflight: int = 0
-    #: ExecuteBatch frames served / duplicate request ids answered
-    #: from the dedup cache (or dropped while still in flight)
+    #: ExecuteBatch frames served
     batches: int = 0
-    deduped: int = 0
     #: the worker end's :meth:`WireCodec.stats` (empty on the pickle wire)
     wire: dict[str, int] = field(default_factory=dict)
 
@@ -414,7 +406,7 @@ class Reply:
 #: All frame types, for protocol round-trip tests.
 MESSAGE_TYPES = (
     Prime,
-    PrimeSlots,
+    PrimeNodes,
     TableUpdate,
     ExecuteLevel,
     ExecuteBatch,
@@ -437,7 +429,7 @@ MESSAGE_TYPES = (
 #: protocol error instead of an arbitrary failure mid-dispatch.
 WORKER_HANDLED = (
     Prime,
-    PrimeSlots,
+    PrimeNodes,
     TableUpdate,
     ExecuteLevel,
     ExecuteBatch,
@@ -509,12 +501,12 @@ class _WorkerState:
         self.snapshot: StoreSnapshot | None = None
         #: columnar wire codec of this connection; None = pickle wire
         self.wire: WireCodec | None = None
-        #: topology epoch (slot-table version) — resident-state like
+        #: topology epoch (owner-table version) — resident-state like
         #: snapshot/wire: flipped only under rwlock.write() (Prime /
         #: TableUpdate), read per execute frame under rwlock.read()
         self.epoch = 0
         # ExecuteLevels share it (readers run concurrently on the
-        # dispatch pool), while Prime / PrimeSlots / TableUpdate take
+        # dispatch pool), while Prime / PrimeNodes / TableUpdate take
         # it exclusively, so a snapshot or epoch swap never interleaves
         # with a running level.
         self.rwlock = ReadWriteLock("_WorkerState.rwlock")
@@ -527,7 +519,6 @@ class _WorkerState:
         self.inflight = 0  # guarded-by: _stats_lock
         self.peak_inflight = 0  # guarded-by: _stats_lock
         self.batches = 0  # guarded-by: _stats_lock
-        self.deduped = 0  # guarded-by: _stats_lock
 
     # -- telemetry gauges --------------------------------------------------
 
@@ -542,10 +533,6 @@ class _WorkerState:
     def note_batch(self) -> None:
         with self._stats_lock:
             self.batches += 1
-
-    def note_dedup(self) -> None:
-        with self._stats_lock:
-            self.deduped += 1
 
     def idle(self) -> bool:
         """True when nothing executes or waits besides the one request
@@ -670,7 +657,6 @@ class _WorkerState:
                 queue_depth=self.queued,
                 peak_inflight=self.peak_inflight,
                 batches=self.batches,
-                deduped=self.deduped,
                 wire=wire,
             )
 
@@ -687,16 +673,16 @@ def _dispatch(state: _WorkerState, msg: object):
         token = state.install_snapshot(msg.snapshot, msg.wire)
         state.epoch = msg.epoch
         return OkReply(token)
-    if isinstance(msg, PrimeSlots):
+    if isinstance(msg, PrimeNodes):
         if state.snapshot is None:
             raise WorkerStateError(
                 f"shard {state.shard} has no resident snapshot to merge "
-                "a slot delta into"
+                "a node delta into"
             )
         if state.token == msg.token:
             # Duplicate delivery (crash-retry): already merged.
             return OkReply(msg.token)
-        merged = merge_slots(state.snapshot, msg.adds, msg.drops, msg.token)
+        merged = merge_nodes(state.snapshot, msg.adds, msg.drops, msg.token)
         return OkReply(state.install_snapshot(merged, msg.wire))
     if isinstance(msg, TableUpdate):
         state.epoch = max(state.epoch, msg.epoch)
@@ -772,8 +758,6 @@ def _worker_main(
     state lock.  Replies carry the request id of their envelope, and
     reply *encoding* happens under the send lock so encode order equals
     send order — the invariant the columnar delta watermark needs.
-    Execute replies are cached per request id: a retried frame is
-    answered from the cache, never run twice.
     """
     listener = Listener(("127.0.0.1", 0), authkey=bytes(authkey))
     try:
@@ -795,33 +779,6 @@ def _worker_main(
         if concurrency > 1
         else None
     )
-    dedup_lock = checked(threading.Lock(), "worker.dedup_lock")
-    dedup_done: OrderedDict[int, bytes] = OrderedDict()
-    dedup_inflight: set[int] = set()
-
-    def dedup_check(rid: int):
-        """None = fresh (now marked in flight); bytes = already answered
-        (resend verbatim); "inflight" = executing right now (drop — the
-        original execution will reply)."""
-        with dedup_lock:
-            cached = dedup_done.get(rid)
-            if cached is not None:
-                state.note_dedup()
-                return cached
-            if rid in dedup_inflight:
-                state.note_dedup()
-                return "inflight"
-            dedup_inflight.add(rid)
-            return None
-
-    def dedup_finish(rid: int, payload: bytes | None) -> None:
-        with dedup_lock:
-            dedup_inflight.discard(rid)
-            if payload is not None:
-                dedup_done[rid] = payload
-                while len(dedup_done) > DEDUP_CACHE_SIZE:
-                    dedup_done.popitem(last=False)
-
     def send_error(rid: int, exc: BaseException) -> None:
         with send_lock:
             try:
@@ -829,10 +786,9 @@ def _worker_main(
             except Exception:
                 pass
 
-    def send_reply(rid: int, reply) -> bytes | None:
+    def send_reply(rid: int, reply) -> None:
         """Columnar-encode (when applicable), envelope, cap-check and
-        send one reply; returns the payload actually written (for the
-        dedup cache) or None when the connection is gone.  The delta
+        send one reply (dropped when the connection is gone).  The delta
         watermark advances only once the frame is written (an unsent
         delta is simply re-shipped — merge_entries is idempotent, so
         over-shipping is safe, gaps are not)."""
@@ -863,10 +819,9 @@ def _worker_main(
             try:
                 conn.send_bytes(payload)
             except Exception:
-                return None
+                return
             if commit is not None:
                 commit()
-            return payload
 
     def run_item(level: ExecuteLevel, received: float, decoded: float):
         """Execute one level under the read lock; errors become typed
@@ -898,8 +853,7 @@ def _worker_main(
     def run_level(
         rid: int, msg: ExecuteLevel, received: float, decoded: float
     ) -> None:
-        reply = run_item(msg, received, decoded)
-        dedup_finish(rid, send_reply(rid, reply))
+        send_reply(rid, run_item(msg, received, decoded))
 
     def run_batch_item(
         agg: _BatchAggregate,
@@ -910,8 +864,7 @@ def _worker_main(
         decoded: float,
     ) -> None:
         if agg.finish(index, sub_rid, run_item(level, received, decoded)):
-            reply = BatchReply(replies=tuple(agg.replies))
-            dedup_finish(agg.rid, send_reply(agg.rid, reply))
+            send_reply(agg.rid, BatchReply(replies=tuple(agg.replies)))
 
     def run_batch(
         rid: int, msg: ExecuteBatch, received: float, decoded: float
@@ -919,14 +872,14 @@ def _worker_main(
         state.note_batch()
         items = tuple(msg.items)
         if not items:
-            dedup_finish(rid, send_reply(rid, BatchReply(replies=())))
+            send_reply(rid, BatchReply(replies=()))
             return
         if pool is None:
             replies = tuple(
                 (sub_rid, run_item(level, received, decoded))
                 for sub_rid, level in items
             )
-            dedup_finish(rid, send_reply(rid, BatchReply(replies=replies)))
+            send_reply(rid, BatchReply(replies=replies))
             return
         # Items are dispatched as sibling pool tasks (never nested
         # submissions, which could deadlock a full pool); the last one
@@ -993,20 +946,6 @@ def _worker_main(
                     except Exception:
                         pass
                 break
-            is_execute = isinstance(
-                msg, (ExecuteLevel, ExecuteBatch, ColumnarFrame)
-            )
-            if is_execute:
-                prior = dedup_check(rid)
-                if prior == "inflight":
-                    continue
-                if prior is not None:
-                    with send_lock:
-                        try:
-                            conn.send_bytes(prior)
-                        except Exception:
-                            pass
-                    continue
             try:
                 if isinstance(msg, ColumnarFrame):
                     if state.wire is None:
@@ -1033,7 +972,7 @@ def _worker_main(
                     state.note_queued(len(msg.items))
                     run_batch(rid, msg, received, decoded)
                     continue
-                if isinstance(msg, (Prime, PrimeSlots, TableUpdate)):
+                if isinstance(msg, (Prime, PrimeNodes, TableUpdate)):
                     # Mutators wait out in-flight levels, exclusively.
                     with state.rwlock.write():
                         reply = _dispatch(state, msg)
@@ -1041,8 +980,6 @@ def _worker_main(
                     with state.rwlock.read():
                         reply = _dispatch(state, msg)
             except BaseException as exc:  # typed error replies, not death
-                if is_execute:
-                    dedup_finish(rid, None)
                 send_error(rid, exc)
                 continue
             send_reply(rid, reply)
@@ -1184,7 +1121,7 @@ class ShardWorkerClient:
         #: worker warnings already relayed to the router's on_warning
         self.warnings_forwarded = 0
         self._waiters: dict[int, _Waiter] = {}  # guarded-by: _waiters_lock
-        self._reader_dead: BaseException | None = None  # guarded-by: _waiters_lock
+        self._reader_dead: str | None = None  # guarded-by: _waiters_lock
         self._ids = itertools.count(1)  # guarded-by: _waiters_lock
         self._reader: threading.Thread | None = None
         self._serial_lock = (
@@ -1365,7 +1302,12 @@ class ShardWorkerClient:
     def _fail_pending(self, error: BaseException, terminal: bool = True) -> None:
         with self._waiters_lock:
             if terminal:
-                self._reader_dead = error
+                # The repr, not the exception: its traceback's frames
+                # hold this client, and a client -> exception ->
+                # traceback -> frame -> client cycle would leave a closed
+                # client (and its codec's dictionary) to the cycle
+                # collector.
+                self._reader_dead = repr(error)
             waiters, self._waiters = dict(self._waiters), {}
         for waiter in waiters.values():
             waiter.fail(error)
@@ -1403,7 +1345,7 @@ class ShardWorkerClient:
             if self._reader_dead is not None:
                 raise ConnectionError(
                     f"shard {self.shard} connection lost: "
-                    f"{self._reader_dead!r}"
+                    f"{self._reader_dead}"
                 )
             rid = next(self._ids)
             self._waiters[rid] = waiter
@@ -1467,7 +1409,7 @@ class ShardWorkerClient:
 
 @dataclass(kw_only=True)
 class _RpcExecution(ShardDispatch):
-    """The RPC router's per-query dispatch state: the slot table every
+    """The RPC router's per-query dispatch state: the owner table every
     :class:`ExecuteLevel` of the query is routed and stamped by
     (``table.version`` is the epoch — a worker at another epoch rejects
     the frame), plus the wire counters.
@@ -1819,9 +1761,9 @@ class RpcShardRouter(ShardRouter):
         self._ids = Dictionary() if HAVE_NUMPY else None
         self._ids_lock = checked(threading.Lock(), "RpcShardRouter._ids_lock")
         self._last_snapshot = None
-        #: the slot table the fleet was last synchronized to (set by
+        #: the owner table the fleet was last synchronized to (set by
         #: ensure_workers / migrate); stale-epoch re-routing consults it
-        self._table: SlotTable | None = None
+        self._table: OwnerTable | None = None
         #: the caller's parallelism request, re-applied when a
         #: rebalance changes the shard count (1 shard forces serial)
         self._parallel_requested = parallel_shards
@@ -1865,7 +1807,7 @@ class RpcShardRouter(ShardRouter):
         A worker is primed only when its resident snapshot token differs
         from its shard's current token — after a mutation, only the
         shards the batch actually touched receive a new snapshot.  The
-        snapshot's slot-table version rides on every ``Prime``; a worker
+        snapshot's owner-table version rides on every ``Prime``; a worker
         whose data is current but whose epoch lags (e.g. after a rolled
         back migration) is re-synchronized with a cheap
         :class:`TableUpdate` instead of a full re-prime.
@@ -1941,7 +1883,7 @@ class RpcShardRouter(ShardRouter):
     # -- live rebalancing ----------------------------------------------------
 
     def _grow_to(self, count: int) -> None:
-        """Extend the per-shard structures (locks, client slots,
+        """Extend the per-shard structures (locks, client entries,
         coalescers) to *count* entries.  The lists
         only ever grow — a shrink leaves trailing entries in place so a
         query racing the flip can still index its (stale) shard and get
@@ -1952,7 +1894,7 @@ class RpcShardRouter(ShardRouter):
                 checked(threading.RLock(), "RpcShardRouter._shard_locks")
             )
         while len(self._clients) < count:  # lint: disable=LOCK001 — grow-only append; migrations serialize on the store write lock
-            self._clients.append(None)  # lint: disable=LOCK001 — slot is None until primed under its shard lock
+            self._clients.append(None)  # lint: disable=LOCK001 — entry is None until primed under its shard lock
         if self._coalescers is not None:
             while len(self._coalescers) < count:
                 self._coalescers.append(
@@ -1986,17 +1928,17 @@ class RpcShardRouter(ShardRouter):
             client.close()
 
     def migrate(self, store, moves, new_num_shards=None) -> tuple[int, ...]:
-        """Execute a slot-migration plan against the live worker fleet.
+        """Execute a ``(node, src, dst)`` plan against the live worker fleet.
 
         Returns bytes shipped per (surviving or new) shard — the proof
-        that a migration moves only the reassigned slots' data, not a
+        that a migration moves only the reassigned nodes' data, not a
         full re-prime.  The sequence:
 
         1. synchronize the fleet at the current epoch (spawns lazily),
-        2. apply the plan to *store* (epoch bumps to ``v+1``),
-        3. spawn + fully prime new shards at ``v+1`` (their snapshot
-           slice holds exactly the moved-in nodes),
-        4. ship surviving shards their delta as :class:`PrimeSlots`
+        2. install the next table on *store* (epoch bumps to ``v+1``),
+        3. spawn + fully prime new shards at ``v+1`` (their view holds
+           exactly the moved-in nodes),
+        4. ship surviving shards their delta as :class:`PrimeNodes`
            (data only — they stay at ``v`` and keep answering),
         5. flip every worker to ``v+1`` with :class:`TableUpdate`,
         6. retire removed shards' workers and resize the driver.
@@ -2023,14 +1965,11 @@ class RpcShardRouter(ShardRouter):
         target = old_table.num_shards if new_num_shards is None else new_num_shards
         if not moves and target == old_count:
             return ()
-        # Node movement per shard, against the pre-move ring (the ring
-        # width itself never changes, only slot ownership).
         moved_in: dict[int, list[int]] = {}
         moved_out: dict[int, list[int]] = {}
-        for slot, src, dst in moves:
-            for node in store.nodes_of_slot(slot):
-                moved_in.setdefault(dst, []).append(node)
-                moved_out.setdefault(src, []).append(node)
+        for node, src, dst in moves:
+            moved_in.setdefault(dst, []).append(node)
+            moved_out.setdefault(src, []).append(node)
         new_table = store.apply_rebalance(moves, target)
         snapshot = store.snapshot()
         new_count = new_table.num_shards
@@ -2045,8 +1984,8 @@ class RpcShardRouter(ShardRouter):
 
         failed_shard = [None]
         try:
-            # New shards: spawn and prime their slice at the new epoch.
-            # The slice holds exactly the moved-in nodes' files (every
+            # New shards: spawn and prime their view at the new epoch.
+            # The view holds exactly the moved-in nodes' files (every
             # other node's map is empty), so a "full" prime here *is*
             # the migration delta.
             for shard in range(old_count, new_count):
@@ -2084,7 +2023,7 @@ class RpcShardRouter(ShardRouter):
                     with self._shard_locks[shard]:
                         self._shard_call(
                             shard,
-                            PrimeSlots(
+                            PrimeNodes(
                                 adds=adds,
                                 drops=drops,
                                 token=shard_snapshot.token,
@@ -2129,15 +2068,14 @@ class RpcShardRouter(ShardRouter):
         return tuple(shipped[:new_count])
 
     def _rollback_migration(self, store, moves, old_count: int) -> None:
-        """Undo a half-applied migration: invert the plan on the store
-        (the epoch keeps climbing — versions never reuse), resize the
+        """Undo a half-applied migration: install the inverse plan's
+        table (the epoch keeps climbing — versions never reuse), resize the
         driver back, and drop any clients the grow spawned.  Workers the
         failed attempt already touched are *not* chased here; their
         primed token/epoch records are accurate, so the next
         :meth:`ensure_workers` re-primes or re-stamps exactly the stale
         ones while queries keep answering."""
-        inverse = tuple((slot, dst, src) for slot, src, dst in moves)
-        store.apply_rebalance(inverse, old_count)
+        store.apply_rebalance(store.table.inverse(moves), old_count)
         snapshot = store.snapshot()
         self._retire_clients(old_count)
         self._set_topology(old_count, snapshot.table, snapshot)
@@ -2230,7 +2168,7 @@ class RpcShardRouter(ShardRouter):
 
     def close(self) -> None:
         # len(self._clients) can exceed num_shards after a shrink (the
-        # per-shard lists only grow); retire every slot either way.
+        # per-shard lists only grow); retire every entry either way.
         for shard in range(len(self._clients)):  # lint: disable=LOCK001 — len() only; the list never shrinks
             with self._shard_locks[shard]:
                 client = self._clients[shard]
@@ -2306,9 +2244,9 @@ class RpcShardRouter(ShardRouter):
         live worker re-raises as-is (the request failed, not the
         worker).  A transport failure means the worker died: it is
         respawned, its snapshot re-primed, and the request retried
-        exactly once (idempotent: request-id dedup
-        worker-side, and a fresh worker starts from a clean slate); any
-        further failure raises :class:`ShardUnavailable`.  A successful
+        exactly once (safe: a level is self-contained and a fresh
+        worker holds nothing but the snapshot); any further failure
+        raises :class:`ShardUnavailable`.  A successful
         retry of a traced execute frame is marked by an ``rpc:retry``
         span covering respawn + resend on every contributing trace.
         """
@@ -2412,7 +2350,7 @@ class RpcShardRouter(ShardRouter):
     def _reroute_level(self, msg: ExecuteLevel, nodes: list[int], exec_ctx):
         """Resend a stale-stamped level's tasks under the current table.
 
-        A worker rejected *msg* because a rebalance flipped the slot
+        A worker rejected *msg* because a rebalance flipped the owner
         table after this query was routed.  The tasks themselves are
         placement-level facts — *nodes*, the node each runs on, never
         change, only which shard *hosts* a node — so they are regrouped
@@ -2424,7 +2362,7 @@ class RpcShardRouter(ShardRouter):
         """
         table = self._table
         if table is None:
-            raise RpcError("no slot table to re-route against")
+            raise RpcError("no owner table to re-route against")
         groups: dict[int, list[int]] = {}
         for index, node in enumerate(nodes):
             groups.setdefault(table.shard_of_node(node), []).append(index)
@@ -2480,7 +2418,7 @@ class RpcShardRouter(ShardRouter):
             reply = self._level_call(shard, msg, state)
         except StaleEpoch:
             # The topology moved under this query (a rebalance flipped
-            # the slot table after it was routed): regroup the same
+            # the owner table after it was routed): regroup the same
             # tasks by the current table and resend.
             reply = self._reroute_level(
                 msg, [inv.node for inv in batch], state
@@ -2505,7 +2443,7 @@ __all__ = [
     "MESSAGE_TYPES",
     "OkReply",
     "Prime",
-    "PrimeSlots",
+    "PrimeNodes",
     "Reply",
     "Request",
     "ResultsReply",

@@ -1,18 +1,18 @@
-"""The sharded §5.1 store: placement-hashed triples across shard workers.
+"""The sharded §5.1 store: one store, and a shard is an ownership view of it.
 
 CliqueSquare's storage layout (``repro.partitioning``) places each
 triple three times — by the hash of its subject, property and object
-value — onto ``num_nodes`` logical nodes.  The sharded store keeps that
-placement *bit-for-bit identical* and adds one level underneath: logical
-nodes hash onto slots and a versioned :class:`~repro.cluster.slots
-.SlotTable` maps slots to shards (the version-0 table reproduces the
-historical ``n % num_shards`` layout exactly), and each shard holds an
-independent :class:`~repro.partitioning.triple_partitioner
-.PartitionedStore` containing exactly its nodes' partition files.
-Because ownership is a table, not arithmetic, shards can be added and
-removed at runtime: :meth:`ShardedStore.apply_rebalance` moves only the
-affected slots' node file maps between shard-local stores and installs
-the bumped table.
+value — onto ``num_nodes`` logical nodes.  A :class:`ShardedStore` *is*
+that store (a :class:`~repro.partitioning.triple_partitioner
+.PartitionedStore`: same ``add``, same files, same scans) plus a
+versioned :class:`~repro.cluster.ownership.OwnerTable` saying which
+shard serves which node.  A shard holds no data of its own: its
+:class:`~repro.partitioning.triple_partitioner.StoreSnapshot` is the
+view of the one store covering the nodes it owns (the other nodes' file
+maps are empty — the shape a shard worker is primed with).  Because
+ownership is a table, shards can be added and removed at runtime:
+:meth:`ShardedStore.apply_rebalance` validates a plan and installs the
+next table; nothing is copied, because there is one store.
 
 Because the node placement is unchanged, every co-location guarantee the
 planner relies on (first-level joins are processed without
@@ -21,60 +21,36 @@ runs on the shard owning ``n`` against purely shard-local data.  Only
 the shuffle between a job's map and reduce phase — and job outputs
 consumed by later jobs — cross shards, which is the router's exchange
 step (:mod:`repro.cluster.router`).
-
-Each shard also maintains shard-local catalog statistics computed from
-its own replicas.  The §5.1 placement makes those *disjoint* — a
-distinct subject lives on exactly one node of the subject replica, a
-property on one node of the property replica, an object on one node of
-the object replica — so :meth:`ShardedStore.aggregate_statistics` can
-sum them into the exact global :class:`~repro.cost.cardinality
-.CatalogStatistics` the cost model consumes, without any shard ever
-seeing the whole dataset.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.cluster.slots import (
-    DEFAULT_SLOTS,
-    Move,
-    SlotTable,
-    initial_table,
-    plan_resize,
-)
-from repro.cost.cardinality import CatalogStatistics, PropertyStats
-from repro.partitioning.layout import PLACEMENTS, parse_file_name
-from repro.partitioning.triple_partitioner import (
-    PartitionedStore,
-    StoreSnapshot,
-    place,
-)
+from repro.cluster.ownership import Move, OwnerTable, initial_table
+from repro.partitioning.layout import PLACEMENTS
+from repro.partitioning.triple_partitioner import PartitionedStore, StoreSnapshot
 from repro.rdf.graph import RDFGraph, Triple
-
-#: Process-wide sharded-store identities (same role as the per-store uid:
-#: snapshots of different sharded stores must never alias in pool caches).
-_CLUSTER_IDS = itertools.count()
 
 
 @dataclass(frozen=True)
 class ShardedSnapshot:
     """Read-only view of a :class:`ShardedStore` at one version.
 
-    ``shards[i]`` is shard *i*'s own :class:`StoreSnapshot`; each carries
-    its own ``(store uid, version)`` token, so a mutation that touched
-    only some shards invalidates only those shards' worker pools — the
-    others keep serving from their unchanged snapshots.
+    ``shards[i]`` is shard *i*'s :class:`StoreSnapshot` — its owned
+    nodes' partitions — and carries a token of its own (the node set
+    and those nodes' versions), so a mutation that touched only some
+    shards invalidates only those shards' worker pools: the others keep
+    serving from their unchanged snapshots.
     """
 
     num_nodes: int
     num_shards: int
     shards: tuple[StoreSnapshot, ...]
     token: tuple
-    table: SlotTable
+    table: OwnerTable
 
     def shard_of_node(self, node: int) -> int:
         return self.table.shard_of_node(node)
@@ -95,14 +71,14 @@ class ShardedSnapshot:
         return sum(s.total_stored() for s in self.shards)
 
 
-class ShardedStore:
-    """N shard workers, each holding one slice of the §5.1 layout.
+class ShardedStore(PartitionedStore):
+    """The §5.1 store plus the table of which shard serves which node.
 
-    The public surface mirrors :class:`PartitionedStore` (``add``,
-    ``add_all``, ``snapshot``, ``scan``, ``node_of``, ``total_stored``)
-    so the query service can swap one in transparently; routing-specific
-    extras (``shard_of_node``, per-shard statistics) feed the shard
-    router and the explain/telemetry paths.
+    Loading, scanning and the layout invariants are the base class's;
+    what a sharded store adds is the topology (``table``, per-shard
+    views, rebalancing) and a lock making mutation, snapshotting and
+    rebalancing atomic against each other for callers that do not hold
+    the query service's store lock.
     """
 
     def __init__(
@@ -110,50 +86,35 @@ class ShardedStore:
         num_nodes: int,
         num_shards: int,
         replicas: tuple[str, ...] = PLACEMENTS,
-        slots: int = DEFAULT_SLOTS,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"need at least one shard, got {num_shards}")
         if num_nodes < 1:
             raise ValueError(f"need at least one node, got {num_nodes}")
         if num_shards > num_nodes:
-            # Ownership is node-granular (a shard owns whole nodes via
-            # the slot table), so extra shards could never own a node:
-            # they would only hold idle worker pools and skew
-            # worker-budget splitting.
+            # Ownership is node-granular: a shard beyond the node count
+            # could never own data, only hold an idle worker pool.
             raise ValueError(
                 f"cannot spread {num_nodes} nodes over {num_shards} shards; "
                 "use at most one shard per node"
             )
         if tuple(replicas) != PLACEMENTS:
-            # Shard-local statistics lean on the disjointness of all
-            # three replicas; the replica-ablation path stays on the
-            # single-store executor.
+            # The replica-ablation path stays on the single-store executor.
             raise ValueError(
                 "a sharded store requires the full 3-way replication "
                 f"scheme {PLACEMENTS}, got {tuple(replicas)}"
             )
-        self.num_nodes = num_nodes
-        self.num_shards = num_shards
-        self.replicas = tuple(replicas)
-        # The initial table reproduces the historical n % num_shards
-        # layout exactly (slots >= num_nodes, see initial_table).
-        self.table = initial_table(num_shards, num_nodes, slots)
-        self.stores = [
-            PartitionedStore(num_nodes=num_nodes) for _ in range(num_shards)
-        ]
-        self.version = 0
-        self.uid = next(_CLUSTER_IDS)
-        #: serializes mutation against shard-statistics computation, so
-        #: a concurrent ``shard_statistics`` never iterates a shard's
-        #: file map mid-mutation nor caches a stale result after an
-        #: invalidation (the query service's RW lock already provides
-        #: this for service-owned stores; a bare ShardedStore gets the
-        #: same guarantee from this lock).
+        super().__init__(num_nodes=num_nodes)
+        #: node ``n`` starts on shard ``n % num_shards``
+        self.table = initial_table(num_shards, num_nodes)
         self._lock = threading.Lock()
-        self._stats_cache: list[CatalogStatistics | None] = [None] * num_shards
+        self._last: ShardedSnapshot | None = None
 
     # -- topology ----------------------------------------------------------
+
+    @property
+    def num_shards(self) -> int:
+        return self.table.num_shards
 
     def shard_of_node(self, node: int) -> int:
         """The shard owning logical node *node*."""
@@ -162,225 +123,84 @@ class ShardedStore:
     @property
     def node_shards(self) -> tuple[int, ...]:
         """Shard owner per logical node (``node_shards[n]`` owns n)."""
-        table = self.table
-        return tuple(
-            table.shard_of_node(n) for n in range(self.num_nodes)
-        )
+        return self.table.owners
 
     def nodes_of_shard(self, shard: int) -> tuple[int, ...]:
         """The logical nodes shard *shard* owns."""
-        return tuple(self.table.nodes_of_shard(shard, self.num_nodes))
-
-    def node_of(self, value: str) -> int:
-        """The node holding *value*'s co-location group (any placement)."""
-        return place(value, self.num_nodes)
+        return self.table.nodes_of_shard(shard)
 
     def shard_of_value(self, value: str) -> int:
         """The shard holding *value*'s co-location group."""
         return self.shard_of_node(self.node_of(value))
 
-    # -- loading -----------------------------------------------------------
+    def triples_per_shard(self) -> tuple[int, ...]:
+        """Stored triples (all replicas) per shard."""
+        out = [0] * self.num_shards
+        for owner, files in zip(self.table.owners, self.files):
+            out[owner] += sum(len(ts) for ts in files.values())
+        return tuple(out)
+
+    # -- loading / snapshots -----------------------------------------------
 
     def add(self, triple: Triple) -> None:
-        """Route each §5.1 replica of *triple* to its owning shard."""
-        s, p, o = triple
         with self._lock:
-            for placement, value in zip(PLACEMENTS, (s, p, o)):
-                node = place(value, self.num_nodes)
-                shard = self.table.shard_of_node(node)
-                self.stores[shard].add_placement(placement, triple)
-                self._stats_cache[shard] = None
-            self.version += 1
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        count = 0
-        for triple in triples:
-            self.add(triple)
-            count += 1
-        return count
-
-    # -- snapshots ---------------------------------------------------------
+            super().add(triple)
 
     def snapshot(self) -> ShardedSnapshot:
-        """Per-shard snapshots plus a combined identity token.
+        """Per-shard views plus a combined identity token, memoized
+        per (store version, table version).
 
-        Per-shard snapshots are memoized by the underlying stores, so
-        only shards actually touched by the last mutation batch pay the
-        copy (and only their worker pools rebuild).
+        A shard's token is its node set and those nodes' versions: it
+        changes iff a node the shard owns was written or its node set
+        changed, so only shards the last mutation batch (or rebalance)
+        touched get a new view — the others keep the previous
+        snapshot's view object, and only touched shards' workers
+        re-prime.
         """
         with self._lock:
-            shards = tuple(store.snapshot() for store in self.stores)
-            return ShardedSnapshot(
+            last = self._last
+            token = (self.uid, self.version, self.table.version)
+            if last is not None and last.token == token:
+                return last
+            views = {} if last is None else {v.token: v for v in last.shards}
+            shards = []
+            for shard in range(self.num_shards):
+                nodes = self.table.nodes_of_shard(shard)
+                view_token = (
+                    self.uid,
+                    nodes,
+                    tuple(self.node_versions[n] for n in nodes),
+                )
+                shards.append(
+                    views.get(view_token) or self.view(nodes, view_token)
+                )
+            self._last = ShardedSnapshot(
                 num_nodes=self.num_nodes,
                 num_shards=self.num_shards,
-                shards=shards,
-                token=(self.uid, tuple(s.token for s in shards)),
+                shards=tuple(shards),
+                token=token,
                 table=self.table,
             )
+            return self._last
 
-    # -- rebalancing (slot moves) ------------------------------------------
-
-    def nodes_of_slot(self, slot: int) -> tuple[int, ...]:
-        """The logical nodes hashing onto *slot* (empty beyond the ring)."""
-        return tuple(range(slot, self.num_nodes, self.table.slots))
-
-    def plan_resize_to(self, target_shards: int) -> tuple[Move, ...]:
-        """A minimal plan resizing the topology to *target_shards*."""
-        if target_shards > self.num_nodes:
-            raise ValueError(
-                f"cannot spread {self.num_nodes} nodes over "
-                f"{target_shards} shards; use at most one shard per node"
-            )
-        with self._lock:
-            return plan_resize(self.table, target_shards)
+    # -- rebalancing -------------------------------------------------------
 
     def apply_rebalance(
         self, moves: Sequence[Move], new_num_shards: int | None = None
-    ) -> SlotTable:
-        """Move the planned slots' node file maps and install the new table.
-
-        Grows the shard-local store list before moving slots in and
-        shrinks it after moving slots out; a shrink plan must have
-        drained the removed shards (``plan_resize`` always does).  Only
-        the source and destination shards' snapshots and statistics
-        caches are invalidated — untouched shards keep their memoized
-        snapshots, so their workers are never re-primed.
-        """
+    ) -> OwnerTable:
+        """Validate the ``(node, src, dst)`` plan and install the next
+        table (one version later); returns it.  No data moves — the
+        source and destination shards' next views simply cover other
+        nodes, and untouched shards keep their memoized views."""
         with self._lock:
-            new_table = self.table.apply(moves, new_num_shards)
-            new_count = new_table.num_shards
-            while len(self.stores) < new_count:
-                self.stores.append(PartitionedStore(num_nodes=self.num_nodes))
-                self._stats_cache.append(None)
-            slots = self.table.slots
-            for slot, src, dst in moves:
-                for node in range(slot, self.num_nodes, slots):
-                    files = self.stores[src].evict_node(node)
-                    self.stores[dst].install_node(node, files)
-                self._stats_cache[src] = None
-                self._stats_cache[dst] = None
-            if new_count < len(self.stores):
-                for shard in range(new_count, len(self.stores)):
-                    leftover = self.stores[shard].total_stored()
-                    if leftover:
-                        raise ValueError(
-                            f"removed shard {shard} still holds "
-                            f"{leftover} triples: incomplete plan"
-                        )
-                del self.stores[new_count:]
-                del self._stats_cache[new_count:]
-            self.table = new_table
-            self.num_shards = new_count
-            self.version += 1
-            return new_table
-
-    # -- scanning ----------------------------------------------------------
-
-    def scan(
-        self,
-        node: int,
-        placement: str,
-        prop: str | None = None,
-        type_object: str | None = None,
-    ) -> list[Triple]:
-        """Triples of one node's partition (served by its owning shard)."""
-        return self.stores[self.table.shard_of_node(node)].scan(
-            node, placement, prop, type_object
-        )
-
-    def file_names(self, node: int) -> list[str]:
-        return self.stores[self.table.shard_of_node(node)].file_names(node)
-
-    # -- invariants / telemetry --------------------------------------------
-
-    def total_stored(self) -> int:
-        """Total stored triples across shards (3x the dataset)."""
-        return sum(store.total_stored() for store in self.stores)
-
-    def triples_per_shard(self) -> tuple[int, ...]:
-        """Stored triples (all replicas) per shard."""
-        return tuple(store.total_stored() for store in self.stores)
-
-    def replica_triples(self, placement: str) -> set[Triple]:
-        """The dataset as reconstructed from one replica, across shards."""
-        out: set[Triple] = set()
-        for store in self.stores:
-            out.update(store.replica_triples(placement))
-        return out
-
-    # -- catalog statistics ------------------------------------------------
-
-    def shard_statistics(self, shard: int) -> CatalogStatistics:
-        """Shard-local catalog statistics, computed from local replicas.
-
-        ``triple_count`` and ``per_property`` come from the shard's
-        property replica, ``distinct_subjects`` from its subject replica
-        and ``distinct_objects`` from its object replica — the three
-        placement-disjoint views that make shard catalogs sum exactly to
-        the global catalog.  Recomputed lazily per shard after a
-        mutation touched it.
-        """
-        with self._lock:
-            cached = self._stats_cache[shard]
-            if cached is None:
-                cached = _catalog_of(self.stores[shard])
-                self._stats_cache[shard] = cached
-            return cached
-
-    def aggregate_statistics(self) -> CatalogStatistics:
-        """The exact global catalog, aggregated from per-shard catalogs."""
-        return CatalogStatistics.merge_disjoint(
-            self.shard_statistics(shard) for shard in range(self.num_shards)
-        )
-
-
-def _catalog_of(store: PartitionedStore) -> CatalogStatistics:
-    """Catalog statistics of one shard's local partition files."""
-    subjects: set[str] = set()
-    objects: set[str] = set()
-    per_prop: dict[str, tuple[set[str], set[str], list[int]]] = {}
-    for node_files in store.files:
-        for name, triples in node_files.items():
-            placement, prop, _type_object = parse_file_name(name)
-            if placement == "s":
-                for s, _, _ in triples:
-                    subjects.add(s)
-            elif placement == "o":
-                for _, _, o in triples:
-                    objects.add(o)
-            else:
-                entry = per_prop.get(prop)
-                if entry is None:
-                    entry = per_prop[prop] = (set(), set(), [0])
-                prop_subjects, prop_objects, count = entry
-                for s, _, o in triples:
-                    prop_subjects.add(s)
-                    prop_objects.add(o)
-                count[0] += len(triples)
-    stats = CatalogStatistics(
-        triple_count=sum(entry[2][0] for entry in per_prop.values()),
-        distinct_subjects=len(subjects),
-        distinct_properties=len(per_prop),
-        distinct_objects=len(objects),
-    )
-    for prop, (prop_subjects, prop_objects, count) in per_prop.items():
-        stats.per_property[prop] = PropertyStats(
-            count=count[0],
-            distinct_subjects=len(prop_subjects),
-            distinct_objects=len(prop_objects),
-        )
-    return stats
+            self.table = self.table.apply(moves, new_num_shards)
+            return self.table
 
 
 def shard_graph(
-    graph: RDFGraph | Sequence[Triple],
-    num_nodes: int,
-    num_shards: int,
-    slots: int = DEFAULT_SLOTS,
+    graph: RDFGraph | Sequence[Triple], num_nodes: int, num_shards: int
 ) -> ShardedStore:
     """Partition a graph across *num_shards* shard workers."""
-    store = ShardedStore(
-        num_nodes=num_nodes, num_shards=num_shards, slots=slots
-    )
+    store = ShardedStore(num_nodes=num_nodes, num_shards=num_shards)
     store.add_all(graph)
     return store

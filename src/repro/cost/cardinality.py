@@ -19,7 +19,6 @@ model (optimal substructure holds).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import is_variable
@@ -137,37 +136,6 @@ class CatalogStatistics:
         prop.count += 1
         prop.distinct_subjects += delta.new_property_subject
         prop.distinct_objects += delta.new_property_object
-
-    @classmethod
-    def merge_disjoint(
-        cls, parts: Iterable["CatalogStatistics"]
-    ) -> "CatalogStatistics":
-        """Aggregate per-shard catalogs into the global catalog.
-
-        Exact when the parts are *placement-disjoint*, which the §5.1
-        layout guarantees for shard-local statistics: every distinct
-        subject lives on exactly one node of the subject replica (hence
-        one shard), every property on one node of the property replica,
-        every object on one node of the object replica — so distinct
-        counts sum and the per-property maps union without overlap.
-        """
-        total = cls()
-        for part in parts:
-            total.triple_count += part.triple_count
-            total.distinct_subjects += part.distinct_subjects
-            total.distinct_properties += part.distinct_properties
-            total.distinct_objects += part.distinct_objects
-            for p, ps in part.per_property.items():
-                mine = total.per_property.get(p)
-                if mine is None:
-                    total.per_property[p] = replace(ps)
-                else:
-                    # Overlap only happens for non-disjoint inputs; sum
-                    # the counts (exact) and the distincts (upper bound).
-                    mine.count += ps.count
-                    mine.distinct_subjects += ps.distinct_subjects
-                    mine.distinct_objects += ps.distinct_objects
-        return total
 
 
 class CardinalityEstimator:

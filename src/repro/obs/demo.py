@@ -63,13 +63,10 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     graph = lubm.generate(lubm.LUBMConfig(universities=4))
     names = [n for n in args.queries.split(",") if n]
-    # num_nodes == slots: every slot on the ring holds a real node, so
-    # the demo rebalance genuinely ships data (survivor deltas included)
-    # instead of reassigning empty high slots of the default 64-ring.
+    # Default topology (7 nodes): every move of the rebalance below
+    # names a node, so it ships data — survivor deltas included.
     config = ServiceConfig(
         shards=2,
-        num_nodes=8,
-        slots=8,
         shard_transport=transport,
         tracing=True,
         slow_query_s=0.0,
@@ -92,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"rebalance -> {report.new_shards} shards: "
                 f"epoch {report.old_epoch}->{report.new_epoch}, "
-                f"{report.slots_moved} slots, "
+                f"nodes {report.moved_nodes}, "
                 f"{1e3 * report.duration_s:.2f} ms"
             )
         for name in names:

@@ -89,21 +89,22 @@ _STORE_IDS = itertools.count()
 class StoreSnapshot:
     """A read-only view of a :class:`PartitionedStore` at one version.
 
-    Building one copies every file's triple list into a fresh tuple —
-    the triples themselves are shared, but the containers are not, so
-    later ``add`` calls on the store can never mutate a snapshot.  That
-    copy is O(stored triples) in pointer copies; :meth:`PartitionedStore
-    .snapshot` memoizes it per version, so a mutation batch pays it once
-    on the next query however many queries follow.  ``token`` identifies
-    (store, version): execution backends key their worker pools on it,
-    shipping the snapshot to workers once and rebuilding only when the
-    underlying store actually changed.
+    Every file's triple list is held as a tuple — the triples themselves
+    are shared with the store, the containers are not, so later ``add``
+    calls can never mutate a snapshot.  The tuple copies are made per
+    *node* and memoized by that node's version (:meth:`PartitionedStore
+    .view`), so a mutation batch pays for the nodes it wrote, once,
+    however many queries follow.  A view may cover only some nodes (a
+    shard's — the others' file maps are empty).  ``token`` identifies
+    the view's content: execution backends key their worker pools on
+    it, shipping the snapshot to workers once and rebuilding only when
+    the data behind it actually changed.
     """
 
     num_nodes: int
     replicas: tuple[str, ...]
     files: tuple[dict[str, tuple[Triple, ...]], ...]
-    token: tuple[int, int]
+    token: tuple
 
     def scan(
         self,
@@ -153,78 +154,60 @@ class PartitionedStore:
             raise ValueError(f"unknown replicas {unknown}")
         if "s" not in self.replicas:
             raise ValueError("the subject replica is mandatory (base copy)")
+        #: node_versions[node] is bumped whenever that node's files are
+        #: written: what a view of the node is memoized (and a shard's
+        #: snapshot token derived) by
+        self.node_versions = [0] * self.num_nodes
+        self._frozen: list[tuple[int, dict] | None] = [None] * self.num_nodes
 
     # -- loading ------------------------------------------------------------
 
     def add(self, triple: Triple) -> None:
         """Store the configured §5.1 replicas of a triple."""
-        for placement in self.replicas:
-            self.add_placement(placement, triple)
-
-    def add_placement(self, placement: str, triple: Triple) -> int:
-        """Store only the *placement* replica of a triple; return its node.
-
-        The sharded store (``repro.cluster``) splits the three replicas
-        of one triple across shard-local stores: each shard receives
-        exactly the replicas whose placement value hashes to a node it
-        owns, so a plain :meth:`add` (which stores all configured
-        replicas) would duplicate data across shards.
-        """
-        if placement not in self.replicas:
-            raise ValueError(
-                f"placement {placement!r} is not materialized "
-                f"(replicas={self.replicas})"
-            )
-        s, p, o = triple
-        value = {"s": s, "p": p, "o": o}[placement]
-        node = place(value, self.num_nodes)
-        name = triple_file(placement, p, o)
-        self.files[node].setdefault(name, []).append(triple)
+        _, p, o = triple
+        for placement, value in zip(PLACEMENTS, triple):
+            if placement in self.replicas:
+                node = place(value, self.num_nodes)
+                name = triple_file(placement, p, o)
+                self.files[node].setdefault(name, []).append(triple)
+                self.node_versions[node] += 1
         self.version += 1
-        self._snapshot = None
-        return node
-
-    # -- migration (slot rebalancing, repro.cluster.slots) -------------------
-
-    def install_node(self, node: int, files: dict[str, Sequence[Triple]]) -> None:
-        """Replace one node's file map wholesale (slot moved in)."""
-        self.files[node] = {name: list(ts) for name, ts in files.items()}
-        self.version += 1
-        self._snapshot = None
-
-    def evict_node(self, node: int) -> dict[str, list[Triple]]:
-        """Drop and return one node's file map (slot moved out)."""
-        evicted = self.files[node]
-        self.files[node] = {}
-        self.version += 1
-        self._snapshot = None
-        return evicted
 
     # -- snapshots -----------------------------------------------------------
 
-    def snapshot(self) -> StoreSnapshot:
-        """A read-only view of the store at its current version.
+    def view(self, nodes: Iterable[int], token: tuple) -> StoreSnapshot:
+        """A read-only view of *nodes*' partitions (every other node's
+        file map is empty), identified by *token*.
 
-        Snapshots are memoized per version, so the copy cost (pointer
-        copies of the file maps) is paid once per mutation batch however
-        many queries execute in between; workers receiving the snapshot
-        can scan it without ever touching the live, mutable store.
+        Each node's tuple copy is memoized by the node's version, so a
+        view costs pointer copies only for nodes written since the last
+        one; workers receiving it scan without ever touching the live,
+        mutable store.
         """
-        cached = self._snapshot
-        token = (self.uid, self.version)
-        if cached is not None and cached.token == token:
-            return cached
-        snapshot = StoreSnapshot(
+        files: list[dict] = [{} for _ in range(self.num_nodes)]
+        for node in nodes:
+            version = self.node_versions[node]
+            frozen = self._frozen[node]
+            if frozen is None or frozen[0] != version:
+                frozen = self._frozen[node] = (
+                    version,
+                    {name: tuple(ts) for name, ts in self.files[node].items()},
+                )
+            files[node] = frozen[1]
+        return StoreSnapshot(
             num_nodes=self.num_nodes,
             replicas=self.replicas,
-            files=tuple(
-                {name: tuple(triples) for name, triples in node.items()}
-                for node in self.files
-            ),
+            files=tuple(files),
             token=token,
         )
-        self._snapshot = snapshot
-        return snapshot
+
+    def snapshot(self) -> StoreSnapshot:
+        """The view of every node at the store's current version,
+        memoized per version."""
+        token = (self.uid, self.version)
+        if self._snapshot is None or self._snapshot.token != token:
+            self._snapshot = self.view(range(self.num_nodes), token)
+        return self._snapshot
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         count = 0

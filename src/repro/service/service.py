@@ -153,19 +153,13 @@ class ServiceConfig:
     #: LRU capacity of the template cache (None = unbounded)
     template_cache_size: int | None = None
     #: number of store shards.  0 keeps the single in-process store; with
-    #: N >= 1 the store is hash-partitioned across N shard workers behind
-    #: a ShardRouter (repro.cluster): map levels run shard-local and
+    #: N >= 1 the store's nodes are served by N shard workers behind a
+    #: ShardRouter (repro.cluster; ownership is a node→shard table that
+    #: QueryService.rebalance moves live): map levels run shard-local and
     #: the shuffle between map and reduce is the cross-shard exchange.
     #: Answers and reports are identical for any shard count.  With backend="process" every shard gets a worker
     #: pool of its own (backend_workers is split across shards).
     shards: int = 0
-    #: width of the slot ring behind the sharded store's node→shard map
-    #: (repro.cluster.slots).  Nodes hash onto ``max(slots, num_nodes)``
-    #: slots and a versioned SlotTable maps slots to shards, so
-    #: :meth:`QueryService.rebalance` can grow/shrink/deskew the
-    #: topology by moving slot ownership — answers are invariant across
-    #: every table version.  Ignored unless ``shards >= 1``.
-    slots: int = 64
     #: how the shard workers are reached (requires ``shards >= 1``):
     #: "inproc" calls per-shard execution backends in-process; "rpc"
     #: runs each shard as a long-lived server process behind
@@ -578,24 +572,17 @@ class QueryService:
                 "coalesce_max_batch must be >= 1, "
                 f"got {self.config.coalesce_max_batch}"
             )
-        if self.config.slots < 1:
-            raise ValueError(f"slots must be >= 1, got {self.config.slots}")
         # Before the executor: its failure callbacks are bound to the
         # stats, not to the service — a service -> executor -> service
         # cycle would leave a closed service's stores to the cycle
         # collector instead of freeing them when the last reference goes.
         self.stats = ServiceStats()
         if self.config.shards:
-            # Sharded deployment: N shard workers each hold one slice of
-            # the §5.1 layout; the global catalog is aggregated from the
-            # shards' placement-disjoint local statistics.
+            # Sharded deployment: one §5.1 store, each of N shard workers
+            # serving the nodes the store's owner table assigns it.
             self.store = shard_graph(
-                graph,
-                self.config.num_nodes,
-                self.config.shards,
-                slots=self.config.slots,
+                graph, self.config.num_nodes, self.config.shards
             )
-            self.catalog = self.store.aggregate_statistics()
             self.backend = None
             self.executor: PlanExecutor = ShardedPlanExecutor(
                 self.store,
@@ -613,7 +600,6 @@ class QueryService:
             )
         else:
             self.store = partition_graph(graph, self.config.num_nodes)
-            self.catalog = CatalogStatistics.from_graph(graph)
             self.backend = make_backend(
                 self.config.backend,
                 num_workers=self.config.backend_workers,
@@ -625,6 +611,7 @@ class QueryService:
                 self.config.params,
                 backend=self.backend,
             )
+        self.catalog = CatalogStatistics.from_graph(graph)
         self.estimator = CardinalityEstimator(self.catalog)
         self.coster = PlanCoster(self.estimator, self.config.params)
         self.plan_cache = PlanCache(self.config.plan_cache_size)
@@ -875,14 +862,14 @@ class QueryService:
         """Move shard ownership live: grow, shrink, or shed skew.
 
         Requires a sharded deployment.  Pass *target_shards* for a
-        minimal resize plan, or explicit ``(slot, src, dst)`` *moves*
+        minimal resize plan, or explicit ``(node, src, dst)`` *moves*
         (e.g. from :meth:`suggest_rebalance`).  The migration runs
         under the store's **write lock**: in-flight queries against the
         old epoch drain first, queries submitted meanwhile block, and
         both resume against the flipped table — answers are identical
         before, during and after.  Over the RPC transport only the
-        moved slots' snapshot slices cross the wire; a mid-migration
-        failure rolls the store back and raises typed, leaving the old
+        moved nodes' file maps cross the wire; a mid-migration
+        failure rolls the table back and raises typed, leaving the old
         topology serving.  Returns a
         :class:`~repro.cluster.router.RebalanceReport`.
         """
@@ -909,12 +896,13 @@ class QueryService:
                 lock.__exit__(None, None, None)
         # A move onto a shard the resize just created primes it; the
         # rest are deltas onto shards already serving.
+        moved = len(report.moves)
         primed = sum(1 for _, _, dst in report.moves if dst >= report.old_shards)
         phases = {
-            "plan": report.slots_moved,
+            "plan": moved,
             "prime": primed,
-            "delta": report.slots_moved - primed,
-            "flip": report.slots_moved if report.new_epoch > report.old_epoch else 0,
+            "delta": moved - primed,
+            "flip": moved if report.new_epoch > report.old_epoch else 0,
         }
         self.stats.record_rebalance(phases)
         return report
@@ -923,7 +911,7 @@ class QueryService:
         """A skew-shedding plan from live worker load, or ``()``.
 
         Feeds the RPC shard workers' ``tasks_run`` gauges (PR 9
-        telemetry) into :func:`~repro.cluster.slots.plan_skew`; without
+        telemetry) into :func:`~repro.cluster.ownership.plan_skew`; without
         live gauges (inproc transport, cold fleet) it falls back to
         stored triples per shard.  The plan is advice — pass it to
         :meth:`rebalance` to act on it.

@@ -126,8 +126,6 @@ class ShardWorkerGauge:
     tasks_run: int = 0
     #: coalesced ExecuteBatch frames served
     batches: int = 0
-    #: duplicate request ids answered from the dedup cache
-    deduped: int = 0
     #: the probe failed (dead/unresponsive worker): the numbers are
     #: zeros, not a live reading — a snapshot never raises mid-probe
     stale: bool = False
@@ -147,7 +145,6 @@ class ShardWorkerGauge:
             peak_inflight=reply.peak_inflight,
             tasks_run=reply.tasks_run,
             batches=reply.batches,
-            deduped=reply.deduped,
         )
 
 
@@ -192,7 +189,7 @@ class StatsSnapshot:
     #: point-in-time load gauges of the live RPC shard workers
     #: (empty for non-RPC deployments or when no worker is up)
     shard_workers: tuple[ShardWorkerGauge, ...] = ()
-    #: completed slot-table rebalances (grow, shrink or skew-shedding)
+    #: completed topology rebalances (grow, shrink or skew-shedding)
     rebalances: int = 0
 
     @property
@@ -253,8 +250,7 @@ class StatsSnapshot:
                 f"shard {gauge.shard} worker: "
                 f"{gauge.inflight}/{gauge.max_concurrency} inflight "
                 f"(queue {gauge.queue_depth}, peak {gauge.peak_inflight}), "
-                f"{gauge.tasks_run} tasks, {gauge.batches} batches, "
-                f"{gauge.deduped} deduped"
+                f"{gauge.tasks_run} tasks, {gauge.batches} batches"
             )
         for warning in self.warnings:
             lines.append(f"warning: {warning}")
@@ -319,9 +315,9 @@ class ServiceStats:
         self._windows = {
             name: deque(maxlen=self.window) for name in _STAGES
         }
-        self._slot_moves = self.registry.counter(
-            "repro_slot_moves_total",
-            "Slots handled by topology rebalances, by migration phase.",
+        self._node_moves = self.registry.counter(
+            "repro_node_moves_total",
+            "Nodes handled by topology rebalances, by migration phase.",
             labels=("phase",),
         )
 
@@ -393,12 +389,12 @@ class ServiceStats:
 
     def record_rebalance(self, phases: dict[str, int]) -> None:
         """Count one topology rebalance; *phases* maps migration phase
-        (``plan``/``prime``/``delta``/``flip``) → slots handled there,
-        feeding ``repro_slot_moves_total{phase=...}``."""
+        (``plan``/``prime``/``delta``/``flip``) → nodes handled there,
+        feeding ``repro_node_moves_total{phase=...}``."""
         with self._lock:
             self._count("rebalances")
             for phase, count in phases.items():
-                self._slot_moves.labels(phase=phase).inc(count)
+                self._node_moves.labels(phase=phase).inc(count)
 
     def record_warning(self, message: str) -> None:
         """Record an operational warning (deduplicated, kept forever)."""

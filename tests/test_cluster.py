@@ -1,8 +1,7 @@
 """The sharded store and shard router (repro.cluster).
 
 Covers: layout equivalence between the sharded and single stores,
-shard-local snapshot-token invalidation, per-shard catalog statistics
-aggregating to the exact global catalog, incremental catalog maintenance
+shard-local snapshot-token invalidation, incremental catalog maintenance
 under ``add_triples`` (delta == recompute), executor-level answer and
 report equality of sharded vs. unsharded execution, admission control,
 the router's dispatch contract (owning shard, submission order), and the
@@ -28,7 +27,7 @@ from repro.cluster import (
     ShardedStore,
     shard_graph,
 )
-from repro.cluster.slots import initial_table
+from repro.cluster.ownership import initial_table
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics, triple_delta
@@ -48,7 +47,6 @@ from repro.service import (
     ServiceOverloaded,
 )
 from repro.sparql.parser import parse_query
-from repro.workloads import lubm
 from tests.conformance import needs_process
 from tests.conftest import make_university_graph
 
@@ -63,11 +61,6 @@ STAR_QUERY = (
 @pytest.fixture(scope="module")
 def university():
     return make_university_graph()
-
-
-@pytest.fixture(scope="module")
-def lubm_graph():
-    return lubm.generate(lubm.LUBMConfig(universities=4))
 
 
 # -- sharded store layout ------------------------------------------------------
@@ -145,6 +138,30 @@ class TestShardSnapshots:
                 assert after.shards[shard].token == before.shards[shard].token
         assert after.token != before.token
 
+    def test_untouched_shards_keep_their_view_object(self, university):
+        """One store, per-shard views: a write or a rebalance rebuilds
+        only the views of shards whose nodes it touched — the rest are
+        the previous snapshot's objects (their workers never re-prime)."""
+        sharded = shard_graph(university, NUM_NODES, 4)
+        before = sharded.snapshot()
+        assert sharded.snapshot() is before
+        triple = ("<view-subj>", "<view-prop>", "<view-obj>")
+        touched = {sharded.shard_of_value(value) for value in triple}
+        sharded.add(triple)
+        written = sharded.snapshot()
+        for shard in range(4):
+            same = written.shards[shard] is before.shards[shard]
+            assert same == (shard not in touched)
+        sharded.apply_rebalance([(0, 0, 1)])
+        moved = sharded.snapshot()
+        for shard in range(4):
+            same = moved.shards[shard] is written.shards[shard]
+            assert same == (shard not in (0, 1))
+        assert sorted(moved.shards[1].file_names(0)) == sorted(
+            sharded.file_names(0)
+        )
+        assert moved.shards[0].file_names(0) == []
+
     def test_snapshot_is_immune_to_later_mutation(self, university):
         sharded = shard_graph(university, NUM_NODES, 2)
         snapshot = sharded.snapshot()
@@ -160,46 +177,6 @@ class TestShardSnapshots:
             assert snapshot.scan(node, "p", "ub:worksFor") == sharded.scan(
                 node, "p", "ub:worksFor"
             )
-
-
-# -- per-shard catalog statistics ---------------------------------------------
-
-
-class TestShardCatalogs:
-    @pytest.mark.parametrize("shards", [1, 2, 4, 7])
-    def test_aggregate_equals_global_recompute(self, university, shards):
-        sharded = shard_graph(university, NUM_NODES, shards)
-        assert sharded.aggregate_statistics() == CatalogStatistics.from_graph(
-            university
-        )
-
-    def test_aggregate_on_lubm(self, lubm_graph):
-        sharded = shard_graph(lubm_graph, NUM_NODES, 4)
-        assert sharded.aggregate_statistics() == CatalogStatistics.from_graph(
-            lubm_graph
-        )
-
-    def test_shard_statistics_are_placement_disjoint(self, university):
-        sharded = shard_graph(university, NUM_NODES, 4)
-        parts = [sharded.shard_statistics(s) for s in range(4)]
-        props = [set(p.per_property) for p in parts]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not props[i] & props[j]
-        total = CatalogStatistics.from_graph(university)
-        assert sum(p.distinct_subjects for p in parts) == total.distinct_subjects
-        assert sum(p.distinct_objects for p in parts) == total.distinct_objects
-        assert sum(p.triple_count for p in parts) == total.triple_count
-
-    def test_shard_statistics_refresh_after_mutation(self, university):
-        sharded = shard_graph(university, NUM_NODES, 2)
-        sharded.aggregate_statistics()  # warm the per-shard caches
-        sharded.add(("<s-stat>", "<p-stat>", "<o-stat>"))
-        graph = make_university_graph()
-        graph.add("<s-stat>", "<p-stat>", "<o-stat>")
-        assert sharded.aggregate_statistics() == CatalogStatistics.from_graph(
-            graph
-        )
 
 
 class TestIncrementalCatalog:
@@ -544,10 +521,10 @@ class TestClusterPlumbing:
     def test_dispatch_routes_by_slot_table_in_submission_order(self):
         """The router's whole contract, on fake shards that finish in
         reverse: every invocation runs on the shard owning its node
-        under the execution's own (here non-default) slot table, and
+        under the execution's own (here non-default) owner table, and
         results come back in submission order."""
         num_nodes, num_shards = 6, 3
-        table = initial_table(num_shards, num_nodes, slots=6).apply(
+        table = initial_table(num_shards, num_nodes).apply(
             [(0, 0, 2), (4, 1, 0)]
         )
         assert [table.shard_of_node(n) for n in range(num_nodes)] == [

@@ -58,15 +58,6 @@ def reference(graph, queries):
 
 
 @pytest.fixture(scope="module")
-def reference8(graph, queries):
-    """Serial reference at num_nodes=8 for the rebalance-rpc cell,
-    which widens the simulated cluster so every slot holds real data
-    (reports depend on node placement, so the reference must match)."""
-    with make_service(graph, "serial", "unsharded", num_nodes=8) as service:
-        return reference_answers(service, queries)
-
-
-@pytest.fixture(scope="module")
 def parity():
     return parity_queries()
 
@@ -189,7 +180,8 @@ def test_rebalance_inproc_conformance(graph, queries, reference):
     """The rebalance dimension, in-process: live 4→5 and 5→3 resizes
     with 4 driver threads keeping the workload in flight; answers and
     reports stay field-wise equal to the serial reference at every
-    topology epoch."""
+    topology epoch.  Default topology: every move names one of the 7
+    nodes, so both resizes change which shard serves real data."""
     service = make_service(graph, "serial", "shards4-inproc")
     try:
         reports = assert_rebalance_conforms(
@@ -197,26 +189,26 @@ def test_rebalance_inproc_conformance(graph, queries, reference):
             where="shards4-inproc/rebalance",
         )
         assert [r.new_shards for r in reports] == [5, 3]
+        assert all(r.moved_nodes for r in reports)
     finally:
         service.close()
 
 
 @pytest.mark.parametrize("wire", RPC_WIRES)
-def test_rebalance_rpc_conformance(graph, queries, reference8, wire):
+def test_rebalance_rpc_conformance(graph, queries, reference, wire):
     """The rebalance dimension over rpc x {pickle, columnar} with
-    cross-query coalescing on: the slot table flips 4→5→3 live, only
-    the moved slots' data crosses the wire, and every outcome — before,
-    during, or after a migration — conforms.  num_nodes == slots here
-    so every slot holds real data and the migrations genuinely move
-    triples between worker processes."""
+    cross-query coalescing on: the owner table flips 4→5→3 live, only
+    the moved nodes' data crosses the wire, and every outcome — before,
+    during, or after a migration — conforms.  Default topology (7
+    nodes): every migration moves triples between worker processes."""
     skip_unless_supported("shards4-rpc", "serial")
     service = make_service(
         graph, "serial", "shards4-rpc", wire_format=wire,
-        num_nodes=8, slots=8, **RPC_MODES["coalesced"]
+        **RPC_MODES["coalesced"]
     )
     try:
         reports = assert_rebalance_conforms(
-            service, queries, reference8, plan=(5, 3), threads=4,
+            service, queries, reference, plan=(5, 3), threads=4,
             where=f"shards4-rpc/{wire}/rebalance",
         )
         assert [r.new_shards for r in reports] == [5, 3]

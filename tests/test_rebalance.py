@@ -1,16 +1,20 @@
-"""Elastic shard topology: slot tables, live rebalance, fault injection.
+"""Elastic shard topology: owner tables, live rebalance, fault injection.
 
-Covers the :mod:`repro.cluster.slots` layer (deterministic assignment,
-plan validation, minimal-movement resize plans, skew shedding, snapshot
-delta merging — plus hypothesis property tests where hypothesis is
-installed), the in-process and RPC rebalance surfaces (grow/shrink/
-deskew with answers invariant at every epoch, migration shipping only
-the moved slots' data), and the failure paths: a destination worker
-that cannot spawn mid-migration rolls the topology back typed, a killed
-survivor recovers through the respawn-retry path, duplicate
-``TableUpdate``/``PrimeSlots`` deliveries are idempotent, and an
-execute frame stamped with a stale epoch is rejected typed worker-side
-and transparently re-routed driver-side.
+Covers the :mod:`repro.cluster.ownership` layer (deterministic
+assignment, plan validation, minimal-movement resize plans, skew
+shedding, snapshot delta merging — plus hypothesis property tests where
+hypothesis is installed), the in-process and RPC rebalance surfaces
+(grow/shrink/deskew with answers invariant at every epoch, migration
+shipping only the moved nodes' data — also at the bare
+``ServiceConfig(shards=2)`` users get), and the failure paths: a
+destination worker that cannot spawn mid-migration rolls the topology
+back typed, a killed survivor recovers through the respawn-retry path,
+duplicate ``TableUpdate``/``PrimeNodes`` deliveries are idempotent, and
+an execute frame stamped with a stale epoch is rejected typed
+worker-side and transparently re-routed driver-side.
+
+Test ids predate the node→shard table (the unit of ownership used to be
+a ring *slot*); they are kept so the suite's history stays comparable.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.cluster.rpc import (
     ExecuteLevel,
     OkReply,
     Prime,
-    PrimeSlots,
+    PrimeNodes,
     Request,
     RpcShardRouter,
     ShardUnavailable,
@@ -34,17 +38,17 @@ from repro.cluster.rpc import (
     Stats,
     TableUpdate,
 )
-from repro.cluster.slots import (
-    DEFAULT_SLOTS,
-    SlotTable,
+from repro.cluster.ownership import (
+    OwnerTable,
     initial_table,
-    merge_slots,
+    merge_nodes,
     plan_resize,
     plan_skew,
 )
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
-from repro.partitioning.triple_partitioner import partition_graph
+from repro.cost.cardinality import CatalogStatistics
+from repro.partitioning.triple_partitioner import StoreSnapshot, partition_graph
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.parser import parse_query
 from tests.conformance import needs_rpc
@@ -80,14 +84,13 @@ def sharded_service(graph, **overrides) -> QueryService:
     config = ServiceConfig(
         shards=overrides.pop("shards", 4),
         num_nodes=overrides.pop("num_nodes", NUM_NODES),
-        slots=overrides.pop("slots", NUM_NODES),
         result_cache_size=0,
         **overrides,
     )
     return QueryService(graph, config)
 
 
-# -- SlotTable unit tests ------------------------------------------------------
+# -- OwnerTable unit tests -----------------------------------------------------
 
 
 class TestSlotTable:
@@ -95,19 +98,19 @@ class TestSlotTable:
         for shards in (1, 2, 3, 4):
             table = initial_table(shards, num_nodes=7)
             assert table.version == 0
-            assert table.slots == max(DEFAULT_SLOTS, 7)
+            assert len(table.owners) == 7
             for node in range(7):
                 assert table.shard_of_node(node) == node % shards
 
     def test_assignment_is_total_and_partitions_nodes(self):
-        table = initial_table(3, num_nodes=10, slots=16)
+        table = initial_table(3, num_nodes=10)
         owners = [table.shard_of_node(n) for n in range(10)]
         assert all(0 <= s < 3 for s in owners)
-        by_shard = [table.nodes_of_shard(s, 10) for s in range(3)]
+        by_shard = [table.nodes_of_shard(s) for s in range(3)]
         assert sorted(n for nodes in by_shard for n in nodes) == list(range(10))
 
     def test_apply_moves_ownership_and_bumps_version_once(self):
-        table = initial_table(2, num_nodes=4, slots=4)
+        table = initial_table(2, num_nodes=4)
         moved = table.apply([(0, 0, 1)])
         assert moved.version == table.version + 1
         assert moved.shard_of_node(0) == 1
@@ -116,18 +119,20 @@ class TestSlotTable:
         assert table.shard_of_node(0) == 0
 
     def test_apply_rejects_stale_and_malformed_plans(self):
-        table = initial_table(2, num_nodes=4, slots=4)
+        table = initial_table(2, num_nodes=4)
         with pytest.raises(ValueError, match="stale plan"):
-            table.apply([(0, 1, 0)])  # slot 0 is owned by shard 0, not 1
+            table.apply([(0, 1, 0)])  # node 0 is owned by shard 0, not 1
         with pytest.raises(ValueError, match="moved twice"):
             table.apply([(0, 0, 1), (0, 1, 0)])
         with pytest.raises(ValueError, match="outside"):
             table.apply([(99, 0, 1)])
         with pytest.raises(ValueError, match="outside"):
             table.apply([(0, 0, 7)])  # destination shard does not exist
+        with pytest.raises(ValueError, match="outside"):
+            table.apply([], 1)  # a shrink must drain the removed shard
 
     def test_inverse_restores_ownership(self):
-        table = initial_table(3, num_nodes=6, slots=6)
+        table = initial_table(3, num_nodes=6)
         moves = plan_resize(table, 2)
         shrunk = table.apply(moves, 2)
         restored = shrunk.apply(shrunk.inverse(moves), 3)
@@ -135,16 +140,16 @@ class TestSlotTable:
         assert restored.version == table.version + 2
 
     def test_plan_resize_is_deterministic_balanced_and_minimal(self):
-        table = initial_table(4, num_nodes=7)  # 64-slot ring
+        table = initial_table(4, num_nodes=7)  # the default node count
         grow = plan_resize(table, 5)
         assert grow == plan_resize(table, 5)
         grown = table.apply(grow, 5)
         counts = grown.counts()
-        assert max(counts) - min(counts) <= 1
-        # Growing by one moves about slots/new_N slots, never more than
+        assert min(counts) >= 1 and max(counts) - min(counts) <= 1
+        # Growing by one moves about nodes/new_N nodes, never more than
         # the new shard's fair share.
-        assert 0 < len(grow) <= math.ceil(table.slots / 5)
-        assert all(dst == 4 for _slot, _src, dst in grow)
+        assert 0 < len(grow) <= math.ceil(len(table.owners) / 5)
+        assert all(dst == 4 for _node, _src, dst in grow)
         shrink = plan_resize(grown, 3)
         shrunk = grown.apply(shrink, 3)
         assert max(shrunk.counts()) - min(shrunk.counts()) <= 1
@@ -153,45 +158,46 @@ class TestSlotTable:
         assert len(shrink) == departing
 
     def test_plan_resize_validates_bounds(self):
-        table = initial_table(2, num_nodes=4, slots=4)
+        table = initial_table(2, num_nodes=4)
         with pytest.raises(ValueError, match=">= 1"):
             plan_resize(table, 0)
-        with pytest.raises(ValueError, match="at most one shard per slot"):
+        with pytest.raises(ValueError, match="at most one shard per node"):
             plan_resize(table, 5)
 
     def test_plan_skew_moves_busiest_to_idlest(self):
-        table = initial_table(3, num_nodes=6, slots=6)
+        table = initial_table(3, num_nodes=6)
         moves = plan_skew(table, {0: 100.0, 1: 1.0, 2: 50.0}, max_moves=2)
         assert moves
-        assert all(src == 0 and dst == 1 for _slot, src, dst in moves)
-        # The busiest shard owns two slots and must keep one.
+        assert all(src == 0 and dst == 1 for _node, src, dst in moves)
+        # The busiest shard owns two nodes and must keep one.
         assert len(moves) == 1
         rebalanced = table.apply(moves)
         assert rebalanced.counts()[1] == 3
 
     def test_plan_skew_noop_cases(self):
-        table = initial_table(3, num_nodes=6, slots=6)
+        table = initial_table(3, num_nodes=6)
         assert plan_skew(table, {}) == ()  # no signal, no imbalance
         assert plan_skew(table, {0: 5.0, 1: 5.0, 2: 5.0}) == ()
-        assert plan_skew(initial_table(1, 4, slots=4), {0: 9.0}) == ()
+        assert plan_skew(initial_table(1, 4), {0: 9.0}) == ()
 
     def test_plan_skew_donor_keeps_a_slot(self):
-        table = initial_table(2, num_nodes=4, slots=4)
+        """The donor-keeps-one rule: the busiest shard keeps one *node*."""
+        table = initial_table(2, num_nodes=4)
         moves = plan_skew(table, {0: 10.0, 1: 0.0}, max_moves=99)
-        assert 0 < len(moves) < len(table.slots_of_shard(0)) + 1
+        assert len(moves) == len(table.nodes_of_shard(0)) - 1
         moved = table.apply(moves)
-        assert moved.counts()[0] >= 1
+        assert moved.counts()[0] == 1
 
     def test_merge_slots_applies_adds_and_drops(self, university):
         snapshot = partition_graph(university, 4).snapshot()
         adds = {2: dict(snapshot.files[1])}
-        merged = merge_slots(snapshot, adds, drops=(0,), token=(99, 1))
+        merged = merge_nodes(snapshot, adds, drops=(0,), token=(99, 1))
         assert merged.token == (99, 1)
         assert merged.files[0] == {}
         assert merged.files[2] == snapshot.files[1]
         assert merged.files[3] == snapshot.files[3]
         # Deterministic: equal inputs produce equal snapshots.
-        again = merge_slots(snapshot, adds, drops=(0,), token=(99, 1))
+        again = merge_nodes(snapshot, adds, drops=(0,), token=(99, 1))
         assert again.files == merged.files
 
 
@@ -201,7 +207,7 @@ class TestSlotTable:
 if HAVE_HYPOTHESIS:
 
     @st.composite
-    def slot_tables(draw):
+    def owner_tables(draw):
         num_shards = draw(st.integers(min_value=1, max_value=8))
         width = draw(st.integers(min_value=num_shards, max_value=48))
         owners = draw(
@@ -212,36 +218,38 @@ if HAVE_HYPOTHESIS:
             )
         )
         version = draw(st.integers(min_value=0, max_value=5))
-        return SlotTable(
+        return OwnerTable(
             num_shards=num_shards, owners=tuple(owners), version=version
         )
 
     @settings(max_examples=60, deadline=None)
-    @given(table=slot_tables(), node=st.integers(min_value=0, max_value=500))
-    def test_assignment_deterministic_and_total(table, node):
-        shard = table.shard_of_node(node)
-        assert 0 <= shard < table.num_shards
-        assert table.shard_of_node(node) == shard
-        assert table.slot_of_node(node) == node % table.slots
+    @given(table=owner_tables())
+    def test_assignment_deterministic_and_total(table):
+        for node, owner in enumerate(table.owners):
+            assert table.shard_of_node(node) == owner
+            assert node in table.nodes_of_shard(owner)
+        assert sum(table.counts()) == len(table.owners)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        table=slot_tables(),
+        table=owner_tables(),
         new_shards=st.integers(min_value=1, max_value=8),
     )
     def test_plan_resize_minimal_movement(table, new_shards):
-        if new_shards > table.slots:
+        nodes = len(table.owners)
+        if new_shards > nodes:
             with pytest.raises(ValueError):
                 plan_resize(table, new_shards)
             return
         moves = plan_resize(table, new_shards)
         resized = table.apply(moves, new_shards)
         counts = resized.counts()
-        assert sum(counts) == table.slots
-        assert max(counts) - min(counts) <= 1
-        # Minimality: every move was forced — a slot on a removed shard,
+        assert sum(counts) == nodes
+        # Balanced, and so every shard of the resize owns a node.
+        assert min(counts) >= 1 and max(counts) - min(counts) <= 1
+        # Minimality: every move was forced — a node on a removed shard,
         # or the excess above a surviving shard's fair-share target.
-        base, extra = divmod(table.slots, new_shards)
+        base, extra = divmod(nodes, new_shards)
         target = [base + (1 if s < extra else 0) for s in range(new_shards)]
         old = table.counts()
         forced = sum(old[s] for s in range(new_shards, table.num_shards))
@@ -257,16 +265,16 @@ if HAVE_HYPOTHESIS:
     )
     def test_single_step_resize_moves_fair_share(num_shards, width):
         """From a balanced table, growing or shrinking by one shard
-        moves about ``ceil(slots / N)`` slots — the "-ish" bound."""
-        table = initial_table(num_shards, num_nodes=width, slots=width)
+        moves about ``ceil(nodes / N)`` nodes — the "-ish" bound."""
+        table = initial_table(num_shards, num_nodes=width)
         grow = plan_resize(table, num_shards + 1)
-        assert len(grow) <= math.ceil(table.slots / (num_shards + 1))
+        assert len(grow) <= math.ceil(width / (num_shards + 1))
         shrink = plan_resize(table, num_shards - 1)
-        assert len(shrink) <= math.ceil(table.slots / num_shards)
+        assert len(shrink) <= math.ceil(width / num_shards)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        table=slot_tables(),
+        table=owner_tables(),
         targets=st.lists(
             st.integers(min_value=1, max_value=8), min_size=2, max_size=4
         ),
@@ -277,7 +285,7 @@ if HAVE_HYPOTHESIS:
         and inverting a step undoes exactly that step."""
         current = table
         for target in targets:
-            if target > current.slots:
+            if target > len(current.owners):
                 continue
             moves = plan_resize(current, target)
             stepped = current.apply(moves, target)
@@ -299,8 +307,10 @@ class TestInprocRebalance:
             report = service.rebalance(target_shards=5)
             assert (report.old_shards, report.new_shards) == (4, 5)
             assert report.new_epoch == report.old_epoch + 1
-            assert report.slots_moved > 0
-            assert report.moved_nodes
+            assert report.moves
+            assert report.moved_nodes == tuple(
+                sorted(node for node, _src, _dst in report.moves)
+            )
             assert service.submit(STAR_QUERY).rows == expected
             assert service.submit(CHAIN_QUERY).rows == chain
             report = service.rebalance(target_shards=3)
@@ -337,7 +347,7 @@ class TestInprocRebalance:
                 assert suggestion == ()
             else:
                 assert suggestion
-                (slot, src, dst), *_ = suggestion
+                (_node, src, dst), *_ = suggestion
                 assert per_shard[src] == max(per_shard)
                 assert per_shard[dst] == min(per_shard)
                 expected = service.submit(STAR_QUERY).rows
@@ -350,21 +360,28 @@ class TestInprocRebalance:
         service = sharded_service(university)
         try:
             report = service.rebalance(target_shards=4)
-            assert report.slots_moved == 0
+            assert report.moves == ()
             assert report.new_epoch == report.old_epoch
             assert service.snapshot_stats().rebalances == 1
         finally:
             service.close()
 
-    def test_catalog_invariant_across_rebalance(self, university):
-        service = sharded_service(university)
+    def test_catalog_invariant_across_rebalance(self):
+        """A sharded service's catalog is the graph's, whatever the
+        topology: at construction, after a write, after a grow and a
+        shrink."""
+        service = sharded_service(make_university_graph())
         try:
-            store = service.executor.store
-            before = store.aggregate_statistics()
+            def graph_catalog():
+                return CatalogStatistics.from_graph(service.graph)
+
+            assert service.catalog == graph_catalog()
+            service.add_triples([("<newprof>", "ub:worksFor", "<dept0>")])
+            assert service.catalog == graph_catalog()
             service.rebalance(target_shards=6)
-            assert store.aggregate_statistics() == before
+            assert service.catalog == graph_catalog()
             service.rebalance(target_shards=2)
-            assert store.aggregate_statistics() == before
+            assert service.catalog == graph_catalog()
         finally:
             service.close()
 
@@ -386,10 +403,6 @@ class TestInprocRebalance:
         finally:
             service.close()
 
-    def test_slots_config_validated(self, university):
-        with pytest.raises(ValueError, match="slots"):
-            QueryService(university, ServiceConfig(shards=2, slots=0))
-
     def test_mutation_after_rebalance(self, university):
         service = sharded_service(university, shards=2)
         try:
@@ -408,6 +421,87 @@ class TestInprocRebalance:
             service.close()
 
 
+# -- the configuration users get ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "transport", ["inproc", pytest.param("rpc", marks=needs_rpc)]
+)
+class TestDefaultConfigRebalance:
+    """Elasticity on a bare ``ServiceConfig(shards=2)``: nothing pinned,
+    so these run the 7-node default every user starts from."""
+
+    @staticmethod
+    def service(graph, transport) -> QueryService:
+        return QueryService(
+            graph, ServiceConfig(shards=2, shard_transport=transport)
+        )
+
+    def test_grow_and_shrink_move_nodes_that_hold_data(
+        self, university, transport
+    ):
+        service = self.service(university, transport)
+        try:
+            store = service.store
+            expected = service.submit(STAR_QUERY).rows
+            chain = service.submit(CHAIN_QUERY).rows
+            owners = store.node_shards
+            per_node = [
+                sum(len(ts) for ts in files.values()) for files in store.files
+            ]
+            report = service.rebalance(target_shards=3)
+            assert report.moves
+            assert all(per_node[node] > 0 for node in report.moved_nodes)
+            assert store.node_shards != owners
+            assert set(store.node_shards) == {0, 1, 2}
+            assert all(count > 0 for count in store.triples_per_shard())
+            if transport == "rpc":
+                empty = StoreSnapshot(
+                    num_nodes=store.num_nodes,
+                    replicas=store.replicas,
+                    files=tuple({} for _ in range(store.num_nodes)),
+                    token=store.snapshot().shards[2].token,
+                )
+                empty_prime = Prime(empty, wire="columnar", epoch=1)
+                assert report.bytes_shipped[2] > 10 * len(
+                    pickle.dumps(Request(0, empty_prime))
+                )
+            assert service.submit(STAR_QUERY).rows == expected
+            assert service.submit(CHAIN_QUERY).rows == chain
+            report = service.rebalance(target_shards=2)
+            assert (report.old_shards, report.new_shards) == (3, 2)
+            assert set(store.node_shards) == {0, 1}
+            assert service.submit(STAR_QUERY).rows == expected
+            assert service.submit(CHAIN_QUERY).rows == chain
+        finally:
+            service.close()
+
+    def test_suggestion_under_skew_names_a_node_with_data(
+        self, university, transport
+    ):
+        service = self.service(university, transport)
+        try:
+            store = service.store
+            expected = service.submit(STAR_QUERY).rows
+            before = store.triples_per_shard()
+            suggestion = service.executor.suggest_rebalance(
+                load={0: 90.0, 1: 10.0}
+            )
+            ((node, src, dst),) = suggestion
+            assert (src, dst) == (0, 1)
+            assert store.shard_of_node(node) == 0
+            assert sum(len(ts) for ts in store.files[node].values()) > 0
+            # The service's own signal (worker gauges, else stored
+            # triples) can only ever name real nodes too.
+            for node, src, _dst in service.suggest_rebalance():
+                assert store.shard_of_node(node) == src
+            service.rebalance(moves=suggestion)
+            assert store.triples_per_shard() != before
+            assert service.submit(STAR_QUERY).rows == expected
+        finally:
+            service.close()
+
+
 # -- rpc rebalance and fault injection -----------------------------------------
 
 
@@ -421,8 +515,8 @@ class TestRpcRebalance:
             assert report.bytes_shipped is not None
             shipped = sum(report.bytes_shipped)
             assert shipped > 0
-            # The elasticity claim: a migration ships the moved slots'
-            # slices, not the cluster's data — strictly less than the
+            # The elasticity claim: a migration ships the moved nodes'
+            # file maps, not the cluster's data — strictly less than the
             # bytes a naive full re-prime of the new topology would put
             # on the wire.
             snapshot = service.executor.store.snapshot()
@@ -485,7 +579,7 @@ class TestRpcRebalance:
             service.close()
 
     def test_killed_survivor_recovers_mid_migration(self, university):
-        """A survivor whose worker died before its PrimeSlots delta is
+        """A survivor whose worker died before its PrimeNodes delta is
         respawned, re-primed and retried — the migration completes with
         correct answers instead of hanging or corrupting state."""
         service = sharded_service(university, shard_transport="rpc", shards=2)
@@ -527,7 +621,7 @@ class TestRpcRebalance:
             snapshot = partition_graph(university, NUM_NODES).snapshot()
             client.request(Prime(snapshot))
             base = client.request(Stats())
-            delta = PrimeSlots(
+            delta = PrimeNodes(
                 adds={}, drops=(0,), token=(snapshot.token[0], 999)
             )
             assert client.request(delta) == OkReply(delta.token)
@@ -549,7 +643,7 @@ class TestRpcRebalance:
         try:
             with pytest.raises(WorkerStateError, match="no resident snapshot"):
                 client.request(
-                    PrimeSlots(adds={}, drops=(), token=(1, 1))
+                    PrimeNodes(adds={}, drops=(), token=(1, 1))
                 )
         finally:
             client.close()
@@ -579,7 +673,7 @@ class TestRpcRebalance:
         under the current table (pickle wire: a codec reseed must not
         straddle an in-flight columnar frame, so that path quiesces at
         the service layer instead)."""
-        store = shard_graph(university, NUM_NODES, 2, slots=NUM_NODES)
+        store = shard_graph(university, NUM_NODES, 2)
         executor = ShardedPlanExecutor(
             store, transport="rpc", wire_format="pickle"
         )

@@ -14,9 +14,11 @@ block and row endpoints mix).
 
 from __future__ import annotations
 
+import gc
 import pickle
 import threading
 import time
+import weakref
 from dataclasses import replace as dataclass_replace
 
 import pytest
@@ -41,6 +43,7 @@ from repro.cluster.rpc import (
     Stats,
     StatsReply,
     WorkerStateError,
+    _Waiter,
 )
 from repro.columnar.block import HAVE_NUMPY
 from repro.core.algorithm import cliquesquare
@@ -135,7 +138,7 @@ class TestProtocolFrames:
                 tasks_run=17, levels_run=4, primes=1,
                 bytes_received=1024, backend="serial", warnings=("w",),
                 pipeline=4, inflight=2, queue_depth=1, peak_inflight=3,
-                batches=5, deduped=1,
+                batches=5,
             ),
             Shutdown(),
             OkReply(value=("k1", ())),
@@ -275,23 +278,59 @@ class TestWorkerLifecycle:
             )
 
     def test_duplicate_request_id_is_idempotent(self, client):
-        """A retried execute frame (same request id) is answered from
-        the worker's dedup cache, never run twice — what makes the
-        respawn-retry path safe for levels with side effects."""
+        """A duplicated execute frame (same request id) is harmless by
+        construction: workers are stateless between levels, so it runs
+        twice, the waiter is resolved exactly once (the reader drops the
+        reply no waiter owns), and the connection serves on."""
+
+        class CountingWaiter(_Waiter):
+            resolved = 0
+
+            def resolve(self, value):
+                self.resolved += 1
+                super().resolve(value)
+
         base = client.request(Stats())
+        waiter = CountingWaiter()
+        with client._waiters_lock:
+            client._waiters[777] = waiter
         frame = pickle.dumps(
             Request(777, ExecuteLevel(level=0, phase="reduce", tasks=()))
         )
-        client.conn.send_bytes(frame)  # raw: reply has no waiter, dropped
-        stats = self._poll_stats(
-            client, lambda s: s.levels_run == base.levels_run + 1
-        )
-        assert stats.levels_run == base.levels_run + 1
-        # The retry: identical request id, answered without re-running.
         client.conn.send_bytes(frame)
-        stats = self._poll_stats(client, lambda s: s.deduped >= 1)
-        assert stats.deduped == 1
-        assert stats.levels_run == base.levels_run + 1
+        client.conn.send_bytes(frame)
+        assert waiter.wait().results == []
+        stats = self._poll_stats(
+            client, lambda s: s.levels_run == base.levels_run + 2
+        )
+        assert stats.levels_run == base.levels_run + 2
+        # Stats answered after both replies: the second found no waiter.
+        assert waiter.resolved == 1
+        level = ExecuteLevel(level=0, phase="reduce", tasks=())
+        assert client.request(level).results == []
+
+    def test_dead_reader_leaves_no_cycle(self, university):
+        """A client whose reader died on a transport error is freed by
+        refcount at close + last reference: the terminal error is kept
+        as text, not as an exception whose traceback frames hold the
+        client (client -> exception -> traceback -> frame -> client)."""
+        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES)
+        client.start()
+        reader = client._reader
+        gc.collect()
+        gc.disable()
+        try:
+            client.process.kill()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+            with pytest.raises(ConnectionError, match="connection lost"):
+                client.request(Stats())
+            client.close(kill=True)
+            ref = weakref.ref(client)
+            del client, reader
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @staticmethod
     def _poll_stats(client, done, timeout=10.0):

@@ -29,7 +29,7 @@ from repro.cluster.rpc import (
     ExecuteLevel,
     OkReply,
     Prime,
-    PrimeSlots,
+    PrimeNodes,
     Reply,
     Request,
     ResultsReply,
@@ -116,7 +116,7 @@ def _level():
 #: rule parses these keys, so they must stay literal strings.
 FRAME_EXAMPLES = {
     "Prime": lambda: Prime(snapshot=_snapshot(), epoch=3),
-    "PrimeSlots": lambda: PrimeSlots(
+    "PrimeNodes": lambda: PrimeNodes(
         # A moved-in node's file map plus a moved-out node: the round
         # trip must preserve both sides of a migration delta.
         adds={1: dict(_snapshot().files[1])},
