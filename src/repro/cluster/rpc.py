@@ -111,10 +111,10 @@ DEFAULT_MAX_FRAME_BYTES = 128 * 1024 * 1024
 #: Seconds to wait for a spawned worker to report its listening address.
 DEFAULT_SPAWN_TIMEOUT = 60.0
 
-#: Per-task spans a traced :class:`ExecuteLevel` ships back per level;
-#: further tasks are summarized by a ``task_spans_dropped`` attribute on
-#: the execute span (levels can hold many tasks and span records travel
-#: over the wire).
+#: Task spans a traced :class:`ExecuteLevel` ships back per level — one
+#: per task group on the columnar backend, per task on serial; further
+#: ones are summarized by a ``task_spans_dropped`` attribute on the
+#: execute span (span records travel over the wire).
 MAX_TASK_SPANS = 16
 
 
@@ -599,11 +599,11 @@ class _WorkerState:
             execute_ix = acc.record(
                 "execute", start, time.perf_counter(), tasks=len(invocations)
             )
-            # Ship at most a handful of per-task spans: serial/columnar
-            # backends report them; a level can hold many tasks and the
-            # records travel back over the wire.
-            for task_ix, (t0, t1) in enumerate(tasks[:MAX_TASK_SPANS]):
-                acc.record("task", t0, t1, parent=execute_ix, index=task_ix)
+            # Ship at most a handful of task spans: the serial backend
+            # reports one per task, the columnar one per task group (of
+            # ``tasks=k``); the records travel back over the wire.
+            for task_ix, (t0, t1, k) in enumerate(tasks[:MAX_TASK_SPANS]):
+                acc.record("task", t0, t1, parent=execute_ix, index=task_ix, tasks=k)
             if len(tasks) > MAX_TASK_SPANS:
                 acc.records[execute_ix][4]["task_spans_dropped"] = (
                     len(tasks) - MAX_TASK_SPANS
@@ -628,12 +628,16 @@ class _WorkerState:
                 store=self.snapshot,
                 hdfs=HDFS(num_nodes=self.num_nodes, files=dict(msg.inputs)),
             )
-            invocations = [TaskInvocation(spec) for spec in msg.tasks]
+            invocations = [
+                TaskInvocation(spec, (), spec.node, "map", msg.level)
+                for spec in msg.tasks
+            ]
         elif msg.phase == "reduce":
             ctx = TaskContext(num_nodes=self.num_nodes, store=self.snapshot)
+            nodes = self.num_nodes
             invocations = [
-                TaskInvocation(spec, (partition, grouped))
-                for spec, partition, grouped in msg.tasks
+                TaskInvocation(spec, (part, grouped), part % nodes, "reduce", msg.level)
+                for spec, part, grouped in msg.tasks
             ]
         else:
             raise RpcProtocolError(f"unknown ExecuteLevel phase {msg.phase!r}")

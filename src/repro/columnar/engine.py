@@ -1,34 +1,43 @@
-"""Columnar evaluation of the physical task specs.
+"""Columnar evaluation of the physical task specs, one task group per
+kernel pass.
 
 Mirrors :mod:`repro.physical.executor`'s ``eval_chain`` and the three
-spec ``run`` methods line for line, but every intermediate relation is
-a :class:`ColumnBlock` and every comparison happens on term ids.
-Nothing decodes at the spec boundary: a task's shuffle emits, direct
-output and reduce output are blocks carrying the state's dictionary —
-chunks, to the engine — and the next task over the same dictionary
-(a map shuffler, a reducer, on this shard or another in-process one)
-concatenates their id columns.  Terms reappear once, when
-``PlanExecutor.execute_prepared`` reads the answer.  A shard worker's
-inputs are such blocks too: its end of the rpc codec unpacks frames
-straight into this dictionary.  A chunk that is not a block over this
-dictionary (a tuple backend's output, rows the wire could not pack, a
-foreign dictionary's block) is iterated as rows and encoded — the
-correct, slower path.
+spec ``run`` methods over a *task group*: the invocations of a batch
+whose specs are equal but for ``node`` (a chain's per-node map tasks),
+or that share one reduce spec (:func:`task_group`).  A group is
+evaluated over a leading reserved attribute, :data:`GROUP` — the int64
+index of the row's invocation within the group — that is a key
+everywhere: a scan concatenates the group's nodes, star joins and
+projections key on it, the shuffle cuts by ``(task, partition)``.  Rows
+of different invocations never meet, so grouping is correct for any
+batch; a lone task is a group of one.  A group block stays sorted by
+task (scans and gathers concatenate in task order, the kernels keep
+their left input's row order), so per-task results are slices.
+
+Intermediate relations are blocks (:class:`ColumnBlock`) compared on
+term ids, and nothing decodes at the spec boundary: task outputs are blocks
+carrying the state's dictionary — chunks, to the engine — that the next
+task over the same dictionary (on this shard, another in-process one,
+or a worker whose rpc codec unpacks into it) concatenates.  Terms
+reappear once, when ``PlanExecutor.execute_prepared`` reads the answer;
+any other chunk is iterated as rows and encoded (correct, slower).
 
 Counter parity is structural: every counter the tuple kernels charge is
-a (multi)set cardinality — scanned triples, selected rows, join input
-and output sizes, distinct projection keys — all of which are preserved
-by dictionary encoding, so charging them from block lengths yields
-field-wise identical :class:`TaskMetrics`.
+a (multi)set cardinality that dictionary encoding preserves.  A group
+charges each invocation at exactly the points ``eval_chain`` charges a
+task, by ``np.bincount`` of the group column (or the per-node lengths a
+scan or gather already has), so every invocation's
+:class:`TaskMetrics` equals its own tuple run's field for field.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from typing import Sequence
 
 from repro.analysis.locks import checked
-from repro.columnar.block import ColumnBlock, empty_column, gather, make_column
+from repro.columnar.block import ColumnBlock, empty_column, gather, make_column, np
 from repro.columnar.kernels import (
     HashMemo,
     project_block,
@@ -51,8 +60,16 @@ from repro.physical.operators import (
 from repro.rdf.dictionary import Dictionary
 from repro.rdf.terms import is_variable
 
-#: Cached scan encodings per backend (all snapshots it serves together).
+#: The reserved group attribute: a row's invocation index within its
+#: task group.  No SPARQL variable starts with ``#``.
+GROUP = "#task"
+
+#: Encoded scans cached per backend (all snapshots it serves together),
+#: counted in node-scans: a group's scan of k nodes costs k.
 MAX_CACHED_SCANS = 512
+
+# Rows of a group's counter table, in ``TaskMetrics`` field order.
+_READ, _WRITTEN, _SHUFFLED, _CHECKS, _JOIN = range(5)
 
 
 class ColumnarState:
@@ -76,6 +93,7 @@ class ColumnarState:
         self.dictionary = Dictionary()
         self.memo = HashMemo(self.dictionary)
         self._scan_cache: dict[tuple, tuple] = {}  # guarded-by: lock
+        self._cached_node_scans = 0  # guarded-by: lock
 
     def encode_rows(self, attrs, rows) -> ColumnBlock:
         """The ``to_blocks`` seam: encode term-tuple rows (thread-safe)."""
@@ -83,29 +101,37 @@ class ColumnarState:
             return ColumnBlock.from_rows(attrs, rows, self.dictionary)
 
     def cached_scan(self, key: tuple) -> tuple | None:
-        """The cached columns of a scan (touched: now youngest), if any."""
+        """The cached ``(columns, lengths)`` of a group scan (touched:
+        now youngest), if any."""
         with self.lock:
             cache = self._scan_cache
-            columns = cache.pop(key, None)
-            if columns is not None:
-                cache[key] = columns
-        return columns
+            entry = cache.pop(key, None)
+            if entry is not None:
+                cache[key] = entry
+        return entry
 
-    def scan_columns(self, key: tuple, triples) -> tuple:
-        """The (s, p, o) id columns of one scan, encoded once and cached
-        (least recently used evicted first)."""
+    def scan_columns(self, key: tuple, scans: Sequence[Sequence]) -> tuple:
+        """``(columns, lengths)`` of one group scan: the (s, p, o) id
+        columns of *scans* — one triple list per node — end to end, and
+        each node's triple count.  Encoded once and cached; the least
+        recently used entries are evicted until the node-scans held fit
+        :data:`MAX_CACHED_SCANS`."""
         with self.lock:
             cache = self._scan_cache
-            columns = cache.pop(key, None)
-            if columns is None:
+            entry = cache.pop(key, None)
+            if entry is None:
                 encode = self.dictionary.encode_many
+                triples = [triple for node_triples in scans for triple in node_triples]
                 columns = tuple(
                     make_column(encode(terms)) for terms in zip(*triples)
                 ) or tuple(empty_column() for _ in range(3))
-                if len(cache) >= MAX_CACHED_SCANS:
-                    del cache[next(iter(cache))]
-            cache[key] = columns  # (re)inserted at the young end
-        return columns
+                entry = (columns, make_column(map(len, scans)))
+                self._cached_node_scans += len(scans)
+                while cache and self._cached_node_scans > MAX_CACHED_SCANS:
+                    _columns, lengths = cache.pop(next(iter(cache)))
+                    self._cached_node_scans -= len(lengths)
+            cache[key] = entry  # (re)inserted at the young end
+        return entry
 
 
 # -- chain evaluation ---------------------------------------------------------
@@ -135,134 +161,231 @@ def _scan_shape(op: MapScan) -> tuple:
     )
 
 
+def _per_task(block: ColumnBlock, tasks: int):
+    """Rows per task of a group block (its group column leads)."""
+    return np.bincount(block.columns[0], minlength=tasks)
+
+
 def eval_chain_block(
     op: PhysicalOperator,
-    node: int,
+    nodes: tuple[int, ...],
     ctx: TaskContext,
-    metrics: TaskMetrics,
+    counts,
     state: ColumnarState,
 ) -> ColumnBlock:
-    """Columnar twin of ``executor.eval_chain`` (same operators, same
-    counter charges, blocks instead of relations)."""
+    """Columnar twin of ``executor.eval_chain`` over a task group: task
+    ``i`` reads node ``nodes[i]`` and is charged in ``counts[:, i]``
+    (same operators, same counter charges; one block led by the
+    :data:`GROUP` column instead of a relation per task)."""
+    tasks = len(nodes)
     if isinstance(op, MapScan):
         attrs, prop, type_object, constants, var_positions = _scan_shape(op)
         store = ctx.store
-        key = (store.token, node, op.placement, prop, type_object)
-        columns = state.cached_scan(key)
-        if columns is None:
-            columns = state.scan_columns(
-                key, store.scan(node, op.placement, prop, type_object)
+        key = (store.token, nodes, op.placement, prop, type_object)
+        entry = state.cached_scan(key)
+        if entry is None:
+            entry = state.scan_columns(
+                key,
+                [store.scan(node, op.placement, prop, type_object) for node in nodes],
             )
-        metrics.tuples_read += len(columns[0])
+        columns, lengths = entry
+        counts[_READ] += lengths
+        group = np.repeat(np.arange(tasks), lengths)
         # The pattern's constraints in id space: constants pin a column
         # to one id (or to nothing, when the dictionary has never seen
         # the constant — every term of this scan was encoded, so
         # "unseen" means "matches no triple here"); repeated variables
-        # require their columns to agree.
+        # require their columns to agree.  The group column rides along
+        # as position 3 (a variable-free pattern binds it alone).
         lookup = state.dictionary.lookup
         const_checks = [(pos, lookup(term)) for pos, term in constants]
-        if not attrs:
-            # A variable-free pattern binds nothing: one empty row per
-            # matching triple, counted on the subject column.
-            (matched,) = select_bind(columns, const_checks, ((0,),))
-            return ColumnBlock((), (), state.dictionary, len(matched))
-        selected = select_bind(columns, const_checks, var_positions)
-        return ColumnBlock(attrs, selected, state.dictionary)
+        selected = select_bind(
+            columns + (group,), const_checks, ((3,),) + var_positions
+        )
+        return ColumnBlock((GROUP,) + attrs, selected, state.dictionary)
     if isinstance(op, Filter):
-        before = metrics.tuples_read
-        child = eval_chain_block(op.child, node, ctx, metrics, state)
-        metrics.checks += metrics.tuples_read - before
+        before = counts[_READ].copy()
+        child = eval_chain_block(op.child, nodes, ctx, counts, state)
+        counts[_CHECKS] += counts[_READ] - before
         return child
     if isinstance(op, MapJoin):
-        inputs = [
-            eval_chain_block(c, node, ctx, metrics, state) for c in op.inputs
-        ]
-        output = star_join_blocks(inputs, on=op.on)
-        metrics.join_tuples += sum(len(b) for b in inputs) + len(output)
-        metrics.tuples_written += len(output)
+        inputs = [eval_chain_block(c, nodes, ctx, counts, state) for c in op.inputs]
+        output = star_join_blocks(inputs, on=(GROUP,) + op.on)
+        written = _per_task(output, tasks)
+        counts[_JOIN] += sum(_per_task(b, tasks) for b in inputs) + written
+        counts[_WRITTEN] += written
         return output
     if isinstance(op, MapShuffler):
         relation = ctx.hdfs.read(op.source)
+        partitions = [relation.partitions[node] for node in nodes]
         block = gather(
             relation.attrs,
-            chunks_of(relation.partitions[node]),
+            [chunk for part in partitions for chunk in chunks_of(part)],
             state.dictionary,
             state.encode_rows,
         )
-        metrics.tuples_read += len(block)
-        metrics.tuples_written += len(block)
-        return block
+        lengths = make_column(map(len, partitions))
+        counts[_READ] += lengths
+        counts[_WRITTEN] += lengths
+        return ColumnBlock(
+            (GROUP,) + block.attrs,
+            (np.repeat(np.arange(tasks), lengths),) + block.columns,
+            state.dictionary,
+        )
     if isinstance(op, PhysProject):
-        child = eval_chain_block(op.child, node, ctx, metrics, state)
-        metrics.checks += len(child)
-        return project_block(child, op.on)
+        child = eval_chain_block(op.child, nodes, ctx, counts, state)
+        counts[_CHECKS] += _per_task(child, tasks)
+        return project_block(child, (GROUP,) + op.on)
     raise TypeError(f"not a map-side operator: {type(op)!r}")
 
 
-# -- spec evaluation ----------------------------------------------------------
+# -- group evaluation ---------------------------------------------------------
 
 
-def run_chain_map(spec: ChainMapSpec, ctx: TaskContext, state: ColumnarState):
-    metrics = TaskMetrics()
-    block = eval_chain_block(spec.chain, spec.node, ctx, metrics, state)
+def task_group(spec) -> object:
+    """The key of the task group an invocation of *spec* joins: plan
+    map specs equal but for ``node``, or one reduce spec (its
+    invocations differ in ``(partition, grouped)`` only); any other
+    spec runs alone."""
+    if isinstance(spec, ChainMapSpec):
+        return (ChainMapSpec, spec.chain, spec.tag, spec.key_attrs, spec.num_reducers)
+    if isinstance(spec, MapOnlySpec):
+        return (MapOnlySpec, spec.chain, spec.project)
+    if isinstance(spec, StarReduceSpec):
+        return spec
+    return object()
+
+
+def _metrics(counts) -> list[TaskMetrics]:
+    return [TaskMetrics(*column) for column in counts.T.tolist()]
+
+
+def _by_task(block: ColumnBlock, sizes) -> list[ColumnBlock]:
+    """A group block without its group column, cut into *sizes* rows per task."""
+    columns = block.columns[1:]
+    rest = ColumnBlock(
+        block.attrs[1:], columns, block.dictionary, 0 if columns else len(block)
+    )
+    out, start = [], 0
+    for end in np.cumsum(sizes).tolist():
+        out.append(rest[start:end])
+        start = end
+    return out
+
+
+def _eval_group(specs: Sequence, ctx: TaskContext, state: ColumnarState):
+    """A map group's chain block and its (fresh) counter table."""
+    counts = np.zeros((5, len(specs)), dtype=np.int64)
+    nodes = tuple(spec.node for spec in specs)
+    return eval_chain_block(specs[0].chain, nodes, ctx, counts, state), counts
+
+
+def run_chain_map(
+    specs: Sequence[ChainMapSpec], ctx: TaskContext, state: ColumnarState
+) -> list:
+    """One chain-map group: per task, ``(shuffle, (), metrics)``."""
+    spec, tasks = specs[0], len(specs)
+    block, counts = _eval_group(specs, ctx, state)
     if not isinstance(spec.chain, (MapJoin, MapShuffler)):
-        metrics.tuples_written += len(block)
+        counts[_WRITTEN] += _per_task(block, tasks)
+    rows = ColumnBlock(block.attrs[1:], block.columns[1:], block.dictionary)
+    splits = split_partitions(
+        rows, spec.key_attrs, spec.num_reducers, state.memo, block.columns[0], tasks
+    )
     tag = spec.tag
-    shuffle = [
-        (partition, tag, part)
-        for partition, part in split_partitions(
-            block, spec.key_attrs, spec.num_reducers, state.memo
-        )
+    return [
+        ([(partition, tag, part) for partition, part in pairs], (), metrics)
+        for pairs, metrics in zip(splits, _metrics(counts))
     ]
-    return shuffle, (), metrics
 
 
-def run_map_only(spec: MapOnlySpec, ctx: TaskContext, state: ColumnarState):
-    metrics = TaskMetrics()
-    block = eval_chain_block(spec.chain, spec.node, ctx, metrics, state)
+def run_map_only(
+    specs: Sequence[MapOnlySpec], ctx: TaskContext, state: ColumnarState
+) -> list:
+    """One map-only group: per task, ``([], output, metrics)``."""
+    spec, tasks = specs[0], len(specs)
+    block, counts = _eval_group(specs, ctx, state)
     if spec.project is not None:
-        metrics.checks += len(block)
-        block = project_block(block, spec.project)
-    metrics.tuples_written += len(block)
-    return [], block, metrics
+        counts[_CHECKS] += _per_task(block, tasks)
+        block = project_block(block, (GROUP,) + spec.project)
+    sizes = _per_task(block, tasks)
+    counts[_WRITTEN] += sizes
+    return [
+        ([], output, metrics)
+        for output, metrics in zip(_by_task(block, sizes), _metrics(counts))
+    ]
 
 
 def run_star_reduce(
     spec: StarReduceSpec,
+    calls: Sequence[tuple],
     ctx: TaskContext,
-    partition: int,
-    grouped: dict,
     state: ColumnarState,
-):
-    metrics = TaskMetrics()
+) -> list:
+    """One star-reduce group, *calls* its tasks' ``(partition,
+    grouped)``: per task, ``(output, metrics)``.  A task joins only when
+    every one of its tags has rows (the ``live`` mask)."""
+    tasks = len(calls)
+    counts = np.zeros((5, tasks), dtype=np.int64)
+    task_ids = np.arange(tasks)
+    live = np.ones(tasks, dtype=bool)
     inputs = []
     for tag, attrs in enumerate(spec.child_attrs):
+        per_task = [grouped.get(tag, ()) for _partition, grouped in calls]
         block = gather(
-            attrs, grouped.get(tag, ()), state.dictionary, state.encode_rows
+            attrs,
+            [chunk for chunks in per_task for chunk in chunks],
+            state.dictionary,
+            state.encode_rows,
         )
-        metrics.tuples_shuffled += len(block)
-        metrics.tuples_read += len(block)
-        inputs.append(block)
-    output: ColumnBlock | tuple = ()
-    if all(len(b) for b in inputs):
-        output = star_join_blocks(inputs, on=spec.on)
-        metrics.join_tuples += sum(len(b) for b in inputs) + len(output)
-        if spec.project is not None:
-            metrics.checks += len(output)
-            output = project_block(output, spec.project)
-    metrics.tuples_written += len(output)
-    return output, metrics
+        sizes = make_column(sum(map(len, chunks)) for chunks in per_task)
+        counts[_SHUFFLED] += sizes
+        counts[_READ] += sizes
+        live &= sizes > 0
+        inputs.append(
+            ColumnBlock(
+                (GROUP,) + block.attrs,
+                (np.repeat(task_ids, sizes),) + block.columns,
+                state.dictionary,
+            )
+        )
+    if not live.any():
+        return [((), metrics) for metrics in _metrics(counts)]
+    if not live.all():
+        keep = [live[b.columns[0]] for b in inputs]
+        inputs = [
+            ColumnBlock(b.attrs, tuple(col[rows] for col in b.columns), b.dictionary)
+            for b, rows in zip(inputs, keep)
+        ]
+    output = star_join_blocks(inputs, on=(GROUP,) + spec.on)
+    sizes = _per_task(output, tasks)
+    # A live task's join input is every row it read.
+    counts[_JOIN] += counts[_READ] * live + sizes
+    if spec.project is not None:
+        counts[_CHECKS] += sizes
+        output = project_block(output, (GROUP,) + spec.project)
+        sizes = _per_task(output, tasks)
+    counts[_WRITTEN] += sizes
+    return [
+        (block if joined else (), metrics)
+        for block, joined, metrics in zip(
+            _by_task(output, sizes), live.tolist(), _metrics(counts)
+        )
+    ]
 
 
-def run_invocation(spec, args: tuple, ctx: TaskContext, state: ColumnarState):
-    """Evaluate one task invocation, columnar where the spec is one of
-    the three plan specs, falling back to the spec's own tuple ``run``
-    for anything else (closure-style jobs, test doubles)."""
+def run_invocations(
+    invocations: Sequence, ctx: TaskContext, state: ColumnarState
+) -> list:
+    """Evaluate one task group (invocations sharing a :func:`task_group`
+    key), results in invocation order: columnar where the spec is one of
+    the three plan specs, each invocation's own tuple ``run`` for
+    anything else (closure-style jobs, test doubles)."""
+    spec = invocations[0].spec
     if isinstance(spec, ChainMapSpec):
-        return run_chain_map(spec, ctx, state)
+        return run_chain_map([inv.spec for inv in invocations], ctx, state)
     if isinstance(spec, MapOnlySpec):
-        return run_map_only(spec, ctx, state)
+        return run_map_only([inv.spec for inv in invocations], ctx, state)
     if isinstance(spec, StarReduceSpec):
-        partition, grouped = args
-        return run_star_reduce(spec, ctx, partition, grouped, state)
-    return spec.run(ctx, *args)
+        return run_star_reduce(spec, [inv.args for inv in invocations], ctx, state)
+    return [inv.spec.run(ctx, *inv.args) for inv in invocations]

@@ -13,9 +13,9 @@ python loop over rows or keys:
   pack into one int64 code per row, one side is sorted, the other
   probes it with ``searchsorted``, and the matching runs expand by
   run length.  Output row *multisets* are identical to the tuple
-  kernel; row order is not guaranteed (and, as the process backend
-  already proves, nothing downstream depends on it — answers are sets
-  and every counter is a multiset cardinality);
+  kernel; rows follow the first input's order, not the tuple kernel's
+  (the columnar engine's task groups rely on the former, nothing relies
+  on the latter — answers are sets, counters multiset cardinalities);
 * **projection** — column slicing plus first-seen de-duplication on the
   packed codes (``np.unique``), matching ``Relation.project``;
 * **shuffle** — the composable form of ``stable_hash``: per term id the
@@ -23,9 +23,10 @@ python loop over rows or keys:
   indexed arrays, so a block's partitions are two gathers and four
   arithmetic ops per key column, yet every row lands on exactly the
   reducer the tuple engine picks; :func:`split_partitions` then cuts
-  the block into one sub-block per reducer with a stable ``argsort`` of
-  the partition vector and ``bincount`` slice bounds (views of one
-  permuted array per column, no per-row work).
+  the block into one sub-block per (task, reducer) with a stable
+  ``argsort`` of the combined ``task * reducers + partition`` vector
+  and ``bincount`` slice bounds (views of one permuted array per
+  column, no per-row work).
 
 Output blocks carry their inputs' dictionary along.
 
@@ -278,32 +279,33 @@ def split_partitions(
     key_attrs: Sequence[str],
     num_reducers: int,
     memo: HashMemo,
-) -> list[tuple[int, ColumnBlock]]:
-    """*block* cut into ``(partition, sub-block)`` pairs, one per reducer
-    that gets rows: a row goes where :func:`shuffle_partitions` sends
-    it, and rows of one partition keep their order."""
+    group=None,
+    tasks: int = 1,
+) -> list[list[tuple[int, ColumnBlock]]]:
+    """Per task (*group* gives each row's, None: all task 0's), the
+    ``(partition, sub-block)`` pairs of the reducers that get its rows:
+    a row goes where :func:`shuffle_partitions` sends it, and rows of
+    one task and partition keep their order."""
+    out: list[list[tuple[int, ColumnBlock]]] = [[] for _ in range(tasks)]
     if not len(block):
-        return []
+        return out
     hashes = memo.hash_columns([block.column(a) for a in key_attrs])
-    partitions = hashes % num_reducers
-    counts = np.bincount(partitions, minlength=num_reducers).tolist()
-    if max(counts) == len(block):
-        return [(counts.index(len(block)), block)]
-    order = partitions.argsort(kind="stable")
+    cells = hashes % num_reducers
+    if group is not None:
+        cells += group * num_reducers
+    counts = np.bincount(cells, minlength=tasks * num_reducers)
+    filled = np.flatnonzero(counts)
+    if len(filled) == 1:
+        task, partition = divmod(int(filled[0]), num_reducers)
+        out[task].append((partition, block))
+        return out
+    order = cells.argsort(kind="stable")
     columns = [col[order] for col in block.columns]
     attrs, dictionary = block.attrs, block.dictionary
-    out = []
     start = 0
-    for partition, count in enumerate(counts):
-        if count:
-            end = start + count
-            out.append(
-                (
-                    partition,
-                    ColumnBlock(
-                        attrs, tuple([col[start:end] for col in columns]), dictionary
-                    ),
-                )
-            )
-            start = end
+    for cell, end in zip(filled.tolist(), np.cumsum(counts[filled]).tolist()):
+        task, partition = divmod(cell, num_reducers)
+        sub = ColumnBlock(attrs, tuple([col[start:end] for col in columns]), dictionary)
+        out[task].append((partition, sub))
+        start = end
     return out

@@ -49,7 +49,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.locks import checked
 from repro.columnar.block import HAVE_NUMPY
@@ -79,7 +79,10 @@ class TaskInvocation:
     where the task sits in the schedule; inline and pool backends ignore
     them, a dispatching backend (the shard router) routes by ``node``
     and sends one frame per ``phase`` of a ``level`` (the spec itself
-    travels: a task is never named to a remote worker).
+    travels: a task is never named to a remote worker, which rebuilds
+    the invocation with these same fields).  The columnar backend runs
+    invocations whose specs differ only in ``node`` (or a reduce's
+    ``args``) as one task group.
     """
 
     spec: TaskSpec
@@ -137,8 +140,9 @@ class ExecutionBackend(ABC):
 
 # -- per-task timing hook (observability) --------------------------------------
 #
-# The inline backends (serial, columnar) optionally report per-task
-# (start, end) perf_counter pairs to a caller that wrapped the run in
+# The inline backends (serial, columnar) optionally report (start, end,
+# tasks) perf_counter instants — one per task on serial, one per task
+# group on columnar — to a caller that wrapped the run in
 # ``task_timing()``.  The hook is a plain thread-local consulted once
 # per run (not per task), so the untimed path costs one getattr.
 
@@ -146,7 +150,8 @@ _task_hook = threading.local()
 
 
 class task_timing:
-    """Collect per-task ``(start, end)`` instants from an inline backend.
+    """Collect ``(start, end, tasks)`` instants from an inline backend,
+    one per task group it ran (a task alone is a group of one).
 
     ``with task_timing() as spans: backend.run(...)`` — *spans* is a
     list the backend appends to while the context is active.  Pool
@@ -157,7 +162,7 @@ class task_timing:
     __slots__ = ("spans",)
 
     def __enter__(self) -> list:
-        self.spans: list[tuple[float, float]] = []
+        self.spans: list[tuple[float, float, int]] = []
         _task_hook.sink = self.spans
         return self.spans
 
@@ -167,17 +172,21 @@ class task_timing:
 
 def _run_inline(
     invocations: Sequence[TaskInvocation],
-    runner: Callable[[TaskInvocation], object],
+    groups: Iterable[Sequence[int]],
+    runner: Callable[[list[TaskInvocation]], list],
 ) -> list:
+    """Every result, in submission order, of running each group (a list
+    of positions) through ``runner(members) -> results``."""
     sink = getattr(_task_hook, "sink", None)
-    if sink is None:
-        return [runner(inv) for inv in invocations]
-    out = []
-    for inv in invocations:
-        start = time.perf_counter()
-        out.append(runner(inv))
-        sink.append((start, time.perf_counter()))
-    return out
+    results: list = [None] * len(invocations)
+    for positions in groups:
+        start = time.perf_counter() if sink is not None else 0.0
+        outs = runner([invocations[p] for p in positions])
+        for position, out in zip(positions, outs):
+            results[position] = out
+        if sink is not None:
+            sink.append((start, time.perf_counter(), len(positions)))
+    return results
 
 
 class SerialBackend(ExecutionBackend):
@@ -186,7 +195,11 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
     def run(self, invocations: Sequence[TaskInvocation], ctx: TaskContext) -> list:
-        return _run_inline(invocations, lambda inv: inv.spec.run(ctx, *inv.args))
+        return _run_inline(
+            invocations,
+            [(position,) for position in range(len(invocations))],
+            lambda members: [inv.spec.run(ctx, *inv.args) for inv in members],
+        )
 
 
 class ColumnarBackend(ExecutionBackend):
@@ -196,9 +209,11 @@ class ColumnarBackend(ExecutionBackend):
     specs (``ChainMapSpec`` / ``MapOnlySpec`` / ``StarReduceSpec``) are
     evaluated by :mod:`repro.columnar.engine` on dictionary-encoded
     :class:`~repro.columnar.block.ColumnBlock` columns instead of tuple
-    lists; any other spec falls back to its own ``run``.  Answers and
-    reports are identical to serial by the engine's counter-parity
-    contract (the conformance matrix enforces it).
+    lists, one kernel pass per *task group* (a chain's per-node map
+    tasks, a reduce spec's partitions; a lone task is a group of one);
+    any other spec falls back to its own ``run``.  Results come back
+    per invocation in submission order, answers and every task's
+    counters identical to serial (the conformance matrix enforces it).
 
     The backend owns one id space for its whole life — term dictionary,
     hash memo, and an encoded-scan cache whose keys carry the snapshot
@@ -219,12 +234,16 @@ class ColumnarBackend(ExecutionBackend):
         self.state = ColumnarState()
 
     def run(self, invocations: Sequence[TaskInvocation], ctx: TaskContext) -> list:
-        from repro.columnar.engine import run_invocation
+        from repro.columnar.engine import run_invocations, task_group
 
+        groups: dict[object, list[int]] = {}
+        for position, inv in enumerate(invocations):
+            groups.setdefault(task_group(inv.spec), []).append(position)
         state = self.state
         return _run_inline(
             invocations,
-            lambda inv: run_invocation(inv.spec, inv.args, ctx, state),
+            groups.values(),
+            lambda members: run_invocations(members, ctx, state),
         )
 
 

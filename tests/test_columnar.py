@@ -480,25 +480,29 @@ def test_shuffle_partitions_randomized_and_memo_growth():
 
 @needs_numpy
 def test_scan_cache_evicts_one_entry_not_all():
-    """The bound holds, and the insert that overflows it costs exactly
-    the least recently used entry — a hot key survives it."""
+    """The bound holds in node-scans, and the insert that overflows it
+    costs exactly the least recently used entries it must — a hot key
+    survives it."""
     state = ColumnarState()
-    triples = [("s", "p", "o")]
-    hot = state.scan_columns(("hot",), triples)
-    for i in range(MAX_CACHED_SCANS - 1):
-        state.scan_columns(("cold", i), triples)
-    assert state.scan_columns(("hot",), triples) is hot  # touched: now youngest
-    state.scan_columns(("one-too-many",), triples)  # the 513th key
-    assert len(state._scan_cache) == MAX_CACHED_SCANS
-    assert state.scan_columns(("hot",), triples) is hot
+    node = [("s", "p", "o")]
+    hot = state.scan_columns(("hot",), [node, node])  # a 2-node group scan
+    assert [len(c) for c in hot[0]] == [2, 2, 2] and hot[1].tolist() == [1, 1]
+    for i in range(MAX_CACHED_SCANS - 2):
+        state.scan_columns(("cold", i), [node])
+    assert state.scan_columns(("hot",), [node, node]) is hot  # now youngest
+    state.scan_columns(("wide",), [node, node])  # 514 node-scans: two must go
+    assert state._cached_node_scans == MAX_CACHED_SCANS
+    assert state.scan_columns(("hot",), [node, node]) is hot
     assert ("cold", 0) not in state._scan_cache
-    assert ("cold", 1) in state._scan_cache
+    assert ("cold", 1) not in state._scan_cache
+    assert ("cold", 2) in state._scan_cache
 
 
 @needs_numpy
 def test_scan_columns_of_an_empty_scan():
-    columns = ColumnarState().scan_columns(("empty",), [])
+    columns, lengths = ColumnarState().scan_columns(("empty",), [[], []])
     assert [len(c) for c in columns] == [0, 0, 0]
+    assert lengths.tolist() == [0, 0]
 
 
 @needs_numpy
@@ -519,7 +523,7 @@ def test_shared_state_under_concurrent_queries():
             terms = [f"<http://example.org/w{seed}/s{step}/t{i}>" for i in range(6)]
             relation = random_relation(rng, ("?k", "?v"), terms + TERMS, 30)
             block = state.encode_rows(relation.attrs, relation.rows)
-            state.scan_columns((seed, step % 5), [(t, "p", t) for t in terms])
+            state.scan_columns((seed, step % 5), [[(t, "p", t) for t in terms]])
             key = relation.key(("?k", "?v"))
             got = shuffle_partitions(block, ("?k", "?v"), 7, state.memo)
             if got != [stable_hash(key(row)) % 7 for row in relation.rows]:
@@ -544,40 +548,47 @@ def test_shared_state_under_concurrent_queries():
 # -- block-native dataflow: chunks from scan to answer ---------------------------
 
 
-def shuffler_ctx(attrs, rows):
-    """A one-node context whose HDFS file ``f`` holds *rows*, and the
-    map-shuffler chain that reads it."""
+def shuffler_ctx(attrs, node_rows):
+    """A context whose HDFS file ``f`` holds ``node_rows[n]`` on node
+    ``n``, and the map-shuffler chain that reads it."""
     from repro.mapreduce.hdfs import HDFS, DistributedRelation
     from repro.mapreduce.jobs import TaskContext
     from repro.physical.operators import MapShuffler
 
-    hdfs = HDFS(num_nodes=1)
-    hdfs.write("f", DistributedRelation(attrs, [list(rows)]))
+    hdfs = HDFS(num_nodes=len(node_rows))
+    hdfs.write("f", DistributedRelation(attrs, [list(rows) for rows in node_rows]))
     chain = MapShuffler(on=attrs[:1], source="f", source_attrs=attrs)
-    return TaskContext(num_nodes=1, hdfs=hdfs), chain
+    return TaskContext(num_nodes=len(node_rows), hdfs=hdfs), chain
 
 
 def assert_split_matches_chain_map(attrs, rows, key_attrs, num_reducers):
-    """The columnar partition split puts on each reducer exactly the row
-    multiset ``ChainMapSpec.run`` routes there, under equal counters."""
+    """One chain-map group of three tasks — *rows* on node 0, every
+    other one of them on node 1, read by two tasks — puts on each
+    reducer exactly the row multiset each task's ``ChainMapSpec.run``
+    routes there, under equal counters."""
     from repro.columnar.engine import run_chain_map
     from repro.physical.executor import ChainMapSpec
 
-    ctx, chain = shuffler_ctx(attrs, rows)
-    spec = ChainMapSpec(
-        chain=chain, node=0, tag=3, key_attrs=key_attrs, num_reducers=num_reducers
-    )
-    want_shuffle, want_direct, want_metrics = spec.run(ctx)
+    ctx, chain = shuffler_ctx(attrs, [rows, rows[::2]])
+    specs = [
+        ChainMapSpec(
+            chain=chain, node=node, tag=3, key_attrs=key_attrs, num_reducers=num_reducers
+        )
+        for node in (1, 0, 1)
+    ]
     state = ColumnarState()
-    got_shuffle, got_direct, got_metrics = run_chain_map(spec, ctx, state)
-    assert got_metrics == want_metrics
-    assert len(got_direct) == len(want_direct) == 0
-    assert all(tag == 3 for _p, tag, _c in got_shuffle)
-    assert all(chunk.dictionary is state.dictionary for _p, _t, chunk in got_shuffle)
-    got = {p: sorted(chunk) for p, _tag, chunk in got_shuffle}
-    assert len(got) == len(got_shuffle)  # one chunk per partition
-    assert got == {p: sorted(chunk) for p, _tag, chunk in want_shuffle}
-    assert sum(len(chunk) for _p, _t, chunk in got_shuffle) == len(rows)
+    for spec, got_result in zip(specs, run_chain_map(specs, ctx, state)):
+        want_shuffle, want_direct, want_metrics = spec.run(ctx)
+        got_shuffle, got_direct, got_metrics = got_result
+        assert got_metrics == want_metrics
+        assert len(got_direct) == len(want_direct) == 0
+        assert all(tag == 3 for _p, tag, _c in got_shuffle)
+        assert all(chunk.dictionary is state.dictionary for _p, _t, chunk in got_shuffle)
+        got = {p: sorted(chunk) for p, _tag, chunk in got_shuffle}
+        assert len(got) == len(got_shuffle)  # one chunk per partition
+        assert got == {p: sorted(chunk) for p, _tag, chunk in want_shuffle}
+        node_rows = ctx.hdfs.read("f").partitions[spec.node]
+        assert sum(len(chunk) for _p, _t, chunk in got_shuffle) == len(node_rows)
 
 
 @needs_numpy
@@ -808,16 +819,19 @@ def test_task_metrics_bit_equal_serial_vs_columnar_on_lubm(lubm_graph):
     from repro.partitioning.triple_partitioner import partition_graph
     from repro.workloads import lubm_queries
 
-    store = partition_graph(lubm_graph, 7)
     plans = [cliquesquare(q, MSC).plans[0] for q in lubm_queries.all_queries()]
-    serial = per_task_metrics(store, plans, "serial")
-    columnar = per_task_metrics(store, plans, "columnar")
-    for (rows_s, report_s, tasks_s), (rows_c, report_c, tasks_c) in zip(serial, columnar):
-        assert rows_c == rows_s
-        assert tasks_c == tasks_s  # every task, every counter
-        assert report_c.jobs == report_s.jobs
-        assert report_c.response_time == report_s.response_time
-        assert report_c.total_work == report_s.total_work
+    for num_nodes in (1, 2, 7):
+        store = partition_graph(lubm_graph, num_nodes)
+        serial = per_task_metrics(store, plans, "serial")
+        columnar = per_task_metrics(store, plans, "columnar")
+        for (rows_s, report_s, tasks_s), (rows_c, report_c, tasks_c) in zip(
+            serial, columnar
+        ):
+            assert rows_c == rows_s
+            assert tasks_c == tasks_s  # every task, every counter
+            assert report_c.jobs == report_s.jobs
+            assert report_c.response_time == report_s.response_time
+            assert report_c.total_work == report_s.total_work
 
 
 @needs_numpy
@@ -831,18 +845,216 @@ def test_task_metrics_bit_equal_serial_vs_columnar_on_shape_corpus():
     from repro.rdf.graph import RDFGraph
     from repro.sparql.parser import parse_query
 
-    store = partition_graph(RDFGraph(generators.random_graph(12)), 7)
+    graph = RDFGraph(generators.random_graph(12))
     texts = dict.fromkeys(text for _cls, text in islice(generators.shape_stream(), 64))
     plans = [
         cliquesquare(parse_query(text), MSC, max_plans=1).plans[0] for text in texts
     ]
-    serial = per_task_metrics(store, plans, "serial")
-    columnar = per_task_metrics(store, plans, "columnar")
-    assert any(rows for rows, _report, _tasks in serial)
-    for (rows_s, report_s, tasks_s), (rows_c, report_c, tasks_c) in zip(serial, columnar):
-        assert rows_c == rows_s
-        assert tasks_c == tasks_s
-        assert report_c.jobs == report_s.jobs
+    for num_nodes in (1, 2, 7):
+        store = partition_graph(graph, num_nodes)
+        serial = per_task_metrics(store, plans, "serial")
+        columnar = per_task_metrics(store, plans, "columnar")
+        assert any(rows for rows, _report, _tasks in serial)
+        for (rows_s, report_s, tasks_s), (rows_c, report_c, tasks_c) in zip(
+            serial, columnar
+        ):
+            assert rows_c == rows_s
+            assert tasks_c == tasks_s
+            assert report_c.jobs == report_s.jobs
+
+
+# -- task groups: one kernel pass per group -------------------------------------
+
+
+def comparable(result):
+    """A task result as plain data: shuffled rows per (partition, tag)
+    and output rows as sorted lists, beside the task's metrics."""
+    if len(result) == 2:  # reduce: (output, metrics)
+        output, metrics = result
+        return sorted(output), metrics
+    shuffle, direct, metrics = result
+    routed: dict = {}
+    for partition, tag, chunk in shuffle:
+        routed.setdefault((partition, tag), []).extend(chunk)
+    return {key: sorted(rows) for key, rows in routed.items()}, sorted(direct), metrics
+
+
+def assert_groups_match_single(invocations, ctx, backend):
+    """Every invocation's columnar result — inside whatever groups its
+    batch forms — equals its spec's own tuple ``run``."""
+    got = backend.run(invocations, ctx)
+    assert len(got) == len(invocations)
+    for inv, result in zip(invocations, got):
+        assert comparable(result) == comparable(inv.spec.run(ctx, *inv.args)), inv
+
+
+class GroupChecker(ExecutionBackend):
+    """The serial reference, checking on the side that a columnar
+    backend gives every task of every batch — shuffled, its first task
+    repeated — what the task gives alone."""
+
+    name = "serial"
+
+    def __init__(self, seed):
+        self.rng, self.columnar, self.batches = random.Random(seed), make_backend("columnar"), []
+
+    def run(self, invocations, ctx):
+        batch = list(invocations) + list(invocations[:1])
+        self.rng.shuffle(batch)
+        assert_groups_match_single(batch, ctx, self.columnar)
+        self.batches.append(batch)
+        return [inv.spec.run(ctx, *inv.args) for inv in invocations]
+
+
+@needs_numpy
+def test_task_groups_equal_single_tasks(lubm_graph):
+    """Shuffled batches mixing groups, two tasks on one node, nodes with
+    no data, variable-free patterns and reduce partitions with one empty
+    tag: every task's rows and counters equal its own tuple run."""
+    from repro.columnar.engine import task_group
+    from repro.core.algorithm import cliquesquare
+    from repro.core.decomposition import MSC
+    from repro.partitioning.triple_partitioner import partition_graph
+    from repro.physical.executor import PlanExecutor
+    from repro.rdf.graph import RDFGraph
+    from repro.workloads import lubm_queries
+    from tests.conformance import ground_queries
+
+    queries = lubm_queries.all_queries() + ground_queries(lubm_graph)
+    plans = [cliquesquare(q, MSC).plans[0] for q in queries]
+    sparse = RDFGraph(sorted(lubm_graph)[:40])  # most nodes hold nothing
+    batches = []
+    for graph in (lubm_graph, sparse):
+        checker = GroupChecker(seed=26)
+        executor = PlanExecutor(partition_graph(graph, 7), backend=checker)
+        for plan in plans:
+            executor.execute_prepared(executor.prepare(plan))
+        executor.close()
+        batches += checker.batches
+    assert any(len({task_group(inv.spec) for inv in b}) > 1 for b in batches)
+    tag_sizes = [
+        [sum(map(len, inv.args[1].get(t, ()))) for t in range(len(inv.spec.child_attrs))]
+        for b in batches
+        for inv in b
+        if inv.phase == "reduce"
+    ]
+    assert any(0 in sizes and any(sizes) for sizes in tag_sizes)
+
+
+def group_rows(block, task):
+    """A group block's id rows of one task, without the group column."""
+    return sorted(row[1:] for row in block.id_rows() if row[0] == task)
+
+
+@needs_numpy
+@pytest.mark.parametrize("offset", ID_OFFSETS)
+def test_group_keyed_kernels_equal_per_task_kernels(offset):
+    """Keyed on a leading group column, one star join and one projection
+    over several tasks' rows give each task exactly its own join and
+    projection — ids near 2^62 included, where the packed key codes
+    fall back to dense ranks."""
+    from repro.columnar.engine import GROUP
+
+    rng = random.Random(26 + offset % 89)
+    for _trial in range(80):
+        tasks = rng.randint(1, 4)
+        on = tuple(f"?k{i}" for i in range(rng.randint(1, 2)))
+        schemas = [on + (f"?x{i}",) for i in range(rng.randint(2, 3))]
+        per_task = [
+            [random_id_relation(rng, attrs, offset, rng.choice(SIZES)) for attrs in schemas]
+            for _ in range(tasks)
+        ]
+        grouped = [
+            ColumnBlock.from_id_rows(
+                (GROUP,) + attrs,
+                [(t,) + row for t in range(tasks) for row in per_task[t][i].rows],
+            )
+            for i, attrs in enumerate(schemas)
+        ]
+        joined = star_join_blocks(grouped, on=(GROUP,) + on)
+        keep = tuple(rng.sample(joined.attrs[1:], 2))
+        projected = project_block(joined, (GROUP,) + keep)
+        for t in range(tasks):
+            want = star_join(per_task[t], on=on)
+            assert group_rows(joined, t) == sorted(want.rows)
+            assert group_rows(projected, t) == sorted(want.project(keep).rows)
+
+
+@needs_numpy
+def test_kernel_passes_per_query_do_not_scale_with_nodes(lubm_graph, monkeypatch):
+    """A warm pass of the 14 LUBM queries makes as many star-join steps
+    and group passes at 3 nodes as at 7: a chain's per-node map tasks,
+    and a reduce's partitions, are one kernel pass."""
+    from collections import Counter
+
+    from repro.columnar import engine, kernels
+    from repro.core.algorithm import cliquesquare
+    from repro.core.decomposition import MSC
+    from repro.partitioning.triple_partitioner import partition_graph
+    from repro.physical.executor import PlanExecutor
+    from repro.workloads import lubm_queries
+
+    calls: Counter = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in (
+        (kernels, "_natural_join"),
+        (engine, "run_chain_map"),
+        (engine, "run_star_reduce"),
+        (engine, "run_map_only"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    plans = [cliquesquare(q, MSC).plans[0] for q in lubm_queries.all_queries()]
+    per_nodes = {}
+    for num_nodes in (3, 7):
+        executor = PlanExecutor(partition_graph(lubm_graph, num_nodes), backend="columnar")
+        prepared = [executor.prepare(plan) for plan in plans]
+        for plan in prepared:  # warm: scans encoded
+            executor.execute_prepared(plan)
+        calls.clear()
+        for plan in prepared:
+            executor.execute_prepared(plan)
+        per_nodes[num_nodes] = dict(calls)
+        executor.close()
+    assert per_nodes[3] == per_nodes[7]
+    assert len(per_nodes[7]) == 4  # every kernel ran
+
+
+@needs_numpy
+def test_two_backends_on_different_graphs_answer_right(lubm_graph):
+    """Two columnar backends serving interleaved queries over different
+    graphs each answer their own graph: the scan cache belongs to one
+    id space."""
+    from repro.core.algorithm import cliquesquare
+    from repro.core.decomposition import MSC
+    from repro.partitioning.triple_partitioner import partition_graph
+    from repro.physical.executor import PlanExecutor
+    from repro.rdf.graph import RDFGraph
+    from repro.workloads import lubm_queries
+
+    graphs = [lubm_graph, RDFGraph(sorted(lubm_graph)[::2])]
+    columnar = [PlanExecutor(partition_graph(g, 7), backend="columnar") for g in graphs]
+    serial = [PlanExecutor(partition_graph(g, 7)) for g in graphs]
+    differ = 0
+    for query in lubm_queries.all_queries():
+        plan = cliquesquare(query, MSC).plans[0]
+        answers = []
+        for executor, reference in zip(columnar, serial):
+            got = executor.execute_prepared(executor.prepare(plan))
+            want = reference.execute_prepared(reference.prepare(plan))
+            assert got.rows == want.rows, query.name
+            assert got.report.jobs == want.report.jobs
+            answers.append(got.rows)
+        differ += answers[0] != answers[1]
+    assert differ  # the two graphs tell the backends apart
+    for executor in columnar + serial:
+        executor.close()
 
 
 # -- property-based (hypothesis, optional) ------------------------------------
@@ -902,4 +1114,52 @@ if HAVE_HYPOTHESIS:
         if one_key and rows:  # every row on one partition
             rows = [rows[0][:key_width] + row[key_width:] for row in rows]
         assert_split_matches_chain_map(attrs, rows, attrs[:key_width], reducers)
+
+    small_term_st = st.sampled_from(["a", "b", "c", "", '"é"'])
+    pair_rows_st = st.lists(st.tuples(small_term_st, small_term_st), max_size=6)
+
+    @needs_numpy
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(small_term_st, small_term_st, small_term_st), max_size=10),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=5),
+        st.integers(min_value=1, max_value=5),
+        st.lists(st.tuples(pair_rows_st, pair_rows_st), max_size=5),
+        st.randoms(use_true_random=False),
+    )
+    def test_prop_task_groups_equal_single_tasks(node_rows, nodes, reducers, reduces, rnd):
+        """Random batches of chain-map, map-only (projecting onto some,
+        no or all attributes) and star-reduce tasks, nodes repeated or
+        empty, reduce tags empty or not, shuffled: each task's result
+        equals its own tuple run."""
+        from repro.mapreduce.backends import TaskInvocation
+        from repro.physical.executor import ChainMapSpec, MapOnlySpec, StarReduceSpec
+
+        attrs = ("?a", "?b", "?c")
+        ctx, chain = shuffler_ctx(attrs, node_rows)
+        nodes = [node % len(node_rows) for node in nodes]
+        specs = [
+            ChainMapSpec(
+                chain=chain, node=node, tag=1, key_attrs=("?b", "?a"), num_reducers=reducers
+            )
+            for node in nodes
+        ] + [
+            MapOnlySpec(chain=chain, node=node, project=project)
+            for node in nodes
+            for project in (("?c", "?a"), (), None)
+        ]
+        invocations = [TaskInvocation(spec, (), spec.node, "map", 0) for spec in specs]
+        reduce_spec = StarReduceSpec(
+            on=("?k",), child_attrs=(("?k", "?x"), ("?x", "?k")), project=("?k",)
+        )
+        invocations += [
+            TaskInvocation(reduce_spec, (p, {0: [left], 1: [right]}), p, "reduce", 0)
+            for p, (left, right) in enumerate(reduces)
+        ]
+        rnd.shuffle(invocations)
+        assert_groups_match_single(invocations, ctx, make_backend("columnar"))
 

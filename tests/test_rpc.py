@@ -49,7 +49,7 @@ from repro.columnar.block import HAVE_NUMPY
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
-from repro.mapreduce.backends import TaskInvocation
+from repro.mapreduce.backends import ExecutionBackend, TaskInvocation
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import FnReduceSpec, TaskContext
@@ -186,6 +186,69 @@ class TestProtocolFrames:
         assert isinstance(clone, ShardUnavailable)
         assert clone.shard == 3
         assert str(clone) == str(error)
+
+
+class _PlacementRecorder(ExecutionBackend):
+    """Runs batches on *inner*, keeping each task's (node, phase, level)."""
+
+    def __init__(self, inner: ExecutionBackend) -> None:
+        self.inner, self.name, self.seen = inner, inner.name, []
+
+    def run(self, invocations, ctx):
+        self.seen.extend((inv.node, inv.phase, inv.level) for inv in invocations)
+        return self.inner.run(invocations, ctx)
+
+
+class _LevelFrames(ExecutionBackend):
+    """Ships every batch to a worker's state as one ``ExecuteLevel``,
+    framed as the rpc router frames it."""
+
+    name = "serial"
+
+    def __init__(self, worker) -> None:
+        self.worker = worker
+
+    def run(self, invocations, ctx):
+        first = invocations[0]
+        if first.phase == "map":
+            names = {name for inv in invocations for name in inv.spec.hdfs_inputs()}
+            tasks = tuple(inv.spec for inv in invocations)
+            inputs = {name: ctx.hdfs.read(name) for name in sorted(names)}
+        else:
+            tasks = tuple((inv.spec, *inv.args) for inv in invocations)
+            inputs = {}
+        level = ExecuteLevel(first.level, first.phase, tasks, inputs)
+        return self.worker.execute_level(level).results
+
+
+def test_worker_tasks_keep_their_node_phase_and_level():
+    """A backend behind a shard worker sees every task where the engine
+    placed it — the (node, phase, level) multiset a backend behind the
+    in-process router sees for the same LUBM query."""
+    from repro.cluster.rpc import _WorkerState
+    from repro.mapreduce.backends import SerialBackend
+    from repro.workloads import lubm, lubm_queries
+
+    graph = lubm.generate(lubm.LUBMConfig(universities=4))
+    plan = cliquesquare(lubm_queries.query("Q8"), MSC).plans[0]  # two levels
+    inproc = _PlacementRecorder(SerialBackend())
+    executor = ShardedPlanExecutor(shard_graph(graph, NUM_NODES, 2), backend=inproc)
+    want = executor.execute_prepared(executor.prepare(plan))
+    executor.close()
+
+    store = partition_graph(graph, NUM_NODES)
+    worker = _WorkerState(0, NUM_NODES, "serial", None)
+    worker.install_snapshot(store.snapshot())
+    remote = worker.backend = _PlacementRecorder(worker.backend)
+    try:
+        executor = PlanExecutor(store, backend=_LevelFrames(worker))
+        got = executor.execute_prepared(executor.prepare(plan))
+    finally:
+        worker.close()
+    assert got.rows == want.rows and got.rows
+    assert sorted(remote.seen) == sorted(inproc.seen)
+    assert {phase for _node, phase, _level in remote.seen} == {"map", "reduce"}
+    assert len({level for _node, _phase, level in remote.seen}) > 1
 
 
 # -- worker lifecycle ----------------------------------------------------------
