@@ -11,7 +11,7 @@ Run:  python examples/lubm_benchmark.py [universities]
 import sys
 import time
 
-from repro import CSQ, CSQConfig, CostParams
+from repro import CSQ, CostParams, ServiceConfig
 from repro.systems.h2rdf import H2RDFPlus
 from repro.systems.shape import ShapeSystem
 from repro.workloads import lubm
@@ -26,7 +26,7 @@ def main() -> None:
 
     start = time.time()
     systems = [
-        CSQ(graph, CSQConfig(params=CostParams(job_overhead=400.0))),
+        CSQ(graph, ServiceConfig(params=CostParams(job_overhead=400.0))),
         ShapeSystem(graph),
         H2RDFPlus(graph),
     ]

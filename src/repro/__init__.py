@@ -111,7 +111,7 @@ from repro.sparql.canonical import (
 )
 from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import SparqlSyntaxError, parse_query
-from repro.systems.csq import CSQ, CSQConfig
+from repro.systems.csq import CSQ
 from repro.systems.h2rdf import H2RDFPlus
 from repro.systems.shape import ShapeSystem
 
@@ -122,7 +122,6 @@ __all__ = [
     "BGPQuery",
     "BoundQuery",
     "CSQ",
-    "CSQConfig",
     "CanonicalQuery",
     "CardinalityEstimator",
     "CatalogStatistics",

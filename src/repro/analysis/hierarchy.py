@@ -42,24 +42,16 @@ LOCK_RANKS: dict[str, int] = {
     "_close_lock": 30,  # client connection swap
     "_cond": 32,  # coalescer leader/pending wait
     "_serial_lock": 34,  # unpipelined request serialization
-    "_send_lock": 36,  # frame write + codec commit ordering
+    "_send_lock": 36,  # request frame write (encoding happens outside)
     "send_lock": 36,  # worker reply-write serialization (the worker's
-    #   twin of _send_lock: reply transcode + write + codec commit)
-    "WireCodec._lock": 38,  # one connection end's codec state (both wire
-    #   dictionaries, id maps, delta watermark); taken under the send
-    #   locks to encode and by the connection's reader to decode, and
-    #   held while an incoming frame's new terms grow the endpoint's own
-    #   id space (ColumnarState.lock on a worker, _ids_lock on the driver)
+    #   twin of _send_lock: the write only, replies encode outside it)
     # -- leaves -----------------------------------------------------------
     "_waiters_lock": 40,  # reply futures table
     "_counter_lock": 40,  # router per-level counters
     "_stats_lock": 40,  # worker telemetry gauges
     "_lock": 40,  # leaf utility locks (caches, backends, router pool)
-    "ColumnarState.lock": 40,  # columnar id space (dictionary growth, scan
-    #   cache); taken by map tasks and, for foreign chunks only, reducers
-    #   on the shard dispatch pool, under the store read lock — and by a
-    #   shard worker's recv thread under WireCodec._lock
-    "_ids_lock": 40,  # rpc router's driver-side id space (growth only)
+    "ColumnarState.lock": 40,  # columnar scan cache; taken by map tasks
+    #   on the shard dispatch pool, under the store read lock
     # -- observability (repro.obs; below every engine lock so spans and
     #    metrics may be recorded from any instrumented path) --------------
     "MetricsRegistry._lock": 41,  # family directory; held before children

@@ -130,7 +130,7 @@ def _lock_names_in(expr: ast.expr, aliases: dict[str, str]) -> set[str]:
     return names
 
 
-def _local_lock_aliases(fn: ast.AST) -> dict[str, str]:
+def _lock_aliases_in(fn: ast.AST) -> dict[str, str]:
     """``name -> attr`` for simple ``name = self.<attr>...`` lock aliases."""
     aliases: dict[str, str] = {}
     for node in ast.walk(fn):
@@ -263,7 +263,7 @@ def _check_locks(
         for fn in cls.body:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            aliases = _local_lock_aliases(fn)
+            aliases = _lock_aliases_in(fn)
             visitor = _LockVisitor(
                 path,
                 guards if fn.name != "__init__" else {},

@@ -149,13 +149,14 @@ def lubm_csq():
     """A CSQ deployment over the benchmark dataset (7 simulated nodes,
     Hadoop-style job overhead)."""
     from repro.cost.params import CostParams
-    from repro.systems.csq import CSQ, CSQConfig
+    from repro.service import ServiceConfig
+    from repro.systems.csq import CSQ
 
     key = ("csq", BENCH_SCALE)
     if key not in _LUBM_CACHE:
         _LUBM_CACHE[key] = CSQ(
             lubm_graph(),
-            CSQConfig(params=CostParams(job_overhead=400.0)),
+            ServiceConfig(params=CostParams(job_overhead=400.0)),
         )
     return _LUBM_CACHE[key]
 

@@ -194,12 +194,10 @@ def merge_nodes(
     """A shard snapshot after a migration delta, deterministically.
 
     *adds* maps incoming node → its file map; *drops* lists outgoing
-    nodes whose files this shard no longer owns.  Both the driver and
-    the worker apply the same delta to equal snapshots (the worker's
-    resident copy is a pickle of the driver's), iterating ``adds`` in
-    sorted order, so the two ends converge on identical file maps — a
-    requirement for the columnar wire codec, which seeds term ids from
-    snapshot iteration order on both sides.
+    nodes whose files this shard no longer owns.  The merged view keeps
+    *old*'s dictionary: on a worker that is its replica of the store's
+    numbering, which already holds every moved-in term (the driver
+    syncs it before a migration moves anything).
     """
     files = [dict(node_files) for node_files in old.files]
     for node in drops:
@@ -211,6 +209,7 @@ def merge_nodes(
         replicas=old.replicas,
         files=tuple(files),
         token=token,
+        dictionary=old.dictionary,
     )
 
 

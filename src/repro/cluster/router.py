@@ -24,11 +24,12 @@ behind that engine — the one thing a sharded deployment changes is
   partition on another shard's node cross shards in the reduce batch,
   and only there.  A map shuffler reads nothing but its own node's
   partition of an intermediate, so intermediates need no per-shard copy.
-  What crosses is the engine's chunks, untouched: in-process columnar
-  shards run on one shared backend — one id space — so a block emitted
-  on one shard is read as id columns on another; over rpc the frame
-  carries them as they are and the columnar codec re-bases a block's
-  ids from the sender's dictionary to the receiver's
+  What crosses is the engine's chunks, untouched, in the one id space
+  the store numbered every term in: in-process columnar shards compute
+  in the store's dictionary, so a block emitted on one shard is read as
+  id columns on another; over rpc every worker holds a replica of that
+  dictionary, synced to the store's at each query start, so the frame
+  carries a block's id columns as they are, translated nowhere
   (:mod:`repro.columnar.wire`).
 * **results come back in submission order**, whichever shard finishes
   first, so the engine's shuffle grouping — and with it answers and
@@ -294,8 +295,9 @@ class ShardedPlanExecutor(PlanExecutor):
       a typed :class:`~repro.cluster.rpc.ShardUnavailable` (reported
       through ``on_shard_failure``).  ``wire_format`` selects the row
       encoding of those exchanges: ``"columnar"`` (default) packs rows
-      as dictionary-encoded id buffers (:mod:`repro.columnar.wire`),
-      ``"pickle"`` keeps the original tuple-list frames.
+      as id buffers in the store's numbering
+      (:mod:`repro.columnar.wire`), ``"pickle"`` keeps the original
+      tuple-list frames.
     """
 
     def __init__(
@@ -373,8 +375,8 @@ class ShardedPlanExecutor(PlanExecutor):
         backend = self._backend_spec
         if backend in (None, "serial", "columnar"):
             # Inline backends keep no per-snapshot pool, so one instance
-            # serves every shard — and gives columnar shards one id
-            # space: a block shuffled across shards stays a block.
+            # serves every shard (and columnar shards share one scan
+            # cache; they share the store's id space regardless).
             backend = make_backend(backend)
         if isinstance(backend, ExecutionBackend):
             if store.num_shards > 1 and isinstance(backend, ProcessBackend):

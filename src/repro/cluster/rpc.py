@@ -22,13 +22,16 @@ task code with the job.  A query crosses the wire as one
 specs themselves — the very ``ChainMapSpec`` / ``MapOnlySpec`` /
 ``StarReduceSpec`` objects the engine handed the router (pickle shares
 a chain across a shard's nodes, so a LUBM query's specs weigh ~2 kB) —
-plus the exchange chunks; the worker runs them as received.  On the
-columnar wire an id block crosses as id buffers — each end's codec
-re-bases them into the dictionary that end computes in, so neither the
-driver nor a columnar worker decodes a term to move it.  Message
-frames are pickled dataclasses with an explicit size cap; oversized
-frames, unknown message types and specs that do not pickle surface as
-typed errors, never hangs.
+plus the exchange chunks; the worker runs them as received.  Both ends
+number terms as the store does: the :class:`Prime` snapshot carries
+the store's dictionary, and :meth:`RpcShardRouter.ensure_workers`
+ships a worker whose replica lags the suffix it misses (in a
+:class:`TableUpdate`), so on the columnar wire an id block crosses as
+its id buffers, translated nowhere, and neither the driver nor a
+columnar worker decodes a term to move it.  Message frames are
+pickled dataclasses with an explicit size cap; oversized frames,
+unknown message types, specs that do not pickle and ids no store
+numbered surface as typed errors, never hangs or wrong answers.
 
 The connection is **multiplexed**: every frame travels in a
 :class:`Request`/:class:`Reply` envelope carrying a request id.  The
@@ -90,7 +93,7 @@ from repro.mapreduce.backends import (
     task_timing,
 )
 from repro.columnar.block import HAVE_NUMPY
-from repro.columnar.wire import WIRE_FORMATS, ColumnarFrame, WireCodec
+from repro.columnar.wire import WIRE_FORMATS, WireCodec
 from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import TaskContext
@@ -101,7 +104,6 @@ from repro.obs.trace import (
     span,
 )
 from repro.partitioning.triple_partitioner import StoreSnapshot
-from repro.rdf.dictionary import Dictionary
 
 #: Hard cap on one pickled message frame (request or reply).  Large
 #: enough for any realistic exchange payload, small enough that a
@@ -128,7 +130,8 @@ class RpcError(RuntimeError):
 class RpcProtocolError(RpcError):
     """An undecodable frame or unknown message type reached a worker,
     or a frame could not be encoded at all (a task spec that does not
-    pickle: rejected driver-side, before a byte is sent)."""
+    pickle, a term or id the store never numbered: rejected by the
+    sending end, before a byte is sent)."""
 
 
 class FrameTooLarge(RpcError):
@@ -201,13 +204,14 @@ _TRANSPORT_ERRORS = (EOFError, OSError)
 class Prime:
     """Install (or replace) the worker's resident store snapshot.
 
+    The snapshot carries the store's dictionary, pickled as its term
+    list when the frame is: the worker's replica of the one numbering,
+    which its columnar backend computes in and the wire ships ids by.
+
     ``wire`` selects the row encoding of subsequent :class:`ExecuteLevel`
     exchanges on this connection: ``"pickle"`` (tuple lists, the
-    original format) or ``"columnar"`` (dictionary-encoded id buffers,
-    see :mod:`repro.columnar.wire`).  Both ends seed their wire
-    dictionaries from this very snapshot and start their id maps empty,
-    so priming is also the synchronization point of the columnar
-    protocol.
+    original format) or ``"columnar"`` (id buffers, see
+    :mod:`repro.columnar.wire`).
 
     ``epoch`` stamps the owner-table version this view was taken
     under; the worker adopts it as its topology epoch.
@@ -230,30 +234,37 @@ class PrimeNodes:
     of unmoved data never crosses the wire.  Idempotent: a worker whose
     resident token already equals ``token`` acknowledges without
     re-merging, so the crash-retry path cannot double-apply a delta.
-    The topology epoch flips separately (:class:`TableUpdate`), after
-    every shard holds its migrated data.
+    The merged snapshot keeps the worker's dictionary replica, which
+    the driver brought up to date before the migration.  The topology
+    epoch flips separately (:class:`TableUpdate`), after every shard
+    holds its migrated data.
     """
 
     adds: dict[int, dict[str, tuple]]
     drops: tuple[int, ...]
     token: tuple
-    wire: str = "pickle"
 
 
 @dataclass(frozen=True)
 class TableUpdate:
-    """Flip the worker's topology epoch (the owner-table version).
+    """Flip the worker's topology epoch (the owner-table version), and
+    bring its dictionary replica up to the store's.
 
     Sent to every surviving shard once a migration's data movement is
     complete; from then on the worker rejects execute frames stamped
     with another epoch (:class:`StaleEpoch`) so a rebalance can never
-    silently serve a level against the wrong ownership map.  Idempotent
-    and monotone: an epoch at or below the worker's current one is
-    acknowledged without effect, so duplicate delivery (crash-retry) is
-    harmless.
+    silently serve a level against the wrong ownership map.  ``terms``
+    are the store dictionary's entries from id ``terms_from`` on, for
+    a worker whose snapshot is current but whose replica lags.
+    Idempotent and monotone: an epoch at or below the worker's current
+    one is acknowledged without effect and terms the replica holds
+    merge as no-ops, so duplicate delivery (crash-retry) is harmless;
+    a gap or a conflicting term is a typed :class:`WorkerStateError`.
     """
 
     epoch: int
+    terms_from: int = 0
+    terms: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -298,10 +309,9 @@ class ExecuteBatch:
 
     ``items`` pairs each level with the sub-request id its reply
     demultiplexes under in the :class:`BatchReply`.  The batch shares
-    one encode/send/recv (and, columnar, one dictionary delta) across
-    its members; each member executes independently worker-side, so one
-    failing level yields a per-item :class:`ErrorReply`, never poisons
-    its neighbours.
+    one encode/send/recv across its members; each member executes
+    independently worker-side, so one failing level yields a per-item
+    :class:`ErrorReply`, never poisons its neighbours.
     """
 
     items: tuple = ()
@@ -340,8 +350,8 @@ class StatsReply:
     peak_inflight: int = 0
     #: ExecuteBatch frames served
     batches: int = 0
-    #: the worker end's :meth:`WireCodec.stats` (empty on the pickle wire)
-    wire: dict[str, int] = field(default_factory=dict)
+    #: length of the worker's replica of the store dictionary
+    terms: int = 0
 
 
 @dataclass(frozen=True)
@@ -379,7 +389,7 @@ class ErrorReply:
 class Request:
     """The envelope every driver→worker frame travels in: a connection-
     unique ``id`` the reply is matched back under, plus the message
-    itself (possibly a :class:`ColumnarFrame` wrapping it)."""
+    itself (its chunks packed, on the columnar wire)."""
 
     id: int
     msg: object
@@ -393,7 +403,7 @@ class Reply:
     oversized incoming frame), which fails every in-flight waiter.
 
     ``encode_s`` reports the worker's payload-encode time (columnar
-    transcode) for traced frames.  It lives on the envelope because a
+    packing) for traced frames.  It lives on the envelope because a
     span *inside* the payload cannot time the encoding of that same
     payload; the envelope pickle itself stays untimed (≈0 on the
     pickle wire), which is documented behaviour."""
@@ -419,7 +429,6 @@ MESSAGE_TYPES = (
     ErrorReply,
     Request,
     Reply,
-    ColumnarFrame,
 )
 
 #: The worker dispatch table (FRAME001): frames the worker main loop or
@@ -436,7 +445,6 @@ WORKER_HANDLED = (
     Stats,
     Shutdown,
     Request,
-    ColumnarFrame,
 )
 
 #: Frames only ever decoded on the driver side (replies + envelope).
@@ -469,8 +477,9 @@ def _no_delay(conn) -> None:
 
 
 class _WorkerState:
-    """Everything resident in one shard server process: the snapshot,
-    the backend that runs tasks against it, and the counters.
+    """Everything resident in one shard server process: the snapshot
+    (and with it the replica of the store's dictionary), the backend
+    that runs tasks against it, and the counters.
 
     With a dispatch pool (``pipeline > 1``) levels execute on several
     threads at once: resident-state swaps serialize behind
@@ -494,11 +503,14 @@ class _WorkerState:
             num_workers=pipeline_workers(backend, backend_workers, pipeline),
             on_fallback=self.warnings.append,
         )
-        # snapshot/wire are resident-state: swapped only under
-        # rwlock.write() (the caller's mutator path), read during level
-        # execution under rwlock.read() — the RW lock, not a mutex,
-        # because reads are long (whole levels) and concurrent.
+        # snapshot/wire are resident-state: swapped (the dictionary
+        # grown) only under rwlock.write() (the caller's mutator path),
+        # read during level execution under rwlock.read() — the RW lock,
+        # not a mutex, because reads are long (whole levels) and
+        # concurrent.
         self.snapshot: StoreSnapshot | None = None
+        #: the wire format the last Prime named
+        self.wire_format = "pickle"
         #: columnar wire codec of this connection; None = pickle wire
         self.wire: WireCodec | None = None
         #: topology epoch (owner-table version) — resident-state like
@@ -556,17 +568,9 @@ class _WorkerState:
     def token(self) -> tuple | None:
         return None if self.snapshot is None else store_token(self.snapshot)
 
-    def install_snapshot(self, snapshot: StoreSnapshot, wire: str = "pickle") -> tuple:
+    def install_snapshot(self, snapshot: StoreSnapshot) -> tuple:
         self.snapshot = snapshot
-        # Re-seed the wire codec: the driver does the same from the very
-        # snapshot object it just sent, so both ends assign identical ids
-        # to every resident term and the delta watermarks restart in sync.
-        # A columnar backend's id space is the codec's ``local``: frames
-        # unpack to blocks its tasks read as they are, and its result
-        # blocks are packed without decoding.
-        ids = getattr(self.backend, "state", None)
-        local = () if ids is None else (ids.dictionary, ids.lock)
-        self.wire = WireCodec(snapshot, *local) if wire == "columnar" else None
+        self._sync_codec()
         with self._stats_lock:
             self.primes += 1
         # Revalidate the local backend against the new snapshot token: a
@@ -576,6 +580,31 @@ class _WorkerState:
             TaskContext(num_nodes=self.num_nodes, store=snapshot)
         )
         return snapshot.token
+
+    def merge_terms(self, start: int, terms: tuple[str, ...]) -> None:
+        """Replay the store dictionary's suffix from id *start* on."""
+        if self.snapshot is None:
+            raise WorkerStateError(
+                f"shard {self.shard} has no dictionary to merge terms into"
+            )
+        try:
+            self.snapshot.dictionary.merge_entries(start, terms)
+        except ValueError as exc:
+            raise WorkerStateError(f"shard {self.shard}: {exc}") from None
+        self._sync_codec()
+
+    def _sync_codec(self) -> None:
+        """The columnar codec over the replica as the driver just synced
+        it: no id at or past the synced length ever ships."""
+        self.wire = (
+            WireCodec(
+                self.snapshot,
+                blocks=self.backend_name == "columnar",
+                limit=len(self.snapshot.dictionary),
+            )
+            if self.wire_format == "columnar"
+            else None
+        )
 
     # -- request handlers --------------------------------------------------
 
@@ -644,7 +673,7 @@ class _WorkerState:
         return invocations, ctx
 
     def stats(self) -> StatsReply:
-        wire = {} if self.wire is None else self.wire.stats()
+        terms = 0 if self.snapshot is None else len(self.snapshot.dictionary)
         with self._stats_lock:
             return StatsReply(
                 shard=self.shard,
@@ -661,7 +690,7 @@ class _WorkerState:
                 queue_depth=self.queued,
                 peak_inflight=self.peak_inflight,
                 batches=self.batches,
-                wire=wire,
+                terms=terms,
             )
 
     def close(self) -> None:
@@ -674,7 +703,8 @@ class _WorkerState:
 def _dispatch(state: _WorkerState, msg: object):
     """Map one decoded request frame to its reply (raises typed errors)."""
     if isinstance(msg, Prime):
-        token = state.install_snapshot(msg.snapshot, msg.wire)
+        state.wire_format = msg.wire
+        token = state.install_snapshot(msg.snapshot)
         state.epoch = msg.epoch
         return OkReply(token)
     if isinstance(msg, PrimeNodes):
@@ -687,8 +717,10 @@ def _dispatch(state: _WorkerState, msg: object):
             # Duplicate delivery (crash-retry): already merged.
             return OkReply(msg.token)
         merged = merge_nodes(state.snapshot, msg.adds, msg.drops, msg.token)
-        return OkReply(state.install_snapshot(merged, msg.wire))
+        return OkReply(state.install_snapshot(merged))
     if isinstance(msg, TableUpdate):
+        if msg.terms:
+            state.merge_terms(msg.terms_from, msg.terms)
         state.epoch = max(state.epoch, msg.epoch)
         return OkReply(state.epoch)
     if isinstance(msg, ExecuteLevel):
@@ -754,14 +786,13 @@ def _worker_main(
     EOF (driver died) or an unrecoverable frame error.
 
     The loop is accept-dispatch: the main thread is the connection's
-    only reader — it decodes frames in arrival order (the columnar
-    dictionary replay requires that) and hands ``ExecuteLevel`` /
-    ``ExecuteBatch`` work to a dispatch pool of up to *pipeline*
-    threads, so levels of concurrent queries overlap.  Every other
-    frame is served inline; state mutators behind the write side of the
-    state lock.  Replies carry the request id of their envelope, and
-    reply *encoding* happens under the send lock so encode order equals
-    send order — the invariant the columnar delta watermark needs.
+    only reader — it decodes frames in arrival order and hands
+    ``ExecuteLevel`` / ``ExecuteBatch`` work to a dispatch pool of up
+    to *pipeline* threads, so levels of concurrent queries overlap.
+    Every other frame is served inline; state mutators behind the write
+    side of the state lock.  Replies carry the request id of their
+    envelope and are encoded by the thread that finished them; the send
+    lock covers only the write, since nothing orders the encodings.
     """
     listener = Listener(("127.0.0.1", 0), authkey=bytes(authkey))
     try:
@@ -792,40 +823,39 @@ def _worker_main(
 
     def send_reply(rid: int, reply) -> None:
         """Columnar-encode (when applicable), envelope, cap-check and
-        send one reply (dropped when the connection is gone).  The delta
-        watermark advances only once the frame is written (an unsent
-        delta is simply re-shipped — merge_entries is idempotent, so
-        over-shipping is safe, gaps are not)."""
-        with send_lock:
-            out, commit, encode_s = reply, None, 0.0
-            if state.wire is not None and isinstance(
-                reply, (ResultsReply, BatchReply)
-            ):
-                try:
-                    t0 = time.perf_counter()
-                    out, commit = state.wire.encode_payload(reply)
-                    encode_s = time.perf_counter() - t0
-                except BaseException as exc:
-                    out, commit, encode_s = _as_error_reply(exc), None, 0.0
-            payload = _reply_payload(rid, out, encode_s)
-            if len(payload) > max_frame_bytes:
-                payload = _reply_payload(
-                    rid,
-                    ErrorReply(
-                        error=FrameTooLarge(
-                            f"reply frame of {len(payload)} bytes exceeds "
-                            f"the {max_frame_bytes}-byte cap"
-                        ),
-                        kind="FrameTooLarge",
-                    ),
+        send one reply (dropped when the connection is gone).  A reply
+        that does not encode — a term or id the store never numbered —
+        goes out as a typed protocol error instead."""
+        out, encode_s = reply, 0.0
+        wire = state.wire
+        if wire is not None and isinstance(reply, (ResultsReply, BatchReply)):
+            t0 = time.perf_counter()
+            try:
+                out = wire.encode(reply)
+                encode_s = time.perf_counter() - t0
+            except Exception as exc:
+                out = _as_error_reply(
+                    RpcProtocolError(
+                        f"shard {shard} reply does not encode: {exc!r}"
+                    )
                 )
-                commit = None
+        payload = _reply_payload(rid, out, encode_s)
+        if len(payload) > max_frame_bytes:
+            payload = _reply_payload(
+                rid,
+                ErrorReply(
+                    error=FrameTooLarge(
+                        f"reply frame of {len(payload)} bytes exceeds "
+                        f"the {max_frame_bytes}-byte cap"
+                    ),
+                    kind="FrameTooLarge",
+                ),
+            )
+        with send_lock:
             try:
                 conn.send_bytes(payload)
             except Exception:
                 return
-            if commit is not None:
-                commit()
 
     def run_item(level: ExecuteLevel, received: float, decoded: float):
         """Execute one level under the read lock; errors become typed
@@ -951,13 +981,10 @@ def _worker_main(
                         pass
                 break
             try:
-                if isinstance(msg, ColumnarFrame):
-                    if state.wire is None:
-                        raise WorkerStateError(
-                            "columnar frame received but no columnar "
-                            "Prime established a wire codec"
-                        )
-                    msg = state.wire.decode_frame(msg)
+                if state.wire is not None and isinstance(
+                    msg, (ExecuteLevel, ExecuteBatch)
+                ):
+                    msg = state.wire.decode(msg)
                 decoded = time.perf_counter()
                 if isinstance(msg, ExecuteLevel):
                     state.note_queued(1)
@@ -1065,9 +1092,10 @@ class ShardWorkerClient:
     """Driver-side handle on one shard server process.
 
     Owns the process and the authenticated socket connection, and
-    multiplexes it: requests are stamped with a connection-unique id and
-    sent under a lock held only across encode+send; a per-connection
-    reader thread matches replies back to waiters by id.  Concurrent
+    multiplexes it: requests are stamped with a connection-unique id,
+    encoded by the calling thread and written under a lock held only
+    across the write; a per-connection reader thread matches replies
+    back to waiters by id.  Concurrent
     callers therefore interleave on one socket instead of serializing
     behind a round-trip lock.  ``pipeline=0`` restores the old strictly
     serial request-response discipline (one outstanding request at a
@@ -1084,17 +1112,10 @@ class ShardWorkerClient:
         start_method: str | None = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
         pipeline: int = DEFAULT_RPC_PIPELINE,
-        local: Dictionary | None = None,
-        local_lock=None,
     ) -> None:
         self.shard = shard
         self.num_nodes = num_nodes
         self.backend = backend
-        #: the driver's id space (shared by every connection of one
-        #: router) and the lock its growth takes: the ``local`` of this
-        #: connection's codecs; None keeps the driver on the row path
-        self.local = local
-        self.local_lock = local_lock
         self.backend_workers = backend_workers
         self.max_frame_bytes = max_frame_bytes
         self.start_method = start_method
@@ -1113,15 +1134,20 @@ class ShardWorkerClient:
         )
         self.bytes_sent = 0  # guarded-by: _send_lock
         self.frames_sent = 0  # guarded-by: _send_lock
-        #: driver end of the columnar wire codec; established by the
-        #: first successful ``Prime(wire="columnar")`` on this connection
-        #: (a quiescence point: no concurrent frame straddles the swap)
+        #: driver end of the columnar wire codec, over the store's
+        #: dictionary; established by the first successful
+        #: ``Prime(wire="columnar")`` on this connection (a quiescence
+        #: point: no concurrent frame straddles it)
         self.codec: WireCodec | None = None
         #: snapshot token last primed onto this worker (driver-side view)
         self.primed_token: tuple | None = None
         #: topology epoch last stamped onto this worker (via Prime or
         #: TableUpdate); -1 = never synced
         self.primed_epoch = -1
+        #: store-dictionary length the worker's replica holds at least
+        #: (via Prime or TableUpdate), and the terms suffix syncs shipped
+        self.primed_terms = 0
+        self.terms_shipped = 0
         #: worker warnings already relayed to the router's on_warning
         self.warnings_forwarded = 0
         self._waiters: dict[int, _Waiter] = {}  # guarded-by: _waiters_lock
@@ -1247,22 +1273,11 @@ class ShardWorkerClient:
             process.join(timeout=5)
             self._reap(process)
 
-    def reseed_codec(self, snapshot: StoreSnapshot, wire: str) -> None:
-        """Seed this end's codec from the snapshot the worker was just
-        handed — the same object on both sides, so ids agree end to end
-        (and both ends' id maps restart empty)."""
-        self.codec = (
-            WireCodec(snapshot, self.local, self.local_lock)
-            if wire == "columnar"
-            else None
-        )
-
     # -- requests ----------------------------------------------------------
 
     def _read_loop(self, conn) -> None:
         """The connection's only reader: decodes replies in arrival
-        order (the columnar dictionary replay requires that) and
-        resolves the waiter the reply's id names.  A broadcast (id -1)
+        order and resolves the waiter the reply's id names.  A broadcast (id -1)
         fails every in-flight waiter but keeps reading; a transport
         error fails them and ends the loop — the next request raises a
         ConnectionError and the router's respawn path takes over."""
@@ -1274,14 +1289,11 @@ class ShardWorkerClient:
                 if not isinstance(reply, Reply):
                     continue
                 payload = reply.payload
-                if isinstance(payload, ColumnarFrame):
-                    codec = self.codec
-                    if codec is None:
-                        raise RpcProtocolError(
-                            f"shard {self.shard} sent a columnar frame "
-                            "on a pickle connection"
-                        )
-                    payload = codec.decode_frame(payload)
+                codec = self.codec
+                if codec is not None and isinstance(
+                    payload, (ResultsReply, BatchReply)
+                ):
+                    payload = codec.decode(payload)
                 if reply.id == -1:
                     error = (
                         payload.error
@@ -1309,7 +1321,7 @@ class ShardWorkerClient:
                 # The repr, not the exception: its traceback's frames
                 # hold this client, and a client -> exception ->
                 # traceback -> frame -> client cycle would leave a closed
-                # client (and its codec's dictionary) to the cycle
+                # client (and its snapshot's dictionary) to the cycle
                 # collector.
                 self._reader_dead = repr(error)
             waiters, self._waiters = dict(self._waiters), {}
@@ -1320,11 +1332,10 @@ class ShardWorkerClient:
         """One request/reply exchange; raises the typed error a worker
         replied with, or a transport error when the worker is gone.
 
-        Thread-safe: the send lock is held only across encode + send
-        (on a columnar connection ``ExecuteLevel`` / ``ExecuteBatch``
-        requests are transcoded under it — encode order equals send
-        order, which the dictionary-delta watermark protocol relies
-        on); the reply is awaited outside every lock, so concurrent
+        Thread-safe: the request is encoded (on a columnar connection
+        ``ExecuteLevel`` / ``ExecuteBatch`` chunks packed) by the
+        calling thread, the send lock is held only across the write,
+        and the reply is awaited outside every lock, so concurrent
         requests pipeline on the socket.
 
         ``on_wire`` (like ``on_bytes``) is called after a successful
@@ -1354,39 +1365,41 @@ class ShardWorkerClient:
             rid = next(self._ids)
             self._waiters[rid] = waiter
         try:
+            # Nothing is written unless the whole frame encodes, so a
+            # frame rejected here leaves the connection serving on.
+            send_msg = msg
+            codec = self.codec
+            if codec is not None and isinstance(msg, (ExecuteLevel, ExecuteBatch)):
+                try:
+                    send_msg = codec.encode(msg)
+                except Exception as exc:
+                    raise RpcProtocolError(
+                        f"{type(msg).__name__} for shard {self.shard} does "
+                        f"not encode: {exc!r}"
+                    ) from exc
+            try:
+                payload = pickle.dumps(Request(rid, send_msg))
+            except Exception as exc:
+                raise RpcProtocolError(
+                    f"{_unpicklable(msg)} does not pickle and cannot "
+                    f"cross to shard {self.shard}: {exc!r}"
+                ) from exc
+            if len(payload) > self.max_frame_bytes:
+                raise FrameTooLarge(
+                    f"{type(msg).__name__} frame of {len(payload)} "
+                    f"bytes exceeds the {self.max_frame_bytes}-byte cap"
+                )
             with self._send_lock:
                 conn = self.conn
                 if conn is None:
                     raise ConnectionError(
                         f"shard {self.shard} worker is not running"
                     )
-                send_msg, commit = msg, None
-                if self.codec is not None and isinstance(
-                    msg, (ExecuteLevel, ExecuteBatch)
-                ):
-                    send_msg, commit = self.codec.encode_payload(msg)
-                try:
-                    payload = pickle.dumps(Request(rid, send_msg))
-                except Exception as exc:
-                    # Nothing was written and the codec's delta stays
-                    # uncommitted (re-shipped with the next frame): the
-                    # connection serves on.
-                    raise RpcProtocolError(
-                        f"{_unpicklable(msg)} does not pickle and cannot "
-                        f"cross to shard {self.shard}: {exc!r}"
-                    ) from exc
-                if len(payload) > self.max_frame_bytes:
-                    raise FrameTooLarge(
-                        f"{type(msg).__name__} frame of {len(payload)} "
-                        f"bytes exceeds the {self.max_frame_bytes}-byte cap"
-                    )
                 # Stamped before the write: the write drops the
                 # interpreter lock, and getting it back can take longer
                 # than the worker takes to answer.
                 sent = time.perf_counter()
                 conn.send_bytes(payload)
-                if commit is not None:
-                    commit()
                 self.bytes_sent += len(payload)
                 self.frames_sent += 1
         except BaseException:
@@ -1395,10 +1408,15 @@ class ShardWorkerClient:
             raise
         reply = waiter.wait()
         if isinstance(msg, Prime) and not isinstance(reply, ErrorReply):
-            # The prime that seeds the worker's codec seeds ours.  Primes
-            # only happen at quiescence points (startup, mutation,
+            # The prime that gives the worker its codec gives us ours,
+            # over the dictionary the worker's replica was pickled from.
+            # Primes only happen at quiescence points (startup, mutation,
             # respawn), so no concurrent frame straddles the swap.
-            self.reseed_codec(msg.snapshot, msg.wire)
+            self.codec = (
+                WireCodec(msg.snapshot, blocks=HAVE_NUMPY)
+                if msg.wire == "columnar"
+                else None
+            )
         if on_bytes is not None:
             on_bytes(len(payload))
         if on_wire is not None:
@@ -1480,7 +1498,7 @@ def _record_level_span(
 
     * ``wire:encode`` — everything this end does until the frame is on
       the socket: finding the live client, taking the send lock, frame
-      transcode + pickle + write (and, after a worker respawn, the
+      packing + pickle + write (and, after a worker respawn, the
       attempt before);
     * the worker's shipped span records, re-anchored at the instant the
       frame was written (the only one the two clocks agree on — the
@@ -1756,14 +1774,6 @@ class RpcShardRouter(ShardRouter):
             for _ in range(num_shards)
         ]
         self._clients: list[ShardWorkerClient | None] = [None] * num_shards  # guarded-by: _shard_locks
-        #: the driver's id space: what comes back from any shard arrives
-        #: as id blocks over this one dictionary (grown by every
-        #: connection's codec, under the lock), so a block received
-        #: from one shard is re-shipped to another, and concatenated
-        #: into the answer, without touching a term.  None (no numpy)
-        #: keeps the driver on the codec's row path.
-        self._ids = Dictionary() if HAVE_NUMPY else None
-        self._ids_lock = checked(threading.Lock(), "RpcShardRouter._ids_lock")
         self._last_snapshot = None
         #: the owner table the fleet was last synchronized to (set by
         #: ensure_workers / migrate); stale-epoch re-routing consults it
@@ -1811,12 +1821,17 @@ class RpcShardRouter(ShardRouter):
         A worker is primed only when its resident snapshot token differs
         from its shard's current token — after a mutation, only the
         shards the batch actually touched receive a new snapshot.  The
-        snapshot's owner-table version rides on every ``Prime``; a worker
-        whose data is current but whose epoch lags (e.g. after a rolled
-        back migration) is re-synchronized with a cheap
-        :class:`TableUpdate` instead of a full re-prime.
+        snapshot's owner-table version and the store's dictionary ride
+        on every ``Prime``; a worker whose data is current but whose
+        epoch lags (e.g. after a rolled back migration) or whose
+        dictionary replica lags (the store numbered terms that landed on
+        other shards) is re-synchronized with a cheap
+        :class:`TableUpdate` carrying the epoch and the missing
+        dictionary suffix instead of a full re-prime.  So every worker
+        starts each query on the store's numbering.
         """
         epoch = snapshot.table.version
+        dictionary = snapshot.dictionary
         # What a respawn re-primes from: set first, so a worker found
         # dead below comes back on *this* snapshot, once.
         self._last_snapshot = snapshot
@@ -1844,9 +1859,19 @@ class RpcShardRouter(ShardRouter):
                     except _TRANSPORT_ERRORS as exc:
                         # Died under the prime: the one respawn primes.
                         self._recover(shard, f"{type(exc).__name__}: {exc}")
-                elif client.primed_epoch != epoch:
-                    self._shard_call(shard, TableUpdate(epoch=epoch))
+                elif (
+                    client.primed_epoch != epoch
+                    or client.primed_terms != len(dictionary)
+                ):
+                    start = client.primed_terms
+                    terms = dictionary.entries_from(start)
+                    self._shard_call(
+                        shard,
+                        TableUpdate(epoch=epoch, terms_from=start, terms=terms),
+                    )
                     client.primed_epoch = epoch
+                    client.primed_terms = start + len(terms)
+                    client.terms_shipped += len(terms)
 
     def _prime(
         self,
@@ -1860,11 +1885,15 @@ class RpcShardRouter(ShardRouter):
         record on the client what it now holds, and relay any warning
         the prime raised worker-side.  Callers hold the shard's lock
         and deal with transport errors themselves."""
+        # Read before the frame pickles the dictionary: the replica
+        # holds at least this much.
+        terms = len(shard_snapshot.dictionary)
         client.request(
             Prime(shard_snapshot, wire=self.wire_format, epoch=epoch), on_bytes
         )
         client.primed_token = shard_snapshot.token
         client.primed_epoch = epoch
+        client.primed_terms = terms
         self._forward_warnings(shard, client)
 
     def _forward_warnings(self, shard: int, client: ShardWorkerClient) -> None:
@@ -1956,9 +1985,8 @@ class RpcShardRouter(ShardRouter):
         Callers must quiesce queries across steps 2–5 (the service's
         store write lock does exactly that): between a survivor's delta
         in step 4 and the flip in step 5, old-epoch frames naming its
-        moved-out nodes would scan maps it already dropped, and on the
-        columnar wire the codec reseed must not straddle an in-flight
-        frame.  Queries that *start* against the old table and arrive
+        moved-out nodes would scan maps it already dropped.  Queries
+        that *start* against the old table and arrive
         after the flip are safe without quiescence: the worker rejects
         them typed (:class:`StaleEpoch`) and the driver re-routes.
         """
@@ -2028,20 +2056,12 @@ class RpcShardRouter(ShardRouter):
                         self._shard_call(
                             shard,
                             PrimeNodes(
-                                adds=adds,
-                                drops=drops,
-                                token=shard_snapshot.token,
-                                wire=self.wire_format,
+                                adds=adds, drops=drops, token=shard_snapshot.token
                             ),
                             note(shard),
                         )
                         client = self._clients[shard]
-                        # Reseed the driver's codec end from the same
-                        # post-move snapshot the worker just merged to:
-                        # identical content and iteration order on both
-                        # sides means identical term-id assignments.
                         if client is not None:
-                            client.reseed_codec(shard_snapshot, self.wire_format)
                             client.primed_token = shard_snapshot.token
             # Flip every surviving worker to the new epoch (monotone and
             # idempotent worker-side, so a respawn-retry is harmless).
@@ -2102,8 +2122,6 @@ class RpcShardRouter(ShardRouter):
             start_method=self.start_method,
             spawn_timeout=self.spawn_timeout,
             pipeline=self.pipeline,
-            local=self._ids,
-            local_lock=self._ids_lock,
         )
         try:
             client.start()
@@ -2151,23 +2169,25 @@ class RpcShardRouter(ShardRouter):
 
     def wire_stats(self) -> list[tuple[int, dict]]:
         """Driver-side transport counters per live shard connection:
-        frames/bytes sent and, on the columnar wire, the codec's
-        frame/term totals.  Point-in-time advisory reads — no RPC, no
-        blocking on in-flight requests."""
+        frames and bytes sent, and the dictionary terms suffix syncs
+        shipped.  Point-in-time advisory reads — no RPC, no blocking on
+        in-flight requests."""
         out: list[tuple[int, dict]] = []
         for shard in range(self.num_shards):
             with self._shard_locks[shard]:
                 client = self._clients[shard]
             if client is None:
                 continue
-            stats = {
-                "frames_sent": client.frames_sent,
-                "bytes_sent": client.bytes_sent,
-            }
-            codec = client.codec
-            if codec is not None:
-                stats.update(codec.stats())
-            out.append((shard, stats))
+            out.append(
+                (
+                    shard,
+                    {
+                        "frames_sent": client.frames_sent,
+                        "bytes_sent": client.bytes_sent,
+                        "terms_shipped": client.terms_shipped,
+                    },
+                )
+            )
         return out
 
     def close(self) -> None:
@@ -2437,7 +2457,6 @@ class RpcShardRouter(ShardRouter):
 
 __all__ = [
     "BatchReply",
-    "ColumnarFrame",
     "DEFAULT_MAX_FRAME_BYTES",
     "DEFAULT_RPC_PIPELINE",
     "ErrorReply",

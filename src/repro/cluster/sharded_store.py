@@ -32,6 +32,7 @@ from typing import Sequence
 from repro.cluster.ownership import Move, OwnerTable, initial_table
 from repro.partitioning.layout import PLACEMENTS
 from repro.partitioning.triple_partitioner import PartitionedStore, StoreSnapshot
+from repro.rdf.dictionary import Dictionary
 from repro.rdf.graph import RDFGraph, Triple
 
 
@@ -51,6 +52,11 @@ class ShardedSnapshot:
     shards: tuple[StoreSnapshot, ...]
     token: tuple
     table: OwnerTable
+
+    @property
+    def dictionary(self) -> Dictionary:
+        """The store's dictionary, the one every shard view carries."""
+        return self.shards[0].dictionary
 
     def shard_of_node(self, node: int) -> int:
         return self.table.shard_of_node(node)

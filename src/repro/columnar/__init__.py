@@ -3,9 +3,9 @@
 The tuple engine materialises every intermediate row as a python tuple
 of decoded term strings; this package gives the same rows a second,
 compact currency: a :class:`~repro.columnar.block.ColumnBlock` holds a
-relation as parallel arrays of integer term ids, dictionary-encoded
-against :class:`repro.rdf.dictionary.Dictionary`.  Two consumers share
-the representation:
+relation as parallel arrays of integer term ids, in the numbering the
+§5.1 store's :class:`repro.rdf.dictionary.Dictionary` gave every term
+at load.  Two consumers share the representation:
 
 * :mod:`repro.columnar.engine` evaluates the physical task specs
   (``ChainMapSpec`` / ``MapOnlySpec`` / ``StarReduceSpec``) entirely in
@@ -17,8 +17,9 @@ the representation:
   powers the ``columnar`` execution backend, the query service's
   default where numpy imports);
 * :mod:`repro.columnar.wire` packs rows crossing the RPC boundary into
-  id buffers plus a delta of dictionary entries the peer does not hold
-  yet, replacing pickled tuple lists as the shard wire format.
+  id buffers in that same numbering (every shard worker holds a replica
+  of the store's dictionary), replacing pickled tuple lists as the
+  shard wire format.
 
 The kernels are bulk numpy operators over int64 arrays
 (:mod:`repro.columnar.kernels`), the one implementation.  Without numpy

@@ -14,9 +14,10 @@ as term-tuple rows) for any consumer, while a consumer working over the
 same dictionary takes the id columns as they are (:func:`gather`); and
 it lets the block keep that dictionary out of any pickle: it pickles as
 its decoded rows.  That is the correct, slow way across a process
-boundary; a transport that wants the ids to cross packs the block first
-(:class:`repro.columnar.wire.WireCodec`), and then no block reaches
-``pickle`` at all.
+boundary; a transport that wants the ids to cross packs the block's id
+columns first (:class:`repro.columnar.wire.WireCodec` — both ends hold
+the store's numbering, so the ids need no translation), and then no
+block reaches ``pickle`` at all.
 
 Columns are numpy ``int64`` arrays — the one representation between
 operators.  Without numpy this module still imports (the service reads
@@ -132,16 +133,20 @@ class ColumnBlock:
 
     @classmethod
     def from_rows(
-        cls, attrs: Sequence[str], rows: Iterable[tuple], dictionary: Dictionary
+        cls,
+        attrs: Sequence[str],
+        rows: Iterable[tuple],
+        dictionary: Dictionary,
+        mint: bool = True,
     ) -> "ColumnBlock":
-        """Encode term-tuple rows against *dictionary* (growing it),
-        one column at a time."""
+        """Encode term-tuple rows against *dictionary*, one column at a
+        time: growing it, or — ``mint=False`` — only looking terms up
+        (``KeyError`` for a term it does not hold)."""
         attrs = tuple(attrs)
         if not attrs:
             return cls(attrs, (), dictionary, sum(1 for _ in rows))
-        columns = tuple(
-            make_column(dictionary.encode_many(terms)) for terms in zip(*rows)
-        )
+        encode = dictionary.encode_many if mint else dictionary.ids_of
+        columns = tuple(make_column(encode(terms)) for terms in zip(*rows))
         if not columns:
             return cls.empty(attrs, dictionary)
         return cls(attrs, columns, dictionary)
@@ -175,7 +180,8 @@ def gather(
     attrs: Sequence[str],
     chunks: Iterable,
     dictionary: Dictionary,
-    encode_rows: Callable[[Sequence[str], Iterable[tuple]], ColumnBlock] | None = None,
+    encode_rows: Callable[[Sequence[str], Iterable[tuple], Dictionary], ColumnBlock]
+    | None = None,
 ) -> ColumnBlock:
     """Every row of *chunks* as one block over *dictionary*.
 
@@ -183,13 +189,14 @@ def gather(
     untouched (one ``np.concatenate`` per column when there are
     several), whatever they call them — *attrs* names the result; any
     other chunk — a row list, a block from a foreign dictionary — is
-    iterated as rows and encoded by *encode_rows*.
+    iterated as rows and encoded by ``encode_rows(attrs, rows,
+    dictionary)``.
     """
     attrs = tuple(attrs)
     blocks = [
         chunk
         if isinstance(chunk, ColumnBlock) and chunk.dictionary is dictionary
-        else encode_rows(attrs, chunk)
+        else encode_rows(attrs, chunk, dictionary)
         for chunk in chunks
         if len(chunk)
     ]

@@ -15,12 +15,17 @@ task (scans and gathers concatenate in task order, the kernels keep
 their left input's row order), so per-task results are slices.
 
 Intermediate relations are blocks (:class:`ColumnBlock`) compared on
-term ids, and nothing decodes at the spec boundary: task outputs are blocks
-carrying the state's dictionary — chunks, to the engine — that the next
-task over the same dictionary (on this shard, another in-process one,
-or a worker whose rpc codec unpacks into it) concatenates.  Terms
-reappear once, when ``PlanExecutor.execute_prepared`` reads the answer;
-any other chunk is iterated as rows and encoded (correct, slower).
+term ids, and the ids are the store's: a task computes in the
+dictionary of the snapshot it is given (``ctx.store.dictionary`` — the
+store's own in-process, its replica on a shard worker), which numbered
+every term when the triple bringing it was loaded.  Nothing decodes at
+the spec boundary: task outputs are blocks over that dictionary —
+chunks, to the engine — that the next task (on this shard, another
+in-process one, or across the rpc wire, which ships the ids as they
+are) concatenates.  Terms reappear once, when
+``PlanExecutor.execute_prepared`` reads the answer; any other chunk is
+iterated as rows and looked up (correct, slower).  Nothing here ever
+assigns an id: a term the store never numbered raises ``KeyError``.
 
 Counter parity is structural: every counter the tuple kernels charge is
 a (multi)set cardinality that dictionary encoding preserves.  A group
@@ -73,32 +78,38 @@ _READ, _WRITTEN, _SHUFFLED, _CHECKS, _JOIN = range(5)
 
 
 class ColumnarState:
-    """The id space of one columnar backend.
+    """What one columnar backend keeps between batches.
 
-    One dictionary (grown lazily as scans and seam conversions encode
-    terms), the memoized ``stable_hash`` pieces keyed by id, and a
-    bounded cache of encoded scan columns.  The dictionary and the memo
-    live as long as the backend: every snapshot it serves — the shards
-    of one in-process executor, the store before and after a mutation —
-    encodes against the same ids, so their blocks concatenate.  Only
-    the scan cache depends on a snapshot, and its keys say which.  The
-    lock guards dictionary growth and cache population — concurrent
-    queries on one service share this state.  Reads (``decode``, memo
-    hits) are lock-free: ids are append-only, so anything already
-    assigned never moves.
+    The memoized ``stable_hash`` pieces keyed by id (for the dictionary
+    it last computed in — one store's numbering for an in-process
+    backend's whole life, a worker's replica until the next ``Prime``)
+    and a bounded cache of encoded scan columns, keyed by snapshot
+    token, so every snapshot it serves — the shards of one in-process
+    executor, the store before and after a mutation — reuses the
+    encodings of the versions it has seen.  The ids themselves belong
+    to the store (see the module docs).  The lock guards the scan
+    cache; concurrent queries on one service share this state.
     """
 
     def __init__(self) -> None:
         self.lock = checked(threading.Lock(), "ColumnarState.lock")
-        self.dictionary = Dictionary()
-        self.memo = HashMemo(self.dictionary)
+        self._memo: HashMemo | None = None
         self._scan_cache: dict[tuple, tuple] = {}  # guarded-by: lock
         self._cached_node_scans = 0  # guarded-by: lock
 
-    def encode_rows(self, attrs, rows) -> ColumnBlock:
-        """The ``to_blocks`` seam: encode term-tuple rows (thread-safe)."""
-        with self.lock:
-            return ColumnBlock.from_rows(attrs, rows, self.dictionary)
+    def memo(self, dictionary: Dictionary) -> HashMemo:
+        """The hash memo over *dictionary*'s ids (a new dictionary —
+        another store, a re-primed replica — starts a new one)."""
+        memo = self._memo
+        if memo is None or memo.dictionary is not dictionary:
+            memo = self._memo = HashMemo(dictionary)
+        return memo
+
+    def encode_rows(self, attrs, rows, dictionary: Dictionary) -> ColumnBlock:
+        """The ``to_blocks`` seam: term-tuple rows as a block over
+        *dictionary*, looked up, never numbered (``KeyError`` for a
+        term the store does not hold)."""
+        return ColumnBlock.from_rows(attrs, rows, dictionary, mint=False)
 
     def cached_scan(self, key: tuple) -> tuple | None:
         """The cached ``(columns, lengths)`` of a group scan (touched:
@@ -110,7 +121,9 @@ class ColumnarState:
                 cache[key] = entry
         return entry
 
-    def scan_columns(self, key: tuple, scans: Sequence[Sequence]) -> tuple:
+    def scan_columns(
+        self, key: tuple, scans: Sequence[Sequence], dictionary: Dictionary
+    ) -> tuple:
         """``(columns, lengths)`` of one group scan: the (s, p, o) id
         columns of *scans* — one triple list per node — end to end, and
         each node's triple count.  Encoded once and cached; the least
@@ -120,10 +133,10 @@ class ColumnarState:
             cache = self._scan_cache
             entry = cache.pop(key, None)
             if entry is None:
-                encode = self.dictionary.encode_many
+                ids_of = dictionary.ids_of
                 triples = [triple for node_triples in scans for triple in node_triples]
                 columns = tuple(
-                    make_column(encode(terms)) for terms in zip(*triples)
+                    make_column(ids_of(terms)) for terms in zip(*triples)
                 ) or tuple(empty_column() for _ in range(3))
                 entry = (columns, make_column(map(len, scans)))
                 self._cached_node_scans += len(scans)
@@ -178,6 +191,7 @@ def eval_chain_block(
     (same operators, same counter charges; one block led by the
     :data:`GROUP` column instead of a relation per task)."""
     tasks = len(nodes)
+    dictionary = ctx.store.dictionary
     if isinstance(op, MapScan):
         attrs, prop, type_object, constants, var_positions = _scan_shape(op)
         store = ctx.store
@@ -187,22 +201,22 @@ def eval_chain_block(
             entry = state.scan_columns(
                 key,
                 [store.scan(node, op.placement, prop, type_object) for node in nodes],
+                dictionary,
             )
         columns, lengths = entry
         counts[_READ] += lengths
         group = np.repeat(np.arange(tasks), lengths)
         # The pattern's constraints in id space: constants pin a column
-        # to one id (or to nothing, when the dictionary has never seen
-        # the constant — every term of this scan was encoded, so
-        # "unseen" means "matches no triple here"); repeated variables
+        # to one id (or to nothing, when the store has never numbered
+        # the constant — it then matches no triple); repeated variables
         # require their columns to agree.  The group column rides along
         # as position 3 (a variable-free pattern binds it alone).
-        lookup = state.dictionary.lookup
+        lookup = dictionary.lookup
         const_checks = [(pos, lookup(term)) for pos, term in constants]
         selected = select_bind(
             columns + (group,), const_checks, ((3,),) + var_positions
         )
-        return ColumnBlock((GROUP,) + attrs, selected, state.dictionary)
+        return ColumnBlock((GROUP,) + attrs, selected, dictionary)
     if isinstance(op, Filter):
         before = counts[_READ].copy()
         child = eval_chain_block(op.child, nodes, ctx, counts, state)
@@ -221,7 +235,7 @@ def eval_chain_block(
         block = gather(
             relation.attrs,
             [chunk for part in partitions for chunk in chunks_of(part)],
-            state.dictionary,
+            dictionary,
             state.encode_rows,
         )
         lengths = make_column(map(len, partitions))
@@ -230,7 +244,7 @@ def eval_chain_block(
         return ColumnBlock(
             (GROUP,) + block.attrs,
             (np.repeat(np.arange(tasks), lengths),) + block.columns,
-            state.dictionary,
+            dictionary,
         )
     if isinstance(op, PhysProject):
         child = eval_chain_block(op.child, nodes, ctx, counts, state)
@@ -290,7 +304,12 @@ def run_chain_map(
         counts[_WRITTEN] += _per_task(block, tasks)
     rows = ColumnBlock(block.attrs[1:], block.columns[1:], block.dictionary)
     splits = split_partitions(
-        rows, spec.key_attrs, spec.num_reducers, state.memo, block.columns[0], tasks
+        rows,
+        spec.key_attrs,
+        spec.num_reducers,
+        state.memo(block.dictionary),
+        block.columns[0],
+        tasks,
     )
     tag = spec.tag
     return [
@@ -326,6 +345,7 @@ def run_star_reduce(
     grouped)``: per task, ``(output, metrics)``.  A task joins only when
     every one of its tags has rows (the ``live`` mask)."""
     tasks = len(calls)
+    dictionary = ctx.store.dictionary
     counts = np.zeros((5, tasks), dtype=np.int64)
     task_ids = np.arange(tasks)
     live = np.ones(tasks, dtype=bool)
@@ -335,7 +355,7 @@ def run_star_reduce(
         block = gather(
             attrs,
             [chunk for chunks in per_task for chunk in chunks],
-            state.dictionary,
+            dictionary,
             state.encode_rows,
         )
         sizes = make_column(sum(map(len, chunks)) for chunks in per_task)
@@ -346,7 +366,7 @@ def run_star_reduce(
             ColumnBlock(
                 (GROUP,) + block.attrs,
                 (np.repeat(task_ids, sizes),) + block.columns,
-                state.dictionary,
+                dictionary,
             )
         )
     if not live.any():

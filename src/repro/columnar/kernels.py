@@ -217,7 +217,7 @@ class HashMemo:
     """
 
     def __init__(self, dictionary: Dictionary) -> None:
-        self._dictionary = dictionary
+        self.dictionary = dictionary
         self._lock = threading.Lock()
         self._table = np.full((2, 0), -1, dtype=np.int64)
 
@@ -236,10 +236,10 @@ class HashMemo:
         """Publish a table extended by the unseen ids (caller holds the lock)."""
         old = self._table
         table = np.full(
-            (2, max(old.shape[1], len(self._dictionary))), -1, dtype=np.int64
+            (2, max(old.shape[1], len(self.dictionary))), -1, dtype=np.int64
         )
         table[:, : old.shape[1]] = old
-        decode = self._dictionary.decode
+        decode = self.dictionary.decode
         for ident in np.unique(ids[table[1, ids] < 0]).tolist():
             text = decode(ident)
             poly = 0

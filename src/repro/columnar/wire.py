@@ -1,60 +1,45 @@
 """The columnar shard wire format.
 
 What crosses the RPC boundary (map inputs, reduce exchange chunks,
-result payloads) is dictionary-encoded id buffers, never pickled tuple
-lists: a :class:`PackedRows` holds one buffer per column, each at the
-narrowest of 1/2/4/8 bytes that holds its largest id (a map result's
-emits stay grouped per reduce partition: group sizes beside one row
-buffer, no per-row partition column).
+result payloads) is id buffers, never pickled tuple lists: a
+:class:`PackedRows` holds one buffer per column, each at the narrowest
+of 1/2/4/8 bytes that holds its largest id (a map result's emits stay
+grouped per reduce partition: group sizes beside one row buffer, no
+per-row partition column).
 
-Each endpoint of a connection keeps two *connection* dictionaries, both
-deterministically seeded from the shard's resident
-:class:`StoreSnapshot` at prime time (node by node, file insertion
-order, triple order — the snapshot is the same pickled object on both
-ends, so the seeded ids agree by construction):
+The ids are the store's.  The §5.1 store numbers every term once, at
+load (``PartitionedStore.add``), and every snapshot carries that
+dictionary; a shard worker primed with its snapshot holds a replica,
+which the driver keeps in step by shipping the suffix the worker lacks
+(``TableUpdate``).  Both ends of a connection therefore number every
+term alike, and a codec is stateless: one dictionary, nothing
+translated, nothing to re-seed.  There are two ways in and out of the
+buffers, one format between them:
 
-* ``send`` — grown by this endpoint as it encodes outgoing chunks;
-* ``recv`` — a replica of the peer's ``send``, maintained by replaying
-  the dictionary delta each incoming frame carries.
-
-A frame therefore ships only ids plus the delta of terms the peer's
-replica doesn't already hold (snapshot-resident terms never cross the
-wire, and any term crosses at most once per connection).  The sender
-advances its delta watermark only after the frame is actually written,
-so a frame lost to a transport failure merely re-ships its delta —
-and :meth:`Dictionary.merge_entries` makes re-delivery idempotent.
-A worker respawn re-primes the connection, resetting both ends.
-
-There are two ways in and out of those buffers, one format between
-them:
-
-* **The block path** (needs numpy).  An endpoint that computes in an id
-  space of its own — a shard worker's columnar backend, the driver's
-  router — gives the codec that dictionary as ``local``.  The engine's
-  chunks then cross as they are: a :class:`ColumnBlock` over ``local``
-  is packed by one gather through a cached ``local → send`` id map,
-  ``astype`` to the narrowest width and ``tobytes``; a buffer is
-  unpacked by ``np.frombuffer``, one gather through the ``recv →
-  local`` map, and leaves as a block over ``local``.  No term is
-  touched on a warm connection.  The maps (:class:`_IdMap`) are int64
-  arrays, ``-1`` where an id has not been asked for yet; all three
-  dictionaries involved are append-only, so a mapped id never moves
-  and the maps are only ever extended (by decoding the missing ids in
-  one dictionary and encoding them in the other — ``terms_translated``
-  counts those).
+* **The block path** (needs numpy).  A :class:`ColumnBlock` over the
+  codec's dictionary is packed by ``astype`` to the narrowest width and
+  ``tobytes``; a buffer is unpacked by ``np.frombuffer`` back into a
+  block over the codec's dictionary — on an endpoint that computes on
+  blocks (``blocks=True``: the driver, a columnar worker).  No term is
+  touched.
 * **The row path** (stdlib only: this module imports and serves rows
-  without numpy).  :func:`pack_rows` / :func:`unpack_rows` encode and
-  decode term-tuple rows cell by cell.  It is what an endpoint with
-  ``local=None`` speaks (a serial worker, a numpy-less host), and the
-  block path's fallback for any chunk that is not a block over
-  ``local`` (a row list, a foreign dictionary's block).  Rows whose
-  cells are not all strings (never produced by the plan specs, but
-  closure tasks could), ragged rows and zero-arity rows cross pickled
-  as-is via :class:`RawRows`.
+  without numpy).  :func:`pack_rows` / :func:`unpack_rows` look up and
+  decode term-tuple rows cell by cell.  It is what a row endpoint
+  unpacks to (a serial worker, a numpy-less driver), and how any chunk
+  that is not a block over the codec's dictionary packs (a row list, a
+  foreign dictionary's block).  Rows whose cells are not all strings
+  (never produced by the plan specs, but closure tasks could), ragged
+  rows and zero-arity rows cross pickled as-is via :class:`RawRows`.
 
 Both produce the same :class:`PackedRows` bytes, so the two ends of a
 connection choose independently: a block packed on the driver unpacks
 to rows on a serial worker and the reverse.
+
+A codec never numbers a term: packing a term its dictionary does not
+hold raises ``KeyError``, and a worker's codec (``limit=``) refuses any
+id at or past the length the driver last synced, so an id a worker
+numbered on its own fails loudly instead of decoding to another term
+on the driver.
 
 Id buffers are *native* byte order — the wire only ever spans
 processes on one machine (the workers are localhost children), so no
@@ -63,17 +48,13 @@ byte swapping is needed.
 
 from __future__ import annotations
 
-import threading
 from array import array
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from repro.analysis.locks import checked
 from repro.columnar.block import ColumnBlock, chunk_rows, np
 from repro.mapreduce.hdfs import DistributedRelation, chunks_of
-from repro.rdf.dictionary import Dictionary
 
 #: Wire formats the shard transport speaks (ServiceConfig.wire_format).
 WIRE_FORMATS = ("columnar", "pickle")
@@ -85,7 +66,12 @@ for _tc in "BHILQ":
     _TYPECODE.setdefault(array(_tc).itemsize, _tc)
 
 
-def _width_for(max_value: int) -> int:
+def _width_for(max_value: int, limit: int | None = None) -> int:
+    if limit is not None and max_value >= limit:
+        raise ValueError(
+            f"id {max_value} is past the {limit} terms the driver synced: "
+            "a term the store never numbered"
+        )
     for width in (1, 2, 4, 8):
         if width in _TYPECODE and max_value < 1 << (8 * width):
             return width
@@ -140,18 +126,6 @@ class PackedReduceResult:
     metrics: object
 
 
-@dataclass(frozen=True)
-class ColumnarFrame:
-    """An encoded message plus the dictionary delta it depends on:
-    ``delta_terms`` are the sender's dictionary entries from id
-    ``delta_start`` on, which the receiver replays into its replica
-    before unpacking ``payload``."""
-
-    payload: object
-    delta_start: int
-    delta_terms: tuple[str, ...]
-
-
 # -- the row path ---------------------------------------------------------------
 
 
@@ -168,7 +142,7 @@ def _packable(rows: Sequence[tuple]) -> bool:
     )
 
 
-def _pack_matrix(rows: Sequence[tuple]) -> PackedRows:
+def _pack_matrix(rows: Sequence[tuple], limit: int | None = None) -> PackedRows:
     """Pack row-major int tuples into column buffers (no empty check)."""
     count = len(rows)
     if count == 0:
@@ -176,7 +150,7 @@ def _pack_matrix(rows: Sequence[tuple]) -> PackedRows:
     widths = []
     chunks = []
     for column in zip(*rows):
-        width = _width_for(max(column))
+        width = _width_for(max(column), limit)
         widths.append(width)
         chunks.append(array(_TYPECODE[width], column).tobytes())
     return PackedRows(count, tuple(widths), b"".join(chunks))
@@ -194,13 +168,16 @@ def _unpack_matrix(packed: PackedRows) -> list[tuple]:
     return list(zip(*columns))
 
 
-def pack_rows(rows: Sequence[tuple], encode: Callable[[str], int]):
+def pack_rows(
+    rows: Sequence[tuple], encode: Callable[[str], int], limit: int | None = None
+):
     """Term-tuple rows -> :class:`PackedRows` (or :class:`RawRows` when
-    the rows are ragged, zero-arity or any cell is not a string)."""
+    the rows are ragged, zero-arity or any cell is not a string); no id
+    may reach *limit*."""
     if not _packable(rows):
         return RawRows(tuple(rows))
     return _pack_matrix(
-        [tuple(encode(term) for term in row) for row in rows]
+        [tuple(encode(term) for term in row) for row in rows], limit
     )
 
 
@@ -249,13 +226,14 @@ def unpack_emits(packed: tuple, decode: Callable[[int], str]) -> list[tuple]:
 _DTYPE = {1: "u1", 2: "u2", 4: "u4", 8: "i8"}
 
 
-def pack_columns(columns: Sequence) -> PackedRows:
+def pack_columns(columns: Sequence, limit: int | None = None) -> PackedRows:
     """Equal-length, non-empty id columns -> :class:`PackedRows`, byte
-    for byte what :func:`pack_rows` makes of the same ids."""
+    for byte what :func:`pack_rows` makes of the same ids (none of
+    which may reach *limit*)."""
     widths = []
     buffers = []
     for column in columns:
-        width = _width_for(int(column.max()))
+        width = _width_for(int(column.max()), limit)
         widths.append(width)
         buffers.append(column.astype(_DTYPE[width], copy=False).tobytes())
     return PackedRows(len(columns[0]), tuple(widths), b"".join(buffers))
@@ -282,139 +260,37 @@ def _positional(arity: int) -> tuple[str, ...]:
     return tuple(f"_{i}" for i in range(arity))
 
 
-class _IdMap:
-    """A cached id translation from one append-only dictionary to
-    another: ``table[i]`` is the id *dst* gives the term *src* calls
-    ``i``, or ``-1`` until somebody asks.
-
-    A warm map translates a column with one gather.  Missing ids are
-    filled by decoding them in *src* and encoding them in *dst* (under
-    *dst_lock* when *dst* has other writers); the extended table is
-    built aside and published with one assignment, as
-    :class:`~repro.columnar.kernels.HashMemo` does, so a reader never
-    sees a half-filled one.  Fills are serialized by the owning codec's
-    lock.
-    """
-
-    def __init__(self, src: Dictionary, dst: Dictionary, dst_lock=None) -> None:
-        self._src = src
-        self._dst = dst
-        self._dst_lock = nullcontext() if dst_lock is None else dst_lock
-        self._table = np.empty(0, dtype=np.int64)
-        #: ids translated term by term (the python slow path)
-        self.translated = 0
-
-    def __call__(self, ids):
-        """The *dst* ids of a non-empty *src* id column."""
-        table = self._table
-        if int(ids.max()) < len(table):
-            out = table[ids]
-            if int(out.min()) >= 0:
-                return out
-        return self._fill(ids)[ids]
-
-    def _fill(self, ids):
-        old = self._table
-        table = np.full(max(len(old), len(self._src)), -1, dtype=np.int64)
-        table[: len(old)] = old
-        if int(ids.max()) >= len(table):
-            raise KeyError(int(ids.max()))
-        missing = np.unique(ids[table[ids] < 0])
-        terms = self._src.decode_many(missing.tolist())
-        with self._dst_lock:
-            table[missing] = self._dst.encode_many(terms)
-        self.translated += len(missing)
-        self._table = table
-        return table
-
-
-# -- the codec ----------------------------------------------------------------
-
-
-def _seed_dictionary(snapshot) -> Dictionary:
-    """A dictionary over every term resident in *snapshot*, in the
-    snapshot's own deterministic iteration order."""
-    dictionary = Dictionary()
-    encode = dictionary.encode
-    for files in snapshot.files:
-        for triples in files.values():
-            for s, p, o in triples:
-                encode(s)
-                encode(p)
-                encode(o)
-    return dictionary
-
-
 class WireCodec:
-    """One endpoint of a columnar shard connection (see module docs).
+    """One endpoint of a columnar shard connection (see module docs):
+    a stateless packer over *snapshot*'s dictionary — the store's on
+    the driver, its replica on a worker.
 
-    *local* is the dictionary this endpoint computes in — its blocks
-    cross as id buffers and what it receives arrives as blocks over
-    it; *local_lock* guards that dictionary's growth when the codec is
-    not its only writer (a backend's tasks, the router's other
-    connections).  ``local=None`` is a row endpoint: chunks go out via
-    :func:`pack_rows`, row lists come in.
-
-    Concurrency contract (the multiplexed transport encodes from many
-    threads over one connection): the codec's own state — both
-    connection dictionaries, the id maps and the delta watermark — is
-    guarded by an internal lock (taken before *local_lock*, never
-    after), so concurrent ``encode_*`` calls assign ids safely.  What
-    the codec *cannot* enforce is frame ordering: the delta watermark
-    protocol requires that frames are **sent in the order their commit
-    callbacks run**, so callers must hold their connection's send lock
-    across encode + send and invoke ``commit`` before releasing it.
-    A frame encoded after another thread grew the dictionary simply
-    carries a window that also covers those not-yet-shipped ids —
-    harmless over-shipping, since the receiver replays deltas in send
-    order and :meth:`Dictionary.merge_entries` is idempotent.  Decoding
-    likewise must happen in receive order (each endpoint has a single
-    reader, which is exactly that).
+    ``blocks`` says what this end unpacks to: blocks over the
+    dictionary (it computes on them) or row lists.  ``limit`` is the
+    dictionary length the driver last synced: a worker's codec refuses
+    to ship any id at or past it.  ``send`` and ``recv`` both name the
+    dictionary (the row functions take their ``encode`` / ``decode``).
+    Holding no mutable state, a codec may encode and decode on any
+    thread in any order.
     """
 
     def __init__(
-        self, snapshot, local: Dictionary | None = None, local_lock=None
+        self, snapshot, blocks: bool = False, limit: int | None = None
     ) -> None:
-        self.send = _seed_dictionary(snapshot)
-        self.recv = _seed_dictionary(snapshot)
-        self.local = local
-        if local is not None:
-            self._to_send = _IdMap(local, self.send)
-            self._to_local = _IdMap(self.recv, local, local_lock)
-        self._watermark = len(self.send)
-        self._lock = checked(threading.RLock(), "WireCodec._lock")
-        # Cumulative wire telemetry (guarded by _lock), surfaced via
-        # stats() and the service's Prometheus exposition.
-        self.frames_encoded = 0
-        self.frames_decoded = 0
-        self.terms_shipped = 0
-
-    def stats(self) -> dict[str, int]:
-        """Cumulative frame/delta counters for this endpoint;
-        ``terms_translated`` counts the ids that took the id maps'
-        term-by-term slow path (0 per frame on a warm connection, and
-        always 0 on a row endpoint)."""
-        with self._lock:
-            translated = 0
-            if self.local is not None:
-                translated = self._to_send.translated + self._to_local.translated
-            return {
-                "frames_encoded": self.frames_encoded,
-                "frames_decoded": self.frames_decoded,
-                "terms_shipped": self.terms_shipped,
-                "terms_translated": translated,
-            }
+        self.dictionary = self.send = self.recv = snapshot.dictionary
+        self.blocks = blocks
+        self.limit = limit
 
     # -- chunks <-> packed rows ------------------------------------------------
 
     def _pack(self, chunks: Sequence):
-        """The rows of a chunk sequence, packed back to back: id columns
-        gathered through the ``local → send`` map when every chunk is a
-        block over ``local``, the row path otherwise."""
+        """The rows of a chunk sequence, packed back to back: the id
+        columns as they are when every chunk is a block over this
+        codec's dictionary, the row path otherwise."""
         chunks = [chunk for chunk in chunks if len(chunk)]
-        local = self.local
-        if local is not None and chunks and all(
-            type(chunk) is ColumnBlock and chunk.dictionary is local
+        dictionary = self.dictionary
+        if chunks and all(
+            type(chunk) is ColumnBlock and chunk.dictionary is dictionary
             for chunk in chunks
         ):
             arity = len(chunks[0].columns)
@@ -427,42 +303,25 @@ class WireCodec:
                         for cols in zip(*[chunk.columns for chunk in chunks])
                     ]
                 )
-                return pack_columns([self._to_send(col) for col in columns])
-        return pack_rows(chunk_rows(chunks), self.send.encode)
+                return pack_columns(columns, self.limit)
+        return pack_rows(chunk_rows(chunks), dictionary.id_of, self.limit)
 
     def _unpack(self, packed, attrs: tuple[str, ...] | None = None):
-        """One chunk from a packed row set: a block over ``local``
+        """One chunk from a packed row set: a block over the dictionary
         (named *attrs* where the frame says, positionally otherwise), or
         a row list on a row endpoint and for :class:`RawRows`."""
-        if self.local is None or isinstance(packed, RawRows) or not packed.count:
-            return unpack_rows(packed, self.recv.decode)
-        columns = tuple(self._to_local(col) for col in unpack_columns(packed))
+        if not self.blocks or isinstance(packed, RawRows) or not packed.count:
+            return unpack_rows(packed, self.dictionary.decode)
+        columns = tuple(col.astype(np.int64) for col in unpack_columns(packed))
         if attrs is None:
             attrs = _positional(len(columns))
-        return ColumnBlock(attrs, columns, self.local)
+        return ColumnBlock(attrs, columns, self.dictionary)
 
     # -- encoding (outgoing) --------------------------------------------------
 
-    def _frame(self, payload) -> tuple[ColumnarFrame, Callable[[], None]]:
-        start = self._watermark
-        frame = ColumnarFrame(payload, start, self.send.entries_from(start))
-        new_len = len(self.send)
-        self.frames_encoded += 1
-        self.terms_shipped += len(frame.delta_terms)
-
-        def commit() -> None:
-            with self._lock:
-                # Commits run in send order; max() keeps a late commit
-                # from rolling the watermark back should a caller ever
-                # violate that.
-                self._watermark = max(self._watermark, new_len)
-
-        return frame, commit
-
     def _pack_level(self, msg):
         """An ``ExecuteLevel`` with its chunk payloads (map ``inputs``
-        partitions, reduce exchange chunks per tag) packed; no frame
-        wrapping."""
+        partitions, reduce exchange chunks per tag) packed."""
         pack = self._pack
         if msg.phase == "map":
             inputs = {
@@ -491,7 +350,7 @@ class WireCodec:
         """A ``ResultsReply`` with packed results: map results are
         ``(emits, direct, metrics)`` triples, reduce results
         ``(rows, metrics)`` pairs, every chunk packed as it is (an id
-        block by gather, a row list by rows); no frame wrapping."""
+        block by its columns, a row list by rows)."""
         pack = self._pack
         packed = []
         for result in reply.results:
@@ -514,91 +373,48 @@ class WireCodec:
                 )
         return replace(reply, results=packed)
 
-    def encode_execute_level(self, msg):
-        """Pack an ``ExecuteLevel``; returns ``(frame, commit)`` where
-        *commit* advances the delta watermark once the frame is sent."""
-        with self._lock:
-            return self._frame(self._pack_level(msg))
-
-    def encode_execute_batch(self, msg):
-        """Pack every level in an ``ExecuteBatch`` into one frame (one
-        shared dictionary delta for the whole batch)."""
-        with self._lock:
-            items = tuple(
-                (rid, self._pack_level(level)) for rid, level in msg.items
+    def encode(self, msg):
+        """Pack a frameable message — ``ExecuteLevel``, ``ExecuteBatch``,
+        ``ResultsReply`` or ``BatchReply`` (whose error members cross as
+        they are) — picking the shape by its fields."""
+        replies = getattr(msg, "replies", None)
+        if replies is not None:  # BatchReply
+            return replace(
+                msg, replies=tuple((rid, self.encode(sub)) for rid, sub in replies)
             )
-            return self._frame(replace(msg, items=items))
-
-    def encode_results(self, reply):
-        """Pack a ``ResultsReply``; returns ``(frame, commit)``."""
-        with self._lock:
-            return self._frame(self._pack_results(reply))
-
-    def encode_batch_results(self, reply):
-        """Pack a ``BatchReply``'s per-request ``ResultsReply`` members
-        (error members cross unpacked) into one frame."""
-        with self._lock:
-            replies = tuple(
-                (
-                    rid,
-                    self._pack_results(sub)
-                    if getattr(sub, "results", None) is not None
-                    else sub,
-                )
-                for rid, sub in reply.replies
+        items = getattr(msg, "items", None)
+        if items is not None:  # ExecuteBatch
+            return replace(
+                msg, items=tuple((rid, self.encode(level)) for rid, level in items)
             )
-            return self._frame(replace(reply, replies=replies))
-
-    def encode_payload(self, msg):
-        """Encode any frameable message — ``ExecuteLevel``,
-        ``ExecuteBatch``, ``ResultsReply`` or ``BatchReply`` — picking
-        the shape by its fields; returns ``(frame, commit)``."""
-        if getattr(msg, "items", None) is not None:
-            return self.encode_execute_batch(msg)
-        if getattr(msg, "replies", None) is not None:
-            return self.encode_batch_results(msg)
-        if getattr(msg, "results", None) is not None:
-            return self.encode_results(msg)
-        return self.encode_execute_level(msg)
+        if getattr(msg, "results", None) is not None:  # ResultsReply
+            return self._pack_results(msg)
+        if getattr(msg, "phase", None) is None:  # e.g. an ErrorReply
+            return msg
+        return self._pack_level(msg)
 
     # -- decoding (incoming) --------------------------------------------------
 
-    def decode_frame(self, frame: ColumnarFrame):
-        """Replay the frame's dictionary delta, then unpack its payload
-        (an ``ExecuteLevel``, ``ExecuteBatch``, ``ResultsReply`` or
-        ``BatchReply``) into the shapes the engine exchanges: a map
-        input partition and a result chunk are one chunk each, a
-        reducer's ``grouped`` is ``{tag: [chunk]}``."""
-        with self._lock:
-            self.recv.merge_entries(frame.delta_start, frame.delta_terms)
-            self.frames_decoded += 1
-            return self._decode_payload(frame.payload)
-
-    def _decode_payload(self, payload):
-        replies = getattr(payload, "replies", None)
+    def decode(self, msg):
+        """Unpack what :meth:`encode` packed into the shapes the engine
+        exchanges: a map input partition and a result chunk are one
+        chunk each, a reducer's ``grouped`` is ``{tag: [chunk]}``."""
+        replies = getattr(msg, "replies", None)
         if replies is not None:  # BatchReply
             return replace(
-                payload,
-                replies=tuple(
-                    (rid, self._decode_payload(sub)) for rid, sub in replies
-                ),
+                msg, replies=tuple((rid, self.decode(sub)) for rid, sub in replies)
             )
-        items = getattr(payload, "items", None)
+        items = getattr(msg, "items", None)
         if items is not None:  # ExecuteBatch
             return replace(
-                payload,
-                items=tuple(
-                    (rid, self._decode_payload(level)) for rid, level in items
-                ),
+                msg, items=tuple((rid, self.decode(level)) for rid, level in items)
             )
-        results = getattr(payload, "results", None)
+        results = getattr(msg, "results", None)
         if results is not None:  # ResultsReply
-            return replace(
-                payload, results=[self._decode_result(r) for r in results]
-            )
-        phase = getattr(payload, "phase", None)
+            return replace(msg, results=[self._decode_result(r) for r in results])
+        phase = getattr(msg, "phase", None)
         if phase is None:  # e.g. an ErrorReply inside a BatchReply
-            return payload
+            return msg
         unpack = self._unpack
         if phase == "map":
             inputs = {
@@ -608,18 +424,18 @@ class WireCodec:
                         unpack(part, packed.attrs) for part in packed.partitions
                     ],
                 )
-                for name, packed in payload.inputs.items()
+                for name, packed in msg.inputs.items()
             }
-            return replace(payload, inputs=inputs)
+            return replace(msg, inputs=inputs)
         return replace(
-            payload,
+            msg,
             tasks=tuple(
                 (
                     spec,
                     partition,
                     {tag: [unpack(packed)] for tag, packed in grouped.items()},
                 )
-                for spec, partition, grouped in payload.tasks
+                for spec, partition, grouped in msg.tasks
             ),
         )
 

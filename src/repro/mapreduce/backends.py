@@ -215,13 +215,15 @@ class ColumnarBackend(ExecutionBackend):
     per invocation in submission order, answers and every task's
     counters identical to serial (the conformance matrix enforces it).
 
-    The backend owns one id space for its whole life — term dictionary,
-    hash memo, and an encoded-scan cache whose keys carry the snapshot
-    token (:class:`~repro.columnar.engine.ColumnarState`) — so one
-    instance serves any number of snapshots at once: every shard of an
-    in-process sharded executor, or a store across its mutations (a new
-    version's scans are encoded afresh, against the same ids).  Task
-    results are blocks over that dictionary; see
+    The backend owns no id space: it computes in the dictionary of the
+    snapshot each batch runs against — the store's, which numbered every
+    term at load (on a shard worker, the worker's replica of it).  What
+    it keeps is a hash memo and an encoded-scan cache whose keys carry
+    the snapshot token (:class:`~repro.columnar.engine.ColumnarState`),
+    so one instance serves any number of snapshots at once: every shard
+    of an in-process sharded executor, or a store across its mutations
+    (a new version's scans are encoded afresh, to the same ids).  Task
+    results are blocks over the store's dictionary; see
     :mod:`repro.columnar.engine` for who may read them as id columns.
     """
 

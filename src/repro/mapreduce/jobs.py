@@ -169,15 +169,6 @@ class MapTask:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if (
-            self.spec is not None
-            and self.run is None
-            and not hasattr(self.spec, "run")
-            and callable(self.spec)
-        ):
-            # Legacy positional form MapTask(node, fn): the closure lands
-            # in the spec slot; treat it as run=.
-            self.spec, self.run = None, self.spec
         if (self.spec is None) == (self.run is None):
             raise ValueError("a MapTask needs exactly one of spec= or run=")
         if self.spec is None:

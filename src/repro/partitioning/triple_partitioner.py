@@ -10,6 +10,10 @@ communication (PWOC / co-located joins).
 Within each node, each replica's triples form a partition split by
 property value into files (and the rdf:type property partition further
 split by object value) — see ``layout.py``.
+
+The store also numbers every term once, as it places the triple that
+brings the term in: its :class:`~repro.rdf.dictionary.Dictionary` is the
+one id space every engine computes in, and every snapshot carries it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.partitioning.layout import PLACEMENTS, triple_file
+from repro.rdf.dictionary import Dictionary
 from repro.rdf.graph import RDFGraph, Triple
 
 
@@ -99,12 +104,19 @@ class StoreSnapshot:
     the view's content: execution backends key their worker pools on
     it, shipping the snapshot to workers once and rebuilding only when
     the data behind it actually changed.
+
+    ``dictionary`` is the store's own (a reference, not a copy): it
+    numbers every term the view holds, and the ids of a later version
+    are the same — the dictionary only ever appends.  Pickled, it
+    travels as its term list, so a worker primed with a snapshot holds
+    a replica of the store's numbering as it was at that moment.
     """
 
     num_nodes: int
     replicas: tuple[str, ...]
     files: tuple[dict[str, tuple[Triple, ...]], ...]
     token: tuple
+    dictionary: Dictionary = field(repr=False, compare=False)
 
     def scan(
         self,
@@ -137,6 +149,10 @@ class PartitionedStore:
     replicas: tuple[str, ...] = PLACEMENTS
     #: files[node][file_name] -> triples
     files: list[dict[str, list[Triple]]] = field(default_factory=list)
+    #: the one numbering of every term the store holds (see ``add``)
+    dictionary: Dictionary = field(
+        default_factory=Dictionary, init=False, repr=False, compare=False
+    )
     #: bumped on every mutation; versions key snapshot/worker-pool caches
     version: int = field(default=0, init=False, compare=False)
     uid: int = field(
@@ -163,9 +179,12 @@ class PartitionedStore:
     # -- loading ------------------------------------------------------------
 
     def add(self, triple: Triple) -> None:
-        """Store the configured §5.1 replicas of a triple."""
+        """Store the configured §5.1 replicas of a triple, numbering its
+        terms in the store's dictionary."""
+        encode = self.dictionary.encode
         _, p, o = triple
         for placement, value in zip(PLACEMENTS, triple):
+            encode(value)
             if placement in self.replicas:
                 node = place(value, self.num_nodes)
                 name = triple_file(placement, p, o)
@@ -199,6 +218,7 @@ class PartitionedStore:
             replicas=self.replicas,
             files=tuple(files),
             token=token,
+            dictionary=self.dictionary,
         )
 
     def snapshot(self) -> StoreSnapshot:

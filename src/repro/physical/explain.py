@@ -129,7 +129,7 @@ def explain(
     active) append the per-shard row/task distribution; ``transport``
     names the shard boundary ("inproc" backends or "rpc" shard server
     processes) the tasks would cross, ``wire`` the row encoding of the
-    rpc frames ("columnar" id buffers + dictionary delta, or "pickle"),
+    rpc frames ("columnar" id buffers in the store's numbering, or "pickle"),
     and ``wire_bytes`` the encoded request bytes the service last
     measured shipping over that wire — so benchmark tables and explains
     agree on what was measured.

@@ -2,22 +2,33 @@
 
 Distributed RDF stores (including the systems the paper compares against,
 e.g. RDF-3X and H2RDF+) dictionary-encode terms into dense integer ids so
-that joins compare machine words instead of strings.  We follow the same
-idiom: the :class:`Dictionary` assigns ids in first-seen order and supports
+that joins compare machine words instead of strings, and they assign
+those ids once, at load.  We follow the same idiom: the §5.1 store owns
+one :class:`Dictionary` and numbers a triple's terms as it places the
+triple (``PartitionedStore.add``); every engine computes in that
+numbering — the columnar backend in-process and, through a pickled
+replica kept in step by :meth:`Dictionary.merge_entries`, every shard
+worker.  Ids are assigned in first-seen order and support
 bidirectional lookup.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 
 class Dictionary:
     """A bijective mapping between RDF terms (strings) and integer ids."""
 
-    def __init__(self) -> None:
-        self._term_to_id: dict[str, int] = {}
-        self._id_to_term: list[str] = []
+    def __init__(self, terms: Iterable[str] = ()) -> None:
+        """A dictionary numbering *terms* (distinct) ``0, 1, …`` in order."""
+        self._id_to_term: list[str] = list(terms)
+        self._term_to_id: dict[str, int] = dict(
+            zip(self._id_to_term, itertools.count())
+        )
+        if len(self._term_to_id) != len(self._id_to_term):
+            raise ValueError("dictionary terms must be distinct")
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -27,6 +38,13 @@ class Dictionary:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._id_to_term)
+
+    def __reduce__(self):
+        # The terms alone, in id order (the index rebuilds from them): a
+        # replica ships as compactly as the term list, and shares the
+        # term strings of anything pickled beside it.  ``tuple`` copies
+        # the list in one step, so a concurrent append cannot tear it.
+        return (Dictionary, (tuple(self._id_to_term),))
 
     def encode(self, term: str) -> int:
         """Return the id for *term*, assigning a fresh one if unseen."""
@@ -62,6 +80,15 @@ class Dictionary:
         """Return the id for *term* or None if it has never been encoded."""
         return self._term_to_id.get(term)
 
+    def id_of(self, term: str) -> int:
+        """The id of a term already numbered; ``KeyError`` otherwise
+        (unlike :meth:`encode`, never assigns one)."""
+        return self._term_to_id[term]
+
+    def ids_of(self, terms: Sequence[str]) -> list[int]:
+        """Bulk form of :meth:`id_of` (one column, order preserved)."""
+        return list(map(self._term_to_id.__getitem__, terms))
+
     def decode(self, ident: int) -> str:
         """Return the term for *ident*.
 
@@ -87,11 +114,12 @@ class Dictionary:
 
     # -- delta replication ----------------------------------------------------
     #
-    # Ids are dense and append-only, so two dictionaries seeded from the
-    # same term sequence stay identical as long as every append on one
-    # side is replayed on the other in order.  The columnar wire format
-    # exploits this: a frame carries only the entries past the peer's
-    # watermark, and the peer merges them by position.
+    # Ids are dense and append-only, so a replica stays identical to its
+    # origin as long as every append on the origin is replayed on the
+    # replica in order.  A shard worker's replica (pickled with its
+    # snapshot) is kept in step this way: the driver ships it the
+    # entries past the length it last synced, and the worker merges
+    # them by position.
 
     def entries_from(self, start: int) -> tuple[str, ...]:
         """The terms with ids ``start .. len(self)-1``, in id order."""

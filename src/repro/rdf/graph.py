@@ -1,9 +1,10 @@
 """In-memory RDF graph (triple store) with permutation indexes.
 
-The store keeps triples both as raw strings and dictionary-encoded, and
-maintains the classical permutation indexes (SPO, POS, OSP plus the
-single-position indexes) so that the reference evaluator and the local
-node engines can answer any triple-pattern lookup without scanning.
+The graph keeps triples as raw strings (the §5.1 store loaded from it
+is what numbers terms) and maintains the classical permutation indexes
+(SPO, POS, OSP plus the single-position indexes) so that the reference
+evaluator and the local node engines can answer any triple-pattern
+lookup without scanning.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Iterator
 
-from repro.rdf.dictionary import Dictionary
 from repro.rdf.terms import is_variable, validate_triple
 
 Triple = tuple[str, str, str]
@@ -29,7 +29,6 @@ class RDFGraph:
         self._spo: dict[str, dict[str, set[str]]] = defaultdict(lambda: defaultdict(set))
         self._pos: dict[str, dict[str, set[str]]] = defaultdict(lambda: defaultdict(set))
         self._osp: dict[str, dict[str, set[str]]] = defaultdict(lambda: defaultdict(set))
-        self.dictionary = Dictionary()
         self._validate = validate
         for s, p, o in triples:
             self.add(s, p, o)
@@ -47,9 +46,6 @@ class RDFGraph:
         self._spo[s][p].add(o)
         self._pos[p][o].add(s)
         self._osp[o][s].add(p)
-        self.dictionary.encode(s)
-        self.dictionary.encode(p)
-        self.dictionary.encode(o)
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:

@@ -172,9 +172,9 @@ class ServiceConfig:
     shard_transport: str = "inproc"
     #: row encoding of the rpc shard exchanges: "columnar" (default)
     #: ships map inputs, reduce exchange chunks and results as
-    #: dictionary-encoded id buffers plus a delta of terms the worker's
-    #: resident snapshot doesn't hold (repro.columnar.wire; id blocks
-    #: cross without being decoded where numpy is present); "pickle"
+    #: id buffers in the store's numbering, which every worker holds a
+    #: replica of (repro.columnar.wire; id blocks cross without being
+    #: decoded or translated where numpy is present); "pickle"
     #: keeps the original pickled tuple-list frames.  Answers and
     #: reports are identical either way; shard_bytes reports the
     #: encoded request sizes.  Ignored unless shard_transport="rpc".

@@ -9,53 +9,21 @@ one-shot API (``optimize`` / ``execute_plan`` / ``run``) used by the
 paper's figure benchmarks, while ``run`` is ``submit``: one more door
 onto the service's one serving pipeline — repeated, isomorphic, or
 constant-varying queries skip the optimizer.  ``prepare`` exposes the
-prepared-query surface directly on the session.
+prepared-query surface directly on the session.  A session is
+configured like the service it opens (``CSQ(graph, ServiceConfig(...))``):
+the simulated response times the figures report do not depend on the
+execution backend, so the service's platform default serves them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.algorithm import OptimizerResult
-from repro.core.decomposition import MSC, DecompositionOption
 from repro.core.logical import LogicalPlan
-from repro.cost.params import DEFAULT_PARAMS, CostParams
 from repro.physical.executor import ExecutionResult
 from repro.rdf.graph import RDFGraph
 from repro.service.service import PreparedQuery, QueryService, ServiceConfig
 from repro.sparql.ast import BGPQuery
 from repro.systems.base import SystemReport
-
-
-@dataclass
-class CSQConfig:
-    """Deployment knobs for the CSQ system."""
-
-    num_nodes: int = 7
-    option: DecompositionOption = MSC
-    max_plans: int | None = 20_000
-    timeout_s: float | None = 100.0
-    params: CostParams = DEFAULT_PARAMS
-    #: task execution backend ("serial" | "thread" | "process")
-    backend: str = "serial"
-    backend_workers: int | None = None
-    #: store shards (0 = single store; N >= 1 runs behind repro.cluster)
-    shards: int = 0
-    #: shard boundary: "inproc" backends or "rpc" shard server processes
-    shard_transport: str = "inproc"
-
-    def service_config(self) -> ServiceConfig:
-        return ServiceConfig(
-            num_nodes=self.num_nodes,
-            option=self.option,
-            max_plans=self.max_plans,
-            timeout_s=self.timeout_s,
-            params=self.params,
-            backend=self.backend,
-            backend_workers=self.backend_workers,
-            shards=self.shards,
-            shard_transport=self.shard_transport,
-        )
 
 
 class CSQ:
@@ -66,13 +34,12 @@ class CSQ:
     def __init__(
         self,
         graph: RDFGraph,
-        config: CSQConfig | None = None,
+        config: ServiceConfig | None = None,
         service: QueryService | None = None,
     ) -> None:
-        self.config = config or CSQConfig()
         self._owns_service = service is None
         if service is None:
-            service = QueryService(graph, self.config.service_config())
+            service = QueryService(graph, config)
         self.service = service
 
     # -- lifecycle ---------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import glob
+import itertools
 import os
 import signal
 import threading
@@ -33,10 +34,11 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.router import ShardRouter
+from repro.columnar.block import HAVE_NUMPY, ColumnBlock
 from repro.mapreduce.backends import SerialBackend, TaskInvocation
-from repro.mapreduce.counters import ExecutionReport
+from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS
-from repro.mapreduce.jobs import TaskContext
+from repro.mapreduce.jobs import MapTaskSpec, TaskContext
 from repro.physical.executor import job_from_spec
 from repro.service import QueryOutcome, QueryService, ServiceConfig
 from repro.sparql.ast import BGPQuery
@@ -545,6 +547,139 @@ def assert_stateless_workers(service: QueryService, where: str = "") -> None:
         assert any(shuffle or direct for shuffle, direct, _ in bare), where
     finally:
         inproc.close()
+    assert_replicas_equal_the_store(service, where)
+
+
+# -- one id space ----------------------------------------------------------------
+
+
+class _DictionaryProbe(MapTaskSpec):
+    """A picklable map task returning its worker's dictionary replica as
+    one cell that is not a string — so it crosses as the terms
+    themselves, never as ids the driver would read in its own
+    numbering."""
+
+    def __init__(self, node: int) -> None:
+        self.node = node
+
+    def run(self, ctx):
+        return [], [(tuple(ctx.store.dictionary),)], TaskMetrics()
+
+
+def worker_dictionaries(service: QueryService) -> list[tuple[str, ...]]:
+    """Each rpc shard worker's dictionary replica, term by term."""
+    router = service.executor.router
+    snapshot = service.store.snapshot()
+    num_nodes = snapshot.num_nodes
+    invocations = [
+        TaskInvocation(_DictionaryProbe(node), node=node)
+        for node in (
+            snapshot.table.nodes_of_shard(shard)[0]
+            for shard in range(snapshot.num_shards)
+        )
+    ]
+    ctx = TaskContext(num_nodes=num_nodes, store=snapshot, hdfs=HDFS(num_nodes=num_nodes))
+    with router.execution(ctx, ExecutionReport()) as running:
+        results = router.run(invocations, running)
+    return [direct[0][0] for _shuffle, direct, _metrics in results]
+
+
+def assert_replicas_equal_the_store(service: QueryService, where: str = ""):
+    """Every worker's dictionary equals ``service.store.dictionary``, in
+    length (its ``Stats``) and in content (a probe task); returns the
+    ``Stats`` replies."""
+    dictionary = service.store.dictionary
+    stats = service.executor.router.worker_stats()
+    assert [reply.terms for reply in stats] == [len(dictionary)] * len(stats), where
+    assert worker_dictionaries(service) == [tuple(dictionary)] * len(stats), where
+    return stats
+
+
+@contextlib.contextmanager
+def chunks_received():
+    """Every chunk the driver's codecs unpack while the block is open."""
+    from repro.columnar.wire import WireCodec
+
+    seen: list = []
+    real = WireCodec._unpack
+
+    def unpack(self, packed, attrs=None):
+        chunk = real(self, packed, attrs)
+        seen.append(chunk)
+        return chunk
+
+    WireCodec._unpack = unpack
+    try:
+        yield seen
+    finally:
+        WireCodec._unpack = real
+
+
+def one_shard_triples(store, shard: int, count: int = 2) -> list[tuple]:
+    """*count* triples of fresh terms whose every placement lands on a
+    node *shard* owns: a write that touches that shard only."""
+    nodes = set(store.nodes_of_shard(shard))
+    fresh = (f"<one-shard-{i}>" for i in itertools.count())
+    terms = list(
+        itertools.islice(
+            (t for t in fresh if store.node_of(t) in nodes and t not in store.dictionary),
+            3 * count,
+        )
+    )
+    return [tuple(terms[i : i + 3]) for i in range(0, len(terms), 3)]
+
+
+def assert_one_id_space(
+    service: QueryService, reference: QueryService, queries, where: str = ""
+) -> None:
+    """The rpc cells' numbering claim, checked rather than assumed: the
+    store numbers every term once and every worker computes in that
+    numbering — at four moments: after warm-up, after an
+    ``add_triples`` batch touching one shard only (the untouched shard
+    gets the dictionary suffix and no new ``Prime``), after a killed
+    worker respawns, and after a grow and a shrink.  At each, every
+    worker's dictionary equals ``service.store.dictionary``, every
+    block the driver receives is over it, and answers equal
+    *reference* (a serial unsharded service over an equal graph, which
+    is given the same writes).  Both services' graphs are written to.
+    """
+    router = service.executor.router
+    dictionary = service.store.dictionary
+    blocks_expected = service.config.wire_format == "columnar" and HAVE_NUMPY
+
+    def check(moment: str):
+        at = f"{where}/{moment}"
+        with chunks_received() as chunks:
+            for query in queries:
+                assert_conforms(
+                    expected_of(query.name, reference.submit(query)),
+                    service.submit(query),
+                    f"{at}/{query.name}",
+                )
+        blocks = [chunk for chunk in chunks if isinstance(chunk, ColumnBlock)]
+        assert all(block.dictionary is dictionary for block in blocks), at
+        assert bool(blocks) == blocks_expected, at
+        return assert_replicas_equal_the_store(service, at)
+
+    warm = check("warm")
+    size = len(dictionary)
+    writes = one_shard_triples(service.store, shard=0)
+    assert service.add_triples(writes) == reference.add_triples(writes) == len(writes)
+    assert len(dictionary) == size + 3 * len(writes), where
+    written = check("one-shard write")
+    assert written[0].primes == warm[0].primes + 1, where
+    assert written[1].primes == warm[1].primes, where
+    assert router._clients[1].terms_shipped >= 3 * len(writes), where
+
+    failures = router.shard_failures
+    kill_worker(router._clients[0])
+    check("respawned")
+    assert router.shard_failures == failures + 1, where
+
+    assert service.rebalance(target_shards=3).new_shards == 3
+    check("grown")
+    assert service.rebalance(target_shards=2).new_shards == 2
+    check("shrunk")
 
 
 def assert_concurrent_conforms(

@@ -378,15 +378,6 @@ class TestGuardsAndFallback:
 
 
 class TestLegacyTaskApi:
-    def test_positional_closure_still_works(self):
-        """Pre-refactor call shape MapTask(node, fn) keeps working."""
-        def mapper():
-            return [], [(1,)], TaskMetrics()
-
-        task = MapTask(0, mapper)
-        assert isinstance(task.spec, FnMapSpec)
-        assert task.spec.run(TaskContext(num_nodes=1)) == ([], [(1,)], TaskMetrics())
-
     def test_spec_and_run_together_rejected(self):
         with pytest.raises(ValueError):
             MapTask(0, spec=FnMapSpec(lambda: None), run=lambda: None)

@@ -604,10 +604,10 @@ class TestClusterPlumbing:
             ShardedPlanExecutor(store, backend=ProcessBackend(1))
 
     def test_csq_with_shards(self, university):
-        from repro.systems.csq import CSQ, CSQConfig
+        from repro.systems.csq import CSQ
 
         plain = CSQ(university)
-        sharded = CSQ(university, CSQConfig(shards=2))
+        sharded = CSQ(university, ServiceConfig(shards=2))
         try:
             query = parse_query(STAR_QUERY, name="star")
             assert (

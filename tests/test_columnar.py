@@ -27,7 +27,6 @@ from repro.columnar.kernels import (
 from repro.columnar.wire import (
     PackedRows,
     RawRows,
-    WireCodec,
     pack_emits,
     pack_rows,
     unpack_emits,
@@ -229,35 +228,6 @@ class iter_only:
 
     def __iter__(self):
         return iter(self._rows)
-
-
-def test_wire_codec_delta_watermark_protocol():
-    from repro.partitioning.triple_partitioner import StoreSnapshot
-
-    files = (
-        {"f": (("s0", "p0", "o0"), ("s1", "p0", "o1"))},
-        {"g": (("s2", "p1", "o2"),)},
-    )
-    snapshot = StoreSnapshot(
-        num_nodes=2, replicas=("s", "p", "o"), files=files, token=(0, 0)
-    )
-    a, b = WireCodec(snapshot), WireCodec(snapshot)
-    # resident terms ship as ids only; fresh terms ride the delta once
-    rows1 = [("s0", "fresh-term"), ("s1", "o2")]
-    packed = pack_rows(rows1, a.send.encode)
-    frame, commit = a._frame(packed)
-    assert frame.delta_terms == ("fresh-term",)
-    # decode on the peer replays the delta before unpacking
-    b.recv.merge_entries(frame.delta_start, frame.delta_terms)
-    assert unpack_rows(frame.payload, b.recv.decode) == rows1
-    # an uncommitted frame re-ships its delta (lost-frame retry) ...
-    frame2, commit = a._frame(pack_rows(rows1, a.send.encode))
-    assert frame2.delta_terms == ("fresh-term",)
-    b.recv.merge_entries(frame2.delta_start, frame2.delta_terms)  # idempotent
-    commit()
-    # ... and after commit the delta is empty
-    frame3, _ = a._frame(pack_rows(rows1, a.send.encode))
-    assert frame3.delta_terms == ()
 
 
 # -- kernel equivalence (deterministic randomized) -----------------------------
@@ -485,14 +455,15 @@ def test_scan_cache_evicts_one_entry_not_all():
     survives it."""
     state = ColumnarState()
     node = [("s", "p", "o")]
-    hot = state.scan_columns(("hot",), [node, node])  # a 2-node group scan
+    d = numbering(node[0]).dictionary
+    hot = state.scan_columns(("hot",), [node, node], d)  # a 2-node group scan
     assert [len(c) for c in hot[0]] == [2, 2, 2] and hot[1].tolist() == [1, 1]
     for i in range(MAX_CACHED_SCANS - 2):
-        state.scan_columns(("cold", i), [node])
-    assert state.scan_columns(("hot",), [node, node]) is hot  # now youngest
-    state.scan_columns(("wide",), [node, node])  # 514 node-scans: two must go
+        state.scan_columns(("cold", i), [node], d)
+    assert state.scan_columns(("hot",), [node, node], d) is hot  # now youngest
+    state.scan_columns(("wide",), [node, node], d)  # 514 node-scans: two must go
     assert state._cached_node_scans == MAX_CACHED_SCANS
-    assert state.scan_columns(("hot",), [node, node]) is hot
+    assert state.scan_columns(("hot",), [node, node], d) is hot
     assert ("cold", 0) not in state._scan_cache
     assert ("cold", 1) not in state._scan_cache
     assert ("cold", 2) in state._scan_cache
@@ -500,35 +471,46 @@ def test_scan_cache_evicts_one_entry_not_all():
 
 @needs_numpy
 def test_scan_columns_of_an_empty_scan():
-    columns, lengths = ColumnarState().scan_columns(("empty",), [[], []])
+    columns, lengths = ColumnarState().scan_columns(("empty",), [[], []], Dictionary())
     assert [len(c) for c in columns] == [0, 0, 0]
     assert lengths.tolist() == [0, 0]
 
 
 @needs_numpy
 def test_shared_state_under_concurrent_queries():
-    """Service threads share one ``ColumnarState``: its dictionary, hash
-    memo and scan cache all grow while others read them.  Every thread
-    must still route every row where ``stable_hash`` does and get back
-    the rows it encoded."""
+    """Service threads share one ``ColumnarState``: its hash memo and
+    scan cache grow while others read them.  Every thread must still
+    route every row where ``stable_hash`` does and get back the rows it
+    encoded."""
     import sys
     import threading
 
     state = ColumnarState()
     failures: list[str] = []
 
+    def terms_of(seed: int, step: int) -> list[str]:
+        return [f"<http://example.org/w{seed}/s{step}/t{i}>" for i in range(6)]
+
+    d = numbering(
+        TERMS + ["p"] + [t for w in range(8) for s in range(40) for t in terms_of(w, s)]
+    ).dictionary
+
     def worker(seed: int) -> None:
         rng = random.Random(seed)
         for step in range(40):
-            terms = [f"<http://example.org/w{seed}/s{step}/t{i}>" for i in range(6)]
+            terms = terms_of(seed, step)
             relation = random_relation(rng, ("?k", "?v"), terms + TERMS, 30)
-            block = state.encode_rows(relation.attrs, relation.rows)
-            state.scan_columns((seed, step % 5), [[(t, "p", t) for t in terms]])
-            key = relation.key(("?k", "?v"))
-            got = shuffle_partitions(block, ("?k", "?v"), 7, state.memo)
+            try:
+                block = state.encode_rows(relation.attrs, relation.rows, d)
+                state.scan_columns((seed, step % 5), [[(t, "p", t) for t in terms]], d)
+                key = relation.key(("?k", "?v"))
+                got = shuffle_partitions(block, ("?k", "?v"), 7, state.memo(d))
+            except Exception as exc:
+                failures.append(f"worker {seed} step {step}: {exc!r}")
+                return
             if got != [stable_hash(key(row)) % 7 for row in relation.rows]:
                 failures.append(f"worker {seed} step {step}: partitions differ")
-            if block.to_rows(state.dictionary) != relation.rows:
+            if block.to_rows(d) != relation.rows:
                 failures.append(f"worker {seed} step {step}: rows differ")
 
     interval = sys.getswitchinterval()
@@ -548,9 +530,21 @@ def test_shared_state_under_concurrent_queries():
 # -- block-native dataflow: chunks from scan to answer ---------------------------
 
 
-def shuffler_ctx(attrs, node_rows):
+def numbering(terms):
+    """A data-less store snapshot whose dictionary numbers *terms*: the
+    store a test's hand-made rows stand for (the engine computes in the
+    store's numbering and never numbers a term itself)."""
+    from repro.partitioning.triple_partitioner import PartitionedStore
+
+    store = PartitionedStore(num_nodes=1)
+    store.dictionary.encode_many(list(dict.fromkeys(terms)))
+    return store.snapshot()
+
+
+def shuffler_ctx(attrs, node_rows, terms=()):
     """A context whose HDFS file ``f`` holds ``node_rows[n]`` on node
-    ``n``, and the map-shuffler chain that reads it."""
+    ``n`` (and whose store numbers their terms and *terms*), and the
+    map-shuffler chain that reads it."""
     from repro.mapreduce.hdfs import HDFS, DistributedRelation
     from repro.mapreduce.jobs import TaskContext
     from repro.physical.operators import MapShuffler
@@ -558,7 +552,8 @@ def shuffler_ctx(attrs, node_rows):
     hdfs = HDFS(num_nodes=len(node_rows))
     hdfs.write("f", DistributedRelation(attrs, [list(rows) for rows in node_rows]))
     chain = MapShuffler(on=attrs[:1], source="f", source_attrs=attrs)
-    return TaskContext(num_nodes=len(node_rows), hdfs=hdfs), chain
+    store = numbering([t for rows in node_rows for row in rows for t in row] + list(terms))
+    return TaskContext(num_nodes=len(node_rows), store=store, hdfs=hdfs), chain
 
 
 def assert_split_matches_chain_map(attrs, rows, key_attrs, num_reducers):
@@ -583,7 +578,9 @@ def assert_split_matches_chain_map(attrs, rows, key_attrs, num_reducers):
         assert got_metrics == want_metrics
         assert len(got_direct) == len(want_direct) == 0
         assert all(tag == 3 for _p, tag, _c in got_shuffle)
-        assert all(chunk.dictionary is state.dictionary for _p, _t, chunk in got_shuffle)
+        assert all(
+            chunk.dictionary is ctx.store.dictionary for _p, _t, chunk in got_shuffle
+        )
         got = {p: sorted(chunk) for p, _tag, chunk in got_shuffle}
         assert len(got) == len(got_shuffle)  # one chunk per partition
         assert got == {p: sorted(chunk) for p, _tag, chunk in want_shuffle}
@@ -629,7 +626,8 @@ def test_reducer_reads_mixed_chunks_like_the_tuple_reducer():
 
     rng = random.Random(23)
     backend = ColumnarBackend()
-    own, foreign = backend.state.dictionary, Dictionary()
+    ctx = TaskContext(num_nodes=1, store=numbering([f"v{i}" for i in range(5)] + TERMS))
+    own, foreign = ctx.store.dictionary, Dictionary()
     foreign.encode_many([f"pad{i}" for i in range(50)])  # ids must not line up
     for _ in range(20):
         spec, rows = mixed_reduce_inputs(rng)
@@ -643,7 +641,6 @@ def test_reducer_reads_mixed_chunks_like_the_tuple_reducer():
                 ColumnBlock.from_rows(attrs, [], foreign),
                 iter_only(r[14:]),
             ]
-        ctx = TaskContext(num_nodes=1)
         want_rows, want_metrics = spec.run(ctx, 0, {t: [r] for t, r in rows.items()})
         [(got, got_metrics)] = backend.run(
             [TaskInvocation(spec, (0, grouped), 0, "reduce", 0)], ctx
@@ -715,9 +712,9 @@ def test_shared_backend_serves_five_shards_from_one_encoding(lubm_graph, monkeyp
     want = reference.execute_prepared(reference.prepare(plan))
 
     encodes = []
-    real = Dictionary.encode_many
+    real = Dictionary.ids_of
     monkeypatch.setattr(
-        Dictionary, "encode_many", lambda self, terms: encodes.append(1) or real(self, terms)
+        Dictionary, "ids_of", lambda self, terms: encodes.append(1) or real(self, terms)
     )
     backend = ColumnarBackend()
     executor = ShardedPlanExecutor(shard_graph(lubm_graph, 7, 5), backend=backend)
@@ -734,6 +731,42 @@ def test_shared_backend_serves_five_shards_from_one_encoding(lubm_graph, monkeyp
         assert executor.router.backends == [backend] * 5
     finally:
         executor.close()
+
+
+@needs_numpy
+@pytest.mark.parametrize("shards", [0, 2])
+def test_the_engine_computes_in_the_store_dictionary(lubm_graph, monkeypatch, shards):
+    """The columnar backend has no dictionary of its own: every block a
+    task hands the engine, unsharded or on in-process shards, is over
+    ``service.store.dictionary``, and running queries numbers nothing."""
+    from repro import QueryService, ServiceConfig
+    from repro.mapreduce.backends import ColumnarBackend
+    from repro.workloads import lubm_queries
+
+    chunks = []
+    real = ColumnarBackend.run
+
+    def run(self, invocations, ctx):
+        results = real(self, invocations, ctx)
+        for result in results:
+            if len(result) == 3:
+                chunks.extend(chunk for _p, _tag, chunk in result[0])
+            chunks.append(result[-2])
+        return results
+
+    monkeypatch.setattr(ColumnarBackend, "run", run)
+    with QueryService(
+        lubm_graph,
+        ServiceConfig(backend="columnar", shards=shards, result_cache_size=0),
+    ) as service:
+        size = len(service.store.dictionary)
+        for query in lubm_queries.all_queries():
+            service.submit(query)
+        blocks = [chunk for chunk in chunks if isinstance(chunk, ColumnBlock)]
+        assert blocks
+        assert all(block.dictionary is service.store.dictionary for block in blocks)
+        assert len(service.store.dictionary) == size
+        assert not hasattr(ColumnarState(), "dictionary")
 
 
 @needs_numpy
@@ -1115,7 +1148,8 @@ if HAVE_HYPOTHESIS:
             rows = [rows[0][:key_width] + row[key_width:] for row in rows]
         assert_split_matches_chain_map(attrs, rows, attrs[:key_width], reducers)
 
-    small_term_st = st.sampled_from(["a", "b", "c", "", '"é"'])
+    SMALL_TERMS = ["a", "b", "c", "", '"é"']
+    small_term_st = st.sampled_from(SMALL_TERMS)
     pair_rows_st = st.lists(st.tuples(small_term_st, small_term_st), max_size=6)
 
     @needs_numpy
@@ -1140,7 +1174,7 @@ if HAVE_HYPOTHESIS:
         from repro.physical.executor import ChainMapSpec, MapOnlySpec, StarReduceSpec
 
         attrs = ("?a", "?b", "?c")
-        ctx, chain = shuffler_ctx(attrs, node_rows)
+        ctx, chain = shuffler_ctx(attrs, node_rows, SMALL_TERMS)
         nodes = [node % len(node_rows) for node in nodes]
         specs = [
             ChainMapSpec(

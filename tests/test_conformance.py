@@ -15,8 +15,11 @@ the same spans (``conformance.assert_one_pipeline``).
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.service import QueryService, ServiceConfig
 from repro.workloads import lubm, lubm_queries
 from tests.conformance import (
     BACKENDS,
@@ -26,6 +29,7 @@ from tests.conformance import (
     RPC_WIRES,
     SURFACES,
     assert_concurrent_conforms,
+    assert_one_id_space,
     assert_one_pipeline,
     assert_rebalance_conforms,
     assert_stateless_workers,
@@ -218,6 +222,34 @@ def test_rebalance_rpc_conformance(graph, queries, reference, wire):
         assert_stateless_workers(service, where=f"shards4-rpc/{wire}/rebalanced")
     finally:
         service.close()
+
+
+@pytest.mark.parametrize("backend", ["serial", "columnar"])
+@pytest.mark.parametrize("wire", RPC_WIRES)
+def test_one_id_space_rpc(queries, wire, backend):
+    """The numbering dimension over rpc x {pickle, columnar} x {serial,
+    columnar} workers at ``shards=2``: the store's dictionary is the one
+    every worker holds — after warm-up, after a write to one shard only,
+    a worker respawn, a grow and a shrink — and the driver receives
+    blocks over nothing else.  Its own graphs: the check writes."""
+    skip_unless_supported("shards4-rpc", backend)
+    config = {"universities": UNIVERSITIES}
+    with make_service(
+        lubm.generate(lubm.LUBMConfig(**config)), "serial", "unsharded"
+    ) as reference, QueryService(
+        lubm.generate(lubm.LUBMConfig(**config)),
+        ServiceConfig(
+            shards=2,
+            shard_transport="rpc",
+            wire_format=wire,
+            backend=backend,
+            result_cache_size=0,
+            tracing=os.environ.get("REPRO_TRACE", "") == "1",
+        ),
+    ) as service:
+        assert_one_id_space(
+            service, reference, queries[::3], where=f"shards2-rpc/{wire}/{backend}"
+        )
 
 
 @pytest.mark.parametrize("surface", SURFACES)

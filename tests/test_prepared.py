@@ -14,7 +14,7 @@ from repro.service.service import (
 )
 from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import SparqlSyntaxError, parse_query
-from repro.systems.csq import CSQ, CSQConfig
+from repro.systems.csq import CSQ
 from repro.workloads import lubm, lubm_queries
 
 ALL_NAMES = [f"Q{i}" for i in range(1, 15)]
@@ -205,7 +205,7 @@ class TestExplicitParams:
 
 class TestUnifiedRouting:
     def test_csq_run_and_prepare_share_the_service_caches(self, graph):
-        with CSQ(graph, CSQConfig()) as csq:
+        with CSQ(graph, ServiceConfig()) as csq:
             report = csq.run(lubm_queries.query("Q4"))
             assert report.details["provenance"]["served_by"] == "optimizer"
             prepared = csq.prepare(lubm_queries.query("Q4"))

@@ -1,5 +1,7 @@
 """Unit tests for repro.rdf.dictionary."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,27 @@ class TestDictionary:
         d = Dictionary()
         d.encode_many(["a", "b", "c"])
         assert d.decode_many([2, 0]) == ["c", "a"]
+
+    def test_id_of_never_numbers_a_term(self):
+        d = Dictionary(["a", "b"])
+        assert d.id_of("b") == 1 and d.ids_of(["b", "a"]) == [1, 0]
+        with pytest.raises(KeyError):
+            d.ids_of(["a", "c"])
+        assert len(d) == 2
+        with pytest.raises(ValueError):
+            Dictionary(["a", "a"])
+
+    @pytest.mark.parametrize("terms", [[], ["a", "b", "a", "c"]])
+    def test_pickles_as_a_replica_of_its_terms(self, terms):
+        """A replica (what a shard worker's Prime carries) numbers every
+        term as the original does, and keeps numbering after it —
+        the empty dictionary included."""
+        d = Dictionary()
+        d.encode_many(terms)
+        replica = pickle.loads(pickle.dumps(d))
+        assert list(replica) == list(d)
+        assert [replica.id_of(t) for t in terms] == d.ids_of(terms)
+        assert replica.encode("new") == len(d)
 
 
 @given(st.lists(st.text(min_size=1), min_size=1, max_size=50))

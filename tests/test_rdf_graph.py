@@ -59,8 +59,14 @@ class TestAccessors:
         assert graph.count_property("nope") == 0
 
     def test_dictionary_tracks_terms(self, graph):
-        assert graph.dictionary.lookup("<a>") is not None
-        assert graph.dictionary.lookup("?x") is None
+        """The graph keeps strings; the §5.1 store loaded from it numbers
+        every term once, and nothing else."""
+        from repro.partitioning.triple_partitioner import partition_graph
+
+        dictionary = partition_graph(graph, 3).dictionary
+        assert dictionary.lookup("<a>") is not None
+        assert dictionary.lookup("?x") is None
+        assert set(dictionary) == {term for triple in graph for term in triple}
 
 
 class TestMatch:

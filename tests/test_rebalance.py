@@ -49,6 +49,7 @@ from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
 from repro.partitioning.triple_partitioner import StoreSnapshot, partition_graph
+from repro.rdf.dictionary import Dictionary
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.parser import parse_query
 from tests.conformance import needs_rpc
@@ -456,16 +457,24 @@ class TestDefaultConfigRebalance:
             assert set(store.node_shards) == {0, 1, 2}
             assert all(count > 0 for count in store.triples_per_shard())
             if transport == "rpc":
-                empty = StoreSnapshot(
-                    num_nodes=store.num_nodes,
-                    replicas=store.replicas,
-                    files=tuple({} for _ in range(store.num_nodes)),
-                    token=store.snapshot().shards[2].token,
-                )
-                empty_prime = Prime(empty, wire="columnar", epoch=1)
-                assert report.bytes_shipped[2] > 10 * len(
-                    pickle.dumps(Request(0, empty_prime))
-                )
+
+                def prime_bytes(dictionary):
+                    empty = StoreSnapshot(
+                        num_nodes=store.num_nodes,
+                        replicas=store.replicas,
+                        files=tuple({} for _ in range(store.num_nodes)),
+                        token=store.snapshot().shards[2].token,
+                        dictionary=dictionary,
+                    )
+                    prime = Prime(empty, wire="columnar", epoch=1)
+                    return len(pickle.dumps(Request(0, prime)))
+
+                bound = 10 * prime_bytes(Dictionary())
+                # An empty view still carries the store's dictionary, as
+                # every prime does, and stays below the bound: what
+                # crosses it is data.
+                assert prime_bytes(store.dictionary) < bound
+                assert report.bytes_shipped[2] > bound
             assert service.submit(STAR_QUERY).rows == expected
             assert service.submit(CHAIN_QUERY).rows == chain
             report = service.rebalance(target_shards=2)
@@ -670,42 +679,51 @@ class TestRpcRebalance:
         """A query routed against epoch v whose levels land after the
         table flipped to v+1 is answered correctly: the worker rejects
         the stale frame typed and the driver re-routes the same tasks
-        under the current table (pickle wire: a codec reseed must not
-        straddle an in-flight columnar frame, so that path quiesces at
-        the service layer instead)."""
-        store = shard_graph(university, NUM_NODES, 2)
-        executor = ShardedPlanExecutor(
-            store, transport="rpc", wire_format="pickle"
-        )
+        under the current table (on the pickle wire; the columnar one
+        is the twin below)."""
+        reroute_across_live_rebalance(university, "pickle")
+
+    def test_driver_reroutes_columnar_query_across_live_rebalance(
+        self, university
+    ):
+        """The same on the columnar wire: a migration re-seeds no codec
+        (both ends number terms as the store does), so a level frame
+        may be in flight around it."""
+        reroute_across_live_rebalance(university, "columnar")
+
+
+def reroute_across_live_rebalance(university, wire: str) -> None:
+    store = shard_graph(university, NUM_NODES, 2)
+    executor = ShardedPlanExecutor(store, transport="rpc", wire_format=wire)
+    try:
+        plan = cliquesquare(parse_query(STAR_QUERY), MSC).plans[0]
+        prepared = executor.prepare(plan)
+        executor.prime()
+        expected = executor.execute_prepared(prepared).rows
+        router = executor.router
+        assert isinstance(router, RpcShardRouter)
+        original = router._level_call
+        fired = []
+
+        def tripping(shard, msg, exec_ctx):
+            if not fired:
+                fired.append(True)
+                executor.rebalance(target_shards=3)
+            return original(shard, msg, exec_ctx)
+
+        router._level_call = tripping
         try:
-            plan = cliquesquare(parse_query(STAR_QUERY), MSC).plans[0]
-            prepared = executor.prepare(plan)
-            executor.prime()
-            expected = executor.execute_prepared(prepared).rows
-            router = executor.router
-            assert isinstance(router, RpcShardRouter)
-            original = router._level_call
-            fired = []
-
-            def tripping(shard, msg, exec_ctx):
-                if not fired:
-                    fired.append(True)
-                    executor.rebalance(target_shards=3)
-                return original(shard, msg, exec_ctx)
-
-            router._level_call = tripping
-            try:
-                result = executor.execute_prepared(prepared)
-            finally:
-                router._level_call = original
-            assert fired, "the mid-query rebalance never triggered"
-            assert result.rows == expected
-            assert store.num_shards == 3
-            # Settled topology: the next query runs at the new epoch
-            # without any re-routing.
-            assert executor.execute_prepared(prepared).rows == expected
+            result = executor.execute_prepared(prepared)
         finally:
-            executor.close()
+            router._level_call = original
+        assert fired, "the mid-query rebalance never triggered"
+        assert result.rows == expected
+        assert store.num_shards == 3
+        # Settled topology: the next query runs at the new epoch
+        # without any re-routing.
+        assert executor.execute_prepared(prepared).rows == expected
+    finally:
+        executor.close()
 
 
 def _spawn_bomb(shard):

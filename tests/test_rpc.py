@@ -45,14 +45,14 @@ from repro.cluster.rpc import (
     WorkerStateError,
     _Waiter,
 )
-from repro.columnar.block import HAVE_NUMPY
+from repro.columnar.block import HAVE_NUMPY, ColumnBlock
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
 from repro.mapreduce.backends import ExecutionBackend, TaskInvocation
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
-from repro.mapreduce.jobs import FnReduceSpec, TaskContext
+from repro.mapreduce.jobs import FnReduceSpec, MapTaskSpec, TaskContext
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor, job_from_spec
 from repro.rdf.dictionary import Dictionary
@@ -500,9 +500,8 @@ class TestFaultInjection:
     def test_unpicklable_spec_fails_typed_before_a_byte_is_sent(self, university):
         """A closure spec (SPEC001's documented exception) cannot cross
         to a shard server: the router says so, typed and naming the
-        spec, without writing to the socket, committing the codec's
-        dictionary delta or leaking the waiter — and the connection
-        serves the next batch, delta included."""
+        spec, without writing to the socket or leaking the waiter — and
+        the connection serves the next batch."""
         router = RpcShardRouter(
             num_nodes=NUM_NODES, num_shards=1, wire_format="columnar"
         )
@@ -511,7 +510,7 @@ class TestFaultInjection:
             ctx = TaskContext(
                 num_nodes=NUM_NODES, store=snapshot, hdfs=HDFS(num_nodes=NUM_NODES)
             )
-            rows = [("<a-term-no-snapshot-holds>",)]
+            rows = [("<dept3>",)]
 
             def batch(reducer):
                 return [
@@ -522,17 +521,15 @@ class TestFaultInjection:
 
             with router.execution(ctx, ExecutionReport()) as running:
                 client = router._clients[0]
-                sent, watermark = client.frames_sent, client.codec._watermark
+                sent = client.frames_sent
                 with pytest.raises(RpcProtocolError, match="FnReduceSpec"):
                     router.run(batch(lambda p, grouped: _echo(p, grouped)), running)
                 assert client.frames_sent == sent
-                assert client.codec._watermark == watermark < len(client.codec.send)
                 assert not client._waiters
                 [(out, _metrics)] = router.run(batch(_echo), running)
                 assert list(out) == rows
                 assert router._clients[0] is client
                 assert client.frames_sent == sent + 1
-                assert client.codec._watermark == len(client.codec.send)
         finally:
             router.close()
 
@@ -540,6 +537,57 @@ class TestFaultInjection:
 def _echo(partition, grouped):
     """A reducer that pickles (by reference): its input, unchanged."""
     return grouped[0], TaskMetrics()
+
+
+class _Stranger(MapTaskSpec):
+    """A picklable map spec whose direct output holds a term the store
+    never held — as a row list, or as a block it numbers itself in the
+    worker's replica (``mint``)."""
+
+    node = 0
+
+    def __init__(self, mint: bool) -> None:
+        self.mint = mint
+
+    def run(self, ctx):
+        rows = [("<dept0>",), ("<never-loaded>",)]
+        if self.mint:
+            rows = ColumnBlock.from_rows(("?x",), rows, ctx.store.dictionary)
+        return [], rows, TaskMetrics()
+
+
+@needs_rpc
+@pytest.mark.parametrize("backend", ["serial", "columnar"])
+@pytest.mark.parametrize("mint", [False, True], ids=["emits", "mints"])
+def test_a_worker_never_ships_an_id_the_store_did_not_number(
+    university, backend, mint
+):
+    """A worker has no ids of its own to give: a term the store never
+    held fails its reply typed — looked up and missing, or numbered by
+    the task past what the driver synced — instead of crossing as an id
+    the driver would read as another term; the connection serves the
+    next query."""
+    if (backend == "columnar" or mint) and not HAVE_NUMPY:
+        pytest.skip("id blocks need numpy")
+    service = rpc_service(university, backend=backend)
+    try:
+        expected = service.submit(STAR_QUERY).rows
+        router = service.executor.router
+        clients, failures = list(router._clients), router.shard_failures
+        ctx = TaskContext(
+            num_nodes=NUM_NODES,
+            store=service.store.snapshot(),
+            hdfs=HDFS(num_nodes=NUM_NODES),
+        )
+        with router.execution(ctx, ExecutionReport()) as running:
+            with pytest.raises((RpcProtocolError, WorkerStateError), match="never"):
+                router.run([TaskInvocation(_Stranger(mint), node=0)], running)
+        assert "<never-loaded>" not in service.store.dictionary
+        assert service.submit(STAR_QUERY).rows == expected
+        assert router._clients == clients
+        assert router.shard_failures == failures
+    finally:
+        service.close()
 
 
 def _respawn_bomb(shard):
@@ -912,12 +960,13 @@ class TestRpcSurface:
 @pytest.mark.skipif(not HAVE_NUMPY, reason="id columns need numpy")
 class TestBlockWire:
     """Id columns cross the frame as buffers: the driver computes in the
-    router's dictionary, a columnar worker in its backend's."""
+    store's dictionary, a columnar worker in its replica of it."""
 
     def test_warm_pass_touches_no_term_but_the_answers(self, monkeypatch):
         """After two passes of the 14 LUBM queries over 2 rpc shards, a
-        third ships and translates no term on either end of either
-        connection, and the driver decodes only the answer columns."""
+        third ships no term to either worker, both replicas hold the
+        store's numbering, and the driver decodes only the answer
+        columns, in the store's dictionary."""
         from repro.workloads import lubm, lubm_queries
 
         queries = lubm_queries.all_queries()
@@ -926,17 +975,13 @@ class TestBlockWire:
             router = service.executor.router
 
             def wire_counts():
-                ends = [stats for _shard, stats in router.wire_stats()]
-                ends += [reply.wire for reply in router.worker_stats()]
-                assert len(ends) == 4
-                return [
-                    (end["terms_shipped"], end["terms_translated"]) for end in ends
-                ]
+                shipped = [stats["terms_shipped"] for _s, stats in router.wire_stats()]
+                return shipped, [reply.terms for reply in router.worker_stats()]
 
             for _ in range(2):
                 answers = [service.submit(query) for query in queries]
             before = wire_counts()
-            assert all(translated for _shipped, translated in before)
+            assert before == ([0, 0], [len(service.store.dictionary)] * 2)
             decodes = []
             real = Dictionary.decode_many
             monkeypatch.setattr(
@@ -950,12 +995,11 @@ class TestBlockWire:
                 assert not outcome.result_cache_hit
                 assert outcome.rows == warm.rows
                 assert len(decodes) == (len(outcome.attrs) if outcome.rows else 0)
-                assert all(d is router._ids for d in decodes)
+                assert all(d is service.store.dictionary for d in decodes)
             assert any(answer.rows for answer in answers)
             assert wire_counts() == before
-            translated = before[0][1]
             assert (
-                f'repro_shard_wire{{shard="0",field="terms_translated"}} {translated}'
+                'repro_shard_wire{shard="0",field="terms_shipped"} 0'
                 in service.render_prometheus()
             )
         finally:
@@ -989,16 +1033,19 @@ class TestBlockWire:
 
     @pytest.mark.parametrize("blocks", ["driver", "worker"])
     def test_block_and_row_endpoints_conform(self, university, blocks, monkeypatch):
-        """``local`` set on one end only — a block driver with serial
-        workers (block in, rows out), a row driver with columnar
-        workers — answers and reports like the in-process reference."""
+        """Blocks on one end only — a block driver with serial workers
+        (block in, rows out), a row driver with columnar workers —
+        answers and reports like the in-process reference, both ends
+        over one numbering."""
         if blocks == "worker":
             monkeypatch.setattr("repro.cluster.rpc.HAVE_NUMPY", False)
         backend = "serial" if blocks == "driver" else "columnar"
         service = rpc_service(university, backend=backend)
         try:
             router = service.executor.router
-            assert (router._ids is not None) == (blocks == "driver")
+            codecs = [router._clients[shard].codec for shard in range(2)]
+            assert all(c.blocks == (blocks == "driver") for c in codecs)
+            assert all(c.dictionary is service.store.dictionary for c in codecs)
             with QueryService(
                 university, ServiceConfig(result_cache_size=0, backend="serial")
             ) as reference:
@@ -1007,13 +1054,9 @@ class TestBlockWire:
                     outcome = service.submit(query)
                     assert outcome.rows == expected_of.rows
                     assert outcome.report.jobs == expected_of.report.jobs
-            driver = [stats for _shard, stats in router.wire_stats()]
-            workers = [reply.wire for reply in router.worker_stats()]
-            rows_end, block_end = (
-                (workers, driver) if blocks == "driver" else (driver, workers)
-            )
-            assert all(end["terms_translated"] == 0 for end in rows_end)
-            assert all(end["terms_translated"] > 0 for end in block_end)
+            assert [reply.terms for reply in router.worker_stats()] == [
+                len(service.store.dictionary)
+            ] * 2
         finally:
             service.close()
 

@@ -8,7 +8,8 @@ the heavy frames (``Prime``'s snapshot, ``ExecuteLevel``'s task specs)
 are built only when the test actually runs.
 
 Below the registry: the columnar codec's two paths through those frames
-— rows (stdlib) and id blocks (numpy) — over two in-memory endpoints.
+— rows (stdlib) and id blocks (numpy) — over in-memory endpoints that,
+like a driver and its workers, number terms as the store does.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ from repro.cluster.rpc import (
     StatsReply,
     TableUpdate,
 )
-from repro.cluster.rpc import ShardWorkerClient, _WorkerState
+from repro.cluster.rpc import WorkerStateError, _dispatch, _WorkerState
 from repro.columnar.block import HAVE_NUMPY, ColumnBlock, chunk_rows
 from repro.columnar.wire import (
-    ColumnarFrame,
     PackedMapResult,
     PackedReduceResult,
     PackedRows,
@@ -122,16 +122,16 @@ FRAME_EXAMPLES = {
         adds={1: dict(_snapshot().files[1])},
         drops=(0,),
         token=(17, 2),
-        wire="pickle",
     ),
-    "TableUpdate": lambda: TableUpdate(epoch=4),
+    # An epoch flip carrying a dictionary suffix to merge.
+    "TableUpdate": lambda: TableUpdate(epoch=4, terms_from=9, terms=("<t>",)),
     "ExecuteLevel": _level,
     "ExecuteBatch": lambda: ExecuteBatch(items=((7, _level()),)),
     "Stats": Stats,
     "StatsReply": lambda: StatsReply(
         shard=0, pid=1234, snapshot_token=None,
         tasks_run=4, levels_run=2, primes=1,
-        bytes_received=1024, backend="serial", warnings=("w",),
+        bytes_received=1024, backend="serial", warnings=("w",), terms=40,
     ),
     "Shutdown": Shutdown,
     "OkReply": lambda: OkReply(value=("k", ())),
@@ -139,8 +139,12 @@ FRAME_EXAMPLES = {
         # A map result — shuffle emits grouped per reduce partition, one
         # direct chunk — and a reduce result, as the engine reads them.
         results=[
-            ([(0, 0, [("row",)]), (2, 1, [("a",), ("b",)])], [], TaskMetrics()),
-            ([("row",)], TaskMetrics()),
+            (
+                [(0, 0, [("<dept0>",)]), (2, 1, [("<dept1>",), ("<univ0>",)])],
+                [],
+                TaskMetrics(),
+            ),
+            ([("<dept0>",)], TaskMetrics()),
         ],
         spans=(("execute", -1, 0.0001, 0.002, {"tasks": 2}),),
     ),
@@ -150,24 +154,6 @@ FRAME_EXAMPLES = {
     ),
     "Request": lambda: Request(id=3, msg=Stats()),
     "Reply": lambda: Reply(id=3, payload=OkReply(), encode_s=0.0005),
-    "ColumnarFrame": lambda: ColumnarFrame(
-        # The packed twin of the ResultsReply above: emits stay grouped
-        # per partition — group sizes beside one row buffer.
-        payload=ResultsReply(
-            results=[
-                PackedMapResult(
-                    emits=(((0, 0, 1),), PackedRows(1, (1,), b"\x00")),
-                    direct=PackedRows(0, (), b""),
-                    metrics=TaskMetrics(),
-                ),
-                PackedReduceResult(
-                    rows=PackedRows(1, (1,), b"\x00"), metrics=TaskMetrics()
-                ),
-            ]
-        ),
-        delta_start=0,
-        delta_terms=("t",),
-    ),
 }
 
 #: frames whose fields compare by identity (exceptions, snapshots),
@@ -197,21 +183,37 @@ def test_frame_pickle_round_trip(name):
         assert clone == frame
 
 
+
+
+# -- the codec: one numbering on both ends ---------------------------------------
+
+
+def _codec(blocks=False, limit=None, snapshot=None):
+    return WireCodec(snapshot or _snapshot(), blocks=blocks, limit=limit)
+
+
+def _ship(sender, receiver, msg):
+    """Encode *msg*, cross a pickle boundary, decode."""
+    return receiver.decode(pickle.loads(pickle.dumps(sender.encode(msg))))
+
+
+def _reduce_level(grouped):
+    return ExecuteLevel(
+        level=0, phase="reduce", tasks=((_job().reduce_spec, 0, grouped),)
+    )
+
+
 def test_results_frame_codec_round_trip():
     """The columnar codec turns the example ``ResultsReply`` into the
     per-partition packed shape and back to row lists."""
-    sender, receiver = WireCodec(_snapshot()), WireCodec(_snapshot())
     reply = FRAME_EXAMPLES["ResultsReply"]()
-    frame, commit = sender.encode_results(reply)
-    packed_map, packed_reduce = frame.payload.results
+    packed_map, packed_reduce = _codec().encode(reply).results
     assert isinstance(packed_map, PackedMapResult)
     groups, rows = packed_map.emits
     assert groups == ((0, 0, 1), (2, 1, 2))
     assert isinstance(rows, PackedRows) and rows.count == 3
     assert isinstance(packed_reduce, PackedReduceResult)
-    commit()
-    assert receiver.decode_frame(pickle.loads(pickle.dumps(frame))) == reply
-
+    assert _ship(_codec(), _codec(), reply) == reply
 
 
 def test_zero_arity_rows_survive_the_row_path():
@@ -221,42 +223,23 @@ def test_zero_arity_rows_survive_the_row_path():
     packed = pack_rows([(), ()], d.encode)
     assert isinstance(packed, RawRows)
     assert unpack_rows(packed, d.decode) == [(), ()]
-    sender, receiver = WireCodec(_snapshot()), WireCodec(_snapshot())
     reply = ResultsReply(results=[([()], TaskMetrics())])
-    frame, _commit = sender.encode_results(reply)
-    assert receiver.decode_frame(pickle.loads(pickle.dumps(frame))) == reply
+    assert _ship(_codec(), _codec(), reply) == reply
 
 
-# -- the block path --------------------------------------------------------------
-
-#: ids straddling every width boundary, and beyond int32
-BOUNDARY_IDS = [
-    0, 1, 254, 255, 256, 257, 65_534, 65_535, 65_536, 65_537,
-    2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62,
-]
-
-
-def _block_endpoints(snapshot=None):
-    """Two codec ends over one snapshot, each computing in an id space
-    of its own (seeded differently, so equal terms have unequal ids)."""
-    snapshot = snapshot or _snapshot()
-    here, there = Dictionary(), Dictionary()
-    here.encode_many([f"<here{i}>" for i in range(300)])
-    there.encode_many([f"<there{i}>" for i in range(70_000)])
-    return WireCodec(snapshot, here), WireCodec(snapshot, there)
-
-
-def _ship(sender, receiver, msg):
-    """Encode *msg*, cross a pickle boundary, decode."""
-    frame, commit = sender.encode_payload(msg)
-    commit()
-    return receiver.decode_frame(pickle.loads(pickle.dumps(frame)))
-
-
-def _reduce_level(grouped):
-    return ExecuteLevel(
-        level=0, phase="reduce", tasks=((_job().reduce_spec, 0, grouped),)
-    )
+def test_codec_never_numbers_a_term():
+    """A codec looks terms up and never assigns an id: a term the store
+    does not hold fails the encoding, and a worker's codec (``limit``)
+    refuses an id at or past the length the driver synced."""
+    dictionary = _store().dictionary
+    size = len(dictionary)
+    with pytest.raises(KeyError):
+        _codec().encode(_reduce_level({0: [[("<never-loaded>",)]]}))
+    assert len(dictionary) == size
+    reply = ResultsReply(results=[([("<dept0>",)], TaskMetrics())])
+    with pytest.raises(ValueError, match="driver synced"):
+        _codec(limit=dictionary.id_of("<dept0>")).encode(reply)
+    assert _ship(_codec(limit=size), _codec(), reply) == reply
 
 
 @pytest.mark.parametrize("wire", ["pickle", "columnar"])
@@ -265,7 +248,7 @@ def test_level_frames_carry_their_task_specs(wire):
     both wires hand the worker specs equal to the driver's, and the
     columnar codec leaves them alone while it packs the chunks."""
     job = _job()
-    rows = [("<dept0>", "<p0>"), ("<dept1>", "<p1>")]
+    rows = [("<dept0>", "<person0>"), ("<dept1>", "<person1>")]
     map_level = replace(
         _level(),
         inputs={"f": DistributedRelation(("?d", "?p"), [rows, [], []])},
@@ -275,9 +258,7 @@ def test_level_frames_carry_their_task_specs(wire):
         def ship(msg):
             return pickle.loads(pickle.dumps(msg))
     else:
-        ship = functools.partial(
-            _ship, WireCodec(_snapshot()), WireCodec(_snapshot())
-        )
+        ship = functools.partial(_ship, _codec(), _codec())
     got = ship(map_level)
     assert got.tasks == tuple(task.spec for task in job.map_tasks)
     # one chain object per tag on the driver, one per tag after the hop
@@ -288,6 +269,15 @@ def test_level_frames_carry_their_task_specs(wire):
     assert {tag: chunk_rows(chunks) for tag, chunks in grouped.items()} == {
         0: rows, 1: rows[:1]
     }
+
+
+# -- the block path --------------------------------------------------------------
+
+#: ids straddling every width boundary, and beyond int32
+BOUNDARY_IDS = [
+    0, 1, 254, 255, 256, 257, 65_534, 65_535, 65_536, 65_537,
+    2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62,
+]
 
 
 @needs_numpy
@@ -311,115 +301,122 @@ def test_id_columns_pack_to_the_row_paths_bytes(count):
 
 
 @needs_numpy
-def test_blocks_cross_as_blocks_between_different_id_spaces():
-    sender, receiver = _block_endpoints()
-    resident = ["<dept0>", "<dept1>", "ub:worksFor", "rdf:type", "<dept0>"]
-    assert all(term in sender.send for term in resident)
-    rows = [(term, f"<new{i % 3}>") for i, term in enumerate(resident * 2)]
-    block = ColumnBlock.from_rows(("?a", "?b"), rows, sender.local)
-    empty = ColumnBlock.empty(("?a", "?b"), sender.local)
-    # one tag of several own-dictionary chunks, an empty one among them
-    level = _reduce_level({0: [block, empty, block[2:5]], 1: [empty]})
-    (_job, _partition, grouped), = _ship(sender, receiver, level).tasks
-    [chunk] = grouped[0]
-    assert isinstance(chunk, ColumnBlock) and chunk.dictionary is receiver.local
-    assert list(chunk) == rows + rows[2:5]
-    assert [len(c) for c in grouped[1]] == [0]
-    # a map level's inputs keep their schema; unowned partitions stay empty
-    level = ExecuteLevel(
-        level=1, phase="map", tasks=_level().tasks,
-        inputs={"f": DistributedRelation(("?a", "?b"), [Chunks([block, block]), []])},
-    )
-    relation = _ship(sender, receiver, level).inputs["f"]
-    assert relation.partitions[0].attrs == ("?a", "?b")
-    assert list(relation.partitions[0]) == rows + rows
-    assert list(relation.partitions[1]) == []
-    # ... and a map result's emits come back grouped per partition
-    reply = ResultsReply(
-        results=[
-            ([(0, 0, block[:4]), (2, 0, block[4:])], block, TaskMetrics()),
-            (empty, TaskMetrics()),
+@pytest.mark.parametrize("backend", ["columnar", "serial"])
+def test_a_block_crosses_driver_worker_driver_with_the_same_ids(backend):
+    """One id space, frame by frame: a block over the store's dictionary
+    crosses to a worker primed with a pickled snapshot — its replica —
+    and back, and the buffer on the wire is the block's own ids both
+    ways; no dictionary is grown and no id is translated."""
+    import numpy as np
+
+    store = partition_graph(make_university_graph(), NUM_NODES)
+    driver = WireCodec(store.snapshot(), blocks=True)
+    state = _WorkerState(0, NUM_NODES, backend, None)
+    try:
+        replica = pickle.loads(pickle.dumps(store.snapshot()))
+        _dispatch(state, Prime(replica, wire="columnar"))
+        worker = state.wire
+        assert worker.dictionary is replica.dictionary is not store.dictionary
+        assert list(worker.dictionary) == list(store.dictionary)
+        assert worker.limit == len(store.dictionary)
+        assert worker.blocks == (backend == "columnar")
+        rows = [("<person3>", "<dept2>"), ("<dept0>", "ub:Student")] * 3
+        block = ColumnBlock.from_rows(("?a", "?b"), rows, store.dictionary, mint=False)
+        sizes = len(store.dictionary)
+
+        out = driver.encode(_reduce_level({0: [block]}))
+        (_, _, packed), = out.tasks
+        assert packed[0] == pack_columns(block.columns)  # the ids as they are
+        (_, _, grouped), = worker.decode(pickle.loads(pickle.dumps(out))).tasks
+        [chunk] = grouped[0]
+        if backend == "columnar":
+            assert chunk.dictionary is worker.dictionary
+            assert all(
+                np.array_equal(a, b) for a, b in zip(chunk.columns, block.columns)
+            )
+        assert list(chunk) == rows
+
+        reply = worker.encode(ResultsReply(results=[(chunk, TaskMetrics())]))
+        assert reply.results[0].rows == pack_columns(block.columns)
+        (back, _), = driver.decode(pickle.loads(pickle.dumps(reply))).results
+        assert back.dictionary is store.dictionary
+        assert all(np.array_equal(a, b) for a, b in zip(back.columns, block.columns))
+
+        # a map level's inputs keep their schema; unowned partitions stay empty
+        level = ExecuteLevel(
+            level=1, phase="map", tasks=_level().tasks,
+            inputs={"f": DistributedRelation(("?a", "?b"), [Chunks([block, block]), []])},
+        )
+        relation = worker.decode(pickle.loads(pickle.dumps(driver.encode(level))))
+        partitions = relation.inputs["f"].partitions
+        assert list(partitions[0]) == rows + rows and list(partitions[1]) == []
+        if backend == "columnar":
+            assert partitions[0].attrs == ("?a", "?b")
+        # ... and a map result's emits come back grouped per partition
+        reply = worker.encode(
+            ResultsReply(
+                results=[([(0, 0, chunk[:4]), (2, 0, chunk[4:])], chunk, TaskMetrics())]
+            )
+        )
+        (emits, direct, _), = driver.decode(pickle.loads(pickle.dumps(reply))).results
+        assert [(p, tag, list(c)) for p, tag, c in emits] == [
+            (0, 0, rows[:4]),
+            (2, 0, rows[4:]),
         ]
-    )
-    (emits, direct, _), (out, _) = _ship(sender, receiver, reply).results
-    assert [(p, tag, list(c)) for p, tag, c in emits] == [
-        (0, 0, rows[:4]),
-        (2, 0, rows[4:]),
-    ]
-    assert all(isinstance(c, ColumnBlock) for _p, _tag, c in emits)
-    assert list(direct) == rows and list(out) == []
-    # three new terms crossed, once; each end mapped its 7 ids, once
-    # ... and a warm connection moves neither counter
-    for _ in range(2):
-        assert sender.stats()["terms_shipped"] == 3
-        assert sender.stats()["terms_translated"] == 7
-        assert receiver.stats()["terms_translated"] == 7
-        _ship(sender, receiver, _reduce_level({0: [block]}))
+        assert all(c.dictionary is store.dictionary for _p, _tag, c in emits)
+        assert list(direct) == rows
+        assert len(store.dictionary) == len(replica.dictionary) == sizes
+    finally:
+        state.close()
 
 
 @needs_numpy
 def test_block_and_row_endpoints_interoperate():
-    """``local`` is each end's own choice: a block packed here unpacks
+    """``blocks`` is each end's own choice: a block packed here unpacks
     to rows on a row endpoint, and its rows come back as a block."""
-    blocks, _ = _block_endpoints()
-    rows_end = WireCodec(_snapshot())
-    rows = [("<a>", "<b>"), ("<c>", "<a>")]
-    block = ColumnBlock.from_rows(("?x", "?y"), rows, blocks.local)
+    blocks, rows_end = _codec(blocks=True), _codec()
+    rows = [("<dept0>", "<univ0>"), ("<person2>", "<dept0>")]
+    block = ColumnBlock.from_rows(("?x", "?y"), rows, blocks.dictionary, mint=False)
     (_, _, grouped), = _ship(blocks, rows_end, _reduce_level({0: [block]})).tasks
     assert grouped == {0: [rows]}
     reply = ResultsReply(results=[(rows, TaskMetrics())])
     (out, _metrics), = _ship(rows_end, blocks, reply).results
-    assert isinstance(out, ColumnBlock) and out.dictionary is blocks.local
+    assert isinstance(out, ColumnBlock) and out.dictionary is blocks.dictionary
     assert list(out) == rows
 
 
-@needs_numpy
-def test_a_lost_frame_reships_its_delta_and_keeps_its_id_map():
-    sender, receiver = _block_endpoints()
-    block = ColumnBlock.from_rows(("?x",), [("<fresh0>",), ("<fresh1>",)], sender.local)
-    sender.encode_payload(_reduce_level({0: [block]}))  # never sent
-    translated = sender.stats()["terms_translated"]
-    frame, commit = sender.encode_payload(_reduce_level({0: [block]}))
-    assert frame.delta_terms == ("<fresh0>", "<fresh1>")  # shipped again
-    assert sender.stats()["terms_translated"] == translated  # mapped once
-    commit()
-    (_, _, grouped), = receiver.decode_frame(frame).tasks
-    assert chunk_rows(grouped[0]) == list(block)
-    frame, _ = sender.encode_payload(_reduce_level({0: [block]}))
-    assert frame.delta_terms == ()
-
-
-@needs_numpy
-def test_prime_resets_the_id_maps_not_the_id_space():
-    """Both ends build a fresh codec per ``Prime``: the connection
-    dictionaries and the id maps restart, the endpoint's own dictionary
-    (and every id a live block holds) carries on."""
-    local = Dictionary()
-    client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES, local=local)
-    state = _WorkerState(0, NUM_NODES, "columnar", None)
+def test_table_update_merges_the_store_suffix():
+    """A worker whose snapshot is current learns the terms the store
+    numbered since from a ``TableUpdate``: merged by position (a
+    duplicate is a no-op), its codec's limit moves with it, and a gap
+    or a conflicting term is a typed error that leaves the replica as
+    it was."""
+    store = partition_graph(make_university_graph(), NUM_NODES)
+    state = _WorkerState(0, NUM_NODES, "serial", None)
     try:
+        _dispatch(state, Prime(pickle.loads(pickle.dumps(store.snapshot())), "columnar"))
+        start = len(store.dictionary)
+        store.add(("<person900>", "ub:worksFor", "<dept900>"))
+        suffix = store.dictionary.entries_from(start)
+        assert suffix == ("<person900>", "<dept900>")
         for _ in range(2):
-            client.reseed_codec(_snapshot(), "columnar")
-            state.install_snapshot(_snapshot(), "columnar")
-            assert client.codec.local is local
-            assert state.wire.local is state.backend.state.dictionary
-            assert client.codec.stats()["terms_translated"] == 0
-            block = ColumnBlock.from_rows(("?x",), [("<kept>",), ("<dept0>",)], local)
-            level = _reduce_level({0: [block]})
-            (_, _, grouped), = _ship(client.codec, state.wire, level).tasks
-            assert list(grouped[0][0]) == [("<kept>",), ("<dept0>",)]
-            assert grouped[0][0].dictionary is state.backend.state.dictionary
-            assert client.codec.stats()["terms_translated"] == 2
-        assert len(local) == 2
-        client.reseed_codec(_snapshot(), "pickle")
-        assert client.codec is None
+            _dispatch(state, TableUpdate(epoch=1, terms_from=start, terms=suffix))
+            assert state.stats().terms == len(store.dictionary)
+            assert state.wire.limit == len(store.dictionary)
+        assert state.epoch == 1
+        with pytest.raises(WorkerStateError, match="gap"):
+            _dispatch(state, TableUpdate(epoch=1, terms_from=start + 5, terms=("<x>",)))
+        with pytest.raises(WorkerStateError, match="conflict"):
+            _dispatch(state, TableUpdate(epoch=1, terms_from=start, terms=("<y>",)))
+        assert list(state.snapshot.dictionary) == list(store.dictionary)
     finally:
         state.close()
 
 
 if HAVE_HYPOTHESIS:
     term_st = st.sampled_from(
-        ["<dept0>", "<dept1>", "ub:worksFor", "<n0>", "<n1>", "<n2>", "", '"lit é"']
+        ["<dept0>", "<dept1>", "ub:worksFor", "<person0>", "<person1>",
+         "<univ0>", '"person3@example.org"']
     )
     rows_st = st.lists(st.tuples(term_st, term_st), max_size=12)
     kind_st = st.sampled_from(["own", "foreign", "rows"])
@@ -432,26 +429,31 @@ if HAVE_HYPOTHESIS:
         )
     )
     def test_prop_any_chunk_mix_round_trips(frames):
-        """Own-dictionary blocks, foreign-dictionary blocks and row
-        lists, mixed in one tag, frame after frame over one connection:
-        the peer reads exactly the rows that were sent."""
-        sender, receiver = _block_endpoints()
+        """Blocks over the store's dictionary, blocks over a foreign
+        one (numbering the same terms otherwise) and row lists, mixed in
+        one tag, frame after frame: the peer reads exactly the rows that
+        were sent, as one block over its own dictionary."""
+        sender, receiver = _codec(blocks=True), _codec(blocks=True)
         foreign = Dictionary()
+        foreign.encode_many(list(reversed(list(sender.dictionary))))
         for frame in frames:
             chunks = [
                 rows
                 if kind == "rows"
                 else ColumnBlock.from_rows(
-                    ("?a", "?b"), rows, sender.local if kind == "own" else foreign
+                    ("?a", "?b"),
+                    rows,
+                    sender.dictionary if kind == "own" else foreign,
+                    mint=False,
                 )
                 for kind, rows in frame
             ]
             (_, _, grouped), = _ship(sender, receiver, _reduce_level({0: chunks})).tasks
             [chunk] = grouped[0]
             assert list(chunk) == [row for _kind, rows in frame for row in rows]
-            if chunk and all(kind == "own" for kind, rows in frame if rows):
+            if chunk:
                 assert isinstance(chunk, ColumnBlock)
-                assert chunk.dictionary is receiver.local
+                assert chunk.dictionary is receiver.dictionary
 
     @needs_numpy
     @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from repro.service.service import QueryService, ServiceConfig
 from repro.service.stats import LatencySummary, percentile
 from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
-from repro.systems.csq import CSQ, CSQConfig
+from repro.systems.csq import CSQ
 from repro.workloads import lubm, lubm_queries
 
 ALL_NAMES = [f"Q{i}" for i in range(1, 15)]
@@ -44,7 +44,7 @@ def _rename(query, prefix):
 class TestAnswers:
     def test_matches_csq_run_for_every_lubm_query(self, graph, service):
         """Acceptance: bit-identical answers to the classic CSQ path."""
-        csq = CSQ(graph, CSQConfig(num_nodes=service.config.num_nodes))
+        csq = CSQ(graph, ServiceConfig(num_nodes=service.config.num_nodes))
         for name in ALL_NAMES:
             q = lubm_queries.query(name)
             assert service.submit(q).rows == csq.run(q).answers, name

@@ -3,9 +3,10 @@ evaluator on the LUBM workload, and expose the paper's PWOC structure."""
 
 import pytest
 
+from repro.service import ServiceConfig
 from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
-from repro.systems.csq import CSQ, CSQConfig
+from repro.systems.csq import CSQ
 from repro.systems.h2rdf import H2RDFPlus
 from repro.systems.shape import ShapeSystem, decompose_2f, is_pwoc_2f
 from repro.workloads import lubm
@@ -22,7 +23,7 @@ def small_lubm():
 @pytest.fixture(scope="module")
 def systems(small_lubm):
     return (
-        CSQ(small_lubm, CSQConfig(num_nodes=7)),
+        CSQ(small_lubm, ServiceConfig(num_nodes=7)),
         ShapeSystem(small_lubm, num_nodes=7),
         H2RDFPlus(small_lubm, num_nodes=7),
     )
