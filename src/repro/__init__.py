@@ -33,12 +33,12 @@ plan & result caching; repeated query shapes skip the optimizer)::
         print(service.snapshot_stats().format())
 
 Sharded deployment (``repro.cluster`` — the store's nodes served by
-shard workers behind a router; identical answers, per-shard worker
-pools)::
+shard workers behind a router, each running one inline engine;
+identical answers)::
 
     from repro import QueryService, ServiceConfig
 
-    service = QueryService(graph, ServiceConfig(shards=4, backend="process"))
+    service = QueryService(graph, ServiceConfig(shards=4, backend="columnar"))
 """
 
 from repro.cluster import (

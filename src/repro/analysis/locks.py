@@ -149,15 +149,24 @@ class LockWitness:
             self._edges.clear()
         self._local = threading.local()
 
+    def reset_in_child(self) -> None:
+        """:meth:`reset` for a freshly forked child: another thread of
+        the parent may have held the graph lock at the fork, and that
+        thread does not exist here — take a new lock, never wait on
+        the copied one."""
+        self._graph_lock = threading.Lock()
+        self.reset()
+
 
 #: The process-wide witness.  Tests may construct private instances.
 WITNESS = LockWitness()
 
 # A fork taken while the parent holds locks (worker spawn under a shard
 # lock, process pools) would copy the forking thread's held stack into
-# the child, where those locks are phantoms: reset the child's witness.
+# the child, where those locks are phantoms: reset the child's witness
+# (its graph lock included — another parent thread may have held it).
 if hasattr(os, "register_at_fork"):  # pragma: no branch
-    os.register_at_fork(after_in_child=WITNESS.reset)
+    os.register_at_fork(after_in_child=WITNESS.reset_in_child)
 
 
 class CheckedLock:

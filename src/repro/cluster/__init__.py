@@ -24,11 +24,11 @@ version — answers are invariant at every epoch.
 Two shard transports share that dispatch logic
 (``ServiceConfig(shard_transport=...)``):
 
-* ``"inproc"`` — shards are in-process execution backends (function
-  call boundary, per-shard worker pools);
+* ``"inproc"`` — shards are calls into one shared inline engine
+  (serial or columnar) against each shard's snapshot;
 * ``"rpc"`` (:mod:`repro.cluster.rpc`) — shards are long-lived server
-  processes over localhost sockets that hold their snapshot and a local
-  backend resident and nothing about plans; a level's task specs and
+  processes over localhost sockets that hold their snapshot and one
+  inline engine resident and nothing about plans; a level's task specs and
   exchange rows cross the wire with the level.
   Crashed workers are respawned with a one-retry budget; sustained
   failure raises a typed :class:`~repro.cluster.rpc.ShardUnavailable`.

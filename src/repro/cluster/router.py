@@ -13,11 +13,13 @@ behind that engine — the one thing a sharded deployment changes is
   :class:`~repro.cluster.ownership.OwnerTable` of the snapshot the execution
   started on.  The router groups a batch by owning shard and hands each
   shard its slice — the shard scans only its own
-  :class:`~repro.partitioning.triple_partitioner.StoreSnapshot`.  How a
-  shard physically runs its slice is that shard's own backend (serial,
-  thread, columnar, or a per-shard process pool keyed to the shard's
-  snapshot token), or a shard server process behind
-  :class:`repro.cluster.rpc.RpcShardRouter`.
+  :class:`~repro.partitioning.triple_partitioner.StoreSnapshot`.  A
+  shard runs its slice on one inline engine
+  (:data:`~repro.mapreduce.backends.INLINE_BACKENDS`: serial or
+  columnar, one kernel pass per task group): in process, one instance
+  shared by every shard; behind :class:`repro.cluster.rpc.RpcShardRouter`,
+  the one a shard server process holds.  There is no pool inside a
+  shard — the shards are the parallelism, as the §5.1 nodes are.
 * **the shuffle is the cross-shard exchange.**  The engine routes map
   emissions to reduce partitions by the process-independent
   :func:`~repro.mapreduce.jobs.stable_hash`; rows whose key hashes to a
@@ -51,12 +53,13 @@ from repro.obs.trace import record_remote, trace_ctx
 from repro.cost.params import DEFAULT_PARAMS, CostParams
 from repro.mapreduce.backends import (
     DEFAULT_RPC_PIPELINE,
+    INLINE_BACKENDS,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
     TaskInvocation,
+    ThreadBackend,
     make_backend,
-    split_workers,
 )
 from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.engine import ClusterConfig
@@ -65,6 +68,21 @@ from repro.physical.executor import PlanExecutor
 
 from repro.cluster.sharded_store import ShardedSnapshot, ShardedStore
 from repro.cluster.ownership import Move, OwnerTable, plan_resize, plan_skew
+
+
+def check_shard_backend(backend: "ExecutionBackend | str | None") -> None:
+    """Refuse a pool backend for a sharded deployment, typed: a shard
+    runs one inline engine and the shards are its parallelism."""
+    if isinstance(backend, (ThreadBackend, ProcessBackend)) or backend in (
+        "thread",
+        "process",
+    ):
+        name = backend if isinstance(backend, str) else backend.name
+        raise ValueError(
+            f"a shard runs one inline engine ({' or '.join(INLINE_BACKENDS)}), "
+            f"not the {name!r} pool backend; pools serve unsharded "
+            "executors only"
+        )
 
 
 @dataclass(frozen=True)
@@ -116,10 +134,11 @@ class ShardRouter(ExecutionBackend):
     owning its tasks, and returns results in submission order.
 
     This is the **in-process** transport: a shard's slice of a batch is
-    a function call into that shard's execution backend.  The RPC
-    transport (:class:`repro.cluster.rpc.RpcShardRouter`) subclasses it,
-    keeping the grouping and reassembly and replacing only the per-shard
-    hop (:meth:`_run_shard`).
+    a function call into the one engine every shard shares, against the
+    shard's own snapshot.  The RPC transport
+    (:class:`repro.cluster.rpc.RpcShardRouter`) subclasses it, keeping
+    the grouping and reassembly and replacing only the per-shard hop
+    (:meth:`_run_shard`).
     """
 
     #: transport label recorded on execution reports
@@ -129,46 +148,49 @@ class ShardRouter(ExecutionBackend):
         self,
         num_nodes: int,
         num_shards: int,
-        backends: Sequence[ExecutionBackend] = (),
+        backend: ExecutionBackend | None = None,
         parallel_shards: bool = True,
     ) -> None:
-        if self.transport == "inproc" and len(backends) != num_shards:
-            raise ValueError(
-                f"{num_shards} shards need {num_shards} backends, "
-                f"got {len(backends)}"
-            )
+        if self.transport == "inproc" and backend is None:
+            raise ValueError("an in-process shard router needs a backend")
         self.num_nodes = num_nodes
         self.num_shards = num_shards
-        #: one execution backend per shard (none over RPC: there the
-        #: backends live inside the shard server processes)
-        self.backends = list(backends)
-        if self.backends:
-            self.name = self.backends[0].name
-        #: dispatch shard batches on driver threads so per-shard process
-        #: pools overlap; pointless for the serial backend (GIL-bound)
+        #: the engine every shard's slice runs on (none over RPC: there
+        #: each shard server process holds its own)
+        self.backend = backend
+        if backend is not None:
+            self.name = backend.name
+        #: dispatch shard batches on driver threads; the caller's
+        #: request, re-applied when a resize changes the shard count
+        #: (one shard dispatches inline)
+        self._parallel_requested = parallel_shards
         self.parallel_shards = parallel_shards and num_shards > 1
         self._lock = checked(threading.Lock(), "ShardRouter._lock")
         self._pool: ThreadPoolExecutor | None = None  # guarded-by: _lock
 
     # -- lifecycle ----------------------------------------------------------
 
-    def prime(self, ctx: TaskContext) -> None:
-        """Warm every shard's backend against its slice of the sharded
-        snapshot in *ctx*: only shards whose snapshot token changed
-        since the last prime rebuild their pools; the rest keep their
-        workers (and the store slice those workers inherited)."""
-        for backend, shard_snapshot in zip(self.backends, ctx.store.shards):
-            backend.prime(
-                TaskContext(num_nodes=ctx.num_nodes, store=shard_snapshot)
-            )
+    def resize(self, num_shards: int) -> None:
+        """Route over *num_shards* shards from now on, retiring the
+        dispatch pool sized for the old count."""
+        self.num_shards = num_shards
+        self.parallel_shards = self._parallel_requested and num_shards > 1
+        with self._lock:
+            old_pool, self._pool = self._pool, None
+        if old_pool is not None:
+            # wait=False: a resize triggered from a dispatch-pool
+            # thread (an rpc stale-epoch re-route) must not join its
+            # own pool.
+            old_pool.shutdown(wait=False)
 
     def close(self) -> None:
-        """Retire the dispatch pool (the per-shard backends are closed
-        by the executor that built them)."""
+        """Retire the dispatch pool and the shard engine."""
         with self._lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
+        if self.backend is not None:
+            self.backend.close()
 
     def _dispatch_pool(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -264,7 +286,7 @@ class ShardRouter(ExecutionBackend):
         """Run one shard's slice of a batch (one phase of one level);
         results in the slice's order."""
         t0 = time.perf_counter()
-        out = self.backends[shard].run(batch, ctx.dispatch.ctxs[shard])
+        out = self.backend.run(batch, ctx.dispatch.ctxs[shard])
         if tctx is not None:
             record_remote(
                 tctx, "shard", t0, time.perf_counter(),
@@ -279,18 +301,19 @@ class ShardedPlanExecutor(PlanExecutor):
 
     The store is a :class:`ShardedStore` and the execution backend is a
     shard router; preparing and executing plans is the base class's,
-    unchanged.  ``transport`` selects the shard boundary:
+    unchanged.  *backend* is the one inline engine the shards run
+    (``"serial"`` — the default — ``"columnar"``, or an instance, shared
+    by every shard); the ``"thread"`` / ``"process"`` pool backends are
+    refused with a ``ValueError``.  ``transport`` selects the shard
+    boundary:
 
-    * ``"inproc"`` (default): shards are called in-process through
-      per-shard execution backends — for ``"process"``, a worker pool
-      of its own, with the machine-wide worker budget split across
-      shards and each pool keyed to its shard's snapshot token (a
-      mutation rebuild touches only mutated shards).
+    * ``"inproc"`` (default): a shard's slice of a batch is a call into
+      the shared engine against the shard's own snapshot.
     * ``"rpc"``: shards are **long-lived server processes** behind
       :class:`repro.cluster.rpc.RpcShardRouter` — each holds its
-      snapshot and a local backend resident and nothing about plans: a
-      level's task specs and exchange rows cross the localhost socket
-      with the level.  A crashed worker is
+      snapshot and one engine of the named kind resident and nothing
+      about plans: a level's task specs and exchange rows cross the
+      localhost socket with the level.  A crashed worker is
       respawned and its request retried once; sustained failure raises
       a typed :class:`~repro.cluster.rpc.ShardUnavailable` (reported
       through ``on_shard_failure``).  ``wire_format`` selects the row
@@ -306,8 +329,6 @@ class ShardedPlanExecutor(PlanExecutor):
         cluster: ClusterConfig | None = None,
         params: CostParams = DEFAULT_PARAMS,
         backend: ExecutionBackend | str | None = None,
-        backend_workers: int | None = None,
-        on_fallback: Callable[[str], None] | None = None,
         transport: str = "inproc",
         on_shard_failure: Callable[[int, str], None] | None = None,
         max_frame_bytes: int | None = None,
@@ -327,12 +348,8 @@ class ShardedPlanExecutor(PlanExecutor):
                 f"unknown shard transport {transport!r}; "
                 "expected 'inproc' or 'rpc'"
             )
+        check_shard_backend(backend)
         self.transport = transport
-        # Kept for topology changes: an in-process rebalance rebuilds
-        # the router (and per-shard backends) from the same spec.
-        self._backend_spec = backend
-        self._backend_workers = backend_workers
-        self._on_fallback = on_fallback
         if transport == "rpc":
             from repro.cluster.rpc import RpcShardRouter
 
@@ -341,9 +358,6 @@ class ShardedPlanExecutor(PlanExecutor):
                     "the rpc transport needs a backend *name* (the backend "
                     "lives inside each shard server process), not an instance"
                 )
-            workers = split_workers(
-                backend_workers, store.num_shards, backend or "serial"
-            )
             extra = {} if max_frame_bytes is None else {
                 "max_frame_bytes": max_frame_bytes
             }
@@ -351,9 +365,7 @@ class ShardedPlanExecutor(PlanExecutor):
                 num_nodes=store.num_nodes,
                 num_shards=store.num_shards,
                 worker_backend=backend or "serial",
-                worker_backend_workers=workers,
                 on_failure=on_shard_failure,
-                on_warning=on_fallback,
                 wire_format=wire_format,
                 pipeline=rpc_pipeline,
                 coalesce_window_ms=coalesce_window_ms,
@@ -361,67 +373,21 @@ class ShardedPlanExecutor(PlanExecutor):
                 **extra,
             )
         else:
-            router = self._inproc_router(store)
+            engine = make_backend(backend)
+            router = ShardRouter(
+                num_nodes=store.num_nodes,
+                num_shards=store.num_shards,
+                backend=engine,
+                # a serial engine is GIL-bound: dispatch threads would
+                # only add hand-offs
+                parallel_shards=not isinstance(engine, SerialBackend),
+            )
         super().__init__(store, cluster, params, backend=router)
 
     @property
     def router(self) -> ShardRouter:
         """The shard router — this executor's execution backend."""
         return self.backend
-
-    def _inproc_router(self, store: ShardedStore) -> ShardRouter:
-        """An in-process router + per-shard backends for the store's
-        *current* shard count, from the saved backend spec."""
-        backend = self._backend_spec
-        if backend in (None, "serial", "columnar"):
-            # Inline backends keep no per-snapshot pool, so one instance
-            # serves every shard (and columnar shards share one scan
-            # cache; they share the store's id space regardless).
-            backend = make_backend(backend)
-        if isinstance(backend, ExecutionBackend):
-            if store.num_shards > 1 and isinstance(backend, ProcessBackend):
-                raise ValueError(
-                    "a shared ProcessBackend cannot serve multiple shards "
-                    "(its pool is keyed to one snapshot); pass "
-                    "backend='process' to give each shard its own pool"
-                )
-            backends = [backend] * store.num_shards
-            parallel = not isinstance(backend, SerialBackend)
-        else:
-            workers = split_workers(
-                self._backend_workers, store.num_shards, backend
-            )
-            on_fallback = self._on_fallback
-            backends = [
-                make_backend(
-                    backend,
-                    num_workers=workers,
-                    on_fallback=(
-                        None
-                        if on_fallback is None
-                        else (
-                            lambda message, shard=shard: on_fallback(
-                                f"shard {shard}: {message}"
-                            )
-                        )
-                    ),
-                )
-                for shard in range(store.num_shards)
-            ]
-            parallel = True
-        return ShardRouter(
-            num_nodes=store.num_nodes,
-            num_shards=store.num_shards,
-            backends=backends,
-            parallel_shards=parallel,
-        )
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def close(self) -> None:
-        self.router.close()
-        for backend in self.router.backends:
-            backend.close()
 
     # -- topology -------------------------------------------------------------
 
@@ -446,8 +412,8 @@ class ShardedPlanExecutor(PlanExecutor):
         a failure rolls the table back, leaving workers to reconcile
         lazily.  The caller must quiesce queries for the duration (the
         query service's store write lock does).  In-process: the next
-        table is installed and the router + per-shard backends are
-        rebuilt and re-primed for the new shard count.
+        table is installed and the router resized to the new shard
+        count; the shared engine is untouched.
         """
         store = self.store
         old_table = store.table
@@ -479,15 +445,7 @@ class ShardedPlanExecutor(PlanExecutor):
             )
         else:
             store.apply_rebalance(moves, new_count)
-            old_router = self.router
-            self.backend = self.engine.backend = self._inproc_router(store)
-            old_router.close()
-            if not isinstance(self._backend_spec, ExecutionBackend):
-                # per-shard backends built from a name: retired with
-                # their router (a caller's shared instance lives on)
-                for backend in old_router.backends:
-                    backend.close()
-            self.prime()
+            self.router.resize(store.num_shards)
             bytes_shipped = None
         new_table = store.table
         return RebalanceReport(

@@ -1,8 +1,8 @@
 """RPC shard workers: long-lived shard server processes behind the router.
 
-The in-process :class:`~repro.cluster.router.ShardRouter` calls into
-per-shard execution backends by function call; this module replaces that
-boundary with a real wire protocol.  Each shard is a **server process**
+The in-process :class:`~repro.cluster.router.ShardRouter` calls the
+shards' shared execution engine by function call; this module replaces
+that boundary with a real wire protocol.  Each shard is a **server process**
 (stdlib :class:`multiprocessing.connection.Listener` on a localhost
 socket, HMAC-authenticated, no third-party deps) that holds, resident:
 
@@ -10,9 +10,10 @@ socket, HMAC-authenticated, no third-party deps) that holds, resident:
   .StoreSnapshot` (installed by :class:`Prime`, re-installed only when
   the shard's snapshot token changes — a mutation re-primes only the
   shards it touched);
-* a local :class:`~repro.mapreduce.backends.ExecutionBackend` — the
-  worker itself may fan its batch out on a process pool of its own,
-  keyed to the snapshot token exactly like the in-process deployment;
+* one inline :class:`~repro.mapreduce.backends.ExecutionBackend`
+  (serial or columnar, :data:`~repro.mapreduce.backends.INLINE_BACKENDS`)
+  that runs every level it is sent — no pool of its own: the shards
+  are the parallelism;
 * its counters.
 
 And **nothing about plans**: a worker is stateless between levels, the
@@ -82,13 +83,12 @@ from repro.analysis.locks import ReadWriteLock, checked
 from repro.cluster.router import ShardDispatch, ShardRouter
 from repro.cluster.ownership import OwnerTable, merge_nodes
 from repro.mapreduce.backends import (
-    BACKEND_NAMES,
     DEFAULT_RPC_PIPELINE,
+    INLINE_BACKENDS,
     ExecutionBackend,
     TaskInvocation,
     check_backend_available,
     make_backend,
-    pipeline_workers,
     store_token,
     task_timing,
 )
@@ -230,8 +230,8 @@ class PrimeNodes:
     the destination shard's post-move snapshot driver-side); ``drops``
     lists outgoing nodes this shard no longer owns.  The worker merges
     the delta into its resident snapshot (:func:`repro.cluster.ownership
-    .merge_nodes`) and re-primes its backend — a full :class:`Prime`
-    of unmoved data never crosses the wire.  Idempotent: a worker whose
+    .merge_nodes`) — a full :class:`Prime` of unmoved data never
+    crosses the wire.  Idempotent: a worker whose
     resident token already equals ``token`` acknowledges without
     re-merging, so the crash-retry path cannot double-apply a delta.
     The merged snapshot keeps the worker's dictionary replica, which
@@ -340,7 +340,6 @@ class StatsReply:
     primes: int
     bytes_received: int
     backend: str
-    warnings: tuple[str, ...]
     #: dispatch-pool size: how many levels may execute concurrently
     pipeline: int = 1
     #: levels currently executing / accepted but not yet started
@@ -478,8 +477,8 @@ def _no_delay(conn) -> None:
 
 class _WorkerState:
     """Everything resident in one shard server process: the snapshot
-    (and with it the replica of the store's dictionary), the backend
-    that runs tasks against it, and the counters.
+    (and with it the replica of the store's dictionary), the one inline
+    backend that runs tasks against it, and the counters.
 
     With a dispatch pool (``pipeline > 1``) levels execute on several
     threads at once: resident-state swaps serialize behind
@@ -490,19 +489,13 @@ class _WorkerState:
         shard: int,
         num_nodes: int,
         backend: str,
-        backend_workers: int | None,
         pipeline: int = 1,
     ) -> None:
         self.shard = shard
         self.num_nodes = num_nodes
         self.backend_name = backend
         self.pipeline = pipeline
-        self.warnings: list[str] = []
-        self.backend: ExecutionBackend = make_backend(
-            backend,
-            num_workers=pipeline_workers(backend, backend_workers, pipeline),
-            on_fallback=self.warnings.append,
-        )
+        self.backend: ExecutionBackend = make_backend(backend)
         # snapshot/wire are resident-state: swapped (the dictionary
         # grown) only under rwlock.write() (the caller's mutator path),
         # read during level execution under rwlock.read() — the RW lock,
@@ -573,12 +566,6 @@ class _WorkerState:
         self._sync_codec()
         with self._stats_lock:
             self.primes += 1
-        # Revalidate the local backend against the new snapshot token: a
-        # process pool keyed to the old token rebuilds, anything else is
-        # a no-op — the same mutation protocol as the in-proc deployment.
-        self.backend.prime(
-            TaskContext(num_nodes=self.num_nodes, store=snapshot)
-        )
         return snapshot.token
 
     def merge_terms(self, start: int, terms: tuple[str, ...]) -> None:
@@ -684,7 +671,6 @@ class _WorkerState:
                 primes=self.primes,
                 bytes_received=self.bytes_received,
                 backend=self.backend_name,
-                warnings=tuple(self.warnings),
                 pipeline=self.pipeline,
                 inflight=self.inflight,
                 queue_depth=self.queued,
@@ -774,7 +760,6 @@ def _worker_main(
     shard: int,
     num_nodes: int,
     backend: str,
-    backend_workers: int | None,
     max_frame_bytes: int,
     authkey: bytes,
     pipeline: int = 1,
@@ -800,9 +785,7 @@ def _worker_main(
     finally:
         channel.close()
     concurrency = max(1, pipeline)
-    state = _WorkerState(
-        shard, num_nodes, backend, backend_workers, pipeline=concurrency
-    )
+    state = _WorkerState(shard, num_nodes, backend, pipeline=concurrency)
     conn = listener.accept()
     _no_delay(conn)
     send_lock = checked(threading.Lock(), "worker.send_lock")
@@ -1107,7 +1090,6 @@ class ShardWorkerClient:
         shard: int,
         num_nodes: int,
         backend: str = "serial",
-        backend_workers: int | None = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         start_method: str | None = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
@@ -1116,7 +1098,6 @@ class ShardWorkerClient:
         self.shard = shard
         self.num_nodes = num_nodes
         self.backend = backend
-        self.backend_workers = backend_workers
         self.max_frame_bytes = max_frame_bytes
         self.start_method = start_method
         self.spawn_timeout = spawn_timeout
@@ -1148,8 +1129,6 @@ class ShardWorkerClient:
         #: (via Prime or TableUpdate), and the terms suffix syncs shipped
         self.primed_terms = 0
         self.terms_shipped = 0
-        #: worker warnings already relayed to the router's on_warning
-        self.warnings_forwarded = 0
         self._waiters: dict[int, _Waiter] = {}  # guarded-by: _waiters_lock
         self._reader_dead: str | None = None  # guarded-by: _waiters_lock
         self._ids = itertools.count(1)  # guarded-by: _waiters_lock
@@ -1179,7 +1158,6 @@ class ShardWorkerClient:
                 self.shard,
                 self.num_nodes,
                 self.backend,
-                self.backend_workers,
                 self.max_frame_bytes,
                 authkey,
                 self.pipeline,
@@ -1447,7 +1425,9 @@ class _RpcExecution(ShardDispatch):
     bytes: list[int]
     frames: list[int]
     _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+        default_factory=lambda: checked(threading.Lock(), "_RpcExecution._lock"),
+        repr=False,
+        compare=False,
     )
 
     def add(self, shard: int, n: int, frames: int = 1) -> None:
@@ -1706,11 +1686,9 @@ class RpcShardRouter(ShardRouter):
         num_nodes: int,
         num_shards: int,
         worker_backend: str = "serial",
-        worker_backend_workers: int | None = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         parallel_shards: bool = True,
         on_failure=None,
-        on_warning=None,
         start_method: str | None = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
         wire_format: str = "pickle",
@@ -1718,10 +1696,10 @@ class RpcShardRouter(ShardRouter):
         coalesce_window_ms: float = 0.0,
         coalesce_max_batch: int = 1,
     ) -> None:
-        if worker_backend not in BACKEND_NAMES:
+        if worker_backend not in INLINE_BACKENDS:
             raise ValueError(
-                f"unknown worker backend {worker_backend!r}; "
-                f"expected one of {BACKEND_NAMES}"
+                f"unknown worker backend {worker_backend!r}: a shard server "
+                f"runs one inline engine, one of {INLINE_BACKENDS}"
             )
         check_backend_available(worker_backend)
         if wire_format not in WIRE_FORMATS:
@@ -1743,7 +1721,6 @@ class RpcShardRouter(ShardRouter):
         #: backend label recorded on execution reports
         self.name = f"rpc:{worker_backend}"
         self.worker_backend = worker_backend
-        self.worker_backend_workers = worker_backend_workers
         self.wire_format = wire_format
         self.max_frame_bytes = max_frame_bytes
         self.start_method = start_method
@@ -1752,10 +1729,6 @@ class RpcShardRouter(ShardRouter):
         self.coalesce_window_ms = coalesce_window_ms
         self.coalesce_max_batch = coalesce_max_batch
         self.on_failure = on_failure
-        #: receives worker-side operational warnings (e.g. a shard
-        #: server's process pool falling back to serial) so they surface
-        #: through the service's stats exactly like in-process fallbacks
-        self.on_warning = on_warning
         self._counter_lock = checked(
             threading.Lock(), "RpcShardRouter._counter_lock"
         )
@@ -1778,9 +1751,6 @@ class RpcShardRouter(ShardRouter):
         #: the owner table the fleet was last synchronized to (set by
         #: ensure_workers / migrate); stale-epoch re-routing consults it
         self._table: OwnerTable | None = None
-        #: the caller's parallelism request, re-applied when a
-        #: rebalance changes the shard count (1 shard forces serial)
-        self._parallel_requested = parallel_shards
         #: queries currently inside an execution — the coalescer
         #: only holds its window open when this exceeds one
         self.active_queries = 0  # guarded-by: _counter_lock
@@ -1827,8 +1797,9 @@ class RpcShardRouter(ShardRouter):
         dictionary replica lags (the store numbered terms that landed on
         other shards) is re-synchronized with a cheap
         :class:`TableUpdate` carrying the epoch and the missing
-        dictionary suffix instead of a full re-prime.  So every worker
-        starts each query on the store's numbering.
+        dictionary suffix instead of a full re-prime — unless the
+        replica rejects the suffix as conflicting, which re-primes it.
+        So every worker starts each query on the store's numbering.
         """
         epoch = snapshot.table.version
         dictionary = snapshot.dictionary
@@ -1853,25 +1824,34 @@ class RpcShardRouter(ShardRouter):
                     # (which records the failure and re-primes).
                     client = self._recover(shard, "worker process died")
                 shard_snapshot = snapshot.shards[shard]
-                if client.primed_token != shard_snapshot.token:
-                    try:
-                        self._prime(shard, client, shard_snapshot, epoch)
-                    except _TRANSPORT_ERRORS as exc:
-                        # Died under the prime: the one respawn primes.
-                        self._recover(shard, f"{type(exc).__name__}: {exc}")
-                elif (
+                stale = client.primed_token != shard_snapshot.token
+                if not stale and (
                     client.primed_epoch != epoch
                     or client.primed_terms != len(dictionary)
                 ):
                     start = client.primed_terms
                     terms = dictionary.entries_from(start)
-                    self._shard_call(
-                        shard,
-                        TableUpdate(epoch=epoch, terms_from=start, terms=terms),
-                    )
-                    client.primed_epoch = epoch
-                    client.primed_terms = start + len(terms)
-                    client.terms_shipped += len(terms)
+                    try:
+                        self._shard_call(
+                            shard,
+                            TableUpdate(epoch=epoch, terms_from=start, terms=terms),
+                        )
+                    except WorkerStateError:
+                        # The replica conflicts with the store's numbering
+                        # (a task numbered a term of its own into it): a
+                        # Prime replaces the replica with the store's.
+                        stale = True
+                    else:
+                        client.primed_epoch = epoch
+                        client.primed_terms = start + len(terms)
+                        client.terms_shipped += len(terms)
+                if stale:
+                    client = self._clients[shard]
+                    try:
+                        self._prime(shard, client, shard_snapshot, epoch)
+                    except _TRANSPORT_ERRORS as exc:
+                        # Died under the prime: the one respawn primes.
+                        self._recover(shard, f"{type(exc).__name__}: {exc}")
 
     def _prime(
         self,
@@ -1882,9 +1862,8 @@ class RpcShardRouter(ShardRouter):
         on_bytes=None,
     ) -> None:
         """Install *shard_snapshot* on *client*'s worker at *epoch*,
-        record on the client what it now holds, and relay any warning
-        the prime raised worker-side.  Callers hold the shard's lock
-        and deal with transport errors themselves."""
+        and record on the client what it now holds.  Callers hold the
+        shard's lock and deal with transport errors themselves."""
         # Read before the frame pickles the dictionary: the replica
         # holds at least this much.
         terms = len(shard_snapshot.dictionary)
@@ -1894,24 +1873,6 @@ class RpcShardRouter(ShardRouter):
         client.primed_token = shard_snapshot.token
         client.primed_epoch = epoch
         client.primed_terms = terms
-        self._forward_warnings(shard, client)
-
-    def _forward_warnings(self, shard: int, client: ShardWorkerClient) -> None:
-        """Relay a worker's operational warnings (a prime may have
-        demoted its process pool to serial) to ``on_warning`` — once
-        each, mirroring the in-process fallback reporting."""
-        if self.on_warning is None:
-            return
-        try:
-            stats = client.request(Stats())
-        except Exception:
-            return  # the request path will surface real failures
-        for warning in stats.warnings[client.warnings_forwarded:]:
-            try:
-                self.on_warning(f"shard {shard}: {warning}")
-            except Exception:
-                pass
-        client.warnings_forwarded = len(stats.warnings)
 
     # -- live rebalancing ----------------------------------------------------
 
@@ -1936,17 +1897,10 @@ class RpcShardRouter(ShardRouter):
 
     def _set_topology(self, count: int, table, snapshot) -> None:
         """Flip the driver's view of the fleet to *count* shards at
-        *table*'s epoch and retire the (now mis-sized) dispatch pool."""
-        self.num_shards = count
-        self.parallel_shards = self._parallel_requested and count > 1
+        *table*'s epoch (:meth:`resize` retires the dispatch pool)."""
         self._table = table
         self._last_snapshot = snapshot
-        with self._lock:
-            old_pool, self._pool = self._pool, None
-        if old_pool is not None:
-            # wait=False: a rebalance triggered from a dispatch-pool
-            # thread (stale-epoch re-route) must not join its own pool.
-            old_pool.shutdown(wait=False)
+        self.resize(count)
 
     def _retire_clients(self, first: int) -> None:
         """Close every client at shard index >= *first*."""
@@ -2117,7 +2071,6 @@ class RpcShardRouter(ShardRouter):
             shard=shard,
             num_nodes=self.num_nodes,
             backend=self.worker_backend,
-            backend_workers=self.worker_backend_workers,
             max_frame_bytes=self.max_frame_bytes,
             start_method=self.start_method,
             spawn_timeout=self.spawn_timeout,

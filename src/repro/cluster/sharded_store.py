@@ -29,6 +29,7 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.analysis.locks import checked
 from repro.cluster.ownership import Move, OwnerTable, initial_table
 from repro.partitioning.layout import PLACEMENTS
 from repro.partitioning.triple_partitioner import PartitionedStore, StoreSnapshot
@@ -43,7 +44,7 @@ class ShardedSnapshot:
     ``shards[i]`` is shard *i*'s :class:`StoreSnapshot` — its owned
     nodes' partitions — and carries a token of its own (the node set
     and those nodes' versions), so a mutation that touched only some
-    shards invalidates only those shards' worker pools: the others keep
+    shards re-primes only those shards' rpc workers: the others keep
     serving from their unchanged snapshots.
     """
 
@@ -99,7 +100,7 @@ class ShardedStore(PartitionedStore):
             raise ValueError(f"need at least one node, got {num_nodes}")
         if num_shards > num_nodes:
             # Ownership is node-granular: a shard beyond the node count
-            # could never own data, only hold an idle worker pool.
+            # could never own data, only hold an idle worker.
             raise ValueError(
                 f"cannot spread {num_nodes} nodes over {num_shards} shards; "
                 "use at most one shard per node"
@@ -113,7 +114,7 @@ class ShardedStore(PartitionedStore):
         super().__init__(num_nodes=num_nodes)
         #: node ``n`` starts on shard ``n % num_shards``
         self.table = initial_table(num_shards, num_nodes)
-        self._lock = threading.Lock()
+        self._lock = checked(threading.Lock(), "ShardedStore._lock")
         self._last: ShardedSnapshot | None = None
 
     # -- topology ----------------------------------------------------------

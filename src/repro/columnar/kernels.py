@@ -39,6 +39,7 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
+from repro.analysis.locks import checked
 from repro.columnar.block import ColumnBlock, empty_column, np
 from repro.rdf.dictionary import Dictionary
 from repro.relational.joins import output_schema
@@ -218,7 +219,7 @@ class HashMemo:
 
     def __init__(self, dictionary: Dictionary) -> None:
         self.dictionary = dictionary
-        self._lock = threading.Lock()
+        self._lock = checked(threading.Lock(), "HashMemo._lock")
         self._table = np.full((2, 0), -1, dtype=np.int64)
 
     def _pieces(self, ids):

@@ -15,6 +15,10 @@ the tasks of a level actually run:
   under the ``fork`` start method) and per-task HDFS traffic is cut to
   the slice each spec declares via ``hdfs_slice()`` (for map chains,
   one node's partitions of the shuffled intermediates).
+
+  Both pools serve an unsharded executor only: a shard runs one of the
+  :data:`INLINE_BACKENDS` (its parallelism is the shards themselves),
+  and a sharded executor given a pool backend refuses it.
 * :class:`ColumnarBackend` — inline like serial, but the plan task
   specs run as bulk id-space kernels over dictionary-encoded
   :class:`~repro.columnar.block.ColumnBlock` columns (numpy int64
@@ -538,52 +542,19 @@ class ProcessBackend(ExecutionBackend):
                 self._pool = None
 
 
-def split_workers(total: int | None, parts: int, backend: str) -> int | None:
-    """Workers per part when *total* workers fan out across *parts* pools.
-
-    The sharded executor gives every shard its own backend instance (a
-    process pool per shard, keyed to that shard's snapshot token), so a
-    machine-wide worker budget must be divided across shards or each
-    shard would claim every CPU.  ``None`` budgets resolve to the
-    backend's own default first (CPUs for process, 4 for thread); serial
-    backends have no workers and pass through.
-    """
-    if parts < 1:
-        raise ValueError(f"cannot split workers across {parts} parts")
-    if backend in ("serial", "columnar"):
-        return None
-    if total is None:
-        total = default_process_workers() if backend == "process" else 4
-    return max(1, total // parts)
-
-
 #: Default number of concurrently executing requests per RPC shard
 #: server — the worker-side dispatch pool size (ServiceConfig.rpc_pipeline).
 #: ``0`` disables multiplexing: the driver serialises the connection.
 DEFAULT_RPC_PIPELINE = 4
 
 
-def pipeline_workers(
-    backend: str, num_workers: int | None, pipeline: int
-) -> int | None:
-    """Size a shard server's execution backend for a pipelined request
-    stream.
-
-    A worker dispatching up to *pipeline* levels concurrently shares one
-    backend across them.  A thread pool smaller than the pipeline would
-    serialise the very concurrency the dispatch pool exists to provide,
-    so it is widened to at least *pipeline* threads; serial and columnar
-    backends have no workers, and a process pool's size is a CPU budget
-    that concurrent levels should share rather than multiply.
-    """
-    if backend == "thread":
-        base = num_workers if num_workers is not None else 4
-        return max(1, base, pipeline)
-    return num_workers
-
-
 #: Names accepted by :func:`make_backend` (and ServiceConfig.backend).
 BACKEND_NAMES = ("serial", "thread", "process", "columnar")
+
+#: The engines a shard runs: inline, keeping no pool, so one instance
+#: serves every shard of an in-process deployment and a shard server
+#: process holds exactly one.
+INLINE_BACKENDS = ("serial", "columnar")
 
 
 def check_backend_available(backend: str) -> None:

@@ -133,14 +133,13 @@ class ServiceConfig:
     #: numpy kernels over dictionary-encoded columns) where numpy is
     #: importable, "serial" otherwise.  SerialBackend is the reference
     #: every other backend is checked against (answers and field-wise
-    #: reports, tests/conformance.py), not the fast path.  "process"
-    #: fans the map/reduce tasks of each query across worker processes;
-    #: where process pools are unavailable it falls back to serial and
-    #: records a warning in ServiceStats.
+    #: reports, tests/conformance.py), not the fast path.  The pool
+    #: backends serve the unsharded store only: "thread" runs a level's
+    #: tasks on 4 threads; "process" fans them across one worker
+    #: process per available CPU and, where process pools are
+    #: unavailable, falls back to serial and records a warning in
+    #: ServiceStats.  With shards >= 1 a pool backend is a ValueError.
     backend: str = "columnar" if HAVE_NUMPY else "serial"
-    #: workers for the thread/process execution backend (None = auto:
-    #: 4 threads, or one process per available CPU)
-    backend_workers: int | None = None
     #: individualization budget of the canonicalizer
     canonical_budget: int = 4096
     #: lift constants into parameterized plan templates, so queries that
@@ -157,14 +156,14 @@ class ServiceConfig:
     #: ShardRouter (repro.cluster; ownership is a node→shard table that
     #: QueryService.rebalance moves live): map levels run shard-local and
     #: the shuffle between map and reduce is the cross-shard exchange.
-    #: Answers and reports are identical for any shard count.  With backend="process" every shard gets a worker
-    #: pool of its own (backend_workers is split across shards).
+    #: Answers and reports are identical for any shard count.  A shard
+    #: runs one inline engine: backend must be "serial" or "columnar".
     shards: int = 0
     #: how the shard workers are reached (requires ``shards >= 1``):
-    #: "inproc" calls per-shard execution backends in-process; "rpc"
-    #: runs each shard as a long-lived server process behind
-    #: repro.cluster.rpc — the worker holds its snapshot and a local
-    #: backend resident and nothing about plans: each level's task
+    #: "inproc" calls the one engine every shard shares in-process;
+    #: "rpc" runs each shard as a long-lived server process behind
+    #: repro.cluster.rpc — the worker holds its snapshot and one inline
+    #: engine resident and nothing about plans: each level's task
     #: specs and exchange rows cross the localhost socket with the
     #: level.  A crashed worker is respawned (and the failed
     #: request retried) once; sustained failure raises a typed
@@ -589,8 +588,6 @@ class QueryService:
                 ClusterConfig(num_nodes=self.config.num_nodes),
                 self.config.params,
                 backend=self.config.backend,
-                backend_workers=self.config.backend_workers,
-                on_fallback=self.stats.record_warning,
                 transport=self.config.shard_transport,
                 on_shard_failure=self.stats.record_shard_failure,
                 wire_format=self.config.wire_format,
@@ -601,9 +598,7 @@ class QueryService:
         else:
             self.store = partition_graph(graph, self.config.num_nodes)
             self.backend = make_backend(
-                self.config.backend,
-                num_workers=self.config.backend_workers,
-                on_fallback=self.stats.record_warning,
+                self.config.backend, on_fallback=self.stats.record_warning
             )
             self.executor = PlanExecutor(
                 self.store,
@@ -664,8 +659,9 @@ class QueryService:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-            # The executor owns the execution backend(s) — per-shard in
-            # a sharded deployment — and closing is idempotent.
+            # The executor owns the execution backend (a sharded one's
+            # router closes the shards' engine) and closing is
+            # idempotent.
             self.executor.close()
 
     @property
@@ -842,13 +838,13 @@ class QueryService:
                     self.estimator = CardinalityEstimator(self.catalog)
                     self.coster = PlanCoster(self.estimator, self.config.params)
                     self.stats.record_mutation()
-                    # Rebuild process worker pools now, while the write
-                    # lock quiesces every query thread: a fork-based pool
-                    # must not be (re)created mid-batch from a pool
-                    # thread, and the workers' store snapshot is stale
-                    # anyway.  Sharded stores rebuild only the pools of
-                    # shards the batch actually touched (snapshot tokens
-                    # are per shard).
+                    # Rebuild a process worker pool (re-prime rpc shard
+                    # workers) now, while the write lock quiesces every
+                    # query thread: a fork-based pool must not be
+                    # (re)created mid-batch from a pool thread, and the
+                    # workers' store snapshot is stale anyway.  rpc
+                    # re-primes only the shards the batch actually
+                    # touched (snapshot tokens are per shard).
                     self.executor.prime()
         return added
 

@@ -1,8 +1,9 @@
 """The reusable answer-equality conformance harness.
 
 Every execution configuration of this system — execution backend
-(serial / thread / process / columnar, and the platform-resolved
-default of a config that names none), deployment (unsharded, sharded in-process,
+(serial / thread / process / columnar unsharded, the inline serial /
+columnar engines a shard runs, and the platform-resolved default of a
+config that names none), deployment (unsharded, sharded in-process,
 sharded over RPC), submission surface (submit, prepare/bind/execute,
 submit_batch) — must produce **bit-identical answers** and **field-wise
 identical execution reports** to the single-store serial reference.
@@ -116,6 +117,18 @@ DEPLOYMENTS: dict[str, dict] = {
 
 BACKENDS = ("serial", "thread", "process", "columnar")
 
+#: the engines a sharded deployment runs (the pool backends are
+#: refused there: a shard runs one inline engine)
+SHARD_BACKENDS = ("serial", "columnar")
+
+#: the (deployment, backend) cells of the matrix: every backend
+#: unsharded, the inline engines on every sharded deployment
+CELLS = tuple(
+    (deployment, backend)
+    for deployment in sorted(DEPLOYMENTS)
+    for backend in (BACKENDS if deployment == "unsharded" else SHARD_BACKENDS)
+)
+
 SURFACES = ("submit", "prepare", "batch")
 
 #: rpc concurrency mode id -> ServiceConfig overrides.  "pipelined"
@@ -175,7 +188,6 @@ def make_service(
         overrides["backend"] = backend
     config = ServiceConfig(
         result_cache_size=0,
-        backend_workers=2,
         **DEPLOYMENTS[deployment],
         **overrides,
     )
@@ -538,9 +550,7 @@ def assert_stateless_workers(service: QueryService, where: str = "") -> None:
                 for result in backend.run(invocations, running)
             ]
 
-    inproc = ShardRouter(
-        num_nodes, snapshot.num_shards, [SerialBackend()] * snapshot.num_shards
-    )
+    inproc = ShardRouter(num_nodes, snapshot.num_shards, SerialBackend())
     try:
         bare = run_on(router)
         assert bare == run_on(inproc), where

@@ -31,10 +31,13 @@ from repro.cluster.ownership import initial_table
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics, triple_delta
+from repro.columnar.block import HAVE_NUMPY
 from repro.mapreduce.backends import (
     ExecutionBackend,
+    ProcessBackend,
+    SerialBackend,
     TaskInvocation,
-    split_workers,
+    ThreadBackend,
 )
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.jobs import FnMapSpec, TaskContext
@@ -47,7 +50,6 @@ from repro.service import (
     ServiceOverloaded,
 )
 from repro.sparql.parser import parse_query
-from tests.conformance import needs_process
 from tests.conftest import make_university_graph
 
 NUM_NODES = 7
@@ -270,27 +272,6 @@ class TestShardedExecution:
                 j.output_tuples for j in result.report.jobs
             )
 
-    @needs_process
-    def test_process_backend_shards_match_serial(self, university):
-        serial = QueryService(university)
-        sharded = QueryService(
-            university,
-            ServiceConfig(shards=2, backend="process", backend_workers=2),
-        )
-        try:
-            expected = serial.submit(STAR_QUERY)
-            got = sharded.submit(STAR_QUERY)
-            assert got.rows == expected.rows
-            # A second, differently-bound query exercises the warm pools.
-            q2 = (
-                "SELECT ?p WHERE { ?p ub:worksFor ?d . "
-                "?p rdf:type ub:FullProfessor }"
-            )
-            assert sharded.submit(q2).rows == serial.submit(q2).rows
-        finally:
-            serial.close()
-            sharded.close()
-
     def test_mutation_visible_after_shard_rebuild(self, university):
         service = QueryService(
             make_university_graph(), ServiceConfig(shards=3)
@@ -501,14 +482,6 @@ class TestShardedExplain:
 
 
 class TestClusterPlumbing:
-    def test_split_workers(self):
-        assert split_workers(8, 4, "process") == 2
-        assert split_workers(3, 4, "process") == 1
-        assert split_workers(None, 2, "thread") == 2
-        assert split_workers(None, 1, "serial") is None
-        with pytest.raises(ValueError):
-            split_workers(4, 0, "process")
-
     def test_router_rejects_mismatched_snapshot(self, university):
         two = shard_graph(university, NUM_NODES, 2)
         three = shard_graph(university, NUM_NODES, 3)
@@ -532,30 +505,26 @@ class TestClusterPlumbing:
         ]
         finished: list[int] = []
 
-        class FakeShard(ExecutionBackend):
+        class FakeEngine(ExecutionBackend):
+            """One engine for every shard, slowest on shard 0."""
+
             name = "fake"
 
-            def __init__(self, shard: int, delay: float) -> None:
-                self.shard, self.delay = shard, delay
-
             def run(self, invocations, ctx):
-                time.sleep(self.delay)
-                finished.append(self.shard)
+                shard = table.shard_of_node(invocations[0].node)
+                time.sleep((0.2, 0.1, 0.0)[shard])
+                finished.append(shard)
                 if invocations[0].phase == "map":
                     return [
-                        ([], [(self.shard, inv.node)], TaskMetrics())
+                        ([], [(shard, inv.node)], TaskMetrics())
                         for inv in invocations
                     ]
                 return [
-                    ([(self.shard, inv.args[0])] * 2, TaskMetrics())
+                    ([(shard, inv.args[0])] * 2, TaskMetrics())
                     for inv in invocations
                 ]
 
-        router = ShardRouter(
-            num_nodes,
-            num_shards,
-            backends=[FakeShard(0, 0.2), FakeShard(1, 0.1), FakeShard(2, 0.0)],
-        )
+        router = ShardRouter(num_nodes, num_shards, FakeEngine())
         snapshot = ShardedSnapshot(
             num_nodes=num_nodes,
             num_shards=num_shards,
@@ -597,11 +566,86 @@ class TestClusterPlumbing:
             ShardedPlanExecutor(store, cluster=ClusterConfig(num_nodes=5))
 
     def test_shared_process_backend_instance_rejected(self, university):
-        from repro.mapreduce.backends import ProcessBackend
-
         store = shard_graph(university, NUM_NODES, 2)
-        with pytest.raises(ValueError, match="shared ProcessBackend"):
+        with pytest.raises(ValueError, match="inline engine.*'process'"):
             ShardedPlanExecutor(store, backend=ProcessBackend(1))
+
+    @pytest.mark.parametrize("transport", ["inproc", "rpc"])
+    @pytest.mark.parametrize(
+        "backend", [lambda: ThreadBackend(2), lambda: ProcessBackend(1)],
+        ids=["thread", "process"],
+    )
+    def test_pool_backend_instance_rejected(self, university, backend, transport):
+        """A shard runs one inline engine: a pool instance is refused,
+        typed and naming the engines, on either transport."""
+        store = shard_graph(university, NUM_NODES, 2)
+        pool = backend()
+        try:
+            with pytest.raises(ValueError, match="serial or columnar"):
+                ShardedPlanExecutor(store, backend=pool, transport=transport)
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("transport", ["inproc", "rpc"])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pool_backend_config_rejected(self, backend, transport):
+        """``ServiceConfig(shards=2, backend=<pool>)`` fails typed when
+        the service is built, before any shard worker exists."""
+        with pytest.raises(ValueError, match="inline engine.*serial or columnar"):
+            QueryService(
+                make_university_graph(),
+                ServiceConfig(shards=2, shard_transport=transport, backend=backend),
+            )
+
+    def test_shards_share_one_engine(self, university):
+        """In process every shard runs on the one engine the executor
+        was given (or built): no per-shard instances."""
+        engine = SerialBackend()
+        with ShardedPlanExecutor(
+            shard_graph(university, NUM_NODES, 3), backend=engine
+        ) as executor:
+            assert executor.router.backend is engine
+        with ShardedPlanExecutor(shard_graph(university, NUM_NODES, 3)) as executor:
+            assert isinstance(executor.router.backend, SerialBackend)
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "serial",
+            pytest.param(
+                "columnar",
+                marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
+            ),
+        ],
+    )
+    def test_inproc_rebalance_keeps_the_engine(self, university, backend):
+        """An in-process 2 → 3 → 2 rebalance installs the next table and
+        resizes the router: the engine instance (and with it a columnar
+        scan cache) is the same throughout, and answers equal the
+        serial single-store reference at every shard count."""
+        expected = QueryService(university, ServiceConfig(backend="serial"))
+        service = QueryService(
+            university,
+            ServiceConfig(shards=2, backend=backend, result_cache_size=0),
+        )
+        try:
+            want = expected.submit(STAR_QUERY).rows
+            router = service.executor.router
+            engine = router.backend
+            assert engine.name == backend
+            assert service.submit(STAR_QUERY).rows == want
+            for shards in (3, 2):
+                report = service.rebalance(target_shards=shards)
+                assert report.new_shards == shards and report.moved_nodes
+                assert service.executor.router is router
+                assert router.backend is engine
+                assert router.num_shards == shards
+                outcome = service.submit(STAR_QUERY)
+                assert outcome.rows == want
+                assert outcome.report.shards == shards
+        finally:
+            expected.close()
+            service.close()
 
     def test_csq_with_shards(self, university):
         from repro.systems.csq import CSQ

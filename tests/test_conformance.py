@@ -1,7 +1,8 @@
-"""The conformance matrix: {serial, thread, process} x {unsharded,
-shards=1, shards=4} x {inproc, rpc} x {submit, prepare/bind/execute,
-submit_batch} on all 14 LUBM queries plus the two variable-free
-patterns of ``conformance.ground_queries`` (one present, one absent).
+"""The conformance matrix: {serial, thread, process, columnar}
+unsharded plus {serial, columnar} x {shards=1, shards=4} x {inproc,
+rpc} — 12 cells — x {submit, prepare/bind/execute, submit_batch} on
+all 14 LUBM queries plus the two variable-free patterns of
+``conformance.ground_queries`` (one present, one absent).
 
 Every cell must reproduce the single-store serial reference bit for
 bit: identical answers and field-wise identical execution reports (see
@@ -23,7 +24,9 @@ from repro.service import QueryService, ServiceConfig
 from repro.workloads import lubm, lubm_queries
 from tests.conformance import (
     BACKENDS,
+    CELLS,
     DEPLOYMENTS,
+    SHARD_BACKENDS,
     PARITY_BUDGET,
     RPC_MODES,
     RPC_WIRES,
@@ -108,8 +111,9 @@ def test_reference_is_not_vacuous(reference):
     assert any(expected.job_signature == "M" for expected in reference.values())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
+@pytest.mark.parametrize(
+    "deployment,backend", CELLS, ids=[f"{d}-{b}" for d, b in CELLS]
+)
 def test_conformance_matrix(
     graph, queries, reference, parity, parity_reference, deployment, backend
 ):
@@ -132,6 +136,27 @@ def test_conformance_matrix(
     finally:
         service.close()
     check_one_pipeline(graph, backend, deployment, parity, parity_reference)
+
+
+POOL_CELLS = tuple(
+    (deployment, backend)
+    for deployment in sorted(DEPLOYMENTS)
+    if deployment != "unsharded"
+    for backend in BACKENDS
+    if backend not in SHARD_BACKENDS
+)
+
+
+@pytest.mark.parametrize(
+    "deployment,backend", POOL_CELLS, ids=[f"{d}-{b}" for d, b in POOL_CELLS]
+)
+def test_sharded_pool_backend_is_refused(graph, deployment, backend):
+    """The cells the matrix does not run: a shard runs one inline
+    engine, so a sharded config naming a pool backend fails typed at
+    construction, naming the engines it could have — before any shard
+    server is spawned."""
+    with pytest.raises(ValueError, match="inline engine.*serial or columnar"):
+        make_service(graph, backend, deployment)
 
 
 def test_default_config_conformance(

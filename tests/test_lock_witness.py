@@ -3,11 +3,15 @@ re-entrancy, sibling instances, and the zero-cost disabled path."""
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
+import time
 
 import pytest
 
 from repro.analysis.locks import (
+    WITNESS,
     CheckedLock,
     LockOrderError,
     LockWitness,
@@ -145,3 +149,34 @@ class TestEnableSwitch:
         with b:
             with a:  # reversed, legal again after reset
                 pass
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_while_the_graph_lock_is_held(self):
+        """A fork taken while another thread holds the witness's graph
+        lock (any witnessed nested acquisition takes it) leaves the
+        child a usable witness, not a copy of a lock nobody will ever
+        release."""
+        with WITNESS._graph_lock:
+            pid = os.fork()
+            if pid == 0:  # the child: reset at fork, then record an edge
+                ok = False
+                try:
+                    outer = CheckedLock(threading.Lock(), "fork_outer_lock")
+                    inner = CheckedLock(threading.Lock(), "fork_inner_lock")
+                    with outer:
+                        with inner:
+                            pass
+                    ok = ("fork_outer_lock", "fork_inner_lock") in WITNESS.edges()
+                finally:
+                    os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on the witness's graph lock")
+            time.sleep(0.05)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0

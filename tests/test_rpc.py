@@ -58,7 +58,11 @@ from repro.physical.executor import PlanExecutor, job_from_spec
 from repro.rdf.dictionary import Dictionary
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.parser import parse_query
-from tests.conformance import needs_rpc
+from tests.conformance import (
+    assert_replicas_equal_the_store,
+    needs_rpc,
+    one_shard_triples,
+)
 from tests.conftest import make_university_graph
 
 NUM_NODES = 7
@@ -136,7 +140,7 @@ class TestProtocolFrames:
             StatsReply(
                 shard=0, pid=9, snapshot_token=None,
                 tasks_run=17, levels_run=4, primes=1,
-                bytes_received=1024, backend="serial", warnings=("w",),
+                bytes_received=1024, backend="serial",
                 pipeline=4, inflight=2, queue_depth=1, peak_inflight=3,
                 batches=5,
             ),
@@ -237,7 +241,7 @@ def test_worker_tasks_keep_their_node_phase_and_level():
     executor.close()
 
     store = partition_graph(graph, NUM_NODES)
-    worker = _WorkerState(0, NUM_NODES, "serial", None)
+    worker = _WorkerState(0, NUM_NODES, "serial")
     worker.install_snapshot(store.snapshot())
     remote = worker.backend = _PlacementRecorder(worker.backend)
     try:
@@ -559,17 +563,19 @@ class _Stranger(MapTaskSpec):
 @needs_rpc
 @pytest.mark.parametrize("backend", ["serial", "columnar"])
 @pytest.mark.parametrize("mint", [False, True], ids=["emits", "mints"])
-def test_a_worker_never_ships_an_id_the_store_did_not_number(
-    university, backend, mint
-):
+def test_a_worker_never_ships_an_id_the_store_did_not_number(backend, mint):
     """A worker has no ids of its own to give: a term the store never
     held fails its reply typed — looked up and missing, or numbered by
     the task past what the driver synced — instead of crossing as an id
     the driver would read as another term; the connection serves the
-    next query."""
+    next query.  A minted term leaves the worker's replica conflicting
+    with the store's numbering: the next suffix sync fails on it and
+    the router re-primes that worker, so a write landing on the other
+    shard only does not take the minting shard down."""
     if (backend == "columnar" or mint) and not HAVE_NUMPY:
         pytest.skip("id blocks need numpy")
-    service = rpc_service(university, backend=backend)
+    # A graph of its own: the mints case writes to it.
+    service = rpc_service(make_university_graph(), backend=backend)
     try:
         expected = service.submit(STAR_QUERY).rows
         router = service.executor.router
@@ -586,6 +592,25 @@ def test_a_worker_never_ships_an_id_the_store_did_not_number(
         assert service.submit(STAR_QUERY).rows == expected
         assert router._clients == clients
         assert router.shard_failures == failures
+        if mint:
+            minting = service.store.shard_of_node(0)
+            other = 1 - minting
+            primes = [reply.primes for reply in router.worker_stats()]
+            added = one_shard_triples(service.store, other)
+            service.add_triples(added)
+            with QueryService(
+                make_university_graph(), ServiceConfig(backend="serial")
+            ) as reference:
+                reference.add_triples(added)
+                assert service.submit(STAR_QUERY).rows == reference.submit(
+                    STAR_QUERY
+                ).rows
+            stats = assert_replicas_equal_the_store(service, "mints")
+            # both re-primed: the written shard for its data, the
+            # minting one for its conflicting replica
+            assert [reply.primes for reply in stats] == [p + 1 for p in primes]
+            assert router._clients == clients
+            assert router.shard_failures == failures
     finally:
         service.close()
 
@@ -896,62 +921,6 @@ class TestRpcSurface:
         service = rpc_service(make_university_graph())
         try:
             assert "transport rpc" in service.explain(STAR_QUERY)
-        finally:
-            service.close()
-
-    def test_worker_backend_fallback_surfaces_as_service_warning(
-        self, monkeypatch
-    ):
-        """A process pool dying *inside* a shard server surfaces through
-        the service's stats, just like an in-process fallback would."""
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method required to inject into workers")
-        from repro.mapreduce.backends import ProcessBackend
-
-        monkeypatch.setattr(
-            ProcessBackend,
-            "_create_pool",
-            lambda self, ctx: (_ for _ in ()).throw(OSError("no pools in worker")),
-        )
-        service = rpc_service(
-            make_university_graph(), backend="process", backend_workers=2
-        )
-        try:
-            assert service.submit(STAR_QUERY).rows
-            warnings = service.snapshot_stats().warnings
-            assert any("no pools in worker" in w for w in warnings), warnings
-            assert any("shard" in w for w in warnings)
-        finally:
-            service.close()
-
-    def test_rebalance_spawned_worker_forwards_its_warnings(self, monkeypatch):
-        """A shard server spawned by a grow-rebalance is primed like any
-        other: a backend that demotes itself at that prime is reported
-        at once, not at some later re-prime."""
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method required to inject into workers")
-        from repro.mapreduce.backends import ProcessBackend
-
-        monkeypatch.setattr(
-            ProcessBackend,
-            "_create_pool",
-            lambda self, ctx: (_ for _ in ()).throw(OSError("no pools in worker")),
-        )
-        service = rpc_service(
-            make_university_graph(), backend="process", backend_workers=2
-        )
-        try:
-            assert service.submit(STAR_QUERY).rows
-            service.rebalance(target_shards=3)
-            warnings = service.snapshot_stats().warnings
-            assert any(
-                w.startswith("shard 2:") and "no pools in worker" in w
-                for w in warnings
-            ), warnings
         finally:
             service.close()
 

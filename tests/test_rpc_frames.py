@@ -131,7 +131,7 @@ FRAME_EXAMPLES = {
     "StatsReply": lambda: StatsReply(
         shard=0, pid=1234, snapshot_token=None,
         tasks_run=4, levels_run=2, primes=1,
-        bytes_received=1024, backend="serial", warnings=("w",), terms=40,
+        bytes_received=1024, backend="serial", terms=40,
     ),
     "Shutdown": Shutdown,
     "OkReply": lambda: OkReply(value=("k", ())),
@@ -311,7 +311,7 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids(backend):
 
     store = partition_graph(make_university_graph(), NUM_NODES)
     driver = WireCodec(store.snapshot(), blocks=True)
-    state = _WorkerState(0, NUM_NODES, backend, None)
+    state = _WorkerState(0, NUM_NODES, backend)
     try:
         replica = pickle.loads(pickle.dumps(store.snapshot()))
         _dispatch(state, Prime(replica, wire="columnar"))
@@ -392,7 +392,7 @@ def test_table_update_merges_the_store_suffix():
     or a conflicting term is a typed error that leaves the replica as
     it was."""
     store = partition_graph(make_university_graph(), NUM_NODES)
-    state = _WorkerState(0, NUM_NODES, "serial", None)
+    state = _WorkerState(0, NUM_NODES, "serial")
     try:
         _dispatch(state, Prime(pickle.loads(pickle.dumps(store.snapshot())), "columnar"))
         start = len(store.dictionary)
