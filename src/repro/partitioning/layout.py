@@ -8,11 +8,18 @@ this so that a Map Scan can address exactly the data it needs:
 
     <placement>|<property>            e.g.  s|ub:worksFor
     <placement>|rdf:type|<object>     e.g.  p|rdf:type|ub:FullProfessor
+
+Across nodes and placements, the files of one property (and of one
+``rdf:type`` object) are named by a *file key*: what a write touches
+and a scan reads, whatever node or replica the bytes sit in.
 """
 
 from __future__ import annotations
 
-from repro.rdf.terms import RDF_TYPE
+from typing import Iterable
+
+from repro.rdf.terms import RDF_TYPE, is_variable
+from repro.sparql.ast import TriplePattern
 
 #: The three placement attributes: one per dataset replica (§5.1 step 1).
 PLACEMENTS = ("s", "p", "o")
@@ -45,3 +52,24 @@ def parse_file_name(name: str) -> tuple[str, str, str | None]:
     if len(parts) == 3:
         return parts[0], parts[1], parts[2]
     raise ValueError(f"not a partition file name: {name!r}")
+
+
+#: ``(property, None)`` names every file of a property; ``(rdf:type,
+#: class)`` the object-split files of one class.
+FileKey = tuple[str, str | None]
+
+
+def read_keys(patterns: Iterable[TriplePattern]) -> tuple[FileKey, ...] | None:
+    """The file keys the scans of *patterns* read, in pattern order.
+
+    A bound ``rdf:type`` object reads its class's files, any other
+    constant property all of that property's; None when a variable
+    property makes a scan read every file.
+    """
+    keys: dict[FileKey, None] = {}
+    for tp in patterns:
+        if is_variable(tp.p):
+            return None
+        typed = tp.p == RDF_TYPE and not is_variable(tp.o)
+        keys[(tp.p, tp.o if typed else None)] = None
+    return tuple(keys)

@@ -22,9 +22,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.partitioning.layout import PLACEMENTS, triple_file
+from repro.partitioning.layout import PLACEMENTS, FileKey, triple_file
 from repro.rdf.dictionary import Dictionary
 from repro.rdf.graph import RDFGraph, Triple
+from repro.rdf.terms import RDF_TYPE
 
 
 #: Memo table for the polynomial term hash.  Loading computes the hash
@@ -143,6 +144,14 @@ class PartitionedStore:
     is the full 3-way scheme.  Restricting it (e.g. to subject-only)
     ablates the §5.1 design: joins on non-replicated positions lose
     their co-location and must run as reduce joins.
+
+    Every ``add`` moves three kinds of version: ``version`` (the
+    store's), ``node_versions`` of each node the triple lands on, and
+    ``file_versions`` of each file key it is written under — its
+    property's ``(p, None)`` and, for ``rdf:type``, its class's
+    ``(rdf:type, o)``.  A BGP's answer depends only on the files its
+    scans read, so :meth:`file_stamp` of those keys says whether it can
+    have changed.
     """
 
     num_nodes: int
@@ -174,6 +183,9 @@ class PartitionedStore:
         #: written: what a view of the node is memoized (and a shard's
         #: snapshot token derived) by
         self.node_versions = [0] * self.num_nodes
+        #: file_versions[key] is the store version of the last write
+        #: under that file key (absent: the store holds no such file)
+        self.file_versions: dict[FileKey, int] = {}
         self._frozen: list[tuple[int, dict] | None] = [None] * self.num_nodes
 
     # -- loading ------------------------------------------------------------
@@ -191,6 +203,18 @@ class PartitionedStore:
                 self.files[node].setdefault(name, []).append(triple)
                 self.node_versions[node] += 1
         self.version += 1
+        version = self.version
+        self.file_versions[p, None] = version
+        if p == RDF_TYPE:
+            self.file_versions[p, o] = version
+
+    def file_stamp(self, keys: Sequence[FileKey] | None) -> tuple[int, ...]:
+        """The versions of the files *keys* name, in order; None (a scan
+        that reads every file) stamps with the store's version."""
+        if keys is None:
+            return (self.version,)
+        get = self.file_versions.get
+        return tuple([get(key, 0) for key in keys])
 
     # -- snapshots -----------------------------------------------------------
 

@@ -16,9 +16,12 @@ The caches form a hierarchy keyed on canonical forms from
   survive graph updates — though the cached choice may drift from
   cost-optimal as statistics move.
 * :class:`ResultCache` — keyed on the instance key — memoizes answers of
-  fully-bound queries.  Answers are stale the moment the graph changes,
-  so every entry records the graph version it was computed at and is
-  dropped on version mismatch.
+  fully-bound queries.  An answer depends only on the §5.1 files its
+  scans read (its *footprint*, kept on the instance's plan-cache
+  entry), so every entry records the store's versions of those files
+  at the moment it was computed and is dropped when a read finds one
+  of them moved; a write to files it does not read leaves it serving.
+  Validation is lazy: a write sweeps nothing.
 
 All are LRU with O(1) operations and are safe for concurrent use.
 A miss that several threads take at once is computed once, through a
@@ -36,6 +39,7 @@ from repro.analysis.locks import checked
 from repro.core.logical import LogicalPlan
 from repro.mapreduce.counters import ExecutionReport
 from repro.obs.trace import span
+from repro.partitioning.layout import FileKey
 from repro.physical.executor import PreparedPlan
 
 K = TypeVar("K", bound=Hashable)
@@ -95,6 +99,9 @@ class PlanEntry:
 
     plan: LogicalPlan
     prepared: PreparedPlan
+    #: the file keys the plan's scans read (None: every file, a
+    #: variable property) — what the instance's answer depends on
+    footprint: tuple[FileKey, ...] | None
     #: summary of the enumeration that produced the plan
     plan_count: int = 0
     truncated: bool = False
@@ -130,9 +137,16 @@ class TemplateCache(LRUCache[tuple, TemplateEntry]):
 
 @dataclass
 class ResultEntry:
-    """One memoized answer set, in canonical variable space."""
+    """One memoized answer set, in canonical variable space.
+
+    ``version`` is the graph version it was computed at; it stays the
+    answer until one of the files of its ``footprint`` is written, which
+    ``stamp`` (the store's versions of those files then) detects.
+    """
 
     version: int
+    footprint: tuple[FileKey, ...] | None
+    stamp: tuple[int, ...]
     attrs: tuple[str, ...]
     rows: AbstractSet[tuple]
     plan: LogicalPlan
@@ -141,20 +155,25 @@ class ResultEntry:
 
 
 class ResultCache(LRUCache[tuple, ResultEntry]):
-    """signature -> answers, invalidated by graph version."""
+    """signature -> answers, invalidated by writes to the files they read."""
 
     def __init__(self, maxsize: int | None = 256) -> None:
         super().__init__(maxsize)
         self.stale_drops = 0  # guarded-by: _lock
 
-    def get_current(self, key: tuple, version: int) -> ResultEntry | None:
-        """The cached entry, unless absent or computed at an older version."""
+    def get_current(
+        self,
+        key: tuple,
+        stamp_of: Callable[[tuple[FileKey, ...] | None], tuple[int, ...]],
+    ) -> ResultEntry | None:
+        """The cached entry, unless absent or stale: ``stamp_of`` its
+        footprint (the files' versions now) differs from its stamp."""
         with self._lock:
             entry = self._data.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            if entry.version != version:
+            if stamp_of(entry.footprint) != entry.stamp:
                 del self._data[key]
                 self.stale_drops += 1
                 self.misses += 1

@@ -70,6 +70,7 @@ from repro.obs.trace import (
     span,
     stage,
 )
+from repro.partitioning.layout import read_keys
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import ExecutionResult, PlanExecutor, PreparedPlan
 from repro.physical.explain import explain as explain_plan
@@ -313,6 +314,8 @@ class QueryOutcome:
     coalesced: bool
     cacheable: bool
     timings: QueryTimings
+    #: the graph version the answer was computed at; it stays valid
+    #: until one of the files its scans read is written
     graph_version: int
     #: the submission bound new constants into a cached template
     #: (optimizer skipped; bound-plan cache missed)
@@ -796,11 +799,14 @@ class QueryService:
     def add_triples(self, triples) -> int:
         """Add triples to the live graph; returns the number of new ones.
 
-        Bumps the graph version (lazily invalidating every cached
-        result), maintains catalog statistics *incrementally* — the
-        catalog is copied once per batch and a per-triple delta applied
-        for each genuinely new triple, O(batch + |P|) instead of the
-        former O(|G|) full recompute.  Cached plans stay: they are
+        Bumps the graph version, and in the store the version of every
+        §5.1 file a new triple is written under (its property's, and an
+        ``rdf:type`` triple's class's): a cached result is dropped, lazily
+        at its next read, only if it read one of those files — nothing
+        is swept here.  Maintains catalog statistics *incrementally* —
+        the catalog is copied once per batch and a per-triple delta
+        applied for each genuinely new triple, O(batch + |P|) instead of
+        the former O(|G|) full recompute.  Cached plans stay: they are
         correct on any graph, only their cost ranking ages.
         """
         self._check_open()
@@ -824,8 +830,9 @@ class QueryService:
                     added += 1
             finally:
                 # Even if a later triple is rejected mid-batch, whatever
-                # was applied must invalidate cached results and refresh
-                # the statistics — otherwise stale answers keep serving.
+                # was applied has moved its files' versions (invalidating
+                # the cached results that read them) and must refresh the
+                # statistics too.
                 if added:
                     self._version += 1
                     # Swap in a fresh catalog/estimator/coster trio
@@ -1247,6 +1254,11 @@ class QueryService:
         caches.labels(cache="plan").set(len(self.plan_cache))
         caches.labels(cache="template").set(len(self.template_cache))
         caches.labels(cache="result").set(len(self.result_cache))
+        registry.gauge(
+            "repro_result_cache_stale_drops",
+            "Result-cache entries dropped at a read because a file they "
+            "read had been written since.",
+        ).set(self.result_cache.stale_drops)
         workers = registry.gauge(
             "repro_shard_worker",
             "Point-in-time RPC shard worker load (stale=1: probe failed).",
@@ -1281,17 +1293,19 @@ class QueryService:
         coalesced)``; ``coalesced`` is True for a flight's waiters."""
         if inst.key is None:
             return self._compute(inst), False
+        stamp_of = self.store.file_stamp
         while True:
-            entry = self.result_cache.get_current(inst.key, self._version)
+            entry = self.result_cache.get_current(inst.key, stamp_of)
             if entry is not None:
                 return _Answer(entry), False
             answer, reused = self._flights.run(
                 inst.key, lambda: self._compute(inst)
             )
-            if reused and answer.entry.version != self._version:
-                # The flight predates a mutation that committed after we
-                # joined; its rows are stale for us. Recompute at the
-                # current version instead of serving them.
+            found = answer.entry
+            if reused and stamp_of(found.footprint) != found.stamp:
+                # The flight predates a write to a file it read that
+                # committed after we joined; its rows are stale for us.
+                # Recompute at the current version instead of serving them.
                 continue
             return answer, reused
 
@@ -1409,6 +1423,7 @@ class QueryService:
                 entry = PlanEntry(
                     plan=prepared.plan,
                     prepared=prepared,
+                    footprint=read_keys(prepared.plan.query.patterns),
                     plan_count=tentry.plan_count,
                     truncated=tentry.truncated,
                 )
@@ -1418,12 +1433,15 @@ class QueryService:
             with stage("execute", plan_hit=plan_hit) as execute:
                 with self._store_lock.read():
                     version = self._version
+                    stamp = self.store.file_stamp(entry.footprint)
                     result = self.executor.execute_prepared(entry.prepared)
         except BaseException:
             self.stats.record_error()
             raise
         found = ResultEntry(
             version=version,
+            footprint=entry.footprint,
+            stamp=stamp,
             attrs=result.attrs,
             rows=result.rows,
             plan=entry.plan,

@@ -41,6 +41,8 @@ from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.jobs import MapTaskSpec, TaskContext
 from repro.physical.executor import job_from_spec
+from repro.rdf.graph import RDFGraph
+from repro.rdf.terms import RDF_TYPE, is_variable
 from repro.service import QueryOutcome, QueryService, ServiceConfig
 from repro.sparql.ast import BGPQuery
 from repro.sparql.canonical import CanonicalizationBudgetExceeded
@@ -173,10 +175,10 @@ def make_service(
     config keeps whatever ``ServiceConfig()`` resolves to on this
     platform (the id-space engine with numpy, serial without).
 
-    The result cache is disabled so every surface truly executes (a
-    cached answer would make cross-surface equality vacuous); plan and
-    template caches stay on — binding reuse across surfaces is exactly
-    the path being verified.
+    The result cache is disabled, unless *overrides* sets its size, so
+    every surface truly executes (a cached answer would make
+    cross-surface equality vacuous); plan and template caches stay on —
+    binding reuse across surfaces is exactly the path being verified.
     """
     # REPRO_TRACE=1 re-runs the whole matrix with per-query tracing on
     # (CI's obs-smoke job): answers and reports must stay identical
@@ -184,10 +186,10 @@ def make_service(
     overrides.setdefault(
         "tracing", os.environ.get("REPRO_TRACE", "") == "1"
     )
+    overrides.setdefault("result_cache_size", 0)
     if backend is not None:
         overrides["backend"] = backend
     config = ServiceConfig(
-        result_cache_size=0,
         **DEPLOYMENTS[deployment],
         **overrides,
     )
@@ -449,6 +451,79 @@ def assert_one_pipeline(
     assert (
         footprints["prepare"].at_execute_time() == submit.at_execute_time()
     ), (where, "prepare")
+
+
+# -- writes --------------------------------------------------------------------
+
+#: the matrix's write batch: two new graduate students of existing
+#: departments, so it writes the ub:memberOf files and the rdf:type
+#: files of ub:GraduateStudent, nothing else
+WRITES = (
+    ("<ConformanceGrad0>", RDF_TYPE, "ub:GraduateStudent"),
+    ("<ConformanceGrad0>", "ub:memberOf", "<Department0.University0>"),
+    ("<ConformanceGrad1>", RDF_TYPE, "ub:GraduateStudent"),
+    ("<ConformanceGrad1>", "ub:memberOf", "<Department1.University3>"),
+)
+
+
+def reads_writes(query: BGPQuery) -> bool:
+    """Whether a scan of *query* reads a file ``WRITES`` is written to:
+    a pattern of a written property, other than an ``rdf:type`` pattern
+    naming another class, or a variable property (it reads every file)."""
+    written = {p for _, p, _ in WRITES}
+    classes = {o for _, p, o in WRITES if p == RDF_TYPE}
+    for tp in query.patterns:
+        if is_variable(tp.p):
+            return True
+        if tp.p in written and (
+            tp.p != RDF_TYPE or is_variable(tp.o) or tp.o in classes
+        ):
+            return True
+    return False
+
+
+def write_twin(graph, backend: str | None, deployment: str) -> QueryService:
+    """A service for the write pass: the result cache on, over a copy
+    of *graph* (the pass writes to the service's graph)."""
+    return make_service(
+        RDFGraph(graph), backend, deployment, result_cache_size=256
+    )
+
+
+def run_writes(service: QueryService, queries) -> list[QueryOutcome]:
+    """The write pass on a service with its result cache on: submit
+    *queries*, give the service ``WRITES``, submit them again; returns
+    the second outcomes.  The service's graph is written to."""
+    assert service.config.result_cache_size
+    run_surface(service, queries, "submit")
+    assert service.add_triples(WRITES) == len(WRITES)
+    return run_surface(service, queries, "submit")
+
+
+def writes_reference(graph, queries) -> dict[str, Expected]:
+    """``run_writes`` on a serial single store over a copy of *graph*
+    (itself left as it is): the answers every cell's write pass must
+    reproduce."""
+    with write_twin(graph, "serial", "unsharded") as service:
+        outcomes = run_writes(service, queries)
+    return {q.name: expected_of(q.name, o) for q, o in zip(queries, outcomes)}
+
+
+def assert_writes_conform(
+    service: QueryService,
+    queries,
+    reference: dict[str, Expected],
+    where: str = "",
+) -> None:
+    """After a write, answers equal *reference* (``writes_reference``),
+    and a query is served from the result cache exactly when none of
+    the files it reads was written: a write invalidates only the
+    answers that read what it wrote."""
+    outcomes = run_writes(service, queries)
+    for query, outcome in zip(queries, outcomes):
+        at = f"{where}/writes/{query.name}"
+        assert_conforms(reference[query.name], outcome, at)
+        assert outcome.result_cache_hit != reads_writes(query), at
 
 
 def _sorted_map_result(result) -> tuple:

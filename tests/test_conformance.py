@@ -11,7 +11,10 @@ the answer-equality check that previously lived in ``test_backends.py``
 and ``test_cluster.py``.  Every cell also proves the three surfaces are
 one pipeline: on ``conformance.parity_queries`` (cacheable, one
 template twice, uncacheable) they leave the same stats counters and
-the same spans (``conformance.assert_one_pipeline``).
+the same spans (``conformance.assert_one_pipeline``), and that a write
+invalidates exactly the cached answers that read a file it wrote
+(``conformance.assert_writes_conform``, on a twin with the result
+cache on).
 """
 
 from __future__ import annotations
@@ -37,12 +40,16 @@ from tests.conformance import (
     assert_rebalance_conforms,
     assert_stateless_workers,
     assert_surface_conforms,
+    assert_writes_conform,
     expected_of,
     ground_queries,
     make_service,
     parity_queries,
+    reads_writes,
     reference_answers,
     skip_unless_supported,
+    write_twin,
+    writes_reference,
 )
 
 UNIVERSITIES = 4
@@ -65,6 +72,18 @@ def reference(graph, queries):
 
 
 @pytest.fixture(scope="module")
+def written(graph, queries, reference):
+    """The answers after ``conformance.WRITES``, on the serial single
+    store; the write touches some queries' files and not others', and
+    changes some answers."""
+    after = writes_reference(graph, queries)
+    assert any(reads_writes(q) for q in queries)
+    assert not all(reads_writes(q) for q in queries)
+    assert any(after[name].rows != reference[name].rows for name in after)
+    return after
+
+
+@pytest.fixture(scope="module")
 def parity():
     return parity_queries()
 
@@ -82,6 +101,14 @@ def parity_reference(graph, parity):
         return {
             q.name: expected_of(q.name, o) for q, o in zip(parity, outcomes)
         }
+
+
+def check_writes(graph, backend, deployment, queries, written):
+    """The write pass, on a twin of the cell with its result cache on."""
+    with write_twin(graph, backend, deployment) as twin:
+        assert_writes_conform(
+            twin, queries, written, where=f"{deployment}/{backend or 'default'}"
+        )
 
 
 def check_one_pipeline(graph, backend, deployment, parity, parity_reference):
@@ -115,11 +142,14 @@ def test_reference_is_not_vacuous(reference):
     "deployment,backend", CELLS, ids=[f"{d}-{b}" for d, b in CELLS]
 )
 def test_conformance_matrix(
-    graph, queries, reference, parity, parity_reference, deployment, backend
+    graph, queries, reference, written, parity, parity_reference,
+    deployment, backend,
 ):
     """One service per (deployment, backend) cell; all three submission
-    surfaces run the full workload against the shared reference, then
-    the parity workload shows they are one pipeline."""
+    surfaces run the full workload against the shared reference, a
+    write pass shows a write invalidates exactly the answers that read
+    its files, then the parity workload shows the surfaces are one
+    pipeline."""
     skip_unless_supported(deployment, backend)
     service = make_service(graph, backend, deployment)
     try:
@@ -135,6 +165,7 @@ def test_conformance_matrix(
             assert_stateless_workers(service, where=f"{deployment}/{backend}")
     finally:
         service.close()
+    check_writes(graph, backend, deployment, queries, written)
     check_one_pipeline(graph, backend, deployment, parity, parity_reference)
 
 

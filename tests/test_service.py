@@ -8,7 +8,11 @@ import threading
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.rdf.graph import RDFGraph
+from repro.rdf.terms import RDF_TYPE
 from repro.service.cache import LRUCache
 from repro.service.service import QueryService, ServiceConfig
 from repro.service.stats import LatencySummary, percentile
@@ -126,6 +130,54 @@ class TestResultCache:
             # Plans survive mutation (still correct, possibly re-costed).
             assert after.plan_cache_hit
 
+    def test_unrelated_write_keeps_the_hit(self):
+        graph = lubm.generate(lubm.LUBMConfig(universities=4))
+        with QueryService(graph) as svc:
+            q = lubm_queries.query("Q2")
+            before = svc.submit(q)
+            assert svc.add_triples([("<NewProf>", "ub:worksFor", "<Dept>")]) == 1
+            after = svc.submit(q)
+            assert after.result_cache_hit
+            assert after.rows == before.rows == evaluate(q, graph)
+            # "computed at": the answer predates the write it survived
+            assert after.graph_version == before.graph_version
+            assert svc.graph_version == before.graph_version + 1
+
+    def test_type_write_drops_only_readers_of_its_files(self):
+        graph = lubm.generate(lubm.LUBMConfig(universities=4))
+        with QueryService(graph) as svc:
+            professors = parse_query(
+                "SELECT ?x WHERE { ?x rdf:type ub:AssistantProfessor . "
+                f"?x ub:doctoralDegreeFrom {lubm.UNIVERSITY0} }}"
+            )
+            classes = parse_query(
+                "SELECT ?x ?c WHERE { ?x rdf:type ?c . "
+                f"?x ub:doctoralDegreeFrom {lubm.UNIVERSITY0} }}"
+            )
+            svc.submit(professors)
+            svc.submit(classes)
+            svc.add_triples([("<NewGrad>", "rdf:type", "ub:GraduateStudent")])
+            kept = svc.submit(professors)
+            dropped = svc.submit(classes)
+            assert kept.result_cache_hit and not dropped.result_cache_hit
+            assert kept.rows == evaluate(professors, graph)
+            assert dropped.rows == evaluate(classes, graph)
+            assert svc.result_cache.stale_drops == 1
+            assert "repro_result_cache_stale_drops 1" in svc.render_prometheus()
+
+    def test_variable_property_query_is_dropped_by_any_write(self):
+        graph = lubm.generate(lubm.LUBMConfig(universities=4))
+        with QueryService(graph) as svc:
+            q = parse_query(
+                f"SELECT ?p ?o WHERE {{ {lubm.UNIVERSITY0} ?p ?o }}"
+            )
+            before = svc.submit(q)
+            assert svc.submit(q).result_cache_hit
+            svc.add_triples([("<s>", "<brand-new-p>", "<o>")])
+            after = svc.submit(q)
+            assert not after.result_cache_hit
+            assert after.rows == before.rows == evaluate(q, graph)
+
     def test_mutation_refreshes_statistics(self, graph):
         svc = QueryService(lubm.generate(lubm.LUBMConfig(universities=4)))
         before = svc.catalog.triple_count
@@ -142,6 +194,81 @@ class TestResultCache:
         assert svc.add_triples([triple]) == 0
         assert svc.graph_version == version
         svc.close()
+
+
+#: the differential test's vocabulary: two properties the queries read,
+#: one only the variable-property query reads, rdf:type over three
+#: classes (one no query names)
+NODES = tuple(f"<n{i}>" for i in range(4))
+CLASSES = ("ub:C1", "ub:C2", "ub:C3")
+BASE = (
+    ("<n0>", "ub:p1", "<n1>"),
+    ("<n1>", "ub:p2", "<n2>"),
+    ("<n2>", "ub:p1", "<n3>"),
+    ("<n1>", RDF_TYPE, "ub:C1"),
+    ("<n2>", RDF_TYPE, "ub:C2"),
+    ("<n3>", "ub:p3", "<n0>"),
+)
+#: query text -> the file keys it reads (None: every file)
+DIFFERENTIAL_QUERIES = {
+    "SELECT ?x ?z WHERE { ?x ub:p1 ?y . ?y ub:p2 ?z }": {
+        ("ub:p1", None), ("ub:p2", None),
+    },
+    "SELECT ?x WHERE { ?x rdf:type ub:C1 . ?x ub:p2 ?y }": {
+        (RDF_TYPE, "ub:C1"), ("ub:p2", None),
+    },
+    "SELECT ?x ?c WHERE { ?x rdf:type ?c }": {(RDF_TYPE, None)},
+    "SELECT ?y WHERE { <n0> ub:p1 ?y }": {("ub:p1", None)},
+    "SELECT ?x ?p WHERE { ?x ?p ?y . ?y rdf:type ub:C2 }": None,
+}
+
+triples = st.one_of(
+    st.tuples(
+        st.sampled_from(NODES),
+        st.sampled_from(("ub:p1", "ub:p2", "ub:p3")),
+        st.sampled_from(NODES),
+    ),
+    st.tuples(
+        st.sampled_from(NODES), st.just(RDF_TYPE), st.sampled_from(CLASSES)
+    ),
+    st.sampled_from(BASE),  # a duplicate: no file moves
+)
+steps = st.lists(
+    st.tuples(
+        st.lists(triples, max_size=3),
+        st.lists(st.sampled_from(sorted(DIFFERENTIAL_QUERIES)), max_size=5),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@pytest.mark.parametrize("shards", [0, 2])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(steps=steps)
+def test_writes_and_reads_match_the_evaluator(shards, steps):
+    """Interleaved add_triples batches and submits answer what the
+    evaluator does on a mirror graph, and a submit is a result-cache hit
+    exactly when its query ran before and no file it reads was written
+    since (a duplicate triple writes nothing)."""
+    mirror = RDFGraph(BASE)
+    queries = {text: parse_query(text) for text in DIFFERENTIAL_QUERIES}
+    fresh: set[str] = set()
+    with QueryService(RDFGraph(BASE), ServiceConfig(shards=shards)) as svc:
+        for batch, reads in steps:
+            added = [t for t in dict.fromkeys(batch) if mirror.add(*t)]
+            assert svc.add_triples(batch) == len(added)
+            written = {(p, None) for _, p, _ in added}
+            written |= {(p, o) for _, p, o in added if p == RDF_TYPE}
+            for text in list(fresh):
+                keys = DIFFERENTIAL_QUERIES[text]
+                if written and (keys is None or keys & written):
+                    fresh.discard(text)
+            for text in reads:
+                outcome = svc.submit(queries[text])
+                assert outcome.rows == evaluate(queries[text], mirror), text
+                assert outcome.result_cache_hit == (text in fresh), text
+                fresh.add(text)
 
 
 class TestConcurrency:
@@ -252,7 +379,8 @@ class TestLifecycleAndFailure:
         with pytest.raises(ValueError):
             svc.add_triples(
                 [
-                    ("<ok>", "<p>", "<o>"),
+                    # Q2 reads this property's files.
+                    ("<ok>", "ub:doctoralDegreeFrom", "<o>"),
                     ('"literal"', "<p>", "<o>"),  # rejected by validation
                 ]
             )
