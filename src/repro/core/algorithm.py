@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from math import inf
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.covers import EnumerationBudget
 from repro.core.decomposition import MSC, DecompositionOption, decompositions
@@ -160,6 +160,10 @@ def _search(
     memo: dict = {}
     #: height -> cheapest completed plan of that height
     front: dict[int, float] = {}
+    #: minimum options: decompositions by graph structure (node count +
+    #: maximal cliques as node sets), which fixes the candidate cliques
+    #: and so the covers; reductions reach the same structure many times
+    shapes: dict[tuple[int, frozenset[frozenset[int]]], list[Decomposition]] = {}
 
     def time_left() -> float | None:
         if deadline is None:
@@ -175,6 +179,19 @@ def _search(
             result.truncated = True
             return True
         return False
+
+    def decompose(
+        graph: VariableGraph, budget: EnumerationBudget | None
+    ) -> Iterable[Decomposition]:
+        if not option.minimum:  # SC's spaces run to millions: stay lazy
+            return decompositions(graph, option, budget)
+        key = (len(graph), frozenset(map(frozenset, graph.edge_map().values())))
+        known = shapes.get(key)
+        if known is None:
+            known = list(decompositions(graph, option, budget))
+            if budget is None or not budget.truncated:
+                shapes[key] = known
+        return known
 
     def recurse(
         graph: VariableGraph, ops: tuple[LogicalOperator, ...], lower: float
@@ -196,7 +213,7 @@ def _search(
             budget = EnumerationBudget(timeout_s=max(left, 1e-9))
         #: this state's joins by clique: sibling decompositions share them
         joins: dict[Clique, LogicalOperator] = {}
-        for decomposition in decompositions(graph, option, budget):
+        for decomposition in decompose(graph, budget):
             if out_of_budget():
                 return
             child_ops = extend_operators(ops, decomposition, joins)

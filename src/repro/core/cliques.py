@@ -36,18 +36,17 @@ def partial_cliques(graph: VariableGraph) -> list[Clique]:
     Singleton subsets are valid partial cliques (a node carried unchanged
     through a decomposition step, i.e. no join for that node).
     """
-    out: set[Clique] = set()
-    for clique in maximal_cliques_by_variable(graph).values():
-        members = sorted(clique)
-        for size in range(1, len(members) + 1):
-            for subset in combinations(members, size):
-                out.add(frozenset(subset))
     # Every node is always available as a singleton "carry" clique, even a
     # node with no join variable left (cannot happen in connected graphs,
     # but keeps degenerate cases safe).
-    for i in range(len(graph)):
-        out.add(frozenset([i]))
-    return sorted(out, key=lambda c: (len(c), sorted(c)))
+    out: set[tuple[int, ...]] = {(i,) for i in range(len(graph))}
+    for clique in maximal_cliques_by_variable(graph).values():
+        members = sorted(clique)
+        for size in range(2, len(members) + 1):
+            out.update(combinations(members, size))
+    # (size, members) order, compared as plain tuples: a star of n
+    # patterns has 2^n - 1 partial cliques.
+    return [frozenset(c) for c in sorted(sorted(out), key=len)]
 
 
 def candidate_cliques(graph: VariableGraph, maximal_only: bool) -> list[Clique]:

@@ -9,10 +9,10 @@ eight CliqueSquare options (§4.3):
   pruning.  This space explodes (Fig. 16); callers cap it.
 * :func:`iter_exact_covers` — all exact covers (partitions), Algorithm-X
   style recursion, each cover produced exactly once.
-* :func:`minimum_covers` — all covers of minimum size, found by iterative
-  deepening over an irredundant-cover branching (minimum covers are
-  irredundant, and the branching enumerates every irredundant cover
-  exactly once).
+* :func:`minimum_covers` — all covers of minimum size, found in one
+  depth-first branch-and-bound pass over an irredundant-cover branching
+  (minimum covers are irredundant, and the branching reaches every
+  irredundant cover exactly once), cut by the smallest cover found so far.
 
 Universe elements are node indices ``0..n-1``; candidate sets are bitmasks.
 """
@@ -162,65 +162,29 @@ def _lowest_unset(covered: int, universe_size: int) -> int:
     return (inv & -inv).bit_length() - 1
 
 
-def iter_irredundant_covers(
-    universe_size: int,
-    masks: Sequence[int],
-    max_size: int,
-    budget: EnumerationBudget | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield covers via smallest-uncovered-element branching.
-
-    Every *irredundant* cover (no set removable) of size <= max_size is
-    produced exactly once; some redundant-but-productive covers appear as
-    well.  Used as the engine behind :func:`minimum_covers`: minimum
-    covers are always irredundant.
-    """
-    full = _full(universe_size)
-    m = len(masks)
-    if full == 0 or m == 0:
-        return
-    by_element: list[list[int]] = [[] for _ in range(universe_size)]
-    for j, mask in enumerate(masks):
-        for e in range(universe_size):
-            if mask >> e & 1:
-                by_element[e].append(j)
-    chosen: list[int] = []
-
-    def rec(covered: int, banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        if budget is not None and budget.exhausted():
-            return
-        if covered == full:
-            yield tuple(sorted(chosen))
-            return
-        if len(chosen) >= max_size:
-            return
-        e = _lowest_unset(covered, universe_size)
-        newly_banned: set[int] = set()
-        for j in by_element[e]:
-            if j in banned:
-                newly_banned.add(j)
-                continue
-            chosen.append(j)
-            yield from rec(covered | masks[j], banned | frozenset(newly_banned))
-            chosen.pop()
-            newly_banned.add(j)
-
-    yield from rec(0, frozenset())
-
-
 def minimum_covers(
     universe_size: int,
     masks: Sequence[int],
     exact: bool,
     budget: EnumerationBudget | None = None,
 ) -> list[tuple[int, ...]]:
-    """All covers of minimum size (simple or exact), deduplicated.
+    """All covers of minimum size (simple or exact), sorted and deduplicated.
 
-    Iterative deepening from the smallest depth that could cover the
-    universe: the first depth k at which any cover exists is the minimum
-    cover size; all covers found at that depth are returned.
+    One depth-first branch-and-bound pass.  Each step branches on the
+    smallest uncovered element, trying its larger candidate sets first so
+    that a small cover bounds the search early.  A simple cover never
+    re-takes a set an earlier sibling branch took (so every irredundant
+    cover — every minimum cover is one — is reached exactly once); an
+    exact cover takes only sets disjoint from the covered elements.  A
+    branch is cut once ``k`` chosen sets plus ``ceil(uncovered /
+    largest set)`` exceed the smallest cover found so far, and a smaller
+    cover resets the found set.  Covers have at most ``universe_size -
+    1`` sets (Def. 3.3).
+
     Returns [] when no cover exists at all (the MXC+/XC+ failure mode of
-    Fig. 10).
+    Fig. 10).  When *budget* runs out mid-search the covers found so far
+    (all of one size, possibly above the minimum) are returned and the
+    budget is left ``truncated``.
     """
     full = _full(universe_size)
     union = 0
@@ -228,19 +192,39 @@ def minimum_covers(
         union |= mask
     if union != full or not full:
         return []
-    iterator = iter_exact_covers if exact else iter_irredundant_covers
-    max_k = max(universe_size - 1, 1)
-    # k sets cover at most k * (largest set) elements, so every depth
-    # below ceil(n / largest) is provably empty.
-    largest = max(mask.bit_count() for mask in masks)
-    for k in range(-(-universe_size // largest), max_k + 1):
-        found = {
-            tuple(sorted(cover))
-            for cover in iterator(universe_size, masks, k, budget)
-            if len(cover) == k
-        }
-        if found:
-            return sorted(found)
+    sizes = [mask.bit_count() for mask in masks]
+    largest_first = sorted(range(len(masks)), key=lambda j: -sizes[j])
+    #: element -> the sets holding it, largest first (built when branched on)
+    by_element: dict[int, list[int]] = {}
+    largest = max(sizes)
+    best = max(universe_size - 1, 1)
+    found: set[tuple[int, ...]] = set()
+    chosen: list[int] = []
+
+    def rec(covered: int, banned: int) -> None:
+        nonlocal best
         if budget is not None and budget.exhausted():
-            return []
-    return []
+            return
+        if covered == full:
+            if len(chosen) < best:
+                best = len(chosen)
+                found.clear()
+            found.add(tuple(sorted(chosen)))
+            return
+        uncovered = universe_size - covered.bit_count()
+        if len(chosen) + -(-uncovered // largest) > best:
+            return
+        e = _lowest_unset(covered, universe_size)
+        if e not in by_element:
+            by_element[e] = [j for j in largest_first if masks[j] >> e & 1]
+        for j in by_element[e]:
+            if len(chosen) + 1 + -(-(uncovered - sizes[j]) // largest) > best:
+                break  # the sets come largest first: no later one fits either
+            if not banned >> j & 1 and not (exact and masks[j] & covered):
+                chosen.append(j)
+                rec(covered | masks[j], banned)
+                chosen.pop()
+            banned |= 1 << j
+
+    rec(0, 0)
+    return sorted(found)

@@ -10,6 +10,7 @@ two; the front's lowest height is the third).
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from repro.analysis.plan_check import (
     check_plan_space,
     corpus_coster,
 )
+import repro.core.algorithm as algorithm
 from repro.core.algorithm import (
     FIRST_PLAN_GRACE_S,
     cliquesquare,
@@ -113,10 +115,58 @@ def test_exhausted_budget_still_returns_a_valid_plan(paper_q1, university_coster
     assert [p.signature() for p in first.plans] == [result.plans[0].signature()]
 
 
+def enumerations(monkeypatch, query, coster, option, truncate):
+    """Run one bounded search, counting ``decompositions()`` calls per
+    graph structure; *truncate* marks the budget cut short on no call,
+    on the first call of each structure, or on every call."""
+    real = algorithm.decompositions
+    calls: Counter = Counter()
+
+    def spy(graph, opt, budget=None):
+        key = (len(graph), frozenset(map(frozenset, graph.edge_map().values())))
+        covers = list(real(graph, opt, budget))
+        if truncate == "always" or (truncate == "first" and not calls[key]):
+            budget.truncated = True  # as if the deadline tripped at the end
+        calls[key] += 1
+        return covers
+
+    monkeypatch.setattr(algorithm, "decompositions", spy)
+    result = cost_bounded_search(query, coster, option, max_plans=None, timeout_s=60)
+    monkeypatch.undo()
+    return calls, result
+
+
+def test_minimum_options_enumerate_each_structure_once_per_search(
+    paper_q1, university_coster, monkeypatch
+):
+    def run(truncate):
+        return enumerations(monkeypatch, paper_q1, university_coster, MSC, truncate)
+
+    visits, uncached = run("always")  # a truncated list is never stored
+    assert uncached.truncated and max(visits.values()) > 1
+    once, result = run("never")
+    assert once == Counter(dict.fromkeys(visits, 1)) and not result.truncated
+    twice, _ = run("first")
+    assert twice == Counter({key: min(n, 2) for key, n in visits.items()})
+    again, _ = run("never")  # the memo lives inside one search
+    assert again == once
+    assert result.states == uncached.states
+    assert [p.signature() for p in result.plans] == [
+        p.signature() for p in uncached.plans
+    ]
+
+
+def test_other_options_enumerate_every_state(fig11_qx, university_coster, monkeypatch):
+    visits, _ = enumerations(monkeypatch, fig11_qx, university_coster, SC_PLUS, "always")
+    calls, _ = enumerations(monkeypatch, fig11_qx, university_coster, SC_PLUS, "never")
+    assert calls == visits and max(calls.values()) > 1
+
+
 @pytest.mark.parametrize("bounded", [False, True])
 def test_timeout_is_wall_clock_before_the_first_plan(bounded):
-    """A thin 13-pattern query needs ~30 s of minimum-cover enumeration
-    for its first MSC plan; the deadline must stop it without one."""
+    """A thin 13-pattern query needs seconds of minimum-cover enumeration
+    for its first MSC plan (~2.4 s on a 2-CPU container), well past
+    the grace; the deadline must stop it without one."""
     query = SyntheticWorkload(
         queries_per_shape=6, min_patterns=10, max_patterns=14, seed=3
     ).generate(["thin"])["thin"][3]

@@ -1,5 +1,6 @@
 """Unit and property tests for cover enumeration (repro.core.covers)."""
 
+import time
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.covers import (
     EnumerationBudget,
     iter_exact_covers,
-    iter_irredundant_covers,
     iter_simple_covers,
     masks_of,
     minimum_covers,
@@ -127,55 +127,64 @@ class TestMinimumCovers:
         got = {tuple(c) for c in minimum_covers(n, masks, exact=False)}
         assert got == expected
 
-    def test_deepening_starts_at_the_size_bound(self, monkeypatch):
-        """Depths below ceil(n / largest set) cannot cover: never tried."""
-        import repro.core.covers as covers
-
-        depths = []
-        real = covers.iter_irredundant_covers
-
-        def spy(universe_size, masks, max_size, budget=None):
-            depths.append(max_size)
-            return real(universe_size, masks, max_size, budget)
-
-        monkeypatch.setattr(covers, "iter_irredundant_covers", spy)
+    def test_chain_returns_all_and_only_its_size_four_covers(self):
         n = 7  # a chain: pairs only, so no cover below ceil(7 / 2) = 4
         sets = [{i, i + 1} for i in range(n - 1)] + [{i} for i in range(n)]
-        found = minimum_covers(n, masks_of(n, sets), exact=False)
-        assert depths == [4]
-        assert found and all(len(c) == 4 for c in found)
+        masks = masks_of(n, sets)
+        brute = brute_force_covers(n, masks, 4)
+        assert min(map(len, brute)) == 4
+        found = minimum_covers(n, masks, exact=False)
+        assert found == sorted(c for c in brute if len(c) == 4)
 
     def test_empty_universe(self):
         assert minimum_covers(0, [], exact=False) == []
 
 
-class TestIrredundantCovers:
-    def test_contains_all_irredundant(self):
-        n = 4
-        sets = [{0, 1}, {1, 2}, {2, 3}, {0, 3}]
+class TrippingBudget(EnumerationBudget):
+    """A budget that runs out after a fixed number of checks."""
+
+    def __init__(self, checks: int) -> None:
+        super().__init__()
+        self.checks = checks
+
+    def exhausted(self) -> bool:
+        self.checks -= 1
+        if self.checks < 0:
+            self.truncated = True
+        return self.truncated
+
+
+class TestMinimumCoverBudget:
+    def test_passed_deadline_returns_nothing_and_truncates(self):
+        budget = EnumerationBudget(timeout_s=60)
+        budget.deadline = time.monotonic() - 1
+        n = 5
+        masks = masks_of(n, [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4}])
+        assert minimum_covers(n, masks, exact=False, budget=budget) == []
+        assert budget.truncated
+
+    def test_cut_short_returns_covers_found_so_far(self):
+        """However early the budget trips, the output is a sorted list of
+        valid covers of one size, never below the minimum."""
+        n = 7
+        sets = [{i, i + 1} for i in range(n - 1)] + [{i} for i in range(n)]
         masks = masks_of(n, sets)
-        got = {tuple(sorted(c)) for c in iter_irredundant_covers(n, masks, n - 1)}
-        brute = brute_force_covers(n, masks, n - 1)
-
-        def irredundant(cover):
-            for j in cover:
-                rest = 0
-                for k in cover:
-                    if k != j:
-                        rest |= masks[k]
-                if rest == (1 << n) - 1:
-                    return False
-            return True
-
-        assert {c for c in brute if irredundant(c)} <= got
-        assert got <= brute
-
-    def test_no_duplicates(self):
-        n = 6
-        sets = [{i, (i + 1) % n} for i in range(n)]
-        masks = masks_of(n, sets)
-        covers = list(iter_irredundant_covers(n, masks, n - 1))
-        assert len(covers) == len(set(covers))
+        full = minimum_covers(n, masks, exact=False)
+        outcomes = set()
+        for checks in range(0, 60, 3):
+            budget = TrippingBudget(checks)
+            got = minimum_covers(n, masks, exact=False, budget=budget)
+            assert got == sorted(set(got))
+            for cover in got:
+                union = 0
+                for j in cover:
+                    union |= masks[j]
+                assert union == (1 << n) - 1
+            assert len({len(c) for c in got}) <= 1
+            assert all(len(c) >= len(full[0]) for c in got)
+            assert budget.truncated or got == full
+            outcomes.add(budget.truncated and bool(got))
+        assert outcomes == {False, True}  # some cuts kept a partial answer
 
 
 @st.composite
@@ -220,3 +229,17 @@ def test_minimum_covers_are_minimum(instance):
     else:
         k = min(len(c) for c in brute)
         assert {tuple(c) for c in got} == {c for c in brute if len(c) == k}
+
+
+@given(cover_instances())
+@settings(max_examples=60, deadline=None)
+def test_minimum_exact_covers_are_minimum(instance):
+    n, sets = instance
+    masks = masks_of(n, sets)
+    brute = brute_force_covers(n, masks, n - 1, exact=True)
+    got = minimum_covers(n, masks, exact=True)
+    if not brute:
+        assert got == []
+    else:
+        k = min(len(c) for c in brute)
+        assert got == sorted(c for c in brute if len(c) == k)
