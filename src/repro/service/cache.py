@@ -1,6 +1,10 @@
 """Template, plan and result caches for the query service.
 
-The caches form a hierarchy keyed on canonical forms from
+In front of them, the service's statement cache (a plain
+:class:`LRUCache` keyed on what was submitted — ``(text, name)`` or the
+query object) maps a submission to its parse and canonicalization;
+it depends on no data, so writes never touch it.  The caches behind it
+form a hierarchy keyed on canonical forms from
 :mod:`repro.sparql.canonical`:
 
 * :class:`TemplateCache` — keyed on the *constant-independent* template

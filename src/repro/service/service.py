@@ -6,10 +6,17 @@ Every door — ``submit``, ``BoundQuery.execute``, ``explain_analyze``,
 each distinct member of a ``submit_batch``, ``CSQ.run`` — is a thin
 caller of **one pipeline**, :meth:`QueryService._serve`::
 
-    parse (if text) → admit → open the trace → instantiate (or mark
-    uncacheable) → resolve: result cache / single-flight / plan +
-    template caches → project → record stats and the slow ring → close
+    statement: statement cache, or parse (if text) + instantiate (or
+    mark uncacheable) → admit → open the trace → resolve: result cache
+    / single-flight / plan + template caches → project → record stats
+    and the slow ring → close
 
+* *statement*: what parsing and canonicalization make of a submission
+  depends only on what was submitted — ``(text, name)``, or the query
+  object — and the service's fixed config, so it is cached per distinct
+  submission (:meth:`QueryService._statement`; an LRU of
+  ``plan_cache_size`` entries that no write invalidates): an exact
+  repeat costs one lookup before its answer.
 * *instantiate*: the query's liftable constants are extracted into a
   parameterized :class:`~repro.sparql.canonical.QueryTemplate` whose
   structure signature is constant-independent.  A query the
@@ -40,7 +47,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -76,6 +83,7 @@ from repro.physical.executor import ExecutionResult, PlanExecutor, PreparedPlan
 from repro.physical.explain import explain as explain_plan
 from repro.rdf.graph import RDFGraph
 from repro.service.cache import (
+    LRUCache,
     PlanCache,
     PlanEntry,
     ResultCache,
@@ -122,7 +130,8 @@ class ServiceConfig:
     #: LRU capacity of the bound-plan cache (None = unbounded).  Keyed
     #: per *instance* (template + constants), so on constant-varying
     #: workloads it must stay bounded — a miss only re-binds the cached
-    #: template (cheap), never re-optimizes.
+    #: template (cheap), never re-optimizes.  The statement cache (parse
+    #: + canonicalization per distinct submission) has the same bound.
     plan_cache_size: int | None = 1024
     #: LRU capacity of the result cache (0 disables result caching).
     result_cache_size: int | None = 256
@@ -285,9 +294,51 @@ class _Instance:
     values: tuple[str, ...]
     key: tuple | None
     entry: "TemplateEntry | None" = None
-    #: the clock reads around canonicalization (it runs before the
-    #: submission's trace is open; the pipeline records the span)
+    #: the clock reads around parsing (None: nothing was parsed) and
+    #: canonicalization — they run before the submission's trace is
+    #: open; the pipeline records the spans
+    parsed: tuple[float, float] | None = None
     canonicalized: tuple[float, float] | None = None
+    #: both came out of the statement cache (the spans are zero-width)
+    cached: bool = False
+
+
+@dataclass(frozen=True)
+class _Statement:
+    """What parsing and canonicalization make of one submission.
+
+    A pure function of what was submitted and the service's fixed
+    config (``canonical_budget``, ``enable_templates``): the service
+    caches it per distinct submission, and no write invalidates it.
+    """
+
+    #: the parsed query (for a submitted object, the first equal one)
+    query: BGPQuery
+    #: the extracted template; None past the canonicalization budget
+    template: QueryTemplate | None
+    #: the fully-bound instance, without clock reads (past the budget,
+    #: the query's own keyless template); None while ``$params`` are
+    #: unbound
+    inst: _Instance | None
+
+    def stamped(
+        self,
+        parsed: tuple[float, float] | None,
+        canonicalized: tuple[float, float],
+        cached: bool,
+    ) -> _Instance | None:
+        """The instance with one submission's clock reads."""
+        inst = self.inst
+        if inst is None:
+            return None
+        return _Instance(
+            inst.template,
+            inst.values,
+            inst.key,
+            parsed=parsed,
+            canonicalized=canonicalized,
+            cached=cached,
+        )
 
 
 @dataclass
@@ -612,6 +663,10 @@ class QueryService:
         self.catalog = CatalogStatistics.from_graph(graph)
         self.estimator = CardinalityEstimator(self.catalog)
         self.coster = PlanCoster(self.estimator, self.config.params)
+        #: (text, name) or query object -> _Statement
+        self.statement_cache: LRUCache[Hashable, _Statement] = LRUCache(
+            self.config.plan_cache_size
+        )
         self.plan_cache = PlanCache(self.config.plan_cache_size)
         self.template_cache = TemplateCache(self.config.template_cache_size)
         self.result_cache = ResultCache(self.config.result_cache_size)
@@ -735,8 +790,12 @@ class QueryService:
         :meth:`submit`, which takes them down the pipeline uncached).
         """
         self._check_open()
-        parsed = self._parse(query, name)
-        template = self._extract(parsed)
+        statement, _ = self._statement(query, name)
+        template = statement.template
+        if template is None:
+            raise CanonicalizationBudgetExceeded(
+                f"canonicalization budget exhausted for {statement.query}"
+            )
         entry, hit = self._template_entry(template)
         return PreparedQuery(
             service=self,
@@ -956,46 +1015,47 @@ class QueryService:
     ) -> tuple[QueryOutcome, _Answer]:
         """The one serving pipeline; every door is a thin caller.
 
-        parse (if text) → admit → open the trace → instantiate, or mark
-        uncacheable → resolve → project → record → close the trace.
-        Callers that have already paid for a stage pass its product:
-        a :class:`BoundQuery` and a batch leader their *inst*, a batch
-        its own *started* (members measure submission-to-availability)
-        and *admitted* (the batch was admitted as a unit).  The answer
-        rides along for a batch to project its duplicates from.
+        statement (parse + instantiate, or a statement-cache hit) →
+        admit → open the trace → resolve → project → record → close the
+        trace.  Callers that have already paid for a stage pass its
+        product: a :class:`BoundQuery` and a batch leader their *inst*
+        (with a query object), a batch its own *started* (members
+        measure submission-to-availability) and *admitted* (the batch
+        was admitted as a unit).  The answer rides along for a batch to
+        project its duplicates from.
 
         The trace is rooted at *started* and its root is the active
         contextvar span for everything below — down to RPC frames and
-        shard-worker spans; stages that ran before it opened (parse,
-        a batch's canonicalization) are recorded from their clock
-        reads.  A pool thread serving a batch leader gets a trace of
-        its own: the contextvar is per-thread.
+        shard-worker spans; the stages that ran before it opened (parse,
+        canonicalize) are recorded from their clock reads, zero-width
+        and ``cached=True`` on a statement-cache hit.  A pool thread
+        serving a batch leader gets a trace of its own: the contextvar
+        is per-thread.
         """
         self._check_open()
         if started is None:
             started = time.perf_counter()
-        parsed = self._parse(query, name)
-        parsed_at = time.perf_counter()
         if inst is None:
-            self._reject_unbound(parsed)
+            query, inst = self._instance(query, name)
         slots = 0 if admitted else self._admission.admit()
         try:
             with self._trace(
-                parsed.name or "query", started, force_trace
+                query.name or "query", started, force_trace
             ) as ref:
-                if inst is None:
-                    inst = self._instantiate(parsed)
                 trace_id = ""
                 if ref is not None:
                     trace_id = ref.trace_id
                     ctx = ref.ctx()
-                    if parsed is not query:
-                        record_remote(ctx, "parse", started, parsed_at)
+                    marks = {"cached": True} if inst.cached else {}
+                    if inst.parsed is not None:
+                        record_remote(ctx, "parse", *inst.parsed, **marks)
                     if inst.canonicalized is not None:
-                        record_remote(ctx, "canonicalize", *inst.canonicalized)
+                        record_remote(
+                            ctx, "canonicalize", *inst.canonicalized, **marks
+                        )
                 answer, coalesced = self._resolve(inst)
                 outcome = self._finish(
-                    parsed, inst, answer, coalesced, started, trace_id
+                    query, inst, answer, coalesced, started, trace_id
                 )
                 return outcome, answer
         finally:
@@ -1020,6 +1080,89 @@ class QueryService:
                 ref.trace_id, time.perf_counter() - started
             )
 
+    def _statement(
+        self, query: BGPQuery | str, name: str = ""
+    ) -> tuple[_Statement, _Instance | None]:
+        """The one front door: parse plus canonicalization, once per
+        distinct submission.
+
+        Keyed on ``(text, name)`` for a string and on the (frozen,
+        hashable) query object with its name otherwise, in the
+        statement cache — an LRU of ``plan_cache_size`` entries.  The
+        entry is a pure function of the key and the service's fixed
+        config, so writes never touch it; the plan, template and result
+        caches keep their own keys and invalidation.  Failures are never
+        cached: a syntax error raises, and is counted, every time.  A
+        query past the canonicalization budget caches its keyless
+        instance, so a repeat skips the budget-length labelling too.
+
+        Returns the statement and its instance stamped with this
+        submission's clock reads (None while ``$params`` are unbound).
+        """
+        text = isinstance(query, str)
+        key = (query, name if text else query.name)
+        started = time.perf_counter()
+        statement = self.statement_cache.get(key)
+        if statement is not None:
+            self.stats.record_statement(hit=True)
+            at = (started, started)
+            return statement, statement.stamped(at if text else None, at, True)
+        self.stats.record_statement(hit=False)
+        parsed = self._parse(query, name)
+        parsed_at = time.perf_counter()
+        try:
+            template = extract_template(
+                parsed,
+                self.config.canonical_budget,
+                lift_constants=self.config.enable_templates,
+            )
+        except CanonicalizationBudgetExceeded:
+            template = None
+        if parsed.placeholders():
+            inst = None
+        elif template is None:
+            # No signature to share a cache entry under: the query is
+            # its own parameterless template, in its own variable space.
+            inst = _Instance(
+                QueryTemplate(
+                    query=parsed,
+                    signature=(),
+                    params=(),
+                    mapping={v: v for v in parsed.variables()},
+                    source=parsed,
+                ),
+                (),
+                None,
+            )
+        else:
+            values = template.check_values(template.default_values())
+            inst = _Instance(template, values, template.instance_key(values))
+        statement = _Statement(parsed, template, inst)
+        self.statement_cache.put(key, statement)
+        return statement, statement.stamped(
+            (started, parsed_at) if text else None,
+            (parsed_at, time.perf_counter()),
+            False,
+        )
+
+    def _instance(
+        self, query: BGPQuery | str, name: str = ""
+    ) -> tuple[BGPQuery, _Instance]:
+        """The query an outcome reports (the caller's object, or the
+        parsed text) and the instance to serve, for a submission that
+        must be fully bound: an unbound ``$param`` raises, and is
+        counted, every time."""
+        statement, inst = self._statement(query, name)
+        if inst is None:
+            self.stats.record_error()
+            parsed = statement.query
+            raise ValueError(
+                f"query {parsed.name or parsed} has unbound parameters "
+                f"{', '.join(parsed.placeholders())}; prepare() it and "
+                "bind them"
+            )
+        return (statement.query if isinstance(query, str) else query), inst
+
     def _parse(self, query: BGPQuery | str, name: str = "") -> BGPQuery:
         """Parse a query string; every failure surfaces as a
         :class:`~repro.sparql.parser.SparqlSyntaxError` carrying the
@@ -1034,51 +1177,6 @@ class QueryService:
         except ValueError as exc:
             self.stats.record_error()
             raise SparqlSyntaxError(str(exc), name=name) from exc
-
-    def _reject_unbound(self, parsed: BGPQuery) -> None:
-        unbound = parsed.placeholders()
-        if unbound:
-            self.stats.record_error()
-            raise ValueError(
-                f"query {parsed.name or parsed} has unbound parameters "
-                f"{', '.join(unbound)}; prepare() it and bind them"
-            )
-
-    def _extract(self, parsed: BGPQuery) -> QueryTemplate:
-        return extract_template(
-            parsed,
-            self.config.canonical_budget,
-            lift_constants=self.config.enable_templates,
-        )
-
-    def _instantiate(self, parsed: BGPQuery) -> _Instance:
-        """Template + default binding vector for a fully-bound query.
-
-        A query past the canonicalization budget has no signature to
-        share a cache entry under: it becomes its own parameterless
-        template in its own variable space, with no key.
-        """
-        t0 = time.perf_counter()
-        try:
-            template = self._extract(parsed)
-        except CanonicalizationBudgetExceeded:
-            template = QueryTemplate(
-                query=parsed,
-                signature=(),
-                params=(),
-                mapping={v: v for v in parsed.variables()},
-                source=parsed,
-            )
-            return _Instance(
-                template, (), None, canonicalized=(t0, time.perf_counter())
-            )
-        values = template.check_values(template.default_values())
-        return _Instance(
-            template,
-            values,
-            template.instance_key(values),
-            canonicalized=(t0, time.perf_counter()),
-        )
 
     def submit_batch(
         self, queries, *, return_exceptions: bool = False
@@ -1114,12 +1212,10 @@ class QueryService:
         """
         self._check_open()
         started = time.perf_counter()
-        members: list[BGPQuery | BaseException] = []
+        members: list[tuple[BGPQuery, _Instance] | BaseException] = []
         for q in queries:
             try:
-                parsed = self._parse(q)
-                self._reject_unbound(parsed)
-                members.append(parsed)
+                members.append(self._instance(q))
             except ValueError as exc:
                 if not return_exceptions:
                     raise
@@ -1127,7 +1223,7 @@ class QueryService:
         if not members:
             return []
         slots = self._admission.admit(
-            sum(1 for m in members if isinstance(m, BGPQuery))
+            sum(1 for m in members if not isinstance(m, BaseException))
         )
         try:
             pool = self._ensure_pool()
@@ -1139,17 +1235,17 @@ class QueryService:
                 if isinstance(member, BaseException):
                     runs.append(member)
                     continue
-                inst = self._instantiate(member)
+                query, inst = member
                 run = None if inst.key is None else leaders.get(inst.key)
                 leads = run is None
                 if leads:
                     run = pool.submit(
-                        self._serve, member,
+                        self._serve, query,
                         inst=inst, started=started, admitted=True,
                     )
                     if inst.key is not None:
                         leaders[inst.key] = run
-                runs.append((member, inst, run, leads))
+                runs.append((query, inst, run, leads))
             outcomes: list[QueryOutcome | BaseException] = []
             for item in runs:
                 if isinstance(item, BaseException):
@@ -1251,6 +1347,7 @@ class QueryService:
             "Entries per service cache.",
             labels=("cache",),
         )
+        caches.labels(cache="statement").set(len(self.statement_cache))
         caches.labels(cache="plan").set(len(self.plan_cache))
         caches.labels(cache="template").set(len(self.template_cache))
         caches.labels(cache="result").set(len(self.result_cache))

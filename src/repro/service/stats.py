@@ -191,6 +191,10 @@ class StatsSnapshot:
     shard_workers: tuple[ShardWorkerGauge, ...] = ()
     #: completed topology rebalances (grow, shrink or skew-shedding)
     rebalances: int = 0
+    #: submissions (and prepare() calls) whose parse + canonicalization
+    #: the statement cache answered / that paid for it
+    statement_hits: int = 0
+    statement_misses: int = 0
 
     @property
     def plan_hit_rate(self) -> float:
@@ -221,6 +225,9 @@ class StatsSnapshot:
             f"{self.optimizer_runs} optimizer runs)",
             f"result cache: {self.result_hits}/{self.result_hits + self.result_misses} hits "
             f"({100 * self.result_hit_rate:.1f}%)",
+            f"statements:   {self.statement_hits}/"
+            f"{self.statement_hits + self.statement_misses} hits "
+            "(parse + canonicalize skipped)",
             f"throughput:   {self.throughput_qps:.1f} q/s over {self.uptime_s:.2f}s",
         ]
         for label, summary in (
@@ -272,6 +279,8 @@ _EVENTS = (
     "rejected",
     "shard_failures",
     "rebalances",
+    "statement_hits",
+    "statement_misses",
 )
 
 #: Latency series recorded per query stage.
@@ -366,6 +375,10 @@ class ServiceStats:
                     self._observe("bind", timings.bind_s)
                     self._observe("execute", timings.execute_s)
             self._observe("total", timings.total_s)
+
+    def record_statement(self, hit: bool) -> None:
+        """Count one statement-cache lookup (parse + canonicalize)."""
+        self._count("statement_hits" if hit else "statement_misses")
 
     def record_error(self) -> None:
         self._count("errors")

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.rdf.terms import (
     is_blank,
@@ -309,6 +310,11 @@ class QueryTemplate:
 
     def digest(self) -> str:
         """A short stable hex digest of the structure signature."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        # Once per template: every outcome of it reports the digest.
         return hashlib.sha1(repr(self.signature).encode()).hexdigest()[:12]
 
     def default_values(self) -> tuple[str | None, ...]:

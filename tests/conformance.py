@@ -300,23 +300,52 @@ def reference_answers(service: QueryService, queries) -> dict[str, Expected]:
     return {q.name: expected_of(q.name, service.submit(q)) for q in queries}
 
 
-def run_surface(service: QueryService, queries, surface: str):
-    """Submit *queries* through one of the service's three surfaces."""
+#: passes the submit surface makes over its queries as SPARQL text
+#: (``str(q)``) after the pass over the query objects; the second is
+#: all statement-cache hits
+TEXT_PASSES = 2
+
+
+def _run_pass(service: QueryService, queries, surface: str, text: bool):
+    def sent(q: BGPQuery):
+        return str(q) if text else q
+
     if surface == "submit":
-        return [service.submit(q) for q in queries]
+        return [service.submit(sent(q), q.name) for q in queries]
     if surface == "prepare":
         outcomes = []
         for q in queries:
             try:
-                outcomes.append(service.prepare(q).bind().execute())
+                outcomes.append(service.prepare(sent(q), q.name).bind().execute())
             except CanonicalizationBudgetExceeded:
                 # No template to hold a handle on: prepare() sends such
                 # a query to submit.
-                outcomes.append(service.submit(q))
+                outcomes.append(service.submit(sent(q), q.name))
         return outcomes
     if surface == "batch":
-        return service.submit_batch(list(queries))
+        return service.submit_batch([sent(q) for q in queries])
     raise ValueError(f"unknown surface {surface!r}")
+
+
+def run_surface(
+    service: QueryService, queries, surface: str, text_passes: int | None = None
+) -> list[tuple[BGPQuery, QueryOutcome]]:
+    """Submit *queries* through one of the service's three surfaces:
+    once as query objects, then *text_passes* times as SPARQL text
+    (default: ``TEXT_PASSES`` on the submit surface, none on the
+    others).  A text pass after the first parses and canonicalizes
+    nothing: each of its submissions is a statement-cache hit.  Returns
+    (query, outcome) pairs in submission order."""
+    if text_passes is None:
+        text_passes = TEXT_PASSES if surface == "submit" else 0
+    outcomes = _run_pass(service, queries, surface, text=False)
+    for repeat in range(text_passes):
+        misses = service.stats.snapshot().statement_misses
+        outcomes += _run_pass(service, queries, surface, text=True)
+        if repeat:
+            misses = service.stats.snapshot().statement_misses - misses
+            assert misses == 0, (surface, "statement misses on a repeat", misses)
+    return list(zip(list(queries) * (1 + text_passes), outcomes, strict=True))
 
 
 def assert_conforms(expected: Expected, outcome: QueryOutcome, where: str) -> None:
@@ -358,7 +387,7 @@ COUNTERS = (
 
 #: stages a PreparedQuery pays in prepare(), outside any submission: its
 #: executes leave no such spans and count as template hits, not misses
-PREPARE_TIME_SPANS = ("canonicalize", "optimize", "prepare")
+PREPARE_TIME_SPANS = ("parse", "canonicalize", "optimize", "prepare")
 
 
 @dataclass(frozen=True)
@@ -390,19 +419,20 @@ def assert_surface_conforms(
     reference: dict[str, Expected],
     surface: str,
     where: str = "",
+    text_passes: int | None = None,
 ) -> Footprint:
-    """Run one surface over *queries*, check every outcome, and return
-    the footprint of the run (see :func:`assert_one_pipeline`)."""
+    """Run one surface over *queries* (see :func:`run_surface`), check
+    every outcome, and return the footprint of the run (see
+    :func:`assert_one_pipeline`)."""
     # The accumulator's own snapshot: snapshot_stats() would also probe
     # every rpc shard worker for gauges nobody reads here.
     before = service.stats.snapshot()
-    outcomes = run_surface(service, queries, surface)
+    runs = run_surface(service, queries, surface, text_passes)
     after = service.stats.snapshot()
-    assert len(outcomes) == len(queries), (where, surface)
     spans: Counter = Counter()
     #: a coalesced member carries its leader's trace: count it once
     seen: set[str] = set()
-    for query, outcome in zip(queries, outcomes):
+    for query, outcome in runs:
         assert not isinstance(outcome, BaseException), (where, surface, outcome)
         assert_conforms(
             reference[query.name], outcome, f"{where}/{surface}/{query.name}"
@@ -430,23 +460,28 @@ def assert_one_pipeline(
 
     A warm-up pass first brings the deployment (the rpc connections'
     wire dictionaries) to the state every measured pass then starts
-    from; the plan and template
-    caches are emptied before each pass.  ``submit_batch`` must match
+    from; the statement, plan and template caches are emptied before
+    each pass.  ``submit_batch`` must match
     ``submit`` exactly; ``prepare`` matches it once prepare()'s own
-    share — paid outside any submission — is taken out of both.
+    share — paid outside any submission — is taken out of both.  Every
+    surface sends the queries as objects, then ``TEXT_PASSES`` times
+    as text: the doors are one pipeline for text too, statement-cache
+    misses and hits alike.
     """
     assert service.config.tracing and not service.config.result_cache_size, where
     run_surface(service, queries, "submit")
     footprints = {}
     for surface in SURFACES:
+        service.statement_cache.clear()
         service.plan_cache.clear()
         service.template_cache.clear()
         footprints[surface] = assert_surface_conforms(
-            service, queries, reference, surface, where
+            service, queries, reference, surface, where, TEXT_PASSES
         )
     submit = footprints["submit"]
-    assert submit.counters["submitted"] == len(queries), where
-    assert submit.spans["engine"] == len(queries), (where, submit.spans)
+    sent = (1 + TEXT_PASSES) * len(queries)
+    assert submit.counters["submitted"] == sent, where
+    assert submit.spans["engine"] == sent, (where, submit.spans)
     assert footprints["batch"] == submit, (where, "batch")
     assert (
         footprints["prepare"].at_execute_time() == submit.at_execute_time()
@@ -492,12 +527,17 @@ def write_twin(graph, backend: str | None, deployment: str) -> QueryService:
 
 def run_writes(service: QueryService, queries) -> list[QueryOutcome]:
     """The write pass on a service with its result cache on: submit
-    *queries*, give the service ``WRITES``, submit them again; returns
-    the second outcomes.  The service's graph is written to."""
+    *queries* (objects, then text), give the service ``WRITES``, submit
+    them again as text; returns the second outcomes.  Each of those is
+    a statement-cache hit — a write leaves the statement cache alone.
+    The service's graph is written to."""
     assert service.config.result_cache_size
     run_surface(service, queries, "submit")
     assert service.add_triples(WRITES) == len(WRITES)
-    return run_surface(service, queries, "submit")
+    misses = service.stats.snapshot().statement_misses
+    outcomes = [service.submit(str(q), q.name) for q in queries]
+    assert service.stats.snapshot().statement_misses == misses
+    return outcomes
 
 
 def writes_reference(graph, queries) -> dict[str, Expected]:

@@ -2,7 +2,9 @@
 unsharded plus {serial, columnar} x {shards=1, shards=4} x {inproc,
 rpc} — 12 cells — x {submit, prepare/bind/execute, submit_batch} on
 all 14 LUBM queries plus the two variable-free patterns of
-``conformance.ground_queries`` (one present, one absent).
+``conformance.ground_queries`` (one present, one absent).  The submit
+surface sends each query as an object, then twice as SPARQL text: the
+second text pass is all statement-cache hits.
 
 Every cell must reproduce the single-store serial reference bit for
 bit: identical answers and field-wise identical execution reports (see

@@ -253,6 +253,23 @@ class TestServiceTracing:
             assert len(service.trace_sink.trace_ids()) == 1
             assert service.submit(STAR_QUERY).trace_id == ""
 
+    def test_statement_hit_records_zero_width_cached_spans(self, university):
+        """A repeat is a statement-cache hit: its trace still holds one
+        parse and one canonicalize span, zero-width and marked cached,
+        and explain_analyze shows them."""
+        with traced_service(university) as service:
+            cold = service.trace(service.submit(STAR_QUERY, name="star"))
+            warm = service.trace(service.submit(STAR_QUERY, name="star"))
+            for stage in ("parse", "canonicalize"):
+                (miss,) = cold.find(stage)
+                (hit,) = warm.find(stage)
+                assert "cached" not in miss.attrs
+                assert hit.attrs == {"cached": True}
+                assert hit.duration_s == 0.0
+            text = service.explain_analyze(STAR_QUERY, name="star")
+            assert "parse  0.000 ms  [cached=True]" in text
+            assert "canonicalize  0.000 ms  [cached=True]" in text
+
     def test_slow_query_log_catches_over_threshold(self, university):
         with traced_service(university, slow_query_s=0.0) as service:
             outcome = service.submit(STAR_QUERY, name="slow")

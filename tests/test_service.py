@@ -17,7 +17,7 @@ from repro.service.cache import LRUCache
 from repro.service.service import QueryService, ServiceConfig
 from repro.service.stats import LatencySummary, percentile
 from repro.sparql.evaluator import evaluate
-from repro.sparql.parser import parse_query
+from repro.sparql.parser import SparqlSyntaxError, parse_query
 from repro.systems.csq import CSQ
 from repro.workloads import lubm, lubm_queries
 
@@ -510,6 +510,168 @@ class TestUncacheableQueries:
             assert span.attrs["plans"] == entry.plan_count
             assert span.attrs["pruned"] == entry.pruned
             assert f"plans {entry.plan_count}  pruned {entry.pruned}" in svc.explain(q)
+
+
+class TestStatementCache:
+    """Parse + canonicalization runs once per distinct submission: the
+    statement cache answers repeats, and serving is otherwise the same."""
+
+    PROF = (
+        "SELECT ?x WHERE { ?x rdf:type ub:AssistantProfessor . "
+        f"?x ub:doctoralDegreeFrom {lubm.UNIVERSITY0} }}"
+    )
+    WRITES = [
+        ("<NewProf>", "rdf:type", "ub:AssistantProfessor"),
+        ("<NewProf>", "ub:doctoralDegreeFrom", lubm.UNIVERSITY0),
+    ]
+
+    @staticmethod
+    def _observed(outcome):
+        return (
+            outcome.rows,
+            outcome.plan.signature(),
+            outcome.job_signature,
+            outcome.template_digest,
+            outcome.parameters,
+            outcome.graph_version,
+        )
+
+    def _first_at(self, graph, query, writes):
+        """A fresh service's first submission after *writes*."""
+        with QueryService(RDFGraph(graph)) as fresh:
+            if writes:
+                fresh.add_triples(writes)
+            return self._observed(fresh.submit(query, "prof"))
+
+    @pytest.mark.parametrize("as_text", [True, False], ids=["text", "object"])
+    def test_repeats_around_a_write_answer_like_a_fresh_service(
+        self, graph, as_text
+    ):
+        query = self.PROF if as_text else parse_query(self.PROF, "prof")
+        before = self._first_at(graph, query, [])
+        after = self._first_at(graph, query, self.WRITES)
+        assert before[0] != after[0] and after[-1] == before[-1] + 1
+        with QueryService(RDFGraph(graph)) as svc:
+            for _ in range(3):
+                assert self._observed(svc.submit(query, "prof")) == before
+            svc.add_triples(self.WRITES)
+            for _ in range(3):
+                assert self._observed(svc.submit(query, "prof")) == after
+            # Parsed and canonicalized once: the write left the entry.
+            snap = svc.snapshot_stats()
+            assert (snap.statement_misses, snap.statement_hits) == (1, 5)
+            assert len(svc.statement_cache) == 1
+
+    def test_syntax_errors_raise_and_count_every_time(self, graph):
+        with QueryService(graph) as svc:
+            for attempt in range(1, 4):
+                with pytest.raises(SparqlSyntaxError):
+                    svc.submit("SELECT ?x WHERE { ?x p }", "bad")
+                snap = svc.snapshot_stats()
+                assert snap.errors == attempt
+                assert snap.statement_misses == attempt
+            assert len(svc.statement_cache) == 0
+
+    def test_unbound_params_raise_on_every_submit(self, graph):
+        text = "SELECT ?x WHERE { ?x ub:subOrganizationOf $uni }"
+        with QueryService(graph) as svc:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="unbound parameters"):
+                    svc.submit(text)
+            prepared = svc.prepare(text)
+            assert prepared.execute(uni=lubm.UNIVERSITY0).rows
+            for _ in range(2):
+                with pytest.raises(ValueError, match="unbound parameters"):
+                    svc.submit(text)
+            with pytest.raises(ValueError, match="unbound parameters"):
+                svc.submit_batch([text])
+            snap = svc.snapshot_stats()
+            assert snap.errors == 5
+            # One parse: prepare() and every rejection shared it.
+            assert (snap.statement_misses, snap.statement_hits) == (1, 5)
+
+    def test_one_text_under_two_names_keeps_each_name(self, graph):
+        text = "SELECT ?d WHERE { ?p ub:worksFor ?d }"
+        with QueryService(graph) as svc:
+            for name in ("a", "b", "a", "b"):
+                assert svc.submit(text, name).query.name == name
+            assert svc.prepare(text, "b").name == "b"
+            assert len(svc.statement_cache) == 2
+
+    def test_outcome_query_is_the_submitted_object(self, graph):
+        first = lubm_queries.query("Q2")
+        equal = parse_query(str(first), first.name)
+        assert equal == first and equal is not first
+        with QueryService(graph) as svc:
+            for query in (first, equal, first):
+                assert svc.submit(query).query is query
+            (outcome,) = svc.submit_batch([equal])
+            assert outcome.query is equal
+            assert svc.snapshot_stats().statement_misses == 1
+
+    def test_budget_exceeded_instance_is_cached_keyless(self, graph, monkeypatch):
+        import repro.service.service as service_module
+        from repro.sparql.canonical import CanonicalizationBudgetExceeded
+
+        calls = []
+        extract = service_module.extract_template
+        monkeypatch.setattr(
+            service_module,
+            "extract_template",
+            lambda *a, **k: calls.append(a) or extract(*a, **k),
+        )
+        text = "SELECT ?a ?b WHERE { ?a ub:advisor ?c . ?b ub:advisor ?c }"
+        with QueryService(graph, ServiceConfig(canonical_budget=2)) as svc:
+            outcomes = [svc.submit(text) for _ in range(3)]
+            assert not any(o.cacheable for o in outcomes)
+            assert outcomes[0].rows == outcomes[2].rows
+            with pytest.raises(CanonicalizationBudgetExceeded):
+                svc.prepare(text)
+            assert len(calls) == 1
+
+    def test_lru_bounded_by_plan_cache_size(self, graph):
+        texts = [
+            f"SELECT ?x WHERE {{ ?x ub:worksFor ?d . ?x ub:{p} ?y }}"
+            for p in ("name", "emailAddress", "telephone")
+        ]
+        with QueryService(graph, ServiceConfig(plan_cache_size=2)) as svc:
+            for text in texts:
+                svc.submit(text)
+            assert len(svc.statement_cache) == 2
+            svc.submit(texts[2])
+            svc.submit(texts[0])  # evicted: parsed again
+            snap = svc.snapshot_stats()
+            assert (snap.statement_misses, snap.statement_hits) == (4, 1)
+
+    def test_size_zero_parses_every_submission(self, graph, monkeypatch):
+        import repro.service.service as service_module
+
+        parses = []
+        parse = service_module.parse_query
+        monkeypatch.setattr(
+            service_module,
+            "parse_query",
+            lambda *a, **k: parses.append(a) or parse(*a, **k),
+        )
+        text = "SELECT ?d WHERE { ?p ub:worksFor ?d }"
+        with QueryService(graph, ServiceConfig(plan_cache_size=0)) as svc:
+            rows = {frozenset(svc.submit(text).rows) for _ in range(3)}
+            assert len(rows) == 1
+            assert len(parses) == 3
+            assert len(svc.statement_cache) == 0
+            snap = svc.snapshot_stats()
+            assert (snap.statement_misses, snap.statement_hits) == (3, 0)
+
+    def test_hits_are_counted_and_shown(self, graph):
+        text = "SELECT ?d WHERE { ?p ub:worksFor ?d }"
+        with QueryService(graph) as svc:
+            svc.submit(text)
+            svc.submit(text)
+            snap = svc.snapshot_stats()
+            assert "statements:   1/2 hits" in snap.format()
+            page = svc.render_prometheus()
+            assert 'repro_cache_entries{cache="statement"} 1' in page
+            assert 'repro_service_events_total{event="statement_hits"} 1' in page
 
 
 class TestResolvedBackend:

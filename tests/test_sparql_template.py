@@ -33,6 +33,19 @@ class TestExtraction:
         assert t1.signature == t2.signature
         assert t1.digest() == t2.digest()
 
+    def test_digest_is_computed_once_and_unchanged(self, monkeypatch):
+        import hashlib
+
+        template = extract_template(lubm_queries.query("Q9"))
+        # The digest the SHA-1 of the signature's repr has always given.
+        assert template.digest() == "499fa482b5f9"
+        assert extract_template(lubm_queries.query("Q2")).digest() == "d3f44934cfce"
+        assert template.digest() == (
+            hashlib.sha1(repr(template.signature).encode()).hexdigest()[:12]
+        )
+        monkeypatch.setattr(hashlib, "sha1", None)  # a second hash would raise
+        assert template.digest() == "499fa482b5f9"
+
     def test_property_constants_are_structural(self):
         t1 = extract_template(
             parse_query("SELECT ?x WHERE { ?x ub:worksFor <d> }")
