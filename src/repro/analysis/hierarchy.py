@@ -17,10 +17,11 @@ Tier map (outermost first):
 
 * **10 — orchestration**: single-flight registries consulted before any
   engine state is touched.
-* **20 — engine state**: the store RW locks; held across planning and
+* **20 — engine state**: the store RW lock; held across planning and
   level execution.
 * **30 — transport**: per-shard client management, connection swap and
-  send serialization on the RPC path.
+  send serialization on the RPC path; innermost, a shard worker's state
+  lock, which the in-process carrier takes under the ones above.
 * **40 — leaves**: counters, caches, pools and gauges; never held while
   acquiring anything else.
 """
@@ -34,7 +35,6 @@ LOCK_RANKS: dict[str, int] = {
     #   tearing down the executor -> router -> shard clients
     # -- engine state -----------------------------------------------------
     "_store_lock": 20,  # QueryService store RW lock
-    "rwlock": 20,  # RPC worker snapshot RW lock
     # -- transport --------------------------------------------------------
     "_shard_locks": 30,  # per-shard client entry (respawn/prime; a live
     #   rebalance walks these shard by shard for prime/delta/flip, under
@@ -45,6 +45,10 @@ LOCK_RANKS: dict[str, int] = {
     "_send_lock": 36,  # request frame write (encoding happens outside)
     "send_lock": 36,  # worker reply-write serialization (the worker's
     #   twin of _send_lock: the write only, replies encode outside it)
+    "rwlock": 38,  # shard worker state RW lock.  In process a
+    #   LocalShardClient serves frames on the caller's thread, under the
+    #   router's _shard_locks (primes, migrations) and _store_lock; only
+    #   leaves nest inside it (a server replies after the handler).
     # -- leaves -----------------------------------------------------------
     "_waiters_lock": 40,  # reply futures table
     "_counter_lock": 40,  # router per-level counters

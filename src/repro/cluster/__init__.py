@@ -1,4 +1,4 @@
-"""repro.cluster — the sharded store, shard router and RPC shard workers.
+"""repro.cluster — the sharded store, shard router and shard workers.
 
 The distribution layer behind the query service: a
 :class:`~repro.cluster.sharded_store.ShardedStore` is the one §5.1
@@ -17,30 +17,31 @@ and any execution backend.
 Because ownership is a movable table rather than a frozen modulus, the
 topology is elastic: :meth:`~repro.cluster.router.ShardedPlanExecutor
 .rebalance` grows, shrinks or deskews the shard fleet by reassigning
-nodes, shipping only the moved nodes' file maps (over RPC, as
+nodes, shipping only the moved nodes' file maps (as
 :class:`~repro.cluster.rpc.PrimeNodes` deltas) and flipping the table
 version — answers are invariant at every epoch.
 
-Two shard transports share that dispatch logic
-(``ServiceConfig(shard_transport=...)``):
+A shard is one worker state (:mod:`repro.cluster.rpc`): its snapshot,
+one inline engine (serial or columnar), its epoch; a level reaches it
+as one frame carrying the task specs and the exchange rows, and it
+keeps nothing about plans.  Two clients carry those frames
+(``ServiceConfig(shard_transport=...)``), behind the one router:
 
-* ``"inproc"`` — shards are calls into one shared inline engine
-  (serial or columnar) against each shard's snapshot;
-* ``"rpc"`` (:mod:`repro.cluster.rpc`) — shards are long-lived server
-  processes over localhost sockets that hold their snapshot and one
-  inline engine resident and nothing about plans; a level's task specs and
-  exchange rows cross the wire with the level.
-  Crashed workers are respawned with a one-retry budget; sustained
-  failure raises a typed :class:`~repro.cluster.rpc.ShardUnavailable`.
+* ``"inproc"`` — every worker lives in the driver process and frames
+  cross as objects, blocks by reference;
+* ``"rpc"`` — workers are long-lived server processes over localhost
+  sockets.  Crashed workers are respawned with a one-retry budget;
+  sustained failure raises a typed
+  :class:`~repro.cluster.rpc.ShardUnavailable`.
 """
 
 from repro.cluster.router import (
     RebalanceReport,
+    RpcShardRouter,
     ShardedPlanExecutor,
     ShardRouter,
 )
 from repro.cluster.rpc import (
-    RpcShardRouter,
     ShardUnavailable,
     ShardWorkerClient,
     StaleEpoch,

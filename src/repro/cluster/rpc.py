@@ -1,67 +1,54 @@
-"""RPC shard workers: long-lived shard server processes behind the router.
+"""The shard worker, its frames, and the two clients that carry them.
 
-The in-process :class:`~repro.cluster.router.ShardRouter` calls the
-shards' shared execution engine by function call; this module replaces
-that boundary with a real wire protocol.  Each shard is a **server process**
-(stdlib :class:`multiprocessing.connection.Listener` on a localhost
-socket, HMAC-authenticated, no third-party deps) that holds, resident:
+A shard is one :class:`_WorkerState`, whichever transport reaches it —
+what a §5 node is: it holds, resident,
 
 * its shard's :class:`~repro.partitioning.triple_partitioner
-  .StoreSnapshot` (installed by :class:`Prime`, re-installed only when
-  the shard's snapshot token changes — a mutation re-primes only the
-  shards it touched);
-* one inline :class:`~repro.mapreduce.backends.ExecutionBackend`
-  (serial or columnar, :data:`~repro.mapreduce.backends.INLINE_BACKENDS`)
-  that runs every level it is sent — no pool of its own: the shards
-  are the parallelism;
-* its counters.
+  .StoreSnapshot` (installed by :class:`Prime` when the shard's token
+  changes, patched by a migration's :class:`PrimeNodes`);
+* one inline engine (serial or columnar) that runs every level it is
+  sent — no pool of its own: the shards are the parallelism;
+* its topology epoch and its counters.
 
 And **nothing about plans**: a worker is stateless between levels, the
 way a Hadoop node keeps only its partition files and is handed a job's
-task code with the job.  A query crosses the wire as one
+task code with the job.  A query reaches it as one
 :class:`ExecuteLevel` per level and phase per shard, carrying the task
 specs themselves — the very ``ChainMapSpec`` / ``MapOnlySpec`` /
-``StarReduceSpec`` objects the engine handed the router (pickle shares
-a chain across a shard's nodes, so a LUBM query's specs weigh ~2 kB) —
-plus the exchange chunks; the worker runs them as received.  Both ends
-number terms as the store does: the :class:`Prime` snapshot carries
-the store's dictionary, and :meth:`RpcShardRouter.ensure_workers`
+``StarReduceSpec`` objects the engine handed the router — plus the
+exchange chunks; the worker runs them as received.
+:meth:`_WorkerState.handle` is the one place a frame changes or reads
+worker state, whichever client delivered it: :class:`LocalShardClient`
+(in process: frames cross as objects, blocks by reference) or
+:class:`ShardWorkerClient` (rpc: the worker is a **server process** — a
+stdlib :class:`multiprocessing.connection.Listener` on a localhost
+socket, HMAC-authenticated — whose loop, :func:`_worker_main`, keeps
+only the socket).
+
+Over the socket both ends number terms as the store does: the
+:class:`Prime` snapshot carries the store's dictionary, and the router
 ships a worker whose replica lags the suffix it misses (in a
 :class:`TableUpdate`), so on the columnar wire an id block crosses as
 its id buffers, translated nowhere, and neither the driver nor a
-columnar worker decodes a term to move it.  Message frames are
-pickled dataclasses with an explicit size cap; oversized frames,
-unknown message types, specs that do not pickle and ids no store
-numbered surface as typed errors, never hangs or wrong answers.
+columnar worker decodes a term to move it.  Message frames are pickled
+dataclasses with an explicit size cap; oversized frames, unknown
+message types, specs that do not pickle and ids no store numbered
+surface as typed errors, never hangs or wrong answers.
 
 The connection is **multiplexed**: every frame travels in a
 :class:`Request`/:class:`Reply` envelope carrying a request id.  The
 worker's main thread is the connection's single reader; it dispatches
 ``ExecuteLevel``/:class:`ExecuteBatch` frames onto a small thread pool
 (``pipeline`` wide) so levels of concurrent queries overlap, while
-state-mutating frames (Prime, PrimeNodes, TableUpdate) serialize behind
-a readers-writer state lock.  Driver-side, a per-connection reader
-thread matches replies to waiters by id, so :class:`ShardWorkerClient`
-holds no lock across a round trip.  On top of that,
-:class:`RpcShardRouter` can micro-batch: levels that concurrent queries
-dispatch to the same shard within a short window coalesce into one
-:class:`ExecuteBatch` frame — one encode/send/recv for many queries —
-and demultiplex by sub-request id.  Retries are safe because workers
-are stateless between levels: a level frame that arrives twice simply
-runs twice, and the reader drops the reply no waiter owns.
+state-mutating frames serialize behind the worker's readers-writer
+state lock.  Driver-side, a per-connection reader thread matches
+replies to waiters by id, so :class:`ShardWorkerClient` holds no lock
+across a round trip.  Retries are safe because workers are stateless
+between levels: a level frame that arrives twice simply runs twice, and
+the reader drops the reply no waiter owns.
 
-The driver side is :class:`RpcShardRouter` — a drop-in
-:class:`~repro.cluster.router.ShardRouter` (hence an execution backend
-behind the one :class:`~repro.mapreduce.engine.MapReduceEngine`, with
-the same ``run(invocations, ctx)`` contract as every other backend)
-whose grouping of a batch by owning shard and reassembly in submission
-order are inherited unchanged; only the dispatch hop is replaced by the
-protocol.  Worker crashes are detected at the connection (a typed error
-reply means the worker is alive and the *request* failed; a transport
-error means the worker died): a dead worker is respawned and re-primed
-— the snapshot is all there is to restore — and the failed request
-retried exactly once; a second failure raises :class:`ShardUnavailable`
-instead of deadlocking the service.
+The driver side — routing, epochs, respawn, migrations — is
+:class:`repro.cluster.router.ShardRouter`'s, for both clients.
 """
 
 from __future__ import annotations
@@ -74,35 +61,25 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field
 from multiprocessing.connection import Client, Listener
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from repro.analysis.locks import ReadWriteLock, checked
-from repro.cluster.router import ShardDispatch, ShardRouter
-from repro.cluster.ownership import OwnerTable, merge_nodes
+from repro.cluster.ownership import merge_nodes
 from repro.mapreduce.backends import (
     DEFAULT_RPC_PIPELINE,
-    INLINE_BACKENDS,
     ExecutionBackend,
     TaskInvocation,
-    check_backend_available,
     make_backend,
     store_token,
     task_timing,
 )
 from repro.columnar.block import HAVE_NUMPY
-from repro.columnar.wire import WIRE_FORMATS, WireCodec
-from repro.mapreduce.counters import ExecutionReport
+from repro.columnar.wire import WireCodec
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import TaskContext
-from repro.obs.trace import (
-    SpanAccumulator,
-    attach_worker_spans,
-    record_remote,
-    span,
-)
+from repro.obs.trace import SpanAccumulator
 from repro.partitioning.triple_partitioner import StoreSnapshot
 
 #: Hard cap on one pickled message frame (request or reply).  Large
@@ -151,7 +128,7 @@ class StaleEpoch(RpcError):
     """An execute frame was stamped with a topology epoch the worker is
     not at: the owner table moved underneath the query.  The driver
     handles it by re-routing the frame's tasks against the current
-    table (:meth:`RpcShardRouter._reroute_level`), so a query that
+    table (:meth:`repro.cluster.router.ShardRouter._reroute_level`), so a query that
     started before a rebalance still answers correctly after it.
     """
 
@@ -431,7 +408,7 @@ MESSAGE_TYPES = (
 )
 
 #: The worker dispatch table (FRAME001): frames the worker main loop or
-#: :func:`_dispatch` accepts.  A frame added to :data:`MESSAGE_TYPES`
+#: :meth:`_WorkerState.handle` accepts.  A frame added to :data:`MESSAGE_TYPES`
 #: without an entry here (or in :data:`CLIENT_HANDLED`) is a lint error,
 #: and the main loop rejects frames outside this table with a typed
 #: protocol error instead of an arbitrary failure mid-dispatch.
@@ -476,13 +453,16 @@ def _no_delay(conn) -> None:
 
 
 class _WorkerState:
-    """Everything resident in one shard server process: the snapshot
-    (and with it the replica of the store's dictionary), the one inline
-    backend that runs tasks against it, and the counters.
+    """Everything resident in one shard worker: the snapshot (and with
+    it the store's dictionary — over rpc a replica of it), the one
+    inline backend that runs tasks against it, the topology epoch and
+    the counters.  The same class serves in a shard server process and,
+    behind :class:`LocalShardClient`, in the driver.
 
-    With a dispatch pool (``pipeline > 1``) levels execute on several
-    threads at once: resident-state swaps serialize behind
-    :attr:`rwlock` and every counter behind the stats mutex."""
+    Levels may execute on several threads at once (a server's dispatch
+    pool, concurrent queries in process): resident-state swaps
+    serialize behind :attr:`rwlock` and every counter behind the stats
+    mutex."""
 
     def __init__(
         self,
@@ -545,16 +525,6 @@ class _WorkerState:
         with self._stats_lock:
             return self.queued <= 1 and self.inflight == 0
 
-    def begin_execute(self) -> None:
-        with self._stats_lock:
-            self.queued -= 1
-            self.inflight += 1
-            self.peak_inflight = max(self.peak_inflight, self.inflight)
-
-    def end_execute(self) -> None:
-        with self._stats_lock:
-            self.inflight -= 1
-
     # -- state transitions -------------------------------------------------
 
     @property
@@ -592,6 +562,82 @@ class _WorkerState:
             if self.wire_format == "columnar"
             else None
         )
+
+    # -- the one place a frame meets worker state --------------------------
+
+    def handle(
+        self,
+        msg: object,
+        received: float | None = None,
+        decoded: float | None = None,
+    ):
+        """Serve one decoded request frame (the socket loop and
+        :class:`LocalShardClient` both call this); returns its reply,
+        raises a typed error.  Mutators run under the write side of
+        :attr:`rwlock`, levels and stats under the read side.  A traced
+        level's spans are relative to *received*, the frame-receipt
+        instant, its ``decode`` ending at *decoded* (default: now).
+        """
+        if isinstance(msg, ExecuteLevel):
+            return self._execute(msg, received, decoded)
+        if isinstance(msg, (Prime, PrimeNodes, TableUpdate)):
+            with self.rwlock.write():
+                return self._mutate(msg)
+        if isinstance(msg, Stats):
+            with self.rwlock.read():
+                return self.stats()
+        raise RpcProtocolError(f"unknown message type {type(msg).__name__!r}")
+
+    def _mutate(self, msg: "Prime | PrimeNodes | TableUpdate") -> OkReply:
+        """Apply one state-changing frame, under the write lock."""
+        if isinstance(msg, Prime):
+            self.wire_format = msg.wire
+            token = self.install_snapshot(msg.snapshot)
+            self.epoch = msg.epoch
+            return OkReply(token)
+        if isinstance(msg, PrimeNodes):
+            if self.snapshot is None:
+                raise WorkerStateError(
+                    f"shard {self.shard} has no resident snapshot to merge "
+                    "a node delta into"
+                )
+            if self.token == msg.token:
+                # Duplicate delivery (crash-retry): already merged.
+                return OkReply(msg.token)
+            merged = merge_nodes(self.snapshot, msg.adds, msg.drops, msg.token)
+            return OkReply(self.install_snapshot(merged))
+        if msg.terms:
+            self.merge_terms(msg.terms_from, msg.terms)
+        self.epoch = max(self.epoch, msg.epoch)
+        return OkReply(self.epoch)
+
+    def _execute(
+        self,
+        msg: ExecuteLevel,
+        received: float | None,
+        decoded: float | None,
+    ) -> "ResultsReply":
+        """One level under the read lock, counted in ``inflight``."""
+        acc = None
+        if msg.trace_ctx is not None:
+            now = time.perf_counter()
+            received = now if received is None else received
+            decoded = received if decoded is None else decoded
+            acc = SpanAccumulator(received)
+            acc.record("decode", received, decoded)
+            acc.record("queue_wait", decoded, now)
+        with self._stats_lock:
+            self.inflight += 1
+            self.peak_inflight = max(self.peak_inflight, self.inflight)
+        try:
+            lock_t0 = time.perf_counter()
+            with self.rwlock.read():
+                if acc is not None:
+                    acc.record("state_lock_wait", lock_t0, time.perf_counter())
+                return self.execute_level(msg, acc)
+        finally:
+            with self._stats_lock:
+                self.inflight -= 1
 
     # -- request handlers --------------------------------------------------
 
@@ -686,36 +732,6 @@ class _WorkerState:
             pass
 
 
-def _dispatch(state: _WorkerState, msg: object):
-    """Map one decoded request frame to its reply (raises typed errors)."""
-    if isinstance(msg, Prime):
-        state.wire_format = msg.wire
-        token = state.install_snapshot(msg.snapshot)
-        state.epoch = msg.epoch
-        return OkReply(token)
-    if isinstance(msg, PrimeNodes):
-        if state.snapshot is None:
-            raise WorkerStateError(
-                f"shard {state.shard} has no resident snapshot to merge "
-                "a node delta into"
-            )
-        if state.token == msg.token:
-            # Duplicate delivery (crash-retry): already merged.
-            return OkReply(msg.token)
-        merged = merge_nodes(state.snapshot, msg.adds, msg.drops, msg.token)
-        return OkReply(state.install_snapshot(merged))
-    if isinstance(msg, TableUpdate):
-        if msg.terms:
-            state.merge_terms(msg.terms_from, msg.terms)
-        state.epoch = max(state.epoch, msg.epoch)
-        return OkReply(state.epoch)
-    if isinstance(msg, ExecuteLevel):
-        return state.execute_level(msg)
-    if isinstance(msg, Stats):
-        return state.stats()
-    raise RpcProtocolError(f"unknown message type {type(msg).__name__!r}")
-
-
 def _as_error_reply(exc: BaseException) -> ErrorReply:
     return ErrorReply(error=exc, kind=type(exc).__name__)
 
@@ -774,10 +790,12 @@ def _worker_main(
     only reader — it decodes frames in arrival order and hands
     ``ExecuteLevel`` / ``ExecuteBatch`` work to a dispatch pool of up
     to *pipeline* threads, so levels of concurrent queries overlap.
-    Every other frame is served inline; state mutators behind the write
-    side of the state lock.  Replies carry the request id of their
-    envelope and are encoded by the thread that finished them; the send
-    lock covers only the write, since nothing orders the encodings.
+    Every other frame is served inline.  What a frame does to the
+    worker's state is :meth:`_WorkerState.handle`'s; this loop keeps
+    only the socket: receive and decode, the pool, and the replies, which
+    carry the request id of their envelope and are encoded by the thread
+    that finished them (the send lock covers only the write, since
+    nothing orders the encodings).
     """
     listener = Listener(("127.0.0.1", 0), authkey=bytes(authkey))
     try:
@@ -841,31 +859,16 @@ def _worker_main(
                 return
 
     def run_item(level: ExecuteLevel, received: float, decoded: float):
-        """Execute one level under the read lock; errors become typed
-        per-item replies, never thread deaths.  *received* is the
-        frame-receipt instant — the worker-side t0 every traced span
-        offset is relative to — and *decoded* the instant the recv
-        thread had the frame unpickled and unpacked (queue wait =
-        decoded to start)."""
-        state.begin_execute()
-        acc = None
-        if level.trace_ctx is not None:
-            acc = SpanAccumulator(received)
-            acc.record("decode", received, decoded)
-            acc.record("queue_wait", decoded, time.perf_counter())
+        """Execute one level; errors become typed per-item replies,
+        never thread deaths.  *received* is the frame-receipt instant —
+        the worker-side t0 every traced span offset is relative to — and
+        *decoded* the instant the recv thread had the frame unpickled
+        and unpacked (queue wait = decoded to start)."""
+        state.note_queued(-1)
         try:
-            lock_t0 = time.perf_counter()
-            with state.rwlock.read():
-                if acc is not None:
-                    acc.record(
-                        "state_lock_wait", lock_t0, time.perf_counter()
-                    )
-                try:
-                    return state.execute_level(level, acc)
-                except BaseException as exc:
-                    return _as_error_reply(exc)
-        finally:
-            state.end_execute()
+            return state.handle(level, received, decoded)
+        except BaseException as exc:
+            return _as_error_reply(exc)
 
     def run_level(
         rid: int, msg: ExecuteLevel, received: float, decoded: float
@@ -986,13 +989,7 @@ def _worker_main(
                     state.note_queued(len(msg.items))
                     run_batch(rid, msg, received, decoded)
                     continue
-                if isinstance(msg, (Prime, PrimeNodes, TableUpdate)):
-                    # Mutators wait out in-flight levels, exclusively.
-                    with state.rwlock.write():
-                        reply = _dispatch(state, msg)
-                else:
-                    with state.rwlock.read():
-                        reply = _dispatch(state, msg)
+                reply = state.handle(msg)
             except BaseException as exc:  # typed error replies, not death
                 send_error(rid, exc)
                 continue
@@ -1404,43 +1401,6 @@ class ShardWorkerClient:
         return reply
 
 
-# -- the driver-side router ----------------------------------------------------
-
-
-@dataclass(kw_only=True)
-class _RpcExecution(ShardDispatch):
-    """The RPC router's per-query dispatch state: the owner table every
-    :class:`ExecuteLevel` of the query is routed and stamped by
-    (``table.version`` is the epoch — a worker at another epoch rejects
-    the frame), plus the wire counters.
-
-    Byte and frame attribution lives here, per query: concurrent
-    queries each accumulate into their own context (coalescing flushers
-    touch contexts cross-thread, hence the lock), so
-    ``ExecutionResult.shard_bytes`` and ``explain()``'s wire line stay
-    per-query correct under concurrency — no shared router-global
-    counter to race on.
-    """
-
-    bytes: list[int]
-    frames: list[int]
-    _lock: threading.Lock = field(
-        default_factory=lambda: checked(threading.Lock(), "_RpcExecution._lock"),
-        repr=False,
-        compare=False,
-    )
-
-    def add(self, shard: int, n: int, frames: int = 1) -> None:
-        with self._lock:
-            while len(self.bytes) <= shard:
-                # A mid-query rebalance can re-route levels to shards
-                # that did not exist when this query started counting.
-                self.bytes.append(0)
-                self.frames.append(0)
-            self.bytes[shard] += n
-            self.frames[shard] += frames
-
-
 class WireTimes(NamedTuple):
     """The instants that split one round trip between the two ends
     (driver ``perf_counter``), and what only the worker could time."""
@@ -1453,959 +1413,65 @@ class WireTimes(NamedTuple):
     received: float
 
 
-def _frame_trace_ctxs(msg) -> list[tuple]:
-    """Every trace context an execute frame carries (a batch fans out
-    to each item's own); empty for untraced or non-execute frames."""
-    return [
-        level.trace_ctx
-        for level in _frame_levels(msg)
-        if getattr(level, "trace_ctx", None) is not None
-    ]
+# -- the in-memory carrier ------------------------------------------------------
 
 
-def _record_level_span(
-    msg: ExecuteLevel,
-    reply,
-    start: float,
-    end: float,
-    times: WireTimes,
-    shard: int,
-    coalesced: int = 1,
-) -> None:
-    """Record one traced level round trip driver-side.
+class LocalShardClient:
+    """Driver-side handle on one in-process shard worker: the
+    :class:`ShardWorkerClient` surface over an in-memory carrier.
 
-    The children of the ``rpc:level`` span tile it, in time order:
-
-    * ``wire:encode`` — everything this end does until the frame is on
-      the socket: finding the live client, taking the send lock, frame
-      packing + pickle + write (and, after a worker respawn, the
-      attempt before);
-    * the worker's shipped span records, re-anchored at the instant the
-      frame was written (the only one the two clocks agree on — the
-      driver's send is the worker's receipt, minus wire latency);
-    * ``wire:transit`` — whatever of the window up to the reply's
-      arrival the worker did not report: the socket both ways, the
-      envelope pickles and the two process wake-ups, which the two
-      clocks cannot tell apart;
-    * the worker's reply-``encode`` time, ending where the reply was
-      read;
-    * ``wire:decode`` — the reader thread unpickling + decoding the
-      reply, through the hand-off to the requesting thread.
-
-    ``coalesced`` > 1 marks members of a shared :class:`ExecuteBatch`
-    frame, whose round trip (and wire times) cover all members.
+    Owns one :class:`_WorkerState` and hands it each request frame as
+    the object it is — no pickle, no codec, no socket, so snapshots and
+    blocks cross by reference and ``bytes_sent`` stays 0.  A typed error
+    the worker raises reaches the caller exactly as an
+    :class:`ErrorReply` re-raises over the socket.  The socket options
+    (frame cap, start method, spawn timeout, pipeline) mean nothing in
+    memory and are ignored.
     """
-    attrs = {"shard": shard, "level": msg.level, "phase": msg.phase}
-    if coalesced > 1:
-        attrs["coalesced"] = coalesced
-    ref = record_remote(msg.trace_ctx, "rpc:level", start, end, **attrs)
-    if ref is None:
-        return
-    ctx = ref.ctx()
-    shared = {"shared": coalesced} if coalesced > 1 else {}
-    record_remote(ctx, "wire:encode", start, times.sent, shard=shard, **shared)
-    record_remote(ctx, "wire:decode", times.received, end, shard=shard, **shared)
-    records = list(getattr(reply, "spans", None) or ())
-    encode_s = times.worker_encode_s
-    reported = max(
-        (
-            rel_start + duration
-            for _, parent, rel_start, duration, _ in records
-            if parent < 0
-        ),
-        default=0.0,
-    )
-    tail = max(reported, (times.received - times.sent) - encode_s)
-    if tail > reported:
-        records.append(("wire:transit", -1, reported, tail - reported, {}))
-    if encode_s > 0.0:
-        records.append(("encode", -1, tail, encode_s, {}))
-    attach_worker_spans(
-        ref, records, anchor=times.sent, scale_hint=coalesced, shard=shard
-    )
-
-
-class _PendingLevel:
-    """One query's ExecuteLevel waiting in a shard's coalescer."""
-
-    __slots__ = ("msg", "ctx", "reply", "error", "done")
-
-    def __init__(self, msg: ExecuteLevel, ctx: _RpcExecution | None) -> None:
-        self.msg = msg
-        self.ctx = ctx
-        self.reply = None
-        self.error: BaseException | None = None
-        self.done = threading.Event()
-
-
-class _LevelCoalescer:
-    """Per-shard micro-batcher merging concurrent queries' levels.
-
-    The first submitter becomes the *leader*: it waits up to the
-    coalescing window (or until ``max_batch`` levels are pending — no
-    background thread, no idle timer when traffic is serial), then
-    drains **everything** pending and flushes it in chunks of at most
-    ``max_batch`` as :class:`ExecuteBatch` frames; a chunk of one goes
-    out as a plain :class:`ExecuteLevel`.  Followers block on their
-    item until the leader's flush resolves it.  Every exit path sets
-    the item's event — a dead worker fails all coalesced queries typed
-    (or they recover via the respawn retry inside ``_shard_call``),
-    never hangs them.
-    """
-
-    def __init__(self, router: "RpcShardRouter", shard: int) -> None:
-        self.router = router
-        self.shard = shard
-        self.window = router.coalesce_window_ms / 1000.0
-        self.max_batch = router.coalesce_max_batch
-        self._cond = checked(threading.Condition(), "_LevelCoalescer._cond")
-        self._pending: list[_PendingLevel] = []
-        self._leader = False
-
-    def submit(self, msg: ExecuteLevel, exec_ctx: _RpcExecution | None):
-        item = _PendingLevel(msg, exec_ctx)
-        with self._cond:
-            self._pending.append(item)
-            if self._leader:
-                if len(self._pending) >= self.max_batch:
-                    self._cond.notify_all()
-                batch = None
-            else:
-                self._leader = True
-                # Holding the window open only pays when another query
-                # is actually in flight; a lone query's levels would
-                # just eat the full window as pure latency tax, so the
-                # leader checks router-observed concurrency first.
-                if self.window > 0 and self.router._active_queries() > 1:
-                    deadline = time.monotonic() + self.window
-                    while len(self._pending) < self.max_batch:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
-                batch, self._pending = self._pending, []
-                self._leader = False
-        if batch is None:
-            item.done.wait()
-        else:
-            for start in range(0, len(batch), self.max_batch):
-                self._flush(batch[start : start + self.max_batch])
-        if item.error is not None:
-            raise item.error
-        return item.reply
-
-    def _flush(self, chunk: list[_PendingLevel]) -> None:
-        try:
-            if len(chunk) == 1:
-                item = chunk[0]
-                self.router._note_frames(1)
-                item.reply = self.router._send_level(
-                    self.shard, item.msg, item.ctx
-                )
-            else:
-                self._flush_batch(chunk)
-        except BaseException as exc:
-            for item in chunk:
-                if item.reply is None and item.error is None:
-                    item.error = exc
-        finally:
-            for item in chunk:
-                item.done.set()
-
-    def _flush_batch(self, chunk: list[_PendingLevel]) -> None:
-        router, shard = self.router, self.shard
-        sub_rids = [router._next_sub_id() for _ in chunk]
-        msg = ExecuteBatch(
-            items=tuple(
-                (rid, item.msg) for rid, item in zip(sub_rids, chunk)
-            )
-        )
-        sent = [0]
-        wire: list[WireTimes] = []
-
-        def on_bytes(n: int) -> None:
-            sent[0] = n
-
-        traced = any(item.msg.trace_ctx is not None for item in chunk)
-        router._note_frames(1)
-        start = time.perf_counter()
-        reply = router._shard_call(
-            shard, msg, on_bytes, wire.append if traced else None
-        )
-        end = time.perf_counter()
-        # Attribute the shared frame's bytes across its members (the
-        # remainder lands on the first few); each member rode 1 frame.
-        # The worker's encode time is split equally the same way.
-        share, spill = divmod(sent[0], len(chunk))
-        if traced:
-            times = wire[-1]._replace(
-                worker_encode_s=wire[-1].worker_encode_s / len(chunk)
-            )
-        by_sub = dict(reply.replies)
-        for index, (rid, item) in enumerate(zip(sub_rids, chunk)):
-            if item.ctx is not None:
-                item.ctx.add(shard, share + (1 if index < spill else 0))
-            sub = by_sub.get(rid)
-            if item.msg.trace_ctx is not None:
-                _record_level_span(
-                    item.msg,
-                    sub,
-                    start,
-                    end,
-                    times,
-                    shard,
-                    coalesced=len(chunk),
-                )
-            if sub is None:
-                item.error = RpcProtocolError(
-                    f"shard {shard} batch reply is missing request {rid}"
-                )
-            elif isinstance(sub, ErrorReply):
-                item.error = sub.error
-            else:
-                item.reply = sub
-
-
-class RpcShardRouter(ShardRouter):
-    """A :class:`~repro.cluster.router.ShardRouter` whose shards are
-    long-lived server processes reached over the RPC protocol.
-
-    Grouping a batch by owning shard and reassembling results by
-    submission position are inherited unchanged, so answers and reports
-    are deterministic regardless of the order shard replies arrive in.
-    What changes is the dispatch hop: instead of running task specs
-    through in-process backends, the router sends each shard an
-    :class:`ExecuteLevel` frame carrying the specs of its nodes' tasks
-    plus the exchange chunks, both as the engine holds them.
-    """
-
-    transport = "rpc"
 
     def __init__(
-        self,
-        num_nodes: int,
-        num_shards: int,
-        worker_backend: str = "serial",
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        parallel_shards: bool = True,
-        on_failure=None,
-        start_method: str | None = None,
-        spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
-        wire_format: str = "pickle",
-        pipeline: int = DEFAULT_RPC_PIPELINE,
-        coalesce_window_ms: float = 0.0,
-        coalesce_max_batch: int = 1,
+        self, shard: int, num_nodes: int, backend: str = "serial", **_socket
     ) -> None:
-        if worker_backend not in INLINE_BACKENDS:
-            raise ValueError(
-                f"unknown worker backend {worker_backend!r}: a shard server "
-                f"runs one inline engine, one of {INLINE_BACKENDS}"
-            )
-        check_backend_available(worker_backend)
-        if wire_format not in WIRE_FORMATS:
-            raise ValueError(
-                f"unknown wire format {wire_format!r}; "
-                f"expected one of {WIRE_FORMATS}"
-            )
-        if pipeline < 0:
-            raise ValueError(f"pipeline must be >= 0, got {pipeline}")
-        if coalesce_window_ms < 0:
-            raise ValueError(
-                f"coalesce_window_ms must be >= 0, got {coalesce_window_ms}"
-            )
-        if coalesce_max_batch < 1:
-            raise ValueError(
-                f"coalesce_max_batch must be >= 1, got {coalesce_max_batch}"
-            )
-        super().__init__(num_nodes, num_shards, parallel_shards=parallel_shards)
-        #: backend label recorded on execution reports
-        self.name = f"rpc:{worker_backend}"
-        self.worker_backend = worker_backend
-        self.wire_format = wire_format
-        self.max_frame_bytes = max_frame_bytes
-        self.start_method = start_method
-        self.spawn_timeout = spawn_timeout
-        self.pipeline = pipeline
-        self.coalesce_window_ms = coalesce_window_ms
-        self.coalesce_max_batch = coalesce_max_batch
-        self.on_failure = on_failure
-        self._counter_lock = checked(
-            threading.Lock(), "RpcShardRouter._counter_lock"
-        )
-        self.shard_failures = 0  # guarded-by: _counter_lock
-        #: level traffic counters: requests = ExecuteLevels asked for,
-        #: frames = physical wire frames that carried them.  Coalescing
-        #: provably merges when frames < requests.
-        self.level_requests = 0  # guarded-by: _counter_lock
-        self.level_frames = 0  # guarded-by: _counter_lock
-        self._sub_ids = itertools.count(1)  # guarded-by: _counter_lock
-        # One witness node for all shards: cross-shard nesting between
-        # sibling locks is same-name and thus not edge-checked (no code
-        # path holds two shard locks at once).
-        self._shard_locks = [
-            checked(threading.RLock(), "RpcShardRouter._shard_locks")
-            for _ in range(num_shards)
-        ]
-        self._clients: list[ShardWorkerClient | None] = [None] * num_shards  # guarded-by: _shard_locks
-        self._last_snapshot = None
-        #: the owner table the fleet was last synchronized to (set by
-        #: ensure_workers / migrate); stale-epoch re-routing consults it
-        self._table: OwnerTable | None = None
-        #: queries currently inside an execution — the coalescer
-        #: only holds its window open when this exceeds one
-        self.active_queries = 0  # guarded-by: _counter_lock
-        self._coalescers = (
-            [_LevelCoalescer(self, shard) for shard in range(num_shards)]
-            if coalesce_max_batch > 1
-            else None
-        )
+        self.shard = shard
+        self.num_nodes = num_nodes
+        self.backend = backend
+        #: the shard's worker state; None once closed
+        self.worker: _WorkerState | None = None
+        self._lock = checked(threading.Lock(), "LocalShardClient._lock")
+        self.frames_sent = 0  # guarded-by: _lock
+        self.bytes_sent = 0
+        #: what the worker holds, as ShardWorkerClient records it
+        self.primed_token: tuple | None = None
+        self.primed_epoch = -1
+        self.primed_terms = 0
+        self.terms_shipped = 0
 
-    def _dispatch_width(self) -> int:
-        # Coalescer followers park on a dispatch thread until the
-        # leader flushes their frame, so size the pool for the full
-        # pipeline depth per shard, not just one call per shard.
-        return max(4, 2 * self.num_shards,
-                   max(1, self.pipeline) * self.num_shards)
+    def start(self) -> StatsReply:
+        self.worker = _WorkerState(self.shard, self.num_nodes, self.backend)
+        return self.request(Stats())
 
-    def _note_frames(self, n: int) -> None:
-        with self._counter_lock:
-            self.level_frames += n
+    def alive(self) -> bool:
+        return self.worker is not None
 
-    def _active_queries(self) -> int:
-        with self._counter_lock:
-            return self.active_queries
+    def close(self, kill: bool = False) -> None:
+        worker, self.worker = self.worker, None
+        if worker is not None:
+            worker.close()
 
-    def _next_sub_id(self) -> int:
-        with self._counter_lock:
-            return next(self._sub_ids)
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def prime(self, ctx: TaskContext) -> None:
-        """Bring the fleet up against the sharded snapshot in *ctx*."""
-        self.ensure_workers(ctx.store)
-
-    def ensure_workers(self, snapshot) -> None:
-        """Spawn any missing shard server and (re-)prime stale ones.
-
-        A worker is primed only when its resident snapshot token differs
-        from its shard's current token — after a mutation, only the
-        shards the batch actually touched receive a new snapshot.  The
-        snapshot's owner-table version and the store's dictionary ride
-        on every ``Prime``; a worker whose data is current but whose
-        epoch lags (e.g. after a rolled back migration) or whose
-        dictionary replica lags (the store numbered terms that landed on
-        other shards) is re-synchronized with a cheap
-        :class:`TableUpdate` carrying the epoch and the missing
-        dictionary suffix instead of a full re-prime — unless the
-        replica rejects the suffix as conflicting, which re-primes it.
-        So every worker starts each query on the store's numbering.
-        """
-        epoch = snapshot.table.version
-        dictionary = snapshot.dictionary
-        # What a respawn re-primes from: set first, so a worker found
-        # dead below comes back on *this* snapshot, once.
-        self._last_snapshot = snapshot
-        self._table = snapshot.table
-        for shard in range(self.num_shards):
-            with self._shard_locks[shard]:
-                client = self._clients[shard]
-                if client is None:
-                    # First spawn of this shard's server: not a failure.
-                    try:
-                        client = self._start_worker(shard)
-                    except Exception as exc:
-                        self._record_failure(shard, f"spawn failed: {exc!r}")
-                        raise ShardUnavailable(
-                            shard, f"spawn failed: {exc!r}"
-                        ) from exc
-                elif not client.alive():
-                    # The worker died since we last spoke to it: recover
-                    # (which records the failure and re-primes).
-                    client = self._recover(shard, "worker process died")
-                shard_snapshot = snapshot.shards[shard]
-                stale = client.primed_token != shard_snapshot.token
-                if not stale and (
-                    client.primed_epoch != epoch
-                    or client.primed_terms != len(dictionary)
-                ):
-                    start = client.primed_terms
-                    terms = dictionary.entries_from(start)
-                    try:
-                        self._shard_call(
-                            shard,
-                            TableUpdate(epoch=epoch, terms_from=start, terms=terms),
-                        )
-                    except WorkerStateError:
-                        # The replica conflicts with the store's numbering
-                        # (a task numbered a term of its own into it): a
-                        # Prime replaces the replica with the store's.
-                        stale = True
-                    else:
-                        client.primed_epoch = epoch
-                        client.primed_terms = start + len(terms)
-                        client.terms_shipped += len(terms)
-                if stale:
-                    client = self._clients[shard]
-                    try:
-                        self._prime(shard, client, shard_snapshot, epoch)
-                    except _TRANSPORT_ERRORS as exc:
-                        # Died under the prime: the one respawn primes.
-                        self._recover(shard, f"{type(exc).__name__}: {exc}")
-
-    def _prime(
-        self,
-        shard: int,
-        client: ShardWorkerClient,
-        shard_snapshot: StoreSnapshot,
-        epoch: int,
-        on_bytes=None,
-    ) -> None:
-        """Install *shard_snapshot* on *client*'s worker at *epoch*,
-        and record on the client what it now holds.  Callers hold the
-        shard's lock and deal with transport errors themselves."""
-        # Read before the frame pickles the dictionary: the replica
-        # holds at least this much.
-        terms = len(shard_snapshot.dictionary)
-        client.request(
-            Prime(shard_snapshot, wire=self.wire_format, epoch=epoch), on_bytes
-        )
-        client.primed_token = shard_snapshot.token
-        client.primed_epoch = epoch
-        client.primed_terms = terms
-
-    # -- live rebalancing ----------------------------------------------------
-
-    def _grow_to(self, count: int) -> None:
-        """Extend the per-shard structures (locks, client entries,
-        coalescers) to *count* entries.  The lists
-        only ever grow — a shrink leaves trailing entries in place so a
-        query racing the flip can still index its (stale) shard and get
-        the typed :class:`StaleEpoch` answer instead of an IndexError.
-        """
-        while len(self._shard_locks) < count:
-            self._shard_locks.append(
-                checked(threading.RLock(), "RpcShardRouter._shard_locks")
-            )
-        while len(self._clients) < count:  # lint: disable=LOCK001 — grow-only append; migrations serialize on the store write lock
-            self._clients.append(None)  # lint: disable=LOCK001 — entry is None until primed under its shard lock
-        if self._coalescers is not None:
-            while len(self._coalescers) < count:
-                self._coalescers.append(
-                    _LevelCoalescer(self, len(self._coalescers))
-                )
-
-    def _set_topology(self, count: int, table, snapshot) -> None:
-        """Flip the driver's view of the fleet to *count* shards at
-        *table*'s epoch (:meth:`resize` retires the dispatch pool)."""
-        self._table = table
-        self._last_snapshot = snapshot
-        self.resize(count)
-
-    def _retire_clients(self, first: int) -> None:
-        """Close every client at shard index >= *first*."""
-        retired: list[ShardWorkerClient] = []
-        for shard in range(first, len(self._clients)):  # lint: disable=LOCK001 — len() only; the list never shrinks
-            with self._shard_locks[shard]:
-                client = self._clients[shard]
-                self._clients[shard] = None  # lint: disable=LOCK001 — this shard's lock is held
-            if client is not None:
-                retired.append(client)
-        for client in retired:
-            client.close()
-
-    def migrate(self, store, moves, new_num_shards=None) -> tuple[int, ...]:
-        """Execute a ``(node, src, dst)`` plan against the live worker fleet.
-
-        Returns bytes shipped per (surviving or new) shard — the proof
-        that a migration moves only the reassigned nodes' data, not a
-        full re-prime.  The sequence:
-
-        1. synchronize the fleet at the current epoch (spawns lazily),
-        2. install the next table on *store* (epoch bumps to ``v+1``),
-        3. spawn + fully prime new shards at ``v+1`` (their view holds
-           exactly the moved-in nodes),
-        4. ship surviving shards their delta as :class:`PrimeNodes`
-           (data only — they stay at ``v`` and keep answering),
-        5. flip every worker to ``v+1`` with :class:`TableUpdate`,
-        6. retire removed shards' workers and resize the driver.
-
-        On any failure the plan is inverted on the store (epochs stay
-        monotone), the driver resizes back, and affected workers are
-        lazily reconciled by the next :meth:`ensure_workers` — queries
-        keep answering against the restored table.  Transport failures
-        surface as typed :class:`ShardUnavailable`.
-
-        Callers must quiesce queries across steps 2–5 (the service's
-        store write lock does exactly that): between a survivor's delta
-        in step 4 and the flip in step 5, old-epoch frames naming its
-        moved-out nodes would scan maps it already dropped.  Queries
-        that *start* against the old table and arrive
-        after the flip are safe without quiescence: the worker rejects
-        them typed (:class:`StaleEpoch`) and the driver re-routes.
-        """
-        self.ensure_workers(store.snapshot())
-        old_table = self._table
-        old_count = self.num_shards
-        moves = tuple(moves)
-        target = old_table.num_shards if new_num_shards is None else new_num_shards
-        if not moves and target == old_count:
-            return ()
-        moved_in: dict[int, list[int]] = {}
-        moved_out: dict[int, list[int]] = {}
-        for node, src, dst in moves:
-            moved_in.setdefault(dst, []).append(node)
-            moved_out.setdefault(src, []).append(node)
-        new_table = store.apply_rebalance(moves, target)
-        snapshot = store.snapshot()
-        new_count = new_table.num_shards
-        self._grow_to(max(old_count, new_count))
-        shipped = [0] * max(old_count, new_count)
-
-        def note(shard: int):
-            def on_bytes(n: int) -> None:
-                shipped[shard] += n
-
-            return on_bytes
-
-        failed_shard = [None]
-        try:
-            # New shards: spawn and prime their view at the new epoch.
-            # The view holds exactly the moved-in nodes' files (every
-            # other node's map is empty), so a "full" prime here *is*
-            # the migration delta.
-            for shard in range(old_count, new_count):
-                failed_shard[0] = shard
-                shard_snapshot = snapshot.shards[shard]
-                with span("rebalance:prime", shard=shard):
-                    with self._shard_locks[shard]:
-                        client = self._clients[shard]
-                        if client is None or not client.alive():
-                            client = self._start_worker(shard)
-                        self._prime(
-                            shard,
-                            client,
-                            shard_snapshot,
-                            new_table.version,
-                            note(shard),
-                        )
-            # Surviving shards with movement: ship only the delta.
-            for shard in range(min(old_count, new_count)):
-                adds_nodes = sorted(moved_in.get(shard, ()))
-                drops = tuple(sorted(moved_out.get(shard, ())))
-                if not adds_nodes and not drops:
-                    continue
-                failed_shard[0] = shard
-                shard_snapshot = snapshot.shards[shard]
-                adds = {
-                    node: shard_snapshot.files[node] for node in adds_nodes
-                }
-                with span(
-                    "rebalance:delta",
-                    shard=shard,
-                    adds=len(adds_nodes),
-                    drops=len(drops),
-                ):
-                    with self._shard_locks[shard]:
-                        self._shard_call(
-                            shard,
-                            PrimeNodes(
-                                adds=adds, drops=drops, token=shard_snapshot.token
-                            ),
-                            note(shard),
-                        )
-                        client = self._clients[shard]
-                        if client is not None:
-                            client.primed_token = shard_snapshot.token
-            # Flip every surviving worker to the new epoch (monotone and
-            # idempotent worker-side, so a respawn-retry is harmless).
-            with span("rebalance:flip", epoch=new_table.version):
-                for shard in range(new_count):
-                    failed_shard[0] = shard
-                    with self._shard_locks[shard]:
-                        client = self._clients[shard]
-                        if client is not None and client.alive():
-                            self._shard_call(
-                                shard, TableUpdate(epoch=new_table.version)
-                            )
-                            client.primed_epoch = new_table.version
-        except BaseException as exc:
-            self._rollback_migration(store, moves, old_count)
-            if isinstance(exc, ShardUnavailable):
-                raise
-            if isinstance(exc, _TRANSPORT_ERRORS):
-                shard = failed_shard[0] if failed_shard[0] is not None else -1
-                self._record_failure(shard, f"migration failed: {exc!r}")
-                raise ShardUnavailable(
-                    shard, f"migration failed: {exc!r}"
-                ) from exc
-            raise
-        if new_count < old_count:
-            self._retire_clients(new_count)
-        self._set_topology(new_count, new_table, snapshot)
-        return tuple(shipped[:new_count])
-
-    def _rollback_migration(self, store, moves, old_count: int) -> None:
-        """Undo a half-applied migration: install the inverse plan's
-        table (the epoch keeps climbing — versions never reuse), resize the
-        driver back, and drop any clients the grow spawned.  Workers the
-        failed attempt already touched are *not* chased here; their
-        primed token/epoch records are accurate, so the next
-        :meth:`ensure_workers` re-primes or re-stamps exactly the stale
-        ones while queries keep answering."""
-        store.apply_rebalance(store.table.inverse(moves), old_count)
-        snapshot = store.snapshot()
-        self._retire_clients(old_count)
-        self._set_topology(old_count, snapshot.table, snapshot)
-
-    def _start_worker(self, shard: int) -> ShardWorkerClient:
-        """Spawn shard *shard*'s server and handshake.
-
-        Callers (``ensure_workers``, ``_recover``) hold this shard's lock.
-        """
-        old = self._clients[shard]  # lint: disable=LOCK001 — caller holds this shard's lock (see docstring)
-        self._clients[shard] = None  # lint: disable=LOCK001 — caller holds this shard's lock (see docstring)
-        if old is not None:
-            old.close(kill=True)
-        client = ShardWorkerClient(
-            shard=shard,
-            num_nodes=self.num_nodes,
-            backend=self.worker_backend,
-            max_frame_bytes=self.max_frame_bytes,
-            start_method=self.start_method,
-            spawn_timeout=self.spawn_timeout,
-            pipeline=self.pipeline,
-        )
-        try:
-            client.start()
-        except Exception:
-            client.close(kill=True)
-            raise
-        self._clients[shard] = client  # lint: disable=LOCK001 — caller holds this shard's lock (see docstring)
-        return client
-
-    def worker_stats(self) -> list[StatsReply]:
-        """One :class:`StatsReply` per live shard server."""
-        return [
-            self._shard_call(shard, Stats())
-            for shard in range(self.num_shards)
-        ]
-
-    def worker_gauges(self) -> list[tuple[int, StatsReply | None]]:
-        """Telemetry without side effects, probed concurrently:
-        ``(shard, StatsReply | None)`` pairs for the shard servers with
-        a live client — ``None`` marks a probe that failed mid-flight
-        (the service surfaces it as a *stale* gauge instead of raising
-        or silently hiding the shard).  A never-spawned or already
-        reaped shard is absent entirely (no spawn, no recovery, no
-        failure recorded).  Probes fan out on the dispatch pool so one
-        slow worker does not serialize the sweep."""
-        probes: list[tuple[int, ShardWorkerClient]] = []
-        for shard in range(self.num_shards):
-            with self._shard_locks[shard]:
-                client = self._clients[shard]
-            if client is None or not client.alive():
-                continue
-            probes.append((shard, client))
-
-        def probe(client: ShardWorkerClient) -> StatsReply | None:
-            try:
-                return client.request(Stats())
-            except Exception:
-                return None
-
-        if len(probes) > 1:
-            pool = self._dispatch_pool()
-            futures = [(s, pool.submit(probe, c)) for s, c in probes]
-            return [(s, f.result()) for s, f in futures]
-        return [(s, probe(c)) for s, c in probes]
-
-    def wire_stats(self) -> list[tuple[int, dict]]:
-        """Driver-side transport counters per live shard connection:
-        frames and bytes sent, and the dictionary terms suffix syncs
-        shipped.  Point-in-time advisory reads — no RPC, no blocking on
-        in-flight requests."""
-        out: list[tuple[int, dict]] = []
-        for shard in range(self.num_shards):
-            with self._shard_locks[shard]:
-                client = self._clients[shard]
-            if client is None:
-                continue
-            out.append(
-                (
-                    shard,
-                    {
-                        "frames_sent": client.frames_sent,
-                        "bytes_sent": client.bytes_sent,
-                        "terms_shipped": client.terms_shipped,
-                    },
-                )
-            )
-        return out
-
-    def close(self) -> None:
-        # len(self._clients) can exceed num_shards after a shrink (the
-        # per-shard lists only grow); retire every entry either way.
-        for shard in range(len(self._clients)):  # lint: disable=LOCK001 — len() only; the list never shrinks
-            with self._shard_locks[shard]:
-                client = self._clients[shard]
-                self._clients[shard] = None
-            if client is not None:
-                client.close()
-        super().close()
-
-    # -- failure handling ---------------------------------------------------
-
-    def _record_failure(self, shard: int, reason: str) -> None:
-        # Distinct shards fail concurrently (each path holds only its
-        # own shard lock), so the shared tally needs the counter mutex.
-        with self._counter_lock:
-            self.shard_failures += 1
-        if self.on_failure is not None:
-            try:
-                self.on_failure(shard, reason)
-            except Exception:
-                pass
-
-    def _recover(self, shard: int, reason: str) -> ShardWorkerClient:
-        """Respawn a dead worker: restart and re-prime.
-
-        Records the failure that triggered the recovery; a failed
-        respawn records a second failure and raises
-        :class:`ShardUnavailable`.  Callers hold the shard lock.
-        """
-        self._record_failure(shard, reason)
-        try:
-            client = self._start_worker(shard)
-            if self._last_snapshot is not None:
-                self._prime(
-                    shard,
-                    client,
-                    self._last_snapshot.shards[shard],
-                    self._last_snapshot.table.version,
-                )
-            return client
-        except Exception as exc:
-            self._record_failure(shard, f"respawn failed: {exc!r}")
-            self._clients[shard] = None  # lint: disable=LOCK001 — caller holds this shard's lock (see docstring)
-            raise ShardUnavailable(shard, f"respawn failed: {exc!r}") from exc
-
-    def _ensure_client(self, shard: int) -> ShardWorkerClient:
-        """The shard's live client, recovering a dead one (recorded as
-        a failure, matching the in-call discovery semantics)."""
-        with self._shard_locks[shard]:
-            client = self._clients[shard]
-            if client is None or not client.alive():
-                client = self._recover(shard, "worker process is not running")
-            return client
-
-    def _recover_from(
-        self, shard: int, failed: ShardWorkerClient, reason: str
-    ) -> ShardWorkerClient:
-        """Recover after *failed* saw a transport error — once per dead
-        worker: when another thread already replaced it, reuse its
-        client instead of respawning (and counting a failure) again."""
-        with self._shard_locks[shard]:
-            current = self._clients[shard]
-            if current is not None and current is not failed and current.alive():
-                return current
-            return self._recover(shard, reason)
-
-    def _shard_call(self, shard: int, msg, on_bytes=None, on_wire=None):
-        """One request to one shard, with the one-respawn retry budget.
-
-        The shard lock guards only client lookup and recovery — the
-        round trip itself runs outside it, so concurrent queries
-        multiplex on the worker connection instead of serializing
-        behind a per-shard lock.  A typed :class:`ErrorReply` from a
-        live worker re-raises as-is (the request failed, not the
-        worker).  A transport failure means the worker died: it is
-        respawned, its snapshot re-primed, and the request retried
-        exactly once (safe: a level is self-contained and a fresh
-        worker holds nothing but the snapshot); any further failure
-        raises :class:`ShardUnavailable`.  A successful
-        retry of a traced execute frame is marked by an ``rpc:retry``
-        span covering respawn + resend on every contributing trace.
-        """
-        client = self._ensure_client(shard)
-        try:
-            return client.request(msg, on_bytes, on_wire)
-        except _TRANSPORT_ERRORS as exc:
-            retry_start = time.perf_counter()
-            retry = self._recover_from(
-                shard, client, f"{type(exc).__name__}: {exc}"
-            )
-            try:
-                reply = retry.request(msg, on_bytes, on_wire)
-            except _TRANSPORT_ERRORS as retry_exc:
-                self._record_failure(
-                    shard, f"request failed after respawn: {retry_exc!r}"
-                )
-                raise ShardUnavailable(
-                    shard, f"request failed after respawn: {retry_exc!r}"
-                ) from retry_exc
-            retry_end = time.perf_counter()
-            for ctx in _frame_trace_ctxs(msg):
-                record_remote(
-                    ctx,
-                    "rpc:retry",
-                    retry_start,
-                    retry_end,
-                    shard=shard,
-                    error=type(exc).__name__,
-                )
-            return reply
-
-    # -- execution -----------------------------------------------------------
-
-    @contextmanager
-    def execution(
-        self, ctx: TaskContext, report: ExecutionReport
-    ) -> Iterator[TaskContext]:
-        """The base bracket, counted as an active query for its whole
-        length (the coalescers' gate) and closed by stamping the
-        query's wire counters on the report."""
-        with self._counter_lock:
-            self.active_queries += 1
-        try:
-            with super().execution(ctx, report) as ctx:
-                yield ctx
-        finally:
-            with self._counter_lock:
-                self.active_queries -= 1
-        state: _RpcExecution = ctx.dispatch
-        report.shard_bytes = tuple(state.bytes)
-        report.shard_frames = tuple(state.frames)
-
-    def _open(self, ctx: TaskContext) -> _RpcExecution:
-        """Start one query: the fleet synchronized to its snapshot,
-        zeroed counters — nothing about the query's plan is announced."""
-        snapshot = self._snapshot_of(ctx)
-        self.ensure_workers(snapshot)
-        return _RpcExecution(
-            table=snapshot.table,
-            tasks=[0] * snapshot.num_shards,
-            rows=[0] * snapshot.num_shards,
-            bytes=[0] * snapshot.num_shards,
-            frames=[0] * snapshot.num_shards,
-        )
-
-    # -- the dispatch hop ----------------------------------------------------
-
-    def _send_level(
-        self, shard: int, msg: ExecuteLevel, exec_ctx: _RpcExecution | None
-    ):
-        """An ExecuteLevel round trip, traced when the frame carries a
-        context: the driver records an ``rpc:level`` span over the
-        round trip and re-anchors the worker's shipped span records
-        (plus the reply-encode time from the envelope) under it."""
-        on_bytes = (
-            None if exec_ctx is None else (lambda n: exec_ctx.add(shard, n))
-        )
-        if msg.trace_ctx is None:
-            return self._shard_call(shard, msg, on_bytes)
-        wire: list[WireTimes] = []
-        start = time.perf_counter()
-        reply = self._shard_call(shard, msg, on_bytes, wire.append)
-        _record_level_span(
-            msg, reply, start, time.perf_counter(), wire[-1], shard
-        )
+    def request(self, msg, on_bytes=None, on_wire=None):
+        """One exchange with the worker, on the calling thread."""
+        worker = self.worker
+        if worker is None:
+            raise ConnectionError(f"shard {self.shard} worker is not running")
+        with self._lock:
+            self.frames_sent += 1
+        sent = time.perf_counter()
+        reply = worker.handle(msg, sent, sent)
+        if on_bytes is not None:
+            on_bytes(0)
+        if on_wire is not None:
+            on_wire(WireTimes(sent, 0.0, time.perf_counter()))
         return reply
-
-    def _level_call(
-        self, shard: int, msg: ExecuteLevel, exec_ctx: _RpcExecution | None
-    ):
-        """Route one level to its shard: through the coalescer when
-        cross-query batching is on, directly otherwise."""
-        with self._counter_lock:
-            self.level_requests += 1
-        if self._coalescers is not None:
-            return self._coalescers[shard].submit(msg, exec_ctx)
-        self._note_frames(1)
-        return self._send_level(shard, msg, exec_ctx)
-
-    def _reroute_level(self, msg: ExecuteLevel, nodes: list[int], exec_ctx):
-        """Resend a stale-stamped level's tasks under the current table.
-
-        A worker rejected *msg* because a rebalance flipped the owner
-        table after this query was routed.  The tasks themselves are
-        placement-level facts — *nodes*, the node each runs on, never
-        change, only which shard *hosts* a node — so they are regrouped
-        by the current table and resent, stamped with its epoch.  The map
-        phase's ``inputs`` travel unchanged to every target: they are
-        keyed by node-sliced file name, and a superset is harmless.
-        Results are reassembled in the original task order, keeping the
-        deterministic merge upstream byte-identical.
-        """
-        table = self._table
-        if table is None:
-            raise RpcError("no owner table to re-route against")
-        groups: dict[int, list[int]] = {}
-        for index, node in enumerate(nodes):
-            groups.setdefault(table.shard_of_node(node), []).append(index)
-        results: list = [None] * len(msg.tasks)
-        for shard in sorted(groups):
-            indices = groups[shard]
-            sub = dataclass_replace(
-                msg,
-                tasks=tuple(msg.tasks[i] for i in indices),
-                epoch=table.version,
-            )
-            with self._counter_lock:
-                self.level_requests += 1
-            self._note_frames(1)
-            reply = self._send_level(shard, sub, exec_ctx)
-            for i, result in zip(indices, reply.results):
-                results[i] = result
-        return ResultsReply(results=results)
-
-    def _run_shard(self, shard, batch, ctx, tctx):
-        state: _RpcExecution = ctx.dispatch
-        phase = batch[0].phase
-        if phase == "map":
-            # Ship only the shuffled intermediates this shard's map
-            # chains actually read, cut to the shard's own nodes (a map
-            # shuffler reads nothing but its node's partition).
-            owner = state.table.shard_of_node
-            inputs = {}
-            for name in sorted(
-                {name for inv in batch for name in inv.spec.hdfs_inputs()}
-            ):
-                relation = ctx.hdfs.read(name)
-                inputs[name] = DistributedRelation(
-                    attrs=relation.attrs,
-                    partitions=[
-                        part if owner(node) == shard else []
-                        for node, part in enumerate(relation.partitions)
-                    ],
-                )
-            tasks = tuple(inv.spec for inv in batch)
-        else:
-            inputs = {}
-            tasks = tuple((inv.spec, *inv.args) for inv in batch)
-        msg = ExecuteLevel(
-            level=batch[0].level,
-            phase=phase,
-            tasks=tasks,
-            inputs=inputs,
-            trace_ctx=tctx,
-            epoch=state.table.version,
-        )
-        try:
-            reply = self._level_call(shard, msg, state)
-        except StaleEpoch:
-            # The topology moved under this query (a rebalance flipped
-            # the owner table after it was routed): regroup the same
-            # tasks by the current table and resend.
-            reply = self._reroute_level(
-                msg, [inv.node for inv in batch], state
-            )
-        if len(reply.results) != len(batch):
-            raise RpcProtocolError(
-                f"shard {shard} returned {len(reply.results)} results "
-                f"for {len(batch)} tasks"
-            )
-        return reply.results
 
 
 __all__ = [
@@ -2416,6 +1482,7 @@ __all__ = [
     "ExecuteBatch",
     "ExecuteLevel",
     "FrameTooLarge",
+    "LocalShardClient",
     "MESSAGE_TYPES",
     "OkReply",
     "Prime",
@@ -2425,7 +1492,6 @@ __all__ = [
     "ResultsReply",
     "RpcError",
     "RpcProtocolError",
-    "RpcShardRouter",
     "ShardUnavailable",
     "ShardWorkerClient",
     "Shutdown",
@@ -2433,6 +1499,7 @@ __all__ = [
     "Stats",
     "StatsReply",
     "TableUpdate",
+    "WireTimes",
     "WorkerSpawnError",
     "WorkerStateError",
     "store_token",

@@ -126,12 +126,12 @@ class ExecutionBackend(ABC):
         """Release worker pools; the backend must not be used afterwards."""
 
     def worker_gauges(self) -> list:
-        """``(shard, StatsReply | None)`` per remote worker process
-        behind this backend — none, unless it is the rpc shard router."""
+        """``(shard, StatsReply | None)`` per shard worker behind this
+        backend — none, unless it is the shard router."""
         return []
 
     def wire_stats(self) -> list:
-        """``(shard, counters)`` per remote worker connection (as above)."""
+        """``(shard, counters)`` per shard worker client (as above)."""
         return []
 
     def __enter__(self) -> "ExecutionBackend":

@@ -75,18 +75,18 @@ class ExecutionReport:
     #: the execution it dispatched ends.
     shards: int = 0
     #: how shards were reached: "local" (no shards / single store),
-    #: "inproc" (in-process shard backends) or "rpc" (shard server
-    #: processes)
+    #: "inproc" (shard workers in the driver process) or "rpc" (shard
+    #: server processes)
     transport: str = "local"
     #: map + reduce tasks run on each shard, and output rows landing on
     #: each shard's nodes over all jobs (None when unsharded)
     shard_tasks: tuple[int, ...] | None = None
     shard_rows: tuple[int, ...] | None = None
-    #: request bytes shipped to each shard server for this execution
-    #: (RPC transport only; None otherwise)
+    #: request bytes shipped to each shard worker for this execution
+    #: (zeros in process, where frames cross as objects; None unsharded)
     shard_bytes: tuple[int, ...] | None = None
-    #: request frames shipped to each shard server for this execution
-    #: (RPC transport only; None otherwise).  With cross-query
+    #: request frames shipped to each shard worker for this execution
+    #: (None unsharded).  With cross-query
     #: coalescing a frame may carry several queries' levels, so this
     #: can undershoot levels x shards.
     shard_frames: tuple[int, ...] | None = None

@@ -127,8 +127,8 @@ def explain(
     identifies which plan-template cache entry the query binds into.
     ``shard_map``/``shard_triples`` (set when a sharded store is
     active) append the per-shard row/task distribution; ``transport``
-    names the shard boundary ("inproc" backends or "rpc" shard server
-    processes) the tasks would cross, ``wire`` the row encoding of the
+    names the shard boundary ("inproc" workers in the driver process or
+    "rpc" shard server processes) the tasks would cross, ``wire`` the row encoding of the
     rpc frames ("columnar" id buffers in the store's numbering, or "pickle"),
     and ``wire_bytes`` the encoded request bytes the service last
     measured shipping over that wire — so benchmark tables and explains

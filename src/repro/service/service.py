@@ -138,7 +138,7 @@ class ServiceConfig:
     #: worker threads for submit_batch
     max_workers: int = 8
     #: task execution backend: "columnar" | "serial" | "thread" |
-    #: "process" (or an ExecutionBackend instance).  The default is
+    #: "process" (or, unsharded, an ExecutionBackend instance).  The default is
     #: resolved from the platform: the id-space engine ("columnar", bulk
     #: numpy kernels over dictionary-encoded columns) where numpy is
     #: importable, "serial" otherwise.  SerialBackend is the reference
@@ -148,7 +148,9 @@ class ServiceConfig:
     #: tasks on 4 threads; "process" fans them across one worker
     #: process per available CPU and, where process pools are
     #: unavailable, falls back to serial and records a warning in
-    #: ServiceStats.  With shards >= 1 a pool backend is a ValueError.
+    #: ServiceStats.  With shards >= 1 each shard worker builds its own
+    #: engine from this name: a pool backend or an instance is a
+    #: ValueError.
     backend: str = "columnar" if HAVE_NUMPY else "serial"
     #: individualization budget of the canonicalizer
     canonical_budget: int = 4096
@@ -167,15 +169,15 @@ class ServiceConfig:
     #: QueryService.rebalance moves live): map levels run shard-local and
     #: the shuffle between map and reduce is the cross-shard exchange.
     #: Answers and reports are identical for any shard count.  A shard
-    #: runs one inline engine: backend must be "serial" or "columnar".
+    #: worker runs one inline engine: backend must be "serial" or
+    #: "columnar".
     shards: int = 0
-    #: how the shard workers are reached (requires ``shards >= 1``):
-    #: "inproc" calls the one engine every shard shares in-process;
-    #: "rpc" runs each shard as a long-lived server process behind
-    #: repro.cluster.rpc — the worker holds its snapshot and one inline
-    #: engine resident and nothing about plans: each level's task
-    #: specs and exchange rows cross the localhost socket with the
-    #: level.  A crashed worker is respawned (and the failed
+    #: how the shard workers are reached (requires ``shards >= 1``).
+    #: A worker holds its snapshot and one inline engine, nothing about
+    #: plans, and gets each level as one frame (repro.cluster.rpc):
+    #: "inproc" keeps it in the driver process and hands it frames as
+    #: objects; "rpc" runs it as a long-lived server process behind a
+    #: localhost socket.  A crashed server is respawned (the failed
     #: request retried) once; sustained failure raises a typed
     #: ShardUnavailable, counted in snapshot_stats().shard_failures.
     shard_transport: str = "inproc"
@@ -696,7 +698,7 @@ class QueryService:
         # a monotonic False -> True latch (and under the lock in
         # _ensure_pool, which is why _check_open itself cannot lock).
         self._closed = False
-        #: encoded request bytes of the most recent rpc-sharded query
+        #: encoded request bytes of the most recent sharded query
         #: (sum over shards) — surfaced by EXPLAIN's wire line.  Advisory:
         #: written per query, read racily by EXPLAIN, never synchronized.
         self._last_wire_bytes: int | None = None
@@ -705,8 +707,8 @@ class QueryService:
         )
         # Start process workers (if any) before serving threads exist:
         # fork-based pools must not be created from a multithreaded
-        # batch submission mid-flight.  With shards, every shard's pool
-        # is primed against its own snapshot slice.
+        # batch submission mid-flight.  With shards, every shard worker
+        # starts and is primed with its own view of the store.
         self.executor.prime()
 
     # -- lifecycle ---------------------------------------------------------
@@ -972,11 +974,11 @@ class QueryService:
     def suggest_rebalance(self, max_moves: int = 1):
         """A skew-shedding plan from live worker load, or ``()``.
 
-        Feeds the RPC shard workers' ``tasks_run`` gauges (PR 9
-        telemetry) into :func:`~repro.cluster.ownership.plan_skew`; without
-        live gauges (inproc transport, cold fleet) it falls back to
-        stored triples per shard.  The plan is advice — pass it to
-        :meth:`rebalance` to act on it.
+        Feeds the shard workers' ``tasks_run`` gauges into
+        :func:`~repro.cluster.ownership.plan_skew`.  A gauge that has run
+        no task is no signal, so a fleet with none to offer (fresh, or
+        every probe stale) falls back to stored triples per shard.  The
+        plan is advice — pass it to :meth:`rebalance` to act on it.
         """
         self._check_open()
         if not self.sharded:
@@ -987,7 +989,7 @@ class QueryService:
         load = {
             gauge.shard: float(gauge.tasks_run)
             for gauge in self._shard_worker_gauges()
-            if not gauge.stale
+            if not gauge.stale and gauge.tasks_run
         }
         return self.executor.suggest_rebalance(
             load=load or None, max_moves=max_moves
@@ -1277,7 +1279,7 @@ class QueryService:
         )
 
     def _shard_worker_gauges(self) -> tuple[ShardWorkerGauge, ...]:
-        """Load gauges of the RPC shard workers (best-effort: a shard
+        """Load gauges of the shard workers (best-effort: a shard
         never spawned or already reaped is absent; a worker whose probe
         failed mid-flight — dead, mid-respawn — surfaces as a *stale*
         gauge rather than silently disappearing or raising)."""
@@ -1358,7 +1360,7 @@ class QueryService:
         ).set(self.result_cache.stale_drops)
         workers = registry.gauge(
             "repro_shard_worker",
-            "Point-in-time RPC shard worker load (stale=1: probe failed).",
+            "Point-in-time shard worker load (stale=1: probe failed).",
             labels=("shard", "field"),
         )
         for gauge in self._shard_worker_gauges():

@@ -106,7 +106,7 @@ class QueryTimings:
 
 @dataclass(frozen=True)
 class ShardWorkerGauge:
-    """Point-in-time load of one live RPC shard worker.
+    """Point-in-time load of one live shard worker (either transport).
 
     Sampled by :meth:`QueryService.snapshot_stats` from the workers'
     telemetry so overload is observable *before* admission control
@@ -186,8 +186,8 @@ class StatsSnapshot:
     #: death, failed respawn or post-respawn failure counts once; a
     #: single transparent respawn therefore shows up as 1)
     shard_failures: int = 0
-    #: point-in-time load gauges of the live RPC shard workers
-    #: (empty for non-RPC deployments or when no worker is up)
+    #: point-in-time load gauges of the live shard workers, in process
+    #: or over rpc (empty when unsharded or when no worker is up)
     shard_workers: tuple[ShardWorkerGauge, ...] = ()
     #: completed topology rebalances (grow, shrink or skew-shedding)
     rebalances: int = 0

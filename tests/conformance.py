@@ -34,12 +34,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.router import ShardRouter
 from repro.columnar.block import HAVE_NUMPY, ColumnBlock
 from repro.mapreduce.backends import SerialBackend, TaskInvocation
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.jobs import MapTaskSpec, TaskContext
+from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import job_from_spec
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import RDF_TYPE, is_variable
@@ -606,7 +606,8 @@ def assert_stateless_workers(service: QueryService, where: str = "") -> None:
     one ships its usual frame count — a respawn restores the snapshot,
     there is no registry to resync.  And a bare ``TaskInvocation``
     batch, no prepared plan anywhere, runs over rpc like on any other
-    backend: its results equal the in-process router's.  Call it on a
+    backend: its results equal ``SerialBackend``'s over the unsharded
+    store, which shares no code with a shard worker.  Call it on a
     service no other thread is using, with the result cache off.
     """
     router = service.executor.router
@@ -655,9 +656,9 @@ def assert_stateless_workers(service: QueryService, where: str = "") -> None:
         for task in job_from_spec(spec, num_nodes).map_tasks
     ]
 
-    def run_on(backend) -> list:
+    def run_on(backend, store) -> list:
         ctx = TaskContext(
-            num_nodes=num_nodes, store=snapshot, hdfs=HDFS(num_nodes=num_nodes)
+            num_nodes=num_nodes, store=store, hdfs=HDFS(num_nodes=num_nodes)
         )
         with backend.execution(ctx, ExecutionReport()) as running:
             return [
@@ -665,13 +666,11 @@ def assert_stateless_workers(service: QueryService, where: str = "") -> None:
                 for result in backend.run(invocations, running)
             ]
 
-    inproc = ShardRouter(num_nodes, snapshot.num_shards, SerialBackend())
-    try:
-        bare = run_on(router)
-        assert bare == run_on(inproc), where
-        assert any(shuffle or direct for shuffle, direct, _ in bare), where
-    finally:
-        inproc.close()
+    bare = run_on(router, snapshot)
+    unsharded = partition_graph(service.graph, num_nodes).snapshot()
+    with SerialBackend() as serial:
+        assert bare == run_on(serial, unsharded), where
+    assert any(shuffle or direct for shuffle, direct, _ in bare), where
     assert_replicas_equal_the_store(service, where)
 
 

@@ -23,11 +23,9 @@ import pytest
 from repro.cluster import (
     ShardRouter,
     ShardedPlanExecutor,
-    ShardedSnapshot,
     ShardedStore,
     shard_graph,
 )
-from repro.cluster.ownership import initial_table
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics, triple_delta
@@ -40,7 +38,7 @@ from repro.mapreduce.backends import (
     ThreadBackend,
 )
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
-from repro.mapreduce.jobs import FnMapSpec, TaskContext
+from repro.mapreduce.jobs import MapTaskSpec, TaskContext
 from repro.partitioning.layout import PLACEMENTS
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor
@@ -491,27 +489,31 @@ class TestClusterPlumbing:
             with executor.router.execution(ctx, ExecutionReport()):
                 pass
 
-    def test_dispatch_routes_by_slot_table_in_submission_order(self):
-        """The router's whole contract, on fake shards that finish in
-        reverse: every invocation runs on the shard owning its node
-        under the execution's own (here non-default) owner table, and
-        results come back in submission order."""
+    def test_dispatch_routes_by_slot_table_in_submission_order(self, university):
+        """The router's whole contract, through the in-process carrier to
+        shard workers whose engines finish in reverse: every invocation
+        runs on the worker of the shard owning its node under the
+        execution's own (here non-default) owner table, and results come
+        back in submission order."""
         num_nodes, num_shards = 6, 3
-        table = initial_table(num_shards, num_nodes).apply(
-            [(0, 0, 2), (4, 1, 0)]
-        )
+        store = shard_graph(university, num_nodes, num_shards)
+        store.apply_rebalance([(0, 0, 2), (4, 1, 0)], num_shards)
+        table = store.table
         assert [table.shard_of_node(n) for n in range(num_nodes)] == [
             2, 1, 2, 0, 0, 2,
         ]
         finished: list[int] = []
 
         class FakeEngine(ExecutionBackend):
-            """One engine for every shard, slowest on shard 0."""
+            """Worker *shard*'s engine, slowest on shard 0."""
 
             name = "fake"
 
+            def __init__(self, shard: int) -> None:
+                self.shard = shard
+
             def run(self, invocations, ctx):
-                shard = table.shard_of_node(invocations[0].node)
+                shard = self.shard
                 time.sleep((0.2, 0.1, 0.0)[shard])
                 finished.append(shard)
                 if invocations[0].phase == "map":
@@ -524,26 +526,30 @@ class TestClusterPlumbing:
                     for inv in invocations
                 ]
 
-        router = ShardRouter(num_nodes, num_shards, FakeEngine())
-        snapshot = ShardedSnapshot(
-            num_nodes=num_nodes,
-            num_shards=num_shards,
-            shards=(None,) * num_shards,
-            token=("fake", 0),
-            table=table,
-        )
-        spec = FnMapSpec(lambda: None)
+        class NodeSpec(MapTaskSpec):
+            """A map task pinned to *node*; the fake engines run it."""
+
+            def __init__(self, node: int) -> None:
+                self.node = node
+
+            def run(self, ctx):
+                raise AssertionError("the fake engine runs every task")
+
+        router = ShardRouter(num_nodes, num_shards)
         maps = [
-            TaskInvocation(spec, (), node, "map", 0)
+            TaskInvocation(NodeSpec(node), (), node, "map", 0)
             for node in (5, 0, 3, 1, 4, 2, 0)
         ]
         reduces = [
-            TaskInvocation(spec, (p, {}), p % num_nodes, "reduce", 0)
+            TaskInvocation(NodeSpec(0), (p, {}), p % num_nodes, "reduce", 0)
             for p in (7, 3, 2)
         ]
         report = ExecutionReport()
         try:
-            ctx = TaskContext(num_nodes=num_nodes, store=snapshot)
+            ctx = TaskContext(num_nodes=num_nodes, store=store.snapshot())
+            router.prime(ctx)
+            for shard, client in enumerate(router._clients):
+                client.worker.backend = FakeEngine(shard)
             with router.execution(ctx, report) as ctx:
                 mapped = router.run(maps, ctx)
                 assert finished == [2, 1, 0]
@@ -557,6 +563,9 @@ class TestClusterPlumbing:
         assert (report.shards, report.transport) == (3, "inproc")
         assert report.shard_tasks == (3, 2, 5)
         assert report.shard_rows == (2 + 2, 1 + 2, 4 + 2)
+        # One frame per shard and phase; nothing is encoded in memory.
+        assert report.shard_frames == (2, 2, 2)
+        assert report.shard_bytes == (0, 0, 0)
 
     def test_executor_rejects_node_mismatch(self, university):
         from repro.mapreduce.engine import ClusterConfig
@@ -597,16 +606,22 @@ class TestClusterPlumbing:
                 ServiceConfig(shards=2, shard_transport=transport, backend=backend),
             )
 
-    def test_shards_share_one_engine(self, university):
-        """In process every shard runs on the one engine the executor
-        was given (or built): no per-shard instances."""
-        engine = SerialBackend()
-        with ShardedPlanExecutor(
-            shard_graph(university, NUM_NODES, 3), backend=engine
-        ) as executor:
-            assert executor.router.backend is engine
+    def test_each_worker_holds_one_engine_of_the_named_kind(self, university):
+        """In process every shard worker builds its own engine from the
+        executor's backend name, as a shard server does — no engine is
+        shared between shards — and an engine instance is refused on
+        either transport."""
         with ShardedPlanExecutor(shard_graph(university, NUM_NODES, 3)) as executor:
-            assert isinstance(executor.router.backend, SerialBackend)
+            executor.prime()
+            engines = [client.worker.backend for client in executor.router._clients]
+            assert len({id(engine) for engine in engines}) == 3
+            assert all(isinstance(engine, SerialBackend) for engine in engines)
+        store = shard_graph(university, NUM_NODES, 3)
+        for transport in ("inproc", "rpc"):
+            with pytest.raises(ValueError, match="inline engine.*'serial'"):
+                ShardedPlanExecutor(
+                    store, backend=SerialBackend(), transport=transport
+                )
 
     @pytest.mark.parametrize(
         "backend",
@@ -619,10 +634,11 @@ class TestClusterPlumbing:
         ],
     )
     def test_inproc_rebalance_keeps_the_engine(self, university, backend):
-        """An in-process 2 → 3 → 2 rebalance installs the next table and
-        resizes the router: the engine instance (and with it a columnar
-        scan cache) is the same throughout, and answers equal the
-        serial single-store reference at every shard count."""
+        """An in-process 2 → 3 → 2 rebalance is the live migration rpc
+        runs: the surviving workers keep their engines (and with them a
+        columnar scan cache), the grown shard's worker builds one of the
+        same kind, and answers equal the serial single-store reference
+        at every shard count."""
         expected = QueryService(university, ServiceConfig(backend="serial"))
         service = QueryService(
             university,
@@ -631,15 +647,19 @@ class TestClusterPlumbing:
         try:
             want = expected.submit(STAR_QUERY).rows
             router = service.executor.router
-            engine = router.backend
-            assert engine.name == backend
+            engines = [client.worker.backend for client in router._clients]
+            assert [engine.name for engine in engines] == [backend] * 2
             assert service.submit(STAR_QUERY).rows == want
             for shards in (3, 2):
                 report = service.rebalance(target_shards=shards)
                 assert report.new_shards == shards and report.moved_nodes
+                assert report.bytes_shipped == (0,) * shards
                 assert service.executor.router is router
-                assert router.backend is engine
+                survivors = [client.worker.backend for client in router._clients[:2]]
+                assert all(a is b for a, b in zip(survivors, engines))
                 assert router.num_shards == shards
+                live = [c for c in router._clients if c is not None]
+                assert [c.worker.backend.name for c in live] == [backend] * shards
                 outcome = service.submit(STAR_QUERY)
                 assert outcome.rows == want
                 assert outcome.report.shards == shards

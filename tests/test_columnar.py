@@ -696,9 +696,10 @@ def lubm_graph():
 
 @needs_numpy
 def test_shared_backend_serves_five_shards_from_one_encoding(lubm_graph, monkeypatch):
-    """One ``ColumnarBackend`` instance behind 5 in-process shards: the
-    scans are encoded on the first execution and never again (the seed
-    kept 4 per-snapshot states and rebuilt one on every phase)."""
+    """5 in-process shard workers, each holding one ``ColumnarBackend``
+    of its own: the scans are encoded on the first execution and never
+    again (the seed kept 4 per-snapshot states and rebuilt one on every
+    phase)."""
     from repro.cluster import ShardedPlanExecutor, shard_graph
     from repro.core.algorithm import cliquesquare
     from repro.core.decomposition import MSC
@@ -716,8 +717,7 @@ def test_shared_backend_serves_five_shards_from_one_encoding(lubm_graph, monkeyp
     monkeypatch.setattr(
         Dictionary, "ids_of", lambda self, terms: encodes.append(1) or real(self, terms)
     )
-    backend = ColumnarBackend()
-    executor = ShardedPlanExecutor(shard_graph(lubm_graph, 7, 5), backend=backend)
+    executor = ShardedPlanExecutor(shard_graph(lubm_graph, 7, 5), backend="columnar")
     try:
         prepared = executor.prepare(plan)
         first = executor.execute_prepared(prepared)
@@ -728,7 +728,9 @@ def test_shared_backend_serves_five_shards_from_one_encoding(lubm_graph, monkeyp
         for _ in range(9):
             assert executor.execute_prepared(prepared).rows == want.rows
         assert len(encodes) == cold
-        assert executor.router.backend is backend
+        engines = [client.worker.backend for client in executor.router._clients]
+        assert all(isinstance(engine, ColumnarBackend) for engine in engines)
+        assert len({id(engine) for engine in engines}) == 5
     finally:
         executor.close()
 

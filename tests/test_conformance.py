@@ -1,6 +1,7 @@
 """The conformance matrix: {serial, thread, process, columnar}
 unsharded plus {serial, columnar} x {shards=1, shards=4} x {inproc,
-rpc} — 12 cells — x {submit, prepare/bind/execute, submit_batch} on
+rpc} — 12 cells, every sharded one running the shard worker's code —
+x {submit, prepare/bind/execute, submit_batch} on
 all 14 LUBM queries plus the two variable-free patterns of
 ``conformance.ground_queries`` (one present, one absent).  The submit
 surface sends each query as an object, then twice as SPARQL text: the
@@ -238,46 +239,49 @@ def test_concurrent_rpc_conformance(graph, queries, reference, wire, mode):
         service.close()
 
 
-def test_rebalance_inproc_conformance(graph, queries, reference):
-    """The rebalance dimension, in-process: live 4→5 and 5→3 resizes
-    with 4 driver threads keeping the workload in flight; answers and
-    reports stay field-wise equal to the serial reference at every
-    topology epoch.  Default topology: every move names one of the 7
-    nodes, so both resizes change which shard serves real data."""
-    service = make_service(graph, "serial", "shards4-inproc")
+#: the rebalance cells: every sharded deployment, over each rpc wire
+REBALANCE_CELLS = tuple(
+    (deployment, wire)
+    for deployment in sorted(DEPLOYMENTS)
+    if deployment != "unsharded"
+    for wire in (
+        RPC_WIRES
+        if DEPLOYMENTS[deployment]["shard_transport"] == "rpc"
+        else (None,)
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "deployment,wire",
+    REBALANCE_CELLS,
+    ids=["-".join(filter(None, cell)) for cell in REBALANCE_CELLS],
+)
+def test_rebalance_conformance(graph, queries, reference, deployment, wire):
+    """The rebalance dimension on every sharded deployment: live resizes
+    to 5 and then 3 shards with 4 driver threads keeping the workload in
+    flight; answers and reports stay field-wise equal to the serial
+    reference at every topology epoch.  Both transports run the one
+    migration, so every step moves nodes that hold data (the default 7
+    nodes); over rpc x {pickle, columnar}, with cross-query coalescing
+    on, the moved nodes' data crosses the wire and the workers stay
+    stateless after it."""
+    skip_unless_supported(deployment, "serial")
+    rpc = wire is not None
+    overrides = {"wire_format": wire, **RPC_MODES["coalesced"]} if rpc else {}
+    where = f"{deployment}/{wire or 'memory'}/rebalance"
+    service = make_service(graph, "serial", deployment, **overrides)
     try:
         reports = assert_rebalance_conforms(
-            service, queries, reference, plan=(5, 3), threads=4,
-            where="shards4-inproc/rebalance",
+            service, queries, reference, plan=(5, 3), threads=4, where=where,
         )
         assert [r.new_shards for r in reports] == [5, 3]
         assert all(r.moved_nodes for r in reports)
-    finally:
-        service.close()
-
-
-@pytest.mark.parametrize("wire", RPC_WIRES)
-def test_rebalance_rpc_conformance(graph, queries, reference, wire):
-    """The rebalance dimension over rpc x {pickle, columnar} with
-    cross-query coalescing on: the owner table flips 4→5→3 live, only
-    the moved nodes' data crosses the wire, and every outcome — before,
-    during, or after a migration — conforms.  Default topology (7
-    nodes): every migration moves triples between worker processes."""
-    skip_unless_supported("shards4-rpc", "serial")
-    service = make_service(
-        graph, "serial", "shards4-rpc", wire_format=wire,
-        **RPC_MODES["coalesced"]
-    )
-    try:
-        reports = assert_rebalance_conforms(
-            service, queries, reference, plan=(5, 3), threads=4,
-            where=f"shards4-rpc/{wire}/rebalance",
-        )
-        assert [r.new_shards for r in reports] == [5, 3]
         for report in reports:
-            assert report.bytes_shipped is not None
-            assert sum(report.bytes_shipped) > 0
-        assert_stateless_workers(service, where=f"shards4-rpc/{wire}/rebalanced")
+            assert len(report.bytes_shipped) == report.new_shards
+            assert (sum(report.bytes_shipped) > 0) == rpc
+        if rpc:
+            assert_stateless_workers(service, where=f"{where}d")
     finally:
         service.close()
 

@@ -224,23 +224,30 @@ class TestServiceTracing:
             )
 
     def test_traced_sharded_inproc_has_shard_and_merge_spans(self, university):
-        """A sharded submission is the engine's own span tree with the
-        router's per-shard spans beneath each phase — and, with no
-        per-shard reports left to fold, no ``merge`` span."""
+        """A sharded submission is the engine's own span tree with one
+        ``inproc:level`` span per shard beneath each phase, carrying the
+        in-process worker's own breakdown as rpc's ``rpc:level`` does —
+        and, with no per-shard reports left to fold, no ``merge`` span."""
         with traced_service(university, shards=2) as service:
             trace = service.trace(service.submit(STAR_QUERY))
             names = {s.name for s in trace.spans}
             assert {
                 "prepare", "engine", "level", "map_phase", "reduce_phase",
-                "shard",
+                "inproc:level", "state_lock_wait", "execute", "task",
             } <= names
-            assert "merge" not in names
+            assert "merge" not in names and "rpc:level" not in names
             by_id = {s.span_id: s for s in trace.spans}
-            for shard_span in trace.find("shard"):
+            for shard_span in trace.find("inproc:level"):
                 phase = by_id[shard_span.parent_id]
                 assert phase.name == f"{shard_span.attrs['phase']}_phase"
-            shards = {s.attrs["shard"] for s in trace.find("shard")}
+            shards = {s.attrs["shard"] for s in trace.find("inproc:level")}
             assert shards == {0, 1}
+            # The worker's spans (the driver's own ``execute`` stage
+            # aside) nest under the level span of their shard.
+            for worker_span in trace.find("state_lock_wait"):
+                level = by_id[worker_span.parent_id]
+                assert level.name == "inproc:level"
+                assert worker_span.attrs["shard"] == level.attrs["shard"]
 
     def test_explain_analyze_renders_plan_and_spans(self, university):
         with QueryService(university, ServiceConfig()) as service:
@@ -452,7 +459,7 @@ class TestRpcTracePropagation:
                     assert s.attrs.get("coalesced", 1) >= 1
 
     def test_worker_kill_mid_workload_records_retry_span(self, university):
-        from repro.cluster.rpc import RpcShardRouter
+        from repro.cluster import RpcShardRouter
 
         with traced_service(
             university, shards=2, shard_transport="rpc"

@@ -3,15 +3,18 @@
 Covers the :mod:`repro.cluster.ownership` layer (deterministic
 assignment, plan validation, minimal-movement resize plans, skew
 shedding, snapshot delta merging — plus hypothesis property tests where
-hypothesis is installed), the in-process and RPC rebalance surfaces
-(grow/shrink/deskew with answers invariant at every epoch, migration
-shipping only the moved nodes' data — also at the bare
-``ServiceConfig(shards=2)`` users get), and the failure paths: a
-destination worker that cannot spawn mid-migration rolls the topology
-back typed, a killed survivor recovers through the respawn-retry path,
-duplicate ``TableUpdate``/``PrimeNodes`` deliveries are idempotent, and
-an execute frame stamped with a stale epoch is rejected typed
-worker-side and transparently re-routed driver-side.
+hypothesis is installed), and live rebalance on both transports, which
+run one worker state and one migration: grow/shrink/deskew with answers
+invariant at every epoch, a fresh fleet's suggestion shedding the
+stored-triples skew, duplicate ``TableUpdate``/``PrimeNodes``
+deliveries acknowledged idempotently, an execute frame stamped with a
+stale epoch rejected typed worker-side and transparently re-routed
+driver-side — through the in-memory carrier (no process needed) and
+over the socket, also at the bare ``ServiceConfig(shards=2)`` users
+get.  The socket alone shows the rest: a migration ships only the moved
+nodes' data, a destination worker that cannot spawn mid-migration
+rolls the topology back typed, and a killed survivor recovers through
+the respawn-retry path.
 
 Test ids predate the node→shard table (the unit of ownership used to be
 a ring *slot*); they are kept so the suite's history stays comparable.
@@ -27,16 +30,17 @@ import pytest
 from repro.cluster import ShardedPlanExecutor, shard_graph
 from repro.cluster.rpc import (
     ExecuteLevel,
+    LocalShardClient,
     OkReply,
     Prime,
     PrimeNodes,
     Request,
-    RpcShardRouter,
     ShardUnavailable,
     ShardWorkerClient,
     StaleEpoch,
     Stats,
     TableUpdate,
+    WorkerStateError,
 )
 from repro.cluster.ownership import (
     OwnerTable,
@@ -296,12 +300,33 @@ if HAVE_HYPOTHESIS:
             current = stepped
 
 
-# -- in-process rebalance ------------------------------------------------------
+# -- both transports ------------------------------------------------------------
 
 
-class TestInprocRebalance:
+class _RebalanceOnEitherTransport:
+    """Rebalance and worker-state tests that hold on either transport.
+
+    A shard is one worker state whichever client carries its frames, so
+    the same tests run through the in-memory carrier
+    (:class:`TestInprocRebalance`, which needs no process) and over the
+    socket (:class:`TestRpcRebalance`): a concrete subclass names the
+    transport.
+    """
+
+    transport = ""
+
+    def service(self, graph, **overrides) -> QueryService:
+        return sharded_service(graph, shard_transport=self.transport, **overrides)
+
+    def client(self):
+        """A started client of one fresh worker (shard 0)."""
+        cls = ShardWorkerClient if self.transport == "rpc" else LocalShardClient
+        client = cls(shard=0, num_nodes=NUM_NODES)
+        client.start()
+        return client
+
     def test_grow_and_shrink_answers_invariant(self, university):
-        service = sharded_service(university)
+        service = self.service(university)
         try:
             expected = service.submit(STAR_QUERY).rows
             chain = service.submit(CHAIN_QUERY).rows
@@ -312,17 +337,132 @@ class TestInprocRebalance:
             assert report.moved_nodes == tuple(
                 sorted(node for node, _src, _dst in report.moves)
             )
+            assert len(report.bytes_shipped) == 5
             assert service.submit(STAR_QUERY).rows == expected
             assert service.submit(CHAIN_QUERY).rows == chain
             report = service.rebalance(target_shards=3)
             assert (report.old_shards, report.new_shards) == (5, 3)
             assert service.submit(STAR_QUERY).rows == expected
             assert service.submit(CHAIN_QUERY).rows == chain
+            # The fleet really shrank: three live workers, no more.
+            router = service.executor.router
+            assert router.num_shards == 3
+            assert all(client is None for client in router._clients[3:])
             stats = service.snapshot_stats()
             assert stats.rebalances == 2
             assert "rebalances: 2" in stats.format()
         finally:
             service.close()
+
+    def test_suggest_rebalance_falls_back_to_stored_triples(self, university):
+        """A fresh fleet's gauges have run no task — no signal — so the
+        suggestion sheds the stored-triples skew: max → min.  Once a
+        query ran, every worker's gauge reads its tasks, live."""
+        service = self.service(university, shards=3)
+        try:
+            gauges = service.snapshot_stats().shard_workers
+            assert [g.shard for g in gauges] == [0, 1, 2]
+            assert not any(g.stale or g.tasks_run for g in gauges)
+            per_shard = service.store.triples_per_shard()
+            assert len(set(per_shard)) > 1, "the graph must be skewed"
+            suggestion = service.suggest_rebalance()
+            assert suggestion
+            (_node, src, dst), *_ = suggestion
+            assert per_shard[src] == max(per_shard)
+            assert per_shard[dst] == min(per_shard)
+            expected = service.submit(STAR_QUERY).rows
+            gauges = service.snapshot_stats().shard_workers
+            assert [g.shard for g in gauges] == [0, 1, 2]
+            assert all(not g.stale and g.tasks_run > 0 for g in gauges)
+            service.rebalance(moves=suggestion)
+            assert service.submit(STAR_QUERY).rows == expected
+        finally:
+            service.close()
+
+    def test_duplicate_table_update_is_idempotent(self, university):
+        client = self.client()
+        try:
+            snapshot = partition_graph(university, NUM_NODES).snapshot()
+            client.request(Prime(snapshot, epoch=1))
+            assert client.request(TableUpdate(epoch=3)) == OkReply(3)
+            # Duplicate delivery (crash-retry): acknowledged, no effect.
+            assert client.request(TableUpdate(epoch=3)) == OkReply(3)
+            # Stale update: monotonicity wins, the worker stays at 3.
+            assert client.request(TableUpdate(epoch=2)) == OkReply(3)
+            # An execute frame stamped with the installed epoch passes
+            # the epoch gate and runs (here: no tasks, no results).
+            level = ExecuteLevel(level=0, phase="map", tasks=(), epoch=3)
+            assert client.request(level).results == []
+        finally:
+            client.close()
+
+    def test_duplicate_prime_slots_is_idempotent(self, university):
+        client = self.client()
+        try:
+            snapshot = partition_graph(university, NUM_NODES).snapshot()
+            client.request(Prime(snapshot))
+            base = client.request(Stats())
+            delta = PrimeNodes(
+                adds={}, drops=(0,), token=(snapshot.token[0], 999)
+            )
+            assert client.request(delta) == OkReply(delta.token)
+            after = client.request(Stats())
+            assert after.snapshot_token == delta.token
+            assert after.primes == base.primes + 1
+            # Duplicate delivery: same token, acknowledged without
+            # re-merging or re-priming.
+            assert client.request(delta) == OkReply(delta.token)
+            assert client.request(Stats()).primes == base.primes + 1
+        finally:
+            client.close()
+
+    def test_prime_slots_without_snapshot_is_typed(self):
+        client = self.client()
+        try:
+            with pytest.raises(WorkerStateError, match="no resident snapshot"):
+                client.request(
+                    PrimeNodes(adds={}, drops=(), token=(1, 1))
+                )
+        finally:
+            client.close()
+
+    def test_stale_epoch_rejected_typed(self, university):
+        client = self.client()
+        try:
+            snapshot = partition_graph(university, NUM_NODES).snapshot()
+            client.request(Prime(snapshot, epoch=2))
+            with pytest.raises(StaleEpoch) as info:
+                client.request(
+                    ExecuteLevel(level=0, phase="map", tasks=(), epoch=0)
+                )
+            assert info.value.shard == 0
+            assert info.value.frame_epoch == 0
+            assert info.value.worker_epoch == 2
+            # The worker survives the rejection and still serves.
+            assert client.request(Stats()).snapshot_token == snapshot.token
+        finally:
+            client.close()
+
+    def test_driver_reroutes_query_across_live_rebalance(self, university):
+        """A query routed against epoch v whose levels land after the
+        table flipped to v+1 is answered correctly: the worker rejects
+        the stale frame typed and the driver re-routes the same tasks
+        under the current table (on the pickle wire; the columnar one
+        is the twin below)."""
+        reroute_across_live_rebalance(university, self.transport, "pickle")
+
+    def test_driver_reroutes_columnar_query_across_live_rebalance(
+        self, university
+    ):
+        """The same on the columnar wire: a migration re-seeds no codec
+        (both ends number terms as the store does), so a level frame
+        may be in flight around it.  (In process no wire applies: the
+        twin reruns the carrier.)"""
+        reroute_across_live_rebalance(university, self.transport, "columnar")
+
+
+class TestInprocRebalance(_RebalanceOnEitherTransport):
+    transport = "inproc"
 
     def test_explicit_skew_moves(self, university):
         service = sharded_service(university, shards=2)
@@ -335,25 +475,6 @@ class TestInprocRebalance:
             assert report.moves == moves
             assert report.new_shards == 2
             assert service.submit(STAR_QUERY).rows == expected
-        finally:
-            service.close()
-
-    def test_suggest_rebalance_falls_back_to_stored_triples(self, university):
-        service = sharded_service(university, shards=3)
-        try:
-            suggestion = service.suggest_rebalance()
-            store = service.executor.store
-            per_shard = store.triples_per_shard()
-            if len(set(per_shard)) == 1:
-                assert suggestion == ()
-            else:
-                assert suggestion
-                (_node, src, dst), *_ = suggestion
-                assert per_shard[src] == max(per_shard)
-                assert per_shard[dst] == min(per_shard)
-                expected = service.submit(STAR_QUERY).rows
-                service.rebalance(moves=suggestion)
-                assert service.submit(STAR_QUERY).rows == expected
         finally:
             service.close()
 
@@ -515,7 +636,12 @@ class TestDefaultConfigRebalance:
 
 
 @needs_rpc
-class TestRpcRebalance:
+class TestRpcRebalance(_RebalanceOnEitherTransport):
+    """The shared tests over the socket, plus what only a socket and a
+    server process can show."""
+
+    transport = "rpc"
+
     def test_migration_ships_only_moved_slots(self, university):
         service = sharded_service(university, shard_transport="rpc")
         try:
@@ -535,26 +661,6 @@ class TestRpcRebalance:
             )
             assert shipped < full_reprime
             assert service.submit(STAR_QUERY).rows == expected
-        finally:
-            service.close()
-
-    def test_live_grow_shrink_over_rpc(self, university):
-        service = sharded_service(university, shard_transport="rpc")
-        try:
-            expected = service.submit(STAR_QUERY).rows
-            service.rebalance(target_shards=5)
-            assert service.submit(STAR_QUERY).rows == expected
-            report = service.rebalance(target_shards=3)
-            assert report.new_shards == 3
-            assert service.submit(STAR_QUERY).rows == expected
-            # The fleet really shrank: three live workers, no more.
-            router = service.executor.router
-            assert router.num_shards == 3
-            assert all(
-                client is None
-                for client in router._clients[3:]
-            )
-            assert "rebalances: 2" in service.snapshot_stats().format()
         finally:
             service.close()
 
@@ -605,111 +711,30 @@ class TestRpcRebalance:
         finally:
             service.close()
 
-    def test_duplicate_table_update_is_idempotent(self, university):
-        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES)
-        client.start()
-        try:
-            snapshot = partition_graph(university, NUM_NODES).snapshot()
-            client.request(Prime(snapshot, epoch=1))
-            assert client.request(TableUpdate(epoch=3)) == OkReply(3)
-            # Duplicate delivery (crash-retry): acknowledged, no effect.
-            assert client.request(TableUpdate(epoch=3)) == OkReply(3)
-            # Stale update: monotonicity wins, the worker stays at 3.
-            assert client.request(TableUpdate(epoch=2)) == OkReply(3)
-            # An execute frame stamped with the installed epoch passes
-            # the epoch gate and runs (here: no tasks, no results).
-            level = ExecuteLevel(level=0, phase="map", tasks=(), epoch=3)
-            assert client.request(level).results == []
-        finally:
-            client.close()
 
-    def test_duplicate_prime_slots_is_idempotent(self, university):
-        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES)
-        client.start()
-        try:
-            snapshot = partition_graph(university, NUM_NODES).snapshot()
-            client.request(Prime(snapshot))
-            base = client.request(Stats())
-            delta = PrimeNodes(
-                adds={}, drops=(0,), token=(snapshot.token[0], 999)
-            )
-            assert client.request(delta) == OkReply(delta.token)
-            after = client.request(Stats())
-            assert after.snapshot_token == delta.token
-            assert after.primes == base.primes + 1
-            # Duplicate delivery: same token, acknowledged without
-            # re-merging or re-priming.
-            assert client.request(delta) == OkReply(delta.token)
-            assert client.request(Stats()).primes == base.primes + 1
-        finally:
-            client.close()
-
-    def test_prime_slots_without_snapshot_is_typed(self):
-        from repro.cluster.rpc import WorkerStateError
-
-        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES)
-        client.start()
-        try:
-            with pytest.raises(WorkerStateError, match="no resident snapshot"):
-                client.request(
-                    PrimeNodes(adds={}, drops=(), token=(1, 1))
-                )
-        finally:
-            client.close()
-
-    def test_stale_epoch_rejected_typed(self, university):
-        client = ShardWorkerClient(shard=0, num_nodes=NUM_NODES)
-        client.start()
-        try:
-            snapshot = partition_graph(university, NUM_NODES).snapshot()
-            client.request(Prime(snapshot, epoch=2))
-            with pytest.raises(StaleEpoch) as info:
-                client.request(
-                    ExecuteLevel(level=0, phase="map", tasks=(), epoch=0)
-                )
-            assert info.value.shard == 0
-            assert info.value.frame_epoch == 0
-            assert info.value.worker_epoch == 2
-            # The worker survives the rejection and still serves.
-            assert client.request(Stats()).snapshot_token == snapshot.token
-        finally:
-            client.close()
-
-    def test_driver_reroutes_query_across_live_rebalance(self, university):
-        """A query routed against epoch v whose levels land after the
-        table flipped to v+1 is answered correctly: the worker rejects
-        the stale frame typed and the driver re-routes the same tasks
-        under the current table (on the pickle wire; the columnar one
-        is the twin below)."""
-        reroute_across_live_rebalance(university, "pickle")
-
-    def test_driver_reroutes_columnar_query_across_live_rebalance(
-        self, university
-    ):
-        """The same on the columnar wire: a migration re-seeds no codec
-        (both ends number terms as the store does), so a level frame
-        may be in flight around it."""
-        reroute_across_live_rebalance(university, "columnar")
-
-
-def reroute_across_live_rebalance(university, wire: str) -> None:
+def reroute_across_live_rebalance(university, transport: str, wire: str) -> None:
     store = shard_graph(university, NUM_NODES, 2)
-    executor = ShardedPlanExecutor(store, transport="rpc", wire_format=wire)
+    executor = ShardedPlanExecutor(store, transport=transport, wire_format=wire)
     try:
         plan = cliquesquare(parse_query(STAR_QUERY), MSC).plans[0]
         prepared = executor.prepare(plan)
         executor.prime()
         expected = executor.execute_prepared(prepared).rows
         router = executor.router
-        assert isinstance(router, RpcShardRouter)
+        assert router.transport == transport
         original = router._level_call
         fired = []
+        stale = []
 
         def tripping(shard, msg, exec_ctx):
             if not fired:
                 fired.append(True)
                 executor.rebalance(target_shards=3)
-            return original(shard, msg, exec_ctx)
+            try:
+                return original(shard, msg, exec_ctx)
+            except StaleEpoch as exc:
+                stale.append(exc)
+                raise
 
         router._level_call = tripping
         try:
@@ -717,6 +742,7 @@ def reroute_across_live_rebalance(university, wire: str) -> None:
         finally:
             router._level_call = original
         assert fired, "the mid-query rebalance never triggered"
+        assert stale, "no frame met the flipped epoch"
         assert result.rows == expected
         assert store.num_shards == 3
         # Settled topology: the next query runs at the new epoch

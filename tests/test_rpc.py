@@ -23,7 +23,7 @@ from dataclasses import replace as dataclass_replace
 
 import pytest
 
-from repro.cluster import ShardedPlanExecutor, shard_graph
+from repro.cluster import RpcShardRouter, ShardedPlanExecutor, shard_graph
 from repro.cluster.rpc import (
     BatchReply,
     ErrorReply,
@@ -36,7 +36,6 @@ from repro.cluster.rpc import (
     Request,
     ResultsReply,
     RpcProtocolError,
-    RpcShardRouter,
     ShardUnavailable,
     ShardWorkerClient,
     Shutdown,
@@ -227,20 +226,20 @@ class _LevelFrames(ExecutionBackend):
 
 def test_worker_tasks_keep_their_node_phase_and_level():
     """A backend behind a shard worker sees every task where the engine
-    placed it — the (node, phase, level) multiset a backend behind the
-    in-process router sees for the same LUBM query."""
+    placed it — the (node, phase, level) multiset the serial backend of
+    an unsharded executor sees for the same LUBM query."""
     from repro.cluster.rpc import _WorkerState
     from repro.mapreduce.backends import SerialBackend
     from repro.workloads import lubm, lubm_queries
 
     graph = lubm.generate(lubm.LUBMConfig(universities=4))
     plan = cliquesquare(lubm_queries.query("Q8"), MSC).plans[0]  # two levels
-    inproc = _PlacementRecorder(SerialBackend())
-    executor = ShardedPlanExecutor(shard_graph(graph, NUM_NODES, 2), backend=inproc)
+    store = partition_graph(graph, NUM_NODES)
+    local = _PlacementRecorder(SerialBackend())
+    executor = PlanExecutor(store, backend=local)
     want = executor.execute_prepared(executor.prepare(plan))
     executor.close()
 
-    store = partition_graph(graph, NUM_NODES)
     worker = _WorkerState(0, NUM_NODES, "serial")
     worker.install_snapshot(store.snapshot())
     remote = worker.backend = _PlacementRecorder(worker.backend)
@@ -250,7 +249,7 @@ def test_worker_tasks_keep_their_node_phase_and_level():
     finally:
         worker.close()
     assert got.rows == want.rows and got.rows
-    assert sorted(remote.seen) == sorted(inproc.seen)
+    assert sorted(remote.seen) == sorted(local.seen)
     assert {phase for _node, phase, _level in remote.seen} == {"map", "reduce"}
     assert len({level for _node, _phase, level in remote.seen}) > 1
 
@@ -688,14 +687,6 @@ class TestMultiplexing:
                 assert gauge.peak_inflight >= 1
                 assert gauge.batches == 0  # coalescing off by default
             assert "shard 0 worker:" in snapshot.format()
-        finally:
-            service.close()
-
-    def test_inproc_deployments_report_no_worker_gauges(self, university):
-        service = QueryService(university, ServiceConfig(shards=2))
-        try:
-            service.submit(STAR_QUERY)
-            assert service.snapshot_stats().shard_workers == ()
         finally:
             service.close()
 

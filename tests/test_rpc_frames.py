@@ -40,7 +40,7 @@ from repro.cluster.rpc import (
     StatsReply,
     TableUpdate,
 )
-from repro.cluster.rpc import WorkerStateError, _dispatch, _WorkerState
+from repro.cluster.rpc import WorkerStateError, _WorkerState
 from repro.columnar.block import HAVE_NUMPY, ColumnBlock, chunk_rows
 from repro.columnar.wire import (
     PackedMapResult,
@@ -314,7 +314,7 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids(backend):
     state = _WorkerState(0, NUM_NODES, backend)
     try:
         replica = pickle.loads(pickle.dumps(store.snapshot()))
-        _dispatch(state, Prime(replica, wire="columnar"))
+        state.handle(Prime(replica, wire="columnar"))
         worker = state.wire
         assert worker.dictionary is replica.dictionary is not store.dictionary
         assert list(worker.dictionary) == list(store.dictionary)
@@ -394,20 +394,20 @@ def test_table_update_merges_the_store_suffix():
     store = partition_graph(make_university_graph(), NUM_NODES)
     state = _WorkerState(0, NUM_NODES, "serial")
     try:
-        _dispatch(state, Prime(pickle.loads(pickle.dumps(store.snapshot())), "columnar"))
+        state.handle(Prime(pickle.loads(pickle.dumps(store.snapshot())), "columnar"))
         start = len(store.dictionary)
         store.add(("<person900>", "ub:worksFor", "<dept900>"))
         suffix = store.dictionary.entries_from(start)
         assert suffix == ("<person900>", "<dept900>")
         for _ in range(2):
-            _dispatch(state, TableUpdate(epoch=1, terms_from=start, terms=suffix))
+            state.handle(TableUpdate(epoch=1, terms_from=start, terms=suffix))
             assert state.stats().terms == len(store.dictionary)
             assert state.wire.limit == len(store.dictionary)
         assert state.epoch == 1
         with pytest.raises(WorkerStateError, match="gap"):
-            _dispatch(state, TableUpdate(epoch=1, terms_from=start + 5, terms=("<x>",)))
+            state.handle(TableUpdate(epoch=1, terms_from=start + 5, terms=("<x>",)))
         with pytest.raises(WorkerStateError, match="conflict"):
-            _dispatch(state, TableUpdate(epoch=1, terms_from=start, terms=("<y>",)))
+            state.handle(TableUpdate(epoch=1, terms_from=start, terms=("<y>",)))
         assert list(state.snapshot.dictionary) == list(store.dictionary)
     finally:
         state.close()
