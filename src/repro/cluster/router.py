@@ -80,10 +80,10 @@ from repro.columnar.wire import WIRE_FORMATS
 from repro.cost.params import DEFAULT_PARAMS, CostParams
 from repro.mapreduce.backends import (
     DEFAULT_RPC_PIPELINE,
-    INLINE_BACKENDS,
     ExecutionBackend,
     TaskInvocation,
     check_backend_available,
+    inline_backend,
 )
 from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.engine import ClusterConfig
@@ -410,13 +410,7 @@ class ShardRouter(ExecutionBackend):
         coalesce_window_ms: float = 0.0,
         coalesce_max_batch: int = 1,
     ) -> None:
-        if worker_backend not in INLINE_BACKENDS:
-            raise ValueError(
-                f"unknown worker backend {worker_backend!r}: a shard runs "
-                f"one inline engine ({' or '.join(INLINE_BACKENDS)}); "
-                "pools serve unsharded executors only"
-            )
-        check_backend_available(worker_backend)
+        check_backend_available(inline_backend(worker_backend))
         if wire_format not in WIRE_FORMATS:
             raise ValueError(
                 f"unknown wire format {wire_format!r}; "
@@ -832,13 +826,6 @@ class ShardRouter(ExecutionBackend):
             raise
         self._clients[shard] = client  # lint: disable=LOCK001 — caller holds this shard's lock (see docstring)
         return client
-
-    def worker_stats(self) -> list[StatsReply]:
-        """One :class:`StatsReply` per live shard worker."""
-        return [
-            self._shard_call(shard, Stats())
-            for shard in range(self.num_shards)
-        ]
 
     def worker_gauges(self) -> list[tuple[int, StatsReply | None]]:
         """Telemetry without side effects, probed concurrently:
@@ -1270,13 +1257,7 @@ class ShardedPlanExecutor(PlanExecutor):
                 f"unknown shard transport {transport!r}; "
                 "expected 'inproc' or 'rpc'"
             )
-        if isinstance(backend, ExecutionBackend):
-            raise ValueError(
-                f"a shard runs one inline engine ({' or '.join(INLINE_BACKENDS)}) "
-                "that its worker builds from a backend *name*, not the "
-                f"{backend.name!r} instance"
-            )
-        name = backend or "serial"
+        name = inline_backend(backend or "serial")
         self.transport = transport
         rpc = transport == "rpc"
         socket_options = (

@@ -56,7 +56,8 @@ from typing import Callable, Sequence
 from repro.columnar.block import ColumnBlock, chunk_rows, np
 from repro.mapreduce.hdfs import DistributedRelation, chunks_of
 
-#: Wire formats the shard transport speaks (ServiceConfig.wire_format).
+#: Wire formats the rpc shard transport speaks (ShardedPlanExecutor's
+#: ``wire_format``; the query service ships "columnar").
 WIRE_FORMATS = ("columnar", "pickle")
 
 # The narrowest stdlib array typecode per byte width available on this
@@ -110,7 +111,7 @@ class PackedRelation:
 class PackedMapResult:
     """One map task's result: emits grouped per reduce partition — the
     ``(partition, tag, row count)`` of each group plus one packed row
-    set holding the groups back to back (:func:`pack_emits`) — the
+    set holding the groups back to back — the
     direct output rows, and the task metrics (pickled — tiny)."""
 
     emits: object
@@ -202,21 +203,6 @@ def _split_emits(groups: tuple, rows) -> list[tuple]:
         shuffle.append((partition, tag, rows[start : start + count]))
         start += count
     return shuffle
-
-
-def pack_emits(shuffle: Sequence[tuple], encode: Callable[[str], int]) -> tuple:
-    """A map task's shuffle output — ``(partition, tag, chunk)`` per
-    reduce partition — as ``(groups, rows)``: the ``(partition, tag, row
-    count)`` of every chunk, and all their rows back to back, packed
-    once (blocks over one dictionary decode together, see
-    :func:`~repro.columnar.block.chunk_rows`)."""
-    rows = chunk_rows([chunk for _partition, _tag, chunk in shuffle])
-    return _emit_groups(shuffle), pack_rows(rows, encode)
-
-
-def unpack_emits(packed: tuple, decode: Callable[[int], str]) -> list[tuple]:
-    groups, rows = packed
-    return _split_emits(groups, unpack_rows(rows, decode))
 
 
 # -- the block path -------------------------------------------------------------

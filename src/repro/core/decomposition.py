@@ -25,7 +25,6 @@ from repro.core.covers import (
     minimum_covers,
 )
 from repro.core.variable_graph import (
-    Clique,
     Decomposition,
     VariableGraph,
     canonical_decomposition,
@@ -125,15 +124,6 @@ def decompositions(
 
     for cover in covers:
         yield canonical_decomposition([cliques[j] for j in cover])
-
-
-def count_decompositions(
-    graph: VariableGraph,
-    option: DecompositionOption,
-    budget: EnumerationBudget | None = None,
-) -> int:
-    """Number of decompositions of *graph* under *option* (capped by budget)."""
-    return sum(1 for _ in decompositions(graph, option, budget))
 
 
 def has_decomposition(graph: VariableGraph, option: DecompositionOption) -> bool:

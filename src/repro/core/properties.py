@@ -129,9 +129,3 @@ def plan_space_signatures(result: OptimizerResult) -> frozenset[tuple]:
     """The plan space as a set of canonical plan signatures (for the
     inclusion checks of Fig. 7)."""
     return frozenset(p.signature() for p in result.plans)
-
-
-def is_height_optimal(plan: LogicalPlan, query: BGPQuery | None = None) -> bool:
-    """True iff the plan is HO for its query (Definition 4.1)."""
-    q = query if query is not None else plan.query
-    return height(plan) == optimal_height(q)

@@ -16,9 +16,10 @@ the tasks of a level actually run:
   the slice each spec declares via ``hdfs_slice()`` (for map chains,
   one node's partitions of the shuffled intermediates).
 
-  Both pools serve an unsharded executor only: a shard runs one of the
-  :data:`INLINE_BACKENDS` (its parallelism is the shards themselves),
-  and a sharded executor given a pool backend refuses it.
+  Both pools serve a bare :class:`~repro.physical.executor.PlanExecutor`
+  only, where the perf ledger still probes them: the query service and
+  every shard run one of the :data:`INLINE_BACKENDS`
+  (:func:`inline_backend` refuses anything else).
 * :class:`ColumnarBackend` — inline like serial, but the plan task
   specs run as bulk id-space kernels over dictionary-encoded
   :class:`~repro.columnar.block.ColumnBlock` columns (numpy int64
@@ -36,8 +37,7 @@ outputs are reproducible across backends and across runs.
 The process backend degrades gracefully: where process pools are
 unavailable (sandboxed CI, restricted containers) or a task spec cannot
 be pickled (closure-style tasks), it falls back to serial execution and
-reports the reason through its ``on_fallback`` callback — the query
-service surfaces that as a warning in :class:`~repro.service.stats.ServiceStats`.
+says so once with a :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
@@ -378,9 +378,9 @@ class ProcessBackend(ExecutionBackend):
 
     With ``fallback=True`` (the default) any infrastructure failure —
     pool creation denied, worker death, unpicklable task spec — demotes
-    the backend to serial execution for good, reporting the reason once
-    through ``on_fallback``.  With ``fallback=False`` the same failures
-    raise :class:`BackendUnavailable`.
+    the backend to serial execution for good, warning once with the
+    reason.  With ``fallback=False`` the same failures raise
+    :class:`BackendUnavailable`.
     """
 
     name = "process"
@@ -390,7 +390,6 @@ class ProcessBackend(ExecutionBackend):
         num_workers: int | None = None,
         *,
         fallback: bool = True,
-        on_fallback: Callable[[str], None] | None = None,
         mp_context: str | None = None,
     ) -> None:
         if num_workers is None:
@@ -399,7 +398,6 @@ class ProcessBackend(ExecutionBackend):
             raise ValueError(f"ProcessBackend needs >= 1 worker, got {num_workers}")
         self.num_workers = num_workers
         self.fallback = fallback
-        self.on_fallback = on_fallback
         self._mp_context = mp_context
         #: guards pool creation/swap/demotion (run() may be called from
         #: many service threads at once; submissions themselves are
@@ -463,16 +461,12 @@ class ProcessBackend(ExecutionBackend):
         with self._lock:
             if self._serial is None:
                 self._serial = SerialBackend()
-                if self.on_fallback is not None:
-                    self.on_fallback(reason)
-                else:
-                    # Never demote silently: a bare executor without a
-                    # stats hook still gets a visible signal.
-                    warnings.warn(
-                        f"ProcessBackend demoted to serial: {reason}",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
+                # Never demote silently.
+                warnings.warn(
+                    f"ProcessBackend demoted to serial: {reason}",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
             if self._pool is not None:
                 try:
                     self._pool.shutdown(wait=False)
@@ -543,18 +537,37 @@ class ProcessBackend(ExecutionBackend):
 
 
 #: Default number of concurrently executing requests per RPC shard
-#: server — the worker-side dispatch pool size (ServiceConfig.rpc_pipeline).
-#: ``0`` disables multiplexing: the driver serialises the connection.
+#: server — the worker-side dispatch pool size, the one the query
+#: service runs (``ShardedPlanExecutor(rpc_pipeline=...)``).  ``0``
+#: disables multiplexing: the driver serialises the connection.
 DEFAULT_RPC_PIPELINE = 4
 
 
-#: Names accepted by :func:`make_backend` (and ServiceConfig.backend).
+#: Names accepted by :func:`make_backend`.
 BACKEND_NAMES = ("serial", "thread", "process", "columnar")
 
-#: The engines a shard runs: inline, keeping no pool, so one instance
-#: serves every shard of an in-process deployment and a shard server
-#: process holds exactly one.
+#: The engines the query service and every shard run
+#: (``ServiceConfig.backend``): inline, keeping no pool, so a shard
+#: worker holds exactly one.
 INLINE_BACKENDS = ("serial", "columnar")
+
+
+def inline_backend(backend: object) -> str:
+    """*backend* if it names one of :data:`INLINE_BACKENDS`, else a
+    :class:`ValueError` naming them: a pool name, or an engine instance
+    where the engine is built from its name."""
+    engines = " or ".join(INLINE_BACKENDS)
+    if isinstance(backend, ExecutionBackend):
+        raise ValueError(
+            f"a service or shard runs one inline engine ({engines}) that "
+            f"it builds from a backend *name*, not the {backend.name!r} instance"
+        )
+    if backend not in INLINE_BACKENDS:
+        raise ValueError(
+            f"unknown worker backend {backend!r}: a service or shard runs "
+            f"one inline engine ({engines}); pools serve bare executors only"
+        )
+    return str(backend)
 
 
 def check_backend_available(backend: str) -> None:
@@ -570,7 +583,6 @@ def check_backend_available(backend: str) -> None:
 def make_backend(
     backend: "str | ExecutionBackend | None",
     num_workers: int | None = None,
-    on_fallback: Callable[[str], None] | None = None,
 ) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
 
@@ -587,7 +599,7 @@ def make_backend(
     if backend == "thread":
         return ThreadBackend(num_workers if num_workers is not None else 4)
     if backend == "process":
-        return ProcessBackend(num_workers, on_fallback=on_fallback)
+        return ProcessBackend(num_workers)
     if backend == "columnar":
         check_backend_available(backend)
         return ColumnarBackend()

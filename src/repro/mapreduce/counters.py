@@ -95,10 +95,6 @@ class ExecutionReport:
     def num_jobs(self) -> int:
         return len(self.jobs)
 
-    @property
-    def num_map_only_jobs(self) -> int:
-        return sum(1 for j in self.jobs if j.map_only)
-
     def job_signature(self) -> str:
         """The paper's Fig. 20/21 job annotation: 'M' for a map-only
         execution, otherwise the number of jobs."""

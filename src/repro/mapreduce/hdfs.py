@@ -98,9 +98,6 @@ class HDFS:
     def exists(self, name: str) -> bool:
         return name in self.files
 
-    def delete(self, name: str) -> None:
-        self.files.pop(name, None)
-
     def write_partitioned(
         self,
         name: str,

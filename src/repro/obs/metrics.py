@@ -17,7 +17,6 @@ JSON-able dict.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from bisect import bisect_left
@@ -364,9 +363,6 @@ class MetricsRegistry:
                 "series": entries,
             }
         return out
-
-    def render_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True)
 
 
 class _Handle:

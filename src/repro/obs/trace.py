@@ -35,7 +35,7 @@ from collections import OrderedDict
 from contextlib import AbstractContextManager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.analysis.locks import checked
 
@@ -61,10 +61,6 @@ class Span:
     start_s: float
     duration_s: float
     attrs: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def end_s(self) -> float:
-        return self.start_s + self.duration_s
 
 
 @dataclass
@@ -605,10 +601,6 @@ def attach_worker_spans(
         )
         if span_id:
             ids[index] = span_id
-
-
-def iter_spans(trace: Trace) -> Iterator[Span]:
-    return iter(trace.spans)
 
 
 __all__ = [

@@ -54,7 +54,6 @@ from dataclasses import asdict, dataclass
 from repro.analysis.locks import ReadWriteLock, checked
 from repro.cluster import ShardedPlanExecutor, ShardedStore, shard_graph
 from repro.columnar.block import HAVE_NUMPY
-from repro.columnar.wire import WIRE_FORMATS
 from repro.core.algorithm import OptimizerResult, cost_bounded_search
 from repro.core.decomposition import MSC, DecompositionOption
 from repro.core.logical import LogicalPlan, rewrite_patterns
@@ -65,7 +64,7 @@ from repro.cost.cardinality import (
 )
 from repro.cost.model import PlanCoster, select_best_plan
 from repro.cost.params import DEFAULT_PARAMS, CostParams
-from repro.mapreduce.backends import DEFAULT_RPC_PIPELINE, make_backend
+from repro.mapreduce.backends import inline_backend
 from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.engine import ClusterConfig
 from repro.obs.trace import (
@@ -120,7 +119,15 @@ class ServiceOverloaded(RuntimeError):
 
 @dataclass
 class ServiceConfig:
-    """Deployment knobs for the query service."""
+    """Deployment knobs for the query service.
+
+    A service runs one inline engine (``backend``) on one of three
+    deployments (``shards`` / ``shard_transport``).  What the perf
+    ledger still probes but no deployment needs — the pickle wire, the
+    rpc concurrency modes and the thread / process pools — are
+    arguments of :class:`~repro.cluster.ShardedPlanExecutor` and
+    :class:`~repro.physical.executor.PlanExecutor`, not fields here.
+    """
 
     num_nodes: int = 7
     option: DecompositionOption = MSC
@@ -137,20 +144,17 @@ class ServiceConfig:
     result_cache_size: int | None = 256
     #: worker threads for submit_batch
     max_workers: int = 8
-    #: task execution backend: "columnar" | "serial" | "thread" |
-    #: "process" (or, unsharded, an ExecutionBackend instance).  The default is
-    #: resolved from the platform: the id-space engine ("columnar", bulk
-    #: numpy kernels over dictionary-encoded columns) where numpy is
-    #: importable, "serial" otherwise.  SerialBackend is the reference
-    #: every other backend is checked against (answers and field-wise
-    #: reports, tests/conformance.py), not the fast path.  The pool
-    #: backends serve the unsharded store only: "thread" runs a level's
-    #: tasks on 4 threads; "process" fans them across one worker
-    #: process per available CPU and, where process pools are
-    #: unavailable, falls back to serial and records a warning in
-    #: ServiceStats.  With shards >= 1 each shard worker builds its own
-    #: engine from this name: a pool backend or an instance is a
-    #: ValueError.
+    #: the engine that runs every task, by name: "columnar" or "serial"
+    #: (mapreduce.backends.INLINE_BACKENDS), the same on every
+    #: deployment — unsharded, the service's executor runs it; sharded,
+    #: each shard worker builds one.  The default is resolved from the
+    #: platform: the id-space engine ("columnar", bulk numpy kernels
+    #: over dictionary-encoded columns) where numpy is importable,
+    #: "serial" otherwise.  SerialBackend is the reference every engine
+    #: is checked against (answers and field-wise reports,
+    #: tests/conformance.py), not the fast path.  A pool name ("thread",
+    #: "process") or an ExecutionBackend instance is a ValueError: the
+    #: pools lost every ledger probe and serve a bare PlanExecutor only.
     backend: str = "columnar" if HAVE_NUMPY else "serial"
     #: individualization budget of the canonicalizer
     canonical_budget: int = 4096
@@ -168,46 +172,22 @@ class ServiceConfig:
     #: ShardRouter (repro.cluster; ownership is a node→shard table that
     #: QueryService.rebalance moves live): map levels run shard-local and
     #: the shuffle between map and reduce is the cross-shard exchange.
-    #: Answers and reports are identical for any shard count.  A shard
-    #: worker runs one inline engine: backend must be "serial" or
-    #: "columnar".
+    #: Answers and reports are identical for any shard count.
     shards: int = 0
     #: how the shard workers are reached (requires ``shards >= 1``).
     #: A worker holds its snapshot and one inline engine, nothing about
     #: plans, and gets each level as one frame (repro.cluster.rpc):
     #: "inproc" keeps it in the driver process and hands it frames as
     #: objects; "rpc" runs it as a long-lived server process behind a
-    #: localhost socket.  A crashed server is respawned (the failed
-    #: request retried) once; sustained failure raises a typed
-    #: ShardUnavailable, counted in snapshot_stats().shard_failures.
+    #: localhost socket.  Over rpc, rows cross as id buffers in the
+    #: store's numbering (the columnar wire), each connection carries up
+    #: to DEFAULT_RPC_PIPELINE outstanding levels and concurrent queries'
+    #: levels are not coalesced; ShardedPlanExecutor keeps the other
+    #: wire and modes for the ledger's probes.  A crashed server is
+    #: respawned (the failed request retried) once; sustained failure
+    #: raises a typed ShardUnavailable, counted in
+    #: snapshot_stats().shard_failures.
     shard_transport: str = "inproc"
-    #: row encoding of the rpc shard exchanges: "columnar" (default)
-    #: ships map inputs, reduce exchange chunks and results as
-    #: id buffers in the store's numbering, which every worker holds a
-    #: replica of (repro.columnar.wire; id blocks cross without being
-    #: decoded or translated where numpy is present); "pickle"
-    #: keeps the original pickled tuple-list frames.  Answers and
-    #: reports are identical either way; shard_bytes reports the
-    #: encoded request sizes.  Ignored unless shard_transport="rpc".
-    wire_format: str = "columnar"
-    #: outstanding requests per shard rpc connection.  Each frame
-    #: carries a request id; a per-connection reader thread matches
-    #: replies to waiters, and each shard worker executes up to this
-    #: many levels concurrently on a dispatch pool (state-mutating
-    #: frames still serialize).  0 = serial request-response (one
-    #: outstanding request at a time — the pre-multiplexing baseline).
-    #: Ignored unless shard_transport="rpc".
-    rpc_pipeline: int = DEFAULT_RPC_PIPELINE
-    #: cross-query level coalescing: when > 0 (and coalesce_max_batch
-    #: > 1), ExecuteLevels that concurrent queries dispatch to the same
-    #: shard within this window are merged into one ExecuteBatch frame
-    #: — one encode/send/recv per shard instead of one per query.
-    #: Adds up to this much latency to a lone query's level; answers
-    #: and reports are unchanged.  Ignored unless shard_transport="rpc".
-    coalesce_window_ms: float = 0.0
-    #: upper bound on levels merged into one ExecuteBatch frame
-    #: (1 = coalescing off).  Ignored unless shard_transport="rpc".
-    coalesce_max_batch: int = 1
     #: admission control: maximum concurrently executing submissions.
     #: Beyond it, submit/submit_batch/PreparedQuery.execute raise
     #: ServiceOverloaded instead of queueing.  None = unbounded.
@@ -608,25 +588,12 @@ class QueryService:
                 "shard_transport='rpc' requires shards >= 1 "
                 "(the RPC boundary sits between router and shard workers)"
             )
-        if self.config.wire_format not in WIRE_FORMATS:
-            raise ValueError(
-                f"unknown wire_format {self.config.wire_format!r}; "
-                f"expected one of {WIRE_FORMATS}"
-            )
-        if self.config.rpc_pipeline < 0:
-            raise ValueError(
-                f"rpc_pipeline must be >= 0, got {self.config.rpc_pipeline}"
-            )
-        if self.config.coalesce_window_ms < 0:
-            raise ValueError(
-                "coalesce_window_ms must be >= 0, "
-                f"got {self.config.coalesce_window_ms}"
-            )
-        if self.config.coalesce_max_batch < 1:
-            raise ValueError(
-                "coalesce_max_batch must be >= 1, "
-                f"got {self.config.coalesce_max_batch}"
-            )
+        for field in ("num_nodes", "max_workers"):
+            if getattr(self.config, field) < 1:
+                raise ValueError(
+                    f"{field} must be >= 1, got {getattr(self.config, field)}"
+                )
+        backend = inline_backend(self.config.backend)
         # Before the executor: its failure callbacks are bound to the
         # stats, not to the service — a service -> executor -> service
         # cycle would leave a closed service's stores to the cycle
@@ -638,29 +605,21 @@ class QueryService:
             self.store = shard_graph(
                 graph, self.config.num_nodes, self.config.shards
             )
-            self.backend = None
             self.executor: PlanExecutor = ShardedPlanExecutor(
                 self.store,
                 ClusterConfig(num_nodes=self.config.num_nodes),
                 self.config.params,
-                backend=self.config.backend,
+                backend=backend,
                 transport=self.config.shard_transport,
                 on_shard_failure=self.stats.record_shard_failure,
-                wire_format=self.config.wire_format,
-                rpc_pipeline=self.config.rpc_pipeline,
-                coalesce_window_ms=self.config.coalesce_window_ms,
-                coalesce_max_batch=self.config.coalesce_max_batch,
             )
         else:
             self.store = partition_graph(graph, self.config.num_nodes)
-            self.backend = make_backend(
-                self.config.backend, on_fallback=self.stats.record_warning
-            )
             self.executor = PlanExecutor(
                 self.store,
                 ClusterConfig(num_nodes=self.config.num_nodes),
                 self.config.params,
-                backend=self.backend,
+                backend=backend,
             )
         self.catalog = CatalogStatistics.from_graph(graph)
         self.estimator = CardinalityEstimator(self.catalog)
@@ -705,10 +664,10 @@ class QueryService:
         self._admission = _Admission(
             self.config.max_inflight, self.stats.record_rejection
         )
-        # Start process workers (if any) before serving threads exist:
-        # fork-based pools must not be created from a multithreaded
-        # batch submission mid-flight.  With shards, every shard worker
-        # starts and is primed with its own view of the store.
+        # With shards, every shard worker starts and is primed with its
+        # own view of the store before serving threads exist: a forked
+        # rpc server must not be created from a multithreaded batch
+        # submission mid-flight.
         self.executor.prime()
 
     # -- lifecycle ---------------------------------------------------------
@@ -817,12 +776,8 @@ class QueryService:
         config = self.config
         sharded = self.sharded
         # The engine the config resolves to (the default differs with
-        # and without numpy), by its registered name either way.
-        backend = (
-            config.backend
-            if isinstance(config.backend, str)
-            else config.backend.name
-        )
+        # and without numpy).
+        backend = config.backend
         rpc = sharded and config.shard_transport == "rpc"
         return explain_plan(
             plan,
@@ -832,7 +787,7 @@ class QueryService:
             shard_triples=store.triples_per_shard() if sharded else None,
             transport=config.shard_transport if sharded else None,
             rows="columnar" if backend == "columnar" else "tuple",
-            wire=config.wire_format if rpc else None,
+            wire=self.executor.router.wire_format if rpc else None,
             wire_bytes=self._last_wire_bytes if rpc else None,
         )
 
@@ -906,13 +861,11 @@ class QueryService:
                     self.estimator = CardinalityEstimator(self.catalog)
                     self.coster = PlanCoster(self.estimator, self.config.params)
                     self.stats.record_mutation()
-                    # Rebuild a process worker pool (re-prime rpc shard
-                    # workers) now, while the write lock quiesces every
-                    # query thread: a fork-based pool must not be
-                    # (re)created mid-batch from a pool thread, and the
-                    # workers' store snapshot is stale anyway.  rpc
-                    # re-primes only the shards the batch actually
-                    # touched (snapshot tokens are per shard).
+                    # Re-prime the shard workers now, while the write
+                    # lock quiesces every query thread: their store
+                    # snapshot is stale.  Only the shards the batch
+                    # actually touched re-prime (snapshot tokens are per
+                    # shard).
                     self.executor.prime()
         return added
 

@@ -26,12 +26,10 @@ Behaviour reproduced:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from repro.cost.params import CostParams
 from repro.partitioning.triple_partitioner import place
 from repro.rdf.graph import RDFGraph
-from repro.rdf.terms import is_variable
 from repro.relational.joins import hash_join
 from repro.relational.relation import Relation
 from repro.sparql.ast import BGPQuery, TriplePattern
@@ -44,16 +42,6 @@ SHAPE_PARAMS = CostParams(job_overhead=400.0)
 
 #: RDF-3X-style indexed access cost per retrieved tuple, relative to c_read.
 LOCAL_COST_FACTOR = 0.35
-
-
-def forward_closure_subjects(anchor: str, query: BGPQuery) -> set[str]:
-    """Subjects reachable from *anchor* within one forward hop: the
-    anchor itself plus objects of patterns whose subject is the anchor."""
-    reachable = {anchor}
-    for tp in query.patterns:
-        if tp.s == anchor:
-            reachable.add(tp.o)
-    return reachable
 
 
 def pwoc_anchor_2f(patterns: tuple[TriplePattern, ...]) -> str | None:

@@ -1,12 +1,16 @@
 """The reusable answer-equality conformance harness.
 
 Every execution configuration of this system — execution backend
-(serial / thread / process / columnar unsharded, the inline serial /
-columnar engines a shard runs, and the platform-resolved default of a
-config that names none), deployment (unsharded, sharded in-process,
-sharded over RPC), submission surface (submit, prepare/bind/execute,
-submit_batch) — must produce **bit-identical answers** and **field-wise
-identical execution reports** to the single-store serial reference.
+(the inline serial / columnar engines a service runs on every
+deployment, and the platform-resolved default of a config that names
+none), deployment (unsharded, sharded in-process, sharded over RPC),
+submission surface (submit, prepare/bind/execute, submit_batch) — must
+produce **bit-identical answers** and **field-wise identical execution
+reports** to the single-store serial reference.  The mechanisms only a
+bare executor reaches have their own cells at that level: the rpc wire
+formats and concurrency modes (``RPC_WIRES`` x ``RPC_MODES``, through
+``ShardedPlanExecutor``), and the thread / process pools
+(``tests/test_backends.py::TestBackendEquivalence``).
 Earlier PRs each re-proved this ad hoc for the configuration they
 added; this module is the one shared proof, and
 ``tests/test_conformance.py`` runs it over the whole matrix on all 14
@@ -31,16 +35,20 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
+from repro.cluster import ShardedPlanExecutor, shard_graph
 from repro.columnar.block import HAVE_NUMPY, ColumnBlock
-from repro.mapreduce.backends import SerialBackend, TaskInvocation
+from repro.core.algorithm import cliquesquare
+from repro.core.decomposition import MSC
+from repro.mapreduce.backends import INLINE_BACKENDS, SerialBackend, TaskInvocation
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.jobs import MapTaskSpec, TaskContext
 from repro.partitioning.triple_partitioner import partition_graph
-from repro.physical.executor import job_from_spec
+from repro.physical.executor import PreparedPlan, job_from_spec
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import RDF_TYPE, is_variable
 from repro.service import QueryOutcome, QueryService, ServiceConfig
@@ -117,27 +125,23 @@ DEPLOYMENTS: dict[str, dict] = {
     "shards4-rpc": {"shards": 4, "shard_transport": "rpc"},
 }
 
-BACKENDS = ("serial", "thread", "process", "columnar")
-
-#: the engines a sharded deployment runs (the pool backends are
-#: refused there: a shard runs one inline engine)
-SHARD_BACKENDS = ("serial", "columnar")
-
-#: the (deployment, backend) cells of the matrix: every backend
-#: unsharded, the inline engines on every sharded deployment
+#: the (deployment, backend) cells of the matrix: the engines a service
+#: runs (a pool backend is refused on every deployment)
 CELLS = tuple(
     (deployment, backend)
     for deployment in sorted(DEPLOYMENTS)
-    for backend in (BACKENDS if deployment == "unsharded" else SHARD_BACKENDS)
+    for backend in INLINE_BACKENDS
 )
 
 SURFACES = ("submit", "prepare", "batch")
 
-#: rpc concurrency mode id -> ServiceConfig overrides.  "pipelined"
-#: multiplexes many outstanding requests on each shard socket;
-#: "coalesced" additionally merges concurrent queries' levels into
-#: shared ExecuteBatch frames inside a short window.
+#: rpc concurrency mode id -> ShardedPlanExecutor options (the service
+#: runs the default pipeline and no coalescing).  "serial_conn" keeps
+#: one outstanding request per shard socket; "pipelined" multiplexes
+#: many; "coalesced" additionally merges concurrent queries' levels
+#: into shared ExecuteBatch frames inside a short window.
 RPC_MODES: dict[str, dict] = {
+    "serial_conn": {"rpc_pipeline": 0},
     "pipelined": {"rpc_pipeline": 8},
     "coalesced": {
         "rpc_pipeline": 8,
@@ -146,14 +150,13 @@ RPC_MODES: dict[str, dict] = {
     },
 }
 
-#: row encodings of the rpc shard exchanges
+#: row encodings of the rpc shard exchanges (ShardedPlanExecutor's
+#: ``wire_format``; the service ships "columnar")
 RPC_WIRES = ("pickle", "columnar")
 
 
 def skip_unless_supported(deployment: str, backend: str) -> None:
     """Skip a matrix cell whose environment requirements are unmet."""
-    if backend == "process" and not process_pools_work():
-        pytest.skip("process pools unavailable in this environment")
     if backend == "columnar":
         from repro.columnar import columnar_available
 
@@ -349,7 +352,16 @@ def run_surface(
 
 
 def assert_conforms(expected: Expected, outcome: QueryOutcome, where: str) -> None:
-    """Answer equality plus field-wise ExecutionReport consistency.
+    """:func:`assert_result_conforms` for a service outcome, whose own
+    job signature must agree too."""
+    assert outcome.job_signature == expected.job_signature, where
+    assert_result_conforms(expected, outcome, where)
+
+
+def assert_result_conforms(expected: Expected, outcome, where: str) -> None:
+    """Answer equality plus field-wise ExecutionReport consistency, for
+    anything with ``attrs``, ``rows`` and ``report`` (a service outcome
+    or an executor's ``ExecutionResult``).
 
     Transport/backend labels (``report.backend``, ``report.shards``,
     ``report.transport`` and the per-shard ``report.shard_*`` counts)
@@ -363,7 +375,6 @@ def assert_conforms(expected: Expected, outcome: QueryOutcome, where: str) -> No
     num_jobs, signature, levels, rt, work, jobs = _report_fields(outcome.report)
     assert num_jobs == expected.num_jobs, where
     assert signature == expected.job_signature, where
-    assert outcome.job_signature == expected.job_signature, where
     assert levels == expected.levels, where
     assert rt == expected.response_time, where
     assert work == expected.total_work, where
@@ -577,6 +588,26 @@ def _sorted_map_result(result) -> tuple:
     )
 
 
+#: the node count of a default service, which the reference runs at
+NUM_NODES = ServiceConfig().num_nodes
+
+
+def rpc_executor(graph, shards: int = 2, **options) -> ShardedPlanExecutor:
+    """A primed rpc ``ShardedPlanExecutor`` over *graph* (``NUM_NODES``
+    nodes on *shards* shards) with *options* — the wire format and rpc
+    modes a service does not set."""
+    executor = ShardedPlanExecutor(
+        shard_graph(graph, NUM_NODES, shards), transport="rpc", **options
+    )
+    executor.prime()
+    return executor
+
+
+def prepare_text(executor, text: str) -> PreparedPlan:
+    """The first MSC plan of SPARQL *text*, prepared on *executor*."""
+    return executor.prepare(cliquesquare(parse_query(text), MSC).plans[0])
+
+
 def kill_worker(client) -> None:
     """SIGKILL a shard server process — and the process-pool children
     it forked, if any: they would outlive it, blocked on a queue nobody
@@ -708,12 +739,21 @@ def worker_dictionaries(service: QueryService) -> list[tuple[str, ...]]:
     return [direct[0][0] for _shuffle, direct, _metrics in results]
 
 
+def worker_stats(router) -> list:
+    """One ``StatsReply`` per shard, from ``router.worker_gauges()``:
+    every shard's worker is live and answered its probe."""
+    gauges = router.worker_gauges()
+    assert [shard for shard, _ in gauges] == list(range(router.num_shards)), gauges
+    assert all(reply is not None for _, reply in gauges), gauges
+    return [reply for _, reply in gauges]
+
+
 def assert_replicas_equal_the_store(service: QueryService, where: str = ""):
     """Every worker's dictionary equals ``service.store.dictionary``, in
     length (its ``Stats``) and in content (a probe task); returns the
     ``Stats`` replies."""
     dictionary = service.store.dictionary
-    stats = service.executor.router.worker_stats()
+    stats = worker_stats(service.executor.router)
     assert [reply.terms for reply in stats] == [len(dictionary)] * len(stats), where
     assert worker_dictionaries(service) == [tuple(dictionary)] * len(stats), where
     return stats
@@ -769,7 +809,8 @@ def assert_one_id_space(
     """
     router = service.executor.router
     dictionary = service.store.dictionary
-    blocks_expected = service.config.wire_format == "columnar" and HAVE_NUMPY
+    # the service's rpc wire is the columnar one
+    blocks_expected = HAVE_NUMPY
 
     def check(moment: str):
         at = f"{where}/{moment}"
@@ -807,16 +848,18 @@ def assert_one_id_space(
 
 
 def assert_concurrent_conforms(
-    service: QueryService,
+    run: Callable[[BGPQuery], object],
     queries,
     reference: dict[str, Expected],
     threads: int = 4,
     where: str = "",
 ) -> None:
-    """The concurrent=N dimension: *threads* driver threads each submit
+    """The concurrent=N dimension: *threads* driver threads each *run*
     the full workload, rotated so different threads sit on different
     queries at any instant (a mixed concurrent load, not a stampede on
-    one key), and every outcome must conform to the serial reference.
+    one key), and every result must conform to the serial reference
+    (:func:`assert_result_conforms`: *run* may be a service's submit or
+    an executor running each query's prepared plan).
     """
     queries = list(queries)
     rotations = [
@@ -825,14 +868,14 @@ def assert_concurrent_conforms(
     ]
     results: list[object] = [None] * threads
 
-    def run(i: int) -> None:
+    def drive(i: int) -> None:
         try:
-            results[i] = [service.submit(q) for q in rotations[i]]
+            results[i] = [run(q) for q in rotations[i]]
         except BaseException as exc:  # surfaced by the main thread
             results[i] = exc
 
     workers = [
-        threading.Thread(target=run, args=(i,), name=f"conform-driver-{i}")
+        threading.Thread(target=drive, args=(i,), name=f"conform-driver-{i}")
         for i in range(threads)
     ]
     for worker in workers:
@@ -844,7 +887,7 @@ def assert_concurrent_conforms(
         assert not isinstance(outcomes, BaseException), (where, i, outcomes)
         assert len(outcomes) == len(rotations[i]), (where, i)
         for query, outcome in zip(rotations[i], outcomes):
-            assert_conforms(
+            assert_result_conforms(
                 reference[query.name],
                 outcome,
                 f"{where}/concurrent{threads}:t{i}/{query.name}",

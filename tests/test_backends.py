@@ -291,19 +291,18 @@ class TestGuardsAndFallback:
         assert make_backend(passthrough) is passthrough
 
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        messages = []
-        backend = ProcessBackend(2, on_fallback=messages.append)
+        backend = ProcessBackend(2)
         monkeypatch.setattr(
             ProcessBackend,
             "_create_pool",
             lambda self, ctx: (_ for _ in ()).throw(OSError("no forks here")),
         )
         invocations = [TaskInvocation(_SquareSpec(), (n,)) for n in (2, 3, 4)]
-        assert backend.run(invocations, TaskContext(num_nodes=1)) == [4, 9, 16]
-        assert messages and "no forks here" in messages[0]
-        # Demotion is sticky: later runs go straight to serial, warn once.
-        assert backend.run(invocations, TaskContext(num_nodes=1)) == [4, 9, 16]
-        assert len(messages) == 1
+        with pytest.warns(RuntimeWarning, match="no forks here") as caught:
+            assert backend.run(invocations, TaskContext(num_nodes=1)) == [4, 9, 16]
+            # Demotion is sticky: later runs go straight to serial, warn once.
+            assert backend.run(invocations, TaskContext(num_nodes=1)) == [4, 9, 16]
+        assert len(caught) == 1
         backend.close()
 
     def test_pool_failure_without_fallback_raises(self, monkeypatch):
@@ -324,16 +323,15 @@ class TestGuardsAndFallback:
     def test_closure_tasks_fall_back_to_serial(self):
         """FnMapSpec wraps a closure — unpicklable, so the process
         backend demotes itself instead of failing the job."""
-        messages = []
-        backend = ProcessBackend(2, on_fallback=messages.append)
+        backend = ProcessBackend(2)
 
         def make(n):
             return lambda: ([], [(n,)], TaskMetrics())
 
         invocations = [TaskInvocation(FnMapSpec(make(n))) for n in (1, 2)]
-        results = backend.run(invocations, TaskContext(num_nodes=1))
+        with pytest.warns(RuntimeWarning, match="demoted to serial"):
+            results = backend.run(invocations, TaskContext(num_nodes=1))
         assert [direct for _, direct, _ in results] == [[(1,)], [(2,)]]
-        assert messages
         backend.close()
 
     @needs_process
@@ -356,25 +354,6 @@ class TestGuardsAndFallback:
         finally:
             backend.close()
         assert backend.pool_token is None
-
-    def test_service_fallback_records_warning(self, monkeypatch):
-        from repro.service.service import QueryService, ServiceConfig
-
-        monkeypatch.setattr(
-            ProcessBackend,
-            "_create_pool",
-            lambda self, ctx: (_ for _ in ()).throw(OSError("sandboxed CI")),
-        )
-        graph = make_university_graph()
-        with QueryService(
-            graph, ServiceConfig(num_nodes=4, backend="process")
-        ) as service:
-            outcome = service.submit("SELECT ?p ?d WHERE { ?p ub:worksFor ?d }")
-            assert outcome.rows
-            snapshot = service.snapshot_stats()
-            assert snapshot.warnings
-            assert "sandboxed CI" in snapshot.warnings[0]
-            assert "warning:" in snapshot.format()
 
 
 class TestLegacyTaskApi:

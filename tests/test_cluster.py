@@ -595,15 +595,22 @@ class TestClusterPlumbing:
         finally:
             pool.close()
 
-    @pytest.mark.parametrize("transport", ["inproc", "rpc"])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("transport", ["inproc", "rpc", "unsharded"])
+    @pytest.mark.parametrize("backend", ["thread", "process", "instance"])
     def test_pool_backend_config_rejected(self, backend, transport):
-        """``ServiceConfig(shards=2, backend=<pool>)`` fails typed when
-        the service is built, before any shard worker exists."""
+        """``ServiceConfig(backend=<pool or engine instance>)`` fails
+        typed when the service is built, on every deployment (unsharded
+        is ``shards=0``), before any shard worker exists."""
+        deployment = (
+            {"shards": 0}
+            if transport == "unsharded"
+            else {"shards": 2, "shard_transport": transport}
+        )
+        engine = SerialBackend() if backend == "instance" else backend
         with pytest.raises(ValueError, match="inline engine.*serial or columnar"):
             QueryService(
                 make_university_graph(),
-                ServiceConfig(shards=2, shard_transport=transport, backend=backend),
+                ServiceConfig(backend=engine, **deployment),
             )
 
     def test_each_worker_holds_one_engine_of_the_named_kind(self, university):

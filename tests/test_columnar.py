@@ -27,9 +27,7 @@ from repro.columnar.kernels import (
 from repro.columnar.wire import (
     PackedRows,
     RawRows,
-    pack_emits,
     pack_rows,
-    unpack_emits,
     unpack_rows,
 )
 from repro.mapreduce.backends import ExecutionBackend, make_backend
@@ -193,28 +191,6 @@ def test_pack_rows_falls_back_on_ragged_or_nonstring():
         assert isinstance(packed, RawRows)
         assert unpack_rows(packed, d.decode) == rows
     assert len(d) == 0  # fallback must not pollute the send dictionary
-
-
-def test_pack_emits_roundtrip():
-    """A map result's emits cross the wire grouped per reduce partition:
-    the groups' sizes beside one packed row set, any chunk flattened."""
-    d = Dictionary()
-    emits = [
-        (3, 0, [("a", "b"), ("c", "a")]),
-        (1, 2, [("c", "a")]),
-        (0, 1, iter_only([("b", "b")])),
-    ]
-    groups, rows = packed = pack_emits(emits, d.encode)
-    assert groups == ((3, 0, 2), (1, 2, 1), (0, 1, 1))
-    assert isinstance(rows, PackedRows) and rows.count == 4
-    assert unpack_emits(packed, d.decode) == [
-        (p, t, list(chunk)) for p, t, chunk in emits
-    ]
-    assert unpack_emits(pack_emits([], d.encode), d.decode) == []
-    # rows that cannot be id-encoded fall back to their pickled form
-    mixed = [(0, 0, [("a",)]), (1, 0, [("a", 1)])]
-    assert isinstance(pack_emits(mixed, d.encode)[1], RawRows)
-    assert unpack_emits(pack_emits(mixed, d.encode), d.decode) == mixed
 
 
 class iter_only:

@@ -1,7 +1,6 @@
-"""The conformance matrix: {serial, thread, process, columnar}
-unsharded plus {serial, columnar} x {shards=1, shards=4} x {inproc,
-rpc} — 12 cells, every sharded one running the shard worker's code —
-x {submit, prepare/bind/execute, submit_batch} on
+"""The conformance matrix: {serial, columnar} x {unsharded, shards=1,
+shards=4} x {inproc, rpc} — 10 cells, every sharded one running the
+shard worker's code — x {submit, prepare/bind/execute, submit_batch} on
 all 14 LUBM queries plus the two variable-free patterns of
 ``conformance.ground_queries`` (one present, one absent).  The submit
 surface sends each query as an object, then twice as SPARQL text: the
@@ -18,6 +17,9 @@ the same spans (``conformance.assert_one_pipeline``), and that a write
 invalidates exactly the cached answers that read a file it wrote
 (``conformance.assert_writes_conform``, on a twin with the result
 cache on).
+
+What only a bare executor reaches runs at that level: the rpc wire
+formats x concurrency modes (``test_concurrent_rpc_conformance``).
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ import os
 
 import pytest
 
+from repro.mapreduce.backends import BACKEND_NAMES, INLINE_BACKENDS
+from repro.partitioning.triple_partitioner import partition_graph
+from repro.physical.executor import PlanExecutor
 from repro.service import QueryService, ServiceConfig
 from repro.workloads import lubm, lubm_queries
 from tests.conformance import (
-    BACKENDS,
     CELLS,
     DEPLOYMENTS,
-    SHARD_BACKENDS,
+    NUM_NODES,
     PARITY_BUDGET,
     RPC_MODES,
     RPC_WIRES,
@@ -50,6 +54,7 @@ from tests.conformance import (
     parity_queries,
     reads_writes,
     reference_answers,
+    rpc_executor,
     skip_unless_supported,
     write_twin,
     writes_reference,
@@ -175,9 +180,8 @@ def test_conformance_matrix(
 POOL_CELLS = tuple(
     (deployment, backend)
     for deployment in sorted(DEPLOYMENTS)
-    if deployment != "unsharded"
-    for backend in BACKENDS
-    if backend not in SHARD_BACKENDS
+    for backend in BACKEND_NAMES
+    if backend not in INLINE_BACKENDS
 )
 
 
@@ -185,10 +189,10 @@ POOL_CELLS = tuple(
     "deployment,backend", POOL_CELLS, ids=[f"{d}-{b}" for d, b in POOL_CELLS]
 )
 def test_sharded_pool_backend_is_refused(graph, deployment, backend):
-    """The cells the matrix does not run: a shard runs one inline
-    engine, so a sharded config naming a pool backend fails typed at
-    construction, naming the engines it could have — before any shard
-    server is spawned."""
+    """The cells the matrix does not run: a service runs one inline
+    engine on every deployment, so a config naming a pool backend fails
+    typed at construction, naming the engines it could have — before
+    any shard server is spawned."""
     with pytest.raises(ValueError, match="inline engine.*serial or columnar"):
         make_service(graph, backend, deployment)
 
@@ -206,7 +210,7 @@ def test_default_config_conformance(
     try:
         resolved = "columnar" if HAVE_NUMPY else "serial"
         assert service.config.backend == resolved
-        assert service.backend.name == resolved
+        assert service.executor.backend.name == resolved
         for surface in SURFACES:
             assert_surface_conforms(
                 service, queries, reference, surface, where="unsharded/default"
@@ -218,59 +222,69 @@ def test_default_config_conformance(
     check_one_pipeline(graph, None, "unsharded", parity, parity_reference)
 
 
+@pytest.fixture(scope="module")
+def lubm_plans(graph):
+    """The 14 LUBM queries, the plan the reference service chooses for
+    each (prepared once), and each plan's run on the unsharded serial
+    executor, keyed by query name."""
+    queries = lubm_queries.all_queries()
+    with make_service(graph, "serial", "unsharded") as service:
+        plans = {q.name: service.optimize(q)[0] for q in queries}
+    with PlanExecutor(partition_graph(graph, NUM_NODES)) as executor:
+        prepared = {name: executor.prepare(plan) for name, plan in plans.items()}
+        reference = {
+            name: expected_of(name, executor.execute_prepared(plan))
+            for name, plan in prepared.items()
+        }
+    return queries, prepared, reference
+
+
 @pytest.mark.parametrize("mode", sorted(RPC_MODES))
 @pytest.mark.parametrize("wire", RPC_WIRES)
-def test_concurrent_rpc_conformance(graph, queries, reference, wire, mode):
-    """The concurrent=N dimension: 4 driver threads submit the rotated
-    LUBM workload over rpc x {pickle, columnar} x {pipelined,
-    coalesced}; answers and reports stay field-wise equal to the serial
-    reference under multiplexing and cross-query coalescing."""
+def test_concurrent_rpc_conformance(graph, lubm_plans, wire, mode):
+    """The rpc wire x mode dimension, at the executor level (the service
+    runs the columnar wire and the default pipeline only): 4 driver
+    threads run the rotated LUBM workload over 4 rpc shards x {pickle,
+    columnar} x {serial connection, pipelined, coalesced}, before and
+    after a quiesced resize to 3 shards; answers and reports stay
+    field-wise equal to the unsharded serial executor's."""
     skip_unless_supported("shards4-rpc", "serial")
-    service = make_service(
-        graph, "serial", "shards4-rpc", wire_format=wire, **RPC_MODES[mode]
-    )
-    try:
+    queries, prepared, reference = lubm_plans
+    where = f"shards4-rpc/{wire}/{mode}"
+    with rpc_executor(
+        graph, shards=4, wire_format=wire, **RPC_MODES[mode]
+    ) as executor:
+
+        def run(query):
+            return executor.execute_prepared(prepared[query.name])
+
+        assert_concurrent_conforms(run, queries, reference, threads=4, where=where)
+        report = executor.rebalance(target_shards=3)
+        assert report.new_shards == 3 and report.moved_nodes, where
         assert_concurrent_conforms(
-            service, queries, reference, threads=4,
-            where=f"shards4-rpc/{wire}/{mode}",
+            run, queries, reference, threads=4, where=f"{where}/resized"
         )
-        assert_stateless_workers(service, where=f"shards4-rpc/{wire}/{mode}")
-    finally:
-        service.close()
 
 
-#: the rebalance cells: every sharded deployment, over each rpc wire
+#: the rebalance cells: every sharded deployment
 REBALANCE_CELLS = tuple(
-    (deployment, wire)
-    for deployment in sorted(DEPLOYMENTS)
-    if deployment != "unsharded"
-    for wire in (
-        RPC_WIRES
-        if DEPLOYMENTS[deployment]["shard_transport"] == "rpc"
-        else (None,)
-    )
+    deployment for deployment in sorted(DEPLOYMENTS) if deployment != "unsharded"
 )
 
 
-@pytest.mark.parametrize(
-    "deployment,wire",
-    REBALANCE_CELLS,
-    ids=["-".join(filter(None, cell)) for cell in REBALANCE_CELLS],
-)
-def test_rebalance_conformance(graph, queries, reference, deployment, wire):
+@pytest.mark.parametrize("deployment", REBALANCE_CELLS)
+def test_rebalance_conformance(graph, queries, reference, deployment):
     """The rebalance dimension on every sharded deployment: live resizes
     to 5 and then 3 shards with 4 driver threads keeping the workload in
     flight; answers and reports stay field-wise equal to the serial
     reference at every topology epoch.  Both transports run the one
     migration, so every step moves nodes that hold data (the default 7
-    nodes); over rpc x {pickle, columnar}, with cross-query coalescing
-    on, the moved nodes' data crosses the wire and the workers stay
-    stateless after it."""
+    nodes); over rpc the moved nodes' data crosses the wire and the
+    workers stay stateless after it."""
     skip_unless_supported(deployment, "serial")
-    rpc = wire is not None
-    overrides = {"wire_format": wire, **RPC_MODES["coalesced"]} if rpc else {}
-    where = f"{deployment}/{wire or 'memory'}/rebalance"
-    service = make_service(graph, "serial", deployment, **overrides)
+    rpc = DEPLOYMENTS[deployment]["shard_transport"] == "rpc"
+    where = f"{deployment}/rebalance"
+    service = make_service(graph, "serial", deployment)
     try:
         reports = assert_rebalance_conforms(
             service, queries, reference, plan=(5, 3), threads=4, where=where,
@@ -287,13 +301,12 @@ def test_rebalance_conformance(graph, queries, reference, deployment, wire):
 
 
 @pytest.mark.parametrize("backend", ["serial", "columnar"])
-@pytest.mark.parametrize("wire", RPC_WIRES)
-def test_one_id_space_rpc(queries, wire, backend):
-    """The numbering dimension over rpc x {pickle, columnar} x {serial,
-    columnar} workers at ``shards=2``: the store's dictionary is the one
-    every worker holds — after warm-up, after a write to one shard only,
-    a worker respawn, a grow and a shrink — and the driver receives
-    blocks over nothing else.  Its own graphs: the check writes."""
+def test_one_id_space_rpc(queries, backend):
+    """The numbering dimension over rpc x {serial, columnar} workers at
+    ``shards=2``: the store's dictionary is the one every worker holds —
+    after warm-up, after a write to one shard only, a worker respawn, a
+    grow and a shrink — and the driver receives blocks over nothing
+    else.  Its own graphs: the check writes."""
     skip_unless_supported("shards4-rpc", backend)
     config = {"universities": UNIVERSITIES}
     with make_service(
@@ -303,14 +316,13 @@ def test_one_id_space_rpc(queries, wire, backend):
         ServiceConfig(
             shards=2,
             shard_transport="rpc",
-            wire_format=wire,
             backend=backend,
             result_cache_size=0,
             tracing=os.environ.get("REPRO_TRACE", "") == "1",
         ),
     ) as service:
         assert_one_id_space(
-            service, reference, queries[::3], where=f"shards2-rpc/{wire}/{backend}"
+            service, reference, queries[::3], where=f"shards2-rpc/{backend}"
         )
 
 

@@ -5,9 +5,10 @@ Chrome export), the metrics registry (counters/gauges/histograms +
 Prometheus exposition), service-level tracing (explain_analyze, slow
 query log, per-query trace ids, contextvar isolation under concurrent
 submissions), and — under the rpc transport — cross-process span
-propagation over the full wire matrix {pickle, columnar} ×
-{pipelined, coalesced}, including the respawn-retry span when a worker
-dies mid-workload and stale worker gauges when a probe fails.
+propagation: the service's own, including the respawn-retry span when
+a worker dies mid-workload and stale worker gauges when a probe fails,
+and a bare executor's over the wire matrix {pickle, columnar} ×
+{pipelined, coalesced}.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.obs.trace import (
     trace_ctx,
 )
 from repro.service import QueryService, ServiceConfig
-from tests.conformance import needs_rpc
+from tests.conformance import needs_rpc, prepare_text, rpc_executor
 from tests.conftest import make_university_graph
 
 STAR_QUERY = (
@@ -414,8 +415,23 @@ def _assert_rpc_trace(trace, shards=(0, 1)):
     assert by_id  # silence linters; the mapping itself was the check
 
 
+def traced_execution(sink, executor, prepared, name: str):
+    """Run one prepared plan on *executor* under a fresh trace of *sink*
+    (the root a service opens per submission); returns the trace."""
+    t0 = time.perf_counter()
+    ref = sink.start_trace(name, epoch=t0)
+    with activate(ref):
+        executor.execute_prepared(prepared)
+    sink.finish_trace(ref.trace_id, time.perf_counter() - t0)
+    return sink.get(ref.trace_id)
+
+
 @needs_rpc
 class TestRpcTracePropagation:
+    # The wire and the modes the service does not run (it ships the
+    # columnar wire, default pipeline, no coalescing) at the level that
+    # still offers them: a bare ShardedPlanExecutor under a trace.
+
     @pytest.mark.parametrize("wire", ["pickle", "columnar"])
     @pytest.mark.parametrize(
         "mode",
@@ -424,30 +440,31 @@ class TestRpcTracePropagation:
     def test_worker_spans_ship_back_over_the_wire(
         self, university, wire, mode
     ):
-        overrides = dict(
-            shards=2, shard_transport="rpc", wire_format=wire
-        )
+        options = dict(wire_format=wire)
         if mode == "coalesced":
-            overrides.update(coalesce_window_ms=4.0, coalesce_max_batch=4)
-        with traced_service(university, **overrides) as service:
-            outcome = service.submit(STAR_QUERY, name="rpc-star")
-            trace = service.trace(outcome)
-            assert trace is not None
+            options.update(coalesce_window_ms=4.0, coalesce_max_batch=4)
+        with rpc_executor(university, **options) as executor:
+            sink = TraceSink()
+            plan = prepare_text(executor, STAR_QUERY)
+            trace = traced_execution(sink, executor, plan, "rpc-star")
             _assert_rpc_trace(trace)
-            # And the trace exports cleanly.
-            names = {s.name for s in trace.spans}
-            assert {"parse", "canonicalize", "optimize", "execute"} <= names
 
     def test_coalesced_queries_fan_spans_back_per_flight(self, university):
-        with traced_service(
-            university,
-            shards=2,
-            shard_transport="rpc",
-            coalesce_window_ms=25.0,
-            coalesce_max_batch=8,
-        ) as service:
-            outcomes = service.submit_batch([STAR_QUERY, CHAIN_QUERY])
-            traces = [service.trace(o) for o in outcomes]
+        with rpc_executor(
+            university, coalesce_window_ms=25.0, coalesce_max_batch=8
+        ) as executor:
+            sink = TraceSink()
+            plans = [prepare_text(executor, q) for q in (STAR_QUERY, CHAIN_QUERY)]
+            traces: list = [None, None]
+
+            def run(i: int) -> None:
+                traces[i] = traced_execution(sink, executor, plans[i], f"q{i}")
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
             assert all(t is not None for t in traces)
             for trace in traces:
                 _assert_rpc_trace(trace)
@@ -464,7 +481,10 @@ class TestRpcTracePropagation:
         with traced_service(
             university, shards=2, shard_transport="rpc"
         ) as service:
-            service.submit(STAR_QUERY)  # workers up, template shipped
+            first = service.trace(service.submit(STAR_QUERY, name="rpc-star"))
+            _assert_rpc_trace(first)
+            names = {s.name for s in first.spans}
+            assert {"parse", "canonicalize", "optimize", "execute"} <= names
             router = service.executor.router
             assert isinstance(router, RpcShardRouter)
             victim = router._clients[0]

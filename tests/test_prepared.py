@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.columnar.block import HAVE_NUMPY
 from repro.service.service import (
     PreparedQuery,
     QueryService,
@@ -41,10 +42,19 @@ def expected(graph):
 class TestRoundTripAllBackends:
     """Acceptance: every LUBM query round-trips through template
     extraction — prepare, bind the original constants, execute — with
-    answers identical to a cold (template-free) submit, on all three
-    backends."""
+    answers identical to a cold (template-free) submit, on both engines
+    a service runs."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "serial",
+            pytest.param(
+                "columnar",
+                marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
+            ),
+        ],
+    )
     def test_prepared_equals_cold_submit(self, graph, expected, backend):
         config = ServiceConfig(backend=backend, result_cache_size=0)
         with QueryService(graph, config) as svc:

@@ -48,7 +48,11 @@ from repro.columnar.block import HAVE_NUMPY, ColumnBlock
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
-from repro.mapreduce.backends import ExecutionBackend, TaskInvocation
+from repro.mapreduce.backends import (
+    DEFAULT_RPC_PIPELINE,
+    ExecutionBackend,
+    TaskInvocation,
+)
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import FnReduceSpec, MapTaskSpec, TaskContext
@@ -61,6 +65,9 @@ from tests.conformance import (
     assert_replicas_equal_the_store,
     needs_rpc,
     one_shard_triples,
+    prepare_text,
+    rpc_executor,
+    worker_stats,
 )
 from tests.conftest import make_university_graph
 
@@ -594,7 +601,7 @@ def test_a_worker_never_ships_an_id_the_store_did_not_number(backend, mint):
         if mint:
             minting = service.store.shard_of_node(0)
             other = 1 - minting
-            primes = [reply.primes for reply in router.worker_stats()]
+            primes = [reply.primes for reply in worker_stats(router)]
             added = one_shard_triples(service.store, other)
             service.add_triples(added)
             with QueryService(
@@ -630,6 +637,43 @@ MEMBER_QUERY = (
 )
 
 MIXED_QUERIES = (TEMPLATE_A, TEMPLATE_B, STAR_QUERY, MEMBER_QUERY)
+
+
+def prepare_mixed(executor) -> dict:
+    """``MIXED_QUERIES`` -> a plan of each, prepared on *executor*."""
+    return {query: prepare_text(executor, query) for query in MIXED_QUERIES}
+
+
+def unsharded_rows(graph, plans: dict) -> dict:
+    """Each prepared plan's rows on the unsharded serial executor."""
+    with PlanExecutor(partition_graph(graph, NUM_NODES)) as reference:
+        return {
+            query: reference.execute_prepared(plan).rows
+            for query, plan in plans.items()
+        }
+
+
+def run_concurrently(run, items) -> list:
+    """``run(item)`` for every item at once, one thread each; results in
+    item order (an exception fails the test)."""
+    items = list(items)
+    results: list = [None] * len(items)
+
+    def one(i: int) -> None:
+        try:
+            results[i] = run(items[i])
+        except BaseException as exc:  # surfaced below
+            results[i] = exc
+
+    threads = [threading.Thread(target=one, args=(i,)) for i in range(len(items))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert all(not t.is_alive() for t in threads), "hung executions"
+    for result in results:
+        assert not isinstance(result, BaseException), result
+    return results
 
 
 @needs_rpc
@@ -674,40 +718,41 @@ class TestMultiplexing:
             service.close()
 
     def test_snapshot_stats_surfaces_worker_gauges(self):
-        service = rpc_service(make_university_graph(), rpc_pipeline=3)
+        service = rpc_service(make_university_graph())
         try:
             service.submit(STAR_QUERY)
             snapshot = service.snapshot_stats()
             assert [g.shard for g in snapshot.shard_workers] == [0, 1]
             for gauge in snapshot.shard_workers:
-                assert gauge.max_concurrency == 3
+                assert gauge.max_concurrency == DEFAULT_RPC_PIPELINE
                 assert gauge.tasks_run > 0
                 assert gauge.inflight == 0
                 assert gauge.queue_depth == 0
                 assert gauge.peak_inflight >= 1
-                assert gauge.batches == 0  # coalescing off by default
+                assert gauge.batches == 0  # the service never coalesces
             assert "shard 0 worker:" in snapshot.format()
         finally:
             service.close()
 
-    def test_coalescing_merges_concurrent_levels(self):
-        service = rpc_service(
-            make_university_graph(),
+    # The executor-level options the service does not set: cross-query
+    # coalescing and the serial connection.
+
+    def test_coalescing_merges_concurrent_levels(self, university):
+        with rpc_executor(
+            university,
             rpc_pipeline=8,
             coalesce_window_ms=150.0,
             coalesce_max_batch=8,
-        )
-        reference = QueryService(make_university_graph())
-        try:
-            expected = {q: service.submit(q).rows for q in MIXED_QUERIES}
-            router = service.executor.router
+        ) as executor:
+            plans = prepare_mixed(executor)
+            expected = unsharded_rows(university, plans)
+            router = executor.router
             base_requests = router.level_requests
             base_frames = router.level_frames
-            outcomes = service.submit_batch(list(MIXED_QUERIES))
-            for query, outcome in zip(MIXED_QUERIES, outcomes):
-                assert outcome.rows == expected[query]
-                assert outcome.rows == reference.submit(query).rows
-                assert outcome.report.shard_frames is not None
+            results = run_concurrently(executor.execute_prepared, plans.values())
+            for query, result in zip(plans, results):
+                assert result.rows == expected[query]
+                assert result.report.shard_frames is not None
             requests = router.level_requests - base_requests
             frames = router.level_frames - base_frames
             # Four concurrent queries inside a generous window: at least
@@ -715,58 +760,53 @@ class TestMultiplexing:
             # fewer frames went out than levels were requested.
             assert requests > len(MIXED_QUERIES)
             assert 0 < frames < requests
-            assert any(s.batches > 0 for s in router.worker_stats())
-        finally:
-            service.close()
-            reference.close()
+            assert any(s.batches > 0 for s in worker_stats(router))
 
-    def test_lone_query_does_not_pay_the_coalescing_window(self):
+    def test_lone_query_does_not_pay_the_coalescing_window(self, university):
         """The window only opens when the router sees more than one
-        active query: serial submissions flush every level at once."""
+        active query: serial executions flush every level at once."""
         window_ms = 150.0
-        service = rpc_service(
-            make_university_graph(),
+        with rpc_executor(
+            university,
             rpc_pipeline=8,
             coalesce_window_ms=window_ms,
             coalesce_max_batch=8,
-        )
-        try:
-            for query in MIXED_QUERIES:
-                service.submit(query)  # plan every template
-            router = service.executor.router
+        ) as executor:
+            plans = prepare_mixed(executor)
+            for plan in plans.values():
+                executor.execute_prepared(plan)  # workers up and primed
+            router = executor.router
             base_requests = router.level_requests
             base_frames = router.level_frames
-            for query in MIXED_QUERIES:
+            for plan in plans.values():
                 t0 = time.perf_counter()
-                service.submit(query)
+                executor.execute_prepared(plan)
                 # One held level would sleep the whole window.
                 assert time.perf_counter() - t0 < window_ms / 1e3
             requests = router.level_requests - base_requests
             assert requests >= len(MIXED_QUERIES)
             assert router.level_frames - base_frames == requests
-            assert all(s.batches == 0 for s in router.worker_stats())
-        finally:
-            service.close()
+            assert all(s.batches == 0 for s in worker_stats(router))
 
-    def test_worker_kill_mid_batch_recovers_or_fails_typed(self):
+    def test_worker_kill_mid_batch_recovers_or_fails_typed(self, university):
         """Killing a worker while coalesced batches are in flight never
-        hangs a query: every submission either recovers transparently
+        hangs a query: every execution either recovers transparently
         (respawn + idempotent retry) or fails with ShardUnavailable."""
-        service = rpc_service(
-            make_university_graph(),
+        with rpc_executor(
+            university,
             rpc_pipeline=8,
             coalesce_window_ms=50.0,
             coalesce_max_batch=8,
-        )
-        try:
-            expected = {q: service.submit(q).rows for q in MIXED_QUERIES}
-            router = service.executor.router
+        ) as executor:
+            plans = prepare_mixed(executor)
+            expected = unsharded_rows(university, plans)
+            router = executor.router
             workload = list(MIXED_QUERIES) * 2
             results: dict[int, object] = {}
 
             def run(i: int, query: str) -> None:
                 try:
-                    results[i] = service.submit(query).rows
+                    results[i] = executor.execute_prepared(plans[query]).rows
                 except BaseException as exc:
                     results[i] = exc
 
@@ -790,26 +830,18 @@ class TestMultiplexing:
                     assert isinstance(outcome, ShardUnavailable), outcome
                 else:
                     assert outcome == expected[query]
-            # The transport recovered: fresh submissions are correct.
-            for query in MIXED_QUERIES:
-                assert service.submit(query).rows == expected[query]
-        finally:
-            service.close()
+            # The transport recovered: fresh executions are correct.
+            for query, plan in plans.items():
+                assert executor.execute_prepared(plan).rows == expected[query]
 
-    def test_serial_connection_mode_still_serves(self):
-        """rpc_pipeline=0 (the benchmark baseline) keeps full service
-        semantics on the enveloped protocol."""
-        service = rpc_service(make_university_graph(), rpc_pipeline=0)
-        reference = QueryService(make_university_graph())
-        try:
-            for query in MIXED_QUERIES:
-                assert (
-                    service.submit(query).rows
-                    == reference.submit(query).rows
-                )
-        finally:
-            service.close()
-            reference.close()
+    def test_serial_connection_mode_still_serves(self, university):
+        """rpc_pipeline=0 (the ledger's serial-connection baseline) keeps
+        full semantics on the enveloped protocol."""
+        with rpc_executor(university, rpc_pipeline=0) as executor:
+            plans = prepare_mixed(executor)
+            expected = unsharded_rows(university, plans)
+            results = run_concurrently(executor.execute_prepared, plans.values())
+            assert [r.rows for r in results] == [expected[q] for q in plans]
 
 
 # -- mutation over RPC ---------------------------------------------------------
@@ -822,7 +854,7 @@ class TestMutationUnderRpc:
         try:
             service.submit(STAR_QUERY)
             router = service.executor.router
-            before = {s.shard: s for s in router.worker_stats()}
+            before = {s.shard: s for s in worker_stats(router)}
             triple = ("<mut-subj>", "<mut-prop>", "<mut-obj>")
             touched = {
                 service.store.shard_of_value(value) for value in triple
@@ -831,7 +863,7 @@ class TestMutationUnderRpc:
                 "pick a triple that leaves at least one shard untouched"
             )
             service.add_triples([triple])
-            after = {s.shard: s for s in router.worker_stats()}
+            after = {s.shard: s for s in worker_stats(router)}
             for shard in range(4):
                 if shard in touched:
                     # Token change observed worker-side, exactly one
@@ -936,7 +968,7 @@ class TestBlockWire:
 
             def wire_counts():
                 shipped = [stats["terms_shipped"] for _s, stats in router.wire_stats()]
-                return shipped, [reply.terms for reply in router.worker_stats()]
+                return shipped, [reply.terms for reply in worker_stats(router)]
 
             for _ in range(2):
                 answers = [service.submit(query) for query in queries]
@@ -1014,7 +1046,7 @@ class TestBlockWire:
                     outcome = service.submit(query)
                     assert outcome.rows == expected_of.rows
                     assert outcome.report.jobs == expected_of.report.jobs
-            assert [reply.terms for reply in router.worker_stats()] == [
+            assert [reply.terms for reply in worker_stats(router)] == [
                 len(service.store.dictionary)
             ] * 2
         finally:
@@ -1053,17 +1085,20 @@ class TestRpcConfigValidation:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"rpc_pipeline": -1},
-            {"coalesce_window_ms": -0.5},
-            {"coalesce_max_batch": 0},
+            {"num_nodes": 0, "shards": 0, "shard_transport": "inproc"},
+            {"max_workers": 0},
+            {"num_nodes": 0},
         ],
     )
     def test_service_rejects_bad_concurrency_knobs(self, university, overrides):
-        with pytest.raises(ValueError):
-            QueryService(
-                university,
-                ServiceConfig(shards=2, shard_transport="rpc", **overrides),
-            )
+        """A field that sizes the service is refused at construction,
+        named, on any deployment (unsharded, ``num_nodes=0`` used to
+        divide by zero in placement; ``max_workers=0`` waited for the
+        first ``submit_batch``)."""
+        field = "num_nodes" if "num_nodes" in overrides else "max_workers"
+        config = {"shards": 2, "shard_transport": "rpc", **overrides}
+        with pytest.raises(ValueError, match=field):
+            QueryService(university, ServiceConfig(**config))
 
     def test_router_rejects_bad_concurrency_knobs(self):
         with pytest.raises(ValueError, match="pipeline"):
