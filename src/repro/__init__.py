@@ -91,15 +91,15 @@ from repro.partitioning.triple_partitioner import (
 )
 from repro.physical.executor import PlanExecutor
 from repro.rdf.graph import RDFGraph
-from repro.service.service import (
+from repro.service import (
     BoundQuery,
     PreparedQuery,
     QueryOutcome,
     QueryService,
     ServiceConfig,
     ServiceOverloaded,
+    StatsSnapshot,
 )
-from repro.service.stats import ServiceStats, StatsSnapshot
 from repro.sparql.ast import BGPQuery, TriplePattern
 from repro.sparql.canonical import (
     CanonicalQuery,
@@ -157,7 +157,6 @@ __all__ = [
     "SerialBackend",
     "ServiceConfig",
     "ServiceOverloaded",
-    "ServiceStats",
     "ShapeSystem",
     "RpcShardRouter",
     "ShardRouter",

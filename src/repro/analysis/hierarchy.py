@@ -59,6 +59,10 @@ LOCK_RANKS: dict[str, int] = {
     # -- observability (repro.obs; below every engine lock so spans and
     #    metrics may be recorded from any instrumented path) --------------
     "MetricsRegistry._lock": 41,  # family directory; held before children
+    "update_lock": 41,  # MetricsRegistry.update_lock: the series one
+    #   service event moves (a submission's counters and stage samples),
+    #   and a StatsSnapshot read of them; children are resolved first,
+    #   so it never nests with the directory lock above
     "_metric_lock": 42,  # per-child counter/gauge/histogram state
     "TraceSink._lock": 44,  # trace store (span append, snapshot, evict)
     "_trace_dir_lock": 46,  # process-local trace_id -> sink directory

@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.service.service import QueryService, ServiceConfig
+    from repro.service import QueryService, ServiceConfig
     from repro.workloads import lubm, lubm_queries
 
     transport = "rpc" if _rpc_available() else "inproc"

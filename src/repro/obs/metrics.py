@@ -2,12 +2,12 @@
 
 One :class:`MetricsRegistry` per service owns every metric family; a
 family fans out into children keyed by a label tuple (``family.labels
-(shard="0")``).  Histograms use fixed upper-bound buckets — observing is
-O(len(buckets)) with no per-sample storage, so the running ``count`` and
-``sum`` are *exact* over the whole series (this is what fixes the
-``ServiceStats`` windowed-reservoir bias: the old latency deques kept
-only the last ``window`` samples, so ``total``/``mean`` silently
-under-reported long runs).
+(shard="0")``).  A histogram's running ``count`` and ``sum`` are exact
+over the whole series; its bucket counts feed the exposition, and a
+bounded reservoir of the last :data:`RESERVOIR` samples feeds
+:meth:`Histogram.quantile` (exact nearest-rank over that window).
+Writers that update several series a reader must see together hold
+:attr:`MetricsRegistry.update_lock`, and so does that reader.
 
 Exposition: :meth:`MetricsRegistry.render_prometheus` emits the
 Prometheus text format (``# HELP``/``# TYPE`` + one line per child and
@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Any, Iterable
+from collections import deque
+from typing import Any, Iterable, Sequence
 
 from repro.analysis.locks import checked
 
@@ -46,7 +47,20 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     10.0,
 )
 
+#: Samples a histogram keeps for its quantiles (the most recent ones).
+RESERVOIR = 4096
+
 LabelValues = tuple[str, ...]
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The *q*-th percentile (``q`` in [0, 100]) of an ascending
+    sequence, by nearest rank; 0.0 when it is empty."""
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile out of range: {q}")
+    if not ordered:
+        return 0.0
+    return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
 
 
 def _format_value(v: float) -> str:
@@ -96,7 +110,7 @@ class Counter(_Child):
 
 
 class Gauge(_Child):
-    """A value that goes up and down (set/add)."""
+    """A value that goes up and down."""
 
     __slots__ = ("_value",)
 
@@ -108,10 +122,6 @@ class Gauge(_Child):
         with self._metric_lock:
             self._value = value
 
-    def add(self, amount: float) -> None:
-        with self._metric_lock:
-            self._value += amount
-
     @property
     def value(self) -> float:
         with self._metric_lock:
@@ -119,14 +129,12 @@ class Gauge(_Child):
 
 
 class Histogram(_Child):
-    """Fixed-bucket histogram with exact running count/sum.
+    """Fixed-bucket histogram with exact running count/sum, and the
+    last :data:`RESERVOIR` samples for exact quantiles over them."""
 
-    ``quantile(q)`` returns the upper bound of the bucket holding the
-    q-th sample (nearest-rank over buckets) — a deterministic,
-    full-series estimate whose error is bounded by bucket width.
-    """
-
-    __slots__ = ("buckets", "_counts", "_sum", "_count", "_min", "_max")
+    __slots__ = (
+        "buckets", "_counts", "_sum", "_count", "_min", "_max", "_recent"
+    )
 
     def __init__(self, buckets: tuple[float, ...]) -> None:
         super().__init__()
@@ -136,6 +144,7 @@ class Histogram(_Child):
         self._count = 0  # guarded-by: _metric_lock
         self._min = math.inf  # guarded-by: _metric_lock
         self._max = 0.0  # guarded-by: _metric_lock
+        self._recent = deque(maxlen=RESERVOIR)  # guarded-by: _metric_lock
 
     def observe(self, value: float) -> None:
         index = bisect_left(self.buckets, value)
@@ -147,6 +156,7 @@ class Histogram(_Child):
                 self._min = value
             if value > self._max:
                 self._max = value
+            self._recent.append(value)
 
     def state(self) -> tuple[list[int], float, int, float, float]:
         """(bucket counts, sum, count, min, max) under one lock hold."""
@@ -159,6 +169,11 @@ class Histogram(_Child):
                 self._max,
             )
 
+    def window(self) -> tuple[int, float, list[float]]:
+        """(count, sum, the reservoir's samples) under one lock hold."""
+        with self._metric_lock:
+            return self._count, self._sum, list(self._recent)
+
     @property
     def count(self) -> int:
         with self._metric_lock:
@@ -169,29 +184,10 @@ class Histogram(_Child):
         with self._metric_lock:
             return self._sum
 
-    @property
-    def mean(self) -> float:
-        with self._metric_lock:
-            return self._sum / self._count if self._count else 0.0
-
     def quantile(self, q: float) -> float:
-        """Nearest-rank quantile over buckets; 0.0 on an empty series."""
-        if not 0 <= q <= 100:
-            raise ValueError("q in [0, 100]")
-        counts, _, count, lo, hi = self.state()
-        if count == 0:
-            return 0.0
-        rank = max(1, math.ceil(count * q / 100.0))
-        seen = 0
-        for index, n in enumerate(counts):
-            seen += n
-            if seen >= rank:
-                if index >= len(self.buckets):
-                    return hi
-                # clamp to the observed range: the first/last occupied
-                # bucket's bound may far exceed the actual extrema.
-                return min(max(self.buckets[index], lo), hi)
-        return hi  # pragma: no cover - unreachable, counts sum to count
+        """Exact nearest-rank quantile over the reservoir; 0.0 on an
+        empty series."""
+        return nearest_rank(sorted(self.window()[2]), q)
 
 
 class _Family:
@@ -228,6 +224,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = checked(threading.Lock(), "MetricsRegistry._lock")
         self._families: dict[str, _Family] = {}  # guarded-by: _lock
+        #: held by a writer across the series one event moves, and by a
+        #: reader that must see them together; resolve children first
+        self.update_lock = checked(threading.Lock(), "MetricsRegistry.update_lock")
 
     # -- family constructors ----------------------------------------------
 
@@ -285,6 +284,13 @@ class MetricsRegistry:
                 c = family._make()
                 family._children[values] = c
         return c
+
+    def children(self, name: str) -> dict[LabelValues, _Child]:
+        """The children of family *name* by label values (empty when the
+        family is not registered)."""
+        with self._lock:
+            family = self._families.get(name)
+            return {} if family is None else dict(family._children)
 
     # -- exposition --------------------------------------------------------
 
@@ -395,30 +401,8 @@ class _Handle:
     def set(self, value: float) -> None:
         self._child().set(value)  # type: ignore[attr-defined]
 
-    def add(self, amount: float) -> None:
-        self._child().add(amount)  # type: ignore[attr-defined]
-
     def observe(self, value: float) -> None:
         self._child().observe(value)  # type: ignore[attr-defined]
-
-    @property
-    def value(self) -> float:
-        return self._child().value  # type: ignore[attr-defined,no-any-return]
-
-    @property
-    def count(self) -> int:
-        return self._child().count  # type: ignore[attr-defined,no-any-return]
-
-    @property
-    def sum(self) -> float:
-        return self._child().sum  # type: ignore[attr-defined,no-any-return]
-
-    @property
-    def mean(self) -> float:
-        return self._child().mean  # type: ignore[attr-defined,no-any-return]
-
-    def quantile(self, q: float) -> float:
-        return self._child().quantile(q)  # type: ignore[attr-defined,no-any-return]
 
 
 __all__ = [
@@ -427,4 +411,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "RESERVOIR",
+    "nearest_rank",
 ]

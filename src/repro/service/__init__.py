@@ -6,9 +6,11 @@ prepare → bind → execute surface: constant-independent template
 signatures key a template cache (the optimizer runs once per query
 *structure*; constants late-bind into the compiled plan), instance keys
 (template + constants) key a bound-plan cache and an LRU result cache
-that short-circuits repeated fully-bound queries until the graph
-changes, and batches of independent queries run concurrently with
-duplicate submissions coalesced.  See :mod:`repro.service.service`.
+that short-circuits repeated fully-bound queries until a write touches
+a file their scans read, and batches of independent queries run
+concurrently with duplicate submissions coalesced.  See
+:mod:`repro.service.service` for how the service splits into a front
+door, a serving pipeline and administration.
 """
 
 from repro.cluster.rpc import ShardUnavailable
@@ -21,21 +23,10 @@ from repro.service.cache import (
     TemplateCache,
     TemplateEntry,
 )
-from repro.service.service import (
-    BoundQuery,
-    PreparedQuery,
-    QueryOutcome,
-    QueryService,
-    ServiceConfig,
-    ServiceOverloaded,
-)
-from repro.service.stats import (
-    LatencySummary,
-    QueryTimings,
-    ServiceStats,
-    StatsSnapshot,
-    percentile,
-)
+from repro.service.front import BoundQuery, PreparedQuery
+from repro.service.pipeline import QueryOutcome, ServiceOverloaded
+from repro.service.service import QueryService, ServiceConfig
+from repro.service.stats import LatencySummary, QueryTimings, StatsSnapshot
 
 __all__ = [
     "BoundQuery",
@@ -51,10 +42,8 @@ __all__ = [
     "ResultEntry",
     "ServiceConfig",
     "ServiceOverloaded",
-    "ServiceStats",
     "ShardUnavailable",
     "StatsSnapshot",
     "TemplateCache",
     "TemplateEntry",
-    "percentile",
 ]

@@ -1,46 +1,53 @@
-"""Service telemetry: per-query timings and aggregate statistics.
+"""Service telemetry views: per-query timings and the aggregate snapshot.
 
-The service records one :class:`QueryTimings` per submission and folds
-it into a :class:`ServiceStats` accumulator; :meth:`ServiceStats.snapshot`
-produces an immutable summary (hit rates, latency percentiles,
-throughput) suitable for logging or assertion in benchmarks.
-
-The accumulator is backed by a :class:`repro.obs.metrics.MetricsRegistry`
-(counters for event totals, fixed-bucket histograms for the latency
-series), so the same numbers are exposed via
-``QueryService.render_prometheus()``.  Percentiles are computed over a
-bounded reservoir of the most recent ``window`` samples per series (a
-long-lived service does not grow without bound); ``count``/``mean``/
-``total`` come from the histograms and are therefore *exact over the
-whole series* — the pre-obs implementation silently computed them over
-the window too, under-reporting totals once a series wrapped.
+A service keeps one set of books, its
+:class:`~repro.obs.metrics.MetricsRegistry`.  Each event a submission,
+a write or a rebalance moves is a child of
+``repro_service_events_total{event=...}``, each stage latency a sample
+of ``repro_query_stage_seconds{stage=...}``, and the nodes a rebalance
+handles count in ``repro_node_moves_total{phase=...}``.  A
+:class:`StatsSnapshot` is a read-only view of those families plus the
+shard workers' gauges: counters, and a latency series' ``count`` /
+``mean`` / ``total``, are exact over the service's life; percentiles
+are exact nearest-rank over the series' reservoir (its last
+:data:`~repro.obs.metrics.RESERVOIR` samples).
 """
 
 from __future__ import annotations
 
-import math
-import threading
-import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
-from repro.analysis.locks import checked
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.rpc import StatsReply
 
+#: the family every service event counts in, by ``event`` label (the
+#: name of the :class:`StatsSnapshot` field that reads it)
+EVENTS = "repro_service_events_total"
+#: the per-stage latency family, by ``stage`` label
+STAGES = "repro_query_stage_seconds"
 
-def percentile(samples: list[float], p: float) -> float:
-    """Nearest-rank percentile (``p`` in [0, 100]); 0.0 on no samples."""
-    if not samples:
-        return 0.0
-    if not 0 <= p <= 100:
-        raise ValueError(f"percentile out of range: {p}")
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+
+def event_counters(registry: MetricsRegistry, *events: str) -> dict[str, Counter]:
+    """The ``repro_service_events_total`` children of *events*."""
+    family = registry.counter(
+        EVENTS, "Lifetime service event counts by kind.", labels=("event",)
+    )
+    return {event: family.labels(event=event) for event in events}
+
+
+def stage_histograms(
+    registry: MetricsRegistry, *stages: str
+) -> dict[str, Histogram]:
+    """The ``repro_query_stage_seconds`` children of *stages*."""
+    family = registry.histogram(
+        STAGES,
+        "Per-stage query latency (optimize/bind/execute/total).",
+        labels=("stage",),
+    )
+    return {stage: family.labels(stage=stage) for stage in stages}
 
 
 @dataclass(frozen=True)
@@ -49,46 +56,34 @@ class LatencySummary:
 
     ``count``/``mean``/``total`` cover the *entire* series;
     ``p50``/``p95``/``p99`` are nearest-rank percentiles over the most
-    recent ``windowed`` samples (the bounded reservoir).
+    recent ``windowed`` samples (the histogram's reservoir).
     """
 
-    count: int
-    p50: float
-    p95: float
-    p99: float
-    mean: float
-    total: float
+    count: int = 0
+    p50: float = 0.0
+    p95: float = 0.0
+    p99: float = 0.0
+    mean: float = 0.0
+    total: float = 0.0
     #: how many samples the percentiles were computed over
     windowed: int = 0
 
-    @classmethod
-    def of(cls, samples: list[float]) -> "LatencySummary":
-        """Summary of an in-memory series (window == whole series)."""
-        return cls._over(len(samples), sum(samples), samples)
 
-    @classmethod
-    def of_series(
-        cls, histogram: Histogram, window: list[float]
-    ) -> "LatencySummary":
-        """Exact running totals from *histogram*, percentiles from the
-        recent *window* reservoir."""
-        return cls._over(histogram.count, histogram.sum, window)
-
-    @classmethod
-    def _over(
-        cls, count: int, total: float, window: list[float]
-    ) -> "LatencySummary":
-        if count == 0:
-            return cls(count=0, p50=0.0, p95=0.0, p99=0.0, mean=0.0, total=0.0)
-        return cls(
-            count=count,
-            p50=percentile(window, 50),
-            p95=percentile(window, 95),
-            p99=percentile(window, 99),
-            mean=total / count,
-            total=total,
-            windowed=len(window),
-        )
+def _latency(window: tuple[int, float, list[float]] | None) -> LatencySummary:
+    """The summary of one :meth:`Histogram.window` reading."""
+    if window is None or not window[0]:
+        return LatencySummary()
+    count, total, recent = window
+    ordered = sorted(recent)
+    return LatencySummary(
+        count=count,
+        p50=nearest_rank(ordered, 50),
+        p95=nearest_rank(ordered, 95),
+        p99=nearest_rank(ordered, 99),
+        mean=total / count,
+        total=total,
+        windowed=len(ordered),
+    )
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,6 @@ class ShardWorkerGauge:
     #: high-water mark of ``inflight`` over the worker's life
     peak_inflight: int = 0
     tasks_run: int = 0
-    #: coalesced ExecuteBatch frames served
-    batches: int = 0
     #: the probe failed (dead/unresponsive worker): the numbers are
     #: zeros, not a live reading — a snapshot never raises mid-probe
     stale: bool = False
@@ -144,13 +137,17 @@ class ShardWorkerGauge:
             max_concurrency=reply.pipeline,
             peak_inflight=reply.peak_inflight,
             tasks_run=reply.tasks_run,
-            batches=reply.batches,
         )
 
 
 @dataclass(frozen=True)
 class StatsSnapshot:
-    """Immutable aggregate view of a service's lifetime."""
+    """Immutable aggregate view of a service's lifetime (:meth:`read`).
+
+    Each counter field but ``graph_version`` and ``templates_cached``
+    reads the ``repro_service_events_total`` child labelled
+    ``event=<field name>``.
+    """
 
     submitted: int
     errors: int
@@ -210,6 +207,39 @@ class StatsSnapshot:
     def throughput_qps(self) -> float:
         return self.submitted / self.uptime_s if self.uptime_s > 0 else 0.0
 
+    @classmethod
+    def read(
+        cls,
+        registry: MetricsRegistry,
+        *,
+        graph_version: int = 0,
+        templates_cached: int = 0,
+        uptime_s: float = 0.0,
+        warnings: Sequence[str] = (),
+        shard_workers: tuple[ShardWorkerGauge, ...] = (),
+    ) -> "StatsSnapshot":
+        """The view of *registry*'s service families.  Under its
+        ``update_lock``: a submission's counters and samples are seen
+        all or none, and so is a warning beside its failure count."""
+        events = registry.children(EVENTS)
+        stages = registry.children(STAGES)
+        with registry.update_lock:
+            counts = {event: int(c.value) for (event,), c in events.items()}
+            windows = {stage: h.window() for (stage,), h in stages.items()}
+            warned = tuple(warnings)
+        return cls(
+            **counts,
+            graph_version=graph_version,
+            templates_cached=templates_cached,
+            uptime_s=uptime_s,
+            optimize=_latency(windows.get("optimize")),
+            bind=_latency(windows.get("bind")),
+            execute=_latency(windows.get("execute")),
+            total=_latency(windows.get("total")),
+            warnings=warned,
+            shard_workers=shard_workers,
+        )
+
     def format(self) -> str:
         """A compact human-readable rendering."""
         lines = [
@@ -257,186 +287,8 @@ class StatsSnapshot:
                 f"shard {gauge.shard} worker: "
                 f"{gauge.inflight}/{gauge.max_concurrency} inflight "
                 f"(queue {gauge.queue_depth}, peak {gauge.peak_inflight}), "
-                f"{gauge.tasks_run} tasks, {gauge.batches} batches"
+                f"{gauge.tasks_run} tasks"
             )
         for warning in self.warnings:
             lines.append(f"warning: {warning}")
         return "\n".join(lines)
-
-
-#: StatsSnapshot counter field -> ``repro_service_events_total`` label.
-_EVENTS = (
-    "submitted",
-    "errors",
-    "plan_hits",
-    "plan_misses",
-    "template_hits",
-    "optimizer_runs",
-    "result_hits",
-    "result_misses",
-    "coalesced",
-    "mutations",
-    "rejected",
-    "shard_failures",
-    "rebalances",
-    "statement_hits",
-    "statement_misses",
-)
-
-#: Latency series recorded per query stage.
-_STAGES = ("optimize", "bind", "execute", "total")
-
-
-@dataclass
-class ServiceStats:
-    """Mutable accumulator behind the service front end.
-
-    Counters and latency histograms live in a
-    :class:`~repro.obs.metrics.MetricsRegistry` (families
-    ``repro_service_events_total{event=...}`` and
-    ``repro_query_stage_seconds{stage=...}``); the bounded per-stage
-    deques only feed the windowed percentiles.  ``_lock`` serializes
-    writers so one query's multi-counter update is not interleaved.
-    """
-
-    window: int = 4096
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    warnings: list = field(default_factory=list)
-    _lock: threading.Lock = field(
-        default_factory=lambda: checked(threading.Lock(), "ServiceStats._lock"),
-        repr=False,
-    )
-    _started: float = field(default_factory=time.monotonic, repr=False)
-
-    def __post_init__(self) -> None:
-        events = self.registry.counter(
-            "repro_service_events_total",
-            "Lifetime service event counts by kind.",
-            labels=("event",),
-        )
-        self._events = {name: events.labels(event=name) for name in _EVENTS}
-        stages = self.registry.histogram(
-            "repro_query_stage_seconds",
-            "Per-stage query latency (optimize/bind/execute/total).",
-            labels=("stage",),
-        )
-        self._series = {name: stages.labels(stage=name) for name in _STAGES}
-        self._windows = {
-            name: deque(maxlen=self.window) for name in _STAGES
-        }
-        self._node_moves = self.registry.counter(
-            "repro_node_moves_total",
-            "Nodes handled by topology rebalances, by migration phase.",
-            labels=("phase",),
-        )
-
-    def _count(self, event: str, amount: int = 1) -> None:
-        self._events[event].inc(amount)
-
-    def _observe(self, stage: str, value: float) -> None:
-        self._series[stage].observe(value)
-        self._windows[stage].append(value)
-
-    def record_query(
-        self,
-        timings: QueryTimings,
-        *,
-        plan_hit: bool,
-        result_hit: bool,
-        template_hit: bool = False,
-        coalesced: bool = False,
-    ) -> None:
-        with self._lock:
-            self._count("submitted")
-            if coalesced:
-                self._count("coalesced")
-            if result_hit:
-                self._count("result_hits")
-                # A result hit never consults the plan cache.
-            else:
-                self._count("result_misses")
-                if coalesced:
-                    # The submission rode a flight another query started:
-                    # it paid for neither optimization nor execution, so
-                    # count it as amortized (a hit) and record no samples.
-                    self._count("plan_hits")
-                elif plan_hit:
-                    self._count("plan_hits")
-                    self._observe("execute", timings.execute_s)
-                elif template_hit:
-                    # New constants bound into a cached template: the
-                    # optimizer was skipped, only bind + execute ran.
-                    self._count("template_hits")
-                    self._observe("bind", timings.bind_s)
-                    self._observe("execute", timings.execute_s)
-                else:
-                    self._count("plan_misses")
-                    self._observe("optimize", timings.optimize_s)
-                    self._observe("bind", timings.bind_s)
-                    self._observe("execute", timings.execute_s)
-            self._observe("total", timings.total_s)
-
-    def record_statement(self, hit: bool) -> None:
-        """Count one statement-cache lookup (parse + canonicalize)."""
-        self._count("statement_hits" if hit else "statement_misses")
-
-    def record_error(self) -> None:
-        self._count("errors")
-
-    def record_rejection(self, count: int = 1) -> None:
-        """Count submissions turned away by admission control."""
-        self._count("rejected", count)
-
-    def record_shard_failure(self, shard: int, message: str) -> None:
-        """A shard worker died (or failed to respawn) under the RPC
-        transport; surfaced through admission stats and warnings."""
-        self._count("shard_failures")
-        self.record_warning(f"shard {shard} worker failure: {message}")
-
-    def record_optimizer_run(self) -> None:
-        """Count one actual CliqueSquare optimizer invocation."""
-        self._count("optimizer_runs")
-
-    def record_mutation(self) -> None:
-        self._count("mutations")
-
-    def record_rebalance(self, phases: dict[str, int]) -> None:
-        """Count one topology rebalance; *phases* maps migration phase
-        (``plan``/``prime``/``delta``/``flip``) → nodes handled there,
-        feeding ``repro_node_moves_total{phase=...}``."""
-        with self._lock:
-            self._count("rebalances")
-            for phase, count in phases.items():
-                self._node_moves.labels(phase=phase).inc(count)
-
-    def record_warning(self, message: str) -> None:
-        """Record an operational warning (deduplicated, kept forever)."""
-        with self._lock:
-            if message not in self.warnings:
-                self.warnings.append(message)
-
-    def _summary(self, stage: str) -> LatencySummary:
-        return LatencySummary.of_series(
-            self._series[stage], list(self._windows[stage])
-        )
-
-    def snapshot(
-        self,
-        graph_version: int = 0,
-        templates_cached: int = 0,
-        shard_workers: tuple[ShardWorkerGauge, ...] = (),
-    ) -> StatsSnapshot:
-        with self._lock:
-            # _EVENTS names the StatsSnapshot counter fields.
-            return StatsSnapshot(
-                **{name: int(c.value) for name, c in self._events.items()},
-                templates_cached=templates_cached,
-                graph_version=graph_version,
-                uptime_s=time.monotonic() - self._started,
-                optimize=self._summary("optimize"),
-                bind=self._summary("bind"),
-                execute=self._summary("execute"),
-                total=self._summary("total"),
-                warnings=tuple(self.warnings),
-                shard_workers=shard_workers,
-            )

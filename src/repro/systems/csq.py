@@ -21,7 +21,7 @@ from repro.core.algorithm import OptimizerResult
 from repro.core.logical import LogicalPlan
 from repro.physical.executor import ExecutionResult
 from repro.rdf.graph import RDFGraph
-from repro.service.service import PreparedQuery, QueryService, ServiceConfig
+from repro.service import PreparedQuery, QueryService, ServiceConfig
 from repro.sparql.ast import BGPQuery
 from repro.systems.base import SystemReport
 

@@ -51,7 +51,12 @@ from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PreparedPlan, job_from_spec
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import RDF_TYPE, is_variable
-from repro.service import QueryOutcome, QueryService, ServiceConfig
+from repro.service import (
+    QueryOutcome,
+    QueryService,
+    ServiceConfig,
+    StatsSnapshot,
+)
 from repro.sparql.ast import BGPQuery
 from repro.sparql.canonical import CanonicalizationBudgetExceeded
 from repro.sparql.parser import parse_query
@@ -343,10 +348,10 @@ def run_surface(
         text_passes = TEXT_PASSES if surface == "submit" else 0
     outcomes = _run_pass(service, queries, surface, text=False)
     for repeat in range(text_passes):
-        misses = service.stats.snapshot().statement_misses
+        misses = StatsSnapshot.read(service.registry).statement_misses
         outcomes += _run_pass(service, queries, surface, text=True)
         if repeat:
-            misses = service.stats.snapshot().statement_misses - misses
+            misses = StatsSnapshot.read(service.registry).statement_misses - misses
             assert misses == 0, (surface, "statement misses on a repeat", misses)
     return list(zip(list(queries) * (1 + text_passes), outcomes, strict=True))
 
@@ -435,11 +440,11 @@ def assert_surface_conforms(
     """Run one surface over *queries* (see :func:`run_surface`), check
     every outcome, and return the footprint of the run (see
     :func:`assert_one_pipeline`)."""
-    # The accumulator's own snapshot: snapshot_stats() would also probe
-    # every rpc shard worker for gauges nobody reads here.
-    before = service.stats.snapshot()
+    # The registry's own view: snapshot_stats() would also probe every
+    # rpc shard worker for gauges nobody reads here.
+    before = StatsSnapshot.read(service.registry)
     runs = run_surface(service, queries, surface, text_passes)
-    after = service.stats.snapshot()
+    after = StatsSnapshot.read(service.registry)
     spans: Counter = Counter()
     #: a coalesced member carries its leader's trace: count it once
     seen: set[str] = set()
@@ -545,9 +550,9 @@ def run_writes(service: QueryService, queries) -> list[QueryOutcome]:
     assert service.config.result_cache_size
     run_surface(service, queries, "submit")
     assert service.add_triples(WRITES) == len(WRITES)
-    misses = service.stats.snapshot().statement_misses
+    misses = StatsSnapshot.read(service.registry).statement_misses
     outcomes = [service.submit(str(q), q.name) for q in queries]
-    assert service.stats.snapshot().statement_misses == misses
+    assert StatsSnapshot.read(service.registry).statement_misses == misses
     return outcomes
 
 

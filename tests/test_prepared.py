@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.columnar.block import HAVE_NUMPY
-from repro.service.service import (
+from repro.service import (
     PreparedQuery,
     QueryService,
     ServiceConfig,

@@ -729,7 +729,6 @@ class TestMultiplexing:
                 assert gauge.inflight == 0
                 assert gauge.queue_depth == 0
                 assert gauge.peak_inflight >= 1
-                assert gauge.batches == 0  # the service never coalesces
             assert "shard 0 worker:" in snapshot.format()
         finally:
             service.close()
@@ -1088,14 +1087,23 @@ class TestRpcConfigValidation:
             {"num_nodes": 0, "shards": 0, "shard_transport": "inproc"},
             {"max_workers": 0},
             {"num_nodes": 0},
+            {"max_inflight": -1},
+            {"plan_cache_size": -1},
+            {"result_cache_size": -1},
+            {"template_cache_size": -1},
+            {"shards": -1},
+            {"shard_transport": "carrier-pigeon"},
+            {"shard_transport": "rpc", "shards": 0},
         ],
     )
     def test_service_rejects_bad_concurrency_knobs(self, university, overrides):
         """A field that sizes the service is refused at construction,
-        named, on any deployment (unsharded, ``num_nodes=0`` used to
-        divide by zero in placement; ``max_workers=0`` waited for the
-        first ``submit_batch``)."""
-        field = "num_nodes" if "num_nodes" in overrides else "max_workers"
+        named (the first key of *overrides*), on any deployment
+        (unsharded, ``num_nodes=0`` used to divide by zero in placement;
+        ``max_workers=0`` waited for the first ``submit_batch``; a
+        negative cache size or ``max_inflight`` failed inside the LRU or
+        the semaphore without naming the field)."""
+        field = next(iter(overrides))
         config = {"shards": 2, "shard_transport": "rpc", **overrides}
         with pytest.raises(ValueError, match=field):
             QueryService(university, ServiceConfig(**config))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
+import re
 import threading
 import weakref
 
@@ -11,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import DEFAULT_BUCKETS, RESERVOIR, Histogram
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import RDF_TYPE
 from repro.service.cache import LRUCache
-from repro.service.service import QueryService, ServiceConfig
-from repro.service.stats import LatencySummary, percentile
+from repro.service import QueryService, ServiceConfig, ServiceOverloaded
 from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import SparqlSyntaxError, parse_query
 from repro.systems.csq import CSQ
@@ -340,15 +342,85 @@ class TestStats:
             assert snap.total.count == 2
             assert "plan cache" in snap.format()
 
+    def test_snapshot_and_prometheus_read_one_set_of_books(self, graph):
+        """``snapshot_stats()`` and ``render_prometheus()`` are two views
+        of one registry: every event counter, and every stage's sample
+        count, read the same after a mixed run."""
+        text = "SELECT ?d WHERE { ?p ub:worksFor ?d }"
+        with QueryService(graph, ServiceConfig(max_inflight=1)) as svc:
+            svc.submit(lubm_queries.query("Q2"))
+            svc.submit(text)
+            svc.submit(text)
+            svc.submit_batch([text, lubm_queries.query("Q4"), text])
+            svc.prepare(
+                "SELECT ?p WHERE { ?p ub:worksFor ?d . "
+                "?d ub:subOrganizationOf $uni }"
+            ).execute(uni=lubm.university_iri(0))
+            with pytest.raises(SparqlSyntaxError):
+                svc.submit("SELECT ?x WHERE { ?x ub:worksFor")
+            # An admission rejection: a submission knocks while another
+            # holds the one in-flight slot.
+            resolve = svc._resolve
+
+            def knock(inst):
+                with pytest.raises(ServiceOverloaded):
+                    svc.submit(text)
+                return resolve(inst)
+
+            svc._resolve = knock
+            svc.submit(lubm_queries.query("Q1"))
+            del svc._resolve
+            snap = svc.snapshot_stats()
+            page = svc.render_prometheus()
+        events = dict(
+            re.findall(
+                r'^repro_service_events_total\{event="(\w+)"\} (\d+)$',
+                page,
+                re.M,
+            )
+        )
+        assert len(events) == 15
+        assert {e: getattr(snap, e) for e in events} == {
+            e: int(v) for e, v in events.items()
+        }
+        assert snap.rejected == 1 and snap.errors == 1
+        assert snap.submitted == 8 and snap.coalesced == 1
+        stages = dict(
+            re.findall(
+                r'^repro_query_stage_seconds_count\{stage="(\w+)"\} (\d+)$',
+                page,
+                re.M,
+            )
+        )
+        assert set(stages) == {"optimize", "bind", "execute", "total"}
+        for stage, count in stages.items():
+            assert getattr(snap, stage).count == int(count), stage
+
     def test_percentile_nearest_rank(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(samples, 50) == 2.0
-        assert percentile(samples, 100) == 4.0
-        assert percentile([], 99) == 0.0
+        """A histogram's quantiles are exact nearest-rank over its
+        reservoir, the last RESERVOIR samples; count and sum cover the
+        whole series."""
+        histogram = Histogram(DEFAULT_BUCKETS)
+        assert histogram.quantile(99) == 0.0
+        for sample in (4.0, 1.0, 3.0, 2.0):
+            histogram.observe(sample)
+        assert histogram.quantile(50) == 2.0
+        assert histogram.quantile(100) == 4.0
+        assert histogram.quantile(0) == 1.0
         with pytest.raises(ValueError):
-            percentile(samples, 101)
-        summary = LatencySummary.of(samples)
-        assert summary.count == 4 and summary.mean == 2.5
+            histogram.quantile(101)
+        histogram = Histogram(DEFAULT_BUCKETS)
+        # An outlier, then 1 .. RESERVOIR: one sample past the reservoir.
+        samples = [1e9] + [float(i) for i in range(1, RESERVOIR + 1)]
+        for sample in samples:
+            histogram.observe(sample)
+        assert histogram.count == RESERVOIR + 1
+        assert histogram.sum == sum(samples)
+        recent = histogram.window()[2]
+        assert len(recent) == RESERVOIR and 1e9 not in recent
+        assert histogram.quantile(100) == RESERVOIR
+        assert histogram.quantile(50) == RESERVOIR // 2
+        assert histogram.quantile(95) == math.ceil(0.95 * RESERVOIR)
 
 
 class TestLRUCache:
@@ -610,13 +682,13 @@ class TestStatementCache:
             assert svc.snapshot_stats().statement_misses == 1
 
     def test_budget_exceeded_instance_is_cached_keyless(self, graph, monkeypatch):
-        import repro.service.service as service_module
+        import repro.service.front as front_door
         from repro.sparql.canonical import CanonicalizationBudgetExceeded
 
         calls = []
-        extract = service_module.extract_template
+        extract = front_door.extract_template
         monkeypatch.setattr(
-            service_module,
+            front_door,
             "extract_template",
             lambda *a, **k: calls.append(a) or extract(*a, **k),
         )
@@ -644,12 +716,12 @@ class TestStatementCache:
             assert (snap.statement_misses, snap.statement_hits) == (4, 1)
 
     def test_size_zero_parses_every_submission(self, graph, monkeypatch):
-        import repro.service.service as service_module
+        import repro.service.front as front_door
 
         parses = []
-        parse = service_module.parse_query
+        parse = front_door.parse_query
         monkeypatch.setattr(
-            service_module,
+            front_door,
             "parse_query",
             lambda *a, **k: parses.append(a) or parse(*a, **k),
         )
