@@ -18,4 +18,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
+    # The id-space engine every service and shard worker runs is numpy
+    # kernels over int64 id columns.
+    install_requires=["numpy"],
 )

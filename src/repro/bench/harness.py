@@ -8,6 +8,7 @@ cached at module level here so the four §6.2 figures reuse one sweep.
 
 from __future__ import annotations
 
+import gc
 import os
 import statistics
 from dataclasses import dataclass, field
@@ -112,6 +113,10 @@ def plan_space_sweep() -> SweepResult:
     for shape, queries in synthetic_queries().items():
         references = {id(q): optimal_height(q, timeout_s=None) for q in queries}
         for option in ALL_OPTIONS:
+            # Settle the collector's debt first: a full collection that
+            # the previous variants' garbage is due would otherwise be
+            # billed to whichever short bucket happens to trigger it.
+            gc.collect()
             bucket: list[PlanSpaceStats] = []
             for q in queries:
                 bucket.append(

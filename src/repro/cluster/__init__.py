@@ -22,7 +22,7 @@ nodes, shipping only the moved nodes' file maps (as
 version — answers are invariant at every epoch.
 
 A shard is one worker state (:mod:`repro.cluster.rpc`): its snapshot,
-one inline engine (serial or columnar), its epoch; a level reaches it
+its engine (the id-space one), its epoch; a level reaches it
 as one frame carrying the task specs and the exchange rows, and it
 keeps nothing about plans.  Two clients carry those frames
 (``ServiceConfig(shard_transport=...)``), behind the one router:

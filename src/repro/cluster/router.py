@@ -14,9 +14,9 @@ behind that engine — the one thing a sharded deployment changes is
   started on.  The router groups a batch by owning shard and sends each
   shard its slice as one :class:`~repro.cluster.rpc.ExecuteLevel`
   stamped with that table's version: the shard's worker scans only its
-  own snapshot and runs the slice on its one inline engine (serial or
-  columnar).  There is no pool inside a shard — the shards are the
-  parallelism, as the §5.1 nodes are.
+  own snapshot and runs the slice on its one engine, the id-space one.
+  There is no pool inside a shard — the shards are the parallelism, as
+  the §5.1 nodes are.
 * **one router, two carriers.**  The transport is the client class
   :meth:`ShardRouter._start_worker` builds — a worker in the driver
   process or in a server process; priming, epochs and the stale
@@ -80,10 +80,9 @@ from repro.columnar.wire import WIRE_FORMATS
 from repro.cost.params import DEFAULT_PARAMS, CostParams
 from repro.mapreduce.backends import (
     DEFAULT_RPC_PIPELINE,
+    ColumnarBackend,
     ExecutionBackend,
     TaskInvocation,
-    check_backend_available,
-    inline_backend,
 )
 from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.engine import ClusterConfig
@@ -399,9 +398,7 @@ class ShardRouter(ExecutionBackend):
         self,
         num_nodes: int,
         num_shards: int,
-        worker_backend: str = "serial",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        parallel_shards: bool = True,
         on_failure=None,
         start_method: str | None = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
@@ -410,7 +407,6 @@ class ShardRouter(ExecutionBackend):
         coalesce_window_ms: float = 0.0,
         coalesce_max_batch: int = 1,
     ) -> None:
-        check_backend_available(inline_backend(worker_backend))
         if wire_format not in WIRE_FORMATS:
             raise ValueError(
                 f"unknown wire format {wire_format!r}; "
@@ -428,14 +424,12 @@ class ShardRouter(ExecutionBackend):
             )
         self.num_nodes = num_nodes
         self.num_shards = num_shards
-        #: backend label recorded on execution reports: the engine, and
-        #: over rpc the hop to it
+        #: backend label recorded on execution reports: the workers'
+        #: engine, and over rpc the hop to it
+        engine = ColumnarBackend.name
         self.name = (
-            worker_backend
-            if self.transport == "inproc"
-            else f"{self.transport}:{worker_backend}"
+            engine if self.transport == "inproc" else f"{self.transport}:{engine}"
         )
-        self.worker_backend = worker_backend
         self.wire_format = wire_format
         self.max_frame_bytes = max_frame_bytes
         self.start_method = start_method
@@ -444,11 +438,6 @@ class ShardRouter(ExecutionBackend):
         self.coalesce_window_ms = coalesce_window_ms
         self.coalesce_max_batch = coalesce_max_batch
         self.on_failure = on_failure
-        #: dispatch shard batches on driver threads; the caller's
-        #: request, re-applied when a resize changes the shard count
-        #: (one shard dispatches inline)
-        self._parallel_requested = parallel_shards
-        self.parallel_shards = parallel_shards and num_shards > 1
         self._lock = checked(threading.Lock(), "ShardRouter._lock")
         self._pool: ThreadPoolExecutor | None = None  # guarded-by: _lock
         self._counter_lock = checked(
@@ -486,7 +475,6 @@ class ShardRouter(ExecutionBackend):
         """Route over *num_shards* shards from now on, retiring the
         dispatch pool sized for the old count."""
         self.num_shards = num_shards
-        self.parallel_shards = self._parallel_requested and num_shards > 1
         with self._lock:
             old_pool, self._pool = self._pool, None
         if old_pool is not None:
@@ -813,7 +801,6 @@ class ShardRouter(ExecutionBackend):
         client = self.client(
             shard=shard,
             num_nodes=self.num_nodes,
-            backend=self.worker_backend,
             max_frame_bytes=self.max_frame_bytes,
             start_method=self.start_method,
             spawn_timeout=self.spawn_timeout,
@@ -1122,7 +1109,7 @@ class ShardRouter(ExecutionBackend):
             batch = [invocations[index] for index in groups[shard]]
             return self._run_on(shard, batch, ctx, tctx)
 
-        if len(shards) > 1 and self.parallel_shards:
+        if len(shards) > 1:
             pool = self._dispatch_pool()
             futures = [pool.submit(call, shard) for shard in shards]
             batches = [future.result() for future in futures]
@@ -1209,18 +1196,17 @@ class ShardedPlanExecutor(PlanExecutor):
 
     The store is a :class:`ShardedStore` and the execution backend is a
     shard router; preparing and executing plans is the base class's,
-    unchanged.  *backend* names the one inline engine each shard worker
-    builds for itself: ``"serial"`` (the default) or ``"columnar"``.  A
-    ``"thread"`` / ``"process"`` pool backend, or an engine *instance*,
-    is refused with a ``ValueError``.  ``transport`` selects the client
-    that carries the frames to the workers:
+    unchanged.  Each shard worker builds its own engine, the id-space
+    one (:class:`~repro.mapreduce.backends.ColumnarBackend`); there is
+    no engine to choose.  ``transport`` selects the client that carries
+    the frames to the workers:
 
     * ``"inproc"`` (default): every worker lives in the driver process
       (:class:`~repro.cluster.rpc.LocalShardClient`) and frames cross as
       objects, blocks by reference.
     * ``"rpc"``: workers are **long-lived server processes**
-      (:class:`RpcShardRouter`) — each holds its snapshot and one engine
-      of the named kind resident and nothing about plans: a level's task
+      (:class:`RpcShardRouter`) — each holds its snapshot and its
+      engine resident and nothing about plans: a level's task
       specs and exchange rows cross the localhost socket with the level.
       A crashed worker is respawned and its request retried once;
       sustained failure raises a typed
@@ -1237,7 +1223,6 @@ class ShardedPlanExecutor(PlanExecutor):
         store: ShardedStore,
         cluster: ClusterConfig | None = None,
         params: CostParams = DEFAULT_PARAMS,
-        backend: str | None = None,
         transport: str = "inproc",
         on_shard_failure: Callable[[int, str], None] | None = None,
         max_frame_bytes: int | None = None,
@@ -1257,7 +1242,6 @@ class ShardedPlanExecutor(PlanExecutor):
                 f"unknown shard transport {transport!r}; "
                 "expected 'inproc' or 'rpc'"
             )
-        name = inline_backend(backend or "serial")
         self.transport = transport
         rpc = transport == "rpc"
         socket_options = (
@@ -1274,11 +1258,7 @@ class ShardedPlanExecutor(PlanExecutor):
         router = (RpcShardRouter if rpc else ShardRouter)(
             num_nodes=store.num_nodes,
             num_shards=store.num_shards,
-            worker_backend=name,
             on_failure=on_shard_failure,
-            # a serial engine is GIL-bound: in process, dispatch threads
-            # would only add hand-offs
-            parallel_shards=rpc or name != "serial",
             **socket_options,
         )
         super().__init__(store, cluster, params, backend=router)

@@ -6,8 +6,8 @@ what a §5 node is: it holds, resident,
 * its shard's :class:`~repro.partitioning.triple_partitioner
   .StoreSnapshot` (installed by :class:`Prime` when the shard's token
   changes, patched by a migration's :class:`PrimeNodes`);
-* one inline engine (serial or columnar) that runs every level it is
-  sent — no pool of its own: the shards are the parallelism;
+* one engine, the id-space one, that runs every level it is sent — no
+  pool of its own: the shards are the parallelism;
 * its topology epoch and its counters.
 
 And **nothing about plans**: a worker is stateless between levels, the
@@ -29,8 +29,8 @@ Over the socket both ends number terms as the store does: the
 :class:`Prime` snapshot carries the store's dictionary, and the router
 ships a worker whose replica lags the suffix it misses (in a
 :class:`TableUpdate`), so on the columnar wire an id block crosses as
-its id buffers, translated nowhere, and neither the driver nor a
-columnar worker decodes a term to move it.  Message frames are pickled
+its id buffers, translated nowhere, and neither the driver nor a worker
+decodes a term to move it.  Message frames are pickled
 dataclasses with an explicit size cap; oversized frames, unknown
 message types, specs that do not pickle and ids no store numbered
 surface as typed errors, never hangs or wrong answers.
@@ -69,13 +69,11 @@ from repro.analysis.locks import ReadWriteLock, checked
 from repro.cluster.ownership import merge_nodes
 from repro.mapreduce.backends import (
     DEFAULT_RPC_PIPELINE,
-    ExecutionBackend,
+    ColumnarBackend,
     TaskInvocation,
-    make_backend,
     store_token,
     task_timing,
 )
-from repro.columnar.block import HAVE_NUMPY
 from repro.columnar.wire import WireCodec
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import TaskContext
@@ -91,9 +89,9 @@ DEFAULT_MAX_FRAME_BYTES = 128 * 1024 * 1024
 DEFAULT_SPAWN_TIMEOUT = 60.0
 
 #: Task spans a traced :class:`ExecuteLevel` ships back per level — one
-#: per task group on the columnar backend, per task on serial; further
-#: ones are summarized by a ``task_spans_dropped`` attribute on the
-#: execute span (span records travel over the wire).
+#: per task group the engine ran; further ones are summarized by a
+#: ``task_spans_dropped`` attribute on the execute span (span records
+#: travel over the wire).
 MAX_TASK_SPANS = 16
 
 
@@ -316,7 +314,6 @@ class StatsReply:
     levels_run: int
     primes: int
     bytes_received: int
-    backend: str
     #: dispatch-pool size: how many levels may execute concurrently
     pipeline: int = 1
     #: levels currently executing / accepted but not yet started
@@ -455,7 +452,7 @@ def _no_delay(conn) -> None:
 class _WorkerState:
     """Everything resident in one shard worker: the snapshot (and with
     it the store's dictionary — over rpc a replica of it), the one
-    inline backend that runs tasks against it, the topology epoch and
+    engine that runs tasks against it, the topology epoch and
     the counters.  The same class serves in a shard server process and,
     behind :class:`LocalShardClient`, in the driver.
 
@@ -468,14 +465,12 @@ class _WorkerState:
         self,
         shard: int,
         num_nodes: int,
-        backend: str,
         pipeline: int = 1,
     ) -> None:
         self.shard = shard
         self.num_nodes = num_nodes
-        self.backend_name = backend
         self.pipeline = pipeline
-        self.backend: ExecutionBackend = make_backend(backend)
+        self.backend = ColumnarBackend()
         # snapshot/wire are resident-state: swapped (the dictionary
         # grown) only under rwlock.write() (the caller's mutator path),
         # read during level execution under rwlock.read() — the RW lock,
@@ -555,9 +550,7 @@ class _WorkerState:
         it: no id at or past the synced length ever ships."""
         self.wire = (
             WireCodec(
-                self.snapshot,
-                blocks=self.backend_name == "columnar",
-                limit=len(self.snapshot.dictionary),
+                self.snapshot, blocks=True, limit=len(self.snapshot.dictionary)
             )
             if self.wire_format == "columnar"
             else None
@@ -617,24 +610,30 @@ class _WorkerState:
         received: float | None,
         decoded: float | None,
     ) -> "ResultsReply":
-        """One level under the read lock, counted in ``inflight``."""
+        """One level under the read lock, counted in ``inflight``.
+
+        A traced frame's spans share their boundary instants — queue
+        wait ends where the state-lock wait starts, which ends where
+        ``execute`` starts — so a pause between two of them (a GIL
+        hand-off, a collection triggered by recording a span) lands in
+        a span instead of between them."""
         acc = None
-        if msg.trace_ctx is not None:
-            now = time.perf_counter()
-            received = now if received is None else received
-            decoded = received if decoded is None else decoded
-            acc = SpanAccumulator(received)
-            acc.record("decode", received, decoded)
-            acc.record("queue_wait", decoded, now)
         with self._stats_lock:
             self.inflight += 1
             self.peak_inflight = max(self.peak_inflight, self.inflight)
         try:
             lock_t0 = time.perf_counter()
+            if msg.trace_ctx is not None:
+                received = lock_t0 if received is None else received
+                decoded = received if decoded is None else decoded
+                acc = SpanAccumulator(received)
+                acc.record("decode", received, decoded)
+                acc.record("queue_wait", decoded, lock_t0)
             with self.rwlock.read():
+                locked = time.perf_counter()
                 if acc is not None:
-                    acc.record("state_lock_wait", lock_t0, time.perf_counter())
-                return self.execute_level(msg, acc)
+                    acc.record("state_lock_wait", lock_t0, locked)
+                return self.execute_level(msg, acc, start=locked)
         finally:
             with self._stats_lock:
                 self.inflight -= 1
@@ -642,16 +641,18 @@ class _WorkerState:
     # -- request handlers --------------------------------------------------
 
     def execute_level(
-        self, msg: ExecuteLevel, acc: SpanAccumulator | None = None
+        self,
+        msg: ExecuteLevel,
+        acc: SpanAccumulator | None = None,
+        start: float | None = None,
     ) -> ResultsReply:
         """Run one level frame's tasks as received; a traced frame
         (*acc* given) also ships back ``execute`` / per-task span
-        records."""
+        records, the ``execute`` span from *start* (by default now)."""
+        if start is None:
+            start = time.perf_counter()
         if msg.epoch != self.epoch:
             raise StaleEpoch(self.shard, msg.epoch, self.epoch)
-        # Taken before the task context is built, so a traced frame's
-        # ``execute`` span starts where ``state_lock_wait`` ended.
-        start = time.perf_counter()
         invocations, ctx = self._invocations(msg)
         if acc is None:
             results = self.backend.run(invocations, ctx)
@@ -661,9 +662,8 @@ class _WorkerState:
             execute_ix = acc.record(
                 "execute", start, time.perf_counter(), tasks=len(invocations)
             )
-            # Ship at most a handful of task spans: the serial backend
-            # reports one per task, the columnar one per task group (of
-            # ``tasks=k``); the records travel back over the wire.
+            # Ship at most a handful of task spans, one per task group
+            # (of ``tasks=k``); the records travel back over the wire.
             for task_ix, (t0, t1, k) in enumerate(tasks[:MAX_TASK_SPANS]):
                 acc.record("task", t0, t1, parent=execute_ix, index=task_ix, tasks=k)
             if len(tasks) > MAX_TASK_SPANS:
@@ -716,7 +716,6 @@ class _WorkerState:
                 levels_run=self.levels_run,
                 primes=self.primes,
                 bytes_received=self.bytes_received,
-                backend=self.backend_name,
                 pipeline=self.pipeline,
                 inflight=self.inflight,
                 queue_depth=self.queued,
@@ -775,7 +774,6 @@ def _worker_main(
     channel,
     shard: int,
     num_nodes: int,
-    backend: str,
     max_frame_bytes: int,
     authkey: bytes,
     pipeline: int = 1,
@@ -803,7 +801,7 @@ def _worker_main(
     finally:
         channel.close()
     concurrency = max(1, pipeline)
-    state = _WorkerState(shard, num_nodes, backend, pipeline=concurrency)
+    state = _WorkerState(shard, num_nodes, pipeline=concurrency)
     conn = listener.accept()
     _no_delay(conn)
     send_lock = checked(threading.Lock(), "worker.send_lock")
@@ -1086,7 +1084,6 @@ class ShardWorkerClient:
         self,
         shard: int,
         num_nodes: int,
-        backend: str = "serial",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         start_method: str | None = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
@@ -1094,7 +1091,6 @@ class ShardWorkerClient:
     ) -> None:
         self.shard = shard
         self.num_nodes = num_nodes
-        self.backend = backend
         self.max_frame_bytes = max_frame_bytes
         self.start_method = start_method
         self.spawn_timeout = spawn_timeout
@@ -1154,7 +1150,6 @@ class ShardWorkerClient:
                 child,
                 self.shard,
                 self.num_nodes,
-                self.backend,
                 self.max_frame_bytes,
                 authkey,
                 self.pipeline,
@@ -1388,7 +1383,7 @@ class ShardWorkerClient:
             # Primes only happen at quiescence points (startup, mutation,
             # respawn), so no concurrent frame straddles the swap.
             self.codec = (
-                WireCodec(msg.snapshot, blocks=HAVE_NUMPY)
+                WireCodec(msg.snapshot, blocks=True)
                 if msg.wire == "columnar"
                 else None
             )
@@ -1429,12 +1424,9 @@ class LocalShardClient:
     memory and are ignored.
     """
 
-    def __init__(
-        self, shard: int, num_nodes: int, backend: str = "serial", **_socket
-    ) -> None:
+    def __init__(self, shard: int, num_nodes: int, **_socket) -> None:
         self.shard = shard
         self.num_nodes = num_nodes
-        self.backend = backend
         #: the shard's worker state; None once closed
         self.worker: _WorkerState | None = None
         self._lock = checked(threading.Lock(), "LocalShardClient._lock")
@@ -1447,7 +1439,7 @@ class LocalShardClient:
         self.terms_shipped = 0
 
     def start(self) -> StatsReply:
-        self.worker = _WorkerState(self.shard, self.num_nodes, self.backend)
+        self.worker = _WorkerState(self.shard, self.num_nodes)
         return self.request(Stats())
 
     def alive(self) -> bool:

@@ -14,33 +14,18 @@ at load.  Two consumers share the representation:
   rows, to the next task: the MapReduce engine exchanges them as
   opaque chunks and terms are decoded once, when the answer is read.
   Answers and counters stay bit-identical to the tuple kernels (this
-  powers the ``columnar`` execution backend, the query service's
-  default where numpy imports);
+  is the ``columnar`` execution backend, the one engine the query
+  service and every shard worker run);
 * :mod:`repro.columnar.wire` packs rows crossing the RPC boundary into
   id buffers in that same numbering (every shard worker holds a replica
   of the store's dictionary), replacing pickled tuple lists as the
   shard wire format.
 
 The kernels are bulk numpy operators over int64 arrays
-(:mod:`repro.columnar.kernels`), the one implementation.  Without numpy
-the package still imports — the wire codec is stdlib-only and the
-service reads :data:`HAVE_NUMPY` to resolve its default backend to
-``"serial"`` — and an explicit ``backend="columnar"`` raises
-:class:`~repro.mapreduce.backends.BackendUnavailable`.
+(:mod:`repro.columnar.kernels`), the one implementation; numpy is a
+requirement of the package.
 """
 
-from repro.columnar.block import (
-    HAVE_NUMPY,
-    ColumnBlock,
-    columnar_available,
-    to_blocks,
-    to_rows,
-)
+from repro.columnar.block import ColumnBlock, to_blocks, to_rows
 
-__all__ = [
-    "HAVE_NUMPY",
-    "ColumnBlock",
-    "columnar_available",
-    "to_blocks",
-    "to_rows",
-]
+__all__ = ["ColumnBlock", "to_blocks", "to_rows"]

@@ -20,9 +20,7 @@ the store's numbering, so the ids need no translation), and then no
 block reaches ``pickle`` at all.
 
 Columns are numpy ``int64`` arrays — the one representation between
-operators.  Without numpy this module still imports (the service reads
-:data:`HAVE_NUMPY` to resolve its default backend) but builds no
-columns: ``make_backend("columnar")`` refuses there.
+operators.  numpy is a requirement of the package.
 """
 
 from __future__ import annotations
@@ -31,19 +29,9 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.rdf.dictionary import Dictionary
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
-HAVE_NUMPY = np is not None
-
-
-def columnar_available() -> bool:
-    """True when the columnar backend can run here: numpy imports."""
-    return HAVE_NUMPY
 
 
 def make_column(ids: Iterable[int]):

@@ -41,8 +41,10 @@ import threading
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from repro.analysis.locks import checked
-from repro.columnar.block import ColumnBlock, empty_column, gather, make_column, np
+from repro.columnar.block import ColumnBlock, empty_column, gather, make_column
 from repro.columnar.kernels import (
     HashMemo,
     project_block,

@@ -30,8 +30,7 @@ python loop over rows or keys:
 
 Output blocks carry their inputs' dictionary along.
 
-This is the only implementation: without numpy the module imports but
-its operators cannot run, and ``make_backend("columnar")`` refuses.
+These kernels are the only implementation of the id-space operators.
 """
 
 from __future__ import annotations
@@ -39,8 +38,10 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
+import numpy as np
+
 from repro.analysis.locks import checked
-from repro.columnar.block import ColumnBlock, empty_column, np
+from repro.columnar.block import ColumnBlock, empty_column
 from repro.rdf.dictionary import Dictionary
 from repro.relational.joins import output_schema
 

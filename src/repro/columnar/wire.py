@@ -16,24 +16,22 @@ term alike, and a codec is stateless: one dictionary, nothing
 translated, nothing to re-seed.  There are two ways in and out of the
 buffers, one format between them:
 
-* **The block path** (needs numpy).  A :class:`ColumnBlock` over the
-  codec's dictionary is packed by ``astype`` to the narrowest width and
+* **The block path.**  A :class:`ColumnBlock` over the codec's
+  dictionary is packed by ``astype`` to the narrowest width and
   ``tobytes``; a buffer is unpacked by ``np.frombuffer`` back into a
   block over the codec's dictionary — on an endpoint that computes on
-  blocks (``blocks=True``: the driver, a columnar worker).  No term is
-  touched.
-* **The row path** (stdlib only: this module imports and serves rows
-  without numpy).  :func:`pack_rows` / :func:`unpack_rows` look up and
-  decode term-tuple rows cell by cell.  It is what a row endpoint
-  unpacks to (a serial worker, a numpy-less driver), and how any chunk
-  that is not a block over the codec's dictionary packs (a row list, a
-  foreign dictionary's block).  Rows whose cells are not all strings
-  (never produced by the plan specs, but closure tasks could), ragged
-  rows and zero-arity rows cross pickled as-is via :class:`RawRows`.
+  blocks (``blocks=True``: both ends of an rpc shard connection).  No
+  term is touched.
+* **The row path.**  :func:`pack_rows` / :func:`unpack_rows` look up
+  and decode term-tuple rows cell by cell.  It is what a row endpoint
+  (``blocks=False``) unpacks to, and how any chunk that is not a block
+  over the codec's dictionary packs (a row list, a foreign
+  dictionary's block).  Rows whose cells are not all strings (never
+  produced by the plan specs, but closure tasks could), ragged rows and
+  zero-arity rows cross pickled as-is via :class:`RawRows`.
 
-Both produce the same :class:`PackedRows` bytes, so the two ends of a
-connection choose independently: a block packed on the driver unpacks
-to rows on a serial worker and the reverse.
+Both produce the same :class:`PackedRows` bytes, so a block packed on
+one end unpacks to rows on a row endpoint and the reverse.
 
 A codec never numbers a term: packing a term its dictionary does not
 hold raises ``KeyError``, and a worker's codec (``limit=``) refuses any
@@ -53,7 +51,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from repro.columnar.block import ColumnBlock, chunk_rows, np
+import numpy as np
+
+from repro.columnar.block import ColumnBlock, chunk_rows
 from repro.mapreduce.hdfs import DistributedRelation, chunks_of
 
 #: Wire formats the rpc shard transport speaks (ShardedPlanExecutor's

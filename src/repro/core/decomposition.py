@@ -24,11 +24,7 @@ from repro.core.covers import (
     masks_of,
     minimum_covers,
 )
-from repro.core.variable_graph import (
-    Decomposition,
-    VariableGraph,
-    canonical_decomposition,
-)
+from repro.core.variable_graph import Decomposition, VariableGraph
 
 
 @dataclass(frozen=True)
@@ -122,8 +118,16 @@ def decompositions(
     else:
         covers = iter_simple_covers(n, masks, max_size, budget=budget)
 
+    # The order of variable_graph.canonical_decomposition (by sorted
+    # members), ranked once: the candidates are distinct, so a cover
+    # sorts by its members' ranks.
+    by_rank = sorted(range(len(cliques)), key=lambda j: sorted(cliques[j]))
+    rank = [0] * len(cliques)
+    for position, j in enumerate(by_rank):
+        rank[j] = position
+    ranked = [cliques[j] for j in by_rank]
     for cover in covers:
-        yield canonical_decomposition([cliques[j] for j in cover])
+        yield tuple([ranked[r] for r in sorted([rank[j] for j in cover])])
 
 
 def has_decomposition(graph: VariableGraph, option: DecompositionOption) -> bool:

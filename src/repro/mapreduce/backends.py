@@ -17,16 +17,12 @@ the tasks of a level actually run:
   one node's partitions of the shuffled intermediates).
 
   Both pools serve a bare :class:`~repro.physical.executor.PlanExecutor`
-  only, where the perf ledger still probes them: the query service and
-  every shard run one of the :data:`INLINE_BACKENDS`
-  (:func:`inline_backend` refuses anything else).
+  only, where the perf ledger still probes them.
 * :class:`ColumnarBackend` — inline like serial, but the plan task
   specs run as bulk id-space kernels over dictionary-encoded
   :class:`~repro.columnar.block.ColumnBlock` columns (numpy int64
   arrays) that stay blocks from task to task; see :mod:`repro.columnar`.
-  The query service's default
-  where numpy imports (``ServiceConfig.backend``); without numpy
-  :func:`make_backend` raises :class:`BackendUnavailable` for it.
+  The one engine the query service and every shard worker run.
   ``make_backend(None)`` stays serial, the reference.
 
 Determinism: every backend returns task results **in submission order**
@@ -56,14 +52,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.locks import checked
-from repro.columnar.block import HAVE_NUMPY
 from repro.mapreduce.counters import ExecutionReport
 from repro.mapreduce.jobs import TaskContext, TaskSpec
 
 
 class BackendUnavailable(RuntimeError):
-    """Raised when a backend cannot run here (columnar without numpy) or
-    cannot run and fallback is disabled (process)."""
+    """Raised when the process backend cannot run and fallback is
+    disabled."""
 
 
 class _InfraFailure(Exception):
@@ -236,7 +231,6 @@ class ColumnarBackend(ExecutionBackend):
     def __init__(self) -> None:
         from repro.columnar.engine import ColumnarState
 
-        check_backend_available(self.name)
         self.state = ColumnarState()
 
     def run(self, invocations: Sequence[TaskInvocation], ctx: TaskContext) -> list:
@@ -546,39 +540,6 @@ DEFAULT_RPC_PIPELINE = 4
 #: Names accepted by :func:`make_backend`.
 BACKEND_NAMES = ("serial", "thread", "process", "columnar")
 
-#: The engines the query service and every shard run
-#: (``ServiceConfig.backend``): inline, keeping no pool, so a shard
-#: worker holds exactly one.
-INLINE_BACKENDS = ("serial", "columnar")
-
-
-def inline_backend(backend: object) -> str:
-    """*backend* if it names one of :data:`INLINE_BACKENDS`, else a
-    :class:`ValueError` naming them: a pool name, or an engine instance
-    where the engine is built from its name."""
-    engines = " or ".join(INLINE_BACKENDS)
-    if isinstance(backend, ExecutionBackend):
-        raise ValueError(
-            f"a service or shard runs one inline engine ({engines}) that "
-            f"it builds from a backend *name*, not the {backend.name!r} instance"
-        )
-    if backend not in INLINE_BACKENDS:
-        raise ValueError(
-            f"unknown worker backend {backend!r}: a service or shard runs "
-            f"one inline engine ({engines}); pools serve bare executors only"
-        )
-    return str(backend)
-
-
-def check_backend_available(backend: str) -> None:
-    """Raise :class:`BackendUnavailable` for a backend name that cannot
-    run on this host (the rpc driver asks before it spawns workers)."""
-    if backend == "columnar" and not HAVE_NUMPY:
-        raise BackendUnavailable(
-            'backend "columnar" needs numpy, which does not import here; '
-            'use "serial"'
-        )
-
 
 def make_backend(
     backend: "str | ExecutionBackend | None",
@@ -587,8 +548,7 @@ def make_backend(
     """Resolve a backend name (or pass an instance through).
 
     ``num_workers`` applies to thread/process backends; ``None`` picks
-    4 threads or one process per available CPU.  ``"columnar"`` without
-    numpy raises :class:`BackendUnavailable`.
+    4 threads or one process per available CPU.
     """
     if backend is None:
         return SerialBackend()
@@ -601,7 +561,6 @@ def make_backend(
     if backend == "process":
         return ProcessBackend(num_workers)
     if backend == "columnar":
-        check_backend_available(backend)
         return ColumnarBackend()
     raise ValueError(
         f"unknown execution backend {backend!r}; expected one of {BACKEND_NAMES}"

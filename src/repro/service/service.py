@@ -24,11 +24,10 @@ from typing import Callable
 
 from repro.analysis.locks import checked
 from repro.cluster import ShardedPlanExecutor, ShardedStore, shard_graph
-from repro.columnar.block import HAVE_NUMPY
 from repro.core.decomposition import MSC, DecompositionOption
 from repro.core.logical import LogicalPlan
 from repro.cost.params import DEFAULT_PARAMS, CostParams
-from repro.mapreduce.backends import inline_backend
+from repro.mapreduce.backends import ColumnarBackend
 from repro.mapreduce.engine import ClusterConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Trace
@@ -47,12 +46,16 @@ from repro.sparql.ast import BGPQuery
 class ServiceConfig:
     """Deployment knobs for the query service.
 
-    A service runs one inline engine (``backend``) on one of three
-    deployments (``shards`` / ``shard_transport``).  What the perf
-    ledger still probes but no deployment needs — the pickle wire, the
-    rpc concurrency modes and the thread / process pools — are
-    arguments of :class:`~repro.cluster.ShardedPlanExecutor` and
-    :class:`~repro.physical.executor.PlanExecutor`, not fields here.
+    A service runs one engine, the id-space engine
+    (:class:`~repro.mapreduce.backends.ColumnarBackend`: bulk numpy
+    kernels over dictionary-encoded columns), on one of three
+    deployments (``shards`` / ``shard_transport``): unsharded, the
+    service's executor runs it; sharded, each shard worker builds one.
+    There is no engine knob.  What the perf ledger still probes but no
+    deployment needs — the serial engine, the thread / process pools,
+    the pickle wire and the rpc concurrency modes — are arguments of
+    :class:`~repro.physical.executor.PlanExecutor` and
+    :class:`~repro.cluster.ShardedPlanExecutor`, not fields here.
     """
 
     num_nodes: int = 7
@@ -70,18 +73,6 @@ class ServiceConfig:
     result_cache_size: int | None = 256
     #: worker threads for submit_batch
     max_workers: int = 8
-    #: the engine that runs every task, by name: "columnar" or "serial"
-    #: (mapreduce.backends.INLINE_BACKENDS), the same on every
-    #: deployment — unsharded, the service's executor runs it; sharded,
-    #: each shard worker builds one.  The default is resolved from the
-    #: platform: the id-space engine ("columnar", bulk numpy kernels
-    #: over dictionary-encoded columns) where numpy is importable,
-    #: "serial" otherwise.  SerialBackend is the reference every engine
-    #: is checked against (answers and field-wise reports,
-    #: tests/conformance.py), not the fast path.  A pool name ("thread",
-    #: "process") or an ExecutionBackend instance is a ValueError: the
-    #: pools lost every ledger probe and serve a bare PlanExecutor only.
-    backend: str = "columnar" if HAVE_NUMPY else "serial"
     #: individualization budget of the canonicalizer
     canonical_budget: int = 4096
     #: lift constants into parameterized plan templates, so queries that
@@ -101,7 +92,7 @@ class ServiceConfig:
     #: Answers and reports are identical for any shard count.
     shards: int = 0
     #: how the shard workers are reached (requires ``shards >= 1``).
-    #: A worker holds its snapshot and one inline engine, nothing about
+    #: A worker holds its snapshot and one engine, nothing about
     #: plans, and gets each level as one frame (repro.cluster.rpc):
     #: "inproc" keeps it in the driver process and hands it frames as
     #: objects; "rpc" runs it as a long-lived server process behind a
@@ -184,7 +175,6 @@ class QueryService(FrontDoor, Pipeline, Administration):
     def __init__(self, graph: RDFGraph, config: ServiceConfig | None = None) -> None:
         self.config = config = config or ServiceConfig()
         config.validate()
-        backend = inline_backend(config.backend)
         #: the one set of books: every part counts into it, and
         #: render_prometheus() syncs transport gauges into it at scrape
         #: time
@@ -202,7 +192,6 @@ class QueryService(FrontDoor, Pipeline, Administration):
                 self.store,
                 ClusterConfig(num_nodes=config.num_nodes),
                 config.params,
-                backend=backend,
                 transport=config.shard_transport,
                 on_shard_failure=on_shard_failure,
             )
@@ -212,7 +201,7 @@ class QueryService(FrontDoor, Pipeline, Administration):
                 self.store,
                 ClusterConfig(num_nodes=config.num_nodes),
                 config.params,
-                backend=backend,
+                backend=ColumnarBackend(),
             )
         Administration.__init__(self, graph, config, self.registry)
         FrontDoor.__init__(self, config, self.registry)
@@ -238,7 +227,7 @@ class QueryService(FrontDoor, Pipeline, Administration):
                 self._pool.shutdown(wait=True)
                 self._pool = None
             # The executor owns the execution backend (a sharded one's
-            # router closes the shards' engine) and closing is
+            # router closes the shards' engines) and closing is
             # idempotent.
             self.executor.close()
 
@@ -304,18 +293,15 @@ class QueryService(FrontDoor, Pipeline, Administration):
         store = self.store
         config = self.config
         sharded = self.sharded
-        # The engine the config resolves to (the default differs with
-        # and without numpy).
-        backend = config.backend
         rpc = sharded and config.shard_transport == "rpc"
         return explain_plan(
             plan,
-            backend=backend,
+            backend=ColumnarBackend.name,
             template=digest,
             shard_map=store.node_shards if sharded else None,
             shard_triples=store.triples_per_shard() if sharded else None,
             transport=config.shard_transport if sharded else None,
-            rows="columnar" if backend == "columnar" else "tuple",
+            rows="columnar",
             wire=self.executor.router.wire_format if rpc else None,
             wire_bytes=self._last_wire_bytes if rpc else None,
         )

@@ -12,7 +12,7 @@ constant-varying queries skip the optimizer.  ``prepare`` exposes the
 prepared-query surface directly on the session.  A session is
 configured like the service it opens (``CSQ(graph, ServiceConfig(...))``):
 the simulated response times the figures report do not depend on the
-execution backend, so the service's platform default serves them.
+execution engine, so the service's one engine serves them.
 """
 
 from __future__ import annotations

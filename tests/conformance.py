@@ -1,21 +1,22 @@
 """The reusable answer-equality conformance harness.
 
-Every execution configuration of this system — execution backend
-(the inline serial / columnar engines a service runs on every
-deployment, and the platform-resolved default of a config that names
-none), deployment (unsharded, sharded in-process, sharded over RPC),
-submission surface (submit, prepare/bind/execute, submit_batch) — must
-produce **bit-identical answers** and **field-wise identical execution
-reports** to the single-store serial reference.  The mechanisms only a
-bare executor reaches have their own cells at that level: the rpc wire
-formats and concurrency modes (``RPC_WIRES`` x ``RPC_MODES``, through
+Every execution configuration of this system — deployment (unsharded,
+sharded in-process, sharded over RPC; each runs the one id-space
+engine), submission surface (submit, prepare/bind/execute,
+submit_batch) — must produce **the evaluator's answers** and
+**field-wise identical execution reports** to the reference.  The
+reference is computed by no service: answers come from
+:func:`repro.sparql.evaluator.evaluate` over the graph (the written
+graph, for the write pass), and reports from a bare serial
+``PlanExecutor`` running each query's plan over the unsharded store
+(:func:`reference_answers`).  The mechanisms only a bare executor
+reaches have their own cells at that level: the rpc wire formats and
+concurrency modes (``RPC_WIRES`` x ``RPC_MODES``, through
 ``ShardedPlanExecutor``), and the thread / process pools
-(``tests/test_backends.py::TestBackendEquivalence``).
-Earlier PRs each re-proved this ad hoc for the configuration they
-added; this module is the one shared proof, and
-``tests/test_conformance.py`` runs it over the whole matrix on all 14
-LUBM queries.  New backends, transports or surfaces extend the matrix
-here instead of growing new copies of the check.
+(``tests/test_backends.py::TestBackendEquivalence``).  This module is
+the one shared proof, and ``tests/test_conformance.py`` runs it over
+the whole matrix on all 14 LUBM queries.  New transports or surfaces
+extend the matrix here instead of growing new copies of the check.
 
 Also home to the environment probes (``PROCESS_OK``, ``RPC_OK``) other
 test modules share: sandboxed environments without working process
@@ -40,15 +41,15 @@ from typing import Callable
 import pytest
 
 from repro.cluster import ShardedPlanExecutor, shard_graph
-from repro.columnar.block import HAVE_NUMPY, ColumnBlock
+from repro.columnar.block import ColumnBlock
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
-from repro.mapreduce.backends import INLINE_BACKENDS, SerialBackend, TaskInvocation
+from repro.mapreduce.backends import SerialBackend, TaskInvocation
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.jobs import MapTaskSpec, TaskContext
 from repro.partitioning.triple_partitioner import partition_graph
-from repro.physical.executor import PreparedPlan, job_from_spec
+from repro.physical.executor import PlanExecutor, PreparedPlan, job_from_spec
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import RDF_TYPE, is_variable
 from repro.service import (
@@ -59,6 +60,7 @@ from repro.service import (
 )
 from repro.sparql.ast import BGPQuery
 from repro.sparql.canonical import CanonicalizationBudgetExceeded
+from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
 from repro.workloads import lubm, lubm_queries
 
@@ -130,13 +132,8 @@ DEPLOYMENTS: dict[str, dict] = {
     "shards4-rpc": {"shards": 4, "shard_transport": "rpc"},
 }
 
-#: the (deployment, backend) cells of the matrix: the engines a service
-#: runs (a pool backend is refused on every deployment)
-CELLS = tuple(
-    (deployment, backend)
-    for deployment in sorted(DEPLOYMENTS)
-    for backend in INLINE_BACKENDS
-)
+#: the cells of the matrix: every deployment runs the one engine
+CELLS = tuple(sorted(DEPLOYMENTS))
 
 SURFACES = ("submit", "prepare", "batch")
 
@@ -160,13 +157,8 @@ RPC_MODES: dict[str, dict] = {
 RPC_WIRES = ("pickle", "columnar")
 
 
-def skip_unless_supported(deployment: str, backend: str) -> None:
+def skip_unless_supported(deployment: str) -> None:
     """Skip a matrix cell whose environment requirements are unmet."""
-    if backend == "columnar":
-        from repro.columnar import columnar_available
-
-        if not columnar_available():
-            pytest.skip("columnar backend needs numpy")
     if (
         DEPLOYMENTS[deployment].get("shard_transport") == "rpc"
         and not rpc_workers_work()
@@ -174,14 +166,8 @@ def skip_unless_supported(deployment: str, backend: str) -> None:
         pytest.skip("RPC shard workers unavailable in this environment")
 
 
-def make_service(
-    graph, backend: str | None, deployment: str, **overrides
-) -> QueryService:
+def make_service(graph, deployment: str, **overrides) -> QueryService:
     """A service for one matrix cell.
-
-    ``backend=None`` is the cell that names no backend at all: the
-    config keeps whatever ``ServiceConfig()`` resolves to on this
-    platform (the id-space engine with numpy, serial without).
 
     The result cache is disabled, unless *overrides* sets its size, so
     every surface truly executes (a cached answer would make
@@ -195,8 +181,6 @@ def make_service(
         "tracing", os.environ.get("REPRO_TRACE", "") == "1"
     )
     overrides.setdefault("result_cache_size", 0)
-    if backend is not None:
-        overrides["backend"] = backend
     config = ServiceConfig(
         **DEPLOYMENTS[deployment],
         **overrides,
@@ -250,7 +234,7 @@ def parity_queries() -> list[BGPQuery]:
 
 @dataclass(frozen=True)
 class Expected:
-    """Reference answer + report of one query on the serial single store."""
+    """Reference answer + report of one query."""
 
     name: str
     attrs: tuple[str, ...]
@@ -288,12 +272,18 @@ def _report_fields(report: ExecutionReport) -> tuple:
     )
 
 
-def expected_of(name: str, outcome: QueryOutcome) -> Expected:
-    num_jobs, signature, levels, rt, work, jobs = _report_fields(outcome.report)
+def expected_of(name: str, outcome) -> Expected:
+    """The answer and report of *outcome* (a service outcome or an
+    executor's ``ExecutionResult``) as an expectation."""
+    return _expected(name, outcome.attrs, outcome.rows, outcome.report)
+
+
+def _expected(name: str, attrs, rows, report: ExecutionReport) -> Expected:
+    num_jobs, signature, levels, rt, work, jobs = _report_fields(report)
     return Expected(
         name=name,
-        attrs=outcome.attrs,
-        rows=frozenset(outcome.rows),
+        attrs=attrs,
+        rows=frozenset(rows),
         num_jobs=num_jobs,
         job_signature=signature,
         levels=levels,
@@ -303,9 +293,29 @@ def expected_of(name: str, outcome: QueryOutcome) -> Expected:
     )
 
 
-def reference_answers(service: QueryService, queries) -> dict[str, Expected]:
-    """Run *queries* on the reference service; key expectations by name."""
-    return {q.name: expected_of(q.name, service.submit(q)) for q in queries}
+#: the node count of a default service, which the reference runs at
+NUM_NODES = ServiceConfig().num_nodes
+
+
+def reference_answers(graph, queries, planned) -> dict[str, Expected]:
+    """The reference for each of *queries* over *graph*, by name: the
+    answer :func:`~repro.sparql.evaluator.evaluate` gives, and the
+    report a bare serial ``PlanExecutor`` over *graph*'s unsharded store
+    writes for the plan the query's *planned* outcome ran — the engine
+    whose counters every cell's report must equal field by field.  Only
+    the outcomes' plans are read: the optimizer's choice is the
+    engine's input, not what the matrix checks (every cell must run the
+    same plan: its job signature is compared)."""
+    with PlanExecutor(partition_graph(graph, NUM_NODES), backend="serial") as serial:
+        return {
+            q.name: _expected(
+                q.name,
+                q.distinguished,
+                evaluate(q, graph),
+                serial.execute(outcome.plan).report,
+            )
+            for q, outcome in zip(queries, planned, strict=True)
+        }
 
 
 #: passes the submit surface makes over its queries as SPARQL text
@@ -533,12 +543,10 @@ def reads_writes(query: BGPQuery) -> bool:
     return False
 
 
-def write_twin(graph, backend: str | None, deployment: str) -> QueryService:
+def write_twin(graph, deployment: str) -> QueryService:
     """A service for the write pass: the result cache on, over a copy
     of *graph* (the pass writes to the service's graph)."""
-    return make_service(
-        RDFGraph(graph), backend, deployment, result_cache_size=256
-    )
+    return make_service(RDFGraph(graph), deployment, result_cache_size=256)
 
 
 def run_writes(service: QueryService, queries) -> list[QueryOutcome]:
@@ -557,12 +565,12 @@ def run_writes(service: QueryService, queries) -> list[QueryOutcome]:
 
 
 def writes_reference(graph, queries) -> dict[str, Expected]:
-    """``run_writes`` on a serial single store over a copy of *graph*
-    (itself left as it is): the answers every cell's write pass must
-    reproduce."""
-    with write_twin(graph, "serial", "unsharded") as service:
-        outcomes = run_writes(service, queries)
-    return {q.name: expected_of(q.name, o) for q, o in zip(queries, outcomes)}
+    """The reference of every cell's write pass: the evaluator over a
+    copy of *graph* (itself left as it is) given ``WRITES``, and the
+    reports of the plans an unsharded write twin runs after the write
+    (:func:`reference_answers`)."""
+    with write_twin(graph, "unsharded") as planner:
+        return reference_answers(planner.graph, queries, run_writes(planner, queries))
 
 
 def assert_writes_conform(
@@ -591,10 +599,6 @@ def _sorted_map_result(result) -> tuple:
         sorted(direct),
         metrics,
     )
-
-
-#: the node count of a default service, which the reference runs at
-NUM_NODES = ServiceConfig().num_nodes
 
 
 def rpc_executor(graph, shards: int = 2, **options) -> ShardedPlanExecutor:
@@ -798,43 +802,37 @@ def one_shard_triples(store, shard: int, count: int = 2) -> list[tuple]:
     return [tuple(terms[i : i + 3]) for i in range(0, len(terms), 3)]
 
 
-def assert_one_id_space(
-    service: QueryService, reference: QueryService, queries, where: str = ""
-) -> None:
+def assert_one_id_space(service: QueryService, queries, where: str = "") -> None:
     """The rpc cells' numbering claim, checked rather than assumed: the
     store numbers every term once and every worker computes in that
     numbering — at four moments: after warm-up, after an
     ``add_triples`` batch touching one shard only (the untouched shard
     gets the dictionary suffix and no new ``Prime``), after a killed
     worker respawns, and after a grow and a shrink.  At each, every
-    worker's dictionary equals ``service.store.dictionary``, every
-    block the driver receives is over it, and answers equal
-    *reference* (a serial unsharded service over an equal graph, which
-    is given the same writes).  Both services' graphs are written to.
+    worker's dictionary equals ``service.store.dictionary``, the driver
+    receives blocks over it and over nothing else, and answers and
+    reports equal :func:`reference_answers` over the service's graph as
+    written so far (each query's reference runs the plan the service
+    ran).  The service's graph is written to.
     """
     router = service.executor.router
     dictionary = service.store.dictionary
-    # the service's rpc wire is the columnar one
-    blocks_expected = HAVE_NUMPY
 
     def check(moment: str):
         at = f"{where}/{moment}"
         with chunks_received() as chunks:
-            for query in queries:
-                assert_conforms(
-                    expected_of(query.name, reference.submit(query)),
-                    service.submit(query),
-                    f"{at}/{query.name}",
-                )
+            outcomes = [service.submit(query) for query in queries]
+        reference = reference_answers(service.graph, queries, outcomes)
+        for query, outcome in zip(queries, outcomes):
+            assert_conforms(reference[query.name], outcome, f"{at}/{query.name}")
         blocks = [chunk for chunk in chunks if isinstance(chunk, ColumnBlock)]
-        assert all(block.dictionary is dictionary for block in blocks), at
-        assert bool(blocks) == blocks_expected, at
+        assert blocks and all(block.dictionary is dictionary for block in blocks), at
         return assert_replicas_equal_the_store(service, at)
 
     warm = check("warm")
     size = len(dictionary)
     writes = one_shard_triples(service.store, shard=0)
-    assert service.add_triples(writes) == reference.add_triples(writes) == len(writes)
+    assert service.add_triples(writes) == len(writes)
     assert len(dictionary) == size + 3 * len(writes), where
     written = check("one-shard write")
     assert written[0].primes == warm[0].primes + 1, where
@@ -862,7 +860,7 @@ def assert_concurrent_conforms(
     """The concurrent=N dimension: *threads* driver threads each *run*
     the full workload, rotated so different threads sit on different
     queries at any instant (a mixed concurrent load, not a stampede on
-    one key), and every result must conform to the serial reference
+    one key), and every result must conform to the reference
     (:func:`assert_result_conforms`: *run* may be a service's submit or
     an executor running each query's prepared plan).
     """
@@ -912,7 +910,7 @@ def assert_rebalance_conforms(
     *threads* driver threads keep the rotated workload continuously in
     flight while the main thread walks the shard count through *plan*
     (live grow/shrink migrations).  Every in-flight outcome — started
-    before, during, or after a migration — must conform to the serial
+    before, during, or after a migration — must conform to the
     reference, and after each flip the main thread re-runs the full
     workload at the new epoch.  Returns the
     :class:`~repro.cluster.router.RebalanceReport` per step.

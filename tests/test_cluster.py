@@ -8,7 +8,7 @@ the router's dispatch contract (owning shard, submission order), and the
 per-shard explain output.
 
 Service-level answer equality over the full LUBM workload across
-{backend} x {shards} x {transport} x {surface} lives in
+{shards} x {transport} x {surface} lives in
 ``tests/test_conformance.py`` (the shared conformance harness); the RPC
 transport's own protocol/fault tests live in ``tests/test_rpc.py``.
 """
@@ -29,8 +29,8 @@ from repro.cluster import (
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics, triple_delta
-from repro.columnar.block import HAVE_NUMPY
 from repro.mapreduce.backends import (
+    ColumnarBackend,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -47,6 +47,7 @@ from repro.service import (
     ServiceConfig,
     ServiceOverloaded,
 )
+from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
 from tests.conftest import make_university_graph
 
@@ -576,7 +577,7 @@ class TestClusterPlumbing:
 
     def test_shared_process_backend_instance_rejected(self, university):
         store = shard_graph(university, NUM_NODES, 2)
-        with pytest.raises(ValueError, match="inline engine.*'process'"):
+        with pytest.raises(TypeError, match="backend"):
             ShardedPlanExecutor(store, backend=ProcessBackend(1))
 
     @pytest.mark.parametrize("transport", ["inproc", "rpc"])
@@ -585,12 +586,12 @@ class TestClusterPlumbing:
         ids=["thread", "process"],
     )
     def test_pool_backend_instance_rejected(self, university, backend, transport):
-        """A shard runs one inline engine: a pool instance is refused,
-        typed and naming the engines, on either transport."""
+        """A shard runs the engine it builds: a pool instance is refused,
+        typed, on either transport — the executor takes no engine."""
         store = shard_graph(university, NUM_NODES, 2)
         pool = backend()
         try:
-            with pytest.raises(ValueError, match="serial or columnar"):
+            with pytest.raises(TypeError, match="backend"):
                 ShardedPlanExecutor(store, backend=pool, transport=transport)
         finally:
             pool.close()
@@ -599,63 +600,39 @@ class TestClusterPlumbing:
     @pytest.mark.parametrize("backend", ["thread", "process", "instance"])
     def test_pool_backend_config_rejected(self, backend, transport):
         """``ServiceConfig(backend=<pool or engine instance>)`` fails
-        typed when the service is built, on every deployment (unsharded
-        is ``shards=0``), before any shard worker exists."""
+        typed on every deployment (unsharded is ``shards=0``), before
+        any shard worker exists: a service has no engine knob."""
         deployment = (
             {"shards": 0}
             if transport == "unsharded"
             else {"shards": 2, "shard_transport": transport}
         )
         engine = SerialBackend() if backend == "instance" else backend
-        with pytest.raises(ValueError, match="inline engine.*serial or columnar"):
-            QueryService(
-                make_university_graph(),
-                ServiceConfig(backend=engine, **deployment),
-            )
+        with pytest.raises(TypeError, match="backend"):
+            ServiceConfig(backend=engine, **deployment)
 
-    def test_each_worker_holds_one_engine_of_the_named_kind(self, university):
-        """In process every shard worker builds its own engine from the
-        executor's backend name, as a shard server does — no engine is
-        shared between shards — and an engine instance is refused on
-        either transport."""
+    def test_each_worker_holds_its_own_engine(self, university):
+        """In process every shard worker builds its own id-space engine,
+        as a shard server does — no engine is shared between shards."""
         with ShardedPlanExecutor(shard_graph(university, NUM_NODES, 3)) as executor:
             executor.prime()
             engines = [client.worker.backend for client in executor.router._clients]
             assert len({id(engine) for engine in engines}) == 3
-            assert all(isinstance(engine, SerialBackend) for engine in engines)
-        store = shard_graph(university, NUM_NODES, 3)
-        for transport in ("inproc", "rpc"):
-            with pytest.raises(ValueError, match="inline engine.*'serial'"):
-                ShardedPlanExecutor(
-                    store, backend=SerialBackend(), transport=transport
-                )
+            assert all(isinstance(engine, ColumnarBackend) for engine in engines)
 
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            "serial",
-            pytest.param(
-                "columnar",
-                marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
-            ),
-        ],
-    )
-    def test_inproc_rebalance_keeps_the_engine(self, university, backend):
+    def test_inproc_rebalance_keeps_the_engine(self, university):
         """An in-process 2 → 3 → 2 rebalance is the live migration rpc
-        runs: the surviving workers keep their engines (and with them a
-        columnar scan cache), the grown shard's worker builds one of the
-        same kind, and answers equal the serial single-store reference
-        at every shard count."""
-        expected = QueryService(university, ServiceConfig(backend="serial"))
+        runs: the surviving workers keep their engines (and with them
+        the columnar scan cache), the grown shard's worker builds its
+        own, and answers equal the evaluator's at every shard count."""
+        want = evaluate(parse_query(STAR_QUERY), university)
         service = QueryService(
-            university,
-            ServiceConfig(shards=2, backend=backend, result_cache_size=0),
+            university, ServiceConfig(shards=2, result_cache_size=0)
         )
         try:
-            want = expected.submit(STAR_QUERY).rows
             router = service.executor.router
             engines = [client.worker.backend for client in router._clients]
-            assert [engine.name for engine in engines] == [backend] * 2
+            assert [engine.name for engine in engines] == ["columnar"] * 2
             assert service.submit(STAR_QUERY).rows == want
             for shards in (3, 2):
                 report = service.rebalance(target_shards=shards)
@@ -666,12 +643,11 @@ class TestClusterPlumbing:
                 assert all(a is b for a, b in zip(survivors, engines))
                 assert router.num_shards == shards
                 live = [c for c in router._clients if c is not None]
-                assert [c.worker.backend.name for c in live] == [backend] * shards
+                assert [c.worker.backend.name for c in live] == ["columnar"] * shards
                 outcome = service.submit(STAR_QUERY)
                 assert outcome.rows == want
                 assert outcome.report.shards == shards
         finally:
-            expected.close()
             service.close()
 
     def test_csq_with_shards(self, university):

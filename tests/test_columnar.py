@@ -3,10 +3,7 @@ and vectorized-vs-tuple kernel equivalence.
 
 The deterministic randomized tests always run (seeded ``random``); the
 property-based tests additionally run under hypothesis when it is
-installed (the tier-1 CI leg installs pytest only, so they are gated).
-The dictionary-delta and wire tests are stdlib-only; the block and
-kernel tests need numpy (the one column representation) and skip
-without it.
+installed.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ import random
 
 import pytest
 
-from repro.columnar.block import HAVE_NUMPY, ColumnBlock, to_blocks, to_rows
+from repro.columnar.block import ColumnBlock, to_blocks, to_rows
 from repro.columnar.engine import MAX_CACHED_SCANS, ColumnarState
 from repro.columnar.kernels import (
     HashMemo,
@@ -44,8 +41,6 @@ try:
 except ImportError:  # tier-1 CI leg installs pytest only
     HAVE_HYPOTHESIS = False
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="id columns need numpy")
-
 #: terms spanning every RDF shape the dictionary must hold losslessly
 TERMS = [
     "<http://example.org/u/Alice>",
@@ -63,7 +58,6 @@ TERMS = [
 # -- ColumnBlock round-trips ---------------------------------------------------
 
 
-@needs_numpy
 def test_block_roundtrip_preserves_rows_and_order():
     d = Dictionary()
     rows = [
@@ -77,7 +71,6 @@ def test_block_roundtrip_preserves_rows_and_order():
     assert block.to_rows(d) == rows
 
 
-@needs_numpy
 def test_block_relation_seam_roundtrip():
     d = Dictionary()
     relation = Relation(("?x", "?y"), [(a, b) for a in TERMS for b in TERMS])
@@ -86,7 +79,6 @@ def test_block_relation_seam_roundtrip():
     assert to_rows(block, d) == list(relation.rows)
 
 
-@needs_numpy
 def test_empty_block_roundtrip():
     d = Dictionary()
     block = ColumnBlock.from_rows(("?x",), [], d)
@@ -95,7 +87,6 @@ def test_empty_block_roundtrip():
     assert ColumnBlock.empty(()).to_rows(d) == []
 
 
-@needs_numpy
 def test_block_column_lookup():
     d = Dictionary()
     block = ColumnBlock.from_rows(("?a", "?b"), [("x", "y")], d)
@@ -225,7 +216,6 @@ def assert_join_equivalent(inputs, on):
     assert sorted(to_rows(got, d)) == sorted(expected.rows)
 
 
-@needs_numpy
 def test_star_join_equivalence_randomized():
     rng = random.Random(20150413)
     terms = [f"v{i}" for i in range(6)] + TERMS[:4]
@@ -245,7 +235,6 @@ def test_star_join_equivalence_randomized():
         assert_join_equivalent(inputs, on)
 
 
-@needs_numpy
 def test_star_join_shared_nonkey_attr_equivalence():
     # two inputs sharing a non-key attribute: merge must enforce equality
     left = Relation(("?k", "?x"), [("a", "1"), ("a", "2"), ("b", "1")])
@@ -253,7 +242,6 @@ def test_star_join_shared_nonkey_attr_equivalence():
     assert_join_equivalent([left, right], on=("?k",))
 
 
-@needs_numpy
 def test_select_bind_matches_bind_triple():
     from repro.physical.translate import bind_triple
     from repro.sparql.ast import TriplePattern
@@ -295,7 +283,6 @@ def test_select_bind_matches_bind_triple():
         assert block.to_rows(d) == expected
 
 
-@needs_numpy
 def test_project_block_matches_relation_project():
     rng = random.Random(99)
     relation = random_relation(rng, ("?a", "?b", "?c"), ["x", "y", "z"], 40)
@@ -306,7 +293,6 @@ def test_project_block_matches_relation_project():
         assert got == list(relation.project(attrs).rows)
 
 
-@needs_numpy
 def test_shuffle_partitions_match_stable_hash():
     rng = random.Random(3)
     relation = random_relation(rng, ("?k1", "?k2", "?v"), TERMS, 60)
@@ -345,7 +331,6 @@ def id_block(relation):
     return ColumnBlock.from_id_rows(relation.attrs, relation.rows)
 
 
-@needs_numpy
 @pytest.mark.parametrize("offset", ID_OFFSETS)
 def test_star_join_id_equivalence_randomized(offset):
     """Multi-attribute keys, 2-5 inputs, non-key attributes shared by
@@ -373,7 +358,6 @@ def test_star_join_id_equivalence_randomized(offset):
     assert nonempty_outputs > 10  # the sweep is not vacuous
 
 
-@needs_numpy
 def test_star_join_rejects_missing_key_attr():
     left = id_block(Relation(("?k", "?a"), [(1, 2)]))
     right = id_block(Relation(("?b",), [(1,)]))
@@ -381,7 +365,6 @@ def test_star_join_rejects_missing_key_attr():
         star_join_blocks([left, right], on=("?k",))
 
 
-@needs_numpy
 @pytest.mark.parametrize("offset", ID_OFFSETS)
 def test_project_block_id_equivalence_randomized(offset):
     rng = random.Random(offset % 89)
@@ -398,7 +381,6 @@ def test_project_block_id_equivalence_randomized(offset):
             assert got.id_rows() == list(relation.project(onto).rows)
 
 
-@needs_numpy
 def test_shuffle_partitions_randomized_and_memo_growth():
     """Multi-attribute keys, duplicate / empty / 1-row blocks, and a
     dictionary that keeps growing under one memo."""
@@ -424,7 +406,6 @@ def test_shuffle_partitions_randomized_and_memo_growth():
 # -- encoded-scan cache -----------------------------------------------------------
 
 
-@needs_numpy
 def test_scan_cache_evicts_one_entry_not_all():
     """The bound holds in node-scans, and the insert that overflows it
     costs exactly the least recently used entries it must — a hot key
@@ -445,14 +426,12 @@ def test_scan_cache_evicts_one_entry_not_all():
     assert ("cold", 2) in state._scan_cache
 
 
-@needs_numpy
 def test_scan_columns_of_an_empty_scan():
     columns, lengths = ColumnarState().scan_columns(("empty",), [[], []], Dictionary())
     assert [len(c) for c in columns] == [0, 0, 0]
     assert lengths.tolist() == [0, 0]
 
 
-@needs_numpy
 def test_shared_state_under_concurrent_queries():
     """Service threads share one ``ColumnarState``: its hash memo and
     scan cache grow while others read them.  Every thread must still
@@ -564,7 +543,6 @@ def assert_split_matches_chain_map(attrs, rows, key_attrs, num_reducers):
         assert sum(len(chunk) for _p, _t, chunk in got_shuffle) == len(node_rows)
 
 
-@needs_numpy
 def test_partition_split_matches_chain_map_routing():
     rng = random.Random(19)
     attrs = ("?k1", "?k2", "?v")
@@ -592,7 +570,6 @@ def mixed_reduce_inputs(rng):
     return spec, rows
 
 
-@needs_numpy
 def test_reducer_reads_mixed_chunks_like_the_tuple_reducer():
     """Own-dictionary blocks, a foreign dictionary's blocks and plain row
     lists, mixed under one tag: same rows, bit-equal counters as the
@@ -629,7 +606,6 @@ def test_reducer_reads_mixed_chunks_like_the_tuple_reducer():
         assert spec.run(ctx, 0, grouped) == (want_rows, want_metrics)
 
 
-@needs_numpy
 def test_a_chunk_never_pickles_its_dictionary():
     """What leaves a process — a pool worker's result, a pickle-wire
     frame — must not drag the term table along: a block pickles as its
@@ -670,7 +646,6 @@ def lubm_graph():
     return lubm.generate(lubm.LUBMConfig(universities=LUBM_UNIVERSITIES))
 
 
-@needs_numpy
 def test_shared_backend_serves_five_shards_from_one_encoding(lubm_graph, monkeypatch):
     """5 in-process shard workers, each holding one ``ColumnarBackend``
     of its own: the scans are encoded on the first execution and never
@@ -693,7 +668,7 @@ def test_shared_backend_serves_five_shards_from_one_encoding(lubm_graph, monkeyp
     monkeypatch.setattr(
         Dictionary, "ids_of", lambda self, terms: encodes.append(1) or real(self, terms)
     )
-    executor = ShardedPlanExecutor(shard_graph(lubm_graph, 7, 5), backend="columnar")
+    executor = ShardedPlanExecutor(shard_graph(lubm_graph, 7, 5))
     try:
         prepared = executor.prepare(plan)
         first = executor.execute_prepared(prepared)
@@ -711,7 +686,6 @@ def test_shared_backend_serves_five_shards_from_one_encoding(lubm_graph, monkeyp
         executor.close()
 
 
-@needs_numpy
 @pytest.mark.parametrize("shards", [0, 2])
 def test_the_engine_computes_in_the_store_dictionary(lubm_graph, monkeypatch, shards):
     """The columnar backend has no dictionary of its own: every block a
@@ -735,7 +709,7 @@ def test_the_engine_computes_in_the_store_dictionary(lubm_graph, monkeypatch, sh
     monkeypatch.setattr(ColumnarBackend, "run", run)
     with QueryService(
         lubm_graph,
-        ServiceConfig(backend="columnar", shards=shards, result_cache_size=0),
+        ServiceConfig(shards=shards, result_cache_size=0),
     ) as service:
         size = len(service.store.dictionary)
         for query in lubm_queries.all_queries():
@@ -747,9 +721,8 @@ def test_the_engine_computes_in_the_store_dictionary(lubm_graph, monkeypatch, sh
         assert not hasattr(ColumnarState(), "dictionary")
 
 
-@needs_numpy
 def test_warm_submit_decodes_once_per_answer_column(lubm_graph, monkeypatch):
-    """Warm, single store, default columnar engine: ids from scan to
+    """Warm, single store, the service's columnar engine: ids from scan to
     answer.  A submit decodes each answer column once and re-encodes
     nothing — no task output is turned into rows and back."""
     from repro import QueryService, ServiceConfig
@@ -757,7 +730,7 @@ def test_warm_submit_decodes_once_per_answer_column(lubm_graph, monkeypatch):
 
     queries = lubm_queries.all_queries()
     with QueryService(
-        lubm_graph, ServiceConfig(backend="columnar", result_cache_size=0)
+        lubm_graph, ServiceConfig(result_cache_size=0)
     ) as service:
         for query in queries:
             service.submit(query)
@@ -823,7 +796,6 @@ def per_task_metrics(store, plans, backend):
     return out
 
 
-@needs_numpy
 def test_task_metrics_bit_equal_serial_vs_columnar_on_lubm(lubm_graph):
     from repro.core.algorithm import cliquesquare
     from repro.core.decomposition import MSC
@@ -845,7 +817,6 @@ def test_task_metrics_bit_equal_serial_vs_columnar_on_lubm(lubm_graph):
             assert report_c.total_work == report_s.total_work
 
 
-@needs_numpy
 def test_task_metrics_bit_equal_serial_vs_columnar_on_shape_corpus():
     generators = pytest.importorskip("benchmarks.ledger.generators")
     from itertools import islice
@@ -917,7 +888,6 @@ class GroupChecker(ExecutionBackend):
         return [inv.spec.run(ctx, *inv.args) for inv in invocations]
 
 
-@needs_numpy
 def test_task_groups_equal_single_tasks(lubm_graph):
     """Shuffled batches mixing groups, two tasks on one node, nodes with
     no data, variable-free patterns and reduce partitions with one empty
@@ -957,7 +927,6 @@ def group_rows(block, task):
     return sorted(row[1:] for row in block.id_rows() if row[0] == task)
 
 
-@needs_numpy
 @pytest.mark.parametrize("offset", ID_OFFSETS)
 def test_group_keyed_kernels_equal_per_task_kernels(offset):
     """Keyed on a leading group column, one star join and one projection
@@ -991,7 +960,6 @@ def test_group_keyed_kernels_equal_per_task_kernels(offset):
             assert group_rows(projected, t) == sorted(want.project(keep).rows)
 
 
-@needs_numpy
 def test_kernel_passes_per_query_do_not_scale_with_nodes(lubm_graph, monkeypatch):
     """A warm pass of the 14 LUBM queries makes as many star-join steps
     and group passes at 3 nodes as at 7: a chain's per-node map tasks,
@@ -1037,7 +1005,6 @@ def test_kernel_passes_per_query_do_not_scale_with_nodes(lubm_graph, monkeypatch
     assert len(per_nodes[7]) == 4  # every kernel ran
 
 
-@needs_numpy
 def test_two_backends_on_different_graphs_answer_right(lubm_graph):
     """Two columnar backends serving interleaved queries over different
     graphs each answer their own graph: the scan cache belongs to one
@@ -1074,7 +1041,6 @@ if HAVE_HYPOTHESIS:
     term_st = st.text(min_size=0, max_size=12)
     row3_st = st.tuples(term_st, term_st, term_st)
 
-    @needs_numpy
     @settings(max_examples=60, deadline=None)
     @given(st.lists(row3_st, max_size=30))
     def test_prop_block_roundtrip(rows):
@@ -1090,7 +1056,6 @@ if HAVE_HYPOTHESIS:
         receiver.merge_entries(0, sender.entries_from(0))
         assert unpack_rows(packed, receiver.decode) == rows
 
-    @needs_numpy
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.tuples(term_st, term_st), max_size=15),
@@ -1101,7 +1066,6 @@ if HAVE_HYPOTHESIS:
         right = Relation(("?k", "?b"), right_rows)
         assert_join_equivalent([left, right], on=("?k",))
 
-    @needs_numpy
     @settings(max_examples=60, deadline=None)
     @given(st.lists(term_st, min_size=1, max_size=8))
     def test_prop_hash_memo_matches_stable_hash(terms):
@@ -1112,7 +1076,6 @@ if HAVE_HYPOTHESIS:
         got = shuffle_partitions(block, attrs, 1 << 31, HashMemo(d))
         assert got == [stable_hash(terms)]
 
-    @needs_numpy
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.tuples(term_st, term_st, term_st), max_size=200),
@@ -1130,7 +1093,6 @@ if HAVE_HYPOTHESIS:
     small_term_st = st.sampled_from(SMALL_TERMS)
     pair_rows_st = st.lists(st.tuples(small_term_st, small_term_st), max_size=6)
 
-    @needs_numpy
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(

@@ -1,22 +1,21 @@
-"""The conformance matrix: {serial, columnar} x {unsharded, shards=1,
-shards=4} x {inproc, rpc} — 10 cells, every sharded one running the
-shard worker's code — x {submit, prepare/bind/execute, submit_batch} on
-all 14 LUBM queries plus the two variable-free patterns of
-``conformance.ground_queries`` (one present, one absent).  The submit
-surface sends each query as an object, then twice as SPARQL text: the
-second text pass is all statement-cache hits.
+"""The conformance matrix: {unsharded, shards=1, shards=4} x {inproc,
+rpc} — 5 cells, each running the one id-space engine and every sharded
+one the shard worker's code — x {submit, prepare/bind/execute,
+submit_batch} on all 14 LUBM queries plus the two variable-free
+patterns of ``conformance.ground_queries`` (one present, one absent).
+The submit surface sends each query as an object, then twice as SPARQL
+text: the second text pass is all statement-cache hits.
 
-Every cell must reproduce the single-store serial reference bit for
-bit: identical answers and field-wise identical execution reports (see
-``tests/conformance.py``).  This suite replaces the per-PR copies of
-the answer-equality check that previously lived in ``test_backends.py``
-and ``test_cluster.py``.  Every cell also proves the three surfaces are
-one pipeline: on ``conformance.parity_queries`` (cacheable, one
-template twice, uncacheable) they leave the same stats counters and
-the same spans (``conformance.assert_one_pipeline``), and that a write
-invalidates exactly the cached answers that read a file it wrote
-(``conformance.assert_writes_conform``, on a twin with the result
-cache on).
+Every cell must reproduce the reference bit for bit: the evaluator's
+answers (``sparql.evaluator.evaluate``) and, field by field, the
+execution report a bare serial ``PlanExecutor`` writes for the same
+plan (see ``tests/conformance.py``).  Every cell also proves the three
+surfaces are one pipeline: on ``conformance.parity_queries``
+(cacheable, one template twice, uncacheable) they leave the same stats
+counters and the same spans (``conformance.assert_one_pipeline``), and
+that a write invalidates exactly the cached answers that read a file
+it wrote (``conformance.assert_writes_conform``, on a twin with the
+result cache on, against the evaluator over the written graph).
 
 What only a bare executor reaches runs at that level: the rpc wire
 formats x concurrency modes (``test_concurrent_rpc_conformance``).
@@ -28,10 +27,10 @@ import os
 
 import pytest
 
-from repro.mapreduce.backends import BACKEND_NAMES, INLINE_BACKENDS
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor
 from repro.service import QueryService, ServiceConfig
+from repro.sparql.evaluator import evaluate
 from repro.workloads import lubm, lubm_queries
 from tests.conformance import (
     CELLS,
@@ -74,16 +73,22 @@ def queries(graph):
 
 
 @pytest.fixture(scope="module")
-def reference(graph, queries):
-    with make_service(graph, "serial", "unsharded") as service:
-        return reference_answers(service, queries)
+def planned(graph, queries):
+    """An unsharded service's outcome for each query: the reference
+    runs their plans."""
+    with make_service(graph, "unsharded") as planner:
+        return [planner.submit(q) for q in queries]
+
+
+@pytest.fixture(scope="module")
+def reference(graph, queries, planned):
+    return reference_answers(graph, queries, planned)
 
 
 @pytest.fixture(scope="module")
 def written(graph, queries, reference):
-    """The answers after ``conformance.WRITES``, on the serial single
-    store; the write touches some queries' files and not others', and
-    changes some answers."""
+    """The reference after ``conformance.WRITES``; the write touches
+    some queries' files and not others', and changes some answers."""
     after = writes_reference(graph, queries)
     assert any(reads_writes(q) for q in queries)
     assert not all(reads_writes(q) for q in queries)
@@ -99,41 +104,40 @@ def parity():
 @pytest.fixture(scope="module")
 def parity_reference(graph, parity):
     with make_service(
-        graph, "serial", "unsharded", canonical_budget=PARITY_BUDGET
-    ) as service:
-        outcomes = [service.submit(q) for q in parity]
-        # Not vacuous: the roles the workload is named for are filled.
-        assert [o.cacheable for o in outcomes] == [True, True, True, False]
-        assert outcomes[1].template_digest == outcomes[2].template_digest
-        assert all(o.rows for o in outcomes)
-        return {
-            q.name: expected_of(q.name, o) for q, o in zip(parity, outcomes)
-        }
+        graph, "unsharded", canonical_budget=PARITY_BUDGET
+    ) as planner:
+        outcomes = [planner.submit(q) for q in parity]
+    # Not vacuous: the roles the workload is named for are filled.
+    assert [o.cacheable for o in outcomes] == [True, True, True, False]
+    assert outcomes[1].template_digest == outcomes[2].template_digest
+    reference = reference_answers(graph, parity, outcomes)
+    assert all(expected.rows for expected in reference.values())
+    return reference
 
 
-def check_writes(graph, backend, deployment, queries, written):
+def check_writes(graph, deployment, queries, written):
     """The write pass, on a twin of the cell with its result cache on."""
-    with write_twin(graph, backend, deployment) as twin:
-        assert_writes_conform(
-            twin, queries, written, where=f"{deployment}/{backend or 'default'}"
-        )
+    with write_twin(graph, deployment) as twin:
+        assert_writes_conform(twin, queries, written, where=deployment)
 
 
-def check_one_pipeline(graph, backend, deployment, parity, parity_reference):
+def check_one_pipeline(graph, deployment, parity, parity_reference):
     """A traced twin of the cell's service, so the surfaces' spans can
     be compared as well as their counters."""
     with make_service(
-        graph, backend, deployment,
-        tracing=True, canonical_budget=PARITY_BUDGET,
+        graph, deployment, tracing=True, canonical_budget=PARITY_BUDGET
     ) as traced:
         assert_one_pipeline(
-            traced, parity, parity_reference,
-            where=f"{deployment}/{backend or 'default'}/parity",
+            traced, parity, parity_reference, where=f"{deployment}/parity"
         )
 
 
-def test_reference_is_not_vacuous(reference):
-    """Answer equality only means something if answers exist."""
+def test_reference_is_not_vacuous(graph, queries, planned, reference):
+    """Answer equality only means something if answers exist — and the
+    evaluator's answers are not taken on trust: on every reference plan
+    the bare serial engine's rows equal the evaluator's answer to the
+    plan's own (canonical) query, so two independent implementations
+    agree on what the matrix checks against."""
     assert len(reference) == 16
     assert reference["ground-present"].rows == {()}
     assert reference["ground-absent"].rows == frozenset()
@@ -144,44 +148,50 @@ def test_reference_is_not_vacuous(reference):
     )
     assert any(expected.num_jobs > 1 for expected in reference.values())
     assert any(expected.job_signature == "M" for expected in reference.values())
+    with PlanExecutor(partition_graph(graph, NUM_NODES), backend="serial") as serial:
+        for query, outcome in zip(queries, planned):
+            plan, name = outcome.plan, query.name
+            result = serial.execute(plan)
+            assert result.report.backend == "serial", name
+            assert result.attrs == plan.query.distinguished, name
+            assert frozenset(result.rows) == evaluate(plan.query, graph), name
+            assert len(result.rows) == len(reference[name].rows), name
 
 
-@pytest.mark.parametrize(
-    "deployment,backend", CELLS, ids=[f"{d}-{b}" for d, b in CELLS]
-)
+@pytest.mark.parametrize("deployment", CELLS)
 def test_conformance_matrix(
-    graph, queries, reference, written, parity, parity_reference,
-    deployment, backend,
+    graph, queries, reference, written, parity, parity_reference, deployment
 ):
-    """One service per (deployment, backend) cell; all three submission
-    surfaces run the full workload against the shared reference, a
-    write pass shows a write invalidates exactly the answers that read
-    its files, then the parity workload shows the surfaces are one
-    pipeline."""
-    skip_unless_supported(deployment, backend)
-    service = make_service(graph, backend, deployment)
+    """One service per deployment; all three submission surfaces run the
+    full workload against the shared reference, a write pass shows a
+    write invalidates exactly the answers that read its files, then the
+    parity workload shows the surfaces are one pipeline."""
+    skip_unless_supported(deployment)
+    service = make_service(graph, deployment)
     try:
+        rpc = service.config.shard_transport == "rpc"
+        assert service.executor.backend.name == (
+            "rpc:columnar" if rpc else "columnar"
+        )
         for surface in SURFACES:
             assert_surface_conforms(
-                service, queries, reference, surface,
-                where=f"{deployment}/{backend}",
+                service, queries, reference, surface, where=deployment
             )
         assert not service.snapshot_stats().warnings, (
             "a backend silently degraded mid-matrix"
         )
-        if service.config.shard_transport == "rpc":
-            assert_stateless_workers(service, where=f"{deployment}/{backend}")
+        if rpc:
+            assert_stateless_workers(service, where=deployment)
     finally:
         service.close()
-    check_writes(graph, backend, deployment, queries, written)
-    check_one_pipeline(graph, backend, deployment, parity, parity_reference)
+    check_writes(graph, deployment, queries, written)
+    check_one_pipeline(graph, deployment, parity, parity_reference)
 
 
 POOL_CELLS = tuple(
     (deployment, backend)
     for deployment in sorted(DEPLOYMENTS)
-    for backend in BACKEND_NAMES
-    if backend not in INLINE_BACKENDS
+    for backend in ("thread", "process")
 )
 
 
@@ -189,49 +199,52 @@ POOL_CELLS = tuple(
     "deployment,backend", POOL_CELLS, ids=[f"{d}-{b}" for d, b in POOL_CELLS]
 )
 def test_sharded_pool_backend_is_refused(graph, deployment, backend):
-    """The cells the matrix does not run: a service runs one inline
-    engine on every deployment, so a config naming a pool backend fails
-    typed at construction, naming the engines it could have — before
-    any shard server is spawned."""
-    with pytest.raises(ValueError, match="inline engine.*serial or columnar"):
-        make_service(graph, backend, deployment)
+    """The cells the matrix does not run: a service runs the one engine
+    on every deployment and has no engine knob, so a config naming a
+    pool backend fails typed at construction — before any shard server
+    is spawned."""
+    with pytest.raises(TypeError, match="backend"):
+        make_service(graph, deployment, backend=backend)
 
 
 def test_default_config_conformance(
     graph, queries, reference, parity, parity_reference
 ):
-    """The cell that names no backend: whatever ``ServiceConfig()``
-    resolves to here (the id-space engine with numpy, serial without)
-    answers like the serial reference, rows and field-wise reports, on
-    every surface."""
-    from repro.columnar import HAVE_NUMPY
-
-    service = make_service(graph, None, "unsharded")
+    """The config that names nothing: ``ServiceConfig()``, its result
+    cache off so every surface executes, runs the one id-space engine
+    on the single store and answers like the reference, rows and
+    field-wise reports, on every surface."""
+    config = ServiceConfig(
+        result_cache_size=0,
+        tracing=os.environ.get("REPRO_TRACE", "") == "1",
+    )
+    assert config.shards == 0
+    service = QueryService(graph, config)
     try:
-        resolved = "columnar" if HAVE_NUMPY else "serial"
-        assert service.config.backend == resolved
-        assert service.executor.backend.name == resolved
+        assert service.executor.backend.name == "columnar"
         for surface in SURFACES:
             assert_surface_conforms(
-                service, queries, reference, surface, where="unsharded/default"
+                service, queries, reference, surface, where="default"
             )
-        assert service.submit(queries[0]).report.backend == resolved
+        assert service.submit(queries[0]).report.backend == "columnar"
         assert not service.snapshot_stats().warnings
     finally:
         service.close()
-    check_one_pipeline(graph, None, "unsharded", parity, parity_reference)
+    check_one_pipeline(graph, "unsharded", parity, parity_reference)
 
 
 @pytest.fixture(scope="module")
-def lubm_plans(graph):
-    """The 14 LUBM queries, the plan the reference service chooses for
-    each (prepared once), and each plan's run on the unsharded serial
-    executor, keyed by query name."""
+def lubm_plans(graph, planned):
+    """The 14 LUBM queries, each one's reference plan (prepared once),
+    and each plan's run on the unsharded serial executor, keyed by
+    query name."""
     queries = lubm_queries.all_queries()
-    with make_service(graph, "serial", "unsharded") as service:
-        plans = {q.name: service.optimize(q)[0] for q in queries}
-    with PlanExecutor(partition_graph(graph, NUM_NODES)) as executor:
-        prepared = {name: executor.prepare(plan) for name, plan in plans.items()}
+    with PlanExecutor(partition_graph(graph, NUM_NODES), backend="serial") as executor:
+        # ``planned`` starts with these 14 queries
+        prepared = {
+            q.name: executor.prepare(outcome.plan)
+            for q, outcome in zip(queries, planned)
+        }
         reference = {
             name: expected_of(name, executor.execute_prepared(plan))
             for name, plan in prepared.items()
@@ -247,8 +260,9 @@ def test_concurrent_rpc_conformance(graph, lubm_plans, wire, mode):
     threads run the rotated LUBM workload over 4 rpc shards x {pickle,
     columnar} x {serial connection, pipelined, coalesced}, before and
     after a quiesced resize to 3 shards; answers and reports stay
-    field-wise equal to the unsharded serial executor's."""
-    skip_unless_supported("shards4-rpc", "serial")
+    field-wise equal to the unsharded serial executor's, although the
+    workers run the id-space engine (the report names it)."""
+    skip_unless_supported("shards4-rpc")
     queries, prepared, reference = lubm_plans
     where = f"shards4-rpc/{wire}/{mode}"
     with rpc_executor(
@@ -258,6 +272,7 @@ def test_concurrent_rpc_conformance(graph, lubm_plans, wire, mode):
         def run(query):
             return executor.execute_prepared(prepared[query.name])
 
+        assert run(queries[0]).report.backend == "rpc:columnar", where
         assert_concurrent_conforms(run, queries, reference, threads=4, where=where)
         report = executor.rebalance(target_shards=3)
         assert report.new_shards == 3 and report.moved_nodes, where
@@ -276,15 +291,15 @@ REBALANCE_CELLS = tuple(
 def test_rebalance_conformance(graph, queries, reference, deployment):
     """The rebalance dimension on every sharded deployment: live resizes
     to 5 and then 3 shards with 4 driver threads keeping the workload in
-    flight; answers and reports stay field-wise equal to the serial
-    reference at every topology epoch.  Both transports run the one
-    migration, so every step moves nodes that hold data (the default 7
-    nodes); over rpc the moved nodes' data crosses the wire and the
-    workers stay stateless after it."""
-    skip_unless_supported(deployment, "serial")
+    flight; answers and reports stay field-wise equal to the reference
+    at every topology epoch.  Both transports run the one migration, so
+    every step moves nodes that hold data (the default 7 nodes); over
+    rpc the moved nodes' data crosses the wire and the workers stay
+    stateless after it."""
+    skip_unless_supported(deployment)
     rpc = DEPLOYMENTS[deployment]["shard_transport"] == "rpc"
     where = f"{deployment}/rebalance"
-    service = make_service(graph, "serial", deployment)
+    service = make_service(graph, deployment)
     try:
         reports = assert_rebalance_conforms(
             service, queries, reference, plan=(5, 3), threads=4, where=where,
@@ -300,30 +315,23 @@ def test_rebalance_conformance(graph, queries, reference, deployment):
         service.close()
 
 
-@pytest.mark.parametrize("backend", ["serial", "columnar"])
-def test_one_id_space_rpc(queries, backend):
-    """The numbering dimension over rpc x {serial, columnar} workers at
-    ``shards=2``: the store's dictionary is the one every worker holds —
-    after warm-up, after a write to one shard only, a worker respawn, a
-    grow and a shrink — and the driver receives blocks over nothing
-    else.  Its own graphs: the check writes."""
-    skip_unless_supported("shards4-rpc", backend)
-    config = {"universities": UNIVERSITIES}
-    with make_service(
-        lubm.generate(lubm.LUBMConfig(**config)), "serial", "unsharded"
-    ) as reference, QueryService(
-        lubm.generate(lubm.LUBMConfig(**config)),
+def test_one_id_space_rpc(queries):
+    """The numbering dimension over rpc at ``shards=2``: the store's
+    dictionary is the one every worker holds — after warm-up, after a
+    write to one shard only, a worker respawn, a grow and a shrink —
+    and the driver receives blocks over nothing else.  Its own graph:
+    the check writes."""
+    skip_unless_supported("shards4-rpc")
+    with QueryService(
+        lubm.generate(lubm.LUBMConfig(universities=UNIVERSITIES)),
         ServiceConfig(
             shards=2,
             shard_transport="rpc",
-            backend=backend,
             result_cache_size=0,
             tracing=os.environ.get("REPRO_TRACE", "") == "1",
         ),
     ) as service:
-        assert_one_id_space(
-            service, reference, queries[::3], where=f"shards2-rpc/{backend}"
-        )
+        assert_one_id_space(service, queries[::3], where="shards2-rpc")
 
 
 @pytest.mark.parametrize("surface", SURFACES)
@@ -331,7 +339,7 @@ def test_duplicate_heavy_batch_conforms(graph, queries, reference, surface):
     """A batch with duplicate and template-sharing members (the
     coalescing paths) still conforms on every surface."""
     mix = [queries[0], queries[1], queries[0], queries[3], queries[1]]
-    service = make_service(graph, "serial", "shards4-inproc")
+    service = make_service(graph, "shards4-inproc")
     try:
         assert_surface_conforms(
             service, mix, reference, surface, where="dup-mix"

@@ -7,7 +7,6 @@ import threading
 
 import pytest
 
-from repro.columnar.block import HAVE_NUMPY
 from repro.service import (
     PreparedQuery,
     QueryService,
@@ -42,28 +41,17 @@ def expected(graph):
 class TestRoundTripAllBackends:
     """Acceptance: every LUBM query round-trips through template
     extraction — prepare, bind the original constants, execute — with
-    answers identical to a cold (template-free) submit, on both engines
-    a service runs."""
+    answers identical to a cold (template-free) submit."""
 
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            "serial",
-            pytest.param(
-                "columnar",
-                marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
-            ),
-        ],
-    )
-    def test_prepared_equals_cold_submit(self, graph, expected, backend):
-        config = ServiceConfig(backend=backend, result_cache_size=0)
+    def test_prepared_equals_cold_submit(self, graph, expected):
+        config = ServiceConfig(result_cache_size=0)
         with QueryService(graph, config) as svc:
             for name in ALL_NAMES:
                 q = lubm_queries.query(name)
                 prepared = svc.prepare(q)
                 assert isinstance(prepared, PreparedQuery)
                 out = prepared.execute()
-                assert out.rows == expected[name], (backend, name)
+                assert out.rows == expected[name], name
                 # The handle's defaults reproduce the source query.
                 assert prepared.bind().query == q
 

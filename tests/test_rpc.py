@@ -44,7 +44,7 @@ from repro.cluster.rpc import (
     WorkerStateError,
     _Waiter,
 )
-from repro.columnar.block import HAVE_NUMPY, ColumnBlock
+from repro.columnar.block import ColumnBlock
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
@@ -60,9 +60,11 @@ from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor, job_from_spec
 from repro.rdf.dictionary import Dictionary
 from repro.service import QueryService, ServiceConfig
+from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
 from tests.conformance import (
     assert_replicas_equal_the_store,
+    chunks_received,
     needs_rpc,
     one_shard_triples,
     prepare_text,
@@ -146,7 +148,7 @@ class TestProtocolFrames:
             StatsReply(
                 shard=0, pid=9, snapshot_token=None,
                 tasks_run=17, levels_run=4, primes=1,
-                bytes_received=1024, backend="serial",
+                bytes_received=1024,
                 pipeline=4, inflight=2, queue_depth=1, peak_inflight=3,
                 batches=5,
             ),
@@ -247,7 +249,7 @@ def test_worker_tasks_keep_their_node_phase_and_level():
     want = executor.execute_prepared(executor.prepare(plan))
     executor.close()
 
-    worker = _WorkerState(0, NUM_NODES, "serial")
+    worker = _WorkerState(0, NUM_NODES)
     worker.install_snapshot(store.snapshot())
     remote = worker.backend = _PlacementRecorder(worker.backend)
     try:
@@ -567,9 +569,8 @@ class _Stranger(MapTaskSpec):
 
 
 @needs_rpc
-@pytest.mark.parametrize("backend", ["serial", "columnar"])
 @pytest.mark.parametrize("mint", [False, True], ids=["emits", "mints"])
-def test_a_worker_never_ships_an_id_the_store_did_not_number(backend, mint):
+def test_a_worker_never_ships_an_id_the_store_did_not_number(mint):
     """A worker has no ids of its own to give: a term the store never
     held fails its reply typed — looked up and missing, or numbered by
     the task past what the driver synced — instead of crossing as an id
@@ -578,10 +579,8 @@ def test_a_worker_never_ships_an_id_the_store_did_not_number(backend, mint):
     with the store's numbering: the next suffix sync fails on it and
     the router re-primes that worker, so a write landing on the other
     shard only does not take the minting shard down."""
-    if (backend == "columnar" or mint) and not HAVE_NUMPY:
-        pytest.skip("id blocks need numpy")
     # A graph of its own: the mints case writes to it.
-    service = rpc_service(make_university_graph(), backend=backend)
+    service = rpc_service(make_university_graph())
     try:
         expected = service.submit(STAR_QUERY).rows
         router = service.executor.router
@@ -604,13 +603,9 @@ def test_a_worker_never_ships_an_id_the_store_did_not_number(backend, mint):
             primes = [reply.primes for reply in worker_stats(router)]
             added = one_shard_triples(service.store, other)
             service.add_triples(added)
-            with QueryService(
-                make_university_graph(), ServiceConfig(backend="serial")
-            ) as reference:
-                reference.add_triples(added)
-                assert service.submit(STAR_QUERY).rows == reference.submit(
-                    STAR_QUERY
-                ).rows
+            assert service.submit(STAR_QUERY).rows == evaluate(
+                parse_query(STAR_QUERY), service.graph
+            )
             stats = assert_replicas_equal_the_store(service, "mints")
             # both re-primed: the written shard for its data, the
             # minting one for its conflicting replica
@@ -948,10 +943,9 @@ class TestRpcSurface:
 
 
 @needs_rpc
-@pytest.mark.skipif(not HAVE_NUMPY, reason="id columns need numpy")
 class TestBlockWire:
     """Id columns cross the frame as buffers: the driver computes in the
-    store's dictionary, a columnar worker in its replica of it."""
+    store's dictionary, a worker in its replica of it."""
 
     def test_warm_pass_touches_no_term_but_the_answers(self, monkeypatch):
         """After two passes of the 14 LUBM queries over 2 rpc shards, a
@@ -998,8 +992,8 @@ class TestBlockWire:
 
     def test_shape_corpus_reports_equal_the_unsharded_reference(self):
         """Beyond LUBM's stars: the ledger's 64 thin/dense shapes over 2
-        rpc shards — rows and every job's metrics equal the unsharded
-        serial run's."""
+        rpc shards — rows equal the evaluator's, and every job's metrics
+        the unsharded serial run's of the same plan."""
         generators = pytest.importorskip("benchmarks.ledger.generators")
         from itertools import islice
 
@@ -1009,42 +1003,42 @@ class TestBlockWire:
         texts = dict.fromkeys(
             text for _cls, text in islice(generators.shape_stream(), 64)
         )
-        with QueryService(
-            graph, ServiceConfig(result_cache_size=0, backend="serial")
+        with PlanExecutor(
+            partition_graph(graph, NUM_NODES), backend="serial"
         ) as reference, rpc_service(graph) as service:
             nonempty = 0
             for text in texts:
-                expected_of = reference.submit(text)
                 outcome = service.submit(text)
-                assert outcome.rows == expected_of.rows, text
-                assert outcome.report.jobs == expected_of.report.jobs, text
+                assert outcome.rows == evaluate(parse_query(text), graph), text
+                expected = reference.execute(outcome.plan).report
+                assert outcome.report.jobs == expected.jobs, text
                 nonempty += bool(outcome.rows)
             assert nonempty
             assert outcome.report.backend == "rpc:columnar"
 
-    @pytest.mark.parametrize("blocks", ["driver", "worker"])
-    def test_block_and_row_endpoints_conform(self, university, blocks, monkeypatch):
-        """Blocks on one end only — a block driver with serial workers
-        (block in, rows out), a row driver with columnar workers —
-        answers and reports like the in-process reference, both ends
-        over one numbering."""
-        if blocks == "worker":
-            monkeypatch.setattr("repro.cluster.rpc.HAVE_NUMPY", False)
-        backend = "serial" if blocks == "driver" else "columnar"
-        service = rpc_service(university, backend=backend)
+    def test_both_endpoints_compute_on_blocks(self, university):
+        """Both ends of every connection unpack to blocks over one
+        numbering — the driver's codec over the store's dictionary, each
+        worker's over its replica — and answer like the evaluator, with
+        reports equal to the unsharded serial run's."""
+        service = rpc_service(university)
         try:
             router = service.executor.router
             codecs = [router._clients[shard].codec for shard in range(2)]
-            assert all(c.blocks == (blocks == "driver") for c in codecs)
+            assert all(c.blocks for c in codecs)
             assert all(c.dictionary is service.store.dictionary for c in codecs)
-            with QueryService(
-                university, ServiceConfig(result_cache_size=0, backend="serial")
+            with PlanExecutor(
+                partition_graph(university, NUM_NODES), backend="serial"
             ) as reference:
                 for query in MIXED_QUERIES * 2:
-                    expected_of = reference.submit(query)
-                    outcome = service.submit(query)
-                    assert outcome.rows == expected_of.rows
-                    assert outcome.report.jobs == expected_of.report.jobs
+                    with chunks_received() as chunks:
+                        outcome = service.submit(query)
+                    assert outcome.rows == evaluate(parse_query(query), university)
+                    expected = reference.execute(outcome.plan).report
+                    assert outcome.report.jobs == expected.jobs
+                    assert all(
+                        isinstance(chunk, ColumnBlock) for chunk in chunks if len(chunk)
+                    )
             assert [reply.terms for reply in worker_stats(router)] == [
                 len(service.store.dictionary)
             ] * 2
@@ -1070,16 +1064,26 @@ class TestRpcConfigValidation:
         from repro.mapreduce.backends import SerialBackend
 
         store = shard_graph(university, NUM_NODES, 2)
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(TypeError, match="backend"):
             ShardedPlanExecutor(
                 store, transport="rpc", backend=SerialBackend()
             )
 
-    def test_router_rejects_unknown_worker_backend(self):
-        with pytest.raises(ValueError, match="worker backend"):
-            RpcShardRouter(
-                num_nodes=4, num_shards=2, worker_backend="quantum"
-            )
+    def test_router_takes_no_engine_and_names_bad_wire_formats(self):
+        """Below the service nothing takes an engine — each shard worker
+        builds the id-space one — and the router names a wire format it
+        does not speak."""
+        import inspect
+
+        from repro.cluster.rpc import LocalShardClient
+
+        for built in (
+            RpcShardRouter, ShardedPlanExecutor, ShardWorkerClient, LocalShardClient
+        ):
+            params = inspect.signature(built).parameters
+            assert not [name for name in params if "backend" in name], built
+        with pytest.raises(ValueError, match="wire format"):
+            RpcShardRouter(num_nodes=4, num_shards=2, wire_format="quantum")
 
     @pytest.mark.parametrize(
         "overrides",

@@ -8,7 +8,7 @@ the heavy frames (``Prime``'s snapshot, ``ExecuteLevel``'s task specs)
 are built only when the test actually runs.
 
 Below the registry: the columnar codec's two paths through those frames
-— rows (stdlib) and id blocks (numpy) — over in-memory endpoints that,
+— rows and id blocks — over in-memory endpoints that,
 like a driver and its workers, number terms as the store does.
 """
 
@@ -41,7 +41,7 @@ from repro.cluster.rpc import (
     TableUpdate,
 )
 from repro.cluster.rpc import WorkerStateError, _WorkerState
-from repro.columnar.block import HAVE_NUMPY, ColumnBlock, chunk_rows
+from repro.columnar.block import ColumnBlock, chunk_rows
 from repro.columnar.wire import (
     PackedMapResult,
     PackedReduceResult,
@@ -71,8 +71,6 @@ try:
     HAVE_HYPOTHESIS = True
 except ImportError:  # the static-analysis CI job installs pytest only
     HAVE_HYPOTHESIS = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="id columns need numpy")
 
 NUM_NODES = 3
 
@@ -131,7 +129,7 @@ FRAME_EXAMPLES = {
     "StatsReply": lambda: StatsReply(
         shard=0, pid=1234, snapshot_token=None,
         tasks_run=4, levels_run=2, primes=1,
-        bytes_received=1024, backend="serial", terms=40,
+        bytes_received=1024, terms=40,
     ),
     "Shutdown": Shutdown,
     "OkReply": lambda: OkReply(value=("k", ())),
@@ -280,7 +278,6 @@ BOUNDARY_IDS = [
 ]
 
 
-@needs_numpy
 @pytest.mark.parametrize("count", [1, 2, 3, 8])
 def test_id_columns_pack_to_the_row_paths_bytes(count):
     """``pack_columns`` is layout-compatible with the row functions at
@@ -300,9 +297,7 @@ def test_id_columns_pack_to_the_row_paths_bytes(count):
         assert [c.tolist() for c in back] == [c.tolist() for c in columns]
 
 
-@needs_numpy
-@pytest.mark.parametrize("backend", ["columnar", "serial"])
-def test_a_block_crosses_driver_worker_driver_with_the_same_ids(backend):
+def test_a_block_crosses_driver_worker_driver_with_the_same_ids():
     """One id space, frame by frame: a block over the store's dictionary
     crosses to a worker primed with a pickled snapshot — its replica —
     and back, and the buffer on the wire is the block's own ids both
@@ -311,7 +306,7 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids(backend):
 
     store = partition_graph(make_university_graph(), NUM_NODES)
     driver = WireCodec(store.snapshot(), blocks=True)
-    state = _WorkerState(0, NUM_NODES, backend)
+    state = _WorkerState(0, NUM_NODES)
     try:
         replica = pickle.loads(pickle.dumps(store.snapshot()))
         state.handle(Prime(replica, wire="columnar"))
@@ -319,7 +314,7 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids(backend):
         assert worker.dictionary is replica.dictionary is not store.dictionary
         assert list(worker.dictionary) == list(store.dictionary)
         assert worker.limit == len(store.dictionary)
-        assert worker.blocks == (backend == "columnar")
+        assert worker.blocks
         rows = [("<person3>", "<dept2>"), ("<dept0>", "ub:Student")] * 3
         block = ColumnBlock.from_rows(("?a", "?b"), rows, store.dictionary, mint=False)
         sizes = len(store.dictionary)
@@ -329,11 +324,8 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids(backend):
         assert packed[0] == pack_columns(block.columns)  # the ids as they are
         (_, _, grouped), = worker.decode(pickle.loads(pickle.dumps(out))).tasks
         [chunk] = grouped[0]
-        if backend == "columnar":
-            assert chunk.dictionary is worker.dictionary
-            assert all(
-                np.array_equal(a, b) for a, b in zip(chunk.columns, block.columns)
-            )
+        assert chunk.dictionary is worker.dictionary
+        assert all(np.array_equal(a, b) for a, b in zip(chunk.columns, block.columns))
         assert list(chunk) == rows
 
         reply = worker.encode(ResultsReply(results=[(chunk, TaskMetrics())]))
@@ -350,8 +342,7 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids(backend):
         relation = worker.decode(pickle.loads(pickle.dumps(driver.encode(level))))
         partitions = relation.inputs["f"].partitions
         assert list(partitions[0]) == rows + rows and list(partitions[1]) == []
-        if backend == "columnar":
-            assert partitions[0].attrs == ("?a", "?b")
+        assert partitions[0].attrs == ("?a", "?b")
         # ... and a map result's emits come back grouped per partition
         reply = worker.encode(
             ResultsReply(
@@ -370,7 +361,6 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids(backend):
         state.close()
 
 
-@needs_numpy
 def test_block_and_row_endpoints_interoperate():
     """``blocks`` is each end's own choice: a block packed here unpacks
     to rows on a row endpoint, and its rows come back as a block."""
@@ -392,7 +382,7 @@ def test_table_update_merges_the_store_suffix():
     or a conflicting term is a typed error that leaves the replica as
     it was."""
     store = partition_graph(make_university_graph(), NUM_NODES)
-    state = _WorkerState(0, NUM_NODES, "serial")
+    state = _WorkerState(0, NUM_NODES)
     try:
         state.handle(Prime(pickle.loads(pickle.dumps(store.snapshot())), "columnar"))
         start = len(store.dictionary)
@@ -421,7 +411,6 @@ if HAVE_HYPOTHESIS:
     rows_st = st.lists(st.tuples(term_st, term_st), max_size=12)
     kind_st = st.sampled_from(["own", "foreign", "rows"])
 
-    @needs_numpy
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -455,7 +444,6 @@ if HAVE_HYPOTHESIS:
                 assert isinstance(chunk, ColumnBlock)
                 assert chunk.dictionary is receiver.dictionary
 
-    @needs_numpy
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(

@@ -746,79 +746,24 @@ class TestStatementCache:
             assert 'repro_service_events_total{event="statement_hits"} 1' in page
 
 
-class TestResolvedBackend:
-    """``ServiceConfig.backend`` names no engine by default: it resolves
-    from the platform, and EXPLAIN prints what it resolved to."""
+class TestOneEngine:
+    """A service has no engine knob: unsharded and on every shard it
+    runs the id-space engine, and EXPLAIN names it."""
 
     def _jobs_line(self, svc):
         text = svc.explain(lubm_queries.query("Q4"))
         (line,) = [l for l in text.splitlines() if "MapReduce jobs" in l]
         return line
 
-    def test_default_is_the_id_space_engine_with_numpy(self, graph):
-        from repro.columnar import HAVE_NUMPY
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_explain_names_the_engine(self, graph, shards):
+        from repro.mapreduce.backends import ColumnarBackend
 
-        resolved = "columnar" if HAVE_NUMPY else "serial"
-        assert ServiceConfig().backend == resolved
-        with QueryService(graph) as svc:
-            assert svc.executor.backend.name == resolved
-            line = self._jobs_line(svc)
-            rows = "columnar" if HAVE_NUMPY else "tuple"
-            assert f"backend {resolved}; rows {rows}" in line
-
-    def test_default_is_serial_without_numpy(self):
-        # The default is read from the platform at import, so the
-        # numpy-less resolution needs a fresh interpreter, one where
-        # ``import numpy`` raises ImportError.
-        import os
-        import subprocess
-        import sys
-
-        script = (
-            "import sys\n"
-            "sys.modules['numpy'] = None\n"
-            "import repro\n"
-            "from repro.columnar import HAVE_NUMPY\n"
-            "from repro.mapreduce.backends import BackendUnavailable\n"
-            "from repro.service.service import QueryService, ServiceConfig\n"
-            "from repro.workloads import lubm, lubm_queries\n"
-            "assert not HAVE_NUMPY\n"
-            "assert ServiceConfig().backend == 'serial'\n"
-            "g = lubm.generate(lubm.LUBMConfig(universities=4))\n"
-            "with QueryService(g) as svc:\n"
-            "    assert svc.executor.backend.name == 'serial'\n"
-            "    text = svc.explain(lubm_queries.query('Q4'))\n"
-            "    assert 'backend serial; rows tuple' in text, text\n"
-            "for extra in ({}, {'shards': 2, 'shard_transport': 'rpc'}):\n"
-            "    try:\n"
-            "        QueryService(g, ServiceConfig(backend='columnar', **extra))\n"
-            "    except BackendUnavailable as exc:\n"
-            "        assert 'numpy' in str(exc), exc\n"
-            "    else:\n"
-            "        raise AssertionError('columnar ran without numpy')\n"
-        )
-        env = dict(
-            os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path))
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert done.returncode == 0, done.stderr
-
-    @pytest.mark.parametrize(
-        "backend, rows",
-        [("serial", "tuple"), ("columnar", "columnar")],
-    )
-    def test_explain_names_the_engine_of_names_and_instances(
-        self, graph, backend, rows
-    ):
-        """A named engine is what EXPLAIN prints; an instance of the
-        same engine is refused, naming the names."""
-        from repro.mapreduce.backends import make_backend
-
-        if backend == "columnar":
-            pytest.importorskip("numpy")
-        with QueryService(graph, ServiceConfig(backend=backend)) as svc:
-            assert f"backend {backend}; rows {rows}" in self._jobs_line(svc)
-        with pytest.raises(ValueError, match="serial or columnar"):
-            QueryService(graph, ServiceConfig(backend=make_backend(backend)))
+        with QueryService(graph, ServiceConfig(shards=shards)) as svc:
+            svc.submit(lubm_queries.query("Q4"))
+            if shards:
+                engines = [c.worker.backend for c in svc.executor.router._clients]
+            else:
+                engines = [svc.executor.backend]
+            assert [type(e) for e in engines] == [ColumnarBackend] * max(shards, 1)
+            assert "backend columnar; rows columnar" in self._jobs_line(svc)
