@@ -12,7 +12,8 @@ at load.  Two consumers share the representation:
   id space — selection is id comparison, the star join sorts and
   probes id columns, projection slices columns — and hands blocks, not
   rows, to the next task: the MapReduce engine exchanges them as
-  opaque chunks and terms are decoded once, when the answer is read.
+  opaque chunks, the answer stays a block, and terms are decoded once,
+  when the service builds the outcome.
   Answers and counters stay bit-identical to the tuple kernels (this
   is the ``columnar`` execution backend, the one engine the query
   service and every shard worker run);

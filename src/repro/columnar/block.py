@@ -19,6 +19,12 @@ columns first (:class:`repro.columnar.wire.WireCodec` — both ends hold
 the store's numbering, so the ids need no translation), and then no
 block reaches ``pickle`` at all.
 
+The answer of a plan stays a block too: :func:`answer_block` gathers
+the result chunks and drops duplicate rows in id space, and terms
+reappear only when :func:`answer_rows` builds the answer set — one
+:meth:`~repro.rdf.dictionary.Dictionary.decode_column` per column,
+taken in whatever order the reader wants them.
+
 Columns are numpy ``int64`` arrays — the one representation between
 operators.  numpy is a requirement of the package.
 """
@@ -26,6 +32,7 @@ operators.  numpy is a requirement of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,6 +48,30 @@ def make_column(ids: Iterable[int]):
 
 def empty_column():
     return np.empty(0, dtype=np.int64)
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def pack_codes(columns: Sequence):
+    """One int64 code per row, equal exactly where the rows' id tuples
+    over *columns* are equal.
+
+    Ids are dictionary positions, hence non-negative.  A single column
+    is its own code; several pack mixed-radix, column by column, and
+    where the radix product could leave int64 (ids near 2^63, or many
+    wide columns) both factors are first replaced by their dense ranks,
+    which are below the row count.
+    """
+    codes = columns[0]
+    for col in columns[1:]:
+        span = int(col.max()) + 1
+        if (int(codes.max()) + 1) * span > _INT64_MAX:
+            codes = np.unique(codes, return_inverse=True)[1]
+            col = np.unique(col, return_inverse=True)[1]
+            span = int(col.max()) + 1
+        codes = codes * span + col
+    return codes
 
 
 @dataclass
@@ -147,8 +178,8 @@ class ColumnBlock:
             dictionary = self.dictionary
         if not self.columns:
             return [()] * self.count
-        decode = dictionary.decode_many
-        return list(zip(*[decode(col.tolist()) for col in self.columns]))
+        decode = dictionary.decode_column
+        return list(zip(*[decode(col) for col in self.columns]))
 
 
 def to_blocks(relation, dictionary: Dictionary) -> ColumnBlock:
@@ -202,6 +233,57 @@ def gather(
         dictionary,
         sum(block.count for block in blocks),
     )
+
+
+def answer_block(
+    attrs: Sequence[str], chunks: Iterable, dictionary: Dictionary
+) -> ColumnBlock:
+    """A plan's answer: every row of its result *chunks* as one block
+    over *dictionary*, each distinct id tuple once.
+
+    Every reduce partition (or map task) projects on its own, so a row
+    recurs across them when the projection dropped the partition key;
+    the duplicates go here, in id space — a sort of the packed row
+    codes, then ``np.unique`` when it finds any — and no term is
+    decoded.  A chunk that is not a block over *dictionary* (a row list
+    of the tuple engine) is looked up in it: every answer term is a
+    stored term.  A block without columns keeps one row if it had any
+    (the answer ``{()}``).
+    """
+    block = gather(
+        attrs, chunks, dictionary, partial(ColumnBlock.from_rows, mint=False)
+    )
+    if not block.columns:
+        return ColumnBlock(block.attrs, (), dictionary, min(len(block), 1))
+    if len(block) > 1:
+        codes = pack_codes(block.columns)
+        ordered = np.sort(codes)
+        # A plain sort finds out whether there is anything to drop — at
+        # a fraction of the stable sort that locates the first copies.
+        if (ordered[1:] == ordered[:-1]).any():
+            first = np.unique(codes, return_index=True)[1]
+            columns = tuple(col[first] for col in block.columns)
+            block = ColumnBlock(block.attrs, columns, dictionary)
+    return block
+
+
+def answer_rows(
+    block: ColumnBlock, attrs: Sequence[str] | None = None
+) -> set[tuple]:
+    """The term tuples of an answer block as a set, its columns taken in
+    *attrs* order (default: the block's own) — one decode per column,
+    no intermediate row list.  With no columns to take, the set is
+    ``{()}`` when the block has rows and empty otherwise."""
+    if not len(block):
+        return set()
+    if attrs is None:
+        columns = block.columns
+    else:
+        columns = [block.column(attr) for attr in attrs]
+    if not columns:
+        return {()}
+    decode = block.dictionary.decode_column
+    return set(zip(*[decode(col) for col in columns]))
 
 
 def chunk_rows(chunks: Iterable) -> list[tuple]:

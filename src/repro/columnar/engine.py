@@ -22,9 +22,9 @@ every term when the triple bringing it was loaded.  Nothing decodes at
 the spec boundary: task outputs are blocks over that dictionary —
 chunks, to the engine — that the next task (on this shard, another
 in-process one, or across the rpc wire, which ships the ids as they
-are) concatenates.  Terms reappear once, when
-``PlanExecutor.execute_prepared`` reads the answer; any other chunk is
-iterated as rows and looked up (correct, slower).  Nothing here ever
+are) concatenates.  Terms reappear once, when the service builds the
+outcome; any other chunk is iterated as rows and looked up (correct,
+slower).  Nothing here ever
 assigns an id: a term the store never numbered raises ``KeyError``.
 
 Counter parity is structural: every counter the tuple kernels charge is

@@ -41,13 +41,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.locks import checked
-from repro.columnar.block import ColumnBlock, empty_column
+from repro.columnar.block import ColumnBlock, empty_column, pack_codes
 from repro.rdf.dictionary import Dictionary
 from repro.relational.joins import output_schema
 
 _MASK = 0x7FFFFFFF
 _MOD = 0x80000000
-_INT64_MAX = (1 << 63) - 1
 
 
 # -- selection ----------------------------------------------------------------
@@ -85,30 +84,6 @@ def select_bind(
     return tuple(columns[positions[0]][mask] for positions in var_positions)
 
 
-# -- key packing --------------------------------------------------------------
-
-
-def _pack(columns: Sequence):
-    """One int64 code per row, equal exactly where the rows' id tuples
-    over *columns* are equal.
-
-    Ids are dictionary positions, hence non-negative.  A single column
-    is its own code; several pack mixed-radix, column by column, and
-    where the radix product could leave int64 (ids near 2^63, or many
-    wide columns) both factors are first replaced by their dense ranks,
-    which are below the row count.
-    """
-    codes = columns[0]
-    for col in columns[1:]:
-        span = int(col.max()) + 1
-        if (int(codes.max()) + 1) * span > _INT64_MAX:
-            codes = np.unique(codes, return_inverse=True)[1]
-            col = np.unique(col, return_inverse=True)[1]
-            span = int(col.max()) + 1
-        codes = codes * span + col
-    return codes
-
-
 # -- star join ----------------------------------------------------------------
 
 
@@ -116,7 +91,7 @@ def _natural_join(left: ColumnBlock, right: ColumnBlock) -> ColumnBlock:
     """Binary natural join of two non-empty blocks sharing >= 1 attribute."""
     # Both sides' key tuples are coded together, so equal tuples get
     # equal codes across the two blocks.
-    keys = _pack(
+    keys = pack_codes(
         [
             np.concatenate((left.column(a), right.column(a)))
             for a in left.attrs
@@ -187,7 +162,7 @@ def project_block(block: ColumnBlock, attrs: Sequence[str]) -> ColumnBlock:
         return ColumnBlock(attrs, (), block.dictionary, min(len(block), 1))
     cols = tuple(block.column(a) for a in attrs)
     if len(block) > 1:
-        codes = _pack(cols)
+        codes = pack_codes(cols)
         first = np.unique(codes, return_index=True)[1]
         if len(first) < len(codes):
             first.sort()

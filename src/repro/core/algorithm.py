@@ -29,7 +29,13 @@ from math import inf
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.covers import EnumerationBudget
-from repro.core.decomposition import MSC, DecompositionOption, decompositions
+from repro.core.decomposition import (
+    MSC,
+    CliquePool,
+    DecompositionOption,
+    decompositions,
+    structure_key,
+)
 from repro.core.logical import LogicalOperator, LogicalPlan
 from repro.core.plan_builder import extend_operators, initial_operators
 from repro.core.variable_graph import Clique, Decomposition, VariableGraph
@@ -160,10 +166,14 @@ def _search(
     memo: dict = {}
     #: height -> cheapest completed plan of that height
     front: dict[int, float] = {}
-    #: minimum options: decompositions by graph structure (node count +
-    #: maximal cliques as node sets), which fixes the candidate cliques
-    #: and so the covers; reductions reach the same structure many times
+    #: by graph structure (node count + maximal cliques as node sets),
+    #: which fixes the candidate cliques and so the covers; reductions
+    #: reach one structure many times.  Minimum options keep the
+    #: decompositions themselves; the others (SC's spaces run to
+    #: millions, so they stay lazy) keep the candidate-clique pool and
+    #: enumerate the covers afresh.
     shapes: dict[tuple[int, frozenset[frozenset[int]]], list[Decomposition]] = {}
+    pools: dict[tuple[int, frozenset[frozenset[int]]], CliquePool] = {}
 
     def time_left() -> float | None:
         if deadline is None:
@@ -183,15 +193,18 @@ def _search(
     def decompose(
         graph: VariableGraph, budget: EnumerationBudget | None
     ) -> Iterable[Decomposition]:
-        if not option.minimum:  # SC's spaces run to millions: stay lazy
-            return decompositions(graph, option, budget)
-        key = (len(graph), frozenset(map(frozenset, graph.edge_map().values())))
-        known = shapes.get(key)
-        if known is None:
-            known = list(decompositions(graph, option, budget))
-            if budget is None or not budget.truncated:
-                shapes[key] = known
-        return known
+        key = structure_key(graph)
+        if option.minimum:
+            known = shapes.get(key)
+            if known is None:
+                known = list(decompositions(graph, option, budget))
+                if budget is None or not budget.truncated:
+                    shapes[key] = known
+            return known
+        pool = pools.get(key)
+        if pool is None:
+            pool = pools[key] = CliquePool.of(graph, option.maximal_only)
+        return decompositions(graph, option, budget, pool)
 
     def recurse(
         graph: VariableGraph, ops: tuple[LogicalOperator, ...], lower: float

@@ -24,7 +24,7 @@ from repro.core.covers import (
     masks_of,
     minimum_covers,
 )
-from repro.core.variable_graph import Decomposition, VariableGraph
+from repro.core.variable_graph import Clique, Decomposition, VariableGraph
 
 
 @dataclass(frozen=True)
@@ -91,24 +91,65 @@ OPTIONS_BY_NAME: dict[str, DecompositionOption] = {o.name: o for o in ALL_OPTION
 VIABLE_OPTIONS: tuple[DecompositionOption, ...] = (MSC_PLUS, SC_PLUS, MXC, MSC)
 
 
+def structure_key(graph: VariableGraph) -> tuple[int, frozenset[frozenset[int]]]:
+    """The node count and the maximal cliques as node sets: what fixes a
+    graph's candidate cliques, hence its decompositions under any
+    option.  Reductions reach one structure many times over."""
+    return (len(graph), frozenset(map(frozenset, graph.edge_map().values())))
+
+
+@dataclass(frozen=True)
+class CliquePool:
+    """The candidate cliques of one graph structure, ready for cover
+    enumeration: their bitmasks, and their rank in the order of
+    ``variable_graph.canonical_decomposition`` (by sorted members) —
+    the candidates are distinct, so a cover sorts by its members'
+    ranks."""
+
+    masks: list[int]
+    #: candidate index -> rank
+    rank: list[int]
+    #: rank -> clique
+    ranked: list[Clique]
+
+    @classmethod
+    def of(cls, graph: VariableGraph, maximal_only: bool) -> "CliquePool":
+        cliques = candidate_cliques(graph, maximal_only)
+        by_rank = sorted(range(len(cliques)), key=lambda j: sorted(cliques[j]))
+        rank = [0] * len(cliques)
+        for position, j in enumerate(by_rank):
+            rank[j] = position
+        return cls(
+            masks=masks_of(len(graph), cliques),
+            rank=rank,
+            ranked=[cliques[j] for j in by_rank],
+        )
+
+
 def decompositions(
     graph: VariableGraph,
     option: DecompositionOption,
     budget: EnumerationBudget | None = None,
+    pool: CliquePool | None = None,
 ) -> Iterator[Decomposition]:
     """Enumerate the clique decompositions of *graph* under *option*.
 
     Every yielded decomposition satisfies Definition 3.3 (full node
     coverage and |D| < |N|).  May be empty — notably for MXC+/XC+ on
     queries like Fig. 10 ("when MXC+ and XC+ fail").
+
+    A caller that meets one structure many times passes its *pool*
+    (``CliquePool.of(graph, option.maximal_only)``, memoized on
+    :func:`structure_key`); the covers are enumerated afresh every call.
     """
     n = len(graph)
     if n <= 1:
         return
-    cliques = candidate_cliques(graph, option.maximal_only)
-    if not cliques:
+    if pool is None:
+        pool = CliquePool.of(graph, option.maximal_only)
+    masks = pool.masks
+    if not masks:
         return
-    masks = masks_of(n, cliques)
     max_size = n - 1  # Def. 3.3: strictly fewer cliques than nodes
 
     if option.minimum:
@@ -118,14 +159,7 @@ def decompositions(
     else:
         covers = iter_simple_covers(n, masks, max_size, budget=budget)
 
-    # The order of variable_graph.canonical_decomposition (by sorted
-    # members), ranked once: the candidates are distinct, so a cover
-    # sorts by its members' ranks.
-    by_rank = sorted(range(len(cliques)), key=lambda j: sorted(cliques[j]))
-    rank = [0] * len(cliques)
-    for position, j in enumerate(by_rank):
-        rank[j] = position
-    ranked = [cliques[j] for j in by_rank]
+    rank, ranked = pool.rank, pool.ranked
     for cover in covers:
         yield tuple([ranked[r] for r in sorted([rank[j] for j in cover])])
 

@@ -21,9 +21,9 @@ given by iterating them as rows.
 The ``run`` methods below are also the *reference semantics* for the
 vectorized evaluator: :mod:`repro.columnar.engine` executes these same
 three specs over dictionary-encoded :class:`~repro.columnar.block.ColumnBlock`
-columns instead of term tuples, and returns blocks as its chunks; a
-columnar answer is decoded to terms once, in
-:meth:`PlanExecutor.execute_prepared`.  Both the produced rows (as multisets —
+columns instead of term tuples, and returns blocks as its chunks; the
+answer stays a block too (:attr:`ExecutionResult.block`), decoded to
+terms once, by whoever reads it.  Both the produced rows (as multisets —
 intermediate order is never observable, the reducers group by key and
 the final answer is a set) and every :class:`TaskMetrics` increment in
 this file are a compatibility contract: change the accounting here and
@@ -34,10 +34,11 @@ compares the two field-wise).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.logical import LogicalPlan, rewrite_patterns
 from repro.cost.params import DEFAULT_PARAMS, CostParams
-from repro.columnar.block import chunk_rows
+from repro.columnar.block import ColumnBlock, answer_block, answer_rows
 from repro.mapreduce.backends import ExecutionBackend, make_backend
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.engine import ClusterConfig, MapReduceEngine
@@ -363,14 +364,26 @@ def job_from_spec(
 
 @dataclass
 class ExecutionResult:
-    """Answers plus the execution report of one query run."""
+    """Answers plus the execution report of one query run.
 
-    attrs: tuple[str, ...]
-    rows: set[tuple]
+    ``block`` is the answer in id space: the plan's output attributes in
+    canonical order, each distinct row once.  ``rows`` decodes it to the
+    term-tuple set on first read.
+    """
+
+    block: ColumnBlock
     report: ExecutionReport
     plan: LogicalPlan
     physical: PhysicalPlan
     compiled: CompiledPlan
+
+    @property
+    def attrs(self) -> tuple[str, ...]:
+        return self.block.attrs
+
+    @cached_property
+    def rows(self) -> set[tuple]:
+        return answer_rows(self.block)
 
     @property
     def response_time(self) -> float:
@@ -495,11 +508,13 @@ class PlanExecutor:
             graph.add(self._build_job(spec, hdfs))
         with span("engine", jobs=len(compiled.jobs)):
             report = self.engine.execute(graph, ctx)
-        # The one place an id-space answer turns back into terms.
-        rows = set(chunk_rows(hdfs.read("result").chunks()))
+        block = answer_block(
+            compiled.final_attrs,
+            hdfs.read("result").chunks(),
+            ctx.store.dictionary,
+        )
         return ExecutionResult(
-            attrs=compiled.final_attrs,
-            rows=rows,
+            block=block,
             report=report,
             plan=prepared.plan,
             physical=prepared.physical,

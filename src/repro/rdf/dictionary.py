@@ -9,13 +9,16 @@ triple (``PartitionedStore.add``); every engine computes in that
 numbering — the columnar backend in-process and, through a pickled
 replica kept in step by :meth:`Dictionary.merge_entries`, every shard
 worker.  Ids are assigned in first-seen order and support
-bidirectional lookup.
+bidirectional lookup; a column of ids decodes in one gather from an
+id-indexed term array (:meth:`Dictionary.decode_column`).
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class Dictionary:
@@ -29,6 +32,11 @@ class Dictionary:
         )
         if len(self._term_to_id) != len(self._id_to_term):
             raise ValueError("dictionary terms must be distinct")
+        #: ``(array, count)``: an object array whose first *count* slots
+        #: hold the terms of ids ``0 .. count-1`` (spare capacity after
+        #: them), grown by :meth:`_grow_terms` and replaced by one
+        #: assignment, so a reader always sees a consistent pair
+        self._terms: tuple = (np.empty(0, dtype=object), 0)
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -44,6 +52,8 @@ class Dictionary:
         # replica ships as compactly as the term list, and shares the
         # term strings of anything pickled beside it.  ``tuple`` copies
         # the list in one step, so a concurrent append cannot tear it.
+        # The term array stays behind: a replica builds its own on its
+        # first column decode.
         return (Dictionary, (tuple(self._id_to_term),))
 
     def encode(self, term: str) -> int:
@@ -102,15 +112,51 @@ class Dictionary:
     def decode_many(self, idents: Sequence[int]) -> list[str]:
         """Decode a sequence of ids (one column), preserving order.
 
-        Bulk form of :meth:`decode` (one C-level ``map`` over the term
-        list); unknown ids raise ``KeyError`` just the same.
+        Bulk form of :meth:`decode`, through :meth:`decode_column`;
+        unknown ids raise ``KeyError`` just the same.
         """
-        if idents and min(idents) < 0:
-            raise KeyError(min(idents))
-        try:
-            return list(map(self._id_to_term.__getitem__, idents))
-        except IndexError:
-            raise KeyError(max(idents)) from None
+        return self.decode_column(idents)
+
+    def decode_column(self, ids) -> list[str]:
+        """Decode one column of ids (an int64 array or any int
+        sequence) to its terms, preserving order.
+
+        The one bulk decode path: a single numpy gather from the
+        id-indexed term array.  An id below 0 or at/above ``len(self)``
+        raises ``KeyError`` (a negative index would otherwise wrap).
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if not ids.size:
+            return []
+        low, high = int(ids.min()), int(ids.max())
+        if low < 0:
+            raise KeyError(low)
+        terms, count = self._terms
+        if high >= count:
+            if high >= len(self._id_to_term):
+                raise KeyError(high)
+            terms = self._grow_terms()
+        return terms[ids].tolist()
+
+    def _grow_terms(self):
+        """Publish a term array holding every id numbered so far.
+
+        Only the suffix past the published count is copied in; the
+        array's capacity doubles when it runs out, so appends cost
+        amortised O(1) per term.  Needs no lock: any writer stores
+        term ``i`` only in slot ``i``, and a reader reads only below
+        the count of the pair it took, so racing growers at worst
+        publish a shorter prefix, which the next read extends.
+        """
+        terms, count = self._terms
+        size = len(self._id_to_term)
+        if size > len(terms):
+            grown = np.empty(max(size, 2 * len(terms)), dtype=object)
+            grown[:count] = terms[:count]
+            terms = grown
+        terms[count:size] = self._id_to_term[count:size]
+        self._terms = (terms, size)
+        return terms
 
     # -- delta replication ----------------------------------------------------
     #

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Any, Callable, Generic, Hashable, TypeVar
 
 from repro.analysis.locks import checked
+from repro.columnar.block import ColumnBlock, answer_rows
 from repro.core.logical import LogicalPlan
 from repro.mapreduce.counters import ExecutionReport
 from repro.obs.trace import span
@@ -141,21 +142,41 @@ class TemplateCache(LRUCache[tuple, TemplateEntry]):
 
 @dataclass
 class ResultEntry:
-    """One memoized answer set, in canonical variable space.
+    """One memoized answer, in canonical variable space.
 
     ``version`` is the graph version it was computed at; it stays the
     answer until one of the files of its ``footprint`` is written, which
-    ``stamp`` (the store's versions of those files then) detects.
+    ``stamp`` (the store's versions of those files then) detects.  The
+    answer is kept as its id-space ``block``; ``rows``, the canonical
+    term-tuple set, is decoded from it the first time a reader needs it
+    (a result hit, a flight's waiter, a batch duplicate — or the
+    computing submission, when the result cache keeps the entry).
     """
 
     version: int
     footprint: tuple[FileKey, ...] | None
     stamp: tuple[int, ...]
-    attrs: tuple[str, ...]
-    rows: AbstractSet[tuple]
+    block: ColumnBlock
     plan: LogicalPlan
     report: ExecutionReport
     job_signature: str
+    _rows: AbstractSet[tuple] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def attrs(self) -> tuple[str, ...]:
+        return self.block.attrs
+
+    @property
+    def rows(self) -> AbstractSet[tuple]:
+        """The canonical answer set — shared, so never to be mutated.
+        Racing first readers each decode an equal set; one assignment
+        publishes it."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = answer_rows(self.block)
+        return rows
 
 
 class ResultCache(LRUCache[tuple, ResultEntry]):

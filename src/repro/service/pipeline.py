@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
+from repro.columnar.block import answer_rows
 from repro.core.algorithm import OptimizerResult, cost_bounded_search
 from repro.core.logical import LogicalPlan, rewrite_patterns
 from repro.cost.model import select_best_plan
@@ -623,8 +624,7 @@ class Pipeline:
             version=version,
             footprint=entry.footprint,
             stamp=stamp,
-            attrs=result.attrs,
-            rows=result.rows,
+            block=result.block,
             plan=entry.plan,
             report=result.report,
             job_signature=result.job_signature(),
@@ -655,17 +655,35 @@ class Pipeline:
     ) -> QueryOutcome:
         """The pipeline's tail: map a canonical-space answer back onto
         *query*'s variables, then count the submission (registry, slow
-        ring).  A batch calls it for the duplicates of a leader."""
+        ring).  A batch calls it for the duplicates of a leader.
+
+        An answer no one else will read — computed, and not kept by the
+        result cache — is decoded straight into the outcome's set, its
+        block's columns taken in *query*'s order in id space.  Any other
+        outcome copies (or re-projects) the entry's canonical set,
+        decoded once per entry: a computed answer the cache keeps
+        decodes it now, for the hits that follow.  Either way the
+        outcome owns its set.
+        """
         entry = answer.entry
         mapping = inst.template.mapping
-        index = [entry.attrs.index(mapping[v]) for v in query.distinguished]
-        if index == list(range(len(entry.attrs))):
-            rows = set(entry.rows)
-        elif len(index) == 1:
-            rows = set(zip(map(itemgetter(index[0]), entry.rows)))
-        else:
-            rows = set(map(itemgetter(*index), entry.rows))
         cacheable = inst.key is not None
+        shared = (
+            answer.result_hit
+            or coalesced
+            or (cacheable and self.result_cache.maxsize != 0)
+        )
+        if not shared:
+            rows = answer_rows(entry.block, [mapping[v] for v in query.distinguished])
+        else:
+            attrs, canonical = entry.attrs, entry.rows
+            index = [attrs.index(mapping[v]) for v in query.distinguished]
+            if index == list(range(len(attrs))):
+                rows = set(canonical)
+            elif len(index) == 1:
+                rows = set(zip(map(itemgetter(index[0]), canonical)))
+            else:
+                rows = set(map(itemgetter(*index), canonical))
         timings = QueryTimings(
             canonicalize_s=(
                 0.0

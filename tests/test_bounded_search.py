@@ -122,9 +122,9 @@ def enumerations(monkeypatch, query, coster, option, truncate):
     real = algorithm.decompositions
     calls: Counter = Counter()
 
-    def spy(graph, opt, budget=None):
+    def spy(graph, opt, budget=None, pool=None):
         key = (len(graph), frozenset(map(frozenset, graph.edge_map().values())))
-        covers = list(real(graph, opt, budget))
+        covers = list(real(graph, opt, budget, pool))
         if truncate == "always" or (truncate == "first" and not calls[key]):
             budget.truncated = True  # as if the deadline tripped at the end
         calls[key] += 1

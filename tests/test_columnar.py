@@ -723,8 +723,9 @@ def test_the_engine_computes_in_the_store_dictionary(lubm_graph, monkeypatch, sh
 
 def test_warm_submit_decodes_once_per_answer_column(lubm_graph, monkeypatch):
     """Warm, single store, the service's columnar engine: ids from scan to
-    answer.  A submit decodes each answer column once and re-encodes
-    nothing — no task output is turned into rows and back."""
+    answer.  A submit decodes each answer column once, in the store's
+    dictionary, and re-encodes nothing — no task output is turned into
+    rows and back, and the answer is not re-projected from a set."""
     from repro import QueryService, ServiceConfig
     from repro.workloads import lubm_queries
 
@@ -734,8 +735,8 @@ def test_warm_submit_decodes_once_per_answer_column(lubm_graph, monkeypatch):
     ) as service:
         for query in queries:
             service.submit(query)
-        calls = {"decode_many": 0, "from_rows": 0, "encode_rows": 0}
-        answers = []
+        calls = {"decode_column": 0, "from_rows": 0, "encode_rows": 0}
+        decoded_in = []
 
         def counted(owner, name, make=lambda fn: fn):
             real = getattr(owner, name)
@@ -746,11 +747,19 @@ def test_warm_submit_decodes_once_per_answer_column(lubm_graph, monkeypatch):
 
             monkeypatch.setattr(owner, name, make(wrapper))
 
-        counted(Dictionary, "decode_many")
+        real_decode = Dictionary.decode_column
+
+        def decode_column(self, ids):
+            calls["decode_column"] += 1
+            decoded_in.append(self)
+            return real_decode(self, ids)
+
+        monkeypatch.setattr(Dictionary, "decode_column", decode_column)
         counted(ColumnarState, "encode_rows")
         # from_rows is a classmethod: the bound original already has cls
         counted(ColumnBlock, "from_rows", staticmethod)
         execute = service.executor.execute_prepared
+        answers = []
 
         def recording_execute(prepared):
             result = execute(prepared)
@@ -758,15 +767,21 @@ def test_warm_submit_decodes_once_per_answer_column(lubm_graph, monkeypatch):
             return result
 
         monkeypatch.setattr(service.executor, "execute_prepared", recording_execute)
+        outcomes = []
         for query in queries:
-            decoded = calls["decode_many"]
+            decoded = calls["decode_column"]
             outcome = service.submit(query)
             assert not outcome.result_cache_hit
-            [answer] = answers[-1:]
             assert len(answers) == queries.index(query) + 1
-            width = len(answer.attrs) if answer.rows else 0
-            assert calls["decode_many"] - decoded == width, query.name
-        assert any(answer.rows for answer in answers)
+            # The width is the outcome's: reading an ExecutionResult's
+            # rows would decode (and be counted) itself.
+            width = len(outcome.attrs) if outcome.rows else 0
+            assert calls["decode_column"] - decoded == width, query.name
+            outcomes.append(outcome)
+        assert any(outcome.rows for outcome in outcomes)
+        assert decoded_in and all(
+            d is service.store.dictionary for d in decoded_in
+        )
         assert calls["from_rows"] == calls["encode_rows"] == 0
 
 

@@ -166,3 +166,82 @@ class TestRandomizedAgainstReference:
         ex = PlanExecutor(store, ClusterConfig(num_nodes=4))
         for plan in cliquesquare(query, MSC, timeout_s=20).unique_plans()[:4]:
             assert ex.execute(plan).rows == expected
+
+
+class TestAnswerBlock:
+    """A plan's answer is an id-space block (``ExecutionResult.block``),
+    each distinct row once, decoded only when ``rows`` is read — on the
+    tuple engine and the id-space engine alike."""
+
+    #: reduce-joined on ?C / ?P and projected onto neither, so a
+    #: department recurs across the reduce partitions
+    DROPS_THE_KEY = (
+        "SELECT ?D WHERE { ?S ub:takesCourse ?C . ?P ub:teacherOf ?C . "
+        "?P ub:worksFor ?D }"
+    )
+
+    @pytest.fixture(scope="class")
+    def lubm_store(self):
+        from repro.workloads import lubm
+
+        graph = lubm.generate(lubm.LUBMConfig(universities=4))
+        return graph, partition_graph(graph, 7)
+
+    @pytest.mark.parametrize("backend", ["serial", "columnar"])
+    def test_duplicates_across_partitions_collapse_in_id_space(
+        self, lubm_store, backend, monkeypatch
+    ):
+        import repro.physical.executor as executor_module
+
+        graph, store = lubm_store
+        real = executor_module.answer_block
+        seen = []
+
+        def counting(attrs, chunks, dictionary):
+            chunks = list(chunks)
+            seen.append(sum(len(chunk) for chunk in chunks))
+            return real(attrs, chunks, dictionary)
+
+        monkeypatch.setattr(executor_module, "answer_block", counting)
+        query = parse_query(self.DROPS_THE_KEY)
+        plan = cliquesquare(query, MSC).unique_plans()[0]
+        with PlanExecutor(store, backend=backend) as ex:
+            result = ex.execute(plan)
+        assert not result.compiled.jobs[-1].map_only
+        assert result.block.dictionary is store.dictionary
+        assert len(result.attrs) == 1
+        assert result.rows == evaluate(query, graph)
+        assert seen[0] > len(result.block) == len(result.rows) > 0
+
+    @pytest.mark.parametrize("backend", ["serial", "columnar"])
+    def test_zero_column_answers(self, lubm_store, backend):
+        from tests.conformance import ground_queries
+
+        graph, store = lubm_store
+        present, absent = ground_queries(graph)
+        with PlanExecutor(store, backend=backend) as ex:
+            for query, rows in ((present, {()}), (absent, set())):
+                plan = cliquesquare(query, MSC).unique_plans()[0]
+                result = ex.execute(plan)
+                assert result.block.attrs == ()
+                assert result.rows == rows == evaluate(query, graph)
+
+    def test_rows_decode_once_on_first_read(self, lubm_store, monkeypatch):
+        from repro.rdf.dictionary import Dictionary
+        from repro.workloads import lubm_queries
+
+        graph, store = lubm_store
+        query = lubm_queries.query("Q1")
+        calls = []
+        real = Dictionary.decode_column
+        monkeypatch.setattr(
+            Dictionary,
+            "decode_column",
+            lambda self, ids: calls.append(len(ids)) or real(self, ids),
+        )
+        with PlanExecutor(store, backend="columnar") as ex:
+            result = ex.execute(cliquesquare(query, MSC).unique_plans()[0])
+            assert calls == []
+            assert result.rows == evaluate(query, graph)
+            assert result.rows is result.rows
+        assert len(calls) == len(result.attrs)

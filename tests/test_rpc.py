@@ -968,10 +968,10 @@ class TestBlockWire:
             before = wire_counts()
             assert before == ([0, 0], [len(service.store.dictionary)] * 2)
             decodes = []
-            real = Dictionary.decode_many
+            real = Dictionary.decode_column
             monkeypatch.setattr(
                 Dictionary,
-                "decode_many",
+                "decode_column",
                 lambda self, ids: decodes.append(self) or real(self, ids),
             )
             for query, warm in zip(queries, answers):

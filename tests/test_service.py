@@ -767,3 +767,129 @@ class TestOneEngine:
                 engines = [svc.executor.backend]
             assert [type(e) for e in engines] == [ColumnarBackend] * max(shards, 1)
             assert "backend columnar; rows columnar" in self._jobs_line(svc)
+
+
+#: Q1's shape under both head orders and an isomorphic rename: the
+#: canonical answer holds one column order, so at least one of these
+#: takes its columns permuted
+Q1_HEADS = (
+    "SELECT ?P ?S WHERE { ?P ub:worksFor ?D . ?S ub:memberOf ?D }",
+    "SELECT ?S ?P WHERE { ?P ub:worksFor ?D . ?S ub:memberOf ?D }",
+    "SELECT ?b ?a WHERE { ?a ub:memberOf ?c . ?b ub:worksFor ?c }",
+)
+
+
+class TestAnswerPath:
+    """The answer stays in id space until the outcome: every way a
+    submission is served — computed, a result hit, a flight's waiter, a
+    batch duplicate — answers as the evaluator does, in its own column
+    order, in a set of its own."""
+
+    @pytest.fixture(scope="class")
+    def expected(self, graph):
+        return {text: evaluate(parse_query(text), graph) for text in Q1_HEADS}
+
+    def test_permuted_heads_computed_and_from_the_result_cache(
+        self, graph, expected
+    ):
+        with QueryService(graph, ServiceConfig(result_cache_size=0)) as svc:
+            for text in Q1_HEADS:
+                out = svc.submit(text)
+                assert not out.result_cache_hit
+                assert out.rows == expected[text], text
+        with QueryService(graph) as svc:
+            served = [svc.submit(text) for text in Q1_HEADS * 2]
+            assert [o.result_cache_hit for o in served] == [False] + [True] * 5
+            for text, out in zip(Q1_HEADS * 2, served):
+                assert out.rows == expected[text], text
+
+    def test_permuted_heads_as_batch_duplicates(self, graph, expected):
+        with QueryService(graph, ServiceConfig(result_cache_size=0)) as svc:
+            outcomes = svc.submit_batch(list(Q1_HEADS))
+            assert [o.coalesced for o in outcomes] == [False, True, True]
+            for text, out in zip(Q1_HEADS, outcomes):
+                assert out.rows == expected[text], text
+
+    def test_permuted_head_as_a_flight_waiter(self, graph, expected, monkeypatch):
+        """The leader is held inside execution until the second
+        submission has joined its flight, so the second is a waiter."""
+        import repro.service.cache as cache
+
+        joined, entered = threading.Event(), threading.Event()
+        real_span = cache.span
+
+        def spy(name, **attrs):
+            if name == "flight_wait":
+                joined.set()
+            return real_span(name, **attrs)
+
+        monkeypatch.setattr(cache, "span", spy)
+        leader_text, waiter_text = Q1_HEADS[0], Q1_HEADS[1]
+        with QueryService(graph, ServiceConfig(result_cache_size=0)) as svc:
+            execute = svc.executor.execute_prepared
+
+            def held(prepared):
+                entered.set()
+                assert joined.wait(30)
+                return execute(prepared)
+
+            monkeypatch.setattr(svc.executor, "execute_prepared", held)
+            led = []
+            leader = threading.Thread(
+                target=lambda: led.append(svc.submit(leader_text))
+            )
+            leader.start()
+            assert entered.wait(30)
+            waiter = svc.submit(waiter_text)
+            leader.join(30)
+            [first] = led
+            assert not first.coalesced and waiter.coalesced
+            assert first.rows == expected[leader_text]
+            assert waiter.rows == expected[waiter_text]
+
+    def test_zero_column_answers(self, graph):
+        from tests.conformance import ground_queries
+
+        with QueryService(graph) as svc:
+            for query in ground_queries(graph) * 2:
+                out = svc.submit(query)
+                assert out.rows == evaluate(query, graph), query.name
+            present, absent = (svc.submit(q) for q in ground_queries(graph))
+            assert present.rows == {()} and absent.rows == set()
+
+    def test_outcomes_own_their_rows(self, graph, expected):
+        """Mutating one outcome's set leaves the cached answer and every
+        later outcome — copied or re-projected — as they were."""
+        text, permuted = Q1_HEADS[0], Q1_HEADS[1]
+        with QueryService(graph) as svc:
+            first = svc.submit(text)
+            first.rows.clear()
+            hit = svc.submit(text)
+            assert hit.result_cache_hit and hit.rows == expected[text]
+            hit.rows.add(("<x>", "<y>"))
+            again = svc.submit(text)
+            assert again.rows == expected[text]
+            again.rows.pop()
+            other = svc.submit(permuted)
+            assert other.result_cache_hit
+            assert other.rows == expected[permuted]
+            [entry] = svc.result_cache._data.values()
+            assert len(entry.rows) == len(expected[text])
+
+    def test_terms_numbered_after_a_read_decode(self):
+        """A write between two reads brings terms the store's term array
+        has not seen yet; the next answer decodes them."""
+        graph = lubm.generate(lubm.LUBMConfig(universities=4))
+        text = Q1_HEADS[1]
+        with QueryService(graph) as svc:
+            before = svc.submit(text)
+            svc.add_triples(
+                [
+                    ("<NewProf>", "ub:worksFor", "<NewDept>"),
+                    ("<NewStudent>", "ub:memberOf", "<NewDept>"),
+                ]
+            )
+            after = svc.submit(text)
+            assert not after.result_cache_hit
+            assert after.rows == before.rows | {("<NewStudent>", "<NewProf>")}
+            assert after.rows == evaluate(parse_query(text), svc.graph)
