@@ -31,8 +31,11 @@ behind that engine — the one thing a sharded deployment changes is
   in the one id space the store numbered every term in: an in-process
   worker computes in the store's dictionary itself; over rpc every
   worker holds a replica of it, synced to the store's at each query
-  start, so the frame carries a block's id columns as they are,
-  translated nowhere (:mod:`repro.columnar.wire`).
+  start, so the frame carries its blocks' id columns as they are, in
+  one buffer, translated nowhere (:mod:`repro.columnar.wire`).  A map
+  task group hands the engine one block per reduce partition, so the
+  reduce frame carries a partition's rows in about one block per
+  group that sent them.
 * **results come back in submission order**, whichever shard finishes
   first, so the engine's shuffle grouping — and with it answers and
   every report field — equal the unsharded run's by construction, for

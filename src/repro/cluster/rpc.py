@@ -28,9 +28,10 @@ only the socket).
 Over the socket both ends number terms as the store does: the
 :class:`Prime` snapshot carries the store's dictionary, and the router
 ships a worker whose replica lags the suffix it misses (in a
-:class:`TableUpdate`), so on the columnar wire an id block crosses as
-its id buffers, translated nowhere, and neither the driver nor a worker
-decodes a term to move it.  Message frames are pickled
+:class:`TableUpdate`), so on the columnar wire a level or results frame
+crosses as one pickle plus one id buffer holding all its blocks' ids,
+translated nowhere, and neither the driver nor a worker decodes a term
+to move it.  Message frames are pickled
 dataclasses with an explicit size cap; oversized frames, unknown
 message types, specs that do not pickle and ids no store numbered
 surface as typed errors, never hangs or wrong answers.
@@ -74,6 +75,7 @@ from repro.mapreduce.backends import (
     store_token,
     task_timing,
 )
+from repro.columnar.block import ColumnBlock
 from repro.columnar.wire import WireCodec
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import TaskContext
@@ -183,10 +185,12 @@ class Prime:
     list when the frame is: the worker's replica of the one numbering,
     which its columnar backend computes in and the wire ships ids by.
 
-    ``wire`` selects the row encoding of subsequent :class:`ExecuteLevel`
-    exchanges on this connection: ``"pickle"`` (tuple lists, the
-    original format) or ``"columnar"`` (id buffers, see
-    :mod:`repro.columnar.wire`).
+    ``wire`` selects how subsequent :class:`ExecuteLevel` /
+    :class:`ExecuteBatch` frames and their replies cross this
+    connection: ``"pickle"`` (plain pickles; a block pickles as its
+    rows) or ``"columnar"`` (each frame framed by the connection's
+    :class:`~repro.columnar.wire.WireCodec`: one pickle plus one id
+    buffer holding every block's ids).
 
     ``epoch`` stamps the owner-table version this view was taken
     under; the worker adopts it as its topology epoch.
@@ -252,9 +256,11 @@ class ExecuteLevel:
     shuffled intermediates the level's map chains read.
     ``phase="reduce"``: ``tasks`` are ``(reduce_spec, partition,
     grouped)`` — the cross-shard exchange, ``{tag: chunks}`` as the
-    engine grouped it.  Chunks travel as they are: the columnar codec
-    packs id blocks into buffers, the pickle wire pickles them (a block
-    pickles as its rows).  Requests are self-contained (the worker
+    engine grouped it: about one block per map task group that sent
+    the partition rows.  Chunks travel as they are: on the columnar
+    wire the whole frame is one pickle whose blocks are references into
+    one id buffer, on the pickle wire a block pickles as its rows.
+    Requests are self-contained (the worker
     keeps nothing about a plan or a query between levels), which is
     what makes respawn-and-retry safe.
 
@@ -362,7 +368,8 @@ class ErrorReply:
 class Request:
     """The envelope every driver→worker frame travels in: a connection-
     unique ``id`` the reply is matched back under, plus the message
-    itself (its chunks packed, on the columnar wire)."""
+    itself — on the columnar wire, a level or batch as the bytes of its
+    codec frame (:meth:`~repro.columnar.wire.WireCodec.dumps`)."""
 
     id: int
     msg: object
@@ -375,11 +382,12 @@ class Reply:
     not attribute the failure to a request — e.g. an undecodable or
     oversized incoming frame), which fails every in-flight waiter.
 
-    ``encode_s`` reports the worker's payload-encode time (columnar
-    packing) for traced frames.  It lives on the envelope because a
-    span *inside* the payload cannot time the encoding of that same
-    payload; the envelope pickle itself stays untimed (≈0 on the
-    pickle wire), which is documented behaviour."""
+    On the columnar wire a results payload is the bytes of its codec
+    frame; ``encode_s`` reports the worker's time to frame it
+    (:meth:`~repro.columnar.wire.WireCodec.dumps`).  It lives on the
+    envelope because a span *inside* the payload cannot time the
+    encoding of that same payload; the envelope pickle itself stays
+    untimed (≈0 on the pickle wire), which is documented behaviour."""
 
     id: int
     payload: object
@@ -549,9 +557,7 @@ class _WorkerState:
         """The columnar codec over the replica as the driver just synced
         it: no id at or past the synced length ever ships."""
         self.wire = (
-            WireCodec(
-                self.snapshot, blocks=True, limit=len(self.snapshot.dictionary)
-            )
+            WireCodec(self.snapshot, limit=len(self.snapshot.dictionary))
             if self.wire_format == "columnar"
             else None
         )
@@ -731,6 +737,34 @@ class _WorkerState:
             pass
 
 
+def _check_row_terms(reply, dictionary) -> None:
+    """Refuse a results frame naming a term the store never numbered.
+
+    Plan tasks return blocks, which the wire ships as ids (a worker's
+    codec refuses any id past its synced ``limit``); a row list — a
+    closure task's output — crosses as its rows, so its string cells
+    are looked up here instead, and one the replica does not hold fails
+    the reply typed rather than reaching the driver as a term of no
+    store."""
+    replies = getattr(reply, "replies", None)
+    for sub in [reply] if replies is None else [r for _rid, r in replies]:
+        for result in getattr(sub, "results", ()):
+            if len(result) == 3:
+                emits, direct, _metrics = result
+                chunks = [chunk for _p, _tag, chunk in emits] + [direct]
+            else:
+                chunks = [result[0]]
+            for chunk in chunks:
+                if isinstance(chunk, ColumnBlock):
+                    continue
+                for row in chunk:
+                    for term in row:
+                        if type(term) is str and term not in dictionary:
+                            raise RpcProtocolError(
+                                f"{term!r} is a term the store never numbered"
+                            )
+
+
 def _as_error_reply(exc: BaseException) -> ErrorReply:
     return ErrorReply(error=exc, kind=type(exc).__name__)
 
@@ -821,16 +855,17 @@ def _worker_main(
                 pass
 
     def send_reply(rid: int, reply) -> None:
-        """Columnar-encode (when applicable), envelope, cap-check and
-        send one reply (dropped when the connection is gone).  A reply
-        that does not encode — a term or id the store never numbered —
-        goes out as a typed protocol error instead."""
+        """Frame (on the columnar wire), envelope, cap-check and send
+        one reply (dropped when the connection is gone).  A reply that
+        does not frame — a term or id the store never numbered — goes
+        out as a typed protocol error instead."""
         out, encode_s = reply, 0.0
         wire = state.wire
         if wire is not None and isinstance(reply, (ResultsReply, BatchReply)):
             t0 = time.perf_counter()
             try:
-                out = wire.encode(reply)
+                _check_row_terms(reply, wire.dictionary)
+                out = wire.dumps(reply)
                 encode_s = time.perf_counter() - t0
             except Exception as exc:
                 out = _as_error_reply(
@@ -946,6 +981,18 @@ def _worker_main(
                 )
                 continue
             rid, msg = envelope.id, envelope.msg
+            if type(msg) is bytes:  # a level or batch on the columnar wire
+                if state.wire is None:
+                    send_error(
+                        rid,
+                        WorkerStateError(f"shard {shard} has no columnar wire primed"),
+                    )
+                    continue
+                try:
+                    msg = state.wire.loads(msg)
+                except Exception as exc:
+                    send_error(rid, RpcProtocolError(f"undecodable frame: {exc!r}"))
+                    continue
             if not isinstance(msg, WORKER_HANDLED):
                 send_error(
                     rid,
@@ -965,10 +1012,6 @@ def _worker_main(
                         pass
                 break
             try:
-                if state.wire is not None and isinstance(
-                    msg, (ExecuteLevel, ExecuteBatch)
-                ):
-                    msg = state.wire.decode(msg)
                 decoded = time.perf_counter()
                 if isinstance(msg, ExecuteLevel):
                     state.note_queued(1)
@@ -1108,7 +1151,8 @@ class ShardWorkerClient:
         )
         self.bytes_sent = 0  # guarded-by: _send_lock
         self.frames_sent = 0  # guarded-by: _send_lock
-        #: driver end of the columnar wire codec, over the store's
+        #: driver end of the columnar wire codec (it frames this
+        #: connection's levels and reads its results), over the store's
         #: dictionary; established by the first successful
         #: ``Prime(wire="columnar")`` on this connection (a quiescence
         #: point: no concurrent frame straddles it)
@@ -1259,11 +1303,8 @@ class ShardWorkerClient:
                 if not isinstance(reply, Reply):
                     continue
                 payload = reply.payload
-                codec = self.codec
-                if codec is not None and isinstance(
-                    payload, (ResultsReply, BatchReply)
-                ):
-                    payload = codec.decode(payload)
+                if type(payload) is bytes:  # results on the columnar wire
+                    payload = self.codec.loads(payload)
                 if reply.id == -1:
                     error = (
                         payload.error
@@ -1303,8 +1344,8 @@ class ShardWorkerClient:
         replied with, or a transport error when the worker is gone.
 
         Thread-safe: the request is encoded (on a columnar connection
-        ``ExecuteLevel`` / ``ExecuteBatch`` chunks packed) by the
-        calling thread, the send lock is held only across the write,
+        an ``ExecuteLevel`` / ``ExecuteBatch`` framed by the codec) by
+        the calling thread, the send lock is held only across the write,
         and the reply is awaited outside every lock, so concurrent
         requests pipeline on the socket.
 
@@ -1335,20 +1376,17 @@ class ShardWorkerClient:
             rid = next(self._ids)
             self._waiters[rid] = waiter
         try:
-            # Nothing is written unless the whole frame encodes, so a
+            # Nothing is written unless the whole frame pickles, so a
             # frame rejected here leaves the connection serving on.
-            send_msg = msg
             codec = self.codec
-            if codec is not None and isinstance(msg, (ExecuteLevel, ExecuteBatch)):
-                try:
-                    send_msg = codec.encode(msg)
-                except Exception as exc:
-                    raise RpcProtocolError(
-                        f"{type(msg).__name__} for shard {self.shard} does "
-                        f"not encode: {exc!r}"
-                    ) from exc
             try:
-                payload = pickle.dumps(Request(rid, send_msg))
+                framed = (
+                    codec.dumps(msg)
+                    if codec is not None
+                    and isinstance(msg, (ExecuteLevel, ExecuteBatch))
+                    else msg
+                )
+                payload = pickle.dumps(Request(rid, framed))
             except Exception as exc:
                 raise RpcProtocolError(
                     f"{_unpicklable(msg)} does not pickle and cannot "
@@ -1383,9 +1421,7 @@ class ShardWorkerClient:
             # Primes only happen at quiescence points (startup, mutation,
             # respawn), so no concurrent frame straddles the swap.
             self.codec = (
-                WireCodec(msg.snapshot, blocks=True)
-                if msg.wire == "columnar"
-                else None
+                WireCodec(msg.snapshot) if msg.wire == "columnar" else None
             )
         if on_bytes is not None:
             on_bytes(len(payload))

@@ -17,10 +17,10 @@ at load.  Two consumers share the representation:
   Answers and counters stay bit-identical to the tuple kernels (this
   is the ``columnar`` execution backend, the one engine the query
   service and every shard worker run);
-* :mod:`repro.columnar.wire` packs rows crossing the RPC boundary into
-  id buffers in that same numbering (every shard worker holds a replica
-  of the store's dictionary), replacing pickled tuple lists as the
-  shard wire format.
+* :mod:`repro.columnar.wire` frames what crosses the RPC boundary as
+  one pickle plus one id buffer in that same numbering (every shard
+  worker holds a replica of the store's dictionary), replacing pickled
+  tuple lists as the shard wire format.
 
 The kernels are bulk numpy operators over int64 arrays
 (:mod:`repro.columnar.kernels`), the one implementation; numpy is a

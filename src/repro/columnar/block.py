@@ -14,10 +14,10 @@ as term-tuple rows) for any consumer, while a consumer working over the
 same dictionary takes the id columns as they are (:func:`gather`); and
 it lets the block keep that dictionary out of any pickle: it pickles as
 its decoded rows.  That is the correct, slow way across a process
-boundary; a transport that wants the ids to cross packs the block's id
-columns first (:class:`repro.columnar.wire.WireCodec` — both ends hold
-the store's numbering, so the ids need no translation), and then no
-block reaches ``pickle`` at all.
+boundary; a transport that wants the ids to cross pickles with a codec
+that swaps each block for its id columns in the frame's one buffer
+(:meth:`repro.columnar.wire.WireCodec.dumps` — both ends hold the
+store's numbering, so the ids need no translation).
 
 The answer of a plan stays a block too: :func:`answer_block` gathers
 the result chunks and drops duplicate rows in id space, and terms

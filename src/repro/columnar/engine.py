@@ -4,15 +4,27 @@ kernel pass.
 Mirrors :mod:`repro.physical.executor`'s ``eval_chain`` and the three
 spec ``run`` methods over a *task group*: the invocations of a batch
 whose specs are equal but for ``node`` (a chain's per-node map tasks),
-or that share one reduce spec (:func:`task_group`).  A group is
+or that share one reduce spec (:func:`task_groups`).  A group is
 evaluated over a leading reserved attribute, :data:`GROUP` — the int64
 index of the row's invocation within the group — that is a key
 everywhere: a scan concatenates the group's nodes, star joins and
-projections key on it, the shuffle cuts by ``(task, partition)``.  Rows
-of different invocations never meet, so grouping is correct for any
-batch; a lone task is a group of one.  A group block stays sorted by
-task (scans and gathers concatenate in task order, the kernels keep
-their left input's row order), so per-task results are slices.
+projections key on it.  Rows of different invocations never meet, so
+grouping is correct for any batch; a lone task is a group of one.  A
+group block stays sorted by task (scans and gathers concatenate in task
+order, the kernels keep their left input's row order), so per-task
+results are slices.
+
+The shuffle is the one place a group answers as a group: a chain-map
+group cuts its block by reduce partition only — one block per
+partition, its rows in task order — and those ``(partition, tag,
+block)`` emits ride on the group's first task, every other task
+returning ``[]``.  Each task keeps its own metrics and its own direct
+output.  A reducer sees the same rows either way; what the exchange
+moves is one block per (task group, partition) instead of one per
+(task, partition).  Because the emits go to the first task's job, a
+group never spans two jobs: the k-th occurrence of an equal chain-map
+spec joins the k-th group of its key (the engine submits a job's tasks
+together, one per node and tag).
 
 Intermediate relations are blocks (:class:`ColumnBlock`) compared on
 term ids, and the ids are the store's: a task computes in the
@@ -272,6 +284,33 @@ def task_group(spec) -> object:
     return object()
 
 
+def task_groups(specs: Sequence) -> list[list[int]]:
+    """The positions of *specs* per task group, in first-member order.
+
+    A chain-map group's emits ride on its first task, so two jobs that
+    read an equal chain, tag and key must not pool their rows: the k-th
+    occurrence of an equal :class:`ChainMapSpec` (equal key, equal
+    ``node``) joins the k-th group of its :func:`task_group` key — a
+    batch naming one node twice splits the same way."""
+    order: list[list[int]] = []
+    by_key: dict[object, tuple[dict[int, int], list[list[int]]]] = {}
+    for position, spec in enumerate(specs):
+        key = task_group(spec)
+        entry = by_key.get(key)
+        if entry is None:
+            entry = by_key[key] = ({}, [])
+        occurrences, groups = entry
+        k = 0
+        if isinstance(spec, ChainMapSpec):
+            k = occurrences.get(spec.node, 0)
+            occurrences[spec.node] = k + 1
+        if k == len(groups):
+            groups.append([])
+            order.append(groups[k])
+        groups[k].append(position)
+    return order
+
+
 def _metrics(counts) -> list[TaskMetrics]:
     return [TaskMetrics(*column) for column in counts.T.tolist()]
 
@@ -299,24 +338,24 @@ def _eval_group(specs: Sequence, ctx: TaskContext, state: ColumnarState):
 def run_chain_map(
     specs: Sequence[ChainMapSpec], ctx: TaskContext, state: ColumnarState
 ) -> list:
-    """One chain-map group: per task, ``(shuffle, (), metrics)``."""
+    """One chain-map group: per task, ``(shuffle, (), metrics)``, the
+    group's one block per reduce partition on the first task (see the
+    module docs) and ``[]`` on the others."""
     spec, tasks = specs[0], len(specs)
     block, counts = _eval_group(specs, ctx, state)
     if not isinstance(spec.chain, (MapJoin, MapShuffler)):
         counts[_WRITTEN] += _per_task(block, tasks)
     rows = ColumnBlock(block.attrs[1:], block.columns[1:], block.dictionary)
-    splits = split_partitions(
-        rows,
-        spec.key_attrs,
-        spec.num_reducers,
-        state.memo(block.dictionary),
-        block.columns[0],
-        tasks,
-    )
     tag = spec.tag
+    emits = [
+        (partition, tag, part)
+        for partition, part in split_partitions(
+            rows, spec.key_attrs, spec.num_reducers, state.memo(block.dictionary)
+        )
+    ]
     return [
-        ([(partition, tag, part) for partition, part in pairs], (), metrics)
-        for pairs, metrics in zip(splits, _metrics(counts))
+        (emits if task == 0 else [], (), metrics)
+        for task, metrics in enumerate(_metrics(counts))
     ]
 
 

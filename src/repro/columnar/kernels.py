@@ -23,10 +23,10 @@ python loop over rows or keys:
   indexed arrays, so a block's partitions are two gathers and four
   arithmetic ops per key column, yet every row lands on exactly the
   reducer the tuple engine picks; :func:`split_partitions` then cuts
-  the block into one sub-block per (task, reducer) with a stable
-  ``argsort`` of the combined ``task * reducers + partition`` vector
-  and ``bincount`` slice bounds (views of one permuted array per
-  column, no per-row work).
+  the block into one sub-block per reducer with a stable ``argsort``
+  of the partition vector and ``bincount`` slice bounds (views of one
+  permuted array per column, no per-row work).  Stable: a task group's
+  block is sorted by task, so a partition's rows stay in task order.
 
 Output blocks carry their inputs' dictionary along.
 
@@ -256,33 +256,25 @@ def split_partitions(
     key_attrs: Sequence[str],
     num_reducers: int,
     memo: HashMemo,
-    group=None,
-    tasks: int = 1,
-) -> list[list[tuple[int, ColumnBlock]]]:
-    """Per task (*group* gives each row's, None: all task 0's), the
-    ``(partition, sub-block)`` pairs of the reducers that get its rows:
-    a row goes where :func:`shuffle_partitions` sends it, and rows of
-    one task and partition keep their order."""
-    out: list[list[tuple[int, ColumnBlock]]] = [[] for _ in range(tasks)]
+) -> list[tuple[int, ColumnBlock]]:
+    """The ``(partition, sub-block)`` pairs of the reducers that get
+    *block*'s rows: a row goes where :func:`shuffle_partitions` sends
+    it, and rows of one partition keep their order."""
     if not len(block):
-        return out
+        return []
     hashes = memo.hash_columns([block.column(a) for a in key_attrs])
     cells = hashes % num_reducers
-    if group is not None:
-        cells += group * num_reducers
-    counts = np.bincount(cells, minlength=tasks * num_reducers)
+    counts = np.bincount(cells, minlength=num_reducers)
     filled = np.flatnonzero(counts)
     if len(filled) == 1:
-        task, partition = divmod(int(filled[0]), num_reducers)
-        out[task].append((partition, block))
-        return out
+        return [(int(filled[0]), block)]
     order = cells.argsort(kind="stable")
     columns = [col[order] for col in block.columns]
     attrs, dictionary = block.attrs, block.dictionary
+    out = []
     start = 0
-    for cell, end in zip(filled.tolist(), np.cumsum(counts[filled]).tolist()):
-        task, partition = divmod(cell, num_reducers)
+    for partition, end in zip(filled.tolist(), np.cumsum(counts[filled]).tolist()):
         sub = ColumnBlock(attrs, tuple([col[start:end] for col in columns]), dictionary)
-        out[task].append((partition, sub))
+        out.append((partition, sub))
         start = end
     return out

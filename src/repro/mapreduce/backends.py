@@ -212,7 +212,9 @@ class ColumnarBackend(ExecutionBackend):
     tasks, a reduce spec's partitions; a lone task is a group of one);
     any other spec falls back to its own ``run``.  Results come back
     per invocation in submission order, answers and every task's
-    counters identical to serial (the conformance matrix enforces it).
+    counters identical to serial (the conformance matrix enforces it);
+    a chain-map group's shuffle emits, one block per reduce partition,
+    ride on its first task.
 
     The backend owns no id space: it computes in the dictionary of the
     snapshot each batch runs against — the store's, which numbered every
@@ -234,15 +236,12 @@ class ColumnarBackend(ExecutionBackend):
         self.state = ColumnarState()
 
     def run(self, invocations: Sequence[TaskInvocation], ctx: TaskContext) -> list:
-        from repro.columnar.engine import run_invocations, task_group
+        from repro.columnar.engine import run_invocations, task_groups
 
-        groups: dict[object, list[int]] = {}
-        for position, inv in enumerate(invocations):
-            groups.setdefault(task_group(inv.spec), []).append(position)
         state = self.state
         return _run_inline(
             invocations,
-            groups.values(),
+            task_groups([inv.spec for inv in invocations]),
             lambda members: run_invocations(members, ctx, state),
         )
 

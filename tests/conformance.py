@@ -590,15 +590,22 @@ def assert_writes_conform(
         assert outcome.result_cache_hit != reads_writes(query), at
 
 
-def _sorted_map_result(result) -> tuple:
-    """A map task's result with every chunk as a sorted row list (row
-    order inside a chunk is never observable; blocks iterate as rows)."""
-    shuffle, direct, metrics = result
-    return (
-        sorted((p, tag, sorted(chunk)) for p, tag, chunk in shuffle),
-        sorted(direct),
-        metrics,
+def shuffled_rows(results) -> Counter:
+    """The rows one job's map *results* shuffle, as one multiset per
+    ``(partition, tag)``: where the rows land, whichever task of a task
+    group carried them (blocks iterate as rows)."""
+    return Counter(
+        (partition, tag, row)
+        for shuffle, _direct, _metrics in results
+        for partition, tag, chunk in shuffle
+        for row in chunk
     )
+
+
+def task_outputs(results) -> list[tuple]:
+    """Each map task's own part of its result: its direct output as a
+    sorted row list, and its metrics."""
+    return [(sorted(direct), metrics) for _shuffle, direct, metrics in results]
 
 
 def rpc_executor(graph, shards: int = 2, **options) -> ShardedPlanExecutor:
@@ -646,8 +653,10 @@ def assert_stateless_workers(service: QueryService, where: str = "") -> None:
     one ships its usual frame count — a respawn restores the snapshot,
     there is no registry to resync.  And a bare ``TaskInvocation``
     batch, no prepared plan anywhere, runs over rpc like on any other
-    backend: its results equal ``SerialBackend``'s over the unsharded
-    store, which shares no code with a shard worker.  Call it on a
+    backend: against ``SerialBackend`` over the unsharded store, which
+    shares no code with a shard worker, its shuffled rows are equal per
+    (partition, tag) — a task group ships them on its first task — and
+    every task's metrics and direct output are equal.  Call it on a
     service no other thread is using, with the result cache off.
     """
     router = service.executor.router
@@ -701,16 +710,15 @@ def assert_stateless_workers(service: QueryService, where: str = "") -> None:
             num_nodes=num_nodes, store=store, hdfs=HDFS(num_nodes=num_nodes)
         )
         with backend.execution(ctx, ExecutionReport()) as running:
-            return [
-                _sorted_map_result(result)
-                for result in backend.run(invocations, running)
-            ]
+            return backend.run(invocations, running)
 
     bare = run_on(router, snapshot)
     unsharded = partition_graph(service.graph, num_nodes).snapshot()
     with SerialBackend() as serial:
-        assert bare == run_on(serial, unsharded), where
-    assert any(shuffle or direct for shuffle, direct, _ in bare), where
+        reference = run_on(serial, unsharded)
+    assert shuffled_rows(bare) == shuffled_rows(reference), where
+    assert task_outputs(bare) == task_outputs(reference), where
+    assert shuffled_rows(bare) or any(direct for _s, direct, _m in bare), where
     assert_replicas_equal_the_store(service, where)
 
 
@@ -770,22 +778,23 @@ def assert_replicas_equal_the_store(service: QueryService, where: str = ""):
 
 @contextlib.contextmanager
 def chunks_received():
-    """Every chunk the driver's codecs unpack while the block is open."""
+    """Every block the driver's codecs read out of a frame while the
+    block is open."""
     from repro.columnar.wire import WireCodec
 
     seen: list = []
-    real = WireCodec._unpack
+    real = WireCodec._view
 
-    def unpack(self, packed, attrs=None):
-        chunk = real(self, packed, attrs)
-        seen.append(chunk)
-        return chunk
+    def view(self, ids, offset, count, attrs):
+        block = real(self, ids, offset, count, attrs)
+        seen.append(block)
+        return block
 
-    WireCodec._unpack = unpack
+    WireCodec._view = view
     try:
         yield seen
     finally:
-        WireCodec._unpack = real
+        WireCodec._view = real
 
 
 def one_shard_triples(store, shard: int, count: int = 2) -> list[tuple]:

@@ -514,10 +514,12 @@ def shuffler_ctx(attrs, node_rows, terms=()):
 def assert_split_matches_chain_map(attrs, rows, key_attrs, num_reducers):
     """One chain-map group of three tasks — *rows* on node 0, every
     other one of them on node 1, read by two tasks — puts on each
-    reducer exactly the row multiset each task's ``ChainMapSpec.run``
-    routes there, under equal counters."""
+    reducer one block holding exactly the rows each task's
+    ``ChainMapSpec.run`` routes there, in task order, on the group's
+    first task; every task keeps its own counters."""
     from repro.columnar.engine import run_chain_map
     from repro.physical.executor import ChainMapSpec
+    from tests.conformance import shuffled_rows, task_outputs
 
     ctx, chain = shuffler_ctx(attrs, [rows, rows[::2]])
     specs = [
@@ -526,21 +528,25 @@ def assert_split_matches_chain_map(attrs, rows, key_attrs, num_reducers):
         )
         for node in (1, 0, 1)
     ]
-    state = ColumnarState()
-    for spec, got_result in zip(specs, run_chain_map(specs, ctx, state)):
-        want_shuffle, want_direct, want_metrics = spec.run(ctx)
-        got_shuffle, got_direct, got_metrics = got_result
-        assert got_metrics == want_metrics
-        assert len(got_direct) == len(want_direct) == 0
-        assert all(tag == 3 for _p, tag, _c in got_shuffle)
-        assert all(
-            chunk.dictionary is ctx.store.dictionary for _p, _t, chunk in got_shuffle
-        )
-        got = {p: sorted(chunk) for p, _tag, chunk in got_shuffle}
-        assert len(got) == len(got_shuffle)  # one chunk per partition
-        assert got == {p: sorted(chunk) for p, _tag, chunk in want_shuffle}
-        node_rows = ctx.hdfs.read("f").partitions[spec.node]
-        assert sum(len(chunk) for _p, _t, chunk in got_shuffle) == len(node_rows)
+    got = run_chain_map(specs, ctx, ColumnarState())
+    want = [spec.run(ctx) for spec in specs]
+    assert task_outputs(got) == task_outputs(want)
+    assert all(len(direct) == 0 for _s, direct, _m in got)
+    emits = got[0][0]
+    assert all(shuffle == [] for shuffle, _d, _m in got[1:])
+    assert all(tag == 3 for _p, tag, _c in emits)
+    assert all(chunk.dictionary is ctx.store.dictionary for _p, _t, chunk in emits)
+    assert len({p for p, _tag, _chunk in emits}) == len(emits)  # one block per partition
+    assert shuffled_rows(got) == shuffled_rows(want)
+    for partition, _tag, chunk in emits:
+        assert list(chunk) == [
+            row
+            for shuffle, _d, _m in want
+            for p, _t, routed in shuffle
+            if p == partition
+            for row in routed
+        ]
+    assert sum(len(chunk) for _p, _t, chunk in emits) == len(rows) + 2 * len(rows[::2])
 
 
 def test_partition_split_matches_chain_map_routing():
@@ -878,11 +884,29 @@ def comparable(result):
 
 def assert_groups_match_single(invocations, ctx, backend):
     """Every invocation's columnar result — inside whatever groups its
-    batch forms — equals its spec's own tuple ``run``."""
+    batch forms — equals its spec's own tuple ``run``, but for where a
+    chain-map group's shuffle rides: per group, the rows of all its
+    tasks' runs per (partition, tag), on the group's first task."""
+    from repro.columnar.engine import task_groups
+    from tests.conformance import shuffled_rows
+
     got = backend.run(invocations, ctx)
     assert len(got) == len(invocations)
-    for inv, result in zip(invocations, got):
-        assert comparable(result) == comparable(inv.spec.run(ctx, *inv.args)), inv
+    want = [inv.spec.run(ctx, *inv.args) for inv in invocations]
+    for positions in task_groups([inv.spec for inv in invocations]):
+        for rank, position in enumerate(positions):
+            result, alone = got[position], want[position]
+            if len(alone) == 2:  # reduce: (output, metrics)
+                assert comparable(result) == comparable(alone), invocations[position]
+                continue
+            assert comparable(result)[1:] == comparable(alone)[1:], invocations[position]
+            if rank:
+                assert result[0] == [], invocations[position]
+        if len(want[positions[0]]) == 3:
+            members = [got[p] for p in positions]
+            assert shuffled_rows(members) == shuffled_rows([want[p] for p in positions])
+            emits = members[0][0]
+            assert len({(p, tag) for p, tag, _chunk in emits}) == len(emits)
 
 
 class GroupChecker(ExecutionBackend):

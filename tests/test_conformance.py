@@ -24,11 +24,22 @@ formats x concurrency modes (``test_concurrent_rpc_conformance``).
 from __future__ import annotations
 
 import os
+from collections import Counter
+from dataclasses import replace as dataclass_replace
 
 import pytest
 
+from repro.cluster import ShardedPlanExecutor, shard_graph
+from repro.cluster.router import ShardRouter
+from repro.columnar.engine import task_groups
+from repro.core.algorithm import cliquesquare
+from repro.core.decomposition import MSC
+from repro.mapreduce.backends import ColumnarBackend, ExecutionBackend, SerialBackend
+from repro.mapreduce.engine import ClusterConfig, run_jobs
+from repro.mapreduce.hdfs import HDFS
+from repro.mapreduce.jobs import TaskContext
 from repro.partitioning.triple_partitioner import partition_graph
-from repro.physical.executor import PlanExecutor
+from repro.physical.executor import PlanExecutor, job_from_spec
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.evaluator import evaluate
 from repro.workloads import lubm, lubm_queries
@@ -346,3 +357,122 @@ def test_duplicate_heavy_batch_conforms(graph, queries, reference, surface):
         )
     finally:
         service.close()
+
+
+# -- the exchange: one shuffle block per task group and partition ---------------
+
+
+class _ReduceInputs(ExecutionBackend):
+    """Runs every batch on *inner*, recording what each reduce task
+    reads: its partition and, per tag, its rows as a multiset."""
+
+    def __init__(self, inner) -> None:
+        self.inner, self.name, self.read = inner, inner.name, []
+
+    def execution(self, ctx, report):
+        return self.inner.execution(ctx, report)
+
+    def run(self, invocations, ctx):
+        self.read += [
+            (
+                inv.args[0],
+                {
+                    tag: Counter(row for chunk in chunks for row in chunk)
+                    for tag, chunks in inv.args[1].items()
+                },
+            )
+            for inv in invocations
+            if inv.phase == "reduce"
+        ]
+        return self.inner.run(invocations, ctx)
+
+
+def run_twin_jobs(backend, snapshot, spec) -> tuple[list, list]:
+    """Two jobs of one level built from one reduce-join job spec, so
+    their map chains are equal in chain, tag and key: what each reduce
+    task read, and the per-job metrics."""
+    jobs = [
+        dataclass_replace(job_from_spec(spec, NUM_NODES), name=f"twin-{i}")
+        for i in range(2)
+    ]
+    spy = _ReduceInputs(backend)
+    ctx = TaskContext(num_nodes=NUM_NODES, store=snapshot, hdfs=HDFS(num_nodes=NUM_NODES))
+    report = run_jobs(jobs, ClusterConfig(num_nodes=NUM_NODES), backend=spy, ctx=ctx)
+    return spy.read, report.jobs
+
+
+@pytest.mark.parametrize("deployment", ["unsharded", "shards2-inproc", "shards2-rpc"])
+def test_equal_map_specs_of_two_jobs_stay_apart(graph, deployment):
+    """A chain-map group ships its rows on its first task, to that
+    task's job: two jobs of one level whose map specs are equal must
+    still form two groups.  Each job's reducers read exactly their own
+    rows per (partition, tag) — what ``SerialBackend`` routes — and
+    every job's metrics equal serial's, on the columnar engine
+    unsharded, on 2 in-process shards and on 2 rpc shards."""
+    transport = deployment.partition("-")[2]
+    if transport == "rpc":
+        skip_unless_supported("shards4-rpc")
+    plans = [
+        cliquesquare(query, MSC).plans[0] for query in lubm_queries.all_queries()
+    ]
+    store = partition_graph(graph, NUM_NODES)
+    with PlanExecutor(store, backend="serial") as planner:
+        spec = next(
+            job
+            for plan in plans
+            for job in planner.prepare(plan).compiled.jobs
+            if not job.map_only and not job.depends
+        )
+    with SerialBackend() as serial:
+        want_read, want_jobs = run_twin_jobs(serial, store.snapshot(), spec)
+    half = len(want_read) // 2
+    assert want_read[:half] == want_read[half:]
+    assert any(tags and all(tags.values()) for _p, tags in want_read)
+    if transport:
+        with ShardedPlanExecutor(
+            shard_graph(graph, NUM_NODES, 2), transport=transport
+        ) as executor:
+            read, jobs = run_twin_jobs(executor.backend, executor.store.snapshot(), spec)
+    else:
+        with ColumnarBackend() as columnar:
+            read, jobs = run_twin_jobs(columnar, store.snapshot(), spec)
+    assert read == want_read, deployment
+    assert jobs == want_jobs, deployment
+
+
+def test_one_shuffle_chunk_per_task_group_and_partition(graph, queries, reference, monkeypatch):
+    """A warm LUBM pass over 2 rpc shards: of every map batch a shard
+    runs, each task group ships its rows on its first task, at most one
+    chunk per reduce partition — the engine receives no chunk per
+    (task, partition)."""
+    skip_unless_supported("shards4-rpc")
+    groups: list[int] = []
+    real = ShardRouter.run
+
+    def run(self, invocations, ctx):
+        results = real(self, invocations, ctx)
+        if invocations and invocations[0].phase == "map":
+            shard_of = ctx.dispatch.table.shard_of_node
+            slices: dict[int, list] = {}
+            for inv, (shuffle, _direct, _metrics) in zip(invocations, results):
+                slices.setdefault(shard_of(inv.node), []).append((inv.spec, shuffle))
+            for members in slices.values():
+                for positions in task_groups([spec for spec, _ in members]):
+                    first, *rest = [members[p][1] for p in positions]
+                    assert all(shuffle == [] for shuffle in rest)
+                    assert len({(p, tag) for p, tag, _chunk in first}) == len(first)
+                    assert len(first) <= NUM_NODES
+                    groups.append(len(first))
+        return results
+
+    monkeypatch.setattr(ShardRouter, "run", run)
+    lubm14 = lubm_queries.all_queries()
+    with QueryService(
+        graph, ServiceConfig(shards=2, shard_transport="rpc", result_cache_size=0)
+    ) as service:
+        for query in lubm14:
+            service.submit(query)
+        groups.clear()
+        for query in lubm14:
+            assert service.submit(query).rows == reference[query.name].rows
+    assert groups and sum(groups) > len(groups)

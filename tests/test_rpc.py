@@ -45,6 +45,7 @@ from repro.cluster.rpc import (
     _Waiter,
 )
 from repro.columnar.block import ColumnBlock
+from repro.columnar.wire import WireCodec
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
@@ -339,6 +340,35 @@ class TestWorkerLifecycle:
         finally:
             client.close(kill=True)
 
+    def test_columnar_frames_are_capped_both_ways(self, university):
+        """On the columnar wire the cap holds for the framed bytes: a
+        level whose exchange block would exceed it fails driver-side
+        before a byte is sent, and a result block past it comes back
+        as a typed ``FrameTooLarge`` reply; the connection serves on."""
+        client = ShardWorkerClient(
+            shard=0, num_nodes=NUM_NODES, max_frame_bytes=16 * 1024
+        )
+        client.start()
+        try:
+            snapshot = partition_graph(university, NUM_NODES).snapshot()
+            client.request(Prime(snapshot, wire="columnar"))
+            rows = [(term,) for term in snapshot.dictionary] * 200
+            block = ColumnBlock.from_rows(("?x",), rows, snapshot.dictionary, mint=False)
+            sent = client.frames_sent
+            with pytest.raises(FrameTooLarge, match="exceeds"):
+                client.request(
+                    ExecuteLevel(
+                        level=0, phase="reduce",
+                        tasks=((FnReduceSpec(_echo), 0, {0: [block]}),),
+                    )
+                )
+            assert client.frames_sent == sent
+            with pytest.raises(FrameTooLarge, match="reply frame"):
+                client.request(ExecuteLevel(level=0, phase="map", tasks=(_Flood(len(rows)),)))
+            assert isinstance(client.request(Stats()), StatsReply)
+        finally:
+            client.close()
+
     def test_bad_phase_is_typed(self, client):
         with pytest.raises(RpcProtocolError, match="phase"):
             client.request(ExecuteLevel(level=0, phase="sideways", tasks=()))
@@ -549,6 +579,22 @@ class TestFaultInjection:
 def _echo(partition, grouped):
     """A reducer that pickles (by reference): its input, unchanged."""
     return grouped[0], TaskMetrics()
+
+
+class _Flood(MapTaskSpec):
+    """A picklable map spec whose direct output is *rows* rows of one
+    stored term: a block over the worker's replica, as plan tasks
+    return."""
+
+    node = 0
+
+    def __init__(self, rows: int) -> None:
+        self.rows = rows
+
+    def run(self, ctx):
+        dictionary = ctx.store.dictionary
+        rows = [(dictionary.decode(0),)] * self.rows
+        return [], ColumnBlock.from_rows(("?x",), rows, dictionary, mint=False), TaskMetrics()
 
 
 class _Stranger(MapTaskSpec):
@@ -1025,7 +1071,7 @@ class TestBlockWire:
         try:
             router = service.executor.router
             codecs = [router._clients[shard].codec for shard in range(2)]
-            assert all(c.blocks for c in codecs)
+            assert all(isinstance(c, WireCodec) for c in codecs)
             assert all(c.dictionary is service.store.dictionary for c in codecs)
             with PlanExecutor(
                 partition_graph(university, NUM_NODES), backend="serial"

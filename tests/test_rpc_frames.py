@@ -7,9 +7,9 @@ wire is pickled dataclasses).  Values are zero-argument factories so
 the heavy frames (``Prime``'s snapshot, ``ExecuteLevel``'s task specs)
 are built only when the test actually runs.
 
-Below the registry: the columnar codec's two paths through those frames
-— rows and id blocks — over in-memory endpoints that,
-like a driver and its workers, number terms as the store does.
+Below the registry: the columnar codec's frames — one pickle, one id
+buffer — over in-memory endpoints that, like a driver and its workers,
+number terms as the store does.
 """
 
 from __future__ import annotations
@@ -43,21 +43,17 @@ from repro.cluster.rpc import (
 from repro.cluster.rpc import WorkerStateError, _WorkerState
 from repro.columnar.block import ColumnBlock, chunk_rows
 from repro.columnar.wire import (
-    PackedMapResult,
-    PackedReduceResult,
-    PackedRows,
+    _HEADER,
     RawRows,
     WireCodec,
     _pack_matrix,
-    pack_columns,
     pack_rows,
-    unpack_columns,
     unpack_rows,
 )
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.mapreduce.counters import TaskMetrics
-from repro.mapreduce.hdfs import Chunks, DistributedRelation
+from repro.mapreduce.hdfs import Chunks, DistributedRelation, chunks_of
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor, job_from_spec
 from repro.rdf.dictionary import Dictionary
@@ -186,13 +182,19 @@ def test_frame_pickle_round_trip(name):
 # -- the codec: one numbering on both ends ---------------------------------------
 
 
-def _codec(blocks=False, limit=None, snapshot=None):
-    return WireCodec(snapshot or _snapshot(), blocks=blocks, limit=limit)
+def _codec(limit=None, snapshot=None):
+    return WireCodec(snapshot or _snapshot(), limit=limit)
 
 
 def _ship(sender, receiver, msg):
-    """Encode *msg*, cross a pickle boundary, decode."""
-    return receiver.decode(pickle.loads(pickle.dumps(sender.encode(msg))))
+    """Frame *msg* on one end, read it on the other."""
+    return receiver.loads(sender.dumps(msg))
+
+
+def _buffer(frame: bytes) -> tuple[int, bytes]:
+    """A frame's id width and id buffer."""
+    width, size = _HEADER.unpack_from(frame)
+    return width, frame[_HEADER.size + size :]
 
 
 def _reduce_level(grouped):
@@ -201,17 +203,56 @@ def _reduce_level(grouped):
     )
 
 
+def _block(rows, dictionary=None, attrs=("?a", "?b")):
+    return ColumnBlock.from_rows(
+        attrs, rows, dictionary or _store().dictionary, mint=False
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_EXAMPLES))
+def test_frame_codec_round_trip(name):
+    """Every frame type crosses the codec as it crosses pickle: the
+    codec walks no message shape, it only swaps blocks."""
+    frame = FRAME_EXAMPLES[name]()
+    clone = _ship(_codec(), _codec(), frame)
+    assert type(clone) is type(frame)
+    if name not in _IDENTITY_FIELDS:
+        assert clone == frame
+
+
 def test_results_frame_codec_round_trip():
-    """The columnar codec turns the example ``ResultsReply`` into the
-    per-partition packed shape and back to row lists."""
-    reply = FRAME_EXAMPLES["ResultsReply"]()
-    packed_map, packed_reduce = _codec().encode(reply).results
-    assert isinstance(packed_map, PackedMapResult)
-    groups, rows = packed_map.emits
-    assert groups == ((0, 0, 1), (2, 1, 2))
-    assert isinstance(rows, PackedRows) and rows.count == 3
-    assert isinstance(packed_reduce, PackedReduceResult)
-    assert _ship(_codec(), _codec(), reply) == reply
+    """The example ``ResultsReply`` with its chunks as blocks over the
+    store's dictionary: map emits, a direct output and a reduce output
+    cross as one buffer at one width — the frame holds every cell once
+    — and come back as blocks over the peer's dictionary, attributes
+    and rows as sent.  Inside a ``BatchReply`` beside an error member
+    it crosses the same way."""
+    emits = [(0, 0, _block([("<dept0>", "<univ0>")])), (2, 1, _block(
+        [("<dept1>", "<univ0>"), ("<univ0>", "<dept1>")]
+    ))]
+    direct = _block([("<dept0>", "<dept1>")], attrs=("?x", "?y"))
+    out = _block([("<dept0>", "<univ0>")])
+    reply = ResultsReply(
+        results=[(emits, direct, TaskMetrics(tuples_read=3)), (out, TaskMetrics())],
+        spans=FRAME_EXAMPLES["ResultsReply"]().spans,
+    )
+    driver = _codec()
+    for msg in (reply, BatchReply(replies=((1, reply), (2, FRAME_EXAMPLES["ErrorReply"]())))):
+        frame = _codec().dumps(msg)
+        width, ids = _buffer(frame)
+        assert width == 1 and len(ids) == 2 * (1 + 2 + 1 + 1)
+        assert b"Dictionary" not in frame
+        back = driver.loads(frame)
+        if isinstance(msg, BatchReply):
+            (rid, back), (_rid, error) = back.replies
+            assert rid == 1 and isinstance(error, ErrorReply)
+        (got_emits, got_direct, metrics), (got_out, _m) = back.results
+        assert metrics == TaskMetrics(tuples_read=3) and back.spans == reply.spans
+        for (p, tag, chunk), (p2, tag2, sent) in zip(got_emits, emits):
+            assert (p, tag, chunk.attrs, list(chunk)) == (p2, tag2, sent.attrs, list(sent))
+            assert chunk.dictionary is driver.dictionary
+        assert got_direct.attrs == ("?x", "?y") and list(got_direct) == list(direct)
+        assert list(got_out) == list(out)
 
 
 def test_zero_arity_rows_survive_the_row_path():
@@ -225,33 +266,52 @@ def test_zero_arity_rows_survive_the_row_path():
     assert _ship(_codec(), _codec(), reply) == reply
 
 
+def test_zero_row_and_zero_column_blocks_cross():
+    """A block without rows crosses as an empty chunk; a block without
+    columns (a variable-free pattern's answer) keeps its row count."""
+    dictionary = _store().dictionary
+    empty = ColumnBlock.empty(("?a",), dictionary)
+    bare = ColumnBlock((), (), dictionary, 3)
+    reply = ResultsReply(results=[(empty, TaskMetrics()), (bare, TaskMetrics())])
+    frame = _codec().dumps(reply)
+    assert _buffer(frame)[1] == b""
+    (got_empty, _), (got_bare, _) = _codec().loads(frame).results
+    assert list(got_empty) == []
+    assert isinstance(got_bare, ColumnBlock) and got_bare.dictionary is dictionary
+    assert len(got_bare) == 3 and list(got_bare) == [(), (), ()]
+
+
 def test_codec_never_numbers_a_term():
-    """A codec looks terms up and never assigns an id: a term the store
-    does not hold fails the encoding, and a worker's codec (``limit``)
-    refuses an id at or past the length the driver synced."""
+    """A codec looks terms up nowhere and assigns no id: a row list
+    crosses as its rows, the dictionary unchanged, and a worker's codec
+    (``limit``) refuses a frame holding an id at or past the length the
+    driver synced."""
     dictionary = _store().dictionary
     size = len(dictionary)
-    with pytest.raises(KeyError):
-        _codec().encode(_reduce_level({0: [[("<never-loaded>",)]]}))
+    level = _reduce_level({0: [[("<never-loaded>",)]]})
+    assert _ship(_codec(), _codec(), level) == level
     assert len(dictionary) == size
-    reply = ResultsReply(results=[([("<dept0>",)], TaskMetrics())])
-    with pytest.raises(ValueError, match="driver synced"):
-        _codec(limit=dictionary.id_of("<dept0>")).encode(reply)
-    assert _ship(_codec(limit=size), _codec(), reply) == reply
+    reply = ResultsReply(results=[(_block([("<dept0>", "<univ0>")]), TaskMetrics())])
+    limit = max(dictionary.id_of("<dept0>"), dictionary.id_of("<univ0>"))
+    with pytest.raises(ValueError, match="never numbered"):
+        _codec(limit=limit).dumps(reply)
+    (back, _), = _ship(_codec(limit=size), _codec(), reply).results
+    assert list(back) == [("<dept0>", "<univ0>")]
 
 
 @pytest.mark.parametrize("wire", ["pickle", "columnar"])
 def test_level_frames_carry_their_task_specs(wire):
     """An ``ExecuteLevel`` ships the map and reduce specs themselves;
     both wires hand the worker specs equal to the driver's, and the
-    columnar codec leaves them alone while it packs the chunks."""
+    columnar codec leaves them alone while it swaps the blocks."""
     job = _job()
     rows = [("<dept0>", "<person0>"), ("<dept1>", "<person1>")]
+    chunk = rows if wire == "pickle" else _block(rows, attrs=("?d", "?p"))
     map_level = replace(
         _level(),
-        inputs={"f": DistributedRelation(("?d", "?p"), [rows, [], []])},
+        inputs={"f": DistributedRelation(("?d", "?p"), [chunk, [], []])},
     )
-    reduce_level = _reduce_level({0: [rows], 1: [rows[:1]]})
+    reduce_level = _reduce_level({0: [chunk], 1: [rows[:1]]})
     if wire == "pickle":
         def ship(msg):
             return pickle.loads(pickle.dumps(msg))
@@ -278,23 +338,39 @@ BOUNDARY_IDS = [
 ]
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 8])
-def test_id_columns_pack_to_the_row_paths_bytes(count):
-    """``pack_columns`` is layout-compatible with the row functions at
-    every width (odd counts leave the wider columns unaligned in the
-    buffer), so either end of a connection may take either path."""
+class _Numbering:
+    """A snapshot stand-in: the codec needs only a dictionary, and never
+    decodes an id, so ids past its length cross as they are."""
+
+    def __init__(self) -> None:
+        self.dictionary = Dictionary()
+
+
+def _id_block(columns, snapshot):
     import numpy as np
 
+    columns = [np.asarray(column, dtype=np.int64) for column in columns]
+    return ColumnBlock(
+        tuple(f"?c{i}" for i in range(len(columns))), tuple(columns), snapshot.dictionary
+    )
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 8])
+def test_id_columns_pack_to_the_row_paths_bytes(count):
+    """A frame's buffer is, byte for byte, what the row path packs of
+    the same ids as one column: every block's columns end to end at the
+    narrowest width that holds the frame's largest id (odd counts leave
+    wider ids unaligned in the frame), and they read back as sent."""
     for low, high in zip(BOUNDARY_IDS, BOUNDARY_IDS[1:]):
-        columns = [
-            np.array([low] * count, dtype=np.int64),
-            np.array(([high, low] * count)[:count], dtype=np.int64),
-            np.array([7] * count, dtype=np.int64),
-        ]
-        packed = pack_columns(columns)
-        assert packed == _pack_matrix(list(zip(*[c.tolist() for c in columns])))
-        back = unpack_columns(packed)
-        assert [c.tolist() for c in back] == [c.tolist() for c in columns]
+        snapshot = _Numbering()
+        columns = [[low] * count, ([high, low] * count)[:count], [7] * count]
+        frame = WireCodec(snapshot).dumps([_id_block(columns, snapshot)])
+        ids = [i for column in columns for i in column]
+        width, buffer = _buffer(frame)
+        packed = _pack_matrix([(i,) for i in ids])
+        assert (width,) == packed.widths and buffer == packed.data
+        [back] = WireCodec(snapshot).loads(frame)
+        assert [c.tolist() for c in back.columns] == columns
 
 
 def test_a_block_crosses_driver_worker_driver_with_the_same_ids():
@@ -305,7 +381,7 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids():
     import numpy as np
 
     store = partition_graph(make_university_graph(), NUM_NODES)
-    driver = WireCodec(store.snapshot(), blocks=True)
+    driver = WireCodec(store.snapshot())
     state = _WorkerState(0, NUM_NODES)
     try:
         replica = pickle.loads(pickle.dumps(store.snapshot()))
@@ -314,42 +390,49 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids():
         assert worker.dictionary is replica.dictionary is not store.dictionary
         assert list(worker.dictionary) == list(store.dictionary)
         assert worker.limit == len(store.dictionary)
-        assert worker.blocks
         rows = [("<person3>", "<dept2>"), ("<dept0>", "ub:Student")] * 3
         block = ColumnBlock.from_rows(("?a", "?b"), rows, store.dictionary, mint=False)
         sizes = len(store.dictionary)
+        ids = np.concatenate(block.columns)
 
-        out = driver.encode(_reduce_level({0: [block]}))
-        (_, _, packed), = out.tasks
-        assert packed[0] == pack_columns(block.columns)  # the ids as they are
-        (_, _, grouped), = worker.decode(pickle.loads(pickle.dumps(out))).tasks
+        def on_the_wire(frame):
+            width, buffer = _buffer(frame)
+            return np.frombuffer(buffer, f"u{width}").tolist()
+
+        out = driver.dumps(_reduce_level({0: [block]}))
+        assert on_the_wire(out) == ids.tolist()  # the ids as they are
+        (_, _, grouped), = worker.loads(out).tasks
         [chunk] = grouped[0]
         assert chunk.dictionary is worker.dictionary
         assert all(np.array_equal(a, b) for a, b in zip(chunk.columns, block.columns))
         assert list(chunk) == rows
 
-        reply = worker.encode(ResultsReply(results=[(chunk, TaskMetrics())]))
-        assert reply.results[0].rows == pack_columns(block.columns)
-        (back, _), = driver.decode(pickle.loads(pickle.dumps(reply))).results
+        reply = worker.dumps(ResultsReply(results=[(chunk, TaskMetrics())]))
+        assert on_the_wire(reply) == ids.tolist()
+        (back, _), = driver.loads(reply).results
         assert back.dictionary is store.dictionary
         assert all(np.array_equal(a, b) for a, b in zip(back.columns, block.columns))
 
-        # a map level's inputs keep their schema; unowned partitions stay empty
+        # a map level's inputs keep their chunks and their schema;
+        # unowned partitions stay empty
         level = ExecuteLevel(
             level=1, phase="map", tasks=_level().tasks,
             inputs={"f": DistributedRelation(("?a", "?b"), [Chunks([block, block]), []])},
         )
-        relation = worker.decode(pickle.loads(pickle.dumps(driver.encode(level))))
+        relation = worker.loads(driver.dumps(level))
         partitions = relation.inputs["f"].partitions
         assert list(partitions[0]) == rows + rows and list(partitions[1]) == []
-        assert partitions[0].attrs == ("?a", "?b")
-        # ... and a map result's emits come back grouped per partition
-        reply = worker.encode(
+        assert all(
+            chunk.attrs == ("?a", "?b") and chunk.dictionary is worker.dictionary
+            for chunk in chunks_of(partitions[0])
+        )
+        # ... and a map result's emits come back one block per partition
+        reply = worker.dumps(
             ResultsReply(
                 results=[([(0, 0, chunk[:4]), (2, 0, chunk[4:])], chunk, TaskMetrics())]
             )
         )
-        (emits, direct, _), = driver.decode(pickle.loads(pickle.dumps(reply))).results
+        (emits, direct, _), = driver.loads(reply).results
         assert [(p, tag, list(c)) for p, tag, c in emits] == [
             (0, 0, rows[:4]),
             (2, 0, rows[4:]),
@@ -361,18 +444,22 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids():
         state.close()
 
 
-def test_block_and_row_endpoints_interoperate():
-    """``blocks`` is each end's own choice: a block packed here unpacks
-    to rows on a row endpoint, and its rows come back as a block."""
-    blocks, rows_end = _codec(blocks=True), _codec()
+def test_foreign_blocks_and_row_lists_cross_as_rows():
+    """Only blocks over the codec's own dictionary cross as ids: a row
+    list crosses as its rows, and a block over another dictionary as
+    its decoded rows — never with its dictionary."""
+    sender, receiver = _codec(), _codec()
+    foreign = Dictionary()
+    foreign.encode_many(list(reversed(list(sender.dictionary))))
     rows = [("<dept0>", "<univ0>"), ("<person2>", "<dept0>")]
-    block = ColumnBlock.from_rows(("?x", "?y"), rows, blocks.dictionary, mint=False)
-    (_, _, grouped), = _ship(blocks, rows_end, _reduce_level({0: [block]})).tasks
-    assert grouped == {0: [rows]}
-    reply = ResultsReply(results=[(rows, TaskMetrics())])
-    (out, _metrics), = _ship(rows_end, blocks, reply).results
-    assert isinstance(out, ColumnBlock) and out.dictionary is blocks.dictionary
-    assert list(out) == rows
+    chunks = [rows, _block(rows, foreign), _block(rows)]
+    frame = sender.dumps(_reduce_level({0: chunks}))
+    assert b"Dictionary" not in frame
+    (_, _, grouped), = receiver.loads(frame).tasks
+    as_rows, from_foreign, own = grouped[0]
+    assert as_rows == rows and from_foreign == rows
+    assert isinstance(own, ColumnBlock) and own.dictionary is receiver.dictionary
+    assert list(own) == rows
 
 
 def test_table_update_merges_the_store_suffix():
@@ -421,45 +508,61 @@ if HAVE_HYPOTHESIS:
         """Blocks over the store's dictionary, blocks over a foreign
         one (numbering the same terms otherwise) and row lists, mixed in
         one tag, frame after frame: the peer reads exactly the rows that
-        were sent, as one block over its own dictionary."""
-        sender, receiver = _codec(blocks=True), _codec(blocks=True)
+        were sent, each non-empty own block as a block over its own
+        dictionary, everything else as rows."""
+        sender, receiver = _codec(), _codec()
         foreign = Dictionary()
         foreign.encode_many(list(reversed(list(sender.dictionary))))
         for frame in frames:
             chunks = [
                 rows
                 if kind == "rows"
-                else ColumnBlock.from_rows(
-                    ("?a", "?b"),
-                    rows,
-                    sender.dictionary if kind == "own" else foreign,
-                    mint=False,
-                )
+                else _block(rows, sender.dictionary if kind == "own" else foreign)
                 for kind, rows in frame
             ]
             (_, _, grouped), = _ship(sender, receiver, _reduce_level({0: chunks})).tasks
-            [chunk] = grouped[0]
-            assert list(chunk) == [row for _kind, rows in frame for row in rows]
-            if chunk:
-                assert isinstance(chunk, ColumnBlock)
-                assert chunk.dictionary is receiver.dictionary
+            got = grouped[0]
+            assert chunk_rows(got) == [row for _kind, rows in frame for row in rows]
+            for (kind, rows), chunk in zip(frame, got):
+                if kind == "own" and rows:
+                    assert isinstance(chunk, ColumnBlock)
+                    assert chunk.dictionary is receiver.dictionary
+                else:
+                    assert isinstance(chunk, list)
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.lists(st.sampled_from(BOUNDARY_IDS), min_size=1, max_size=5),
-            min_size=1, max_size=4,
+            st.lists(
+                st.lists(st.sampled_from(BOUNDARY_IDS), min_size=1, max_size=5),
+                min_size=1, max_size=4,
+            ),
+            min_size=1, max_size=3,
         ),
         st.integers(min_value=1, max_value=5),
     )
-    def test_prop_id_columns_round_trip_at_every_width(columns, count):
-        import numpy as np
-
-        columns = [
-            np.array((ids * count)[:count], dtype=np.int64) for ids in columns
+    def test_prop_id_columns_round_trip_at_every_width(blocks, count):
+        """Several blocks in one frame, ids at widths 1/2/4/8: one
+        buffer at the narrowest width for the frame's largest id, and
+        every block reads back with its own ids."""
+        snapshot = _Numbering()
+        sent = [
+            [(ids * count)[:count] for ids in columns] for columns in blocks
         ]
-        packed = pack_columns(columns)
-        assert packed.count == count
-        assert [c.tolist() for c in unpack_columns(packed)] == [
-            c.tolist() for c in columns
-        ]
+        frame = WireCodec(snapshot).dumps(
+            ExecuteLevel(
+                level=0, phase="reduce",
+                tasks=tuple(
+                    (None, i, {0: [_id_block(columns, snapshot)]})
+                    for i, columns in enumerate(sent)
+                ),
+            )
+        )
+        top = max(i for columns in sent for column in columns for i in column)
+        width, buffer = _buffer(frame)
+        assert width == min(w for w in (1, 2, 4, 8) if top < 1 << (8 * w))
+        assert len(buffer) == width * sum(len(c) for cs in sent for c in cs)
+        back = WireCodec(snapshot).loads(frame).tasks
+        assert [
+            [c.tolist() for c in grouped[0][0].columns] for _s, _p, grouped in back
+        ] == sent
