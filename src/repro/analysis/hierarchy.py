@@ -36,9 +36,9 @@ LOCK_RANKS: dict[str, int] = {
     # -- engine state -----------------------------------------------------
     "_store_lock": 20,  # QueryService store RW lock
     # -- transport --------------------------------------------------------
-    "_shard_locks": 30,  # per-shard client entry (respawn/prime; a live
-    #   rebalance walks these shard by shard for prime/delta/flip, under
-    #   the service's _store_lock write side — same tiers, no new ranks)
+    "_shard_locks": 30,  # per-shard client entry (respawn/sync; a live
+    #   rebalance walks these shard by shard, one Sync each, under the
+    #   service's _store_lock write side — same tiers, no new ranks)
     "_close_lock": 30,  # client connection swap
     "_cond": 32,  # coalescer leader/pending wait
     "_serial_lock": 34,  # unpipelined request serialization
@@ -47,7 +47,7 @@ LOCK_RANKS: dict[str, int] = {
     #   twin of _send_lock: the write only, replies encode outside it)
     "rwlock": 38,  # shard worker state RW lock.  In process a
     #   LocalShardClient serves frames on the caller's thread, under the
-    #   router's _shard_locks (primes, migrations) and _store_lock; only
+    #   router's _shard_locks (syncs, migrations) and _store_lock; only
     #   leaves nest inside it (a server replies after the handler).
     # -- leaves -----------------------------------------------------------
     "_waiters_lock": 40,  # reply futures table

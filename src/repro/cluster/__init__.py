@@ -17,14 +17,16 @@ and any execution backend.
 Because ownership is a movable table rather than a frozen modulus, the
 topology is elastic: :meth:`~repro.cluster.router.ShardedPlanExecutor
 .rebalance` grows, shrinks or deskews the shard fleet by reassigning
-nodes, shipping only the moved nodes' file maps (as
-:class:`~repro.cluster.rpc.PrimeNodes` deltas) and flipping the table
-version — answers are invariant at every epoch.
+nodes: each shard receives one :class:`~repro.cluster.rpc.Sync`
+carrying only the moved nodes' file maps and the next table version —
+answers are invariant at every epoch.
 
 A shard is one worker state (:mod:`repro.cluster.rpc`): its snapshot,
-its engine (the id-space one), its epoch; a level reaches it
-as one frame carrying the task specs and the exchange rows, and it
-keeps nothing about plans.  Two clients carry those frames
+its engine (the id-space one), its epoch.  One frame,
+:class:`~repro.cluster.rpc.Sync`, brings that state up to date — at
+start, after a write, after a respawn and in a migration — and a
+level reaches it as one frame carrying the task specs and the
+exchange rows; it keeps nothing about plans.  Two clients carry those frames
 (``ServiceConfig(shard_transport=...)``), behind the one router:
 
 * ``"inproc"`` — every worker lives in the driver process and frames

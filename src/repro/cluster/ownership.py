@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.partitioning.triple_partitioner import StoreSnapshot
-
 #: One node reassignment: ``(node, src_shard, dst_shard)``.
 Move = tuple[int, int, int]
 
@@ -97,7 +95,7 @@ class OwnerTable:
         )
 
     def inverse(self, moves: Sequence[Move]) -> tuple[Move, ...]:
-        """The plan undoing *moves* (for rollback after a failed flip)."""
+        """The plan undoing *moves* (for rollback after a failed migration)."""
         return tuple((node, dst, src) for node, src, dst in moves)
 
 
@@ -185,39 +183,10 @@ def plan_skew(
     return tuple((node, busiest, idlest) for node in owned[keep:])
 
 
-def merge_nodes(
-    old: StoreSnapshot,
-    adds: Mapping[int, Mapping[str, tuple]],
-    drops: Sequence[int],
-    token: tuple,
-) -> StoreSnapshot:
-    """A shard snapshot after a migration delta, deterministically.
-
-    *adds* maps incoming node → its file map; *drops* lists outgoing
-    nodes whose files this shard no longer owns.  The merged view keeps
-    *old*'s dictionary: on a worker that is its replica of the store's
-    numbering, which already holds every moved-in term (the driver
-    syncs it before a migration moves anything).
-    """
-    files = [dict(node_files) for node_files in old.files]
-    for node in drops:
-        files[node] = {}
-    for node, node_files in sorted(adds.items()):
-        files[node] = {name: tuple(ts) for name, ts in node_files.items()}
-    return StoreSnapshot(
-        num_nodes=old.num_nodes,
-        replicas=old.replicas,
-        files=tuple(files),
-        token=token,
-        dictionary=old.dictionary,
-    )
-
-
 __all__ = [
     "Move",
     "OwnerTable",
     "initial_table",
-    "merge_nodes",
     "plan_resize",
     "plan_skew",
 ]

@@ -19,7 +19,7 @@ behind that engine — the one thing a sharded deployment changes is
   the §5.1 nodes are.
 * **one router, two carriers.**  The transport is the client class
   :meth:`ShardRouter._start_worker` builds — a worker in the driver
-  process or in a server process; priming, epochs and the stale
+  process or in a server process; syncing worker state, epochs, the stale
   re-route, respawn, migration and tracing are the router's for both.
 * **the shuffle is the cross-shard exchange.**  The engine routes map
   emissions to reduce partitions by the process-independent
@@ -63,8 +63,6 @@ from repro.cluster.rpc import (
     ExecuteBatch,
     ExecuteLevel,
     LocalShardClient,
-    Prime,
-    PrimeNodes,
     ResultsReply,
     RpcError,
     RpcProtocolError,
@@ -73,10 +71,10 @@ from repro.cluster.rpc import (
     StaleEpoch,
     Stats,
     StatsReply,
-    TableUpdate,
     WireTimes,
     WorkerStateError,
     _frame_levels,
+    sync_frame,
 )
 from repro.cluster.sharded_store import ShardedSnapshot, ShardedStore
 from repro.columnar.wire import WIRE_FORMATS
@@ -92,7 +90,6 @@ from repro.mapreduce.engine import ClusterConfig
 from repro.mapreduce.hdfs import DistributedRelation
 from repro.mapreduce.jobs import TaskContext
 from repro.obs.trace import attach_worker_spans, record_remote, span, trace_ctx
-from repro.partitioning.triple_partitioner import StoreSnapshot
 from repro.physical.executor import PlanExecutor
 
 #: what :meth:`ShardRouter._start_worker` builds: the transport
@@ -114,7 +111,7 @@ class RebalanceReport:
     #: the applied ``(node, src, dst)`` plan
     moves: tuple[Move, ...]
     #: migration bytes shipped per shard (zeros in process; over rpc
-    #: the elasticity claim is that this stays well under a re-prime)
+    #: the elasticity claim is that this stays well under a full sync)
     bytes_shipped: tuple[int, ...]
     #: wall-clock seconds for the whole migration
     duration_s: float
@@ -405,7 +402,7 @@ class ShardRouter(ExecutionBackend):
         on_failure=None,
         start_method: str | None = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
-        wire_format: str = "pickle",
+        wire_format: str = "columnar",
         pipeline: int = DEFAULT_RPC_PIPELINE,
         coalesce_window_ms: float = 0.0,
         coalesce_max_batch: int = 1,
@@ -519,94 +516,75 @@ class ShardRouter(ExecutionBackend):
         """Bring the fleet up against the sharded snapshot in *ctx*."""
         self.ensure_workers(ctx.store)
 
-    def ensure_workers(self, snapshot) -> None:
-        """Start any missing shard worker and (re-)prime stale ones.
-
-        A worker is primed only when its resident snapshot token differs
-        from its shard's current token — after a mutation, only the
-        shards the batch actually touched receive a new snapshot.  The
-        snapshot's owner-table version and the store's dictionary ride
-        on every ``Prime``; a worker whose data is current but whose
-        epoch lags (e.g. after a rolled back migration) or whose
-        dictionary replica lags (the store numbered terms that landed on
-        other shards) is re-synchronized with a cheap
-        :class:`TableUpdate` carrying the epoch and the missing
-        dictionary suffix instead of a full re-prime — unless the
-        replica rejects the suffix as conflicting, which re-primes it.
-        So every worker starts each query on the store's numbering.
-        """
-        epoch = snapshot.table.version
-        dictionary = snapshot.dictionary
-        # What a respawn re-primes from: set first, so a worker found
-        # dead below comes back on *this* snapshot, once.
+    def ensure_workers(self, snapshot: ShardedSnapshot) -> None:
+        """Start any missing shard worker and bring every one current
+        with *snapshot* (:meth:`_sync`): after a write only the shards
+        it touched receive files, the rest at most the dictionary
+        suffix, and a worker already current receives no frame.  So
+        every worker starts each query on its view, its epoch and the
+        store's numbering."""
+        # What a respawn syncs from: set first, so a worker found dead
+        # below comes back on *this* snapshot, once.
         self._last_snapshot = snapshot
         self._table = snapshot.table
         for shard in range(self.num_shards):
-            with self._shard_locks[shard]:
-                client = self._clients[shard]
-                if client is None:
-                    # First start of this shard's worker: not a failure.
-                    try:
-                        client = self._start_worker(shard)
-                    except Exception as exc:
-                        self._record_failure(shard, f"spawn failed: {exc!r}")
-                        raise ShardUnavailable(
-                            shard, f"spawn failed: {exc!r}"
-                        ) from exc
-                elif not client.alive():
-                    # The worker died since we last spoke to it: recover
-                    # (which records the failure and re-primes).
-                    client = self._recover(shard, "worker process died")
-                shard_snapshot = snapshot.shards[shard]
-                stale = client.primed_token != shard_snapshot.token
-                if not stale and (
-                    client.primed_epoch != epoch
-                    or client.primed_terms != len(dictionary)
-                ):
-                    start = client.primed_terms
-                    terms = dictionary.entries_from(start)
-                    try:
-                        self._shard_call(
-                            shard,
-                            TableUpdate(epoch=epoch, terms_from=start, terms=terms),
-                        )
-                    except WorkerStateError:
-                        # The replica conflicts with the store's numbering
-                        # (a task numbered a term of its own into it): a
-                        # Prime replaces the replica with the store's.
-                        stale = True
-                    else:
-                        client.primed_epoch = epoch
-                        client.primed_terms = start + len(terms)
-                        client.terms_shipped += len(terms)
-                if stale:
-                    client = self._clients[shard]
-                    try:
-                        self._prime(shard, client, shard_snapshot, epoch)
-                    except _TRANSPORT_ERRORS as exc:
-                        # Died under the prime: the one respawn primes.
-                        self._recover(shard, f"{type(exc).__name__}: {exc}")
+            self._sync_shard(shard, snapshot)
 
-    def _prime(
+    def _sync_shard(
+        self, shard: int, snapshot: ShardedSnapshot, on_bytes=None
+    ) -> None:
+        """Under the shard's lock: start its worker if it has none
+        (first start: not a failure), respawn a dead one, and
+        :meth:`_sync` it to *snapshot* (which must be
+        :attr:`_last_snapshot`, what a respawn syncs to)."""
+        with self._shard_locks[shard]:
+            client = self._clients[shard]
+            if client is None:
+                try:
+                    client = self._start_worker(shard)
+                except Exception as exc:
+                    self._record_failure(shard, f"spawn failed: {exc!r}")
+                    raise ShardUnavailable(shard, f"spawn failed: {exc!r}") from exc
+            elif not client.alive():
+                self._recover(shard, "worker process died", on_bytes)
+                return
+            try:
+                self._sync(shard, client, snapshot, on_bytes)
+            except _TRANSPORT_ERRORS as exc:
+                # Died under the sync: the one respawn syncs it.
+                self._recover(shard, f"{type(exc).__name__}: {exc}", on_bytes)
+
+    def _sync(
         self,
         shard: int,
         client: ShardClient,
-        shard_snapshot: StoreSnapshot,
-        epoch: int,
+        snapshot: ShardedSnapshot,
         on_bytes=None,
     ) -> None:
-        """Install *shard_snapshot* on *client*'s worker at *epoch*,
-        and record on the client what it now holds.  Callers hold the
-        shard's lock and deal with transport errors themselves."""
-        # Read before the frame pickles the dictionary: the replica
-        # holds at least this much.
-        terms = len(shard_snapshot.dictionary)
-        client.request(
-            Prime(shard_snapshot, wire=self.wire_format, epoch=epoch), on_bytes
-        )
-        client.primed_token = shard_snapshot.token
-        client.primed_epoch = epoch
-        client.primed_terms = terms
+        """Bring *client*'s worker to its view of *snapshot*, at that
+        snapshot's epoch and the store dictionary's length, in one
+        :class:`~repro.cluster.rpc.Sync`, and record the view and epoch
+        the worker acknowledges holding and the length synced; send
+        nothing when the record says it holds all three already.  A
+        refused delta (the worker holds another base, or its replica
+        conflicts with the store's numbering) is answered by a full
+        sync.  The one path behind start, write,
+        respawn, conflict, migration and rollback; callers hold the
+        shard's lock and deal with transport errors."""
+        view = snapshot.shards[shard]
+        epoch = snapshot.table.version
+        held = client.synced
+        if held == (view.token, epoch, len(view.dictionary)):
+            return
+        frame = sync_frame(held, view, epoch)
+        try:
+            reply = client.request(frame, on_bytes)
+        except WorkerStateError:
+            frame = sync_frame(None, view, epoch)
+            reply = client.request(frame, on_bytes)
+        if frame.base is not None:
+            client.terms_shipped += len(frame.terms)
+        client.synced = (*reply.value, len(view.dictionary))
 
     # -- live rebalancing ----------------------------------------------------
 
@@ -622,7 +600,7 @@ class ShardRouter(ExecutionBackend):
                 checked(threading.RLock(), "ShardRouter._shard_locks")
             )
         while len(self._clients) < count:  # lint: disable=LOCK001 — grow-only append; migrations serialize on the store write lock
-            self._clients.append(None)  # lint: disable=LOCK001 — entry is None until primed under its shard lock
+            self._clients.append(None)  # lint: disable=LOCK001 — entry is None until started under its shard lock
         if self._coalescers is not None:
             while len(self._coalescers) < count:
                 self._coalescers.append(
@@ -653,48 +631,37 @@ class ShardRouter(ExecutionBackend):
 
         Returns bytes shipped per (surviving or new) shard — the proof
         that a migration moves only the reassigned nodes' data, not a
-        full re-prime.  The sequence:
+        full sync of every shard.  The sequence:
 
-        1. synchronize the fleet at the current epoch (spawns lazily),
-        2. install the next table on *store* (epoch bumps to ``v+1``),
-        3. spawn + fully prime new shards at ``v+1`` (their view holds
-           exactly the moved-in nodes),
-        4. ship surviving shards their delta as :class:`PrimeNodes`
-           (data only — they stay at ``v`` and keep answering),
-        5. flip every worker to ``v+1`` with :class:`TableUpdate`,
-        6. retire removed shards' workers and resize the driver.
+        1. install the next table on *store* (epoch bumps to ``v+1``),
+        2. :meth:`_sync` every shard of the new topology to its view at
+           ``v+1`` — a new shard from empty (its view holds exactly the
+           moved-in nodes), a survivor by delta: the moved nodes' file
+           maps and the new epoch in one frame,
+        3. retire removed shards' workers and resize the driver.
 
-        On any failure the plan is inverted on the store (epochs stay
-        monotone), the driver resizes back, and affected workers are
-        lazily reconciled by the next :meth:`ensure_workers` — queries
-        keep answering against the restored table.  Transport failures
-        surface as typed :class:`ShardUnavailable`.
-
-        Callers must quiesce queries across steps 2–5 (the service's
-        store write lock does exactly that): between a survivor's delta
-        in step 4 and the flip in step 5, old-epoch frames naming its
-        moved-out nodes would scan maps it already dropped.  Queries
-        that *start* against the old table and arrive
-        after the flip are safe without quiescence: the worker rejects
-        them typed (:class:`StaleEpoch`) and the driver re-routes.
+        A survivor changes its data and its epoch together, so a level
+        routed under ``v`` that reaches it afterwards is refused typed
+        (:class:`StaleEpoch`) and re-routed by the driver — it never
+        scans a node the worker already dropped.  On any failure the
+        plan is inverted on the store (epochs stay monotone), the driver
+        resizes back and the surviving workers are synced to the
+        restored table; transport failures surface as typed
+        :class:`ShardUnavailable`.  Callers quiesce queries for the
+        duration (the service's store write lock does).
         """
-        self.ensure_workers(store.snapshot())
-        old_table = self._table
-        old_count = self.num_shards
         moves = tuple(moves)
-        target = old_table.num_shards if new_num_shards is None else new_num_shards
+        old_count = self.num_shards
+        target = store.table.num_shards if new_num_shards is None else new_num_shards
         if not moves and target == old_count:
             return ()
-        moved_in: dict[int, list[int]] = {}
-        moved_out: dict[int, list[int]] = {}
-        for node, src, dst in moves:
-            moved_in.setdefault(dst, []).append(node)
-            moved_out.setdefault(src, []).append(node)
         new_table = store.apply_rebalance(moves, target)
         snapshot = store.snapshot()
         new_count = new_table.num_shards
         self._grow_to(max(old_count, new_count))
         shipped = [0] * max(old_count, new_count)
+        # A worker respawned mid-migration comes back on the new view.
+        self._last_snapshot = snapshot
 
         def note(shard: int):
             def on_bytes(n: int) -> None:
@@ -702,77 +669,20 @@ class ShardRouter(ExecutionBackend):
 
             return on_bytes
 
-        failed_shard = [None]
         try:
-            # New shards: spawn and prime their view at the new epoch.
-            # The view holds exactly the moved-in nodes' files (every
-            # other node's map is empty), so a "full" prime here *is*
-            # the migration delta.
-            for shard in range(old_count, new_count):
-                failed_shard[0] = shard
-                shard_snapshot = snapshot.shards[shard]
-                with span("rebalance:prime", shard=shard):
-                    with self._shard_locks[shard]:
-                        client = self._clients[shard]
-                        if client is None or not client.alive():
-                            client = self._start_worker(shard)
-                        self._prime(
-                            shard,
-                            client,
-                            shard_snapshot,
-                            new_table.version,
-                            note(shard),
-                        )
-            # Surviving shards with movement: ship only the delta.
-            for shard in range(min(old_count, new_count)):
-                adds_nodes = sorted(moved_in.get(shard, ()))
-                drops = tuple(sorted(moved_out.get(shard, ())))
-                if not adds_nodes and not drops:
-                    continue
-                failed_shard[0] = shard
-                shard_snapshot = snapshot.shards[shard]
-                adds = {
-                    node: shard_snapshot.files[node] for node in adds_nodes
-                }
-                with span(
-                    "rebalance:delta",
-                    shard=shard,
-                    adds=len(adds_nodes),
-                    drops=len(drops),
-                ):
-                    with self._shard_locks[shard]:
-                        self._shard_call(
-                            shard,
-                            PrimeNodes(
-                                adds=adds, drops=drops, token=shard_snapshot.token
-                            ),
-                            note(shard),
-                        )
-                        client = self._clients[shard]
-                        if client is not None:
-                            client.primed_token = shard_snapshot.token
-            # Flip every surviving worker to the new epoch (monotone and
-            # idempotent worker-side, so a respawn-retry is harmless).
-            with span("rebalance:flip", epoch=new_table.version):
-                for shard in range(new_count):
-                    failed_shard[0] = shard
-                    with self._shard_locks[shard]:
-                        client = self._clients[shard]
-                        if client is not None and client.alive():
-                            self._shard_call(
-                                shard, TableUpdate(epoch=new_table.version)
-                            )
-                            client.primed_epoch = new_table.version
-        except BaseException as exc:
+            # New shards first: a spawn failure rolls back before any
+            # survivor has moved.
+            for shard in [*range(old_count, new_count), *range(min(old_count, new_count))]:
+                name = "rebalance:prime" if shard >= old_count else "rebalance:delta"
+                with span(name, shard=shard):
+                    self._sync_shard(shard, snapshot, note(shard))
+        except ShardUnavailable as exc:
             self._rollback_migration(store, moves, old_count)
-            if isinstance(exc, ShardUnavailable):
-                raise
-            if isinstance(exc, _TRANSPORT_ERRORS):
-                shard = failed_shard[0] if failed_shard[0] is not None else -1
-                self._record_failure(shard, f"migration failed: {exc!r}")
-                raise ShardUnavailable(
-                    shard, f"migration failed: {exc!r}"
-                ) from exc
+            raise ShardUnavailable(
+                exc.shard, f"migration failed: {exc.message}"
+            ) from exc
+        except BaseException:
+            self._rollback_migration(store, moves, old_count)
             raise
         if new_count < old_count:
             self._retire_clients(new_count)
@@ -781,16 +691,25 @@ class ShardRouter(ExecutionBackend):
 
     def _rollback_migration(self, store, moves, old_count: int) -> None:
         """Undo a half-applied migration: install the inverse plan's
-        table (the epoch keeps climbing — versions never reuse), resize the
-        driver back, and drop any clients the grow spawned.  Workers the
-        failed attempt already touched are *not* chased here; their
-        primed token/epoch records are accurate, so the next
-        :meth:`ensure_workers` re-primes or re-stamps exactly the stale
-        ones while queries keep answering."""
+        table (the epoch keeps climbing — versions never reuse), resize
+        the driver back, drop any clients the grow spawned, and
+        :meth:`_sync` every live surviving worker to the restored
+        table.  A worker that cannot be synced now is left to the next
+        :meth:`ensure_workers`, which respawns it; the caller raises the
+        failure that started the rollback."""
         store.apply_rebalance(store.table.inverse(moves), old_count)
         snapshot = store.snapshot()
         self._retire_clients(old_count)
         self._set_topology(old_count, snapshot.table, snapshot)
+        for shard in range(old_count):
+            with self._shard_locks[shard]:
+                client = self._clients[shard]
+                if client is None or not client.alive():
+                    continue
+                try:
+                    self._sync(shard, client, snapshot)
+                except (*_TRANSPORT_ERRORS, RpcError):
+                    pass
 
     def _start_worker(self, shard: int) -> ShardClient:
         """Start shard *shard*'s worker through :attr:`client` and handshake.
@@ -808,6 +727,7 @@ class ShardRouter(ExecutionBackend):
             start_method=self.start_method,
             spawn_timeout=self.spawn_timeout,
             pipeline=self.pipeline,
+            wire_format=self.wire_format,
         )
         try:
             client.start()
@@ -896,8 +816,9 @@ class ShardRouter(ExecutionBackend):
             except Exception:
                 pass
 
-    def _recover(self, shard: int, reason: str) -> ShardClient:
-        """Respawn a dead worker: restart and re-prime.
+    def _recover(self, shard: int, reason: str, on_bytes=None) -> ShardClient:
+        """Respawn a dead worker: restart and :meth:`_sync` it to the
+        last snapshot the fleet was brought to.
 
         Records the failure that triggered the recovery; a failed
         respawn records a second failure and raises
@@ -907,12 +828,7 @@ class ShardRouter(ExecutionBackend):
         try:
             client = self._start_worker(shard)
             if self._last_snapshot is not None:
-                self._prime(
-                    shard,
-                    client,
-                    self._last_snapshot.shards[shard],
-                    self._last_snapshot.table.version,
-                )
+                self._sync(shard, client, self._last_snapshot, on_bytes)
             return client
         except Exception as exc:
             self._record_failure(shard, f"respawn failed: {exc!r}")
@@ -949,7 +865,7 @@ class ShardRouter(ExecutionBackend):
         behind a per-shard lock.  A typed :class:`ErrorReply` from a
         live worker re-raises as-is (the request failed, not the
         worker).  A transport failure means the worker died: it is
-        respawned, its snapshot re-primed, and the request retried
+        respawned, synced afresh, and the request retried
         exactly once (safe: a level is self-contained and a fresh
         worker holds nothing but the snapshot); any further failure
         raises :class:`ShardUnavailable`.  A successful
@@ -1289,11 +1205,10 @@ class ShardedPlanExecutor(PlanExecutor):
         and ``shards=5`` after produce byte-identical results.
 
         Either transport runs the same live migration
-        (:meth:`ShardRouter.migrate`): only the moved nodes' file maps
-        reach the workers (:class:`~repro.cluster.rpc.PrimeNodes`), the
-        epoch flips via :class:`~repro.cluster.rpc.TableUpdate`, and a
-        failure rolls the table back, leaving workers to reconcile
-        lazily.  Surviving workers keep their engines.  The caller must
+        (:meth:`ShardRouter.migrate`): each shard receives one
+        :class:`~repro.cluster.rpc.Sync` carrying only the moved nodes'
+        file maps and the new epoch, and a failure rolls the table back
+        and syncs the survivors to it.  Surviving workers keep their engines.  The caller must
         quiesce queries for the duration (the query service's store
         write lock does).
         """

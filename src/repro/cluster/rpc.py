@@ -4,8 +4,10 @@ A shard is one :class:`_WorkerState`, whichever transport reaches it —
 what a §5 node is: it holds, resident,
 
 * its shard's :class:`~repro.partitioning.triple_partitioner
-  .StoreSnapshot` (installed by :class:`Prime` when the shard's token
-  changes, patched by a migration's :class:`PrimeNodes`);
+  .StoreSnapshot` — the §5.1 partition files of the nodes it owns —
+  kept current by one frame, :class:`Sync`, that takes it from the
+  view it holds to the view the driver wants: the nodes it lacks, the
+  nodes it drops, the dictionary suffix and the epoch, in one step;
 * one engine, the id-space one, that runs every level it is sent — no
   pool of its own: the shards are the parallelism;
 * its topology epoch and its counters.
@@ -25,10 +27,10 @@ stdlib :class:`multiprocessing.connection.Listener` on a localhost
 socket, HMAC-authenticated — whose loop, :func:`_worker_main`, keeps
 only the socket).
 
-Over the socket both ends number terms as the store does: the
-:class:`Prime` snapshot carries the store's dictionary, and the router
-ships a worker whose replica lags the suffix it misses (in a
-:class:`TableUpdate`), so on the columnar wire a level or results frame
+Over the socket both ends number terms as the store does: a worker's
+first :class:`Sync` carries the store's dictionary, every later one the
+suffix its replica misses, so on the columnar wire (fixed per
+connection when the worker is spawned) a level or results frame
 crosses as one pickle plus one id buffer holding all its blocks' ids,
 translated nowhere, and neither the driver nor a worker decodes a term
 to move it.  Message frames are pickled
@@ -64,15 +66,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing.connection import Client, Listener
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import NamedTuple, Sequence
 
 from repro.analysis.locks import ReadWriteLock, checked
-from repro.cluster.ownership import merge_nodes
 from repro.mapreduce.backends import (
     DEFAULT_RPC_PIPELINE,
     ColumnarBackend,
     TaskInvocation,
-    store_token,
     task_timing,
 )
 from repro.columnar.block import ColumnBlock
@@ -80,6 +81,7 @@ from repro.columnar.wire import WireCodec
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import TaskContext
 from repro.obs.trace import SpanAccumulator
+from repro.partitioning.layout import PLACEMENTS
 from repro.partitioning.triple_partitioner import StoreSnapshot
 
 #: Hard cap on one pickled message frame (request or reply).  Large
@@ -117,7 +119,8 @@ class FrameTooLarge(RpcError):
 
 class WorkerStateError(RpcError):
     """A request arrived in a state the worker cannot serve (e.g. an
-    :class:`ExecuteLevel` before any :class:`Prime`)."""
+    :class:`ExecuteLevel` before any :class:`Sync`, or a :class:`Sync`
+    whose base the worker does not hold)."""
 
 
 class WorkerSpawnError(RpcError):
@@ -151,7 +154,7 @@ class ShardUnavailable(RuntimeError):
     """A shard worker failed, was respawned once, and failed again.
 
     The one-retry budget is per request: a crashed worker is restarted
-    transparently (its snapshot re-primed) and the failed request resent
+    transparently (its snapshot synced afresh) and the failed request resent
     exactly once.  Sustained failure surfaces as
     this typed error — counted in ``snapshot_stats().shard_failures``
     when raised through the query service — rather than a hang.
@@ -178,72 +181,74 @@ _TRANSPORT_ERRORS = (EOFError, OSError)
 
 
 @dataclass(frozen=True)
-class Prime:
-    """Install (or replace) the worker's resident store snapshot.
+class Sync:
+    """Bring the worker from the state it holds to one shard view: the
+    one frame that changes what a worker holds (:func:`sync_frame`
+    builds it).
 
-    The snapshot carries the store's dictionary, pickled as its term
-    list when the frame is: the worker's replica of the one numbering,
-    which its columnar backend computes in and the wire ships ids by.
+    ``base`` is the snapshot token the frame applies to — ``None`` for a
+    full sync, which applies to any worker — and ``token`` the view's.
+    ``files`` maps each node the worker lacks, or holds at an older node
+    version, to its partition file map; ``drops`` lists the nodes it no
+    longer owns.  ``terms`` is the store dictionary from id
+    ``terms_from`` on; a full sync carries the dictionary itself, which
+    pickles as its term list (a replica) and in process stays the
+    store's own.  ``epoch`` is the owner-table version the view was
+    taken under: the worker adopts it with the data, so a level frame
+    routed under the old table meets :class:`StaleEpoch`, never a node
+    the worker has dropped.
 
-    ``wire`` selects how subsequent :class:`ExecuteLevel` /
-    :class:`ExecuteBatch` frames and their replies cross this
-    connection: ``"pickle"`` (plain pickles; a block pickles as its
-    rows) or ``"columnar"`` (each frame framed by the connection's
-    :class:`~repro.columnar.wire.WireCodec`: one pickle plus one id
-    buffer holding every block's ids).
-
-    ``epoch`` stamps the owner-table version this view was taken
-    under; the worker adopts it as its topology epoch.
+    Idempotent: a worker already at ``token`` and ``epoch`` merges the
+    suffix (terms it holds merge as no-ops) and changes nothing else,
+    and a frame older than what the worker holds (an earlier epoch, or
+    older node versions within its epoch) changes nothing, so duplicate
+    and late frames are harmless.  Any other base, or a suffix that
+    gaps or conflicts with the replica, is a typed
+    :class:`WorkerStateError` that leaves the worker as it was: the
+    driver answers it with a full sync.
     """
 
-    snapshot: StoreSnapshot
-    wire: str = "pickle"
+    base: tuple | None
+    token: tuple
+    files: dict[int, dict[str, tuple]] = field(default_factory=dict)
+    drops: tuple[int, ...] = ()
+    terms_from: int = 0
+    terms: Sequence[str] = ()
     epoch: int = 0
 
 
-@dataclass(frozen=True)
-class PrimeNodes:
-    """Ship a migration delta: only the moved nodes' file maps.
-
-    ``adds`` maps incoming node → its partition file map (taken from
-    the destination shard's post-move snapshot driver-side); ``drops``
-    lists outgoing nodes this shard no longer owns.  The worker merges
-    the delta into its resident snapshot (:func:`repro.cluster.ownership
-    .merge_nodes`) — a full :class:`Prime` of unmoved data never
-    crosses the wire.  Idempotent: a worker whose
-    resident token already equals ``token`` acknowledges without
-    re-merging, so the crash-retry path cannot double-apply a delta.
-    The merged snapshot keeps the worker's dictionary replica, which
-    the driver brought up to date before the migration.  The topology
-    epoch flips separately (:class:`TableUpdate`), after every shard
-    holds its migrated data.
-    """
-
-    adds: dict[int, dict[str, tuple]]
-    drops: tuple[int, ...]
-    token: tuple
+def _node_versions(token) -> dict | None:
+    """``{node: version}`` of a shard view token — ``(store uid, nodes,
+    versions)``, :meth:`~repro.cluster.sharded_store.ShardedStore
+    .snapshot` — or None for any other token."""
+    if token is None or len(token) != 3 or type(token[1]) is not tuple:
+        return None
+    return dict(zip(token[1], token[2]))
 
 
-@dataclass(frozen=True)
-class TableUpdate:
-    """Flip the worker's topology epoch (the owner-table version), and
-    bring its dictionary replica up to the store's.
+def sync_frame(held: tuple | None, view: StoreSnapshot, epoch: int) -> Sync:
+    """The :class:`Sync` taking a worker to *view* at *epoch* from
+    *held*, the driver's record of it — the ``(token, epoch)`` its last
+    sync acknowledged and the dictionary length synced, or None.
 
-    Sent to every surviving shard once a migration's data movement is
-    complete; from then on the worker rejects execute frames stamped
-    with another epoch (:class:`StaleEpoch`) so a rebalance can never
-    silently serve a level against the wrong ownership map.  ``terms``
-    are the store dictionary's entries from id ``terms_from`` on, for
-    a worker whose snapshot is current but whose replica lags.
-    Idempotent and monotone: an epoch at or below the worker's current
-    one is acknowledged without effect and terms the replica holds
-    merge as no-ops, so duplicate delivery (crash-retry) is harmless;
-    a gap or a conflicting term is a typed :class:`WorkerStateError`.
-    """
-
-    epoch: int
-    terms_from: int = 0
-    terms: tuple[str, ...] = ()
+    A delta when both tokens are views of one store: the file maps of
+    the nodes whose version the held token lacks, the nodes it names
+    that the view does not, and the dictionary past the held length.
+    Otherwise a full sync from empty."""
+    old = None if held is None else _node_versions(held[0])
+    new = _node_versions(view.token)
+    if old is None or new is None or held[0][0] != view.token[0]:
+        files = {node: f for node, f in enumerate(view.files) if f}
+        return Sync(None, view.token, files, (), 0, view.dictionary, epoch)
+    return Sync(
+        base=held[0],
+        token=view.token,
+        files={n: view.files[n] for n, v in new.items() if old.get(n) != v},
+        drops=tuple(n for n in old if n not in new),
+        terms_from=held[2],
+        terms=view.dictionary.entries_from(held[2]),
+        epoch=epoch,
+    )
 
 
 @dataclass(frozen=True)
@@ -318,6 +323,7 @@ class StatsReply:
     snapshot_token: tuple | None
     tasks_run: int
     levels_run: int
+    #: syncs that changed the worker's partition files
     primes: int
     bytes_received: int
     #: dispatch-pool size: how many levels may execute concurrently
@@ -396,9 +402,7 @@ class Reply:
 
 #: All frame types, for protocol round-trip tests.
 MESSAGE_TYPES = (
-    Prime,
-    PrimeNodes,
-    TableUpdate,
+    Sync,
     ExecuteLevel,
     ExecuteBatch,
     Stats,
@@ -418,9 +422,7 @@ MESSAGE_TYPES = (
 #: and the main loop rejects frames outside this table with a typed
 #: protocol error instead of an arbitrary failure mid-dispatch.
 WORKER_HANDLED = (
-    Prime,
-    PrimeNodes,
-    TableUpdate,
+    Sync,
     ExecuteLevel,
     ExecuteBatch,
     Stats,
@@ -474,29 +476,25 @@ class _WorkerState:
         shard: int,
         num_nodes: int,
         pipeline: int = 1,
+        wire_format: str | None = "columnar",
     ) -> None:
         self.shard = shard
         self.num_nodes = num_nodes
         self.pipeline = pipeline
+        #: how level frames cross this worker's connection (``None`` in
+        #: process: no framing at all)
+        self.wire_format = wire_format
         self.backend = ColumnarBackend()
-        # snapshot/wire are resident-state: swapped (the dictionary
-        # grown) only under rwlock.write() (the caller's mutator path),
-        # read during level execution under rwlock.read() — the RW lock,
-        # not a mutex, because reads are long (whole levels) and
-        # concurrent.
+        # snapshot/wire/epoch are resident-state: swapped (the dictionary
+        # grown) only by a Sync, under rwlock.write(), and read during
+        # level execution under rwlock.read() — the RW lock, not a
+        # mutex, because reads are long (whole levels) and concurrent,
+        # so a state swap never interleaves with a running level.
         self.snapshot: StoreSnapshot | None = None
-        #: the wire format the last Prime named
-        self.wire_format = "pickle"
         #: columnar wire codec of this connection; None = pickle wire
         self.wire: WireCodec | None = None
-        #: topology epoch (owner-table version) — resident-state like
-        #: snapshot/wire: flipped only under rwlock.write() (Prime /
-        #: TableUpdate), read per execute frame under rwlock.read()
+        #: topology epoch (owner-table version); never goes back
         self.epoch = 0
-        # ExecuteLevels share it (readers run concurrently on the
-        # dispatch pool), while Prime / PrimeNodes / TableUpdate take
-        # it exclusively, so a snapshot or epoch swap never interleaves
-        # with a running level.
         self.rwlock = ReadWriteLock("_WorkerState.rwlock")
         self._stats_lock = checked(threading.Lock(), "_WorkerState._stats_lock")
         self.tasks_run = 0  # guarded-by: _stats_lock
@@ -528,41 +526,11 @@ class _WorkerState:
         with self._stats_lock:
             return self.queued <= 1 and self.inflight == 0
 
-    # -- state transitions -------------------------------------------------
+    # -- the one place a frame meets worker state --------------------------
 
     @property
     def token(self) -> tuple | None:
-        return None if self.snapshot is None else store_token(self.snapshot)
-
-    def install_snapshot(self, snapshot: StoreSnapshot) -> tuple:
-        self.snapshot = snapshot
-        self._sync_codec()
-        with self._stats_lock:
-            self.primes += 1
-        return snapshot.token
-
-    def merge_terms(self, start: int, terms: tuple[str, ...]) -> None:
-        """Replay the store dictionary's suffix from id *start* on."""
-        if self.snapshot is None:
-            raise WorkerStateError(
-                f"shard {self.shard} has no dictionary to merge terms into"
-            )
-        try:
-            self.snapshot.dictionary.merge_entries(start, terms)
-        except ValueError as exc:
-            raise WorkerStateError(f"shard {self.shard}: {exc}") from None
-        self._sync_codec()
-
-    def _sync_codec(self) -> None:
-        """The columnar codec over the replica as the driver just synced
-        it: no id at or past the synced length ever ships."""
-        self.wire = (
-            WireCodec(self.snapshot, limit=len(self.snapshot.dictionary))
-            if self.wire_format == "columnar"
-            else None
-        )
-
-    # -- the one place a frame meets worker state --------------------------
+        return None if self.snapshot is None else self.snapshot.token
 
     def handle(
         self,
@@ -572,43 +540,90 @@ class _WorkerState:
     ):
         """Serve one decoded request frame (the socket loop and
         :class:`LocalShardClient` both call this); returns its reply,
-        raises a typed error.  Mutators run under the write side of
-        :attr:`rwlock`, levels and stats under the read side.  A traced
-        level's spans are relative to *received*, the frame-receipt
-        instant, its ``decode`` ending at *decoded* (default: now).
+        raises a typed error.  A :class:`Sync` runs under the write side
+        of :attr:`rwlock`, levels and stats under the read side.  A
+        traced level's spans are relative to *received*, the
+        frame-receipt instant, its ``decode`` ending at *decoded*
+        (default: now).
         """
         if isinstance(msg, ExecuteLevel):
             return self._execute(msg, received, decoded)
-        if isinstance(msg, (Prime, PrimeNodes, TableUpdate)):
+        if isinstance(msg, Sync):
             with self.rwlock.write():
-                return self._mutate(msg)
+                return self._sync(msg)
         if isinstance(msg, Stats):
             with self.rwlock.read():
                 return self.stats()
         raise RpcProtocolError(f"unknown message type {type(msg).__name__!r}")
 
-    def _mutate(self, msg: "Prime | PrimeNodes | TableUpdate") -> OkReply:
-        """Apply one state-changing frame, under the write lock."""
-        if isinstance(msg, Prime):
-            self.wire_format = msg.wire
-            token = self.install_snapshot(msg.snapshot)
+    def _sync(self, msg: Sync) -> OkReply:
+        """Apply one :class:`Sync` (see there), under the write lock;
+        the reply is the ``(token, epoch)`` the worker now holds."""
+        if self._older(msg):
+            return self._held()  # a late frame changes nothing
+        full = msg.base is None
+        current = not full and (self.token, self.epoch) == (msg.token, msg.epoch)
+        if not (full or current or msg.base == self.token):
+            raise WorkerStateError(
+                f"shard {self.shard} has no resident snapshot to apply a delta to"
+                if self.snapshot is None
+                else f"shard {self.shard} holds {self.token}, "
+                f"the sync applies to {msg.base}"
+            )
+        if full:
+            dictionary = msg.terms
+            files = [{} for _ in range(self.num_nodes)]
+        else:
+            dictionary = self.snapshot.dictionary
+            try:
+                dictionary.merge_entries(msg.terms_from, msg.terms)
+            except ValueError as exc:
+                raise WorkerStateError(f"shard {self.shard}: {exc}") from None
+            files = list(self.snapshot.files)
+        if not current:
+            for node in msg.drops:
+                files[node] = {}
+            for node, node_files in msg.files.items():
+                files[node] = node_files
+            self.snapshot = StoreSnapshot(
+                num_nodes=self.num_nodes,
+                replicas=PLACEMENTS,
+                files=tuple(files),
+                token=msg.token,
+                dictionary=dictionary,
+            )
             self.epoch = msg.epoch
-            return OkReply(token)
-        if isinstance(msg, PrimeNodes):
-            if self.snapshot is None:
-                raise WorkerStateError(
-                    f"shard {self.shard} has no resident snapshot to merge "
-                    "a node delta into"
-                )
-            if self.token == msg.token:
-                # Duplicate delivery (crash-retry): already merged.
-                return OkReply(msg.token)
-            merged = merge_nodes(self.snapshot, msg.adds, msg.drops, msg.token)
-            return OkReply(self.install_snapshot(merged))
-        if msg.terms:
-            self.merge_terms(msg.terms_from, msg.terms)
-        self.epoch = max(self.epoch, msg.epoch)
-        return OkReply(self.epoch)
+            if full or msg.files or msg.drops:
+                with self._stats_lock:
+                    self.primes += 1
+        # The codec over the replica as the driver just synced it: no
+        # id at or past the synced length ever ships.
+        synced = len(dictionary) if full else msg.terms_from + len(msg.terms)
+        self.wire = (
+            WireCodec(self.snapshot, limit=synced)
+            if self.wire_format == "columnar"
+            else None
+        )
+        return self._held()
+
+    def _older(self, msg: Sync) -> bool:
+        """Whether *msg* would take the worker back: to an earlier
+        epoch, or within its epoch to older versions of the nodes it
+        holds.  Views only move forward, so such a frame is one that
+        arrived late, and the worker's state never goes back."""
+        if msg.epoch != self.epoch:
+            return msg.epoch < self.epoch
+        held, token = self.token, msg.token
+        return (
+            _node_versions(held) is not None
+            and _node_versions(token) is not None
+            and held[:2] == token[:2]
+            and held[2] != token[2]
+            and all(new <= old for new, old in zip(token[2], held[2]))
+        )
+
+    def _held(self) -> OkReply:
+        return OkReply((self.token, self.epoch))
 
     def _execute(
         self,
@@ -689,7 +704,7 @@ class _WorkerState:
         if msg.phase == "map":
             if self.snapshot is None:
                 raise WorkerStateError(
-                    f"shard {self.shard} has no snapshot primed"
+                    f"shard {self.shard} has no snapshot synced"
                 )
             ctx = TaskContext(
                 num_nodes=self.num_nodes,
@@ -811,8 +826,10 @@ def _worker_main(
     max_frame_bytes: int,
     authkey: bytes,
     pipeline: int = 1,
+    wire_format: str = "columnar",
 ) -> None:
-    """Entry point of a shard server process.
+    """Entry point of a shard server process; *wire_format* is how
+    level frames cross its connection.
 
     Binds a localhost listener, reports the bound address back through
     *channel*, then serves its single router connection until Shutdown,
@@ -835,7 +852,9 @@ def _worker_main(
     finally:
         channel.close()
     concurrency = max(1, pipeline)
-    state = _WorkerState(shard, num_nodes, pipeline=concurrency)
+    state = _WorkerState(
+        shard, num_nodes, pipeline=concurrency, wire_format=wire_format
+    )
     conn = listener.accept()
     _no_delay(conn)
     send_lock = checked(threading.Lock(), "worker.send_lock")
@@ -985,7 +1004,7 @@ def _worker_main(
                 if state.wire is None:
                     send_error(
                         rid,
-                        WorkerStateError(f"shard {shard} has no columnar wire primed"),
+                        WorkerStateError(f"shard {shard} has no columnar wire synced"),
                     )
                     continue
                 try:
@@ -1121,6 +1140,10 @@ class ShardWorkerClient:
     behind a round-trip lock.  ``pipeline=0`` restores the old strictly
     serial request-response discipline (one outstanding request at a
     time) — the baseline the multiplexed mode is benchmarked against.
+    ``wire_format`` is how level frames and their replies cross the
+    connection, fixed when the worker is spawned: ``"columnar"`` (one
+    pickle plus one id buffer per frame, :mod:`repro.columnar.wire`) or
+    ``"pickle"`` (plain pickles; a block pickles as its rows).
     """
 
     def __init__(
@@ -1131,6 +1154,7 @@ class ShardWorkerClient:
         start_method: str | None = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
         pipeline: int = DEFAULT_RPC_PIPELINE,
+        wire_format: str = "columnar",
     ) -> None:
         self.shard = shard
         self.num_nodes = num_nodes
@@ -1138,6 +1162,7 @@ class ShardWorkerClient:
         self.start_method = start_method
         self.spawn_timeout = spawn_timeout
         self.pipeline = pipeline
+        self.wire_format = wire_format
         # process/conn are swapped to None under _close_lock on close;
         # the send/request paths re-read them under their own locks and
         # treat None as "worker gone" (ConnectionError), so a torn read
@@ -1153,18 +1178,14 @@ class ShardWorkerClient:
         self.frames_sent = 0  # guarded-by: _send_lock
         #: driver end of the columnar wire codec (it frames this
         #: connection's levels and reads its results), over the store's
-        #: dictionary; established by the first successful
-        #: ``Prime(wire="columnar")`` on this connection (a quiescence
-        #: point: no concurrent frame straddles it)
+        #: dictionary; built by the first full :class:`Sync` on this
+        #: connection (a quiescence point: no frame straddles it)
         self.codec: WireCodec | None = None
-        #: snapshot token last primed onto this worker (driver-side view)
-        self.primed_token: tuple | None = None
-        #: topology epoch last stamped onto this worker (via Prime or
-        #: TableUpdate); -1 = never synced
-        self.primed_epoch = -1
-        #: store-dictionary length the worker's replica holds at least
-        #: (via Prime or TableUpdate), and the terms suffix syncs shipped
-        self.primed_terms = 0
+        #: the driver's record of the worker: the ``(token, epoch)`` its
+        #: last sync acknowledged and the dictionary length synced
+        #: (None: nothing yet); and the dictionary terms delta syncs
+        #: shipped
+        self.synced: tuple | None = None
         self.terms_shipped = 0
         self._waiters: dict[int, _Waiter] = {}  # guarded-by: _waiters_lock
         self._reader_dead: str | None = None  # guarded-by: _waiters_lock
@@ -1197,6 +1218,7 @@ class ShardWorkerClient:
                 self.max_frame_bytes,
                 authkey,
                 self.pipeline,
+                self.wire_format,
             ),
             name=f"repro-shard-{self.shard}",
         )
@@ -1415,14 +1437,16 @@ class ShardWorkerClient:
                 self._waiters.pop(rid, None)
             raise
         reply = waiter.wait()
-        if isinstance(msg, Prime) and not isinstance(reply, ErrorReply):
-            # The prime that gives the worker its codec gives us ours,
-            # over the dictionary the worker's replica was pickled from.
-            # Primes only happen at quiescence points (startup, mutation,
-            # respawn), so no concurrent frame straddles the swap.
-            self.codec = (
-                WireCodec(msg.snapshot) if msg.wire == "columnar" else None
-            )
+        if (
+            self.codec is None
+            and self.wire_format == "columnar"
+            and isinstance(msg, Sync)
+            and msg.base is None
+            and not isinstance(reply, ErrorReply)
+        ):
+            # The full sync that gives the worker its replica gives us
+            # our codec, over the dictionary it was pickled from.
+            self.codec = WireCodec(SimpleNamespace(dictionary=msg.terms))
         if on_bytes is not None:
             on_bytes(len(payload))
         if on_wire is not None:
@@ -1452,12 +1476,12 @@ class LocalShardClient:
     :class:`ShardWorkerClient` surface over an in-memory carrier.
 
     Owns one :class:`_WorkerState` and hands it each request frame as
-    the object it is — no pickle, no codec, no socket, so snapshots and
+    the object it is — no pickle, no codec, no socket, so file maps and
     blocks cross by reference and ``bytes_sent`` stays 0.  A typed error
     the worker raises reaches the caller exactly as an
     :class:`ErrorReply` re-raises over the socket.  The socket options
-    (frame cap, start method, spawn timeout, pipeline) mean nothing in
-    memory and are ignored.
+    (frame cap, start method, spawn timeout, pipeline, wire format)
+    mean nothing in memory and are ignored.
     """
 
     def __init__(self, shard: int, num_nodes: int, **_socket) -> None:
@@ -1469,13 +1493,11 @@ class LocalShardClient:
         self.frames_sent = 0  # guarded-by: _lock
         self.bytes_sent = 0
         #: what the worker holds, as ShardWorkerClient records it
-        self.primed_token: tuple | None = None
-        self.primed_epoch = -1
-        self.primed_terms = 0
+        self.synced: tuple | None = None
         self.terms_shipped = 0
 
     def start(self) -> StatsReply:
-        self.worker = _WorkerState(self.shard, self.num_nodes)
+        self.worker = _WorkerState(self.shard, self.num_nodes, wire_format=None)
         return self.request(Stats())
 
     def alive(self) -> bool:
@@ -1513,8 +1535,6 @@ __all__ = [
     "LocalShardClient",
     "MESSAGE_TYPES",
     "OkReply",
-    "Prime",
-    "PrimeNodes",
     "Reply",
     "Request",
     "ResultsReply",
@@ -1526,9 +1546,9 @@ __all__ = [
     "StaleEpoch",
     "Stats",
     "StatsReply",
-    "TableUpdate",
+    "Sync",
     "WireTimes",
     "WorkerSpawnError",
     "WorkerStateError",
-    "store_token",
+    "sync_frame",
 ]

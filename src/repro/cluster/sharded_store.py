@@ -9,7 +9,7 @@ versioned :class:`~repro.cluster.ownership.OwnerTable` saying which
 shard serves which node.  A shard holds no data of its own: its
 :class:`~repro.partitioning.triple_partitioner.StoreSnapshot` is the
 view of the one store covering the nodes it owns (the other nodes' file
-maps are empty — the shape a shard worker is primed with).  Because
+maps are empty — the shape a shard worker is synced to).  Because
 ownership is a table, shards can be added and removed at runtime:
 :meth:`ShardedStore.apply_rebalance` validates a plan and installs the
 next table; nothing is copied, because there is one store.
@@ -44,7 +44,7 @@ class ShardedSnapshot:
     ``shards[i]`` is shard *i*'s :class:`StoreSnapshot` — its owned
     nodes' partitions — and carries a token of its own (the node set
     and those nodes' versions), so a mutation that touched only some
-    shards re-primes only those shards' rpc workers: the others keep
+    shards ships files to only those shards' workers: the others keep
     serving from their unchanged snapshots.
     """
 

@@ -96,7 +96,7 @@ class ColumnarState:
 
     The memoized ``stable_hash`` pieces keyed by id (for the dictionary
     it last computed in — one store's numbering for an in-process
-    backend's whole life, a worker's replica until the next ``Prime``)
+    backend's whole life, a worker's replica until its next full ``Sync``)
     and a bounded cache of encoded scan columns, keyed by snapshot
     token, so every snapshot it serves — the shards of one in-process
     executor, the store before and after a mutation — reuses the
@@ -113,7 +113,7 @@ class ColumnarState:
 
     def memo(self, dictionary: Dictionary) -> HashMemo:
         """The hash memo over *dictionary*'s ids (a new dictionary —
-        another store, a re-primed replica — starts a new one)."""
+        another store, a replica replaced by a full sync — starts a new one)."""
         memo = self._memo
         if memo is None or memo.dictionary is not dictionary:
             memo = self._memo = HashMemo(dictionary)

@@ -20,9 +20,9 @@ dictionary as its decoded rows (:meth:`ColumnBlock.__reduce__`), so no
 
 The ids are the store's.  The §5.1 store numbers every term once, at
 load (``PartitionedStore.add``), and every snapshot carries that
-dictionary; a shard worker primed with its snapshot holds a replica,
-which the driver keeps in step by shipping the suffix the worker lacks
-(``TableUpdate``).  Both ends of a connection therefore number every
+dictionary; a shard worker synced to its view holds a replica, which
+the driver keeps in step by shipping the suffix the worker lacks (in
+the ``Sync`` frame that brings it current).  Both ends of a connection therefore number every
 term alike, and a codec is stateless: one dictionary, nothing
 translated, nothing to re-seed.  A codec never numbers a term, and a
 worker's codec (``limit=``) refuses a frame holding an id at or past

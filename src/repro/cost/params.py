@@ -4,7 +4,7 @@ The paper's model charges per-tuple unit costs for disk reads/writes,
 network shuffles, predicate checks and join work.  Absolute values are
 testbed-specific; the defaults below follow the usual disk < network
 ordering of a commodity Hadoop cluster and can be swept for ablations
-(see ``benchmarks/test_ablation_cost_params.py``).
+(see ``benchmarks/test_ablation_job_overhead.py``).
 """
 
 from __future__ import annotations

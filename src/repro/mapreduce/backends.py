@@ -421,7 +421,7 @@ class ProcessBackend(ExecutionBackend):
     def pool_token(self) -> object:
         """Snapshot token the live worker pool was built against (None
         when no pool is up) — observability for the mutation protocol:
-        after a re-prime with a changed snapshot, this token changes."""
+        after a sync to a changed snapshot, this token changes."""
         with self._lock:
             return self._pool_token if self._pool is not None else None
 

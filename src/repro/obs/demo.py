@@ -12,10 +12,11 @@ tracing on, serves a few LUBM queries, and writes:
 
 The workload includes a live rebalance (grow to 3 shards, shrink back
 to 2) between query batches, so ``trace.json`` carries the migration
-timeline — ``rebalance:drain`` / ``rebalance:migrate`` with the
-per-shard ``rebalance:prime`` / ``rebalance:delta`` / ``rebalance:flip``
-phases nested under it — next to the queries running before and after
-the topology moved.
+timeline — ``rebalance:drain`` / ``rebalance:migrate`` with one span
+per shard nested under it, ``rebalance:prime`` for a new shard synced
+from empty and ``rebalance:delta`` for a survivor's delta (its moved
+nodes and the new epoch in one frame) — next to the queries running
+before and after the topology moved.
 
 CI's obs-smoke job uploads the directory as a build artifact; the
 module doubles as a quick local look at what the tracing layer emits.
@@ -81,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"trace {outcome.trace_id}"
             )
         # A live migration between batches: the traced grow/shrink puts
-        # the rebalance timeline (drain, prime, delta, flip spans) into
+        # the rebalance timeline (drain, prime and delta spans) into
         # trace.json, and re-serving the workload afterwards shows
         # queries running against the flipped table.
         for target in (3, 2):

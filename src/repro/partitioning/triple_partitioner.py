@@ -109,7 +109,7 @@ class StoreSnapshot:
     ``dictionary`` is the store's own (a reference, not a copy): it
     numbers every term the view holds, and the ids of a later version
     are the same — the dictionary only ever appends.  Pickled, it
-    travels as its term list, so a worker primed with a snapshot holds
+    travels as its term list, so a worker synced with a snapshot holds
     a replica of the store's numbering as it was at that moment.
     """
 

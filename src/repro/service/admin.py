@@ -109,11 +109,11 @@ class Administration:
                     self.estimator = CardinalityEstimator(self.catalog)
                     self.coster = PlanCoster(self.estimator, self.config.params)
                     self._admin_counts["mutations"].inc()
-                    # Re-prime the shard workers now, while the write
-                    # lock quiesces every query thread: their store
-                    # snapshot is stale.  Only the shards the batch
-                    # actually touched re-prime (snapshot tokens are per
-                    # shard).
+                    # Sync the shard workers now, while the write lock
+                    # quiesces every query thread: their views are
+                    # stale.  Only the shards the batch touched receive
+                    # files, only the nodes it wrote (snapshot tokens
+                    # name nodes and their versions).
                     self.executor.prime()
         return added
 

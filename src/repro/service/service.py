@@ -212,7 +212,7 @@ class QueryService(FrontDoor, Pipeline, Administration):
         # a monotonic False -> True latch (and under the lock in
         # _ensure_pool, which is why _check_open itself cannot lock).
         self._closed = False
-        # With shards, every shard worker starts and is primed with its
+        # With shards, every shard worker starts and is synced to its
         # own view of the store before serving threads exist: a forked
         # rpc server must not be created from a multithreaded batch
         # submission mid-flight.

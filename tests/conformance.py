@@ -816,7 +816,7 @@ def assert_one_id_space(service: QueryService, queries, where: str = "") -> None
     store numbers every term once and every worker computes in that
     numbering — at four moments: after warm-up, after an
     ``add_triples`` batch touching one shard only (the untouched shard
-    gets the dictionary suffix and no new ``Prime``), after a killed
+    gets the dictionary suffix and no file map), after a killed
     worker respawns, and after a grow and a shrink.  At each, every
     worker's dictionary equals ``service.store.dictionary``, the driver
     receives blocks over it and over nothing else, and answers and

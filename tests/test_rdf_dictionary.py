@@ -65,7 +65,7 @@ class TestDictionary:
 
     @pytest.mark.parametrize("terms", [[], ["a", "b", "a", "c"]])
     def test_pickles_as_a_replica_of_its_terms(self, terms):
-        """A replica (what a shard worker's Prime carries) numbers every
+        """A replica (what a shard worker's full Sync carries) numbers every
         term as the original does, and keeps numbering after it —
         the empty dictionary included."""
         d = Dictionary()

@@ -6,10 +6,10 @@ shedding, snapshot delta merging — plus hypothesis property tests where
 hypothesis is installed), and live rebalance on both transports, which
 run one worker state and one migration: grow/shrink/deskew with answers
 invariant at every epoch, a fresh fleet's suggestion shedding the
-stored-triples skew, duplicate ``TableUpdate``/``PrimeNodes``
-deliveries acknowledged idempotently, an execute frame stamped with a
-stale epoch rejected typed worker-side and transparently re-routed
-driver-side — through the in-memory carrier (no process needed) and
+stored-triples skew, duplicate ``Sync`` deliveries acknowledged
+idempotently, an execute frame stamped with a stale epoch rejected
+typed worker-side — also right after a survivor's delta sync — and
+transparently re-routed driver-side — through the in-memory carrier (no process needed) and
 over the socket, also at the bare ``ServiceConfig(shards=2)`` users
 get.  The socket alone shows the rest: a migration ships only the moved
 nodes' data, a destination worker that cannot spawn mid-migration
@@ -32,20 +32,19 @@ from repro.cluster.rpc import (
     ExecuteLevel,
     LocalShardClient,
     OkReply,
-    Prime,
-    PrimeNodes,
     Request,
     ShardUnavailable,
     ShardWorkerClient,
     StaleEpoch,
     Stats,
-    TableUpdate,
+    Sync,
     WorkerStateError,
+    _WorkerState,
+    sync_frame,
 )
 from repro.cluster.ownership import (
     OwnerTable,
     initial_table,
-    merge_nodes,
     plan_resize,
     plan_skew,
 )
@@ -53,6 +52,7 @@ from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
 from repro.partitioning.triple_partitioner import StoreSnapshot, partition_graph
+from repro.physical.executor import PlanExecutor, job_from_spec
 from repro.rdf.dictionary import Dictionary
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.parser import parse_query
@@ -194,16 +194,25 @@ class TestSlotTable:
         assert moved.counts()[0] == 1
 
     def test_merge_slots_applies_adds_and_drops(self, university):
+        """A delta :class:`Sync`'s adds and drops, as a worker applies
+        them to the snapshot it holds."""
         snapshot = partition_graph(university, 4).snapshot()
         adds = {2: dict(snapshot.files[1])}
-        merged = merge_nodes(snapshot, adds, drops=(0,), token=(99, 1))
-        assert merged.token == (99, 1)
-        assert merged.files[0] == {}
-        assert merged.files[2] == snapshot.files[1]
-        assert merged.files[3] == snapshot.files[3]
+        delta = Sync(base=snapshot.token, token=(99, 1), files=adds, drops=(0,))
+
+        def merged():
+            worker = _WorkerState(0, 4, wire_format=None)
+            worker.handle(sync_frame(None, snapshot, 0))
+            worker.handle(delta)
+            return worker.snapshot
+
+        once = merged()
+        assert once.token == (99, 1)
+        assert once.files[0] == {}
+        assert once.files[2] == snapshot.files[1]
+        assert once.files[3] == snapshot.files[3]
         # Deterministic: equal inputs produce equal snapshots.
-        again = merge_nodes(snapshot, adds, drops=(0,), token=(99, 1))
-        assert again.files == merged.files
+        assert merged().files == once.files
 
 
 # -- hypothesis property tests (auto-skip without hypothesis) ------------------
@@ -380,15 +389,24 @@ class _RebalanceOnEitherTransport:
             service.close()
 
     def test_duplicate_table_update_is_idempotent(self, university):
+        """An epoch-only :class:`Sync` (the view is unchanged)."""
         client = self.client()
         try:
             snapshot = partition_graph(university, NUM_NODES).snapshot()
-            client.request(Prime(snapshot, epoch=1))
-            assert client.request(TableUpdate(epoch=3)) == OkReply(3)
+            token = snapshot.token
+            client.request(sync_frame(None, snapshot, 1))
+
+            def flip(epoch):
+                return client.request(Sync(token, token, epoch=epoch))
+
+            def at(epoch):
+                return OkReply((token, epoch))
+
+            assert flip(3) == at(3)
             # Duplicate delivery (crash-retry): acknowledged, no effect.
-            assert client.request(TableUpdate(epoch=3)) == OkReply(3)
+            assert flip(3) == at(3)
             # Stale update: monotonicity wins, the worker stays at 3.
-            assert client.request(TableUpdate(epoch=2)) == OkReply(3)
+            assert flip(2) == at(3)
             # An execute frame stamped with the installed epoch passes
             # the epoch gate and runs (here: no tasks, no results).
             level = ExecuteLevel(level=0, phase="map", tasks=(), epoch=3)
@@ -400,18 +418,18 @@ class _RebalanceOnEitherTransport:
         client = self.client()
         try:
             snapshot = partition_graph(university, NUM_NODES).snapshot()
-            client.request(Prime(snapshot))
+            client.request(sync_frame(None, snapshot, 0))
             base = client.request(Stats())
-            delta = PrimeNodes(
-                adds={}, drops=(0,), token=(snapshot.token[0], 999)
+            delta = Sync(
+                base=snapshot.token, token=(snapshot.token[0], 999), drops=(0,)
             )
-            assert client.request(delta) == OkReply(delta.token)
+            assert client.request(delta).value[0] == delta.token
             after = client.request(Stats())
             assert after.snapshot_token == delta.token
             assert after.primes == base.primes + 1
             # Duplicate delivery: same token, acknowledged without
             # re-merging or re-priming.
-            assert client.request(delta) == OkReply(delta.token)
+            assert client.request(delta).value[0] == delta.token
             assert client.request(Stats()).primes == base.primes + 1
         finally:
             client.close()
@@ -420,9 +438,7 @@ class _RebalanceOnEitherTransport:
         client = self.client()
         try:
             with pytest.raises(WorkerStateError, match="no resident snapshot"):
-                client.request(
-                    PrimeNodes(adds={}, drops=(), token=(1, 1))
-                )
+                client.request(Sync(base=(1, 0), token=(1, 1)))
         finally:
             client.close()
 
@@ -430,7 +446,7 @@ class _RebalanceOnEitherTransport:
         client = self.client()
         try:
             snapshot = partition_graph(university, NUM_NODES).snapshot()
-            client.request(Prime(snapshot, epoch=2))
+            client.request(sync_frame(None, snapshot, 2))
             with pytest.raises(StaleEpoch) as info:
                 client.request(
                     ExecuteLevel(level=0, phase="map", tasks=(), epoch=0)
@@ -440,6 +456,46 @@ class _RebalanceOnEitherTransport:
             assert info.value.worker_epoch == 2
             # The worker survives the rejection and still serves.
             assert client.request(Stats()).snapshot_token == snapshot.token
+        finally:
+            client.close()
+
+    def test_level_stamped_before_a_delta_sync_is_stale(self, university):
+        """A survivor's delta sync moves its data and its epoch in one
+        frame: a level routed under the old table that reaches it
+        afterwards is refused typed, never answered with an empty scan
+        of the node it dropped."""
+        store = shard_graph(university, NUM_NODES, 2)
+        before = store.snapshot()
+        plan = cliquesquare(parse_query(CHAIN_QUERY), MSC).plans[0]
+        with PlanExecutor(store) as executor:
+            spec = executor.prepare(plan).compiled.jobs[0]
+        tasks = job_from_spec(spec, NUM_NODES).map_tasks
+        client = self.client()
+        try:
+            full = sync_frame(None, before.shards[0], 0)
+            held = (*client.request(full).value, len(store.dictionary))
+
+            def level(task, epoch):
+                return ExecuteLevel(level=0, phase="map", tasks=(task,), epoch=epoch)
+
+            def scanned(task) -> bool:
+                [(emits, direct, _metrics)] = client.request(level(task, 0)).results
+                return bool(emits) or len(direct) > 0
+
+            # A node of shard 0 whose scan finds rows at epoch 0.
+            node, task = next(
+                (t.node, t.spec)
+                for t in tasks
+                if store.shard_of_node(t.node) == 0 and scanned(t.spec)
+            )
+            store.apply_rebalance([(node, 0, 1)])
+            after = store.snapshot()
+            delta = sync_frame(held, after.shards[0], 1)
+            assert delta.drops == (node,) and not delta.files
+            assert client.request(delta) == OkReply((after.shards[0].token, 1))
+            with pytest.raises(StaleEpoch) as info:
+                client.request(level(task, 0))
+            assert (info.value.frame_epoch, info.value.worker_epoch) == (0, 1)
         finally:
             client.close()
 
@@ -587,7 +643,7 @@ class TestDefaultConfigRebalance:
                         token=store.snapshot().shards[2].token,
                         dictionary=dictionary,
                     )
-                    prime = Prime(empty, wire="columnar", epoch=1)
+                    prime = sync_frame(None, empty, 1)
                     return len(pickle.dumps(Request(0, prime)))
 
                 bound = 10 * prime_bytes(Dictionary())
@@ -656,8 +712,8 @@ class TestRpcRebalance(_RebalanceOnEitherTransport):
             # on the wire.
             snapshot = service.executor.store.snapshot()
             full_reprime = sum(
-                len(pickle.dumps(Request(0, Prime(shard_snapshot))))
-                for shard_snapshot in snapshot.shards
+                len(pickle.dumps(Request(0, sync_frame(None, view, 0))))
+                for view in snapshot.shards
             )
             assert shipped < full_reprime
             assert service.submit(STAR_QUERY).rows == expected
@@ -694,8 +750,8 @@ class TestRpcRebalance(_RebalanceOnEitherTransport):
             service.close()
 
     def test_killed_survivor_recovers_mid_migration(self, university):
-        """A survivor whose worker died before its PrimeNodes delta is
-        respawned, re-primed and retried — the migration completes with
+        """A survivor whose worker died before its delta sync is
+        respawned and synced afresh — the migration completes with
         correct answers instead of hanging or corrupting state."""
         service = sharded_service(university, shard_transport="rpc", shards=2)
         try:
@@ -706,6 +762,8 @@ class TestRpcRebalance(_RebalanceOnEitherTransport):
             victim.process.join(timeout=10)
             report = service.rebalance(target_shards=1)
             assert report.new_shards == 1
+            # The respawned survivor's full sync is migration traffic.
+            assert report.bytes_shipped[0] > 0
             assert service.submit(STAR_QUERY).rows == expected
             assert service.snapshot_stats().shard_failures == 1
         finally:

@@ -15,6 +15,7 @@ block and row endpoints mix).
 from __future__ import annotations
 
 import gc
+import itertools
 import pickle
 import threading
 import time
@@ -31,7 +32,6 @@ from repro.cluster.rpc import (
     ExecuteLevel,
     FrameTooLarge,
     OkReply,
-    Prime,
     Reply,
     Request,
     ResultsReply,
@@ -41,8 +41,10 @@ from repro.cluster.rpc import (
     Shutdown,
     Stats,
     StatsReply,
+    Sync,
     WorkerStateError,
     _Waiter,
+    sync_frame,
 )
 from repro.columnar.block import ColumnBlock
 from repro.columnar.wire import WireCodec
@@ -133,7 +135,7 @@ class TestProtocolFrames:
         )
         job = job_from_spec(prepared_star.compiled.jobs[-1], NUM_NODES)
         return [
-            Prime(snapshot=snapshot),
+            sync_frame(None, snapshot, 0),
             ExecuteLevel(
                 level=0,
                 phase="map",
@@ -176,9 +178,9 @@ class TestProtocolFrames:
         for frame in frames:
             clone = pickle.loads(pickle.dumps(frame))
             assert type(clone) is type(frame)
-            if isinstance(frame, Prime):
-                # Snapshots compare field-wise through their own
-                # dataclass equality; spot-check the heavy payload.
+            if isinstance(frame, Sync):
+                # A full sync's dictionary compares by identity;
+                # spot-check the heavy payload.
                 assert pickle.dumps(clone) == pickle.dumps(frame)
             else:
                 assert clone == frame, type(frame).__name__
@@ -251,7 +253,7 @@ def test_worker_tasks_keep_their_node_phase_and_level():
     executor.close()
 
     worker = _WorkerState(0, NUM_NODES)
-    worker.install_snapshot(store.snapshot())
+    worker.handle(sync_frame(None, store.snapshot(), 0))
     remote = worker.backend = _PlacementRecorder(worker.backend)
     try:
         executor = PlanExecutor(store, backend=_LevelFrames(worker))
@@ -282,7 +284,7 @@ class TestWorkerLifecycle:
 
     def test_stats_is_idempotent(self, client, university):
         snapshot = partition_graph(university, NUM_NODES).snapshot()
-        client.request(Prime(snapshot))
+        client.request(sync_frame(None, snapshot, 0))
         first = client.request(Stats())
         second = client.request(Stats())
         assert isinstance(first, StatsReply)
@@ -316,7 +318,7 @@ class TestWorkerLifecycle:
         try:
             snapshot = partition_graph(university, NUM_NODES).snapshot()
             with pytest.raises(FrameTooLarge, match="exceeds"):
-                client.request(Prime(snapshot))
+                client.request(sync_frame(None, snapshot, 0))
             # Nothing was sent; the worker still serves.
             assert isinstance(client.request(Stats()), StatsReply)
         finally:
@@ -334,9 +336,9 @@ class TestWorkerLifecycle:
         try:
             client.max_frame_bytes = 1 << 30  # disarm the driver-side cap
             snapshot = partition_graph(university, NUM_NODES).snapshot()
-            assert len(pickle.dumps(Prime(snapshot))) > 4096
+            assert len(pickle.dumps(sync_frame(None, snapshot, 0))) > 4096
             with pytest.raises(FrameTooLarge, match="exceeded"):
-                client.request(Prime(snapshot))
+                client.request(sync_frame(None, snapshot, 0))
         finally:
             client.close(kill=True)
 
@@ -351,7 +353,7 @@ class TestWorkerLifecycle:
         client.start()
         try:
             snapshot = partition_graph(university, NUM_NODES).snapshot()
-            client.request(Prime(snapshot, wire="columnar"))
+            client.request(sync_frame(None, snapshot, 0))
             rows = [(term,) for term in snapshot.dictionary] * 200
             block = ColumnBlock.from_rows(("?x",), rows, snapshot.dictionary, mint=False)
             sent = client.frames_sent
@@ -623,7 +625,7 @@ def test_a_worker_never_ships_an_id_the_store_did_not_number(mint):
     the driver would read as another term; the connection serves the
     next query.  A minted term leaves the worker's replica conflicting
     with the store's numbering: the next suffix sync fails on it and
-    the router re-primes that worker, so a write landing on the other
+    the router answers with a full sync, so a write landing on the other
     shard only does not take the minting shard down."""
     # A graph of its own: the mints case writes to it.
     service = rpc_service(make_university_graph())
@@ -907,7 +909,7 @@ class TestMutationUnderRpc:
             for shard in range(4):
                 if shard in touched:
                     # Token change observed worker-side, exactly one
-                    # additional Prime delivered.
+                    # sync delivered that changed its files.
                     assert (
                         after[shard].snapshot_token
                         != before[shard].snapshot_token
@@ -919,6 +921,53 @@ class TestMutationUnderRpc:
                         == before[shard].snapshot_token
                     ), shard
                     assert after[shard].primes == before[shard].primes
+        finally:
+            service.close()
+
+    def test_a_write_ships_only_the_nodes_it_wrote(self):
+        """A write confined to one node reaches the shard owning it as
+        one ``Sync`` carrying that node's file map and the dictionary
+        suffix — not the shard's whole view — and the other shard as a
+        ``Sync`` carrying the suffix alone."""
+        service = rpc_service(make_university_graph())
+        try:
+            expected = service.submit(STAR_QUERY).rows
+            store, router = service.store, service.executor.router
+            node = store.nodes_of_shard(0)[0]
+            fresh = (f"<on-node-{i}>" for i in itertools.count())
+            triple = tuple(
+                itertools.islice((t for t in fresh if store.node_of(t) == node), 3)
+            )
+            frames: dict[int, list] = {0: [], 1: []}
+            for shard, client in enumerate(router._clients[:2]):
+                real = client.request
+
+                def spy(msg, on_bytes=None, on_wire=None, real=real, shard=shard):
+                    if isinstance(msg, Sync):
+                        frames[shard].append(msg)
+                    return real(msg, on_bytes, on_wire)
+
+                client.request = spy
+            before = worker_stats(router)
+            start = len(store.dictionary)
+            service.add_triples([triple])
+            suffix = store.dictionary.entries_from(start)
+            assert suffix == triple
+            [written], [other] = frames[0], frames[1]
+            view = store.snapshot().shards[0]
+            assert set(written.files) == {node} and written.drops == ()
+            assert written.files[node] == view.files[node]
+            assert written.terms == other.terms == suffix
+            assert other.files == {} and other.drops == ()
+            whole = len(pickle.dumps(view))
+            node_map = len(pickle.dumps(view.files[node]))
+            assert len(pickle.dumps(written)) < node_map + 1024 < whole
+            assert len(pickle.dumps(other)) < 1024
+            after = worker_stats(router)
+            assert after[0].primes == before[0].primes + 1
+            assert after[1].primes == before[1].primes
+            assert [s.terms for s in after] == [len(store.dictionary)] * 2
+            assert service.submit(STAR_QUERY).rows == expected
         finally:
             service.close()
 

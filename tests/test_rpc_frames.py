@@ -4,7 +4,7 @@
 every frame class in :data:`repro.cluster.rpc.MESSAGE_TYPES` must have
 an entry here, and every entry must survive a pickle round trip (the
 wire is pickled dataclasses).  Values are zero-argument factories so
-the heavy frames (``Prime``'s snapshot, ``ExecuteLevel``'s task specs)
+the heavy frames (``Sync``'s file maps, ``ExecuteLevel``'s task specs)
 are built only when the test actually runs.
 
 Below the registry: the columnar codec's frames — one pickle, one id
@@ -29,8 +29,6 @@ from repro.cluster.rpc import (
     ExecuteBatch,
     ExecuteLevel,
     OkReply,
-    Prime,
-    PrimeNodes,
     Reply,
     Request,
     ResultsReply,
@@ -38,9 +36,9 @@ from repro.cluster.rpc import (
     Shutdown,
     Stats,
     StatsReply,
-    TableUpdate,
+    Sync,
 )
-from repro.cluster.rpc import WorkerStateError, _WorkerState
+from repro.cluster.rpc import WorkerStateError, _WorkerState, sync_frame
 from repro.columnar.block import ColumnBlock, chunk_rows
 from repro.columnar.wire import (
     _HEADER,
@@ -109,16 +107,18 @@ def _level():
 #: frame class name -> zero-arg example factory.  The static FRAME001
 #: rule parses these keys, so they must stay literal strings.
 FRAME_EXAMPLES = {
-    "Prime": lambda: Prime(snapshot=_snapshot(), epoch=3),
-    "PrimeNodes": lambda: PrimeNodes(
-        # A moved-in node's file map plus a moved-out node: the round
-        # trip must preserve both sides of a migration delta.
-        adds={1: dict(_snapshot().files[1])},
+    "Sync": lambda: Sync(
+        # A moved-in node's file map, a moved-out node, a dictionary
+        # suffix and the new epoch: the round trip must preserve every
+        # part of a delta.
+        base=(17, (0, 2), (1, 1)),
+        token=(17, (1, 2), (1, 1)),
+        files={1: dict(_snapshot().files[1])},
         drops=(0,),
-        token=(17, 2),
+        terms_from=9,
+        terms=("<t>",),
+        epoch=4,
     ),
-    # An epoch flip carrying a dictionary suffix to merge.
-    "TableUpdate": lambda: TableUpdate(epoch=4, terms_from=9, terms=("<t>",)),
     "ExecuteLevel": _level,
     "ExecuteBatch": lambda: ExecuteBatch(items=((7, _level()),)),
     "Stats": Stats,
@@ -150,9 +150,9 @@ FRAME_EXAMPLES = {
     "Reply": lambda: Reply(id=3, payload=OkReply(), encode_s=0.0005),
 }
 
-#: frames whose fields compare by identity (exceptions, snapshots),
-#: so the round trip is checked structurally, not by ==
-_IDENTITY_FIELDS = {"Prime", "ErrorReply"}
+#: frames whose fields compare by identity (exceptions), so the round
+#: trip is checked structurally, not by ==
+_IDENTITY_FIELDS = {"ErrorReply"}
 
 
 def test_registry_covers_every_frame():
@@ -385,7 +385,7 @@ def test_a_block_crosses_driver_worker_driver_with_the_same_ids():
     state = _WorkerState(0, NUM_NODES)
     try:
         replica = pickle.loads(pickle.dumps(store.snapshot()))
-        state.handle(Prime(replica, wire="columnar"))
+        state.handle(sync_frame(None, replica, 0))
         worker = state.wire
         assert worker.dictionary is replica.dictionary is not store.dictionary
         assert list(worker.dictionary) == list(store.dictionary)
@@ -464,27 +464,33 @@ def test_foreign_blocks_and_row_lists_cross_as_rows():
 
 def test_table_update_merges_the_store_suffix():
     """A worker whose snapshot is current learns the terms the store
-    numbered since from a ``TableUpdate``: merged by position (a
-    duplicate is a no-op), its codec's limit moves with it, and a gap
-    or a conflicting term is a typed error that leaves the replica as
-    it was."""
+    numbered since from a ``Sync`` that changes no file: merged by
+    position (a duplicate is a no-op), its codec's limit moves with it,
+    and a gap or a conflicting term is a typed error that leaves the
+    replica as it was."""
     store = partition_graph(make_university_graph(), NUM_NODES)
     state = _WorkerState(0, NUM_NODES)
     try:
-        state.handle(Prime(pickle.loads(pickle.dumps(store.snapshot())), "columnar"))
+        snapshot = pickle.loads(pickle.dumps(store.snapshot()))
+        state.handle(sync_frame(None, snapshot, 0))
+        token = snapshot.token
         start = len(store.dictionary)
         store.add(("<person900>", "ub:worksFor", "<dept900>"))
         suffix = store.dictionary.entries_from(start)
         assert suffix == ("<person900>", "<dept900>")
+
+        def terms_only(terms_from, terms):
+            return Sync(token, token, terms_from=terms_from, terms=terms, epoch=1)
+
         for _ in range(2):
-            state.handle(TableUpdate(epoch=1, terms_from=start, terms=suffix))
+            state.handle(terms_only(start, suffix))
             assert state.stats().terms == len(store.dictionary)
             assert state.wire.limit == len(store.dictionary)
         assert state.epoch == 1
         with pytest.raises(WorkerStateError, match="gap"):
-            state.handle(TableUpdate(epoch=1, terms_from=start + 5, terms=("<x>",)))
+            state.handle(terms_only(start + 5, ("<x>",)))
         with pytest.raises(WorkerStateError, match="conflict"):
-            state.handle(TableUpdate(epoch=1, terms_from=start, terms=("<y>",)))
+            state.handle(terms_only(start, ("<y>",)))
         assert list(state.snapshot.dictionary) == list(store.dictionary)
     finally:
         state.close()
