@@ -1,8 +1,9 @@
 """Golden optimizer output: a faster search must find the same plans.
 
 ``fixtures/optimizer_golden.json`` records, for every query of the LUBM
-14, the 64 ``cold_shapes`` shapes and the plan checker's 120 synthetic
-BGPs, what the optimizer produced:
+14, the 64 ``cold_shapes`` shapes, the plan checker's 120 synthetic
+BGPs and 32 larger random shapes (9-12 patterns, the tail the
+``cold_shapes`` sizes stop short of), what the optimizer produced:
 
 * the MSC cost-bounded search (the service's optimizer): reduction
   states visited, plans retained, branches pruned and a digest of the
@@ -21,17 +22,41 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.plan_check import corpus_coster
 from repro.core.algorithm import cliquesquare, cost_bounded_search
 from repro.core.decomposition import MSC, MSC_PLUS, MXC, MXC_PLUS
 from repro.cost.model import select_best_plan
+from repro.workloads.synthetic import random_query
 from tests.test_bounded_search import checker_corpus, ledger_corpus, lubm_corpus
 
 FIXTURE = Path(__file__).parent / "fixtures" / "optimizer_golden.json"
-CORPORA = {"lubm": lubm_corpus, "cold_shapes": ledger_corpus, "synthetic": checker_corpus}
+LARGE_SEED = 41
+
+
+def large_corpus():
+    """Four thin and four dense ``random_query`` shapes of each size
+    9..12, over seeded made-up statistics."""
+    rng = random.Random(LARGE_SEED)
+    queries = [
+        random_query(n, dense=dense, rng=rng)
+        for n in (9, 10, 11, 12)
+        for dense in (False, True)
+        for _ in range(4)
+    ]
+    return queries, corpus_coster(queries, LARGE_SEED)
+
+
+CORPORA = {
+    "lubm": lubm_corpus,
+    "cold_shapes": ledger_corpus,
+    "synthetic": checker_corpus,
+    "large": large_corpus,
+}
 MINIMUM_OPTIONS = (MSC, MXC, MSC_PLUS, MXC_PLUS)
 
 
