@@ -6,9 +6,26 @@ one node; each completed reduction sequence yields one logical plan
 (CREATEQUERYPLANS).  The raw plan list may contain duplicates — different
 sequences can converge to the same plan (Fig. 19 measures this).
 
-The search carries, per reduction state, the operator vector built so
-far (``plan_builder.extend_operators``), so a leaf only wraps its single
-remaining operator.  Two entry points share that one recursion:
+A reduction state is two tuples of ints, over the query's patterns and
+its variables, both numbered once per search: per node, the mask of its
+patterns and the mask of its variables (all of them: once simple covers
+put a pattern in two nodes, a variable of that pattern alone labels an
+edge).  Beside them the state carries each node's operator
+(CREATEQUERYPLANS applied as the search descends), so a leaf only wraps
+its single remaining operator.
+
+A reduction ORs the members' masks; the structure key (node count plus
+each variable's node mask, ``decomposition.structure_key``) is read off
+the variable masks; the Def. 3.3 check of a decomposition is ANDs and
+ORs over node masks.  What the unchanged cover code needs is
+materialized only when a structure is met for the first time: a
+:class:`VariableGraph` built from the pattern masks, then its
+decompositions (minimum options, kept as masks) or its candidate-clique
+pool (the others, whose covers stay lazy).  Within one search a join is
+built, and costed, once per tuple of input operators; the search's cost
+memo (``OptimizerResult.costs``) then serves the selection.
+
+Two entry points share that one recursion:
 
 * :func:`cliquesquare` enumerates the whole plan space of an option
   (Figs. 16-19, the plan checker's baseline);
@@ -36,10 +53,9 @@ from repro.core.decomposition import (
     decompositions,
     structure_key,
 )
-from repro.core.logical import LogicalOperator, LogicalPlan
-from repro.core.plan_builder import extend_operators, initial_operators
+from repro.core.logical import LogicalOperator, LogicalPlan, Match, make_join
 from repro.core.variable_graph import Clique, Decomposition, VariableGraph
-from repro.sparql.ast import BGPQuery
+from repro.sparql.ast import BGPQuery, TriplePattern
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (cost imports core)
     from repro.cost.model import PlanCoster
@@ -67,6 +83,9 @@ class OptimizerResult:
     states: int = 0
     #: branches the cost bound cut (always 0 for :func:`cliquesquare`)
     pruned: int = 0
+    #: the search's operator costs (a ``cost.model.CostMemo``, empty for
+    #: :func:`cliquesquare`); ``select_best_plan`` reuses them
+    costs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def plan_count(self) -> int:
@@ -129,19 +148,66 @@ def cost_bounded_search(
     return _search(query, option, max_plans, timeout_s, coster)
 
 
-def _carries_joined_node(decomposition: Decomposition, nodes: int) -> bool:
-    """True iff some node is both carried (singleton clique) and joined.
+#: A decomposition as the search applies it: per clique, its members
+#: (ascending node indices) and their node mask; then whether some node
+#: is both carried (a singleton clique) and joined.  Only then can a
+#: later reduction rebuild a join that already exists: ``make_join``
+#: merges such structural twins, dropping an operator the bound has
+#: already charged (non-minimum simple covers do this).
+Step = tuple[tuple[tuple[tuple[int, ...], int], ...], bool]
 
-    Only then can a later reduction rebuild a join that already exists:
-    ``make_join`` merges such structural twins, dropping an operator the
-    bound has already charged (non-minimum simple covers do this).
-    """
-    if sum(map(len, decomposition)) == nodes:
-        return False  # a partition
-    carried: frozenset[int] = frozenset().union(
-        *(c for c in decomposition if len(c) == 1)
+#: clique -> (members, node mask), per graph structure
+CliqueMasks = dict[Clique, tuple[tuple[int, ...], int]]
+
+
+def _step(
+    decomposition: Decomposition, node_variables: tuple[int, ...], cliques: CliqueMasks
+) -> Step:
+    """*decomposition* of a graph with per-node variable masks
+    *node_variables* as masks, checked against Def. 3.3: fewer cliques
+    than nodes, a variable shared by every member of a clique, every
+    node covered."""
+    n = len(node_variables)
+    if not 0 < len(decomposition) < n:
+        raise ValueError(
+            f"decomposition size {len(decomposition)} must be in 1..{n - 1}"
+        )
+    out: list[tuple[tuple[int, ...], int]] = []
+    covered = carried = joined = 0
+    for clique in decomposition:
+        masks = cliques.get(clique)
+        if masks is None:
+            members = tuple(sorted(clique))
+            mask, shared = 0, -1
+            for i in members:
+                mask |= 1 << i
+                shared &= node_variables[i]
+            if len(members) > 1 and not shared:
+                raise ValueError(
+                    f"nodes {list(members)} share no variable: not a clique"
+                )
+            masks = cliques[clique] = (members, mask)
+        if len(masks[0]) > 1:
+            joined |= masks[1]
+        else:
+            carried |= masks[1]
+        covered |= masks[1]
+        out.append(masks)
+    if covered != (1 << n) - 1:
+        raise ValueError("decomposition does not cover every node")
+    return tuple(out), bool(carried & joined)
+
+
+def _graph(
+    patterns: tuple[TriplePattern, ...], node_patterns: tuple[int, ...]
+) -> VariableGraph:
+    """The variable graph whose nodes hold the patterns of *node_patterns*."""
+    return VariableGraph(
+        nodes=tuple(
+            frozenset(tp for j, tp in enumerate(patterns) if mask >> j & 1)
+            for mask in node_patterns
+        )
     )
-    return any(len(c) > 1 and c & carried for c in decomposition)
 
 
 def _search(
@@ -162,18 +228,28 @@ def _search(
         deadline = start + timeout_s
         first_deadline = start + max(timeout_s, FIRST_PLAN_GRACE_S)
     result = OptimizerResult(query=query, option=option)
-    #: operator costs of this search, by operator object
-    memo: dict = {}
+    memo = result.costs
     #: height -> cheapest completed plan of that height
     front: dict[int, float] = {}
-    #: by graph structure (node count + maximal cliques as node sets),
-    #: which fixes the candidate cliques and so the covers; reductions
-    #: reach one structure many times.  Minimum options keep the
-    #: decompositions themselves; the others (SC's spaces run to
-    #: millions, so they stay lazy) keep the candidate-clique pool and
-    #: enumerate the covers afresh.
-    shapes: dict[tuple[int, frozenset[frozenset[int]]], list[Decomposition]] = {}
-    pools: dict[tuple[int, frozenset[frozenset[int]]], CliquePool] = {}
+    patterns = query.patterns
+    bits = {v: 1 << k for k, v in enumerate(query.variables())}
+    #: structure key by per-node variable masks
+    keys: dict[tuple[int, ...], tuple[int, frozenset[int]]] = {}
+    #: by graph structure, which fixes the candidate cliques and so the
+    #: covers; reductions reach one structure many times.  Minimum
+    #: options keep the decompositions themselves; the others (SC's
+    #: spaces run to millions, so they stay lazy) keep a graph of the
+    #: structure and its candidate-clique pool, and enumerate the covers
+    #: afresh.
+    shapes: dict[tuple[int, frozenset[int]], list[Step]] = {}
+    pools: dict[
+        tuple[int, frozenset[int]], tuple[VariableGraph, CliquePool, CliqueMasks]
+    ] = {}
+    #: the joins of this search by the ids of their inputs: inputs (kept
+    #: alive, so the ids stay theirs), join, the join's cost
+    joins: dict[
+        tuple[int, ...], tuple[list[LogicalOperator], LogicalOperator, float]
+    ] = {}
 
     def time_left() -> float | None:
         if deadline is None:
@@ -190,27 +266,44 @@ def _search(
             return True
         return False
 
-    def decompose(
-        graph: VariableGraph, budget: EnumerationBudget | None
-    ) -> Iterable[Decomposition]:
-        key = structure_key(graph)
+    def steps(
+        node_patterns: tuple[int, ...],
+        node_variables: tuple[int, ...],
+        budget: EnumerationBudget | None,
+    ) -> Iterable[Step]:
+        key = keys.get(node_variables)
+        if key is None:
+            key = keys[node_variables] = structure_key(node_variables)
         if option.minimum:
             known = shapes.get(key)
             if known is None:
-                known = list(decompositions(graph, option, budget))
+                graph = _graph(patterns, node_patterns)
+                cliques: CliqueMasks = {}
+                known = [
+                    _step(d, node_variables, cliques)
+                    for d in decompositions(graph, option, budget)
+                ]
                 if budget is None or not budget.truncated:
                     shapes[key] = known
             return known
-        pool = pools.get(key)
-        if pool is None:
-            pool = pools[key] = CliquePool.of(graph, option.maximal_only)
-        return decompositions(graph, option, budget, pool)
+        entry = pools.get(key)
+        if entry is None:
+            graph = _graph(patterns, node_patterns)
+            entry = pools[key] = (graph, CliquePool.of(graph, option.maximal_only), {})
+        graph, pool, cliques = entry
+        return (
+            _step(d, node_variables, cliques)
+            for d in decompositions(graph, option, budget, pool)
+        )
 
     def recurse(
-        graph: VariableGraph, ops: tuple[LogicalOperator, ...], lower: float
+        node_patterns: tuple[int, ...],
+        node_variables: tuple[int, ...],
+        ops: tuple[LogicalOperator, ...],
+        lower: float,
     ) -> None:
         result.states += 1
-        if len(graph) == 1:
+        if len(ops) == 1:
             plan = LogicalPlan.wrap(ops[0], query)
             result.plans.append(plan)
             if coster is not None:
@@ -224,19 +317,38 @@ def _search(
         budget = None
         if left is not None:  # (a timeout of 0 would mean "no deadline")
             budget = EnumerationBudget(timeout_s=max(left, 1e-9))
-        #: this state's joins by clique: sibling decompositions share them
-        joins: dict[Clique, LogicalOperator] = {}
-        for decomposition in decompose(graph, budget):
+        for cliques, twins in steps(node_patterns, node_variables, budget):
             if out_of_budget():
                 return
-            child_ops = extend_operators(ops, decomposition, joins)
-            child_lower = lower
+            child_patterns: list[int] = []
+            child_variables: list[int] = []
+            child_ops: list[LogicalOperator] = []
+            child_lower = -inf if twins else lower
+            for members, _ in cliques:
+                if len(members) == 1:
+                    (i,) = members
+                    child_patterns.append(node_patterns[i])
+                    child_variables.append(node_variables[i])
+                    child_ops.append(ops[i])
+                    continue
+                merged_patterns = merged_variables = 0
+                for i in members:
+                    merged_patterns |= node_patterns[i]
+                    merged_variables |= node_variables[i]
+                child_patterns.append(merged_patterns)
+                child_variables.append(merged_variables)
+                inputs = [ops[i] for i in members]
+                key = tuple(map(id, inputs))
+                join = joins.get(key)
+                if join is None:
+                    op = make_join(inputs)
+                    cost = 0.0
+                    if coster is not None:
+                        cost = coster.operator_cost(op, memo).total
+                    join = joins[key] = (inputs, op, cost)
+                child_ops.append(join[1])
+                child_lower += join[2]
             if coster is not None:
-                if _carries_joined_node(decomposition, len(graph)):
-                    child_lower = -inf
-                for clique, op in zip(decomposition, child_ops):
-                    if len(clique) > 1:
-                        child_lower += coster.operator_cost(op, memo).total
                 reach = max(op.height for op in child_ops) + (len(child_ops) > 1)
                 if any(
                     height <= reach and child_lower > cost * (1 + BOUND_GUARD)
@@ -244,18 +356,27 @@ def _search(
                 ):
                     result.pruned += 1
                     continue
-            recurse(graph._reduce_canonical(decomposition), child_ops, child_lower)
+            recurse(
+                tuple(child_patterns),
+                tuple(child_variables),
+                tuple(child_ops),
+                child_lower,
+            )
         if budget is not None and budget.truncated:
             result.truncated = True
 
-    initial = VariableGraph.from_query(query)
-    ops = initial_operators(initial)
+    ops = tuple(map(Match, patterns))
     lower = 0.0
     if coster is not None:
         lower = sum(coster.operator_cost(op, memo).total for op in ops)
-        if len(set(query.patterns)) < len(ops):
+        if len(set(patterns)) < len(ops):
             lower = -inf  # repeated patterns are structural twins from the start
-    recurse(initial, ops, lower)
+    recurse(
+        tuple(1 << i for i in range(len(patterns))),
+        tuple(sum(bits[v] for v in tp.variables()) for tp in patterns),
+        ops,
+        lower,
+    )
     out_of_budget()  # final truncation check
     result.elapsed_s = time.monotonic() - start
     return result

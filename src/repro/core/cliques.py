@@ -26,8 +26,7 @@ def maximal_cliques_by_variable(graph: VariableGraph) -> dict[str, Clique]:
 
 def maximal_cliques(graph: VariableGraph) -> list[Clique]:
     """Distinct maximal cliques (node-set deduplicated), canonical order."""
-    distinct = set(maximal_cliques_by_variable(graph).values())
-    return sorted(distinct, key=lambda c: (len(c), sorted(c)))
+    return candidate_cliques(graph, maximal_only=True)
 
 
 def partial_cliques(graph: VariableGraph) -> list[Clique]:
@@ -36,30 +35,40 @@ def partial_cliques(graph: VariableGraph) -> list[Clique]:
     Singleton subsets are valid partial cliques (a node carried unchanged
     through a decomposition step, i.e. no join for that node).
     """
+    return candidate_cliques(graph, maximal_only=False)
+
+
+def clique_members(graph: VariableGraph, maximal_only: bool) -> list[tuple[int, ...]]:
+    """The distinct cliques of :func:`candidate_cliques`, each as its
+    ascending members, in lexicographic order (the order
+    ``variable_graph.canonical_decomposition`` sorts cliques by)."""
+    by_variable = maximal_cliques_by_variable(graph).values()
+    if maximal_only:
+        return sorted({tuple(sorted(c)) for c in by_variable})
     # Every node is always available as a singleton "carry" clique, even a
     # node with no join variable left (cannot happen in connected graphs,
-    # but keeps degenerate cases safe).
+    # but keeps degenerate cases safe).  A star of n patterns has 2^n - 1
+    # partial cliques.
     out: set[tuple[int, ...]] = {(i,) for i in range(len(graph))}
-    for clique in maximal_cliques_by_variable(graph).values():
+    for clique in by_variable:
         members = sorted(clique)
         for size in range(2, len(members) + 1):
             out.update(combinations(members, size))
-    # (size, members) order, compared as plain tuples: a star of n
-    # patterns has 2^n - 1 partial cliques.
-    return [frozenset(c) for c in sorted(sorted(out), key=len)]
+    return sorted(out)
 
 
 def candidate_cliques(graph: VariableGraph, maximal_only: bool) -> list[Clique]:
-    """The clique pool a decomposition option draws from.
+    """The clique pool a decomposition option draws from, by size and
+    then members.
 
     ``maximal_only=True`` corresponds to the ``+`` options of §4.3; note
     that even then singletons are *not* added: maximal-clique options must
     cover every node using maximal cliques only, which is exactly why
     MXC+/XC+ can fail on queries like Fig. 10.
     """
-    return maximal_cliques(graph) if maximal_only else partial_cliques(graph)
+    return [frozenset(c) for c in sorted(clique_members(graph, maximal_only), key=len)]
 
 
 def count_partial_cliques(graph: VariableGraph) -> int:
     """Number of distinct partial cliques (cf. Eq. 3 and Lemma 4.2)."""
-    return len(partial_cliques(graph))
+    return len(clique_members(graph, maximal_only=False))

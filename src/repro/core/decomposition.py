@@ -14,9 +14,9 @@ recurses over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from repro.core.cliques import candidate_cliques
+from repro.core.cliques import clique_members
 from repro.core.covers import (
     EnumerationBudget,
     iter_exact_covers,
@@ -91,11 +91,23 @@ OPTIONS_BY_NAME: dict[str, DecompositionOption] = {o.name: o for o in ALL_OPTION
 VIABLE_OPTIONS: tuple[DecompositionOption, ...] = (MSC_PLUS, SC_PLUS, MXC, MSC)
 
 
-def structure_key(graph: VariableGraph) -> tuple[int, frozenset[frozenset[int]]]:
-    """The node count and the maximal cliques as node sets: what fixes a
+def structure_key(node_variables: Sequence[int]) -> tuple[int, frozenset[int]]:
+    """The node count and the maximal cliques as node masks: what fixes a
     graph's candidate cliques, hence its decompositions under any
-    option.  Reductions reach one structure many times over."""
-    return (len(graph), frozenset(map(frozenset, graph.edge_map().values())))
+    option.  Reductions reach one structure many times over.
+
+    *node_variables* holds one bitmask of variables per node (any fixed
+    numbering of the variables); a variable on two nodes or more
+    contributes the mask of its nodes.
+    """
+    nodes: dict[int, int] = {}
+    for i, variables in enumerate(node_variables):
+        node = 1 << i
+        while variables:
+            low = variables & -variables
+            nodes[low] = nodes.get(low, 0) | node
+            variables ^= low
+    return len(node_variables), frozenset(m for m in nodes.values() if m & (m - 1))
 
 
 @dataclass(frozen=True)
@@ -114,15 +126,13 @@ class CliquePool:
 
     @classmethod
     def of(cls, graph: VariableGraph, maximal_only: bool) -> "CliquePool":
-        cliques = candidate_cliques(graph, maximal_only)
-        by_rank = sorted(range(len(cliques)), key=lambda j: sorted(cliques[j]))
-        rank = [0] * len(cliques)
-        for position, j in enumerate(by_rank):
-            rank[j] = position
+        ranked = clique_members(graph, maximal_only)
+        # candidate order (``candidate_cliques``): by size, then members
+        rank = sorted(range(len(ranked)), key=lambda r: len(ranked[r]))
         return cls(
-            masks=masks_of(len(graph), cliques),
+            masks=masks_of(len(graph), [ranked[r] for r in rank]),
             rank=rank,
-            ranked=[cliques[j] for j in by_rank],
+            ranked=[frozenset(c) for c in ranked],
         )
 
 

@@ -14,10 +14,35 @@ equality is insensitive to enumeration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterator
+from typing import Any, Callable, Generic, Iterator, TypeVar
 
 from repro.sparql.ast import BGPQuery, TriplePattern
+
+T = TypeVar("T")
+
+
+class derived(Generic[T]):
+    """``functools.cached_property`` without its lock.
+
+    The value is computed on first access and stored in the instance
+    ``__dict__`` under the method's name, where every later lookup finds
+    it before this (non-data) descriptor.  Before Python 3.12,
+    ``cached_property`` takes a class-wide lock on each first access;
+    the optimizer builds thousands of operators per search, and a value
+    derived from immutable fields is the same whichever thread computes
+    it first.
+    """
+
+    def __init__(self, fn: Callable[[Any], T]) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj: Any, owner: type | None = None) -> T:
+        if obj is None:
+            return self  # type: ignore[return-value]
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class LogicalOperator:
@@ -25,7 +50,7 @@ class LogicalOperator:
 
     Operators are immutable, so what is derived from their fields
     (covered patterns, join output attributes, height, signature) is computed
-    once per object with ``cached_property``: it lives in the instance
+    once per object with :class:`derived`: it lives in the instance
     ``__dict__``, outside the dataclass fields, so ``__eq__`` and
     ``__hash__`` are untouched.
     """
@@ -43,20 +68,20 @@ class LogicalOperator:
         """The triple patterns this operator's sub-DAG covers."""
         return self._patterns
 
-    @cached_property
+    @derived
     def _patterns(self) -> frozenset[TriplePattern]:
         out: set[TriplePattern] = set()
         for child in self.children:
             out |= child.patterns()
         return frozenset(out)
 
-    @cached_property
+    @derived
     def height(self) -> int:
         """Largest number of join operators on a path from here to a leaf."""
         below = max((child.height for child in self.children), default=0)
         return below + isinstance(self, Join)
 
-    @cached_property
+    @derived
     def _signature(self) -> tuple:
         if isinstance(self, Match):
             return ("M", str(self.pattern))
@@ -91,7 +116,7 @@ class Match(LogicalOperator):
     def attrs(self) -> tuple[str, ...]:
         return self.pattern.variables()
 
-    @cached_property
+    @derived
     def _patterns(self) -> frozenset[TriplePattern]:
         return frozenset([self.pattern])
 
@@ -128,8 +153,12 @@ class Join(LogicalOperator):
     def children(self) -> tuple[LogicalOperator, ...]:
         return self.inputs
 
-    @cached_property
+    @property
     def attrs(self) -> tuple[str, ...]:
+        return self._attrs
+
+    @derived
+    def _attrs(self) -> tuple[str, ...]:
         out: list[str] = []
         for child in self.inputs:
             for a in child.attrs:
@@ -246,16 +275,16 @@ def make_join(inputs: list[LogicalOperator]) -> LogicalOperator:
     """Build a canonical n-ary join: children deduplicated and sorted, A =
     the attributes shared by all inputs.  A single (after dedup) input is
     returned unchanged."""
-    unique: list[LogicalOperator] = []
-    seen: set[tuple] = set()
-    for op in inputs:
-        sig = signature(op)
-        if sig not in seen:
-            seen.add(sig)
+    # A stable sort keeps equal signatures in input order, so the first
+    # of each run is the first occurrence; adjacent signatures compare
+    # without hashing them whole.
+    ordered = sorted(inputs, key=signature)
+    unique = ordered[:1]
+    for op in ordered[1:]:
+        if signature(op) != signature(unique[-1]):
             unique.append(op)
     if len(unique) == 1:
         return unique[0]
-    unique.sort(key=signature)
     shared = set(unique[0].attrs)
     for op in unique[1:]:
         shared &= set(op.attrs)

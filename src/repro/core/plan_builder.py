@@ -10,9 +10,9 @@ construction walks the queue oldest-to-newest:
   Join over the members' operators.
 
 The final projection onto the distinguished variables is added on top.
-The per-graph step is :func:`extend_operators`; Algorithm 1 applies it as
-it descends (``core.algorithm``), :func:`create_query_plan` folds it over
-a finished sequence.
+The per-graph step is :func:`extend_operators`; :func:`create_query_plan`
+folds it over a finished sequence.  Algorithm 1 (``core.algorithm``)
+takes the same step as it descends, on its bitmask states.
 """
 
 from __future__ import annotations

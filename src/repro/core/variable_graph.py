@@ -130,11 +130,7 @@ class VariableGraph:
         member nodes' patterns; edges are recomputed from shared
         variables.  Provenance records the clique per new node.
         """
-        return self._reduce_canonical(canonical_decomposition(decomposition))
-
-    def _reduce_canonical(self, decomposition: Decomposition) -> "VariableGraph":
-        # :meth:`reduce` minus the re-sort, for the search in
-        # ``core.algorithm``: ``decompositions()`` yields canonical tuples.
+        decomposition = canonical_decomposition(decomposition)
         self.validate_decomposition(decomposition)
         new_nodes: list[frozenset[TriplePattern]] = []
         for clique in decomposition:

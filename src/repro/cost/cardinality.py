@@ -139,10 +139,17 @@ class CatalogStatistics:
 
 
 class CardinalityEstimator:
-    """Estimates scan/output cardinalities and per-variable distinct counts."""
+    """Estimates scan/output cardinalities and per-variable distinct counts.
+
+    An estimator reads one catalog that nobody mutates (a write swaps in
+    a new estimator over a new catalog), so every estimate is computed
+    once and memoized.
+    """
 
     def __init__(self, stats: CatalogStatistics) -> None:
         self.stats = stats
+        self._pattern_cache: dict[TriplePattern, float] = {}
+        self._distinct_cache: dict[tuple[TriplePattern, str], float] = {}
         self._subset_cache: dict[frozenset[TriplePattern], float] = {}
 
     # -- per-pattern ------------------------------------------------------
@@ -160,6 +167,12 @@ class CardinalityEstimator:
 
     def pattern_cardinality(self, tp: TriplePattern) -> float:
         """Estimated matches of *tp* after all constant filters."""
+        card = self._pattern_cache.get(tp)
+        if card is None:
+            card = self._pattern_cache[tp] = self._pattern_cardinality(tp)
+        return card
+
+    def _pattern_cardinality(self, tp: TriplePattern) -> float:
         card = self.scan_cardinality(tp)
         if card == 0:
             return 0.0
@@ -182,6 +195,12 @@ class CardinalityEstimator:
 
     def pattern_distinct(self, tp: TriplePattern, var: str) -> float:
         """Estimated distinct values *var* takes among matches of *tp*."""
+        distinct = self._distinct_cache.get((tp, var))
+        if distinct is None:
+            distinct = self._distinct_cache[tp, var] = self._pattern_distinct(tp, var)
+        return distinct
+
+    def _pattern_distinct(self, tp: TriplePattern, var: str) -> float:
         card = self.pattern_cardinality(tp)
         positions = tp.positions_of(var)
         if not positions:

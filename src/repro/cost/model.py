@@ -50,10 +50,10 @@ class CostBreakdown:
         return self.io + self.cpu + self.net
 
 
-#: Operator costs of one search or one selection, by operator *object*:
-#: ``id(op) -> (op, cost)``.  The entry holds the operator so its id
-#: cannot be reused while the memo lives.
-CostMemo = dict[int, tuple[LogicalOperator, CostBreakdown]]
+#: What one search or one selection derives per operator *object*:
+#: ``id(op) -> (op, cost, output cardinality)``.  The entry holds the
+#: operator so its id cannot be reused while the memo lives.
+CostMemo = dict[int, tuple[LogicalOperator, CostBreakdown, float]]
 
 
 class PlanCoster:
@@ -69,8 +69,13 @@ class PlanCoster:
 
     # -- cardinalities -----------------------------------------------------
 
-    def output_cardinality(self, op: LogicalOperator) -> float:
-        """Estimated output size of *op* (subset-determined for joins)."""
+    def output_cardinality(
+        self, op: LogicalOperator, memo: CostMemo | None = None
+    ) -> float:
+        """Estimated output size of *op* (subset-determined for joins);
+        computed once per operator object when a *memo* is passed."""
+        if memo is not None:
+            return self._entry(op, memo)[2]
         if isinstance(op, Match):
             return self.estimator.pattern_cardinality(op.pattern)
         if isinstance(op, (Join, Select)):
@@ -79,10 +84,9 @@ class PlanCoster:
             return self.output_cardinality(op.child)
         raise TypeError(f"unknown operator {type(op)!r}")
 
-    def _join_cpu(self, op: Join) -> float:
+    def _join_cpu(self, op: Join, output: float, memo: CostMemo | None) -> float:
         """c_join(op1 .. opn): per-tuple work over inputs and output."""
-        inputs = sum(self.output_cardinality(c) for c in op.inputs)
-        output = self.output_cardinality(op)
+        inputs = sum(self.output_cardinality(c, memo) for c in op.inputs)
         return self.params.c_join * (inputs + output)
 
     # -- operator costs ----------------------------------------------------
@@ -93,13 +97,26 @@ class PlanCoster:
         """The §5.4 cost of one operator (not including its children);
         computed once per operator object when a *memo* is passed."""
         if memo is None:
-            return self._operator_cost(op)
+            return self._operator_cost(op, self.output_cardinality(op), None)
+        return self._entry(op, memo)[1]
+
+    def _entry(
+        self, op: LogicalOperator, memo: CostMemo
+    ) -> tuple[LogicalOperator, CostBreakdown, float]:
         hit = memo.get(id(op))
         if hit is None:
-            hit = memo[id(op)] = (op, self._operator_cost(op))
-        return hit[1]
+            if isinstance(op, Project):
+                output = self.output_cardinality(op.child, memo)
+            else:
+                output = self.output_cardinality(op)
+            hit = memo[id(op)] = (op, self._operator_cost(op, output, memo), output)
+        return hit
 
-    def _operator_cost(self, op: LogicalOperator) -> CostBreakdown:
+    def _operator_cost(
+        self, op: LogicalOperator, output: float, memo: CostMemo | None
+    ) -> CostBreakdown:
+        """*output* is ``op``'s output cardinality; *memo* (if any) holds
+        or receives its inputs'."""
         p = self.params
         bd = CostBreakdown()
         if isinstance(op, Match):
@@ -112,9 +129,8 @@ class PlanCoster:
                 bd.details.append(("F", checks))
             return bd
         if isinstance(op, Join):
-            output = self.output_cardinality(op)
             if is_first_level_join(op):
-                cpu = self._join_cpu(op)  # c(MJ)
+                cpu = self._join_cpu(op, output, memo)  # c(MJ)
                 io = output * p.c_write
                 bd.cpu += cpu
                 bd.io += io
@@ -124,25 +140,25 @@ class PlanCoster:
             # themselves reduce-side results (their output sits in HDFS),
             # then the repartition join.
             for child in op.inputs:
-                card = self.output_cardinality(child)
+                card = self.output_cardinality(child, memo)
                 if isinstance(child, Join) and not is_first_level_join(child):
                     mf = card * (p.c_read + p.c_write)  # c(MF)
                     bd.io += mf
                     bd.details.append(("MF", mf))
                 bd.net += card * p.c_shuffle
-            cpu = self._join_cpu(op)
+            cpu = self._join_cpu(op, output, memo)
             io = output * p.c_write
             bd.cpu += cpu
             bd.io += io
             bd.details.append(("RJ", cpu + io))
             return bd
         if isinstance(op, Select):
-            checks = self.output_cardinality(op.child) * p.c_check
+            checks = self.output_cardinality(op.child, memo) * p.c_check
             bd.cpu += checks
             bd.details.append(("F", checks))
             return bd
         if isinstance(op, Project):
-            checks = self.output_cardinality(op.child) * p.c_check
+            checks = output * p.c_check
             bd.cpu += checks
             bd.details.append(("pi", checks))
             return bd
@@ -167,8 +183,16 @@ class PlanCoster:
     def cost(
         self, plan: LogicalPlan | LogicalOperator, memo: CostMemo | None = None
     ) -> float:
-        """c(p) = tw(p)."""
-        return self.cost_breakdown(plan, memo).total
+        """c(p) = tw(p): ``cost_breakdown(plan, memo).total`` without the
+        details."""
+        root = plan.root if isinstance(plan, LogicalPlan) else plan
+        io = cpu = net = 0.0
+        for op in root.iter_operators():
+            bd = self.operator_cost(op, memo)
+            io += bd.io
+            cpu += bd.cpu
+            net += bd.net
+        return io + cpu + net
 
 
 def _needs_filter(tp) -> bool:
@@ -184,15 +208,20 @@ def _needs_filter(tp) -> bool:
 
 
 def select_best_plan(
-    plans: list[LogicalPlan], coster: PlanCoster
+    plans: list[LogicalPlan], coster: PlanCoster, memo: CostMemo | None = None
 ) -> tuple[LogicalPlan, float]:
     """Pick the cheapest plan under the cost model (§6: 'the selected
-    plans (based on this general cost model)')."""
+    plans (based on this general cost model)').
+
+    *memo* may be the one the search that produced *plans* costed them
+    with (``OptimizerResult.costs``, by the same *coster*).
+    """
     if not plans:
         raise ValueError("no plans to select from")
     # One pass; plans of one enumeration share operator objects, so each
     # operator is costed once.  Ties keep the first plan, like ``min``.
-    memo: CostMemo = {}
+    if memo is None:
+        memo = {}
     best, best_cost = plans[0], coster.cost(plans[0], memo)
     for plan in plans[1:]:
         cost = coster.cost(plan, memo)

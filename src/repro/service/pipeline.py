@@ -23,7 +23,8 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.columnar.block import answer_rows
-from repro.core.algorithm import OptimizerResult, cost_bounded_search
+from repro.core.algorithm import OptimizerResult, cliquesquare, cost_bounded_search
+from repro.core.decomposition import MSC_PLUS
 from repro.core.logical import LogicalPlan, rewrite_patterns
 from repro.cost.model import select_best_plan
 from repro.mapreduce.counters import ExecutionReport
@@ -251,19 +252,29 @@ class Pipeline:
     def optimize(self, query: BGPQuery) -> tuple[LogicalPlan, OptimizerResult]:
         """CliqueSquare search bounded by the cost model + selection of
         the cheapest retained plan (the plan the exhaustive enumeration
-        would select)."""
+        would select).
+
+        A search that runs out of time before its first plan falls back
+        to the first plan of MSC+, whose maximal cliques make a far
+        smaller space (and which always finds a plan for a connected
+        query): the result returned is that search's, ``truncated``.
+        """
+        coster = self.coster  # one coster for both (a write swaps it)
         result = cost_bounded_search(
             query,
-            self.coster,
+            coster,
             self.config.option,
             max_plans=self.config.max_plans,
             timeout_s=self.config.timeout_s,
         )
+        if not result.plans and result.truncated:
+            result = cliquesquare(query, MSC_PLUS, max_plans=1)
+            result.truncated = True
         if not result.plans:
             raise ValueError(
                 f"{self.config.option} produced no plan for {query.name or query}"
             )
-        best, _ = select_best_plan(result.unique_plans(), self.coster)
+        best, _ = select_best_plan(result.unique_plans(), coster, result.costs)
         from repro.analysis.plan_check import check_plan_space, plans_checked
 
         if plans_checked():
@@ -573,6 +584,8 @@ class Pipeline:
                 pruned=optimizer.pruned,
                 truncated=optimizer.truncated,
             )
+            if optimizer.option != self.config.option:
+                optimize.set(fallback=optimizer.option.name)
         return TemplateEntry(
             plan=plan,
             prepared=prepared,

@@ -1,12 +1,13 @@
 """Tests for Algorithm 1 (repro.core.algorithm) on the paper's examples."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.algorithm import best_effort_plan, cliquesquare
+from repro.core.algorithm import _step, best_effort_plan, cliquesquare
 from repro.core.decomposition import (
     ALL_OPTIONS,
     MSC,
@@ -17,9 +18,13 @@ from repro.core.decomposition import (
     SC_PLUS,
     XC,
     XC_PLUS,
+    decompositions,
+    structure_key,
 )
 from repro.core.logical import Match
+from repro.core.plan_builder import create_query_plan
 from repro.core.properties import height
+from repro.core.variable_graph import VariableGraph
 from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
 from repro.workloads.synthetic import chain_query, star_query
@@ -130,6 +135,71 @@ class TestStarAndChain:
         for n in (2, 4, 6, 8):
             result = cliquesquare(chain_query(n), MSC, timeout_s=30)
             assert min(height(p) for p in result.plans) == math.ceil(math.log2(n))
+
+
+class TestMaskState:
+    """The search's bitmask state against the variable graph it encodes."""
+
+    @staticmethod
+    def variable_masks(query, graph):
+        bits = {v: 1 << k for k, v in enumerate(query.variables())}
+        return tuple(
+            sum(bits[v] for v in graph.node_variables(i)) for i in range(len(graph))
+        )
+
+    @pytest.mark.parametrize("option", [SC_PLUS, MSC])
+    def test_structure_key_is_the_graphs_maximal_cliques(self, paper_q1, option):
+        # SC+ puts one pattern in two nodes, so a variable of that one
+        # pattern labels an edge: the masks must cover every variable.
+        rng = random.Random(5)
+        graph = VariableGraph.from_query(paper_q1)
+        while len(graph) > 1:
+            cliques = {sum(1 << i for i in c) for c in graph.edge_map().values()}
+            key = structure_key(self.variable_masks(paper_q1, graph))
+            assert key == (len(graph), frozenset(cliques))
+            some = list(islice(decompositions(graph, option), 40))
+            graph = graph.reduce(rng.choice(some))
+
+    @pytest.mark.parametrize("seed,n", [(2, 4), (3, 4), (7, 5)])
+    def test_search_equals_the_graph_fold(self, seed, n):
+        """Every option's states and plans, in order, equal a plain walk
+        over ``VariableGraph.reduce`` folded by ``create_query_plan``.
+        On the 5-pattern query SC+ puts one pattern in two nodes, and
+        the variable only that pattern has labels an edge whose clique
+        no other variable has (SC's space there runs to thousands of
+        plans, so it sits this one out)."""
+        query = random_connected_query(random.Random(seed), n)
+        for option in [o for o in ALL_OPTIONS if n == 4 or o is not SC]:
+            states, plans = 0, []
+
+            def walk(sequence):
+                nonlocal states
+                states += 1
+                graph = sequence[-1]
+                if len(graph) == 1:
+                    plans.append(create_query_plan(query, sequence).signature())
+                for d in decompositions(graph, option):
+                    walk(sequence + [graph.reduce(d)])
+
+            walk([VariableGraph.from_query(query)])
+            result = cliquesquare(query, option, max_plans=None, timeout_s=None)
+            assert result.states == states, option.name
+            assert [p.signature() for p in result.plans] == plans, option.name
+
+    def test_step_checks_definition_3_3(self):
+        q = chain_query(4)  # t_i and t_i+1 share one variable
+        masks = self.variable_masks(q, VariableGraph.from_query(q))
+        ok = (frozenset({0, 1}), frozenset({2, 3}))
+        assert _step(ok, masks, {}) == ((((0, 1), 0b11), ((2, 3), 0b1100)), False)
+        twins = (frozenset({0, 1}), frozenset({1}), frozenset({2, 3}))
+        assert _step(twins, masks, {})[1]  # node 1 is carried and joined
+        for bad in (
+            tuple(frozenset({i}) for i in range(4)),  # |D| = |N|
+            (frozenset({0, 2}), frozenset({1, 3})),  # no shared variable
+            (frozenset({0, 1}), frozenset({2})),  # node 3 uncovered
+        ):
+            with pytest.raises(ValueError):
+                _step(bad, masks, {})
 
 
 class TestBudget:

@@ -22,6 +22,7 @@ from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import SparqlSyntaxError, parse_query
 from repro.systems.csq import CSQ
 from repro.workloads import lubm, lubm_queries
+from repro.workloads.synthetic import random_query
 
 ALL_NAMES = [f"Q{i}" for i in range(1, 15)]
 
@@ -539,6 +540,28 @@ class TestMutationSwapsCostModel:
         assert csq.estimator is svc.estimator
         assert csq.stats is svc.catalog
         svc.close()
+
+
+class TestAlwaysAPlan:
+    """A search whose deadline passes before its first plan falls back
+    to the first MSC+ plan instead of failing the submission."""
+
+    @pytest.mark.parametrize("n,seed", [(13, 0), (13, 5), (14, 0), (14, 5)])
+    def test_first_plan_timeout_falls_back_to_msc_plus(self, n, seed):
+        rng = random.Random(7)
+        g = RDFGraph()
+        values = [f"<e{i}>" for i in range(5)]
+        for _ in range(150):
+            g.add(rng.choice(values), f"p{rng.randrange(1, 15)}", rng.choice(values))
+        # Thin shapes of 13-14 patterns: the MSC search needs seconds of
+        # minimum-cover enumeration before its first plan.
+        query = random_query(n, dense=False, rng=random.Random(seed))
+        with QueryService(g, ServiceConfig(timeout_s=0.05, tracing=True)) as svc:
+            outcome = svc.submit(query)
+            assert outcome.rows == evaluate(query, g)
+            (optimize,) = svc.trace(outcome).find("optimize")
+            assert optimize.attrs["fallback"] == "MSC+"
+            assert optimize.attrs["truncated"] and optimize.attrs["plans"] == 1
 
 
 class TestUncacheableQueries:
