@@ -18,7 +18,8 @@ Tier map (outermost first):
 * **10 — orchestration**: single-flight registries consulted before any
   engine state is touched.
 * **20 — engine state**: the store RW lock; held across planning and
-  level execution.
+  level execution, and across a result patch's delta evaluation (inside
+  its single-flight key, which holds no lock while it runs).
 * **30 — transport**: per-shard client management, connection swap and
   send serialization on the RPC path; innermost, a shard worker's state
   lock, which the in-process carrier takes under the ones above.

@@ -227,7 +227,10 @@ class CardinalityEstimator:
         """Estimated result size of the natural join of *patterns*.
 
         |join(S)| = prod |tp| / prod_v (max_tp V(tp, v))^{occ(v)-1}
-        with occ(v) = number of patterns of S containing v.
+        with occ(v) = number of patterns of S containing v.  The
+        patterns are taken in sorted order: a frozenset's iteration
+        order follows string-hash randomization, and float products in
+        another order can differ in the last bit from process to process.
         """
         patterns = frozenset(patterns)
         cached = self._subset_cache.get(patterns)
@@ -235,7 +238,7 @@ class CardinalityEstimator:
             return cached
         card = 1.0
         occurrences: dict[str, list[float]] = {}
-        for tp in patterns:
+        for tp in sorted(patterns):
             card *= self.pattern_cardinality(tp)
             for v in tp.variables():
                 occurrences.setdefault(v, []).append(self.pattern_distinct(tp, v))

@@ -10,6 +10,7 @@ interleaves with a running scan: queries hold the read side.
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.locks import ReadWriteLock
@@ -26,6 +27,10 @@ from repro.service.stats import event_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.service import ServiceConfig
+
+#: write batches the delta log holds: a cached answer more batches
+#: behind than this is recomputed instead of patched
+DELTA_LOG_BATCHES = 64
 
 
 class Administration:
@@ -45,6 +50,12 @@ class Administration:
         self.estimator = CardinalityEstimator(self.catalog)
         self.coster = PlanCoster(self.estimator, config.params)
         self._version = 0
+        #: ``(graph version, the batch's new triples)`` of the last
+        #: DELTA_LOG_BATCHES writes, oldest first; appended under the
+        #: write lock, read under the read lock
+        self._delta_log: deque[tuple[int, tuple]] = deque(
+            maxlen=DELTA_LOG_BATCHES
+        )
         # Queries hold the read side while scanning the partitioned
         # store; add_triples and rebalance take the write side, so a
         # mutation never interleaves with a running scan.
@@ -65,8 +76,9 @@ class Administration:
 
         Bumps the graph version, and in the store the version of every
         §5.1 file a new triple is written under (its property's, and an
-        ``rdf:type`` triple's class's): a cached result is dropped, lazily
-        at its next read, only if it read one of those files — nothing
+        ``rdf:type`` triple's class's), and logs the batch's new triples
+        under the new version: a cached result that read one of those
+        files is patched from the log, lazily at its next read — nothing
         is swept here.  Maintains catalog statistics *incrementally* —
         the catalog is copied once per batch and a per-triple delta
         applied for each genuinely new triple, O(batch + |P|) instead of
@@ -75,7 +87,7 @@ class Administration:
         """
         self._check_open()
         with self._store_lock.write():
-            added = 0
+            added: list = []
             catalog: CatalogStatistics | None = None
             try:
                 for triple in triples:
@@ -91,14 +103,15 @@ class Administration:
                         catalog = self.catalog.copy()
                     catalog.apply_delta(delta)
                     self.store.add((s, p, o))
-                    added += 1
+                    added.append((s, p, o))
             finally:
                 # Even if a later triple is rejected mid-batch, whatever
-                # was applied has moved its files' versions (invalidating
-                # the cached results that read them) and must refresh the
-                # statistics too.
+                # was applied has moved its files' versions (staling the
+                # cached results that read them), is logged for their
+                # patch and must refresh the statistics too.
                 if added:
                     self._version += 1
+                    self._delta_log.append((self._version, tuple(added)))
                     # Swap in a fresh catalog/estimator/coster trio
                     # rather than mutating in place: an optimize() racing
                     # this mutation keeps its consistent pre-mutation
@@ -115,7 +128,7 @@ class Administration:
                     # files, only the nodes it wrote (snapshot tokens
                     # name nodes and their versions).
                     self.executor.prime()
-        return added
+        return len(added)
 
     def rebalance(
         self,

@@ -23,9 +23,13 @@ form a hierarchy keyed on canonical forms from
   fully-bound queries.  An answer depends only on the §5.1 files its
   scans read (its *footprint*, kept on the instance's plan-cache
   entry), so every entry records the store's versions of those files
-  at the moment it was computed and is dropped when a read finds one
-  of them moved; a write to files it does not read leaves it serving.
-  Validation is lazy: a write sweeps nothing.
+  at the moment it was computed; a write to files it does not read
+  leaves it serving.  A read that finds one of them moved gets the
+  stale entry back, and the pipeline patches it from the write delta
+  log (the semi-naive delta rule: the store is insert-only and a BGP
+  answer monotone); it is dropped and recomputed only past the log's
+  horizon or the patch's work bound.  Validation is lazy: a write
+  sweeps nothing.
 
 All are LRU with O(1) operations and are safe for concurrent use.
 A miss that several threads take at once is computed once, through a
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Any, Callable, Generic, Hashable, TypeVar
 
 from repro.analysis.locks import checked
@@ -144,13 +148,17 @@ class TemplateCache(LRUCache[tuple, TemplateEntry]):
 class ResultEntry:
     """One memoized answer, in canonical variable space.
 
-    ``version`` is the graph version it was computed at; it stays the
-    answer until one of the files of its ``footprint`` is written, which
-    ``stamp`` (the store's versions of those files then) detects.  The
-    answer is kept as its id-space ``block``; ``rows``, the canonical
-    term-tuple set, is decoded from it the first time a reader needs it
-    (a result hit, a flight's waiter, a batch duplicate — or the
-    computing submission, when the result cache keeps the entry).
+    ``version`` is the graph version it was computed at, or patched
+    to; it stays the answer until one of the files of its ``footprint``
+    is written, which ``stamp`` (the store's versions of those files
+    then) detects.  A stale entry is then patched from the delta log
+    (:meth:`patched`) — dropped only past the log's horizon or the
+    patch's work bound.  ``report`` is the report of the run that
+    computed it; a patch keeps it.  The answer is kept as its id-space
+    ``block``; ``rows``, the canonical term-tuple set, is decoded from
+    it the first time a reader needs it (a result hit, a flight's
+    waiter, a batch duplicate — or the computing submission, when the
+    result cache keeps the entry) and carried forward by a patch.
     """
 
     version: int
@@ -178,34 +186,53 @@ class ResultEntry:
             rows = self._rows = answer_rows(self.block)
         return rows
 
+    def patched(
+        self,
+        version: int,
+        stamp: tuple[int, ...],
+        block: ColumnBlock,
+        added: AbstractSet[tuple],
+    ) -> "ResultEntry":
+        """This answer brought forward to *version*: its *block* holds
+        the rows *added* (canonical term tuples) too, and the row set is
+        carried forward, not decoded again."""
+        entry = replace(self, version=version, stamp=stamp, block=block)
+        entry._rows = self.rows | added if added else self.rows
+        return entry
+
 
 class ResultCache(LRUCache[tuple, ResultEntry]):
-    """signature -> answers, invalidated by writes to the files they read."""
+    """signature -> answers, staled by writes to the files they read."""
 
     def __init__(self, maxsize: int | None = 256) -> None:
         super().__init__(maxsize)
         self.stale_drops = 0  # guarded-by: _lock
 
-    def get_current(
+    def lookup(
         self,
         key: tuple,
         stamp_of: Callable[[tuple[FileKey, ...] | None], tuple[int, ...]],
-    ) -> ResultEntry | None:
-        """The cached entry, unless absent or stale: ``stamp_of`` its
-        footprint (the files' versions now) differs from its stamp."""
+    ) -> tuple[ResultEntry | None, bool]:
+        """``(entry, current)``: the cached entry (None when absent) and
+        whether ``stamp_of`` its footprint (the files' versions now)
+        still equals its stamp.  A stale entry counts as a miss and
+        stays cached, for its reader to patch or :meth:`drop`."""
         with self._lock:
             entry = self._data.get(key)
-            if entry is None:
+            if entry is None or stamp_of(entry.footprint) != entry.stamp:
                 self.misses += 1
-                return None
-            if stamp_of(entry.footprint) != entry.stamp:
-                del self._data[key]
-                self.stale_drops += 1
-                self.misses += 1
-                return None
+                return entry, False
             self._data.move_to_end(key)
             self.hits += 1
-            return entry
+            return entry, True
+
+    def drop(self, key: tuple, entry: ResultEntry) -> None:
+        """Count a stale *entry* that is recomputed rather than patched,
+        and drop it if it is still what *key* holds."""
+        with self._lock:
+            if self._data.get(key) is entry:
+                del self._data[key]
+            self.stale_drops += 1
 
 
 @dataclass

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
-from repro.columnar.block import answer_rows
+from repro.columnar.block import ColumnBlock, answer_block, answer_rows
 from repro.core.algorithm import OptimizerResult, cliquesquare, cost_bounded_search
 from repro.core.decomposition import MSC_PLUS
 from repro.core.logical import LogicalPlan, rewrite_patterns
 from repro.cost.model import select_best_plan
 from repro.mapreduce.counters import ExecutionReport
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.obs.trace import SpanRef, TraceSink, activate, record_remote, stage
+from repro.obs.trace import SpanRef, TraceSink, activate, record_remote, span, stage
 from repro.partitioning.layout import read_keys
 from repro.physical.executor import ExecutionResult, PreparedPlan
 from repro.service.cache import (
@@ -42,13 +42,18 @@ from repro.service.cache import (
     TemplateEntry,
 )
 from repro.service.front import _Clocks, _Instance
-from repro.service.stats import QueryTimings, event_counters, stage_histograms
+from repro.service.stats import PATCHES, QueryTimings, event_counters, stage_histograms
 from repro.sparql.ast import BGPQuery
 from repro.sparql.canonical import QueryTemplate
+from repro.sparql.evaluator import bindings, unify
 from repro.systems.base import SystemReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.service import ServiceConfig
+
+#: the most delta work a patch does — seed bindings plus the bindings
+#: they extend to — before it gives up and the answer is recomputed
+PATCH_WORK_BOUND = 4096
 
 
 class ServiceOverloaded(RuntimeError):
@@ -108,6 +113,8 @@ class _Answer:
     plan_hit: bool = True
     template_hit: bool = False
     result_hit: bool = True
+    #: a stale cached answer brought forward by the delta rule
+    patched: bool = False
     optimize_s: float = 0.0
     bind_s: float = 0.0
     execute_s: float = 0.0
@@ -137,8 +144,8 @@ class QueryOutcome:
     coalesced: bool
     cacheable: bool
     timings: QueryTimings
-    #: the graph version the answer was computed at; it stays valid
-    #: until one of the files its scans read is written
+    #: the graph version the answer was computed at, or patched to; it
+    #: stays valid until one of the files its scans read is written
     graph_version: int
     #: the submission bound new constants into a cached template
     #: (optimizer skipped; bound-plan cache missed)
@@ -150,6 +157,10 @@ class QueryOutcome:
     #: id of this submission's trace in ``QueryService.trace_sink``
     #: ("" when tracing was off for the submission)
     trace_id: str = ""
+    #: a stale cached answer was patched by the writes since it was
+    #: cached (no plan consulted, nothing executed; ``report`` is the
+    #: run it was patched from)
+    result_patched: bool = False
 
     @property
     def cardinality(self) -> int:
@@ -170,10 +181,13 @@ class QueryOutcome:
 
     @property
     def provenance(self) -> dict[str, object]:
-        """Where this answer came from, for logging/tooling."""
+        """Where this answer came from, for logging/tooling; a patched
+        answer's ``graph_version`` is the version it was patched to."""
         served_by = (
             "result-cache"
             if self.result_cache_hit
+            else "result-patch"
+            if self.result_patched
             else "plan-cache"
             if self.plan_cache_hit
             else "template"
@@ -235,6 +249,11 @@ class Pipeline:
             registry, "optimize", "bind", "execute", "total"
         )
         self._admission = _Admission(config.max_inflight, self._counts["rejected"])
+        self._patches = registry.counter(
+            PATCHES,
+            "Stale result-cache entries the delta rule brought forward "
+            "instead of a recompute (each also a result miss).",
+        )
         #: bounded retention of completed query traces (tracing config
         #: knob or explain_analyze); export via export_chrome_trace().
         self.trace_sink = TraceSink()
@@ -483,17 +502,22 @@ class Pipeline:
 
     def _resolve(self, inst: _Instance) -> tuple[_Answer, bool]:
         """Answer a bound instance, via caches and single-flight (or,
-        without a key, by computing it outright).  Returns ``(answer,
-        coalesced)``; ``coalesced`` is True for a flight's waiters."""
+        without a key, by computing it outright): a current cached
+        answer is served, a stale one patched, a missing one computed.
+        Returns ``(answer, coalesced)``; ``coalesced`` is True for a
+        flight's waiters."""
         if inst.key is None:
             return self._compute(inst), False
         stamp_of = self.store.file_stamp
         while True:
-            entry = self.result_cache.get_current(inst.key, stamp_of)
-            if entry is not None:
+            entry, current = self.result_cache.lookup(inst.key, stamp_of)
+            if current:
                 return _Answer(entry), False
             answer, reused = self._flights.run(
-                inst.key, lambda: self._compute(inst)
+                inst.key,
+                lambda: (
+                    self._compute(inst) if entry is None else self._patch(inst, entry)
+                ),
             )
             found = answer.entry
             if reused and stamp_of(found.footprint) != found.stamp:
@@ -654,6 +678,68 @@ class Pipeline:
             execute_s=execute.seconds,
         )
 
+    def _patch(self, inst: _Instance, stale: ResultEntry) -> _Answer:
+        """Bring a stale cached answer forward to the current version by
+        the delta rule, or — past the log's horizon or the work bound —
+        drop it and recompute."""
+        with span("patch") as patch:
+            with self._store_lock.read():
+                entry = self._patched(stale, patch)
+        if entry is None:
+            self.result_cache.drop(inst.key, stale)
+            return self._compute(inst)
+        self.result_cache.put(inst.key, entry)
+        return _Answer(entry, plan_hit=False, result_hit=False, patched=True)
+
+    def _patched(self, stale: ResultEntry, patch) -> ResultEntry | None:
+        """*stale* at the current version, or None when it cannot be
+        patched; the caller holds the store's read lock.
+
+        The store is insert-only and an answer is monotone under set
+        semantics, so after the batches Δ logged since ``stale.version``
+        the answer is the old one plus, for each pattern, the bindings
+        that match it to a Δ triple and the other patterns over the live
+        graph (which holds Δ).  A row found twice is one row.
+        """
+        log = self._delta_log
+        if not log or log[0][0] > stale.version + 1:
+            patch.set(recomputed="horizon")
+            return None
+        delta = [t for version, batch in log if version > stale.version for t in batch]
+        patterns = stale.plan.query.patterns
+        attrs = stale.attrs
+        added: set[tuple] = set()
+        work = 0
+        for i, tp in enumerate(patterns):
+            others = patterns[:i] + patterns[i + 1 :]
+            for triple in delta:
+                seed = unify(tp, triple)
+                if seed is None:
+                    continue
+                work += 1
+                for binding in bindings(others, self.graph, seed):
+                    added.add(tuple([binding[a] for a in attrs]))
+                    work += 1
+                    if work > PATCH_WORK_BOUND:
+                        break
+                if work > PATCH_WORK_BOUND:
+                    patch.set(delta=len(delta), recomputed="bound")
+                    return None
+        block = stale.block
+        if added:
+            # Every term of the live graph is numbered: store.add
+            # encoded the new ones as they were written.
+            dictionary = self.store.dictionary
+            block = answer_block(
+                attrs,
+                [block, ColumnBlock.from_rows(attrs, added, dictionary, mint=False)],
+                dictionary,
+            )
+        patch.set(delta=len(delta), added=len(block) - len(stale.block))
+        return stale.patched(
+            self._version, self.store.file_stamp(stale.footprint), block, added
+        )
+
     # -- the tail ------------------------------------------------------------
 
     def _finish(
@@ -728,6 +814,7 @@ class Pipeline:
                 for p, v in zip(inst.template.params, inst.values)
             ),
             trace_id=trace_id,
+            result_patched=answer.patched,
         )
         if entry.report.shard_bytes is not None:
             self._last_wire_bytes = sum(entry.report.shard_bytes)
@@ -743,7 +830,10 @@ class Pipeline:
                 counts["result_hits"].inc()
             else:
                 counts["result_misses"].inc()
-                if coalesced:
+                if answer.patched:
+                    # A patch consulted no plan and ran no stage.
+                    self._patches.inc()
+                elif coalesced:
                     # The submission rode a flight another query started:
                     # it paid for neither optimization nor execution, so
                     # count it as amortized (a hit) and sample no stage.

@@ -28,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 EVENTS = "repro_service_events_total"
 #: the per-stage latency family, by ``stage`` label
 STAGES = "repro_query_stage_seconds"
+#: stale cached answers the delta rule brought forward (no labels)
+PATCHES = "repro_result_patches_total"
 
 
 def event_counters(registry: MetricsRegistry, *events: str) -> dict[str, Counter]:
@@ -144,9 +146,9 @@ class ShardWorkerGauge:
 class StatsSnapshot:
     """Immutable aggregate view of a service's lifetime (:meth:`read`).
 
-    Each counter field but ``graph_version`` and ``templates_cached``
-    reads the ``repro_service_events_total`` child labelled
-    ``event=<field name>``.
+    Each counter field but ``graph_version``, ``templates_cached`` and
+    ``result_patches`` reads the ``repro_service_events_total`` child
+    labelled ``event=<field name>``.
     """
 
     submitted: int
@@ -192,6 +194,9 @@ class StatsSnapshot:
     #: the statement cache answered / that paid for it
     statement_hits: int = 0
     statement_misses: int = 0
+    #: result misses that patched a stale cached answer from the write
+    #: delta log instead of recomputing it (``repro_result_patches_total``)
+    result_patches: int = 0
 
     @property
     def plan_hit_rate(self) -> float:
@@ -223,8 +228,10 @@ class StatsSnapshot:
         all or none, and so is a warning beside its failure count."""
         events = registry.children(EVENTS)
         stages = registry.children(STAGES)
+        patches = registry.children(PATCHES)
         with registry.update_lock:
             counts = {event: int(c.value) for (event,), c in events.items()}
+            counts["result_patches"] = sum(int(c.value) for c in patches.values())
             windows = {stage: h.window() for (stage,), h in stages.items()}
             warned = tuple(warnings)
         return cls(
@@ -254,7 +261,8 @@ class StatsSnapshot:
             f"({self.templates_cached} templates cached, "
             f"{self.optimizer_runs} optimizer runs)",
             f"result cache: {self.result_hits}/{self.result_hits + self.result_misses} hits "
-            f"({100 * self.result_hit_rate:.1f}%)",
+            f"({100 * self.result_hit_rate:.1f}%), "
+            f"{self.result_patches} misses patched",
             f"statements:   {self.statement_hits}/"
             f"{self.statement_hits + self.statement_misses} hits "
             "(parse + canonicalize skipped)",

@@ -63,10 +63,26 @@ def count(query: BGPQuery, graph: RDFGraph) -> int:
     return len(evaluate(query, graph))
 
 
+def unify(tp: TriplePattern, triple: tuple[str, str, str]) -> Binding | None:
+    """The binding under which *tp* matches *triple*, or None: constants
+    must equal, and a variable repeated in *tp* must meet one value."""
+    binding: Binding = {}
+    for term, value in zip((tp.s, tp.p, tp.o), triple):
+        if is_variable(term):
+            if binding.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return binding
+
+
 def bindings(
-    patterns: Iterable[TriplePattern], graph: RDFGraph
+    patterns: Iterable[TriplePattern],
+    graph: RDFGraph,
+    seed: Binding | None = None,
 ) -> Iterable[Binding]:
-    """Yield all total bindings satisfying all *patterns* over *graph*."""
+    """Yield all total bindings satisfying all *patterns* over *graph*
+    that extend *seed* (a partial binding; default: the empty one)."""
     remaining = list(patterns)
 
     def extend(binding: Binding, todo: list[TriplePattern]) -> Iterable[Binding]:
@@ -92,4 +108,4 @@ def bindings(
             if ok:
                 yield from extend(new, rest)
 
-    yield from extend({}, remaining)
+    yield from extend(dict(seed) if seed else {}, remaining)

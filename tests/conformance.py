@@ -34,7 +34,7 @@ import signal
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -577,17 +577,25 @@ def assert_writes_conform(
     service: QueryService,
     queries,
     reference: dict[str, Expected],
+    before: dict[str, Expected],
     where: str = "",
 ) -> None:
     """After a write, answers equal *reference* (``writes_reference``),
     and a query is served from the result cache exactly when none of
-    the files it reads was written: a write invalidates only the
-    answers that read what it wrote."""
+    the files it reads was written, and patched from the write exactly
+    when one was: a write stales only the answers that read what it
+    wrote, and those are brought forward, not recomputed.  A patch runs
+    no plan, so a patched outcome's report is that of the run it
+    patched: the reference *before* the write."""
     outcomes = run_writes(service, queries)
     for query, outcome in zip(queries, outcomes):
         at = f"{where}/writes/{query.name}"
-        assert_conforms(reference[query.name], outcome, at)
+        expected = reference[query.name]
+        if outcome.result_patched:
+            expected = replace(before[query.name], rows=expected.rows)
+        assert_conforms(expected, outcome, at)
         assert outcome.result_cache_hit != reads_writes(query), at
+        assert outcome.result_patched == reads_writes(query), at
 
 
 def shuffled_rows(results) -> Counter:

@@ -13,9 +13,10 @@ plan (see ``tests/conformance.py``).  Every cell also proves the three
 surfaces are one pipeline: on ``conformance.parity_queries``
 (cacheable, one template twice, uncacheable) they leave the same stats
 counters and the same spans (``conformance.assert_one_pipeline``), and
-that a write invalidates exactly the cached answers that read a file
-it wrote (``conformance.assert_writes_conform``, on a twin with the
-result cache on, against the evaluator over the written graph).
+that a write stales exactly the cached answers that read a file it
+wrote, and that those are patched (``conformance.assert_writes_conform``,
+on a twin with the result cache on, against the evaluator over the
+written graph).
 
 What only a bare executor reaches runs at that level: the rpc wire
 formats x concurrency modes (``test_concurrent_rpc_conformance``).
@@ -126,10 +127,10 @@ def parity_reference(graph, parity):
     return reference
 
 
-def check_writes(graph, deployment, queries, written):
+def check_writes(graph, deployment, queries, written, reference):
     """The write pass, on a twin of the cell with its result cache on."""
     with write_twin(graph, deployment) as twin:
-        assert_writes_conform(twin, queries, written, where=deployment)
+        assert_writes_conform(twin, queries, written, reference, where=deployment)
 
 
 def check_one_pipeline(graph, deployment, parity, parity_reference):
@@ -175,7 +176,7 @@ def test_conformance_matrix(
 ):
     """One service per deployment; all three submission surfaces run the
     full workload against the shared reference, a write pass shows a
-    write invalidates exactly the answers that read its files, then the
+    write patches exactly the answers that read its files, then the
     parity workload shows the surfaces are one pipeline."""
     skip_unless_supported(deployment)
     service = make_service(graph, deployment)
@@ -195,7 +196,7 @@ def test_conformance_matrix(
             assert_stateless_workers(service, where=deployment)
     finally:
         service.close()
-    check_writes(graph, deployment, queries, written)
+    check_writes(graph, deployment, queries, written, reference)
     check_one_pipeline(graph, deployment, parity, parity_reference)
 
 

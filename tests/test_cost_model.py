@@ -1,5 +1,11 @@
 """Tests for the §5.4 cost model and cardinality estimator."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.core.algorithm import cliquesquare
@@ -62,6 +68,45 @@ class TestEstimator:
     def test_variable_distinct_capped_by_cardinality(self, est):
         t1 = TriplePattern("?p", "ub:worksFor", "?d")
         assert est.variable_distinct(frozenset((t1,)), "?d") <= est.pattern_cardinality(t1)
+
+
+#: costs every plan the service's search retains for the LUBM 14 over
+#: LUBM(4) (the golden fixture's ``lubm`` corpus) and prints the reprs
+COST_EVERY_PLAN = textwrap.dedent(
+    """
+    from repro.core.algorithm import cost_bounded_search
+    from repro.core.decomposition import MSC
+    from repro.cost.cardinality import CardinalityEstimator, CatalogStatistics
+    from repro.cost.model import PlanCoster
+    from repro.workloads import lubm, lubm_queries
+
+    graph = lubm.generate(lubm.LUBMConfig(universities=4))
+    coster = PlanCoster(CardinalityEstimator(CatalogStatistics.from_graph(graph)))
+    for query in lubm_queries.all_queries():
+        search = cost_bounded_search(query, coster, MSC, max_plans=None, timeout_s=None)
+        print(query.name, [coster.cost(plan) for plan in search.unique_plans()])
+    """
+)
+
+
+def test_costs_do_not_depend_on_the_hash_seed():
+    """Two processes cost one plan to the same last bit: a pattern
+    set's cardinality must not follow its frozenset iteration order,
+    which string-hash randomization reorders between processes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", COST_EVERY_PLAN],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    outputs = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outputs[0].count("\n") == 14
+    assert outputs[0] == outputs[1]
 
 
 class TestPlanCoster:

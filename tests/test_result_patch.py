@@ -1,0 +1,208 @@
+"""Writes patch cached answers: the delta rule against recomputation.
+
+The store is insert-only and a BGP answer is monotone under set
+semantics, so a cached answer a write staled is brought forward at its
+next read from the triples written since (``QueryService._patch``).
+These tests hold a patched answer to the evaluator over the written
+graph and to a fresh service, on random write histories, and force the
+two ways a patch gives up: the delta log no longer reaches back to the
+entry's version, or the delta work passes its bound.  Either way the
+answer is recomputed, as a drop.
+"""
+
+from __future__ import annotations
+
+import threading
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.rdf.graph import RDFGraph
+from repro.rdf.terms import RDF_TYPE
+from repro.service import QueryService, ServiceConfig
+from repro.service.admin import DELTA_LOG_BATCHES
+from repro.service.pipeline import PATCH_WORK_BOUND
+from repro.sparql.evaluator import evaluate
+from repro.sparql.parser import parse_query
+
+NODES = tuple(f"<n{i}>" for i in range(4))
+#: terms the store has never numbered until a write brings them
+NEW_TERMS = ("<new0>", "<new1>")
+CLASSES = ("ub:C1", "ub:C2", "ub:C3")
+BASE = (
+    ("<n0>", "ub:p1", "<n1>"),
+    ("<n1>", "ub:p2", "<n2>"),
+    ("<n2>", "ub:p1", "<n3>"),
+    ("<n3>", "ub:p1", "<n3>"),
+    ("<n1>", RDF_TYPE, "ub:C1"),
+    ("<n2>", RDF_TYPE, "ub:C2"),
+    ("<n3>", "ub:p3", "<n2>"),
+)
+#: query text -> the file keys it reads (None: every file)
+QUERIES = {
+    # a chain
+    "SELECT ?x ?z WHERE { ?x ub:p1 ?y . ?y ub:p2 ?z }": {
+        ("ub:p1", None), ("ub:p2", None),
+    },
+    # a variable repeated inside one pattern, and across a cycle
+    "SELECT ?x WHERE { ?x ub:p1 ?x }": {("ub:p1", None)},
+    "SELECT ?x ?y WHERE { ?x ub:p1 ?y . ?y ub:p3 ?x }": {
+        ("ub:p1", None), ("ub:p3", None),
+    },
+    # rdf:type with a bound class, and without
+    "SELECT ?x WHERE { ?x rdf:type ub:C1 . ?x ub:p2 ?y }": {
+        (RDF_TYPE, "ub:C1"), ("ub:p2", None),
+    },
+    "SELECT ?x ?c WHERE { ?x rdf:type ?c . ?x ub:p1 ?y }": {
+        (RDF_TYPE, None), ("ub:p1", None),
+    },
+    # a variable property reads every file
+    "SELECT ?x ?p WHERE { ?x ?p ?y . ?y rdf:type ub:C2 }": None,
+    "SELECT ?y WHERE { <n0> ub:p1 ?y }": {("ub:p1", None)},
+}
+
+terms = st.sampled_from(NODES + NEW_TERMS)
+triples = st.one_of(
+    st.tuples(terms, st.sampled_from(("ub:p1", "ub:p2", "ub:p3", "ub:p9")), terms),
+    st.tuples(terms, st.just(RDF_TYPE), st.sampled_from(CLASSES)),
+    st.sampled_from(BASE),  # a duplicate: no file moves
+)
+#: a write history: batches, each possibly empty, holding duplicates of
+#: stored triples or of each other
+histories = st.lists(st.lists(triples, max_size=4), min_size=1, max_size=4)
+
+
+def written_keys(added) -> set:
+    """The file keys the genuinely new triples *added* are written under."""
+    keys = {(p, None) for _, p, _ in added}
+    return keys | {(p, o) for _, p, o in added if p == RDF_TYPE}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(history=histories)
+def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
+    """After every write every cached query is read again, on an
+    unsharded service and on two in-process shards: its answer equals
+    the evaluator's over the written graph and a fresh service's, and
+    it is patched exactly when the write touched a file it reads (and
+    otherwise a result-cache hit)."""
+    mirror = RDFGraph(BASE)
+    queries = {text: parse_query(text) for text in QUERIES}
+    services = [
+        QueryService(RDFGraph(BASE), ServiceConfig(shards=shards))
+        for shards in (0, 2)
+    ]
+    try:
+        for service in services:
+            for query in queries.values():
+                service.submit(query)
+        for batch in history:
+            added = [t for t in dict.fromkeys(batch) if mirror.add(*t)]
+            for service in services:
+                assert service.add_triples(batch) == len(added)
+            written = written_keys(added)
+            with QueryService(
+                RDFGraph(mirror), ServiceConfig(result_cache_size=0)
+            ) as fresh:
+                for text, query in queries.items():
+                    keys = QUERIES[text]
+                    touched = bool(written) and (keys is None or bool(keys & written))
+                    expected = evaluate(query, mirror)
+                    assert fresh.submit(query).rows == expected, text
+                    for service in services:
+                        outcome = service.submit(query)
+                        at = f"shards={service.config.shards}: {text}"
+                        assert outcome.rows == expected, at
+                        assert outcome.result_patched == touched, at
+                        assert outcome.result_cache_hit != touched, at
+                        if touched:
+                            assert outcome.graph_version == service.graph_version
+        for service in services:
+            stats = service.snapshot_stats()
+            assert service.result_cache.stale_drops == 0
+            assert stats.result_misses == len(QUERIES) + stats.result_patches
+    finally:
+        for service in services:
+            service.close()
+
+
+CHAIN = parse_query("SELECT ?x ?z WHERE { ?x ub:p1 ?y . ?y ub:p2 ?z }")
+OWN = parse_query("SELECT ?y WHERE { <n0> ub:p1 ?y }")
+
+
+def assert_recomputed(service: QueryService, query, drops: int) -> None:
+    """*query*'s next read recomputes its answer instead of patching it,
+    counting the stale entry as the *drops*-th drop; the recomputed
+    answer is cached again at the current version."""
+    outcome = service.submit(query)
+    assert not outcome.result_patched and not outcome.result_cache_hit
+    assert outcome.provenance["served_by"] == "plan-cache"
+    assert outcome.rows == evaluate(query, service.graph)
+    assert service.result_cache.stale_drops == drops
+    (patch,) = service.trace(outcome).find("patch")
+    assert patch.attrs["recomputed"] in ("horizon", "bound")
+    again = service.submit(query)
+    assert again.result_cache_hit and again.rows == outcome.rows
+
+
+def test_an_entry_older_than_the_log_is_recomputed():
+    """The delta log holds the last DELTA_LOG_BATCHES writes: an entry
+    that many batches behind is still patched, one more is not."""
+    with QueryService(RDFGraph(BASE), ServiceConfig(tracing=True)) as svc:
+        svc.submit(CHAIN)
+        svc.submit(OWN)
+        for i in range(DELTA_LOG_BATCHES):
+            assert svc.add_triples([(f"<h{i}>", "ub:p1", "<n1>")]) == 1
+        at_horizon = svc.submit(CHAIN)
+        assert at_horizon.result_patched
+        assert at_horizon.rows == evaluate(CHAIN, svc.graph)
+        assert ("<h0>", "<n2>") in at_horizon.rows
+        (patch,) = svc.trace(at_horizon).find("patch")
+        assert patch.attrs == {"delta": DELTA_LOG_BATCHES, "added": DELTA_LOG_BATCHES}
+        assert svc.add_triples([("<n0>", "ub:p1", "<n2>")]) == 1
+        assert_recomputed(svc, OWN, drops=1)
+        assert svc.snapshot_stats().result_patches == 1
+
+
+def test_delta_work_past_the_bound_is_recomputed():
+    """A write whose seeds alone pass PATCH_WORK_BOUND is recomputed;
+    one within it is patched."""
+    with QueryService(RDFGraph(BASE), ServiceConfig(tracing=True)) as svc:
+        svc.submit(CHAIN)
+        svc.submit(OWN)
+        assert svc.add_triples([("<n0>", "ub:p1", "<w>")]) == 1
+        patched = svc.submit(OWN)
+        assert patched.result_patched
+        assert patched.rows == {("<n1>",), ("<w>",)}
+        big = [(f"<b{i}>", "ub:p1", "<n1>") for i in range(PATCH_WORK_BOUND + 1)]
+        assert svc.add_triples(big) == len(big)
+        assert_recomputed(svc, CHAIN, drops=1)
+        assert svc.snapshot_stats().result_patches == 1
+
+
+def test_concurrent_readers_of_a_stale_entry_share_its_patch():
+    """Readers racing to a stale entry go through its single-flight key:
+    each gets the patched answer (led, waited for, or a hit on what the
+    leader cached), and nothing is dropped."""
+    with QueryService(RDFGraph(BASE)) as svc:
+        svc.submit(CHAIN)
+        assert svc.add_triples([("<c>", "ub:p1", "<n1>")]) == 1
+        barrier = threading.Barrier(4)
+        outcomes = []
+
+        def read() -> None:
+            barrier.wait()
+            outcomes.append(svc.submit(CHAIN))
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        expected = evaluate(CHAIN, svc.graph)
+        assert ("<c>", "<n2>") in expected
+        assert len(outcomes) == 4
+        for outcome in outcomes:
+            assert outcome.rows == expected
+            assert outcome.result_patched != outcome.result_cache_hit
+        assert svc.result_cache.stale_drops == 0

@@ -130,8 +130,14 @@ class TestResultCache:
             after = svc.submit(q)
             assert not after.result_cache_hit
             assert after.rows == before.rows | {("<NewProf>",)}
-            # Plans survive mutation (still correct, possibly re-costed).
-            assert after.plan_cache_hit
+            # The stale answer was patched: no plan consulted, so check
+            # that plans survive mutation (still correct, possibly
+            # re-costed) in the cache itself.
+            assert after.result_patched
+            assert after.provenance["served_by"] == "result-patch"
+            assert after.graph_version == svc.graph_version
+            assert len(svc.plan_cache) == 1
+            assert svc.snapshot_stats().optimizer_runs == 1
 
     def test_unrelated_write_keeps_the_hit(self):
         graph = lubm.generate(lubm.LUBMConfig(universities=4))
@@ -161,12 +167,16 @@ class TestResultCache:
             svc.submit(classes)
             svc.add_triples([("<NewGrad>", "rdf:type", "ub:GraduateStudent")])
             kept = svc.submit(professors)
-            dropped = svc.submit(classes)
-            assert kept.result_cache_hit and not dropped.result_cache_hit
+            patched = svc.submit(classes)
+            assert kept.result_cache_hit and not patched.result_cache_hit
+            assert not kept.result_patched and patched.result_patched
             assert kept.rows == evaluate(professors, graph)
-            assert dropped.rows == evaluate(classes, graph)
-            assert svc.result_cache.stale_drops == 1
-            assert "repro_result_cache_stale_drops 1" in svc.render_prometheus()
+            assert patched.rows == evaluate(classes, graph)
+            assert svc.result_cache.stale_drops == 0
+            assert svc.snapshot_stats().result_patches == 1
+            exposition = svc.render_prometheus()
+            assert "repro_result_cache_stale_drops 0" in exposition
+            assert "repro_result_patches_total 1" in exposition
 
     def test_variable_property_query_is_dropped_by_any_write(self):
         graph = lubm.generate(lubm.LUBMConfig(universities=4))
@@ -459,7 +469,9 @@ class TestLifecycleAndFailure:
             )
         # The valid prefix was applied, so the version must have moved on.
         assert svc.graph_version == 1
-        assert not svc.submit(q).result_cache_hit
+        after = svc.submit(q)
+        assert not after.result_cache_hit
+        assert after.rows == evaluate(q, svc.graph)
         svc.close()
 
     def test_closed_service_rejects_work(self, graph):

@@ -1,7 +1,8 @@
 """Unit tests for the reference evaluator (repro.sparql.evaluator)."""
 
 from repro.rdf.graph import RDFGraph
-from repro.sparql.evaluator import count, evaluate
+from repro.sparql.ast import TriplePattern
+from repro.sparql.evaluator import bindings, count, evaluate, unify
 from repro.sparql.parser import parse_query
 
 
@@ -70,3 +71,28 @@ class TestEvaluate:
     def test_distinguished_order_respected(self):
         q = parse_query("SELECT ?s ?p WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d }")
         assert ("<s1>", "<p1>") in evaluate(q, g())
+
+
+class TestSeededBindings:
+    def test_unify_binds_variables_and_checks_constants(self):
+        tp = TriplePattern("?p", "ub:worksFor", "?d")
+        assert unify(tp, ("<p1>", "ub:worksFor", "<d1>")) == {"?p": "<p1>", "?d": "<d1>"}
+        assert unify(tp, ("<s1>", "ub:memberOf", "<d1>")) is None
+
+    def test_unify_meets_a_repeated_variable_once(self):
+        tp = TriplePattern("?x", "ub:knows", "?x")
+        assert unify(tp, ("<p1>", "ub:knows", "<p1>")) == {"?x": "<p1>"}
+        assert unify(tp, ("<p1>", "ub:knows", "<p2>")) is None
+
+    def test_a_seed_restricts_the_bindings_to_its_extensions(self):
+        q = parse_query("SELECT ?p ?s WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d }")
+        seeded = list(bindings(q.patterns, g(), {"?s": "<s1>"}))
+        assert {(b["?p"], b["?s"], b["?d"]) for b in seeded} == {
+            ("<p1>", "<s1>", "<d1>"),
+            ("<p2>", "<s1>", "<d1>"),
+        }
+
+    def test_no_seed_is_evaluate(self):
+        q = parse_query("SELECT ?p ?s WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d }")
+        unseeded = {(b["?p"], b["?s"]) for b in bindings(q.patterns, g())}
+        assert unseeded == evaluate(q, g())
