@@ -7,7 +7,7 @@ size, stars for clique count) respect the bounds.
 
 from repro.bench.harness import format_table
 from repro.core.complexity import DECOMPOSITION_BOUNDS, decomposition_bound
-from repro.core.decomposition import ALL_OPTIONS, decompositions
+from repro.core.decomposition import ALL_OPTIONS, CliquePool, graph_structure
 from repro.core.variable_graph import VariableGraph
 from repro.workloads.synthetic import chain_query, star_query
 
@@ -51,9 +51,10 @@ def measured_vs_bound():
     rows = []
     for n in (2, 3, 4, 5, 6):
         for make, shape in ((chain_query, "chain"), (star_query, "star")):
-            graph = VariableGraph.from_query(make(n))
+            structure = graph_structure(VariableGraph.from_query(make(n)))
             for option in ALL_OPTIONS:
-                measured = sum(1 for _ in decompositions(graph, option))
+                # each cover is exactly one decomposition: count, do not list
+                measured = sum(1 for _ in CliquePool.of(structure, option).covers())
                 rows.append(
                     (shape, n, option.name, measured,
                      decomposition_bound(option.name, n))

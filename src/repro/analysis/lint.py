@@ -29,6 +29,14 @@ that review alone enforced.  This linter turns them into checked facts:
     ``tests/test_rpc_frames.py`` — an unknown or unhandled frame is a
     lint error, not a runtime surprise.
 
+``REACH001`` *census* — when a directory holding a top-level package
+    is linted (``src/``), every module of the package must be reached by
+    imports from an entry point: the package's exports (its
+    ``__init__``), a ``python -m`` target (``__main__.py`` or a
+    ``__main__`` guard), or a file under the sibling ``benchmarks/``.
+    A module reached from nothing else than tests fails, unless
+    :data:`TEST_ORACLES` names it with the reason it stays.
+
 ``LINT000`` — a suppression without a justification.  Findings are
     suppressed line-by-line with ``# lint: disable=RULE — why``; the
     justification is mandatory and the linter errors on bare disables.
@@ -44,7 +52,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-RULES = ("LOCK001", "LOCK002", "SPEC001", "FRAME001", "LINT000")
+RULES = ("LOCK001", "LOCK002", "SPEC001", "FRAME001", "REACH001", "LINT000")
+
+#: Modules no entry point reaches that stay as the oracle of a check,
+#: each with its reason (REACH001).
+TEST_ORACLES = (
+    (
+        "repro.core.plan_builder",
+        "CREATEQUERYPLANS over VariableGraph reductions, the oracle the "
+        "mask search is checked against (tests/test_algorithm.py)",
+    ),
+)
 
 _GUARD_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
 _SUPPRESS_RE = re.compile(
@@ -558,6 +576,82 @@ def _check_frames(path: str, tree: ast.Module) -> list[Finding]:
     return findings
 
 
+# -- REACH001 --------------------------------------------------------------
+
+
+def _imports(tree: ast.Module, package: str) -> set[str]:
+    """Names *tree* imports anywhere (lazy imports too): each module,
+    and each ``from`` target, which may be a submodule; *package*
+    resolves relative imports."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parts = parts[: len(parts) - node.level + 1]
+                base = ".".join(parts + [base] if base else parts)
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def _main_guarded(tree: ast.Module) -> bool:
+    return any(
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name)
+        and node.test.left.id == "__name__"
+        for node in tree.body
+    )
+
+
+def _census(package_dir: Path) -> list[Finding]:
+    src = package_dir.parent
+    files: dict[str, Path] = {}
+    for f in sorted(package_dir.rglob("*.py")):
+        parts = f.relative_to(src).with_suffix("").parts
+        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = f
+    edges: dict[str, set[str]] = {}
+    roots = {package_dir.name}
+    for module, f in files.items():
+        try:
+            tree = ast.parse(f.read_text())
+        except SyntaxError:  # LINT000 reports it
+            continue
+        package = module if f.name == "__init__.py" else module.rpartition(".")[0]
+        edges[module] = _imports(tree, package)
+        if f.name == "__main__.py" or _main_guarded(tree):
+            roots.add(module)
+    benchmarks = src.parent / "benchmarks"
+    for f in sorted(benchmarks.rglob("*.py")) if benchmarks.is_dir() else ():
+        roots |= _imports(ast.parse(f.read_text()), "benchmarks")
+    reached: set[str] = set()
+    stack = list(roots)
+    while stack:
+        name = stack.pop()
+        if name in reached or name not in edges:
+            continue
+        reached.add(name)
+        stack.extend(edges[name])
+        stack.append(name.rpartition(".")[0])  # a package runs its __init__
+    oracles = {module for module, _ in TEST_ORACLES}
+    return [
+        Finding(
+            str(f),
+            1,
+            "REACH001",
+            f"module {module} is reached from no entry point (the package's "
+            "exports, benchmarks/, python -m targets): delete it, or name it "
+            "in TEST_ORACLES with the check it is the oracle of",
+        )
+        for module, f in files.items()
+        if module not in reached and module not in oracles
+    ]
+
+
 # -- driver ----------------------------------------------------------------
 
 
@@ -604,14 +698,20 @@ def lint_file(path: Path) -> list[Finding]:
 
 
 def lint_paths(paths: list[Path]) -> list[Finding]:
-    """Lint every ``*.py`` under the given files/directories."""
+    """Lint every ``*.py`` under the given files/directories, and take
+    the census (REACH001) of each top-level package directly under a
+    given directory."""
     files: list[Path] = []
+    packages: list[Path] = []
     for path in paths:
         if path.is_dir():
             files.extend(sorted(path.rglob("*.py")))
+            packages.extend(sorted(p.parent for p in path.glob("*/__init__.py")))
         else:
             files.append(path)
     findings: list[Finding] = []
     for f in files:
         findings.extend(lint_file(f))
+    for package in packages:
+        findings.extend(_census(package))
     return findings

@@ -6,24 +6,25 @@ one node; each completed reduction sequence yields one logical plan
 (CREATEQUERYPLANS).  The raw plan list may contain duplicates — different
 sequences can converge to the same plan (Fig. 19 measures this).
 
-A reduction state is two tuples of ints, over the query's patterns and
-its variables, both numbered once per search: per node, the mask of its
-patterns and the mask of its variables (all of them: once simple covers
-put a pattern in two nodes, a variable of that pattern alone labels an
-edge).  Beside them the state carries each node's operator
-(CREATEQUERYPLANS applied as the search descends), so a leaf only wraps
-its single remaining operator.
+A reduction state is a tuple of ints over the query's variables,
+numbered once per search: per node, the mask of its variables (all of
+them: once simple covers put a pattern in two nodes, a variable of that
+pattern alone labels an edge).  Beside it the state carries each node's
+operator (CREATEQUERYPLANS applied as the search descends: the operator
+knows its patterns), so a leaf only wraps its single remaining
+operator.
 
-A reduction ORs the members' masks; the structure key (node count plus
-each variable's node mask, ``decomposition.structure_key``) is read off
-the variable masks; the Def. 3.3 check of a decomposition is ANDs and
-ORs over node masks.  What the unchanged cover code needs is
-materialized only when a structure is met for the first time: a
-:class:`VariableGraph` built from the pattern masks, then its
-decompositions (minimum options, kept as masks) or its candidate-clique
-pool (the others, whose covers stay lazy).  Within one search a join is
-built, and costed, once per tuple of input operators; the search's cost
-memo (``OptimizerResult.costs``) then serves the selection.
+The variable graph itself is never built.  A variable's maximal clique
+(Def. 3.2) is the mask of the nodes holding it: the structure key (node
+count plus those masks, ``decomposition.structure_key``) is read off
+the variable masks, and the candidate cliques and their covers come
+from it (``decomposition.CliquePool``), each clique its ascending
+members and its node mask.  A reduction ORs the members' masks; the
+Def. 3.3 check of a decomposition is ANDs and ORs over node masks.
+Minimum options keep each structure's decompositions, the others its
+pool (their covers stay lazy).  Within one search a join is built, and
+costed, once per tuple of input operators; the search's cost memo
+(``OptimizerResult.costs``) then serves the selection.
 
 Two entry points share that one recursion:
 
@@ -35,7 +36,8 @@ Two entry points share that one recursion:
 
 Both are bounded by an optional plan cap and wall-clock timeout,
 mirroring the paper's 100 s experimental timeout for the explosive SC/XC
-variants.
+variants.  A search whose deadline passes before its first plan returns
+none, ``truncated``; ``Pipeline.optimize`` then falls back to MSC+.
 """
 
 from __future__ import annotations
@@ -48,22 +50,17 @@ from typing import TYPE_CHECKING, Iterable
 from repro.core.covers import EnumerationBudget
 from repro.core.decomposition import (
     MSC,
+    CliqueMask,
     CliquePool,
     DecompositionOption,
-    decompositions,
+    Structure,
     structure_key,
 )
 from repro.core.logical import LogicalOperator, LogicalPlan, Match, make_join
-from repro.core.variable_graph import Clique, Decomposition, VariableGraph
-from repro.sparql.ast import BGPQuery, TriplePattern
+from repro.sparql.ast import BGPQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (cost imports core)
     from repro.cost.model import PlanCoster
-
-#: A search that runs out of ``timeout_s`` should still return a plan:
-#: until the first one completes, the deadline is at least this far from
-#: the start (the first plan of a query of <= 10 patterns takes < 0.1 s).
-FIRST_PLAN_GRACE_S = 0.5
 
 #: Relative slack of the bound test: the per-state lower bound and the
 #: leaf cost add the same terms in different orders.
@@ -148,66 +145,39 @@ def cost_bounded_search(
     return _search(query, option, max_plans, timeout_s, coster)
 
 
-#: A decomposition as the search applies it: per clique, its members
-#: (ascending node indices) and their node mask; then whether some node
-#: is both carried (a singleton clique) and joined.  Only then can a
-#: later reduction rebuild a join that already exists: ``make_join``
-#: merges such structural twins, dropping an operator the bound has
-#: already charged (non-minimum simple covers do this).
-Step = tuple[tuple[tuple[tuple[int, ...], int], ...], bool]
-
-#: clique -> (members, node mask), per graph structure
-CliqueMasks = dict[Clique, tuple[tuple[int, ...], int]]
+#: A decomposition as the search applies it: its cliques (a pool's
+#: entries), then whether some node is both carried (a singleton clique)
+#: and joined.  Only then can a later reduction rebuild a join that
+#: already exists: ``make_join`` merges such structural twins, dropping
+#: an operator the bound has already charged (non-minimum simple covers
+#: do this).
+Step = tuple[tuple[CliqueMask, ...], bool]
 
 
-def _step(
-    decomposition: Decomposition, node_variables: tuple[int, ...], cliques: CliqueMasks
-) -> Step:
-    """*decomposition* of a graph with per-node variable masks
-    *node_variables* as masks, checked against Def. 3.3: fewer cliques
-    than nodes, a variable shared by every member of a clique, every
-    node covered."""
+def _step(cover: tuple[CliqueMask, ...], node_variables: tuple[int, ...]) -> Step:
+    """*cover* of a graph with per-node variable masks *node_variables*,
+    checked against Def. 3.3: fewer cliques than nodes, a variable
+    shared by every member of a clique, every node covered."""
     n = len(node_variables)
-    if not 0 < len(decomposition) < n:
-        raise ValueError(
-            f"decomposition size {len(decomposition)} must be in 1..{n - 1}"
-        )
-    out: list[tuple[tuple[int, ...], int]] = []
+    if not 0 < len(cover) < n:
+        raise ValueError(f"decomposition size {len(cover)} must be in 1..{n - 1}")
     covered = carried = joined = 0
-    for clique in decomposition:
-        masks = cliques.get(clique)
-        if masks is None:
-            members = tuple(sorted(clique))
-            mask, shared = 0, -1
+    for members, mask in cover:
+        if len(members) > 1:
+            shared = -1
             for i in members:
-                mask |= 1 << i
                 shared &= node_variables[i]
-            if len(members) > 1 and not shared:
+            if not shared:
                 raise ValueError(
                     f"nodes {list(members)} share no variable: not a clique"
                 )
-            masks = cliques[clique] = (members, mask)
-        if len(masks[0]) > 1:
-            joined |= masks[1]
+            joined |= mask
         else:
-            carried |= masks[1]
-        covered |= masks[1]
-        out.append(masks)
+            carried |= mask
+        covered |= mask
     if covered != (1 << n) - 1:
         raise ValueError("decomposition does not cover every node")
-    return tuple(out), bool(carried & joined)
-
-
-def _graph(
-    patterns: tuple[TriplePattern, ...], node_patterns: tuple[int, ...]
-) -> VariableGraph:
-    """The variable graph whose nodes hold the patterns of *node_patterns*."""
-    return VariableGraph(
-        nodes=tuple(
-            frozenset(tp for j, tp in enumerate(patterns) if mask >> j & 1)
-            for mask in node_patterns
-        )
-    )
+    return cover, bool(carried & joined)
 
 
 def _search(
@@ -223,10 +193,7 @@ def _search(
             "cartesian products first (§2)"
         )
     start = time.monotonic()
-    deadline = first_deadline = None
-    if timeout_s:
-        deadline = start + timeout_s
-        first_deadline = start + max(timeout_s, FIRST_PLAN_GRACE_S)
+    deadline = start + timeout_s if timeout_s else None
     result = OptimizerResult(query=query, option=option)
     memo = result.costs
     #: height -> cheapest completed plan of that height
@@ -234,17 +201,14 @@ def _search(
     patterns = query.patterns
     bits = {v: 1 << k for k, v in enumerate(query.variables())}
     #: structure key by per-node variable masks
-    keys: dict[tuple[int, ...], tuple[int, frozenset[int]]] = {}
+    keys: dict[tuple[int, ...], Structure] = {}
     #: by graph structure, which fixes the candidate cliques and so the
     #: covers; reductions reach one structure many times.  Minimum
     #: options keep the decompositions themselves; the others (SC's
-    #: spaces run to millions, so they stay lazy) keep a graph of the
-    #: structure and its candidate-clique pool, and enumerate the covers
-    #: afresh.
-    shapes: dict[tuple[int, frozenset[int]], list[Step]] = {}
-    pools: dict[
-        tuple[int, frozenset[int]], tuple[VariableGraph, CliquePool, CliqueMasks]
-    ] = {}
+    #: spaces run to millions, so they stay lazy) keep the structure's
+    #: clique pool, and enumerate the covers afresh.
+    shapes: dict[Structure, list[Step]] = {}
+    pools: dict[Structure, CliquePool] = {}
     #: the joins of this search by the ids of their inputs: inputs (kept
     #: alive, so the ids stay theirs), join, the join's cost
     joins: dict[
@@ -254,7 +218,7 @@ def _search(
     def time_left() -> float | None:
         if deadline is None:
             return None
-        return (deadline if result.plans else first_deadline) - time.monotonic()
+        return deadline - time.monotonic()
 
     def out_of_budget() -> bool:
         if max_plans is not None and len(result.plans) >= max_plans:
@@ -267,9 +231,7 @@ def _search(
         return False
 
     def steps(
-        node_patterns: tuple[int, ...],
-        node_variables: tuple[int, ...],
-        budget: EnumerationBudget | None,
+        node_variables: tuple[int, ...], budget: EnumerationBudget | None
     ) -> Iterable[Step]:
         key = keys.get(node_variables)
         if key is None:
@@ -277,27 +239,23 @@ def _search(
         if option.minimum:
             known = shapes.get(key)
             if known is None:
-                graph = _graph(patterns, node_patterns)
-                cliques: CliqueMasks = {}
+                pool = CliquePool.of(key, option)
                 known = [
-                    _step(d, node_variables, cliques)
-                    for d in decompositions(graph, option, budget)
+                    _step(pool.cliques(cover), node_variables)
+                    for cover in pool.covers(budget)
                 ]
                 if budget is None or not budget.truncated:
                     shapes[key] = known
             return known
-        entry = pools.get(key)
-        if entry is None:
-            graph = _graph(patterns, node_patterns)
-            entry = pools[key] = (graph, CliquePool.of(graph, option.maximal_only), {})
-        graph, pool, cliques = entry
+        pool = pools.get(key)
+        if pool is None:
+            pool = pools[key] = CliquePool.of(key, option)
         return (
-            _step(d, node_variables, cliques)
-            for d in decompositions(graph, option, budget, pool)
+            _step(pool.cliques(cover), node_variables)
+            for cover in pool.covers(budget)
         )
 
     def recurse(
-        node_patterns: tuple[int, ...],
         node_variables: tuple[int, ...],
         ops: tuple[LogicalOperator, ...],
         lower: float,
@@ -317,26 +275,22 @@ def _search(
         budget = None
         if left is not None:  # (a timeout of 0 would mean "no deadline")
             budget = EnumerationBudget(timeout_s=max(left, 1e-9))
-        for cliques, twins in steps(node_patterns, node_variables, budget):
+        for cliques, twins in steps(node_variables, budget):
             if out_of_budget():
                 return
-            child_patterns: list[int] = []
             child_variables: list[int] = []
             child_ops: list[LogicalOperator] = []
             child_lower = -inf if twins else lower
             for members, _ in cliques:
                 if len(members) == 1:
                     (i,) = members
-                    child_patterns.append(node_patterns[i])
                     child_variables.append(node_variables[i])
                     child_ops.append(ops[i])
                     continue
-                merged_patterns = merged_variables = 0
+                merged = 0
                 for i in members:
-                    merged_patterns |= node_patterns[i]
-                    merged_variables |= node_variables[i]
-                child_patterns.append(merged_patterns)
-                child_variables.append(merged_variables)
+                    merged |= node_variables[i]
+                child_variables.append(merged)
                 inputs = [ops[i] for i in members]
                 key = tuple(map(id, inputs))
                 join = joins.get(key)
@@ -356,12 +310,7 @@ def _search(
                 ):
                     result.pruned += 1
                     continue
-            recurse(
-                tuple(child_patterns),
-                tuple(child_variables),
-                tuple(child_ops),
-                child_lower,
-            )
+            recurse(tuple(child_variables), tuple(child_ops), child_lower)
         if budget is not None and budget.truncated:
             result.truncated = True
 
@@ -371,12 +320,7 @@ def _search(
         lower = sum(coster.operator_cost(op, memo).total for op in ops)
         if len(set(patterns)) < len(ops):
             lower = -inf  # repeated patterns are structural twins from the start
-    recurse(
-        tuple(1 << i for i in range(len(patterns))),
-        tuple(sum(bits[v] for v in tp.variables()) for tp in patterns),
-        ops,
-        lower,
-    )
+    recurse(tuple(sum(bits[v] for v in tp.variables()) for tp in patterns), ops, lower)
     out_of_budget()  # final truncation check
     result.elapsed_s = time.monotonic() - start
     return result

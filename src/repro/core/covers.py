@@ -20,7 +20,7 @@ Universe elements are node indices ``0..n-1``; candidate sets are bitmasks.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 class EnumerationBudget:
@@ -54,19 +54,6 @@ class EnumerationBudget:
             self.truncated = True
             return True
         return False
-
-
-def masks_of(universe_size: int, sets: Sequence[Iterable[int]]) -> list[int]:
-    """Convert element-sets to bitmasks over ``0..universe_size-1``."""
-    masks = []
-    for s in sets:
-        mask = 0
-        for e in s:
-            if not 0 <= e < universe_size:
-                raise ValueError(f"element {e} outside universe 0..{universe_size - 1}")
-            mask |= 1 << e
-        masks.append(mask)
-    return masks
 
 
 def _full(universe_size: int) -> int:

@@ -7,24 +7,30 @@ A decomposition option is determined by three choices:
 * retained covers — minimum-size only (``M`` prefix) or all.
 
 This yields MXC+, XC+, MSC+, SC+, MXC, XC, MSC, SC.  Each option turns a
-variable graph into a set of decompositions; the CliqueSquare algorithm
-recurses over them.
+graph structure — its node count and its maximal cliques as node masks,
+:func:`structure_key` — into a pool of candidate cliques, and the pool
+into decompositions; the CliqueSquare algorithm recurses over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.core.cliques import clique_members
 from repro.core.covers import (
     EnumerationBudget,
     iter_exact_covers,
     iter_simple_covers,
-    masks_of,
     minimum_covers,
 )
-from repro.core.variable_graph import Clique, Decomposition, VariableGraph
+from repro.core.variable_graph import Decomposition, VariableGraph
+
+#: A graph structure: its node count and its maximal cliques as node masks.
+Structure = tuple[int, frozenset[int]]
+
+#: A clique as a decomposition applies it: its ascending members (node
+#: indices) and their node mask.
+CliqueMask = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -91,14 +97,14 @@ OPTIONS_BY_NAME: dict[str, DecompositionOption] = {o.name: o for o in ALL_OPTION
 VIABLE_OPTIONS: tuple[DecompositionOption, ...] = (MSC_PLUS, SC_PLUS, MXC, MSC)
 
 
-def structure_key(node_variables: Sequence[int]) -> tuple[int, frozenset[int]]:
+def structure_key(node_variables: Sequence[int]) -> Structure:
     """The node count and the maximal cliques as node masks: what fixes a
     graph's candidate cliques, hence its decompositions under any
     option.  Reductions reach one structure many times over.
 
     *node_variables* holds one bitmask of variables per node (any fixed
     numbering of the variables); a variable on two nodes or more
-    contributes the mask of its nodes.
+    contributes the mask of its nodes, its maximal clique (Def. 3.2).
     """
     nodes: dict[int, int] = {}
     for i, variables in enumerate(node_variables):
@@ -110,70 +116,97 @@ def structure_key(node_variables: Sequence[int]) -> tuple[int, frozenset[int]]:
     return len(node_variables), frozenset(m for m in nodes.values() if m & (m - 1))
 
 
+def graph_structure(graph: VariableGraph) -> Structure:
+    """:func:`structure_key` of a variable graph, read off its edge map."""
+    return len(graph), frozenset(
+        sum(1 << i for i in nodes) for nodes in graph.edge_map().values()
+    )
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @dataclass(frozen=True)
 class CliquePool:
-    """The candidate cliques of one graph structure, ready for cover
-    enumeration: their bitmasks, and their rank in the order of
-    ``variable_graph.canonical_decomposition`` (by sorted members) —
-    the candidates are distinct, so a cover sorts by its members'
-    ranks."""
+    """The candidate cliques of one graph structure under one option.
 
-    masks: list[int]
+    The maximal clique of a variable is the mask of the nodes that hold
+    it (Def. 3.2; cliques of two variables may coincide, like J_{f,g}
+    in Fig. 3, and are one candidate).  The ``+`` options of §4.3 draw
+    from the maximal cliques alone, without singletons: they must cover
+    every node with maximal cliques, which is why MXC+ / XC+ can fail
+    (Fig. 10).  The others draw from the partial cliques: every subset
+    of two nodes or more of a maximal clique, plus every node as a
+    singleton (a node carried unchanged) — a star of n patterns has
+    2^n - 1.
+
+    A clique is its ascending members and its node mask.  ``ranked``
+    holds them in lexicographic order of members, the order a
+    decomposition lists its cliques in
+    (``variable_graph.canonical_decomposition``); covers are searched
+    over ``masks``, in candidate order: by size, then members.
+    """
+
+    size: int
+    option: DecompositionOption
+    #: rank -> clique
+    ranked: list[CliqueMask]
     #: candidate index -> rank
     rank: list[int]
-    #: rank -> clique
-    ranked: list[Clique]
+    #: candidate index -> node mask
+    masks: list[int]
 
     @classmethod
-    def of(cls, graph: VariableGraph, maximal_only: bool) -> "CliquePool":
-        ranked = clique_members(graph, maximal_only)
-        # candidate order (``candidate_cliques``): by size, then members
-        rank = sorted(range(len(ranked)), key=lambda r: len(ranked[r]))
-        return cls(
-            masks=masks_of(len(graph), [ranked[r] for r in rank]),
-            rank=rank,
-            ranked=[frozenset(c) for c in ranked],
-        )
+    def of(cls, structure: Structure, option: DecompositionOption) -> "CliquePool":
+        size, maximal = structure
+        if option.maximal_only:
+            cliques = {mask: _members(mask) for mask in maximal}
+        else:
+            cliques = {1 << i: (i,) for i in range(size)}
+            for mask in maximal:
+                subsets: list[CliqueMask] = [((), 0)]
+                for i in _members(mask):
+                    subsets += [(m + (i,), sub | 1 << i) for m, sub in subsets]
+                cliques.update((sub, m) for m, sub in subsets if len(m) > 1)
+        ranked = sorted((members, mask) for mask, members in cliques.items())
+        rank = sorted(range(len(ranked)), key=lambda r: len(ranked[r][0]))
+        return cls(size, option, ranked, rank, [ranked[r][1] for r in rank])
+
+    def covers(
+        self, budget: EnumerationBudget | None = None
+    ) -> Iterable[tuple[int, ...]]:
+        """The option's decompositions of the structure, each as the
+        candidate indices of its cliques (:meth:`cliques` lists them).
+
+        Every one satisfies Definition 3.3 (every node covered, strictly
+        fewer cliques than nodes).  May be empty — notably for MXC+/XC+
+        on queries like Fig. 10 ("when MXC+ and XC+ fail").
+        """
+        n, masks, option = self.size, self.masks, self.option
+        if n <= 1 or not masks:
+            return ()
+        if option.minimum:
+            return minimum_covers(n, masks, exact=option.exact, budget=budget)
+        if option.exact:
+            return iter_exact_covers(n, masks, n - 1, budget=budget)
+        return iter_simple_covers(n, masks, n - 1, budget=budget)
+
+    def cliques(self, cover: tuple[int, ...]) -> tuple[CliqueMask, ...]:
+        """The cliques of *cover*, in rank order."""
+        ranked, rank = self.ranked, self.rank
+        return tuple([ranked[r] for r in sorted([rank[j] for j in cover])])
 
 
 def decompositions(
     graph: VariableGraph,
     option: DecompositionOption,
     budget: EnumerationBudget | None = None,
-    pool: CliquePool | None = None,
 ) -> Iterator[Decomposition]:
-    """Enumerate the clique decompositions of *graph* under *option*.
-
-    Every yielded decomposition satisfies Definition 3.3 (full node
-    coverage and |D| < |N|).  May be empty — notably for MXC+/XC+ on
-    queries like Fig. 10 ("when MXC+ and XC+ fail").
-
-    A caller that meets one structure many times passes its *pool*
-    (``CliquePool.of(graph, option.maximal_only)``, memoized on
-    :func:`structure_key`); the covers are enumerated afresh every call.
-    """
-    n = len(graph)
-    if n <= 1:
-        return
-    if pool is None:
-        pool = CliquePool.of(graph, option.maximal_only)
-    masks = pool.masks
-    if not masks:
-        return
-    max_size = n - 1  # Def. 3.3: strictly fewer cliques than nodes
-
-    if option.minimum:
-        covers = minimum_covers(n, masks, exact=option.exact, budget=budget)
-    elif option.exact:
-        covers = iter_exact_covers(n, masks, max_size, budget=budget)
-    else:
-        covers = iter_simple_covers(n, masks, max_size, budget=budget)
-
-    rank, ranked = pool.rank, pool.ranked
-    for cover in covers:
-        yield tuple([ranked[r] for r in sorted([rank[j] for j in cover])])
-
-
-def has_decomposition(graph: VariableGraph, option: DecompositionOption) -> bool:
-    """True iff at least one decomposition exists under *option*."""
-    return next(decompositions(graph, option), None) is not None
+    """:meth:`CliquePool.covers` of *graph*'s structure, each clique a
+    frozenset of node indices: the format ``VariableGraph.reduce``
+    takes, for callers that walk variable graphs."""
+    pool = CliquePool.of(graph_structure(graph), option)
+    cliques = {mask: frozenset(members) for members, mask in pool.ranked}
+    for cover in pool.covers(budget):
+        yield tuple([cliques[mask] for _, mask in pool.cliques(cover)])

@@ -189,17 +189,17 @@ class TestMaskState:
     def test_step_checks_definition_3_3(self):
         q = chain_query(4)  # t_i and t_i+1 share one variable
         masks = self.variable_masks(q, VariableGraph.from_query(q))
-        ok = (frozenset({0, 1}), frozenset({2, 3}))
-        assert _step(ok, masks, {}) == ((((0, 1), 0b11), ((2, 3), 0b1100)), False)
-        twins = (frozenset({0, 1}), frozenset({1}), frozenset({2, 3}))
-        assert _step(twins, masks, {})[1]  # node 1 is carried and joined
+        ok = (((0, 1), 0b11), ((2, 3), 0b1100))
+        assert _step(ok, masks) == (ok, False)
+        twins = (((0, 1), 0b11), ((1,), 0b10), ((2, 3), 0b1100))
+        assert _step(twins, masks)[1]  # node 1 is carried and joined
         for bad in (
-            tuple(frozenset({i}) for i in range(4)),  # |D| = |N|
-            (frozenset({0, 2}), frozenset({1, 3})),  # no shared variable
-            (frozenset({0, 1}), frozenset({2})),  # node 3 uncovered
+            tuple(((i,), 1 << i) for i in range(4)),  # |D| = |N|
+            (((0, 2), 0b101), ((1, 3), 0b1010)),  # no shared variable
+            (((0, 1), 0b11), ((2,), 0b100)),  # node 3 uncovered
         ):
             with pytest.raises(ValueError):
-                _step(bad, masks, {})
+                _step(bad, masks)
 
 
 class TestBudget:

@@ -17,8 +17,12 @@ REPO = Path(__file__).resolve().parents[1]
 def _lint_fixture(name: str):
     # The synthetic /fixtures path keeps FRAME001's cross-file registry
     # check (which resolves the repo root from the lint path) out of the
-    # fixture runs — fixtures exercise one rule each, hermetically.
-    return lint_source((FIXTURES / name).read_text(), path=f"/fixtures/{name}")
+    # fixture runs — fixtures exercise one rule each, hermetically.  A
+    # directory fixture is a small repo, for the census (REACH001).
+    path = FIXTURES / name
+    if path.is_dir():
+        return lint_paths([path / "src"])
+    return lint_source(path.read_text(), path=f"/fixtures/{name}")
 
 
 FAIL_CASES = [
@@ -27,6 +31,7 @@ FAIL_CASES = [
     ("spec001_fail.py", "SPEC001"),
     ("frame001_fail.py", "FRAME001"),
     ("lint000_fail.py", "LINT000"),
+    ("reach001_fail", "REACH001"),
 ]
 
 PASS_CASES = [
@@ -35,6 +40,7 @@ PASS_CASES = [
     "lock002_pass.py",
     "spec001_pass.py",
     "frame001_pass.py",
+    "reach001_pass",
 ]
 
 
@@ -75,6 +81,12 @@ def test_frame001_requires_registry_entry():
         f.rule == "FRAME001" and "pickle-round-trip" in f.message
         for f in findings
     ), findings
+
+
+def test_reach001_names_the_module_only_tests_reach():
+    (finding,) = _lint_fixture("reach001_fail")
+    assert finding.rule == "REACH001" and "pkg.orphan " in finding.message
+    assert finding.path.endswith("orphan.py")
 
 
 def test_src_tree_lints_clean():

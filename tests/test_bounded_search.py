@@ -25,15 +25,17 @@ from repro.analysis.plan_check import (
     check_plan_space,
     corpus_coster,
 )
-import repro.core.algorithm as algorithm
-from repro.core.algorithm import (
-    FIRST_PLAN_GRACE_S,
-    cliquesquare,
-    cost_bounded_search,
+from repro.core.algorithm import cliquesquare, cost_bounded_search
+from repro.core.decomposition import (
+    ALL_OPTIONS,
+    MSC,
+    SC_PLUS,
+    VIABLE_OPTIONS,
+    CliquePool,
 )
-from repro.core.decomposition import ALL_OPTIONS, MSC, SC_PLUS, VIABLE_OPTIONS
 from repro.core.properties import height
 from repro.cost.cardinality import CardinalityEstimator, CatalogStatistics
+from repro.core.variable_graph import VariableGraph
 from repro.cost.model import PlanCoster, select_best_plan
 from repro.rdf.graph import RDFGraph
 from repro.sparql.ast import BGPQuery
@@ -102,7 +104,7 @@ def test_cliquesquare_never_prunes(paper_q1):
     assert result.states > len(result.plans) > 0
 
 
-@pytest.mark.parametrize("budget", [{"max_plans": 1}, {"timeout_s": 1e-9}])
+@pytest.mark.parametrize("budget", [{"max_plans": 1}])
 def test_exhausted_budget_still_returns_a_valid_plan(paper_q1, university_coster, budget):
     limits = {"max_plans": None, "timeout_s": None, **budget}
     result = cost_bounded_search(paper_q1, university_coster, MSC, **limits)
@@ -115,25 +117,55 @@ def test_exhausted_budget_still_returns_a_valid_plan(paper_q1, university_coster
     assert [p.signature() for p in first.plans] == [result.plans[0].signature()]
 
 
+def test_a_deadline_before_the_first_plan_returns_none(paper_q1, university_coster):
+    """The search obeys ``timeout_s`` from its start: the service's
+    MSC+ fallback, not the search, guarantees a plan."""
+    for result in (
+        cliquesquare(paper_q1, MSC, max_plans=None, timeout_s=1e-9),
+        cost_bounded_search(paper_q1, university_coster, MSC, None, 1e-9),
+    ):
+        assert result.truncated and not result.plans
+
+
 def enumerations(monkeypatch, query, coster, option, truncate):
-    """Run one bounded search, counting ``decompositions()`` calls per
-    graph structure; *truncate* marks the budget cut short on no call,
-    on the first call of each structure, or on every call."""
-    real = algorithm.decompositions
+    """Run one bounded search, counting cover enumerations per graph
+    structure; *truncate* marks the budget cut short on no call, on the
+    first call of each structure, or on every call."""
+    real = CliquePool.covers
     calls: Counter = Counter()
 
-    def spy(graph, opt, budget=None, pool=None):
-        key = (len(graph), frozenset(map(frozenset, graph.edge_map().values())))
-        covers = list(real(graph, opt, budget, pool))
+    def spy(pool, budget=None):
+        key = (pool.size, frozenset(pool.masks))
+        covers = list(real(pool, budget))
         if truncate == "always" or (truncate == "first" and not calls[key]):
             budget.truncated = True  # as if the deadline tripped at the end
         calls[key] += 1
-        return covers
+        return iter(covers)
 
-    monkeypatch.setattr(algorithm, "decompositions", spy)
+    monkeypatch.setattr(CliquePool, "covers", spy)
     result = cost_bounded_search(query, coster, option, max_plans=None, timeout_s=60)
     monkeypatch.undo()
     return calls, result
+
+
+def test_the_search_builds_no_variable_graph(monkeypatch):
+    """Reduction states are masks from the query to the selected plan:
+    over the ``cold_shapes`` corpus no ``VariableGraph`` is made."""
+    queries, coster = ledger_corpus()
+    built = []
+    real = VariableGraph.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(VariableGraph, "__init__", spy)
+    VariableGraph.from_query(queries[0])
+    assert len(built) == 1  # the spy sees a construction
+    for query in queries:
+        result = cost_bounded_search(query, coster, MSC)
+        select_best_plan(result.unique_plans(), coster, result.costs)
+    assert len(built) == 1
 
 
 def test_minimum_options_enumerate_each_structure_once_per_search(
@@ -165,8 +197,8 @@ def test_other_options_enumerate_every_state(fig11_qx, university_coster, monkey
 @pytest.mark.parametrize("bounded", [False, True])
 def test_timeout_is_wall_clock_before_the_first_plan(bounded):
     """A thin 13-pattern query needs seconds of minimum-cover enumeration
-    for its first MSC plan (~2.4 s on a 2-CPU container), well past
-    the grace; the deadline must stop it without one."""
+    for its first MSC plan (~2.4 s on a 2-CPU container); the deadline
+    must stop it without one."""
     query = SyntheticWorkload(
         queries_per_shape=6, min_patterns=10, max_patterns=14, seed=3
     ).generate(["thin"])["thin"][3]
@@ -177,7 +209,7 @@ def test_timeout_is_wall_clock_before_the_first_plan(bounded):
         result = cost_bounded_search(query, coster, MSC, max_plans=None, timeout_s=0.05)
     else:
         result = cliquesquare(query, MSC, max_plans=None, timeout_s=0.05)
-    assert time.monotonic() - start < FIRST_PLAN_GRACE_S + 0.5
+    assert time.monotonic() - start < 0.05 + 0.5
     assert result.truncated and not result.plans
 
 

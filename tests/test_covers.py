@@ -10,9 +10,14 @@ from repro.core.covers import (
     EnumerationBudget,
     iter_exact_covers,
     iter_simple_covers,
-    masks_of,
     minimum_covers,
 )
+
+
+def masks_of(n, sets):
+    """Element sets as bitmasks over ``0..n-1``."""
+    assert all(0 <= e < n for s in sets for e in s)
+    return [sum(1 << e for e in s) for s in sets]
 
 
 def brute_force_covers(n, masks, max_size, exact=False):

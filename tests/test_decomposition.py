@@ -14,7 +14,6 @@ from repro.core.decomposition import (
     XC,
     XC_PLUS,
     decompositions,
-    has_decomposition,
 )
 from repro.core.variable_graph import VariableGraph
 from repro.sparql.parser import parse_query
@@ -24,6 +23,10 @@ from tests.conftest import FIG10
 
 def all_decompositions(graph, option):
     return list(decompositions(graph, option))
+
+
+def has_decomposition(graph, option):
+    return next(decompositions(graph, option), None) is not None
 
 
 class TestOptionAlgebra:

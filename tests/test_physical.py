@@ -5,6 +5,7 @@ import pytest
 from repro.core.algorithm import cliquesquare
 from repro.core.binary import best_linear_plan
 from repro.core.decomposition import MSC
+from repro.core.properties import height
 from repro.physical.job_compiler import compile_plan
 from repro.physical.operators import (
     Filter,
@@ -177,3 +178,34 @@ class TestJobCompilation:
         compiled = compile_plan(translate(plan))
         assert compiled.job_signature() == str(compiled.num_jobs)
         assert compiled.num_jobs >= 1
+
+
+class TestExplain:
+    def test_explain_layers(self):
+        from repro.physical.explain import explain, job_summary
+
+        plan = cliquesquare(
+            parse_query(
+                "SELECT ?p WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d . "
+                "?p rdf:type ub:FullProfessor . ?s rdf:type ub:Student }"
+            ),
+            MSC,
+        ).plans[0]
+        text = explain(plan)
+        assert "== logical plan" in text
+        assert "== physical plan ==" in text
+        assert "== MapReduce jobs" in text
+        summary = job_summary(plan)
+        assert summary["num_jobs"] >= 1
+        assert summary["height"] == height(plan)
+
+    def test_map_only_summary(self):
+        from repro.physical.explain import job_summary
+
+        plan = cliquesquare(
+            parse_query("SELECT ?p ?s WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d }"),
+            MSC,
+        ).plans[0]
+        summary = job_summary(plan)
+        assert summary["map_only"] is True
+        assert summary["signature"] == "M"
