@@ -24,32 +24,22 @@ from typing import Iterator, Sequence
 
 
 class EnumerationBudget:
-    """A cap on enumeration effort: count limit and wall-clock deadline.
+    """A cap on enumeration effort: a wall-clock deadline.
 
     Mirrors the paper's experimental protocol (§6.2), where every
     optimizer run was stopped after a 100 s timeout.
     """
 
-    def __init__(
-        self, max_items: int | None = None, timeout_s: float | None = None
-    ) -> None:
-        self.max_items = max_items
+    def __init__(self, timeout_s: float | None = None) -> None:
         self.deadline = (time.monotonic() + timeout_s) if timeout_s else None
-        self.produced = 0
         self.truncated = False
 
     def admit(self) -> bool:
-        """Record one produced item; False once the budget is exhausted."""
-        if self.exhausted():
-            return False
-        self.produced += 1
-        return True
+        """Admit one produced item; False once the budget is exhausted."""
+        return not self.exhausted()
 
     def exhausted(self) -> bool:
-        """True iff either cap has been hit (sets ``truncated``)."""
-        if self.max_items is not None and self.produced >= self.max_items:
-            self.truncated = True
-            return True
+        """True iff the deadline has passed (sets ``truncated``)."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.truncated = True
             return True

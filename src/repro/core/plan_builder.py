@@ -32,29 +32,17 @@ def initial_operators(graph: VariableGraph) -> tuple[LogicalOperator, ...]:
 
 
 def extend_operators(
-    ops: Sequence[LogicalOperator],
-    provenance: Sequence[Clique],
-    joins: dict[Clique, LogicalOperator] | None = None,
+    ops: Sequence[LogicalOperator], provenance: Sequence[Clique]
 ) -> tuple[LogicalOperator, ...]:
     """The operators of a reduced graph, from its parent's *ops* and its
-    *provenance* (one clique of parent nodes per node).
-
-    *joins* interns the joins built over *ops* by clique, so that sibling
-    reductions of one parent state share the operators they have in
-    common.
-    """
-    if joins is None:
-        joins = {}
+    *provenance* (one clique of parent nodes per node)."""
     out: list[LogicalOperator] = []
     for clique in provenance:
         if len(clique) == 1:
             (member,) = clique
             out.append(ops[member])
         else:
-            join = joins.get(clique)
-            if join is None:
-                join = joins[clique] = make_join([ops[i] for i in sorted(clique)])
-            out.append(join)
+            out.append(make_join([ops[i] for i in sorted(clique)]))
     return tuple(out)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.sparql.ast import BGPQuery, TriplePattern
 
@@ -49,11 +49,6 @@ class VariableGraph:
     def from_query(cls, query: BGPQuery) -> "VariableGraph":
         """Initial variable graph: one node per triple pattern (§3.1)."""
         return cls(nodes=tuple(frozenset([tp]) for tp in query.patterns))
-
-    @classmethod
-    def from_patterns(cls, patterns: Sequence[TriplePattern]) -> "VariableGraph":
-        """Initial variable graph straight from a pattern list."""
-        return cls(nodes=tuple(frozenset([tp]) for tp in patterns))
 
     # -- basic inspection --------------------------------------------------
 
@@ -97,29 +92,6 @@ class VariableGraph:
         return MappingProxyType(
             {v: tuple(nodes) for v, nodes in occurrences.items() if len(nodes) >= 2}
         )
-
-    def edges(self) -> Iterator[tuple[int, str, int]]:
-        """Iterate the labeled edges (i, v, j) with i < j of the multigraph."""
-        for v, nodes in self.edge_map().items():
-            for a in range(len(nodes)):
-                for b in range(a + 1, len(nodes)):
-                    yield (nodes[a], v, nodes[b])
-
-    def is_connected(self) -> bool:
-        """True iff the graph is one connected component (no products)."""
-        if len(self.nodes) <= 1:
-            return True
-        parent = list(range(len(self.nodes)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, _, j in self.edges():
-            parent[find(i)] = find(j)
-        return len({find(i) for i in range(len(self.nodes))}) == 1
 
     # -- reduction (Definition 3.4) ---------------------------------------
 
@@ -166,18 +138,3 @@ class VariableGraph:
         if covered != set(range(len(self.nodes))):
             missing = set(range(len(self.nodes))) - covered
             raise ValueError(f"decomposition does not cover nodes {sorted(missing)}")
-
-    def clique_join_variables(self, clique: Clique) -> frozenset[str]:
-        """Variables shared by *all* members of the clique.
-
-        For a clique of variable v this always contains v; it may contain
-        more (the J_{f,g} case of Fig. 3), and it is the attribute set A
-        of the induced n-ary join.
-        """
-        return frozenset.intersection(*(self.node_variables(i) for i in clique))
-
-    # -- canonical form -----------------------------------------------------
-
-    def canonical_key(self) -> tuple:
-        """A hashable canonical form (node multiset), for memoization."""
-        return tuple(sorted(tuple(sorted(ns)) for ns in self.nodes))

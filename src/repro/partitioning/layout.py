@@ -59,6 +59,15 @@ def parse_file_name(name: str) -> tuple[str, str, str | None]:
 FileKey = tuple[str, str | None]
 
 
+def write_keys(triple: tuple[str, str, str]) -> tuple[FileKey, ...]:
+    """The file keys *triple* is written under: its property's, and an
+    ``rdf:type`` triple's class's too."""
+    _, p, o = triple
+    if p == RDF_TYPE:
+        return ((p, None), (p, o))
+    return ((p, None),)
+
+
 def read_keys(patterns: Iterable[TriplePattern]) -> tuple[FileKey, ...] | None:
     """The file keys the scans of *patterns* read, in pattern order.
 

@@ -22,10 +22,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.partitioning.layout import PLACEMENTS, FileKey, triple_file
+from repro.partitioning.layout import PLACEMENTS, FileKey, triple_file, write_keys
 from repro.rdf.dictionary import Dictionary
 from repro.rdf.graph import RDFGraph, Triple
-from repro.rdf.terms import RDF_TYPE
 
 
 #: Memo table for the polynomial term hash.  Loading computes the hash
@@ -203,10 +202,8 @@ class PartitionedStore:
                 self.files[node].setdefault(name, []).append(triple)
                 self.node_versions[node] += 1
         self.version += 1
-        version = self.version
-        self.file_versions[p, None] = version
-        if p == RDF_TYPE:
-            self.file_versions[p, o] = version
+        for key in write_keys(triple):
+            self.file_versions[key] = self.version
 
     def file_stamp(self, keys: Sequence[FileKey] | None) -> tuple[int, ...]:
         """The versions of the files *keys* name, in order; None (a scan

@@ -22,6 +22,7 @@ from repro.cost.cardinality import (
 from repro.cost.model import PlanCoster
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
+from repro.partitioning.layout import FileKey, write_keys
 from repro.rdf.graph import RDFGraph
 from repro.service.stats import event_counters
 
@@ -50,10 +51,13 @@ class Administration:
         self.estimator = CardinalityEstimator(self.catalog)
         self.coster = PlanCoster(self.estimator, config.params)
         self._version = 0
-        #: ``(graph version, the batch's new triples)`` of the last
-        #: DELTA_LOG_BATCHES writes, oldest first; appended under the
-        #: write lock, read under the read lock
-        self._delta_log: deque[tuple[int, tuple]] = deque(
+        #: ``(graph version, batch size, {file key: new triples})`` of
+        #: the last DELTA_LOG_BATCHES writes, oldest first: a batch's new
+        #: triples grouped by the §5.1 file keys they are written under
+        #: (``layout.write_keys``), so a patch reads a pattern's delta
+        #: under the one key its scan reads.  Appended under the write
+        #: lock, read under the read lock.
+        self._delta_log: deque[tuple[int, int, dict[FileKey, list]]] = deque(
             maxlen=DELTA_LOG_BATCHES
         )
         # Queries hold the read side while scanning the partitioned
@@ -77,13 +81,14 @@ class Administration:
         Bumps the graph version, and in the store the version of every
         §5.1 file a new triple is written under (its property's, and an
         ``rdf:type`` triple's class's), and logs the batch's new triples
-        under the new version: a cached result that read one of those
-        files is patched from the log, lazily at its next read — nothing
-        is swept here.  Maintains catalog statistics *incrementally* —
-        the catalog is copied once per batch and a per-triple delta
-        applied for each genuinely new triple, O(batch + |P|) instead of
-        the former O(|G|) full recompute.  Cached plans stay: they are
-        correct on any graph, only their cost ranking ages.
+        under the new version, grouped by those file keys: a cached
+        result that read one of those files is patched from the log,
+        lazily at its next read — nothing is swept here.  Maintains
+        catalog statistics *incrementally* — the catalog is copied once
+        per batch and a per-triple delta applied for each genuinely new
+        triple, O(batch + |P|) instead of the former O(|G|) full
+        recompute.  Cached plans stay: they are correct on any graph,
+        only their cost ranking ages.
         """
         self._check_open()
         with self._store_lock.write():
@@ -111,7 +116,11 @@ class Administration:
                 # patch and must refresh the statistics too.
                 if added:
                     self._version += 1
-                    self._delta_log.append((self._version, tuple(added)))
+                    groups: dict[FileKey, list] = {}
+                    for triple in added:
+                        for key in write_keys(triple):
+                            groups.setdefault(key, []).append(triple)
+                    self._delta_log.append((self._version, len(added), groups))
                     # Swap in a fresh catalog/estimator/coster trio
                     # rather than mutating in place: an optimize() racing
                     # this mutation keeps its consistent pre-mutation

@@ -699,23 +699,40 @@ class Pipeline:
         semantics, so after the batches Δ logged since ``stale.version``
         the answer is the old one plus, for each pattern, the bindings
         that match it to a Δ triple and the other patterns over the live
-        graph (which holds Δ).  A row found twice is one row.
+        graph (which holds Δ).  A pattern is unified only with the Δ
+        triples under the file key its scan reads (every property's
+        group for a variable property); each that unifies seeds one
+        run of the evaluator's join.  A row found twice is one row.
         """
         log = self._delta_log
         if not log or log[0][0] > stale.version + 1:
             patch.set(recomputed="horizon")
             return None
-        delta = [t for version, batch in log if version > stale.version for t in batch]
+        since = [entry for entry in log if entry[0] > stale.version]
+        delta = sum(size for _, size, _ in since)
+
+        def logged(keys: tuple | None) -> Iterator[tuple]:
+            """The Δ triples under the file key *keys* names (None: every
+            property's group, where each triple is logged once)."""
+            for _, _, groups in since:
+                if keys is not None:
+                    yield from groups.get(keys[0], ())
+                    continue
+                for (_, cls), group in groups.items():
+                    if cls is None:
+                        yield from group
+
         patterns = stale.plan.query.patterns
         attrs = stale.attrs
         added: set[tuple] = set()
-        work = 0
+        seeds = work = 0
         for i, tp in enumerate(patterns):
             others = patterns[:i] + patterns[i + 1 :]
-            for triple in delta:
+            for triple in logged(read_keys((tp,))):
                 seed = unify(tp, triple)
                 if seed is None:
                     continue
+                seeds += 1
                 work += 1
                 for binding in bindings(others, self.graph, seed):
                     added.add(tuple([binding[a] for a in attrs]))
@@ -723,7 +740,7 @@ class Pipeline:
                     if work > PATCH_WORK_BOUND:
                         break
                 if work > PATCH_WORK_BOUND:
-                    patch.set(delta=len(delta), recomputed="bound")
+                    patch.set(delta=delta, seeds=seeds, recomputed="bound")
                     return None
         block = stale.block
         if added:
@@ -735,7 +752,7 @@ class Pipeline:
                 [block, ColumnBlock.from_rows(attrs, added, dictionary, mint=False)],
                 dictionary,
             )
-        patch.set(delta=len(delta), added=len(block) - len(stale.block))
+        patch.set(delta=delta, seeds=seeds, added=len(block) - len(stale.block))
         return stale.patched(
             self._version, self.store.file_stamp(stale.footprint), block, added
         )

@@ -63,16 +63,6 @@ class TestSimpleCovers:
         covers = list(iter_simple_covers(n, masks, n - 1))
         assert len(covers) == len({tuple(sorted(c)) for c in covers})
 
-    def test_budget_truncates(self):
-        n = 6
-        sets = [{i} for i in range(n)] + [
-            {i, j} for i in range(n) for j in range(i + 1, n)
-        ]
-        budget = EnumerationBudget(max_items=5)
-        covers = list(iter_simple_covers(n, masks_of(n, sets), n - 1, budget))
-        assert len(covers) == 5
-        assert budget.truncated
-
     def test_empty_candidates(self):
         assert list(iter_simple_covers(3, [], 2)) == []
 

@@ -98,16 +98,6 @@ class TestCreateQueryPlan:
 
 
 class TestExtendOperators:
-    def test_sibling_reductions_share_interned_joins(self):
-        g0 = VariableGraph.from_query(chain3())
-        ops = initial_operators(g0)
-        joins = {}
-        left = extend_operators(ops, (frozenset({0, 1}), frozenset({2})), joins)
-        both = extend_operators(ops, (frozenset({0, 1}), frozenset({1, 2})), joins)
-        assert left[0] is both[0]  # J(t1, t2) built once for the state
-        assert left[1] is ops[2]  # singleton cliques carry the operator
-        assert set(joins) == {frozenset({0, 1}), frozenset({1, 2})}
-
     def test_create_query_plan_is_the_fold(self):
         q = chain3()
         g0 = VariableGraph.from_query(q)

@@ -12,6 +12,7 @@ answer is recomputed, as a drop.
 
 from __future__ import annotations
 
+import os
 import threading
 
 from hypothesis import given, settings
@@ -21,8 +22,9 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import RDF_TYPE
 from repro.service import QueryService, ServiceConfig
 from repro.service.admin import DELTA_LOG_BATCHES
+from repro.service import pipeline
 from repro.service.pipeline import PATCH_WORK_BOUND
-from repro.sparql.evaluator import evaluate
+from repro.sparql.evaluator import evaluate, unify
 from repro.sparql.parser import parse_query
 
 NODES = tuple(f"<n{i}>" for i in range(4))
@@ -61,6 +63,10 @@ QUERIES = {
     "SELECT ?y WHERE { <n0> ub:p1 ?y }": {("ub:p1", None)},
 }
 
+#: REPRO_TRACE=1 runs the property with tracing on and checks each
+#: patch's span against the delta it was handed
+TRACING = os.environ.get("REPRO_TRACE", "") == "1"
+
 terms = st.sampled_from(NODES + NEW_TERMS)
 triples = st.one_of(
     st.tuples(terms, st.sampled_from(("ub:p1", "ub:p2", "ub:p3", "ub:p9")), terms),
@@ -85,22 +91,31 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
     unsharded service and on two in-process shards: its answer equals
     the evaluator's over the written graph and a fresh service's, and
     it is patched exactly when the write touched a file it reads (and
-    otherwise a result-cache hit)."""
+    otherwise a result-cache hit).  Traced, a patch's span counts the
+    triples written since the answer's version as ``delta``, their
+    unifications with the query's patterns as ``seeds`` and the rows
+    they brought as ``added``."""
     mirror = RDFGraph(BASE)
     queries = {text: parse_query(text) for text in QUERIES}
     services = [
-        QueryService(RDFGraph(BASE), ServiceConfig(shards=shards))
+        QueryService(RDFGraph(BASE), ServiceConfig(shards=shards, tracing=TRACING))
         for shards in (0, 2)
     ]
+    #: per (service, query): the triples written since its cached
+    #: answer's version, and that answer's size
+    pending = {(i, text): [] for i in range(len(services)) for text in QUERIES}
+    sizes = {}
     try:
-        for service in services:
-            for query in queries.values():
-                service.submit(query)
+        for i, service in enumerate(services):
+            for text, query in queries.items():
+                sizes[i, text] = len(service.submit(query).rows)
         for batch in history:
             added = [t for t in dict.fromkeys(batch) if mirror.add(*t)]
             for service in services:
                 assert service.add_triples(batch) == len(added)
             written = written_keys(added)
+            for delta in pending.values():
+                delta.extend(added)
             with QueryService(
                 RDFGraph(mirror), ServiceConfig(result_cache_size=0)
             ) as fresh:
@@ -109,14 +124,29 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
                     touched = bool(written) and (keys is None or bool(keys & written))
                     expected = evaluate(query, mirror)
                     assert fresh.submit(query).rows == expected, text
-                    for service in services:
+                    for i, service in enumerate(services):
                         outcome = service.submit(query)
                         at = f"shards={service.config.shards}: {text}"
                         assert outcome.rows == expected, at
                         assert outcome.result_patched == touched, at
                         assert outcome.result_cache_hit != touched, at
-                        if touched:
-                            assert outcome.graph_version == service.graph_version
+                        if not touched:
+                            continue
+                        assert outcome.graph_version == service.graph_version
+                        delta = pending[i, text]
+                        if TRACING:
+                            (patch,) = service.trace(outcome).find("patch")
+                            assert patch.attrs == {
+                                "delta": len(delta),
+                                "seeds": sum(
+                                    unify(tp, t) is not None
+                                    for tp in query.patterns
+                                    for t in delta
+                                ),
+                                "added": len(expected) - sizes[i, text],
+                            }, at
+                        delta.clear()
+                        sizes[i, text] = len(expected)
         for service in services:
             stats = service.snapshot_stats()
             assert service.result_cache.stale_drops == 0
@@ -158,7 +188,11 @@ def test_an_entry_older_than_the_log_is_recomputed():
         assert at_horizon.rows == evaluate(CHAIN, svc.graph)
         assert ("<h0>", "<n2>") in at_horizon.rows
         (patch,) = svc.trace(at_horizon).find("patch")
-        assert patch.attrs == {"delta": DELTA_LOG_BATCHES, "added": DELTA_LOG_BATCHES}
+        assert patch.attrs == {
+            "delta": DELTA_LOG_BATCHES,
+            "seeds": DELTA_LOG_BATCHES,
+            "added": DELTA_LOG_BATCHES,
+        }
         assert svc.add_triples([("<n0>", "ub:p1", "<n2>")]) == 1
         assert_recomputed(svc, OWN, drops=1)
         assert svc.snapshot_stats().result_patches == 1
@@ -178,6 +212,36 @@ def test_delta_work_past_the_bound_is_recomputed():
         assert svc.add_triples(big) == len(big)
         assert_recomputed(svc, CHAIN, drops=1)
         assert svc.snapshot_stats().result_patches == 1
+
+
+def test_a_write_the_query_does_not_read_seeds_nothing(monkeypatch):
+    """A pattern is unified only with the logged triples under the file
+    key it reads: between two writes CHAIN reads, a write under a
+    property it does not read adds to the delta but not to the seeds,
+    and is never tried against a pattern, on both cells."""
+    tried = []
+
+    def spy(tp, triple):
+        tried.append(triple)
+        return unify(tp, triple)
+
+    monkeypatch.setattr(pipeline, "unify", spy)
+    for shards in (0, 2):
+        tried.clear()
+        config = ServiceConfig(tracing=True, shards=shards)
+        with QueryService(RDFGraph(BASE), config) as svc:
+            svc.submit(CHAIN)
+            assert svc.add_triples([("<n3>", "ub:p1", "<n1>")]) == 1
+            assert svc.add_triples([("<n0>", "ub:p9", "<n1>")]) == 1
+            assert svc.add_triples([("<n1>", "ub:p2", "<new0>")]) == 1
+            outcome = svc.submit(CHAIN)
+            assert outcome.result_patched
+            assert outcome.rows == evaluate(CHAIN, svc.graph)
+            assert ("<n3>", "<new0>") in outcome.rows
+            (patch,) = svc.trace(outcome).find("patch")
+            assert patch.attrs["delta"] == 3
+            assert patch.attrs["seeds"] == 2
+            assert ("<n0>", "ub:p9", "<n1>") not in tried and len(tried) == 2
 
 
 def test_concurrent_readers_of_a_stale_entry_share_its_patch():

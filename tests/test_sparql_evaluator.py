@@ -1,9 +1,25 @@
 """Unit tests for the reference evaluator (repro.sparql.evaluator)."""
 
+from functools import lru_cache
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.rdf.graph import RDFGraph
 from repro.sparql.ast import TriplePattern
-from repro.sparql.evaluator import bindings, count, evaluate, unify
+from repro.sparql.evaluator import (
+    _bound_count,
+    _bound_variables,
+    _compiled,
+    bindings,
+    count,
+    evaluate,
+    unify,
+)
 from repro.sparql.parser import parse_query
+from repro.workloads import lubm, lubm_queries
 
 
 def g() -> RDFGraph:
@@ -96,3 +112,103 @@ class TestSeededBindings:
         q = parse_query("SELECT ?p ?s WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d }")
         unseeded = {(b["?p"], b["?s"]) for b in bindings(q.patterns, g())}
         assert unseeded == evaluate(q, g())
+
+
+NODES = ("<a>", "<b>", "<c>")
+PROPS = ("ub:p", "ub:q")
+VARS = ("?x", "?y", "?z", "?w")
+
+graphs = st.lists(
+    st.tuples(st.sampled_from(NODES), st.sampled_from(PROPS), st.sampled_from(NODES)),
+    max_size=10,
+)
+#: subjects/objects: a variable (repeats and all) or a node; properties: a
+#: variable too, so constant-only patterns and variable properties occur
+patterns = st.builds(
+    TriplePattern,
+    st.sampled_from(VARS + NODES),
+    st.sampled_from(VARS[:2] + PROPS),
+    st.sampled_from(VARS + NODES),
+)
+
+
+@lru_cache(maxsize=1)
+def lubm_graph() -> RDFGraph:
+    return lubm.generate(lubm.LUBMConfig(universities=4))
+
+
+def brute_force(pats, graph, seed):
+    """Every assignment of the graph's terms to the patterns' unseeded
+    variables under which each pattern is a triple of *graph*: the
+    cross product, filtered."""
+    free = sorted({v for tp in pats for v in tp.variables()} - set(seed))
+    terms = sorted({term for triple in graph for term in triple})
+    found = set()
+    for values in product(terms, repeat=len(free)):
+        binding = {**seed, **dict(zip(free, values))}
+        if all(
+            tuple(binding.get(term, term) for term in (tp.s, tp.p, tp.o)) in graph
+            for tp in pats
+        ):
+            found.add(frozenset(binding.items()))
+    return found
+
+
+class TestFixedOrder:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        triples=graphs,
+        pats=st.lists(patterns, min_size=1, max_size=3),
+        seeded=st.dictionaries(st.sampled_from(VARS), st.sampled_from(NODES + PROPS)),
+    )
+    def test_bindings_are_the_filtered_cross_product(self, triples, pats, seeded):
+        """With and without a seed (which may bind a variable no
+        pattern holds), ``bindings`` yields exactly the total bindings a
+        brute-force cross product finds."""
+        graph = RDFGraph(triples)
+        for seed in ({}, seeded):
+            got = [frozenset(b.items()) for b in bindings(pats, graph, seed)]
+            assert len(got) == len(set(got))
+            assert set(got) == brute_force(pats, graph, seed)
+
+    @pytest.mark.parametrize("seed", [{}, {"?Y": "<FullProfessor0.D0.U0>"}])
+    def test_lubm_q5_fixed_order_is_the_per_step_greedy_order(self, seed):
+        """Q5's patterns all tie on bound positions, the cartesian-branch
+        case: re-sorting the remaining patterns under the binding at
+        hand, at every node of the search (the evaluator's former
+        loop), takes at each depth the pattern the fixed order does,
+        with and without a seed."""
+        graph = lubm_graph()
+        q5 = lubm_queries.query("Q5")
+        chosen: set = set()
+
+        def extend(binding, todo, depth):
+            if not todo:
+                return
+            todo = sorted(
+                todo,
+                key=lambda tp: (
+                    -_bound_variables(tp, binding),
+                    -_bound_count(tp, binding),
+                ),
+            )
+            tp, rest = todo[0], todo[1:]
+            chosen.add((depth, tp))
+            terms = (binding.get(t, t) for t in (tp.s, tp.p, tp.o))
+            for triple in graph.match(*terms):
+                matched = unify(tp, triple)
+                if matched is not None:
+                    extend({**binding, **matched}, rest, depth + 1)
+
+        extend(seed, list(q5.patterns), 0)
+        order = _compiled(q5.patterns, frozenset(seed)).order
+        assert chosen == set(enumerate(order))
+        for k in range(1, len(order)):
+            before = set(seed) | {v for tp in order[:k] for v in tp.variables()}
+            assert before & set(order[k].variables()), "a cartesian branch"
+        found = {
+            (b["?X"], b["?Y"], b["?Z"]) for b in bindings(q5.patterns, graph, seed)
+        }
+        assert found and found == {
+            row for row in evaluate(q5, graph) if row[1] == seed.get("?Y", row[1])
+        }
