@@ -7,7 +7,7 @@ Three pillars (see the module docstrings for the details):
   picklable specs, FRAME001 frame exhaustiveness);
 * :mod:`repro.analysis.plan_check` — mechanical verification of the
   paper's structural plan invariants (flatness, HO-partiality, star-join
-  agreement, job-DAG shape), also available as the ``REPRO_CHECK_PLANS=1``
+  agreement, job-DAG shape, level programs), also available as the ``REPRO_CHECK_PLANS=1``
   runtime assertion mode;
 * :mod:`repro.analysis.locks` — a dynamic lock-order witness
   (``REPRO_LOCK_CHECK=1``) validating the hierarchy declared in
@@ -28,6 +28,7 @@ _EXPORTS = {
     "lint_source": "repro.analysis.lint",
     "PlanInvariantError": "repro.analysis.plan_check",
     "check_compiled_plan": "repro.analysis.plan_check",
+    "check_level_program": "repro.analysis.plan_check",
     "check_logical_plan": "repro.analysis.plan_check",
     "check_physical_plan": "repro.analysis.plan_check",
     "check_plan_space": "repro.analysis.plan_check",
@@ -52,6 +53,7 @@ __all__ = [
     "lint_source",
     "PlanInvariantError",
     "check_compiled_plan",
+    "check_level_program",
     "check_logical_plan",
     "check_physical_plan",
     "check_plan_space",

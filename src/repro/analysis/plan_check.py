@@ -19,11 +19,15 @@ them mechanically on any plan:
   projecting exactly the distinguished variables;
 * :func:`check_compiled_plan` — §5.3 job-DAG shape: one job per reduce
   join, dependency depth equal to the reduce-join nesting depth, level
-  schedule consistent with the plan height.
+  schedule consistent with the plan height;
+* :func:`check_level_program` — the level program the engine runs: the
+  DAG's topological levels, every job exactly once, and stored task
+  groups equal to the grouping function's.
 
 Runtime hook: with ``REPRO_CHECK_PLANS=1`` in the environment,
-``PlanExecutor.prepare``/``ShardedPlanExecutor.prepare`` and the
-service's optimizer call :func:`maybe_check` on every plan they touch,
+``PlanExecutor.prepare``/``ShardedPlanExecutor.prepare``, the service's
+optimizer and ``PreparedPlan.program`` call :func:`maybe_check` on every
+plan (and level program) they touch,
 so any pipeline bug that breaks a paper invariant fails loudly at the
 point of introduction instead of as a wrong answer much later.
 """
@@ -52,6 +56,7 @@ from repro.sparql.ast import BGPQuery
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.algorithm import OptimizerResult
     from repro.cost.model import PlanCoster
+    from repro.mapreduce.engine import LevelProgram
     from repro.physical.job_compiler import CompiledPlan, JobSpec
     from repro.physical.translate import PhysicalPlan
 
@@ -515,6 +520,79 @@ def check_compiled_plan(
     report.raise_if_failed()
 
 
+# -- level programs --------------------------------------------------------
+
+
+def check_level_program(program: "LevelProgram", compiled: "CompiledPlan") -> None:
+    """Verify a level program against the job DAG it was compiled from.
+
+    Its levels are the topological levels of ``compiled.jobs``: every
+    job placed exactly once, one level after its last dependency (its
+    invocations stamped with that level).  Each level's map batch is its
+    jobs' map invocations in job order, its reduce layout one task per
+    job partition, and both stored task groupings are what
+    :func:`~repro.columnar.engine.task_groups` makes of them.
+    """
+    from repro.columnar.engine import task_groups
+
+    report = _Report(where="level program")
+    specs = {job.name: job for job in compiled.jobs}
+    placed = [job.name for level in program.levels for job in level.jobs]
+    report.check(
+        sorted(placed) == sorted(specs),
+        f"program places jobs {sorted(placed)}, the plan has {sorted(specs)}",
+    )
+    level_of: dict[str, int] = {}
+    for index, level in enumerate(program.levels):
+        for job in level.jobs:
+            level_of.setdefault(job.name, index)
+    report.check(
+        program.final_attrs == compiled.final_attrs,
+        f"final attrs {program.final_attrs} != {compiled.final_attrs}",
+    )
+    for index, level in enumerate(program.levels):
+        for job in level.jobs:
+            spec = specs.get(job.name)
+            if spec is None:
+                continue
+            deps = [level_of.get(dep, -1) for dep in spec.depends]
+            want = 1 + max(deps, default=-1)
+            report.check(
+                index == want and -1 not in deps,
+                f"job {job.name} runs at level {index}, its topological level "
+                f"is {want}" + (" (a dependency never runs)" if -1 in deps else ""),
+            )
+        maps = level.maps.invocations
+        expected = [inv for job in level.jobs for inv in job.maps]
+        report.check(
+            len(maps) == len(expected) and all(a is b for a, b in zip(maps, expected)),
+            f"level {index}: the map batch is not its jobs' map invocations",
+        )
+        report.check(
+            all(inv.level == index for inv in maps),
+            f"level {index}: a map invocation is stamped with another level",
+        )
+        report.check(
+            level.maps.groups == task_groups([inv.spec for inv in maps]),
+            f"level {index}: stored map groups differ from task_groups",
+        )
+        layout = [
+            (position, partition)
+            for position, job in enumerate(level.jobs)
+            for partition in range(job.num_reducers)
+        ]
+        report.check(
+            list(level.reduces) == layout,
+            f"level {index}: reduce layout {level.reduces} != {tuple(layout)}",
+        )
+        report.check(
+            level.reduce_groups
+            == task_groups([level.jobs[p].reduce_spec for p, _ in level.reduces]),
+            f"level {index}: stored reduce groups differ from task_groups",
+        )
+    report.raise_if_failed()
+
+
 # -- runtime hook + corpus sweep -------------------------------------------
 
 
@@ -523,11 +601,13 @@ def maybe_check(
     physical: "PhysicalPlan | None" = None,
     compiled: "CompiledPlan | None" = None,
     query: BGPQuery | None = None,
+    program: "LevelProgram | None" = None,
 ) -> None:
     """Run every applicable check iff ``REPRO_CHECK_PLANS=1``.
 
-    This is the hook the executors and the optimizer call; it is a
-    single env lookup when the mode is off.
+    This is the hook the executors, the optimizer and a prepared plan
+    building its level program call; it is a single env lookup when the
+    mode is off.
     """
     if not plans_checked():
         return
@@ -536,6 +616,8 @@ def maybe_check(
         check_physical_plan(physical, query if query is not None else plan.query)
     if physical is not None and compiled is not None:
         check_compiled_plan(compiled, physical, plan)
+    if program is not None and compiled is not None:
+        check_level_program(program, compiled)
 
 
 def corpus_coster(queries: "list[BGPQuery]", seed: int) -> "PlanCoster":
@@ -575,11 +657,14 @@ def sweep_corpus(
     (:func:`check_plan_space` with per-plan checks), the cost-bounded
     search checked against it (:func:`check_bounded_search`), and the
     selected plan translated + compiled and validated at all three
-    levels.  Returns counters; raises :class:`PlanInvariantError` on the
-    first violating query.
+    levels, with its level program for the default cluster.  Returns
+    counters; raises :class:`PlanInvariantError` on the first violating
+    query.
     """
     from repro.core.algorithm import cliquesquare
     from repro.core.decomposition import MSC
+    from repro.mapreduce.engine import ClusterConfig
+    from repro.physical.executor import level_program
     from repro.physical.job_compiler import compile_plan
     from repro.physical.translate import translate
     from repro.workloads.lubm_queries import all_queries
@@ -595,6 +680,7 @@ def sweep_corpus(
         queries.extend(batch)
 
     coster = corpus_coster(queries, seed)
+    nodes = ClusterConfig().num_nodes
     counters = {"queries": 0, "plans": 0, "retained": 0, "physical": 0, "compiled": 0}
     for query in queries:
         result = cliquesquare(query, MSC, max_plans=None, timeout_s=100.0)
@@ -615,6 +701,7 @@ def sweep_corpus(
             check_physical_plan(physical, query)
             compiled = compile_plan(physical)
             check_compiled_plan(compiled, physical, pick)
+            check_level_program(level_program(compiled, nodes), compiled)
             counters["physical"] += 1
             counters["compiled"] += 1
         counters["queries"] += 1

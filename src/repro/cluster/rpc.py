@@ -73,10 +73,12 @@ from repro.analysis.locks import ReadWriteLock, checked
 from repro.mapreduce.backends import (
     DEFAULT_RPC_PIPELINE,
     ColumnarBackend,
+    TaskBatch,
     TaskInvocation,
     task_timing,
 )
 from repro.columnar.block import ColumnBlock
+from repro.columnar.engine import task_groups
 from repro.columnar.wire import WireCodec
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import TaskContext
@@ -698,9 +700,9 @@ class _WorkerState:
             results=list(results), spans=() if acc is None else acc.packed()
         )
 
-    def _invocations(
-        self, msg: ExecuteLevel
-    ) -> tuple[list[TaskInvocation], TaskContext]:
+    def _invocations(self, msg: ExecuteLevel) -> tuple[TaskBatch, TaskContext]:
+        """The frame's tasks as a batch grouped for the columnar engine
+        (a frame carries specs, not their groups), and its context."""
         if msg.phase == "map":
             if self.snapshot is None:
                 raise WorkerStateError(
@@ -724,7 +726,8 @@ class _WorkerState:
             ]
         else:
             raise RpcProtocolError(f"unknown ExecuteLevel phase {msg.phase!r}")
-        return invocations, ctx
+        groups = task_groups([inv.spec for inv in invocations])
+        return TaskBatch(tuple(invocations), groups), ctx
 
     def stats(self) -> StatsReply:
         terms = 0 if self.snapshot is None else len(self.snapshot.dictionary)

@@ -284,8 +284,11 @@ def task_group(spec) -> object:
     return object()
 
 
-def task_groups(specs: Sequence) -> list[list[int]]:
-    """The positions of *specs* per task group, in first-member order.
+def task_groups(specs: Sequence) -> tuple[tuple[int, ...], ...]:
+    """The positions of *specs* per task group, in first-member order —
+    the one grouping function: a level program stores its output per
+    batch, a shard worker calls it per frame (see
+    :class:`~repro.mapreduce.backends.TaskBatch`).
 
     A chain-map group's emits ride on its first task, so two jobs that
     read an equal chain, tag and key must not pool their rows: the k-th
@@ -308,7 +311,7 @@ def task_groups(specs: Sequence) -> list[list[int]]:
             groups.append([])
             order.append(groups[k])
         groups[k].append(position)
-    return order
+    return tuple(map(tuple, order))
 
 
 def _metrics(counts) -> list[TaskMetrics]:

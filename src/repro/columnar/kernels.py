@@ -49,6 +49,20 @@ _MASK = 0x7FFFFFFF
 _MOD = 0x80000000
 
 
+# -- stable order -------------------------------------------------------------
+
+
+def stable_order(keys):
+    """``keys.argsort(kind="stable")`` of a non-negative int64 column,
+    sorted as ``uint8`` / ``uint16`` when its maximum fits: numpy's
+    stable sort of integers of at most 16 bits is a radix sort."""
+    if len(keys):
+        top = int(keys.max())
+        if top < 1 << 16:
+            keys = keys.astype(np.uint8 if top < 1 << 8 else np.uint16)
+    return keys.argsort(kind="stable")
+
+
 # -- selection ----------------------------------------------------------------
 
 
@@ -99,7 +113,7 @@ def _natural_join(left: ColumnBlock, right: ColumnBlock) -> ColumnBlock:
         ]
     )
     left_keys, right_keys = keys[: len(left)], keys[len(left) :]
-    order = np.argsort(right_keys, kind="stable")
+    order = stable_order(right_keys)
     sorted_keys = right_keys[order]
     lo = np.searchsorted(sorted_keys, left_keys, side="left")
     counts = np.searchsorted(sorted_keys, left_keys, side="right") - lo
@@ -268,7 +282,7 @@ def split_partitions(
     filled = np.flatnonzero(counts)
     if len(filled) == 1:
         return [(int(filled[0]), block)]
-    order = cells.argsort(kind="stable")
+    order = stable_order(cells)
     columns = [col[order] for col in block.columns]
     attrs, dictionary = block.attrs, block.dictionary
     out = []

@@ -45,11 +45,11 @@ import threading
 import time
 import warnings
 from abc import ABC, abstractmethod
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.locks import checked
 from repro.mapreduce.counters import ExecutionReport
@@ -69,7 +69,7 @@ class _InfraFailure(Exception):
         self.cause = cause
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskInvocation:
     """One task to run: a spec plus its per-call arguments.
 
@@ -79,9 +79,13 @@ class TaskInvocation:
     them, a dispatching backend (the shard router) routes by ``node``
     and sends one frame per ``phase`` of a ``level`` (the spec itself
     travels: a task is never named to a remote worker, which rebuilds
-    the invocation with these same fields).  The columnar backend runs
-    invocations whose specs differ only in ``node`` (or a reduce's
-    ``args``) as one task group.
+    the invocation with these same fields).
+
+    A map invocation carries no per-execution state, so a level
+    program (:mod:`repro.mapreduce.engine`) builds each one once and
+    every execution of the plan submits the same objects; a reduce
+    invocation is built per execution, around the ``(partition,
+    grouped)`` its shuffle produced.
     """
 
     spec: TaskSpec
@@ -93,6 +97,37 @@ class TaskInvocation:
     phase: str = "map"
     #: index of the scheduling level the batch belongs to
     level: int = 0
+
+
+@dataclass(frozen=True)
+class TaskBatch(Sequence):
+    """One phase of one level as the engine submits it: the invocations
+    in submission order, and their *task groups* — the positions of the
+    invocations the columnar backend evaluates in one kernel pass
+    (:func:`repro.columnar.engine.task_groups`, the one grouping
+    function).  A batch is a sequence of its invocations, so a backend
+    that runs task by task never looks at the groups; a plain sequence
+    of invocations runs every task as a group of its own."""
+
+    invocations: tuple[TaskInvocation, ...]
+    groups: tuple[tuple[int, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.invocations)
+
+    def __getitem__(self, index):
+        return self.invocations[index]
+
+    def __iter__(self) -> Iterator[TaskInvocation]:
+        return iter(self.invocations)
+
+
+def batch_groups(invocations: Sequence[TaskInvocation]) -> Sequence[Sequence[int]]:
+    """The task groups of a batch: a :class:`TaskBatch`'s own, else one
+    group per invocation."""
+    if isinstance(invocations, TaskBatch):
+        return invocations.groups
+    return [(position,) for position in range(len(invocations))]
 
 
 class ExecutionBackend(ABC):
@@ -209,7 +244,9 @@ class ColumnarBackend(ExecutionBackend):
     evaluated by :mod:`repro.columnar.engine` on dictionary-encoded
     :class:`~repro.columnar.block.ColumnBlock` columns instead of tuple
     lists, one kernel pass per *task group* (a chain's per-node map
-    tasks, a reduce spec's partitions; a lone task is a group of one);
+    tasks, a reduce spec's partitions; a lone task is a group of one),
+    as the :class:`TaskBatch` it is handed names them — the backend
+    never groups a batch itself;
     any other spec falls back to its own ``run``.  Results come back
     per invocation in submission order, answers and every task's
     counters identical to serial (the conformance matrix enforces it);
@@ -236,12 +273,12 @@ class ColumnarBackend(ExecutionBackend):
         self.state = ColumnarState()
 
     def run(self, invocations: Sequence[TaskInvocation], ctx: TaskContext) -> list:
-        from repro.columnar.engine import run_invocations, task_groups
+        from repro.columnar.engine import run_invocations
 
         state = self.state
         return _run_inline(
             invocations,
-            task_groups([inv.spec for inv in invocations]),
+            batch_groups(invocations),
             lambda members: run_invocations(members, ctx, state),
         )
 

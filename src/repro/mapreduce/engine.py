@@ -1,6 +1,6 @@
 """The simulated MapReduce execution engine.
 
-Executes a :class:`JobGraph` level by level (independent jobs run
+Executes a :class:`LevelProgram` level by level (independent jobs run
 concurrently; dependent jobs wait), really running every task spec on
 real data, and charges simulated time from the task counters and the
 §5.4 unit costs:
@@ -11,14 +11,29 @@ real data, and charges simulated time from the task counters and the
 * each job pays a fixed initialization overhead (``job_overhead``);
 * the response time of a level is its slowest job; levels are barriers.
 
+A level program is a plan's job DAG with everything about it that does
+not depend on the data fixed once: the topological levels, per level
+its jobs (name, output file and schema, reduce spec and reducer count),
+every map :class:`~repro.mapreduce.backends.TaskInvocation`, their task
+groups, and which job and partition each reduce task of the level
+serves.  A prepared plan builds its program on its first execution
+(:meth:`repro.physical.executor.PreparedPlan.program`); closure-style
+:class:`~repro.mapreduce.jobs.JobGraph` s compile to the same type
+(:func:`graph_program`).  What an execution builds is only its own
+state: the shuffle buckets, the metrics, the reduce invocations around
+the ``(partition, grouped)`` the shuffle produced, and the job outputs
+it publishes into the context's HDFS namespace, each under its job's
+output name.
+
 *How* the tasks of a level physically run is delegated to an
 :class:`~repro.mapreduce.backends.ExecutionBackend`: all map tasks of a
-level fan out together, then all reduce tasks, with results consumed in
-submission order so that shuffle grouping — and therefore answers and
-reports — is identical whichever backend ran the tasks.  The simulated
-timing model depends only on the returned counters, never on wall-clock,
-so a report is backend-invariant by construction (the backend name is
-recorded on it for observability).
+level fan out together as one :class:`~repro.mapreduce.backends.TaskBatch`,
+then all reduce tasks, with results consumed in submission order so
+that shuffle grouping — and therefore answers and reports — is
+identical whichever backend ran the tasks.  The simulated timing model
+depends only on the returned counters, never on wall-clock, so a report
+is backend-invariant by construction (the backend name is recorded on
+it for observability).
 
 This is the only level scheduler.  A sharded deployment does not run a
 second one: the shard router (:mod:`repro.cluster.router`) is itself a
@@ -42,16 +57,24 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.cost.params import DEFAULT_PARAMS, CostParams
 from repro.mapreduce.backends import (
     ExecutionBackend,
     SerialBackend,
+    TaskBatch,
     TaskInvocation,
 )
-from repro.mapreduce.counters import ExecutionReport, JobMetrics, TaskMetrics
-from repro.mapreduce.hdfs import Chunks
-from repro.mapreduce.jobs import Chunk, JobGraph, MapReduceJob, TaskContext
+from repro.mapreduce.counters import ExecutionReport, JobMetrics
+from repro.mapreduce.hdfs import Chunks, DistributedRelation
+from repro.mapreduce.jobs import (
+    Chunk,
+    JobGraph,
+    MapReduceJob,
+    ReduceTaskSpec,
+    TaskContext,
+)
 from repro.obs.trace import span
 
 
@@ -66,10 +89,115 @@ class ClusterConfig:
             raise ValueError("a cluster needs at least one node")
 
 
+# -- level programs -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProgramJob:
+    """One job of a level program: everything about it that is fixed
+    once its plan is."""
+
+    name: str
+    #: the HDFS file the job's per-node outputs are published as
+    output: str
+    #: that file's attribute schema
+    attrs: tuple[str, ...]
+    #: the map invocations, in submission order
+    maps: tuple[TaskInvocation, ...]
+    reduce_spec: ReduceTaskSpec | None = None
+    num_reducers: int = 0  # 0 -> map-only job
+
+    @property
+    def map_only(self) -> bool:
+        return self.num_reducers == 0
+
+
+@dataclass(frozen=True)
+class ProgramLevel:
+    """One scheduling level: its jobs, the map batch they submit
+    together and the fixed layout of the reduce batch."""
+
+    jobs: tuple[ProgramJob, ...]
+    #: every map invocation of the level, job by job, with its task groups
+    maps: TaskBatch
+    #: ``(position in jobs, partition)`` per reduce task, in submission order
+    reduces: tuple[tuple[int, int], ...]
+    #: the task groups of the reduce batch
+    reduce_groups: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class LevelProgram:
+    """A job DAG compiled for the engine: its levels, in order.
+
+    Immutable and made of specs only (never blocks or rows), so one
+    program serves every execution of its plan, from any thread at
+    once; two threads that build the program of one plan build equal
+    ones."""
+
+    levels: tuple[ProgramLevel, ...]
+    #: the answer schema (the terminal job's output attributes)
+    final_attrs: tuple[str, ...] = ()
+
+
+def program_level(jobs: Sequence[ProgramJob]) -> ProgramLevel:
+    """The level running *jobs*: their map invocations as one batch and
+    every reduce task's place, each grouped once by
+    :func:`repro.columnar.engine.task_groups`."""
+    # Imported here: the columnar engine evaluates the plan specs, whose
+    # module imports this one.
+    from repro.columnar.engine import task_groups
+
+    jobs = tuple(jobs)
+    maps = tuple(inv for job in jobs for inv in job.maps)
+    reduces = tuple(
+        (position, partition)
+        for position, job in enumerate(jobs)
+        for partition in range(job.num_reducers)
+    )
+    return ProgramLevel(
+        jobs=jobs,
+        maps=TaskBatch(maps, task_groups([inv.spec for inv in maps])),
+        reduces=reduces,
+        reduce_groups=task_groups(
+            [jobs[position].reduce_spec for position, _ in reduces]
+        ),
+    )
+
+
+def graph_program(graph: JobGraph) -> LevelProgram:
+    """The level program of a closure-style job graph: each job's output
+    is published under its name, with no schema."""
+    return LevelProgram(
+        tuple(
+            program_level(
+                [
+                    ProgramJob(
+                        name=job.name,
+                        output=job.name,
+                        attrs=(),
+                        maps=tuple(
+                            TaskInvocation(task.spec, (), task.node, "map", index)
+                            for task in job.map_tasks
+                        ),
+                        reduce_spec=job.reduce_spec,
+                        num_reducers=job.num_reducers,
+                    )
+                    for job in level
+                ]
+            )
+            for index, level in enumerate(graph.levels())
+        )
+    )
+
+
+# -- execution ----------------------------------------------------------------
+
+
 class _JobState:
     """Per-job accumulation while its level executes."""
 
-    def __init__(self, job: MapReduceJob, num_nodes: int, overhead: float) -> None:
+    def __init__(self, job: ProgramJob, num_nodes: int, overhead: float) -> None:
         self.job = job
         self.metrics = JobMetrics(
             name=job.name, overhead=overhead, map_only=job.map_only
@@ -84,7 +212,7 @@ class _JobState:
 
 
 class MapReduceEngine:
-    """Runs job graphs on a simulated cluster via an execution backend."""
+    """Runs level programs on a simulated cluster via an execution backend."""
 
     def __init__(
         self,
@@ -96,25 +224,27 @@ class MapReduceEngine:
         self.params = params
         self.backend = backend or SerialBackend()
 
-    def execute(self, graph: JobGraph, ctx: TaskContext | None = None) -> ExecutionReport:
+    def execute(
+        self, program: LevelProgram, ctx: TaskContext | None = None
+    ) -> ExecutionReport:
         """Run all jobs; return the execution report.
 
         ``ctx`` carries the worker-visible state (store snapshot, HDFS
         namespace); omitting it suits self-contained closure-style jobs.
-        Job ``on_complete`` callbacks receive the per-node outputs, each
-        a chunk of rows (reducer outputs live on the reducer's node;
-        map-only outputs on the mapper's node), letting callers persist
-        intermediates; they always run in the driver, after the level's
-        tasks returned.
+        Each job's per-node outputs, each a chunk of rows (reducer
+        outputs live on the reducer's node, map-only outputs on the
+        mapper's node), are written to the context's HDFS under the
+        job's output name once its level's tasks returned; a context
+        without a namespace keeps none.
         """
         if ctx is None:
             ctx = TaskContext(num_nodes=self.cluster.num_nodes)
         report = ExecutionReport(backend=self.backend.name)
         with self.backend.execution(ctx, report) as ctx:
-            for level_index, level in enumerate(graph.levels()):
-                with span("level", index=level_index, jobs=len(level)):
+            for level_index, level in enumerate(program.levels):
+                with span("level", index=level_index, jobs=len(level.jobs)):
                     level_time = self._run_level(level, level_index, ctx, report)
-                report.levels.append([job.name for job in level])
+                report.levels.append([job.name for job in level.jobs])
                 report.response_time += level_time
         return report
 
@@ -122,7 +252,7 @@ class MapReduceEngine:
 
     def _run_level(
         self,
-        level: list[MapReduceJob],
+        level: ProgramLevel,
         level_index: int,
         ctx: TaskContext,
         report: ExecutionReport,
@@ -130,23 +260,18 @@ class MapReduceEngine:
         params = self.params
         num_nodes = self.cluster.num_nodes
         states = [
-            _JobState(job, num_nodes, params.job_overhead) for job in level
+            _JobState(job, num_nodes, params.job_overhead) for job in level.jobs
         ]
 
         # Map phase: fan every map task of the level out on the backend,
         # then consume results in submission order (determinism: shuffle
         # lists are appended in task order, not completion order).
-        invocations = [
-            TaskInvocation(task.spec, (), task.node, "map", level_index)
-            for state in states
-            for task in state.job.map_tasks
-        ]
-        with span("map_phase", tasks=len(invocations)):
-            results = iter(list(self.backend.run(invocations, ctx)))
+        with span("map_phase", tasks=len(level.maps)):
+            results = iter(list(self.backend.run(level.maps, ctx)))
         for state in states:
             job, metrics = state.job, state.metrics
             num_reducers = max(job.num_reducers, 1)
-            for task in job.map_tasks:
+            for task in job.maps:
                 shuffle, direct, task_metrics = next(results)
                 work = task_metrics.time(params)
                 state.node_work[task.node] += work
@@ -156,32 +281,31 @@ class MapReduceEngine:
                 state.outputs_per_node[task.node % num_nodes].append(direct)
             metrics.map_time = max(state.node_work.values(), default=0.0)
 
-        # Reduce phase: likewise, across all jobs of the level.
-        reduce_invocations: list[TaskInvocation] = []
-        owners: list[tuple[_JobState, int]] = []
-        for state in states:
-            job = state.job
-            if job.map_only:
-                continue
-            assert job.reduce_spec is not None
-            for partition in range(job.num_reducers):
-                grouped = dict(state.shuffle.get(partition, ()))
-                reduce_invocations.append(
+        # Reduce phase: likewise, across all jobs of the level; only the
+        # invocations' (partition, grouped) arguments are new per run.
+        if level.reduces:
+            reduce_batch = TaskBatch(
+                tuple(
                     TaskInvocation(
-                        job.reduce_spec,
-                        (partition, grouped),
+                        states[position].job.reduce_spec,
+                        (
+                            partition,
+                            dict(states[position].shuffle.get(partition, ())),
+                        ),
                         partition % num_nodes,
                         "reduce",
                         level_index,
                     )
-                )
-                owners.append((state, partition))
-        if reduce_invocations:
-            with span("reduce_phase", tasks=len(reduce_invocations)):
-                reduce_results = self.backend.run(reduce_invocations, ctx)
-            for (state, partition), (out, task_metrics) in zip(
-                owners, reduce_results
+                    for position, partition in level.reduces
+                ),
+                level.reduce_groups,
+            )
+            with span("reduce_phase", tasks=len(reduce_batch)):
+                reduce_results = self.backend.run(reduce_batch, ctx)
+            for (position, partition), (out, task_metrics) in zip(
+                level.reduces, reduce_results
             ):
+                state = states[position]
                 metrics = state.metrics
                 node = partition % num_nodes
                 work = task_metrics.time(params)
@@ -198,11 +322,14 @@ class MapReduceEngine:
         # Close out the level: charge overheads, publish outputs.
         level_time = 0.0
         for state in states:
-            metrics = state.metrics
+            job, metrics = state.job, state.metrics
             metrics.total_work += params.job_overhead
             metrics.output_tuples = sum(map(len, state.outputs_per_node))
-            if state.job.on_complete is not None:
-                state.job.on_complete(state.outputs_per_node)
+            if ctx.hdfs is not None:
+                ctx.hdfs.write(
+                    job.output,
+                    DistributedRelation(job.attrs, state.outputs_per_node),
+                )
             report.jobs.append(metrics)
             report.total_work += metrics.total_work
             level_time = max(level_time, metrics.time)
@@ -216,8 +343,8 @@ def run_jobs(
     backend: ExecutionBackend | None = None,
     ctx: TaskContext | None = None,
 ) -> ExecutionReport:
-    """Convenience: build a graph from *jobs* and execute it."""
+    """Convenience: compile *jobs* into a program and execute it."""
     graph = JobGraph()
     for job in jobs:
         graph.add(job)
-    return MapReduceEngine(cluster, params, backend).execute(graph, ctx)
+    return MapReduceEngine(cluster, params, backend).execute(graph_program(graph), ctx)

@@ -1,11 +1,13 @@
 """The simulated MapReduce job model.
 
-A :class:`MapReduceJob` bundles map tasks (one per node per input), an
-optional reduce stage and dependency edges.  Tasks carry *declarative
-specs* — picklable dataclasses whose ``run`` method evaluates the task
-against a :class:`TaskContext` — so any execution backend (serial,
-thread pool, process pool) can ship a task to a worker and get back its
-output rows plus :class:`TaskMetrics`.  Behaviour lives in the spec
+A :class:`MapReduceJob` bundles map tasks, an optional reduce stage and
+dependency edges; a :class:`JobGraph` of them compiles to the level
+program the engine runs (:mod:`repro.mapreduce.engine`), the type a
+prepared plan builds directly.  Tasks carry *declarative specs* —
+picklable dataclasses whose ``run`` method evaluates the task against a
+:class:`TaskContext` — so any execution backend (serial, thread pool,
+process pool) can ship a task to a worker and get back its output rows
+plus :class:`TaskMetrics`.  Behaviour lives in the spec
 class, state in its fields; nothing in a spec may close over live
 engine objects.
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Collection
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from repro.mapreduce.counters import TaskMetrics
 
@@ -166,7 +168,6 @@ class MapTask:
     node: int
     spec: MapTaskSpec | None = None
     run: Callable[[], RowMapResult] | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         if (self.spec is None) == (self.run is None):
@@ -187,11 +188,6 @@ class MapReduceJob:
     reduce_spec: ReduceTaskSpec | None = None
     #: names of jobs whose output this job reads (scheduling DAG)
     depends_on: tuple[str, ...] = ()
-    #: callback invoked with the per-node outputs (one chunk of rows per
-    #: node) once the job finishes; used by executors to register results
-    #: in simulated HDFS.  Always runs in the driver process, so it may
-    #: close over live state.
-    on_complete: Callable[[list[Chunk]], None] | None = None
 
     def __post_init__(self) -> None:
         if self.reducer is not None and self.reduce_spec is not None:
@@ -231,6 +227,9 @@ class JobGraph:
 
     Jobs with no unfinished dependencies run concurrently (Hadoop runs
     independent jobs in parallel); levels are the simulator's barriers.
+    The engine runs a graph compiled to its level program
+    (:func:`repro.mapreduce.engine.graph_program`), which publishes each
+    job's per-node outputs into HDFS under the job's name.
     """
 
     jobs: list[MapReduceJob] = field(default_factory=list)
@@ -243,27 +242,40 @@ class JobGraph:
 
     def levels(self) -> list[list[MapReduceJob]]:
         """Topological levels: a job sits one level after its last dependency."""
-        by_name = {j.name: j for j in self.jobs}
-        level_of: dict[str, int] = {}
+        return [
+            [self.jobs[position] for position in level]
+            for level in topological_levels(
+                [(job.name, job.depends_on) for job in self.jobs]
+            )
+        ]
 
-        def level(job: MapReduceJob, seen: frozenset[str]) -> int:
-            if job.name in level_of:
-                return level_of[job.name]
-            if job.name in seen:
-                raise ValueError(f"job dependency cycle through {job.name}")
-            deps = []
-            for dep in job.depends_on:
-                if dep not in by_name:
-                    raise ValueError(f"job {job.name} depends on unknown {dep}")
-                deps.append(level(by_name[dep], seen | {job.name}))
-            value = (max(deps) + 1) if deps else 0
-            level_of[job.name] = value
-            return value
 
-        for job in self.jobs:
-            level(job, frozenset())
-        depth = max(level_of.values(), default=-1) + 1
-        out: list[list[MapReduceJob]] = [[] for _ in range(depth)]
-        for job in self.jobs:
-            out[level_of[job.name]].append(job)
-        return out
+def topological_levels(
+    jobs: Sequence[tuple[str, Sequence[str]]],
+) -> list[list[int]]:
+    """The positions of *jobs* — ``(name, names it depends on)`` pairs —
+    per scheduling level, in input order within a level: a job sits one
+    level after its last dependency."""
+    position_of = {name: position for position, (name, _deps) in enumerate(jobs)}
+    level_of: dict[str, int] = {}
+
+    def level(name: str, deps: Sequence[str], seen: frozenset[str]) -> int:
+        if name in level_of:
+            return level_of[name]
+        if name in seen:
+            raise ValueError(f"job dependency cycle through {name}")
+        below = []
+        for dep in deps:
+            if dep not in position_of:
+                raise ValueError(f"job {name} depends on unknown {dep}")
+            below.append(level(dep, jobs[position_of[dep]][1], seen | {name}))
+        value = (max(below) + 1) if below else 0
+        level_of[name] = value
+        return value
+
+    for name, deps in jobs:
+        level(name, deps, frozenset())
+    out: list[list[int]] = [[] for _ in range(max(level_of.values(), default=-1) + 1)]
+    for position, (name, _deps) in enumerate(jobs):
+        out[level_of[name]].append(position)
+    return out

@@ -33,26 +33,29 @@ compares the two field-wise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.core.logical import LogicalPlan, rewrite_patterns
 from repro.cost.params import DEFAULT_PARAMS, CostParams
 from repro.columnar.block import ColumnBlock, answer_block, answer_rows
-from repro.mapreduce.backends import ExecutionBackend, make_backend
+from repro.mapreduce.backends import ExecutionBackend, TaskInvocation, make_backend
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
-from repro.mapreduce.engine import ClusterConfig, MapReduceEngine
+from repro.mapreduce.engine import (
+    ClusterConfig,
+    LevelProgram,
+    MapReduceEngine,
+    ProgramJob,
+    program_level,
+)
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import (
-    JobGraph,
-    MapReduceJob,
-    MapTask,
     MapTaskSpec,
     ReduceTaskSpec,
-    Chunk,
     TaskContext,
     flatten,
     stable_hash,
+    topological_levels,
 )
 from repro.obs.trace import span
 from repro.partitioning.triple_partitioner import PartitionedStore
@@ -89,7 +92,11 @@ class PreparedPlan:
     Preparation is pure (no cluster state is touched), so a prepared
     plan can be executed any number of times — and cached: the query
     service memoizes prepared plans per query shape to skip translation
-    and job compilation on repeated queries.  All three layers are plain
+    and job compilation on repeated queries.  Its first execution also
+    compiles the job DAG into the engine's level program (levels, map
+    invocations, task groups — :meth:`program`), which the plan keeps,
+    so a warm execution builds nothing but its own per-run state; a
+    plan that is only ever bound builds none.  All layers are plain
     dataclasses of plain data, so a prepared plan pickles: it can be
     shipped to another process or persisted and re-executed there.
 
@@ -103,6 +110,24 @@ class PreparedPlan:
     plan: LogicalPlan
     physical: PhysicalPlan
     compiled: CompiledPlan
+    #: ``(num_nodes, program)``: the level program the plan last ran
+    #: on a cluster of that size (see :meth:`program`)
+    _program: tuple[int, LevelProgram] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def program(self, num_nodes: int) -> LevelProgram:
+        """The plan's level program on *num_nodes* nodes, built on the
+        first call and kept.  No lock: building is pure, so two threads
+        racing on a new plan build equal programs and either may stay."""
+        cached = self._program
+        if cached is None or cached[0] != num_nodes:
+            program = level_program(self.compiled, num_nodes)
+            from repro.analysis.plan_check import maybe_check
+
+            maybe_check(self.plan, compiled=self.compiled, program=program)
+            cached = self._program = (num_nodes, program)
+        return cached[1]
 
     def bind(self, subst: dict[str, str]) -> "PreparedPlan":
         """A copy with *subst* applied to every pattern term.
@@ -283,7 +308,7 @@ class StarReduceSpec(ReduceTaskSpec):
         return out_rows, metrics
 
 
-# -- job construction -----------------------------------------------------------
+# -- level programs -------------------------------------------------------------
 
 
 def job_output_attrs(spec: JobSpec) -> tuple[str, ...]:
@@ -295,67 +320,48 @@ def job_output_attrs(spec: JobSpec) -> tuple[str, ...]:
     return spec.map_chains[0].attrs
 
 
-def build_map_tasks(spec: JobSpec, num_nodes: int) -> list[MapTask]:
-    """The map tasks of one job spec: per chain tag, one task per node."""
+def program_job(spec: JobSpec, num_nodes: int, level: int) -> ProgramJob:
+    """The program job of one job spec at *level*: a map-only job runs
+    its chain once per node; a reduce-join job runs each chain (tag)
+    once per node and shuffles to one reducer per node."""
+    attrs = job_output_attrs(spec)
     if spec.map_only:
         chain = spec.map_chains[0]
-        return [
-            MapTask(
-                node=node,
-                label=f"{spec.name}@{node}",
-                spec=MapOnlySpec(chain=chain, node=node, project=spec.project),
-            )
+        maps = tuple(
+            TaskInvocation(MapOnlySpec(chain, node, spec.project), (), node, "map", level)
             for node in range(num_nodes)
-        ]
-    rj = spec.reduce_join
-    assert rj is not None
-    tasks: list[MapTask] = []
-    for tag, chain in enumerate(spec.map_chains):
-        for node in range(num_nodes):
-            tasks.append(
-                MapTask(
-                    node=node,
-                    label=f"{spec.name}/m{tag}@{node}",
-                    spec=ChainMapSpec(
-                        chain=chain,
-                        node=node,
-                        tag=tag,
-                        key_attrs=rj.on,
-                        num_reducers=num_nodes,
-                    ),
-                )
-            )
-    return tasks
-
-
-def job_from_spec(
-    spec: JobSpec, num_nodes: int, on_complete=None
-) -> MapReduceJob:
-    """Instantiate the :class:`MapReduceJob` for one compiled job spec.
-
-    ``on_complete`` receives the per-node output chunks once the job
-    finishes (executors use it to register results in simulated HDFS).
-    """
-    if spec.map_only:
-        return MapReduceJob(
-            name=spec.name,
-            map_tasks=build_map_tasks(spec, num_nodes),
-            depends_on=spec.depends,
-            on_complete=on_complete,
         )
+        return ProgramJob(spec.name, spec.output_name, attrs, maps)
     rj = spec.reduce_join
     assert rj is not None
-    return MapReduceJob(
-        name=spec.name,
-        map_tasks=build_map_tasks(spec, num_nodes),
-        num_reducers=num_nodes,
-        reduce_spec=StarReduceSpec(
-            on=rj.on,
-            child_attrs=tuple(chain.attrs for chain in spec.map_chains),
-            project=spec.project,
+    maps = tuple(
+        TaskInvocation(
+            ChainMapSpec(chain, node, tag, rj.on, num_nodes), (), node, "map", level
+        )
+        for tag, chain in enumerate(spec.map_chains)
+        for node in range(num_nodes)
+    )
+    reduce_spec = StarReduceSpec(
+        on=rj.on,
+        child_attrs=tuple(chain.attrs for chain in spec.map_chains),
+        project=spec.project,
+    )
+    return ProgramJob(spec.name, spec.output_name, attrs, maps, reduce_spec, num_nodes)
+
+
+def level_program(compiled: CompiledPlan, num_nodes: int) -> LevelProgram:
+    """Compile a job DAG into the level program the engine runs on
+    *num_nodes* nodes: the topological levels of ``compiled.jobs``,
+    every map invocation built and grouped once."""
+    levels = topological_levels([(spec.name, spec.depends) for spec in compiled.jobs])
+    return LevelProgram(
+        tuple(
+            program_level(
+                [program_job(compiled.jobs[p], num_nodes, index) for p in positions]
+            )
+            for index, positions in enumerate(levels)
         ),
-        depends_on=spec.depends,
-        on_complete=on_complete,
+        compiled.final_attrs,
     )
 
 
@@ -495,21 +501,22 @@ class PlanExecutor:
         return False
 
     def execute_prepared(self, prepared: PreparedPlan) -> ExecutionResult:
-        """Run an already-prepared plan; return answers + report."""
-        compiled = prepared.compiled
-        hdfs = HDFS(num_nodes=self.cluster.num_nodes)
+        """Run an already-prepared plan; return answers + report.
+
+        The plan's level program is built on its first execution and
+        reused by every later one; what is new per execution is the
+        HDFS namespace, the store snapshot it reads and what the engine
+        keeps per run (shuffle buckets, metrics, reduce arguments)."""
+        num_nodes = self.cluster.num_nodes
+        program = prepared.program(num_nodes)
+        hdfs = HDFS(num_nodes=num_nodes)
         ctx = TaskContext(
-            num_nodes=self.cluster.num_nodes,
-            store=self.store.snapshot(),
-            hdfs=hdfs,
+            num_nodes=num_nodes, store=self.store.snapshot(), hdfs=hdfs
         )
-        graph = JobGraph()
-        for spec in compiled.jobs:
-            graph.add(self._build_job(spec, hdfs))
-        with span("engine", jobs=len(compiled.jobs)):
-            report = self.engine.execute(graph, ctx)
+        with span("engine", jobs=len(prepared.compiled.jobs)):
+            report = self.engine.execute(program, ctx)
         block = answer_block(
-            compiled.final_attrs,
+            program.final_attrs,
             hdfs.read("result").chunks(),
             ctx.store.dictionary,
         )
@@ -518,20 +525,5 @@ class PlanExecutor:
             report=report,
             plan=prepared.plan,
             physical=prepared.physical,
-            compiled=compiled,
-        )
-
-    # -- job construction ----------------------------------------------------------
-
-    def _build_job(self, spec: JobSpec, hdfs: HDFS) -> MapReduceJob:
-        out_attrs = job_output_attrs(spec)
-
-        def on_complete(outputs: list[Chunk]) -> None:
-            hdfs.write(
-                spec.output_name,
-                DistributedRelation(attrs=out_attrs, partitions=outputs),
-            )
-
-        return job_from_spec(
-            spec, self.cluster.num_nodes, on_complete=on_complete
+            compiled=prepared.compiled,
         )

@@ -49,7 +49,7 @@ from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.jobs import MapTaskSpec, TaskContext
 from repro.partitioning.triple_partitioner import partition_graph
-from repro.physical.executor import PlanExecutor, PreparedPlan, job_from_spec
+from repro.physical.executor import PlanExecutor, PreparedPlan
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import RDF_TYPE, is_variable
 from repro.service import (
@@ -706,12 +706,8 @@ def assert_stateless_workers(service: QueryService, where: str = "") -> None:
 
     num_nodes = service.executor.cluster.num_nodes
     snapshot = service.store.snapshot()
-    spec = service.executor.prepare(plan).compiled.jobs[0]
-    assert not spec.depends, where
-    invocations = [
-        TaskInvocation(task.spec, node=task.node)
-        for task in job_from_spec(spec, num_nodes).map_tasks
-    ]
+    program = service.executor.prepare(plan).program(num_nodes)
+    invocations = list(program.levels[0].jobs[0].maps)
 
     def run_on(backend, store) -> list:
         ctx = TaskContext(

@@ -111,6 +111,23 @@ def university_coster(university_graph: RDFGraph) -> PlanCoster:
     return PlanCoster(CardinalityEstimator(stats))
 
 
+@pytest.fixture
+def program_builds(monkeypatch: pytest.MonkeyPatch) -> list:
+    """The job DAG of every level program built while the test runs,
+    one entry per build (a spy on ``repro.physical.executor.level_program``)."""
+    import repro.physical.executor as executor_module
+
+    real = executor_module.level_program
+    builds: list = []
+
+    def spy(compiled: object, num_nodes: int) -> object:
+        builds.append(compiled)
+        return real(compiled, num_nodes)
+
+    monkeypatch.setattr(executor_module, "level_program", spy)
+    return builds
+
+
 # --- random query generation for property tests ------------------------------
 
 

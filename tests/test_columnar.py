@@ -19,6 +19,7 @@ from repro.columnar.kernels import (
     project_block,
     select_bind,
     shuffle_partitions,
+    stable_order,
     star_join_blocks,
 )
 from repro.columnar.wire import (
@@ -888,12 +889,14 @@ def assert_groups_match_single(invocations, ctx, backend):
     chain-map group's shuffle rides: per group, the rows of all its
     tasks' runs per (partition, tag), on the group's first task."""
     from repro.columnar.engine import task_groups
+    from repro.mapreduce.backends import TaskBatch
     from tests.conformance import shuffled_rows
 
-    got = backend.run(invocations, ctx)
+    groups = task_groups([inv.spec for inv in invocations])
+    got = backend.run(TaskBatch(tuple(invocations), groups), ctx)
     assert len(got) == len(invocations)
     want = [inv.spec.run(ctx, *inv.args) for inv in invocations]
-    for positions in task_groups([inv.spec for inv in invocations]):
+    for positions in groups:
         for rank, position in enumerate(positions):
             result, alone = got[position], want[position]
             if len(alone) == 2:  # reduce: (output, metrics)
@@ -1074,6 +1077,26 @@ def test_two_backends_on_different_graphs_answer_right(lubm_graph):
         executor.close()
 
 
+@pytest.mark.parametrize(
+    "column",
+    [
+        [],
+        [7] * 9,
+        [255, 0, 255, 3, 0],
+        [256, 0, 256, 255],
+        [65_535, 9, 65_535, 0],
+        [65_536, 1, 65_536, 1],
+    ],
+)
+def test_stable_order_at_the_narrowing_bounds(column):
+    """Empty and all-equal columns, and maxima each side of the 8- and
+    16-bit bounds: the same order as an int64 stable argsort."""
+    import numpy as np
+
+    keys = np.array(column, dtype=np.int64)
+    assert stable_order(keys).tolist() == keys.argsort(kind="stable").tolist()
+
+
 # -- property-based (hypothesis, optional) ------------------------------------
 
 if HAVE_HYPOTHESIS:
@@ -1104,6 +1127,30 @@ if HAVE_HYPOTHESIS:
         left = Relation(("?k", "?a"), left_rows)
         right = Relation(("?k", "?b"), right_rows)
         assert_join_equivalent([left, right], on=("?k",))
+
+    #: key columns whose maximum sits on either side of the 8- and
+    #: 16-bit bounds the stable order narrows to
+    bound_st = st.sampled_from([0, 1, 254, 255, 256, 257, 65_534, 65_535, 65_536, 65_537])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        bound_st,
+        st.lists(st.integers(min_value=0, max_value=65_537), max_size=300),
+        st.integers(min_value=0, max_value=5),
+        st.randoms(use_true_random=False),
+    )
+    def test_prop_stable_order_is_the_stable_argsort(top, values, ties, rnd):
+        """Empty columns, all-equal ones (``values`` empty, ``ties``
+        copies of the maximum) and columns whose maximum is each side
+        of 255 / 256 and 65 535 / 65 536: the narrowed order equals
+        int64 ``argsort(kind="stable")``, ties in input order."""
+        import numpy as np
+
+        column = [min(v, top) for v in values] + [top] * ties
+        rnd.shuffle(column)
+        keys = np.array(column, dtype=np.int64)
+        want = keys.argsort(kind="stable")
+        assert stable_order(keys).tolist() == want.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(term_st, min_size=1, max_size=8))

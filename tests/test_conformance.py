@@ -36,11 +36,16 @@ from repro.columnar.engine import task_groups
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.mapreduce.backends import ColumnarBackend, ExecutionBackend, SerialBackend
-from repro.mapreduce.engine import ClusterConfig, run_jobs
+from repro.mapreduce.engine import (
+    ClusterConfig,
+    LevelProgram,
+    MapReduceEngine,
+    program_level,
+)
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.jobs import TaskContext
 from repro.partitioning.triple_partitioner import partition_graph
-from repro.physical.executor import PlanExecutor, job_from_spec
+from repro.physical.executor import PlanExecutor, program_job
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.evaluator import evaluate
 from repro.workloads import lubm, lubm_queries
@@ -392,13 +397,14 @@ def run_twin_jobs(backend, snapshot, spec) -> tuple[list, list]:
     """Two jobs of one level built from one reduce-join job spec, so
     their map chains are equal in chain, tag and key: what each reduce
     task read, and the per-job metrics."""
-    jobs = [
-        dataclass_replace(job_from_spec(spec, NUM_NODES), name=f"twin-{i}")
-        for i in range(2)
-    ]
+    job = program_job(spec, NUM_NODES, 0)
+    level = program_level(
+        [dataclass_replace(job, name=f"twin-{i}", output=f"twin-{i}") for i in range(2)]
+    )
     spy = _ReduceInputs(backend)
     ctx = TaskContext(num_nodes=NUM_NODES, store=snapshot, hdfs=HDFS(num_nodes=NUM_NODES))
-    report = run_jobs(jobs, ClusterConfig(num_nodes=NUM_NODES), backend=spy, ctx=ctx)
+    engine = MapReduceEngine(ClusterConfig(num_nodes=NUM_NODES), backend=spy)
+    report = engine.execute(LevelProgram((level,)), ctx)
     return spy.read, report.jobs
 
 

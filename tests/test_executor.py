@@ -245,3 +245,101 @@ class TestAnswerBlock:
             assert result.rows == evaluate(query, graph)
             assert result.rows is result.rows
         assert len(calls) == len(result.attrs)
+
+
+class TestLevelProgram:
+    """A prepared plan builds its level program on its first execution
+    and every later execution reuses it."""
+
+    #: a plan of two levels
+    QUERY = "Q8"
+
+    @pytest.fixture(scope="class")
+    def lubm_store(self):
+        from repro.workloads import lubm
+
+        graph = lubm.generate(lubm.LUBMConfig(universities=4))
+        return graph, partition_graph(graph, 7)
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        from repro.workloads import lubm_queries
+
+        return cliquesquare(lubm_queries.query(self.QUERY), MSC).plans[0]
+
+    def test_a_cached_plan_builds_one_program(self, lubm_store, plan, program_builds):
+        from dataclasses import asdict
+
+        from repro.workloads import lubm_queries
+
+        graph, store = lubm_store
+        with PlanExecutor(store, backend="columnar") as ex:
+            prepared = ex.prepare(plan)
+            assert program_builds == []  # prepare builds none
+            first = ex.execute_prepared(prepared)
+            second = ex.execute_prepared(prepared)
+        assert len(program_builds) == 1 and program_builds[0] is prepared.compiled
+        assert len(prepared.program(7).levels) == len(first.report.levels) > 1
+        assert asdict(first.report) == asdict(second.report)
+        assert first.rows == second.rows == evaluate(
+            lubm_queries.query(self.QUERY), graph
+        )
+
+    def test_another_cluster_size_gets_its_own_program(self, lubm_store, plan):
+        graph, store = lubm_store
+        with PlanExecutor(store) as ex:
+            prepared = ex.prepare(plan)
+            want = ex.execute_prepared(prepared).rows
+        small = PlanExecutor(partition_graph(graph, 3))
+        assert small.execute_prepared(prepared).rows == want
+        jobs = [job for level in prepared.program(3).levels for job in level.jobs]
+        assert {len(job.maps) % 3 for job in jobs} == {0}
+        assert all(job.num_reducers in (0, 3) for job in jobs)
+
+    @pytest.mark.parametrize("built", [False, True], ids=["fresh", "built"])
+    def test_a_pickled_plan_runs_to_the_same_answer_and_report(
+        self, lubm_store, plan, built
+    ):
+        import pickle
+
+        _graph, store = lubm_store
+        with PlanExecutor(store, backend="columnar") as ex:
+            prepared = ex.prepare(plan)
+            if built:
+                ex.execute_prepared(prepared)
+            clone = pickle.loads(pickle.dumps(prepared))
+            got = ex.execute_prepared(clone)
+            want = ex.execute_prepared(prepared)
+        assert got.rows == want.rows
+        assert got.report == want.report
+
+    def test_threads_racing_on_a_fresh_plan_agree(self, lubm_store, plan, monkeypatch):
+        """Four threads run one never-executed plan at once, with the
+        lock-order witness armed: no lock guards the program, and every
+        thread gets the same answer and report."""
+        import threading
+
+        monkeypatch.setenv("REPRO_LOCK_CHECK", "1")
+        _graph, store = lubm_store
+        with PlanExecutor(store, backend="columnar") as ex:
+            prepared = ex.prepare(plan)
+            barrier = threading.Barrier(4)
+            results: list = [None] * 4
+            errors: list = []
+
+            def run(index: int) -> None:
+                try:
+                    barrier.wait()
+                    results[index] = ex.execute_prepared(prepared)
+                except BaseException as exc:  # pragma: no cover - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert not errors
+        assert all(r.rows == results[0].rows for r in results)
+        assert all(r.report == results[0].report for r in results)
+        assert results[0].rows

@@ -4,9 +4,20 @@ import pytest
 
 from repro.cost.params import CostParams
 from repro.mapreduce.counters import TaskMetrics
-from repro.mapreduce.engine import ClusterConfig, MapReduceEngine, run_jobs
+from repro.mapreduce.engine import (
+    ClusterConfig,
+    MapReduceEngine,
+    graph_program,
+    run_jobs,
+)
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
-from repro.mapreduce.jobs import JobGraph, MapReduceJob, MapTask, stable_hash
+from repro.mapreduce.jobs import (
+    JobGraph,
+    MapReduceJob,
+    MapTask,
+    TaskContext,
+    stable_hash,
+)
 
 
 def metrics(**kw) -> TaskMetrics:
@@ -149,32 +160,25 @@ class TestEngine:
         )
 
     def test_word_count(self):
-        collected = {}
         job = self.word_count_job([["a", "b"], ["a"], ["c", "a"]])
-        job.on_complete = lambda outs: collected.update(
-            dict(r for part in outs for r in part)
-        )
-        report = run_jobs([job], ClusterConfig(num_nodes=3))
+        ctx = TaskContext(num_nodes=3, hdfs=HDFS(num_nodes=3))
+        report = run_jobs([job], ClusterConfig(num_nodes=3), ctx=ctx)
+        collected = dict(ctx.hdfs.read("wc").all_rows())
         assert collected == {"a": 3, "b": 1, "c": 1}
         assert report.num_jobs == 1
         assert not report.jobs[0].map_only
         assert report.jobs[0].tuples_shuffled == 5
 
     def test_map_only_job(self):
-        outputs = []
-
         def mapper():
             m = TaskMetrics()
             m.tuples_read = 2
             return [], [(1,), (2,)], m
 
-        job = MapReduceJob(
-            name="scan",
-            map_tasks=[MapTask(node=0, run=mapper)],
-            on_complete=lambda outs: outputs.extend(outs[0]),
-        )
-        report = run_jobs([job], ClusterConfig(num_nodes=2))
-        assert outputs == [(1, ), (2,)]
+        job = MapReduceJob(name="scan", map_tasks=[MapTask(node=0, run=mapper)])
+        ctx = TaskContext(num_nodes=2, hdfs=HDFS(num_nodes=2))
+        report = run_jobs([job], ClusterConfig(num_nodes=2), ctx=ctx)
+        assert list(ctx.hdfs.read("scan").partitions[0]) == [(1,), (2,)]
         assert report.jobs[0].map_only
 
     def test_response_time_levels_are_barriers(self):
@@ -236,7 +240,7 @@ class TestEngine:
             ],
         )
         report = MapReduceEngine(ClusterConfig(num_nodes=2), params).execute(
-            _graph_of([job])
+            graph_program(_graph_of([job]))
         )
         assert report.jobs[0].map_time == pytest.approx(9.0)
 

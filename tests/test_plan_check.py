@@ -4,11 +4,14 @@ environment flag."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.plan_check import (
     PlanInvariantError,
     check_compiled_plan,
+    check_level_program,
     check_logical_plan,
     check_physical_plan,
     check_plan_space,
@@ -20,6 +23,8 @@ from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.core.logical import Join, LogicalPlan, Match, Project
 from repro.core.properties import height, optimal_height
+from repro.mapreduce.backends import TaskBatch
+from repro.physical.executor import level_program
 from repro.physical.job_compiler import compile_plan
 from repro.physical.translate import translate
 from repro.sparql.parser import parse_query
@@ -136,6 +141,75 @@ class TestPhysicalAndCompiled:
         check_physical_plan(physical, chain_query)
         compiled = compile_plan(physical)
         check_compiled_plan(compiled, physical, plan)
+
+
+class TestLevelProgram:
+    """A level program must place every job of its DAG once, at its
+    topological level, with the task groups ``task_groups`` makes."""
+
+    NODES = 3
+
+    @pytest.fixture(scope="class")
+    def two_levels(self):
+        from repro.workloads import lubm_queries
+
+        plan = cliquesquare(lubm_queries.query("Q8"), MSC).plans[0]
+        compiled = compile_plan(translate(plan))
+        program = level_program(compiled, self.NODES)
+        assert len(program.levels) == 2
+        return compiled, program
+
+    def test_programs_of_optimizer_plans_pass(self, chain_result, two_levels):
+        compiled, program = two_levels
+        check_level_program(program, compiled)
+        for plan in chain_result.plans:
+            compiled = compile_plan(translate(plan))
+            check_level_program(level_program(compiled, self.NODES), compiled)
+
+    def test_dropped_job_rejected(self, two_levels):
+        compiled, program = two_levels
+        dropped = replace(program, levels=program.levels[:1])
+        with pytest.raises(PlanInvariantError, match="places jobs"):
+            check_level_program(dropped, compiled)
+
+    def test_swapped_levels_rejected(self, two_levels):
+        compiled, program = two_levels
+        swapped = replace(program, levels=program.levels[::-1])
+        with pytest.raises(PlanInvariantError, match="topological level"):
+            check_level_program(swapped, compiled)
+
+    def test_split_group_rejected(self, two_levels):
+        compiled, program = two_levels
+        first = program.levels[0]
+        groups = first.maps.groups
+        at = next(i for i, group in enumerate(groups) if len(group) > 1)
+        split = groups[:at] + (groups[at][:1], groups[at][1:]) + groups[at + 1 :]
+        level = replace(first, maps=TaskBatch(first.maps.invocations, split))
+        broken = replace(program, levels=(level,) + program.levels[1:])
+        with pytest.raises(PlanInvariantError, match="map groups"):
+            check_level_program(broken, compiled)
+
+    def test_execution_checks_the_program_it_builds(self, monkeypatch):
+        """Under ``REPRO_CHECK_PLANS=1`` a prepared plan checks its level
+        program as it builds it, so a ``level_program`` that swaps two
+        levels fails the first execution."""
+        import repro.physical.executor as executor_module
+        from repro.partitioning.triple_partitioner import partition_graph
+        from repro.workloads import lubm, lubm_queries
+
+        real = executor_module.level_program
+
+        def swapping(compiled, num_nodes):
+            program = real(compiled, num_nodes)
+            return replace(program, levels=program.levels[::-1])
+
+        monkeypatch.setattr(executor_module, "level_program", swapping)
+        monkeypatch.setenv("REPRO_CHECK_PLANS", "1")
+        graph = lubm.generate(lubm.LUBMConfig(universities=4))
+        executor = executor_module.PlanExecutor(partition_graph(graph, self.NODES))
+        prepared = executor.prepare(cliquesquare(lubm_queries.query("Q8"), MSC).plans[0])
+        with pytest.raises(PlanInvariantError, match="topological level"):
+            executor.execute_prepared(prepared)
 
 
 class TestRuntimeHook:

@@ -279,6 +279,34 @@ class TestUnifiedRouting:
             assert svc.snapshot_stats().optimizer_runs == 1
 
 
+class TestLevelPrograms:
+    """A cached plan's level program is built once, on its first
+    execution; a template is bound, never executed, so it builds none."""
+
+    def test_warm_passes_build_one_program_per_query(
+        self, graph, expected, program_builds
+    ):
+        config = ServiceConfig(result_cache_size=0)
+        with QueryService(graph, config) as svc:
+            for _ in range(5):
+                for name in ALL_NAMES:
+                    out = svc.submit(lubm_queries.query(name))
+                    assert out.rows == expected[name], name
+        assert len(program_builds) == len(ALL_NAMES)
+        assert len({id(compiled) for compiled in program_builds}) == len(ALL_NAMES)
+
+    def test_a_template_that_is_only_bound_builds_none(self, graph, program_builds):
+        with QueryService(graph, ServiceConfig(result_cache_size=0)) as svc:
+            prepared = svc.prepare(VARYING.format(uni="$uni"))
+            template = prepared._entry.prepared
+            for _ in range(2):
+                for i in range(4):
+                    assert prepared.execute(uni=lubm.university_iri(i)).rows
+        # One program per bound plan, none for the template they came from.
+        assert len(program_builds) == 4
+        assert all(compiled is not template.compiled for compiled in program_builds)
+
+
 class TestStatsAndExplain:
     def test_template_counters_in_snapshot_and_format(self, graph):
         with QueryService(graph, ServiceConfig(result_cache_size=0)) as svc:

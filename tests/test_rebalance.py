@@ -52,7 +52,7 @@ from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics
 from repro.partitioning.triple_partitioner import StoreSnapshot, partition_graph
-from repro.physical.executor import PlanExecutor, job_from_spec
+from repro.physical.executor import PlanExecutor
 from repro.rdf.dictionary import Dictionary
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.parser import parse_query
@@ -468,8 +468,7 @@ class _RebalanceOnEitherTransport:
         before = store.snapshot()
         plan = cliquesquare(parse_query(CHAIN_QUERY), MSC).plans[0]
         with PlanExecutor(store) as executor:
-            spec = executor.prepare(plan).compiled.jobs[0]
-        tasks = job_from_spec(spec, NUM_NODES).map_tasks
+            tasks = executor.prepare(plan).program(NUM_NODES).levels[0].jobs[0].maps
         client = self.client()
         try:
             full = sync_frame(None, before.shards[0], 0)

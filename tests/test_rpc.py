@@ -60,7 +60,7 @@ from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import FnReduceSpec, MapTaskSpec, TaskContext
 from repro.partitioning.triple_partitioner import partition_graph
-from repro.physical.executor import PlanExecutor, job_from_spec
+from repro.physical.executor import PlanExecutor
 from repro.rdf.dictionary import Dictionary
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.evaluator import evaluate
@@ -133,13 +133,13 @@ class TestProtocolFrames:
         relation = DistributedRelation(
             attrs=("?a",), partitions=[[("x",)], [], [("y",)]]
         )
-        job = job_from_spec(prepared_star.compiled.jobs[-1], NUM_NODES)
+        job = prepared_star.program(NUM_NODES).levels[-1].jobs[-1]
         return [
             sync_frame(None, snapshot, 0),
             ExecuteLevel(
                 level=0,
                 phase="map",
-                tasks=tuple(task.spec for task in job.map_tasks[:2]),
+                tasks=tuple(task.spec for task in job.maps[:2]),
                 inputs={"rj0": relation},
             ),
             ExecuteLevel(
@@ -376,11 +376,11 @@ class TestWorkerLifecycle:
             client.request(ExecuteLevel(level=0, phase="sideways", tasks=()))
 
     def test_map_without_snapshot_is_typed(self, client, prepared_star):
-        job = job_from_spec(prepared_star.compiled.jobs[0], NUM_NODES)
+        job = prepared_star.program(NUM_NODES).levels[0].jobs[0]
         with pytest.raises(WorkerStateError, match="no snapshot"):
             client.request(
                 ExecuteLevel(
-                    level=0, phase="map", tasks=(job.map_tasks[0].spec,)
+                    level=0, phase="map", tasks=(job.maps[0].spec,)
                 )
             )
 

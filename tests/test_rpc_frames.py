@@ -53,7 +53,7 @@ from repro.core.decomposition import MSC
 from repro.mapreduce.counters import TaskMetrics
 from repro.mapreduce.hdfs import Chunks, DistributedRelation, chunks_of
 from repro.partitioning.triple_partitioner import partition_graph
-from repro.physical.executor import PlanExecutor, job_from_spec
+from repro.physical.executor import PlanExecutor
 from repro.rdf.dictionary import Dictionary
 from repro.sparql.parser import parse_query
 from tests.conftest import make_university_graph
@@ -88,9 +88,10 @@ def _job():
     """The reduce-join job of the example query: real map and reduce
     task specs, as the engine hands them to the router."""
     plan = cliquesquare(parse_query(_QUERY), MSC).plans[0]
-    compiled = PlanExecutor(_store()).prepare(plan).compiled
-    spec = next(spec for spec in compiled.jobs if not spec.map_only)
-    return job_from_spec(spec, NUM_NODES)
+    program = PlanExecutor(_store()).prepare(plan).program(NUM_NODES)
+    return next(
+        job for level in program.levels for job in level.jobs if not job.map_only
+    )
 
 
 def _level():
@@ -98,7 +99,7 @@ def _level():
     # trip must preserve those fields, not just the execution payload.
     return ExecuteLevel(
         level=0, phase="map",
-        tasks=tuple(task.spec for task in _job().map_tasks),
+        tasks=tuple(task.spec for task in _job().maps),
         trace_ctx=("trace0", 1),
         epoch=2,
     )
@@ -318,9 +319,9 @@ def test_level_frames_carry_their_task_specs(wire):
     else:
         ship = functools.partial(_ship, _codec(), _codec())
     got = ship(map_level)
-    assert got.tasks == tuple(task.spec for task in job.map_tasks)
+    assert got.tasks == tuple(task.spec for task in job.maps)
     # one chain object per tag on the driver, one per tag after the hop
-    assert len({id(spec.chain) for spec in got.tasks}) == len(job.map_tasks) // NUM_NODES
+    assert len({id(spec.chain) for spec in got.tasks}) == len(job.maps) // NUM_NODES
     assert [list(part) for part in got.inputs["f"].partitions] == [rows, [], []]
     (spec, partition, grouped), = ship(reduce_level).tasks
     assert (spec, partition) == (job.reduce_spec, 0)
