@@ -269,21 +269,22 @@ def answer_block(
 
 def answer_rows(
     block: ColumnBlock, attrs: Sequence[str] | None = None
-) -> set[tuple]:
-    """The term tuples of an answer block as a set, its columns taken in
-    *attrs* order (default: the block's own) — one decode per column,
-    no intermediate row list.  With no columns to take, the set is
-    ``{()}`` when the block has rows and empty otherwise."""
+) -> frozenset[tuple]:
+    """The term tuples of an answer block as an immutable set, its
+    columns taken in *attrs* order (default: the block's own) — one
+    decode per column, no intermediate row list.  With no columns to
+    take, the set is ``{()}`` when the block has rows and empty
+    otherwise."""
     if not len(block):
-        return set()
+        return frozenset()
     if attrs is None:
         columns = block.columns
     else:
         columns = [block.column(attr) for attr in attrs]
     if not columns:
-        return {()}
+        return frozenset({()})
     decode = block.dictionary.decode_column
-    return set(zip(*[decode(col) for col in columns]))
+    return frozenset(zip(*[decode(col) for col in columns]))
 
 
 def chunk_rows(chunks: Iterable) -> list[tuple]:

@@ -219,20 +219,25 @@ class PartitionedStore:
         """A read-only view of *nodes*' partitions (every other node's
         file map is empty), identified by *token*.
 
-        Each node's tuple copy is memoized by the node's version, so a
-        view costs pointer copies only for nodes written since the last
-        one; workers receiving it scan without ever touching the live,
-        mutable store.
+        Each node's file map of tuple copies is memoized by the node's
+        version, and within it each file's tuple by the file's length
+        (files are append-only): a view copies only the files appended
+        to since the last one.  Workers receiving it scan without ever
+        touching the live, mutable store.
         """
         files: list[dict] = [{} for _ in range(self.num_nodes)]
         for node in nodes:
             version = self.node_versions[node]
             frozen = self._frozen[node]
             if frozen is None or frozen[0] != version:
-                frozen = self._frozen[node] = (
-                    version,
-                    {name: tuple(ts) for name, ts in self.files[node].items()},
-                )
+                held = {} if frozen is None else frozen[1]
+                fresh: dict[str, tuple[Triple, ...]] = {}
+                for name, ts in self.files[node].items():
+                    kept = held.get(name)
+                    fresh[name] = (
+                        kept if kept is not None and len(kept) == len(ts) else tuple(ts)
+                    )
+                frozen = self._frozen[node] = (version, fresh)
             files[node] = frozen[1]
         return StoreSnapshot(
             num_nodes=self.num_nodes,

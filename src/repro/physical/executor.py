@@ -388,7 +388,7 @@ class ExecutionResult:
         return self.block.attrs
 
     @cached_property
-    def rows(self) -> set[tuple]:
+    def rows(self) -> frozenset[tuple]:
         return answer_rows(self.block)
 
     @property

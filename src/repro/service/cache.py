@@ -41,7 +41,16 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import AbstractSet, Any, Callable, Generic, Hashable, TypeVar
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Any,
+    Callable,
+    Generic,
+    Hashable,
+    TypeVar,
+)
 
 from repro.analysis.locks import checked
 from repro.columnar.block import ColumnBlock, answer_rows
@@ -50,6 +59,9 @@ from repro.mapreduce.counters import ExecutionReport
 from repro.obs.trace import span
 from repro.partitioning.layout import FileKey
 from repro.physical.executor import PreparedPlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.patch import PatchProgram
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -158,7 +170,9 @@ class ResultEntry:
     ``block``; ``rows``, the canonical term-tuple set, is decoded from
     it the first time a reader needs it (a result hit, a flight's
     waiter, a batch duplicate — or the computing submission, when the
-    result cache keeps the entry) and carried forward by a patch.
+    result cache keeps the entry).  Every reader shares one immutable
+    set per column order (:meth:`view`), and a patch carries each set
+    forward by the rows it adds.
     """
 
     version: int
@@ -168,8 +182,15 @@ class ResultEntry:
     plan: LogicalPlan
     report: ExecutionReport
     job_signature: str
-    _rows: AbstractSet[tuple] | None = field(
+    #: the delta rule compiled for ``plan``: built by the first patch,
+    #: carried forward by every later one
+    program: PatchProgram | None = None
+    _rows: frozenset[tuple] | None = field(
         default=None, init=False, repr=False, compare=False
+    )
+    #: column order -> the answer's immutable view in that order
+    _views: dict[tuple[str, ...], frozenset[tuple]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @property
@@ -177,14 +198,31 @@ class ResultEntry:
         return self.block.attrs
 
     @property
-    def rows(self) -> AbstractSet[tuple]:
-        """The canonical answer set — shared, so never to be mutated.
-        Racing first readers each decode an equal set; one assignment
-        publishes it."""
+    def rows(self) -> frozenset[tuple]:
+        """The canonical answer set.  Racing first readers each decode
+        an equal set; one assignment publishes it."""
         rows = self._rows
         if rows is None:
             rows = self._rows = answer_rows(self.block)
         return rows
+
+    def view(self, columns: tuple[str, ...]) -> frozenset[tuple]:
+        """The answer with its columns taken in the order *columns*
+        names (canonical attrs), built once per order: the canonical
+        order is ``rows`` itself.  Racing first readers of one order
+        each project it; the first to publish wins."""
+        if columns == self.attrs:
+            return self.rows
+        found = self._views.get(columns)
+        if found is None:
+            found = self._views.setdefault(
+                columns, _project(self.rows, self._index(columns))
+            )
+        return found
+
+    def _index(self, columns: tuple[str, ...]) -> list[int]:
+        attrs = self.attrs
+        return [attrs.index(c) for c in columns]
 
     def patched(
         self,
@@ -192,13 +230,35 @@ class ResultEntry:
         stamp: tuple[int, ...],
         block: ColumnBlock,
         added: AbstractSet[tuple],
+        program: PatchProgram,
     ) -> "ResultEntry":
         """This answer brought forward to *version*: its *block* holds
-        the rows *added* (canonical term tuples) too, and the row set is
-        carried forward, not decoded again."""
-        entry = replace(self, version=version, stamp=stamp, block=block)
-        entry._rows = self.rows | added if added else self.rows
+        the rows *added* (canonical term tuples, none of them in
+        ``rows``) too.  The row set and every view are carried
+        forward by those rows, not decoded or projected again."""
+        entry = replace(
+            self, version=version, stamp=stamp, block=block, program=program
+        )
+        views = self._views.copy()
+        if not added:
+            entry._rows = self.rows
+            entry._views = views
+            return entry
+        entry._rows = self.rows | added
+        entry._views = {
+            columns: view | _project(added, self._index(columns))
+            for columns, view in views.items()
+        }
         return entry
+
+
+def _project(rows: AbstractSet[tuple], index: list[int]) -> frozenset[tuple]:
+    """*rows* with their columns taken at *index*, as a set."""
+    if len(index) > 1:
+        return frozenset(map(itemgetter(*index), rows))
+    if index:
+        return frozenset(zip(map(itemgetter(index[0]), rows)))
+    return frozenset({()}) if rows else frozenset()
 
 
 class ResultCache(LRUCache[tuple, ResultEntry]):

@@ -19,10 +19,9 @@ from collections import deque
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
-from repro.columnar.block import ColumnBlock, answer_block, answer_rows
+from repro.columnar.block import answer_rows
 from repro.core.algorithm import OptimizerResult, cliquesquare, cost_bounded_search
 from repro.core.decomposition import MSC_PLUS
 from repro.core.logical import LogicalPlan, rewrite_patterns
@@ -42,18 +41,14 @@ from repro.service.cache import (
     TemplateEntry,
 )
 from repro.service.front import _Clocks, _Instance
+from repro.service.patch import patched
 from repro.service.stats import PATCHES, QueryTimings, event_counters, stage_histograms
 from repro.sparql.ast import BGPQuery
 from repro.sparql.canonical import QueryTemplate
-from repro.sparql.evaluator import bindings, unify
 from repro.systems.base import SystemReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.service import ServiceConfig
-
-#: the most delta work a patch does — seed bindings plus the bindings
-#: they extend to — before it gives up and the answer is recomputed
-PATCH_WORK_BOUND = 4096
 
 
 class ServiceOverloaded(RuntimeError):
@@ -108,7 +103,7 @@ class _Answer:
     waiters): the entry the result cache holds, plus how it was come by
     — by default straight out of that cache, at no stage's cost."""
 
-    #: never mutated: every outcome gets its own row set from ``_finish``
+    #: never mutated: outcomes share its immutable views
     entry: ResultEntry
     plan_hit: bool = True
     template_hit: bool = False
@@ -135,7 +130,8 @@ class QueryOutcome:
 
     query: BGPQuery
     attrs: tuple[str, ...]
-    rows: set[tuple]
+    #: the answer, immutable: a cached answer's outcomes share one set
+    rows: frozenset[tuple]
     plan: LogicalPlan
     report: ExecutionReport
     job_signature: str
@@ -684,78 +680,15 @@ class Pipeline:
         drop it and recompute."""
         with span("patch") as patch:
             with self._store_lock.read():
-                entry = self._patched(stale, patch)
+                entry, attrs = patched(
+                    stale, self._delta_log, self._version, self.store, self.graph
+                )
+            patch.set(**attrs)
         if entry is None:
             self.result_cache.drop(inst.key, stale)
             return self._compute(inst)
         self.result_cache.put(inst.key, entry)
         return _Answer(entry, plan_hit=False, result_hit=False, patched=True)
-
-    def _patched(self, stale: ResultEntry, patch) -> ResultEntry | None:
-        """*stale* at the current version, or None when it cannot be
-        patched; the caller holds the store's read lock.
-
-        The store is insert-only and an answer is monotone under set
-        semantics, so after the batches Δ logged since ``stale.version``
-        the answer is the old one plus, for each pattern, the bindings
-        that match it to a Δ triple and the other patterns over the live
-        graph (which holds Δ).  A pattern is unified only with the Δ
-        triples under the file key its scan reads (every property's
-        group for a variable property); each that unifies seeds one
-        run of the evaluator's join.  A row found twice is one row.
-        """
-        log = self._delta_log
-        if not log or log[0][0] > stale.version + 1:
-            patch.set(recomputed="horizon")
-            return None
-        since = [entry for entry in log if entry[0] > stale.version]
-        delta = sum(size for _, size, _ in since)
-
-        def logged(keys: tuple | None) -> Iterator[tuple]:
-            """The Δ triples under the file key *keys* names (None: every
-            property's group, where each triple is logged once)."""
-            for _, _, groups in since:
-                if keys is not None:
-                    yield from groups.get(keys[0], ())
-                    continue
-                for (_, cls), group in groups.items():
-                    if cls is None:
-                        yield from group
-
-        patterns = stale.plan.query.patterns
-        attrs = stale.attrs
-        added: set[tuple] = set()
-        seeds = work = 0
-        for i, tp in enumerate(patterns):
-            others = patterns[:i] + patterns[i + 1 :]
-            for triple in logged(read_keys((tp,))):
-                seed = unify(tp, triple)
-                if seed is None:
-                    continue
-                seeds += 1
-                work += 1
-                for binding in bindings(others, self.graph, seed):
-                    added.add(tuple([binding[a] for a in attrs]))
-                    work += 1
-                    if work > PATCH_WORK_BOUND:
-                        break
-                if work > PATCH_WORK_BOUND:
-                    patch.set(delta=delta, seeds=seeds, recomputed="bound")
-                    return None
-        block = stale.block
-        if added:
-            # Every term of the live graph is numbered: store.add
-            # encoded the new ones as they were written.
-            dictionary = self.store.dictionary
-            block = answer_block(
-                attrs,
-                [block, ColumnBlock.from_rows(attrs, added, dictionary, mint=False)],
-                dictionary,
-            )
-        patch.set(delta=delta, seeds=seeds, added=len(block) - len(stale.block))
-        return stale.patched(
-            self._version, self.store.file_stamp(stale.footprint), block, added
-        )
 
     # -- the tail ------------------------------------------------------------
 
@@ -776,10 +709,10 @@ class Pipeline:
         An answer no one else will read — computed, and not kept by the
         result cache — is decoded straight into the outcome's set, its
         block's columns taken in *query*'s order in id space.  Any other
-        outcome copies (or re-projects) the entry's canonical set,
-        decoded once per entry: a computed answer the cache keeps
-        decodes it now, for the hits that follow.  Either way the
-        outcome owns its set.
+        outcome shares the entry's immutable view in *query*'s column
+        order (:meth:`ResultEntry.view`), decoded once per entry and
+        projected once per order: a computed answer the cache keeps
+        builds it now, for the hits that follow.
         """
         entry = answer.entry
         mapping = inst.template.mapping
@@ -792,14 +725,7 @@ class Pipeline:
         if not shared:
             rows = answer_rows(entry.block, [mapping[v] for v in query.distinguished])
         else:
-            attrs, canonical = entry.attrs, entry.rows
-            index = [attrs.index(mapping[v]) for v in query.distinguished]
-            if index == list(range(len(attrs))):
-                rows = set(canonical)
-            elif len(index) == 1:
-                rows = set(zip(map(itemgetter(index[0]), canonical)))
-            else:
-                rows = set(map(itemgetter(*index), canonical))
+            rows = entry.view(tuple([mapping[v] for v in query.distinguished]))
         timings = QueryTimings(
             canonicalize_s=(
                 0.0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import AbstractSet, Protocol
 
 from repro.sparql.ast import BGPQuery
 
@@ -14,7 +14,7 @@ class SystemReport:
 
     system: str
     query_name: str
-    answers: set[tuple]
+    answers: AbstractSet[tuple]
     response_time: float
     num_jobs: int
     job_signature: str

@@ -24,6 +24,7 @@ STRICT_GLOBS = [
     "src/repro/core/*.py",
     "src/repro/sparql/ast.py",
     "src/repro/analysis/*.py",
+    "src/repro/service/patch.py",
 ]
 
 

@@ -111,6 +111,26 @@ class TestPartitionedStore:
     def test_scan_missing_property_empty(self, store):
         assert store.scan(0, "s", "zz:nothing") == []
 
+    def test_a_write_refreezes_only_the_files_it_appended_to(self, store):
+        """A snapshot after a write shares every file tuple the write did
+        not append to with the snapshot before it, on the written nodes
+        too; the appended files are new tuples holding the triple."""
+        before = store.snapshot()
+        triple = ("<NewStudent>", "ub:memberOf", "<NewDept>")
+        store.add(triple)
+        after = store.snapshot()
+        appended = 0
+        for node in range(store.num_nodes):
+            for name, triples in after.files[node].items():
+                old = before.files[node].get(name)
+                if old is not None and triples is old:
+                    continue
+                appended += 1
+                assert triples[-1] == triple
+                assert triples[:-1] == (old or ())
+        assert appended == 3  # one file per replica
+        assert store.snapshot() is after
+
 
 class TestFirstLevelJoinColocation:
     """The §5.1 property: any first-level join is PWOC."""

@@ -13,17 +13,19 @@ answer is recomputed, as a drop.
 from __future__ import annotations
 
 import os
+import sys
 import threading
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.partitioning.layout import read_keys, write_keys
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import RDF_TYPE
 from repro.service import QueryService, ServiceConfig
 from repro.service.admin import DELTA_LOG_BATCHES
-from repro.service import pipeline
-from repro.service.pipeline import PATCH_WORK_BOUND
+from repro.service.patch import PATCH_WORK_BOUND
 from repro.sparql.evaluator import evaluate, unify
 from repro.sparql.parser import parse_query
 
@@ -42,8 +44,11 @@ BASE = (
 )
 #: query text -> the file keys it reads (None: every file)
 QUERIES = {
-    # a chain
+    # a chain, and its one-column projection
     "SELECT ?x ?z WHERE { ?x ub:p1 ?y . ?y ub:p2 ?z }": {
+        ("ub:p1", None), ("ub:p2", None),
+    },
+    "SELECT ?z WHERE { ?x ub:p1 ?y . ?y ub:p2 ?z }": {
         ("ub:p1", None), ("ub:p2", None),
     },
     # a variable repeated inside one pattern, and across a cycle
@@ -51,16 +56,33 @@ QUERIES = {
     "SELECT ?x ?y WHERE { ?x ub:p1 ?y . ?y ub:p3 ?x }": {
         ("ub:p1", None), ("ub:p3", None),
     },
-    # rdf:type with a bound class, and without
+    # rdf:type with a bound class, and without (projected to the class)
     "SELECT ?x WHERE { ?x rdf:type ub:C1 . ?x ub:p2 ?y }": {
         (RDF_TYPE, "ub:C1"), ("ub:p2", None),
     },
     "SELECT ?x ?c WHERE { ?x rdf:type ?c . ?x ub:p1 ?y }": {
         (RDF_TYPE, None), ("ub:p1", None),
     },
+    "SELECT ?c WHERE { ?x rdf:type ?c . ?x ub:p1 ?y }": {
+        (RDF_TYPE, None), ("ub:p1", None),
+    },
     # a variable property reads every file
     "SELECT ?x ?p WHERE { ?x ?p ?y . ?y rdf:type ub:C2 }": None,
     "SELECT ?y WHERE { <n0> ub:p1 ?y }": {("ub:p1", None)},
+    # no variable: the answer is the empty row or nothing
+    "SELECT * WHERE { <n0> ub:p1 <n3> }": {("ub:p1", None)},
+}
+#: a query whose SELECT order permutes another's -> that query: both
+#: read one cached answer, each in its own column order
+PERMUTED = {
+    "SELECT ?z ?x WHERE { ?x ub:p1 ?y . ?y ub:p2 ?z }":
+        "SELECT ?x ?z WHERE { ?x ub:p1 ?y . ?y ub:p2 ?z }",
+    "SELECT ?y ?x WHERE { ?x ub:p1 ?y . ?y ub:p3 ?x }":
+        "SELECT ?x ?y WHERE { ?x ub:p1 ?y . ?y ub:p3 ?x }",
+    "SELECT ?c ?x WHERE { ?x rdf:type ?c . ?x ub:p1 ?y }":
+        "SELECT ?x ?c WHERE { ?x rdf:type ?c . ?x ub:p1 ?y }",
+    "SELECT ?p ?x WHERE { ?x ?p ?y . ?y rdf:type ub:C2 }":
+        "SELECT ?x ?p WHERE { ?x ?p ?y . ?y rdf:type ub:C2 }",
 }
 
 #: REPRO_TRACE=1 runs the property with tracing on and checks each
@@ -84,6 +106,26 @@ def written_keys(added) -> set:
     return keys | {(p, o) for _, p, o in added if p == RDF_TYPE}
 
 
+def tried(query, delta) -> int:
+    """How many (pattern, logged triple) pairs a patch of *query* checks:
+    each pattern against the triples under the file key its scan reads
+    (every triple for a variable property)."""
+    count = 0
+    for tp in query.patterns:
+        keys = read_keys((tp,))
+        count += sum(keys is None or keys[0] in write_keys(t) for t in delta)
+    return count
+
+
+def assert_views_carried(service: QueryService) -> None:
+    """Every view a cached answer holds is its rows projected afresh."""
+    for entry in service.result_cache._data.values():
+        for columns, view in entry._views.items():
+            index = [entry.attrs.index(c) for c in columns]
+            assert view == {tuple(row[i] for i in index) for row in entry.rows}
+            assert isinstance(view, frozenset)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(history=histories)
 def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
@@ -91,12 +133,17 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
     unsharded service and on two in-process shards: its answer equals
     the evaluator's over the written graph and a fresh service's, and
     it is patched exactly when the write touched a file it reads (and
-    otherwise a result-cache hit).  Traced, a patch's span counts the
-    triples written since the answer's version as ``delta``, their
-    unifications with the query's patterns as ``seeds`` and the rows
-    they brought as ``added``."""
+    otherwise a result-cache hit).  A query whose SELECT order permutes
+    another's, read after it, is a hit on the answer that read patched:
+    its view was carried forward by the patch, and equals the evaluator's
+    answer and a fresh projection of the cached rows.  Traced, a patch's
+    span counts the triples written since the answer's version as
+    ``delta``, the (pattern, triple) pairs it checked as ``tried``,
+    those that matched as ``seeds`` and the rows they brought as
+    ``added``."""
     mirror = RDFGraph(BASE)
     queries = {text: parse_query(text) for text in QUERIES}
+    permuted = {text: parse_query(text) for text in PERMUTED}
     services = [
         QueryService(RDFGraph(BASE), ServiceConfig(shards=shards, tracing=TRACING))
         for shards in (0, 2)
@@ -109,6 +156,8 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
         for i, service in enumerate(services):
             for text, query in queries.items():
                 sizes[i, text] = len(service.submit(query).rows)
+            for query in permuted.values():
+                assert service.submit(query).result_cache_hit
         for batch in history:
             added = [t for t in dict.fromkeys(batch) if mirror.add(*t)]
             for service in services:
@@ -138,6 +187,7 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
                             (patch,) = service.trace(outcome).find("patch")
                             assert patch.attrs == {
                                 "delta": len(delta),
+                                "tried": tried(query, delta),
                                 "seeds": sum(
                                     unify(tp, t) is not None
                                     for tp in query.patterns
@@ -147,6 +197,16 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
                             }, at
                         delta.clear()
                         sizes[i, text] = len(expected)
+                for text, query in permuted.items():
+                    expected = evaluate(query, mirror)
+                    for service in services:
+                        at = f"shards={service.config.shards}: {text}"
+                        outcome = service.submit(query)
+                        assert outcome.result_cache_hit, at
+                        assert outcome.rows == expected, at
+                        assert outcome.rows is service.submit(query).rows, at
+            for service in services:
+                assert_views_carried(service)
         for service in services:
             stats = service.snapshot_stats()
             assert service.result_cache.stale_drops == 0
@@ -190,6 +250,7 @@ def test_an_entry_older_than_the_log_is_recomputed():
         (patch,) = svc.trace(at_horizon).find("patch")
         assert patch.attrs == {
             "delta": DELTA_LOG_BATCHES,
+            "tried": DELTA_LOG_BATCHES,
             "seeds": DELTA_LOG_BATCHES,
             "added": DELTA_LOG_BATCHES,
         }
@@ -214,20 +275,12 @@ def test_delta_work_past_the_bound_is_recomputed():
         assert svc.snapshot_stats().result_patches == 1
 
 
-def test_a_write_the_query_does_not_read_seeds_nothing(monkeypatch):
-    """A pattern is unified only with the logged triples under the file
-    key it reads: between two writes CHAIN reads, a write under a
+def test_a_write_the_query_does_not_read_seeds_nothing():
+    """A pattern is checked only against the logged triples under the
+    file key it reads: between two writes CHAIN reads, a write under a
     property it does not read adds to the delta but not to the seeds,
     and is never tried against a pattern, on both cells."""
-    tried = []
-
-    def spy(tp, triple):
-        tried.append(triple)
-        return unify(tp, triple)
-
-    monkeypatch.setattr(pipeline, "unify", spy)
     for shards in (0, 2):
-        tried.clear()
         config = ServiceConfig(tracing=True, shards=shards)
         with QueryService(RDFGraph(BASE), config) as svc:
             svc.submit(CHAIN)
@@ -241,7 +294,9 @@ def test_a_write_the_query_does_not_read_seeds_nothing(monkeypatch):
             (patch,) = svc.trace(outcome).find("patch")
             assert patch.attrs["delta"] == 3
             assert patch.attrs["seeds"] == 2
-            assert ("<n0>", "ub:p9", "<n1>") not in tried and len(tried) == 2
+            # one p1 triple for the first pattern, one p2 for the second:
+            # the p9 triple is tried against neither
+            assert patch.attrs["tried"] == 2
 
 
 def test_concurrent_readers_of_a_stale_entry_share_its_patch():
@@ -270,3 +325,56 @@ def test_concurrent_readers_of_a_stale_entry_share_its_patch():
             assert outcome.rows == expected
             assert outcome.result_patched != outcome.result_cache_hit
         assert svc.result_cache.stale_drops == 0
+
+
+def test_readers_of_both_column_orders_beside_writes():
+    """More readers than cores read CHAIN in both column orders while a
+    writer adds one CHAIN row per batch, under a short switch interval:
+    every outcome equals the evaluator's answer at the graph version it
+    reports, in its own order, whether it was computed, patched or a
+    hit on a view some other reader built or a patch carried."""
+    orders = (CHAIN, parse_query("SELECT ?z ?x WHERE { ?x ub:p1 ?y . ?y ub:p2 ?z }"))
+    writes = [(f"<w{i}>", "ub:p1", "<n1>") for i in range(24)]
+    seen: list = []
+    errors: list = []
+    done = threading.Event()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with QueryService(RDFGraph(BASE)) as svc:
+
+            def read(k: int) -> None:
+                try:
+                    while not done.is_set():
+                        query = orders[k % 2]
+                        seen.append((k % 2, svc.submit(query)))
+                        k += 1
+                except BaseException as exc:  # reported below
+                    errors.append(exc)
+
+            def write() -> None:
+                try:
+                    for triple in writes:
+                        svc.add_triples([triple])
+                        time.sleep(0.001)
+                finally:
+                    done.set()
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    mirror = RDFGraph(BASE)
+    expected = {0: [evaluate(query, mirror) for query in orders]}
+    for version, triple in enumerate(writes, 1):
+        mirror.add(*triple)
+        expected[version] = [evaluate(query, mirror) for query in orders]
+    assert {outcome.result_patched for _, outcome in seen} == {True, False}
+    for order, outcome in seen:
+        assert outcome.rows == expected[outcome.graph_version][order]

@@ -18,6 +18,7 @@ from repro.analysis import plan_check
 from repro.obs.metrics import DEFAULT_BUCKETS, RESERVOIR, Histogram
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import RDF_TYPE
+from repro.service import cache
 from repro.service.cache import LRUCache
 from repro.service import QueryService, ServiceConfig, ServiceOverloaded
 from repro.sparql.evaluator import evaluate
@@ -836,7 +837,7 @@ class TestAnswerPath:
     """The answer stays in id space until the outcome: every way a
     submission is served — computed, a result hit, a flight's waiter, a
     batch duplicate — answers as the evaluator does, in its own column
-    order, in a set of its own."""
+    order, in an immutable set."""
 
     @pytest.fixture(scope="class")
     def expected(self, graph):
@@ -910,24 +911,40 @@ class TestAnswerPath:
             present, absent = (svc.submit(q) for q in ground_queries(graph))
             assert present.rows == {()} and absent.rows == set()
 
-    def test_outcomes_own_their_rows(self, graph, expected):
-        """Mutating one outcome's set leaves the cached answer and every
-        later outcome — copied or re-projected — as they were."""
+    def test_outcomes_share_immutable_rows(self, graph, expected, monkeypatch):
+        """A cached answer's outcomes share one immutable set per column
+        order: mutating one raises and changes nothing, two hits return
+        the same object, and a permuted order is projected once."""
+        projections = []
+        project = cache._project
+
+        def counted(rows, index):
+            projections.append(index)
+            return project(rows, index)
+
+        monkeypatch.setattr(cache, "_project", counted)
         text, permuted = Q1_HEADS[0], Q1_HEADS[1]
         with QueryService(graph) as svc:
             first = svc.submit(text)
-            first.rows.clear()
-            hit = svc.submit(text)
-            assert hit.result_cache_hit and hit.rows == expected[text]
-            hit.rows.add(("<x>", "<y>"))
-            again = svc.submit(text)
-            assert again.rows == expected[text]
-            again.rows.pop()
-            other = svc.submit(permuted)
-            assert other.result_cache_hit
-            assert other.rows == expected[permuted]
+            assert isinstance(first.rows, frozenset)
+            with pytest.raises(AttributeError):
+                first.rows.clear()
+            with pytest.raises(AttributeError):
+                first.rows.add(("<x>", "<y>"))
+            hit, again = svc.submit(text), svc.submit(text)
+            assert hit.result_cache_hit and again.result_cache_hit
+            assert hit.rows is again.rows
+            assert hit.rows == expected[text]
+            others = [svc.submit(permuted) for _ in range(3)]
+            assert all(o.result_cache_hit for o in others)
+            assert others[0].rows is others[1].rows is others[2].rows
+            assert others[0].rows == expected[permuted]
+            # one of the two orders is the canonical one, served as the
+            # entry's rows; the other was projected by its first reader
+            assert len(projections) == 1
             [entry] = svc.result_cache._data.values()
             assert len(entry.rows) == len(expected[text])
+            assert len(entry._views) == 1
 
     def test_terms_numbered_after_a_read_decode(self):
         """A write between two reads brings terms the store's term array
