@@ -18,7 +18,7 @@ CLI: ``python -m repro.analysis src/`` lints a tree (exit 0 iff clean);
 sweep (LUBM 14 + randomized synthetic BGPs).
 """
 
-# Re-exports are lazy: engine modules (rpc, backends, service) import
+# Re-exports are lazy: engine modules (cluster, backends, service) import
 # repro.analysis.locks at startup, and a plain package __init__ would
 # pull the whole plan checker — and with it repro.core / repro.physical
 # — into every import chain, inviting cycles.

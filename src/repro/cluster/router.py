@@ -1,45 +1,36 @@
 """The shard router: dispatches one level's tasks to the shards that own them.
 
 :class:`~repro.mapreduce.engine.MapReduceEngine` is the only level
-scheduler: it fans a level's map tasks out, routes the shuffle, fans the
-reduce tasks out and does all the accounting, whatever the deployment.
-The router is an :class:`~repro.mapreduce.backends.ExecutionBackend`
-behind that engine — the one thing a sharded deployment changes is
-*where* each task of a batch runs:
+scheduler, whatever the deployment; the router is an
+:class:`~repro.mapreduce.backends.ExecutionBackend` behind it, and the
+one thing it changes is *where* each task of a batch runs:
 
 * **every task runs on the shard that owns its node.**  A map task is
   pinned to a logical node; reduce partition ``p`` lives on node
   ``p % num_nodes``; each node is owned by exactly one shard under the
-  :class:`~repro.cluster.ownership.OwnerTable` of the snapshot the execution
-  started on.  The router groups a batch by owning shard and sends each
-  shard its slice as one :class:`~repro.cluster.rpc.ExecuteLevel`
-  stamped with that table's version: the shard's worker scans only its
-  own snapshot and runs the slice on its one engine, the id-space one.
-  There is no pool inside a shard — the shards are the parallelism, as
-  the §5.1 nodes are.
-* **one router, two carriers.**  The transport is the client class
-  :meth:`ShardRouter._start_worker` builds — a worker in the driver
-  process or in a server process; syncing worker state, epochs, the stale
-  re-route, respawn, migration and tracing are the router's for both.
-* **the shuffle is the cross-shard exchange.**  The engine routes map
-  emissions to reduce partitions by the process-independent
-  :func:`~repro.mapreduce.jobs.stable_hash`; rows whose key hashes to a
-  partition on another shard's node cross shards in the reduce batch,
-  and only there.  A map shuffler reads nothing but its own node's
-  partition of an intermediate, so a map frame carries each input cut
-  to the shard's nodes.  What crosses is the engine's chunks, untouched,
-  in the one id space the store numbered every term in: an in-process
-  worker computes in the store's dictionary itself; over rpc every
-  worker holds a replica of it, synced to the store's at each query
-  start, so the frame carries its blocks' id columns as they are, in
-  one buffer, translated nowhere (:mod:`repro.columnar.wire`).  A map
-  task group hands the engine one block per reduce partition, so the
-  reduce frame carries a partition's rows in about one block per
-  group that sent them.
+  :class:`~repro.cluster.ownership.OwnerTable` of the snapshot the
+  execution started on.  The router groups a batch by owning shard and
+  sends each shard its slice as one
+  :class:`~repro.cluster.frames.ExecuteLevel` stamped with that table's
+  version; the shard's worker scans only its own snapshot and runs the
+  slice on its one engine.  The shards are the parallelism, as the
+  §5.1 nodes are.
+* **one router, two carriers.**  The transport is the carrier class
+  :meth:`ShardRouter._start_worker` builds (:mod:`repro.cluster.client`)
+  — a worker in the driver process or in a server process — and each
+  carrier drives one :class:`~repro.cluster.client.ShardLink`.  Routing,
+  epochs, the stale re-route, respawn, migration and tracing are the
+  router's for both; what a worker holds is its link's record.
+* **the shuffle is the cross-shard exchange.**  Rows whose key hashes
+  (:func:`~repro.mapreduce.jobs.stable_hash`) to a partition on another
+  shard's node cross shards in the reduce batch, and only there; a map
+  frame carries each input cut to the shard's nodes.  What crosses is
+  the engine's chunks, untouched, in the one id space the store numbered
+  every term in (over rpc every worker holds a replica of the store's
+  dictionary, synced at each query start; :mod:`repro.columnar.wire`).
 * **results come back in submission order**, whichever shard finishes
-  first, so the engine's shuffle grouping — and with it answers and
-  every report field — equal the unsharded run's by construction, for
-  any shard count.
+  first, so answers and every report field equal the unsharded run's by
+  construction, for any shard count.
 """
 
 from __future__ import annotations
@@ -55,26 +46,26 @@ from typing import Callable, Iterator, Sequence
 
 from repro.analysis.locks import checked
 from repro.cluster.ownership import Move, OwnerTable, plan_resize, plan_skew
-from repro.cluster.rpc import (
+from repro.cluster.client import (
     _TRANSPORT_ERRORS,
     DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_SPAWN_TIMEOUT,
+    LocalShardClient,
+    ShardWorkerClient,
+    _frame_levels,
+)
+from repro.cluster.frames import (
     ErrorReply,
     ExecuteBatch,
     ExecuteLevel,
-    LocalShardClient,
     ResultsReply,
     RpcError,
     RpcProtocolError,
     ShardUnavailable,
-    ShardWorkerClient,
     StaleEpoch,
     Stats,
     StatsReply,
     WireTimes,
-    WorkerStateError,
-    _frame_levels,
-    sync_frame,
 )
 from repro.cluster.sharded_store import ShardedSnapshot, ShardedStore
 from repro.columnar.wire import WIRE_FORMATS
@@ -383,7 +374,7 @@ class ShardRouter(ExecutionBackend):
     workers owning its tasks, and returns results in submission order.
 
     A worker is reached through the client class :attr:`client` — here
-    :class:`~repro.cluster.rpc.LocalShardClient`, in the driver process;
+    :class:`~repro.cluster.client.LocalShardClient`, in the driver process;
     :class:`RpcShardRouter` swaps in the socket client.  The socket
     options (frame cap, start method, spawn timeout, wire format,
     pipeline, coalescing) mean something over rpc only.
@@ -518,11 +509,11 @@ class ShardRouter(ExecutionBackend):
 
     def ensure_workers(self, snapshot: ShardedSnapshot) -> None:
         """Start any missing shard worker and bring every one current
-        with *snapshot* (:meth:`_sync`): after a write only the shards
-        it touched receive files, the rest at most the dictionary
-        suffix, and a worker already current receives no frame.  So
-        every worker starts each query on its view, its epoch and the
-        store's numbering."""
+        with *snapshot* (:meth:`~repro.cluster.client.ShardLink.sync`):
+        after a write only the shards it touched receive files, the rest
+        at most the dictionary suffix, and a worker already current
+        receives no frame.  So every worker starts each query on its
+        view, its epoch and the store's numbering."""
         # What a respawn syncs from: set first, so a worker found dead
         # below comes back on *this* snapshot, once.
         self._last_snapshot = snapshot
@@ -535,7 +526,7 @@ class ShardRouter(ExecutionBackend):
     ) -> None:
         """Under the shard's lock: start its worker if it has none
         (first start: not a failure), respawn a dead one, and
-        :meth:`_sync` it to *snapshot* (which must be
+        sync its link to *snapshot* (which must be
         :attr:`_last_snapshot`, what a respawn syncs to)."""
         with self._shard_locks[shard]:
             client = self._clients[shard]
@@ -549,42 +540,10 @@ class ShardRouter(ExecutionBackend):
                 self._recover(shard, "worker process died", on_bytes)
                 return
             try:
-                self._sync(shard, client, snapshot, on_bytes)
+                client.link.sync(snapshot, client.request, on_bytes)
             except _TRANSPORT_ERRORS as exc:
                 # Died under the sync: the one respawn syncs it.
                 self._recover(shard, f"{type(exc).__name__}: {exc}", on_bytes)
-
-    def _sync(
-        self,
-        shard: int,
-        client: ShardClient,
-        snapshot: ShardedSnapshot,
-        on_bytes=None,
-    ) -> None:
-        """Bring *client*'s worker to its view of *snapshot*, at that
-        snapshot's epoch and the store dictionary's length, in one
-        :class:`~repro.cluster.rpc.Sync`, and record the view and epoch
-        the worker acknowledges holding and the length synced; send
-        nothing when the record says it holds all three already.  A
-        refused delta (the worker holds another base, or its replica
-        conflicts with the store's numbering) is answered by a full
-        sync.  The one path behind start, write,
-        respawn, conflict, migration and rollback; callers hold the
-        shard's lock and deal with transport errors."""
-        view = snapshot.shards[shard]
-        epoch = snapshot.table.version
-        held = client.synced
-        if held == (view.token, epoch, len(view.dictionary)):
-            return
-        frame = sync_frame(held, view, epoch)
-        try:
-            reply = client.request(frame, on_bytes)
-        except WorkerStateError:
-            frame = sync_frame(None, view, epoch)
-            reply = client.request(frame, on_bytes)
-        if frame.base is not None:
-            client.terms_shipped += len(frame.terms)
-        client.synced = (*reply.value, len(view.dictionary))
 
     # -- live rebalancing ----------------------------------------------------
 
@@ -634,7 +593,7 @@ class ShardRouter(ExecutionBackend):
         full sync of every shard.  The sequence:
 
         1. install the next table on *store* (epoch bumps to ``v+1``),
-        2. :meth:`_sync` every shard of the new topology to its view at
+        2. sync every shard of the new topology to its view at
            ``v+1`` — a new shard from empty (its view holds exactly the
            moved-in nodes), a survivor by delta: the moved nodes' file
            maps and the new epoch in one frame,
@@ -693,7 +652,7 @@ class ShardRouter(ExecutionBackend):
         """Undo a half-applied migration: install the inverse plan's
         table (the epoch keeps climbing — versions never reuse), resize
         the driver back, drop any clients the grow spawned, and
-        :meth:`_sync` every live surviving worker to the restored
+        sync every live surviving worker to the restored
         table.  A worker that cannot be synced now is left to the next
         :meth:`ensure_workers`, which respawns it; the caller raises the
         failure that started the rollback."""
@@ -707,7 +666,7 @@ class ShardRouter(ExecutionBackend):
                 if client is None or not client.alive():
                     continue
                 try:
-                    self._sync(shard, client, snapshot)
+                    client.link.sync(snapshot, client.request)
                 except (*_TRANSPORT_ERRORS, RpcError):
                     pass
 
@@ -746,13 +705,7 @@ class ShardRouter(ExecutionBackend):
         reaped shard is absent entirely (no spawn, no recovery, no
         failure recorded).  Probes fan out on the dispatch pool so one
         slow worker does not serialize the sweep."""
-        probes: list[tuple[int, ShardClient]] = []
-        for shard in range(self.num_shards):
-            with self._shard_locks[shard]:
-                client = self._clients[shard]
-            if client is None or not client.alive():
-                continue
-            probes.append((shard, client))
+        probes = [(shard, c) for shard, c in self._started() if c.alive()]
 
         def probe(client: ShardClient) -> StatsReply | None:
             try:
@@ -771,33 +724,21 @@ class ShardRouter(ExecutionBackend):
         frames and bytes sent, and the dictionary terms suffix syncs
         shipped.  Point-in-time advisory reads — no request, no blocking on
         in-flight requests."""
-        out: list[tuple[int, dict]] = []
+        return [(shard, c.link.wire_stats()) for shard, c in self._started()]
+
+    def _started(self) -> list[tuple[int, ShardClient]]:
+        """``(shard, client)`` for every routed shard with a client."""
+        started = []
         for shard in range(self.num_shards):
             with self._shard_locks[shard]:
                 client = self._clients[shard]
-            if client is None:
-                continue
-            out.append(
-                (
-                    shard,
-                    {
-                        "frames_sent": client.frames_sent,
-                        "bytes_sent": client.bytes_sent,
-                        "terms_shipped": client.terms_shipped,
-                    },
-                )
-            )
-        return out
+            if client is not None:
+                started.append((shard, client))
+        return started
 
     def close(self) -> None:
-        # len(self._clients) can exceed num_shards after a shrink (the
-        # per-shard lists only grow); retire every entry either way.
-        for shard in range(len(self._clients)):  # lint: disable=LOCK001 — len() only; the list never shrinks
-            with self._shard_locks[shard]:
-                client = self._clients[shard]
-                self._clients[shard] = None
-            if client is not None:
-                client.close()
+        # Every entry: the per-shard lists can outgrow num_shards.
+        self._retire_clients(0)
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -817,7 +758,7 @@ class ShardRouter(ExecutionBackend):
                 pass
 
     def _recover(self, shard: int, reason: str, on_bytes=None) -> ShardClient:
-        """Respawn a dead worker: restart and :meth:`_sync` it to the
+        """Respawn a dead worker: restart and sync it to the
         last snapshot the fleet was brought to.
 
         Records the failure that triggered the recovery; a failed
@@ -828,7 +769,7 @@ class ShardRouter(ExecutionBackend):
         try:
             client = self._start_worker(shard)
             if self._last_snapshot is not None:
-                self._sync(shard, client, self._last_snapshot, on_bytes)
+                client.link.sync(self._last_snapshot, client.request, on_bytes)
             return client
         except Exception as exc:
             self._record_failure(shard, f"respawn failed: {exc!r}")
@@ -1104,7 +1045,7 @@ class ShardRouter(ExecutionBackend):
 class RpcShardRouter(ShardRouter):
     """A :class:`ShardRouter` whose shard workers are long-lived server
     processes reached over the socket protocol of
-    :mod:`repro.cluster.rpc`: the one router, with the socket client."""
+    :mod:`repro.cluster.client`: the one router, with the socket client."""
 
     client = ShardWorkerClient
     transport = "rpc"
@@ -1116,25 +1057,16 @@ class ShardedPlanExecutor(PlanExecutor):
     The store is a :class:`ShardedStore` and the execution backend is a
     shard router; preparing and executing plans is the base class's,
     unchanged.  Each shard worker builds its own engine, the id-space
-    one (:class:`~repro.mapreduce.backends.ColumnarBackend`); there is
-    no engine to choose.  ``transport`` selects the client that carries
-    the frames to the workers:
-
-    * ``"inproc"`` (default): every worker lives in the driver process
-      (:class:`~repro.cluster.rpc.LocalShardClient`) and frames cross as
-      objects, blocks by reference.
-    * ``"rpc"``: workers are **long-lived server processes**
-      (:class:`RpcShardRouter`) — each holds its snapshot and its
-      engine resident and nothing about plans: a level's task
-      specs and exchange rows cross the localhost socket with the level.
-      A crashed worker is respawned and its request retried once;
-      sustained failure raises a typed
-      :class:`~repro.cluster.rpc.ShardUnavailable` (reported through
-      ``on_shard_failure``).  ``wire_format`` selects the row encoding of
-      those exchanges: ``"columnar"`` (default) packs rows as id buffers
-      in the store's numbering (:mod:`repro.columnar.wire`),
-      ``"pickle"`` keeps the original tuple-list frames.  It and the
-      other socket options are ignored in process.
+    one; there is no engine to choose.  ``transport`` selects the
+    carrier: ``"inproc"`` (default, :class:`~repro.cluster.client
+    .LocalShardClient`) or ``"rpc"`` (:class:`RpcShardRouter`), whose
+    crashed workers are respawned and their request retried once;
+    sustained failure raises a typed
+    :class:`~repro.cluster.frames.ShardUnavailable` (reported through
+    ``on_shard_failure``).  ``wire_format`` selects the row encoding over
+    rpc: ``"columnar"`` (default) packs rows as id buffers in the store's
+    numbering (:mod:`repro.columnar.wire`), ``"pickle"`` keeps tuple-list
+    frames.  It and the other socket options are ignored in process.
     """
 
     def __init__(
@@ -1206,7 +1138,7 @@ class ShardedPlanExecutor(PlanExecutor):
 
         Either transport runs the same live migration
         (:meth:`ShardRouter.migrate`): each shard receives one
-        :class:`~repro.cluster.rpc.Sync` carrying only the moved nodes'
+        :class:`~repro.cluster.frames.Sync` carrying only the moved nodes'
         file maps and the new epoch, and a failure rolls the table back
         and syncs the survivors to it.  Surviving workers keep their engines.  The caller must
         quiesce queries for the duration (the query service's store

@@ -444,7 +444,7 @@ def run_invocations(
     """Evaluate one task group (invocations sharing a :func:`task_group`
     key), results in invocation order: columnar where the spec is one of
     the three plan specs, each invocation's own tuple ``run`` for
-    anything else (closure-style jobs, test doubles)."""
+    anything else (test doubles)."""
     spec = invocations[0].spec
     if isinstance(spec, ChainMapSpec):
         return run_chain_map([inv.spec for inv in invocations], ctx, state)

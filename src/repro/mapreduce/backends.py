@@ -32,7 +32,7 @@ outputs are reproducible across backends and across runs.
 
 The process backend degrades gracefully: where process pools are
 unavailable (sandboxed CI, restricted containers) or a task spec cannot
-be pickled (closure-style tasks), it falls back to serial execution and
+be pickled (one holding a closure), it falls back to serial execution and
 says so once with a :class:`RuntimeWarning`.
 """
 
@@ -521,7 +521,7 @@ class ProcessBackend(ExecutionBackend):
         if self._serial is not None:
             return self._serial.run(invocations, ctx)
         if len(invocations) <= 1:
-            # Not worth a round-trip; also serves closure specs untouched.
+            # Not worth a round-trip; also serves unpicklable specs untouched.
             return [inv.spec.run(ctx, *inv.args) for inv in invocations]
         try:
             pool = self._ensure_pool(ctx)

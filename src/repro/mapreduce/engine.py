@@ -17,9 +17,8 @@ its jobs (name, output file and schema, reduce spec and reducer count),
 every map :class:`~repro.mapreduce.backends.TaskInvocation`, their task
 groups, and which job and partition each reduce task of the level
 serves.  A prepared plan builds its program on its first execution
-(:meth:`repro.physical.executor.PreparedPlan.program`); closure-style
-:class:`~repro.mapreduce.jobs.JobGraph` s compile to the same type
-(:func:`graph_program`).  What an execution builds is only its own
+(:meth:`repro.physical.executor.PreparedPlan.program`).  What an
+execution builds is only its own
 state: the shuffle buckets, the metrics, the reduce invocations around
 the ``(partition, grouped)`` the shuffle produced, and the job outputs
 it publishes into the context's HDFS namespace, each under its job's
@@ -68,13 +67,7 @@ from repro.mapreduce.backends import (
 )
 from repro.mapreduce.counters import ExecutionReport, JobMetrics
 from repro.mapreduce.hdfs import Chunks, DistributedRelation
-from repro.mapreduce.jobs import (
-    Chunk,
-    JobGraph,
-    MapReduceJob,
-    ReduceTaskSpec,
-    TaskContext,
-)
+from repro.mapreduce.jobs import Chunk, ReduceTaskSpec, TaskContext
 from repro.obs.trace import span
 
 
@@ -106,6 +99,10 @@ class ProgramJob:
     maps: tuple[TaskInvocation, ...]
     reduce_spec: ReduceTaskSpec | None = None
     num_reducers: int = 0  # 0 -> map-only job
+
+    def __post_init__(self) -> None:
+        if (self.reduce_spec is None) != self.map_only:
+            raise ValueError(f"job {self.name}: a reduce spec and reducers go together")
 
     @property
     def map_only(self) -> bool:
@@ -165,32 +162,6 @@ def program_level(jobs: Sequence[ProgramJob]) -> ProgramLevel:
     )
 
 
-def graph_program(graph: JobGraph) -> LevelProgram:
-    """The level program of a closure-style job graph: each job's output
-    is published under its name, with no schema."""
-    return LevelProgram(
-        tuple(
-            program_level(
-                [
-                    ProgramJob(
-                        name=job.name,
-                        output=job.name,
-                        attrs=(),
-                        maps=tuple(
-                            TaskInvocation(task.spec, (), task.node, "map", index)
-                            for task in job.map_tasks
-                        ),
-                        reduce_spec=job.reduce_spec,
-                        num_reducers=job.num_reducers,
-                    )
-                    for job in level
-                ]
-            )
-            for index, level in enumerate(graph.levels())
-        )
-    )
-
-
 # -- execution ----------------------------------------------------------------
 
 
@@ -224,21 +195,16 @@ class MapReduceEngine:
         self.params = params
         self.backend = backend or SerialBackend()
 
-    def execute(
-        self, program: LevelProgram, ctx: TaskContext | None = None
-    ) -> ExecutionReport:
+    def execute(self, program: LevelProgram, ctx: TaskContext) -> ExecutionReport:
         """Run all jobs; return the execution report.
 
         ``ctx`` carries the worker-visible state (store snapshot, HDFS
-        namespace); omitting it suits self-contained closure-style jobs.
-        Each job's per-node outputs, each a chunk of rows (reducer
-        outputs live on the reducer's node, map-only outputs on the
-        mapper's node), are written to the context's HDFS under the
+        namespace).  Each job's per-node outputs, each a chunk of rows
+        (reducer outputs live on the reducer's node, map-only outputs on
+        the mapper's node), are written to the context's HDFS under the
         job's output name once its level's tasks returned; a context
         without a namespace keeps none.
         """
-        if ctx is None:
-            ctx = TaskContext(num_nodes=self.cluster.num_nodes)
         report = ExecutionReport(backend=self.backend.name)
         with self.backend.execution(ctx, report) as ctx:
             for level_index, level in enumerate(program.levels):
@@ -335,16 +301,3 @@ class MapReduceEngine:
             level_time = max(level_time, metrics.time)
         return level_time
 
-
-def run_jobs(
-    jobs: list[MapReduceJob],
-    cluster: ClusterConfig | None = None,
-    params: CostParams = DEFAULT_PARAMS,
-    backend: ExecutionBackend | None = None,
-    ctx: TaskContext | None = None,
-) -> ExecutionReport:
-    """Convenience: compile *jobs* into a program and execute it."""
-    graph = JobGraph()
-    for job in jobs:
-        graph.add(job)
-    return MapReduceEngine(cluster, params, backend).execute(graph_program(graph), ctx)

@@ -1,24 +1,14 @@
-"""The simulated MapReduce job model.
+"""The simulated MapReduce job model: task specs and their context.
 
-A :class:`MapReduceJob` bundles map tasks, an optional reduce stage and
-dependency edges; a :class:`JobGraph` of them compiles to the level
-program the engine runs (:mod:`repro.mapreduce.engine`), the type a
-prepared plan builds directly.  Tasks carry *declarative specs* —
-picklable dataclasses whose ``run`` method evaluates the task against a
-:class:`TaskContext` — so any execution backend (serial, thread pool,
-process pool) can ship a task to a worker and get back its output rows
-plus :class:`TaskMetrics`.  Behaviour lives in the spec
-class, state in its fields; nothing in a spec may close over live
-engine objects.
-
-Closure-style tasks (the historical API, still used by ad-hoc
-simulations and tests) remain available through ``MapTask(run=...)`` /
-``MapReduceJob(reducer=...)``; they are wrapped into
-:class:`FnMapSpec` / :class:`FnReduceSpec`, which serial and thread
-backends execute in place.  A process backend cannot pickle closures:
-hitting one demotes that backend to serial for good (a one-time,
-backend-wide fallback with a recorded warning), so keep closure jobs
-off backends meant to serve spec-based work in parallel.
+A job's tasks carry *declarative specs* — picklable dataclasses whose
+``run`` method evaluates the task against a :class:`TaskContext` — so
+any execution backend (serial, thread pool, process pool, a shard
+worker) can ship a task to a worker and get back its output rows plus
+:class:`TaskMetrics`.  Behaviour lives in the spec class, state in its
+fields; nothing in a spec may close over live engine objects.  A job
+DAG compiles to the level program the engine runs
+(:mod:`repro.mapreduce.engine`); its levels are
+:func:`topological_levels`.
 
 The unit every task exchanges with the engine is the *chunk*: any sized
 iterable of term-tuple rows (``len(chunk)`` rows, ``iter(chunk)`` yields
@@ -31,16 +21,14 @@ looks inside one.
 A map task returns *shuffle output* — one ``(partition, tag, chunk)``
 per reduce partition it has rows for — and one *direct output* chunk
 (map-only jobs).  A reducer receives, for its partition, the chunks
-grouped by tag, and returns one chunk.  Closure-style tasks keep their
-historical per-row shapes (``(partition, tag, row)`` emits in,
-``{tag: rows}`` to the reducer): the two ``Fn*Spec`` adapters convert.
+grouped by tag, and returns one chunk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from typing import TYPE_CHECKING, Collection, Sequence
 
 from repro.mapreduce.counters import TaskMetrics
 
@@ -58,13 +46,6 @@ ShuffleEmit = tuple[int, int, Chunk]
 
 #: A map task returns shuffle emissions, a direct output chunk, and metrics.
 MapResult = tuple[list[ShuffleEmit], Chunk, TaskMetrics]
-
-#: A closure-style map task's per-row result: (partition, tag, row) emits.
-RowMapResult = tuple[list[tuple[int, int, Row]], list[Row], TaskMetrics]
-
-#: A closure-style reducer consumes {tag: rows} for one partition and
-#: returns rows+metrics.
-ReduceFn = Callable[[int, dict[int, list[Row]]], tuple[list[Row], TaskMetrics]]
 
 
 def flatten(chunks) -> list[Row]:
@@ -128,82 +109,6 @@ class ReduceTaskSpec(TaskSpec):
     partition — returns ``(chunk, metrics)``."""
 
 
-@dataclass(frozen=True)
-class FnMapSpec(MapTaskSpec):
-    """Adapter for closure-style map tasks (not process-safe): groups
-    the closure's per-row emits into one chunk per (partition, tag),
-    rows in emission order."""
-
-    fn: Callable[[], RowMapResult]  # lint: disable=SPEC001 — closure adapter for in-process backends only, never pickled
-
-    def run(self, ctx: TaskContext, *args) -> MapResult:
-        row_emits, direct, metrics = self.fn()
-        groups: dict[tuple[int, int], list[Row]] = {}
-        for partition, tag, row in row_emits:
-            groups.setdefault((partition, tag), []).append(row)
-        shuffle = [(p, tag, rows) for (p, tag), rows in groups.items()]
-        return shuffle, direct, metrics
-
-
-@dataclass(frozen=True)
-class FnReduceSpec(ReduceTaskSpec):
-    """Adapter for closure-style reducers (not process-safe): hands the
-    closure each tag's chunks flattened to one row list."""
-
-    fn: ReduceFn  # lint: disable=SPEC001 — closure adapter for in-process backends only, never pickled
-
-    def run(self, ctx: TaskContext, partition: int, grouped: dict) -> tuple:
-        return self.fn(partition, {tag: flatten(c) for tag, c in grouped.items()})
-
-
-@dataclass
-class MapTask:
-    """One map task, pinned to a cluster node.
-
-    Construct with either a declarative ``spec`` (preferred; required
-    for process execution) or a legacy ``run`` closure, which is wrapped
-    into a :class:`FnMapSpec`.
-    """
-
-    node: int
-    spec: MapTaskSpec | None = None
-    run: Callable[[], RowMapResult] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.spec is None) == (self.run is None):
-            raise ValueError("a MapTask needs exactly one of spec= or run=")
-        if self.spec is None:
-            self.spec = FnMapSpec(self.run)
-
-
-@dataclass
-class MapReduceJob:
-    """One simulated MapReduce job."""
-
-    name: str
-    map_tasks: list[MapTask]
-    num_reducers: int = 0  # 0 -> map-only job
-    reducer: ReduceFn | None = None
-    #: declarative reduce spec (preferred over the ``reducer`` closure)
-    reduce_spec: ReduceTaskSpec | None = None
-    #: names of jobs whose output this job reads (scheduling DAG)
-    depends_on: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.reducer is not None and self.reduce_spec is not None:
-            raise ValueError(f"job {self.name} has both reducer and reduce_spec")
-        if self.reducer is not None:
-            self.reduce_spec = FnReduceSpec(self.reducer)
-        if self.num_reducers > 0 and self.reduce_spec is None:
-            raise ValueError(f"job {self.name} has reducers but no reduce fn")
-        if self.num_reducers == 0 and self.reduce_spec is not None:
-            raise ValueError(f"job {self.name} has a reduce fn but 0 reducers")
-
-    @property
-    def map_only(self) -> bool:
-        return self.num_reducers == 0
-
-
 def stable_hash(values: tuple) -> int:
     """Deterministic hash for shuffle partitioning.
 
@@ -221,42 +126,15 @@ def stable_hash(values: tuple) -> int:
     return h
 
 
-@dataclass
-class JobGraph:
-    """A DAG of jobs, with level-wise scheduling order.
-
-    Jobs with no unfinished dependencies run concurrently (Hadoop runs
-    independent jobs in parallel); levels are the simulator's barriers.
-    The engine runs a graph compiled to its level program
-    (:func:`repro.mapreduce.engine.graph_program`), which publishes each
-    job's per-node outputs into HDFS under the job's name.
-    """
-
-    jobs: list[MapReduceJob] = field(default_factory=list)
-
-    def add(self, job: MapReduceJob) -> MapReduceJob:
-        if any(j.name == job.name for j in self.jobs):
-            raise ValueError(f"duplicate job name: {job.name}")
-        self.jobs.append(job)
-        return job
-
-    def levels(self) -> list[list[MapReduceJob]]:
-        """Topological levels: a job sits one level after its last dependency."""
-        return [
-            [self.jobs[position] for position in level]
-            for level in topological_levels(
-                [(job.name, job.depends_on) for job in self.jobs]
-            )
-        ]
-
-
 def topological_levels(
     jobs: Sequence[tuple[str, Sequence[str]]],
 ) -> list[list[int]]:
     """The positions of *jobs* — ``(name, names it depends on)`` pairs —
     per scheduling level, in input order within a level: a job sits one
-    level after its last dependency."""
+    level after its last dependency; names are unique."""
     position_of = {name: position for position, (name, _deps) in enumerate(jobs)}
+    if len(position_of) != len(jobs):
+        raise ValueError("duplicate job name")
     level_of: dict[str, int] = {}
 
     def level(name: str, deps: Sequence[str], seen: frozenset[str]) -> int:

@@ -32,7 +32,8 @@ from pathlib import Path
 
 def _rpc_available() -> bool:
     try:
-        from repro.cluster.rpc import ShardWorkerClient, StatsReply
+        from repro.cluster.client import ShardWorkerClient
+        from repro.cluster.frames import StatsReply
 
         client = ShardWorkerClient(shard=0, num_nodes=2, spawn_timeout=30)
         try:

@@ -13,7 +13,7 @@ concurrently with duplicate submissions coalesced.  See
 door, a serving pipeline and administration.
 """
 
-from repro.cluster.rpc import ShardUnavailable
+from repro.cluster.frames import ShardUnavailable
 from repro.service.cache import (
     LRUCache,
     PlanCache,

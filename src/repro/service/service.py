@@ -93,7 +93,7 @@ class ServiceConfig:
     shards: int = 0
     #: how the shard workers are reached (requires ``shards >= 1``).
     #: A worker holds its snapshot and one engine, nothing about
-    #: plans, and gets each level as one frame (repro.cluster.rpc):
+    #: plans, and gets each level as one frame (repro.cluster.frames):
     #: "inproc" keeps it in the driver process and hands it frames as
     #: objects; "rpc" runs it as a long-lived server process behind a
     #: localhost socket.  Over rpc, rows cross as id buffers in the

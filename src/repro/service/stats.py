@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.rpc import StatsReply
+    from repro.cluster.frames import StatsReply
 
 #: the family every service event counts in, by ``event`` label (the
 #: name of the :class:`StatsSnapshot` field that reads it)

@@ -55,19 +55,6 @@ def count(query: BGPQuery, graph: RDFGraph) -> int:
     return len(evaluate(query, graph))
 
 
-def unify(tp: TriplePattern, triple: tuple[str, str, str]) -> Binding | None:
-    """The binding under which *tp* matches *triple*, or None: constants
-    must equal, and a variable repeated in *tp* must meet one value."""
-    binding: Binding = {}
-    for term, value in zip((tp.s, tp.p, tp.o), triple):
-        if is_variable(term):
-            if binding.setdefault(term, value) != value:
-                return None
-        elif term != value:
-            return None
-    return binding
-
-
 class _Join:
     """The order :func:`bindings` joins *patterns* in when the variables
     *seeded* are bound before the first, compiled to a nested loop over

@@ -87,7 +87,8 @@ def rpc_workers_work() -> bool:
     """True when a shard server process can be spawned and spoken to
     (needs working process spawning *and* localhost sockets)."""
     try:
-        from repro.cluster.rpc import ShardWorkerClient, StatsReply
+        from repro.cluster.client import ShardWorkerClient
+        from repro.cluster.frames import StatsReply
 
         client = ShardWorkerClient(shard=0, num_nodes=2, spawn_timeout=30)
         try:
@@ -850,7 +851,7 @@ def assert_one_id_space(service: QueryService, queries, where: str = "") -> None
     written = check("one-shard write")
     assert written[0].primes == warm[0].primes + 1, where
     assert written[1].primes == warm[1].primes, where
-    assert router._clients[1].terms_shipped >= 3 * len(writes), where
+    assert router._clients[1].link.terms_shipped >= 3 * len(writes), where
 
     failures = router.shard_failures
     kill_worker(router._clients[0])

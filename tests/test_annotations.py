@@ -25,6 +25,7 @@ STRICT_GLOBS = [
     "src/repro/sparql/ast.py",
     "src/repro/analysis/*.py",
     "src/repro/service/patch.py",
+    "src/repro/cluster/frames.py",
 ]
 
 

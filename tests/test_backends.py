@@ -25,12 +25,19 @@ from repro.mapreduce.backends import (
     make_backend,
 )
 from repro.mapreduce.counters import TaskMetrics
-from repro.mapreduce.engine import ClusterConfig, run_jobs
+from repro.mapreduce.engine import (
+    ClusterConfig,
+    LevelProgram,
+    MapReduceEngine,
+    ProgramJob,
+    program_level,
+)
+from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.jobs import (
-    FnMapSpec,
-    MapReduceJob,
-    MapTask,
+    MapTaskSpec,
+    ReduceTaskSpec,
     TaskContext,
+    flatten,
     stable_hash,
 )
 from repro.partitioning.triple_partitioner import partition_graph
@@ -321,14 +328,14 @@ class TestGuardsAndFallback:
 
     @needs_process
     def test_closure_tasks_fall_back_to_serial(self):
-        """FnMapSpec wraps a closure — unpicklable, so the process
+        """A spec holding a closure does not pickle, so the process
         backend demotes itself instead of failing the job."""
         backend = ProcessBackend(2)
 
         def make(n):
             return lambda: ([], [(n,)], TaskMetrics())
 
-        invocations = [TaskInvocation(FnMapSpec(make(n))) for n in (1, 2)]
+        invocations = [TaskInvocation(_ClosureSpec(make(n))) for n in (1, 2)]
         with pytest.warns(RuntimeWarning, match="demoted to serial"):
             results = backend.run(invocations, TaskContext(num_nodes=1))
         assert [direct for _, direct, _ in results] == [[(1,)], [(2,)]]
@@ -354,16 +361,6 @@ class TestGuardsAndFallback:
         finally:
             backend.close()
         assert backend.pool_token is None
-
-
-class TestLegacyTaskApi:
-    def test_spec_and_run_together_rejected(self):
-        with pytest.raises(ValueError):
-            MapTask(0, spec=FnMapSpec(lambda: None), run=lambda: None)
-
-    def test_neither_spec_nor_run_rejected(self):
-        with pytest.raises(ValueError):
-            MapTask(0)
 
 
 class TestExplainSurface:
@@ -409,37 +406,23 @@ class TestOrderingStability:
     def test_shuffle_merge_order_matches_task_order(self, backend_factory):
         """Reducers must see rows grouped in map-task submission order,
         whatever order the backend completed the tasks in."""
-        received: list[tuple] = []
-
-        def reducer(partition, grouped):
-            received.extend(grouped.get(0, []))
-            return [], TaskMetrics()
-
-        tasks = [
-            MapTask(node=n % 2, spec=_EmitSpec(start=n * 10))
-            for n in range(6)
-        ]
+        maps = tuple(
+            TaskInvocation(_EmitSpec(start=n * 10), (), n % 2) for n in range(6)
+        )
+        job = ProgramJob("order", "order", (), maps, _CollectSpec(), 1)
+        ctx = TaskContext(num_nodes=2, hdfs=HDFS(num_nodes=2))
         backend = backend_factory()
         try:
-            run_jobs(
-                [
-                    MapReduceJob(
-                        name="order",
-                        map_tasks=tasks,
-                        num_reducers=1,
-                        reducer=reducer,
-                    )
-                ],
-                ClusterConfig(num_nodes=2),
-                CostParams(),
-                backend=backend,
+            MapReduceEngine(ClusterConfig(num_nodes=2), CostParams(), backend).execute(
+                LevelProgram((program_level([job]),)), ctx
             )
         finally:
             backend.close()
+        received = list(ctx.hdfs.read("order").all_rows())
         assert received == [(n * 10 + i,) for n in range(6) for i in range(3)]
 
 
-class _EmitSpec:
+class _EmitSpec(MapTaskSpec):
     """Emit one chunk of three rows to partition 0, tagged 0 (picklable
     test spec)."""
 
@@ -455,3 +438,27 @@ class _EmitSpec:
     def run(self, ctx):
         rows = [(self.start + i,) for i in range(3)]
         return [(0, 0, rows)], [], TaskMetrics()
+
+
+class _CollectSpec(ReduceTaskSpec):
+    """Reduce to the rows tagged 0, in the order they arrived
+    (picklable test spec)."""
+
+    def __eq__(self, other):
+        return isinstance(other, _CollectSpec)
+
+    def run(self, ctx, partition, grouped):
+        return flatten(grouped.get(0, [])), TaskMetrics()
+
+
+class _ClosureSpec:
+    """A map spec holding a closure: it does not pickle."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def hdfs_inputs(self):
+        return ()
+
+    def run(self, ctx):
+        return self.fn()

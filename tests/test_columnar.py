@@ -619,7 +619,7 @@ def test_a_chunk_never_pickles_its_dictionary():
     decoded rows."""
     import pickle
 
-    from repro.cluster.rpc import ResultsReply
+    from repro.cluster.frames import ResultsReply
     from repro.mapreduce.counters import TaskMetrics
 
     d = Dictionary()

@@ -1,22 +1,27 @@
 """Tests for the MapReduce simulator substrate (jobs, engine, HDFS)."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.cost.params import CostParams
+from repro.mapreduce.backends import TaskInvocation
 from repro.mapreduce.counters import TaskMetrics
 from repro.mapreduce.engine import (
     ClusterConfig,
+    LevelProgram,
     MapReduceEngine,
-    graph_program,
-    run_jobs,
+    ProgramJob,
+    program_level,
 )
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
 from repro.mapreduce.jobs import (
-    JobGraph,
-    MapReduceJob,
-    MapTask,
+    MapTaskSpec,
+    ReduceTaskSpec,
     TaskContext,
+    flatten,
     stable_hash,
+    topological_levels,
 )
 
 
@@ -79,174 +84,119 @@ class TestHDFS:
 
 
 class TestJobGraph:
-    def j(self, name, deps=()):
-        return MapReduceJob(name=name, map_tasks=[], depends_on=tuple(deps))
+    """Scheduling levels of a job DAG (:func:`topological_levels`)."""
 
     def test_levels_simple_chain(self):
-        g = JobGraph()
-        g.add(self.j("a"))
-        g.add(self.j("b", ["a"]))
-        g.add(self.j("c", ["b"]))
-        levels = g.levels()
-        assert [sorted(j.name for j in lv) for lv in levels] == [["a"], ["b"], ["c"]]
+        levels = topological_levels([("a", ()), ("b", ["a"]), ("c", ["b"])])
+        assert levels == [[0], [1], [2]]
 
     def test_independent_jobs_share_level(self):
-        g = JobGraph()
-        g.add(self.j("a"))
-        g.add(self.j("b"))
-        g.add(self.j("c", ["a", "b"]))
-        levels = g.levels()
-        assert sorted(j.name for j in levels[0]) == ["a", "b"]
-        assert [j.name for j in levels[1]] == ["c"]
+        levels = topological_levels([("a", ()), ("b", ()), ("c", ["a", "b"])])
+        assert levels == [[0, 1], [2]]
 
     def test_duplicate_names_rejected(self):
-        g = JobGraph()
-        g.add(self.j("a"))
-        with pytest.raises(ValueError):
-            g.add(self.j("a"))
+        with pytest.raises(ValueError, match="duplicate"):
+            topological_levels([("a", ()), ("a", ())])
 
     def test_unknown_dependency(self):
-        g = JobGraph()
-        g.add(self.j("a", ["zzz"]))
-        with pytest.raises(ValueError):
-            g.levels()
+        with pytest.raises(ValueError, match="unknown"):
+            topological_levels([("a", ["zzz"])])
 
     def test_cycle_detected(self):
-        g = JobGraph()
-        g.add(self.j("a", ["b"]))
-        g.add(self.j("b", ["a"]))
-        with pytest.raises(ValueError):
-            g.levels()
+        with pytest.raises(ValueError, match="cycle"):
+            topological_levels([("a", ["b"]), ("b", ["a"])])
 
     def test_reduce_fn_consistency(self):
         with pytest.raises(ValueError):
-            MapReduceJob(name="x", map_tasks=[], num_reducers=2)
+            job("x", num_reducers=2)
         with pytest.raises(ValueError):
-            MapReduceJob(
-                name="x", map_tasks=[], num_reducers=0, reducer=lambda p, g: ([], None)
-            )
+            job("x", reduce_spec=_WordCount())
+
+
+@dataclass(frozen=True)
+class _Emit(MapTaskSpec):
+    """A map task reading *read* tuples: it emits each word as a
+    ``(word, 1)`` row to partition ``stable_hash % 3`` (tag 0) and
+    returns *direct* as its direct output."""
+
+    node: int = 0
+    words: tuple = ()
+    direct: tuple = ()
+    read: int = 0
+
+    def run(self, ctx):
+        m = TaskMetrics()
+        m.tuples_read = self.read or len(self.words)
+        shuffle: dict[int, list] = {}
+        for word in self.words:
+            shuffle.setdefault(stable_hash((word,)) % 3, []).append((word, 1))
+        return [(p, 0, rows) for p, rows in shuffle.items()], list(self.direct), m
+
+
+@dataclass(frozen=True)
+class _WordCount(ReduceTaskSpec):
+    """Sums the counts of the ``(word, count)`` rows tagged 0."""
+
+    def run(self, ctx, partition, grouped):
+        m = TaskMetrics()
+        counts: dict = {}
+        for word, count in flatten(grouped.get(0, [])):
+            m.tuples_shuffled += 1
+            counts[word] = counts.get(word, 0) + count
+        rows = sorted(counts.items())
+        m.tuples_written = len(rows)
+        return rows, m
+
+
+def job(name, *maps, reduce_spec=None, num_reducers=0):
+    """A program job publishing under its name, with no schema."""
+    invocations = tuple(TaskInvocation(spec, (), spec.node) for spec in maps)
+    return ProgramJob(name, name, (), invocations, reduce_spec, num_reducers)
+
+
+def run(*levels, num_nodes, params=CostParams()):
+    """Run *levels* (lists of jobs) on the serial engine; the report and
+    the HDFS namespace the jobs published into."""
+    ctx = TaskContext(num_nodes=num_nodes, hdfs=HDFS(num_nodes=num_nodes))
+    program = LevelProgram(tuple(program_level(jobs) for jobs in levels))
+    engine = MapReduceEngine(ClusterConfig(num_nodes=num_nodes), params)
+    return engine.execute(program, ctx), ctx.hdfs
 
 
 class TestEngine:
-    def word_count_job(self, docs_per_node):
-        """A classic word count as a sanity check of the MR semantics."""
-
-        def make_mapper(node, words):
-            def run():
-                m = TaskMetrics()
-                m.tuples_read = len(words)
-                emits = [(stable_hash((w,)) % 3, 0, (w, 1)) for w in words]
-                return emits, [], m
-
-            return run
-
-        tasks = [
-            MapTask(node=node, run=make_mapper(node, words))
-            for node, words in enumerate(docs_per_node)
-        ]
-
-        def reducer(partition, grouped):
-            m = TaskMetrics()
-            counts = {}
-            for w, c in grouped.get(0, []):
-                m.tuples_shuffled += 1
-                counts[w] = counts.get(w, 0) + c
-            rows = sorted(counts.items())
-            m.tuples_written = len(rows)
-            return rows, m
-
-        return MapReduceJob(
-            name="wc", map_tasks=tasks, num_reducers=3, reducer=reducer
-        )
-
     def test_word_count(self):
-        job = self.word_count_job([["a", "b"], ["a"], ["c", "a"]])
-        ctx = TaskContext(num_nodes=3, hdfs=HDFS(num_nodes=3))
-        report = run_jobs([job], ClusterConfig(num_nodes=3), ctx=ctx)
-        collected = dict(ctx.hdfs.read("wc").all_rows())
-        assert collected == {"a": 3, "b": 1, "c": 1}
+        """A classic word count as a sanity check of the MR semantics."""
+        docs = [("a", "b"), ("a",), ("c", "a")]
+        maps = [_Emit(node=node, words=words) for node, words in enumerate(docs)]
+        wc = job("wc", *maps, reduce_spec=_WordCount(), num_reducers=3)
+        report, hdfs = run([wc], num_nodes=3)
+        assert dict(hdfs.read("wc").all_rows()) == {"a": 3, "b": 1, "c": 1}
         assert report.num_jobs == 1
         assert not report.jobs[0].map_only
         assert report.jobs[0].tuples_shuffled == 5
 
     def test_map_only_job(self):
-        def mapper():
-            m = TaskMetrics()
-            m.tuples_read = 2
-            return [], [(1,), (2,)], m
-
-        job = MapReduceJob(name="scan", map_tasks=[MapTask(node=0, run=mapper)])
-        ctx = TaskContext(num_nodes=2, hdfs=HDFS(num_nodes=2))
-        report = run_jobs([job], ClusterConfig(num_nodes=2), ctx=ctx)
-        assert list(ctx.hdfs.read("scan").partitions[0]) == [(1,), (2,)]
+        scan = job("scan", _Emit(direct=((1,), (2,)), read=2))
+        report, hdfs = run([scan], num_nodes=2)
+        assert list(hdfs.read("scan").partitions[0]) == [(1,), (2,)]
         assert report.jobs[0].map_only
 
     def test_response_time_levels_are_barriers(self):
         """Two independent jobs overlap; a dependent job adds its time."""
-
-        def mapper(cost):
-            def run():
-                m = TaskMetrics()
-                m.tuples_read = cost
-                return [], [], m
-
-            return run
-
         params = CostParams(c_read=1.0, job_overhead=0.0)
-
-        def mk(name, cost, deps=()):
-            return MapReduceJob(
-                name=name,
-                map_tasks=[MapTask(node=0, run=mapper(cost))],
-                depends_on=tuple(deps),
-            )
-
-        report = run_jobs(
-            [mk("a", 10), mk("b", 6), mk("c", 4, ["a", "b"])],
-            ClusterConfig(num_nodes=2),
-            params,
-        )
+        a, b, c = (job(n, _Emit(read=cost)) for n, cost in zip("abc", (10, 6, 4)))
+        report, _ = run([a, b], [c], num_nodes=2, params=params)
         # level 0: max(10, 6) = 10; level 1: 4
         assert report.response_time == pytest.approx(14.0)
         assert report.total_work == pytest.approx(20.0)
 
     def test_job_overhead_charged(self):
         params = CostParams(job_overhead=100.0)
-
-        def mapper():
-            return [], [], TaskMetrics()
-
-        job = MapReduceJob(name="a", map_tasks=[MapTask(node=0, run=mapper)])
-        report = run_jobs([job], ClusterConfig(num_nodes=1), params)
+        report, _ = run([job("a", _Emit())], num_nodes=1, params=params)
         assert report.response_time == pytest.approx(100.0)
 
     def test_map_phase_time_is_max_over_nodes(self):
-        params = CostParams(c_read=1.0)
-
-        def mapper(cost):
-            def run():
-                m = TaskMetrics()
-                m.tuples_read = cost
-                return [], [], m
-
-            return run
-
-        job = MapReduceJob(
-            name="a",
-            map_tasks=[
-                MapTask(node=0, run=mapper(5)),
-                MapTask(node=1, run=mapper(9)),
-                MapTask(node=0, run=mapper(2)),  # same node: serial
-            ],
-        )
-        report = MapReduceEngine(ClusterConfig(num_nodes=2), params).execute(
-            graph_program(_graph_of([job]))
-        )
+        maps = [_Emit(node=0, read=5), _Emit(node=1, read=9), _Emit(node=0, read=2)]
+        report, _ = run([job("a", *maps)], num_nodes=2, params=CostParams(c_read=1.0))
+        # node 0 runs its two tasks serially: 5 + 2 < 9
         assert report.jobs[0].map_time == pytest.approx(9.0)
-
-
-def _graph_of(jobs):
-    g = JobGraph()
-    for j in jobs:
-        g.add(j)
-    return g

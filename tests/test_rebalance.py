@@ -28,18 +28,16 @@ import pickle
 import pytest
 
 from repro.cluster import ShardedPlanExecutor, shard_graph
-from repro.cluster.rpc import (
+from repro.cluster.client import LocalShardClient, ShardWorkerClient
+from repro.cluster.frames import (
     ExecuteLevel,
-    LocalShardClient,
     OkReply,
     Request,
     ShardUnavailable,
-    ShardWorkerClient,
     StaleEpoch,
     Stats,
     Sync,
     WorkerStateError,
-    _WorkerState,
     sync_frame,
 )
 from repro.cluster.ownership import (
@@ -48,6 +46,7 @@ from repro.cluster.ownership import (
     plan_resize,
     plan_skew,
 )
+from repro.cluster.worker import _WorkerState
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
 from repro.cost.cardinality import CatalogStatistics

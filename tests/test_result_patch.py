@@ -21,12 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.partitioning.layout import read_keys, write_keys
+from repro.physical.translate import bind_triple
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import RDF_TYPE
 from repro.service import QueryService, ServiceConfig
 from repro.service.admin import DELTA_LOG_BATCHES
 from repro.service.patch import PATCH_WORK_BOUND
-from repro.sparql.evaluator import evaluate, unify
+from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
 
 NODES = tuple(f"<n{i}>" for i in range(4))
@@ -189,7 +190,7 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
                                 "delta": len(delta),
                                 "tried": tried(query, delta),
                                 "seeds": sum(
-                                    unify(tp, t) is not None
+                                    bind_triple(tp, t) is not None
                                     for tp in query.patterns
                                     for t in delta
                                 ),

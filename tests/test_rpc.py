@@ -1,4 +1,4 @@
-"""RPC shard workers (repro.cluster.rpc).
+"""RPC shard workers (repro.cluster.worker, over repro.cluster.client).
 
 Covers: protocol frame round-trips and typed error paths (oversized
 frames, unknown messages, specs that do not pickle, missing snapshots),
@@ -20,12 +20,14 @@ import pickle
 import threading
 import time
 import weakref
+from concurrent.futures import Future
 from dataclasses import replace as dataclass_replace
 
 import pytest
 
 from repro.cluster import RpcShardRouter, ShardedPlanExecutor, shard_graph
-from repro.cluster.rpc import (
+from repro.cluster.client import ShardWorkerClient
+from repro.cluster.frames import (
     BatchReply,
     ErrorReply,
     ExecuteBatch,
@@ -37,14 +39,12 @@ from repro.cluster.rpc import (
     ResultsReply,
     RpcProtocolError,
     ShardUnavailable,
-    ShardWorkerClient,
     Shutdown,
     Stats,
     StatsReply,
     Sync,
-    WorkerStateError,
-    _Waiter,
     sync_frame,
+    WorkerStateError,
 )
 from repro.columnar.block import ColumnBlock
 from repro.columnar.wire import WireCodec
@@ -58,7 +58,7 @@ from repro.mapreduce.backends import (
 )
 from repro.mapreduce.counters import ExecutionReport, TaskMetrics
 from repro.mapreduce.hdfs import HDFS, DistributedRelation
-from repro.mapreduce.jobs import FnReduceSpec, MapTaskSpec, TaskContext
+from repro.mapreduce.jobs import MapTaskSpec, ReduceTaskSpec, TaskContext, flatten
 from repro.partitioning.triple_partitioner import partition_graph
 from repro.physical.executor import PlanExecutor
 from repro.rdf.dictionary import Dictionary
@@ -240,7 +240,7 @@ def test_worker_tasks_keep_their_node_phase_and_level():
     """A backend behind a shard worker sees every task where the engine
     placed it — the (node, phase, level) multiset the serial backend of
     an unsharded executor sees for the same LUBM query."""
-    from repro.cluster.rpc import _WorkerState
+    from repro.cluster.worker import _WorkerState
     from repro.mapreduce.backends import SerialBackend
     from repro.workloads import lubm, lubm_queries
 
@@ -356,15 +356,15 @@ class TestWorkerLifecycle:
             client.request(sync_frame(None, snapshot, 0))
             rows = [(term,) for term in snapshot.dictionary] * 200
             block = ColumnBlock.from_rows(("?x",), rows, snapshot.dictionary, mint=False)
-            sent = client.frames_sent
+            sent = client.link.frames_sent
             with pytest.raises(FrameTooLarge, match="exceeds"):
                 client.request(
                     ExecuteLevel(
                         level=0, phase="reduce",
-                        tasks=((FnReduceSpec(_echo), 0, {0: [block]}),),
+                        tasks=((_Reduce(_echo), 0, {0: [block]}),),
                     )
                 )
-            assert client.frames_sent == sent
+            assert client.link.frames_sent == sent
             with pytest.raises(FrameTooLarge, match="reply frame"):
                 client.request(ExecuteLevel(level=0, phase="map", tasks=(_Flood(len(rows)),)))
             assert isinstance(client.request(Stats()), StatsReply)
@@ -390,23 +390,24 @@ class TestWorkerLifecycle:
         twice, the waiter is resolved exactly once (the reader drops the
         reply no waiter owns), and the connection serves on."""
 
-        class CountingWaiter(_Waiter):
+        class CountingWaiter(Future):
             resolved = 0
 
-            def resolve(self, value):
+            def set_result(self, value):
                 self.resolved += 1
-                super().resolve(value)
+                super().set_result(value)
 
         base = client.request(Stats())
         waiter = CountingWaiter()
-        with client._waiters_lock:
-            client._waiters[777] = waiter
+        with client.link._waiters_lock:
+            client.link._waiters[777] = waiter
         frame = pickle.dumps(
             Request(777, ExecuteLevel(level=0, phase="reduce", tasks=()))
         )
         client.conn.send_bytes(frame)
         client.conn.send_bytes(frame)
-        assert waiter.wait().results == []
+        reply, _encode_s, _received = waiter.result()
+        assert reply.results == []
         stats = self._poll_stats(
             client, lambda s: s.levels_run == base.levels_run + 2
         )
@@ -542,8 +543,8 @@ class TestFaultInjection:
 
 
     def test_unpicklable_spec_fails_typed_before_a_byte_is_sent(self, university):
-        """A closure spec (SPEC001's documented exception) cannot cross
-        to a shard server: the router says so, typed and naming the
+        """A spec holding a closure (SPEC001 keeps them out of the
+        package) cannot cross to a shard server: the router says so, typed and naming the
         spec, without writing to the socket or leaking the waiter — and
         the connection serves the next batch."""
         router = RpcShardRouter(
@@ -559,28 +560,39 @@ class TestFaultInjection:
             def batch(reducer):
                 return [
                     TaskInvocation(
-                        FnReduceSpec(reducer), (0, {0: [rows]}), phase="reduce"
+                        _Reduce(reducer), (0, {0: [rows]}), phase="reduce"
                     )
                 ]
 
             with router.execution(ctx, ExecutionReport()) as running:
                 client = router._clients[0]
-                sent = client.frames_sent
-                with pytest.raises(RpcProtocolError, match="FnReduceSpec"):
+                sent = client.link.frames_sent
+                with pytest.raises(RpcProtocolError, match="_Reduce"):
                     router.run(batch(lambda p, grouped: _echo(p, grouped)), running)
-                assert client.frames_sent == sent
-                assert not client._waiters
+                assert client.link.frames_sent == sent
+                assert not client.link._waiters
                 [(out, _metrics)] = router.run(batch(_echo), running)
                 assert list(out) == rows
                 assert router._clients[0] is client
-                assert client.frames_sent == sent + 1
+                assert client.link.frames_sent == sent + 1
         finally:
             router.close()
 
 
+class _Reduce(ReduceTaskSpec):
+    """A reduce spec running ``fn(partition, grouped)``: it pickles when
+    *fn* does."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def run(self, ctx, partition, grouped):
+        return self.fn(partition, grouped)
+
+
 def _echo(partition, grouped):
-    """A reducer that pickles (by reference): its input, unchanged."""
-    return grouped[0], TaskMetrics()
+    """A reducer that pickles (by reference): its input's rows."""
+    return flatten(grouped[0]), TaskMetrics()
 
 
 class _Flood(MapTaskSpec):
@@ -1119,7 +1131,7 @@ class TestBlockWire:
         service = rpc_service(university)
         try:
             router = service.executor.router
-            codecs = [router._clients[shard].codec for shard in range(2)]
+            codecs = [router._clients[shard].link.codec for shard in range(2)]
             assert all(isinstance(c, WireCodec) for c in codecs)
             assert all(c.dictionary is service.store.dictionary for c in codecs)
             with PlanExecutor(
@@ -1170,7 +1182,7 @@ class TestRpcConfigValidation:
         does not speak."""
         import inspect
 
-        from repro.cluster.rpc import LocalShardClient
+        from repro.cluster.client import LocalShardClient
 
         for built in (
             RpcShardRouter, ShardedPlanExecutor, ShardWorkerClient, LocalShardClient

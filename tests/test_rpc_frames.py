@@ -1,7 +1,7 @@
 """Pickle round-trip registry for every RPC wire frame (FRAME001).
 
 ``FRAME_EXAMPLES`` is the registry the static linter cross-checks:
-every frame class in :data:`repro.cluster.rpc.MESSAGE_TYPES` must have
+every frame class in :data:`repro.cluster.worker.MESSAGE_TYPES` must have
 an entry here, and every entry must survive a pickle round trip (the
 wire is pickled dataclasses).  Values are zero-argument factories so
 the heavy frames (``Sync``'s file maps, ``ExecuteLevel``'s task specs)
@@ -20,10 +20,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster.rpc import (
-    CLIENT_HANDLED,
-    MESSAGE_TYPES,
-    WORKER_HANDLED,
+from repro.cluster.frames import (
     BatchReply,
     ErrorReply,
     ExecuteBatch,
@@ -37,8 +34,15 @@ from repro.cluster.rpc import (
     Stats,
     StatsReply,
     Sync,
+    WorkerStateError,
+    sync_frame,
 )
-from repro.cluster.rpc import WorkerStateError, _WorkerState, sync_frame
+from repro.cluster.worker import (
+    CLIENT_HANDLED,
+    MESSAGE_TYPES,
+    WORKER_HANDLED,
+    _WorkerState,
+)
 from repro.columnar.block import ColumnBlock, chunk_rows
 from repro.columnar.wire import (
     _HEADER,

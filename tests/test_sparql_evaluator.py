@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.physical.translate import bind_triple
 from repro.rdf.graph import RDFGraph
 from repro.sparql.ast import TriplePattern
 from repro.sparql.evaluator import (
@@ -16,7 +17,6 @@ from repro.sparql.evaluator import (
     bindings,
     count,
     evaluate,
-    unify,
 )
 from repro.sparql.parser import parse_query
 from repro.workloads import lubm, lubm_queries
@@ -90,16 +90,6 @@ class TestEvaluate:
 
 
 class TestSeededBindings:
-    def test_unify_binds_variables_and_checks_constants(self):
-        tp = TriplePattern("?p", "ub:worksFor", "?d")
-        assert unify(tp, ("<p1>", "ub:worksFor", "<d1>")) == {"?p": "<p1>", "?d": "<d1>"}
-        assert unify(tp, ("<s1>", "ub:memberOf", "<d1>")) is None
-
-    def test_unify_meets_a_repeated_variable_once(self):
-        tp = TriplePattern("?x", "ub:knows", "?x")
-        assert unify(tp, ("<p1>", "ub:knows", "<p1>")) == {"?x": "<p1>"}
-        assert unify(tp, ("<p1>", "ub:knows", "<p2>")) is None
-
     def test_a_seed_restricts_the_bindings_to_its_extensions(self):
         q = parse_query("SELECT ?p ?s WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d }")
         seeded = list(bindings(q.patterns, g(), {"?s": "<s1>"}))
@@ -196,8 +186,9 @@ class TestFixedOrder:
             chosen.add((depth, tp))
             terms = (binding.get(t, t) for t in (tp.s, tp.p, tp.o))
             for triple in graph.match(*terms):
-                matched = unify(tp, triple)
-                if matched is not None:
+                row = bind_triple(tp, triple)
+                if row is not None:
+                    matched = dict(zip(tp.variables(), row))
                     extend({**binding, **matched}, rest, depth + 1)
 
         extend(seed, list(q5.patterns), 0)

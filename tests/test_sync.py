@@ -6,9 +6,9 @@ drop, deliver without a reply, or hold back and deliver after the
 driver's next frame (reordered), over random histories of writes, node
 moves and resizes of the store behind it.  Frames cross pickled, as
 over the socket, so the worker computes in a replica of the store's
-dictionary.  The driver is the router's own :meth:`ShardRouter._sync`;
-it keeps the worker it has (no respawn) and trusts only the replies it
-gets.  Every history ends in one of two ways once the held frames have
+dictionary.  The driver is the sync step the router runs,
+:meth:`ShardLink.sync`, on the faulty carrier's link; it keeps the
+worker it has (no respawn) and trusts only the replies it gets.  Every history ends in one of two ways once the held frames have
 landed and the driver syncs over a clean carrier:
 
 * that sync finds the worker where the driver's record says (or
@@ -29,9 +29,10 @@ import pickle
 
 import pytest
 
-from repro.cluster import ShardRouter, shard_graph
+from repro.cluster import shard_graph
+from repro.cluster.client import LocalShardClient, ShardLink
+from repro.cluster.frames import Sync, WorkerStateError
 from repro.cluster.ownership import plan_resize
-from repro.cluster.rpc import LocalShardClient, Sync, WorkerStateError
 from tests.conftest import make_university_graph
 
 pytest.importorskip("hypothesis")
@@ -47,14 +48,14 @@ class FaultyCarrier:
     """A :class:`LocalShardClient` whose sync frames meet the next fault
     of a script (``"ok"`` once the script runs out).  A held (``late``)
     frame lands right after the next frame that gets delivered, or at
-    :meth:`flush`."""
+    :meth:`flush`.  Its own link keeps the driver's record of the
+    worker."""
 
     def __init__(self, client: LocalShardClient) -> None:
         self.client = client
+        self.link = ShardLink(client.shard)
         self.faults: list[str] = []
         self.late: list[Sync] = []
-        self.synced = client.synced
-        self.terms_shipped = 0
         #: syncs the worker refused, and the frames it was sent
         self.refused = 0
         self.frames: list[Sync] = []
@@ -159,7 +160,6 @@ step = st.one_of(
 )
 def test_sync_protocol_survives_a_faulty_carrier(history):
     store = shard_graph(make_university_graph(), NUM_NODES, 2)
-    router = ShardRouter(num_nodes=NUM_NODES, num_shards=2)
     client = LocalShardClient(shard=0, num_nodes=NUM_NODES)
     client.start()
     carrier = FaultyCarrier(client)
@@ -177,13 +177,13 @@ def test_sync_protocol_survives_a_faulty_carrier(history):
             else:
                 carrier.faults = list(arg)
                 try:
-                    router._sync(0, carrier, store.snapshot())
+                    carrier.link.sync(store.snapshot(), carrier.request)
                 except ConnectionError:
                     pass  # the driver keeps its record and its worker
         carrier.faults = []
         carrier.flush()
         refused, sent = carrier.refused, len(carrier.frames)
-        router._sync(0, carrier, store.snapshot())
+        carrier.link.sync(store.snapshot(), carrier.request)
         final = carrier.frames[sent:]
         if carrier.refused == refused:
             assert len(final) <= 1
@@ -194,4 +194,3 @@ def test_sync_protocol_survives_a_faulty_carrier(history):
         assert holds_the_view(client.worker, store)
     finally:
         client.close()
-        router.close()
