@@ -284,7 +284,6 @@ class ShardWorkerClient:
         shard: int,
         num_nodes: int,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        start_method: str | None = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
         pipeline: int = DEFAULT_RPC_PIPELINE,
         wire_format: str = "columnar",
@@ -292,7 +291,6 @@ class ShardWorkerClient:
         self.shard = shard
         self.num_nodes = num_nodes
         self.max_frame_bytes = max_frame_bytes
-        self.start_method = start_method
         self.spawn_timeout = spawn_timeout
         self.pipeline = pipeline
         self.wire_format = wire_format
@@ -320,9 +318,7 @@ class ShardWorkerClient:
         snapshot token).  Fork where available (workers receive their
         snapshot over the socket, so fork buys only startup speed)."""
         methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            self.start_method or ("fork" if "fork" in methods else "spawn")
-        )
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         authkey = os.urandom(16)
         parent, child = ctx.Pipe()
         process = ctx.Process(

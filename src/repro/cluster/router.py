@@ -391,7 +391,6 @@ class ShardRouter(ExecutionBackend):
         num_shards: int,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         on_failure=None,
-        start_method: str | None = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
         wire_format: str = "columnar",
         pipeline: int = DEFAULT_RPC_PIPELINE,
@@ -423,7 +422,6 @@ class ShardRouter(ExecutionBackend):
         )
         self.wire_format = wire_format
         self.max_frame_bytes = max_frame_bytes
-        self.start_method = start_method
         self.spawn_timeout = spawn_timeout
         self.pipeline = pipeline
         self.coalesce_window_ms = coalesce_window_ms
@@ -683,7 +681,6 @@ class ShardRouter(ExecutionBackend):
             shard=shard,
             num_nodes=self.num_nodes,
             max_frame_bytes=self.max_frame_bytes,
-            start_method=self.start_method,
             spawn_timeout=self.spawn_timeout,
             pipeline=self.pipeline,
             wire_format=self.wire_format,

@@ -14,17 +14,21 @@ group block stays sorted by task (scans and gathers concatenate in task
 order, the kernels keep their left input's row order), so per-task
 results are slices.
 
+Within a task a scan block is sorted by its placement key (the scan
+cache holds each node's triples in that order, and selection keeps
+it), so a first-level join on that key probes its inputs as they come.
+
 The shuffle is the one place a group answers as a group: a chain-map
 group cuts its block by reduce partition only — one block per
-partition, its rows in task order — and those ``(partition, tag,
-block)`` emits ride on the group's first task, every other task
-returning ``[]``.  Each task keeps its own metrics and its own direct
-output.  A reducer sees the same rows either way; what the exchange
-moves is one block per (task group, partition) instead of one per
-(task, partition).  Because the emits go to the first task's job, a
-group never spans two jobs: the k-th occurrence of an equal chain-map
-spec joins the k-th group of its key (the engine submits a job's tasks
-together, one per node and tag).
+partition, its rows sorted by the shuffle key, equal keys in task
+order — and those ``(partition, tag, block)`` emits ride on the group's
+first task, every other task returning ``[]``.  Each task keeps its
+own metrics and its own direct output.  A reducer sees the same rows
+either way; what the exchange moves is one block per (task group,
+partition) instead of one per (task, partition).  Because the emits go
+to the first task's job, a group never spans two jobs: the k-th
+occurrence of an equal chain-map spec joins the k-th group of its key
+(the engine submits a job's tasks together, one per node and tag).
 
 Intermediate relations are blocks (:class:`ColumnBlock`) compared on
 term ids, and the ids are the store's: a task computes in the
@@ -56,17 +60,25 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.locks import checked
-from repro.columnar.block import ColumnBlock, empty_column, gather, make_column
+from repro.columnar.block import (
+    ColumnBlock,
+    empty_column,
+    gather,
+    make_column,
+    pack_codes,
+)
 from repro.columnar.kernels import (
     HashMemo,
     project_block,
     select_bind,
+    sort_order,
     split_partitions,
     star_join_blocks,
 )
 from repro.mapreduce.hdfs import chunks_of
 from repro.mapreduce.counters import TaskMetrics
 from repro.mapreduce.jobs import TaskContext
+from repro.partitioning.layout import PLACEMENTS
 from repro.physical.executor import ChainMapSpec, MapOnlySpec, StarReduceSpec
 from repro.physical.operators import (
     Filter,
@@ -97,12 +109,13 @@ class ColumnarState:
     The memoized ``stable_hash`` pieces keyed by id (for the dictionary
     it last computed in — one store's numbering for an in-process
     backend's whole life, a worker's replica until its next full ``Sync``)
-    and a bounded cache of encoded scan columns, keyed by snapshot
-    token, so every snapshot it serves — the shards of one in-process
-    executor, the store before and after a mutation — reuses the
-    encodings of the versions it has seen.  The ids themselves belong
-    to the store (see the module docs).  The lock guards the scan
-    cache; concurrent queries on one service share this state.
+    and a bounded cache of encoded scan columns, each node's triples
+    sorted by the scan's placement key, keyed by snapshot token, so
+    every snapshot it serves — the shards of one in-process executor,
+    the store before and after a mutation — reuses the encodings of the
+    versions it has seen.  The ids themselves belong to the store (see
+    the module docs).  The lock guards the scan cache; concurrent
+    queries on one service share this state.
     """
 
     def __init__(self) -> None:
@@ -136,13 +149,18 @@ class ColumnarState:
         return entry
 
     def scan_columns(
-        self, key: tuple, scans: Sequence[Sequence], dictionary: Dictionary
+        self,
+        key: tuple,
+        scans: Sequence[Sequence],
+        dictionary: Dictionary,
+        placement: str,
     ) -> tuple:
         """``(columns, lengths)`` of one group scan: the (s, p, o) id
-        columns of *scans* — one triple list per node — end to end, and
-        each node's triple count.  Encoded once and cached; the least
-        recently used entries are evicted until the node-scans held fit
-        :data:`MAX_CACHED_SCANS`."""
+        columns of *scans* — one triple list per node — end to end, each
+        node's triples sorted by the *placement* column's id (ties in
+        file order), and each node's triple count.  Encoded and sorted
+        once and cached; the least recently used entries are evicted
+        until the node-scans held fit :data:`MAX_CACHED_SCANS`."""
         with self.lock:
             cache = self._scan_cache
             entry = cache.pop(key, None)
@@ -152,7 +170,14 @@ class ColumnarState:
                 columns = tuple(
                     make_column(ids_of(terms)) for terms in zip(*triples)
                 ) or tuple(empty_column() for _ in range(3))
-                entry = (columns, make_column(map(len, scans)))
+                lengths = make_column(map(len, scans))
+                if len(triples) > 1:
+                    nodes = np.repeat(np.arange(len(scans)), lengths)
+                    key_column = columns[PLACEMENTS.index(placement)]
+                    order = sort_order(pack_codes((nodes, key_column)))
+                    if order is not None:
+                        columns = tuple(col[order] for col in columns)
+                entry = (columns, lengths)
                 self._cached_node_scans += len(scans)
                 while cache and self._cached_node_scans > MAX_CACHED_SCANS:
                     _columns, lengths = cache.pop(next(iter(cache)))
@@ -216,6 +241,7 @@ def eval_chain_block(
                 key,
                 [store.scan(node, op.placement, prop, type_object) for node in nodes],
                 dictionary,
+                op.placement,
             )
         columns, lengths = entry
         counts[_READ] += lengths

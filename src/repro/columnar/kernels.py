@@ -10,12 +10,17 @@ python loop over rows or keys:
   :func:`repro.relational.joins.star_join`, folded left to right as
   binary sort joins: the attributes the two sides share (the star's key
   and any further shared attribute, so equality holds on *all* of them)
-  pack into one int64 code per row, one side is sorted, the other
-  probes it with ``searchsorted``, and the matching runs expand by
-  run length.  Output row *multisets* are identical to the tuple
-  kernel; rows follow the first input's order, not the tuple kernel's
-  (the columnar engine's task groups rely on the former, nothing relies
-  on the latter — answers are sets, counters multiset cardinalities);
+  pack into one int64 code per row; the right side is sorted only when
+  an O(n) check finds its codes out of order (scans and shuffle
+  partitions arrive key-sorted, so a one-variable join sorts nothing),
+  the left codes probe its run heads once with ``searchsorted``, and
+  the matches are gathered — directly when every right key is unique
+  (an N:1 lookup; the left columns pass through untouched when every
+  left row hits), by run-length expansion otherwise.  Output row
+  *multisets* are identical to the tuple kernel; rows follow the first
+  input's order, not the tuple kernel's (the columnar engine's task
+  groups rely on the former, nothing relies on the latter — answers are
+  sets, counters multiset cardinalities);
 * **projection** — column slicing plus first-seen de-duplication on the
   packed codes (``np.unique``), matching ``Relation.project``;
 * **shuffle** — the composable form of ``stable_hash``: per term id the
@@ -23,10 +28,13 @@ python loop over rows or keys:
   indexed arrays, so a block's partitions are two gathers and four
   arithmetic ops per key column, yet every row lands on exactly the
   reducer the tuple engine picks; :func:`split_partitions` then cuts
-  the block into one sub-block per reducer with a stable ``argsort``
-  of the partition vector and ``bincount`` slice bounds (views of one
-  permuted array per column, no per-row work).  Stable: a task group's
-  block is sorted by task, so a partition's rows stay in task order.
+  the block into one sub-block per reducer with one stable sort of the
+  packed (partition, shuffle key) code and ``bincount`` slice bounds
+  (views of one permuted array per column, no per-row work).  A
+  partition's rows are thus sorted by the shuffle key — what the reduce
+  side's join probes without sorting — and, the sort being stable and a
+  task group's block sorted by task, rows with equal keys stay in task
+  order.
 
 Output blocks carry their inputs' dictionary along.
 
@@ -61,6 +69,14 @@ def stable_order(keys):
         if top < 1 << 16:
             keys = keys.astype(np.uint8 if top < 1 << 8 else np.uint16)
     return keys.argsort(kind="stable")
+
+
+def sort_order(keys):
+    """``None`` when *keys* is already non-decreasing (one O(n) check),
+    else its :func:`stable_order`."""
+    if len(keys) < 2 or (keys[1:] >= keys[:-1]).all():
+        return None
+    return stable_order(keys)
 
 
 # -- selection ----------------------------------------------------------------
@@ -113,22 +129,42 @@ def _natural_join(left: ColumnBlock, right: ColumnBlock) -> ColumnBlock:
         ]
     )
     left_keys, right_keys = keys[: len(left)], keys[len(left) :]
-    order = stable_order(right_keys)
-    sorted_keys = right_keys[order]
-    lo = np.searchsorted(sorted_keys, left_keys, side="left")
-    counts = np.searchsorted(sorted_keys, left_keys, side="right") - lo
-    # Run-length expansion: left row i pairs with sorted right slots
-    # lo[i] .. lo[i]+counts[i]-1; output position p of its run starts at
-    # ends[i]-counts[i], so slot = p + (lo[i] - run start).
-    ends = np.cumsum(counts)
-    left_rows = np.repeat(np.arange(len(counts)), counts)
-    slots = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
-    right_rows = order[slots]
+    order = sort_order(right_keys)
+    if order is not None:
+        right_keys = right_keys[order]
+    # One probe: each left key's slot among the right side's run heads.
+    heads = np.flatnonzero(
+        np.concatenate(([True], right_keys[1:] != right_keys[:-1]))
+    )
+    head_keys = right_keys[heads]
+    slot = np.minimum(np.searchsorted(head_keys, left_keys), len(heads) - 1)
+    hit = head_keys[slot] == left_keys
+    left_columns = left.columns
+    if len(heads) == len(right_keys):
+        # N:1 lookup: every right key is unique, so a hit is one row.
+        if hit.all():
+            right_rows = slot
+        else:
+            left_rows = np.flatnonzero(hit)
+            left_columns = tuple(col[left_rows] for col in left_columns)
+            right_rows = slot[left_rows]
+    else:
+        # Run-length expansion: left row i pairs with sorted right rows
+        # lo[i] .. lo[i]+counts[i]-1; output position p of its run starts
+        # at ends[i]-counts[i], so its row is p + (lo[i] - run start).
+        runs = np.diff(np.append(heads, len(right_keys)))
+        counts = np.where(hit, runs[slot], 0)
+        lo = heads[slot]
+        ends = np.cumsum(counts)
+        left_rows = np.repeat(np.arange(len(counts)), counts)
+        left_columns = tuple(col[left_rows] for col in left_columns)
+        right_rows = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+    if order is not None:
+        right_rows = order[right_rows]
     fresh = [i for i, a in enumerate(right.attrs) if a not in left.attrs]
     return ColumnBlock(
         left.attrs + tuple(right.attrs[i] for i in fresh),
-        tuple(col[left_rows] for col in left.columns)
-        + tuple(right.columns[i][right_rows] for i in fresh),
+        left_columns + tuple(right.columns[i][right_rows] for i in fresh),
         left.dictionary,
     )
 
@@ -273,18 +309,17 @@ def split_partitions(
 ) -> list[tuple[int, ColumnBlock]]:
     """The ``(partition, sub-block)`` pairs of the reducers that get
     *block*'s rows: a row goes where :func:`shuffle_partitions` sends
-    it, and rows of one partition keep their order."""
+    it, and each partition's rows are sorted by the shuffle key, rows
+    with equal keys keeping their order."""
     if not len(block):
         return []
-    hashes = memo.hash_columns([block.column(a) for a in key_attrs])
-    cells = hashes % num_reducers
+    key_cols = [block.column(a) for a in key_attrs]
+    cells = memo.hash_columns(key_cols) % num_reducers
+    order = sort_order(pack_codes([cells] + key_cols))
+    columns = block.columns if order is None else [col[order] for col in block.columns]
+    attrs, dictionary = block.attrs, block.dictionary
     counts = np.bincount(cells, minlength=num_reducers)
     filled = np.flatnonzero(counts)
-    if len(filled) == 1:
-        return [(int(filled[0]), block)]
-    order = stable_order(cells)
-    columns = [col[order] for col in block.columns]
-    attrs, dictionary = block.attrs, block.dictionary
     out = []
     start = 0
     for partition, end in zip(filled.tolist(), np.cumsum(counts[filled]).tolist()):

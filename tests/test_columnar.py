@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.columnar.block import ColumnBlock, to_blocks, to_rows
+from repro.columnar.block import ColumnBlock, pack_codes, to_blocks, to_rows
 from repro.columnar.engine import MAX_CACHED_SCANS, ColumnarState
 from repro.columnar.kernels import (
     HashMemo,
@@ -332,31 +333,105 @@ def id_block(relation):
     return ColumnBlock.from_id_rows(relation.attrs, relation.rows)
 
 
+def key_sorted(relation, on):
+    """*relation* with its rows sorted by their *on* values (stable)."""
+    key = relation.key(on)
+    return Relation(relation.attrs, sorted(relation.rows, key=key))
+
+
+def lookup_inputs(rng, on, offset):
+    """A left input and 1-2 right inputs with unique *on* keys that all,
+    some or none of the left keys hit, each input key-sorted or not."""
+    domain = rng.choice((2, 3, 5))
+    left = random_id_relation(rng, on + ("?x0",), offset, rng.choice(SIZES[1:]), domain)
+    left_keys = sorted(set(map(left.key(on), left.rows)))
+    inputs = [left]
+    for i in range(rng.randint(1, 2)):
+        hits = rng.choice(("all", "some", "none"))
+        if hits == "all":
+            keys = list(left_keys)
+        elif hits == "some":
+            keys = rng.sample(left_keys, rng.randint(0, len(left_keys) - 1))
+        else:
+            keys = []
+        # keys outside the left domain: never hit
+        keys += [
+            tuple(offset + domain + rng.randrange(3) for _ in on)
+            for _ in range(rng.randint(0, 3))
+        ]
+        keys = list(dict.fromkeys(keys))
+        rng.shuffle(keys)
+        rows = [key + (offset + rng.randrange(4),) for key in keys]
+        inputs.append(Relation(on + (f"?y{i}",), rows))
+    if rng.random() < 0.5:
+        inputs = [key_sorted(r, on) for r in inputs]
+    return inputs
+
+
 @pytest.mark.parametrize("offset", ID_OFFSETS)
-def test_star_join_id_equivalence_randomized(offset):
+def test_star_join_id_equivalence_randomized(offset, monkeypatch):
     """Multi-attribute keys, 2-5 inputs, non-key attributes shared by
-    some of the inputs, duplicate rows, empty and 1-row inputs."""
+    some of the inputs, duplicate rows, empty and 1-row inputs; inputs
+    sorted by key or not, and right sides with unique keys (N:1
+    lookups) that every, some or no left row hits.  Each probe path is
+    taken: a key-sorted right side (no ``stable_order``), an unsorted
+    one, an N:1 lookup every left row hits, one some miss."""
+    from collections import Counter
+
+    from repro.columnar import kernels
+
+    paths: Counter = Counter()
+    sorts = []
+    real_order, real_join = kernels.stable_order, kernels._natural_join
+
+    def counted_order(keys):
+        sorts.append(len(keys))
+        return real_order(keys)
+
+    def spied_join(left, right):
+        shared = [a for a in left.attrs if a in right.attrs]
+        left_keys = list(zip(*(left.column(a).tolist() for a in shared)))
+        right_keys = list(zip(*(right.column(a).tolist() for a in shared)))
+        ordered = right_keys == sorted(right_keys)
+        before = len(sorts)
+        out = real_join(left, right)
+        assert (len(sorts) > before) == (not ordered)  # sorts only when out of order
+        paths["sorted" if ordered else "unsorted"] += 1
+        if len(set(right_keys)) == len(right_keys):
+            hit = set(right_keys).issuperset(left_keys)
+            paths["lookup-all-hit" if hit else "lookup-partial"] += 1
+        return out
+
+    monkeypatch.setattr(kernels, "stable_order", counted_order)
+    monkeypatch.setattr(kernels, "_natural_join", spied_join)
     rng = random.Random(14 + offset % 97)
     nonempty_outputs = 0
-    for trial in range(120):
+    for trial in range(240):
         on = tuple(f"?k{i}" for i in range(rng.randint(1, 3)))
-        extras = [f"?x{i}" for i in range(3)]  # small pool: inputs collide on these
-        inputs = [
-            random_id_relation(
-                rng,
-                on + tuple(rng.sample(extras, rng.randint(0, 2))),
-                offset,
-                rng.choice(SIZES),
-                domain=rng.choice((2, 3, 5)),
-            )
-            for _ in range(rng.randint(2, 5))
-        ]
+        if trial % 2:
+            inputs = lookup_inputs(rng, on, offset)
+        else:
+            extras = [f"?x{i}" for i in range(3)]  # small pool: inputs collide on these
+            inputs = [
+                random_id_relation(
+                    rng,
+                    on + tuple(rng.sample(extras, rng.randint(0, 2))),
+                    offset,
+                    rng.choice(SIZES),
+                    domain=rng.choice((2, 3, 5)),
+                )
+                for _ in range(rng.randint(2, 5))
+            ]
+            if rng.random() < 0.3:
+                inputs = [key_sorted(r, on) for r in inputs]
         expected = star_join(inputs, on=on)
         got = star_join_blocks([id_block(r) for r in inputs], on=on)
         assert got.attrs == expected.attrs
         assert sorted(got.id_rows()) == sorted(expected.rows)
         nonempty_outputs += bool(expected.rows)
-    assert nonempty_outputs > 10  # the sweep is not vacuous
+    assert nonempty_outputs > 20  # the sweep is not vacuous
+    for path in ("sorted", "unsorted", "lookup-all-hit", "lookup-partial"):
+        assert paths[path] >= 10, paths
 
 
 def test_star_join_rejects_missing_key_attr():
@@ -414,21 +489,21 @@ def test_scan_cache_evicts_one_entry_not_all():
     state = ColumnarState()
     node = [("s", "p", "o")]
     d = numbering(node[0]).dictionary
-    hot = state.scan_columns(("hot",), [node, node], d)  # a 2-node group scan
+    hot = state.scan_columns(("hot",), [node, node], d, "s")  # a 2-node group scan
     assert [len(c) for c in hot[0]] == [2, 2, 2] and hot[1].tolist() == [1, 1]
     for i in range(MAX_CACHED_SCANS - 2):
-        state.scan_columns(("cold", i), [node], d)
-    assert state.scan_columns(("hot",), [node, node], d) is hot  # now youngest
-    state.scan_columns(("wide",), [node, node], d)  # 514 node-scans: two must go
+        state.scan_columns(("cold", i), [node], d, "s")
+    assert state.scan_columns(("hot",), [node, node], d, "s") is hot  # now youngest
+    state.scan_columns(("wide",), [node, node], d, "s")  # 514 node-scans: two must go
     assert state._cached_node_scans == MAX_CACHED_SCANS
-    assert state.scan_columns(("hot",), [node, node], d) is hot
+    assert state.scan_columns(("hot",), [node, node], d, "s") is hot
     assert ("cold", 0) not in state._scan_cache
     assert ("cold", 1) not in state._scan_cache
     assert ("cold", 2) in state._scan_cache
 
 
 def test_scan_columns_of_an_empty_scan():
-    columns, lengths = ColumnarState().scan_columns(("empty",), [[], []], Dictionary())
+    columns, lengths = ColumnarState().scan_columns(("empty",), [[], []], Dictionary(), "s")
     assert [len(c) for c in columns] == [0, 0, 0]
     assert lengths.tolist() == [0, 0]
 
@@ -458,7 +533,7 @@ def test_shared_state_under_concurrent_queries():
             relation = random_relation(rng, ("?k", "?v"), terms + TERMS, 30)
             try:
                 block = state.encode_rows(relation.attrs, relation.rows, d)
-                state.scan_columns((seed, step % 5), [[(t, "p", t) for t in terms]], d)
+                state.scan_columns((seed, step % 5), [[(t, "p", t) for t in terms]], d, "s")
                 key = relation.key(("?k", "?v"))
                 got = shuffle_partitions(block, ("?k", "?v"), 7, state.memo(d))
             except Exception as exc:
@@ -515,9 +590,10 @@ def shuffler_ctx(attrs, node_rows, terms=()):
 def assert_split_matches_chain_map(attrs, rows, key_attrs, num_reducers):
     """One chain-map group of three tasks — *rows* on node 0, every
     other one of them on node 1, read by two tasks — puts on each
-    reducer one block holding exactly the rows each task's
-    ``ChainMapSpec.run`` routes there, in task order, on the group's
-    first task; every task keeps its own counters."""
+    reducer one block holding exactly the row multiset each task's
+    ``ChainMapSpec.run`` routes there, on the group's first task; every
+    task keeps its own counters.  A block's rows are ordered by the
+    packed shuffle key, rows with equal keys in task order."""
     from repro.columnar.engine import run_chain_map
     from repro.physical.executor import ChainMapSpec
     from tests.conformance import shuffled_rows, task_outputs
@@ -539,14 +615,26 @@ def assert_split_matches_chain_map(attrs, rows, key_attrs, num_reducers):
     assert all(chunk.dictionary is ctx.store.dictionary for _p, _t, chunk in emits)
     assert len({p for p, _tag, _chunk in emits}) == len(emits)  # one block per partition
     assert shuffled_rows(got) == shuffled_rows(want)
+    positions = [attrs.index(a) for a in key_attrs]
+
+    def key(row):
+        return tuple(row[i] for i in positions)
+
     for partition, _tag, chunk in emits:
-        assert list(chunk) == [
+        in_task_order = [
             row
             for shuffle, _d, _m in want
             for p, _t, routed in shuffle
             if p == partition
             for row in routed
         ]
+        got_rows = list(chunk)
+        assert sorted(got_rows) == sorted(in_task_order)  # same row multiset
+        codes = pack_codes([chunk.column(a) for a in key_attrs]).tolist()
+        assert codes == sorted(codes)  # ordered by the packed shuffle key
+        code_of = dict(zip(map(key, got_rows), codes))
+        # a stable sort of the task-order rows: equal keys keep task order
+        assert got_rows == sorted(in_task_order, key=lambda row: code_of[key(row)])
     assert sum(len(chunk) for _p, _t, chunk in emits) == len(rows) + 2 * len(rows[::2])
 
 
@@ -1045,6 +1133,64 @@ def test_kernel_passes_per_query_do_not_scale_with_nodes(lubm_graph, monkeypatch
         executor.close()
     assert per_nodes[3] == per_nodes[7]
     assert len(per_nodes[7]) == 4  # every kernel ran
+
+
+def test_warm_joins_probe_key_sorted_inputs(lubm_graph, monkeypatch):
+    """After a warm pass of the 14 LUBM queries every scan-cache entry
+    holds each node's triples sorted by its placement key, and no join
+    whose shared key is one variable besides the task column sorts its
+    right side (calls ``stable_order``): scans and shuffle partitions
+    arrive key-sorted."""
+    from repro.columnar import kernels
+    from repro.columnar.engine import GROUP
+    from repro.core.algorithm import cliquesquare
+    from repro.core.decomposition import MSC
+    from repro.partitioning.layout import PLACEMENTS
+    from repro.partitioning.triple_partitioner import partition_graph
+    from repro.physical.executor import PlanExecutor
+    from repro.workloads import lubm_queries
+
+    executor = PlanExecutor(partition_graph(lubm_graph, 7), backend="columnar")
+    prepared = [
+        executor.prepare(cliquesquare(q, MSC).plans[0])
+        for q in lubm_queries.all_queries()
+    ]
+    for plan in prepared:  # warm: scans encoded
+        executor.execute_prepared(plan)
+
+    sorts = []
+    real_order, real_join = kernels.stable_order, kernels._natural_join
+
+    def counted_order(keys):
+        sorts.append(len(keys))
+        return real_order(keys)
+
+    joins = []  # (shared attrs, right rows, sorts the join made)
+
+    def spied_join(left, right):
+        before = len(sorts)
+        out = real_join(left, right)
+        shared = tuple(a for a in left.attrs if a in right.attrs)
+        joins.append((shared, len(right), len(sorts) - before))
+        return out
+
+    monkeypatch.setattr(kernels, "stable_order", counted_order)
+    monkeypatch.setattr(kernels, "_natural_join", spied_join)
+    try:
+        for plan in prepared:
+            executor.execute_prepared(plan)
+        cache = executor.backend.state._scan_cache
+    finally:
+        executor.close()
+
+    assert cache
+    for (_token, _nodes, placement, _prop, _type), (columns, lengths) in cache.items():
+        key_column = columns[PLACEMENTS.index(placement)]
+        for part in np.split(key_column, np.cumsum(lengths)[:-1]):
+            assert (np.diff(part) >= 0).all()
+    one_variable = [j for j in joins if len(j[0]) == 2 and j[0][0] == GROUP]
+    assert len(one_variable) > 20 and sum(rows for _s, rows, _n in one_variable) > 1000
+    assert [j for j in one_variable if j[2]] == []
 
 
 def test_two_backends_on_different_graphs_answer_right(lubm_graph):
