@@ -24,6 +24,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.partitioning.layout import FileKey, write_keys
 from repro.rdf.graph import RDFGraph
+from repro.service.patch import LoggedBatch
 from repro.service.stats import event_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,15 +52,14 @@ class Administration:
         self.estimator = CardinalityEstimator(self.catalog)
         self.coster = PlanCoster(self.estimator, config.params)
         self._version = 0
-        #: ``(graph version, batch size, {file key: new triples})`` of
-        #: the last DELTA_LOG_BATCHES writes, oldest first: a batch's new
-        #: triples grouped by the §5.1 file keys they are written under
-        #: (``layout.write_keys``), so a patch reads a pattern's delta
-        #: under the one key its scan reads.  Appended under the write
-        #: lock, read under the read lock.
-        self._delta_log: deque[tuple[int, int, dict[FileKey, list]]] = deque(
-            maxlen=DELTA_LOG_BATCHES
-        )
+        #: the last DELTA_LOG_BATCHES writes, oldest first, one version
+        #: apart: a batch's new triples grouped by the §5.1 file keys
+        #: they are written under (``layout.write_keys``), so a patch
+        #: reads a pattern's delta under the one key its scan reads, and
+        #: the joins patches ran over them, one per template — they
+        #: leave with the batch.  Appended under the write lock, read
+        #: (and its joins filled) under the read lock.
+        self._delta_log: deque[LoggedBatch] = deque(maxlen=DELTA_LOG_BATCHES)
         # Queries hold the read side while scanning the partitioned
         # store; add_triples and rebalance take the write side, so a
         # mutation never interleaves with a running scan.
@@ -120,7 +120,9 @@ class Administration:
                     for triple in added:
                         for key in write_keys(triple):
                             groups.setdefault(key, []).append(triple)
-                    self._delta_log.append((self._version, len(added), groups))
+                    self._delta_log.append(
+                        LoggedBatch(self._version, len(added), groups, {})
+                    )
                     # Swap in a fresh catalog/estimator/coster trio
                     # rather than mutating in place: an optimize() racing
                     # this mutation keeps its consistent pre-mutation

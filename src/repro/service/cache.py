@@ -28,7 +28,11 @@ form a hierarchy keyed on canonical forms from
   stale entry back, and the pipeline patches it from the write delta
   log (the semi-naive delta rule: the store is insert-only and a BGP
   answer monotone); it is dropped and recomputed only past the log's
-  horizon or the patch's work bound.  Validation is lazy: a write
+  horizon or a join's work bound.  An entry keeps no patch state:
+  the rule is compiled once per *template* and each logged batch is
+  joined once per template, its rows indexed by parameter values on
+  the batch itself, so every cached key of one template patches from
+  one join (:mod:`repro.service.patch`).  Validation is lazy: a write
   sweeps nothing.
 
 All are LRU with O(1) operations and are safe for concurrent use.
@@ -43,7 +47,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import (
-    TYPE_CHECKING,
     AbstractSet,
     Any,
     Callable,
@@ -59,9 +62,6 @@ from repro.mapreduce.counters import ExecutionReport
 from repro.obs.trace import span
 from repro.partitioning.layout import FileKey
 from repro.physical.executor import PreparedPlan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.patch import PatchProgram
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -163,16 +163,16 @@ class ResultEntry:
     ``version`` is the graph version it was computed at, or patched
     to; it stays the answer until one of the files of its ``footprint``
     is written, which ``stamp`` (the store's versions of those files
-    then) detects.  A stale entry is then patched from the delta log
-    (:meth:`patched`) — dropped only past the log's horizon or the
-    patch's work bound.  ``report`` is the report of the run that
-    computed it; a patch keeps it.  The answer is kept as its id-space
-    ``block``; ``rows``, the canonical term-tuple set, is decoded from
-    it the first time a reader needs it (a result hit, a flight's
-    waiter, a batch duplicate — or the computing submission, when the
-    result cache keeps the entry).  Every reader shares one immutable
-    set per column order (:meth:`view`), and a patch carries each set
-    forward by the rows it adds.
+    then) detects.  A stale entry is then patched from the delta log's
+    per-template joins (:meth:`patched`) — dropped only past the log's
+    horizon or a join's work bound.  ``report`` is the report of the
+    run that computed it; a patch keeps it.  The answer is kept as its
+    id-space ``block``; ``rows``, the canonical term-tuple set, is
+    decoded from it the first time a reader needs it (a result hit, a
+    flight's waiter, a batch duplicate — or the computing submission,
+    when the result cache keeps the entry).  Every reader shares one
+    immutable set per column order (:meth:`view`), and a patch carries
+    each set forward by the rows it adds.
     """
 
     version: int
@@ -182,9 +182,6 @@ class ResultEntry:
     plan: LogicalPlan
     report: ExecutionReport
     job_signature: str
-    #: the delta rule compiled for ``plan``: built by the first patch,
-    #: carried forward by every later one
-    program: PatchProgram | None = None
     _rows: frozenset[tuple] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -230,15 +227,12 @@ class ResultEntry:
         stamp: tuple[int, ...],
         block: ColumnBlock,
         added: AbstractSet[tuple],
-        program: PatchProgram,
     ) -> "ResultEntry":
         """This answer brought forward to *version*: its *block* holds
         the rows *added* (canonical term tuples, none of them in
         ``rows``) too.  The row set and every view are carried
         forward by those rows, not decoded or projected again."""
-        entry = replace(
-            self, version=version, stamp=stamp, block=block, program=program
-        )
+        entry = replace(self, version=version, stamp=stamp, block=block)
         views = self._views.copy()
         if not added:
             entry._rows = self.rows

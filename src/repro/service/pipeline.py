@@ -676,12 +676,19 @@ class Pipeline:
 
     def _patch(self, inst: _Instance, stale: ResultEntry) -> _Answer:
         """Bring a stale cached answer forward to the current version by
-        the delta rule, or — past the log's horizon or the work bound —
-        drop it and recompute."""
+        the delta rule, from each logged batch joined once for the
+        instance's template, or — past the log's horizon or a join's
+        work bound — drop it and recompute."""
         with span("patch") as patch:
             with self._store_lock.read():
                 entry, attrs = patched(
-                    stale, self._delta_log, self._version, self.store, self.graph
+                    stale,
+                    inst.template,
+                    inst.values,
+                    self._delta_log,
+                    self._version,
+                    self.store,
+                    self.graph,
                 )
             patch.set(**attrs)
         if entry is None:

@@ -12,6 +12,7 @@ answer is recomputed, as a drop.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 import threading
@@ -27,6 +28,7 @@ from repro.rdf.terms import RDF_TYPE
 from repro.service import QueryService, ServiceConfig
 from repro.service.admin import DELTA_LOG_BATCHES
 from repro.service.patch import PATCH_WORK_BOUND
+from repro.sparql.ast import TriplePattern
 from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
 
@@ -107,15 +109,37 @@ def written_keys(added) -> set:
     return keys | {(p, o) for _, p, o in added if p == RDF_TYPE}
 
 
+def lifted(query) -> tuple[TriplePattern, ...]:
+    """*query*'s patterns as its template's patch joins them: every
+    subject and object constant a variable of its own."""
+    fresh = itertools.count()
+
+    def term(t: str) -> str:
+        return t if t.startswith("?") else f"?_lifted{next(fresh)}"
+
+    return tuple(
+        TriplePattern(term(tp.s), tp.p, term(tp.o)) for tp in query.patterns
+    )
+
+
 def tried(query, delta) -> int:
-    """How many (pattern, logged triple) pairs a patch of *query* checks:
-    each pattern against the triples under the file key its scan reads
-    (every triple for a variable property)."""
+    """How many (pattern, logged triple) pairs a patch of *query* checks
+    when it joins *delta* for its template: each lifted pattern against
+    the triples under the file key its scan reads (every triple for a
+    variable property)."""
     count = 0
-    for tp in query.patterns:
+    for tp in lifted(query):
         keys = read_keys((tp,))
         count += sum(keys is None or keys[0] in write_keys(t) for t in delta)
     return count
+
+
+def assert_blocks_distinct(service: QueryService) -> None:
+    """Every cached answer's block holds exactly its rows, each once, as
+    distinct id rows: a patch appends only rows the answer lacked."""
+    for entry in service.result_cache._data.values():
+        assert len(entry.block) == len(entry.rows)
+        assert len(set(entry.block.id_rows())) == len(entry.rows)
 
 
 def assert_views_carried(service: QueryService) -> None:
@@ -139,9 +163,13 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
     its view was carried forward by the patch, and equals the evaluator's
     answer and a fresh projection of the cached rows.  Traced, a patch's
     span counts the triples written since the answer's version as
-    ``delta``, the (pattern, triple) pairs it checked as ``tried``,
-    those that matched as ``seeds`` and the rows they brought as
-    ``added``."""
+    ``delta``, the batches they came in as ``joined`` (every query here
+    is its template's only cached key, so no batch is ``reused``), the
+    (pattern, triple) pairs it checked as ``tried`` and those that
+    matched as ``seeds`` — patterns with their constants read as
+    variables, as the template's join reads them — and the rows they
+    brought as ``added``.  After every read the cached blocks hold
+    their rows once each."""
     mirror = RDFGraph(BASE)
     queries = {text: parse_query(text) for text in QUERIES}
     permuted = {text: parse_query(text) for text in PERMUTED}
@@ -150,8 +178,9 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
         for shards in (0, 2)
     ]
     #: per (service, query): the triples written since its cached
-    #: answer's version, and that answer's size
+    #: answer's version, the batches they came in, and that answer's size
     pending = {(i, text): [] for i in range(len(services)) for text in QUERIES}
+    batches = dict.fromkeys(pending, 0)
     sizes = {}
     try:
         for i, service in enumerate(services):
@@ -164,8 +193,9 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
             for service in services:
                 assert service.add_triples(batch) == len(added)
             written = written_keys(added)
-            for delta in pending.values():
+            for at, delta in pending.items():
                 delta.extend(added)
+                batches[at] += bool(added)
             with QueryService(
                 RDFGraph(mirror), ServiceConfig(result_cache_size=0)
             ) as fresh:
@@ -191,12 +221,15 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
                                 "tried": tried(query, delta),
                                 "seeds": sum(
                                     bind_triple(tp, t) is not None
-                                    for tp in query.patterns
+                                    for tp in lifted(query)
                                     for t in delta
                                 ),
                                 "added": len(expected) - sizes[i, text],
+                                "joined": batches[i, text],
+                                "reused": 0,
                             }, at
                         delta.clear()
+                        batches[i, text] = 0
                         sizes[i, text] = len(expected)
                 for text, query in permuted.items():
                     expected = evaluate(query, mirror)
@@ -208,6 +241,7 @@ def test_patched_answers_match_the_evaluator_and_a_fresh_service(history):
                         assert outcome.rows is service.submit(query).rows, at
             for service in services:
                 assert_views_carried(service)
+                assert_blocks_distinct(service)
         for service in services:
             stats = service.snapshot_stats()
             assert service.result_cache.stale_drops == 0
@@ -254,6 +288,8 @@ def test_an_entry_older_than_the_log_is_recomputed():
             "tried": DELTA_LOG_BATCHES,
             "seeds": DELTA_LOG_BATCHES,
             "added": DELTA_LOG_BATCHES,
+            "joined": DELTA_LOG_BATCHES,
+            "reused": 0,
         }
         assert svc.add_triples([("<n0>", "ub:p1", "<n2>")]) == 1
         assert_recomputed(svc, OWN, drops=1)
@@ -284,7 +320,7 @@ def test_a_write_the_query_does_not_read_seeds_nothing():
     for shards in (0, 2):
         config = ServiceConfig(tracing=True, shards=shards)
         with QueryService(RDFGraph(BASE), config) as svc:
-            svc.submit(CHAIN)
+            before = svc.submit(CHAIN).rows
             assert svc.add_triples([("<n3>", "ub:p1", "<n1>")]) == 1
             assert svc.add_triples([("<n0>", "ub:p9", "<n1>")]) == 1
             assert svc.add_triples([("<n1>", "ub:p2", "<new0>")]) == 1
@@ -293,11 +329,17 @@ def test_a_write_the_query_does_not_read_seeds_nothing():
             assert outcome.rows == evaluate(CHAIN, svc.graph)
             assert ("<n3>", "<new0>") in outcome.rows
             (patch,) = svc.trace(outcome).find("patch")
-            assert patch.attrs["delta"] == 3
-            assert patch.attrs["seeds"] == 2
             # one p1 triple for the first pattern, one p2 for the second:
-            # the p9 triple is tried against neither
-            assert patch.attrs["tried"] == 2
+            # the p9 triple is tried against neither, though its batch
+            # is joined (to nothing) like the other two
+            assert patch.attrs == {
+                "delta": 3,
+                "tried": 2,
+                "seeds": 2,
+                "added": len(outcome.rows) - len(before),
+                "joined": 3,
+                "reused": 0,
+            }
 
 
 def test_concurrent_readers_of_a_stale_entry_share_its_patch():
@@ -379,3 +421,178 @@ def test_readers_of_both_column_orders_beside_writes():
     assert {outcome.result_patched for _, outcome in seen} == {True, False}
     for order, outcome in seen:
         assert outcome.rows == expected[outcome.graph_version][order]
+
+
+#: one template read under several keys, as the ledger's ``rw_zipf``
+#: reads its graduate shape: a class parameter, and one constant used
+#: twice (two parameter slots bound to one value)
+SHARED = (
+    "SELECT ?x ?d WHERE {{ ?x rdf:type {cls} . ?x ub:p1 {u} . "
+    "?x ub:p2 ?d . ?d ub:p3 {u} }}"
+)
+KEYS = tuple(
+    parse_query(SHARED.format(cls=cls, u=u)) for cls in CLASSES[:2] for u in NODES[1:]
+)
+#: BASE plus an answer for one key: <n1> typed C1 meets <n2> both ways
+SHARED_BASE = BASE + (("<n1>", "ub:p1", "<n2>"), ("<n2>", "ub:p3", "<n2>"))
+
+
+def patch_attrs(service: QueryService, outcome) -> dict:
+    (patch,) = service.trace(outcome).find("patch")
+    return patch.attrs
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    history=st.lists(st.lists(triples, min_size=1, max_size=4), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_keys_of_one_template_lagging_apart_match_the_evaluator(history, data):
+    """Every key of one template is read at the start, then after each
+    write a drawn subset of them in a drawn order, so the keys lag by
+    different numbers of batches when they patch; then every key but
+    the first is brought to the latest version, DELTA_LOG_BATCHES
+    writes follow, and every key is read.  Every answer equals the
+    evaluator's over the written graph (a hit reports the older version
+    it was computed at: no file it reads moved since); the first key,
+    past the log's horizon, is recomputed (the one drop), the others
+    patch across the last DELTA_LOG_BATCHES batches — joined by the
+    first of them to read, reused by the rest."""
+    mirror = RDFGraph(SHARED_BASE)
+    with QueryService(RDFGraph(SHARED_BASE), ServiceConfig(tracing=True)) as svc:
+
+        def read(query):
+            outcome = svc.submit(query)
+            if outcome.result_patched:
+                assert outcome.graph_version == svc.graph_version
+            assert outcome.rows == evaluate(query, mirror)
+            assert_blocks_distinct(svc)
+            return outcome
+
+        def write(batch) -> None:
+            added = [t for t in dict.fromkeys(batch) if mirror.add(*t)]
+            assert svc.add_triples(batch) == len(added)
+
+        for query in KEYS:
+            read(query)
+        # the first key is never read again until it is past the horizon
+        later = range(1, len(KEYS))
+        for batch in history:
+            write(batch)
+            order = data.draw(st.lists(st.sampled_from(later), unique=True))
+            for k in order:
+                read(KEYS[k])
+        # a batch every key reads, so that the others all patch to it
+        write([("<g>", "ub:p2", "<n0>")])
+        for k in later:
+            assert read(KEYS[k]).result_patched
+        for i in range(DELTA_LOG_BATCHES):
+            write([(f"<f{i}>", "ub:p2", "<n0>")])
+        outcome = read(KEYS[0])
+        assert not outcome.result_patched
+        assert patch_attrs(svc, outcome)["recomputed"] == "horizon"
+        assert svc.result_cache.stale_drops == 1
+        spans = []
+        for k in data.draw(st.permutations(later)):
+            outcome = read(KEYS[k])
+            assert outcome.result_patched
+            spans.append(patch_attrs(svc, outcome))
+        assert [a["joined"] for a in spans] == [DELTA_LOG_BATCHES] + [0] * (
+            len(spans) - 1
+        )
+        assert all(a["joined"] + a["reused"] == DELTA_LOG_BATCHES for a in spans)
+        assert svc.result_cache.stale_drops == 1
+
+
+def test_one_write_is_joined_once_for_all_keys_of_a_template():
+    """After one write, reading every cached key of one template joins
+    the batch once: the first patch joins it (and seeds), every later
+    one reads the first's index and does no join work of its own."""
+    with QueryService(RDFGraph(SHARED_BASE), ServiceConfig(tracing=True)) as svc:
+        for query in KEYS:
+            svc.submit(query)
+        # <n1>, typed C1 and p2-linked to <n2>, meets <n3> both ways
+        # now: one new row, for the (C1, <n3>) key, the third read
+        added = [("<n1>", "ub:p1", "<n3>"), ("<n2>", "ub:p3", "<n3>")]
+        assert svc.add_triples(added) == 2
+        spans = []
+        for query in KEYS:
+            outcome = svc.submit(query)
+            assert outcome.result_patched
+            assert outcome.rows == evaluate(query, svc.graph)
+            spans.append(patch_attrs(svc, outcome))
+        assert sum(a["joined"] for a in spans) == 1
+        first, *rest = spans
+        assert first["joined"] == 1 and first["reused"] == 0 and first["seeds"] > 0
+        for attrs in rest:
+            assert attrs["reused"] == 1
+            assert attrs["seeds"] == attrs["tried"] == 0
+        assert [a["added"] for a in spans] == [0, 0, 1, 0, 0, 0]
+        assert svc.snapshot_stats().result_patches == len(KEYS)
+        assert svc.result_cache.stale_drops == 0
+
+
+def test_readers_of_one_template_patch_beside_writes():
+    """More readers than cores each cycle through the keys of one
+    template, from different starting keys, while a writer adds one
+    row to one key per batch, under a short switch interval: readers
+    of different keys join a batch at once and publish one index.
+    Every outcome equals the evaluator's answer at the graph version
+    it reports."""
+    writes = []
+    for i in range(24):
+        cls, u = CLASSES[i % 2], NODES[1 + i % 3]
+        writes.append(
+            [
+                (f"<r{i}>", RDF_TYPE, cls),
+                (f"<r{i}>", "ub:p1", u),
+                (f"<r{i}>", "ub:p2", f"<d{i}>"),
+                (f"<d{i}>", "ub:p3", u),
+            ]
+        )
+    seen: list = []
+    errors: list = []
+    done = threading.Event()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with QueryService(RDFGraph(SHARED_BASE)) as svc:
+
+            def read(k: int) -> None:
+                try:
+                    while not done.is_set():
+                        key = k % len(KEYS)
+                        seen.append((key, svc.submit(KEYS[key])))
+                        k += 1
+                except BaseException as exc:  # reported below
+                    errors.append(exc)
+
+            def write() -> None:
+                try:
+                    for batch in writes:
+                        svc.add_triples(batch)
+                        time.sleep(0.001)
+                finally:
+                    done.set()
+
+            threads = [
+                threading.Thread(target=read, args=(k,)) for k in range(0, 6, 2)
+            ]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    mirror = RDFGraph(SHARED_BASE)
+    expected = {0: [evaluate(query, mirror) for query in KEYS]}
+    for version, batch in enumerate(writes, 1):
+        for triple in batch:
+            mirror.add(*triple)
+        expected[version] = [evaluate(query, mirror) for query in KEYS]
+    assert any(outcome.result_patched for _, outcome in seen)
+    for key, outcome in seen:
+        assert outcome.rows == expected[outcome.graph_version][key]
