@@ -37,9 +37,10 @@ LOCK_RANKS: dict[str, int] = {
     # -- engine state -----------------------------------------------------
     "_store_lock": 20,  # QueryService store RW lock
     # -- transport --------------------------------------------------------
-    "_shard_locks": 30,  # per-shard client entry (respawn/sync; a live
-    #   rebalance walks these shard by shard, one Sync each, under the
-    #   service's _store_lock write side — same tiers, no new ranks)
+    "_shard_locks": 30,  # per-shard client entry: serializes one shard's
+    #   fleet events (start, sync, respawn, retire — the Fleet itself has
+    #   no lock); a live rebalance walks these shard by shard, one Sync
+    #   each, under the service's _store_lock write side — same tiers)
     "_close_lock": 30,  # client connection swap
     "_cond": 32,  # coalescer leader/pending wait
     "_serial_lock": 34,  # unpipelined request serialization

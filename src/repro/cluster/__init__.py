@@ -11,7 +11,7 @@ on holds shard-locally), and a :class:`~repro.cluster.router
 .MapReduceEngine` runs every task of a level on the shard owning its
 node.  Enable it with ``ServiceConfig(shards=N)`` — answers are
 identical for any shard count.  Ownership is a movable table, so the
-topology is elastic (:meth:`~repro.cluster.router.ShardedPlanExecutor
+topology is elastic (:meth:`~repro.cluster.executor.ShardedPlanExecutor
 .rebalance`), and answers are invariant at every epoch.
 
 A shard is one worker state (:mod:`repro.cluster.worker`): its
@@ -27,12 +27,8 @@ server process over a localhost socket, respawned once when it crashes
 (sustained failure raises :class:`~repro.cluster.frames.ShardUnavailable`).
 """
 
-from repro.cluster.router import (
-    RebalanceReport,
-    RpcShardRouter,
-    ShardedPlanExecutor,
-    ShardRouter,
-)
+from repro.cluster.executor import RebalanceReport, ShardedPlanExecutor
+from repro.cluster.router import RpcShardRouter, ShardRouter
 from repro.cluster.client import ShardWorkerClient
 from repro.cluster.frames import ShardUnavailable, StaleEpoch
 from repro.cluster.ownership import Move, OwnerTable, plan_resize, plan_skew

@@ -20,8 +20,10 @@ counters, and the sync step.  Two carriers drive it and move the frames:
 
 Retries are safe because workers are stateless between levels: a level
 frame that arrives twice runs twice, and the link drops the reply no
-waiter owns.  Routing, epochs, the stale re-route, respawn and
-migrations are :class:`repro.cluster.router.ShardRouter`'s.
+waiter owns.  Which workers exist, and when one is respawned or
+retired, is :class:`repro.cluster.fleet.Fleet`'s to decide; routing,
+epochs and the stale re-route are :class:`repro.cluster.router
+.ShardRouter`'s, which carries the fleet's actions out.
 """
 
 from __future__ import annotations

@@ -55,8 +55,8 @@ class WorkerSpawnError(RpcError):
 class StaleEpoch(RpcError):
     """An execute frame was stamped with a topology epoch the worker is
     not at: the owner table moved underneath the query.  The driver
-    handles it by re-routing the frame's tasks against the current
-    table (:meth:`repro.cluster.router.ShardRouter._reroute_level`), so a query that
+    handles it by re-routing the frame's tasks against the fleet's table
+    (:meth:`repro.cluster.router.ShardRouter._reroute_level`), so a query that
     started before a rebalance still answers correctly after it.
     """
 

@@ -16,11 +16,15 @@ one thing it changes is *where* each task of a batch runs:
   slice on its one engine.  The shards are the parallelism, as the
   §5.1 nodes are.
 * **one router, two carriers.**  The transport is the carrier class
-  :meth:`ShardRouter._start_worker` builds (:mod:`repro.cluster.client`)
-  — a worker in the driver process or in a server process — and each
-  carrier drives one :class:`~repro.cluster.client.ShardLink`.  Routing,
-  epochs, the stale re-route, respawn, migration and tracing are the
-  router's for both; what a worker holds is its link's record.
+  :attr:`ShardRouter.client` (:mod:`repro.cluster.client`) — a worker
+  in the driver process or in a server process — and each carrier
+  drives one :class:`~repro.cluster.client.ShardLink`.  Which workers
+  exist, at what snapshot, and when one is respawned or retired is the
+  :class:`~repro.cluster.fleet.Fleet`'s to decide, with no I/O; the
+  router carries out its actions, and routing, the stale re-route, the
+  coalescer (:mod:`repro.cluster.levels`), the dispatch pool and
+  tracing are the router's, for both carriers.  What a worker holds is
+  its link's record.
 * **the shuffle is the cross-shard exchange.**  Rows whose key hashes
   (:func:`~repro.mapreduce.jobs.stable_hash`) to a partition on another
   shard's node cross shards in the reduce batch, and only there; a map
@@ -41,11 +45,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from dataclasses import replace as dataclass_replace
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis.locks import checked
-from repro.cluster.ownership import Move, OwnerTable, plan_resize, plan_skew
 from repro.cluster.client import (
     _TRANSPORT_ERRORS,
     DEFAULT_MAX_FRAME_BYTES,
@@ -54,9 +56,8 @@ from repro.cluster.client import (
     ShardWorkerClient,
     _frame_levels,
 )
+from repro.cluster.fleet import Fleet, RetireWorker, StartWorker, Unavailable
 from repro.cluster.frames import (
-    ErrorReply,
-    ExecuteBatch,
     ExecuteLevel,
     ResultsReply,
     RpcError,
@@ -67,9 +68,10 @@ from repro.cluster.frames import (
     StatsReply,
     WireTimes,
 )
-from repro.cluster.sharded_store import ShardedSnapshot, ShardedStore
+from repro.cluster.levels import LevelCoalescer, record_level_span
+from repro.cluster.ownership import OwnerTable
+from repro.cluster.sharded_store import ShardedSnapshot
 from repro.columnar.wire import WIRE_FORMATS
-from repro.cost.params import DEFAULT_PARAMS, CostParams
 from repro.mapreduce.backends import (
     DEFAULT_RPC_PIPELINE,
     ColumnarBackend,
@@ -77,40 +79,12 @@ from repro.mapreduce.backends import (
     TaskInvocation,
 )
 from repro.mapreduce.counters import ExecutionReport
-from repro.mapreduce.engine import ClusterConfig
 from repro.mapreduce.hdfs import DistributedRelation
 from repro.mapreduce.jobs import TaskContext
-from repro.obs.trace import attach_worker_spans, record_remote, span, trace_ctx
-from repro.physical.executor import PlanExecutor
+from repro.obs.trace import record_remote, span, trace_ctx
 
-#: what :meth:`ShardRouter._start_worker` builds: the transport
+#: what :meth:`ShardRouter._bring` starts: the transport
 ShardClient = LocalShardClient | ShardWorkerClient
-
-
-@dataclass(frozen=True)
-class RebalanceReport:
-    """What one ownership-table rebalance did (see
-    :meth:`ShardedPlanExecutor.rebalance`)."""
-
-    #: table version before / after (after = before + 1; a rolled
-    #: back attempt never produces a report — it raises)
-    old_epoch: int
-    new_epoch: int
-    #: shard count before / after
-    old_shards: int
-    new_shards: int
-    #: the applied ``(node, src, dst)`` plan
-    moves: tuple[Move, ...]
-    #: migration bytes shipped per shard (zeros in process; over rpc
-    #: the elasticity claim is that this stays well under a full sync)
-    bytes_shipped: tuple[int, ...]
-    #: wall-clock seconds for the whole migration
-    duration_s: float
-
-    @property
-    def moved_nodes(self) -> tuple[int, ...]:
-        """The nodes whose ownership (and data) moved, ascending."""
-        return tuple(sorted(node for node, _src, _dst in self.moves))
 
 
 @dataclass
@@ -162,225 +136,20 @@ def _frame_trace_ctxs(msg) -> list[tuple]:
     ]
 
 
-def _record_level_span(
-    msg: ExecuteLevel,
-    reply,
-    start: float,
-    end: float,
-    times: WireTimes,
-    shard: int,
-    coalesced: int = 1,
-    transport: str = "rpc",
-) -> None:
-    """Record one traced level round trip driver-side, as a
-    ``<transport>:level`` span (``rpc:level``, ``inproc:level``).
-
-    Its children tile it, in time order (in process the ``wire:*``
-    spans are the function-call hand-off, and there is no ``encode``):
-
-    * ``wire:encode`` — everything this end does until the frame is on
-      the socket: finding the live client, taking the send lock, frame
-      packing + pickle + write (and, after a worker respawn, the
-      attempt before);
-    * the worker's shipped span records, re-anchored at the instant the
-      frame was written (the only one the two clocks agree on — the
-      driver's send is the worker's receipt, minus wire latency);
-    * ``wire:transit`` — whatever of the window up to the reply's
-      arrival the worker did not report: the socket both ways, the
-      envelope pickles and the two process wake-ups, which the two
-      clocks cannot tell apart;
-    * the worker's reply-``encode`` time, ending where the reply was
-      read;
-    * ``wire:decode`` — the reader thread unpickling + decoding the
-      reply, through the hand-off to the requesting thread.
-
-    ``coalesced`` > 1 marks members of a shared :class:`ExecuteBatch`
-    frame, whose round trip (and wire times) cover all members.
-    """
-    attrs = {"shard": shard, "level": msg.level, "phase": msg.phase}
-    if coalesced > 1:
-        attrs["coalesced"] = coalesced
-    ref = record_remote(msg.trace_ctx, f"{transport}:level", start, end, **attrs)
-    if ref is None:
-        return
-    ctx = ref.ctx()
-    shared = {"shared": coalesced} if coalesced > 1 else {}
-    record_remote(ctx, "wire:encode", start, times.sent, shard=shard, **shared)
-    record_remote(ctx, "wire:decode", times.received, end, shard=shard, **shared)
-    records = list(getattr(reply, "spans", None) or ())
-    encode_s = times.worker_encode_s
-    reported = max(
-        (
-            rel_start + duration
-            for _, parent, rel_start, duration, _ in records
-            if parent < 0
-        ),
-        default=0.0,
-    )
-    tail = max(reported, (times.received - times.sent) - encode_s)
-    if tail > reported:
-        records.append(("wire:transit", -1, reported, tail - reported, {}))
-    if encode_s > 0.0:
-        records.append(("encode", -1, tail, encode_s, {}))
-    attach_worker_spans(
-        ref, records, anchor=times.sent, scale_hint=coalesced, shard=shard
-    )
-
-
-class _PendingLevel:
-    """One query's ExecuteLevel waiting in a shard's coalescer."""
-
-    __slots__ = ("msg", "ctx", "reply", "error", "done")
-
-    def __init__(self, msg: ExecuteLevel, ctx: ShardDispatch | None) -> None:
-        self.msg = msg
-        self.ctx = ctx
-        self.reply = None
-        self.error: BaseException | None = None
-        self.done = threading.Event()
-
-
-class _LevelCoalescer:
-    """Per-shard micro-batcher merging concurrent queries' levels.
-
-    The first submitter becomes the *leader*: it waits up to the
-    coalescing window (or until ``max_batch`` levels are pending — no
-    background thread, no idle timer when traffic is serial), then
-    drains **everything** pending and flushes it in chunks of at most
-    ``max_batch`` as :class:`ExecuteBatch` frames; a chunk of one goes
-    out as a plain :class:`ExecuteLevel`.  Followers block on their
-    item until the leader's flush resolves it.  Every exit path sets
-    the item's event — a dead worker fails all coalesced queries typed
-    (or they recover via the respawn retry inside ``_shard_call``),
-    never hangs them.
-    """
-
-    def __init__(self, router: "ShardRouter", shard: int) -> None:
-        self.router = router
-        self.shard = shard
-        self.window = router.coalesce_window_ms / 1000.0
-        self.max_batch = router.coalesce_max_batch
-        self._cond = checked(threading.Condition(), "_LevelCoalescer._cond")
-        self._pending: list[_PendingLevel] = []
-        self._leader = False
-
-    def submit(self, msg: ExecuteLevel, exec_ctx: ShardDispatch | None):
-        item = _PendingLevel(msg, exec_ctx)
-        with self._cond:
-            self._pending.append(item)
-            if self._leader:
-                if len(self._pending) >= self.max_batch:
-                    self._cond.notify_all()
-                batch = None
-            else:
-                self._leader = True
-                # Holding the window open only pays when another query
-                # is actually in flight; a lone query's levels would
-                # just eat the full window as pure latency tax, so the
-                # leader checks router-observed concurrency first.
-                if self.window > 0 and self.router._active_queries() > 1:
-                    deadline = time.monotonic() + self.window
-                    while len(self._pending) < self.max_batch:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
-                batch, self._pending = self._pending, []
-                self._leader = False
-        if batch is None:
-            item.done.wait()
-        else:
-            for start in range(0, len(batch), self.max_batch):
-                self._flush(batch[start : start + self.max_batch])
-        if item.error is not None:
-            raise item.error
-        return item.reply
-
-    def _flush(self, chunk: list[_PendingLevel]) -> None:
-        try:
-            if len(chunk) == 1:
-                item = chunk[0]
-                self.router._note_frames(1)
-                item.reply = self.router._send_level(
-                    self.shard, item.msg, item.ctx
-                )
-            else:
-                self._flush_batch(chunk)
-        except BaseException as exc:
-            for item in chunk:
-                if item.reply is None and item.error is None:
-                    item.error = exc
-        finally:
-            for item in chunk:
-                item.done.set()
-
-    def _flush_batch(self, chunk: list[_PendingLevel]) -> None:
-        router, shard = self.router, self.shard
-        sub_rids = [router._next_sub_id() for _ in chunk]
-        msg = ExecuteBatch(
-            items=tuple(
-                (rid, item.msg) for rid, item in zip(sub_rids, chunk)
-            )
-        )
-        sent = [0]
-        wire: list[WireTimes] = []
-
-        def on_bytes(n: int) -> None:
-            sent[0] = n
-
-        traced = any(item.msg.trace_ctx is not None for item in chunk)
-        router._note_frames(1)
-        start = time.perf_counter()
-        reply = router._shard_call(
-            shard, msg, on_bytes, wire.append if traced else None
-        )
-        end = time.perf_counter()
-        # Attribute the shared frame's bytes across its members (the
-        # remainder lands on the first few); each member rode 1 frame.
-        # The worker's encode time is split equally the same way.
-        share, spill = divmod(sent[0], len(chunk))
-        if traced:
-            times = wire[-1]._replace(
-                worker_encode_s=wire[-1].worker_encode_s / len(chunk)
-            )
-        by_sub = dict(reply.replies)
-        for index, (rid, item) in enumerate(zip(sub_rids, chunk)):
-            if item.ctx is not None:
-                item.ctx.add(shard, share + (1 if index < spill else 0))
-            sub = by_sub.get(rid)
-            if item.msg.trace_ctx is not None:
-                _record_level_span(
-                    item.msg,
-                    sub,
-                    start,
-                    end,
-                    times,
-                    shard,
-                    coalesced=len(chunk),
-                    transport=router.transport,
-                )
-            if sub is None:
-                item.error = RpcProtocolError(
-                    f"shard {shard} batch reply is missing request {rid}"
-                )
-            elif isinstance(sub, ErrorReply):
-                item.error = sub.error
-            else:
-                item.reply = sub
-
-
 class ShardRouter(ExecutionBackend):
     """Runs each batch of the engine's level schedule on the shard
     workers owning its tasks, and returns results in submission order.
 
     A worker is reached through the client class :attr:`client` — here
     :class:`~repro.cluster.client.LocalShardClient`, in the driver process;
-    :class:`RpcShardRouter` swaps in the socket client.  The socket
-    options (frame cap, start method, spawn timeout, wire format,
-    pipeline, coalescing) mean something over rpc only.
+    :class:`RpcShardRouter` swaps in the socket client.  Which workers
+    exist and what they hold is :attr:`fleet`'s to decide; the router
+    carries out its actions.  The socket options (frame cap, spawn
+    timeout, wire format, pipeline, coalescing) mean something over rpc
+    only.
     """
 
-    #: the shard client :meth:`_start_worker` builds — the transport
+    #: the shard client :meth:`_bring` starts — the transport
     client: type = LocalShardClient
     #: transport label recorded on execution reports
     transport = "inproc"
@@ -413,7 +182,6 @@ class ShardRouter(ExecutionBackend):
                 f"coalesce_max_batch must be >= 1, got {coalesce_max_batch}"
             )
         self.num_nodes = num_nodes
-        self.num_shards = num_shards
         #: backend label recorded on execution reports: the workers'
         #: engine, and over rpc the hop to it
         engine = ColumnarBackend.name
@@ -427,49 +195,49 @@ class ShardRouter(ExecutionBackend):
         self.coalesce_window_ms = coalesce_window_ms
         self.coalesce_max_batch = coalesce_max_batch
         self.on_failure = on_failure
+        #: fleet membership (:mod:`repro.cluster.fleet`): the snapshot the
+        #: workers were brought to — the one record of the topology —
+        #: and which started worker is each shard's
+        self.fleet = Fleet(num_shards)
         self._lock = checked(threading.Lock(), "ShardRouter._lock")
         self._pool: ThreadPoolExecutor | None = None  # guarded-by: _lock
         self._counter_lock = checked(
             threading.Lock(), "ShardRouter._counter_lock"
         )
-        self.shard_failures = 0  # guarded-by: _counter_lock
         #: level traffic counters: requests = ExecuteLevels asked for,
         #: frames = frames that carried them.  Coalescing provably
         #: merges when frames < requests.
         self.level_requests = 0  # guarded-by: _counter_lock
         self.level_frames = 0  # guarded-by: _counter_lock
         self._sub_ids = itertools.count(1)  # guarded-by: _counter_lock
-        # One witness node for all shards: cross-shard nesting between
-        # sibling locks is same-name and thus not edge-checked (no code
-        # path holds two shard locks at once).
+        # A shard's lock serializes its fleet events and guards its
+        # client.  One witness node for all shards: cross-shard nesting
+        # between sibling locks is same-name and thus not edge-checked
+        # (no code path holds two shard locks at once).  Grow-only, as
+        # the coalescers: a query racing a shrink still finds its shard.
         self._shard_locks = [
             checked(threading.RLock(), "ShardRouter._shard_locks")
             for _ in range(num_shards)
         ]
-        self._clients: list[ShardClient | None] = [None] * num_shards  # guarded-by: _shard_locks
-        self._last_snapshot = None
-        #: the owner table the fleet was last synchronized to (set by
-        #: ensure_workers / migrate); stale-epoch re-routing consults it
-        self._table: OwnerTable | None = None
+        self._clients: dict[int, ShardClient] = {}  # guarded-by: _shard_locks
         #: queries currently inside an execution — the coalescer
         #: only holds its window open when this exceeds one
         self.active_queries = 0  # guarded-by: _counter_lock
         self._coalescers = (
-            [_LevelCoalescer(self, shard) for shard in range(num_shards)]
+            [LevelCoalescer(self, shard) for shard in range(num_shards)]
             if coalesce_max_batch > 1
             else None
         )
 
-    def resize(self, num_shards: int) -> None:
-        """Route over *num_shards* shards from now on, retiring the
-        dispatch pool sized for the old count."""
-        self.num_shards = num_shards
-        with self._lock:
-            old_pool, self._pool = self._pool, None
-        if old_pool is not None:
-            # wait=False: a resize triggered from a dispatch-pool
-            # thread (a stale-epoch re-route) must not join its own pool.
-            old_pool.shutdown(wait=False)
+    @property
+    def num_shards(self) -> int:
+        """The shards routed over: the fleet's count."""
+        return self.fleet.num_shards
+
+    @property
+    def shard_failures(self) -> int:
+        """Worker failures the fleet counted."""
+        return self.fleet.failures
 
     def _dispatch_pool(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -486,6 +254,14 @@ class ShardRouter(ExecutionBackend):
         # pipeline depth per shard, not just one call per shard.
         return max(4, 2 * self.num_shards,
                    max(1, self.pipeline) * self.num_shards)
+
+    def _drop_pool(self, wait: bool) -> None:
+        """Retire the dispatch pool; the next batch builds one sized for
+        the shard count then."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait)
 
     def _note_frames(self, n: int) -> None:
         with self._counter_lock:
@@ -509,189 +285,144 @@ class ShardRouter(ExecutionBackend):
         """Start any missing shard worker and bring every one current
         with *snapshot* (:meth:`~repro.cluster.client.ShardLink.sync`):
         after a write only the shards it touched receive files, the rest
-        at most the dictionary suffix, and a worker already current
-        receives no frame.  So every worker starts each query on its
+        at most the dictionary suffix, and with every worker current the
+        fleet asks for nothing.  So every worker starts each query on its
         view, its epoch and the store's numbering."""
-        # What a respawn syncs from: set first, so a worker found dead
-        # below comes back on *this* snapshot, once.
-        self._last_snapshot = snapshot
-        self._table = snapshot.table
-        for shard in range(self.num_shards):
-            self._sync_shard(shard, snapshot)
+        for shard in self.fleet.want(snapshot):
+            self._bring(shard)
 
-    def _sync_shard(
-        self, shard: int, snapshot: ShardedSnapshot, on_bytes=None
-    ) -> None:
-        """Under the shard's lock: start its worker if it has none
-        (first start: not a failure), respawn a dead one, and
-        sync its link to *snapshot* (which must be
-        :attr:`_last_snapshot`, what a respawn syncs to)."""
+    def _bring(
+        self, shard: int, on_bytes=None
+    ) -> tuple[ShardClient | None, int]:
+        """Carry out the fleet's actions for *shard* until its worker
+        holds the fleet's snapshot; returns the worker's client (None
+        for a shard the fleet no longer has) and generation.
+
+        The one path that starts, syncs, respawns and retires a worker.
+        A dead worker found here is reported lost, and the fleet's next
+        action starts its successor; a worker whose start or first sync
+        fails is retired and the shard raises :class:`ShardUnavailable`.
+        A sync refused typed by a serving worker re-raises as-is.
+        """
+        fleet = self.fleet
         with self._shard_locks[shard]:
-            client = self._clients[shard]
-            if client is None:
-                try:
-                    client = self._start_worker(shard)
-                except Exception as exc:
-                    self._record_failure(shard, f"spawn failed: {exc!r}")
-                    raise ShardUnavailable(shard, f"spawn failed: {exc!r}") from exc
-            elif not client.alive():
-                self._recover(shard, "worker process died", on_bytes)
-                return
-            try:
-                client.link.sync(snapshot, client.request, on_bytes)
-            except _TRANSPORT_ERRORS as exc:
-                # Died under the sync: the one respawn syncs it.
-                self._recover(shard, f"{type(exc).__name__}: {exc}", on_bytes)
+            while True:
+                client = self._clients.get(shard)
+                if client is not None and not client.alive():
+                    self._lost(shard, fleet.generation(shard), "worker process died")
+                    continue
+                action = fleet.bring(shard)
+                if action is None:
+                    return client, fleet.generation(shard)
+                if isinstance(action, RetireWorker):
+                    self._retire(shard, action.kill)
+                elif isinstance(action, StartWorker):
+                    client = self._clients[shard] = self.client(
+                        shard=shard,
+                        num_nodes=self.num_nodes,
+                        max_frame_bytes=self.max_frame_bytes,
+                        spawn_timeout=self.spawn_timeout,
+                        pipeline=self.pipeline,
+                        wire_format=self.wire_format,
+                    )
+                    try:
+                        client.start()
+                    except Exception as exc:
+                        self._lost(shard, action.generation, f"spawn failed: {exc!r}")
+                else:
+                    try:
+                        client.link.sync(action.snapshot, client.request, on_bytes)
+                    except _TRANSPORT_ERRORS as exc:
+                        self._lost(
+                            shard, action.generation, f"{type(exc).__name__}: {exc}"
+                        )
+                    except RpcError as exc:
+                        self._lost(shard, action.generation, repr(exc), refused=True)
+                        raise
+                    else:
+                        fleet.synced(shard, action.generation, action.snapshot)
 
-    # -- live rebalancing ----------------------------------------------------
+    def _lost(
+        self, shard: int, generation: int, reason: str, refused: bool = False
+    ) -> None:
+        """Tell the fleet the worker of *generation* was lost (or
+        *refused* a sync) and carry out its answer: report the counted
+        failure to :attr:`on_failure`, retire the worker, and raise
+        :class:`ShardUnavailable` once the respawn budget is spent.  A
+        generation already replaced changes nothing."""
+        with self._shard_locks[shard]:
+            fleet = self.fleet
+            actions = (fleet.refused if refused else fleet.lost)(
+                shard, generation, reason
+            )
+            if actions and self.on_failure is not None:
+                try:
+                    self.on_failure(shard, reason)
+                except Exception:
+                    pass
+            for action in actions:
+                if isinstance(action, Unavailable):
+                    raise ShardUnavailable(shard, action.reason)
+                self._retire(shard, action.kill)
+
+    def _retire(self, shard: int, kill: bool) -> None:
+        with self._shard_locks[shard]:
+            client = self._clients.pop(shard, None)
+        if client is not None:
+            client.close(kill=kill)
 
     def _grow_to(self, count: int) -> None:
-        """Extend the per-shard structures (locks, client entries,
-        coalescers) to *count* entries.  The lists
-        only ever grow — a shrink leaves trailing entries in place so a
-        query racing the flip can still index its (stale) shard and get
-        the typed :class:`StaleEpoch` answer instead of an IndexError.
-        """
+        """Extend the per-shard locks and coalescers to *count* entries."""
         while len(self._shard_locks) < count:
             self._shard_locks.append(
                 checked(threading.RLock(), "ShardRouter._shard_locks")
             )
-        while len(self._clients) < count:  # lint: disable=LOCK001 — grow-only append; migrations serialize on the store write lock
-            self._clients.append(None)  # lint: disable=LOCK001 — entry is None until started under its shard lock
         if self._coalescers is not None:
             while len(self._coalescers) < count:
                 self._coalescers.append(
-                    _LevelCoalescer(self, len(self._coalescers))
+                    LevelCoalescer(self, len(self._coalescers))
                 )
 
-    def _set_topology(self, count: int, table, snapshot) -> None:
-        """Flip the driver's view of the fleet to *count* shards at
-        *table*'s epoch (:meth:`resize` retires the dispatch pool)."""
-        self._table = table
-        self._last_snapshot = snapshot
-        self.resize(count)
+    # -- live rebalancing ----------------------------------------------------
 
-    def _retire_clients(self, first: int) -> None:
-        """Close every client at shard index >= *first*."""
-        retired: list[ShardClient] = []
-        for shard in range(first, len(self._clients)):  # lint: disable=LOCK001 — len() only; the list never shrinks
-            with self._shard_locks[shard]:
-                client = self._clients[shard]
-                self._clients[shard] = None  # lint: disable=LOCK001 — this shard's lock is held
-            if client is not None:
-                retired.append(client)
-        for client in retired:
-            client.close()
-
-    def migrate(self, store, moves, new_num_shards=None) -> tuple[int, ...]:
-        """Execute a ``(node, src, dst)`` plan against the live worker fleet.
-
-        Returns bytes shipped per (surviving or new) shard — the proof
-        that a migration moves only the reassigned nodes' data, not a
-        full sync of every shard.  The sequence:
-
-        1. install the next table on *store* (epoch bumps to ``v+1``),
-        2. sync every shard of the new topology to its view at
-           ``v+1`` — a new shard from empty (its view holds exactly the
-           moved-in nodes), a survivor by delta: the moved nodes' file
-           maps and the new epoch in one frame,
-        3. retire removed shards' workers and resize the driver.
+    def migrate(
+        self, snapshot: ShardedSnapshot, shipped: list[int] | None = None
+    ) -> None:
+        """Carry out the fleet's migration to *snapshot*, whose table the
+        store just installed (:meth:`~repro.cluster.executor
+        .ShardedPlanExecutor.rebalance`): every shard of the new topology
+        is synced to its view — a new one from empty, a survivor by delta,
+        the moved nodes' file maps and the new epoch in one frame, each
+        counted into *shipped* — and a removed shard's worker retired.
 
         A survivor changes its data and its epoch together, so a level
-        routed under ``v`` that reaches it afterwards is refused typed
-        (:class:`StaleEpoch`) and re-routed by the driver — it never
-        scans a node the worker already dropped.  On any failure the
-        plan is inverted on the store (epochs stay monotone), the driver
-        resizes back and the surviving workers are synced to the
-        restored table; transport failures surface as typed
-        :class:`ShardUnavailable`.  Callers quiesce queries for the
-        duration (the service's store write lock does).
-        """
-        moves = tuple(moves)
-        old_count = self.num_shards
-        target = store.table.num_shards if new_num_shards is None else new_num_shards
-        if not moves and target == old_count:
-            return ()
-        new_table = store.apply_rebalance(moves, target)
-        snapshot = store.snapshot()
-        new_count = new_table.num_shards
+        routed under the old epoch that reaches it afterwards is refused
+        typed (:class:`StaleEpoch`) and re-routed — it never scans a node
+        the worker already dropped.  Without *shipped* (a rollback) a
+        shard that cannot be brought is left to the next
+        :meth:`ensure_workers`."""
+        old_count, new_count = self.num_shards, snapshot.num_shards
+        plan = self.fleet.migrate(snapshot)
         self._grow_to(max(old_count, new_count))
-        shipped = [0] * max(old_count, new_count)
-        # A worker respawned mid-migration comes back on the new view.
-        self._last_snapshot = snapshot
+        # wait=False: a migration triggered from a dispatch-pool thread
+        # (a stale-epoch re-route) must not join its own pool.
+        self._drop_pool(wait=False)
+        for shard in plan:
+            if shard >= new_count:
+                self._bring(shard)
+                continue
 
-        def note(shard: int):
-            def on_bytes(n: int) -> None:
-                shipped[shard] += n
+            def on_bytes(n: int, shard: int = shard) -> None:
+                if shipped is not None:
+                    shipped[shard] += n
 
-            return on_bytes
-
-        try:
-            # New shards first: a spawn failure rolls back before any
-            # survivor has moved.
-            for shard in [*range(old_count, new_count), *range(min(old_count, new_count))]:
-                name = "rebalance:prime" if shard >= old_count else "rebalance:delta"
-                with span(name, shard=shard):
-                    self._sync_shard(shard, snapshot, note(shard))
-        except ShardUnavailable as exc:
-            self._rollback_migration(store, moves, old_count)
-            raise ShardUnavailable(
-                exc.shard, f"migration failed: {exc.message}"
-            ) from exc
-        except BaseException:
-            self._rollback_migration(store, moves, old_count)
-            raise
-        if new_count < old_count:
-            self._retire_clients(new_count)
-        self._set_topology(new_count, new_table, snapshot)
-        return tuple(shipped[:new_count])
-
-    def _rollback_migration(self, store, moves, old_count: int) -> None:
-        """Undo a half-applied migration: install the inverse plan's
-        table (the epoch keeps climbing — versions never reuse), resize
-        the driver back, drop any clients the grow spawned, and
-        sync every live surviving worker to the restored
-        table.  A worker that cannot be synced now is left to the next
-        :meth:`ensure_workers`, which respawns it; the caller raises the
-        failure that started the rollback."""
-        store.apply_rebalance(store.table.inverse(moves), old_count)
-        snapshot = store.snapshot()
-        self._retire_clients(old_count)
-        self._set_topology(old_count, snapshot.table, snapshot)
-        for shard in range(old_count):
-            with self._shard_locks[shard]:
-                client = self._clients[shard]
-                if client is None or not client.alive():
-                    continue
+            name = "rebalance:prime" if shard >= old_count else "rebalance:delta"
+            with span(name, shard=shard):
                 try:
-                    client.link.sync(snapshot, client.request)
-                except (*_TRANSPORT_ERRORS, RpcError):
-                    pass
-
-    def _start_worker(self, shard: int) -> ShardClient:
-        """Start shard *shard*'s worker through :attr:`client` and handshake.
-
-        Callers (``ensure_workers``, ``_recover``) hold this shard's lock.
-        """
-        old = self._clients[shard]  # lint: disable=LOCK001 — caller holds this shard's lock (see docstring)
-        self._clients[shard] = None  # lint: disable=LOCK001 — caller holds this shard's lock (see docstring)
-        if old is not None:
-            old.close(kill=True)
-        client = self.client(
-            shard=shard,
-            num_nodes=self.num_nodes,
-            max_frame_bytes=self.max_frame_bytes,
-            spawn_timeout=self.spawn_timeout,
-            pipeline=self.pipeline,
-            wire_format=self.wire_format,
-        )
-        try:
-            client.start()
-        except Exception:
-            client.close(kill=True)
-            raise
-        self._clients[shard] = client  # lint: disable=LOCK001 — caller holds this shard's lock (see docstring)
-        return client
+                    self._bring(shard, on_bytes)
+                except (RpcError, ShardUnavailable):
+                    if shipped is not None:
+                        raise
 
     def worker_gauges(self) -> list[tuple[int, StatsReply | None]]:
         """Telemetry without side effects, probed concurrently:
@@ -728,105 +459,46 @@ class ShardRouter(ExecutionBackend):
         started = []
         for shard in range(self.num_shards):
             with self._shard_locks[shard]:
-                client = self._clients[shard]
+                client = self._clients.get(shard)
             if client is not None:
                 started.append((shard, client))
         return started
 
     def close(self) -> None:
-        # Every entry: the per-shard lists can outgrow num_shards.
-        self._retire_clients(0)
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    # -- failure handling ---------------------------------------------------
-
-    def _record_failure(self, shard: int, reason: str) -> None:
-        # Distinct shards fail concurrently (each path holds only its
-        # own shard lock), so the shared tally needs the counter mutex.
-        with self._counter_lock:
-            self.shard_failures += 1
-        if self.on_failure is not None:
-            try:
-                self.on_failure(shard, reason)
-            except Exception:
-                pass
-
-    def _recover(self, shard: int, reason: str, on_bytes=None) -> ShardClient:
-        """Respawn a dead worker: restart and sync it to the
-        last snapshot the fleet was brought to.
-
-        Records the failure that triggered the recovery; a failed
-        respawn records a second failure and raises
-        :class:`ShardUnavailable`.  Callers hold the shard lock.
-        """
-        self._record_failure(shard, reason)
-        try:
-            client = self._start_worker(shard)
-            if self._last_snapshot is not None:
-                client.link.sync(self._last_snapshot, client.request, on_bytes)
-            return client
-        except Exception as exc:
-            self._record_failure(shard, f"respawn failed: {exc!r}")
-            self._clients[shard] = None  # lint: disable=LOCK001 — caller holds this shard's lock (see docstring)
-            raise ShardUnavailable(shard, f"respawn failed: {exc!r}") from exc
-
-    def _ensure_client(self, shard: int) -> ShardClient:
-        """The shard's live client, recovering a dead one (recorded as
-        a failure, matching the in-call discovery semantics)."""
-        with self._shard_locks[shard]:
-            client = self._clients[shard]
-            if client is None or not client.alive():
-                client = self._recover(shard, "worker process is not running")
-            return client
-
-    def _recover_from(
-        self, shard: int, failed: ShardClient, reason: str
-    ) -> ShardClient:
-        """Recover after *failed* saw a transport error — once per dead
-        worker: when another thread already replaced it, reuse its
-        client instead of respawning (and counting a failure) again."""
-        with self._shard_locks[shard]:
-            current = self._clients[shard]
-            if current is not None and current is not failed and current.alive():
-                return current
-            return self._recover(shard, reason)
+        for shard in self.fleet.stop():
+            self._retire(shard, kill=False)
+        self._drop_pool(wait=True)
 
     def _shard_call(self, shard: int, msg, on_bytes=None, on_wire=None):
         """One request to one shard, with the one-respawn retry budget.
 
-        The shard lock guards only client lookup and recovery — the
-        round trip itself runs outside it, so concurrent queries
-        multiplex on the worker connection instead of serializing
-        behind a per-shard lock.  A typed :class:`ErrorReply` from a
-        live worker re-raises as-is (the request failed, not the
-        worker).  A transport failure means the worker died: it is
-        respawned, synced afresh, and the request retried
-        exactly once (safe: a level is self-contained and a fresh
-        worker holds nothing but the snapshot); any further failure
-        raises :class:`ShardUnavailable`.  A successful
-        retry of a traced execute frame is marked by an ``rpc:retry``
-        span covering respawn + resend on every contributing trace.
+        The shard lock guards only bringing the worker up — the round
+        trip itself runs outside it, so concurrent queries multiplex on
+        the worker connection instead of serializing behind a per-shard
+        lock.  A typed :class:`ErrorReply` from a live worker re-raises
+        as-is (the request failed, not the worker).  A transport failure
+        means the worker died: the fleet is told, the worker respawned
+        and synced afresh (once, however many requests saw it die), and
+        the request retried exactly once (safe: a level is
+        self-contained and a fresh worker holds nothing but the
+        snapshot); any further failure raises
+        :class:`ShardUnavailable`.  A successful retry of a traced
+        execute frame is marked by an ``rpc:retry`` span covering
+        respawn + resend on every contributing trace.
         """
-        client = self._ensure_client(shard)
+        client, generation = self._client(shard)
         try:
             return client.request(msg, on_bytes, on_wire)
         except _TRANSPORT_ERRORS as exc:
             retry_start = time.perf_counter()
-            retry = self._recover_from(
-                shard, client, f"{type(exc).__name__}: {exc}"
-            )
+            self._lost(shard, generation, f"{type(exc).__name__}: {exc}")
+            retry, generation = self._client(shard)
             try:
                 reply = retry.request(msg, on_bytes, on_wire)
             except _TRANSPORT_ERRORS as retry_exc:
-                self._record_failure(
-                    shard, f"request failed after respawn: {retry_exc!r}"
-                )
-                raise ShardUnavailable(
-                    shard, f"request failed after respawn: {retry_exc!r}"
-                ) from retry_exc
+                reason = f"request failed after respawn: {retry_exc!r}"
+                self._lost(shard, generation, reason)
+                raise ShardUnavailable(shard, reason) from retry_exc
             retry_end = time.perf_counter()
             for ctx in _frame_trace_ctxs(msg):
                 record_remote(
@@ -838,6 +510,15 @@ class ShardRouter(ExecutionBackend):
                     error=type(exc).__name__,
                 )
             return reply
+
+    def _client(self, shard: int) -> tuple[ShardClient, int]:
+        """The shard's current client and generation (:meth:`_bring`)."""
+        client, generation = self._bring(shard)
+        if client is None:
+            raise ShardUnavailable(
+                shard, f"not in the fleet at epoch {self.fleet.epoch}"
+            )
+        return client, generation
 
     # -- execution -----------------------------------------------------------
 
@@ -854,11 +535,6 @@ class ShardRouter(ExecutionBackend):
             self.active_queries += 1
         try:
             snapshot: ShardedSnapshot = ctx.store
-            if snapshot.num_shards != self.num_shards:
-                raise ValueError(
-                    f"snapshot has {snapshot.num_shards} shards, "
-                    f"router routes {self.num_shards}"
-                )
             self.ensure_workers(snapshot)
             count = snapshot.num_shards
             state = ShardDispatch(
@@ -896,7 +572,7 @@ class ShardRouter(ExecutionBackend):
         wire: list[WireTimes] = []
         start = time.perf_counter()
         reply = self._shard_call(shard, msg, on_bytes, wire.append)
-        _record_level_span(
+        record_level_span(
             msg, reply, start, time.perf_counter(), wire[-1], shard,
             transport=self.transport,
         )
@@ -927,16 +603,14 @@ class ShardRouter(ExecutionBackend):
         Results are reassembled in the original task order, keeping the
         deterministic merge upstream byte-identical.
         """
-        table = self._table
-        if table is None:
-            raise RpcError("no owner table to re-route against")
+        table = self.fleet.table
         groups: dict[int, list[int]] = {}
         for index, node in enumerate(nodes):
             groups.setdefault(table.shard_of_node(node), []).append(index)
         results: list = [None] * len(msg.tasks)
         for shard in sorted(groups):
             indices = groups[shard]
-            sub = dataclass_replace(
+            sub = replace(
                 msg,
                 tasks=tuple(msg.tasks[i] for i in indices),
                 epoch=table.version,
@@ -1046,139 +720,3 @@ class RpcShardRouter(ShardRouter):
 
     client = ShardWorkerClient
     transport = "rpc"
-
-
-class ShardedPlanExecutor(PlanExecutor):
-    """A :class:`~repro.physical.executor.PlanExecutor` over shards.
-
-    The store is a :class:`ShardedStore` and the execution backend is a
-    shard router; preparing and executing plans is the base class's,
-    unchanged.  Each shard worker builds its own engine, the id-space
-    one; there is no engine to choose.  ``transport`` selects the
-    carrier: ``"inproc"`` (default, :class:`~repro.cluster.client
-    .LocalShardClient`) or ``"rpc"`` (:class:`RpcShardRouter`), whose
-    crashed workers are respawned and their request retried once;
-    sustained failure raises a typed
-    :class:`~repro.cluster.frames.ShardUnavailable` (reported through
-    ``on_shard_failure``).  ``wire_format`` selects the row encoding over
-    rpc: ``"columnar"`` (default) packs rows as id buffers in the store's
-    numbering (:mod:`repro.columnar.wire`), ``"pickle"`` keeps tuple-list
-    frames.  It and the other socket options are ignored in process.
-    """
-
-    def __init__(
-        self,
-        store: ShardedStore,
-        cluster: ClusterConfig | None = None,
-        params: CostParams = DEFAULT_PARAMS,
-        transport: str = "inproc",
-        on_shard_failure: Callable[[int, str], None] | None = None,
-        max_frame_bytes: int | None = None,
-        wire_format: str = "columnar",
-        rpc_pipeline: int = DEFAULT_RPC_PIPELINE,
-        coalesce_window_ms: float = 0.0,
-        coalesce_max_batch: int = 1,
-    ) -> None:
-        cluster = cluster or ClusterConfig(num_nodes=store.num_nodes)
-        if cluster.num_nodes != store.num_nodes:
-            raise ValueError(
-                f"cluster has {cluster.num_nodes} nodes but the "
-                f"store places onto {store.num_nodes}"
-            )
-        if transport not in ("inproc", "rpc"):
-            raise ValueError(
-                f"unknown shard transport {transport!r}; "
-                "expected 'inproc' or 'rpc'"
-            )
-        self.transport = transport
-        rpc = transport == "rpc"
-        socket_options = (
-            dict(
-                wire_format=wire_format,
-                pipeline=rpc_pipeline,
-                coalesce_window_ms=coalesce_window_ms,
-                coalesce_max_batch=coalesce_max_batch,
-                **({} if max_frame_bytes is None else {"max_frame_bytes": max_frame_bytes}),
-            )
-            if rpc
-            else {}
-        )
-        router = (RpcShardRouter if rpc else ShardRouter)(
-            num_nodes=store.num_nodes,
-            num_shards=store.num_shards,
-            on_failure=on_shard_failure,
-            **socket_options,
-        )
-        super().__init__(store, cluster, params, backend=router)
-
-    @property
-    def router(self) -> ShardRouter:
-        """The shard router — this executor's execution backend."""
-        return self.backend
-
-    # -- topology -------------------------------------------------------------
-
-    def rebalance(
-        self,
-        target_shards: int | None = None,
-        moves: Sequence[Move] | None = None,
-    ) -> RebalanceReport:
-        """Move node ownership between shards — grow, shrink, or shed skew.
-
-        Pass *target_shards* to resize (the minimal plan is computed
-        with :func:`~repro.cluster.ownership.plan_resize`), or an
-        explicit ``(node, src, dst)`` *moves* plan (e.g. from
-        :func:`~repro.cluster.ownership.plan_skew`).  Answers are
-        invariant across the change: a move changes which shard serves
-        a node, never where a triple is placed, so ``shards=4`` before
-        and ``shards=5`` after produce byte-identical results.
-
-        Either transport runs the same live migration
-        (:meth:`ShardRouter.migrate`): each shard receives one
-        :class:`~repro.cluster.frames.Sync` carrying only the moved nodes'
-        file maps and the new epoch, and a failure rolls the table back
-        and syncs the survivors to it.  Surviving workers keep their engines.  The caller must
-        quiesce queries for the duration (the query service's store
-        write lock does).
-        """
-        store = self.store
-        old_table = store.table
-        if moves is None:
-            if target_shards is None:
-                raise ValueError(
-                    "rebalance needs target_shards or an explicit moves plan"
-                )
-            moves = plan_resize(old_table, target_shards)
-        else:
-            moves = tuple(moves)
-        new_count = (
-            old_table.num_shards if target_shards is None else target_shards
-        )
-        start = time.perf_counter()
-        bytes_shipped = self.router.migrate(store, moves, new_count)
-        new_table = store.table
-        return RebalanceReport(
-            old_epoch=old_table.version,
-            new_epoch=new_table.version,
-            old_shards=old_table.num_shards,
-            new_shards=new_table.num_shards,
-            moves=tuple(moves),
-            bytes_shipped=bytes_shipped,
-            duration_s=time.perf_counter() - start,
-        )
-
-    def suggest_rebalance(
-        self, load: dict[int, float] | None = None, max_moves: int = 1
-    ) -> tuple[Move, ...]:
-        """A small skew-shedding plan from observed per-shard load.
-
-        *load* maps shard → any monotone load signal (the service feeds
-        worker gauges' ``tasks_run``); defaults to stored triples per
-        shard.  Returns ``()`` when the topology is already balanced.
-        """
-        if load is None:
-            load = {
-                shard: float(count)
-                for shard, count in enumerate(self.store.triples_per_shard())
-            }
-        return plan_skew(self.store.table, load, max_moves=max_moves)

@@ -158,7 +158,7 @@ class Administration:
         moved nodes' file maps cross the wire; a mid-migration
         failure rolls the table back and raises typed, leaving the old
         topology serving.  Returns a
-        :class:`~repro.cluster.router.RebalanceReport`.
+        :class:`~repro.cluster.executor.RebalanceReport`.
         """
         self._check_open()
         if not self.sharded:

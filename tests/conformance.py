@@ -41,6 +41,7 @@ from typing import Callable
 import pytest
 
 from repro.cluster import ShardedPlanExecutor, shard_graph
+from repro.cluster.frames import Sync
 from repro.columnar.block import ColumnBlock
 from repro.core.algorithm import cliquesquare
 from repro.core.decomposition import MSC
@@ -633,6 +634,40 @@ def prepare_text(executor, text: str) -> PreparedPlan:
     return executor.prepare(cliquesquare(parse_query(text), MSC).plans[0])
 
 
+def shard_client(router, shard: int):
+    """Shard *shard*'s current carrier (a ``LocalShardClient`` or a
+    ``ShardWorkerClient``), or None while the shard has no worker: the
+    one place the tests read a router's clients."""
+    return router._clients.get(shard)
+
+
+@contextlib.contextmanager
+def failing_carrier(router, at: str = "start"):
+    """While open, every worker *router* starts fails: at its start (a
+    spawn that cannot fork) or, with ``at="sync"``, at its first
+    :class:`Sync` (a worker that came up and could not be synced).
+    Yields the carriers started, so a test can check each was retired."""
+    started: list = []
+
+    class Failing(router.client):
+        def start(self):
+            started.append(self)
+            if at == "start":
+                raise OSError("no processes left")
+            return super().start()
+
+        def request(self, msg, on_bytes=None, on_wire=None):
+            if at == "sync" and isinstance(msg, Sync):
+                raise ConnectionError(f"shard {self.shard} sync lost")
+            return super().request(msg, on_bytes, on_wire)
+
+    router.client = Failing
+    try:
+        yield started
+    finally:
+        del router.client
+
+
 def kill_worker(client) -> None:
     """SIGKILL a shard server process — and the process-pool children
     it forked, if any: they would outlive it, blocked on a queue nobody
@@ -695,12 +730,12 @@ def assert_stateless_workers(service: QueryService, where: str = "") -> None:
     first_as_second(lambda: service.execute_plan(plan), "ad-hoc plan")
 
     expected = expected_of(alumni[0].name, usual)
-    victim = router._clients[0]
+    victim = shard_client(router, 0)
     failures = router.shard_failures
     kill_worker(victim)
     assert_conforms(expected, service.submit(alumni[0]), f"{where}/retried")
     assert router.shard_failures == failures + 1, where
-    assert router._clients[0] is not victim, where
+    assert shard_client(router, 0) is not victim, where
     after = service.submit(alumni[0])
     assert_conforms(expected, after, f"{where}/after-respawn")
     assert after.report.shard_frames == usual.report.shard_frames, where
@@ -851,10 +886,10 @@ def assert_one_id_space(service: QueryService, queries, where: str = "") -> None
     written = check("one-shard write")
     assert written[0].primes == warm[0].primes + 1, where
     assert written[1].primes == warm[1].primes, where
-    assert router._clients[1].link.terms_shipped >= 3 * len(writes), where
+    assert shard_client(router, 1).link.terms_shipped >= 3 * len(writes), where
 
     failures = router.shard_failures
-    kill_worker(router._clients[0])
+    kill_worker(shard_client(router, 0))
     check("respawned")
     assert router.shard_failures == failures + 1, where
 
@@ -927,7 +962,7 @@ def assert_rebalance_conforms(
     before, during, or after a migration — must conform to the
     reference, and after each flip the main thread re-runs the full
     workload at the new epoch.  Returns the
-    :class:`~repro.cluster.router.RebalanceReport` per step.
+    :class:`~repro.cluster.executor.RebalanceReport` per step.
     """
     queries = list(queries)
     rotations = [

@@ -26,6 +26,7 @@ STRICT_GLOBS = [
     "src/repro/analysis/*.py",
     "src/repro/service/patch.py",
     "src/repro/cluster/frames.py",
+    "src/repro/cluster/fleet.py",
 ]
 
 

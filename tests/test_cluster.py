@@ -49,6 +49,7 @@ from repro.service import (
 )
 from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
+from tests.conformance import shard_client
 from tests.conftest import make_university_graph
 
 NUM_NODES = 7
@@ -549,8 +550,8 @@ class TestClusterPlumbing:
         try:
             ctx = TaskContext(num_nodes=num_nodes, store=store.snapshot())
             router.prime(ctx)
-            for shard, client in enumerate(router._clients):
-                client.worker.backend = FakeEngine(shard)
+            for shard in range(router.num_shards):
+                shard_client(router, shard).worker.backend = FakeEngine(shard)
             with router.execution(ctx, report) as ctx:
                 mapped = router.run(maps, ctx)
                 assert finished == [2, 1, 0]
@@ -616,7 +617,8 @@ class TestClusterPlumbing:
         as a shard server does — no engine is shared between shards."""
         with ShardedPlanExecutor(shard_graph(university, NUM_NODES, 3)) as executor:
             executor.prime()
-            engines = [client.worker.backend for client in executor.router._clients]
+            router = executor.router
+            engines = [shard_client(router, shard).worker.backend for shard in range(3)]
             assert len({id(engine) for engine in engines}) == 3
             assert all(isinstance(engine, ColumnarBackend) for engine in engines)
 
@@ -631,7 +633,7 @@ class TestClusterPlumbing:
         )
         try:
             router = service.executor.router
-            engines = [client.worker.backend for client in router._clients]
+            engines = [shard_client(router, shard).worker.backend for shard in range(2)]
             assert [engine.name for engine in engines] == ["columnar"] * 2
             assert service.submit(STAR_QUERY).rows == want
             for shards in (3, 2):
@@ -639,10 +641,10 @@ class TestClusterPlumbing:
                 assert report.new_shards == shards and report.moved_nodes
                 assert report.bytes_shipped == (0,) * shards
                 assert service.executor.router is router
-                survivors = [client.worker.backend for client in router._clients[:2]]
+                survivors = [shard_client(router, shard).worker.backend for shard in range(2)]
                 assert all(a is b for a, b in zip(survivors, engines))
                 assert router.num_shards == shards
-                live = [c for c in router._clients if c is not None]
+                live = [c for s in range(3) if (c := shard_client(router, s)) is not None]
                 assert [c.worker.backend.name for c in live] == ["columnar"] * shards
                 outcome = service.submit(STAR_QUERY)
                 assert outcome.rows == want

@@ -774,7 +774,9 @@ def test_shared_backend_serves_five_shards_from_one_encoding(lubm_graph, monkeyp
         for _ in range(9):
             assert executor.execute_prepared(prepared).rows == want.rows
         assert len(encodes) == cold
-        engines = [client.worker.backend for client in executor.router._clients]
+        from tests.conformance import shard_client
+
+        engines = [shard_client(executor.router, s).worker.backend for s in range(5)]
         assert all(isinstance(engine, ColumnarBackend) for engine in engines)
         assert len({id(engine) for engine in engines}) == 5
     finally:

@@ -31,7 +31,7 @@ from repro.obs.trace import (
     trace_ctx,
 )
 from repro.service import QueryService, ServiceConfig
-from tests.conformance import needs_rpc, prepare_text, rpc_executor
+from tests.conformance import needs_rpc, prepare_text, rpc_executor, shard_client
 from tests.conftest import make_university_graph
 
 STAR_QUERY = (
@@ -487,7 +487,7 @@ class TestRpcTracePropagation:
             assert {"parse", "canonicalize", "optimize", "execute"} <= names
             router = service.executor.router
             assert isinstance(router, RpcShardRouter)
-            victim = router._clients[0]
+            victim = shard_client(router, 0)
             victim.process.kill()
             victim.process.join(timeout=10)
             # Defeat the pre-send liveness check so the death is

@@ -55,7 +55,7 @@ from repro.physical.executor import PlanExecutor
 from repro.rdf.dictionary import Dictionary
 from repro.service import QueryService, ServiceConfig
 from repro.sparql.parser import parse_query
-from tests.conformance import needs_rpc
+from tests.conformance import failing_carrier, needs_rpc, shard_client
 from tests.conftest import make_university_graph
 
 try:
@@ -355,7 +355,7 @@ class _RebalanceOnEitherTransport:
             # The fleet really shrank: three live workers, no more.
             router = service.executor.router
             assert router.num_shards == 3
-            assert all(client is None for client in router._clients[3:])
+            assert all(shard_client(router, shard) is None for shard in (3, 4))
             stats = service.snapshot_stats()
             assert stats.rebalances == 2
             assert "rebalances: 2" in stats.format()
@@ -725,13 +725,9 @@ class TestRpcRebalance(_RebalanceOnEitherTransport):
             router = service.executor.router
             store = service.executor.store
             version_before = store.table.version
-            original = router._start_worker
-            router._start_worker = _spawn_bomb
-            try:
+            with failing_carrier(router):
                 with pytest.raises(ShardUnavailable, match="migration"):
                     service.rebalance(target_shards=3)
-            finally:
-                router._start_worker = original
             # Clean rollback: the old topology serves, ownership maps
             # restored (the epoch keeps climbing — versions never
             # reuse), and answers are unchanged.
@@ -755,7 +751,7 @@ class TestRpcRebalance(_RebalanceOnEitherTransport):
         try:
             expected = service.submit(STAR_QUERY).rows
             router = service.executor.router
-            victim = router._clients[0]
+            victim = shard_client(router, 0)
             victim.process.kill()
             victim.process.join(timeout=10)
             report = service.rebalance(target_shards=1)
@@ -806,7 +802,3 @@ def reroute_across_live_rebalance(university, transport: str, wire: str) -> None
         assert executor.execute_prepared(prepared).rows == expected
     finally:
         executor.close()
-
-
-def _spawn_bomb(shard):
-    raise OSError("no processes left")

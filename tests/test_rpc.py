@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import multiprocessing
 import pickle
 import threading
 import time
@@ -68,10 +69,13 @@ from repro.sparql.parser import parse_query
 from tests.conformance import (
     assert_replicas_equal_the_store,
     chunks_received,
+    failing_carrier,
+    kill_worker,
     needs_rpc,
     one_shard_triples,
     prepare_text,
     rpc_executor,
+    shard_client,
     worker_stats,
 )
 from tests.conftest import make_university_graph
@@ -497,7 +501,7 @@ class TestFaultInjection:
             expected = service.submit(STAR_QUERY).rows
             router = service.executor.router
             assert isinstance(router, RpcShardRouter)
-            victim = router._clients[0]
+            victim = shard_client(router, 0)
             old_pid = victim.process.pid
             victim.process.kill()
             victim.process.join(timeout=10)
@@ -505,7 +509,7 @@ class TestFaultInjection:
             # router respawns it and retries the request transparently.
             outcome = service.submit(STAR_QUERY)
             assert outcome.rows == expected
-            assert router._clients[0].process.pid != old_pid
+            assert shard_client(router, 0).process.pid != old_pid
             snapshot = service.snapshot_stats()
             assert snapshot.shard_failures == 1
             assert any("shard 0" in w for w in snapshot.warnings)
@@ -518,21 +522,34 @@ class TestFaultInjection:
         try:
             expected = service.submit(STAR_QUERY).rows
             router = service.executor.router
-            original = router._start_worker
-            router._start_worker = _respawn_bomb
-            try:
-                router._clients[1].process.kill()
-                router._clients[1].process.join(timeout=10)
+            with failing_carrier(router):
+                shard_client(router, 1).process.kill()
+                shard_client(router, 1).process.join(timeout=10)
                 with pytest.raises(ShardUnavailable, match="shard 1"):
                     service.submit(STAR_QUERY)
-            finally:
-                router._start_worker = original
             assert service.snapshot_stats().shard_failures >= 2
             # Not deadlocked: once spawning works again the shard
             # recovers and the service serves correct answers.
             assert service.submit(STAR_QUERY).rows == expected
         finally:
             service.close()
+
+    def test_a_failed_respawn_leaves_no_worker_running(self, university):
+        """A respawned shard server whose sync fails is retired by the
+        respawn path itself: after ``close()`` no worker process is
+        left for interpreter exit to wait on."""
+        service = rpc_service(make_university_graph())
+        try:
+            service.submit(STAR_QUERY)
+            router = service.executor.router
+            kill_worker(shard_client(router, 0))
+            with failing_carrier(router, at="sync") as started:
+                with pytest.raises(ShardUnavailable, match="shard 0"):
+                    service.submit(STAR_QUERY)
+            assert len(started) == 1 and started[0].process is None
+        finally:
+            service.close()
+        assert multiprocessing.active_children() == []
 
     def test_spawn_failure_at_init_is_typed(self, university, monkeypatch):
         monkeypatch.setattr(
@@ -565,7 +582,7 @@ class TestFaultInjection:
                 ]
 
             with router.execution(ctx, ExecutionReport()) as running:
-                client = router._clients[0]
+                client = shard_client(router, 0)
                 sent = client.link.frames_sent
                 with pytest.raises(RpcProtocolError, match="_Reduce"):
                     router.run(batch(lambda p, grouped: _echo(p, grouped)), running)
@@ -573,7 +590,7 @@ class TestFaultInjection:
                 assert not client.link._waiters
                 [(out, _metrics)] = router.run(batch(_echo), running)
                 assert list(out) == rows
-                assert router._clients[0] is client
+                assert shard_client(router, 0) is client
                 assert client.link.frames_sent == sent + 1
         finally:
             router.close()
@@ -644,7 +661,8 @@ def test_a_worker_never_ships_an_id_the_store_did_not_number(mint):
     try:
         expected = service.submit(STAR_QUERY).rows
         router = service.executor.router
-        clients, failures = list(router._clients), router.shard_failures
+        clients = [shard_client(router, shard) for shard in range(2)]
+        failures = router.shard_failures
         ctx = TaskContext(
             num_nodes=NUM_NODES,
             store=service.store.snapshot(),
@@ -655,7 +673,7 @@ def test_a_worker_never_ships_an_id_the_store_did_not_number(mint):
                 router.run([TaskInvocation(_Stranger(mint), node=0)], running)
         assert "<never-loaded>" not in service.store.dictionary
         assert service.submit(STAR_QUERY).rows == expected
-        assert router._clients == clients
+        assert [shard_client(router, shard) for shard in range(2)] == clients
         assert router.shard_failures == failures
         if mint:
             minting = service.store.shard_of_node(0)
@@ -670,14 +688,10 @@ def test_a_worker_never_ships_an_id_the_store_did_not_number(mint):
             # both re-primed: the written shard for its data, the
             # minting one for its conflicting replica
             assert [reply.primes for reply in stats] == [p + 1 for p in primes]
-            assert router._clients == clients
+            assert [shard_client(router, shard) for shard in range(2)] == clients
             assert router.shard_failures == failures
     finally:
         service.close()
-
-
-def _respawn_bomb(shard):
-    raise OSError("no processes left")
 
 
 def _start_bomb(self):
@@ -871,7 +885,7 @@ class TestMultiplexing:
             for t in threads:
                 t.start()
             time.sleep(0.05)
-            victim = router._clients[0]
+            victim = shard_client(router, 0)
             if victim is not None and victim.process is not None:
                 victim.process.kill()
             for t in threads:
@@ -951,7 +965,8 @@ class TestMutationUnderRpc:
                 itertools.islice((t for t in fresh if store.node_of(t) == node), 3)
             )
             frames: dict[int, list] = {0: [], 1: []}
-            for shard, client in enumerate(router._clients[:2]):
+            for shard in range(2):
+                client = shard_client(router, shard)
                 real = client.request
 
                 def spy(msg, on_bytes=None, on_wire=None, real=real, shard=shard):
@@ -1131,7 +1146,7 @@ class TestBlockWire:
         service = rpc_service(university)
         try:
             router = service.executor.router
-            codecs = [router._clients[shard].link.codec for shard in range(2)]
+            codecs = [shard_client(router, shard).link.codec for shard in range(2)]
             assert all(isinstance(c, WireCodec) for c in codecs)
             assert all(c.dictionary is service.store.dictionary for c in codecs)
             with PlanExecutor(

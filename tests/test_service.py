@@ -816,7 +816,10 @@ class TestOneEngine:
         with QueryService(graph, ServiceConfig(shards=shards)) as svc:
             svc.submit(lubm_queries.query("Q4"))
             if shards:
-                engines = [c.worker.backend for c in svc.executor.router._clients]
+                from tests.conformance import shard_client
+
+                router = svc.executor.router
+                engines = [shard_client(router, s).worker.backend for s in range(shards)]
             else:
                 engines = [svc.executor.backend]
             assert [type(e) for e in engines] == [ColumnarBackend] * max(shards, 1)
