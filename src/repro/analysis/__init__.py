@@ -4,7 +4,8 @@ Three pillars (see the module docstrings for the details):
 
 * :mod:`repro.analysis.lint` — AST lint for the repo's concurrency and
   protocol conventions (LOCK001 guarded-by, LOCK002 lock order, SPEC001
-  picklable specs, FRAME001 frame exhaustiveness);
+  picklable specs, FRAME001 frame exhaustiveness) and the census of what
+  only tests reach (REACH001 modules, REACH002 functions);
 * :mod:`repro.analysis.plan_check` — mechanical verification of the
   paper's structural plan invariants (flatness, HO-partiality, star-join
   agreement, job-DAG shape, level programs), also available as the ``REPRO_CHECK_PLANS=1``

@@ -29,13 +29,27 @@ that review alone enforced.  This linter turns them into checked facts:
     ``tests/test_rpc_frames.py`` — an unknown or unhandled frame is a
     lint error, not a runtime surprise.
 
-``REACH001`` *census* — when a directory holding a top-level package
-    is linted (``src/``), every module of the package must be reached by
-    imports from an entry point: the package's exports (its
+``REACH001`` *module census* — when a directory holding a top-level
+    package is linted (``src/``), every module of the package must be
+    reached by imports from an entry point: the package's exports (its
     ``__init__``), a ``python -m`` target (``__main__.py`` or a
-    ``__main__`` guard), or a file under the sibling ``benchmarks/``.
-    A module reached from nothing else than tests fails, unless
-    :data:`TEST_ORACLES` names it with the reason it stays.
+    ``__main__`` guard), or a file under the sibling ``benchmarks/`` or
+    ``examples/``.  A module reached from nothing else than tests fails,
+    unless :data:`KEPT` names it with the reason it stays.
+
+``REACH002`` *function census* — in the modules ``REACH001`` reaches,
+    every top-level function or class, and every public method of a
+    top-level class, must be used by name from non-test code: the
+    package (outside the def's own body, so a recursive call is no use),
+    ``benchmarks/`` or ``examples/``.  A use is a loaded name, an
+    attribute, a ``from … import`` outside an ``__init__`` (there it is
+    a re-export) or an equal string constant (``getattr``); the
+    package's ``__all__`` names are roots.  Dunders and the hooks a
+    library calls by name (:data:`_LIBRARY_HOOKS`) are exempt, and
+    :data:`KEPT` keeps a ``module.qualname`` with its reason.  The rule
+    matches names, not bindings, so it errs one way only: a name that
+    collides with a live one can hide dead code, but live code is never
+    reported.
 
 ``LINT000`` — a suppression without a justification.  Findings are
     suppressed line-by-line with ``# lint: disable=RULE — why``; the
@@ -48,21 +62,49 @@ import ast
 import io
 import re
 import tokenize
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
-RULES = ("LOCK001", "LOCK002", "SPEC001", "FRAME001", "REACH001", "LINT000")
+RULES = ("LOCK001", "LOCK002", "SPEC001", "FRAME001", "REACH001", "REACH002", "LINT000")
 
-#: Modules no entry point reaches that stay as the oracle of a check,
-#: each with its reason (REACH001).
-TEST_ORACLES = (
+#: What the census keeps although no entry point reaches it (REACH001,
+#: REACH002): a module or a ``module.qualname``, each with its reason.
+KEPT = (
     (
         "repro.core.plan_builder",
         "CREATEQUERYPLANS over VariableGraph reductions, the oracle the "
         "mask search is checked against (tests/test_algorithm.py)",
     ),
+    (
+        "repro.service.pipeline.Pipeline.submit_batch",
+        "QueryService.submit_batch: public service API the README documents",
+    ),
+    (
+        "repro.service.service.QueryService.slow_queries",
+        "public service API the README documents (the slow-query log)",
+    ),
+    (
+        "repro.service.admin.Administration.suggest_rebalance",
+        "QueryService.suggest_rebalance: public service API the README "
+        "documents (the skew-shedding plan rebalance takes)",
+    ),
 )
+
+#: Directories beside ``src/`` whose code is a census root, as the
+#: package's exports and ``python -m`` targets are.
+_ROOT_DIRS = ("benchmarks", "examples")
+
+#: Base class -> name prefix of the methods a library calls on it by
+#: name (REACH002 exempts them).
+_LIBRARY_HOOKS = {
+    "NodeVisitor": "visit_",
+    "Pickler": "reducer_override",
+    "Unpickler": "find_class",
+}
+
+_Def = ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
 
 _GUARD_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
 _SUPPRESS_RE = re.compile(
@@ -576,7 +618,7 @@ def _check_frames(path: str, tree: ast.Module) -> list[Finding]:
     return findings
 
 
-# -- REACH001 --------------------------------------------------------------
+# -- REACH001 / REACH002 --------------------------------------------------
 
 
 def _imports(tree: ast.Module, package: str) -> set[str]:
@@ -608,26 +650,94 @@ def _main_guarded(tree: ast.Module) -> bool:
     )
 
 
+def _is_all(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def _uses(nodes: list[ast.stmt], in_init: bool) -> Counter[str]:
+    """How often each name is used under *nodes*: loaded, read as an
+    attribute, imported by name (not in an ``__init__``, where that is a
+    re-export) or spelled as a string (``getattr``)."""
+    out: Counter[str] = Counter()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom) and not in_init:
+            out.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out[sub.value] += 1
+    return out
+
+
+def _unused_defs(
+    tree: ast.Module, module: str, used: Counter[str], in_init: bool
+) -> Iterator[tuple[str, ast.stmt]]:
+    """``(qualname, def)`` of each top-level def and public method of
+    *tree* that *used* counts no more often than its own body uses it
+    (a class reported hides its methods)."""
+    kept = {name for name, _ in KEPT}
+
+    def unused(qualname: str, node: _Def) -> bool:
+        name = node.name
+        return (
+            not (name.startswith("__") and name.endswith("__"))
+            and f"{module}.{qualname}" not in kept
+            and used[name] <= _uses([node], in_init)[name]
+        )
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions) and unused(node.name, node):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            if unused(node.name, node):
+                yield node.name, node
+                continue
+            bases = {getattr(b, "id", getattr(b, "attr", "")) for b in node.bases}
+            hooks = [p for base, p in _LIBRARY_HOOKS.items() if base in bases]
+            for fn in node.body:
+                if not isinstance(fn, functions) or fn.name.startswith("_"):
+                    continue
+                qualname = f"{node.name}.{fn.name}"
+                if not fn.name.startswith(tuple(hooks)) and unused(qualname, fn):
+                    yield qualname, fn
+
+
 def _census(package_dir: Path) -> list[Finding]:
     src = package_dir.parent
     files: dict[str, Path] = {}
+    trees: dict[str, ast.Module] = {}
     for f in sorted(package_dir.rglob("*.py")):
         parts = f.relative_to(src).with_suffix("").parts
-        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = f
-    edges: dict[str, set[str]] = {}
-    roots = {package_dir.name}
-    for module, f in files.items():
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
         try:
-            tree = ast.parse(f.read_text())
+            trees[module] = ast.parse(f.read_text())
         except SyntaxError:  # LINT000 reports it
             continue
-        package = module if f.name == "__init__.py" else module.rpartition(".")[0]
+        files[module] = f
+    outside = [
+        ast.parse(f.read_text())
+        for d in _ROOT_DIRS
+        if (src.parent / d).is_dir()
+        for f in sorted((src.parent / d).rglob("*.py"))
+    ]
+    kept = {name for name, _ in KEPT}
+    inits = {module for module, f in files.items() if f.name == "__init__.py"}
+
+    # REACH001: modules no import chain from an entry point reaches.
+    edges: dict[str, set[str]] = {}
+    roots = {package_dir.name}
+    for module, tree in trees.items():
+        package = module if module in inits else module.rpartition(".")[0]
         edges[module] = _imports(tree, package)
-        if f.name == "__main__.py" or _main_guarded(tree):
+        if files[module].name == "__main__.py" or _main_guarded(tree):
             roots.add(module)
-    benchmarks = src.parent / "benchmarks"
-    for f in sorted(benchmarks.rglob("*.py")) if benchmarks.is_dir() else ():
-        roots |= _imports(ast.parse(f.read_text()), "benchmarks")
+    for tree in outside:
+        roots |= _imports(tree, "benchmarks")
     reached: set[str] = set()
     stack = list(roots)
     while stack:
@@ -637,19 +747,41 @@ def _census(package_dir: Path) -> list[Finding]:
         reached.add(name)
         stack.extend(edges[name])
         stack.append(name.rpartition(".")[0])  # a package runs its __init__
-    oracles = {module for module, _ in TEST_ORACLES}
-    return [
+    findings = [
         Finding(
-            str(f),
+            str(files[module]),
             1,
             "REACH001",
             f"module {module} is reached from no entry point (the package's "
-            "exports, benchmarks/, python -m targets): delete it, or name it "
-            "in TEST_ORACLES with the check it is the oracle of",
+            "exports, benchmarks/, examples/, python -m targets): delete it, "
+            "or name it in KEPT with the check it is the oracle of",
         )
-        for module, f in files.items()
-        if module not in reached and module not in oracles
+        for module in trees
+        if module not in reached and module not in kept
     ]
+
+    # REACH002: defs of reached modules whose name no non-test code
+    # uses.  An ``__all__`` list uses nothing; the package's is a root.
+    top = trees[package_dir.name].body
+    used = _uses([node for node in top if _is_all(node)], True)
+    sources = [(t, m in inits) for m, t in trees.items()] + [(t, False) for t in outside]
+    for tree, init in sources:
+        used += _uses([node for node in tree.body if not _is_all(node)], init)
+    for module, tree in trees.items():
+        if module in reached and module not in kept:
+            findings.extend(
+                Finding(
+                    str(files[module]),
+                    node.lineno,
+                    "REACH002",
+                    f"{module}.{qualname} is used by no non-test code (src/, "
+                    "benchmarks/, examples/): delete it, move it into tests/ "
+                    "if it is a check's oracle, or name it in KEPT with the "
+                    "reason it stays",
+                )
+                for qualname, node in _unused_defs(tree, module, used, module in inits)
+            )
+    return findings
 
 
 # -- driver ----------------------------------------------------------------
@@ -699,8 +831,8 @@ def lint_file(path: Path) -> list[Finding]:
 
 def lint_paths(paths: list[Path]) -> list[Finding]:
     """Lint every ``*.py`` under the given files/directories, and take
-    the census (REACH001) of each top-level package directly under a
-    given directory."""
+    the census (REACH001, REACH002) of each top-level package directly
+    under a given directory."""
     files: list[Path] = []
     packages: list[Path] = []
     for path in paths:

@@ -393,10 +393,20 @@ class ShardWorkerClient:
             pass
 
     def close(self, kill: bool = False) -> None:
-        """Shut the worker down (gracefully unless *kill*); idempotent."""
+        """Shut the worker down (gracefully unless *kill*); idempotent.
+
+        *kill* SIGKILLs the worker first: its end of the connection
+        closes with it, so the reader sees EOF at once instead of
+        waiting out its join on a worker that never hears a Shutdown.
+        """
         with self._close_lock:
             conn, self.conn = self.conn, None
             process, self.process = self.process, None
+        if kill and process is not None:
+            try:
+                process.kill()
+            except OSError:
+                pass  # _reap below tries again
         reader = self._reader
         if conn is not None:
             if not kill:

@@ -136,10 +136,6 @@ class ShardedStore(PartitionedStore):
         """The logical nodes shard *shard* owns."""
         return self.table.nodes_of_shard(shard)
 
-    def shard_of_value(self, value: str) -> int:
-        """The shard holding *value*'s co-location group."""
-        return self.shard_of_node(self.node_of(value))
-
     def triples_per_shard(self) -> tuple[int, ...]:
         """Stored triples (all replicas) per shard."""
         out = [0] * self.num_shards

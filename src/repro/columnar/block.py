@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -128,25 +127,11 @@ class ColumnBlock:
     def column(self, attr: str):
         return self.columns[self.index_of(attr)]
 
-    def id_rows(self) -> list[tuple]:
-        """Rows as tuples of ids (row-major view of the columns)."""
-        if not self.columns:
-            return [()] * self.count
-        return list(zip(*self.columns))
-
     @classmethod
     def empty(
         cls, attrs: Sequence[str], dictionary: Dictionary | None = None
     ) -> "ColumnBlock":
         return cls(tuple(attrs), tuple(empty_column() for _ in attrs), dictionary)
-
-    @classmethod
-    def from_id_rows(cls, attrs: Sequence[str], rows: Sequence[tuple]) -> "ColumnBlock":
-        """A block from row-major id tuples (inverse of :meth:`id_rows`)."""
-        attrs = tuple(attrs)
-        if not rows:
-            return cls.empty(attrs)
-        return cls(attrs, tuple(make_column(col) for col in zip(*rows)))
 
     # -- conversion seams -----------------------------------------------------
 
@@ -285,25 +270,3 @@ def answer_rows(
         return frozenset({()})
     decode = block.dictionary.decode_column
     return frozenset(zip(*[decode(col) for col in columns]))
-
-
-def chunk_rows(chunks: Iterable) -> list[tuple]:
-    """The term-tuple rows of a chunk sequence, in order.
-
-    A run of blocks over one dictionary is concatenated first, so each
-    of its columns is decoded once however many chunks held it; every
-    other chunk is iterated.
-    """
-    rows: list[tuple] = []
-    for dictionary, run in groupby(chunks, key=_dictionary_of):
-        if dictionary is None:
-            for chunk in run:
-                rows.extend(chunk)
-        else:
-            blocks = list(run)
-            rows.extend(gather(blocks[0].attrs, blocks, dictionary).to_rows())
-    return rows
-
-
-def _dictionary_of(chunk) -> Dictionary | None:
-    return chunk.dictionary if isinstance(chunk, ColumnBlock) else None

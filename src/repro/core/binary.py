@@ -5,9 +5,8 @@ bushy plan and the best binary linear plan", found by building all of
 them and keeping the cheapest under the §5.4 cost model.  We obtain the
 same optimum with dynamic programming over connected pattern subsets
 (the cost model is additive over operators and its cardinality estimates
-are subset-determined, so optimal substructure holds); an exhaustive
-enumerator is provided for small queries and tests the DP against
-brute force.
+are subset-determined, so optimal substructure holds).  The tests check
+the DP against an exhaustive enumeration (``tests/oracles.py``).
 
 No cartesian products: every subplan covers a connected subquery and
 every join has at least one shared variable, as the paper assumes (§2).
@@ -15,7 +14,7 @@ every join has at least one shared variable, as the paper assumes (§2).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.core.logical import LogicalOperator, LogicalPlan, Match, make_join
 from repro.sparql.ast import BGPQuery
@@ -75,117 +74,6 @@ def connected_subsets(query: BGPQuery) -> list[int]:
     out = [mask for mask in range(1, 1 << n) if _connected(mask, adj)]
     out.sort(key=lambda m: m.bit_count())
     return out
-
-
-# -- exhaustive enumeration (small queries, testing) ------------------------
-
-
-def iter_bushy_plans(query: BGPQuery, max_plans: int | None = None) -> Iterator[LogicalPlan]:
-    """Every binary bushy plan (all binary join trees, linear included),
-    without cartesian products.  Exponential; for small queries/tests."""
-    adj = _adjacency(query)
-    n = len(query.patterns)
-    full = (1 << n) - 1
-    memo: dict[int, list[LogicalOperator]] = {}
-
-    def plans(mask: int) -> list[LogicalOperator]:
-        if mask in memo:
-            return memo[mask]
-        if mask.bit_count() == 1:
-            i = mask.bit_length() - 1
-            result: list[LogicalOperator] = [Match(query.patterns[i])]
-            memo[mask] = result
-            return result
-        result = []
-        # Enumerate unordered splits: fix the lowest bit on the left side.
-        low = mask & -mask
-        rest = mask ^ low
-        sub = rest
-        while True:
-            left = low | sub
-            right = mask ^ left
-            if (
-                right
-                and _connected(left, adj)
-                and _connected(right, adj)
-                and _joinable(left, right, adj)
-            ):
-                for p1 in plans(left):
-                    for p2 in plans(right):
-                        result.append(make_join([p1, p2]))
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        memo[mask] = result
-        return result
-
-    produced = 0
-    for body in plans(full):
-        yield LogicalPlan.wrap(body, query)
-        produced += 1
-        if max_plans is not None and produced >= max_plans:
-            return
-
-
-def iter_linear_plans(query: BGPQuery, max_plans: int | None = None) -> Iterator[LogicalPlan]:
-    """Every left-deep binary plan without cartesian products."""
-    adj = _adjacency(query)
-    n = len(query.patterns)
-    produced = 0
-
-    def extend(op: LogicalOperator, used: int) -> Iterator[LogicalOperator]:
-        if used.bit_count() == n:
-            yield op
-            return
-        for i in range(n):
-            bit = 1 << i
-            if used & bit or not (adj[i] & used):
-                continue
-            yield from extend(make_join([op, Match(query.patterns[i])]), used | bit)
-
-    if n == 1:
-        yield LogicalPlan.wrap(Match(query.patterns[0]), query)
-        return
-    for i in range(n):
-        for body in extend(Match(query.patterns[i]), 1 << i):
-            yield LogicalPlan.wrap(body, query)
-            produced += 1
-            if max_plans is not None and produced >= max_plans:
-                return
-
-
-def count_bushy_plans(query: BGPQuery) -> int:
-    """Number of binary bushy plans (product-free join trees)."""
-    adj = _adjacency(query)
-    n = len(query.patterns)
-    memo: dict[int, int] = {}
-
-    def count(mask: int) -> int:
-        if mask.bit_count() == 1:
-            return 1
-        if mask in memo:
-            return memo[mask]
-        total = 0
-        low = mask & -mask
-        rest = mask ^ low
-        sub = rest
-        while True:
-            left = low | sub
-            right = mask ^ left
-            if (
-                right
-                and _connected(left, adj)
-                and _connected(right, adj)
-                and _joinable(left, right, adj)
-            ):
-                total += count(left) * count(right)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        memo[mask] = total
-        return total
-
-    return count((1 << n) - 1)
 
 
 # -- best plans (dynamic programming) ---------------------------------------

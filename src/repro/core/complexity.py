@@ -1,9 +1,9 @@
 """Worst-case complexity bounds of §4.5 (Fig. 8).
 
 Closed forms for the maximum number of decompositions D(n) of each
-CliqueSquare variant on an n-node variable graph, the clique-count lemmas
-(4.1, 4.2), and the T(n) recurrences (Eqs. 1–2) bounding total clique
-reductions.
+CliqueSquare variant on an n-node variable graph.  The clique-count
+lemmas (4.1, 4.2) and the T(n) recurrences (Eqs. 1–2) bounding total
+clique reductions are the tests' oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -23,17 +23,6 @@ def stirling2(n: int, k: int) -> int:
     if n == 0 or k == 0:
         return 0
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-
-
-def max_maximal_cliques(n: int) -> int:
-    """Lemma 4.1: a variable graph has at most 2n+1 maximal cliques
-    (a query of n patterns has at most 2n+1 distinct variables)."""
-    return 2 * n + 1
-
-
-def max_partial_cliques(n: int) -> int:
-    """Lemma 4.2: at most 2^n - 1 partial cliques (the power set bound)."""
-    return 2**n - 1
 
 
 def d_mxc_plus(n: int) -> int:
@@ -88,11 +77,6 @@ DECOMPOSITION_BOUNDS = {
     "SC": d_sc,
 }
 
-#: Options whose decompositions are minimum covers: the graph shrinks by
-#: at least a factor 2 per stage (Eq. 1); the rest shrink by >= 1 (Eq. 2).
-MINIMUM_COVER_OPTIONS = frozenset({"MXC+", "MSC+", "MXC", "MSC"})
-
-
 def decomposition_bound(option_name: str, n: int) -> int:
     """Fig. 8 worst-case D(n) for the named option."""
     try:
@@ -104,29 +88,3 @@ def decomposition_bound(option_name: str, n: int) -> int:
     if n == 1:
         return 0
     return fn(n)
-
-
-def reduction_bound(option_name: str, n: int) -> int:
-    """T(n) bound on the total number of clique reductions.
-
-    Minimum-cover options follow Eq. 1, T(n) <= D(n) * T(ceil((n-1)/2));
-    the others follow Eq. 2, T(n) <= D(n) * T(n-1); T(1) = 1.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-    @cache
-    def t(m: int) -> int:
-        if m <= 1:
-            return 1
-        d = decomposition_bound(option_name, m)
-        if option_name in MINIMUM_COVER_OPTIONS:
-            return d * t(ceil((m - 1) / 2))
-        return d * t(m - 1)
-
-    return t(n)
-
-
-def fig8_table(n: int) -> dict[str, int]:
-    """The Fig. 8 row for a query of *n* nodes: bound per option."""
-    return {name: decomposition_bound(name, n) for name in DECOMPOSITION_BOUNDS}

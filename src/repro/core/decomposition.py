@@ -15,7 +15,7 @@ into decompositions; the CliqueSquare algorithm recurses over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.covers import (
     EnumerationBudget,
@@ -196,17 +196,3 @@ class CliquePool:
         """The cliques of *cover*, in rank order."""
         ranked, rank = self.ranked, self.rank
         return tuple([ranked[r] for r in sorted([rank[j] for j in cover])])
-
-
-def decompositions(
-    graph: VariableGraph,
-    option: DecompositionOption,
-    budget: EnumerationBudget | None = None,
-) -> Iterator[Decomposition]:
-    """:meth:`CliquePool.covers` of *graph*'s structure, each clique a
-    frozenset of node indices: the format ``VariableGraph.reduce``
-    takes, for callers that walk variable graphs."""
-    pool = CliquePool.of(graph_structure(graph), option)
-    cliques = {mask: frozenset(members) for members, mask in pool.ranked}
-    for cover in pool.covers(budget):
-        yield tuple([cliques[mask] for _, mask in pool.cliques(cover)])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.core.algorithm import OptimizerResult, cliquesquare
 from repro.core.decomposition import MSC, DecompositionOption
-from repro.core.logical import Join, LogicalOperator, LogicalPlan
+from repro.core.logical import LogicalOperator, LogicalPlan
 from repro.sparql.ast import BGPQuery
 
 
@@ -28,21 +28,6 @@ def height(plan: LogicalPlan) -> int:
     that produced it (§4.4).
     """
     return operator_height(plan.root)
-
-
-def join_operators(plan: LogicalPlan) -> list[Join]:
-    """All distinct join operators of the plan DAG."""
-    return [op for op in plan.root.iter_operators() if isinstance(op, Join)]
-
-
-def max_join_fanin(plan: LogicalPlan) -> int:
-    """Largest number of inputs of any join (n-ary-ness of the plan)."""
-    return max((len(j.inputs) for j in join_operators(plan)), default=0)
-
-
-def is_binary(plan: LogicalPlan) -> bool:
-    """True iff every join in the plan has exactly two inputs."""
-    return all(len(j.inputs) == 2 for j in join_operators(plan))
 
 
 def optimal_height(query: BGPQuery, timeout_s: float | None = 100.0) -> int:
@@ -87,10 +72,6 @@ class PlanSpaceStats:
             return 1.0
         return self.unique_count / self.plan_count
 
-    @property
-    def found_optimal(self) -> bool:
-        """True iff at least one height-optimal plan was produced."""
-        return self.min_height is not None and self.min_height == self.optimal_height
 
 
 def analyze_plan_space(

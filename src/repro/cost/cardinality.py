@@ -249,16 +249,3 @@ class CardinalityEstimator:
         card = max(card, 0.0)
         self._subset_cache[patterns] = card
         return card
-
-    def variable_distinct(
-        self, patterns: frozenset[TriplePattern], var: str
-    ) -> float:
-        """Estimated distinct values of *var* in the join of *patterns*."""
-        values = [
-            self.pattern_distinct(tp, var)
-            for tp in patterns
-            if var in tp.variables()
-        ]
-        if not values:
-            raise ValueError(f"{var} does not occur in the pattern set")
-        return max(min(min(values), self.subset_cardinality(patterns)), 1.0)

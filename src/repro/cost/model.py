@@ -23,7 +23,7 @@ response time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.logical import Join, LogicalOperator, LogicalPlan, Match, Project, Select
 from repro.cost.cardinality import CardinalityEstimator
@@ -38,12 +38,11 @@ def is_first_level_join(op: Join) -> bool:
 
 @dataclass
 class CostBreakdown:
-    """Total work plus its components, for reporting and ablations."""
+    """Total work of one operator, by component."""
 
     io: float = 0.0
     cpu: float = 0.0
     net: float = 0.0
-    details: list[tuple[str, float]] = field(default_factory=list)
 
     @property
     def total(self) -> float:
@@ -122,19 +121,13 @@ class PlanCoster:
         if isinstance(op, Match):
             scanned = self.estimator.scan_cardinality(op.pattern)
             bd.io += scanned * p.c_read  # c(MS)
-            bd.details.append(("MS", scanned * p.c_read))
             if _needs_filter(op.pattern):
-                checks = scanned * p.c_check  # c(F)
-                bd.cpu += checks
-                bd.details.append(("F", checks))
+                bd.cpu += scanned * p.c_check  # c(F)
             return bd
         if isinstance(op, Join):
             if is_first_level_join(op):
-                cpu = self._join_cpu(op, output, memo)  # c(MJ)
-                io = output * p.c_write
-                bd.cpu += cpu
-                bd.io += io
-                bd.details.append(("MJ", cpu + io))
+                bd.cpu += self._join_cpu(op, output, memo)  # c(MJ)
+                bd.io += output * p.c_write
                 return bd
             # Reduce join: shufflers for non-match inputs that are
             # themselves reduce-side results (their output sits in HDFS),
@@ -142,49 +135,26 @@ class PlanCoster:
             for child in op.inputs:
                 card = self.output_cardinality(child, memo)
                 if isinstance(child, Join) and not is_first_level_join(child):
-                    mf = card * (p.c_read + p.c_write)  # c(MF)
-                    bd.io += mf
-                    bd.details.append(("MF", mf))
+                    bd.io += card * (p.c_read + p.c_write)  # c(MF)
                 bd.net += card * p.c_shuffle
-            cpu = self._join_cpu(op, output, memo)
-            io = output * p.c_write
-            bd.cpu += cpu
-            bd.io += io
-            bd.details.append(("RJ", cpu + io))
+            bd.cpu += self._join_cpu(op, output, memo)
+            bd.io += output * p.c_write
             return bd
         if isinstance(op, Select):
-            checks = self.output_cardinality(op.child, memo) * p.c_check
-            bd.cpu += checks
-            bd.details.append(("F", checks))
+            bd.cpu += self.output_cardinality(op.child, memo) * p.c_check
             return bd
         if isinstance(op, Project):
-            checks = output * p.c_check
-            bd.cpu += checks
-            bd.details.append(("pi", checks))
+            bd.cpu += output * p.c_check
             return bd
         raise TypeError(f"unknown operator {type(op)!r}")
 
     # -- plan costs ---------------------------------------------------------
 
-    def cost_breakdown(
-        self, plan: LogicalPlan | LogicalOperator, memo: CostMemo | None = None
-    ) -> CostBreakdown:
-        """Total work tw(p): sum over the distinct operators of the DAG."""
-        root = plan.root if isinstance(plan, LogicalPlan) else plan
-        total = CostBreakdown()
-        for op in root.iter_operators():
-            bd = self.operator_cost(op, memo)
-            total.io += bd.io
-            total.cpu += bd.cpu
-            total.net += bd.net
-            total.details.extend(bd.details)
-        return total
-
     def cost(
         self, plan: LogicalPlan | LogicalOperator, memo: CostMemo | None = None
     ) -> float:
-        """c(p) = tw(p): ``cost_breakdown(plan, memo).total`` without the
-        details."""
+        """c(p) = tw(p): the :meth:`operator_cost` totals summed over the
+        distinct operators of the DAG."""
         root = plan.root if isinstance(plan, LogicalPlan) else plan
         io = cpu = net = 0.0
         for op in root.iter_operators():

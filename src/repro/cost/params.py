@@ -9,7 +9,7 @@ ordering of a commodity Hadoop cluster and can be swept for ablations
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,6 @@ class CostParams:
     #: MapReduce jobs"); used by the execution simulator, not by the
     #: §5.4 total-work formula.
     job_overhead: float = 0.0
-
-    def scaled(self, **kwargs: float) -> "CostParams":
-        """A copy with some constants replaced (ablation helper)."""
-        return replace(self, **kwargs)
 
 
 #: Defaults used by the optimizer's plan selection.

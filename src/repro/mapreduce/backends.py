@@ -420,7 +420,6 @@ class ProcessBackend(ExecutionBackend):
         num_workers: int | None = None,
         *,
         fallback: bool = True,
-        mp_context: str | None = None,
     ) -> None:
         if num_workers is None:
             num_workers = default_process_workers()
@@ -428,7 +427,6 @@ class ProcessBackend(ExecutionBackend):
             raise ValueError(f"ProcessBackend needs >= 1 worker, got {num_workers}")
         self.num_workers = num_workers
         self.fallback = fallback
-        self._mp_context = mp_context
         #: guards pool creation/swap/demotion (run() may be called from
         #: many service threads at once; submissions themselves are
         #: thread-safe on the pool)
@@ -444,8 +442,6 @@ class ProcessBackend(ExecutionBackend):
     # -- pool management ---------------------------------------------------
 
     def _context(self):
-        if self._mp_context is not None:
-            return multiprocessing.get_context(self._mp_context)
         # fork is dramatically cheaper where available: workers inherit
         # the store snapshot instead of unpickling it.
         methods = multiprocessing.get_all_start_methods()
@@ -453,14 +449,6 @@ class ProcessBackend(ExecutionBackend):
 
     def _store_token(self, ctx: TaskContext) -> object:
         return store_token(ctx.store, ctx.num_nodes)
-
-    @property
-    def pool_token(self) -> object:
-        """Snapshot token the live worker pool was built against (None
-        when no pool is up) — observability for the mutation protocol:
-        after a sync to a changed snapshot, this token changes."""
-        with self._lock:
-            return self._pool_token if self._pool is not None else None
 
     def _create_pool(self, ctx: TaskContext) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(

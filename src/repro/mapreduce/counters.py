@@ -33,13 +33,6 @@ class TaskMetrics:
             + self.join_tuples * params.c_join
         )
 
-    def merge(self, other: "TaskMetrics") -> None:
-        self.tuples_read += other.tuples_read
-        self.tuples_written += other.tuples_written
-        self.tuples_shuffled += other.tuples_shuffled
-        self.checks += other.checks
-        self.join_tuples += other.join_tuples
-
 
 @dataclass
 class JobMetrics:

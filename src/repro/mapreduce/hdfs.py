@@ -70,12 +70,6 @@ class DistributedRelation:
         """Every chunk of every partition, in node order."""
         return [c for part in self.partitions for c in chunks_of(part)]
 
-    def all_rows(self) -> list[Row]:
-        out: list[Row] = []
-        for part in self.partitions:
-            out.extend(part)
-        return out
-
 
 @dataclass
 class HDFS:
@@ -97,16 +91,3 @@ class HDFS:
 
     def exists(self, name: str) -> bool:
         return name in self.files
-
-    def write_partitioned(
-        self,
-        name: str,
-        attrs: tuple[str, ...],
-        rows_per_node: Iterable[tuple[int, list[Row]]],
-    ) -> DistributedRelation:
-        """Create a file from (node, rows) pairs."""
-        relation = DistributedRelation.empty(attrs, self.num_nodes)
-        for node, rows in rows_per_node:
-            relation.partitions[node].extend(rows)
-        self.write(name, relation)
-        return relation

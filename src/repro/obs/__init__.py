@@ -29,7 +29,6 @@ from repro.obs.trace import (
     TraceSink,
     activate,
     attach_worker_spans,
-    current_ref,
     record_remote,
     resolve,
     span,
@@ -49,7 +48,6 @@ __all__ = [
     "TraceSink",
     "activate",
     "attach_worker_spans",
-    "current_ref",
     "record_remote",
     "resolve",
     "span",

@@ -4,8 +4,8 @@ One :class:`MetricsRegistry` per service owns every metric family; a
 family fans out into children keyed by a label tuple (``family.labels
 (shard="0")``).  A histogram's running ``count`` and ``sum`` are exact
 over the whole series; its bucket counts feed the exposition, and a
-bounded reservoir of the last :data:`RESERVOIR` samples feeds
-:meth:`Histogram.quantile` (exact nearest-rank over that window).
+bounded reservoir of the last :data:`RESERVOIR` samples feeds the
+quantiles (:func:`nearest_rank` over :meth:`Histogram.window`).
 Writers that update several series a reader must see together hold
 :attr:`MetricsRegistry.update_lock`, and so does that reader.
 
@@ -183,11 +183,6 @@ class Histogram(_Child):
     def sum(self) -> float:
         with self._metric_lock:
             return self._sum
-
-    def quantile(self, q: float) -> float:
-        """Exact nearest-rank quantile over the reservoir; 0.0 on an
-        empty series."""
-        return nearest_rank(sorted(self.window()[2]), q)
 
 
 class _Family:

@@ -333,11 +333,6 @@ class SpanRef:
 _ACTIVE: ContextVar[SpanRef | None] = ContextVar("repro_obs_span", default=None)
 
 
-def current_ref() -> SpanRef | None:
-    """The active span ref in this context, or None when tracing is off."""
-    return _ACTIVE.get()
-
-
 def trace_ctx() -> tuple[str, int] | None:
     """Picklable (trace_id, span_id) for RPC frames; None when off."""
     ref = _ACTIVE.get()
@@ -614,7 +609,6 @@ __all__ = [
     "WorkerSpanRecord",
     "activate",
     "attach_worker_spans",
-    "current_ref",
     "record_remote",
     "resolve",
     "span",

@@ -286,21 +286,9 @@ class PartitionedStore:
         """The node holding *value*'s co-location group (any placement)."""
         return place(value, self.num_nodes)
 
-    # -- invariants (used by tests) ------------------------------------------
-
     def total_stored(self) -> int:
         """Total stored triples across nodes and files (3x the dataset)."""
         return sum(len(ts) for node in self.files for ts in node.values())
-
-    def replica_triples(self, placement: str) -> set[Triple]:
-        """The dataset as reconstructed from one replica."""
-        out: set[Triple] = set()
-        prefix = placement + "|"
-        for node in self.files:
-            for name, triples in node.items():
-                if name.startswith(prefix):
-                    out.update(triples)
-        return out
 
 
 def partition_graph(

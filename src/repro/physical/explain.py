@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.core.logical import LogicalPlan
 from repro.core.properties import height
 from repro.physical.job_compiler import CompiledPlan, compile_plan
-from repro.physical.operators import PhysicalOperator, ReduceJoin
+from repro.physical.operators import PhysicalOperator
 from repro.physical.translate import PhysicalPlan, translate
 
 
@@ -168,23 +168,9 @@ def explain(
     return "\n".join(parts)
 
 
-def job_summary(plan: LogicalPlan) -> dict[str, object]:
-    """Machine-readable summary used by tools and tests."""
-    physical = translate(plan)
-    compiled = compile_plan(physical)
-    return {
-        "height": height(plan),
-        "num_jobs": compiled.num_jobs,
-        "signature": compiled.job_signature(),
-        "reduce_joins": len(physical.reduce_joins),
-        "map_only": all(j.map_only for j in compiled.jobs),
-    }
-
-
 __all__ = [
     "explain",
     "render_physical",
     "render_jobs",
     "render_shard_distribution",
-    "job_summary",
 ]

@@ -90,13 +90,10 @@ class Dictionary:
         """Return the id for *term* or None if it has never been encoded."""
         return self._term_to_id.get(term)
 
-    def id_of(self, term: str) -> int:
-        """The id of a term already numbered; ``KeyError`` otherwise
-        (unlike :meth:`encode`, never assigns one)."""
-        return self._term_to_id[term]
-
     def ids_of(self, terms: Sequence[str]) -> list[int]:
-        """Bulk form of :meth:`id_of` (one column, order preserved)."""
+        """The ids of terms already numbered (one column, order
+        preserved); ``KeyError`` otherwise (unlike :meth:`encode`, never
+        assigns one)."""
         return list(map(self._term_to_id.__getitem__, terms))
 
     def decode(self, ident: int) -> str:
@@ -108,14 +105,6 @@ class Dictionary:
         if 0 <= ident < len(self._id_to_term):
             return self._id_to_term[ident]
         raise KeyError(ident)
-
-    def decode_many(self, idents: Sequence[int]) -> list[str]:
-        """Decode a sequence of ids (one column), preserving order.
-
-        Bulk form of :meth:`decode`, through :meth:`decode_column`;
-        unknown ids raise ``KeyError`` just the same.
-        """
-        return self.decode_column(idents)
 
     def decode_column(self, ids) -> list[str]:
         """Decode one column of ids (an int64 array or any int

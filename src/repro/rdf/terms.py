@@ -79,33 +79,6 @@ def kind_of(term: str) -> TermKind:
     return TermKind.IRI
 
 
-def variable_name(term: str) -> str:
-    """Strip the leading ``?`` from a variable term.
-
-    Raises ``ValueError`` if *term* is not a variable.
-    """
-    if not is_variable(term):
-        raise ValueError(f"not a variable: {term!r}")
-    return term[1:]
-
-
-def literal_value(term: str) -> str:
-    """Return the lexical value of a literal term (without quotes)."""
-    if not is_literal(term):
-        raise ValueError(f"not a literal: {term!r}")
-    return term.strip('"')
-
-
-def make_literal(value: str) -> str:
-    """Wrap a raw string into literal syntax."""
-    return f'"{value}"'
-
-
-def make_variable(name: str) -> str:
-    """Wrap a raw name into variable syntax (idempotent)."""
-    return name if name.startswith("?") else f"?{name}"
-
-
 #: The IRI used for ``rdf:type`` throughout the code base.  LUBM data and
 #: queries use the prefixed form; the partitioner special-cases it (§5.1).
 RDF_TYPE = "rdf:type"

@@ -9,7 +9,7 @@ of solution mappings restricted to its schema.  All physical operators
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 Row = tuple
 
@@ -55,15 +55,6 @@ class Relation:
                 out.append(key)
         return Relation(tuple(attrs), out)
 
-    def select(self, predicate: Callable[[dict[str, object]], bool]) -> "Relation":
-        """Filter rows by a predicate over attribute->value dicts."""
-        out = [
-            row
-            for row in self.rows
-            if predicate(dict(zip(self.attrs, row)))
-        ]
-        return Relation(self.attrs, out)
-
     def distinct(self) -> "Relation":
         """Remove duplicate rows, preserving first-seen order."""
         seen: set[Row] = set()
@@ -74,18 +65,6 @@ class Relation:
                 out.append(row)
         return Relation(self.attrs, out)
 
-    def as_dicts(self) -> list[dict[str, object]]:
-        """Rows as attribute->value dictionaries (testing convenience)."""
-        return [dict(zip(self.attrs, row)) for row in self.rows]
-
     def to_set(self) -> set[Row]:
         """Rows as a set (order-insensitive comparison)."""
         return set(self.rows)
-
-    @classmethod
-    def from_dicts(
-        cls, attrs: Sequence[str], dicts: Iterable[dict[str, object]]
-    ) -> "Relation":
-        """Build a relation from attribute->value dictionaries."""
-        attrs = tuple(attrs)
-        return cls(attrs, [tuple(d[a] for a in attrs) for d in dicts])

@@ -199,11 +199,6 @@ class StatsSnapshot:
     result_patches: int = 0
 
     @property
-    def plan_hit_rate(self) -> float:
-        seen = self.plan_hits + self.plan_misses
-        return self.plan_hits / seen if seen else 0.0
-
-    @property
     def result_hit_rate(self) -> float:
         seen = self.result_hits + self.result_misses
         return self.result_hits / seen if seen else 0.0

@@ -7,22 +7,15 @@ from repro.sparql.canonical import (
     canonicalize,
     structure_signature,
 )
-from repro.sparql.parser import (
-    SPARQLSyntaxError,
-    SparqlSyntaxError,
-    parse_query,
-    tokenize,
-)
+from repro.sparql.parser import SparqlSyntaxError, parse_query
 
 __all__ = [
     "BGPQuery",
     "CanonicalQuery",
     "CanonicalizationBudgetExceeded",
-    "SPARQLSyntaxError",
     "SparqlSyntaxError",
     "TriplePattern",
     "canonicalize",
     "parse_query",
     "structure_signature",
-    "tokenize",
 ]

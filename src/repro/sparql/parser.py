@@ -59,10 +59,6 @@ class SparqlSyntaxError(ValueError):
         super().__init__(message)
 
 
-#: Historical spelling, kept as an alias for existing callers.
-SPARQLSyntaxError = SparqlSyntaxError
-
-
 _TOKEN = re.compile(
     r"""
     (?P<iri>\<[^>]*\>)
@@ -102,11 +98,6 @@ def lex(text: str) -> list[Token]:
             Token(text=match.group(0), line=line, column=match.start() - line_start + 1)
         )
     return tokens
-
-
-def tokenize(text: str) -> list[str]:
-    """Split a query string into tokens (IRIs, literals, punctuation, words)."""
-    return [token.text for token in lex(text)]
 
 
 def _end_position(text: str) -> tuple[int, int]:

@@ -1,11 +1,9 @@
-"""Common system interface for the Fig. 21 comparison."""
+"""The report every system of the Fig. 21 comparison returns."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Protocol
-
-from repro.sparql.ast import BGPQuery
+from typing import AbstractSet
 
 
 @dataclass
@@ -25,11 +23,3 @@ class SystemReport:
     def cardinality(self) -> int:
         return len(self.answers)
 
-
-class QuerySystem(Protocol):
-    """A distributed RDF query engine under comparison."""
-
-    name: str
-
-    def run(self, query: BGPQuery) -> SystemReport:  # pragma: no cover
-        ...

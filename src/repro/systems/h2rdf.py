@@ -70,16 +70,13 @@ class H2RDFPlus:
         graph: RDFGraph,
         num_nodes: int = 7,
         params: CostParams = H2RDF_PARAMS,
-        index_cost_factor: float = INDEX_COST_FACTOR,
         centralized_threshold: int = CENTRALIZED_THRESHOLD,
-        mr_parallelism: int = MR_PARALLELISM,
     ) -> None:
         self.graph = graph
         self.num_nodes = max(num_nodes, 1)
         self.params = params
-        self.index_cost_factor = index_cost_factor
         self.centralized_threshold = centralized_threshold
-        self.mr_parallelism = max(1, min(mr_parallelism, self.num_nodes))
+        self.mr_parallelism = max(1, min(MR_PARALLELISM, self.num_nodes))
 
     # -- index access ------------------------------------------------------
 
@@ -103,7 +100,7 @@ class H2RDFPlus:
 
     def run(self, query: BGPQuery) -> SystemReport:
         p = self.params
-        read_unit = p.c_read * self.index_cost_factor
+        read_unit = p.c_read * INDEX_COST_FACTOR
         remaining = list(query.patterns)
         # Greedy: most selective pattern first.
         remaining.sort(key=self._match_count)

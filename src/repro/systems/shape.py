@@ -44,24 +44,6 @@ SHAPE_PARAMS = CostParams(job_overhead=400.0)
 LOCAL_COST_FACTOR = 0.35
 
 
-def pwoc_anchor_2f(patterns: tuple[TriplePattern, ...]) -> str | None:
-    """An anchor term making the pattern set PWOC under 2f, or None."""
-    candidates = {tp.s for tp in patterns}
-    for anchor in sorted(candidates):
-        reachable = {anchor}
-        for tp in patterns:
-            if tp.s == anchor:
-                reachable.add(tp.o)
-        if all(tp.s in reachable for tp in patterns):
-            return anchor
-    return None
-
-
-def is_pwoc_2f(query: BGPQuery) -> bool:
-    """True iff the whole query is PWOC under 2-hop forward partitioning."""
-    return pwoc_anchor_2f(query.patterns) is not None
-
-
 def decompose_2f(query: BGPQuery) -> list[tuple[TriplePattern, ...]]:
     """Greedy decomposition into maximal PWOC fragments.
 

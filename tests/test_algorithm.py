@@ -18,7 +18,6 @@ from repro.core.decomposition import (
     SC_PLUS,
     XC,
     XC_PLUS,
-    decompositions,
     structure_key,
 )
 from repro.core.logical import Match
@@ -29,6 +28,7 @@ from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
 from repro.workloads.synthetic import chain_query, star_query
 from tests.conftest import random_connected_query
+from tests.oracles import decompositions
 
 
 class TestBasics:

@@ -18,7 +18,8 @@ def _lint_fixture(name: str):
     # The synthetic /fixtures path keeps FRAME001's cross-file registry
     # check (which resolves the repo root from the lint path) out of the
     # fixture runs — fixtures exercise one rule each, hermetically.  A
-    # directory fixture is a small repo, for the census (REACH001).
+    # directory fixture is a small repo, for the census (REACH001,
+    # REACH002).
     path = FIXTURES / name
     if path.is_dir():
         return lint_paths([path / "src"])
@@ -32,6 +33,7 @@ FAIL_CASES = [
     ("frame001_fail.py", "FRAME001"),
     ("lint000_fail.py", "LINT000"),
     ("reach001_fail", "REACH001"),
+    ("reach002_fail", "REACH002"),
 ]
 
 PASS_CASES = [
@@ -41,6 +43,7 @@ PASS_CASES = [
     "spec001_pass.py",
     "frame001_pass.py",
     "reach001_pass",
+    "reach002_pass",
 ]
 
 
@@ -87,6 +90,19 @@ def test_reach001_names_the_module_only_tests_reach():
     (finding,) = _lint_fixture("reach001_fail")
     assert finding.rule == "REACH001" and "pkg.orphan " in finding.message
     assert finding.path.endswith("orphan.py")
+
+
+def test_reach002_names_each_def_only_tests_use():
+    """A function and a method only a test calls, and a function only
+    its own body calls, each by ``module.qualname``."""
+    findings = _lint_fixture("reach002_fail")
+    assert {f.rule for f in findings} == {"REACH002"}
+    assert sorted(f.message.split()[0] for f in findings) == [
+        "pkg.api.Engine.tune",
+        "pkg.api.countdown",
+        "pkg.api.only_tested",
+    ]
+    assert all(f.path.endswith("api.py") for f in findings)
 
 
 def test_src_tree_lints_clean():

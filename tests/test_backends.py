@@ -346,21 +346,27 @@ class TestGuardsAndFallback:
         """The observable half of snapshot-token revalidation: the pool
         token follows the snapshot the pool was primed against (the RPC
         shard servers expose the same token through worker Stats)."""
+
+        def pool_token(backend):
+            # The token the live pool was built against; None with no pool.
+            with backend._lock:
+                return backend._pool_token if backend._pool is not None else None
+
         graph = make_university_graph()
         store = partition_graph(graph, 4)
         backend = ProcessBackend(1, fallback=False)
         try:
-            assert backend.pool_token is None
+            assert pool_token(backend) is None
             backend.prime(TaskContext(num_nodes=4, store=store.snapshot()))
-            first = backend.pool_token
+            first = pool_token(backend)
             assert first == store.snapshot().token
             store.add(("<tok-s>", "<tok-p>", "<tok-o>"))
             backend.prime(TaskContext(num_nodes=4, store=store.snapshot()))
-            assert backend.pool_token == store.snapshot().token
-            assert backend.pool_token != first
+            assert pool_token(backend) == store.snapshot().token
+            assert pool_token(backend) != first
         finally:
             backend.close()
-        assert backend.pool_token is None
+        assert pool_token(backend) is None
 
 
 class TestExplainSurface:
@@ -418,7 +424,7 @@ class TestOrderingStability:
             )
         finally:
             backend.close()
-        received = list(ctx.hdfs.read("order").all_rows())
+        received = [row for part in ctx.hdfs.read("order").partitions for row in part]
         assert received == [(n * 10 + i,) for n in range(6) for i in range(3)]
 
 

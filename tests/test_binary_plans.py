@@ -1,22 +1,22 @@
-"""Tests for binary plan spaces and DP best plans (repro.core.binary)."""
+"""Tests for binary plan spaces and DP best plans (repro.core.binary),
+against the exhaustive enumerations of tests/oracles.py."""
 
 import random
 
 import pytest
 
-from repro.core.binary import (
-    best_bushy_plan,
-    best_linear_plan,
-    connected_subsets,
-    count_bushy_plans,
-    iter_bushy_plans,
-    iter_linear_plans,
-)
+from repro.core.binary import best_bushy_plan, best_linear_plan, connected_subsets
 from repro.core.logical import Join
-from repro.core.properties import height, is_binary
+from repro.core.properties import height
 from repro.sparql.parser import parse_query
 from repro.workloads.synthetic import chain_query, star_query
 from tests.conftest import random_connected_query
+from tests.oracles import (
+    count_bushy_plans,
+    is_binary,
+    iter_bushy_plans,
+    iter_linear_plans,
+)
 
 
 def trivial_coster(op) -> float:

@@ -11,19 +11,18 @@ from itertools import combinations, islice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.complexity import max_maximal_cliques, max_partial_cliques
 from repro.core.decomposition import (
     MSC,
     MSC_PLUS,
     SC_PLUS,
     CliquePool,
-    decompositions,
     structure_key,
 )
 from repro.core.variable_graph import VariableGraph
 from repro.sparql.parser import parse_query
 from repro.workloads.synthetic import chain_query, star_query
 from tests.conftest import random_connected_query
+from tests.oracles import decompositions, max_maximal_cliques, max_partial_cliques
 
 
 def structure(graph: VariableGraph) -> tuple[int, frozenset[int]]:

@@ -51,6 +51,7 @@ from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
 from tests.conformance import shard_client
 from tests.conftest import make_university_graph
+from tests.oracles import replica_triples
 
 NUM_NODES = 7
 
@@ -95,7 +96,7 @@ class TestShardedStore:
         sharded = shard_graph(university, NUM_NODES, 4)
         dataset = set(university)
         for placement in PLACEMENTS:
-            assert sharded.replica_triples(placement) == dataset
+            assert replica_triples(sharded, placement) == dataset
 
     def test_triples_per_shard_sums_to_total(self, university):
         sharded = shard_graph(university, NUM_NODES, 4)
@@ -128,7 +129,7 @@ class TestShardSnapshots:
         before = sharded.snapshot()
         triple = ("<tok-subj>", "<tok-prop>", "<tok-obj>")
         touched = {
-            sharded.shard_of_value(value) for value in triple
+            sharded.shard_of_node(sharded.node_of(value)) for value in triple
         }
         sharded.add(triple)
         after = sharded.snapshot()
@@ -148,7 +149,7 @@ class TestShardSnapshots:
         before = sharded.snapshot()
         assert sharded.snapshot() is before
         triple = ("<view-subj>", "<view-prop>", "<view-obj>")
-        touched = {sharded.shard_of_value(value) for value in triple}
+        touched = {sharded.shard_of_node(sharded.node_of(value)) for value in triple}
         sharded.add(triple)
         written = sharded.snapshot()
         for shard in range(4):

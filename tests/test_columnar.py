@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.columnar.block import ColumnBlock, pack_codes, to_blocks, to_rows
+from repro.columnar.block import ColumnBlock, make_column, pack_codes, to_blocks, to_rows
 from repro.columnar.engine import MAX_CACHED_SCANS, ColumnarState
 from repro.columnar.kernels import (
     HashMemo,
@@ -330,7 +330,19 @@ def random_id_relation(rng, attrs, offset, n, domain=4):
 
 
 def id_block(relation):
-    return ColumnBlock.from_id_rows(relation.attrs, relation.rows)
+    return block_of_ids(relation.attrs, relation.rows)
+
+
+def block_of_ids(attrs, rows):
+    """A block from row-major id tuples (inverse of :func:`id_rows`)."""
+    if not rows:
+        return ColumnBlock.empty(attrs)
+    return ColumnBlock(tuple(attrs), tuple(make_column(col) for col in zip(*rows)))
+
+
+def id_rows(block):
+    """A block's rows as tuples of ids (row-major view of its columns)."""
+    return list(zip(*block.columns)) if block.columns else [()] * block.count
 
 
 def key_sorted(relation, on):
@@ -427,7 +439,7 @@ def test_star_join_id_equivalence_randomized(offset, monkeypatch):
         expected = star_join(inputs, on=on)
         got = star_join_blocks([id_block(r) for r in inputs], on=on)
         assert got.attrs == expected.attrs
-        assert sorted(got.id_rows()) == sorted(expected.rows)
+        assert sorted(id_rows(got)) == sorted(expected.rows)
         nonempty_outputs += bool(expected.rows)
     assert nonempty_outputs > 20  # the sweep is not vacuous
     for path in ("sorted", "unsorted", "lookup-all-hit", "lookup-partial"):
@@ -454,7 +466,7 @@ def test_project_block_id_equivalence_randomized(offset):
             got = project_block(block, onto)
             assert got.attrs == onto
             # first-seen order, not just the same set
-            assert got.id_rows() == list(relation.project(onto).rows)
+            assert id_rows(got) == list(relation.project(onto).rows)
 
 
 def test_shuffle_partitions_randomized_and_memo_growth():
@@ -728,7 +740,7 @@ def test_a_chunk_never_pickles_its_dictionary():
     assert clone.results[1][0] == rows
     # a bare kernel block (no dictionary) still round-trips as a block
     bare = pickle.loads(pickle.dumps(ColumnBlock(block.attrs, block.columns)))
-    assert bare.id_rows() == block.id_rows()
+    assert id_rows(bare) == id_rows(block)
 
 
 LUBM_UNIVERSITIES = 4
@@ -1056,7 +1068,7 @@ def test_task_groups_equal_single_tasks(lubm_graph):
 
 def group_rows(block, task):
     """A group block's id rows of one task, without the group column."""
-    return sorted(row[1:] for row in block.id_rows() if row[0] == task)
+    return sorted(row[1:] for row in id_rows(block) if row[0] == task)
 
 
 @pytest.mark.parametrize("offset", ID_OFFSETS)
@@ -1077,7 +1089,7 @@ def test_group_keyed_kernels_equal_per_task_kernels(offset):
             for _ in range(tasks)
         ]
         grouped = [
-            ColumnBlock.from_id_rows(
+            block_of_ids(
                 (GROUP,) + attrs,
                 [(t,) + row for t in range(tasks) for row in per_task[t][i].rows],
             )

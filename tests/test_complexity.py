@@ -14,15 +14,17 @@ from repro.core.complexity import (
     d_xc,
     d_xc_plus,
     decomposition_bound,
-    fig8_table,
+    stirling2,
+)
+from repro.core.decomposition import ALL_OPTIONS
+from repro.core.variable_graph import VariableGraph
+from repro.workloads.synthetic import chain_query, star_query
+from tests.oracles import (
+    decompositions,
     max_maximal_cliques,
     max_partial_cliques,
     reduction_bound,
-    stirling2,
 )
-from repro.core.decomposition import ALL_OPTIONS, decompositions
-from repro.core.variable_graph import VariableGraph
-from repro.workloads.synthetic import chain_query, star_query
 
 
 class TestStirling:
@@ -84,7 +86,7 @@ class TestBoundFormulas:
             decomposition_bound("ZZZ", 4)
 
     def test_fig8_table_has_all_options(self):
-        table = fig8_table(6)
+        table = {name: decomposition_bound(name, 6) for name in DECOMPOSITION_BOUNDS}
         assert set(table) == {o.name for o in ALL_OPTIONS}
         assert all(v > 0 for v in table.values())
 

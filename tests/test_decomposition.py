@@ -13,12 +13,12 @@ from repro.core.decomposition import (
     SC_PLUS,
     XC,
     XC_PLUS,
-    decompositions,
 )
 from repro.core.variable_graph import VariableGraph
 from repro.sparql.parser import parse_query
 from repro.workloads.synthetic import chain_query, star_query
 from tests.conftest import FIG10
+from tests.oracles import decompositions
 
 
 def all_decompositions(graph, option):

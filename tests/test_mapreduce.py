@@ -40,11 +40,6 @@ class TestTaskMetrics:
         )
         assert m.time(p) == 1 + 2 + 3 + 4 + 5
 
-    def test_merge(self):
-        a = metrics(tuples_read=2)
-        a.merge(metrics(tuples_read=3, checks=1))
-        assert a.tuples_read == 5 and a.checks == 1
-
 
 class TestStableHash:
     def test_deterministic(self):
@@ -65,7 +60,7 @@ class TestHDFS:
         fs.write("f", rel)
         assert fs.read("f") is rel
         assert len(rel) == 2
-        assert set(rel.all_rows()) == {(1,), (2,)}
+        assert {row for part in rel.partitions for row in part} == {(1,), (2,)}
 
     def test_duplicate_write_rejected(self):
         fs = HDFS(num_nodes=1)
@@ -76,11 +71,6 @@ class TestHDFS:
     def test_missing_read(self):
         with pytest.raises(FileNotFoundError):
             HDFS(num_nodes=1).read("nope")
-
-    def test_write_partitioned(self):
-        fs = HDFS(num_nodes=2)
-        rel = fs.write_partitioned("f", ("?a",), [(0, [(1,)]), (1, [(2,), (3,)])])
-        assert rel.partitions[1] == [(2,), (3,)]
 
 
 class TestJobGraph:
@@ -170,7 +160,8 @@ class TestEngine:
         maps = [_Emit(node=node, words=words) for node, words in enumerate(docs)]
         wc = job("wc", *maps, reduce_spec=_WordCount(), num_reducers=3)
         report, hdfs = run([wc], num_nodes=3)
-        assert dict(hdfs.read("wc").all_rows()) == {"a": 3, "b": 1, "c": 1}
+        counts = dict(row for part in hdfs.read("wc").partitions for row in part)
+        assert counts == {"a": 3, "b": 1, "c": 1}
         assert report.num_jobs == 1
         assert not report.jobs[0].map_only
         assert report.jobs[0].tuples_shuffled == 5

@@ -25,7 +25,6 @@ from repro.obs.trace import (
     TraceSink,
     activate,
     attach_worker_spans,
-    current_ref,
     record_remote,
     span,
     trace_ctx,
@@ -85,8 +84,7 @@ class TestTraceCore:
         assert "outer" in trace.render()
 
     def test_span_is_noop_without_an_active_trace(self):
-        assert current_ref() is None
-        assert trace_ctx() is None
+        assert trace_ctx() is None  # no active span
         with span("ignored") as s:
             s.set(k=1)  # must not raise on the shared no-op span
 

@@ -182,7 +182,7 @@ class TestJobCompilation:
 
 class TestExplain:
     def test_explain_layers(self):
-        from repro.physical.explain import explain, job_summary
+        from repro.physical.explain import explain
 
         plan = cliquesquare(
             parse_query(
@@ -195,17 +195,14 @@ class TestExplain:
         assert "== logical plan" in text
         assert "== physical plan ==" in text
         assert "== MapReduce jobs" in text
-        summary = job_summary(plan)
-        assert summary["num_jobs"] >= 1
-        assert summary["height"] == height(plan)
+        assert compile_plan(translate(plan)).num_jobs >= 1
+        assert f"== logical plan (height {height(plan)}" in text
 
     def test_map_only_summary(self):
-        from repro.physical.explain import job_summary
-
         plan = cliquesquare(
             parse_query("SELECT ?p ?s WHERE { ?p ub:worksFor ?d . ?s ub:memberOf ?d }"),
             MSC,
         ).plans[0]
-        summary = job_summary(plan)
-        assert summary["map_only"] is True
-        assert summary["signature"] == "M"
+        compiled = compile_plan(translate(plan))
+        assert all(job.map_only for job in compiled.jobs)
+        assert compiled.job_signature() == "M"

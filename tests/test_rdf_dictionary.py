@@ -52,11 +52,11 @@ class TestDictionary:
     def test_decode_many(self):
         d = Dictionary()
         d.encode_many(["a", "b", "c"])
-        assert d.decode_many([2, 0]) == ["c", "a"]
+        assert d.decode_column([2, 0]) == ["c", "a"]
 
     def test_id_of_never_numbers_a_term(self):
         d = Dictionary(["a", "b"])
-        assert d.id_of("b") == 1 and d.ids_of(["b", "a"]) == [1, 0]
+        assert d.ids_of(["b"]) == [1] and d.ids_of(["b", "a"]) == [1, 0]
         with pytest.raises(KeyError):
             d.ids_of(["a", "c"])
         assert len(d) == 2
@@ -72,7 +72,7 @@ class TestDictionary:
         d.encode_many(terms)
         replica = pickle.loads(pickle.dumps(d))
         assert list(replica) == list(d)
-        assert [replica.id_of(t) for t in terms] == d.ids_of(terms)
+        assert replica.ids_of(terms) == d.ids_of(terms)
         assert replica.encode("new") == len(d)
 
 
@@ -107,7 +107,7 @@ class TestDecodeColumn:
         with pytest.raises(KeyError):
             d.decode_column([0, ident])
         with pytest.raises(KeyError):
-            d.decode_many([ident])
+            d.decode_column([ident])
         assert d.decode_column([2]) == ["c"]
 
     def test_a_pickled_replica_carries_no_array_and_still_decodes(self):
@@ -156,7 +156,7 @@ def test_roundtrip_property(terms):
     """encode/decode is a bijection over any term sequence."""
     d = Dictionary()
     ids = d.encode_many(terms)
-    assert d.decode_many(ids) == terms
+    assert d.decode_column(ids) == terms
     # ids are dense: exactly one per distinct term
     assert len(d) == len(set(terms))
     assert sorted(set(ids)) == list(range(len(set(terms))))

@@ -31,29 +31,6 @@ class TestClassification:
         assert not terms.is_constant("?v")
 
 
-class TestAccessors:
-    def test_variable_name(self):
-        assert terms.variable_name("?abc") == "abc"
-
-    def test_variable_name_rejects_non_variable(self):
-        with pytest.raises(ValueError):
-            terms.variable_name("abc")
-
-    def test_literal_value(self):
-        assert terms.literal_value('"C1"') == "C1"
-
-    def test_literal_value_rejects_non_literal(self):
-        with pytest.raises(ValueError):
-            terms.literal_value("C1")
-
-    def test_make_literal_roundtrip(self):
-        assert terms.literal_value(terms.make_literal("hello")) == "hello"
-
-    def test_make_variable_idempotent(self):
-        assert terms.make_variable("x") == "?x"
-        assert terms.make_variable("?x") == "?x"
-
-
 class TestValidateTriple:
     def test_valid_triple(self):
         terms.validate_triple("<s>", "<p>", '"o"')

@@ -139,7 +139,7 @@ def assert_blocks_distinct(service: QueryService) -> None:
     distinct id rows: a patch appends only rows the answer lacked."""
     for entry in service.result_cache._data.values():
         assert len(entry.block) == len(entry.rows)
-        assert len(set(entry.block.id_rows())) == len(entry.rows)
+        assert len(set(zip(*entry.block.columns))) == len(entry.rows)
 
 
 def assert_views_carried(service: QueryService) -> None:

@@ -18,6 +18,7 @@ import gc
 import itertools
 import multiprocessing
 import pickle
+import signal
 import threading
 import time
 import weakref
@@ -551,6 +552,23 @@ class TestFaultInjection:
             service.close()
         assert multiprocessing.active_children() == []
 
+    def test_killing_close_kills_a_live_worker_first(self, university):
+        """``close(kill=True)`` on a live worker SIGKILLs it before it
+        waits for anything: it never sends a Shutdown the worker could
+        answer, so a terminate after the joins would come too late."""
+        service = rpc_service(make_university_graph())
+        try:
+            service.submit(STAR_QUERY)
+            client = shard_client(service.executor.router, 0)
+            process = client.process
+            assert process.is_alive()
+            client.close(kill=True)
+            assert process.exitcode == -signal.SIGKILL
+            assert client.process is None and client.conn is None
+        finally:
+            service.close()
+        assert multiprocessing.active_children() == []
+
     def test_spawn_failure_at_init_is_typed(self, university, monkeypatch):
         monkeypatch.setattr(
             ShardWorkerClient, "start", _start_bomb
@@ -924,9 +942,8 @@ class TestMutationUnderRpc:
             router = service.executor.router
             before = {s.shard: s for s in worker_stats(router)}
             triple = ("<mut-subj>", "<mut-prop>", "<mut-obj>")
-            touched = {
-                service.store.shard_of_value(value) for value in triple
-            }
+            store = service.store
+            touched = {store.shard_of_node(store.node_of(value)) for value in triple}
             assert touched and touched != set(range(4)), (
                 "pick a triple that leaves at least one shard untouched"
             )

@@ -43,7 +43,7 @@ from repro.cluster.worker import (
     WORKER_HANDLED,
     _WorkerState,
 )
-from repro.columnar.block import ColumnBlock, chunk_rows
+from repro.columnar.block import ColumnBlock
 from repro.columnar.wire import (
     _HEADER,
     RawRows,
@@ -208,6 +208,15 @@ def _reduce_level(grouped):
     )
 
 
+def chunk_rows(chunks):
+    """The term-tuple rows of a chunk sequence, in order."""
+    return [
+        row
+        for chunk in chunks
+        for row in (chunk.to_rows() if isinstance(chunk, ColumnBlock) else chunk)
+    ]
+
+
 def _block(rows, dictionary=None, attrs=("?a", "?b")):
     return ColumnBlock.from_rows(
         attrs, rows, dictionary or _store().dictionary, mint=False
@@ -297,7 +306,7 @@ def test_codec_never_numbers_a_term():
     assert _ship(_codec(), _codec(), level) == level
     assert len(dictionary) == size
     reply = ResultsReply(results=[(_block([("<dept0>", "<univ0>")]), TaskMetrics())])
-    limit = max(dictionary.id_of("<dept0>"), dictionary.id_of("<univ0>"))
+    limit = max(dictionary.ids_of(["<dept0>", "<univ0>"]))
     with pytest.raises(ValueError, match="never numbered"):
         _codec(limit=limit).dumps(reply)
     (back, _), = _ship(_codec(limit=size), _codec(), reply).results

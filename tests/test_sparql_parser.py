@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.sparql.parser import SPARQLSyntaxError, parse_query, tokenize
+from repro.sparql.parser import SparqlSyntaxError, lex, parse_query
 
 
 class TestTokenizer:
     def test_iris_literals_words(self):
-        toks = tokenize('SELECT ?x WHERE { ?x ub:name "a b" . ?x p <http://e/x> }')
+        query = 'SELECT ?x WHERE { ?x ub:name "a b" . ?x p <http://e/x> }'
+        toks = [token.text for token in lex(query)]
         assert '"a b"' in toks
         assert "<http://e/x>" in toks
         assert "{" in toks and "}" in toks and "." in toks
@@ -53,35 +54,35 @@ class TestParser:
 
 class TestParserErrors:
     def test_must_start_with_select(self):
-        with pytest.raises(SPARQLSyntaxError):
+        with pytest.raises(SparqlSyntaxError):
             parse_query("ASK { ?x p ?y }")
 
     def test_missing_where(self):
-        with pytest.raises(SPARQLSyntaxError):
+        with pytest.raises(SparqlSyntaxError):
             parse_query("SELECT ?x { ?x p ?y }")
 
     def test_unbalanced_braces(self):
-        with pytest.raises(SPARQLSyntaxError):
+        with pytest.raises(SparqlSyntaxError):
             parse_query("SELECT ?x WHERE { ?x p ?y")
 
     def test_dangling_terms(self):
-        with pytest.raises(SPARQLSyntaxError):
+        with pytest.raises(SparqlSyntaxError):
             parse_query("SELECT ?x WHERE { ?x p ?y . ?z q }")
 
     def test_empty_body(self):
-        with pytest.raises(SPARQLSyntaxError):
+        with pytest.raises(SparqlSyntaxError):
             parse_query("SELECT ?x WHERE { }")
 
     def test_constant_in_select(self):
-        with pytest.raises(SPARQLSyntaxError):
+        with pytest.raises(SparqlSyntaxError):
             parse_query("SELECT foo WHERE { ?x p ?y }")
 
     def test_nested_groups_rejected(self):
-        with pytest.raises(SPARQLSyntaxError):
+        with pytest.raises(SparqlSyntaxError):
             parse_query("SELECT ?x WHERE { { ?x p ?y } }")
 
     def test_trailing_tokens(self):
-        with pytest.raises(SPARQLSyntaxError):
+        with pytest.raises(SparqlSyntaxError):
             parse_query("SELECT ?x WHERE { ?x p ?y } LIMIT 5")
 
 
@@ -91,11 +92,11 @@ class TestErrorDiagnostics:
     def test_alias_spelling(self):
         from repro.sparql.parser import SparqlSyntaxError
 
-        assert SparqlSyntaxError is SPARQLSyntaxError
+        assert SparqlSyntaxError is SparqlSyntaxError
         assert issubclass(SparqlSyntaxError, ValueError)
 
     def test_bad_select_token_position(self):
-        with pytest.raises(SPARQLSyntaxError) as excinfo:
+        with pytest.raises(SparqlSyntaxError) as excinfo:
             parse_query("SELECT foo WHERE { ?x p ?y }")
         assert excinfo.value.token == "foo"
         assert excinfo.value.position == (1, 8)
@@ -103,31 +104,31 @@ class TestErrorDiagnostics:
         assert "'foo'" in str(excinfo.value)
 
     def test_position_tracks_lines(self):
-        with pytest.raises(SPARQLSyntaxError) as excinfo:
+        with pytest.raises(SparqlSyntaxError) as excinfo:
             parse_query("SELECT ?x WHERE {\n  ?x p ?y .\n  ?z q }")
         assert excinfo.value.token == "?z"
         assert excinfo.value.position == (3, 3)
 
     def test_eof_errors_point_past_the_end(self):
-        with pytest.raises(SPARQLSyntaxError) as excinfo:
+        with pytest.raises(SparqlSyntaxError) as excinfo:
             parse_query("SELECT ?x")
         assert excinfo.value.token is None
         assert excinfo.value.position == (1, 10)
 
     def test_wrong_keyword_start(self):
-        with pytest.raises(SPARQLSyntaxError) as excinfo:
+        with pytest.raises(SparqlSyntaxError) as excinfo:
             parse_query("ASK { ?x p ?y }")
         assert excinfo.value.token == "ASK"
         assert excinfo.value.position == (1, 1)
 
     def test_literal_in_subject_position_reported(self):
-        with pytest.raises(SPARQLSyntaxError) as excinfo:
+        with pytest.raises(SparqlSyntaxError) as excinfo:
             parse_query('SELECT ?x WHERE { ?x p ?y . "lit" p ?x }')
         assert excinfo.value.token == '"lit"'
         assert excinfo.value.position == (1, 29)
 
     def test_nested_group_position(self):
-        with pytest.raises(SPARQLSyntaxError) as excinfo:
+        with pytest.raises(SparqlSyntaxError) as excinfo:
             parse_query("SELECT ?x WHERE { { ?x p ?y } }")
         assert excinfo.value.position == (1, 19)
 
@@ -142,7 +143,7 @@ class TestErrorDiagnostics:
         assert literal.line == 2
 
     def test_distinguished_not_in_body_is_syntax_error(self):
-        with pytest.raises(SPARQLSyntaxError) as excinfo:
+        with pytest.raises(SparqlSyntaxError) as excinfo:
             parse_query("SELECT ?z WHERE { ?x p ?y }")
         assert excinfo.value.token == "?z"
         assert excinfo.value.position == (1, 8)

@@ -8,9 +8,10 @@ from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
 from repro.systems.csq import CSQ
 from repro.systems.h2rdf import H2RDFPlus
-from repro.systems.shape import ShapeSystem, decompose_2f, is_pwoc_2f
+from repro.systems.shape import ShapeSystem, decompose_2f
 from repro.workloads import lubm
 from repro.workloads.lubm_queries import all_queries, query
+from tests.oracles import pwoc_anchor_2f
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +62,11 @@ class TestPWOCStructure:
 
     def test_is_pwoc_2f_on_simple_shapes(self):
         star = parse_query("SELECT ?x WHERE { ?x p1 ?a . ?x p2 ?b }")
-        assert is_pwoc_2f(star)
+        assert pwoc_anchor_2f(star.patterns) is not None
         chain3 = parse_query("SELECT ?x WHERE { ?x p1 ?y . ?y p2 ?z . ?z p3 ?w }")
-        assert not is_pwoc_2f(chain3)
+        assert pwoc_anchor_2f(chain3.patterns) is None
         two_hop = parse_query("SELECT ?x WHERE { ?x p1 ?y . ?y p2 ?z }")
-        assert is_pwoc_2f(two_hop)
+        assert pwoc_anchor_2f(two_hop.patterns) is not None
 
     def test_decompose_2f_covers_all_patterns(self):
         for name in ("Q1", "Q7", "Q11", "Q14"):

@@ -17,12 +17,8 @@ from repro.sparql.ast import BGPQuery, TriplePattern
 from repro.sparql.evaluator import evaluate
 from repro.sparql.parser import parse_query
 from repro.systems.h2rdf import H2RDFPlus
-from repro.systems.shape import (
-    ShapeSystem,
-    decompose_2f,
-    is_pwoc_2f,
-    pwoc_anchor_2f,
-)
+from repro.systems.shape import ShapeSystem, decompose_2f
+from tests.oracles import pwoc_anchor_2f
 
 
 def random_graph(seed: int, n_props: int = 4, size: int = 80) -> RDFGraph:
@@ -69,11 +65,10 @@ class TestShapePartitioning:
     def test_anchor_detection(self):
         q = parse_query("SELECT ?x WHERE { ?x p1 ?y . ?x p2 ?z . ?y p3 ?w }")
         assert pwoc_anchor_2f(q.patterns) == "?x"
-        assert is_pwoc_2f(q)
 
     def test_three_hop_chain_not_pwoc(self):
         q = parse_query("SELECT ?x WHERE { ?x p ?y . ?y p ?z . ?z p ?w }")
-        assert not is_pwoc_2f(q)
+        assert pwoc_anchor_2f(q.patterns) is None
 
     def test_decompose_fragments_are_pwoc(self):
         q = parse_query(
